@@ -116,6 +116,7 @@ enum JobEvent {
 }
 
 /// The simulated cloud: catalog + hidden performance model + billing.
+#[derive(Debug)]
 pub struct CloudProvider {
     catalog: InstanceCatalog,
     perf: PerformanceModel,

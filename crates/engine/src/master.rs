@@ -282,16 +282,21 @@ impl DisarMaster {
             })
             .expect("thread scope failed");
 
-        // Gather: element-wise aggregation of Y_1 across EEBs.
+        // Gather: element-wise aggregation of Y_1 across EEBs, summed in
+        // block-index order — which unit ran a block depends on the thread
+        // count, and the sums must not.
+        let mut blocks = Vec::with_capacity(type_b.len());
+        for unit in results {
+            blocks.extend(unit?);
+        }
+        blocks.sort_unstable_by_key(|&(i, _)| i);
         let mut y1_total: Vec<f64> = vec![0.0; self.spec.n_outer];
         let mut bel = 0.0;
-        for unit in results {
-            for (_, res) in unit? {
-                for (t, y) in y1_total.iter_mut().zip(&res.y1) {
-                    *t += y;
-                }
-                bel += res.bel;
+        for (_, res) in &blocks {
+            for (t, y) in y1_total.iter_mut().zip(&res.y1) {
+                *t += y;
             }
+            bel += res.bel;
         }
         monitor.on_event(crate::progress::ProgressEvent::Gathered);
         let mean_y1 = disar_math::stats::mean(&y1_total);
@@ -405,6 +410,23 @@ mod tests {
             .unwrap()
             .with_blocks(0)
             .is_err());
+    }
+
+    #[test]
+    fn thread_count_does_not_change_the_bits() {
+        // Five blocks on two units: LPT interleaves them, so schedule order
+        // and block order differ.
+        let master = DisarMaster::new(tiny_spec(3)).unwrap().with_blocks(5).unwrap();
+        let one = master.run_local(1).unwrap();
+        let two = master.run_local(2).unwrap();
+        for (a, b) in [
+            (one.scr, two.scr),
+            (one.bel, two.bel),
+            (one.mean_y1, two.mean_y1),
+            (one.var_quantile, two.var_quantile),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
     }
 
     #[test]

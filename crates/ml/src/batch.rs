@@ -122,9 +122,9 @@ impl FeatureMatrix {
 pub struct PredictScratch {
     /// Standardized query vector (IBk, K*).
     pub(crate) q: Vec<f64>,
-    /// kd-tree k-best candidate list (IBk, K*'s underflow fallback).
+    /// kd-tree k-best candidate list (IBk).
     pub(crate) best: Vec<(f64, usize)>,
-    /// Per-row L1 distances (K*).
+    /// Per-row L1 distances, min-shifted in place by the scale search (K*).
     pub(crate) dists: Vec<f64>,
     /// Discretized lookup key (decision table).
     pub(crate) key: Vec<u32>,

@@ -13,7 +13,7 @@
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::instances::InstanceStore;
-use crate::neighbours::Metric;
+use crate::neighbours::NeighbourIndex;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
@@ -46,7 +46,14 @@ pub enum Weighting {
 pub struct IbK {
     k: usize,
     weighting: Weighting,
-    fitted: Option<InstanceStore>,
+    fitted: Option<Fitted>,
+}
+
+/// The training set and the kd-tree over its standardized rows.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Fitted {
+    store: InstanceStore,
+    index: NeighbourIndex,
 }
 
 impl IbK {
@@ -85,15 +92,15 @@ impl IbK {
         self.k
     }
 
-    fn standardized_query(&self, x: &[f64]) -> Result<(&InstanceStore, Vec<f64>), MlError> {
+    fn standardized_query(&self, x: &[f64]) -> Result<(&Fitted, Vec<f64>), MlError> {
         let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != f.scaler.dim() {
+        if x.len() != f.store.scaler.dim() {
             return Err(MlError::FeatureDimensionMismatch {
-                expected: f.scaler.dim(),
+                expected: f.store.scaler.dim(),
                 got: x.len(),
             });
         }
-        Ok((f, f.scaler.transform(x)))
+        Ok((f, f.store.scaler.transform(x)))
     }
 
     /// Applies the weighting scheme to a sorted `(distance², row)` list.
@@ -129,6 +136,7 @@ impl IbK {
     #[doc(hidden)]
     pub fn predict_linear(&self, x: &[f64]) -> Result<f64, MlError> {
         let (f, q) = self.standardized_query(x)?;
+        let f = &f.store;
         // The k smallest (distance², index), kept sorted ascending. A row is
         // abandoned mid-sum once its partial distance exceeds the current
         // k-th best: only rows whose *full* distance is strictly worse are
@@ -164,15 +172,17 @@ impl IbK {
 
 impl Regressor for IbK {
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        self.fitted = Some(InstanceStore::fit(data, Metric::SquaredEuclidean)?);
+        let store = InstanceStore::fit(data)?;
+        let index = NeighbourIndex::build(&store.rows);
+        self.fitted = Some(Fitted { store, index });
         Ok(())
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
         let (f, q) = self.standardized_query(x)?;
-        let k = self.k.min(f.rows.len());
-        let best = f.index.nearest(&f.rows, &q, k);
-        Ok(self.weighted_mean(f, &best))
+        let k = self.k.min(f.store.rows.len());
+        let best = f.index.nearest(&f.store.rows, &q, k);
+        Ok(self.weighted_mean(&f.store, &best))
     }
 
     /// Batched kd-tree queries reusing one standardized-query buffer and one
@@ -190,18 +200,18 @@ impl Regressor for IbK {
             return Ok(());
         }
         let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if xs.dim() != f.scaler.dim() {
+        let Fitted { store, index } = f;
+        if xs.dim() != store.scaler.dim() {
             return Err(MlError::FeatureDimensionMismatch {
-                expected: f.scaler.dim(),
+                expected: store.scaler.dim(),
                 got: xs.dim(),
             });
         }
-        let k = self.k.min(f.rows.len());
+        let k = self.k.min(store.rows.len());
         for (i, slot) in out.iter_mut().enumerate() {
-            f.scaler.transform_into(xs.row(i), &mut scratch.q);
-            f.index
-                .nearest_into(&f.rows, &scratch.q, k, &mut scratch.best);
-            *slot = self.weighted_mean(f, &scratch.best);
+            store.scaler.transform_into(xs.row(i), &mut scratch.q);
+            index.nearest_into(&store.rows, &scratch.q, k, &mut scratch.best);
+            *slot = self.weighted_mean(store, &scratch.best);
         }
         Ok(())
     }
@@ -222,14 +232,22 @@ impl Regressor for IbK {
 impl IncrementalRegressor for IbK {
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
         match &mut self.fitted {
-            Some(store) => store.extend(data, from),
+            Some(Fitted { store, index }) => {
+                let start = store.len();
+                if store.extend(data, from)? {
+                    *index = NeighbourIndex::build(&store.rows);
+                } else {
+                    index.append(&store.rows, start);
+                }
+                Ok(())
+            }
             None if from == 0 => self.fit(data),
             None => Err(MlError::IncrementalMismatch { fitted: 0, from }),
         }
     }
 
     fn fitted_len(&self) -> usize {
-        self.fitted.as_ref().map_or(0, InstanceStore::len)
+        self.fitted.as_ref().map_or(0, |f| f.store.len())
     }
 }
 

@@ -1,25 +1,26 @@
 //! Shared append-only training state for the instance-based learners.
 //!
 //! [`IbK`](crate::IbK) and [`KStar`](crate::KStar) both keep their training
-//! set verbatim: a min–max scaler, the raw and standardized rows, the targets
-//! and a [`NeighbourIndex`] over the standardized space. [`InstanceStore`]
-//! owns that state and implements the incremental-fit step both models share.
+//! set verbatim: a min–max scaler, the raw and standardized rows and the
+//! targets. [`InstanceStore`] owns that state and implements the
+//! incremental-fit step both models share; IBk keeps its neighbour index
+//! beside the store, K* needs none.
 //!
 //! The incremental invariant: per-column min/max folds are exact and
 //! left-associative, so folding the stored bounds over the appended rows
 //! yields bit-identical bounds to a from-scratch fold over all rows. When the
-//! bounds are unchanged only the new rows are standardized and appended to
-//! the index; when a bound moved, every normalized coordinate shifts, so the
-//! store re-standardizes from its raw rows and rebuilds the index — still
-//! bit-identical to a full refit, just no longer O(new rows) for that append.
+//! bounds are unchanged only the new rows are standardized and appended; when
+//! a bound moved, every normalized coordinate shifts, so the store
+//! re-standardizes from its raw rows — still bit-identical to a full refit,
+//! just no longer O(new rows) for that append. [`InstanceStore::extend`]
+//! reports which of the two happened so an index over the rows can follow.
 
 use crate::dataset::{Dataset, Scaler};
-use crate::neighbours::{Metric, NeighbourIndex};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
 
 /// Fitted state of an instance-based learner: scaler bounds, raw and
-/// standardized rows, targets, and the neighbour index over the rows.
+/// standardized rows, and targets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct InstanceStore {
     pub scaler: Scaler,
@@ -29,12 +30,11 @@ pub(crate) struct InstanceStore {
     /// Standardized rows — the space all distances are measured in.
     pub rows: Vec<Vec<f64>>,
     pub targets: Vec<f64>,
-    pub index: NeighbourIndex,
 }
 
 impl InstanceStore {
     /// Fits from scratch over all of `data`.
-    pub fn fit(data: &Dataset, metric: Metric) -> Result<Self, MlError> {
+    pub fn fit(data: &Dataset) -> Result<Self, MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
@@ -49,7 +49,6 @@ impl InstanceStore {
         }
         let scaler = Scaler::from_bounds(mins.clone(), maxs.clone());
         let rows: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
-        let index = NeighbourIndex::build(metric, &rows);
         Ok(InstanceStore {
             scaler,
             mins,
@@ -57,7 +56,6 @@ impl InstanceStore {
             raw_rows: data.rows().to_vec(),
             rows,
             targets: data.targets().to_vec(),
-            index,
         })
     }
 
@@ -68,13 +66,15 @@ impl InstanceStore {
 
     /// Extends the fit with `data.rows()[from..]`. The caller guarantees
     /// `data.rows()[..from]` is exactly the prefix this store was fitted on.
+    /// Returns `true` when a scaler bound moved and every standardized row
+    /// was recomputed, `false` when rows were only appended.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::IncrementalMismatch`] when `from` does not continue
     /// the fitted prefix and [`MlError::FeatureDimensionMismatch`] when the
     /// feature dimension changed.
-    pub fn extend(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
+    pub fn extend(&mut self, data: &Dataset, from: usize) -> Result<bool, MlError> {
         if data.dim() != self.scaler.dim() {
             return Err(MlError::FeatureDimensionMismatch {
                 expected: self.scaler.dim(),
@@ -88,7 +88,7 @@ impl InstanceStore {
             });
         }
         if from == data.len() {
-            return Ok(());
+            return Ok(false);
         }
         let d = data.dim();
         let mut mins = self.mins.clone();
@@ -115,15 +115,13 @@ impl InstanceStore {
                 .iter()
                 .map(|r| self.scaler.transform(r))
                 .collect();
-            self.index = NeighbourIndex::build(self.index.metric(), &self.rows);
         } else {
             let start = self.rows.len();
             for r in &self.raw_rows[start..] {
                 self.rows.push(self.scaler.transform(r));
             }
-            self.index.append(&self.rows, start);
         }
-        Ok(())
+        Ok(bounds_moved)
     }
 }
 
@@ -143,25 +141,23 @@ mod tests {
     #[test]
     fn extend_matches_fresh_fit() {
         let all = data(60);
-        for metric in [Metric::SquaredEuclidean, Metric::Manhattan] {
-            let fresh = InstanceStore::fit(&all, metric).unwrap();
-            let prefix = all.filter(|i| i < 25);
-            let mut grown = InstanceStore::fit(&prefix, metric).unwrap();
-            grown.extend(&all, 25).unwrap();
-            assert_eq!(grown.scaler, fresh.scaler);
-            assert_eq!(grown.rows, fresh.rows);
-            assert_eq!(grown.targets, fresh.targets);
-        }
+        let fresh = InstanceStore::fit(&all).unwrap();
+        let prefix = all.filter(|i| i < 25);
+        let mut grown = InstanceStore::fit(&prefix).unwrap();
+        grown.extend(&all, 25).unwrap();
+        assert_eq!(grown.scaler, fresh.scaler);
+        assert_eq!(grown.rows, fresh.rows);
+        assert_eq!(grown.targets, fresh.targets);
     }
 
     #[test]
     fn extend_rejects_wrong_offset() {
         let all = data(10);
-        let mut store = InstanceStore::fit(&all, Metric::Manhattan).unwrap();
+        let mut store = InstanceStore::fit(&all).unwrap();
         assert!(matches!(
             store.extend(&all, 3),
             Err(MlError::IncrementalMismatch { fitted: 10, from: 3 })
         ));
-        assert!(store.extend(&all, 10).is_ok()); // no-op
+        assert!(matches!(store.extend(&all, 10), Ok(false))); // no-op
     }
 }

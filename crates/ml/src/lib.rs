@@ -61,6 +61,6 @@ pub use forest::RandomForest;
 pub use ibk::IbK;
 pub use kstar::KStar;
 pub use mlp::Mlp;
-pub use neighbours::{Metric, NeighbourIndex};
+pub use neighbours::NeighbourIndex;
 pub use regressor::{default_family, IncrementalRegressor, ModelKind, Regressor};
 pub use tree::RandomTree;

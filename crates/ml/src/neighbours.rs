@@ -1,9 +1,9 @@
 //! Bucketed kd-tree neighbour index over the standardized feature space.
 //!
-//! [`NeighbourIndex`] accelerates the k-nearest-neighbour searches of the
-//! instance-based learners ([`crate::IbK`], [`crate::KStar`]) from a full
-//! O(n) scan to an indexed candidate search, while staying **bit-identical**
-//! to the linear scan they replace:
+//! [`NeighbourIndex`] accelerates the k-nearest-neighbour search of
+//! [`crate::IbK`] from a full O(n) scan to an indexed candidate search over
+//! squared Euclidean distances, while staying **bit-identical** to the linear
+//! scan it replaces:
 //!
 //! * the result set is the `k` lexicographically smallest `(distance, row)`
 //!   pairs — equal distances resolve to the lowest row index, exactly like
@@ -22,37 +22,6 @@
 //! one-record-at-a-time growth.
 
 use serde::{Deserialize, Serialize};
-
-/// Distance metric of an index. Both accumulate per-dimension terms in
-/// dimension order, matching the linear scans they replace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Metric {
-    /// Sum of squared per-dimension differences (IBk's distance²).
-    SquaredEuclidean,
-    /// Sum of absolute per-dimension differences (K*'s L1 distance).
-    Manhattan,
-}
-
-impl Metric {
-    #[inline]
-    fn term(self, a: f64, b: f64) -> f64 {
-        match self {
-            Metric::SquaredEuclidean => (a - b) * (a - b),
-            Metric::Manhattan => (a - b).abs(),
-        }
-    }
-
-    /// Minimum possible distance contribution of the splitting hyperplane:
-    /// every point beyond the plane is at least this far in the metric.
-    #[inline]
-    fn plane_gap(self, q_coord: f64, split_value: f64) -> f64 {
-        let gap = (q_coord - split_value).abs();
-        match self {
-            Metric::SquaredEuclidean => gap * gap,
-            Metric::Manhattan => gap,
-        }
-    }
-}
 
 /// Points per leaf before a build splits further. Leaves run the same
 /// early-abandon scan as the linear search, so small leaves only add tree
@@ -79,7 +48,6 @@ enum Node {
 /// the rows are never duplicated.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NeighbourIndex {
-    metric: Metric,
     nodes: Vec<Node>,
     root: usize,
     /// Number of points the current tree structure was *built* over.
@@ -90,9 +58,8 @@ pub struct NeighbourIndex {
 
 impl NeighbourIndex {
     /// Builds an index over `points` (row `i` gets identity `i`).
-    pub fn build(metric: Metric, points: &[Vec<f64>]) -> Self {
+    pub fn build(points: &[Vec<f64>]) -> Self {
         let mut idx = NeighbourIndex {
-            metric,
             nodes: Vec::new(),
             root: 0,
             built_len: points.len(),
@@ -111,11 +78,6 @@ impl NeighbourIndex {
     /// Returns `true` when the index covers no points.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The metric the index was built with.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn build_node(&mut self, points: &[Vec<f64>], ids: &mut [u32]) -> usize {
@@ -206,7 +168,7 @@ impl NeighbourIndex {
             self.pending += 1;
         }
         if self.pending > self.built_len / 2 {
-            *self = NeighbourIndex::build(self.metric, points);
+            *self = NeighbourIndex::build(points);
         }
     }
 
@@ -244,7 +206,7 @@ impl NeighbourIndex {
                     let mut d = 0.0;
                     let mut abandoned = false;
                     for (a, b) in points[i as usize].iter().zip(q) {
-                        d += self.metric.term(*a, *b);
+                        d += (a - b) * (a - b);
                         if d > threshold {
                             abandoned = true;
                             break;
@@ -267,7 +229,8 @@ impl NeighbourIndex {
                 // Prune the far child only when its minimum possible distance
                 // is strictly greater than the current k-th best — on equality
                 // a lower-index tie could still displace the current k-th.
-                if self.metric.plane_gap(q[*dim], *value) <= best.threshold() {
+                let gap = q[*dim] - *value;
+                if gap * gap <= best.threshold() {
                     self.search(far, points, q, best);
                 }
             }
@@ -320,19 +283,14 @@ mod tests {
     /// The reference the index must reproduce bit-for-bit: the linear scan's
     /// kept set, i.e. the k lexicographically smallest (distance, row) pairs
     /// with distances accumulated in dimension order.
-    fn brute_force(
-        metric: Metric,
-        points: &[Vec<f64>],
-        q: &[f64],
-        k: usize,
-    ) -> Vec<(f64, usize)> {
+    fn brute_force(points: &[Vec<f64>], q: &[f64], k: usize) -> Vec<(f64, usize)> {
         let mut all: Vec<(f64, usize)> = points
             .iter()
             .enumerate()
             .map(|(i, p)| {
                 let mut d = 0.0;
                 for (a, b) in p.iter().zip(q) {
-                    d += metric.term(*a, *b);
+                    d += (a - b) * (a - b);
                 }
                 (d, i)
             })
@@ -361,18 +319,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force_both_metrics() {
-        for metric in [Metric::SquaredEuclidean, Metric::Manhattan] {
-            for (n, dim, grid) in [(1, 1, false), (7, 2, false), (100, 3, false), (200, 2, true)] {
-                let points = random_points(n, dim, 42 + n as u64, grid);
-                let index = NeighbourIndex::build(metric, &points);
-                let queries = random_points(20, dim, 7, grid);
-                for q in &queries {
-                    for k in [1, 3, n] {
-                        let got = index.nearest(&points, q, k);
-                        let want = brute_force(metric, &points, q, k);
-                        assert_eq!(got, want, "metric {metric:?} n {n} k {k}");
-                    }
+    fn matches_brute_force() {
+        for (n, dim, grid) in [(1, 1, false), (7, 2, false), (100, 3, false), (200, 2, true)] {
+            let points = random_points(n, dim, 42 + n as u64, grid);
+            let index = NeighbourIndex::build(&points);
+            let queries = random_points(20, dim, 7, grid);
+            for q in &queries {
+                for k in [1, 3, n] {
+                    let got = index.nearest(&points, q, k);
+                    let want = brute_force(&points, q, k);
+                    assert_eq!(got, want, "n {n} k {k}");
                 }
             }
         }
@@ -382,44 +338,42 @@ mod tests {
     fn ties_resolve_to_lowest_row_index() {
         // Four identical points: the 2 nearest must be rows 0 and 1.
         let points = vec![vec![1.0, 2.0]; 4];
-        let index = NeighbourIndex::build(Metric::SquaredEuclidean, &points);
+        let index = NeighbourIndex::build(&points);
         let got = index.nearest(&points, &[0.0, 0.0], 2);
         assert_eq!(got, vec![(5.0, 0), (5.0, 1)]);
     }
 
     #[test]
     fn append_matches_fresh_build() {
-        for metric in [Metric::SquaredEuclidean, Metric::Manhattan] {
-            let points = random_points(120, 3, 9, false);
-            let mut grown = NeighbourIndex::build(metric, &points[..40]);
-            for from in 40..120 {
-                grown.append(&points[..=from], from);
-            }
-            assert_eq!(grown.len(), 120);
-            let queries = random_points(10, 3, 11, false);
-            for q in &queries {
-                let got = grown.nearest(&points, q, 5);
-                let want = brute_force(metric, &points, q, 5);
-                assert_eq!(got, want, "metric {metric:?}");
-            }
+        let points = random_points(120, 3, 9, false);
+        let mut grown = NeighbourIndex::build(&points[..40]);
+        for from in 40..120 {
+            grown.append(&points[..=from], from);
+        }
+        assert_eq!(grown.len(), 120);
+        let queries = random_points(10, 3, 11, false);
+        for q in &queries {
+            let got = grown.nearest(&points, q, 5);
+            let want = brute_force(&points, q, 5);
+            assert_eq!(got, want);
         }
     }
 
     #[test]
     fn empty_and_zero_k() {
         let points: Vec<Vec<f64>> = Vec::new();
-        let index = NeighbourIndex::build(Metric::Manhattan, &points);
+        let index = NeighbourIndex::build(&points);
         assert!(index.is_empty());
         assert!(index.nearest(&points, &[0.0], 3).is_empty());
         let points = vec![vec![0.0]];
-        let index = NeighbourIndex::build(Metric::Manhattan, &points);
+        let index = NeighbourIndex::build(&points);
         assert!(index.nearest(&points, &[0.0], 0).is_empty());
     }
 
     #[test]
     fn nearest_into_reuses_buffer_and_matches_nearest() {
         let points = random_points(80, 3, 5, true);
-        let index = NeighbourIndex::build(Metric::SquaredEuclidean, &points);
+        let index = NeighbourIndex::build(&points);
         let queries = random_points(12, 3, 13, false);
         let mut buf = Vec::new();
         for q in &queries {
@@ -433,7 +387,7 @@ mod tests {
     #[test]
     fn serialization_roundtrip_preserves_results() {
         let points = random_points(60, 2, 3, true);
-        let index = NeighbourIndex::build(Metric::SquaredEuclidean, &points);
+        let index = NeighbourIndex::build(&points);
         let json = serde_json::to_string(&index).unwrap();
         let back: NeighbourIndex = serde_json::from_str(&json).unwrap();
         let q = vec![0.4, 0.6];

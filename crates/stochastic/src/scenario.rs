@@ -332,7 +332,7 @@ impl ScenarioView<'_> {
         let rates = self.path(path, sr);
         assert!(step < rates.len(), "step index out of range");
         let dt = self.grid.dt();
-        let mut integral = 0.0;
+        let mut integral = 0.0_f64;
         for s in 0..step {
             integral += 0.5 * (rates[s] + rates[s + 1]) * dt;
         }
@@ -363,7 +363,7 @@ impl ScenarioView<'_> {
         };
         let rates = self.path(path, sr);
         let dt = self.grid.dt();
-        let mut integral = 0.0;
+        let mut integral = 0.0_f64;
         out.push((-integral).exp());
         for s in 0..n_steps {
             integral += 0.5 * (rates[s] + rates[s + 1]) * dt;
@@ -395,7 +395,7 @@ impl ScenarioView<'_> {
         let rates = self.path(path, sr);
         assert!(n_years * spy < rates.len(), "year index out of range");
         let dt = self.grid.dt();
-        let mut integral = 0.0;
+        let mut integral = 0.0_f64;
         for k in 1..=n_years {
             for s in (k - 1) * spy..k * spy {
                 integral += 0.5 * (rates[s] + rates[s + 1]) * dt;
