@@ -1,8 +1,8 @@
 //! `perf_smoke` — dependency-free timing of the nested Monte Carlo kernel.
 //!
-//! The criterion benches need a populated cargo registry to build; this
-//! binary deliberately uses **std `Instant` only** so the perf trajectory
-//! can be measured on hardware where the registry is unreachable:
+//! This binary deliberately uses **std `Instant` only**, so the lane
+//! contract can be timed on hardware where the cargo registry is
+//! unreachable (the layered numbers come from `bash benchmark/run.sh`):
 //!
 //! ```text
 //! cargo run --release -p disar-bench --bin perf_smoke

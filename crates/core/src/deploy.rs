@@ -14,13 +14,15 @@
 //!    carrying out useful work";
 //! 4. **Retrain** the model family and go to 1 for the next simulation.
 //!
-//! Two backends implement the loop behind the [`Deployer`] trait: the
-//! monolithic [`TransparentDeployer`] and the instance-type-sharded
-//! [`ShardedDeployer`]. The trait splits one `deploy()` into its
-//! *decision* ([`Deployer::select`] / [`Deployer::begin_manual`]) and
-//! *feedback* ([`Deployer::record`]) halves so [`crate::pipeline`] can
-//! overlap the decision for job *k+1* with the cloud run of job *k*
-//! without changing the paper's semantics (see
+//! The loop is written once, in [`DeployLoop`], over a knowledge layout
+//! that supplies only its storage: the monolithic [`TransparentDeployer`],
+//! the instance-type-sharded [`ShardedDeployer`], the two-key
+//! [`crate::tenant::TenantShardedDeployer`] and the lanes of
+//! [`crate::service::DeployService`]. The [`Deployer`] trait splits one
+//! `deploy()` into its *decision* ([`Deployer::select`] /
+//! [`Deployer::begin_manual`]) and *feedback* ([`Deployer::record`]) halves
+//! so [`crate::pipeline`] can overlap the decision for job *k+1* with the
+//! cloud run of job *k* without changing the paper's semantics (see
 //! [`Deployer::selection_ready`]).
 
 use crate::algorithm::{select_configuration_with_workspace, SelectionWorkspace, TimeEstimate};
@@ -28,7 +30,7 @@ use crate::drift::{DriftConfig, DriftState};
 use crate::knowledge::{KnowledgeBase, RunRecord, ShardedKnowledgeBase};
 use crate::predictor::{PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 use crate::profile::JobProfile;
-use crate::tenant::TransferPolicy;
+use crate::tenant::{TenantId, TransferPolicy};
 use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
@@ -286,9 +288,9 @@ pub struct DeployDecision {
 /// The self-optimizing deploy service, split into decision and feedback
 /// halves.
 ///
-/// Implementors ([`TransparentDeployer`], [`ShardedDeployer`]) own the
-/// knowledge base, the predictor(s) and a shared handle on the cloud
-/// provider. The provided [`Deployer::deploy`] / [`Deployer::deploy_manual`]
+/// The one implementor, [`DeployLoop`], owns (or in the service, reaches)
+/// the knowledge base and the predictor(s), and holds a shared handle on
+/// the cloud provider. The provided [`Deployer::deploy`] / [`Deployer::deploy_manual`]
 /// compose the halves back into the paper's sequential loop; the
 /// event-driven [`crate::pipeline::DeployPipeline`] drives the halves
 /// directly so selection and execution can overlap.
@@ -393,15 +395,7 @@ pub trait Deployer {
         workload: &Workload,
     ) -> Result<DeployOutcome, CoreError> {
         let decision = self.select(profile, &[])?;
-        let report = self
-            .provider()
-            .run_job(&decision.instance, decision.n_nodes, workload)?;
-        self.record(profile, &decision, &report)?;
-        Ok(DeployOutcome {
-            mode: decision.mode,
-            predicted_secs: decision.predicted_secs,
-            report,
-        })
+        run_decided(self, profile, workload, decision)
     }
 
     /// Deploys with an operator-forced configuration (manual override);
@@ -418,73 +412,400 @@ pub trait Deployer {
         n_nodes: usize,
     ) -> Result<DeployOutcome, CoreError> {
         let decision = self.begin_manual(instance, n_nodes)?;
-        let report = self
-            .provider()
-            .run_job(&decision.instance, decision.n_nodes, workload)?;
-        self.record(profile, &decision, &report)?;
-        Ok(DeployOutcome {
-            mode: decision.mode,
-            predicted_secs: decision.predicted_secs,
-            report,
-        })
+        run_decided(self, profile, workload, decision)
     }
 }
 
-/// State every deployer backend shares: the provider handle, the policy
-/// and the decision-seed bookkeeping. Keeping it in one place stops the
-/// backend `deploy()` bodies (including the tenant-aware one in
-/// [`crate::tenant`]) from drifting.
-pub(crate) struct DeployerCore {
-    pub(crate) provider: Arc<CloudProvider>,
-    pub(crate) policy: DeployPolicy,
-    seed: u64,
-    pub(crate) deploy_counter: u64,
+/// Runs a decided job on the cloud and feeds the report back: the tail of
+/// [`Deployer::deploy`] and [`Deployer::deploy_manual`].
+fn run_decided<D: Deployer + ?Sized>(
+    deployer: &mut D,
+    profile: &JobProfile,
+    workload: &Workload,
+    decision: DeployDecision,
+) -> Result<DeployOutcome, CoreError> {
+    let report = deployer
+        .provider()
+        .run_job(&decision.instance, decision.n_nodes, workload)?;
+    deployer.record(profile, &decision, &report)?;
+    Ok(DeployOutcome {
+        mode: decision.mode,
+        predicted_secs: decision.predicted_secs,
+        report,
+    })
+}
+
+/// The fewest records a shard's family is fitted on. Every sharded layout's
+/// retrain gate waits for it, and every shard family is built with it.
+pub(crate) const SHARD_FLOOR: usize = 2;
+
+pub(crate) use backend::{Backend, Shard};
+
+/// Public in name only (the module is private): [`DeployLoop`]'s public
+/// methods are bounded by [`Backend`], and no other crate can implement it.
+mod backend {
+    use super::{DeployPolicy, SHARD_FLOOR};
+    use crate::knowledge::RunRecord;
+    use crate::predictor::{RetrainMode, TimePredictor};
+    use crate::tenant::TenantId;
+    use crate::CoreError;
+    use std::collections::BTreeMap;
+
+    /// One family a backend retrains, named by the records it trains on.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Shard {
+        /// The whole base: the monolithic layout's only family.
+        Whole,
+        /// One instance type's records across tenants: a per-instance
+        /// family, or a tenant layout's pooled one.
+        Instance(String),
+        /// One tenant's records on one instance type.
+        Local(String, TenantId),
+    }
+
+    impl Shard {
+        /// The instance type whose records the shard holds (`""` for the
+        /// whole base).
+        pub fn instance(&self) -> &str {
+            match self {
+                Shard::Whole => "",
+                Shard::Instance(instance) | Shard::Local(instance, _) => instance,
+            }
+        }
+    }
+
+    /// What a knowledge layout supplies to the one deploy loop
+    /// ([`super::DeployLoop`]): where records go, which families they grow,
+    /// and how a selection reads and a retrain writes those families. The
+    /// gate schedule, the pending replay, selection and the drift ladder
+    /// are the loop's and never look behind this trait.
+    pub trait Backend {
+        /// Records landed so far.
+        fn len(&self) -> usize;
+
+        /// The shards a run on `instance` grows, the record's own shard
+        /// (which keys its drift ladder) first.
+        fn shards(&self, instance: &str) -> Vec<Shard>;
+
+        /// Records `shard` holds now.
+        fn size(&self, shard: &Shard) -> usize;
+
+        /// Fewest records `shard` must hold for its retrain to fire:
+        /// `usize::MAX` when the layout keeps no family for it (a tenant
+        /// layout grows local and pooled shards alike and trains those its
+        /// transfer policy reads).
+        fn floor(&self, _shard: &Shard, _policy: &DeployPolicy) -> usize {
+            SHARD_FLOOR
+        }
+
+        /// Whether `shard`'s family has been trained (in the service: has
+        /// had a retrain fired, which every later selection waits for).
+        fn trained(&self, shard: &Shard) -> bool;
+
+        /// The shard whose family answers queries on `instance` when shards
+        /// have the sizes `size_of` gives.
+        fn serving(&self, instance: &str, _size_of: &dyn Fn(&Shard) -> usize) -> Shard {
+            self.shards(instance).swap_remove(0)
+        }
+
+        /// Runs `f` on the predictor an ML selection reads once the shards
+        /// in `sizes` have grown to the sizes given. The service waits here
+        /// for its published snapshot, which can fail.
+        fn with_view<R>(
+            &mut self,
+            sizes: &BTreeMap<Shard, usize>,
+            f: impl FnOnce(&dyn TimePredictor) -> R,
+        ) -> Result<R, CoreError>;
+
+        /// Appends one landed run, tagged with the layout's tenant if it has
+        /// one. The service waits here for an unpublished retrain of the
+        /// shard, which can fail.
+        fn append(&mut self, record: RunRecord) -> Result<(), CoreError>;
+
+        /// Applies the retrains a landed run on `instance` fired, in the
+        /// order of `due`. Called for every landed run, with `due` empty
+        /// when it fired none: the service reports each landing to its
+        /// ingester.
+        fn retrain(
+            &mut self,
+            instance: &str,
+            due: &[Shard],
+            mode: RetrainMode,
+            n_threads: usize,
+        ) -> Result<(), CoreError>;
+
+        /// Trains every family whose shard already holds the floor.
+        fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError>;
+    }
+}
+
+/// State of the loop once a set of pending records has landed — computable
+/// without their outcomes because the retrain gates only count.
+pub(crate) struct PendingSim {
+    /// Knowledge-base size once every pending record has landed.
+    pub(crate) virtual_len: usize,
+    /// Records landed since the last fired retrain at that point (read by
+    /// the schedule test only: it tells which pending record fired).
+    #[cfg(test)]
     pub(crate) runs_since_retrain: usize,
+    /// Whether every catalog type would then be served by a trained family.
+    pub(crate) covered: bool,
+    /// Whether landing the pending records fires at least one retrain
+    /// (i.e. the current predictor snapshot would go stale).
+    pub(crate) retrain_pending: bool,
+    /// Size, at that point, of every shard the pending records grow.
+    pub(crate) sizes: BTreeMap<Shard, usize>,
+}
+
+/// The paper's self-optimizing loop, written once over a knowledge layout
+/// `B`: validation, the decision-seed stream, the retrain schedule, the
+/// pending replay, bootstrap and Algorithm 1 selection, manual overrides
+/// and the record → residual → gate → retrain → ladder sequence. The
+/// layouts are [`TransparentDeployer`] (one base, one family),
+/// [`ShardedDeployer`] (per instance type),
+/// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant)
+/// and the per-tenant lanes of [`crate::service::DeployService`].
+pub struct DeployLoop<B> {
+    provider: Arc<CloudProvider>,
+    policy: DeployPolicy,
+    seed: u64,
+    /// Decisions made so far; with `seed` it keys each decision's seed, so
+    /// decisions depend only on submission order.
+    deploy_counter: u64,
     /// Warm Algorithm 1 buffers, reused across this deployer's decisions so
     /// steady-state selections stay allocation-free.
     selection: SelectionWorkspace,
+    pub(crate) backend: B,
+    /// Records landed since the last fired retrain (the `retrain_every`
+    /// cadence).
+    pub(crate) runs_since_retrain: usize,
+    /// Residual drift detector + retrain escalation ladder of each shard
+    /// that has landed a predicted run (inert unless the policy enables a
+    /// detector): a fire escalates only that shard's next retrain.
+    pub(crate) drift: BTreeMap<Shard, DriftState>,
+    /// Number of detector fires so far across all shards.
+    drift_fires: u64,
 }
 
-impl DeployerCore {
-    pub(crate) fn new(provider: Arc<CloudProvider>, policy: DeployPolicy, seed: u64) -> Self {
-        DeployerCore {
+impl<B> DeployLoop<B> {
+    pub(crate) fn assemble(
+        provider: Arc<CloudProvider>,
+        policy: DeployPolicy,
+        seed: u64,
+        backend: B,
+    ) -> Self {
+        DeployLoop {
             provider,
             policy,
             seed,
             deploy_counter: 0,
-            runs_since_retrain: 0,
             selection: SelectionWorkspace::new(),
+            backend,
+            runs_since_retrain: 0,
+            drift: BTreeMap::new(),
+            drift_fires: 0,
         }
     }
 
-    /// Bumps the deploy counter and derives this deploy's decision seed —
-    /// counter-based, so decisions depend only on submission order.
-    pub(crate) fn next_decision_seed(&mut self) -> u64 {
+    /// Bumps the deploy counter and derives this deploy's decision seed.
+    fn next_decision_seed(&mut self) -> u64 {
         self.deploy_counter += 1;
         disar_math::rng::split_seed(self.seed, self.deploy_counter)
     }
 
-    /// A uniformly random `(instance, n_nodes)` for the bootstrap phase.
-    pub(crate) fn random_config(&self, seed: u64) -> (String, usize) {
-        let mut rng = stream_rng(seed, 0xB00F);
-        let names = self.provider.catalog().names();
-        let instance = names[rng.gen_range(0..names.len())].clone();
-        let n_nodes = rng.gen_range(1..=self.policy.max_nodes);
-        (instance, n_nodes)
+    /// The active policy.
+    pub fn policy(&self) -> &DeployPolicy {
+        &self.policy
     }
 
-    /// The shared manual-override half of every backend's `begin_manual`:
-    /// validates the policy and burns one decision-counter tick, so forced
-    /// and automatic deploys draw from the same seed stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation failures.
-    pub(crate) fn manual_decision(
+    /// The underlying cloud provider.
+    pub fn provider(&self) -> &CloudProvider {
+        &self.provider
+    }
+
+    /// Number of drift-detector fires so far across all shards (0 with the
+    /// default [`crate::drift::DetectorKind::Off`] policy).
+    pub fn drift_fires(&self) -> u64 {
+        self.drift_fires
+    }
+}
+
+impl<B: Backend> DeployLoop<B> {
+    /// [`Deployer::warm`], callable without importing the trait.
+    pub fn warm(&mut self) -> Result<(), CoreError> {
+        Deployer::warm(self)
+    }
+
+    /// [`Deployer::deploy`], callable without importing the trait.
+    pub fn deploy(
+        &mut self,
+        profile: &JobProfile,
+        workload: &Workload,
+    ) -> Result<DeployOutcome, CoreError> {
+        Deployer::deploy(self, profile, workload)
+    }
+
+    /// [`Deployer::deploy_manual`], callable without importing the trait.
+    pub fn deploy_manual(
+        &mut self,
+        profile: &JobProfile,
+        workload: &Workload,
+        instance: &str,
+        n_nodes: usize,
+    ) -> Result<DeployOutcome, CoreError> {
+        Deployer::deploy_manual(self, profile, workload, instance, n_nodes)
+    }
+
+    /// Replays the retrain schedule over the pending decisions. The gates
+    /// count landed records and shard sizes — both derivable from the
+    /// decisions' instances alone — so the virtual state is exact.
+    pub(crate) fn replay(&self, pending: &[DeployDecision]) -> PendingSim {
+        let policy = &self.policy;
+        let mut virtual_len = self.backend.len();
+        let mut runs_since_retrain = self.runs_since_retrain;
+        let mut retrain_pending = false;
+        let mut sizes: BTreeMap<Shard, usize> = BTreeMap::new();
+        let mut newly_trained: BTreeSet<Shard> = BTreeSet::new();
+        for d in pending {
+            virtual_len += 1;
+            runs_since_retrain += 1;
+            let mut fired = false;
+            for shard in self.backend.shards(&d.instance) {
+                let size = sizes
+                    .entry(shard.clone())
+                    .or_insert_with(|| self.backend.size(&shard));
+                *size += 1;
+                if runs_since_retrain >= policy.retrain_every
+                    && *size >= self.backend.floor(&shard, policy)
+                {
+                    newly_trained.insert(shard);
+                    fired = true;
+                }
+            }
+            if fired {
+                retrain_pending = true;
+                runs_since_retrain = 0;
+            }
+        }
+        let size_of = |shard: &Shard| {
+            sizes
+                .get(shard)
+                .copied()
+                .unwrap_or_else(|| self.backend.size(shard))
+        };
+        // Covered = every catalog type is served (at the virtual sizes) by a
+        // family that is trained now or retrains among the pending records.
+        let covered = self.provider.catalog().names().iter().all(|n| {
+            let serving = self.backend.serving(n, &size_of);
+            self.backend.trained(&serving) || newly_trained.contains(&serving)
+        });
+        PendingSim {
+            virtual_len,
+            #[cfg(test)]
+            runs_since_retrain,
+            covered,
+            retrain_pending,
+            sizes,
+        }
+    }
+
+    /// Bootstrap phase: the base is below the policy's size or some catalog
+    /// type has no trained family to answer Algorithm 1's sweep.
+    fn bootstrapping(&self, sim: &PendingSim) -> bool {
+        sim.virtual_len < self.policy.min_kb_samples || !sim.covered
+    }
+}
+
+impl<B: Backend> Deployer for DeployLoop<B> {
+    fn policy(&self) -> &DeployPolicy {
+        &self.policy
+    }
+
+    fn provider(&self) -> &CloudProvider {
+        &self.provider
+    }
+
+    fn provider_handle(&self) -> Arc<CloudProvider> {
+        Arc::clone(&self.provider)
+    }
+
+    fn kb_len(&self) -> usize {
+        self.backend.len()
+    }
+
+    fn warm(&mut self) -> Result<(), CoreError> {
+        self.policy.validate()?;
+        self.backend
+            .warm(self.policy.retrain_mode, self.policy.n_threads)
+    }
+
+    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
+        let sim = self.replay(pending);
+        // Bootstrap-mode selections are RNG-only; ML selections need no
+        // retrain scheduled among the pending records.
+        self.bootstrapping(&sim) || !sim.retrain_pending
+    }
+
+    fn select(
+        &mut self,
+        profile: &JobProfile,
+        pending: &[DeployDecision],
+    ) -> Result<DeployDecision, CoreError> {
+        self.policy.validate()?;
+        let decision_seed = self.next_decision_seed();
+
+        let sim = self.replay(pending);
+        if self.bootstrapping(&sim) {
+            // A uniformly random configuration, no prediction.
+            let mut rng = stream_rng(decision_seed, 0xB00F);
+            let names = self.provider.catalog().names();
+            return Ok(DeployDecision {
+                mode: DeployMode::Bootstrap,
+                instance: names[rng.gen_range(0..names.len())].clone(),
+                n_nodes: rng.gen_range(1..=self.policy.max_nodes),
+                predicted_secs: None,
+            });
+        }
+        let DeployLoop {
+            provider,
+            policy,
+            selection,
+            backend,
+            ..
+        } = self;
+        backend.with_view(&sim.sizes, |view| {
+            let selection = select_configuration_with_workspace(
+                view,
+                provider.catalog(),
+                profile,
+                policy.t_max_secs,
+                policy.max_nodes,
+                policy.epsilon,
+                decision_seed,
+                TimeEstimate::EnsembleMean,
+                policy.n_threads,
+                selection,
+            )?;
+            Ok(DeployDecision {
+                mode: if selection.explored {
+                    DeployMode::MlExplored
+                } else {
+                    DeployMode::MlGreedy
+                },
+                instance: selection.chosen.instance,
+                n_nodes: selection.chosen.n_nodes,
+                predicted_secs: Some(selection.chosen.predicted_secs),
+            })
+        })?
+    }
+
+    fn begin_manual(
         &mut self,
         instance: &str,
         n_nodes: usize,
     ) -> Result<DeployDecision, CoreError> {
+        // One decision-counter tick, so forced and automatic deploys draw
+        // from the same seed stream.
         self.policy.validate()?;
         self.deploy_counter += 1;
         Ok(DeployDecision {
@@ -495,64 +816,169 @@ impl DeployerCore {
         })
     }
 
-    /// Algorithm 1 over the given predictor — the shared ML half of every
-    /// backend's `select`.
-    pub(crate) fn ml_select<P: TimePredictor + ?Sized>(
+    fn record(
         &mut self,
-        predictor: &P,
         profile: &JobProfile,
-        decision_seed: u64,
-    ) -> Result<DeployDecision, CoreError> {
-        let selection = select_configuration_with_workspace(
-            predictor,
-            self.provider.catalog(),
-            profile,
-            self.policy.t_max_secs,
-            self.policy.max_nodes,
-            self.policy.epsilon,
-            decision_seed,
-            TimeEstimate::EnsembleMean,
-            self.policy.n_threads,
-            &mut self.selection,
-        )?;
-        Ok(DeployDecision {
-            mode: if selection.explored {
-                DeployMode::MlExplored
-            } else {
-                DeployMode::MlGreedy
-            },
-            instance: selection.chosen.instance,
-            n_nodes: selection.chosen.n_nodes,
-            predicted_secs: Some(selection.chosen.predicted_secs),
-        })
+        decision: &DeployDecision,
+        report: &JobReport,
+    ) -> Result<(), CoreError> {
+        let policy = self.policy;
+        let inst = self.provider.catalog().get(&decision.instance)?.clone();
+        let shards = self.backend.shards(&decision.instance);
+        let own = &shards[0];
+        // Feed the prediction residual to the shard's drift detector.
+        // Detectors only modulate the *mode* of the retrains the
+        // count-based gate below fires anyway, so the pending/readiness
+        // contract (whether a retrain fires is outcome-independent) holds.
+        if policy.drift.enabled() {
+            if let Some(residual) = relative_residual(decision, report) {
+                let state = self
+                    .drift
+                    .entry(own.clone())
+                    .or_insert_with(|| DriftState::new(&policy.drift));
+                if state.observe(residual) {
+                    self.drift_fires += 1;
+                }
+            }
+        }
+        self.backend.append(RunRecord::new(
+            *profile,
+            &inst,
+            decision.n_nodes,
+            report.duration_secs,
+            report.prorated_cost,
+        ))?;
+        self.runs_since_retrain += 1;
+        let mut due: Vec<Shard> = Vec::new();
+        if self.runs_since_retrain >= policy.retrain_every {
+            due.extend(
+                shards
+                    .iter()
+                    .filter(|s| self.backend.size(s) >= self.backend.floor(s, &policy))
+                    .cloned(),
+            );
+        }
+        let mode = match self.drift.get(own) {
+            Some(state) if !due.is_empty() => state.next_mode(policy.retrain_mode, &policy.drift),
+            _ => policy.retrain_mode,
+        };
+        self.backend
+            .retrain(&decision.instance, &due, mode, policy.n_threads)?;
+        if !due.is_empty() {
+            self.runs_since_retrain = 0;
+            if let Some(state) = self.drift.get_mut(own) {
+                state.on_retrain_applied();
+            }
+        }
+        Ok(())
     }
 }
 
-/// Virtual knowledge-base state after landing a set of pending records —
-/// computable without their outcomes because the retrain gates only count.
-pub(crate) struct PendingSim {
-    /// Knowledge-base size once every pending record has landed.
-    pub(crate) virtual_len: usize,
-    /// Whether the predictor would be trained/covered at that point.
-    pub(crate) virtual_trained: bool,
-    /// Whether landing the pending records fires at least one retrain
-    /// (i.e. the current predictor snapshot would go stale).
-    pub(crate) retrain_pending: bool,
+/// The residual the drift detectors consume: the *relative* absolute
+/// prediction error `|Θ̂ − Θ| / Θ`, scale-free so one threshold serves
+/// minute-long and hour-long jobs alike. `None` when the deploy carried no
+/// prediction (bootstrap/manual).
+fn relative_residual(decision: &DeployDecision, report: &JobReport) -> Option<f64> {
+    decision
+        .predicted_secs
+        .map(|p| (p - report.duration_secs).abs() / report.duration_secs.max(f64::EPSILON))
+}
+
+/// Storage of a layout that owns its base and its families (every layout
+/// but a service lane): the monolithic `Local<KnowledgeBase,
+/// PredictorFamily>`, the per-instance `Local<ShardedKnowledgeBase,
+/// ShardedPredictor>` and the two-key tenant layout in [`crate::tenant`].
+pub struct Local<KB, P> {
+    pub(crate) kb: KB,
+    pub(crate) predictor: P,
+    /// The tenant landed runs are attributed to (the default tenant in the
+    /// single-tenant layouts, which never change it).
+    pub(crate) tenant: TenantId,
+}
+
+impl<KB, P> DeployLoop<Local<KB, P>> {
+    /// Seeds the deployer with a pre-existing knowledge base (e.g. loaded
+    /// from disk, converted with `from_monolithic`, or transferred from
+    /// another company's runs). Call [`DeployLoop::warm`] afterwards to
+    /// train on it without waiting for fresh runs.
+    pub fn with_knowledge_base(mut self, kb: KB) -> Self {
+        self.backend.kb = kb;
+        self
+    }
+
+    /// The current knowledge base.
+    pub fn knowledge_base(&self) -> &KB {
+        &self.backend.kb
+    }
+
+    /// Consumes the deployer, returning the knowledge base (and dropping
+    /// this handle on the shared provider).
+    pub fn into_knowledge_base(self) -> KB {
+        self.backend.kb
+    }
+
+    /// The layout's predictor (e.g. for offline evaluation).
+    pub fn predictor(&self) -> &P {
+        &self.backend.predictor
+    }
+}
+
+impl Backend for Local<KnowledgeBase, PredictorFamily> {
+    fn len(&self) -> usize {
+        self.kb.len()
+    }
+
+    fn shards(&self, _instance: &str) -> Vec<Shard> {
+        vec![Shard::Whole]
+    }
+
+    fn size(&self, _shard: &Shard) -> usize {
+        self.kb.len()
+    }
+
+    fn floor(&self, _shard: &Shard, policy: &DeployPolicy) -> usize {
+        policy.min_kb_samples.max(SHARD_FLOOR)
+    }
+
+    fn trained(&self, _shard: &Shard) -> bool {
+        self.predictor.is_trained()
+    }
+
+    fn with_view<R>(
+        &mut self,
+        _sizes: &BTreeMap<Shard, usize>,
+        f: impl FnOnce(&dyn TimePredictor) -> R,
+    ) -> Result<R, CoreError> {
+        Ok(f(&self.predictor))
+    }
+
+    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
+        self.kb.record(record);
+        Ok(())
+    }
+
+    fn retrain(
+        &mut self,
+        _instance: &str,
+        due: &[Shard],
+        mode: RetrainMode,
+        n_threads: usize,
+    ) -> Result<(), CoreError> {
+        if due.is_empty() {
+            return Ok(());
+        }
+        self.predictor.retrain(&self.kb, mode, n_threads)
+    }
+
+    fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
+        self.predictor.retrain(&self.kb, mode, n_threads)
+    }
 }
 
 /// The self-optimizing transparent deployer.
-pub struct TransparentDeployer {
-    core: DeployerCore,
-    kb: KnowledgeBase,
-    family: PredictorFamily,
-    /// Residual drift detector + retrain escalation ladder (inert unless
-    /// the policy enables a detector).
-    drift: DriftState,
-    /// Number of detector fires so far, for observability.
-    drift_fires: u64,
-}
+pub type TransparentDeployer = DeployLoop<Local<KnowledgeBase, PredictorFamily>>;
 
-impl TransparentDeployer {
+impl DeployLoop<Local<KnowledgeBase, PredictorFamily>> {
     /// Creates a deployer with an empty knowledge base.
     pub fn new(provider: CloudProvider, policy: DeployPolicy, seed: u64) -> Self {
         Self::from_shared(Arc::new(provider), policy, seed)
@@ -561,98 +987,17 @@ impl TransparentDeployer {
     /// Creates a deployer over an already-shared provider (e.g. one a
     /// [`crate::pipeline::DeployPipeline`] driver also holds a handle on).
     pub fn from_shared(provider: Arc<CloudProvider>, policy: DeployPolicy, seed: u64) -> Self {
-        TransparentDeployer {
-            family: PredictorFamily::new(seed, 2),
-            drift: DriftState::new(&policy.drift),
-            drift_fires: 0,
-            core: DeployerCore::new(provider, policy, seed),
+        let backend = Local {
             kb: KnowledgeBase::new(),
-        }
-    }
-
-    /// Seeds the deployer with a pre-existing knowledge base (e.g. loaded
-    /// from disk, or transferred from another company's runs).
-    pub fn with_knowledge_base(mut self, kb: KnowledgeBase) -> Self {
-        self.kb = kb;
-        self
-    }
-
-    /// The current knowledge base.
-    pub fn knowledge_base(&self) -> &KnowledgeBase {
-        &self.kb
-    }
-
-    /// Consumes the deployer, returning the knowledge base (and dropping
-    /// this handle on the shared provider).
-    pub fn into_knowledge_base(self) -> KnowledgeBase {
-        self.kb
+            predictor: PredictorFamily::new(seed, SHARD_FLOOR),
+            tenant: TenantId::default(),
+        };
+        Self::assemble(provider, policy, seed, backend)
     }
 
     /// The prediction-model family (e.g. for offline evaluation).
     pub fn family(&self) -> &PredictorFamily {
-        &self.family
-    }
-
-    /// Number of times the drift detector has fired (0 with the default
-    /// [`crate::drift::DetectorKind::Off`] policy).
-    pub fn drift_fires(&self) -> u64 {
-        self.drift_fires
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    /// The underlying cloud provider.
-    pub fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    /// Trains the family on the current knowledge base — the bulk warm-up
-    /// for a pre-seeded base (see [`Deployer::warm`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation and training failures.
-    pub fn warm(&mut self) -> Result<(), CoreError> {
-        self.core.policy.validate()?;
-        self.family.retrain(
-            &self.kb,
-            self.core.policy.retrain_mode,
-            self.core.policy.n_threads,
-        )
-    }
-
-    /// Deploys one job: full self-optimizing cycle (select → run → record →
-    /// retrain).
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation, Algorithm 1 (including
-    /// [`CoreError::NoFeasibleConfiguration`]) and cloud failures.
-    pub fn deploy(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy(self, profile, workload)
-    }
-
-    /// Deploys with an operator-forced configuration (manual override);
-    /// the run is still recorded and learned from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud failures (unknown instance, zero nodes).
-    pub fn deploy_manual(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy_manual(self, profile, workload, instance, n_nodes)
+        &self.backend.predictor
     }
 
     /// Deploys one job on a (possibly mixed) heterogeneous configuration —
@@ -671,19 +1016,19 @@ impl TransparentDeployer {
         profile: &JobProfile,
         workload: &Workload,
     ) -> Result<(crate::hetero::HeteroSelection, disar_cloudsim::HeteroReport), CoreError> {
-        self.core.policy.validate()?;
-        let seed = self.core.next_decision_seed();
+        self.policy.validate()?;
+        let seed = self.next_decision_seed();
         let selection = crate::hetero::select_hetero_configuration_threads(
-            &self.family,
-            self.core.provider.catalog(),
+            &self.backend.predictor,
+            self.provider.catalog(),
             profile,
-            self.core.policy.t_max_secs,
-            self.core.policy.max_nodes,
-            self.core.policy.epsilon,
+            self.policy.t_max_secs,
+            self.policy.max_nodes,
+            self.policy.epsilon,
             seed,
-            self.core.policy.n_threads,
+            self.policy.n_threads,
         )?;
-        let report = self.core.provider.run_hetero_job_with_seed(
+        let report = self.provider.run_hetero_job_with_seed(
             &selection.chosen.groups,
             workload,
             seed ^ 0x4E7E,
@@ -706,143 +1051,61 @@ impl TransparentDeployer {
         let workload = master.cloud_workload()?;
         self.deploy(&profile, &workload)
     }
-
-    /// Replays the monolithic retrain schedule over `n_pending` unlanded
-    /// records. The gate (`len ≥ min_kb_samples.max(2)` and
-    /// `runs_since_retrain ≥ retrain_every`) never looks at a record's
-    /// outcome, so the virtual state is exact.
-    fn simulate_pending(&self, n_pending: usize) -> PendingSim {
-        let mut len = self.kb.len();
-        let mut rsr = self.core.runs_since_retrain;
-        let mut trained = self.family.is_trained();
-        let mut retrain_pending = false;
-        for _ in 0..n_pending {
-            len += 1;
-            rsr += 1;
-            if len >= self.core.policy.min_kb_samples.max(2) && rsr >= self.core.policy.retrain_every
-            {
-                trained = true;
-                retrain_pending = true;
-                rsr = 0;
-            }
-        }
-        PendingSim {
-            virtual_len: len,
-            virtual_trained: trained,
-            retrain_pending,
-        }
-    }
 }
 
-impl Deployer for TransparentDeployer {
-    fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    fn provider_handle(&self) -> Arc<CloudProvider> {
-        Arc::clone(&self.core.provider)
-    }
-
-    fn kb_len(&self) -> usize {
+impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
+    fn len(&self) -> usize {
         self.kb.len()
     }
 
-    fn warm(&mut self) -> Result<(), CoreError> {
-        TransparentDeployer::warm(self)
+    fn shards(&self, instance: &str) -> Vec<Shard> {
+        vec![Shard::Instance(instance.to_string())]
     }
 
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
-        let sim = self.simulate_pending(pending.len());
-        // Bootstrap-mode selections are RNG-only; ML selections need no
-        // retrain scheduled among the pending records.
-        sim.virtual_len < self.core.policy.min_kb_samples
-            || !sim.virtual_trained
-            || !sim.retrain_pending
+    fn size(&self, shard: &Shard) -> usize {
+        self.kb
+            .shard(shard.instance())
+            .map_or(0, KnowledgeBase::len)
     }
 
-    fn select(
+    fn trained(&self, shard: &Shard) -> bool {
+        self.predictor.is_trained_for(shard.instance())
+    }
+
+    fn with_view<R>(
         &mut self,
-        profile: &JobProfile,
-        pending: &[DeployDecision],
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.policy.validate()?;
-        let decision_seed = self.core.next_decision_seed();
-
-        // Bootstrap phase: random configuration, no prediction.
-        let sim = self.simulate_pending(pending.len());
-        if sim.virtual_len < self.core.policy.min_kb_samples || !sim.virtual_trained {
-            let (instance, n_nodes) = self.core.random_config(decision_seed);
-            return Ok(DeployDecision {
-                mode: DeployMode::Bootstrap,
-                instance,
-                n_nodes,
-                predicted_secs: None,
-            });
-        }
-        self.core.ml_select(&self.family, profile, decision_seed)
+        _sizes: &BTreeMap<Shard, usize>,
+        f: impl FnOnce(&dyn TimePredictor) -> R,
+    ) -> Result<R, CoreError> {
+        Ok(f(&self.predictor))
     }
 
-    fn begin_manual(
-        &mut self,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.manual_decision(instance, n_nodes)
+    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
+        self.kb.record(record);
+        Ok(())
     }
 
-    fn record(
+    fn retrain(
         &mut self,
-        profile: &JobProfile,
-        decision: &DeployDecision,
-        report: &JobReport,
+        _instance: &str,
+        due: &[Shard],
+        mode: RetrainMode,
+        n_threads: usize,
     ) -> Result<(), CoreError> {
-        let inst = self.core.provider.catalog().get(&decision.instance)?.clone();
-        // Feed the prediction residual to the drift detector before the
-        // record lands. Detectors only modulate the *mode* of the retrains
-        // the count-based gate below fires anyway, so the pending/readiness
-        // contract (whether a retrain fires is outcome-independent) holds.
-        if self.core.policy.drift.enabled() {
-            if let Some(residual) = relative_residual(decision, report) {
-                if self.drift.observe(residual) {
-                    self.drift_fires += 1;
-                }
-            }
-        }
-        self.kb.record(RunRecord::new(
-            *profile,
-            &inst,
-            decision.n_nodes,
-            report.duration_secs,
-            report.prorated_cost,
-        ));
-        self.core.runs_since_retrain += 1;
-        if self.kb.len() >= self.core.policy.min_kb_samples.max(2)
-            && self.core.runs_since_retrain >= self.core.policy.retrain_every
-        {
-            let mode = self
-                .drift
-                .next_mode(self.core.policy.retrain_mode, &self.core.policy.drift);
-            self.family
-                .retrain(&self.kb, mode, self.core.policy.n_threads)?;
-            self.core.runs_since_retrain = 0;
-            self.drift.on_retrain_applied();
+        for shard in due {
+            let records = self
+                .kb
+                .shard(shard.instance())
+                .expect("a due shard holds records");
+            self.predictor
+                .retrain_shard(shard.instance(), records, mode, n_threads)?;
         }
         Ok(())
     }
-}
 
-/// The residual the drift detectors consume: the *relative* absolute
-/// prediction error `|Θ̂ − Θ| / Θ`, scale-free so one threshold serves
-/// minute-long and hour-long jobs alike. `None` when the deploy carried no
-/// prediction (bootstrap/manual).
-pub(crate) fn relative_residual(decision: &DeployDecision, report: &JobReport) -> Option<f64> {
-    decision
-        .predicted_secs
-        .map(|p| (p - report.duration_secs).abs() / report.duration_secs.max(f64::EPSILON))
+    fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
+        self.predictor.retrain_all(&self.kb, mode, n_threads)
+    }
 }
 
 /// The self-optimizing deployer over the sharded knowledge layout.
@@ -861,277 +1124,17 @@ pub(crate) fn relative_residual(decision: &DeployDecision, report: &JobReport) -
 ///   queries all types, and an untrained shard cannot answer);
 /// - shards retrain as soon as they hold the family's minimum sample
 ///   count, independent of the global bootstrap threshold.
-pub struct ShardedDeployer {
-    core: DeployerCore,
-    kb: ShardedKnowledgeBase,
-    predictor: ShardedPredictor,
-    /// Per-instance-type drift state: a fire escalates only the affected
-    /// shard's next retrain, the others stay on the policy's base mode.
-    drift: BTreeMap<String, DriftState>,
-    /// Number of detector fires so far across all shards.
-    drift_fires: u64,
-}
+pub type ShardedDeployer = DeployLoop<Local<ShardedKnowledgeBase, ShardedPredictor>>;
 
-impl ShardedDeployer {
+impl DeployLoop<Local<ShardedKnowledgeBase, ShardedPredictor>> {
     /// Creates a sharded deployer with an empty knowledge base.
     pub fn new(provider: CloudProvider, policy: DeployPolicy, seed: u64) -> Self {
-        Self::from_shared(Arc::new(provider), policy, seed)
-    }
-
-    /// Creates a sharded deployer over an already-shared provider.
-    pub fn from_shared(provider: Arc<CloudProvider>, policy: DeployPolicy, seed: u64) -> Self {
-        ShardedDeployer {
-            predictor: ShardedPredictor::new(seed, 2),
-            core: DeployerCore::new(provider, policy, seed),
+        let backend = Local {
             kb: ShardedKnowledgeBase::new(),
-            drift: BTreeMap::new(),
-            drift_fires: 0,
-        }
-    }
-
-    /// Seeds the deployer with a pre-existing sharded base (e.g. loaded
-    /// from disk, or [`ShardedKnowledgeBase::from_monolithic`]). Call
-    /// [`ShardedDeployer::warm`] afterwards to train the shards without
-    /// waiting for fresh runs.
-    pub fn with_knowledge_base(mut self, kb: ShardedKnowledgeBase) -> Self {
-        self.kb = kb;
-        self
-    }
-
-    /// The current sharded knowledge base.
-    pub fn knowledge_base(&self) -> &ShardedKnowledgeBase {
-        &self.kb
-    }
-
-    /// Consumes the deployer, returning the sharded base (and dropping
-    /// this handle on the shared provider).
-    pub fn into_knowledge_base(self) -> ShardedKnowledgeBase {
-        self.kb
-    }
-
-    /// The per-shard predictor (e.g. for offline evaluation).
-    pub fn predictor(&self) -> &ShardedPredictor {
-        &self.predictor
-    }
-
-    /// Number of drift-detector fires so far across all shards (0 with
-    /// the default [`crate::drift::DetectorKind::Off`] policy).
-    pub fn drift_fires(&self) -> u64 {
-        self.drift_fires
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    /// The underlying cloud provider.
-    pub fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    /// Retrains every shard holding enough records — the bulk warm-up for
-    /// a pre-seeded base.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard-retrain failure.
-    pub fn warm(&mut self) -> Result<(), CoreError> {
-        self.core.policy.validate()?;
-        self.predictor.retrain_all(
-            &self.kb,
-            self.core.policy.retrain_mode,
-            self.core.policy.n_threads,
-        )
-    }
-
-    fn catalog_covered(&self) -> bool {
-        self.core
-            .provider
-            .catalog()
-            .names()
-            .iter()
-            .all(|n| self.predictor.is_trained_for(n))
-    }
-
-    /// Deploys one job: the full select → run → record → retrain-one-shard
-    /// cycle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation, Algorithm 1 (including
-    /// [`CoreError::NoFeasibleConfiguration`]) and cloud failures.
-    pub fn deploy(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy(self, profile, workload)
-    }
-
-    /// Deploys with an operator-forced configuration (manual override);
-    /// the run is still recorded and learned from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud failures (unknown instance, zero nodes).
-    pub fn deploy_manual(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy_manual(self, profile, workload, instance, n_nodes)
-    }
-
-    /// Replays the sharded retrain schedule over the pending decisions.
-    /// The gates count global records and per-shard sizes — both derivable
-    /// from the decisions' instances alone — so the virtual state is exact.
-    fn simulate_pending(&self, pending: &[DeployDecision]) -> PendingSim {
-        let mut len = self.kb.len();
-        let mut rsr = self.core.runs_since_retrain;
-        let mut retrain_pending = false;
-        let mut shard_lens: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut newly_trained: BTreeSet<&str> = BTreeSet::new();
-        for d in pending {
-            len += 1;
-            rsr += 1;
-            let shard_len = shard_lens
-                .entry(d.instance.as_str())
-                .or_insert_with(|| self.kb.shard(&d.instance).map_or(0, |s| s.len()));
-            *shard_len += 1;
-            if rsr >= self.core.policy.retrain_every && *shard_len >= self.predictor.min_samples()
-            {
-                newly_trained.insert(d.instance.as_str());
-                retrain_pending = true;
-                rsr = 0;
-            }
-        }
-        let virtual_covered = self
-            .core
-            .provider
-            .catalog()
-            .names()
-            .iter()
-            .all(|n| self.predictor.is_trained_for(n) || newly_trained.contains(n.as_str()));
-        PendingSim {
-            virtual_len: len,
-            virtual_trained: virtual_covered,
-            retrain_pending,
-        }
-    }
-}
-
-impl Deployer for ShardedDeployer {
-    fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    fn provider_handle(&self) -> Arc<CloudProvider> {
-        Arc::clone(&self.core.provider)
-    }
-
-    fn kb_len(&self) -> usize {
-        self.kb.len()
-    }
-
-    fn warm(&mut self) -> Result<(), CoreError> {
-        ShardedDeployer::warm(self)
-    }
-
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
-        let sim = self.simulate_pending(pending);
-        sim.virtual_len < self.core.policy.min_kb_samples
-            || !sim.virtual_trained
-            || !sim.retrain_pending
-    }
-
-    fn select(
-        &mut self,
-        profile: &JobProfile,
-        pending: &[DeployDecision],
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.policy.validate()?;
-        let decision_seed = self.core.next_decision_seed();
-
-        let sim = self.simulate_pending(pending);
-        if sim.virtual_len < self.core.policy.min_kb_samples || !sim.virtual_trained {
-            let (instance, n_nodes) = self.core.random_config(decision_seed);
-            return Ok(DeployDecision {
-                mode: DeployMode::Bootstrap,
-                instance,
-                n_nodes,
-                predicted_secs: None,
-            });
-        }
-        self.core.ml_select(&self.predictor, profile, decision_seed)
-    }
-
-    fn begin_manual(
-        &mut self,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.manual_decision(instance, n_nodes)
-    }
-
-    fn record(
-        &mut self,
-        profile: &JobProfile,
-        decision: &DeployDecision,
-        report: &JobReport,
-    ) -> Result<(), CoreError> {
-        let inst = self.core.provider.catalog().get(&decision.instance)?.clone();
-        // Residual feedback routes to the affected shard's detector only;
-        // like the monolithic path, it modulates retrain *modes*, never
-        // whether a retrain fires.
-        if self.core.policy.drift.enabled() {
-            if let Some(residual) = relative_residual(decision, report) {
-                let state = self
-                    .drift
-                    .entry(decision.instance.clone())
-                    .or_insert_with(|| DriftState::new(&self.core.policy.drift));
-                if state.observe(residual) {
-                    self.drift_fires += 1;
-                }
-            }
-        }
-        self.kb.record(RunRecord::new(
-            *profile,
-            &inst,
-            decision.n_nodes,
-            report.duration_secs,
-            report.prorated_cost,
-        ));
-        self.core.runs_since_retrain += 1;
-        if self.core.runs_since_retrain >= self.core.policy.retrain_every {
-            let shard = self
-                .kb
-                .shard(&decision.instance)
-                .expect("record() created the shard");
-            if shard.len() >= self.predictor.min_samples() {
-                let mode = self.drift.get(&decision.instance).map_or(
-                    self.core.policy.retrain_mode,
-                    |s| s.next_mode(self.core.policy.retrain_mode, &self.core.policy.drift),
-                );
-                self.predictor.retrain_shard(
-                    &decision.instance,
-                    shard,
-                    mode,
-                    self.core.policy.n_threads,
-                )?;
-                self.core.runs_since_retrain = 0;
-                if let Some(s) = self.drift.get_mut(&decision.instance) {
-                    s.on_retrain_applied();
-                }
-            }
-        }
-        Ok(())
+            predictor: ShardedPredictor::new(seed, SHARD_FLOOR),
+            tenant: TenantId::default(),
+        };
+        Self::assemble(Arc::new(provider), policy, seed, backend)
     }
 }
 
@@ -1386,6 +1389,8 @@ mod tests {
             DeployPolicy { epsilon: 0.2, ..d }
         );
     }
+
+
 
     #[test]
     fn pre_tenancy_policy_json_defaults_to_isolated() {

@@ -438,8 +438,13 @@ mod tests {
         let mut s = DriftState::new(&cfg);
         assert_eq!(s.next_mode(RetrainMode::Incremental, &cfg), RetrainMode::Incremental);
 
-        // Drive to the first fire.
-        while !s.observe(3.0) {}
+        // A low baseline, then a jump: the first fire. (On a constant
+        // stream Page–Hinkley's statistic stays at zero and never fires.)
+        let fires_within = |s: &mut DriftState, residual: f64, steps: usize| {
+            (0..steps).any(|_| s.observe(residual))
+        };
+        assert!(!fires_within(&mut s, 0.1, 20), "fired on the baseline");
+        assert!(fires_within(&mut s, 3.0, 20), "a 30× jump must fire");
         assert!(s.escalated());
         assert_eq!(
             s.next_mode(RetrainMode::Incremental, &cfg),
@@ -449,8 +454,10 @@ mod tests {
             }
         );
 
-        // A second fire before the retrain lands escalates to Full.
-        while !s.observe(9.0) {}
+        // A second fire before the retrain lands escalates to Full (the
+        // detector re-armed itself, so it needs a baseline again).
+        assert!(!fires_within(&mut s, 0.1, 20), "fired on the baseline");
+        assert!(fires_within(&mut s, 9.0, 20), "a 90× jump must fire");
         assert_eq!(s.next_mode(RetrainMode::Incremental, &cfg), RetrainMode::Full);
 
         // The applied retrain resets the ladder to the base mode.

@@ -17,6 +17,7 @@ use crate::tenant::TenantId;
 use crate::CoreError;
 use disar_cloudsim::InstanceType;
 use disar_ml::Dataset;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::cell::{Ref, RefCell};
 use std::fmt;
@@ -394,70 +395,46 @@ impl KnowledgeStore for KnowledgeBase {
     }
 }
 
-/// A knowledge base partitioned by instance type — the million-record-scale
-/// layout of the self-optimizing loop.
+/// A knowledge base partitioned by a key `K` of its records — the store
+/// under both the per-instance [`ShardedKnowledgeBase`] (`K` = instance
+/// type) and the two-key [`crate::tenant::TenantShardedKnowledgeBase`]
+/// (`K` = instance type × tenant).
 ///
-/// Each shard is a plain [`KnowledgeBase`] holding the records of one
-/// instance type (with its own incrementally maintained featurized
-/// [`Dataset`] cache), so `record()` touches exactly one shard and a
-/// per-shard retrain scales with that shard's size, not the total base.
-/// The global arrival order is kept alongside the shards, so the exact
-/// monolithic record stream can always be reconstructed
-/// ([`ShardedKnowledgeBase::to_monolithic`]) — sharding never loses or
-/// reorders information.
+/// Each shard is a plain [`KnowledgeBase`] holding the records of one key
+/// (with its own incrementally maintained featurized [`Dataset`] cache), so
+/// `record()` touches exactly one shard and a per-shard retrain scales with
+/// that shard's size, not the total base. The global arrival order is kept
+/// alongside the shards, so the exact monolithic record stream can always
+/// be reconstructed ([`Partitioned::to_monolithic`]) — sharding never loses
+/// or reorders information.
 ///
 /// Equality (like [`KnowledgeBase`]'s) is over records and arrival order
 /// only, never over derived caches or the file-metadata schema stamp.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ShardedKnowledgeBase {
+pub struct Partitioned<K> {
     /// JSON layout version (serde-defaulted so pre-version files load).
     #[serde(default)]
     pub schema_version: SchemaVersion,
-    names: Vec<String>,
+    /// Key of each shard, in first-seen order (`names` in per-instance
+    /// files written before the two layouts shared this store).
+    #[serde(alias = "names")]
+    keys: Vec<K>,
     shards: Vec<KnowledgeBase>,
     /// Shard slot of each record, in global arrival order.
     arrival: Vec<u32>,
 }
 
-impl PartialEq for ShardedKnowledgeBase {
+/// A knowledge base partitioned by instance type — the million-record-scale
+/// layout of the self-optimizing loop.
+pub type ShardedKnowledgeBase = Partitioned<String>;
+
+impl<K: PartialEq> PartialEq for Partitioned<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.names == other.names
-            && self.shards == other.shards
-            && self.arrival == other.arrival
+        self.keys == other.keys && self.shards == other.shards && self.arrival == other.arrival
     }
 }
 
-impl ShardedKnowledgeBase {
-    /// Creates an empty sharded base.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a sharded base holding the same record stream as `kb`.
-    pub fn from_monolithic(kb: &KnowledgeBase) -> Self {
-        let mut sharded = ShardedKnowledgeBase::new();
-        for r in kb.records() {
-            sharded.record(r.clone());
-        }
-        sharded
-    }
-
-    /// Appends one run to the shard owning its instance type (creating the
-    /// shard on first sight of the type). Only that shard's dataset cache
-    /// is touched.
-    pub fn record(&mut self, record: RunRecord) {
-        let slot = match self.names.iter().position(|n| *n == record.instance) {
-            Some(slot) => slot,
-            None => {
-                self.names.push(record.instance.clone());
-                self.shards.push(KnowledgeBase::new());
-                self.names.len() - 1
-            }
-        };
-        self.arrival.push(slot as u32);
-        self.shards[slot].record(record);
-    }
-
+impl<K> Partitioned<K> {
     /// Total number of stored runs across all shards.
     pub fn len(&self) -> usize {
         self.arrival.len()
@@ -468,30 +445,27 @@ impl ShardedKnowledgeBase {
         self.arrival.is_empty()
     }
 
-    /// Number of shards (distinct instance types seen).
+    /// Number of shards (distinct keys seen).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Instance-type names with a shard, in first-seen order.
-    pub fn shard_names(&self) -> &[String] {
-        &self.names
+    /// The keys with a shard, in first-seen order.
+    pub fn keys(&self) -> &[K] {
+        &self.keys
     }
 
-    /// The shard holding the named instance type's records.
-    pub fn shard(&self, instance: &str) -> Option<&KnowledgeBase> {
-        self.names
+    /// The shard of the first key `matches` accepts.
+    pub(crate) fn find(&self, matches: impl Fn(&K) -> bool) -> Option<&KnowledgeBase> {
+        self.keys
             .iter()
-            .position(|n| n == instance)
+            .position(matches)
             .map(|slot| &self.shards[slot])
     }
 
-    /// Iterates `(instance name, shard)` pairs in first-seen order.
-    pub fn shards(&self) -> impl Iterator<Item = (&str, &KnowledgeBase)> {
-        self.names
-            .iter()
-            .map(String::as_str)
-            .zip(self.shards.iter())
+    /// Iterates `(key, shard)` pairs in first-seen order.
+    pub(crate) fn keyed_shards(&self) -> impl Iterator<Item = (&K, &KnowledgeBase)> {
+        self.keys.iter().zip(self.shards.iter())
     }
 
     /// Iterates every record in global arrival order — the exact stream a
@@ -507,7 +481,7 @@ impl ShardedKnowledgeBase {
     }
 
     /// Reconstructs the equivalent monolithic base (records in arrival
-    /// order).
+    /// order, tenant tags intact).
     pub fn to_monolithic(&self) -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
         for r in self.records_in_arrival_order() {
@@ -515,8 +489,32 @@ impl ShardedKnowledgeBase {
         }
         kb
     }
+}
 
-    /// Saves the sharded base as pretty JSON.
+impl<K: Default + PartialEq> Partitioned<K> {
+    /// Creates an empty partitioned base.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one run to the shard of `key` (creating the shard on first
+    /// sight of the key). Only that shard's dataset cache is touched.
+    pub(crate) fn record_under(&mut self, key: K, record: RunRecord) {
+        let slot = match self.keys.iter().position(|k| *k == key) {
+            Some(slot) => slot,
+            None => {
+                self.keys.push(key);
+                self.shards.push(KnowledgeBase::new());
+                self.keys.len() - 1
+            }
+        };
+        self.arrival.push(slot as u32);
+        self.shards[slot].record(record);
+    }
+}
+
+impl<K: Serialize + DeserializeOwned> Partitioned<K> {
+    /// Saves the partitioned base as pretty JSON.
     ///
     /// # Errors
     ///
@@ -527,7 +525,7 @@ impl ShardedKnowledgeBase {
         Ok(())
     }
 
-    /// Loads a base previously written with [`ShardedKnowledgeBase::save`].
+    /// Loads a base previously written with [`Partitioned::save`].
     ///
     /// # Errors
     ///
@@ -535,9 +533,40 @@ impl ShardedKnowledgeBase {
     /// with a newer [`SchemaVersion`] than this build supports.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
         let json = std::fs::read_to_string(path)?;
-        let kb: ShardedKnowledgeBase = serde_json::from_str(&json)?;
+        let kb: Self = serde_json::from_str(&json)?;
         check_schema(kb.schema_version)?;
         Ok(kb)
+    }
+}
+
+impl Partitioned<String> {
+    /// Builds a sharded base holding the same record stream as `kb`.
+    pub fn from_monolithic(kb: &KnowledgeBase) -> Self {
+        let mut sharded = ShardedKnowledgeBase::new();
+        for r in kb.records() {
+            sharded.record(r.clone());
+        }
+        sharded
+    }
+
+    /// Appends one run to the shard owning its instance type.
+    pub fn record(&mut self, record: RunRecord) {
+        self.record_under(record.instance.clone(), record);
+    }
+
+    /// Instance-type names with a shard, in first-seen order.
+    pub fn shard_names(&self) -> &[String] {
+        &self.keys
+    }
+
+    /// The shard holding the named instance type's records.
+    pub fn shard(&self, instance: &str) -> Option<&KnowledgeBase> {
+        self.find(|n| n == instance)
+    }
+
+    /// Iterates `(instance name, shard)` pairs in first-seen order.
+    pub fn shards(&self) -> impl Iterator<Item = (&str, &KnowledgeBase)> {
+        self.keyed_shards().map(|(n, s)| (n.as_str(), s))
     }
 }
 
@@ -552,10 +581,6 @@ impl KnowledgeStore for ShardedKnowledgeBase {
 
     fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
         Box::new(ShardedKnowledgeBase::records_in_arrival_order(self))
-    }
-
-    fn to_monolithic(&self) -> KnowledgeBase {
-        ShardedKnowledgeBase::to_monolithic(self)
     }
 
     fn save(&self, path: &Path) -> Result<(), CoreError> {

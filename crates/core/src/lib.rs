@@ -26,8 +26,9 @@
 //! - [`deploy`]: the **self-optimizing loop**: select a configuration,
 //!   provision and run on the (simulated) cloud, record the realized time
 //!   in the knowledge base, retrain, repeat. Supports the paper's manual
-//!   override for the early training phase. Both backends sit behind the
-//!   [`deploy::Deployer`] trait;
+//!   override for the early training phase. The loop is one
+//!   [`deploy::DeployLoop`] behind the [`deploy::Deployer`] trait; the
+//!   knowledge layouts supply only their storage;
 //! - [`pipeline`]: [`pipeline::DeployPipeline`] — the event-driven deploy
 //!   service overlapping Algorithm 1's sweep for job *k+1* with the cloud
 //!   run of job *k*, bit-identical to the sequential loop for any depth;
@@ -73,8 +74,8 @@ pub use algorithm::{
     CandidateConfig, Selection, SelectionWorkspace, TimeEstimate,
 };
 pub use deploy::{
-    DeployDecision, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder, Deployer,
-    ShardedDeployer, TransparentDeployer,
+    DeployDecision, DeployLoop, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder,
+    Deployer, ShardedDeployer, TransparentDeployer,
 };
 pub use drift::{
     regret_weights, Adwin, DetectorKind, DriftConfig, DriftDetector, DriftState, PageHinkley,

@@ -17,9 +17,9 @@
 //! - **in-flight table** — each issued job holds a reserved noise-stream
 //!   slot ([`CloudProvider::begin_job`]) and executes on its own scoped
 //!   thread, so realized durations replay the sequential `run_job`
-//!   stream bit-for-bit;
-//! - **completion stage** — reports land strictly in job order through a
-//!   reorder buffer, and each record is fed back
+//!   stream bit-for-bit; the table keeps each thread's handle;
+//! - **completion stage** — reports land strictly in job order by joining
+//!   the oldest run's thread, and each record is fed back
 //!   ([`Deployer::record`]) before the next selection that is allowed
 //!   to observe it.
 //!
@@ -35,8 +35,8 @@ use crate::profile::JobProfile;
 use crate::CoreError;
 use disar_cloudsim::{CloudError, JobReport, Workload};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc;
+use std::collections::VecDeque;
+use std::thread::ScopedJoinHandle;
 
 /// One unit of work for the pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,21 +98,9 @@ pub struct DeployPipeline<D: Deployer> {
     deployer: D,
     depth: usize,
     stats: PipelineStats,
-    /// Test-only fault injection for the worker-loss paths.
+    /// Test-only fault injection: the job whose run thread panics.
     #[cfg(test)]
-    fault: Option<WorkerFault>,
-}
-
-/// Test-only: make one worker thread misbehave.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum WorkerFault {
-    /// The worker panics mid-run (inside the caught region), exercising
-    /// the panic-sentinel path.
-    Panic(usize),
-    /// The worker exits without ever reporting, exercising the
-    /// channel-disconnect path.
-    Vanish(usize),
+    panic_at: Option<usize>,
 }
 
 impl<D: Deployer> DeployPipeline<D> {
@@ -131,7 +119,7 @@ impl<D: Deployer> DeployPipeline<D> {
             depth,
             stats: PipelineStats::default(),
             #[cfg(test)]
-            fault: None,
+            panic_at: None,
         })
     }
 
@@ -150,10 +138,11 @@ impl<D: Deployer> DeployPipeline<D> {
         &self.deployer
     }
 
-    /// Test-only: inject a worker fault into the next [`DeployPipeline::run`].
+    /// Test-only: make the run thread of `job` panic in the next
+    /// [`DeployPipeline::run`].
     #[cfg(test)]
-    fn with_fault(mut self, fault: WorkerFault) -> Self {
-        self.fault = Some(fault);
+    fn with_panic_at(mut self, job: usize) -> Self {
+        self.panic_at = Some(job);
         self
     }
 
@@ -173,50 +162,43 @@ impl<D: Deployer> DeployPipeline<D> {
     /// stops issuing; already-issued runs still land and are recorded, so
     /// the deployer's knowledge matches the sequential loop's at the same
     /// failure point, then the error is returned. A cloud or record
-    /// failure is returned as soon as its job would land. A worker thread
-    /// that dies without reporting (e.g. a panic inside the cloud run)
-    /// surfaces as [`CoreError::PipelineWorkerLost`] — never a hang, never
-    /// a propagated panic. [`PipelineStats`] (including `mean_in_flight`)
+    /// failure is returned as soon as its job would land. A run thread
+    /// that panics (e.g. inside the cloud run) surfaces as
+    /// [`CoreError::PipelineWorkerLost`] — never a hang, never a
+    /// propagated panic. [`PipelineStats`] (including `mean_in_flight`)
     /// are finalized on every exit path, successful or not.
     pub fn run(&mut self, jobs: &[PipelineJob]) -> Result<Vec<DeployOutcome>, CoreError> {
         let n = jobs.len();
         let provider = self.deployer.provider_handle();
         let depth = self.depth;
-        let mut outcomes: Vec<Option<DeployOutcome>> = (0..n).map(|_| None).collect();
+        let mut outcomes: Vec<DeployOutcome> = Vec::with_capacity(n);
         let mut stats = PipelineStats {
             jobs: n,
             ..PipelineStats::default()
         };
         let mut issue_err: Option<CoreError> = None;
         #[cfg(test)]
-        let fault = self.fault;
+        let panic_at = self.panic_at;
 
         let landed: Result<(), CoreError> = std::thread::scope(|scope| {
-            // A worker that finishes sends `Some(result)`; one that
-            // panics mid-run is caught and sends `None`, so the landing
-            // loop always learns the job's fate.
-            let (tx, rx) = mpsc::channel::<(usize, Option<Result<JobReport, CloudError>>)>();
-            // The loop's own sender lives only while further spawns are
-            // possible; dropping it afterwards turns "every remaining
-            // worker died silently" into a recv disconnect instead of an
-            // unbounded block.
-            let mut tx = Some(tx);
-            let mut in_flight: VecDeque<(usize, DeployDecision)> = VecDeque::new();
-            let mut reorder: BTreeMap<usize, Option<Result<JobReport, CloudError>>> =
-                BTreeMap::new();
+            // Issued runs, oldest first, each with the handle of the thread
+            // executing it.
+            let mut in_flight: VecDeque<(
+                DeployDecision,
+                ScopedJoinHandle<'_, Result<JobReport, CloudError>>,
+            )> = VecDeque::new();
             let mut next_issue = 0usize;
-            let mut next_land = 0usize;
             let mut occupancy_sum = 0usize;
             let mut occupancy_samples = 0usize;
 
             let mut land_all = || -> Result<(), CoreError> {
-                while next_land < n {
+                while outcomes.len() < n {
                     // Fill: issue jobs while the depth bound and the
                     // feedback-visibility rule allow.
                     while issue_err.is_none() && next_issue < n && in_flight.len() < depth {
                         let job = &jobs[next_issue];
                         let pending: Vec<DeployDecision> =
-                            in_flight.iter().map(|(_, d)| d.clone()).collect();
+                            in_flight.iter().map(|(d, _)| d.clone()).collect();
                         let decided = if let Some((instance, n_nodes)) = &job.forced {
                             self.deployer.begin_manual(instance, *n_nodes)
                         } else {
@@ -243,40 +225,17 @@ impl<D: Deployer> DeployPipeline<D> {
                         let instance = decision.instance.clone();
                         let n_nodes = decision.n_nodes;
                         let workload = &job.workload;
-                        let worker_tx = tx
-                            .as_ref()
-                            .expect("sender is alive while jobs are still being issued")
-                            .clone();
+                        #[cfg(test)]
                         let idx = next_issue;
-                        scope.spawn(move || {
+                        let run = scope.spawn(move || {
                             #[cfg(test)]
-                            if fault == Some(WorkerFault::Vanish(idx)) {
-                                return;
+                            if panic_at == Some(idx) {
+                                panic!("injected worker panic");
                             }
-                            // The provider's state is per reserved slot and
-                            // the pipeline abandons the whole run on worker
-                            // loss, so unwinding across it is safe to
-                            // assert.
-                            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || {
-                                    #[cfg(test)]
-                                    if fault == Some(WorkerFault::Panic(idx)) {
-                                        panic!("injected worker panic");
-                                    }
-                                    handle.execute(&instance, n_nodes, workload)
-                                },
-                            ));
-                            let _ = worker_tx.send((idx, res.ok()));
+                            handle.execute(&instance, n_nodes, workload)
                         });
-                        in_flight.push_back((idx, decision));
+                        in_flight.push_back((decision, run));
                         next_issue += 1;
-                    }
-
-                    if issue_err.is_some() || next_issue == n {
-                        // No further spawns: release the loop's sender so
-                        // a worker dying without reporting disconnects the
-                        // channel instead of blocking recv forever.
-                        tx = None;
                     }
 
                     if in_flight.is_empty() {
@@ -288,45 +247,43 @@ impl<D: Deployer> DeployPipeline<D> {
                     occupancy_sum += in_flight.len();
                     occupancy_samples += 1;
 
-                    // Complete: wait for the oldest in-flight run, buffering
-                    // out-of-order finishers.
-                    while !reorder.contains_key(&next_land) {
-                        match rx.recv() {
-                            Ok((idx, res)) => {
-                                reorder.insert(idx, res);
-                            }
-                            Err(_) => {
-                                // Every sender is gone yet the oldest job
-                                // never reported: its worker died.
-                                return Err(CoreError::PipelineWorkerLost { job: next_land });
-                            }
-                        }
-                    }
-                    // Land every consecutive completion, feeding each record
-                    // back before any later selection can observe it.
-                    while let Some(slot) = reorder.remove(&next_land) {
-                        let Some(res) = slot else {
-                            return Err(CoreError::PipelineWorkerLost { job: next_land });
-                        };
-                        let report = res?;
-                        let (idx, decision) = in_flight
+                    // Complete: wait for the oldest in-flight run, then land
+                    // it and every consecutive run that has finished too,
+                    // feeding each record back before any later selection
+                    // can observe it.
+                    loop {
+                        let (decision, run) = in_flight
                             .pop_front()
-                            .expect("landing job missing from the in-flight table");
-                        debug_assert_eq!(idx, next_land);
+                            .expect("checked non-empty before each pass");
+                        let job = outcomes.len();
+                        // A run thread that panicked has no report: the
+                        // provider's state is per reserved slot and the
+                        // pipeline abandons the whole run, so nothing is
+                        // left half-updated.
+                        let report = run
+                            .join()
+                            .map_err(|_| CoreError::PipelineWorkerLost { job })??;
                         self.deployer
-                            .record(&jobs[next_land].profile, &decision, &report)?;
-                        outcomes[next_land] = Some(DeployOutcome {
+                            .record(&jobs[job].profile, &decision, &report)?;
+                        outcomes.push(DeployOutcome {
                             mode: decision.mode,
                             predicted_secs: decision.predicted_secs,
                             report,
                         });
-                        next_land += 1;
+                        if !in_flight.front().is_some_and(|(_, run)| run.is_finished()) {
+                            break;
+                        }
                     }
                 }
                 Ok(())
             };
             let res = land_all();
 
+            // An error abandons the runs still in flight; join them here so
+            // that a panic in one of them is not raised again by the scope.
+            for (_, run) in in_flight {
+                let _ = run.join();
+            }
             // Finalize occupancy on every exit path — cloud errors, record
             // failures and worker loss included — so `stats()` never
             // reports a zero mean alongside non-zero samples.
@@ -338,13 +295,10 @@ impl<D: Deployer> DeployPipeline<D> {
 
         self.stats = stats;
         landed?;
-        if let Some(e) = issue_err {
-            return Err(e);
+        match issue_err {
+            Some(e) => Err(e),
+            None => Ok(outcomes),
         }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every job landed"))
-            .collect())
     }
 }
 
@@ -559,13 +513,13 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_pipeline_worker_lost() {
         // A worker that panics mid-run must neither hang run() nor
-        // propagate the panic: the caught unwind sends a loss sentinel and
-        // the landing loop reports the job that never delivered.
+        // propagate the panic: joining its handle reports the job that
+        // never delivered.
         let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 59);
         let d = TransparentDeployer::new(provider, policy(1), 59);
         let mut p = DeployPipeline::new(d, 3)
             .unwrap()
-            .with_fault(WorkerFault::Panic(4));
+            .with_panic_at(4);
         let err = p.run(&auto_jobs(10)).unwrap_err();
         assert!(
             matches!(err, CoreError::PipelineWorkerLost { job: 4 }),
@@ -574,24 +528,6 @@ mod tests {
         // The stats of the aborted run are still finalized.
         let s = *p.stats();
         assert!(s.jobs == 10 && s.max_in_flight > 0 && s.mean_in_flight > 0.0);
-    }
-
-    #[test]
-    fn silent_worker_death_disconnects_instead_of_hanging() {
-        // A worker that exits without reporting at all (no sentinel, no
-        // result) is caught by the dropped-sender disconnect: once the
-        // loop has issued every job it releases its own sender, so
-        // recv() errors out instead of blocking forever.
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 61);
-        let d = TransparentDeployer::new(provider, policy(1), 61);
-        let mut p = DeployPipeline::new(d, 3)
-            .unwrap()
-            .with_fault(WorkerFault::Vanish(7));
-        let err = p.run(&auto_jobs(8)).unwrap_err();
-        assert!(
-            matches!(err, CoreError::PipelineWorkerLost { job: 7 }),
-            "expected PipelineWorkerLost for job 7, got {err:?}"
-        );
     }
 
     #[test]

@@ -15,9 +15,7 @@ use crate::profile::JobProfile;
 use crate::CoreError;
 use disar_cloudsim::InstanceType;
 use disar_math::parallel::parallel_map_mut;
-use disar_ml::{
-    default_family, Dataset, FeatureMatrix, IncrementalRegressor, PredictScratch, Regressor,
-};
+use disar_ml::{default_family, Dataset, FeatureMatrix, PredictScratch, Regressor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -423,9 +421,7 @@ impl PredictorFamily {
         instance: &InstanceType,
         n_nodes: usize,
     ) -> Result<f64, CoreError> {
-        let each = self.predict_each(profile, instance, n_nodes)?;
-        let mean = each.iter().map(|(_, t)| t).sum::<f64>() / each.len() as f64;
-        Ok(mean.max(0.0))
+        TimePredictor::predict_mean(self, profile, instance, n_nodes)
     }
 }
 
@@ -437,15 +433,6 @@ impl TimePredictor for PredictorFamily {
         n_nodes: usize,
     ) -> Result<Vec<(&'static str, f64)>, CoreError> {
         PredictorFamily::predict_each(self, profile, instance, n_nodes)
-    }
-
-    fn predict_mean(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<f64, CoreError> {
-        PredictorFamily::predict_mean(self, profile, instance, n_nodes)
     }
 
     fn predict_grid(
@@ -553,14 +540,30 @@ impl ShardedPredictor {
     }
 }
 
-impl TimePredictor for ShardedPredictor {
+impl FamilyRouter for ShardedPredictor {
+    fn family_for(&self, instance: &str) -> Option<&PredictorFamily> {
+        self.families.get(instance)
+    }
+}
+
+/// A predictor made of per-instance-type families: names the family that
+/// answers queries on one instance type. Every such predictor — the
+/// per-instance [`ShardedPredictor`], a tenant's
+/// [`crate::tenant::TenantView`], the service's snapshot view — is a
+/// [`TimePredictor`] through the one routed implementation below.
+pub(crate) trait FamilyRouter: Sync {
+    /// The family serving `instance`, if one exists (trained or not).
+    fn family_for(&self, instance: &str) -> Option<&PredictorFamily>;
+}
+
+impl<R: FamilyRouter> TimePredictor for R {
     fn predict_each(
         &self,
         profile: &JobProfile,
         instance: &InstanceType,
         n_nodes: usize,
     ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-        match self.families.get(&instance.name) {
+        match self.family_for(&instance.name) {
             Some(f) if f.is_trained() => f.predict_each(profile, instance, n_nodes),
             _ => Err(disar_ml::MlError::NotFitted.into()),
         }
@@ -574,7 +577,7 @@ impl TimePredictor for ShardedPredictor {
         out: &mut Vec<f64>,
         scratch: &mut GridScratch,
     ) -> Result<usize, CoreError> {
-        match self.families.get(&instance.name) {
+        match self.family_for(&instance.name) {
             Some(f) if f.is_trained() => f.predict_grid(profile, instance, nodes, out, scratch),
             _ => Err(disar_ml::MlError::NotFitted.into()),
         }
@@ -769,7 +772,7 @@ mod tests {
         let pf = full.predict_each(&profile(180), inst, 2).unwrap();
         for ((ma, va), (mf, vf)) in pa.iter().zip(&pf) {
             assert_eq!(ma, mf);
-            if ma != "MLP" && ma != "RT" && ma != "RF" {
+            if *ma != "MLP" && *ma != "RT" && *ma != "RF" {
                 assert_eq!(
                     va.to_bits(),
                     vf.to_bits(),

@@ -29,9 +29,9 @@
 //! knowledge never crosses its own boundary, so each tenant's outcome
 //! stream is **bit-identical to that tenant running alone** through
 //! [`crate::tenant::TenantShardedDeployer`]: same per-tenant provider
-//! seed, same
-//! decision-counter seed stream, same retrain gates. Two rules keep the
-//! asynchronous retrains on the solo schedule:
+//! seed, and a lane is the same [`DeployLoop`], so the decision-counter
+//! seed stream and the retrain gates are the solo run's own code. Two
+//! rules keep the asynchronous retrains on the solo schedule:
 //!
 //! 1. **flush-before-append** — a shard with a fired-but-unpublished
 //!    retrain must not grow: the ingester retrains on the shard exactly
@@ -43,19 +43,13 @@
 //! Bootstrap and manual selections consult neither families nor
 //! snapshot, so they never wait.
 
-use crate::deploy::{
-    relative_residual, DeployDecision, DeployMode, DeployOutcome, DeployPolicy, Deployer,
-    DeployerCore,
-};
-use crate::drift::DriftState;
-use crate::knowledge::KnowledgeBase;
-use crate::knowledge::RunRecord;
+use crate::deploy::{Backend, DeployLoop, DeployOutcome, DeployPolicy, Shard, SHARD_FLOOR};
+use crate::knowledge::{KnowledgeBase, RunRecord};
 use crate::pipeline::{DeployPipeline, PipelineJob, PipelineStats};
-use crate::predictor::{GridScratch, PredictorFamily, RetrainMode, TimePredictor};
-use crate::profile::JobProfile;
+use crate::predictor::{FamilyRouter, PredictorFamily, RetrainMode, TimePredictor};
 use crate::tenant::{TenantId, TenantShardedKnowledgeBase, TransferPolicy};
 use crate::CoreError;
-use disar_cloudsim::{CloudProvider, InstanceCatalog, InstanceType, JobReport};
+use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,12 +57,6 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// The family minimum-sample floor the tenant layer pins (see
-/// [`crate::tenant::TenantShardedPredictor::new`], which clamps
-/// `min_samples` to at least 2). The service replicates the solo gates,
-/// so it pins the same constant.
-const FAMILY_MIN_SAMPLES: usize = 2;
 
 /// Sizing knobs of a [`DeployService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -311,31 +299,9 @@ struct SnapshotTenantView<'a> {
     tenant: &'a TenantId,
 }
 
-impl TimePredictor for SnapshotTenantView<'_> {
-    fn predict_each(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-        match self.snapshot.family(&instance.name, self.tenant) {
-            Some(f) if f.is_trained() => f.predict_each(profile, instance, n_nodes),
-            _ => Err(disar_ml::MlError::NotFitted.into()),
-        }
-    }
-
-    fn predict_grid(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        nodes: &[usize],
-        out: &mut Vec<f64>,
-        scratch: &mut GridScratch,
-    ) -> Result<usize, CoreError> {
-        match self.snapshot.family(&instance.name, self.tenant) {
-            Some(f) if f.is_trained() => f.predict_grid(profile, instance, nodes, out, scratch),
-            _ => Err(disar_ml::MlError::NotFitted.into()),
-        }
+impl FamilyRouter for SnapshotTenantView<'_> {
+    fn family_for(&self, instance: &str) -> Option<&PredictorFamily> {
+        self.snapshot.family(instance, self.tenant)
     }
 }
 
@@ -343,6 +309,9 @@ impl TimePredictor for SnapshotTenantView<'_> {
 struct LandedMsg {
     instance: String,
     tenant: TenantId,
+    /// The tenant's seed: what the ingester builds the shard's family from
+    /// on its first retrain.
+    seed: u64,
     /// Whether this landing fired the tenant's retrain gate.
     fired: bool,
     /// The retrain mode the recording side's escalation ladder selected
@@ -358,8 +327,6 @@ struct ServiceShared {
     /// The two-key shard map; the outer lock guards only map growth —
     /// steady-state `record()` takes a read lock plus the one shard lock.
     shards: RwLock<BTreeMap<(String, TenantId), Arc<Mutex<KnowledgeBase>>>>,
-    /// Per-tenant family seeds (fixed at registration).
-    seeds: Mutex<BTreeMap<TenantId, u64>>,
     snapshot: SnapshotCell,
     // Admission / queue counters (ServiceStats).
     submitted: AtomicUsize,
@@ -388,286 +355,116 @@ impl ServiceShared {
                 .or_insert_with(|| Arc::new(Mutex::new(KnowledgeBase::new()))),
         )
     }
-
-    fn seed_of(&self, tenant: &TenantId) -> u64 {
-        *self
-            .seeds
-            .lock()
-            .expect("seed map poisoned")
-            .get(tenant)
-            .expect("tenant registered before use")
-    }
 }
 
-/// Exact replica of the solo Isolated retrain gates, tracked per tenant
-/// from counts alone (the same observation the solo `simulate_pending`
-/// rests on: the gates only count).
-struct IsolatedGates {
+/// A service lane's storage, driven by the same [`DeployLoop`] as the solo
+/// [`crate::tenant::TenantShardedDeployer`] under
+/// [`TransferPolicy::Isolated`]: records land in the shared shard map and
+/// retrains are handed to the ingester, so the schedule reads counters
+/// kept here instead of the shards and families themselves.
+pub(crate) struct ServiceTenant {
+    tenant: TenantId,
+    seed: u64,
+    shared: Arc<ServiceShared>,
+    reader: SnapshotReader,
+    ingest: mpsc::Sender<LandedMsg>,
     /// Records this tenant has landed (the solo run's `kb.len()`).
     len: usize,
     /// Per-instance local record counts (the solo `local_lens`).
     local_lens: BTreeMap<String, usize>,
-    /// Instances whose local family has had at least one fired retrain —
-    /// fired implies trained (the gate requires `min_samples`).
-    trained: BTreeSet<String>,
-    /// Total retrain fires (the selection watermark target).
-    fired_events: u64,
-    /// Per-instance retrain fires (the flush-before-append target).
-    shard_fires: BTreeMap<String, u64>,
+    /// Retrains fired so far per instance type. A shard with one counts as
+    /// trained (a fire needs the floor, and selections wait for its
+    /// publish); the counts are the targets of both waits.
+    fires: BTreeMap<String, u64>,
 }
 
-impl IsolatedGates {
-    fn new() -> Self {
-        IsolatedGates {
-            len: 0,
-            local_lens: BTreeMap::new(),
-            trained: BTreeSet::new(),
-            fired_events: 0,
-            shard_fires: BTreeMap::new(),
-        }
-    }
-}
-
-/// The virtual gate state once every pending decision has landed.
-struct ServicePendingSim {
-    virtual_len: usize,
-    virtual_trained: bool,
-    retrain_pending: bool,
-}
-
-/// The per-tenant [`Deployer`] backend a worker thread drives: decisions
-/// replay the solo [`TenantShardedDeployer`] exactly; records land in the
-/// shared shard map and stream to the ingester.
-struct ServiceTenantDeployer {
-    core: DeployerCore,
-    tenant: TenantId,
-    gates: IsolatedGates,
-    shared: Arc<ServiceShared>,
-    reader: SnapshotReader,
-    ingest: mpsc::Sender<LandedMsg>,
-    /// Per-instance drift state for this tenant's residual stream; a fire
-    /// escalates the mode carried by the next fired [`LandedMsg`] only.
-    drift: BTreeMap<String, DriftState>,
-}
-
-impl ServiceTenantDeployer {
-    fn new(
-        catalog: InstanceCatalog,
-        tenant: TenantId,
-        seed: u64,
-        shared: Arc<ServiceShared>,
-        ingest: mpsc::Sender<LandedMsg>,
-    ) -> Self {
-        let provider = Arc::new(CloudProvider::new(catalog, seed));
-        let reader = SnapshotReader::new(&shared.snapshot);
-        ServiceTenantDeployer {
-            core: DeployerCore::new(provider, shared.policy.clone(), seed),
-            tenant,
-            gates: IsolatedGates::new(),
-            shared,
-            reader,
-            ingest,
-            drift: BTreeMap::new(),
-        }
+impl Backend for ServiceTenant {
+    fn len(&self) -> usize {
+        self.len
     }
 
-    /// Mirror of the solo `simulate_pending` restricted to
-    /// [`TransferPolicy::Isolated`] (no pooled branch).
-    fn simulate_pending(&self, pending: &[DeployDecision]) -> ServicePendingSim {
-        let mut len = self.gates.len;
-        let mut rsr = self.core.runs_since_retrain;
-        let mut retrain_pending = false;
-        let mut local = self.gates.local_lens.clone();
-        let mut newly: BTreeSet<&str> = BTreeSet::new();
-        for d in pending {
-            len += 1;
-            rsr += 1;
-            let local_len = local.entry(d.instance.clone()).or_insert(0);
-            *local_len += 1;
-            if rsr >= self.core.policy.retrain_every && *local_len >= FAMILY_MIN_SAMPLES {
-                newly.insert(d.instance.as_str());
-                retrain_pending = true;
-                rsr = 0;
-            }
-        }
-        let virtual_trained = self
-            .core
-            .provider
-            .catalog()
-            .names()
-            .iter()
-            .all(|n| self.gates.trained.contains(n.as_str()) || newly.contains(n.as_str()));
-        ServicePendingSim {
-            virtual_len: len,
-            virtual_trained,
-            retrain_pending,
-        }
-    }
-}
-
-impl Deployer for ServiceTenantDeployer {
-    fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
+    fn shards(&self, instance: &str) -> Vec<Shard> {
+        vec![Shard::Local(instance.to_string(), self.tenant.clone())]
     }
 
-    fn provider(&self) -> &CloudProvider {
-        &self.core.provider
+    fn size(&self, shard: &Shard) -> usize {
+        self.local_lens.get(shard.instance()).copied().unwrap_or(0)
     }
 
-    fn provider_handle(&self) -> Arc<CloudProvider> {
-        Arc::clone(&self.core.provider)
+    fn trained(&self, shard: &Shard) -> bool {
+        self.fires.contains_key(shard.instance())
     }
 
-    fn kb_len(&self) -> usize {
-        self.gates.len
-    }
-
-    fn warm(&mut self) -> Result<(), CoreError> {
-        // The service starts from an empty base; there is nothing to warm.
-        Ok(())
-    }
-
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
-        let sim = self.simulate_pending(pending);
-        sim.virtual_len < self.core.policy.min_kb_samples
-            || !sim.virtual_trained
-            || !sim.retrain_pending
-    }
-
-    fn select(
+    fn with_view<R>(
         &mut self,
-        profile: &JobProfile,
-        pending: &[DeployDecision],
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.policy.validate()?;
-        let decision_seed = self.core.next_decision_seed();
-        let sim = self.simulate_pending(pending);
-        if sim.virtual_len < self.core.policy.min_kb_samples || !sim.virtual_trained {
-            let (instance, n_nodes) = self.core.random_config(decision_seed);
-            return Ok(DeployDecision {
-                mode: DeployMode::Bootstrap,
-                instance,
-                n_nodes,
-                predicted_secs: None,
-            });
-        }
+        _sizes: &BTreeMap<Shard, usize>,
+        f: impl FnOnce(&dyn TimePredictor) -> R,
+    ) -> Result<R, CoreError> {
         // Watermark stall: the solo loop retrains synchronously inside
         // record(), so by its next ML selection every fired retrain is
         // visible. Wait until the published snapshot has caught up with
         // every fire this tenant's landings produced.
-        let target = self.gates.fired_events;
+        let target: u64 = self.fires.values().sum();
         let tenant = self.tenant.clone();
-        let snap = self
+        let snapshot = self
             .reader
             .wait_for(&self.shared.snapshot, move |s| {
                 s.fires_for_tenant(&tenant) >= target
             })?
             .clone();
-        let view = SnapshotTenantView {
-            snapshot: snap.as_ref(),
+        Ok(f(&SnapshotTenantView {
+            snapshot: snapshot.as_ref(),
             tenant: &self.tenant,
-        };
-        self.core.ml_select(&view, profile, decision_seed)
+        }))
     }
 
-    fn begin_manual(
-        &mut self,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.manual_decision(instance, n_nodes)
-    }
-
-    fn record(
-        &mut self,
-        profile: &JobProfile,
-        decision: &DeployDecision,
-        report: &JobReport,
-    ) -> Result<(), CoreError> {
-        let inst = self.core.provider.catalog().get(&decision.instance)?.clone();
+    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
         // Flush-before-append: if this shard has a fired retrain the
         // ingester has not published yet, appending now would let that
         // retrain see records the solo schedule trained without. Wait for
         // the publish first (the fire message is already queued, so the
         // ingester cannot miss it).
-        let fires = self
-            .gates
-            .shard_fires
-            .get(&decision.instance)
-            .copied()
-            .unwrap_or(0);
-        if fires > 0 {
-            let key = (decision.instance.clone(), self.tenant.clone());
+        if let Some(&fires) = self.fires.get(&record.instance) {
+            let key = (record.instance.clone(), self.tenant.clone());
             self.reader.wait_for(&self.shared.snapshot, move |s| {
                 s.fires_for_shard(&key) >= fires
             })?;
         }
-        let record = RunRecord::new(
-            *profile,
-            &inst,
-            decision.n_nodes,
-            report.duration_secs,
-            report.prorated_cost,
-        )
-        .with_tenant(self.tenant.clone());
-        let shard = self.shared.shard_handle(&decision.instance, &self.tenant);
-        let shard_len = {
-            let mut guard = shard.lock().expect("shard poisoned");
-            guard.record(record);
-            guard.len()
-        };
-        self.gates.len += 1;
-        *self
-            .gates
-            .local_lens
-            .entry(decision.instance.clone())
-            .or_insert(0) += 1;
-        self.core.runs_since_retrain += 1;
-        // Feed the prediction residual to this shard's drift detector
-        // before the retrain gate. Detectors only escalate the retrain
-        // *mode*, never whether a retrain fires, so the fire schedule —
-        // and with it both bit-identity watermarks — is untouched.
-        if self.core.policy.drift.enabled() {
-            if let Some(residual) = relative_residual(decision, report) {
-                let state = self
-                    .drift
-                    .entry(decision.instance.clone())
-                    .or_insert_with(|| DriftState::new(&self.core.policy.drift));
-                let _ = state.observe(residual);
-            }
-        }
-        // The solo Isolated gate, verbatim: fire on the retrain schedule
-        // once the shard holds the family minimum.
-        let mut fired = false;
-        let mut mode = self.core.policy.retrain_mode;
-        if self.core.runs_since_retrain >= self.core.policy.retrain_every
-            && shard_len >= FAMILY_MIN_SAMPLES
-        {
-            fired = true;
-            self.core.runs_since_retrain = 0;
-            self.gates.trained.insert(decision.instance.clone());
-            self.gates.fired_events += 1;
-            *self
-                .gates
-                .shard_fires
-                .entry(decision.instance.clone())
-                .or_insert(0) += 1;
-            // Resolve the escalation ladder at fire time: the message
-            // carries the mode, and the queued fire is guaranteed to be
-            // retrained by the ingester, so the ladder resets here.
-            if let Some(state) = self.drift.get_mut(&decision.instance) {
-                mode = state.next_mode(self.core.policy.retrain_mode, &self.core.policy.drift);
-                state.on_retrain_applied();
-            }
+        *self.local_lens.entry(record.instance.clone()).or_insert(0) += 1;
+        self.len += 1;
+        let shard = self.shared.shard_handle(&record.instance, &self.tenant);
+        let mut guard = shard.lock().expect("shard poisoned");
+        guard.record(record.with_tenant(self.tenant.clone()));
+        Ok(())
+    }
+
+    fn retrain(
+        &mut self,
+        instance: &str,
+        due: &[Shard],
+        mode: RetrainMode,
+        _n_threads: usize,
+    ) -> Result<(), CoreError> {
+        // The queued fire is guaranteed to be retrained by the ingester,
+        // with the mode the loop's ladder resolved: the message carries it,
+        // so the ingester needs no drift state of its own.
+        let fired = !due.is_empty();
+        if fired {
+            *self.fires.entry(instance.to_string()).or_insert(0) += 1;
         }
         self.ingest
             .send(LandedMsg {
-                instance: decision.instance.clone(),
+                instance: instance.to_string(),
                 tenant: self.tenant.clone(),
+                seed: self.seed,
                 fired,
                 mode,
             })
-            .map_err(|_| CoreError::ServiceStopped("predictor ingester stopped"))?;
+            .map_err(|_| CoreError::ServiceStopped("predictor ingester stopped"))
+    }
+
+    fn warm(&mut self, _mode: RetrainMode, _n_threads: usize) -> Result<(), CoreError> {
+        // The service starts from an empty base; there is nothing to warm.
         Ok(())
     }
 }
@@ -802,7 +599,6 @@ impl DeployService {
             shared: Arc::new(ServiceShared {
                 policy,
                 shards: RwLock::new(BTreeMap::new()),
-                seeds: Mutex::new(BTreeMap::new()),
                 snapshot: SnapshotCell::new(),
                 submitted: AtomicUsize::new(0),
                 admitted: AtomicUsize::new(0),
@@ -842,11 +638,6 @@ impl DeployService {
         if !self.tenants.insert(tenant.clone()) {
             return Err(CoreError::InvalidParameter("tenant already registered"));
         }
-        self.shared
-            .seeds
-            .lock()
-            .expect("seed map poisoned")
-            .insert(tenant.clone(), seed);
         let (cmd_tx, cmd_rx) = mpsc::sync_channel(self.config.queue_capacity);
         let (result_tx, result_rx) = mpsc::channel();
         self.registrations
@@ -894,13 +685,18 @@ impl DeployService {
         let registrations =
             std::mem::take(self.registrations.get_mut().expect("registrations poisoned"));
         for reg in registrations {
-            let dep = ServiceTenantDeployer::new(
-                self.catalog.clone(),
-                reg.tenant,
-                reg.seed,
-                Arc::clone(&self.shared),
-                ingest_tx.clone(),
-            );
+            let backend = ServiceTenant {
+                tenant: reg.tenant,
+                seed: reg.seed,
+                shared: Arc::clone(&self.shared),
+                reader: SnapshotReader::new(&self.shared.snapshot),
+                ingest: ingest_tx.clone(),
+                len: 0,
+                local_lens: BTreeMap::new(),
+                fires: BTreeMap::new(),
+            };
+            let provider = Arc::new(CloudProvider::new(self.catalog.clone(), reg.seed));
+            let dep = DeployLoop::assemble(provider, self.shared.policy, reg.seed, backend);
             let shared = Arc::clone(&self.shared);
             let depth = self.config.depth;
             let cmd_rx = reg.cmd_rx;
@@ -997,13 +793,13 @@ fn merge_pipeline_stats(acc: &mut PipelineStats, s: &PipelineStats) {
 /// One tenant's worker: drain whatever is queued, pipeline the batch,
 /// repeat; report on `Finish` (or handle drop).
 fn worker_loop(
-    mut dep: ServiceTenantDeployer,
+    mut dep: DeployLoop<ServiceTenant>,
     cmd_rx: &Receiver<Cmd>,
     depth: usize,
     result_tx: &mpsc::Sender<Result<TenantRun, CoreError>>,
     shared: &Arc<ServiceShared>,
 ) {
-    let tenant = dep.tenant.clone();
+    let tenant = dep.backend.tenant.clone();
     let mut outcomes: Vec<DeployOutcome> = Vec::new();
     let mut stats = PipelineStats::default();
     let mut failed: Option<CoreError> = None;
@@ -1088,24 +884,23 @@ fn ingester_loop(shared: &Arc<ServiceShared>, rx: &Receiver<LandedMsg>, batch_ma
         // flush-before-append rule guarantees at most one fire per shard
         // per batch, so "one retrain per dirty shard" is exact, not an
         // approximation.
-        let mut dirty: Vec<((String, TenantId), RetrainMode)> = Vec::new();
+        let mut dirty: Vec<((String, TenantId), RetrainMode, u64)> = Vec::new();
         for msg in batch.iter().filter(|m| m.fired) {
             let key = (msg.instance.clone(), msg.tenant.clone());
-            if !dirty.iter().any(|(k, _)| *k == key) {
-                dirty.push((key, msg.mode));
+            if !dirty.iter().any(|(k, ..)| *k == key) {
+                dirty.push((key, msg.mode, msg.seed));
             }
         }
         if dirty.is_empty() {
             continue;
         }
         let mut next = (*shared.snapshot.load()).clone();
-        for (key, mode) in &dirty {
-            let seed = shared.seed_of(&key.1);
+        for (key, mode, seed) in &dirty {
             let shard = shared.shard_handle(&key.0, &key.1);
             let guard = shard.lock().expect("shard poisoned");
             let family = masters
                 .entry(key.clone())
-                .or_insert_with(|| PredictorFamily::new(seed, FAMILY_MIN_SAMPLES));
+                .or_insert_with(|| PredictorFamily::new(*seed, SHARD_FLOOR));
             if let Err(_e) = family.retrain(&guard, *mode, shared.policy.n_threads) {
                 // A retrain failure poisons the whole service: close the
                 // cell so every watermark waiter errors out instead of
@@ -1134,8 +929,11 @@ fn ingester_loop(shared: &Arc<ServiceShared>, rx: &Receiver<LandedMsg>, batch_ma
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::{DeployDecision, DeployMode, Deployer, PendingSim};
+    use crate::drift::{DetectorKind, DriftConfig};
+    use crate::profile::JobProfile;
     use crate::tenant::TenantShardedDeployer;
-    use disar_cloudsim::Workload;
+    use disar_cloudsim::{JobReport, Workload};
     use disar_engine::EebCharacteristics;
 
     fn profile(contracts: usize) -> JobProfile {
@@ -1375,5 +1173,191 @@ mod tests {
             .records_in_arrival_order()
             .all(|r| r.tenant == tenant));
         service.join().unwrap();
+    }
+
+    /// A service lane outside a running service: the deployer a worker
+    /// would drive, and the ingester thread that applies its retrains.
+    fn lane(policy: DeployPolicy, seed: u64) -> (DeployLoop<ServiceTenant>, JoinHandle<()>) {
+        let catalog = InstanceCatalog::paper_catalog();
+        let mut service =
+            DeployService::new(catalog.clone(), policy, ServiceConfig::default()).unwrap();
+        let rx = service.ingest_rx.get_mut().unwrap().take().unwrap();
+        let shared = Arc::clone(&service.shared);
+        let ingester = std::thread::spawn(move || ingester_loop(&shared, &rx, 8));
+        let backend = ServiceTenant {
+            tenant: TenantId::new("acme-life"),
+            seed,
+            shared: Arc::clone(&service.shared),
+            reader: SnapshotReader::new(&service.shared.snapshot),
+            ingest: service.ingest_tx.take().unwrap(),
+            len: 0,
+            local_lens: BTreeMap::new(),
+            fires: BTreeMap::new(),
+        };
+        let provider = Arc::new(CloudProvider::new(catalog, seed));
+        (
+            DeployLoop::assemble(provider, policy, seed, backend),
+            ingester,
+        )
+    }
+
+    /// `n` forced decisions over an uneven cycle of instance types, with the
+    /// reports of their runs. Every fourth decision claims a prediction 40×
+    /// the realized time (the others claim the realized time exactly), so
+    /// an enabled detector fires now and then.
+    fn decided_runs<B: Backend>(
+        d: &DeployLoop<B>,
+        n: usize,
+        offset: usize,
+    ) -> Vec<(JobProfile, DeployDecision, JobReport)> {
+        let names = InstanceCatalog::paper_catalog().names();
+        (offset..offset + n)
+            .map(|i| {
+                let contracts = 80 + (i * 37) % 200;
+                let instance = &names[(i * 5 + i / 7) % names.len()];
+                let n_nodes = 1 + i % 3;
+                let report = d
+                    .provider()
+                    .run_job(instance, n_nodes, &workload(contracts))
+                    .unwrap();
+                let claimed = report.duration_secs * if i % 4 == 3 { 40.0 } else { 1.0 };
+                let decision = DeployDecision {
+                    mode: DeployMode::Manual,
+                    instance: instance.clone(),
+                    n_nodes,
+                    predicted_secs: Some(claimed),
+                };
+                (profile(contracts), decision, report)
+            })
+            .collect()
+    }
+
+    /// Replays every prefix of `k` pending decisions from the deployer's
+    /// present state, then lands the same records one by one and compares
+    /// the two after each.
+    fn replay_matches_landing<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
+        let policy = *d.policy();
+        let runs = decided_runs(&d, k, 100);
+        let pending: Vec<DeployDecision> = runs.iter().map(|(_, dec, _)| dec.clone()).collect();
+        let sims: Vec<PendingSim> = (0..=k).map(|j| d.replay(&pending[..j])).collect();
+        let escalated = |level: usize| match level {
+            0 => policy.retrain_mode,
+            1 => RetrainMode::Windowed {
+                window: policy.drift.window,
+                decay: policy.drift.decay,
+            },
+            _ => RetrainMode::Full,
+        };
+        let mut ladders: BTreeMap<Shard, usize> = BTreeMap::new();
+        let (mut fires, mut absorbed) = (0, 0);
+        for (j, (profile, decision, report)) in runs.iter().enumerate() {
+            let at = format!("{label}, record {j}");
+            let detector_fires = d.drift_fires();
+            d.record(profile, decision, report).unwrap();
+            let sim = &sims[j + 1];
+
+            // The fire sequence: a record fired exactly when the replay
+            // said it would, whatever the detector made of its residual.
+            let fired = d.runs_since_retrain == 0;
+            assert_eq!(fired, sim.runs_since_retrain == 0, "fire at {at}");
+            assert_eq!(
+                d.runs_since_retrain, sim.runs_since_retrain,
+                "cadence at {at}"
+            );
+            fires += usize::from(fired);
+            assert_eq!(sim.retrain_pending, fires > 0, "retrain_pending at {at}");
+
+            // Sizes, trained flags and coverage.
+            assert_eq!(d.kb_len(), sim.virtual_len, "virtual_len at {at}");
+            for (shard, size) in &sim.sizes {
+                assert_eq!(d.backend.size(shard), *size, "size of {shard:?} at {at}");
+            }
+            let landed = d.replay(&[]);
+            assert_eq!(landed.covered, sim.covered, "covered at {at}");
+            assert!(!landed.retrain_pending && landed.sizes.is_empty());
+
+            // The rest of the replay from here agrees with the whole.
+            let rest = d.replay(&pending[j + 1..]);
+            let whole = &sims[k];
+            assert_eq!(rest.virtual_len, whole.virtual_len, "suffix len at {at}");
+            assert_eq!(rest.covered, whole.covered, "suffix covered at {at}");
+            assert_eq!(
+                rest.runs_since_retrain, whole.runs_since_retrain,
+                "suffix cadence at {at}"
+            );
+
+            // The ladder of the record's own shard: one rung up per detector
+            // fire, back to the base mode once a retrain of the shard fired.
+            let own = d.backend.shards(&decision.instance).swap_remove(0);
+            let level = ladders.entry(own.clone()).or_insert(0);
+            if d.drift_fires() > detector_fires {
+                *level = (*level + 1).min(2);
+                absorbed += usize::from(fired);
+            }
+            if fired {
+                *level = 0;
+            }
+            let mode = d.drift.get(&own).map_or(policy.retrain_mode, |s| {
+                s.next_mode(policy.retrain_mode, &policy.drift)
+            });
+            assert_eq!(mode, escalated(*level), "ladder of {own:?} at {at}");
+        }
+        assert!(!sims[0].covered, "{label}: covered before the first record");
+        if policy.retrain_every == 1 {
+            assert!(
+                sims[k].covered,
+                "{label}: {k} records never covered the catalog"
+            );
+        }
+        assert!(fires > 0, "{label}: no retrain fired in {k} records");
+        assert!(d.drift_fires() > 0, "{label}: the detector never fired");
+        assert!(absorbed > 0, "{label}: no escalated retrain was applied");
+    }
+
+    #[test]
+    fn pending_replay_matches_landing_on_every_layout() {
+        use crate::deploy::{ShardedDeployer, TransparentDeployer};
+        let provider = |seed| CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
+        for retrain_every in [1, 3] {
+            let policy = |transfer| {
+                DeployPolicy::builder(50_000.0)
+                    .max_nodes(4)
+                    .min_kb_samples(5)
+                    .retrain_every(retrain_every)
+                    .n_threads(1)
+                    .transfer(transfer)
+                    .drift(DriftConfig {
+                        detector: DetectorKind::PageHinkley,
+                        ..DriftConfig::default()
+                    })
+                    .build()
+            };
+            let isolated = policy(TransferPolicy::Isolated);
+            let k = 40;
+            let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
+
+            let mono = TransparentDeployer::new(provider(3), isolated, 3);
+            replay_matches_landing(mono, k, &label("monolithic"));
+            let sharded = ShardedDeployer::new(provider(5), isolated, 5);
+            replay_matches_landing(sharded, k, &label("per-instance"));
+            for transfer in [
+                TransferPolicy::Isolated,
+                TransferPolicy::Pooled,
+                TransferPolicy::BorrowUntil(3),
+            ] {
+                // Another tenant's records first, so that pooled and local
+                // shards differ and the replay starts from a grown base.
+                let mut d = TenantShardedDeployer::new(provider(7), policy(transfer), 7)
+                    .with_tenant(TenantId::new("bolt-re"));
+                for (profile, decision, report) in decided_runs(&d, 9, 0) {
+                    d.record(&profile, &decision, &report).unwrap();
+                }
+                d.set_tenant(TenantId::new("acme-life"));
+                replay_matches_landing(d, k, &label(&format!("tenant {transfer:?}")));
+            }
+            let (d, ingester) = lane(isolated, 11);
+            replay_matches_landing(d, k, &label("service lane"));
+            ingester.join().unwrap();
+        }
     }
 }

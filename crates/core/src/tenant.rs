@@ -19,25 +19,25 @@
 //!   per instance type until it has accumulated enough *local*
 //!   observations there, then switches to its own (cold-start borrowing).
 //!
-//! [`TenantShardedDeployer`] packages the layout behind the existing
-//! [`Deployer`] trait, so [`crate::pipeline::DeployPipeline`], the bench
-//! campaign and the experiment drivers run unchanged over a multi-tenant
-//! base. With a single tenant and [`TransferPolicy::Isolated`] (or
+//! [`TenantShardedDeployer`] is the one deploy loop
+//! ([`crate::deploy::DeployLoop`]) over this layout, behind the existing
+//! [`crate::deploy::Deployer`] trait, so
+//! [`crate::pipeline::DeployPipeline`], the bench campaign and the
+//! experiment drivers run unchanged over a multi-tenant base. With a single tenant and [`TransferPolicy::Isolated`] (or
 //! [`TransferPolicy::Pooled`] — the partitions coincide), the backend is
 //! bit-identical to [`crate::deploy::ShardedDeployer`].
 
-use crate::deploy::{
-    relative_residual, DeployDecision, DeployMode, DeployOutcome, DeployPolicy, Deployer,
-    DeployerCore, PendingSim,
+use crate::deploy::{Backend, DeployLoop, DeployPolicy, Local, Shard, SHARD_FLOOR};
+use crate::knowledge::{
+    KnowledgeBase, KnowledgeStore, Partitioned, RunRecord, ShardedKnowledgeBase,
 };
-use crate::drift::DriftState;
-use crate::knowledge::{check_schema, KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion};
-use crate::predictor::{GridScratch, PredictorFamily, RetrainMode, TimePredictor};
-use crate::profile::JobProfile;
+use crate::predictor::{
+    FamilyRouter, PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor,
+};
 use crate::CoreError;
-use disar_cloudsim::{CloudProvider, InstanceType, JobReport, Workload};
+use disar_cloudsim::CloudProvider;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -103,48 +103,52 @@ impl TransferPolicy {
     pub fn uses_pooled(self) -> bool {
         !matches!(self, TransferPolicy::Isolated)
     }
+
+    /// Whether a tenant holding `local_len` records on an instance type is
+    /// served there by its own model (rather than the pooled one).
+    pub(crate) fn routes_local(self, local_len: usize) -> bool {
+        match self {
+            TransferPolicy::Isolated => true,
+            TransferPolicy::Pooled => false,
+            TransferPolicy::BorrowUntil(n) => local_len >= n,
+        }
+    }
 }
 
 /// A knowledge base partitioned by the two-key (instance type × tenant).
 ///
-/// Each two-key shard is a plain [`KnowledgeBase`] (with its own
-/// incrementally maintained featurized cache), so a `record()` touches
-/// exactly one shard and a local retrain scales with one tenant's records
-/// on one instance type. Alongside the two-key shards the base maintains
-/// *pooled* per-instance copies — the union of all tenants' records for
-/// each instance type, in arrival order — so pooled retrains need no
-/// re-partitioning pass. The pooled copies double record memory; they are
-/// derived state, excluded from equality, skipped by serialization and
-/// rebuilt on [`TenantShardedKnowledgeBase::load`].
-///
-/// The global arrival order is kept alongside the shards, so the exact
-/// monolithic record stream is always reconstructible
-/// ([`TenantShardedKnowledgeBase::to_monolithic`]) — two-key sharding
-/// never loses or reorders information.
+/// The two-key shards are a [`Partitioned`] store (which this type derefs
+/// to for every read: `len`, `shard_count`, `records_in_arrival_order`,
+/// `to_monolithic`, `save`, …), so a `record()` touches exactly one shard
+/// and a local retrain scales with one tenant's records on one instance
+/// type. Alongside them the base maintains *pooled* per-instance copies —
+/// a [`ShardedKnowledgeBase`] fed the same stream, i.e. the union of all
+/// tenants' records for each instance type, in arrival order — so pooled
+/// retrains need no re-partitioning pass. The pooled copies double record
+/// memory; they are derived state, excluded from equality, skipped by
+/// serialization and rebuilt on [`TenantShardedKnowledgeBase::load`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TenantShardedKnowledgeBase {
-    /// On-disk format version; stamped on save, checked on load. Excluded
-    /// from equality (records are what a base *is*).
-    #[serde(default)]
-    pub schema_version: SchemaVersion,
-    /// `(instance, tenant)` of each shard, in first-seen order.
-    keys: Vec<(String, TenantId)>,
-    shards: Vec<KnowledgeBase>,
-    /// Shard slot of each record, in global arrival order.
-    arrival: Vec<u32>,
-    /// Derived per-instance unions (first-seen instance order), rebuilt on
-    /// load.
+    #[serde(flatten)]
+    store: Partitioned<(String, TenantId)>,
+    /// Derived per-instance unions, rebuilt on load.
     #[serde(skip)]
-    pooled_names: Vec<String>,
-    #[serde(skip)]
-    pooled: Vec<KnowledgeBase>,
+    pooled: ShardedKnowledgeBase,
 }
 
 /// Equality is over the two-key shards and arrival order only — the pooled
 /// copies (like the per-shard dataset caches) are derived state.
 impl PartialEq for TenantShardedKnowledgeBase {
     fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys && self.shards == other.shards && self.arrival == other.arrival
+        self.store == other.store
+    }
+}
+
+impl std::ops::Deref for TenantShardedKnowledgeBase {
+    type Target = Partitioned<(String, TenantId)>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.store
     }
 }
 
@@ -186,69 +190,15 @@ impl TenantShardedKnowledgeBase {
     /// Appends one run to the shard owning its (instance, tenant) key and
     /// to the instance's pooled copy, creating both on first sight.
     pub fn record(&mut self, record: RunRecord) {
-        let slot = match self
-            .keys
-            .iter()
-            .position(|(i, t)| *i == record.instance && *t == record.tenant)
-        {
-            Some(slot) => slot,
-            None => {
-                self.keys
-                    .push((record.instance.clone(), record.tenant.clone()));
-                self.shards.push(KnowledgeBase::new());
-                self.keys.len() - 1
-            }
-        };
-        self.arrival.push(slot as u32);
-        self.pool_record(record.clone());
-        self.shards[slot].record(record);
-    }
-
-    fn pool_record(&mut self, record: RunRecord) {
-        let slot = match self.pooled_names.iter().position(|n| *n == record.instance) {
-            Some(slot) => slot,
-            None => {
-                self.pooled_names.push(record.instance.clone());
-                self.pooled.push(KnowledgeBase::new());
-                self.pooled_names.len() - 1
-            }
-        };
-        self.pooled[slot].record(record);
-    }
-
-    fn rebuild_pooled(&mut self) {
-        self.pooled_names.clear();
-        self.pooled.clear();
-        let records: Vec<RunRecord> = self.records_in_arrival_order().cloned().collect();
-        for r in records {
-            self.pool_record(r);
-        }
-    }
-
-    /// Total number of stored runs across all shards.
-    pub fn len(&self) -> usize {
-        self.arrival.len()
-    }
-
-    /// `true` when no runs are stored.
-    pub fn is_empty(&self) -> bool {
-        self.arrival.is_empty()
-    }
-
-    /// Number of two-key shards (distinct (instance, tenant) pairs seen).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The (instance, tenant) keys with a shard, in first-seen order.
-    pub fn shard_keys(&self) -> &[(String, TenantId)] {
-        &self.keys
+        self.pooled.record(record.clone());
+        let key = (record.instance.clone(), record.tenant.clone());
+        self.store.record_under(key, record);
     }
 
     /// Distinct tenants seen, in first-seen order.
     pub fn tenants(&self) -> Vec<TenantId> {
         let mut out: Vec<TenantId> = Vec::new();
-        for (_, t) in &self.keys {
+        for (_, t) in self.store.keys() {
             if !out.contains(t) {
                 out.push(t.clone());
             }
@@ -258,32 +208,23 @@ impl TenantShardedKnowledgeBase {
 
     /// The shard holding one tenant's records on one instance type.
     pub fn shard(&self, instance: &str, tenant: &TenantId) -> Option<&KnowledgeBase> {
-        self.keys
-            .iter()
-            .position(|(i, t)| i == instance && t == tenant)
-            .map(|slot| &self.shards[slot])
+        self.store.find(|(i, t)| i == instance && t == tenant)
     }
 
     /// The pooled (all-tenant) copy of one instance type's records, in
     /// arrival order.
     pub fn pooled_shard(&self, instance: &str) -> Option<&KnowledgeBase> {
-        self.pooled_names
-            .iter()
-            .position(|n| n == instance)
-            .map(|slot| &self.pooled[slot])
+        self.pooled.shard(instance)
     }
 
     /// Iterates `((instance, tenant), shard)` pairs in first-seen order.
     pub fn shards(&self) -> impl Iterator<Item = (&(String, TenantId), &KnowledgeBase)> {
-        self.keys.iter().zip(self.shards.iter())
+        self.store.keyed_shards()
     }
 
     /// Iterates `(instance name, pooled copy)` pairs in first-seen order.
     pub fn pooled_shards(&self) -> impl Iterator<Item = (&str, &KnowledgeBase)> {
-        self.pooled_names
-            .iter()
-            .map(String::as_str)
-            .zip(self.pooled.iter())
+        self.pooled.shards()
     }
 
     /// Per-instance record counts of one tenant's shards — the local-
@@ -298,52 +239,20 @@ impl TenantShardedKnowledgeBase {
         out
     }
 
-    /// Iterates every record in global arrival order — the exact stream a
-    /// monolithic [`KnowledgeBase`] fed the same runs would hold.
-    pub fn records_in_arrival_order(&self) -> impl Iterator<Item = &RunRecord> + '_ {
-        let mut cursors = vec![0usize; self.shards.len()];
-        self.arrival.iter().map(move |&slot| {
-            let slot = slot as usize;
-            let r = &self.shards[slot].records()[cursors[slot]];
-            cursors[slot] += 1;
-            r
-        })
-    }
-
-    /// Reconstructs the equivalent monolithic base (records in arrival
-    /// order, tenant tags intact).
-    pub fn to_monolithic(&self) -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
-        for r in self.records_in_arrival_order() {
-            kb.record(r.clone());
-        }
-        kb
-    }
-
-    /// Saves the two-key base as pretty JSON (pooled copies are derived
-    /// and not written).
+    /// Loads a base previously written with [`Partitioned::save`],
+    /// rebuilding the pooled copies.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization failures.
-    pub fn save(&self, path: &Path) -> Result<(), CoreError> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json)?;
-        Ok(())
-    }
-
-    /// Loads a base previously written with
-    /// [`TenantShardedKnowledgeBase::save`], rebuilding the pooled copies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and deserialization failures.
+    /// Propagates I/O and deserialization failures; rejects files stamped
+    /// with a newer schema version than this build supports.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path)?;
-        let mut kb: TenantShardedKnowledgeBase = serde_json::from_str(&json)?;
-        check_schema(kb.schema_version)?;
-        kb.rebuild_pooled();
-        Ok(kb)
+        let store = Partitioned::load(path)?;
+        let mut pooled = ShardedKnowledgeBase::new();
+        for r in store.records_in_arrival_order() {
+            pooled.record(r.clone());
+        }
+        Ok(TenantShardedKnowledgeBase { store, pooled })
     }
 }
 
@@ -353,19 +262,15 @@ impl KnowledgeStore for TenantShardedKnowledgeBase {
     }
 
     fn len(&self) -> usize {
-        TenantShardedKnowledgeBase::len(self)
+        self.store.len()
     }
 
     fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
-        Box::new(TenantShardedKnowledgeBase::records_in_arrival_order(self))
-    }
-
-    fn to_monolithic(&self) -> KnowledgeBase {
-        TenantShardedKnowledgeBase::to_monolithic(self)
+        Box::new(self.store.records_in_arrival_order())
     }
 
     fn save(&self, path: &Path) -> Result<(), CoreError> {
-        TenantShardedKnowledgeBase::save(self, path)
+        self.store.save(path)
     }
 }
 
@@ -373,17 +278,17 @@ impl KnowledgeStore for TenantShardedKnowledgeBase {
 /// per pooled instance shard, with a [`TransferPolicy`] routing every
 /// query to the family a tenant is entitled to.
 ///
-/// Families are created from the same `(seed, min_samples)` pair, so a
-/// local family is bit-identical to a monolithic family trained on the
-/// same shard — the invariant the backend-equivalence proofs rest on.
+/// Both sets are [`ShardedPredictor`]s — one per tenant and one pooled —
+/// created from the same `(seed, min_samples)` pair, so a local family is
+/// bit-identical to a monolithic family trained on the same shard — the
+/// invariant the backend-equivalence proofs rest on.
 pub struct TenantShardedPredictor {
     transfer: TransferPolicy,
-    /// instance → tenant → that tenant's local family for the instance.
-    local: BTreeMap<String, BTreeMap<TenantId, PredictorFamily>>,
-    /// instance → the all-tenant pooled family.
-    pooled: BTreeMap<String, PredictorFamily>,
+    /// tenant → that tenant's local families, per instance type.
+    local: BTreeMap<TenantId, ShardedPredictor>,
+    /// The all-tenant pooled families, per instance type.
+    pooled: ShardedPredictor,
     seed: u64,
-    min_samples: usize,
 }
 
 impl TenantShardedPredictor {
@@ -393,15 +298,14 @@ impl TenantShardedPredictor {
         TenantShardedPredictor {
             transfer,
             local: BTreeMap::new(),
-            pooled: BTreeMap::new(),
+            pooled: ShardedPredictor::new(seed, min_samples),
             seed,
-            min_samples: min_samples.max(2),
         }
     }
 
     /// The knowledge-base size below which a shard's training is refused.
     pub fn min_samples(&self) -> usize {
-        self.min_samples
+        self.pooled.min_samples()
     }
 
     /// The active transfer policy.
@@ -411,24 +315,24 @@ impl TenantShardedPredictor {
 
     /// The local family of one (instance, tenant), if it exists.
     pub fn local_family(&self, instance: &str, tenant: &TenantId) -> Option<&PredictorFamily> {
-        self.local.get(instance).and_then(|m| m.get(tenant))
+        self.local.get(tenant).and_then(|p| p.family(instance))
     }
 
     /// The pooled family of one instance type, if it exists.
     pub fn pooled_family(&self, instance: &str) -> Option<&PredictorFamily> {
-        self.pooled.get(instance)
+        self.pooled.family(instance)
     }
 
     /// `true` once the (instance, tenant) pair has a trained local family.
     pub fn is_trained_local(&self, instance: &str, tenant: &TenantId) -> bool {
-        self.local_family(instance, tenant)
-            .is_some_and(PredictorFamily::is_trained)
+        self.local
+            .get(tenant)
+            .is_some_and(|p| p.is_trained_for(instance))
     }
 
     /// `true` once the instance type has a trained pooled family.
     pub fn is_trained_pooled(&self, instance: &str) -> bool {
-        self.pooled_family(instance)
-            .is_some_and(PredictorFamily::is_trained)
+        self.pooled.is_trained_for(instance)
     }
 
     /// Number of trained local families across all (instance, tenant)
@@ -436,9 +340,8 @@ impl TenantShardedPredictor {
     pub fn trained_local_shards(&self) -> usize {
         self.local
             .values()
-            .flat_map(BTreeMap::values)
-            .filter(|f| f.is_trained())
-            .count()
+            .map(ShardedPredictor::trained_shards)
+            .sum()
     }
 
     /// The family `tenant`'s queries on `instance` route to under the
@@ -449,16 +352,10 @@ impl TenantShardedPredictor {
         tenant: &TenantId,
         local_len: usize,
     ) -> Option<&PredictorFamily> {
-        match self.transfer {
-            TransferPolicy::Isolated => self.local_family(instance, tenant),
-            TransferPolicy::Pooled => self.pooled_family(instance),
-            TransferPolicy::BorrowUntil(n) => {
-                if local_len >= n {
-                    self.local_family(instance, tenant)
-                } else {
-                    self.pooled_family(instance)
-                }
-            }
+        if self.transfer.routes_local(local_len) {
+            self.local_family(instance, tenant)
+        } else {
+            self.pooled_family(instance)
         }
     }
 
@@ -477,14 +374,11 @@ impl TenantShardedPredictor {
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        let seed = self.seed;
-        let min_samples = self.min_samples;
+        let (seed, min_samples) = (self.seed, self.min_samples());
         self.local
-            .entry(instance.to_string())
-            .or_default()
             .entry(tenant.clone())
-            .or_insert_with(|| PredictorFamily::new(seed, min_samples))
-            .retrain(shard, mode, n_threads)
+            .or_insert_with(|| ShardedPredictor::new(seed, min_samples))
+            .retrain_shard(instance, shard, mode, n_threads)
     }
 
     /// Retrains the pooled family of one instance type on the pooled
@@ -500,12 +394,7 @@ impl TenantShardedPredictor {
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        let seed = self.seed;
-        let min_samples = self.min_samples;
-        self.pooled
-            .entry(instance.to_string())
-            .or_insert_with(|| PredictorFamily::new(seed, min_samples))
-            .retrain(shard, mode, n_threads)
+        self.pooled.retrain_shard(instance, shard, mode, n_threads)
     }
 
     /// Retrains every shard the transfer policy consults that holds at
@@ -522,22 +411,14 @@ impl TenantShardedPredictor {
         n_threads: usize,
     ) -> Result<(), CoreError> {
         if self.transfer.uses_local() {
-            let keys: Vec<(String, TenantId)> = kb.shard_keys().to_vec();
-            for (instance, tenant) in &keys {
-                let shard = kb.shard(instance, tenant).expect("key came from the base");
-                if shard.len() >= self.min_samples {
+            for ((instance, tenant), shard) in kb.shards() {
+                if shard.len() >= self.min_samples() {
                     self.retrain_local(instance, tenant, shard, mode, n_threads)?;
                 }
             }
         }
         if self.transfer.uses_pooled() {
-            let names: Vec<String> = kb.pooled_shards().map(|(n, _)| n.to_string()).collect();
-            for instance in &names {
-                let shard = kb.pooled_shard(instance).expect("name came from the base");
-                if shard.len() >= self.min_samples {
-                    self.retrain_pooled(instance, shard, mode, n_threads)?;
-                }
-            }
+            self.pooled.retrain_all(&kb.pooled, mode, n_threads)?;
         }
         Ok(())
     }
@@ -568,43 +449,113 @@ pub struct TenantView<'a> {
     local_lens: BTreeMap<String, usize>,
 }
 
-impl TimePredictor for TenantView<'_> {
-    fn predict_each(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-        let local_len = self.local_lens.get(&instance.name).copied().unwrap_or(0);
-        match self.predictor.route(&instance.name, self.tenant, local_len) {
-            Some(f) if f.is_trained() => f.predict_each(profile, instance, n_nodes),
-            _ => Err(disar_ml::MlError::NotFitted.into()),
-        }
-    }
-
-    fn predict_grid(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        nodes: &[usize],
-        out: &mut Vec<f64>,
-        scratch: &mut GridScratch,
-    ) -> Result<usize, CoreError> {
-        let local_len = self.local_lens.get(&instance.name).copied().unwrap_or(0);
-        match self.predictor.route(&instance.name, self.tenant, local_len) {
-            Some(f) if f.is_trained() => f.predict_grid(profile, instance, nodes, out, scratch),
-            _ => Err(disar_ml::MlError::NotFitted.into()),
-        }
+impl FamilyRouter for TenantView<'_> {
+    fn family_for(&self, instance: &str) -> Option<&PredictorFamily> {
+        let local_len = self.local_lens.get(instance).copied().unwrap_or(0);
+        self.predictor.route(instance, self.tenant, local_len)
     }
 }
 
-/// [`PendingSim`] plus the virtual local observation counts the routing
-/// needs.
-struct TenantPendingSim {
-    sim: PendingSim,
-    /// The current tenant's per-instance local counts once every pending
-    /// record has landed.
-    virtual_local: BTreeMap<String, usize>,
+impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
+    fn len(&self) -> usize {
+        self.kb.len()
+    }
+
+    fn shards(&self, instance: &str) -> Vec<Shard> {
+        vec![
+            Shard::Local(instance.to_string(), self.tenant.clone()),
+            Shard::Instance(instance.to_string()),
+        ]
+    }
+
+    fn floor(&self, shard: &Shard, _policy: &DeployPolicy) -> usize {
+        let trains = match shard {
+            Shard::Local(..) => self.predictor.transfer().uses_local(),
+            _ => self.predictor.transfer().uses_pooled(),
+        };
+        if trains {
+            SHARD_FLOOR
+        } else {
+            usize::MAX
+        }
+    }
+
+    fn size(&self, shard: &Shard) -> usize {
+        match shard {
+            Shard::Local(instance, tenant) => self.kb.shard(instance, tenant),
+            pooled => self.kb.pooled_shard(pooled.instance()),
+        }
+        .map_or(0, KnowledgeBase::len)
+    }
+
+    fn trained(&self, shard: &Shard) -> bool {
+        match shard {
+            Shard::Local(instance, tenant) => self.predictor.is_trained_local(instance, tenant),
+            pooled => self.predictor.is_trained_pooled(pooled.instance()),
+        }
+    }
+
+    fn serving(&self, instance: &str, size_of: &dyn Fn(&Shard) -> usize) -> Shard {
+        let local = Shard::Local(instance.to_string(), self.tenant.clone());
+        if self.predictor.transfer().routes_local(size_of(&local)) {
+            local
+        } else {
+            Shard::Instance(instance.to_string())
+        }
+    }
+
+    fn with_view<R>(
+        &mut self,
+        sizes: &BTreeMap<Shard, usize>,
+        f: impl FnOnce(&dyn TimePredictor) -> R,
+    ) -> Result<R, CoreError> {
+        let mut local_lens = self.kb.local_lens(&self.tenant);
+        for (shard, size) in sizes {
+            if let Shard::Local(instance, _) = shard {
+                local_lens.insert(instance.clone(), *size);
+            }
+        }
+        Ok(f(&self.predictor.view(&self.tenant, local_lens)))
+    }
+
+    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
+        self.kb.record(record.with_tenant(self.tenant.clone()));
+        Ok(())
+    }
+
+    fn retrain(
+        &mut self,
+        _instance: &str,
+        due: &[Shard],
+        mode: RetrainMode,
+        n_threads: usize,
+    ) -> Result<(), CoreError> {
+        for shard in due {
+            match shard {
+                Shard::Local(instance, tenant) => {
+                    let records = self
+                        .kb
+                        .shard(instance, tenant)
+                        .expect("a due shard holds records");
+                    self.predictor
+                        .retrain_local(instance, tenant, records, mode, n_threads)?;
+                }
+                pooled => {
+                    let records = self
+                        .kb
+                        .pooled_shard(pooled.instance())
+                        .expect("a due shard holds records");
+                    self.predictor
+                        .retrain_pooled(pooled.instance(), records, mode, n_threads)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
+        self.predictor.retrain_all(&self.kb, mode, n_threads)
+    }
 }
 
 /// The self-optimizing deployer over the two-key tenant layout.
@@ -614,354 +565,50 @@ struct TenantPendingSim {
 /// [`TransferPolicy`] (local families, pooled families, or both), and
 /// whose selections see only the families the active tenant is entitled
 /// to. The deployer serves one tenant at a time
-/// ([`TenantShardedDeployer::set_tenant`] switches); pending pipeline
-/// decisions are attributed to the tenant that was active when they were
-/// selected, so switch tenants only between pipeline batches.
-pub struct TenantShardedDeployer {
-    core: DeployerCore,
-    kb: TenantShardedKnowledgeBase,
-    predictor: TenantShardedPredictor,
-    tenant: TenantId,
-    /// Per-(instance × tenant) drift state: a fire escalates only the
-    /// affected shard's next retrain (inert unless the policy enables it).
-    drift: BTreeMap<(String, TenantId), DriftState>,
-    /// Number of drift-detector fires so far across all shards.
-    drift_fires: u64,
-}
+/// ([`DeployLoop::set_tenant`] switches); pending pipeline decisions are
+/// attributed to the tenant that is active when they are replayed, so
+/// switch tenants only between pipeline batches.
+pub type TenantShardedDeployer =
+    DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>>;
 
-impl TenantShardedDeployer {
+impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
     /// Creates a tenant-aware deployer with an empty knowledge base,
     /// serving the default tenant under `policy.transfer`.
     pub fn new(provider: CloudProvider, policy: DeployPolicy, seed: u64) -> Self {
-        Self::from_shared(Arc::new(provider), policy, seed)
-    }
-
-    /// Creates a tenant-aware deployer over an already-shared provider.
-    pub fn from_shared(provider: Arc<CloudProvider>, policy: DeployPolicy, seed: u64) -> Self {
-        TenantShardedDeployer {
-            predictor: TenantShardedPredictor::new(seed, 2, policy.transfer),
-            core: DeployerCore::new(provider, policy, seed),
+        let backend = Local {
             kb: TenantShardedKnowledgeBase::new(),
+            predictor: TenantShardedPredictor::new(seed, SHARD_FLOOR, policy.transfer),
             tenant: TenantId::default(),
-            drift: BTreeMap::new(),
-            drift_fires: 0,
-        }
-    }
-
-    /// Seeds the deployer with a pre-existing two-key base (e.g. loaded
-    /// from disk, or [`TenantShardedKnowledgeBase::from_monolithic`]).
-    /// Call [`TenantShardedDeployer::warm`] afterwards to train the
-    /// shards without waiting for fresh runs.
-    pub fn with_knowledge_base(mut self, kb: TenantShardedKnowledgeBase) -> Self {
-        self.kb = kb;
-        self
+        };
+        Self::assemble(Arc::new(provider), policy, seed, backend)
     }
 
     /// Sets the tenant subsequent deploys are attributed to
     /// (builder-style).
     pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
+        self.backend.tenant = tenant;
         self
     }
 
     /// Switches the tenant subsequent deploys are attributed to. Do not
     /// switch while pipeline decisions are in flight (see the type docs).
     pub fn set_tenant(&mut self, tenant: TenantId) {
-        self.tenant = tenant;
+        self.backend.tenant = tenant;
     }
 
     /// The tenant deploys are currently attributed to.
     pub fn tenant(&self) -> &TenantId {
-        &self.tenant
-    }
-
-    /// The current two-key knowledge base.
-    pub fn knowledge_base(&self) -> &TenantShardedKnowledgeBase {
-        &self.kb
-    }
-
-    /// Consumes the deployer, returning the two-key base (and dropping
-    /// this handle on the shared provider).
-    pub fn into_knowledge_base(self) -> TenantShardedKnowledgeBase {
-        self.kb
-    }
-
-    /// The two-key predictor (e.g. for offline evaluation).
-    pub fn predictor(&self) -> &TenantShardedPredictor {
-        &self.predictor
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    /// The underlying cloud provider.
-    pub fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    /// Retrains every shard the transfer policy consults that holds
-    /// enough records — the bulk warm-up for a pre-seeded base.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard-retrain failure.
-    pub fn warm(&mut self) -> Result<(), CoreError> {
-        self.core.policy.validate()?;
-        let mode = self.core.policy.retrain_mode;
-        self.predictor
-            .retrain_all(&self.kb, mode, self.core.policy.n_threads)
-    }
-
-    /// Number of drift-detector fires so far across all (instance ×
-    /// tenant) shards (0 with the default
-    /// [`crate::drift::DetectorKind::Off`] policy).
-    pub fn drift_fires(&self) -> u64 {
-        self.drift_fires
-    }
-
-    /// Deploys one job: the full select → run → record → retrain cycle
-    /// for the active tenant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation, Algorithm 1 (including
-    /// [`CoreError::NoFeasibleConfiguration`]) and cloud failures.
-    pub fn deploy(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy(self, profile, workload)
-    }
-
-    /// Deploys with an operator-forced configuration (manual override);
-    /// the run is still recorded and learned from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud failures (unknown instance, zero nodes).
-    pub fn deploy_manual(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy_manual(self, profile, workload, instance, n_nodes)
-    }
-
-    /// Replays the two-key retrain schedule over the pending decisions
-    /// (attributed to the active tenant). The gates count global records,
-    /// local shard sizes and pooled shard sizes — all derivable from the
-    /// decisions' instances alone — so the virtual state is exact.
-    fn simulate_pending(&self, pending: &[DeployDecision]) -> TenantPendingSim {
-        let transfer = self.core.policy.transfer;
-        let min_samples = self.predictor.min_samples();
-        let mut len = self.kb.len();
-        let mut rsr = self.core.runs_since_retrain;
-        let mut retrain_pending = false;
-        let mut local = self.kb.local_lens(&self.tenant);
-        let mut pooled_lens: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut newly_local: BTreeSet<&str> = BTreeSet::new();
-        let mut newly_pooled: BTreeSet<&str> = BTreeSet::new();
-        for d in pending {
-            len += 1;
-            rsr += 1;
-            let local_len = local.entry(d.instance.clone()).or_insert(0);
-            *local_len += 1;
-            let pooled_len = pooled_lens
-                .entry(d.instance.as_str())
-                .or_insert_with(|| self.kb.pooled_shard(&d.instance).map_or(0, |s| s.len()));
-            *pooled_len += 1;
-            if rsr >= self.core.policy.retrain_every {
-                let mut fired = false;
-                if transfer.uses_local() && *local_len >= min_samples {
-                    newly_local.insert(d.instance.as_str());
-                    fired = true;
-                }
-                if transfer.uses_pooled() && *pooled_len >= min_samples {
-                    newly_pooled.insert(d.instance.as_str());
-                    fired = true;
-                }
-                if fired {
-                    retrain_pending = true;
-                    rsr = 0;
-                }
-            }
-        }
-        // Covered = every catalog type routes (with its virtual local
-        // count) to a family that is trained now or retrains among the
-        // pending records.
-        let virtual_covered = self.core.provider.catalog().names().iter().all(|n| {
-            let local_len = local.get(n.as_str()).copied().unwrap_or(0);
-            let use_local = match transfer {
-                TransferPolicy::Isolated => true,
-                TransferPolicy::Pooled => false,
-                TransferPolicy::BorrowUntil(k) => local_len >= k,
-            };
-            if use_local {
-                self.predictor.is_trained_local(n, &self.tenant) || newly_local.contains(n.as_str())
-            } else {
-                self.predictor.is_trained_pooled(n) || newly_pooled.contains(n.as_str())
-            }
-        });
-        TenantPendingSim {
-            sim: PendingSim {
-                virtual_len: len,
-                virtual_trained: virtual_covered,
-                retrain_pending,
-            },
-            virtual_local: local,
-        }
-    }
-}
-
-impl Deployer for TenantShardedDeployer {
-    fn policy(&self) -> &DeployPolicy {
-        &self.core.policy
-    }
-
-    fn provider(&self) -> &CloudProvider {
-        &self.core.provider
-    }
-
-    fn provider_handle(&self) -> Arc<CloudProvider> {
-        Arc::clone(&self.core.provider)
-    }
-
-    fn kb_len(&self) -> usize {
-        self.kb.len()
-    }
-
-    fn warm(&mut self) -> Result<(), CoreError> {
-        TenantShardedDeployer::warm(self)
-    }
-
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
-        let sim = self.simulate_pending(pending).sim;
-        sim.virtual_len < self.core.policy.min_kb_samples
-            || !sim.virtual_trained
-            || !sim.retrain_pending
-    }
-
-    fn select(
-        &mut self,
-        profile: &JobProfile,
-        pending: &[DeployDecision],
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.policy.validate()?;
-        let decision_seed = self.core.next_decision_seed();
-
-        let sim = self.simulate_pending(pending);
-        if sim.sim.virtual_len < self.core.policy.min_kb_samples || !sim.sim.virtual_trained {
-            let (instance, n_nodes) = self.core.random_config(decision_seed);
-            return Ok(DeployDecision {
-                mode: DeployMode::Bootstrap,
-                instance,
-                n_nodes,
-                predicted_secs: None,
-            });
-        }
-        let view = self.predictor.view(&self.tenant, sim.virtual_local);
-        self.core.ml_select(&view, profile, decision_seed)
-    }
-
-    fn begin_manual(
-        &mut self,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployDecision, CoreError> {
-        self.core.manual_decision(instance, n_nodes)
-    }
-
-    fn record(
-        &mut self,
-        profile: &JobProfile,
-        decision: &DeployDecision,
-        report: &JobReport,
-    ) -> Result<(), CoreError> {
-        let inst = self.core.provider.catalog().get(&decision.instance)?.clone();
-        self.kb.record(
-            RunRecord::new(
-                *profile,
-                &inst,
-                decision.n_nodes,
-                report.duration_secs,
-                report.prorated_cost,
-            )
-            .with_tenant(self.tenant.clone()),
-        );
-        self.core.runs_since_retrain += 1;
-        // Feed the prediction residual to this shard's drift detector
-        // before the retrain gate. Detectors only modulate the retrain
-        // *mode*, never whether a retrain fires, so the recorded outcome
-        // stream stays independent of detector state (the pending-replay
-        // contract [`TenantShardedDeployer::simulate_pending`] relies on).
-        let shard_key = (decision.instance.clone(), self.tenant.clone());
-        if self.core.policy.drift.enabled() {
-            if let Some(residual) = relative_residual(decision, report) {
-                let state = self
-                    .drift
-                    .entry(shard_key.clone())
-                    .or_insert_with(|| DriftState::new(&self.core.policy.drift));
-                if state.observe(residual) {
-                    self.drift_fires += 1;
-                }
-            }
-        }
-        if self.core.runs_since_retrain >= self.core.policy.retrain_every {
-            let transfer = self.core.policy.transfer;
-            let n_threads = self.core.policy.n_threads;
-            let mode = self.drift.get(&shard_key).map_or(
-                self.core.policy.retrain_mode,
-                |s| s.next_mode(self.core.policy.retrain_mode, &self.core.policy.drift),
-            );
-            let mut fired = false;
-            if transfer.uses_local() {
-                let shard = self
-                    .kb
-                    .shard(&decision.instance, &self.tenant)
-                    .expect("record() created the shard");
-                if shard.len() >= self.predictor.min_samples() {
-                    self.predictor.retrain_local(
-                        &decision.instance,
-                        &self.tenant,
-                        shard,
-                        mode,
-                        n_threads,
-                    )?;
-                    fired = true;
-                }
-            }
-            if transfer.uses_pooled() {
-                let shard = self
-                    .kb
-                    .pooled_shard(&decision.instance)
-                    .expect("record() created the pooled shard");
-                if shard.len() >= self.predictor.min_samples() {
-                    self.predictor
-                        .retrain_pooled(&decision.instance, shard, mode, n_threads)?;
-                    fired = true;
-                }
-            }
-            if fired {
-                self.core.runs_since_retrain = 0;
-                if let Some(s) = self.drift.get_mut(&shard_key) {
-                    s.on_retrain_applied();
-                }
-            }
-        }
-        Ok(())
+        &self.backend.tenant
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::ShardedDeployer;
-    use disar_cloudsim::InstanceCatalog;
+    use crate::deploy::{DeployDecision, DeployMode, DeployOutcome, Deployer, ShardedDeployer};
+    use crate::knowledge::SchemaVersion;
+    use crate::profile::JobProfile;
+    use disar_cloudsim::{InstanceCatalog, Workload};
     use disar_engine::EebCharacteristics;
 
     fn profile(contracts: usize) -> JobProfile {
@@ -987,7 +634,9 @@ mod tests {
         .unwrap()
     }
 
-    /// An interleaved two-tenant record stream.
+    /// An interleaved two-tenant record stream: instance types cycle
+    /// fastest, the tenant flips after each pass over the catalog, so every
+    /// instance type sees both tenants.
     fn mixed_records(n: usize) -> Vec<RunRecord> {
         let cat = InstanceCatalog::paper_catalog();
         let names = cat.names();
@@ -1002,7 +651,7 @@ mod tests {
                     10.0 + i as f64,
                     0.01 * i as f64,
                 )
-                .with_tenant(tenants[i % tenants.len()].clone())
+                .with_tenant(tenants[(i / names.len()) % tenants.len()].clone())
             })
             .collect()
     }
@@ -1089,7 +738,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         // A newer-than-supported stamp is rejected loudly.
-        kb.schema_version = SchemaVersion(SchemaVersion::CURRENT.0 + 1);
+        kb.store.schema_version = SchemaVersion(SchemaVersion::CURRENT.0 + 1);
         let path = dir.join("tkb_future.json");
         kb.save(&path).unwrap();
         assert!(matches!(

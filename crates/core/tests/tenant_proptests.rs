@@ -221,7 +221,9 @@ proptest! {
         let build = || {
             let mut kb = TenantShardedKnowledgeBase::new();
             for i in 0..48 {
-                let tenant = if i % 2 == 0 { a.clone() } else { b.clone() };
+                // Flip the tenant once per pass over the catalog: `i % 2` would
+                // alias with `i % names.len()` and give each type one tenant.
+                let tenant = if (i / names.len()) % 2 == 0 { a.clone() } else { b.clone() };
                 let inst = cat.get(&names[i % names.len()]).expect("known");
                 let contracts = 50 + (i * 53 + seed as usize) % 400;
                 let time = 40_000.0 * contracts as f64
