@@ -25,6 +25,7 @@ use disar_actuarial::contracts::ProfitSharing;
 use disar_actuarial::engine::CashFlowSchedule;
 use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// One liability position to value: a probabilized schedule plus its
 /// profit-sharing parameters.
@@ -123,20 +124,27 @@ pub fn value_positions_on_path_into(
 
     let mut total = 0.0;
     for pos in positions {
-        // Cumulative readjustment factor Φ_t for this position's (β, i).
-        let mut phi = 1.0;
-        let mut pv = 0.0;
-        for flow in &pos.schedule.flows {
-            let k = flow.year as usize; // 1-based
-            let idx = k.min(n_years); // clamp beyond-horizon flows
-            if k <= n_years {
-                phi *= 1.0 + pos.profit_sharing.readjustment_rate(scratch.returns[k - 1]);
-            }
-            pv += flow.total() * phi * scratch.dfs[idx - 1];
-        }
-        total += pv;
+        total += position_value(pos, &scratch.returns, &scratch.dfs);
     }
     Ok(total)
+}
+
+/// PV of one position on a path with the given annual fund returns and
+/// per-year discount factors.
+fn position_value(pos: &LiabilityPosition, returns: &[f64], dfs: &[f64]) -> f64 {
+    let n_years = returns.len();
+    // Cumulative readjustment factor Φ_t for this position's (β, i).
+    let mut phi = 1.0;
+    let mut pv = 0.0;
+    for flow in &pos.schedule.flows {
+        let k = flow.year as usize; // 1-based
+        let idx = k.min(n_years); // clamp beyond-horizon flows
+        if k <= n_years {
+            phi *= 1.0 + pos.profit_sharing.readjustment_rate(returns[k - 1]);
+        }
+        pv += flow.total() * phi * dfs[idx - 1];
+    }
+    pv
 }
 
 /// Like [`value_positions_on_path`] but returning one PV per position
@@ -199,35 +207,30 @@ pub fn value_each_position_on_path_into(
     Ok(())
 }
 
-/// The position-valuation core shared by
-/// [`value_each_position_on_path_into`] and the panel-based fast path: one
-/// PV per position written into `out` (cleared first), computed from an
-/// already-materialized annual fund-return series and the matching per-year
-/// discount factors. `returns.len()` defines the path horizon in years;
-/// `dfs` must have the same length.
+/// The one-path position-valuation core behind
+/// [`value_each_position_on_path_into`]: one PV per position written into
+/// `out` (cleared first), computed from an already-materialized annual
+/// fund-return series and the matching per-year discount factors.
+/// `returns.len()` defines the path horizon in years; `dfs` must have the
+/// same length.
+///
+/// It folds `Φ` per position and flow, which on a single path shares
+/// nothing worth a table. The nested run values many paths against the same
+/// positions and goes through a `LiabilityBook` instead; this kernel is the
+/// reference the book is tested against.
 pub fn value_each_position_from_series(
     positions: &[LiabilityPosition],
     returns: &[f64],
     dfs: &[f64],
     out: &mut Vec<f64>,
 ) {
-    let n_years = returns.len();
-    debug_assert_eq!(n_years, dfs.len(), "return/discount series mismatch");
+    debug_assert_eq!(returns.len(), dfs.len(), "return/discount series mismatch");
     out.clear();
-    out.reserve(positions.len()); // no-op once the buffer is warm
-    for pos in positions {
-        let mut phi = 1.0;
-        let mut pv = 0.0;
-        for flow in &pos.schedule.flows {
-            let k = flow.year as usize;
-            let idx = k.min(n_years);
-            if k <= n_years {
-                phi *= 1.0 + pos.profit_sharing.readjustment_rate(returns[k - 1]);
-            }
-            pv += flow.total() * phi * dfs[idx - 1];
-        }
-        out.push(pv);
-    }
+    out.extend(
+        positions
+            .iter()
+            .map(|pos| position_value(pos, returns, dfs)),
+    );
 }
 
 /// Fills path-blocked valuation panels for **every** path of `set`: row `q`
@@ -236,12 +239,12 @@ pub fn value_each_position_from_series(
 /// (years on the path).
 ///
 /// The nested inner loop fills the panels in one pass and then consumes one
-/// contiguous row pair per inner path through
-/// [`value_each_position_from_series`] — better locality than interleaving
-/// fund accounting with flow valuation per path, and bit-identical to it:
-/// the per-path fund fold and the running discount integral carry no state
-/// across paths, so computing them path-major in the same per-path order
-/// yields the same values, and the consumption order is unchanged.
+/// contiguous row pair per inner path through its `LiabilityBook` — better
+/// locality than interleaving fund accounting with flow valuation per path,
+/// and bit-identical to it: the per-path fund fold and the running discount
+/// integral carry no state across paths, so computing them path-major in
+/// the same per-path order yields the same values, and the consumption
+/// order is unchanged.
 ///
 /// # Errors
 ///
@@ -287,6 +290,158 @@ pub fn shift_schedule(schedule: &CashFlowSchedule, years: u32) -> CashFlowSchedu
         term: schedule.term.saturating_sub(years),
         flows,
         residual_in_force: schedule.residual_in_force,
+    }
+}
+
+/// One block's figures on one outer path of a nested run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PathValue {
+    /// `Y_1`: the block's liability value at `t = 1`.
+    pub(crate) y1: f64,
+    /// The block's year-1 flows, readjusted and discounted to `t = 0`.
+    pub(crate) year1: f64,
+    /// The outer path's discount factor to `t = 1`.
+    pub(crate) df1: f64,
+}
+
+/// One position of a [`LiabilityBook`]: its flows are `totals[start..end]`,
+/// policy year 1 first, and its parameters `sharings[sharing]`.
+#[derive(Debug, Clone, Copy)]
+struct BookEntry {
+    start: usize,
+    end: usize,
+    sharing: usize,
+}
+
+/// What a nested run reads of its positions, laid out once per run: the
+/// blocks' positions back to back, every flow reduced to its
+/// `YearFlow::total()`, and the distinct [`ProfitSharing`] pairs. `Φ`
+/// depends on a position only through its pair, so an inner path folds one
+/// cumulative table per *pair* ([`LiabilityBook::fill_cum`]), not one `Φ`
+/// per position and flow. The residual liability at `t = 1` is
+/// `totals[start + 1..end]`, policy year `k + 1` read as residual year `k`
+/// (what [`shift_schedule`] builds by cloning); hence the insistence on
+/// "one flow per policy year".
+#[derive(Debug, Default)]
+pub(crate) struct LiabilityBook {
+    totals: Vec<f64>,
+    entries: Vec<BookEntry>,
+    sharings: Vec<ProfitSharing>,
+    /// Where each block ends in `entries`.
+    block_ends: Vec<usize>,
+}
+
+impl LiabilityBook {
+    /// Lays out `blocks`, keeping block and position order.
+    ///
+    /// # Errors
+    ///
+    /// [`AlmError::InvalidParameter`] for an empty block (list) or flow
+    /// years other than `1..=len`: past a gap, flows would be read early.
+    pub(crate) fn new(blocks: &[&[LiabilityPosition]]) -> Result<Self, AlmError> {
+        if blocks.is_empty() || blocks.iter().any(|b| b.is_empty()) {
+            return Err(AlmError::InvalidParameter("no liability positions"));
+        }
+        let mut book = LiabilityBook::default();
+        let mut sharing_of = HashMap::new();
+        for block in blocks {
+            for pos in *block {
+                let flows = &pos.schedule.flows;
+                if !flows.iter().zip(1u32..).all(|(f, year)| f.year == year) {
+                    return Err(AlmError::InvalidParameter("flow years must be 1..=len"));
+                }
+                let ps = pos.profit_sharing;
+                let key = (ps.participation.to_bits(), ps.technical_rate.to_bits());
+                let sharing = *sharing_of.entry(key).or_insert_with(|| {
+                    book.sharings.push(ps);
+                    book.sharings.len() - 1
+                });
+                let start = book.totals.len();
+                book.totals.extend(flows.iter().map(|f| f.total()));
+                let end = book.totals.len();
+                book.entries.push(BookEntry {
+                    start,
+                    end,
+                    sharing,
+                });
+            }
+            book.block_ends.push(book.entries.len());
+        }
+        Ok(book)
+    }
+
+    pub(crate) fn n_positions(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Writes one row of `returns.len()` cumulative readjustment factors per
+    /// pair: `cum[s][k] = Π_{j≤k} (1 + ρ_s(returns[j]))`, folded left to
+    /// right from `1.0` — the `phi` fold of [`position_value`], so entry `k`
+    /// carries the bits that kernel reaches at residual year `k + 1`.
+    pub(crate) fn fill_cum(&self, returns: &[f64], cum: &mut Vec<f64>) {
+        cum.clear();
+        for ps in &self.sharings {
+            let mut phi = 1.0;
+            cum.extend(returns.iter().map(|&r| {
+                phi *= 1.0 + ps.readjustment_rate(r);
+                phi
+            }));
+        }
+    }
+
+    /// Adds to `acc[i]` position `i`'s residual PV at `t = 1` on one inner
+    /// path, given its [`LiabilityBook::fill_cum`] table and discount
+    /// factors: the operands of [`position_value`] on the shifted schedule,
+    /// in its order. Flows beyond the horizon keep the last `Φ` and factor.
+    pub(crate) fn add_residual_values(&self, cum: &[f64], dfs: &[f64], acc: &mut [f64]) {
+        let n_years = dfs.len();
+        for (e, a) in self.entries.iter().zip(acc) {
+            let flows = &self.totals[(e.start + 1).min(e.end)..e.end];
+            let phi = &cum[e.sharing * n_years..(e.sharing + 1) * n_years];
+            let (within, beyond) = flows.split_at(flows.len().min(n_years));
+            let mut pv = 0.0;
+            for ((total, phi), df) in within.iter().zip(phi).zip(dfs) {
+                pv += total * phi * df;
+            }
+            for total in beyond {
+                pv += total * phi[n_years - 1] * dfs[n_years - 1];
+            }
+            *a += pv;
+        }
+    }
+
+    /// Closes one outer path with first-year fund return `i1` and discount
+    /// factor `df1`: one [`PathValue`] per block from the positions' inner
+    /// PVs summed over `n_inner` paths, each sum running over the block's
+    /// positions in order. `phi1` is scratch for the pairs' `Φ_1`.
+    pub(crate) fn block_values(
+        &self,
+        i1: f64,
+        df1: f64,
+        acc: &[f64],
+        n_inner: f64,
+        phi1: &mut Vec<f64>,
+        out: &mut [PathValue],
+    ) {
+        phi1.clear();
+        for ps in &self.sharings {
+            phi1.push(1.0 + ps.readjustment_rate(i1));
+        }
+        let mut first = 0;
+        for (&end, slot) in self.block_ends.iter().zip(out) {
+            let block = &self.entries[first..end];
+            let mut year1 = 0.0;
+            for e in block.iter().filter(|e| e.start < e.end) {
+                year1 += self.totals[e.start] * phi1[e.sharing] * df1;
+            }
+            let y1 = block
+                .iter()
+                .zip(&acc[first..end])
+                .map(|(e, a)| phi1[e.sharing] * a / n_inner)
+                .sum();
+            *slot = PathValue { y1, year1, df1 };
+            first = end;
+        }
     }
 }
 
@@ -436,6 +591,98 @@ mod tests {
             assert_eq!(from_row.len(), from_path.len());
             for (a, b) in from_row.iter().zip(&from_path) {
                 assert_eq!(a.to_bits(), b.to_bits(), "path {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn book_bitwise_matches_series_kernel_on_shifted_schedules() {
+        // Two blocks, three distinct pairs, a 1-year position (no residual
+        // flow) and a 6-year horizon under an 11-year residual term.
+        let positions = [
+            make_position(12, 0.8, 0.02),
+            make_position(1, 0.9, 0.01),
+            make_position(5, 0.8, 0.02),
+            make_position(8, 0.7, 0.0),
+            make_position(12, 0.9, 0.01),
+        ];
+        let (a, b) = positions.split_at(2);
+        let book = LiabilityBook::new(&[a, b]).unwrap();
+        assert_eq!((book.n_positions(), book.sharings.len()), (5, 3));
+        let shifted: Vec<LiabilityPosition> = positions
+            .iter()
+            .map(|p| LiabilityPosition {
+                schedule: shift_schedule(&p.schedule, 1),
+                profit_sharing: p.profit_sharing,
+            })
+            .collect();
+
+        let set = q_set(6.0, 9, 17);
+        let view = set.view();
+        let fund = SegregatedFund::italian_typical(20);
+        let mut scratch = PathScratch::new();
+        let (mut returns_panel, mut dfs_panel) = (Vec::new(), Vec::new());
+        let n_years = fill_valuation_panels(
+            &fund,
+            &view,
+            1,
+            0,
+            &mut scratch,
+            &mut returns_panel,
+            &mut dfs_panel,
+        )
+        .unwrap();
+        assert_eq!(n_years, 6);
+
+        let (mut cum, mut vals) = (Vec::new(), Vec::new());
+        let mut acc = vec![0.0; positions.len()];
+        let mut acc_ref = acc.clone();
+        for q in 0..view.n_paths() {
+            let row = q * n_years..(q + 1) * n_years;
+            book.fill_cum(&returns_panel[row.clone()], &mut cum);
+            book.add_residual_values(&cum, &dfs_panel[row.clone()], &mut acc);
+            value_each_position_from_series(
+                &shifted,
+                &returns_panel[row.clone()],
+                &dfs_panel[row],
+                &mut vals,
+            );
+            for (a, v) in acc_ref.iter_mut().zip(&vals) {
+                *a += *v;
+            }
+            for (i, (a, b)) in acc.iter().zip(&acc_ref).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "path {q} position {i}");
+            }
+        }
+        assert_eq!(acc[1], 0.0, "a 1-year position has no residual value");
+
+        // Closing an outer path: the per-position formulas the book replaces.
+        let n_inner = view.n_paths() as f64;
+        for (i1, df1) in [
+            (0.031, 0.97),
+            (0.0473, 0.9583),
+            (-0.02, 1.0131),
+            (0.0811, 0.9417),
+        ] {
+            let mut out = [PathValue::default(); 2];
+            book.block_values(i1, df1, &acc, n_inner, &mut Vec::new(), &mut out);
+            for (block, (got, accs)) in [a, b].iter().zip(out.iter().zip([&acc[..2], &acc[2..]])) {
+                let phis: Vec<f64> = block
+                    .iter()
+                    .map(|p| 1.0 + p.profit_sharing.readjustment_rate(i1))
+                    .collect();
+                let mut year1 = 0.0;
+                for (pos, phi) in block.iter().zip(&phis) {
+                    year1 += pos.schedule.flows[0].total() * phi * df1;
+                }
+                let y1: f64 = accs
+                    .iter()
+                    .zip(&phis)
+                    .map(|(a, phi)| phi * a / n_inner)
+                    .sum();
+                assert_eq!(got.y1.to_bits(), y1.to_bits());
+                assert_eq!(got.year1.to_bits(), year1.to_bits());
+                assert_eq!(got.df1, df1);
             }
         }
     }

@@ -22,10 +22,8 @@
 //! less than the Monte Carlo noise at the paper's `nQ = 50`.
 
 use crate::fund::SegregatedFund;
-use crate::liability::{
-    fill_valuation_panels, shift_schedule, value_each_position_from_series, LiabilityPosition,
-};
-use crate::parallel::parallel_map_with;
+use crate::liability::{fill_valuation_panels, LiabilityBook, LiabilityPosition, PathValue};
+use crate::parallel::parallel_map_mut;
 use crate::workspace::ValuationWorkspace;
 use crate::AlmError;
 use disar_math::rng::split_seed;
@@ -176,20 +174,13 @@ impl<'a> NestedMonteCarlo<'a> {
     }
 
     /// A [`ValuationWorkspace`] presized for this engine, `config` and
-    /// `n_positions` liability positions — what [`NestedMonteCarlo::run`]
-    /// builds once per worker thread.
+    /// `n_positions` liability positions.
     pub fn workspace_for(&self, config: &NestedConfig, n_positions: usize) -> ValuationWorkspace {
         ValuationWorkspace::sized_for(self.outer, self.inner, config, n_positions)
     }
 
-    /// Runs the full nested procedure for the given liability positions.
-    ///
-    /// Each outer-loop worker thread builds one presized
-    /// [`ValuationWorkspace`] and reuses it across every outer path of its
-    /// chunk, so the `nP × nQ` inner stage performs zero steady-state heap
-    /// allocations. The workspace is pure scratch — results are
-    /// bit-identical to valuing each path with fresh buffers, for any
-    /// thread count.
+    /// Runs the full nested procedure for the given liability positions:
+    /// the one-block case of [`NestedMonteCarlo::run_blocks`].
     ///
     /// # Errors
     ///
@@ -199,7 +190,8 @@ impl<'a> NestedMonteCarlo<'a> {
         positions: &[LiabilityPosition],
         config: &NestedConfig,
     ) -> Result<NestedResult, AlmError> {
-        self.run_impl(positions, config, None)
+        let mut results = self.run_impl(&[positions], config, None)?;
+        Ok(results.pop().expect("one block, one result"))
     }
 
     /// Like [`NestedMonteCarlo::run`], but backing the **sequential**
@@ -218,101 +210,109 @@ impl<'a> NestedMonteCarlo<'a> {
         config: &NestedConfig,
         ws: &mut ValuationWorkspace,
     ) -> Result<NestedResult, AlmError> {
-        self.run_impl(positions, config, Some(ws))
+        let mut results = self.run_impl(&[positions], config, Some(ws))?;
+        Ok(results.pop().expect("one block, one result"))
+    }
+
+    /// Values several blocks of positions in one nested run: one
+    /// [`NestedResult`] per block, each bit-identical to what
+    /// [`NestedMonteCarlo::run`] returns for that block alone.
+    ///
+    /// The scenarios do not depend on the positions: the outer set is
+    /// generated once and the inner set and its panels once per outer path,
+    /// for all blocks. `config.threads` workers each take a contiguous run
+    /// of outer paths with one presized [`ValuationWorkspace`] (zero
+    /// steady-state heap allocations in the `nP × nQ` inner stage); each
+    /// path writes its own row of the result buffer, so the thread count
+    /// cannot change a bit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration, generation and valuation errors;
+    /// [`AlmError::InvalidParameter`] for an empty block (list) or a
+    /// schedule that is not one flow per policy year.
+    pub fn run_blocks(
+        &self,
+        blocks: &[&[LiabilityPosition]],
+        config: &NestedConfig,
+    ) -> Result<Vec<NestedResult>, AlmError> {
+        self.run_impl(blocks, config, None)
     }
 
     fn run_impl(
         &self,
-        positions: &[LiabilityPosition],
+        blocks: &[&[LiabilityPosition]],
         config: &NestedConfig,
         caller_ws: Option<&mut ValuationWorkspace>,
-    ) -> Result<NestedResult, AlmError> {
+    ) -> Result<Vec<NestedResult>, AlmError> {
         config.validate()?;
-        if positions.is_empty() {
-            return Err(AlmError::InvalidParameter("no liability positions"));
-        }
+        let book = LiabilityBook::new(blocks)?;
+        let n_blocks = blocks.len();
 
         // Outer stage: nP real-world paths over [0, 1].
         let outer_set =
             self.outer
                 .generate(Measure::RealWorld, config.n_outer, config.seed, None)?;
-        let spy = outer_set.grid().steps_per_year();
 
-        // Residual positions at t = 1 (year-1 flows drop out of Y_1).
-        // Hoisted once per run and shared read-only across all workers —
-        // the schedules never change per path.
-        let shifted: Vec<LiabilityPosition> = positions
-            .iter()
-            .map(|p| LiabilityPosition {
-                schedule: shift_schedule(&p.schedule, 1),
-                profit_sharing: p.profit_sharing,
-            })
-            .collect();
-
-        // Inner stage, one batch per outer path; one workspace per worker.
-        let per_path: Vec<Result<(f64, f64, f64), AlmError>> = match caller_ws {
-            Some(ws) if config.threads == 1 => (0..config.n_outer)
-                .map(|p| self.value_outer_path(&outer_set, p, spy, positions, &shifted, config, ws))
-                .collect(),
-            _ => parallel_map_with(
-                config.n_outer,
-                config.threads,
-                || self.workspace_for(config, positions.len()),
-                |p, ws| {
-                    self.value_outer_path(&outer_set, p, spy, positions, &shifted, config, ws)
-                },
-            ),
+        // Inner stage: one row per outer path, one entry per block.
+        let mut values = vec![PathValue::default(); config.n_outer * n_blocks];
+        let value_paths = |first: usize, rows: &mut [PathValue], ws: &mut ValuationWorkspace| {
+            for (i, row) in rows.chunks_mut(n_blocks).enumerate() {
+                self.value_outer_path(&outer_set, first + i, &book, config, ws, row)?;
+            }
+            Ok::<(), AlmError>(())
         };
-
-        let mut y1 = Vec::with_capacity(config.n_outer);
-        let mut year1_pv = Vec::with_capacity(config.n_outer);
-        let mut dfs = Vec::with_capacity(config.n_outer);
-        for r in per_path {
-            let (y, first_year, df) = r?;
-            y1.push(y);
-            year1_pv.push(first_year);
-            dfs.push(df);
+        match caller_ws {
+            Some(ws) if config.threads == 1 => value_paths(0, &mut values, ws)?,
+            _ => {
+                let per_worker = config.n_outer.div_ceil(config.threads);
+                let mut parts: Vec<_> = values.chunks_mut(per_worker * n_blocks).collect();
+                parallel_map_mut(&mut parts, config.threads, |t, part| {
+                    let mut ws = self.workspace_for(config, book.n_positions());
+                    value_paths(t * per_worker, part, &mut ws)
+                })
+                .into_iter()
+                .collect::<Result<(), _>>()?;
+            }
         }
 
-        let mean = stats::mean(&y1);
-        let var_quantile = stats::quantile(&y1, config.confidence);
-        let avg_df = stats::mean(&dfs);
-        let scr = (var_quantile - mean) * avg_df;
-        let bel = stats::mean(
-            &y1.iter()
-                .zip(&dfs)
-                .zip(&year1_pv)
-                .map(|((y, df), fy)| y * df + fy)
-                .collect::<Vec<f64>>(),
-        );
-        let std_error = stats::std_error(&y1);
-        Ok(NestedResult {
-            y1,
-            mean,
-            var_quantile,
-            scr,
-            bel,
-            std_error,
-        })
+        let column = |b: usize, f: fn(&PathValue) -> f64| -> Vec<f64> {
+            values.iter().skip(b).step_by(n_blocks).map(f).collect()
+        };
+        let avg_df = stats::mean(&column(0, |v| v.df1));
+        Ok((0..n_blocks)
+            .map(|b| {
+                let y1 = column(b, |v| v.y1);
+                let mean = stats::mean(&y1);
+                let var_quantile = stats::quantile(&y1, config.confidence);
+                NestedResult {
+                    mean,
+                    var_quantile,
+                    scr: (var_quantile - mean) * avg_df,
+                    bel: stats::mean(&column(b, |v| v.y1 * v.df1 + v.year1)),
+                    std_error: stats::std_error(&y1),
+                    y1,
+                }
+            })
+            .collect())
     }
 
-    /// Values one outer path: returns `(Y_1, discounted year-1 flows, outer
-    /// discount factor to t = 1)`. All intermediates live in `ws`, which is
-    /// fully rewritten before being read — reusing it across paths performs
-    /// zero steady-state allocations without changing a single bit of the
-    /// result.
-    #[allow(clippy::too_many_arguments)]
+    /// Values one outer path for every block of `book`, writing one
+    /// [`PathValue`] per block into `out`. All intermediates live in `ws`,
+    /// which is fully rewritten before being read — reusing it across paths
+    /// performs zero steady-state allocations without changing a single bit
+    /// of the result.
     fn value_outer_path(
         &self,
         outer_set: &disar_stochastic::scenario::ScenarioSet,
         p: usize,
-        spy: usize,
-        positions: &[LiabilityPosition],
-        shifted: &[LiabilityPosition],
+        book: &LiabilityBook,
         config: &NestedConfig,
         ws: &mut ValuationWorkspace,
-    ) -> Result<(f64, f64, f64), AlmError> {
+        out: &mut [PathValue],
+    ) -> Result<(), AlmError> {
         let outer = outer_set.view();
+        let spy = outer.grid().steps_per_year();
         // First-year fund return on the outer path drives Φ_1 and the
         // year-1 flows.
         self.fund.annual_returns_into(
@@ -322,20 +322,7 @@ impl<'a> NestedMonteCarlo<'a> {
             self.rate_driver,
             &mut ws.outer_returns,
         )?;
-        let i1 = ws.outer_returns[0];
-        let df1 = outer.discount_factor(p, spy);
-
-        let mut year1 = 0.0;
-        ws.phi1.clear();
-        for pos in positions {
-            let phi = 1.0 + pos.profit_sharing.readjustment_rate(i1);
-            if let Some(flow) = pos.schedule.flows.first() {
-                if flow.year == 1 {
-                    year1 += flow.total() * phi * df1;
-                }
-            }
-            ws.phi1.push(phi);
-        }
+        let (i1, df1) = (ws.outer_returns[0], outer.discount_factor(p, spy));
 
         // Inner stage: nQ risk-neutral paths anchored at the outer state,
         // filled into the workspace's reusable scenario buffer by the
@@ -377,26 +364,14 @@ impl<'a> NestedMonteCarlo<'a> {
             &mut ws.dfs_panel,
         )?;
         ws.acc.clear();
-        ws.acc.resize(shifted.len(), 0.0);
+        ws.acc.resize(book.n_positions(), 0.0);
         for q in 0..config.n_inner {
             let row = q * n_years..(q + 1) * n_years;
-            value_each_position_from_series(
-                shifted,
-                &ws.returns_panel[row.clone()],
-                &ws.dfs_panel[row],
-                &mut ws.vals,
-            );
-            for (a, v) in ws.acc.iter_mut().zip(&ws.vals) {
-                *a += *v;
-            }
+            book.fill_cum(&ws.returns_panel[row.clone()], &mut ws.cum);
+            book.add_residual_values(&ws.cum, &ws.dfs_panel[row], &mut ws.acc);
         }
-        let y: f64 = ws
-            .acc
-            .iter()
-            .zip(&ws.phi1)
-            .map(|(a, phi)| phi * a / config.n_inner as f64)
-            .sum();
-        Ok((y, year1, df1))
+        book.block_values(i1, df1, &ws.acc, config.n_inner as f64, &mut ws.phi1, out);
+        Ok(())
     }
 }
 
@@ -423,33 +398,24 @@ mod tests {
         (build(1.0), build(horizon))
     }
 
-    fn positions(term: u32) -> Vec<LiabilityPosition> {
+    fn position(term: u32, beta: f64, tech: f64) -> LiabilityPosition {
         let table = LifeTable::italian_population();
         let lapse = ConstantLapse::new(0.03).unwrap();
         let engine = ActuarialEngine::new(&table, &lapse);
-        [0.0, 0.02]
-            .iter()
-            .map(|&tech| {
-                let ps = ProfitSharing::new(0.8, tech).unwrap();
-                let c = Contract::new(
-                    ProductKind::Endowment,
-                    50,
-                    Gender::Male,
-                    term,
-                    1000.0,
-                    ps,
-                )
-                .unwrap();
-                let mp = ModelPoint {
-                    contract: c,
-                    policy_count: 1,
-                };
-                LiabilityPosition {
-                    schedule: engine.cash_flow_schedule(&mp).unwrap(),
-                    profit_sharing: ps,
-                }
-            })
-            .collect()
+        let ps = ProfitSharing::new(beta, tech).unwrap();
+        let c = Contract::new(ProductKind::Endowment, 50, Gender::Male, term, 1000.0, ps).unwrap();
+        let mp = ModelPoint {
+            contract: c,
+            policy_count: 1,
+        };
+        LiabilityPosition {
+            schedule: engine.cash_flow_schedule(&mp).unwrap(),
+            profit_sharing: ps,
+        }
+    }
+
+    fn positions(term: u32) -> Vec<LiabilityPosition> {
+        vec![position(term, 0.8, 0.0), position(term, 0.8, 0.02)]
     }
 
     fn small_config(seed: u64) -> NestedConfig {
@@ -530,6 +496,105 @@ mod tests {
                 assert_eq!(scalar, blocked, "lane {lane} antithetic {antithetic}");
             }
         }
+    }
+
+    /// Every field of a result, as bits.
+    fn bits(r: &NestedResult) -> Vec<u64> {
+        [r.mean, r.var_quantile, r.scr, r.bel, r.std_error]
+            .iter()
+            .chain(&r.y1)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn run_blocks_matches_per_block_runs_bitwise() {
+        // A 6-year inner horizon under an 11-year residual term takes the
+        // beyond-horizon branch; the 1-year position has no residual flow;
+        // four distinct profit-sharing pairs, shared across blocks.
+        let (outer, inner) = generators(6.0);
+        let fund = SegregatedFund::italian_typical(10);
+        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
+        let blocks = [
+            vec![
+                position(12, 0.8, 0.0),
+                position(1, 0.9, 0.01),
+                position(5, 0.8, 0.02),
+            ],
+            vec![position(1, 0.8, 0.0)],
+            vec![
+                position(7, 0.7, 0.03),
+                position(12, 0.8, 0.02),
+                position(3, 0.9, 0.01),
+            ],
+        ];
+        let refs: Vec<&[LiabilityPosition]> = blocks.iter().map(Vec::as_slice).collect();
+        for threads in [1, 2, 3] {
+            for antithetic in [false, true] {
+                for lane in [1, 8] {
+                    let config = NestedConfig {
+                        n_outer: 7,
+                        n_inner: 6,
+                        threads,
+                        antithetic,
+                        lane,
+                        ..small_config(19)
+                    };
+                    let shared = mc.run_blocks(&refs, &config).unwrap();
+                    assert_eq!(shared.len(), blocks.len());
+                    let mut solo = config;
+                    solo.threads = 1;
+                    for (block, res) in blocks.iter().zip(&shared) {
+                        let alone = mc.run(block, &solo).unwrap();
+                        assert_eq!(
+                            bits(res),
+                            bits(&alone),
+                            "threads {threads} antithetic {antithetic} lane {lane}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_block_list_is_rejected() {
+        let (outer, inner) = generators(5.0);
+        let fund = SegregatedFund::italian_typical(10);
+        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
+        assert!(matches!(
+            mc.run_blocks(&[], &small_config(1)),
+            Err(AlmError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn empty_block_is_rejected() {
+        let (outer, inner) = generators(5.0);
+        let fund = SegregatedFund::italian_typical(10);
+        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
+        let pos = positions(5);
+        assert!(matches!(
+            mc.run_blocks(&[&pos, &[]], &small_config(1)),
+            Err(AlmError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
+    fn schedule_with_a_missing_year_is_rejected() {
+        let (outer, inner) = generators(5.0);
+        let fund = SegregatedFund::italian_typical(10);
+        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
+        let mut pos = positions(5);
+        pos[1].schedule.flows.remove(2);
+        assert!(matches!(
+            mc.run(&pos, &small_config(1)),
+            Err(AlmError::InvalidParameter(_))
+        ));
+        // Not starting at year 1 is a gap too.
+        let mut pos = positions(5);
+        pos[0].schedule.flows.remove(0);
+        assert!(mc.run(&pos, &small_config(1)).is_err());
     }
 
     #[test]

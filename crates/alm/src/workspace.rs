@@ -4,9 +4,9 @@
 //! layer existed, every one of them heap-allocated (a fresh inner
 //! `ScenarioSet`, fund-return and discount-factor vectors, a per-position
 //! result `Vec`). A [`ValuationWorkspace`] gathers all of that scratch into
-//! one struct that is created **once per outer-loop worker thread** (via
-//! `parallel_map_with`) and reused across every outer path of that worker's
-//! chunk — steady-state inner-loop allocations drop to zero.
+//! one struct that is created **once per outer-loop worker thread** and
+//! reused across every outer path of that worker's chunk — steady-state
+//! inner-loop allocations drop to zero.
 //!
 //! Every field is pure scratch: it is fully rewritten before being read on
 //! each outer path, so reuse cannot leak state between paths, runs or
@@ -26,19 +26,20 @@ use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 ///
 /// * the inner-stage [`ScenarioBuffer`] (paths + generator scratch),
 /// * the per-path [`PathScratch`] (fund returns, per-year discount factors),
-/// * the per-position vectors (`Φ_1` factors, inner-PV accumulator,
-///   per-inner-path values) and the re-anchoring state vector.
+/// * the per-position inner-PV accumulator, the per-pair vectors (`Φ_1`
+///   factors, the cumulative `Φ` table of one inner path) and the
+///   re-anchoring state vector.
 #[derive(Debug, Clone, Default)]
 pub struct ValuationWorkspace {
     /// Inner (risk-neutral) scenario buffer, refilled per outer path.
     pub(crate) inner_buf: ScenarioBuffer,
     /// Fund-return / discount-factor scratch for the valuation kernels.
     pub(crate) scratch: PathScratch,
-    /// Per-position PVs of one inner path.
-    pub(crate) vals: Vec<f64>,
+    /// One inner path's cumulative `Φ`, one row of years per distinct pair.
+    pub(crate) cum: Vec<f64>,
     /// Per-position accumulator over the `nQ` inner paths.
     pub(crate) acc: Vec<f64>,
-    /// Per-position first-year readjustment factors `Φ_1`.
+    /// Per-pair first-year readjustment factors `Φ_1`.
     pub(crate) phi1: Vec<f64>,
     /// Outer endpoint state re-anchoring the inner simulation.
     pub(crate) state: Vec<f64>,
@@ -59,7 +60,8 @@ impl ValuationWorkspace {
 
     /// A workspace presized for `config` runs of a nested engine built on
     /// `outer`/`inner` generators and `n_positions` liability positions —
-    /// even the first outer path then performs zero heap allocations.
+    /// even the first outer path then performs zero heap allocations
+    /// (per-pair vectors: as if every position had its own pair).
     pub fn sized_for(
         outer: &ScenarioGenerator,
         inner: &ScenarioGenerator,
@@ -74,7 +76,7 @@ impl ValuationWorkspace {
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
         ws.scratch.reserve_years(inner_years.max(outer_years));
-        ws.vals.reserve(n_positions);
+        ws.cum.reserve(n_positions * inner_years.max(1));
         ws.acc.reserve(n_positions);
         ws.phi1.reserve(n_positions);
         ws.state.reserve(inner.n_drivers());
@@ -106,7 +108,7 @@ mod tests {
         let inner = generator(10.0);
         let config = NestedConfig::paper_defaults(1);
         let ws = ValuationWorkspace::sized_for(&outer, &inner, &config, 7);
-        assert!(ws.vals.capacity() >= 7);
+        assert!(ws.cum.capacity() >= 7 * 10);
         assert!(ws.acc.capacity() >= 7);
         assert!(ws.phi1.capacity() >= 7);
         assert!(ws.state.capacity() >= 2);
@@ -116,6 +118,6 @@ mod tests {
     #[test]
     fn default_workspace_is_empty() {
         let ws = ValuationWorkspace::new();
-        assert!(ws.vals.is_empty() && ws.acc.is_empty() && ws.phi1.is_empty());
+        assert!(ws.cum.is_empty() && ws.acc.is_empty() && ws.phi1.is_empty());
     }
 }

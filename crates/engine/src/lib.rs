@@ -11,19 +11,16 @@
 //!   fund, market model, `nP`/`nQ`) and market-model construction;
 //! - [`complexity`]: DiMaS's complexity estimation — mapping an EEB to a
 //!   [`disar_cloudsim::Workload`] the cloud can price;
-//! - [`scheduler`]: longest-processing-time scheduling of EEBs over
-//!   computing units;
 //! - [`master`]: **DiMaS**, the master service: decomposes input into EEBs,
-//!   estimates complexity, schedules, dispatches to DiActEng/DiAlmEng, and
-//!   gathers results. Two backends are provided: a *local grid* of threads
-//!   (real computation, real wall-clock) and the *simulated cloud*
-//!   (workload handed to [`disar_cloudsim`]).
+//!   estimates complexity, dispatches to DiActEng/DiAlmEng, and gathers
+//!   results. Two backends are provided: a *local grid* of threads sharing
+//!   the outer paths of one nested run (real computation, real wall-clock)
+//!   and the *simulated cloud* (workload handed to [`disar_cloudsim`]).
 
 pub mod complexity;
 pub mod eeb;
 pub mod master;
 pub mod progress;
-pub mod scheduler;
 pub mod simulation;
 
 mod error;

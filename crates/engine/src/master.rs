@@ -9,16 +9,16 @@
 //! Two execution backends are provided:
 //!
 //! - [`DisarMaster::run_local`] — a *local grid* of worker threads doing the
-//!   real nested Monte Carlo valuation (DiActEng + DiAlmEng), with EEBs
-//!   distributed by LPT scheduling. This path produces true SCR numbers and
-//!   true wall-clock times;
+//!   real nested Monte Carlo valuation (DiActEng + DiAlmEng): one nested
+//!   run over all type-B EEBs, the outer paths shared among the workers.
+//!   This path produces true SCR numbers and true wall-clock times;
 //! - [`DisarMaster::run_cloud`] — the *transparent cloud deploy*: the merged
 //!   type-B workload is handed to the simulated cloud, which returns the
 //!   realized duration and cost that feed the provisioning knowledge base.
 
 use crate::complexity::ComplexityModel;
 use crate::eeb::{decompose, Eeb, EebCharacteristics, EebKind};
-use crate::scheduler::lpt_schedule;
+use crate::progress::{ProgressEvent, ProgressMonitor};
 use crate::simulation::SimulationSpec;
 use crate::EngineError;
 use disar_actuarial::engine::ActuarialEngine;
@@ -26,7 +26,6 @@ use disar_actuarial::lapse::DurationLapse;
 use disar_actuarial::mortality::LifeTable;
 use disar_alm::liability::LiabilityPosition;
 use disar_alm::nested::NestedMonteCarlo;
-use disar_alm::ValuationWorkspace;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -158,12 +157,13 @@ impl DisarMaster {
     }
 
     /// Runs the *real* valuation on a local grid of `threads` computing
-    /// units: type-A EEBs through DiActEng, type-B EEBs through nested
-    /// Monte Carlo, distributed by LPT on estimated complexity.
+    /// units: type-A EEBs through DiActEng, then all type-B EEBs through one
+    /// nested Monte Carlo run whose outer paths the units share.
     ///
-    /// All type-B EEBs share the same outer-path seed, so their `Y_1`
-    /// vectors are comonotone by scenario and add element-wise; the SCR is
-    /// computed on the aggregate distribution (as DISAR combines
+    /// All type-B EEBs share the same seed, hence the same scenarios, which
+    /// are generated once per valuation (`NestedMonteCarlo::run_blocks`).
+    /// Their `Y_1` vectors are comonotone by scenario and add element-wise;
+    /// the SCR is computed on the aggregate distribution (as DISAR combines
     /// locally-computed values after the gather).
     ///
     /// # Errors
@@ -173,8 +173,10 @@ impl DisarMaster {
         self.run_local_monitored(threads, &crate::progress::NoopMonitor)
     }
 
-    /// [`DisarMaster::run_local`] with a [`crate::progress::ProgressMonitor`]
-    /// observing EEB lifecycle events (the DiInt view).
+    /// [`DisarMaster::run_local`] with a [`ProgressMonitor`] observing EEB
+    /// lifecycle events (the DiInt view). The shared-memory grid is one unit
+    /// of `threads` workers: every block starts before the shared run and
+    /// completes after it, on `unit: 0`.
     ///
     /// # Errors
     ///
@@ -182,123 +184,54 @@ impl DisarMaster {
     pub fn run_local_monitored(
         &self,
         threads: usize,
-        monitor: &dyn crate::progress::ProgressMonitor,
+        monitor: &dyn ProgressMonitor,
     ) -> Result<LocalOutcome, EngineError> {
         if threads == 0 {
             return Err(EngineError::InvalidParameter("threads must be > 0"));
         }
         let start = Instant::now();
         let eebs = self.eebs()?;
-        monitor.on_event(crate::progress::ProgressEvent::Decomposed {
+        monitor.on_event(ProgressEvent::Decomposed {
             n_type_b: eebs
                 .iter()
                 .filter(|e| e.kind == EebKind::AlmValuation)
                 .count(),
         });
+        let blocks = Self::type_b_positions(&eebs)?;
 
-        // DiActEng: probabilized schedules for every type-B block (the
-        // type-A work, cheap and done up front).
-        let table = LifeTable::italian_population();
-        let lapse = DurationLapse::italian_typical();
-        let act = ActuarialEngine::new(&table, &lapse);
-        let type_b: Vec<&Eeb> = eebs
-            .iter()
-            .filter(|e| e.kind == EebKind::AlmValuation)
-            .collect();
-        let mut positions_per_eeb: Vec<Vec<LiabilityPosition>> = Vec::with_capacity(type_b.len());
-        for eeb in &type_b {
-            let mut positions = Vec::with_capacity(eeb.model_points.len());
-            for mp in &eeb.model_points {
-                positions.push(LiabilityPosition {
-                    schedule: act.cash_flow_schedule(mp)?,
-                    profit_sharing: mp.contract.profit_sharing,
-                });
-            }
-            positions_per_eeb.push(positions);
-        }
-
-        // DiAlmEng: nested Monte Carlo per type-B EEB, scheduled by LPT.
-        let horizon = self
-            .characteristics()?
-            .max_horizon
-            .max(1) as f64;
-        let outer_gen = self.spec.market.build_generator(1.0, self.spec.steps_per_year)?;
-        let inner_gen = self
-            .spec
-            .market
-            .build_generator(horizon, self.spec.steps_per_year)?;
-        let costs: Vec<f64> = type_b
-            .iter()
-            .map(|e| self.complexity.work_units(e, &self.spec))
-            .collect();
-        let schedule = lpt_schedule(&costs, threads.min(type_b.len()))?;
-
+        // DiAlmEng: one nested Monte Carlo run over every type-B EEB.
+        let horizon = self.characteristics()?.max_horizon.max(1) as f64;
+        let market = self.spec.market;
+        let outer_gen = market.build_generator(1.0, self.spec.steps_per_year)?;
+        let inner_gen = market.build_generator(horizon, self.spec.steps_per_year)?;
         let nested = NestedMonteCarlo::new(
             &outer_gen,
             &inner_gen,
             &self.spec.fund,
-            self.spec.market.equity_driver(),
-            self.spec.market.rate_driver(),
+            market.equity_driver(),
+            market.rate_driver(),
         )?;
-        let config = self.spec.nested_config();
-
-        // One worker per schedule unit, each draining its EEB list.
-        let positions_ref = &positions_per_eeb;
-        let nested_ref = &nested;
-        let config_ref = &config;
-        let results: Vec<Result<Vec<(usize, disar_alm::NestedResult)>, EngineError>> =
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = schedule
-                    .assignment
-                    .iter()
-                    .enumerate()
-                    .map(|(unit, unit_items)| {
-                        let items = unit_items.clone();
-                        s.spawn(move |_| {
-                            let mut out = Vec::with_capacity(items.len());
-                            // One workspace per worker, reused across the
-                            // sequential nested runs of its whole EEB list.
-                            let mut ws = ValuationWorkspace::new();
-                            for i in items {
-                                monitor.on_event(
-                                    crate::progress::ProgressEvent::EebStarted { eeb: i, unit },
-                                );
-                                let res = nested_ref
-                                    .run_with_workspace(&positions_ref[i], config_ref, &mut ws)
-                                    .map_err(EngineError::from)?;
-                                monitor.on_event(
-                                    crate::progress::ProgressEvent::EebCompleted { eeb: i, unit },
-                                );
-                                out.push((i, res));
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-            .expect("thread scope failed");
-
-        // Gather: element-wise aggregation of Y_1 across EEBs, summed in
-        // block-index order — which unit ran a block depends on the thread
-        // count, and the sums must not.
-        let mut blocks = Vec::with_capacity(type_b.len());
-        for unit in results {
-            blocks.extend(unit?);
+        let mut config = self.spec.nested_config();
+        config.threads = threads;
+        for eeb in 0..blocks.len() {
+            monitor.on_event(ProgressEvent::EebStarted { eeb, unit: 0 });
         }
-        blocks.sort_unstable_by_key(|&(i, _)| i);
+        let block_refs: Vec<&[LiabilityPosition]> = blocks.iter().map(Vec::as_slice).collect();
+        let results = nested.run_blocks(&block_refs, &config)?;
+        for eeb in 0..blocks.len() {
+            monitor.on_event(ProgressEvent::EebCompleted { eeb, unit: 0 });
+        }
+
+        // Gather: element-wise aggregation of Y_1 across EEBs, in block order.
         let mut y1_total: Vec<f64> = vec![0.0; self.spec.n_outer];
         let mut bel = 0.0;
-        for (_, res) in &blocks {
+        for res in &results {
             for (t, y) in y1_total.iter_mut().zip(&res.y1) {
                 *t += y;
             }
             bel += res.bel;
         }
-        monitor.on_event(crate::progress::ProgressEvent::Gathered);
+        monitor.on_event(ProgressEvent::Gathered);
         let mean_y1 = disar_math::stats::mean(&y1_total);
         let var_quantile = disar_math::stats::quantile(&y1_total, 0.995);
         // Approximate aggregate discount with BEL/mean ratio when positive.
@@ -313,8 +246,36 @@ impl DisarMaster {
             mean_y1,
             var_quantile,
             wall_secs: start.elapsed().as_secs_f64(),
-            n_type_b: type_b.len(),
+            n_type_b: results.len(),
         })
+    }
+
+    /// DiActEng: the probabilized schedules of every type-B block of `eebs`
+    /// (the type-A work, cheap and done up front), in block order; a typed
+    /// error if there is no such block.
+    fn type_b_positions(eebs: &[Eeb]) -> Result<Vec<Vec<LiabilityPosition>>, EngineError> {
+        let table = LifeTable::italian_population();
+        let lapse = DurationLapse::italian_typical();
+        let act = ActuarialEngine::new(&table, &lapse);
+        let blocks = eebs
+            .iter()
+            .filter(|e| e.kind == EebKind::AlmValuation)
+            .map(|eeb| {
+                eeb.model_points
+                    .iter()
+                    .map(|mp| {
+                        Ok(LiabilityPosition {
+                            schedule: act.cash_flow_schedule(mp)?,
+                            profit_sharing: mp.contract.profit_sharing,
+                        })
+                    })
+                    .collect()
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        if blocks.is_empty() {
+            return Err(EngineError::InvalidParameter("no type-B block to value"));
+        }
+        Ok(blocks)
     }
 }
 
@@ -363,7 +324,7 @@ mod tests {
         let master = DisarMaster::new(tiny_spec(5)).unwrap().with_blocks(3).unwrap();
         let a = master.run_local(1).unwrap();
         let b = master.run_local(3).unwrap();
-        assert_eq!(a.scr, b.scr, "results must not depend on the schedule");
+        assert_eq!(a.scr, b.scr, "results must not depend on the thread count");
         assert_eq!(a.bel, b.bel);
     }
 
@@ -412,10 +373,88 @@ mod tests {
             .is_err());
     }
 
+    /// The per-EEB algorithm the shared run replaced: each block through
+    /// its own nested run (regenerating the scenarios), `y1` and `bel`
+    /// summed in block order.
+    fn per_block_reference(master: &DisarMaster) -> LocalOutcome {
+        let spec = &master.spec;
+        let blocks = DisarMaster::type_b_positions(&master.eebs().unwrap()).unwrap();
+        let horizon = f64::from(master.characteristics().unwrap().max_horizon);
+        let outer_gen = spec
+            .market
+            .build_generator(1.0, spec.steps_per_year)
+            .unwrap();
+        let inner_gen = spec
+            .market
+            .build_generator(horizon, spec.steps_per_year)
+            .unwrap();
+        let nested = NestedMonteCarlo::new(&outer_gen, &inner_gen, &spec.fund, 1, 0).unwrap();
+        let config = spec.nested_config();
+        let mut y1_total = vec![0.0; master.spec.n_outer];
+        let mut bel = 0.0;
+        for block in &blocks {
+            let res = nested.run(block, &config).unwrap();
+            for (t, y) in y1_total.iter_mut().zip(&res.y1) {
+                *t += y;
+            }
+            bel += res.bel;
+        }
+        let mean_y1 = disar_math::stats::mean(&y1_total);
+        let var_quantile = disar_math::stats::quantile(&y1_total, 0.995);
+        let avg_df = if mean_y1 > 0.0 {
+            (bel / mean_y1).min(1.0)
+        } else {
+            1.0
+        };
+        LocalOutcome {
+            scr: (var_quantile - mean_y1) * avg_df,
+            bel,
+            mean_y1,
+            var_quantile,
+            wall_secs: 0.0,
+            n_type_b: blocks.len(),
+        }
+    }
+
+    #[test]
+    fn shared_run_matches_per_block_runs_bitwise() {
+        let master = DisarMaster::new(tiny_spec(21))
+            .unwrap()
+            .with_blocks(5)
+            .unwrap();
+        let reference = per_block_reference(&master);
+        for threads in 1..=4 {
+            let out = master.run_local(threads).unwrap();
+            assert_eq!(out.n_type_b, reference.n_type_b);
+            for (a, b) in [
+                (out.scr, reference.scr),
+                (out.bel, reference.bel),
+                (out.mean_y1, reference.mean_y1),
+                (out.var_quantile, reference.var_quantile),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_type_b_block_is_a_typed_error() {
+        let master = DisarMaster::new(tiny_spec(23)).unwrap();
+        let type_a: Vec<Eeb> = master
+            .eebs()
+            .unwrap()
+            .into_iter()
+            .filter(|e| e.kind == EebKind::ActuarialValuation)
+            .collect();
+        assert!(matches!(
+            DisarMaster::type_b_positions(&type_a),
+            Err(EngineError::InvalidParameter(_))
+        ));
+    }
+
     #[test]
     fn thread_count_does_not_change_the_bits() {
-        // Five blocks on two units: LPT interleaves them, so schedule order
-        // and block order differ.
+        // Five blocks, the outer paths split between two workers.
         let master = DisarMaster::new(tiny_spec(3)).unwrap().with_blocks(5).unwrap();
         let one = master.run_local(1).unwrap();
         let two = master.run_local(2).unwrap();

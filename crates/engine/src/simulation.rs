@@ -146,10 +146,10 @@ impl SimulationSpec {
 
     /// The nested-Monte-Carlo configuration this spec induces: its path
     /// counts and seed at the regulatory 99.5 % confidence, sequential
-    /// plain sampling. Callers that parallelize do so *across* EEBs (the
-    /// master's LPT schedule), so the per-EEB nested run stays
-    /// single-threaded — which also lets it reuse one caller-owned
-    /// `ValuationWorkspace` across EEBs.
+    /// plain sampling. Callers that parallelize set `threads` on the copy
+    /// they pass down, as the master's local run does: the fan-out is over
+    /// the outer paths of one nested run, never across EEBs, which would
+    /// regenerate the same scenarios once per EEB.
     pub fn nested_config(&self) -> NestedConfig {
         NestedConfig {
             n_outer: self.n_outer,

@@ -8,7 +8,6 @@ use disar_suite::actuarial::mortality::LifeTable;
 use disar_suite::cloudsim::billing::{prorated_cost, BillingPolicy};
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use disar_suite::core::{select_configuration, CoreError, PredictorFamily, RetrainMode};
-use disar_suite::engine::scheduler::lpt_schedule;
 use disar_suite::math::poly::{MultiBasis, PolyFamily};
 use disar_suite::math::stats;
 use proptest::prelude::*;
@@ -100,27 +99,6 @@ proptest! {
         prop_assert!(billed + 1e-9 >= pro);
         let billed1 = BillingPolicy::PerHour.cost(secs, rate, 1).unwrap();
         prop_assert!((billed - billed1 * n as f64).abs() < 1e-9 * billed.max(1.0));
-    }
-
-    /// LPT schedules everything exactly once and respects Graham's 4/3
-    /// bound against the trivial lower bound.
-    #[test]
-    fn lpt_invariants(
-        costs in prop::collection::vec(0.01f64..100.0, 1..60),
-        units in 1usize..12,
-    ) {
-        let s = lpt_schedule(&costs, units).unwrap();
-        let mut seen: Vec<usize> = s.assignment.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..costs.len()).collect::<Vec<_>>());
-        let total: f64 = costs.iter().sum();
-        let max_item = costs.iter().cloned().fold(0.0, f64::max);
-        let lower = (total / units as f64).max(max_item);
-        // Graham's list-scheduling bound; the 4/3 LPT bound is relative to
-        // OPT, which is NP-hard to compute here.
-        let graham = total / units as f64 + (1.0 - 1.0 / units as f64) * max_item;
-        prop_assert!(s.makespan() <= graham + 1e-9);
-        prop_assert!(s.makespan() >= lower - 1e-9);
     }
 
     /// Quantiles are monotone in p and bounded by the sample extremes.
