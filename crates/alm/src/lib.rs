@@ -21,9 +21,6 @@
 //! - [`lsmc`]: the Least-Squares Monte Carlo shortcut — calibrate a
 //!   polynomial approximation of the inner value on a small `n'_P × n'_Q`
 //!   sample, then evaluate it on every outer path;
-//! - [`parallel`]: data-parallel execution over outer paths (crossbeam
-//!   scoped threads, shared via `disar_math::parallel`), the in-process
-//!   analogue of DISAR's distributed type-B EEBs;
 //! - [`workspace`]: per-worker scratch ([`ValuationWorkspace`]) that makes
 //!   the `nP × nQ` inner stage allocation-free without changing a bit of
 //!   the results (DESIGN.md §10).
@@ -32,7 +29,6 @@ pub mod fund;
 pub mod liability;
 pub mod lsmc;
 pub mod nested;
-pub mod parallel;
 pub mod report;
 pub mod workspace;
 

@@ -114,7 +114,6 @@ impl<'a> Lsmc<'a> {
             seed: config.seed ^ 0xCA11_B0A7,
             threads: config.threads,
             antithetic: false,
-            lane: disar_stochastic::scenario::DEFAULT_LANE,
         };
         let calib = self.nested.run(positions, &calib_cfg)?;
 
@@ -266,7 +265,6 @@ mod tests {
                     seed: 3,
                     threads: 1,
                     antithetic: false,
-                    lane: disar_stochastic::scenario::DEFAULT_LANE,
                 },
             )
             .unwrap();

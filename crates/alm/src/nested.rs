@@ -23,17 +23,13 @@
 
 use crate::fund::SegregatedFund;
 use crate::liability::{fill_valuation_panels, LiabilityBook, LiabilityPosition, PathValue};
-use crate::parallel::parallel_map_mut;
 use crate::workspace::ValuationWorkspace;
 use crate::AlmError;
+use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::split_seed;
 use disar_math::stats;
-use disar_stochastic::scenario::{Measure, ScenarioGenerator, DEFAULT_LANE};
+use disar_stochastic::scenario::{Measure, ScenarioGenerator};
 use serde::{Deserialize, Serialize};
-
-fn default_lane() -> usize {
-    DEFAULT_LANE
-}
 
 /// Configuration of a nested run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,12 +49,6 @@ pub struct NestedConfig {
     /// cutting the inner Monte Carlo error at equal cost. Requires an even
     /// `n_inner`.
     pub antithetic: bool,
-    /// Path-block (lane) width of the inner scenario kernels; `1` is the
-    /// scalar escape hatch (same pattern as `threads: 1`). Results are
-    /// bit-identical for every lane width — this knob only trades kernel
-    /// throughput, never values.
-    #[serde(default = "default_lane")]
-    pub lane: usize,
 }
 
 impl NestedConfig {
@@ -72,7 +62,6 @@ impl NestedConfig {
             seed,
             threads: 1,
             antithetic: false,
-            lane: DEFAULT_LANE,
         }
     }
 
@@ -87,9 +76,6 @@ impl NestedConfig {
         }
         if self.threads == 0 {
             return Err(AlmError::InvalidParameter("threads must be > 0"));
-        }
-        if self.lane == 0 {
-            return Err(AlmError::InvalidParameter("lane must be > 0"));
         }
         if self.antithetic && !self.n_inner.is_multiple_of(2) {
             return Err(AlmError::InvalidParameter(
@@ -325,27 +311,24 @@ impl<'a> NestedMonteCarlo<'a> {
         let (i1, df1) = (ws.outer_returns[0], outer.discount_factor(p, spy));
 
         // Inner stage: nQ risk-neutral paths anchored at the outer state,
-        // filled into the workspace's reusable scenario buffer by the
-        // lane-wise block kernels.
+        // filled into the workspace's reusable scenario buffer.
         outer.state_into(p, spy, &mut ws.state);
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
         if config.antithetic {
-            self.inner.generate_antithetic_into_lanes(
+            self.inner.generate_antithetic_into(
                 Measure::RiskNeutral,
                 config.n_inner / 2,
                 inner_seed,
                 Some(&ws.state),
                 &mut ws.inner_buf,
-                config.lane,
             )?;
         } else {
-            self.inner.generate_into_lanes(
+            self.inner.generate_into(
                 Measure::RiskNeutral,
                 config.n_inner,
                 inner_seed,
                 Some(&ws.state),
                 &mut ws.inner_buf,
-                config.lane,
             )?;
         }
         let inner = ws.inner_buf.view();
@@ -426,7 +409,6 @@ mod tests {
             seed,
             threads: 1,
             antithetic: false,
-            lane: DEFAULT_LANE,
         }
     }
 
@@ -436,7 +418,6 @@ mod tests {
         assert_eq!(c.n_outer, 1000);
         assert_eq!(c.n_inner, 50);
         assert_eq!(c.confidence, 0.995);
-        assert_eq!(c.lane, DEFAULT_LANE);
     }
 
     #[test]
@@ -479,25 +460,6 @@ mod tests {
         assert_eq!(seq, par);
     }
 
-    #[test]
-    fn lane_width_does_not_change_the_result() {
-        let (outer, inner) = generators(8.0);
-        let fund = SegregatedFund::italian_typical(10);
-        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
-        let pos = positions(8);
-        for antithetic in [false, true] {
-            let scalar = mc
-                .run(&pos, &NestedConfig { lane: 1, antithetic, ..small_config(13) })
-                .unwrap();
-            for lane in [2, 4, 8, 16, 64] {
-                let blocked = mc
-                    .run(&pos, &NestedConfig { lane, antithetic, ..small_config(13) })
-                    .unwrap();
-                assert_eq!(scalar, blocked, "lane {lane} antithetic {antithetic}");
-            }
-        }
-    }
-
     /// Every field of a result, as bits.
     fn bits(r: &NestedResult) -> Vec<u64> {
         [r.mean, r.var_quantile, r.scr, r.bel, r.std_error]
@@ -531,27 +493,24 @@ mod tests {
         let refs: Vec<&[LiabilityPosition]> = blocks.iter().map(Vec::as_slice).collect();
         for threads in [1, 2, 3] {
             for antithetic in [false, true] {
-                for lane in [1, 8] {
-                    let config = NestedConfig {
-                        n_outer: 7,
-                        n_inner: 6,
-                        threads,
-                        antithetic,
-                        lane,
-                        ..small_config(19)
-                    };
-                    let shared = mc.run_blocks(&refs, &config).unwrap();
-                    assert_eq!(shared.len(), blocks.len());
-                    let mut solo = config;
-                    solo.threads = 1;
-                    for (block, res) in blocks.iter().zip(&shared) {
-                        let alone = mc.run(block, &solo).unwrap();
-                        assert_eq!(
-                            bits(res),
-                            bits(&alone),
-                            "threads {threads} antithetic {antithetic} lane {lane}"
-                        );
-                    }
+                let config = NestedConfig {
+                    n_outer: 7,
+                    n_inner: 6,
+                    threads,
+                    antithetic,
+                    ..small_config(19)
+                };
+                let shared = mc.run_blocks(&refs, &config).unwrap();
+                assert_eq!(shared.len(), blocks.len());
+                let mut solo = config;
+                solo.threads = 1;
+                for (block, res) in blocks.iter().zip(&shared) {
+                    let alone = mc.run(block, &solo).unwrap();
+                    assert_eq!(
+                        bits(res),
+                        bits(&alone),
+                        "threads {threads} antithetic {antithetic}"
+                    );
                 }
             }
         }
@@ -608,7 +567,6 @@ mod tests {
             NestedConfig { n_inner: 0, ..small_config(1) },
             NestedConfig { confidence: 1.0, ..small_config(1) },
             NestedConfig { threads: 0, ..small_config(1) },
-            NestedConfig { lane: 0, ..small_config(1) },
         ] {
             assert!(mc.run(&pos, &bad).is_err());
         }

@@ -189,7 +189,6 @@ mod tests {
                     seed: 3,
                     threads: 1,
                     antithetic: false,
-                    lane: disar_stochastic::scenario::DEFAULT_LANE,
                 },
             )
             .unwrap();

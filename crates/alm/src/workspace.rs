@@ -71,8 +71,7 @@ impl ValuationWorkspace {
         let mut ws = Self::default();
         // Antithetic runs generate 2 · (n_inner / 2) = n_inner total paths,
         // so the buffer shape is the same either way.
-        ws.inner_buf
-            .reserve_for_lanes(inner, config.n_inner, config.lane.max(1));
+        ws.inner_buf.reserve_for(inner, config.n_inner);
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
         ws.scratch.reserve_years(inner_years.max(outer_years));

@@ -103,8 +103,8 @@ fn steady_state_inner_loop_is_allocation_free() {
     let pos = positions(8);
     let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
 
-    // Lane 8 exercises the block kernels and the lane-major panels — the
-    // very code this gate must keep allocation-free.
+    // The run goes through the block kernels and the lane-major panels —
+    // the very code this gate must keep allocation-free.
     let config = |n_outer, n_inner, antithetic| NestedConfig {
         n_outer,
         n_inner,
@@ -112,7 +112,6 @@ fn steady_state_inner_loop_is_allocation_free() {
         seed: 17,
         threads: 1,
         antithetic,
-        lane: 8,
     };
 
     for antithetic in [false, true] {

@@ -10,8 +10,8 @@ use disar_alm::liability::{
     value_positions_on_path, LiabilityPosition,
 };
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
-use disar_alm::parallel::parallel_map;
 use disar_alm::SegregatedFund;
+use disar_math::parallel::parallel_map;
 use disar_math::rng::split_seed;
 use disar_math::stats;
 use disar_stochastic::drivers::{Gbm, Vasicek};
@@ -234,10 +234,9 @@ proptest! {
 
     /// The workspace-backed nested engine is bit-identical to the
     /// allocating reference — sequential and threaded, plain and
-    /// antithetic, for arbitrary seeds, path counts **and lane widths**
-    /// (the reference predates the block kernels entirely, so this pins
-    /// `lane = k` to the historical scalar implementation, not just to
-    /// `lane = 1`).
+    /// antithetic, for arbitrary seeds and path counts (the reference
+    /// generates its scenarios through the allocating entry points and
+    /// values them position by position).
     #[test]
     fn nested_kernel_bitwise_matches_allocating_reference(
         seed in 0u64..200,
@@ -245,7 +244,6 @@ proptest! {
         inner_pairs in 1usize..4,
         antithetic in proptest::bool::ANY,
         threads in 1usize..4,
-        lane in proptest::sample::select(vec![1usize, 2, 4, 8, 16]),
     ) {
         let (outer, inner) = nested_generators(6.0);
         let fund = SegregatedFund::italian_typical(10);
@@ -257,7 +255,6 @@ proptest! {
             seed,
             threads,
             antithetic,
-            lane,
         };
         let (y1, mean, scr, bel) =
             reference_nested(&outer, &inner, &fund, &positions, &config);
@@ -278,13 +275,7 @@ proptest! {
     #[test]
     fn workspace_reuse_never_leaks_state(
         seeds in prop::collection::vec(
-            (
-                0u64..100,
-                2usize..6,
-                1usize..3,
-                proptest::bool::ANY,
-                proptest::sample::select(vec![1usize, 2, 4, 8, 16]),
-            ),
+            (0u64..100, 2usize..6, 1usize..3, proptest::bool::ANY),
             2..4,
         ),
     ) {
@@ -293,7 +284,7 @@ proptest! {
         let positions = vec![position(50, 6, 0.8, 1000.0)];
         let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("engine");
         let mut ws = disar_alm::ValuationWorkspace::new();
-        for (seed, n_outer, inner_pairs, antithetic, lane) in seeds {
+        for (seed, n_outer, inner_pairs, antithetic) in seeds {
             let config = NestedConfig {
                 n_outer,
                 n_inner: 2 * inner_pairs,
@@ -301,7 +292,6 @@ proptest! {
                 seed,
                 threads: 1,
                 antithetic,
-                lane,
             };
             let reused = mc.run_with_workspace(&positions, &config, &mut ws).expect("run");
             let fresh = mc.run(&positions, &config).expect("run");

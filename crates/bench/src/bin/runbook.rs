@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Exit status is nonzero when any replayed row's input or output digest
-//! diverges from the record. Timing-only rows (`bench:*`, `perf_smoke`)
-//! are skipped — they have no replayable outputs.
+//! diverges from the record. Timing-only rows (`bench:*`) are skipped —
+//! they have no replayable outputs.
 
 use disar_bench::registry::workspace_registry;
 use disar_bench::runbook::{self, ReplayOutcome};

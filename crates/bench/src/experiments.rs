@@ -1577,7 +1577,6 @@ impl LsmcAblationExperiment {
                     seed,
                     threads: 1,
                     antithetic: false,
-                    lane: disar_stochastic::scenario::DEFAULT_LANE,
                 },
             )
             .expect("nested run succeeds");

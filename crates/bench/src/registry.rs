@@ -2,7 +2,7 @@
 //! this crate's input types canonicalize.
 //!
 //! Every producer in `disar-bench` — the `experiments` driver, the
-//! hand-rolled bench harnesses, `perf_smoke` — appends to one append-only
+//! hand-rolled bench harnesses — appends to one append-only
 //! JSONL registry through [`workspace_registry`] (DESIGN.md §13). The old
 //! per-artifact CSV/JSON writers are gone; `results/registry.jsonl` (or
 //! `$DISAR_REGISTRY` / `$DISAR_RESULTS_DIR/registry.jsonl`) is the single

@@ -4,8 +4,8 @@
 //! `input_hash`) to be re-run from scratch; `runbook` inverts that record:
 //! rebuild the [`ExperimentCtx`], re-run the driver, and compare both the
 //! input and output digests against what was recorded. Timing-only rows
-//! (`bench:*`, `perf_smoke`) have no replayable outputs and are skipped,
-//! as is anything written by a newer driver this build doesn't know.
+//! (`bench:*`) have no replayable outputs and are skipped, as is anything
+//! written by a newer driver this build doesn't know.
 
 use crate::experiments::{by_name, ExperimentCtx};
 use disar_registry::RegistryRow;
@@ -66,8 +66,7 @@ impl ReplayOutcome {
 /// compare digests.
 pub fn replay_row(row: &RegistryRow) -> ReplayOutcome {
     let Some(exp) = by_name(&row.experiment) else {
-        let timing_only =
-            row.experiment.starts_with("bench:") || row.experiment.starts_with("perf_smoke");
+        let timing_only = row.experiment.starts_with("bench:");
         let reason = if timing_only {
             "timing-only row, nothing replayable".to_string()
         } else {

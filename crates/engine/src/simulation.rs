@@ -13,8 +13,8 @@ use disar_stochastic::scenario::{ScenarioGenerator, TimeGrid};
 use disar_stochastic::CorrelationMatrix;
 use serde::{Deserialize, Serialize};
 
-// Re-exported so spec-building callers can say `lane: DEFAULT_LANE` without
-// depending on disar-stochastic directly.
+// Re-exported only because `benchmark/src/adapter.rs` spells
+// `lane: DEFAULT_LANE` in its `SimulationSpec` literal.
 pub use disar_stochastic::scenario::DEFAULT_LANE;
 
 fn default_lane() -> usize {
@@ -118,9 +118,10 @@ pub struct SimulationSpec {
     pub steps_per_year: usize,
     /// Master seed of the whole run.
     pub seed: u64,
-    /// Path-block (lane) width of the scenario kernels; `1` is the scalar
-    /// escape hatch. Bit-identical results for every width — a throughput
-    /// knob only.
+    /// Ignored: the scenario kernels step blocks of the fixed
+    /// [`DEFAULT_LANE`] paths. Declared only because the struct literal in
+    /// `benchmark/src/adapter.rs` names it; it goes when a benchmark PR
+    /// drops it from that literal.
     #[serde(default = "default_lane")]
     pub lane: usize,
 }
@@ -158,7 +159,6 @@ impl SimulationSpec {
             seed: self.seed,
             threads: 1,
             antithetic: false,
-            lane: self.lane,
         }
     }
 
@@ -176,9 +176,6 @@ impl SimulationSpec {
         }
         if self.steps_per_year == 0 {
             return Err(EngineError::InvalidParameter("steps_per_year must be > 0"));
-        }
-        if self.lane == 0 {
-            return Err(EngineError::InvalidParameter("lane must be > 0"));
         }
         if self.portfolio.model_points.is_empty() {
             return Err(EngineError::InvalidParameter("portfolio is empty"));
@@ -251,7 +248,6 @@ mod tests {
         assert_eq!(cfg.confidence, 0.995);
         assert_eq!(cfg.threads, 1);
         assert!(!cfg.antithetic);
-        assert_eq!(cfg.lane, spec.lane);
     }
 
     #[test]
@@ -265,9 +261,6 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.n_outer = 10;
         spec.steps_per_year = 0;
-        assert!(spec.validate().is_err());
-        spec.steps_per_year = 12;
-        spec.lane = 0;
         assert!(spec.validate().is_err());
     }
 }

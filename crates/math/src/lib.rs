@@ -12,8 +12,8 @@
 //!   derivation so that every Monte Carlo path gets an independent,
 //!   reproducible generator, and Gaussian sampling via the Marsaglia polar
 //!   method (the workspace deliberately avoids `rand_distr`);
-//! - [`parallel`]: deterministic data-parallel maps on crossbeam scoped
-//!   threads (results written by index, `n_threads = 1` escape hatch) used
+//! - [`parallel`]: deterministic data-parallel maps on std scoped threads
+//!   (results gathered in index order, `n_threads = 1` runs in sequence) used
 //!   by the ALM nested Monte Carlo, Algorithm 1's configuration sweep, the
 //!   predictor retrain loop and the bench campaign driver;
 //! - [`poly`]: orthonormal polynomial bases (Laguerre, probabilists' Hermite,

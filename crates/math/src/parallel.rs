@@ -4,10 +4,11 @@
 //! available computing nodes … each node computes concurrently average local
 //! values, which are then suitably combined" (§III). In-process, the same
 //! structure is a parallel map over independent items with a final gather;
-//! this module provides it on crossbeam scoped threads with deterministic
-//! output order (results are written by index, so the schedule cannot change
-//! the result). It is shared by the ALM nested Monte Carlo, Algorithm 1's
-//! grid sweep, the predictor retrain loop and the bench campaign driver.
+//! this module provides it on std scoped threads with deterministic output
+//! order (each worker owns a contiguous run of indices and the runs are
+//! gathered in order, so the schedule cannot change the result). It is
+//! shared by the ALM nested Monte Carlo, Algorithm 1's grid sweep, the
+//! predictor retrain loop and the bench campaign driver.
 
 /// The library-wide default worker-thread count: one per core the process
 /// may use ([`std::thread::available_parallelism`]), falling back to `1`
@@ -18,6 +19,49 @@
 /// `n_threads = 1` explicitly for the sequential escape hatch.
 pub fn default_n_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The one chunked body behind the three maps: worker `t` builds a
+/// workspace with `init`, then runs `f(i, &mut items[i], &mut ws)` over its
+/// contiguous chunk of `n_items.div_ceil(threads)` items; the chunks'
+/// results are gathered in index order. The maps without items pass a slice
+/// of `()` (no allocation), the maps without a workspace pass `|| ()`.
+fn chunked<T, W, R, I, F>(items: &mut [T], n_threads: usize, init: I, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(usize, &mut T, &mut W) -> R + Sync,
+{
+    assert!(n_threads > 0, "n_threads must be positive");
+    let n_items = items.len();
+    if n_items == 0 {
+        return Vec::new();
+    }
+    let run = |base: usize, part: &mut [T]| -> Vec<R> {
+        let mut ws = init();
+        part.iter_mut()
+            .enumerate()
+            .map(|(off, item)| f(base + off, item, &mut ws))
+            .collect()
+    };
+    if n_threads == 1 || n_items == 1 {
+        return run(0, items);
+    }
+    let chunk = n_items.div_ceil(n_threads.min(n_items));
+    std::thread::scope(|s| {
+        let run = &run;
+        let workers: Vec<_> = items
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(t, part)| s.spawn(move || run(t * chunk, part)))
+            .collect();
+        let mut results = Vec::with_capacity(n_items);
+        for w in workers {
+            results.extend(w.join().expect("worker thread panicked"));
+        }
+        results
+    })
 }
 
 /// Applies `f` to every index in `0..n_items` using up to `n_threads`
@@ -44,33 +88,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    assert!(n_threads > 0, "n_threads must be positive");
-    if n_items == 0 {
-        return Vec::new();
-    }
-    if n_threads == 1 || n_items == 1 {
-        return (0..n_items).map(f).collect();
-    }
-
-    let mut results: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
-    let threads = n_threads.min(n_items);
-    let chunk = n_items.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (t, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                let base = t * chunk;
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled by construction"))
-        .collect()
+    chunked(&mut vec![(); n_items], n_threads, || (), |i, _, _| f(i))
 }
 
 /// Applies `f` to every element of `items` in place, using up to
@@ -111,44 +129,7 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    assert!(n_threads > 0, "n_threads must be positive");
-    let n_items = items.len();
-    if n_items == 0 {
-        return Vec::new();
-    }
-    if n_threads == 1 || n_items == 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-
-    let mut results: Vec<Option<R>> = (0..n_items).map(|_| None).collect();
-    let threads = n_threads.min(n_items);
-    let chunk = n_items.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (t, (item_chunk, slot_chunk)) in items
-            .chunks_mut(chunk)
-            .zip(results.chunks_mut(chunk))
-            .enumerate()
-        {
-            let f = &f;
-            s.spawn(move |_| {
-                let base = t * chunk;
-                for (off, (item, slot)) in
-                    item_chunk.iter_mut().zip(slot_chunk.iter_mut()).enumerate()
-                {
-                    *slot = Some(f(base + off, item));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled by construction"))
-        .collect()
+    chunked(items, n_threads, || (), |i, item, _| f(i, item))
 }
 
 /// Like [`parallel_map`], but each worker thread first builds a private
@@ -192,36 +173,7 @@ where
     I: Fn() -> W + Sync,
     F: Fn(usize, &mut W) -> T + Sync,
 {
-    assert!(n_threads > 0, "n_threads must be positive");
-    if n_items == 0 {
-        return Vec::new();
-    }
-    if n_threads == 1 || n_items == 1 {
-        let mut ws = init();
-        return (0..n_items).map(|i| f(i, &mut ws)).collect();
-    }
-
-    let mut results: Vec<Option<T>> = (0..n_items).map(|_| None).collect();
-    let threads = n_threads.min(n_items);
-    let chunk = n_items.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (t, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-            let init = &init;
-            let f = &f;
-            s.spawn(move |_| {
-                let mut ws = init();
-                let base = t * chunk;
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + off, &mut ws));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled by construction"))
-        .collect()
+    chunked(&mut vec![(); n_items], n_threads, init, |i, _, ws| f(i, ws))
 }
 
 #[cfg(test)]
@@ -279,6 +231,15 @@ mod tests {
     #[should_panic(expected = "n_threads must be positive")]
     fn zero_threads_panics() {
         let _ = parallel_map(4, 0, |i| i);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker thread panicked")]
+    fn worker_panic_propagates() {
+        let _ = parallel_map(8, 4, |i| {
+            assert!(i != 5, "item 5 fails");
+            i
+        });
     }
 
     #[test]

@@ -10,9 +10,8 @@ use crate::dataset::Dataset;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 
-/// An ensemble of heterogeneous regressors predicting the mean of its
-/// members — uniform by default, or weighted by per-member evaluation
-/// scores (e.g. inverse selection regret) via [`Ensemble::set_weights`].
+/// An ensemble of heterogeneous regressors predicting the arithmetic mean
+/// of its members.
 ///
 /// # Example
 ///
@@ -32,9 +31,6 @@ use crate::MlError;
 pub struct Ensemble {
     members: Vec<Box<dyn Regressor>>,
     fitted_len: usize,
-    /// Normalized member weights; `None` means the exact uniform-mean
-    /// paths (bit-identical to the pre-weighting ensemble).
-    weights: Option<Vec<f64>>,
 }
 
 impl Ensemble {
@@ -48,55 +44,7 @@ impl Ensemble {
         Ensemble {
             members,
             fitted_len: 0,
-            weights: None,
         }
-    }
-
-    /// Installs per-member prediction weights, normalized to sum to one.
-    ///
-    /// Predictions become `Σ wᵢ·pᵢ` in member order. Weights are usually
-    /// derived from a per-member evaluation metric (inverse selection
-    /// regret); uniform weights are *not* the same bit pattern as the
-    /// unweighted mean (`Σ (1/n)·pᵢ` vs `(Σ pᵢ)/n`) — call
-    /// [`Ensemble::clear_weights`] to restore the exact uniform path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureDimensionMismatch`] if `weights.len()`
-    /// differs from the member count, and
-    /// [`MlError::InvalidHyperparameter`] if any weight is negative or
-    /// non-finite, or if they sum to zero.
-    pub fn set_weights(&mut self, weights: &[f64]) -> Result<(), MlError> {
-        if weights.len() != self.members.len() {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: self.members.len(),
-                got: weights.len(),
-            });
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(MlError::InvalidHyperparameter(
-                "ensemble weights must be finite and non-negative",
-            ));
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(MlError::InvalidHyperparameter(
-                "ensemble weights must have positive sum",
-            ));
-        }
-        self.weights = Some(weights.iter().map(|w| w / total).collect());
-        Ok(())
-    }
-
-    /// Drops any installed weights, restoring the exact uniform-mean
-    /// prediction paths.
-    pub fn clear_weights(&mut self) {
-        self.weights = None;
-    }
-
-    /// The installed normalized weights, if any.
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
     }
 
     /// Number of member models.
@@ -139,31 +87,19 @@ impl Regressor for Ensemble {
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        match &self.weights {
-            None => {
-                let mut sum = 0.0;
-                for m in &self.members {
-                    sum += m.predict(x)?;
-                }
-                Ok(sum / self.members.len() as f64)
-            }
-            Some(w) => {
-                let mut sum = 0.0;
-                for (m, &wi) in self.members.iter().zip(w) {
-                    sum += wi * m.predict(x)?;
-                }
-                Ok(sum)
-            }
+        let mut sum = 0.0;
+        for m in &self.members {
+            sum += m.predict(x)?;
         }
+        Ok(sum / self.members.len() as f64)
     }
 
     /// Batched mean delegating to each member's batched kernel. Member
     /// predictions for a row accumulate in member order starting from 0.0 —
-    /// the same left-to-right sum as the scalar loop (`Σ pᵢ` then `/n`
-    /// unweighted, `Σ wᵢ·pᵢ` weighted) — so every output is bit-identical
-    /// to [`Regressor::predict`]. The member staging buffer is taken out of
-    /// the scratch for the duration of the call so the members can use the
-    /// rest of it.
+    /// the same left-to-right sum as the scalar loop (`Σ pᵢ` then `/n`) —
+    /// so every output is bit-identical to [`Regressor::predict`]. The
+    /// member staging buffer is taken out of the scratch for the duration
+    /// of the call so the members can use the rest of it.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -179,32 +115,20 @@ impl Regressor for Ensemble {
         tmp.resize(out.len(), 0.0);
         out.fill(0.0);
         let mut result = Ok(());
-        for (k, m) in self.members.iter().enumerate() {
+        for m in &self.members {
             if let Err(e) = m.predict_batch(xs, &mut tmp, scratch) {
                 result = Err(e);
                 break;
             }
-            match &self.weights {
-                None => {
-                    for (slot, &v) in out.iter_mut().zip(tmp.iter()) {
-                        *slot += v;
-                    }
-                }
-                Some(w) => {
-                    let wi = w[k];
-                    for (slot, &v) in out.iter_mut().zip(tmp.iter()) {
-                        *slot += wi * v;
-                    }
-                }
+            for (slot, &v) in out.iter_mut().zip(tmp.iter()) {
+                *slot += v;
             }
         }
         scratch.ensemble_tmp = tmp;
         result?;
-        if self.weights.is_none() {
-            let n = self.members.len() as f64;
-            for slot in out.iter_mut() {
-                *slot /= n;
-            }
+        let n = self.members.len() as f64;
+        for slot in out.iter_mut() {
+            *slot /= n;
         }
         Ok(())
     }
@@ -317,62 +241,6 @@ mod tests {
     #[should_panic(expected = "at least one member")]
     fn empty_ensemble_panics() {
         let _ = Ensemble::new(Vec::new());
-    }
-
-    #[test]
-    fn weights_reweight_the_mean() {
-        let mut ens = Ensemble::new(vec![
-            Box::new(Constant(10.0, false)),
-            Box::new(Constant(20.0, false)),
-        ]);
-        let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![0.0], 0.0).unwrap();
-        ens.fit(&d).unwrap();
-        // 3:1 in favour of the second member (normalized from 1.0/3.0).
-        ens.set_weights(&[1.0, 3.0]).unwrap();
-        assert_eq!(ens.weights().unwrap(), &[0.25, 0.75]);
-        assert_eq!(ens.predict(&[0.0]).unwrap(), 0.25 * 10.0 + 0.75 * 20.0);
-        ens.clear_weights();
-        assert_eq!(ens.predict(&[0.0]).unwrap(), 15.0);
-    }
-
-    #[test]
-    fn weights_are_validated() {
-        let mut ens = Ensemble::new(vec![
-            Box::new(Constant(1.0, false)),
-            Box::new(Constant(2.0, false)),
-        ]);
-        assert!(matches!(
-            ens.set_weights(&[1.0]),
-            Err(MlError::FeatureDimensionMismatch { expected: 2, got: 1 })
-        ));
-        assert!(ens.set_weights(&[1.0, -0.5]).is_err());
-        assert!(ens.set_weights(&[f64::NAN, 1.0]).is_err());
-        assert!(ens.set_weights(&[0.0, 0.0]).is_err());
-        assert!(ens.weights().is_none());
-    }
-
-    #[test]
-    fn weighted_batch_matches_scalar_bitwise() {
-        let mut d = Dataset::new(vec!["x".into()]);
-        for i in 0..40 {
-            d.push(vec![i as f64], 3.0 * i as f64).unwrap();
-        }
-        let mut ens = Ensemble::new(default_family(2));
-        ens.fit(&d).unwrap();
-        let w: Vec<f64> = (1..=ens.len()).map(|k| k as f64).collect();
-        ens.set_weights(&w).unwrap();
-        let xs_rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 3.7]).collect();
-        let mut xs = FeatureMatrix::new();
-        for row in &xs_rows {
-            xs.push_row(row);
-        }
-        let mut out = vec![0.0; xs.len()];
-        let mut scratch = PredictScratch::new();
-        ens.predict_batch(&xs, &mut out, &mut scratch).unwrap();
-        for (row, &got) in xs_rows.iter().zip(&out) {
-            assert_eq!(got.to_bits(), ens.predict(row).unwrap().to_bits());
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Provenance-hashed experiment/bench result registry (DESIGN.md §13).
 //!
 //! Every result row in the workspace — experiment drivers, hand-rolled
-//! bench harnesses, `perf_smoke` — lands in one append-only JSONL file
+//! bench harnesses — lands in one append-only JSONL file
 //! through [`Registry::append`]. A row records
 //! `{schema_version, commit_id, input_hash, experiment, params, outputs,
 //! wall_ns}` (plus optional non-deterministic `timings`):
@@ -20,8 +20,8 @@
 //! The replay contract: a row's `outputs` must be a pure function of its
 //! recorded inputs, so `disar-bench`'s `runbook` can re-run any
 //! experiment row from `params` and assert the recomputed `output_hash`
-//! bit-identically. Timing-only rows (`bench:*`, `perf_smoke`) carry their
-//! measurements in `timings`, outside the replay contract.
+//! bit-identically. Timing-only rows (`bench:*`) carry their measurements
+//! in `timings`, outside the replay contract.
 
 pub mod canonical;
 pub mod store;

@@ -192,7 +192,7 @@ pub fn commit_id() -> String {
 
 /// Held advisory lock: a `<registry>.lock` file created with
 /// `create_new`, removed on drop. Purely advisory — it serializes
-/// *cooperating* registry writers (concurrent `perf_smoke` + bench runs),
+/// *cooperating* registry writers (concurrent experiment + bench runs),
 /// which is exactly the unguarded read-modify-write hazard the old
 /// `BENCH_engine.json` appender had.
 struct FileLock {

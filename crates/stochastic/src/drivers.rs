@@ -12,11 +12,6 @@ use crate::scenario::Measure;
 use crate::StochasticError;
 use serde::{Deserialize, Serialize};
 
-/// Lane width of the unrolled bodies in [`StepCoeffs::apply`]: blocks are
-/// processed in chunks of this many paths so the compiler can autovectorize
-/// the arithmetic, with a scalar remainder loop for the tail.
-pub const STEP_CHUNK: usize = 8;
-
 /// Per-`(grid step, measure)` coefficients of a driver's transition,
 /// hoisted out of the per-path loop by [`RiskDriver::step_coeffs`].
 ///
@@ -77,8 +72,9 @@ impl StepCoeffs {
     /// shock per lane. Returns `false` for [`StepCoeffs::Generic`] (nothing
     /// written); the caller then loops the scalar step.
     ///
-    /// Bodies are unrolled in [`STEP_CHUNK`]-wide chunks with a scalar
-    /// remainder, so any block length is accepted.
+    /// Each variant is one plain zipped loop: hand-chunking it by 8 measured
+    /// no faster (DESIGN.md §12 — `exp` and `sqrt` are libm calls, and the
+    /// pure-arithmetic Ornstein–Uhlenbeck body vectorizes as it stands).
     ///
     /// # Panics
     ///
@@ -94,42 +90,18 @@ impl StepCoeffs {
                 log_drift,
                 vol_sqrt_dt,
             } => {
-                let mut s_chunks = states.chunks_exact_mut(STEP_CHUNK);
-                let mut z_chunks = shocks.chunks_exact(STEP_CHUNK);
-                for (ss, zs) in (&mut s_chunks).zip(&mut z_chunks) {
-                    for (s, z) in ss.iter_mut().zip(zs) {
-                        *s *= (log_drift + vol_sqrt_dt * z).exp();
-                    }
-                }
-                for (s, z) in s_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(z_chunks.remainder())
-                {
+                for (s, z) in states.iter_mut().zip(shocks) {
                     *s *= (log_drift + vol_sqrt_dt * z).exp();
                 }
-                true
             }
             StepCoeffs::OrnsteinUhlenbeck {
                 mean_level,
                 decay,
                 vol,
             } => {
-                let mut s_chunks = states.chunks_exact_mut(STEP_CHUNK);
-                let mut z_chunks = shocks.chunks_exact(STEP_CHUNK);
-                for (ss, zs) in (&mut s_chunks).zip(&mut z_chunks) {
-                    for (s, z) in ss.iter_mut().zip(zs) {
-                        *s = (mean_level + (*s - mean_level) * decay) + vol * z;
-                    }
-                }
-                for (s, z) in s_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(z_chunks.remainder())
-                {
+                for (s, z) in states.iter_mut().zip(shocks) {
                     *s = (mean_level + (*s - mean_level) * decay) + vol * z;
                 }
-                true
             }
             StepCoeffs::CirFullTruncation {
                 speed,
@@ -138,29 +110,16 @@ impl StepCoeffs {
                 sigma,
                 sqrt_dt,
             } => {
-                let cir = |s: &mut f64, z: &f64| {
+                for (s, z) in states.iter_mut().zip(shocks) {
                     let xp = s.max(0.0);
-                    let next = *s + speed * (mean_level - xp) * dt + sigma * xp.sqrt() * sqrt_dt * z;
+                    let next =
+                        *s + speed * (mean_level - xp) * dt + sigma * xp.sqrt() * sqrt_dt * z;
                     *s = next.max(0.0);
-                };
-                let mut s_chunks = states.chunks_exact_mut(STEP_CHUNK);
-                let mut z_chunks = shocks.chunks_exact(STEP_CHUNK);
-                for (ss, zs) in (&mut s_chunks).zip(&mut z_chunks) {
-                    for (s, z) in ss.iter_mut().zip(zs) {
-                        cir(s, z);
-                    }
                 }
-                for (s, z) in s_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(z_chunks.remainder())
-                {
-                    cir(s, z);
-                }
-                true
             }
-            StepCoeffs::Generic => false,
+            StepCoeffs::Generic => return false,
         }
+        true
     }
 }
 
@@ -630,7 +589,7 @@ impl RiskDriver for FxRate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use disar_math::rng::{stream_rng, StandardNormal};
     use disar_math::stats;
@@ -768,7 +727,7 @@ mod tests {
 
     /// A driver that deliberately keeps the default `Generic` coefficients,
     /// exercising `step_block`'s scalar fallback loop.
-    struct Drifting;
+    pub(crate) struct Drifting;
 
     impl RiskDriver for Drifting {
         fn initial_value(&self) -> f64 {
@@ -783,11 +742,11 @@ mod tests {
     }
 
     fn assert_block_matches_scalar<D: RiskDriver>(d: &D, dt: f64, lo: f64, hi: f64) {
-        // Block lengths straddling the STEP_CHUNK boundary exercise both the
-        // unrolled chunks and the scalar remainder.
+        // Block lengths around the fill's block width of 8, and one far
+        // beyond it.
         for measure in [Measure::RealWorld, Measure::RiskNeutral] {
             let coeffs = d.step_coeffs(dt, measure);
-            for len in [1usize, 2, 7, 8, 9, 16, 19] {
+            for len in [1usize, 7, 8, 9, 40] {
                 let mut rng = stream_rng(97, len as u64);
                 let mut g = StandardNormal::new();
                 let states: Vec<f64> = (0..len)

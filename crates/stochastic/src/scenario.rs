@@ -27,18 +27,18 @@
 //! ([`ScenarioSet::view`] / [`ScenarioBuffer::view`]), so valuation kernels
 //! are written once against the view.
 //!
-//! # Block (lane-wise) generation
+//! # Block generation
 //!
-//! The fill core steps **blocks of `lane` paths in lockstep**: per grid
-//! step, each lane draws its own shocks from its own per-path RNG stream,
-//! then every driver advances its whole lane of states through one
+//! The fill core steps **blocks of [`DEFAULT_LANE`] paths in lockstep**:
+//! per grid step, each path of the block draws its own shocks from its own
+//! RNG stream, then every driver advances the block's states through one
 //! [`crate::drivers::RiskDriver::step_block`] call with per-step
 //! coefficients ([`crate::drivers::StepCoeffs`]) hoisted once per fill.
-//! This is **bit-identical for every lane width**, by construction: paths
-//! share no floating-point state, each path's RNG stream and per-step
+//! This is **bit-identical to the per-path scalar loop**, by construction:
+//! paths share no floating-point state, each path's RNG stream and per-step
 //! operation sequence are exactly those of the scalar loop, and only the
-//! interleaving *across* independent paths changes. `lane = 1` is the
-//! scalar escape hatch; [`DEFAULT_LANE`] is the vector-friendly default.
+//! interleaving *across* independent paths changes. The width is a constant,
+//! not a setting (DESIGN.md §12 has the measurements behind the value).
 
 use crate::correlation::CorrelationMatrix;
 use crate::drivers::{RiskDriver, StepCoeffs};
@@ -47,10 +47,10 @@ use disar_math::rng::{stream_rng, StandardNormal};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// Default path-block (lane) width of the block-stepping fill core — wide
-/// enough to keep [`crate::drivers::STEP_CHUNK`]-sized chunks full, small
-/// enough that the lane-major scratch stays in cache. `lane = 1` recovers
-/// the scalar loop bit-for-bit.
+/// Path-block width of the block-stepping fill core: every fill steps this
+/// many paths (or antithetic pairs) in lockstep. Measured on
+/// `valuation_nested`, 1 is 22 % slower and 8, 16 and 32 are inside the
+/// run-to-run spread of each other (DESIGN.md §12).
 pub const DEFAULT_LANE: usize = 8;
 
 /// The probability measure scenarios are generated under.
@@ -457,24 +457,10 @@ impl ScenarioBuffer {
         Self::default()
     }
 
-    /// Pre-sizes the buffer for `n_paths` total paths from `generator` at
-    /// lane width 1, so even the *first* `generate_into` of that shape
-    /// allocates nothing. See [`ScenarioBuffer::reserve_for_lanes`] for the
-    /// block-stepping fills.
-    pub fn reserve_for(&mut self, generator: &ScenarioGenerator, n_paths: usize) {
-        self.reserve_for_lanes(generator, n_paths, 1);
-    }
-
-    /// Pre-sizes the buffer for `n_paths` total paths from `generator`
-    /// filled at block width `lane`, covering the lane-major scratch panels
-    /// as well, so even the *first* `generate_into_lanes` of that shape
+    /// Pre-sizes the buffer, block scratch panels included, for `n_paths`
+    /// total paths from `generator`, so even the *first* fill of that shape
     /// allocates nothing.
-    pub fn reserve_for_lanes(
-        &mut self,
-        generator: &ScenarioGenerator,
-        n_paths: usize,
-        lane: usize,
-    ) {
+    pub fn reserve_for(&mut self, generator: &ScenarioGenerator, n_paths: usize) {
         let n_drivers = generator.n_drivers();
         let stride = generator.grid().n_steps() + 1;
         let need = n_paths * n_drivers * stride;
@@ -483,8 +469,9 @@ impl ScenarioBuffer {
             v.reserve(n_drivers.saturating_sub(v.len()));
         }
         self.coeffs.reserve(n_drivers.saturating_sub(self.coeffs.len()));
-        self.lane_rngs.reserve(lane.saturating_sub(self.lane_rngs.len()));
-        let panel = n_drivers * lane.max(1);
+        self.lane_rngs
+            .reserve(DEFAULT_LANE.saturating_sub(self.lane_rngs.len()));
+        let panel = n_drivers * DEFAULT_LANE;
         for v in [
             &mut self.lane_states,
             &mut self.lane_states_neg,
@@ -614,12 +601,15 @@ impl ScenarioGenerator {
         Ok(self.set_from_buffer(buf))
     }
 
-    /// Fills `buf` with `n_paths` joint paths under `measure` —
-    /// bit-identical to [`ScenarioGenerator::generate`] (same RNG stream
-    /// derivation `stream_rng(seed, path)`, same per-path operation
-    /// sequence), but reusing the buffer's storage: a warm same-shape refill
-    /// performs zero heap allocations. Equivalent to
-    /// [`ScenarioGenerator::generate_into_lanes`] at `lane = 1`.
+    /// Fills `buf` with `n_paths` joint paths under `measure` — what
+    /// [`ScenarioGenerator::generate`] returns, but reusing the buffer's
+    /// storage: a warm same-shape refill performs zero heap allocations.
+    ///
+    /// Path `p` consumes the RNG stream `stream_rng(seed, p)` in scalar
+    /// order (all drivers' draws for step 1, then step 2, …) and undergoes
+    /// the scalar [`RiskDriver::step`] operation sequence; blocks of
+    /// [`DEFAULT_LANE`] paths advance in lockstep through
+    /// [`RiskDriver::step_block`] with hoisted [`StepCoeffs`].
     ///
     /// # Errors
     ///
@@ -632,40 +622,8 @@ impl ScenarioGenerator {
         initial_overrides: Option<&[f64]>,
         buf: &mut ScenarioBuffer,
     ) -> Result<(), StochasticError> {
-        self.generate_into_lanes(measure, n_paths, seed, initial_overrides, buf, 1)
-    }
-
-    /// Fills `buf` with `n_paths` joint paths, stepping blocks of `lane`
-    /// paths in lockstep through [`RiskDriver::step_block`] with hoisted
-    /// [`StepCoeffs`].
-    ///
-    /// **Bit-identical for every `lane`** (and to
-    /// [`ScenarioGenerator::generate`]): path `p` always consumes the RNG
-    /// stream `stream_rng(seed, p)` in the same order (all drivers' draws
-    /// for step 1, then step 2, …) and undergoes the same per-step
-    /// floating-point operation sequence; only the interleaving across
-    /// independent paths changes. `lane = 1` is the scalar escape hatch.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ScenarioGenerator::generate`], plus
-    /// [`StochasticError::InvalidConfiguration`] when `lane == 0`.
-    pub fn generate_into_lanes(
-        &self,
-        measure: Measure,
-        n_paths: usize,
-        seed: u64,
-        initial_overrides: Option<&[f64]>,
-        buf: &mut ScenarioBuffer,
-        lane: usize,
-    ) -> Result<(), StochasticError> {
-        if lane == 0 {
-            return Err(StochasticError::InvalidConfiguration(
-                "lane must be > 0".into(),
-            ));
-        }
         self.prepare_buffer(measure, n_paths, "n_paths", n_paths, initial_overrides, buf)?;
-        self.fill_blocks(measure, seed, lane, n_paths, false, buf);
+        self.fill_blocks(measure, seed, n_paths, false, buf);
         Ok(())
     }
 
@@ -691,12 +649,12 @@ impl ScenarioGenerator {
         Ok(self.set_from_buffer(buf))
     }
 
-    /// Fills `buf` with `2 · n_pairs` antithetic paths — bit-identical to
-    /// [`ScenarioGenerator::generate_antithetic`] (same per-pair RNG stream
-    /// `stream_rng(seed, pair)`, same per-pair operation sequence), but
-    /// reusing the buffer's storage like
-    /// [`ScenarioGenerator::generate_into`]. Equivalent to
-    /// [`ScenarioGenerator::generate_antithetic_into_lanes`] at `lane = 1`.
+    /// Fills `buf` with `2 · n_pairs` antithetic paths — what
+    /// [`ScenarioGenerator::generate_antithetic`] returns (pair `k` draws
+    /// from `stream_rng(seed, k)`, the partner's shock is the exact
+    /// negation), reusing the buffer's storage like
+    /// [`ScenarioGenerator::generate_into`] and stepping blocks of
+    /// [`DEFAULT_LANE`] *pairs* in lockstep.
     ///
     /// # Errors
     ///
@@ -709,33 +667,6 @@ impl ScenarioGenerator {
         initial_overrides: Option<&[f64]>,
         buf: &mut ScenarioBuffer,
     ) -> Result<(), StochasticError> {
-        self.generate_antithetic_into_lanes(measure, n_pairs, seed, initial_overrides, buf, 1)
-    }
-
-    /// Fills `buf` with `2 · n_pairs` antithetic paths, stepping blocks of
-    /// `lane` *pairs* in lockstep — the antithetic sibling of
-    /// [`ScenarioGenerator::generate_into_lanes`], with the same
-    /// bit-identity guarantee for every lane width (the partner's shock is
-    /// the exact negation, as in the scalar loop).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ScenarioGenerator::generate`], plus
-    /// [`StochasticError::InvalidConfiguration`] when `lane == 0`.
-    pub fn generate_antithetic_into_lanes(
-        &self,
-        measure: Measure,
-        n_pairs: usize,
-        seed: u64,
-        initial_overrides: Option<&[f64]>,
-        buf: &mut ScenarioBuffer,
-        lane: usize,
-    ) -> Result<(), StochasticError> {
-        if lane == 0 {
-            return Err(StochasticError::InvalidConfiguration(
-                "lane must be > 0".into(),
-            ));
-        }
         self.prepare_buffer(
             measure,
             n_pairs,
@@ -744,27 +675,26 @@ impl ScenarioGenerator {
             initial_overrides,
             buf,
         )?;
-        self.fill_blocks(measure, seed, lane, n_pairs, true, buf);
+        self.fill_blocks(measure, seed, n_pairs, true, buf);
         Ok(())
     }
 
     /// The shared block-stepping fill core.
     ///
     /// A *unit* is one path (plain) or one antithetic pair. Per block of up
-    /// to `lane` units: every lane re-derives its unit's RNG stream
-    /// (`stream_rng(seed, unit)`), then per grid step each lane draws its
-    /// drivers' shocks **in path order** (preserving each unit's exact draw
-    /// sequence), the shocks are transposed into the lane-major panel, and
-    /// each driver advances its whole lane of states through one
+    /// to [`DEFAULT_LANE`] units: every lane re-derives its unit's RNG
+    /// stream (`stream_rng(seed, unit)`), then per grid step each lane draws
+    /// its drivers' shocks **in path order** (preserving each unit's exact
+    /// draw sequence), the shocks are transposed into the lane-major panel,
+    /// and each driver advances its whole lane of states through one
     /// [`RiskDriver::step_block`] call using the coefficients hoisted at
     /// the top of the fill. Because no floating-point value ever crosses
     /// between lanes, the per-unit results are bit-identical to the scalar
-    /// (`lane = 1`) loop for any lane width.
+    /// per-path loop.
     fn fill_blocks(
         &self,
         measure: Measure,
         seed: u64,
-        lane: usize,
         n_units: usize,
         antithetic: bool,
         buf: &mut ScenarioBuffer,
@@ -776,11 +706,12 @@ impl ScenarioGenerator {
         buf.coeffs.clear();
         buf.coeffs
             .extend(self.drivers.iter().map(|d| d.step_coeffs(dt, measure)));
-        buf.lane_states.resize(n_drivers * lane, 0.0);
-        buf.lane_shocks.resize(n_drivers * lane, 0.0);
+        let panel = n_drivers * DEFAULT_LANE;
+        buf.lane_states.resize(panel, 0.0);
+        buf.lane_shocks.resize(panel, 0.0);
         if antithetic {
-            buf.lane_states_neg.resize(n_drivers * lane, 0.0);
-            buf.lane_shocks_neg.resize(n_drivers * lane, 0.0);
+            buf.lane_states_neg.resize(panel, 0.0);
+            buf.lane_shocks_neg.resize(panel, 0.0);
         }
         let ScenarioBuffer {
             data,
@@ -797,8 +728,8 @@ impl ScenarioGenerator {
         } = buf;
         let mut block = 0usize;
         while block < n_units {
-            // `l < lane` only on the final partial block.
-            let l = lane.min(n_units - block);
+            // `l < DEFAULT_LANE` only on the final partial block.
+            let l = DEFAULT_LANE.min(n_units - block);
             lane_rngs.clear();
             lane_rngs.extend(
                 (0..l).map(|i| (stream_rng(seed, (block + i) as u64), StandardNormal::new())),
@@ -944,7 +875,8 @@ impl ScenarioGeneratorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::{Gbm, Vasicek};
+    use crate::drivers::tests::Drifting;
+    use crate::drivers::{Cir, FxRate, Gbm, Vasicek};
     use disar_math::stats;
 
     fn sample_generator() -> ScenarioGenerator {
@@ -1289,68 +1221,148 @@ mod tests {
         let _ = ScenarioBuffer::new().view();
     }
 
-    #[test]
-    fn lane_fills_bitwise_match_lane_one() {
-        let gen = sample_generator();
-        let init = vec![0.045, 110.0];
-        let mut reference = ScenarioBuffer::new();
-        let mut buf = ScenarioBuffer::new();
-        for (measure, overrides) in [
-            (Measure::RealWorld, None),
-            (Measure::RiskNeutral, Some(init.as_slice())),
-        ] {
-            // 11 paths at lanes {2, 4, 8, 16}: exercises full blocks, the
-            // final partial block, and lane > n_paths.
-            gen.generate_into(measure, 11, 42, overrides, &mut reference)
-                .unwrap();
-            for lane in [2usize, 4, 8, 16] {
-                gen.generate_into_lanes(measure, 11, 42, overrides, &mut buf, lane)
-                    .unwrap();
-                assert_view_bitwise_eq(&buf.view(), &reference.view());
-            }
-            gen.generate_antithetic_into(measure, 11, 42, overrides, &mut reference)
-                .unwrap();
-            for lane in [2usize, 4, 8, 16] {
-                gen.generate_antithetic_into_lanes(measure, 11, 42, overrides, &mut buf, lane)
-                    .unwrap();
-                assert_view_bitwise_eq(&buf.view(), &reference.view());
-            }
-        }
+    /// All four built-in drivers (CIR violating the Feller condition, so
+    /// the truncation branch runs) plus one on the `Generic` coefficients,
+    /// so the fill also runs `step_block`'s scalar fallback.
+    fn kernel_drivers() -> Vec<Box<dyn RiskDriver>> {
+        vec![
+            Box::new(Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.1).unwrap()),
+            Box::new(Gbm::new(100.0, 0.05, 0.2, 0.02).unwrap()),
+            Box::new(FxRate::new(1.1, 0.02, 0.1, 0.015).unwrap()),
+            Box::new(Cir::default_intensity(0.01, 0.3, 0.02, 0.5).unwrap()),
+            Box::new(Drifting),
+        ]
     }
 
-    fn assert_view_bitwise_eq(a: &ScenarioView<'_>, b: &ScenarioView<'_>) {
-        assert_eq!(a.n_paths(), b.n_paths());
-        assert_eq!(a.n_drivers(), b.n_drivers());
-        for p in 0..a.n_paths() {
-            for d in 0..a.n_drivers() {
-                for (s, (x, y)) in a.path(p, d).iter().zip(b.path(p, d)).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "path {p} driver {d} step {s}");
+    fn kernel_generator() -> ScenarioGenerator {
+        let mut corr: Vec<Vec<f64>> = (0..5)
+            .map(|i| (0..5).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect();
+        for (i, j, rho) in [(0, 1, -0.3), (0, 2, 0.1), (1, 2, 0.2), (3, 4, 0.25)] {
+            corr[i][j] = rho;
+            corr[j][i] = rho;
+        }
+        let mut b = ScenarioGenerator::builder();
+        for d in kernel_drivers() {
+            b = b.driver(d);
+        }
+        b.correlation(CorrelationMatrix::new(corr).unwrap())
+            .grid(TimeGrid::new(1.5, 4).unwrap())
+            .build()
+            .unwrap()
+    }
+
+    /// The scalar generation loop, sharing no code with `fill_blocks`:
+    /// path-major, one `RiskDriver::step` call per `(unit, step, driver)`.
+    fn reference_scalar_paths(
+        gen: &ScenarioGenerator,
+        measure: Measure,
+        n_units: usize,
+        seed: u64,
+        overrides: Option<&[f64]>,
+        antithetic: bool,
+    ) -> Vec<f64> {
+        let n_drivers = gen.drivers.len();
+        let dt = gen.grid.dt();
+        let stride = gen.grid.n_steps() + 1;
+        let n_paths = if antithetic { 2 * n_units } else { n_units };
+        let initials: Vec<f64> = match overrides {
+            Some(o) => o.to_vec(),
+            None => gen.drivers.iter().map(|d| d.initial_value()).collect(),
+        };
+        let mut data = vec![0.0; n_paths * n_drivers * stride];
+        let mut raw = vec![0.0; n_drivers];
+        let mut shocks = vec![0.0; n_drivers];
+        for unit in 0..n_units {
+            let mut rng = stream_rng(seed, unit as u64);
+            let mut gauss = StandardNormal::new();
+            let mut state_pos = initials.clone();
+            let mut state_neg = initials.clone();
+            let p_pos = if antithetic { 2 * unit } else { unit };
+            for d in 0..n_drivers {
+                data[(p_pos * n_drivers + d) * stride] = initials[d];
+                if antithetic {
+                    data[((p_pos + 1) * n_drivers + d) * stride] = initials[d];
+                }
+            }
+            for step in 1..stride {
+                for z in raw.iter_mut() {
+                    *z = gauss.sample(&mut rng);
+                }
+                gen.correlation.correlate_into(&raw, &mut shocks);
+                for d in 0..n_drivers {
+                    state_pos[d] = gen.drivers[d].step(state_pos[d], dt, shocks[d], measure);
+                    data[(p_pos * n_drivers + d) * stride + step] = state_pos[d];
+                    if antithetic {
+                        state_neg[d] = gen.drivers[d].step(state_neg[d], dt, -shocks[d], measure);
+                        data[((p_pos + 1) * n_drivers + d) * stride + step] = state_neg[d];
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn fill_bitwise_matches_scalar_reference() {
+        let gen = kernel_generator();
+        let init = [0.045, 110.0, 0.9, 0.03, 1.2];
+        let mut buf = ScenarioBuffer::new();
+        // Unit counts below the block width of 8, at it, and with a tail block.
+        for n_units in [1usize, 7, 8, 9, 17] {
+            for measure in [Measure::RealWorld, Measure::RiskNeutral] {
+                for overrides in [None, Some(&init[..])] {
+                    for antithetic in [false, true] {
+                        if antithetic {
+                            gen.generate_antithetic_into(measure, n_units, 42, overrides, &mut buf)
+                                .unwrap();
+                        } else {
+                            gen.generate_into(measure, n_units, 42, overrides, &mut buf)
+                                .unwrap();
+                        }
+                        let reference = reference_scalar_paths(
+                            &gen, measure, n_units, 42, overrides, antithetic,
+                        );
+                        let view = buf.view();
+                        assert_eq!(view.data.len(), reference.len());
+                        for (k, (x, y)) in view.data.iter().zip(&reference).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{n_units} units {measure:?} antithetic {antithetic} flat index {k}"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn zero_lane_rejected() {
-        let gen = sample_generator();
-        let mut buf = ScenarioBuffer::new();
-        assert!(gen
-            .generate_into_lanes(Measure::RealWorld, 4, 1, None, &mut buf, 0)
-            .is_err());
-        assert!(gen
-            .generate_antithetic_into_lanes(Measure::RealWorld, 4, 1, None, &mut buf, 0)
-            .is_err());
-    }
-
-    #[test]
-    fn reserve_for_lanes_presizes_without_filling() {
-        let gen = sample_generator();
-        let mut buf = ScenarioBuffer::new();
-        buf.reserve_for_lanes(&gen, 10, 8);
-        gen.generate_into_lanes(Measure::RealWorld, 10, 3, None, &mut buf, 8)
-            .unwrap();
-        let fresh = gen.generate(Measure::RealWorld, 10, 3, None).unwrap();
-        assert_view_matches_set(&buf.view(), &fresh);
+    fn reserve_for_covers_the_first_fill() {
+        let gen = kernel_generator();
+        let capacities = |b: &ScenarioBuffer| {
+            [
+                b.data.capacity(),
+                b.lane_states.capacity(),
+                b.lane_states_neg.capacity(),
+                b.lane_shocks.capacity(),
+                b.lane_shocks_neg.capacity(),
+            ]
+        };
+        for antithetic in [false, true] {
+            let mut buf = ScenarioBuffer::new();
+            buf.reserve_for(&gen, 20);
+            let reserved = capacities(&buf);
+            if antithetic {
+                gen.generate_antithetic_into(Measure::RiskNeutral, 10, 3, None, &mut buf)
+                    .unwrap();
+            } else {
+                gen.generate_into(Measure::RiskNeutral, 20, 3, None, &mut buf)
+                    .unwrap();
+            }
+            assert_eq!(capacities(&buf), reserved, "antithetic {antithetic}");
+        }
     }
 
     #[test]

@@ -221,14 +221,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Block-kernel identity: step_block vs scalar step, and the lane-wise fill
-// vs a frozen reimplementation of the scalar (pre-block) generation loop.
+// Block-kernel identity: step_block vs scalar step, and the block fill vs a
+// per-path reimplementation of the scalar generation loop.
 // ---------------------------------------------------------------------------
-
-/// The lane widths every block-kernel identity property sweeps, chosen to
-/// cover the scalar escape hatch, sub-chunk blocks, the exact `STEP_CHUNK`
-/// width, and multi-chunk blocks.
-const LANES: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One of each built-in driver, with spiky parameters (CIR violating the
 /// Feller condition) so the truncation branches get exercised.
@@ -262,11 +257,9 @@ fn kernel_generator() -> ScenarioGenerator {
         .expect("valid")
 }
 
-/// Frozen reimplementation of the scalar generation loop as it existed
-/// before the block kernels: path-major iteration, one `RiskDriver::step`
-/// call per `(path, step, driver)`. The lane-wise fill must reproduce this
-/// to the bit for every lane width — this test pins the *old* semantics
-/// rather than comparing the new code with itself.
+/// The scalar generation loop: path-major iteration, one
+/// `RiskDriver::step` call per `(path, step, driver)`. The block fill must
+/// reproduce this to the bit — the reference shares no code with it.
 #[allow(clippy::too_many_arguments)]
 fn reference_scalar_paths(
     drivers: &[Box<dyn RiskDriver>],
@@ -347,8 +340,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `step_block` is bit-identical to a per-lane scalar `step` loop for
-    /// every built-in driver, arbitrary block lengths (chunk remainders
-    /// included), states, shocks, step widths and measures.
+    /// every built-in driver, arbitrary block lengths, states, shocks, step
+    /// widths and measures.
     #[test]
     fn step_block_bitwise_matches_scalar(
         len in 1usize..40,
@@ -378,13 +371,13 @@ proptest! {
         }
     }
 
-    /// The lane-wise fill reproduces the frozen scalar reference loop to
-    /// the bit for every lane width in {1, 2, 4, 8, 16} — plain and
+    /// The block fill reproduces the scalar reference loop to the bit for
+    /// unit counts below, at and beyond the block width — plain and
     /// antithetic, with and without re-anchoring overrides.
     #[test]
     fn lane_fill_bitwise_matches_scalar_reference(
         seed in 0u64..1000,
-        n_units in 1usize..12,
+        n_units in 1usize..40,
         risk_neutral in proptest::bool::ANY,
         with_override in proptest::bool::ANY,
         antithetic in proptest::bool::ANY,
@@ -404,45 +397,13 @@ proptest! {
         );
         let stride = gen.grid().n_steps() + 1;
         let mut buf = ScenarioBuffer::new();
-        for lane in LANES {
-            if antithetic {
-                gen.generate_antithetic_into_lanes(measure, n_units, seed, ov, &mut buf, lane)
-                    .expect("ok");
-            } else {
-                gen.generate_into_lanes(measure, n_units, seed, ov, &mut buf, lane)
-                    .expect("ok");
-            }
-            assert_view_matches_flat(&buf.view(), &reference, stride)?;
-        }
-    }
-
-    /// Lane-width changes between fills never leak state: a buffer polluted
-    /// by a fill at one lane width refilled at another matches a fresh
-    /// fill exactly (metadata, values and discount factors).
-    #[test]
-    fn lane_refill_never_leaks_between_lane_widths(
-        seed in 0u64..1000,
-        pollute_seed in 0u64..1000,
-        n_paths in 1usize..10,
-        pollute_units in 1usize..10,
-        lane_a in proptest::sample::select(LANES.to_vec()),
-        lane_b in proptest::sample::select(LANES.to_vec()),
-        pollute_antithetic in proptest::bool::ANY,
-    ) {
-        let gen = buffered_generator();
-        let reference = gen.generate(Measure::RiskNeutral, n_paths, seed, None).expect("ok");
-        let mut buf = ScenarioBuffer::new();
-        if pollute_antithetic {
-            gen.generate_antithetic_into_lanes(
-                Measure::RealWorld, pollute_units, pollute_seed, None, &mut buf, lane_a,
-            ).expect("ok");
+        if antithetic {
+            gen.generate_antithetic_into(measure, n_units, seed, ov, &mut buf)
+                .expect("ok");
         } else {
-            gen.generate_into_lanes(
-                Measure::RealWorld, pollute_units, pollute_seed, None, &mut buf, lane_a,
-            ).expect("ok");
+            gen.generate_into(measure, n_units, seed, ov, &mut buf)
+                .expect("ok");
         }
-        gen.generate_into_lanes(Measure::RiskNeutral, n_paths, seed, None, &mut buf, lane_b)
-            .expect("ok");
-        assert_view_bitwise(&buf.view(), &reference)?;
+        assert_view_matches_flat(&buf.view(), &reference, stride)?;
     }
 }

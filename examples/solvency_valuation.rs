@@ -78,7 +78,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 2024,
             threads: 4,
             antithetic: false,
-            lane: disar_suite::stochastic::scenario::DEFAULT_LANE,
         },
     )?;
     let nested_wall = t0.elapsed().as_secs_f64();

@@ -177,7 +177,7 @@ fn cmd_value(cli: &Cli) -> CmdResult {
         n_inner: inner,
         steps_per_year: 4,
         seed,
-        lane: cli.get("lane", DEFAULT_LANE),
+        lane: DEFAULT_LANE,
     };
     let master = DisarMaster::new(spec)?;
     println!("running nested Monte Carlo ({outer} x {inner}) on {threads} threads...");
