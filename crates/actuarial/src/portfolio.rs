@@ -13,7 +13,6 @@ use crate::model_points::{group_into_model_points, ModelPoint};
 use crate::mortality::Gender;
 use crate::ActuarialError;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A policy portfolio backed by one segregated fund.

@@ -13,7 +13,6 @@ use disar_engine::complexity::ComplexityModel;
 use disar_engine::eeb::{decompose, EebKind};
 use disar_engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use std::sync::Arc;
 
 /// One runnable EEB job: profile (what the ML sees) + workload (what the

@@ -35,7 +35,6 @@ use disar_ml::Regressor;
 use disar_registry::{knowledge_fingerprint, CanonicalHasher, Canonicalize, RegistryRow};
 use disar_stochastic::scenario::TimeGrid;
 use disar_stochastic::{drivers, CorrelationMatrix};
-use rand::Rng;
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::time::Instant;

@@ -10,7 +10,6 @@ use crate::event::{EventQueue, SimTime};
 use crate::instances::InstanceType;
 use crate::CloudError;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Mean VM boot-and-configure latency (EC2 2016 + StarCluster setup).

@@ -22,7 +22,6 @@
 use crate::instances::InstanceType;
 use crate::workload::Workload;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Ground-truth execution-time model (see module docs for the access

@@ -23,7 +23,6 @@ use crate::CoreError;
 use disar_cloudsim::{InstanceCatalog, InstanceType};
 use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for repeated Algorithm 1 sweeps.

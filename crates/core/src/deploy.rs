@@ -35,7 +35,6 @@ use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -757,8 +756,11 @@ impl<B: Backend> Deployer for DeployLoop<B> {
         let sim = self.replay(pending);
         if self.bootstrapping(&sim) {
             // A uniformly random configuration, no prediction.
-            let mut rng = stream_rng(decision_seed, 0xB00F);
             let names = self.provider.catalog().names();
+            if names.is_empty() {
+                return Err(CoreError::InvalidParameter("catalog is empty"));
+            }
+            let mut rng = stream_rng(decision_seed, 0xB00F);
             return Ok(DeployDecision {
                 mode: DeployMode::Bootstrap,
                 instance: names[rng.gen_range(0..names.len())].clone(),
@@ -1522,6 +1524,22 @@ mod tests {
         assert_eq!(run_five(&mut sharded), vec![DeployMode::Bootstrap; 5]);
         assert_eq!(mono.kb_len(), 5);
         assert_eq!(sharded.kb_len(), 5);
+    }
+
+    #[test]
+    fn bootstrap_select_on_an_empty_catalog_is_a_typed_error() {
+        // Algorithm 1's answer to an empty catalog, from the branch that
+        // runs before there is anything to predict with.
+        fn select_once<D: Deployer>(d: &mut D) -> Result<DeployDecision, CoreError> {
+            d.select(&profile(100), &[])
+        }
+        let provider = CloudProvider::new(InstanceCatalog::new(), 9);
+        let policy = DeployPolicy::builder(50_000.0).n_threads(1).build();
+        let mut d = TransparentDeployer::new(provider, policy, 9);
+        assert!(matches!(
+            select_once(&mut d),
+            Err(CoreError::InvalidParameter("catalog is empty"))
+        ));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::CoreError;
 use disar_cloudsim::{InstanceCatalog, InstanceType, NodeGroup};
 use disar_math::parallel::parallel_map_with;
 use disar_math::rng::stream_rng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A candidate (possibly mixed) configuration.

@@ -144,7 +144,6 @@ proptest! {
     #[test]
     fn sharded_kb_bit_identical_to_monolithic(seed in 0u64..200, n in 12usize..40) {
         use disar_math::rng::stream_rng;
-        use rand::Rng;
         let cat = InstanceCatalog::paper_catalog();
         let names = cat.names();
         let mut rng = stream_rng(seed, 0x5AD);

@@ -7,8 +7,8 @@
 //! built-in [`RecordingMonitor`] collects a thread-safe event log suitable
 //! for progress bars, audits, or the tests below.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One lifecycle event of a simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,16 +64,22 @@ impl RecordingMonitor {
         Self::default()
     }
 
+    /// The event log, also after a thread panicked while holding it: the
+    /// only update is `push`, which leaves the `Vec` valid at every step, so
+    /// a worker's panic must not become a second one in whoever asks next.
+    fn log(&self) -> MutexGuard<'_, Vec<ProgressEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the events recorded so far.
     pub fn events(&self) -> Vec<ProgressEvent> {
-        self.events.lock().clone()
+        self.log().clone()
     }
 
     /// Number of completed EEBs observed so far — a progress fraction's
     /// numerator.
     pub fn completed(&self) -> usize {
-        self.events
-            .lock()
+        self.log()
             .iter()
             .filter(|e| matches!(e, ProgressEvent::EebCompleted { .. }))
             .count()
@@ -82,7 +88,7 @@ impl RecordingMonitor {
 
 impl ProgressMonitor for RecordingMonitor {
     fn on_event(&self, event: ProgressEvent) {
-        self.events.lock().push(event);
+        self.log().push(event);
     }
 }
 
@@ -123,6 +129,22 @@ mod tests {
         }
         assert_eq!(m.completed(), 400);
         assert_eq!(m.events().len(), 800);
+    }
+
+    #[test]
+    fn recorder_answers_after_a_holder_panicked() {
+        let m = std::sync::Arc::new(RecordingMonitor::new());
+        m.on_event(ProgressEvent::EebCompleted { eeb: 0, unit: 0 });
+        let held = m.clone();
+        let worker = std::thread::spawn(move || {
+            let _guard = held.events.lock().expect("first holder");
+            panic!("worker dies holding the recorder");
+        });
+        assert!(worker.join().is_err());
+        assert!(m.events.is_poisoned());
+        m.on_event(ProgressEvent::Gathered);
+        assert_eq!(m.completed(), 1);
+        assert_eq!(m.events().len(), 2);
     }
 
     #[test]

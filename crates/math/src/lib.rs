@@ -8,10 +8,11 @@
 //!   the LSMC regression in `disar-alm` and by the ML models in `disar-ml`;
 //! - [`stats`]: descriptive statistics, empirical quantiles, histograms, and
 //!   error metrics used throughout the experimental harness;
-//! - [`rng`]: deterministic random-number utilities — SplitMix64 stream
+//! - [`rng`]: the workspace's one random generator (xoshiro256++, owned
+//!   here so that its streams are part of the program), SplitMix64 stream
 //!   derivation so that every Monte Carlo path gets an independent,
 //!   reproducible generator, and Gaussian sampling via the Marsaglia polar
-//!   method (the workspace deliberately avoids `rand_distr`);
+//!   method;
 //! - [`parallel`]: deterministic data-parallel maps on std scoped threads
 //!   (results gathered in index order, `n_threads = 1` runs in sequence) used
 //!   by the ALM nested Monte Carlo, Algorithm 1's configuration sweep, the

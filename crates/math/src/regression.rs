@@ -122,7 +122,6 @@ impl LinearModel {
 mod tests {
     use super::*;
     use crate::rng::stream_rng;
-    use rand::Rng;
 
     #[test]
     fn fit_exact_plane() {

@@ -5,7 +5,6 @@ use disar_math::poly::PolyFamily;
 use disar_math::rng::{split_seed, stream_rng, StandardNormal};
 use disar_math::stats::{self, Accumulator};
 use proptest::prelude::*;
-use rand::Rng;
 
 /// Builds a random symmetric positive-definite matrix `A = B Bᵀ + εI`.
 fn random_spd(n: usize, seed: u64) -> Matrix {

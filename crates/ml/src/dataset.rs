@@ -7,7 +7,6 @@
 
 use crate::MlError;
 use disar_math::rng::stream_rng;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// A regression dataset: named features, dense rows, one `f64` target per
@@ -153,7 +152,7 @@ impl Dataset {
         }
         let mut idx: Vec<usize> = (0..self.len()).collect();
         let mut rng = stream_rng(seed, 0xDA7A);
-        idx.shuffle(&mut rng);
+        rng.shuffle(&mut idx);
         let n_train = ((self.len() as f64 * train_fraction) as usize).clamp(1, self.len() - 1);
         let mut train = Dataset::new(self.feature_names.clone());
         let mut test = Dataset::new(self.feature_names.clone());
@@ -184,7 +183,7 @@ impl Dataset {
         let mut rng = stream_rng(seed, 0xB00F);
         let mut out = Dataset::new(self.feature_names.clone());
         for _ in 0..self.len() {
-            let i = rand::Rng::gen_range(&mut rng, 0..self.len());
+            let i = rng.gen_range(0..self.len());
             out.rows.push(self.rows[i].clone());
             out.targets.push(self.targets[i]);
         }
@@ -216,7 +215,7 @@ impl Dataset {
         let mut idx: Vec<usize> = (0..start).collect();
         if keep < start {
             let mut rng = stream_rng(seed, 0xDECA);
-            idx.shuffle(&mut rng);
+            rng.shuffle(&mut idx);
             idx.truncate(keep);
             idx.sort_unstable();
         }
@@ -250,7 +249,7 @@ impl Dataset {
         let sample_len = from.min((4 * suffix).max(64));
         let mut idx: Vec<usize> = (0..from).collect();
         let mut rng = stream_rng(seed, 0x5FFB);
-        idx.shuffle(&mut rng);
+        rng.shuffle(&mut idx);
         idx.truncate(sample_len);
         idx.sort_unstable();
         idx.extend(from..self.len());

@@ -290,7 +290,6 @@ impl IncrementalRegressor for KStar {
 mod tests {
     use super::*;
     use disar_math::rng::stream_rng;
-    use rand::Rng;
 
     fn ramp(n: usize) -> Dataset {
         let mut d = Dataset::new(vec!["x".into()]);

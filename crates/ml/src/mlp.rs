@@ -11,9 +11,7 @@ use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::{Dataset, Scaler};
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
-use disar_math::rng::stream_rng;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use disar_math::rng::{stream_rng, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
 
 fn sigmoid(x: f64) -> f64 {
@@ -151,7 +149,7 @@ impl Mlp {
         let (mut w1, mut w2) = match warm {
             Some(weights) => weights,
             None => {
-                let init = |rng: &mut rand::rngs::StdRng| rng.gen_range(-0.5..0.5);
+                let init = |rng: &mut Xoshiro256PlusPlus| rng.gen_range(-0.5..0.5);
                 let w1: Vec<Vec<f64>> = (0..h)
                     .map(|_| (0..=d).map(|_| init(&mut rng)).collect())
                     .collect();
@@ -167,7 +165,7 @@ impl Mlp {
         let mut hid = vec![0.0; h];
         for epoch in 0..epochs {
             let lr = self.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 let x = &xs[i];
                 // Forward pass.

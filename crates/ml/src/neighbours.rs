@@ -278,7 +278,6 @@ impl Best<'_> {
 mod tests {
     use super::*;
     use disar_math::rng::stream_rng;
-    use rand::Rng;
 
     /// The reference the index must reproduce bit-for-bit: the linear scan's
     /// kept set, i.e. the k lexicographically smallest (distance, row) pairs

@@ -10,9 +10,7 @@ use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
-use disar_math::rng::{split_seed, stream_rng};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
+use disar_math::rng::{split_seed, stream_rng, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -175,7 +173,7 @@ impl RandomTree {
         ys: &[f64],
         idx: &mut [usize],
         depth: usize,
-        rng: &mut StdRng,
+        rng: &mut Xoshiro256PlusPlus,
         feat_buf: &mut Vec<usize>,
         importances: &mut [f64],
     ) -> Node {
@@ -194,7 +192,7 @@ impl RandomTree {
         let k = self.k_for(dim);
         feat_buf.clear();
         feat_buf.extend(0..dim);
-        feat_buf.shuffle(rng);
+        rng.shuffle(feat_buf);
         let candidates: Vec<usize> = feat_buf[..k].to_vec();
 
         let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();

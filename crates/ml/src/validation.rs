@@ -12,7 +12,6 @@ use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::rng::stream_rng;
 use disar_math::stats;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// Result of a k-fold cross-validation.
@@ -40,7 +39,7 @@ pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Result<Vec<Vec<usize>>, M
     }
     let mut idx: Vec<usize> = (0..n).collect();
     let mut rng = stream_rng(seed, 0xF01D);
-    idx.shuffle(&mut rng);
+    rng.shuffle(&mut idx);
     let mut folds = vec![Vec::new(); k];
     for (pos, i) in idx.into_iter().enumerate() {
         folds[pos % k].push(i);
@@ -121,7 +120,6 @@ mod tests {
 
     fn noisy_linear(n: usize) -> Dataset {
         use disar_math::rng::{stream_rng, StandardNormal};
-        use rand::Rng;
         let mut rng = stream_rng(4, 0);
         let mut g = StandardNormal::new();
         let mut d = Dataset::new(vec!["x".into()]);

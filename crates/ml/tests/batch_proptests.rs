@@ -59,7 +59,6 @@ const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 /// hull (so scaler clipping-free extrapolation paths are exercised too).
 fn query_batch(dim: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
     use disar_math::rng::stream_rng;
-    use rand::Rng;
     let mut rng = stream_rng(seed, 0xBA7C);
     (0..n)
         .map(|_| (0..dim).map(|_| rng.gen_range(-200.0..200.0)).collect())

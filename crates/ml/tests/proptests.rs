@@ -60,7 +60,6 @@ proptest! {
     #[test]
     fn hull_bound_for_averaging_models(data in dataset_strategy(), qseed in 0u64..100) {
         use disar_math::rng::stream_rng;
-        use rand::Rng;
         let lo = data.targets().iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.targets().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut rng = stream_rng(qseed, 0);
@@ -102,7 +101,6 @@ proptest! {
     #[test]
     fn ensemble_between_members(data in dataset_strategy(), qseed in 0u64..100) {
         use disar_math::rng::stream_rng;
-        use rand::Rng;
         let mut members: Vec<Box<dyn Regressor>> = vec![
             ModelKind::IbK.instantiate(1),
             ModelKind::RandomTree.instantiate(2),
@@ -126,7 +124,6 @@ proptest! {
     #[test]
     fn deterministic_models_idempotent_refit(data in dataset_strategy(), qseed in 0u64..50) {
         use disar_math::rng::stream_rng;
-        use rand::Rng;
         let mut rng = stream_rng(qseed, 2);
         let q: Vec<f64> = (0..data.dim()).map(|_| rng.gen_range(-150.0..150.0)).collect();
         for kind in [ModelKind::IbK, ModelKind::KStar, ModelKind::DecisionTable] {
@@ -184,7 +181,6 @@ proptest! {
         qseed in 0u64..100,
     ) {
         use disar_math::rng::stream_rng;
-        use rand::Rng;
         let mut m = IbK::new(k);
         m.fit(&data).expect("fits");
         let mut rng = stream_rng(qseed, 4);

@@ -43,8 +43,7 @@
 use crate::correlation::CorrelationMatrix;
 use crate::drivers::{RiskDriver, StepCoeffs};
 use crate::StochasticError;
-use disar_math::rng::{stream_rng, StandardNormal};
-use rand::rngs::StdRng;
+use disar_math::rng::{stream_rng, StandardNormal, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
 
 /// Path-block width of the block-stepping fill core: every fill steps this
@@ -440,7 +439,7 @@ pub struct ScenarioBuffer {
     coeffs: Vec<StepCoeffs>,
     /// One `(rng, gaussian cache)` pair per lane of the current block, so
     /// every path keeps exactly the draw sequence of the scalar loop.
-    lane_rngs: Vec<(StdRng, StandardNormal)>,
+    lane_rngs: Vec<(Xoshiro256PlusPlus, StandardNormal)>,
     /// Lane-major state panel, `[driver][lane]`.
     lane_states: Vec<f64>,
     /// Antithetic partner states, `[driver][lane]`.

@@ -11,7 +11,6 @@ use disar_suite::core::deploy::{DeployPolicy, TransparentDeployer};
 use disar_suite::core::{select_configuration, CoreError, JobProfile, PredictorFamily, RetrainMode};
 use disar_suite::engine::EebCharacteristics;
 use disar_suite::math::rng::stream_rng;
-use rand::Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Warm a knowledge base with 150 varied runs (bootstrap + ML).

@@ -14,7 +14,6 @@ use disar_suite::core::{select_configuration, JobProfile, PredictorFamily, Retra
 use disar_suite::engine::EebCharacteristics;
 use disar_suite::math::rng::stream_rng;
 use disar_suite::math::stats;
-use rand::Rng;
 
 /// Builds a job of the given size class (a stand-in for DiMaS complexity
 /// estimation; see `disar-engine` for the real pipeline).

@@ -210,7 +210,6 @@ fn cmd_deploy(cli: &Cli) -> CmdResult {
     };
     let mut deployer = TransparentDeployer::new(provider, policy, seed);
     use disar_suite::math::rng::stream_rng;
-    use rand::Rng;
     let mut rng = stream_rng(seed, 1);
     println!("self-optimizing loop: {runs} deploys, T_max = {t_max}s");
     let mut total_cost = 0.0;
