@@ -177,13 +177,19 @@ impl Dataset {
         out
     }
 
-    /// Returns a bootstrap resample of the same size, drawn with replacement
-    /// (used by Random Forest bagging).
-    pub fn bootstrap(&self, seed: u64) -> Dataset {
+    /// The row numbers of a bootstrap resample: `len()` draws with
+    /// replacement, in draw order (what Random Forest bagging trains on).
+    pub fn bootstrap_indices(&self, seed: u64) -> Vec<usize> {
         let mut rng = stream_rng(seed, 0xB00F);
+        (0..self.len())
+            .map(|_| rng.gen_range(0..self.len()))
+            .collect()
+    }
+
+    /// The rows [`Dataset::bootstrap_indices`] names, copied into a dataset.
+    pub fn bootstrap(&self, seed: u64) -> Dataset {
         let mut out = Dataset::new(self.feature_names.clone());
-        for _ in 0..self.len() {
-            let i = rng.gen_range(0..self.len());
+        for i in self.bootstrap_indices(seed) {
             out.rows.push(self.rows[i].clone());
             out.targets.push(self.targets[i]);
         }
@@ -387,8 +393,58 @@ impl Scaler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `(vcpus, per_core_speed, memory_gib)` of six instance types.
+    const INSTANCES: [(f64, f64, f64); 6] = [
+        (2.0, 1.0, 4.0),
+        (4.0, 1.0, 16.0),
+        (8.0, 1.15, 15.0),
+        (16.0, 1.15, 64.0),
+        (36.0, 1.3, 60.0),
+        (40.0, 0.95, 160.0),
+    ];
+
+    /// `n` rows of the ten columns `RunRecord::features` produces: a job drawn
+    /// from a dozen, four columns that never vary, three columns that take six
+    /// values together, node counts `1..=8`. Every fifth row repeats an earlier
+    /// one, target included, so ties are the common case in every column.
+    pub(crate) fn kb_shaped(n: usize, seed: u64) -> Dataset {
+        let names = "contracts horizon fund_assets risk_factors n_outer n_inner vcpus \
+                     per_core_speed memory_gib n_nodes";
+        let mut d = Dataset::new(names.split(' ').map(String::from).collect());
+        let mut rng = stream_rng(seed, 0xF1C5);
+        for i in 0..n {
+            if i % 5 == 4 {
+                let (x, y) = d.get(rng.gen_range(0..i));
+                let x = x.to_vec();
+                d.push(x, y).unwrap();
+                continue;
+            }
+            let job = rng.gen_range(0..12usize);
+            let contracts = 150.0 + 75.0 * job as f64;
+            let horizon = 10.0 + 5.0 * (job % 4) as f64;
+            let (vcpus, speed, mem) = INSTANCES[rng.gen_range(0..6usize)];
+            let nodes = rng.gen_range(1..=8usize) as f64;
+            let work = 0.12 * contracts * horizon;
+            let secs = 40.0 + work / (vcpus * speed * nodes).powf(0.85) * rng.gen_range(0.9..1.1);
+            let row = [
+                contracts, horizon, 40.0, 2.0, 1000.0, 50.0, vcpus, speed, mem, nodes,
+            ];
+            d.push(row.to_vec(), secs).unwrap();
+        }
+        d
+    }
+
+    /// FNV-1a over the little-endian bytes of every value's bit pattern.
+    pub(crate) fn fnv1a(values: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for b in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
 
     fn toy(n: usize) -> Dataset {
         let mut d = Dataset::new(vec!["x".into(), "y".into()]);
@@ -462,6 +518,12 @@ mod tests {
         // With 30 draws from 30 rows, a resample is essentially never the
         // identity permutation.
         assert_ne!(b1.targets(), d.targets());
+        // The copied form is the gather of the drawn row numbers.
+        let idx = d.bootstrap_indices(5);
+        assert_eq!(idx.len(), 30);
+        for (pos, &i) in idx.iter().enumerate() {
+            assert_eq!(b1.get(pos), d.get(i));
+        }
     }
 
     #[test]

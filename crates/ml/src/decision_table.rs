@@ -128,20 +128,29 @@ impl DecisionTable {
         targets: &[f64],
         subset: &[usize],
     ) -> f64 {
-        // Group rows by the projected key.
-        let mut groups: HashMap<Vec<u32>, (f64, f64, u32)> = HashMap::new(); // sum, sumsq, n
+        // Group rows by the projected key, built in one buffer and copied
+        // only when it names a new group.
+        let mut pk: Vec<u32> = Vec::with_capacity(subset.len());
+        let mut groups: HashMap<Vec<u32>, (f64, u32)> = HashMap::new(); // sum, n
         for (key, &y) in keys.iter().zip(targets) {
-            let pk: Vec<u32> = subset.iter().map(|&j| key[j]).collect();
-            let e = groups.entry(pk).or_insert((0.0, 0.0, 0));
-            e.0 += y;
-            e.2 += 1;
+            pk.clear();
+            pk.extend(subset.iter().map(|&j| key[j]));
+            if let Some(e) = groups.get_mut(pk.as_slice()) {
+                e.0 += y;
+                e.1 += 1;
+            } else {
+                // `0.0 + y`, as `+=` onto a fresh sum gives: a -0.0 target
+                // starts its group at 0.0.
+                groups.insert(pk.clone(), (0.0 + y, 1));
+            }
         }
         let n = targets.len() as f64;
         let global_sum: f64 = targets.iter().sum();
         let mut sse = 0.0;
         for (key, &y) in keys.iter().zip(targets) {
-            let pk: Vec<u32> = subset.iter().map(|&j| key[j]).collect();
-            let &(sum, _, cnt) = groups.get(&pk).expect("group exists");
+            pk.clear();
+            pk.extend(subset.iter().map(|&j| key[j]));
+            let &(sum, cnt) = groups.get(pk.as_slice()).expect("group exists");
             let pred = if cnt > 1 {
                 (sum - y) / (cnt - 1) as f64
             } else if n > 1.0 {

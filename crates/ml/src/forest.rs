@@ -3,11 +3,15 @@
 //! Bagged ensemble of [`RandomTree`]s: each tree is trained on a bootstrap
 //! resample of the data and the forest predicts the mean of the trees.
 //! Weka defaults: 100 trees, `⌊log₂ d⌋ + 1` features per split.
+//!
+//! A resample is a list of row numbers ([`Dataset::bootstrap_indices`]), not
+//! a copied dataset: every tree grows on the same [`TreeFit`] view of the
+//! data and borrows its buffers.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::{IncrementalRegressor, Regressor};
-use crate::tree::RandomTree;
+use crate::tree::{RandomTree, TreeFit};
 use crate::MlError;
 use disar_math::rng::split_seed;
 use serde::{Deserialize, Serialize};
@@ -108,6 +112,14 @@ impl RandomForest {
         }
         out
     }
+
+    /// Checked once per call, for every tree: all were grown on one dataset.
+    fn check_query(&self, dim: usize) -> Result<(), MlError> {
+        self.trees
+            .first()
+            .ok_or(MlError::NotFitted)?
+            .check_query(dim)
+    }
 }
 
 impl Regressor for RandomForest {
@@ -115,13 +127,14 @@ impl Regressor for RandomForest {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
+        let mut fit = TreeFit::new(data);
         let mut trees = Vec::with_capacity(self.n_trees);
         for t in 0..self.n_trees {
             let tree_seed = split_seed(self.seed, t as u64);
-            let sample = data.bootstrap(tree_seed);
+            let mut sample = data.bootstrap_indices(tree_seed);
             let mut tree =
                 RandomTree::new(None, self.min_leaf, self.max_depth, tree_seed ^ 0x51ED)?;
-            tree.fit(&sample)?;
+            tree.grow(&mut fit, &mut sample);
             trees.push(tree);
         }
         self.trees = trees;
@@ -130,12 +143,10 @@ impl Regressor for RandomForest {
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
+        self.check_query(x.len())?;
         let mut sum = 0.0;
         for t in &self.trees {
-            sum += t.predict(x)?;
+            sum += t.descend(x);
         }
         Ok(sum / self.trees.len() as f64)
     }
@@ -156,13 +167,11 @@ impl Regressor for RandomForest {
         if xs.is_empty() {
             return Ok(());
         }
-        if self.trees.is_empty() {
-            return Err(MlError::NotFitted);
-        }
+        self.check_query(xs.dim())?;
         out.fill(0.0);
         for t in &self.trees {
             for (i, slot) in out.iter_mut().enumerate() {
-                *slot += t.predict(xs.row(i))?;
+                *slot += t.descend(xs.row(i));
             }
         }
         let n = self.trees.len() as f64;
@@ -368,6 +377,86 @@ mod tests {
         let before = rf.predict(&[2.0]).unwrap();
         rf.partial_fit(&d, d.len()).unwrap();
         assert_eq!(rf.predict(&[2.0]).unwrap(), before);
+    }
+
+    /// The forest's definition, spelled out with public parts: tree `t` is a
+    /// `RandomTree` seeded `tree_seed ^ 0x51ED` and fitted on the copied
+    /// rows of `Dataset::bootstrap(tree_seed)`.
+    #[test]
+    fn forest_equals_trees_on_materialised_bootstraps_bitwise() {
+        use crate::dataset::tests::kb_shaped;
+
+        let held_out = kb_shaped(50, 0xFEED);
+        for (n, min_leaf, max_depth) in [(30, 1, 64), (100, 1, 64), (100, 3, 4), (260, 1, 64)] {
+            let d = kb_shaped(n, 11);
+            let mut rf = RandomForest::new(12, min_leaf, max_depth, 5).unwrap();
+            rf.fit(&d).unwrap();
+            let trees: Vec<RandomTree> = (0..12)
+                .map(|t| {
+                    let tree_seed = split_seed(5, t);
+                    let mut tree =
+                        RandomTree::new(None, min_leaf, max_depth, tree_seed ^ 0x51ED).unwrap();
+                    tree.fit(&d.bootstrap(tree_seed)).unwrap();
+                    tree
+                })
+                .collect();
+            for x in d.rows().iter().chain(held_out.rows()) {
+                let sum = trees.iter().fold(0.0, |s, t| s + t.predict(x).unwrap());
+                assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 12.0).to_bits());
+            }
+            let mut imp = vec![0.0; d.dim()];
+            for t in &trees {
+                for (o, v) in imp.iter_mut().zip(t.importances()) {
+                    *o += v;
+                }
+            }
+            let total: f64 = imp.iter().sum();
+            let imp: Vec<u64> = imp.iter().map(|v| (v / total).to_bits()).collect();
+            let got: Vec<u64> = rf.importances().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, imp, "{n} rows");
+        }
+    }
+
+    /// What callers ask of a fitted forest besides predictions: its shape,
+    /// a clone that answers alike (the service publishes clones), and
+    /// batched answers equal to scalar ones.
+    #[test]
+    fn shape_queries_and_clones_answer_as_before() {
+        use crate::dataset::tests::{fnv1a, kb_shaped};
+
+        let d = kb_shaped(100, 3);
+        let mut tree = RandomTree::with_defaults(9);
+        assert_eq!((tree.depth(), tree.leaf_count()), (0, 0));
+        tree.fit(&d).unwrap();
+        assert_eq!((tree.depth(), tree.leaf_count()), (10, 45));
+        let mut stump = RandomTree::new(None, 25, 1, 9).unwrap();
+        stump.fit(&d).unwrap();
+        assert_eq!((stump.depth(), stump.leaf_count()), (2, 2));
+
+        let mut rf = RandomForest::new(10, 1, 64, 9).unwrap();
+        rf.fit(&d).unwrap();
+        let copy = rf.clone();
+        let boxed = rf.clone_box();
+        let mut xs = FeatureMatrix::new();
+        for x in d.rows() {
+            xs.push_row(x);
+        }
+        let mut batch = vec![0.0; d.len()];
+        copy.predict_batch(&xs, &mut batch, &mut PredictScratch::default())
+            .unwrap();
+        for (x, b) in d.rows().iter().zip(&batch) {
+            let y = rf.predict(x).unwrap().to_bits();
+            assert_eq!(y, boxed.predict(x).unwrap().to_bits());
+            assert_eq!(y, b.to_bits());
+        }
+        assert_eq!(fnv1a(&batch), 0x887649476d5d5f1d);
+        assert!(matches!(
+            rf.predict(&[1.0]),
+            Err(MlError::FeatureDimensionMismatch {
+                expected: 10,
+                got: 1
+            })
+        ));
     }
 
     #[test]

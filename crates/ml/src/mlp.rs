@@ -11,7 +11,7 @@ use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::{Dataset, Scaler};
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
-use disar_math::rng::{stream_rng, Xoshiro256PlusPlus};
+use disar_math::rng::stream_rng;
 use serde::{Deserialize, Serialize};
 
 fn sigmoid(x: f64) -> f64 {
@@ -142,68 +142,72 @@ impl Mlp {
             }
         };
 
-        let xs: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
+        // Inputs, weights and velocities are flat: row `i` of `xs` is
+        // `xs[i * d..][..d]`, hidden unit `hu` owns `w1[hu * (d + 1)..][..=d]`
+        // with its bias last.
+        let mut xs = Vec::with_capacity(data.len() * d);
+        for r in data.rows() {
+            scaler.transform_extend(r, &mut xs);
+        }
         let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
 
         let mut rng = stream_rng(self.seed, rng_stream);
-        let (mut w1, mut w2) = match warm {
-            Some(weights) => weights,
+        let (mut w1, mut w2): (Vec<f64>, Vec<f64>) = match warm {
+            Some((w1, w2)) => (w1.concat(), w2),
             None => {
-                let init = |rng: &mut Xoshiro256PlusPlus| rng.gen_range(-0.5..0.5);
-                let w1: Vec<Vec<f64>> = (0..h)
-                    .map(|_| (0..=d).map(|_| init(&mut rng)).collect())
-                    .collect();
-                let w2: Vec<f64> = (0..=h).map(|_| init(&mut rng)).collect();
-                (w1, w2)
+                let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                (init(h * (d + 1)), init(h + 1))
             }
         };
-        let mut v1: Vec<Vec<f64>> = vec![vec![0.0; d + 1]; h];
-        let mut v2: Vec<f64> = vec![0.0; h + 1];
+        let mut v1 = vec![0.0; w1.len()];
+        let mut v2 = vec![0.0; h + 1];
 
         // Weka decays the learning rate towards zero over the epoch budget.
-        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let momentum = self.momentum;
+        let mut order: Vec<usize> = (0..data.len()).collect();
         let mut hid = vec![0.0; h];
         for epoch in 0..epochs {
             let lr = self.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
             rng.shuffle(&mut order);
             for &i in &order {
-                let x = &xs[i];
+                let x = &xs[i * d..(i + 1) * d];
                 // Forward pass.
-                for (hu, w) in w1.iter().enumerate() {
+                for (hv, w) in hid.iter_mut().zip(w1.chunks_exact(d + 1)) {
                     let mut a = w[d];
-                    for j in 0..d {
-                        a += w[j] * x[j];
+                    for (wj, xj) in w.iter().zip(x) {
+                        a += wj * xj;
                     }
-                    hid[hu] = sigmoid(a);
+                    *hv = sigmoid(a);
                 }
                 let mut out = w2[h];
-                for hu in 0..h {
-                    out += w2[hu] * hid[hu];
+                for (w, hv) in w2.iter().zip(&hid) {
+                    out += w * hv;
                 }
                 // Backward pass: linear output, squared error.
                 let err = out - ys[i];
-                for hu in 0..h {
+                let rows = w1.chunks_exact_mut(d + 1).zip(v1.chunks_exact_mut(d + 1));
+                for (hu, (wrow, vrow)) in rows.enumerate() {
                     let g2 = err * hid[hu];
-                    v2[hu] = self.momentum * v2[hu] - lr * g2;
+                    v2[hu] = momentum * v2[hu] - lr * g2;
                     let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
                     w2[hu] += v2[hu];
-                    let (wrow, vrow) = (&mut w1[hu], &mut v1[hu]);
-                    for j in 0..d {
-                        let g1 = delta_h * x[j];
-                        vrow[j] = self.momentum * vrow[j] - lr * g1;
-                        wrow[j] += vrow[j];
+                    for ((wj, vj), xj) in wrow.iter_mut().zip(vrow.iter_mut()).zip(x) {
+                        let g1 = delta_h * xj;
+                        *vj = momentum * *vj - lr * g1;
+                        *wj += *vj;
                     }
-                    vrow[d] = self.momentum * vrow[d] - lr * delta_h;
+                    vrow[d] = momentum * vrow[d] - lr * delta_h;
                     wrow[d] += vrow[d];
                 }
-                v2[h] = self.momentum * v2[h] - lr * err;
+                v2[h] = momentum * v2[h] - lr * err;
                 w2[h] += v2[h];
             }
         }
 
-        if w2.iter().any(|w| !w.is_finite()) || w1.iter().flatten().any(|w| !w.is_finite()) {
+        if w2.iter().chain(&w1).any(|w| !w.is_finite()) {
             return Err(MlError::Numerical("MLP training diverged".into()));
         }
+        let w1 = w1.chunks_exact(d + 1).map(<[f64]>::to_vec).collect();
 
         Ok(Fitted {
             scaler,
@@ -521,6 +525,99 @@ mod tests {
             m.predict(&[3.0, 1.0]).unwrap().to_bits(),
             fresh.predict(&[3.0, 1.0]).unwrap().to_bits()
         );
+    }
+
+    /// SGD with momentum written the plain way — nested rows, indexed scalar
+    /// loops — returning `(w1, w2)`.
+    fn reference_train(
+        m: &Mlp,
+        data: &Dataset,
+        warm: Option<(Vec<Vec<f64>>, Vec<f64>)>,
+        epochs: usize,
+        stream: u64,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (d, h) = (data.dim(), m.hidden_units_for(data.dim()));
+        let scaler = Scaler::fit(data).unwrap();
+        let tmean = disar_math::stats::mean(data.targets());
+        let tstd = Some(disar_math::stats::std_dev(data.targets()));
+        let tstd = tstd.filter(|&s| s != 0.0).unwrap_or(1.0);
+        let xs: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
+        let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
+        let mut rng = stream_rng(m.seed, stream);
+        let (mut w1, mut w2) = warm.unwrap_or_else(|| {
+            let w1: Vec<Vec<f64>> = (0..h)
+                .map(|_| (0..=d).map(|_| rng.gen_range(-0.5..0.5)).collect())
+                .collect();
+            (w1, (0..=h).map(|_| rng.gen_range(-0.5..0.5)).collect())
+        });
+        let (mut v1, mut v2) = (vec![vec![0.0; d + 1]; h], vec![0.0; h + 1]);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let mut hid = vec![0.0; h];
+        for epoch in 0..epochs {
+            let lr = m.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
+            rng.shuffle(&mut order);
+            for &i in &order {
+                for hu in 0..h {
+                    let mut a = w1[hu][d];
+                    for j in 0..d {
+                        a += w1[hu][j] * xs[i][j];
+                    }
+                    hid[hu] = 1.0 / (1.0 + (-a).exp());
+                }
+                let mut out = w2[h];
+                for hu in 0..h {
+                    out += w2[hu] * hid[hu];
+                }
+                let err = out - ys[i];
+                for hu in 0..h {
+                    v2[hu] = m.momentum * v2[hu] - lr * (err * hid[hu]);
+                    let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
+                    w2[hu] += v2[hu];
+                    for j in 0..d {
+                        v1[hu][j] = m.momentum * v1[hu][j] - lr * (delta_h * xs[i][j]);
+                        w1[hu][j] += v1[hu][j];
+                    }
+                    v1[hu][d] = m.momentum * v1[hu][d] - lr * delta_h;
+                    w1[hu][d] += v1[hu][d];
+                }
+                v2[h] = m.momentum * v2[h] - lr * err;
+                w2[h] += v2[h];
+            }
+        }
+        (w1, w2)
+    }
+
+    fn weight_bits(w1: &[Vec<f64>], w2: &[f64]) -> Vec<u64> {
+        w1.iter().flatten().chain(w2).map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn train_matches_the_nested_scalar_reference_bitwise() {
+        // d = 1, in the prefix's bounds throughout; d = 10 with the knowledge
+        // base's constant columns, whose scaled value is 0.0.
+        let mut narrow = Dataset::new(vec!["x".into()]);
+        for i in 0..90 {
+            let x = (i % 17) as f64;
+            narrow.push(vec![x], 4.0 * x + (x * 0.9).sin()).unwrap();
+        }
+        let wide = crate::dataset::tests::kb_shaped(150, 2);
+        for (full, from) in [(narrow, 60), (wide, 120)] {
+            let prefix = full.filter(|i| i < from);
+            assert_eq!(Scaler::fit(&prefix).unwrap(), Scaler::fit(&full).unwrap());
+            for mut m in [Mlp::with_defaults(9), Mlp::new(3, 0.2, 0.5, 37, 4).unwrap()] {
+                m.fit(&prefix).unwrap();
+                let cold = reference_train(&m, &prefix, None, m.epochs, 0x4141);
+                let f = m.fitted.as_ref().unwrap();
+                assert_eq!(weight_bits(&f.w1, &f.w2), weight_bits(&cold.0, &cold.1));
+
+                m.partial_fit(&full, from).unwrap();
+                let epochs = (m.epochs / 4).max(1);
+                let warm = reference_train(&m, &full, Some(cold), epochs, 0x4142 ^ from as u64);
+                let f = m.fitted.as_ref().unwrap();
+                assert_eq!(weight_bits(&f.w1, &f.w2), weight_bits(&warm.0, &warm.1));
+                assert_eq!(f.trained_rows, full.len());
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! variance-reducing split among them is taken, and the tree is grown without
 //! pruning until nodes are pure or smaller than `min_leaf`. It is both one of
 //! the paper's six models and the base learner of [`crate::RandomForest`].
+//!
+//! A tree is grown on row numbers into one [`TreeFit`] view of the data,
+//! never on copies of rows: a node is a slice of row numbers (a bootstrap
+//! names some more than once) that its split partitions stably in place.
+//! The fitted tree is one `Vec` of [`Node`]s, and a prediction a loop over
+//! slots.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
@@ -13,50 +19,79 @@ use crate::MlError;
 use disar_math::rng::{split_seed, stream_rng, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
 
+/// `Node::feature` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One slot of a tree's arena. The root is slot 0 and children follow their
+/// parent, so a fitted tree is one exact-size allocation and a clone is one
+/// copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
+struct Node {
+    /// The column a split tests, or [`LEAF`].
+    feature: u32,
+    /// Slots of the `x[feature] <= value` and the `> value` child.
+    left: u32,
+    right: u32,
+    /// A split's threshold; a leaf's prediction.
+    value: f64,
 }
 
-impl Node {
-    fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            Node::Leaf { value } => *value,
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if x[*feature] <= *threshold {
-                    left.predict(x)
-                } else {
-                    right.predict(x)
+/// What one fit shares among the nodes of a tree and the trees of a forest:
+/// the training data as a split search reads it, and the buffers a node
+/// borrows while it searches.
+pub(crate) struct TreeFit<'a> {
+    ys: &'a [f64],
+    n: usize,
+    /// `x[f * n + i]` is feature `f` of row `i`; `rank[f * n + i]` is its
+    /// dense rank among the column's distinct values, which are ascending in
+    /// `distinct[starts[f]..starts[f + 1]]`.
+    x: Vec<f64>,
+    rank: Vec<u32>,
+    distinct: Vec<f64>,
+    starts: Vec<usize>,
+    /// `rank << 32 | position` of a node's rows under one candidate feature.
+    keys: Vec<u64>,
+    /// The right-hand rows while a node's slice is partitioned.
+    spill: Vec<usize>,
+    /// The shuffled features; a node's candidates are the first `k`.
+    feats: Vec<usize>,
+}
+
+impl<'a> TreeFit<'a> {
+    pub(crate) fn new(data: &'a Dataset) -> Self {
+        let (n, dim) = (data.len(), data.dim());
+        // Ranks, positions in a node and arena slots (< 2n) are held as u32.
+        assert!(n < (LEAF / 2) as usize, "too many rows for a tree");
+        let mut fit = TreeFit {
+            ys: data.targets(),
+            n,
+            x: Vec::with_capacity(n * dim),
+            rank: vec![0; n * dim],
+            distinct: Vec::new(),
+            starts: vec![0],
+            keys: Vec::new(),
+            spill: Vec::new(),
+            feats: Vec::new(),
+        };
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for f in 0..dim {
+            fit.x.extend(data.rows().iter().map(|row| row[f]));
+            let (col, rank) = (&fit.x[f * n..], &mut fit.rank[f * n..(f + 1) * n]);
+            order.clear();
+            order.extend(0..n as u32);
+            order.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let first = fit.distinct.len();
+            for &i in &order {
+                let v = col[i as usize];
+                // `>` and not `total_cmp`: -0.0 and 0.0 share a rank.
+                if fit.distinct[first..].last().is_none_or(|&top| v > top) {
+                    fit.distinct.push(v);
                 }
+                rank[i as usize] = (fit.distinct.len() - first - 1) as u32;
             }
+            fit.starts.push(fit.distinct.len());
         }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
-
-    fn leaves(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => left.leaves() + right.leaves(),
-        }
+        fit
     }
 }
 
@@ -83,7 +118,7 @@ pub struct RandomTree {
     max_depth: usize,
     seed: u64,
     dim: usize,
-    root: Option<Node>,
+    nodes: Vec<Node>,
     importances: Vec<f64>,
     #[serde(default)]
     fitted_len: usize,
@@ -99,7 +134,7 @@ impl RandomTree {
             max_depth: 64,
             seed,
             dim: 0,
-            root: None,
+            nodes: Vec::new(),
             importances: Vec::new(),
             fitted_len: 0,
         }
@@ -132,7 +167,7 @@ impl RandomTree {
             max_depth,
             seed,
             dim: 0,
-            root: None,
+            nodes: Vec::new(),
             importances: Vec::new(),
             fitted_len: 0,
         })
@@ -140,12 +175,19 @@ impl RandomTree {
 
     /// Depth of the fitted tree (`0` before fitting).
     pub fn depth(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::depth)
+        // Children sit after their parent: going backwards, both are done.
+        let mut depth = vec![1; self.nodes.len()];
+        for (slot, node) in self.nodes.iter().enumerate().rev() {
+            if node.feature != LEAF {
+                depth[slot] = 1 + depth[node.left as usize].max(depth[node.right as usize]);
+            }
+        }
+        depth.first().copied().unwrap_or(0)
     }
 
     /// Number of leaves of the fitted tree (`0` before fitting).
     pub fn leaf_count(&self) -> usize {
-        self.root.as_ref().map_or(0, Node::leaves)
+        self.nodes.iter().filter(|n| n.feature == LEAF).count()
     }
 
     /// Variance-reduction feature importances, normalized to sum to 1
@@ -166,64 +208,84 @@ impl RandomTree {
         k.clamp(1, dim)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &self,
-        rows: &[Vec<f64>],
-        ys: &[f64],
+    /// Fits the tree to the rows `idx` of `fit` (a bootstrap names some rows
+    /// more than once), reordering `idx` as it goes.
+    pub(crate) fn grow(&mut self, fit: &mut TreeFit<'_>, idx: &mut [usize]) {
+        self.dim = fit.starts.len() - 1;
+        self.nodes = Vec::new();
+        self.importances = vec![0.0; self.dim];
+        self.grow_node(fit, &mut stream_rng(self.seed, 0x7EE5), idx, 0);
+        // Exact size: a forest keeps a hundred of these for as long as it lives.
+        self.nodes.shrink_to_fit();
+        self.fitted_len = idx.len();
+        // Normalize to proportions (all-zero stays all-zero: pure data).
+        let total: f64 = self.importances.iter().sum();
+        if total > 0.0 {
+            for v in &mut self.importances {
+                *v /= total;
+            }
+        }
+    }
+
+    /// Grows the subtree over the rows `idx` and returns its slot.
+    fn grow_node(
+        &mut self,
+        fit: &mut TreeFit<'_>,
+        rng: &mut Xoshiro256PlusPlus,
         idx: &mut [usize],
         depth: usize,
-        rng: &mut Xoshiro256PlusPlus,
-        feat_buf: &mut Vec<usize>,
-        importances: &mut [f64],
-    ) -> Node {
-        let n = idx.len();
+    ) -> u32 {
+        let (n, ys) = (idx.len(), fit.ys);
+        let slot = self.nodes.len();
         let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
+        self.nodes.push(Node {
+            feature: LEAF,
+            left: 0,
+            right: 0,
+            value: mean,
+        });
         if depth >= self.max_depth || n < 2 * self.min_leaf || n < 2 {
-            return Node::Leaf { value: mean };
+            return slot as u32;
         }
         // Pure node?
         let first = ys[idx[0]];
         if idx.iter().all(|&i| (ys[i] - first).abs() < 1e-12) {
-            return Node::Leaf { value: mean };
+            return slot as u32;
         }
 
-        let dim = rows[0].len();
-        let k = self.k_for(dim);
-        feat_buf.clear();
-        feat_buf.extend(0..dim);
-        rng.shuffle(feat_buf);
-        let candidates: Vec<usize> = feat_buf[..k].to_vec();
+        fit.feats.clear();
+        fit.feats.extend(0..self.dim);
+        rng.shuffle(&mut fit.feats);
 
         let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
         let total_sq: f64 = idx.iter().map(|&i| ys[i] * ys[i]).sum();
 
         let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        for &f in &candidates {
-            order.clear();
-            order.extend_from_slice(idx);
-            order.sort_by(|&a, &b| {
-                rows[a][f]
-                    .partial_cmp(&rows[b][f])
-                    .expect("non-finite feature in tree split")
-            });
+        for &f in &fit.feats[..self.k_for(self.dim)] {
+            let rank = &fit.rank[f * fit.n..];
+            let distinct = &fit.distinct[fit.starts[f]..fit.starts[f + 1]];
+            // Ranks order as values do and the position breaks ties in node
+            // order: sorted, the keys are the rows as a stable sort by value
+            // leaves them.
+            let key = |(pos, &i): (u64, &usize)| u64::from(rank[i]) << 32 | pos;
+            fit.keys.clear();
+            fit.keys.extend((0..).zip(&*idx).map(key));
+            fit.keys.sort_unstable();
             // Scan split positions; candidate threshold between consecutive
             // distinct feature values.
             let mut lsum = 0.0;
             let mut lsq = 0.0;
-            for pos in 0..n - 1 {
-                let i = order[pos];
-                lsum += ys[i];
-                lsq += ys[i] * ys[i];
+            for (pos, pair) in fit.keys.windows(2).enumerate() {
+                let y = ys[idx[pair[0] as u32 as usize]];
+                lsum += y;
+                lsq += y * y;
                 let nl = (pos + 1) as f64;
                 let nr = (n - pos - 1) as f64;
                 if (pos + 1) < self.min_leaf || (n - pos - 1) < self.min_leaf {
                     continue;
                 }
-                let xv = rows[order[pos]][f];
-                let xnext = rows[order[pos + 1]][f];
-                if xnext <= xv {
+                let (r, rnext) = ((pair[0] >> 32) as usize, (pair[1] >> 32) as usize);
+                if rnext == r {
                     continue; // no valid threshold between equal values
                 }
                 let rsum = total_sum - lsum;
@@ -231,35 +293,72 @@ impl RandomTree {
                 // Sum of squared errors left + right (lower is better).
                 let sse = (lsq - lsum * lsum / nl) + (rsq - rsum * rsum / nr);
                 if best.is_none_or(|(b, _, _)| sse < b) {
-                    best = Some((sse, f, 0.5 * (xv + xnext)));
+                    best = Some((sse, f, 0.5 * (distinct[r] + distinct[rnext])));
                 }
             }
         }
 
         let Some((best_sse, feature, threshold)) = best else {
-            return Node::Leaf { value: mean };
+            return slot as u32;
         };
         // Variance-reduction importance: SSE(parent) − SSE(children).
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
-        importances[feature] += (parent_sse - best_sse).max(0.0);
+        self.importances[feature] += (parent_sse - best_sse).max(0.0);
 
-        // Partition idx in place.
-        let mut left: Vec<usize> = Vec::new();
-        let mut right: Vec<usize> = Vec::new();
-        for &i in idx.iter() {
-            if rows[i][feature] <= threshold {
-                left.push(i);
+        // Partition idx stably in place: the left rows close up, the right
+        // rows wait in the spill and then follow them.
+        let col = &fit.x[feature * fit.n..];
+        fit.spill.clear();
+        let mut n_left = 0;
+        for p in 0..n {
+            let i = idx[p];
+            if col[i] <= threshold {
+                idx[n_left] = i;
+                n_left += 1;
             } else {
-                right.push(i);
+                fit.spill.push(i);
             }
         }
+        let (left, right) = idx.split_at_mut(n_left);
+        right.copy_from_slice(&fit.spill);
         debug_assert!(!left.is_empty() && !right.is_empty());
-        Node::Split {
-            feature,
-            threshold,
-            left: Box::new(self.build(rows, ys, &mut left, depth + 1, rng, feat_buf, importances)),
-            right: Box::new(self.build(rows, ys, &mut right, depth + 1, rng, feat_buf, importances)),
+        // Left before right: the subtrees draw from one stream.
+        let left = self.grow_node(fit, rng, left, depth + 1);
+        let right = self.grow_node(fit, rng, right, depth + 1);
+        self.nodes[slot] = Node {
+            feature: feature as u32,
+            left,
+            right,
+            value: threshold,
+        };
+        slot as u32
+    }
+
+    /// What a query must pass before [`RandomTree::descend`]: a fitted tree
+    /// and rows of the width it was fitted on.
+    pub(crate) fn check_query(&self, dim: usize) -> Result<(), MlError> {
+        if self.nodes.is_empty() {
+            return Err(MlError::NotFitted);
         }
+        if dim != self.dim {
+            return Err(MlError::FeatureDimensionMismatch {
+                expected: self.dim,
+                got: dim,
+            });
+        }
+        Ok(())
+    }
+
+    /// The leaf value `x` falls to; [`RandomTree::check_query`] comes first.
+    pub(crate) fn descend(&self, x: &[f64]) -> f64 {
+        let mut node = &self.nodes[0];
+        while node.feature != LEAF {
+            // One indexing, fed by a select: a forest's hundred trees give
+            // a branch here little to predict.
+            let go_left = x[node.feature as usize] <= node.value;
+            node = &self.nodes[if go_left { node.left } else { node.right } as usize];
+        }
+        node.value
     }
 }
 
@@ -269,46 +368,18 @@ impl Regressor for RandomTree {
             return Err(MlError::EmptyTrainingSet);
         }
         let mut idx: Vec<usize> = (0..data.len()).collect();
-        let mut rng = stream_rng(self.seed, 0x7EE5);
-        let mut feat_buf = Vec::new();
-        let mut importances = vec![0.0; data.dim()];
-        let root = self.build(
-            data.rows(),
-            data.targets(),
-            &mut idx,
-            0,
-            &mut rng,
-            &mut feat_buf,
-            &mut importances,
-        );
-        self.dim = data.dim();
-        self.root = Some(root);
-        self.fitted_len = data.len();
-        // Normalize to proportions (all-zero stays all-zero: pure data).
-        let total: f64 = importances.iter().sum();
-        if total > 0.0 {
-            for v in &mut importances {
-                *v /= total;
-            }
-        }
-        self.importances = importances;
+        self.grow(&mut TreeFit::new(data), &mut idx);
         Ok(())
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        let root = self.root.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != self.dim {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: self.dim,
-                got: x.len(),
-            });
-        }
-        Ok(root.predict(x))
+        self.check_query(x.len())?;
+        Ok(self.descend(x))
     }
 
-    /// Batched traversal hoisting the fitted-root and dimension checks out
-    /// of the per-row loop; each row then walks the exact scalar descent,
-    /// so every output is bit-identical to [`Regressor::predict`].
+    /// Batched traversal hoisting the fitted and dimension checks out of the
+    /// per-row loop; each row then walks the exact scalar descent, so every
+    /// output is bit-identical to [`Regressor::predict`].
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -320,15 +391,9 @@ impl Regressor for RandomTree {
         if xs.is_empty() {
             return Ok(());
         }
-        let root = self.root.as_ref().ok_or(MlError::NotFitted)?;
-        if xs.dim() != self.dim {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: self.dim,
-                got: xs.dim(),
-            });
-        }
+        self.check_query(xs.dim())?;
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = root.predict(xs.row(i));
+            *slot = self.descend(xs.row(i));
         }
         Ok(())
     }
@@ -354,7 +419,7 @@ impl IncrementalRegressor for RandomTree {
     /// `false`): bit-identity-preserving callers keep refitting from
     /// scratch, opt-in warm retrains trade exactness for O(suffix) cost.
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        if self.root.is_none() && from == 0 {
+        if self.nodes.is_empty() && from == 0 {
             return self.fit(data);
         }
         if from != self.fitted_len || from > data.len() {
@@ -585,6 +650,151 @@ mod tests {
         let before = t.predict(&[10.0, 0.0]).unwrap();
         t.partial_fit(&d, d.len()).unwrap();
         assert_eq!(t.predict(&[10.0, 0.0]).unwrap(), before);
+    }
+
+    /// The tree written the dumb way, to check the fitted one against: every
+    /// node owns copies of its rows and orders them by value with the stable
+    /// sort.
+    enum Ref {
+        Leaf(f64),
+        Split(usize, f64, Box<[Ref; 2]>),
+    }
+
+    struct Reference<'a> {
+        t: &'a RandomTree,
+        rng: Xoshiro256PlusPlus,
+        gains: Vec<f64>,
+    }
+
+    impl Reference<'_> {
+        fn grow(&mut self, rows: Vec<(Vec<f64>, f64)>, depth: usize) -> Ref {
+            let (n, t) = (rows.len(), self.t);
+            let sum: f64 = rows.iter().map(|r| r.1).sum();
+            let pure = rows.iter().all(|r| (r.1 - rows[0].1).abs() < 1e-12);
+            if depth >= t.max_depth || n < 2 * t.min_leaf || n < 2 || pure {
+                return Ref::Leaf(sum / n as f64);
+            }
+            let mut feats: Vec<usize> = (0..rows[0].0.len()).collect();
+            self.rng.shuffle(&mut feats);
+            let sq: f64 = rows.iter().map(|r| r.1 * r.1).sum();
+            let mut best: Option<(f64, usize, f64)> = None;
+            for &f in &feats[..t.k_for(feats.len())] {
+                let mut sorted = rows.clone();
+                sorted.sort_by(|a, b| a.0[f].partial_cmp(&b.0[f]).unwrap());
+                let (mut lsum, mut lsq) = (0.0, 0.0);
+                for pos in 0..n - 1 {
+                    lsum += sorted[pos].1;
+                    lsq += sorted[pos].1 * sorted[pos].1;
+                    let (nl, nr) = (pos + 1, n - pos - 1);
+                    let (xv, xnext) = (sorted[pos].0[f], sorted[pos + 1].0[f]);
+                    if nl < t.min_leaf || nr < t.min_leaf || xnext <= xv {
+                        continue;
+                    }
+                    let (rsum, rsq) = (sum - lsum, sq - lsq);
+                    let sse = (lsq - lsum * lsum / nl as f64) + (rsq - rsum * rsum / nr as f64);
+                    if best.is_none_or(|b| sse < b.0) {
+                        best = Some((sse, f, 0.5 * (xv + xnext)));
+                    }
+                }
+            }
+            let Some((sse, f, at)) = best else {
+                return Ref::Leaf(sum / n as f64);
+            };
+            self.gains[f] += ((sq - sum * sum / n as f64) - sse).max(0.0);
+            let (l, r): (Vec<_>, Vec<_>) = rows.into_iter().partition(|row| row.0[f] <= at);
+            let l = self.grow(l, depth + 1);
+            Ref::Split(f, at, Box::new([l, self.grow(r, depth + 1)]))
+        }
+    }
+
+    impl Ref {
+        fn predict(&self, x: &[f64]) -> f64 {
+            match self {
+                Ref::Leaf(v) => *v,
+                Ref::Split(f, at, kids) => kids[(x[*f] > *at) as usize].predict(x),
+            }
+        }
+
+        /// `(depth, leaves)`.
+        fn shape(&self) -> (usize, usize) {
+            match self {
+                Ref::Leaf(_) => (1, 1),
+                Ref::Split(_, _, kids) => {
+                    let ((dl, ll), (dr, lr)) = (kids[0].shape(), kids[1].shape());
+                    (1 + dl.max(dr), ll + lr)
+                }
+            }
+        }
+    }
+
+    /// Columns chosen to break a split search that orders rows some other
+    /// way than by value with ties in node order: signed zeros among other
+    /// values, one value only, two values, few values, and nearly distinct
+    /// ones; every fourth row repeats an earlier one.
+    fn tied_data(n: usize) -> Dataset {
+        let zeros = [-0.0, 0.0, -1.5, 2.0, 0.0, -0.0, 1.0];
+        let mut d = Dataset::new((0..5).map(|j| format!("c{j}")).collect());
+        for i in 0..n {
+            if i % 4 == 3 {
+                let (x, y) = d.get((i * 7) % i);
+                let x = x.to_vec();
+                d.push(x, y).unwrap();
+                continue;
+            }
+            let few = (i % 8 + 1) as f64;
+            let many = ((i * 37) % 101) as f64;
+            let x = vec![
+                zeros[i % 7],
+                7.0,
+                ((i * 7) % 11 < 5) as u8 as f64,
+                few,
+                many,
+            ];
+            let y = 3.0 * x[0] - 20.0 * x[2] + 100.0 / few + (many * 0.7).sin();
+            d.push(x, y).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn fitted_tree_matches_the_copied_rows_reference_bitwise() {
+        let sets = [
+            tied_data(120),
+            tied_data(31),
+            crate::dataset::tests::kb_shaped(100, 5),
+            // Bootstrap copies: every row many times over.
+            tied_data(40).bootstrap(3),
+        ];
+        for d in &sets {
+            for (min_leaf, max_depth) in [(1, 64), (25, 64), (1, 1), (3, 5)] {
+                for k in [None, Some(1), Some(d.dim())] {
+                    for seed in 0..3 {
+                        let mut t = RandomTree::new(k, min_leaf, max_depth, seed).unwrap();
+                        t.fit(d).unwrap();
+                        let rows = d.rows().iter().cloned().zip(d.targets().iter().copied());
+                        let (rng, gains) = (stream_rng(seed, 0x7EE5), vec![0.0; d.dim()]);
+                        let mut dumb = Reference { t: &t, rng, gains };
+                        let r = dumb.grow(rows.collect(), 0);
+                        let gains = dumb.gains;
+                        let case = format!("{} rows, {min_leaf}/{max_depth}/{k:?}/{seed}", d.len());
+                        assert_eq!((t.depth(), t.leaf_count()), r.shape(), "{case}");
+                        for x in d.rows() {
+                            // The row itself, then each signed zero flipped.
+                            let flipped: Vec<f64> =
+                                x.iter().map(|&v| if v == 0.0 { -v } else { v }).collect();
+                            for q in [x, &flipped] {
+                                assert_eq!(t.predict(q).unwrap().to_bits(), r.predict(q).to_bits());
+                            }
+                        }
+                        let total: f64 = gains.iter().sum();
+                        for (g, i) in gains.iter().zip(t.importances()) {
+                            let g = if total > 0.0 { g / total } else { *g };
+                            assert_eq!(g.to_bits(), i.to_bits(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
