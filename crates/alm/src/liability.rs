@@ -233,18 +233,17 @@ pub fn value_each_position_from_series(
     );
 }
 
-/// Fills path-blocked valuation panels for **every** path of `set`: row `q`
-/// of `returns_panel` (`dfs_panel`) holds the annual fund returns (per-year
-/// discount factors) of path `q`, contiguously. Returns the row length
-/// (years on the path).
+/// Fills year-major valuation panels for **every** path of `set`: entry
+/// `[k * n_paths + q]` of `returns_panel` (`dfs_panel`) holds the annual fund
+/// return (discount factor) of year `k + 1` on path `q`, so one year's values
+/// across all paths are contiguous. Returns the number of years on a path.
 ///
-/// The nested inner loop fills the panels in one pass and then consumes one
-/// contiguous row pair per inner path through its `LiabilityBook` — better
-/// locality than interleaving fund accounting with flow valuation per path,
-/// and bit-identical to it: the per-path fund fold and the running discount
-/// integral carry no state across paths, so computing them path-major in
-/// the same per-path order yields the same values, and the consumption
-/// order is unchanged.
+/// The nested inner loop fills the panels in one pass and its
+/// `LiabilityBook` then values each position across all paths at once, one
+/// year row after the other. The entries are bit-identical to the per-path
+/// series: the fund fold and the running discount integral carry no state
+/// across paths, and laying their results out year-major moves values
+/// without touching them.
 ///
 /// # Errors
 ///
@@ -259,15 +258,18 @@ pub fn fill_valuation_panels(
     returns_panel: &mut Vec<f64>,
     dfs_panel: &mut Vec<f64>,
 ) -> Result<usize, AlmError> {
-    returns_panel.clear();
-    dfs_panel.clear();
-    let mut n_years = 0;
-    for q in 0..set.n_paths() {
+    let n_paths = set.n_paths();
+    let n_years = set.grid().n_steps() / set.grid().steps_per_year();
+    // `resize` without `clear`: every slot is overwritten below.
+    returns_panel.resize(n_years * n_paths, 0.0);
+    dfs_panel.resize(n_years * n_paths, 0.0);
+    for q in 0..n_paths {
         fund.annual_returns_into(set, q, equity_driver, rate_driver, &mut scratch.returns)?;
-        n_years = scratch.returns.len();
         set.year_discount_factors_into(q, n_years, &mut scratch.dfs);
-        returns_panel.extend_from_slice(&scratch.returns);
-        dfs_panel.extend_from_slice(&scratch.dfs);
+        for (k, (r, df)) in scratch.returns.iter().zip(&scratch.dfs).enumerate() {
+            returns_panel[k * n_paths + q] = *r;
+            dfs_panel[k * n_paths + q] = *df;
+        }
     }
     Ok(n_years)
 }
@@ -316,9 +318,9 @@ struct BookEntry {
 /// What a nested run reads of its positions, laid out once per run: the
 /// blocks' positions back to back, every flow reduced to its
 /// `YearFlow::total()`, and the distinct [`ProfitSharing`] pairs. `Φ`
-/// depends on a position only through its pair, so an inner path folds one
-/// cumulative table per *pair* ([`LiabilityBook::fill_cum`]), not one `Φ`
-/// per position and flow. The residual liability at `t = 1` is
+/// depends on a position only through its pair, so the inner stage folds one
+/// cumulative table per *pair* ([`LiabilityBook::add_residuals_over_paths`]),
+/// not one `Φ` per position and flow. The residual liability at `t = 1` is
 /// `totals[start + 1..end]`, policy year `k + 1` read as residual year `k`
 /// (what [`shift_schedule`] builds by cloning); hence the insistence on
 /// "one flow per policy year".
@@ -374,39 +376,58 @@ impl LiabilityBook {
         self.entries.len()
     }
 
-    /// Writes one row of `returns.len()` cumulative readjustment factors per
-    /// pair: `cum[s][k] = Π_{j≤k} (1 + ρ_s(returns[j]))`, folded left to
-    /// right from `1.0` — the `phi` fold of [`position_value`], so entry `k`
-    /// carries the bits that kernel reaches at residual year `k + 1`.
-    pub(crate) fn fill_cum(&self, returns: &[f64], cum: &mut Vec<f64>) {
-        cum.clear();
-        for ps in &self.sharings {
-            let mut phi = 1.0;
-            cum.extend(returns.iter().map(|&r| {
-                phi *= 1.0 + ps.readjustment_rate(r);
-                phi
-            }));
-        }
-    }
-
-    /// Adds to `acc[i]` position `i`'s residual PV at `t = 1` on one inner
-    /// path, given its [`LiabilityBook::fill_cum`] table and discount
-    /// factors: the operands of [`position_value`] on the shifted schedule,
-    /// in its order. Flows beyond the horizon keep the last `Φ` and factor.
-    pub(crate) fn add_residual_values(&self, cum: &[f64], dfs: &[f64], acc: &mut [f64]) {
-        let n_years = dfs.len();
-        for (e, a) in self.entries.iter().zip(acc) {
-            let flows = &self.totals[(e.start + 1).min(e.end)..e.end];
-            let phi = &cum[e.sharing * n_years..(e.sharing + 1) * n_years];
-            let (within, beyond) = flows.split_at(flows.len().min(n_years));
-            let mut pv = 0.0;
-            for ((total, phi), df) in within.iter().zip(phi).zip(dfs) {
-                pv += total * phi * df;
+    /// Adds to `acc[i]` position `i`'s residual PV at `t = 1` summed over
+    /// all `n_paths` inner paths, given the year-major panels of
+    /// [`fill_valuation_panels`]. `phi` and `pv` are scratch.
+    ///
+    /// One pair at a time: `phi` takes the pair's cumulative readjustment
+    /// table, row 0 all `1.0` and row `k + 1` the row before times
+    /// `1 + ρ(returns[k][q])` — per path the `phi` fold of
+    /// [`position_value`]. Each position of the pair then runs
+    /// `pv[q] += total_k * phi[k + 1][q] * dfs[k][q]` over whole rows, `k`
+    /// ascending and flows beyond the horizon on the last row — per path the
+    /// operands of [`position_value`] on the shifted schedule, in its order —
+    /// and adds `pv` into `acc[i]`, `q` ascending, as a path-by-path loop
+    /// would. `acc[i]` depends on position `i` alone, so visiting positions
+    /// pair by pair changes no bit.
+    pub(crate) fn add_residuals_over_paths(
+        &self,
+        returns: &[f64],
+        dfs: &[f64],
+        n_paths: usize,
+        phi: &mut Vec<f64>,
+        pv: &mut Vec<f64>,
+        acc: &mut [f64],
+    ) {
+        let n_years = dfs.len() / n_paths;
+        // `resize` without `clear`: every pair rewrites rows `1..` before any
+        // position reads them.
+        phi.resize((n_years + 1) * n_paths, 0.0);
+        phi[..n_paths].fill(1.0);
+        pv.resize(n_paths, 0.0);
+        for (s, ps) in self.sharings.iter().enumerate() {
+            for (k, row) in returns.chunks(n_paths).enumerate() {
+                let (folded, rest) = phi.split_at_mut((k + 1) * n_paths);
+                let before = &folded[k * n_paths..];
+                for ((next, before), &r) in rest.iter_mut().zip(before).zip(row) {
+                    *next = before * (1.0 + ps.readjustment_rate(r));
+                }
             }
-            for total in beyond {
-                pv += total * phi[n_years - 1] * dfs[n_years - 1];
+            let owned = self.entries.iter().zip(acc.iter_mut());
+            for (e, a) in owned.filter(|(e, _)| e.sharing == s) {
+                pv.fill(0.0);
+                let flows = &self.totals[(e.start + 1).min(e.end)..e.end];
+                for (k, total) in flows.iter().enumerate() {
+                    let row = k.min(n_years - 1) * n_paths;
+                    let rows = phi[row + n_paths..].iter().zip(&dfs[row..]);
+                    for (v, (phi, df)) in pv.iter_mut().zip(rows) {
+                        *v += total * phi * df;
+                    }
+                }
+                for v in pv.iter() {
+                    *a += v;
+                }
             }
-            *a += pv;
         }
     }
 
@@ -554,74 +575,13 @@ mod tests {
 
     #[test]
     fn valuation_panels_bitwise_match_per_path_kernel() {
-        let positions = vec![make_position(10, 0.8, 0.02), make_position(15, 0.9, 0.01)];
         let set = q_set(16.0, 7, 11);
         let view = set.view();
         let fund = SegregatedFund::italian_typical(20);
         let mut scratch = PathScratch::new();
         // Pre-polluted panels: fill must fully overwrite them.
         let mut returns_panel = vec![f64::NAN; 3];
-        let mut dfs_panel = vec![f64::NAN; 99];
-        let n_years =
-            fill_valuation_panels(&fund, &view, 1, 0, &mut scratch, &mut returns_panel, &mut dfs_panel)
-                .unwrap();
-        assert_eq!(returns_panel.len(), view.n_paths() * n_years);
-        assert_eq!(dfs_panel.len(), view.n_paths() * n_years);
-        let mut from_row = Vec::new();
-        let mut from_path = Vec::new();
-        for q in 0..view.n_paths() {
-            let row = q * n_years..(q + 1) * n_years;
-            value_each_position_from_series(
-                &positions,
-                &returns_panel[row.clone()],
-                &dfs_panel[row],
-                &mut from_row,
-            );
-            value_each_position_on_path_into(
-                &positions,
-                &fund,
-                &view,
-                q,
-                1,
-                0,
-                &mut scratch,
-                &mut from_path,
-            )
-            .unwrap();
-            assert_eq!(from_row.len(), from_path.len());
-            for (a, b) in from_row.iter().zip(&from_path) {
-                assert_eq!(a.to_bits(), b.to_bits(), "path {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn book_bitwise_matches_series_kernel_on_shifted_schedules() {
-        // Two blocks, three distinct pairs, a 1-year position (no residual
-        // flow) and a 6-year horizon under an 11-year residual term.
-        let positions = [
-            make_position(12, 0.8, 0.02),
-            make_position(1, 0.9, 0.01),
-            make_position(5, 0.8, 0.02),
-            make_position(8, 0.7, 0.0),
-            make_position(12, 0.9, 0.01),
-        ];
-        let (a, b) = positions.split_at(2);
-        let book = LiabilityBook::new(&[a, b]).unwrap();
-        assert_eq!((book.n_positions(), book.sharings.len()), (5, 3));
-        let shifted: Vec<LiabilityPosition> = positions
-            .iter()
-            .map(|p| LiabilityPosition {
-                schedule: shift_schedule(&p.schedule, 1),
-                profit_sharing: p.profit_sharing,
-            })
-            .collect();
-
-        let set = q_set(6.0, 9, 17);
-        let view = set.view();
-        let fund = SegregatedFund::italian_typical(20);
-        let mut scratch = PathScratch::new();
-        let (mut returns_panel, mut dfs_panel) = (Vec::new(), Vec::new());
+        let mut dfs_panel = vec![f64::NAN; 999];
         let n_years = fill_valuation_panels(
             &fund,
             &view,
@@ -632,32 +592,101 @@ mod tests {
             &mut dfs_panel,
         )
         .unwrap();
-        assert_eq!(n_years, 6);
-
-        let (mut cum, mut vals) = (Vec::new(), Vec::new());
-        let mut acc = vec![0.0; positions.len()];
-        let mut acc_ref = acc.clone();
-        for q in 0..view.n_paths() {
-            let row = q * n_years..(q + 1) * n_years;
-            book.fill_cum(&returns_panel[row.clone()], &mut cum);
-            book.add_residual_values(&cum, &dfs_panel[row.clone()], &mut acc);
-            value_each_position_from_series(
-                &shifted,
-                &returns_panel[row.clone()],
-                &dfs_panel[row],
-                &mut vals,
-            );
-            for (a, v) in acc_ref.iter_mut().zip(&vals) {
-                *a += *v;
-            }
-            for (i, (a, b)) in acc.iter().zip(&acc_ref).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "path {q} position {i}");
+        let n_paths = view.n_paths();
+        assert_eq!(n_years, 16);
+        assert_eq!(returns_panel.len(), n_paths * n_years);
+        assert_eq!(dfs_panel.len(), n_paths * n_years);
+        // Year-major: entry `[k][q]` is path `q`'s year `k + 1`.
+        let (mut returns, mut dfs) = (Vec::new(), Vec::new());
+        for q in 0..n_paths {
+            fund.annual_returns_into(&view, q, 1, 0, &mut returns)
+                .unwrap();
+            view.year_discount_factors_into(q, n_years, &mut dfs);
+            for k in 0..n_years {
+                let at = k * n_paths + q;
+                let (r, df) = (returns_panel[at], dfs_panel[at]);
+                assert_eq!(r.to_bits(), returns[k].to_bits(), "path {q} year {k}");
+                assert_eq!(df.to_bits(), dfs[k].to_bits(), "path {q} year {k}");
             }
         }
-        assert_eq!(acc[1], 0.0, "a 1-year position has no residual value");
+    }
+
+    #[test]
+    fn book_bitwise_matches_series_kernel_on_shifted_schedules() {
+        // Two blocks, three distinct pairs that own positions and one that
+        // owns none, a 1-year position (no residual flow) and a 6-year
+        // horizon under an 11-year residual term.
+        let positions = [
+            make_position(12, 0.8, 0.02),
+            make_position(1, 0.9, 0.01),
+            make_position(5, 0.8, 0.02),
+            make_position(8, 0.7, 0.0),
+            make_position(12, 0.9, 0.01),
+        ];
+        let (a, b) = positions.split_at(2);
+        let mut book = LiabilityBook::new(&[a, b]).unwrap();
+        assert_eq!((book.n_positions(), book.sharings.len()), (5, 3));
+        book.sharings.push(ProfitSharing::new(0.6, 0.03).unwrap());
+        let shifted: Vec<LiabilityPosition> = positions
+            .iter()
+            .map(|p| LiabilityPosition {
+                schedule: shift_schedule(&p.schedule, 1),
+                profit_sharing: p.profit_sharing,
+            })
+            .collect();
+
+        let fund = SegregatedFund::italian_typical(20);
+        let mut scratch = PathScratch::new();
+        let (mut returns_panel, mut dfs_panel) = (Vec::new(), Vec::new());
+        // Scratch left over from another shape: the kernel must not read it.
+        let (mut phi, mut pv) = (vec![f64::NAN; 5], vec![f64::NAN; 40]);
+        let mut acc = Vec::new();
+        for n_paths in [1, 9] {
+            let set = q_set(6.0, n_paths, 17);
+            let view = set.view();
+            let n_years = fill_valuation_panels(
+                &fund,
+                &view,
+                1,
+                0,
+                &mut scratch,
+                &mut returns_panel,
+                &mut dfs_panel,
+            )
+            .unwrap();
+            assert_eq!(n_years, 6);
+            acc = vec![0.0; positions.len()];
+            book.add_residuals_over_paths(
+                &returns_panel,
+                &dfs_panel,
+                n_paths,
+                &mut phi,
+                &mut pv,
+                &mut acc,
+            );
+
+            // The reference: path by path through the one-path kernel,
+            // accumulated in path order.
+            let mut acc_ref = vec![0.0; positions.len()];
+            let (mut returns, mut dfs, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+            for q in 0..n_paths {
+                fund.annual_returns_into(&view, q, 1, 0, &mut returns)
+                    .unwrap();
+                view.year_discount_factors_into(q, n_years, &mut dfs);
+                value_each_position_from_series(&shifted, &returns, &dfs, &mut vals);
+                for (a, v) in acc_ref.iter_mut().zip(&vals) {
+                    *a += *v;
+                }
+            }
+            for (i, (a, b)) in acc.iter().zip(&acc_ref).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{n_paths} paths, position {i}");
+            }
+            assert_eq!(acc[1], 0.0, "a 1-year position has no residual value");
+            assert!(acc[0] > 0.0 && acc[4] > 0.0);
+        }
 
         // Closing an outer path: the per-position formulas the book replaces.
-        let n_inner = view.n_paths() as f64;
+        let n_inner = 9.0;
         for (i1, df1) in [
             (0.031, 0.97),
             (0.0473, 0.9583),

@@ -333,11 +333,9 @@ impl<'a> NestedMonteCarlo<'a> {
         }
         let inner = ws.inner_buf.view();
 
-        // Lane-major fast path: materialize every inner path's fund-return
-        // and discount rows in one pass, then consume one contiguous row
-        // pair per path. Per-path computation and accumulation order are
-        // unchanged, so this is bit-identical to valuing path-by-path.
-        let n_years = fill_valuation_panels(
+        // Every inner path's fund returns and discount factors, year-major,
+        // then each position valued across all paths at once.
+        fill_valuation_panels(
             self.fund,
             &inner,
             self.equity_driver,
@@ -348,11 +346,14 @@ impl<'a> NestedMonteCarlo<'a> {
         )?;
         ws.acc.clear();
         ws.acc.resize(book.n_positions(), 0.0);
-        for q in 0..config.n_inner {
-            let row = q * n_years..(q + 1) * n_years;
-            book.fill_cum(&ws.returns_panel[row.clone()], &mut ws.cum);
-            book.add_residual_values(&ws.cum, &ws.dfs_panel[row], &mut ws.acc);
-        }
+        book.add_residuals_over_paths(
+            &ws.returns_panel,
+            &ws.dfs_panel,
+            config.n_inner,
+            &mut ws.phi,
+            &mut ws.pv,
+            &mut ws.acc,
+        );
         book.block_values(i1, df1, &ws.acc, config.n_inner as f64, &mut ws.phi1, out);
         Ok(())
     }

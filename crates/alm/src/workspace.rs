@@ -26,17 +26,20 @@ use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 ///
 /// * the inner-stage [`ScenarioBuffer`] (paths + generator scratch),
 /// * the per-path [`PathScratch`] (fund returns, per-year discount factors),
-/// * the per-position inner-PV accumulator, the per-pair vectors (`Φ_1`
-///   factors, the cumulative `Φ` table of one inner path) and the
-///   re-anchoring state vector.
+/// * the per-position inner-PV accumulator, the pairs' `Φ_1` factors, one
+///   pair's cumulative `Φ` table over all inner paths, one position's PV
+///   row, and the re-anchoring state vector.
 #[derive(Debug, Clone, Default)]
 pub struct ValuationWorkspace {
     /// Inner (risk-neutral) scenario buffer, refilled per outer path.
     pub(crate) inner_buf: ScenarioBuffer,
     /// Fund-return / discount-factor scratch for the valuation kernels.
     pub(crate) scratch: PathScratch,
-    /// One inner path's cumulative `Φ`, one row of years per distinct pair.
-    pub(crate) cum: Vec<f64>,
+    /// One pair's cumulative `Φ` over all inner paths, `[year][path]` under
+    /// a row of ones.
+    pub(crate) phi: Vec<f64>,
+    /// One position's residual PV per inner path.
+    pub(crate) pv: Vec<f64>,
     /// Per-position accumulator over the `nQ` inner paths.
     pub(crate) acc: Vec<f64>,
     /// Per-pair first-year readjustment factors `Φ_1`.
@@ -45,10 +48,10 @@ pub struct ValuationWorkspace {
     pub(crate) state: Vec<f64>,
     /// Annual fund returns along the outer path.
     pub(crate) outer_returns: Vec<f64>,
-    /// Lane-major panel of annual fund returns: row `q` holds the inner
-    /// path `q`'s per-year returns, contiguously.
+    /// Year-major panel of annual fund returns: row `k` holds year `k + 1`'s
+    /// return on every inner path, contiguously.
     pub(crate) returns_panel: Vec<f64>,
-    /// Lane-major panel of per-year discount factors, same layout.
+    /// Year-major panel of per-year discount factors, same layout.
     pub(crate) dfs_panel: Vec<f64>,
 }
 
@@ -61,7 +64,7 @@ impl ValuationWorkspace {
     /// A workspace presized for `config` runs of a nested engine built on
     /// `outer`/`inner` generators and `n_positions` liability positions —
     /// even the first outer path then performs zero heap allocations
-    /// (per-pair vectors: as if every position had its own pair).
+    /// (`phi1`: as if every position had its own pair).
     pub fn sized_for(
         outer: &ScenarioGenerator,
         inner: &ScenarioGenerator,
@@ -75,7 +78,8 @@ impl ValuationWorkspace {
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
         ws.scratch.reserve_years(inner_years.max(outer_years));
-        ws.cum.reserve(n_positions * inner_years.max(1));
+        ws.phi.reserve(config.n_inner * (inner_years + 1));
+        ws.pv.reserve(config.n_inner);
         ws.acc.reserve(n_positions);
         ws.phi1.reserve(n_positions);
         ws.state.reserve(inner.n_drivers());
@@ -107,7 +111,8 @@ mod tests {
         let inner = generator(10.0);
         let config = NestedConfig::paper_defaults(1);
         let ws = ValuationWorkspace::sized_for(&outer, &inner, &config, 7);
-        assert!(ws.cum.capacity() >= 7 * 10);
+        assert!(ws.phi.capacity() >= 50 * 11);
+        assert!(ws.pv.capacity() >= 50);
         assert!(ws.acc.capacity() >= 7);
         assert!(ws.phi1.capacity() >= 7);
         assert!(ws.state.capacity() >= 2);
@@ -117,6 +122,6 @@ mod tests {
     #[test]
     fn default_workspace_is_empty() {
         let ws = ValuationWorkspace::new();
-        assert!(ws.cum.is_empty() && ws.acc.is_empty() && ws.phi1.is_empty());
+        assert!(ws.phi.is_empty() && ws.acc.is_empty() && ws.phi1.is_empty());
     }
 }

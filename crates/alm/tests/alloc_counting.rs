@@ -103,7 +103,7 @@ fn steady_state_inner_loop_is_allocation_free() {
     let pos = positions(8);
     let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
 
-    // The run goes through the block kernels and the lane-major panels —
+    // The run goes through the block kernels and the year-major panels —
     // the very code this gate must keep allocation-free.
     let config = |n_outer, n_inner, antithetic| NestedConfig {
         n_outer,
