@@ -11,8 +11,8 @@
 //! - [`rng`]: the workspace's one random generator (xoshiro256++, owned
 //!   here so that its streams are part of the program), SplitMix64 stream
 //!   derivation so that every Monte Carlo path gets an independent,
-//!   reproducible generator, and Gaussian sampling via the Marsaglia polar
-//!   method;
+//!   reproducible generator, and Gaussian sampling by a 128-layer ziggurat
+//!   (one 64-bit draw per variate 97 % of the time);
 //! - [`parallel`]: deterministic data-parallel maps on std scoped threads
 //!   (results gathered in index order, `n_threads = 1` runs in sequence) used
 //!   by the ALM nested Monte Carlo, Algorithm 1's configuration sweep, the

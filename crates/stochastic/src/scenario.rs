@@ -386,13 +386,15 @@ impl ScenarioView<'_> {
     /// `n_years` years.
     pub fn year_discount_factors_into(&self, path: usize, n_years: usize, out: &mut Vec<f64>) {
         out.clear();
+        let spy = self.grid.steps_per_year();
+        assert!(path < self.n_paths, "path index out of range");
+        let n_steps = self.grid.n_steps();
+        assert!(n_years * spy <= n_steps, "year index out of range");
         let Some(sr) = self.short_rate_index else {
             out.resize(n_years, 1.0);
             return;
         };
-        let spy = self.grid.steps_per_year();
         let rates = self.path(path, sr);
-        assert!(n_years * spy < rates.len(), "year index out of range");
         let dt = self.grid.dt();
         let mut integral = 0.0_f64;
         for k in 1..=n_years {
@@ -437,9 +439,9 @@ pub struct ScenarioBuffer {
     shocks: Vec<f64>,
     /// Per-step driver coefficients, hoisted once per fill.
     coeffs: Vec<StepCoeffs>,
-    /// One `(rng, gaussian cache)` pair per lane of the current block, so
-    /// every path keeps exactly the draw sequence of the scalar loop.
-    lane_rngs: Vec<(Xoshiro256PlusPlus, StandardNormal)>,
+    /// One generator per lane of the current block, so every path keeps
+    /// exactly the draw sequence of the scalar loop.
+    lane_rngs: Vec<Xoshiro256PlusPlus>,
     /// Lane-major state panel, `[driver][lane]`.
     lane_states: Vec<f64>,
     /// Antithetic partner states, `[driver][lane]`.
@@ -725,14 +727,13 @@ impl ScenarioGenerator {
             lane_shocks_neg,
             ..
         } = buf;
+        let mut gauss = StandardNormal::new();
         let mut block = 0usize;
         while block < n_units {
             // `l < DEFAULT_LANE` only on the final partial block.
             let l = DEFAULT_LANE.min(n_units - block);
             lane_rngs.clear();
-            lane_rngs.extend(
-                (0..l).map(|i| (stream_rng(seed, (block + i) as u64), StandardNormal::new())),
-            );
+            lane_rngs.extend((0..l).map(|i| stream_rng(seed, (block + i) as u64)));
             for d in 0..n_drivers {
                 let init = initials[d];
                 lane_states[d * l..(d + 1) * l].fill(init);
@@ -749,10 +750,8 @@ impl ScenarioGenerator {
                 lane_states_neg[..filled].copy_from_slice(&lane_states[..filled]);
             }
             for step in 1..=n_steps {
-                for (i, (rng, gauss)) in lane_rngs.iter_mut().enumerate() {
-                    for z in raw.iter_mut() {
-                        *z = gauss.sample(rng);
-                    }
+                for (i, rng) in lane_rngs.iter_mut().enumerate() {
+                    gauss.fill(rng, raw);
                     self.correlation.correlate_into(raw, shocks);
                     for d in 0..n_drivers {
                         lane_shocks[d * l + i] = shocks[d];
@@ -1046,6 +1045,67 @@ mod tests {
         }
     }
 
+    /// The valuation's market (`MarketModel::RatesEquity` of `disar-engine`:
+    /// these drivers, this correlation, four steps a year) under `Q`: the
+    /// terminal rate and log-index are jointly Gaussian with known moments,
+    /// whatever sampler made the shocks.
+    #[test]
+    fn rates_equity_terminal_moments_match_closed_form_under_q() {
+        let (r0, a, b, sigma) = (0.025, 0.35, 0.028, 0.009);
+        let (s0, vol, risk_free, rho) = (100.0_f64, 0.17, 0.025, -0.25);
+        let (years, spy, n_paths) = (10.0, 4, 20_000);
+        let gen = ScenarioGenerator::builder()
+            .driver(Box::new(Vasicek::new(r0, a, b, sigma, 0.18).unwrap()))
+            .driver(Box::new(Gbm::new(s0, 0.065, vol, risk_free).unwrap()))
+            .correlation(CorrelationMatrix::new(vec![vec![1.0, rho], vec![rho, 1.0]]).unwrap())
+            .grid(TimeGrid::new(years, spy).unwrap())
+            .build()
+            .unwrap();
+        let set = gen
+            .generate(Measure::RiskNeutral, n_paths, 20160627, None)
+            .unwrap();
+        let n_steps = set.grid().n_steps();
+        assert_eq!(n_steps, 40);
+        let rate: Vec<f64> = (0..n_paths).map(|p| set.value(p, 0, n_steps)).collect();
+        let log_s: Vec<f64> = (0..n_paths)
+            .map(|p| set.value(p, 1, n_steps).ln())
+            .collect();
+
+        let dt = 1.0 / spy as f64;
+        let decay = (-a * dt).exp();
+        let rate_var = sigma * sigma / (2.0 * a) * (1.0 - (-2.0 * a * years).exp());
+        let log_var = vol * vol * years;
+        // Step j's shocks reach the terminal rate through decay^(n − j).
+        let step_vol = (sigma * sigma / (2.0 * a) * (1.0 - decay * decay)).sqrt();
+        let cov = rho * step_vol * vol * dt.sqrt() * (1.0 - decay.powi(40)) / (1.0 - decay);
+        let corr = cov / (rate_var * log_var).sqrt();
+
+        let n = n_paths as f64;
+        let rate_mean = b + (r0 - b) * (-a * years).exp();
+        let log_mean = s0.ln() + (risk_free - 0.5 * vol * vol) * years;
+        let var_se = (2.0 / (n - 1.0)).sqrt();
+        let what = ["E r", "E ln S", "Var r", "Var ln S", "Corr(r, ln S)"];
+        let got = [
+            stats::mean(&rate),
+            stats::mean(&log_s),
+            stats::variance(&rate),
+            stats::variance(&log_s),
+            stats::correlation(&rate, &log_s),
+        ];
+        let want = [rate_mean, log_mean, rate_var, log_var, corr];
+        let se = [
+            (rate_var / n).sqrt(),
+            (log_var / n).sqrt(),
+            rate_var * var_se,
+            log_var * var_se,
+            (1.0 - corr * corr) / n.sqrt(),
+        ];
+        for i in 0..what.len() {
+            let z = (got[i] - want[i]) / se[i];
+            assert!(z.abs() < 4.0, "{}: {z} standard errors off", what[i]);
+        }
+    }
+
     #[test]
     fn antithetic_reduces_variance_of_the_mean() {
         // Estimate E[S_1] for a GBM using pair-averages vs independent
@@ -1189,15 +1249,38 @@ mod tests {
 
     #[test]
     fn year_discount_factors_without_short_rate_are_one() {
-        let gen = ScenarioGenerator::builder()
+        let mut dfs = vec![0.5; 7];
+        rateless_set()
+            .view()
+            .year_discount_factors_into(0, 2, &mut dfs);
+        assert_eq!(dfs, vec![1.0, 1.0]);
+    }
+
+    /// Two paths over two years, no short-rate driver.
+    fn rateless_set() -> ScenarioSet {
+        ScenarioGenerator::builder()
             .driver(Box::new(Gbm::new(1.0, 0.0, 0.1, 0.0).unwrap()))
             .grid(TimeGrid::new(2.0, 4).unwrap())
             .build()
-            .unwrap();
-        let set = gen.generate(Measure::RiskNeutral, 2, 0, None).unwrap();
-        let mut dfs = vec![0.5; 7];
-        set.view().year_discount_factors_into(0, 2, &mut dfs);
-        assert_eq!(dfs, vec![1.0, 1.0]);
+            .unwrap()
+            .generate(Measure::RiskNeutral, 2, 0, None)
+            .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "path index out of range")]
+    fn year_discount_factors_without_short_rate_check_the_path() {
+        rateless_set()
+            .view()
+            .year_discount_factors_into(2, 2, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "year index out of range")]
+    fn year_discount_factors_without_short_rate_check_the_years() {
+        rateless_set()
+            .view()
+            .year_discount_factors_into(0, 3, &mut Vec::new());
     }
 
     #[test]
