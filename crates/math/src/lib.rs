@@ -13,6 +13,8 @@
 //!   derivation so that every Monte Carlo path gets an independent,
 //!   reproducible generator, and Gaussian sampling by a 128-layer ziggurat
 //!   (one 64-bit draw per variate 97 % of the time);
+//! - [`exp`]: a branch-free `exp` for non-positive arguments that a buffer
+//!   fill vectorises, for K\*'s per-row weights in `disar-ml` and nothing else;
 //! - [`parallel`]: deterministic data-parallel maps on std scoped threads
 //!   (results gathered in index order, `n_threads = 1` runs in sequence) used
 //!   by the ALM nested Monte Carlo, Algorithm 1's configuration sweep, the
@@ -33,6 +35,7 @@
 //! assert_eq!(quantile(&xs, 0.5), 3.0);
 //! ```
 
+pub mod exp;
 pub mod matrix;
 pub mod parallel;
 pub mod poly;

@@ -126,6 +126,8 @@ pub struct PredictScratch {
     pub(crate) best: Vec<(f64, usize)>,
     /// Per-row L1 distances, min-shifted in place by the scale search (K*).
     pub(crate) dists: Vec<f64>,
+    /// Per-row kernel weights at the scale the search stands at (K*).
+    pub(crate) weights: Vec<f64>,
     /// Discretized lookup key (decision table).
     pub(crate) key: Vec<u32>,
     /// Standardized row block (MLP's blocked forward pass).

@@ -152,7 +152,8 @@ impl Regressor for RandomForest {
     }
 
     /// Tree-major batched traversal: each tree streams over the whole batch
-    /// before the next, keeping its nodes hot in cache. Per row the tree
+    /// before the next, keeping its nodes hot in cache, and takes the rows
+    /// four at a time (`RandomTree::descend4`). Per row the tree
     /// contributions still land in tree order starting from 0.0 — the same
     /// left-to-right sum as the scalar loop — so every output is
     /// bit-identical to [`Regressor::predict`].
@@ -169,9 +170,17 @@ impl Regressor for RandomForest {
         }
         self.check_query(xs.dim())?;
         out.fill(0.0);
+        let tail = out.len() - out.len() % 4;
         for t in &self.trees {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot += t.descend(xs.row(i));
+            let mut fours = out.chunks_exact_mut(4);
+            for (c, slots) in fours.by_ref().enumerate() {
+                let ys = t.descend4(std::array::from_fn(|k| xs.row(4 * c + k)));
+                for (slot, y) in slots.iter_mut().zip(ys) {
+                    *slot += y;
+                }
+            }
+            for (k, slot) in fours.into_remainder().iter_mut().enumerate() {
+                *slot += t.descend(xs.row(tail + k));
             }
         }
         let n = self.trees.len() as f64;
@@ -450,6 +459,15 @@ mod tests {
             assert_eq!(y, b.to_bits());
         }
         assert_eq!(fnv1a(&batch), 0x887649476d5d5f1d);
+        // Rows go through a tree four at a time; seven leave three over.
+        let mut seven = FeatureMatrix::new();
+        for x in &d.rows()[..7] {
+            seven.push_row(x);
+        }
+        let mut out = [0.0; 7];
+        rf.predict_batch(&seven, &mut out, &mut PredictScratch::default())
+            .unwrap();
+        assert_eq!(fnv1a(&out), fnv1a(&batch[..7]));
         assert!(matches!(
             rf.predict(&[1.0]),
             Err(MlError::FeatureDimensionMismatch {

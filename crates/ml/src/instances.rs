@@ -4,7 +4,7 @@
 //! set verbatim: a min–max scaler, the raw and standardized rows and the
 //! targets. [`InstanceStore`] owns that state and implements the
 //! incremental-fit step both models share; IBk keeps its neighbour index
-//! beside the store, K* needs none.
+//! beside the store and K* a copy of the standardized rows by column.
 //!
 //! The incremental invariant: per-column min/max folds are exact and
 //! left-associative, so folding the stored bounds over the appended rows
@@ -142,12 +142,15 @@ mod tests {
     fn extend_matches_fresh_fit() {
         let all = data(60);
         let fresh = InstanceStore::fit(&all).unwrap();
-        let prefix = all.filter(|i| i < 25);
-        let mut grown = InstanceStore::fit(&prefix).unwrap();
-        grown.extend(&all, 25).unwrap();
-        assert_eq!(grown.scaler, fresh.scaler);
-        assert_eq!(grown.rows, fresh.rows);
-        assert_eq!(grown.targets, fresh.targets);
+        // Five rows span neither column's range, twenty-five span both: one
+        // append re-standardizes every row, the other only adds.
+        for (prefix, moves_a_bound) in [(5, true), (25, false)] {
+            let mut grown = InstanceStore::fit(&all.filter(|i| i < prefix)).unwrap();
+            assert_eq!(grown.extend(&all, prefix).unwrap(), moves_a_bound);
+            assert_eq!(grown.scaler, fresh.scaler);
+            assert_eq!(grown.rows, fresh.rows);
+            assert_eq!(grown.targets, fresh.targets);
+        }
     }
 
     #[test]

@@ -247,7 +247,10 @@ mod tests {
     /// Every member's predictions on its training rows and on 50 rows it has
     /// not seen, as the digests the members gave before any of them was
     /// rewritten for speed: a fit that reorders one sum or one draw fails
-    /// here, on data where equal feature values are the rule.
+    /// here, on data where equal feature values are the rule. K\*'s column
+    /// alone is of a later date: its scale search ends on a first-order
+    /// correction where Newton's ended on an iterate, equal to 10⁻¹² and not
+    /// to the bit (`kstar.rs` module header).
     #[test]
     fn known_answer_digests_pin_all_six_members() {
         use crate::dataset::tests::{fnv1a, kb_shaped};
@@ -255,11 +258,11 @@ mod tests {
         #[rustfmt::skip]
         let expected: [(usize, [u64; 6]); 3] = [
             (30, [0xdbdd84614439b533, 0xe03668d2e6728e42, 0x7c320c6d079f6163,
-                  0x765fa631737fe62e, 0x4e0779bf4fb5a09d, 0x7c51c4663ab27a2f]),
+                  0x765fa631737fe62e, 0x2ebdd906bc2d8341, 0x7c51c4663ab27a2f]),
             (100, [0x2d915519381b42a0, 0xb3e1e847049113f9, 0xef1e8a0b008af10a,
-                   0x8970e69da883919f, 0x630dd7e13d06b545, 0x651366aad27fdaa7]),
+                   0x8970e69da883919f, 0x723c4b0d6f8c2c61, 0x651366aad27fdaa7]),
             (500, [0x84a587e3627b5ba7, 0x86b3143d15df6273, 0xe3e90af01cff926e,
-                   0x8d03778c653b242f, 0xa827819e6e221664, 0xbdff9f1055d9aa7c]),
+                   0x8d03778c653b242f, 0x00fa296142f825dc, 0xbdff9f1055d9aa7c]),
         ];
         let held_out = kb_shaped(50, 0xFEED);
         for (n, digests) in expected {
