@@ -1,4 +1,4 @@
-//! Property-based tests of the ALM valuation layer.
+//! Property tests of the ALM valuation layer.
 
 use disar_actuarial::contracts::{Contract, ProductKind, ProfitSharing};
 use disar_actuarial::engine::ActuarialEngine;
@@ -11,12 +11,12 @@ use disar_alm::liability::{
 };
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
+use disar_math::check::{cases, vec_of};
 use disar_math::parallel::parallel_map;
 use disar_math::rng::split_seed;
 use disar_math::stats;
 use disar_stochastic::drivers::{Gbm, Vasicek};
 use disar_stochastic::scenario::{Measure, ScenarioGenerator, ScenarioSet, TimeGrid};
-use proptest::prelude::*;
 
 fn scenario_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioSet {
     ScenarioGenerator::builder()
@@ -44,35 +44,30 @@ fn position(age: u32, term: u32, beta: f64, sum: f64) -> LiabilityPosition {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Valuation is homogeneous of degree one in the insured sum.
-    #[test]
-    fn valuation_linear_in_sum(
-        age in 30u32..65,
-        term in 3u32..15,
-        scale in 1.5f64..10.0,
-        seed in 0u64..50,
-    ) {
+/// Valuation is homogeneous of degree one in the insured sum.
+#[test]
+fn valuation_linear_in_sum() {
+    cases(24, |rng| {
+        let (age, term) = (rng.gen_range(30u32..65), rng.gen_range(3u32..15));
+        let (scale, seed) = (rng.gen_range(1.5..10.0), rng.gen_range(0u64..50));
         let set = scenario_set(16.0, 3, seed);
         let fund = SegregatedFund::italian_typical(20);
-        let base = position(age, term, 0.8, 1000.0);
-        let scaled = position(age, term, 0.8, 1000.0 * scale);
+        let base = [position(age, term, 0.8, 1000.0)];
+        let scaled = [position(age, term, 0.8, 1000.0 * scale)];
         for p in 0..set.n_paths() {
-            let v1 = value_positions_on_path(std::slice::from_ref(&base), &fund, &set, p, 1, 0).expect("ok");
-            let v2 = value_positions_on_path(std::slice::from_ref(&scaled), &fund, &set, p, 1, 0).expect("ok");
-            prop_assert!((v2 - scale * v1).abs() < 1e-6 * v2.max(1.0));
+            let v1 = value_positions_on_path(&base, &fund, &set, p, 1, 0).expect("ok");
+            let v2 = value_positions_on_path(&scaled, &fund, &set, p, 1, 0).expect("ok");
+            assert!((v2 - scale * v1).abs() < 1e-6 * v2.max(1.0));
         }
-    }
+    });
+}
 
-    /// Valuations are strictly positive and finite across random books.
-    #[test]
-    fn valuations_positive_finite(
-        ages in prop::collection::vec(25u32..70, 1..5),
-        term in 3u32..20,
-        seed in 0u64..50,
-    ) {
+/// Valuations are strictly positive and finite across random books.
+#[test]
+fn valuations_positive_finite() {
+    cases(24, |rng| {
+        let ages = vec_of(rng, 1..5, |rng| rng.gen_range(25u32..70));
+        let (term, seed) = (rng.gen_range(3u32..20), rng.gen_range(0u64..50));
         let set = scenario_set(21.0, 4, seed);
         let fund = SegregatedFund::italian_typical(30);
         let positions: Vec<LiabilityPosition> = ages
@@ -81,23 +76,26 @@ proptest! {
             .collect();
         let values = value_positions_all_paths(&positions, &fund, &set, 1, 0).expect("ok");
         for v in values {
-            prop_assert!(v.is_finite());
-            prop_assert!(v > 0.0);
+            assert!(v.is_finite());
+            assert!(v > 0.0);
         }
-    }
+    });
+}
 
-    /// Shifting a schedule by its full term leaves nothing; shifting by
-    /// zero is the identity; intermediate shifts conserve the remaining
-    /// flows' amounts.
-    #[test]
-    fn shift_schedule_properties(age in 30u32..60, term in 2u32..20, by in 0u32..25) {
+/// Shifting a schedule by its full term leaves nothing; shifting by zero is
+/// the identity; intermediate shifts conserve the remaining flows' amounts.
+#[test]
+fn shift_schedule_properties() {
+    cases(24, |rng| {
+        let (age, term) = (rng.gen_range(30u32..60), rng.gen_range(2u32..20));
+        let by = rng.gen_range(0u32..25);
         let pos = position(age, term, 0.8, 1000.0);
         let shifted = shift_schedule(&pos.schedule, by);
         if by == 0 {
-            prop_assert_eq!(&shifted, &pos.schedule);
+            assert_eq!(&shifted, &pos.schedule);
         }
         if by >= term {
-            prop_assert!(shifted.flows.is_empty());
+            assert!(shifted.flows.is_empty());
         }
         let expect: f64 = pos
             .schedule
@@ -107,20 +105,23 @@ proptest! {
             .map(|f| f.total())
             .sum();
         let got: f64 = shifted.flows.iter().map(|f| f.total()).sum();
-        prop_assert!((expect - got).abs() < 1e-9);
+        assert!((expect - got).abs() < 1e-9);
         for f in &shifted.flows {
-            prop_assert!(f.year >= 1);
+            assert!(f.year >= 1);
         }
-    }
+    });
+}
 
-    /// parallel_map equals the sequential map for arbitrary sizes/threads.
-    #[test]
-    fn parallel_map_equivalence(n in 0usize..200, threads in 1usize..9, salt in 0u64..100) {
+/// parallel_map equals the sequential map for arbitrary sizes/threads.
+#[test]
+fn parallel_map_equivalence() {
+    cases(24, |rng| {
+        let (n, threads) = (rng.gen_range(0usize..200), rng.gen_range(1usize..9));
+        let salt = rng.gen_range(0u64..100);
         let f = |i: usize| (i as u64).wrapping_mul(salt.wrapping_add(11)) ^ salt;
         let seq: Vec<u64> = (0..n).map(f).collect();
-        let par = parallel_map(n, threads, f);
-        prop_assert_eq!(seq, par);
-    }
+        assert_eq!(seq, parallel_map(n, threads, f));
+    });
 }
 
 fn nested_generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerator) {
@@ -229,73 +230,61 @@ fn reference_nested(
     (y1, mean, scr, bel)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The workspace-backed nested engine is bit-identical to the
-    /// allocating reference — sequential and threaded, plain and
-    /// antithetic, for arbitrary seeds and path counts (the reference
-    /// generates its scenarios through the allocating entry points and
-    /// values them position by position).
-    #[test]
-    fn nested_kernel_bitwise_matches_allocating_reference(
-        seed in 0u64..200,
-        n_outer in 2usize..8,
-        inner_pairs in 1usize..4,
-        antithetic in proptest::bool::ANY,
-        threads in 1usize..4,
-    ) {
+/// The workspace-backed nested engine is bit-identical to the allocating
+/// reference — sequential and threaded, plain and antithetic, for arbitrary
+/// seeds and path counts (the reference generates its scenarios through the
+/// allocating entry points and values them position by position).
+#[test]
+fn nested_kernel_bitwise_matches_allocating_reference() {
+    cases(8, |rng| {
         let (outer, inner) = nested_generators(6.0);
         let fund = SegregatedFund::italian_typical(10);
         let positions = vec![position(45, 6, 0.8, 1000.0), position(55, 6, 0.85, 700.0)];
         let config = NestedConfig {
-            n_outer,
-            n_inner: 2 * inner_pairs,
+            seed: rng.gen_range(0u64..200),
+            n_outer: rng.gen_range(2usize..8),
+            n_inner: 2 * rng.gen_range(1usize..4),
+            antithetic: rng.gen_bool(0.5),
+            threads: rng.gen_range(1usize..4),
             confidence: 0.995,
-            seed,
-            threads,
-            antithetic,
         };
         let (y1, mean, scr, bel) =
             reference_nested(&outer, &inner, &fund, &positions, &config);
         let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("engine");
         let res = mc.run(&positions, &config).expect("run");
-        prop_assert_eq!(res.y1.len(), y1.len());
+        assert_eq!(res.y1.len(), y1.len());
         for (a, b) in res.y1.iter().zip(&y1) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-        prop_assert_eq!(res.mean.to_bits(), mean.to_bits());
-        prop_assert_eq!(res.scr.to_bits(), scr.to_bits());
-        prop_assert_eq!(res.bel.to_bits(), bel.to_bits());
-    }
+        assert_eq!(res.mean.to_bits(), mean.to_bits());
+        assert_eq!(res.scr.to_bits(), scr.to_bits());
+        assert_eq!(res.bel.to_bits(), bel.to_bits());
+    });
+}
 
-    /// A single workspace driven through an arbitrary sequence of
-    /// differently-shaped runs never leaks state: every run equals the
-    /// same run on a fresh engine-allocated workspace.
-    #[test]
-    fn workspace_reuse_never_leaks_state(
-        seeds in prop::collection::vec(
-            (0u64..100, 2usize..6, 1usize..3, proptest::bool::ANY),
-            2..4,
-        ),
-    ) {
+/// A single workspace driven through an arbitrary sequence of
+/// differently-shaped runs never leaks state: every run equals the same run
+/// on a fresh engine-allocated workspace.
+#[test]
+fn workspace_reuse_never_leaks_state() {
+    cases(8, |rng| {
         let (outer, inner) = nested_generators(6.0);
         let fund = SegregatedFund::italian_typical(10);
         let positions = vec![position(50, 6, 0.8, 1000.0)];
         let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("engine");
         let mut ws = disar_alm::ValuationWorkspace::new();
-        for (seed, n_outer, inner_pairs, antithetic) in seeds {
+        for _ in 0..rng.gen_range(2..4) {
             let config = NestedConfig {
-                n_outer,
-                n_inner: 2 * inner_pairs,
-                confidence: 0.995,
-                seed,
+                seed: rng.gen_range(0u64..100),
+                n_outer: rng.gen_range(2usize..6),
+                n_inner: 2 * rng.gen_range(1usize..3),
+                antithetic: rng.gen_bool(0.5),
                 threads: 1,
-                antithetic,
+                confidence: 0.995,
             };
             let reused = mc.run_with_workspace(&positions, &config, &mut ws).expect("run");
             let fresh = mc.run(&positions, &config).expect("run");
-            prop_assert_eq!(reused, fresh);
+            assert_eq!(reused, fresh);
         }
-    }
+    });
 }

@@ -22,9 +22,9 @@ use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog};
 use disar_core::deploy::{DeployPolicy, TransparentDeployer};
 use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
 use disar_core::{
-    regret_weights, select_configuration, select_configuration_with_rule,
+    regret_weights, select_configuration, select_configuration_with_workspace,
     select_hetero_configuration, CoreError, DeployMode, DetectorKind, DriftConfig, KnowledgeBase,
-    PredictorFamily, RetrainMode, TimeEstimate,
+    PredictorFamily, RetrainMode, SelectionWorkspace, TimeEstimate,
 };
 use disar_math::parallel::parallel_map;
 use disar_math::rng::stream_rng;
@@ -1072,7 +1072,7 @@ impl DeadlineRuleAblationExperiment {
             let (ri, rem) = (i / per_rule, i % per_rule);
             let (ji, mi) = (rem / MULTS.len(), rem % MULTS.len());
             let t_max = best[ji] * MULTS[mi];
-            let sel = select_configuration_with_rule(
+            let sel = select_configuration_with_workspace(
                 &family,
                 provider.catalog(),
                 &jobs[ji].profile,
@@ -1081,6 +1081,8 @@ impl DeadlineRuleAblationExperiment {
                 0.0,
                 seed ^ ji as u64,
                 rules[ri].1,
+                1,
+                &mut SelectionWorkspace::new(),
             )
             .ok();
             (t_max, sel)

@@ -1,111 +1,106 @@
-//! Property-based tests of the cloud simulator.
+//! Property tests of the cloud simulator.
 
 use disar_cloudsim::{CloudProvider, InstanceCatalog, NodeGroup, Workload};
-use proptest::prelude::*;
+use disar_math::check::cases;
+use disar_math::rng::Xoshiro256PlusPlus;
 
 fn provider() -> CloudProvider {
     CloudProvider::new(InstanceCatalog::paper_catalog(), 0)
 }
 
-fn any_instance() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("m4.4xlarge".to_string()),
-        Just("m4.10xlarge".to_string()),
-        Just("c3.4xlarge".to_string()),
-        Just("c3.8xlarge".to_string()),
-        Just("c4.4xlarge".to_string()),
-        Just("c4.8xlarge".to_string()),
-    ]
+fn any_instance(rng: &mut Xoshiro256PlusPlus) -> &'static str {
+    const NAMES: [&str; 6] = [
+        "m4.4xlarge",
+        "m4.10xlarge",
+        "c3.4xlarge",
+        "c3.8xlarge",
+        "c4.4xlarge",
+        "c4.8xlarge",
+    ];
+    NAMES[rng.gen_range(0..NAMES.len())]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// More work never runs faster (same instance, nodes, noise seed).
-    #[test]
-    fn duration_monotone_in_work(
-        instance in any_instance(),
-        work in 100.0f64..1e5,
-        extra in 1.0f64..1e5,
-        n in 1usize..12,
-        seed in 0u64..200,
-    ) {
+/// More work never runs faster (same instance, nodes, noise seed).
+#[test]
+fn duration_monotone_in_work() {
+    cases(64, |rng| {
+        let instance = any_instance(rng);
+        let (work, extra) = (rng.gen_range(100.0..1e5), rng.gen_range(1.0..1e5));
+        let (n, seed) = (rng.gen_range(1usize..12), rng.gen_range(0u64..200));
         let p = provider();
         let small = Workload::new(work, 4.0, 50.0, 0.05).expect("valid");
         let big = Workload::new(work + extra, 4.0, 50.0, 0.05).expect("valid");
-        let r_small = p.run_job_with_seed(&instance, n, &small, seed).expect("ok");
-        let r_big = p.run_job_with_seed(&instance, n, &big, seed).expect("ok");
-        prop_assert!(r_big.duration_secs >= r_small.duration_secs);
-    }
+        let r_small = p.run_job_with_seed(instance, n, &small, seed).expect("ok");
+        let r_big = p.run_job_with_seed(instance, n, &big, seed).expect("ok");
+        assert!(r_big.duration_secs >= r_small.duration_secs);
+    });
+}
 
-    /// The compute phase shrinks (weakly) when nodes are added at a fixed
-    /// noise seed; total cost is positive either way.
-    #[test]
-    fn compute_phase_shrinks_with_nodes(
-        instance in any_instance(),
-        work in 1000.0f64..1e5,
-        n in 1usize..8,
-        seed in 0u64..200,
-    ) {
+/// The compute phase shrinks (weakly) when nodes are added at a fixed noise
+/// seed; total cost is positive either way.
+#[test]
+fn compute_phase_shrinks_with_nodes() {
+    cases(64, |rng| {
+        let (instance, work) = (any_instance(rng), rng.gen_range(1000.0..1e5));
+        let (n, seed) = (rng.gen_range(1usize..8), rng.gen_range(0u64..200));
         let p = provider();
         let wl = Workload::new(work, 4.0, 50.0, 0.05).expect("valid");
-        let r1 = p.run_job_with_seed(&instance, n, &wl, seed).expect("ok");
-        let r2 = p.run_job_with_seed(&instance, n * 2, &wl, seed).expect("ok");
+        let r1 = p.run_job_with_seed(instance, n, &wl, seed).expect("ok");
+        let r2 = p.run_job_with_seed(instance, n * 2, &wl, seed).expect("ok");
         // Per-node share halves; noise can only wiggle so much (σ = 4 %, a
         // 1.5x straggler can flip extreme cases — allow 60 % headroom).
-        prop_assert!(
+        assert!(
             r2.compute_secs <= r1.compute_secs * 1.6,
             "n={n}: {} -> {}",
             r1.compute_secs,
             r2.compute_secs
         );
-        prop_assert!(r1.billed_cost > 0.0 && r2.billed_cost > 0.0);
-    }
+        assert!(r1.billed_cost > 0.0 && r2.billed_cost > 0.0);
+    });
+}
 
-    /// The billing identity: billed cost is the per-hour ceiling formula.
-    #[test]
-    fn billed_cost_identity(
-        instance in any_instance(),
-        work in 100.0f64..5e4,
-        n in 1usize..10,
-        seed in 0u64..200,
-    ) {
+/// The billing identity: billed cost is the per-hour ceiling formula.
+#[test]
+fn billed_cost_identity() {
+    cases(64, |rng| {
+        let (instance, work) = (any_instance(rng), rng.gen_range(100.0..5e4));
+        let (n, seed) = (rng.gen_range(1usize..10), rng.gen_range(0u64..200));
         let p = provider();
         let wl = Workload::new(work, 2.0, 10.0, 0.02).expect("valid");
-        let r = p.run_job_with_seed(&instance, n, &wl, seed).expect("ok");
-        let rate = p.catalog().get(&instance).expect("known").hourly_cost;
+        let r = p.run_job_with_seed(instance, n, &wl, seed).expect("ok");
+        let rate = p.catalog().get(instance).expect("known").hourly_cost;
         let expect = (r.uptime_secs / 3600.0).ceil().max(1.0) * rate * n as f64;
-        prop_assert!((r.billed_cost - expect).abs() < 1e-9);
+        assert!((r.billed_cost - expect).abs() < 1e-9);
         let pro = r.uptime_secs / 3600.0 * rate * n as f64;
-        prop_assert!((r.prorated_cost - pro).abs() < 1e-9);
-    }
+        assert!((r.prorated_cost - pro).abs() < 1e-9);
+    });
+}
 
-    /// Hetero runs with a single full-share group are valid for any type.
-    #[test]
-    fn hetero_single_group_valid(
-        instance in any_instance(),
-        work in 100.0f64..5e4,
-        n in 1usize..6,
-        seed in 0u64..100,
-    ) {
-        let p = provider();
+/// Hetero runs with a single full-share group are valid for any type.
+#[test]
+fn hetero_single_group_valid() {
+    cases(64, |rng| {
+        let (instance, work) = (any_instance(rng), rng.gen_range(100.0..5e4));
+        let (n, seed) = (rng.gen_range(1usize..6), rng.gen_range(0u64..100));
         let wl = Workload::new(work, 2.0, 10.0, 0.02).expect("valid");
-        let g = NodeGroup::new(&instance, n, 1.0).expect("valid");
-        let r = p.run_hetero_job_with_seed(&[g], &wl, seed).expect("ok");
-        prop_assert!(r.duration_secs > 0.0);
-        prop_assert!(r.prorated_cost > 0.0);
-        prop_assert_eq!(r.group_secs.len(), 1);
-        prop_assert_eq!(r.group_idle[0], 0.0);
-    }
+        let g = NodeGroup::new(instance, n, 1.0).expect("valid");
+        let r = provider()
+            .run_hetero_job_with_seed(&[g], &wl, seed)
+            .expect("ok");
+        assert!(r.duration_secs > 0.0);
+        assert!(r.prorated_cost > 0.0);
+        assert_eq!(r.group_secs.len(), 1);
+        assert_eq!(r.group_idle[0], 0.0);
+    });
+}
 
-    /// Two-group hetero: shifting work towards a group increases that
-    /// group's compute time.
-    #[test]
-    fn hetero_share_shifts_load(
-        share in 0.2f64..0.8,
-        delta in 0.05f64..0.15,
-        seed in 0u64..100,
-    ) {
+/// Two-group hetero: shifting work towards a group increases that group's
+/// compute time.
+#[test]
+fn hetero_share_shifts_load() {
+    cases(64, |rng| {
+        let (share, delta) = (rng.gen_range(0.2..0.8), rng.gen_range(0.05..0.15));
+        let seed = rng.gen_range(0u64..100);
         let p = provider();
         let wl = Workload::new(20_000.0, 8.0, 50.0, 0.0).expect("valid");
         let mk = |s: f64| {
@@ -117,7 +112,7 @@ proptest! {
         let hi = (share + delta).min(0.95);
         let r_lo = p.run_hetero_job_with_seed(&mk(share), &wl, seed).expect("ok");
         let r_hi = p.run_hetero_job_with_seed(&mk(hi), &wl, seed).expect("ok");
-        prop_assert!(r_hi.group_secs[0] > r_lo.group_secs[0]);
-        prop_assert!(r_hi.group_secs[1] < r_lo.group_secs[1]);
-    }
+        assert!(r_hi.group_secs[0] > r_lo.group_secs[0]);
+        assert!(r_hi.group_secs[1] < r_lo.group_secs[1]);
+    });
 }

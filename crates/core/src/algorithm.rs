@@ -132,7 +132,7 @@ pub fn select_configuration<P: TimePredictor + ?Sized>(
     epsilon: f64,
     seed: u64,
 ) -> Result<Selection, CoreError> {
-    select_configuration_with_rule(
+    select_configuration_with_workspace(
         family,
         catalog,
         profile,
@@ -141,79 +141,32 @@ pub fn select_configuration<P: TimePredictor + ?Sized>(
         epsilon,
         seed,
         TimeEstimate::EnsembleMean,
+        1,
+        &mut SelectionWorkspace::new(),
     )
 }
 
-/// [`select_configuration`] with an explicit deadline-filter rule.
-///
-/// # Errors
-///
-/// Same contract as [`select_configuration`].
-#[allow(clippy::too_many_arguments)]
-pub fn select_configuration_with_rule<P: TimePredictor + ?Sized>(
-    family: &P,
-    catalog: &InstanceCatalog,
-    profile: &JobProfile,
-    t_max: f64,
-    max_nodes: usize,
-    epsilon: f64,
-    seed: u64,
-    rule: TimeEstimate,
-) -> Result<Selection, CoreError> {
-    select_configuration_with_rule_threads(
-        family, catalog, profile, t_max, max_nodes, epsilon, seed, rule, 1,
-    )
-}
-
-/// [`select_configuration_with_rule`] with the `(m, n)` grid sweep spread
-/// over up to `n_threads` worker threads.
-///
-/// Every cell's 6-model prediction is independent, so the sweep is a
-/// deterministic parallel map: per-cell results are written by index and
-/// folded in the sequential loop's order, making the outcome bit-identical
-/// to `n_threads = 1` for any thread count.
-///
-/// # Errors
-///
-/// Same contract as [`select_configuration`], plus
-/// [`CoreError::InvalidParameter`] for `n_threads == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn select_configuration_with_rule_threads<P: TimePredictor + ?Sized>(
-    family: &P,
-    catalog: &InstanceCatalog,
-    profile: &JobProfile,
-    t_max: f64,
-    max_nodes: usize,
-    epsilon: f64,
-    seed: u64,
-    rule: TimeEstimate,
-    n_threads: usize,
-) -> Result<Selection, CoreError> {
-    let mut ws = SelectionWorkspace::new();
-    select_configuration_with_workspace(
-        family, catalog, profile, t_max, max_nodes, epsilon, seed, rule, n_threads, &mut ws,
-    )
-}
-
-/// [`select_configuration_with_rule_threads`] over a caller-owned
-/// [`SelectionWorkspace`] — the steady-state entry point for deployers that
-/// select repeatedly. Bit-identical to the other entry points; the only
-/// difference is that a warm workspace's buffers are reused instead of
-/// reallocated.
+/// Algorithm 1 in full: [`select_configuration`] with an explicit
+/// deadline-filter `rule`, the `(m, n)` grid sweep spread over up to
+/// `n_threads` worker threads, and a caller-owned [`SelectionWorkspace`] —
+/// the entry point for deployers that select repeatedly, where a warm
+/// workspace's buffers are reused instead of reallocated.
 ///
 /// The sweep is grouped by instance type: each worker thread takes one
 /// catalog entry, featurizes its whole node column once, and runs every
 /// family member's batched kernel over the column
 /// ([`crate::predictor::PredictorFamily::predict_grid`]). Both the mean and
 /// the Conservative maximum are folded from that single member-major block,
-/// so each member is evaluated exactly once per `(m, n)` cell. Per-cell
-/// results are then folded in the sequential nested loop's node-major
-/// order, keeping `feasible` ordering, `best_predicted` and tie-breaks
-/// bit-identical for any thread count.
+/// so each member is evaluated exactly once per `(m, n)` cell. Every cell's
+/// prediction is independent, so the sweep is a deterministic parallel map:
+/// per-cell results are written by index and folded in the sequential nested
+/// loop's node-major order, keeping `feasible` ordering, `best_predicted`
+/// and tie-breaks bit-identical for any thread count.
 ///
 /// # Errors
 ///
-/// Same contract as [`select_configuration_with_rule_threads`].
+/// Same contract as [`select_configuration`], plus
+/// [`CoreError::InvalidParameter`] for `n_threads == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     family: &P,
@@ -475,7 +428,7 @@ mod tests {
         let t_max = 900.0;
         let mean_sel =
             select_configuration(&fam, &cat, &p, t_max, 6, 0.0, 1).unwrap();
-        let cons_sel = select_configuration_with_rule(
+        let cons_sel = select_configuration_with_workspace(
             &fam,
             &cat,
             &p,
@@ -484,6 +437,8 @@ mod tests {
             0.0,
             1,
             TimeEstimate::Conservative,
+            1,
+            &mut SelectionWorkspace::new(),
         )
         .unwrap();
         assert!(cons_sel.feasible.len() <= mean_sel.feasible.len());
@@ -501,7 +456,7 @@ mod tests {
         let (fam, cat) = trained_family();
         let p = profile(150);
         let a = select_configuration(&fam, &cat, &p, 5_000.0, 4, 0.0, 3).unwrap();
-        let b = select_configuration_with_rule(
+        let b = select_configuration_with_workspace(
             &fam,
             &cat,
             &p,
@@ -510,6 +465,8 @@ mod tests {
             0.0,
             3,
             TimeEstimate::EnsembleMean,
+            1,
+            &mut SelectionWorkspace::new(),
         )
         .unwrap();
         assert_eq!(a, b);
@@ -524,7 +481,7 @@ mod tests {
         assert!(select_configuration(&fam, &cat, &p, 100.0, 4, 1.5, 1).is_err());
         let empty = InstanceCatalog::new();
         assert!(select_configuration(&fam, &empty, &p, 100.0, 4, 0.0, 1).is_err());
-        assert!(select_configuration_with_rule_threads(
+        assert!(select_configuration_with_workspace(
             &fam,
             &cat,
             &p,
@@ -534,6 +491,7 @@ mod tests {
             1,
             TimeEstimate::EnsembleMean,
             0,
+            &mut SelectionWorkspace::new(),
         )
         .is_err());
     }
@@ -646,7 +604,7 @@ mod tests {
         };
         for rule in [TimeEstimate::EnsembleMean, TimeEstimate::Conservative] {
             stub.member_evals.store(0, Ordering::Relaxed);
-            select_configuration_with_rule_threads(
+            select_configuration_with_workspace(
                 &stub,
                 &cat,
                 &profile(100),
@@ -656,6 +614,7 @@ mod tests {
                 1,
                 rule,
                 1,
+                &mut SelectionWorkspace::new(),
             )
             .unwrap();
             assert_eq!(
@@ -670,20 +629,8 @@ mod tests {
     fn threaded_sweep_is_bit_identical_to_sequential() {
         let (fam, cat) = trained_family();
         let p = profile(200);
-        let seq = select_configuration_with_rule_threads(
-            &fam,
-            &cat,
-            &p,
-            10_000.0,
-            6,
-            0.3,
-            9,
-            TimeEstimate::EnsembleMean,
-            1,
-        )
-        .unwrap();
-        for threads in [2, 3, 8] {
-            let par = select_configuration_with_rule_threads(
+        let sweep = |threads: usize| {
+            select_configuration_with_workspace(
                 &fam,
                 &cat,
                 &p,
@@ -693,9 +640,13 @@ mod tests {
                 9,
                 TimeEstimate::EnsembleMean,
                 threads,
+                &mut SelectionWorkspace::new(),
             )
-            .unwrap();
-            assert_eq!(seq, par, "divergence at n_threads = {threads}");
+            .unwrap()
+        };
+        let seq = sweep(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(seq, sweep(threads), "divergence at n_threads = {threads}");
         }
     }
 }

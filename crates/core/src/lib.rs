@@ -69,9 +69,8 @@ pub mod tenant;
 mod error;
 
 pub use algorithm::{
-    select_configuration, select_configuration_with_rule,
-    select_configuration_with_rule_threads, select_configuration_with_workspace,
-    CandidateConfig, Selection, SelectionWorkspace, TimeEstimate,
+    select_configuration, select_configuration_with_workspace, CandidateConfig, Selection,
+    SelectionWorkspace, TimeEstimate,
 };
 pub use deploy::{
     DeployDecision, DeployLoop, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder,

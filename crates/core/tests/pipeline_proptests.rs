@@ -1,36 +1,16 @@
-//! Property-based determinism tests of the deploy pipeline: for any depth
+//! Determinism properties of the deploy pipeline: for any depth
 //! ≥ 1, [`DeployPipeline`] must produce bit-identical per-job outcomes and
 //! final knowledge-base contents to the sequential loop, over both
 //! deployer backends.
 
-use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
+use disar_cloudsim::InstanceCatalog;
 use disar_core::deploy::{DeployOutcome, DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer};
-use disar_core::{DeployPipeline, JobProfile, PipelineJob};
-use disar_engine::EebCharacteristics;
-use proptest::prelude::*;
+use disar_core::{DeployPipeline, PipelineJob};
+use disar_math::check::cases;
+use disar_math::rng::Xoshiro256PlusPlus;
 
-fn profile(contracts: usize) -> JobProfile {
-    JobProfile {
-        characteristics: EebCharacteristics {
-            representative_contracts: contracts,
-            max_horizon: 20,
-            fund_assets: 30,
-            risk_factors: 2,
-        },
-        n_outer: 1000,
-        n_inner: 50,
-    }
-}
-
-fn workload(contracts: usize) -> Workload {
-    Workload::new(
-        30.0 * contracts as f64,
-        0.02 * contracts as f64,
-        0.8 * contracts as f64,
-        0.05,
-    )
-    .expect("valid workload")
-}
+mod common;
+use common::{policy, profile, provider, workload};
 
 /// A mixed job list: mostly auto (deployer-chosen) jobs with a sprinkle of
 /// operator-forced ones, like a real campaign's manual training phase.
@@ -53,13 +33,13 @@ fn jobs(n_jobs: usize, forced_every: usize) -> Vec<PipelineJob> {
         .collect()
 }
 
-fn policy(min_kb_samples: usize, retrain_every: usize) -> DeployPolicy {
-    DeployPolicy::builder(50_000.0)
-        .max_nodes(4)
-        .min_kb_samples(min_kb_samples)
-        .retrain_every(retrain_every)
-        .n_threads(1)
-        .build()
+/// What the two replay properties draw: a seed, a pipeline depth, a job list
+/// and a retrain policy.
+fn any_run(rng: &mut Xoshiro256PlusPlus) -> (u64, usize, Vec<PipelineJob>, DeployPolicy) {
+    let (seed, depth) = (rng.gen_range(0u64..1_000), rng.gen_range(1usize..6));
+    let n_jobs = rng.gen_range(6usize..22);
+    let policy = policy(rng.gen_range(4usize..10), rng.gen_range(1usize..4));
+    (seed, depth, jobs(n_jobs, rng.gen_range(0usize..6)), policy)
 }
 
 /// The pre-existing sequential loop, as the reference implementation.
@@ -76,80 +56,53 @@ fn sequential<D: Deployer>(mut d: D, jobs: &[PipelineJob]) -> (Vec<DeployOutcome
     (outs, d)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Monolithic backend: any pipeline depth replays the sequential loop
-    /// bit for bit — same per-job outcomes, same final knowledge base.
-    #[test]
-    fn monolithic_pipeline_matches_sequential(
-        seed in 0u64..1_000,
-        depth in 1usize..6,
-        n_jobs in 6usize..22,
-        min_kb_samples in 4usize..10,
-        retrain_every in 1usize..4,
-        forced_every in 0usize..6,
-    ) {
-        let jobs = jobs(n_jobs, forced_every);
-        let mk = || TransparentDeployer::new(
-            CloudProvider::new(InstanceCatalog::paper_catalog(), seed),
-            policy(min_kb_samples, retrain_every),
-            seed,
-        );
+/// Monolithic backend: any pipeline depth replays the sequential loop
+/// bit for bit — same per-job outcomes, same final knowledge base.
+#[test]
+fn monolithic_pipeline_matches_sequential() {
+    cases(12, |rng| {
+        let (seed, depth, jobs, policy) = any_run(rng);
+        let mk = || TransparentDeployer::new(provider(seed), policy, seed);
         let (seq_outs, seq_d) = sequential(mk(), &jobs);
         let mut pipe = DeployPipeline::new(mk(), depth).expect("depth >= 1");
         let outs = pipe.run(&jobs).expect("pipeline deploys succeed");
-        prop_assert_eq!(&outs, &seq_outs);
-        prop_assert!(pipe.stats().max_in_flight <= depth);
-        prop_assert_eq!(
+        assert_eq!(&outs, &seq_outs);
+        assert!(pipe.stats().max_in_flight <= depth);
+        assert_eq!(
             pipe.into_deployer().knowledge_base(),
             seq_d.knowledge_base()
         );
-    }
+    });
+}
 
-    /// Sharded backend: the per-shard retrain gates make the readiness
-    /// rule instance-dependent; the pipeline must still replay the
-    /// sequential loop exactly.
-    #[test]
-    fn sharded_pipeline_matches_sequential(
-        seed in 0u64..1_000,
-        depth in 1usize..6,
-        n_jobs in 6usize..22,
-        min_kb_samples in 4usize..10,
-        retrain_every in 1usize..4,
-        forced_every in 0usize..6,
-    ) {
-        let jobs = jobs(n_jobs, forced_every);
-        let mk = || ShardedDeployer::new(
-            CloudProvider::new(InstanceCatalog::paper_catalog(), seed),
-            policy(min_kb_samples, retrain_every),
-            seed,
-        );
+/// Sharded backend: the per-shard retrain gates make the readiness
+/// rule instance-dependent; the pipeline must still replay the
+/// sequential loop exactly.
+#[test]
+fn sharded_pipeline_matches_sequential() {
+    cases(12, |rng| {
+        let (seed, depth, jobs, policy) = any_run(rng);
+        let mk = || ShardedDeployer::new(provider(seed), policy, seed);
         let (seq_outs, seq_d) = sequential(mk(), &jobs);
         let mut pipe = DeployPipeline::new(mk(), depth).expect("depth >= 1");
         let outs = pipe.run(&jobs).expect("pipeline deploys succeed");
-        prop_assert_eq!(&outs, &seq_outs);
-        prop_assert_eq!(
+        assert_eq!(&outs, &seq_outs);
+        assert_eq!(
             pipe.into_deployer().knowledge_base(),
             seq_d.knowledge_base()
         );
-    }
+    });
+}
 
-    /// Both backends leave the provider's noise stream at the sequential
-    /// position: a follow-up run observes identical cloud conditions.
-    #[test]
-    fn pipeline_leaves_the_noise_stream_in_sequential_position(
-        seed in 0u64..500,
-        depth in 2usize..6,
-        n_jobs in 4usize..14,
-    ) {
-        let jobs = jobs(n_jobs, 4);
+/// Both backends leave the provider's noise stream at the sequential
+/// position: a follow-up run observes identical cloud conditions.
+#[test]
+fn pipeline_leaves_the_noise_stream_in_sequential_position() {
+    cases(12, |rng| {
+        let (seed, depth) = (rng.gen_range(0u64..500), rng.gen_range(2usize..6));
+        let jobs = jobs(rng.gen_range(4usize..14), 4);
         let wl = workload(100);
-        let mk = || TransparentDeployer::new(
-            CloudProvider::new(InstanceCatalog::paper_catalog(), seed),
-            policy(6, 2),
-            seed,
-        );
+        let mk = || TransparentDeployer::new(provider(seed), policy(6, 2), seed);
         let (_, seq_d) = sequential(mk(), &jobs);
         let mut pipe = DeployPipeline::new(mk(), depth).expect("depth >= 1");
         pipe.run(&jobs).expect("pipeline deploys succeed");
@@ -159,6 +112,6 @@ proptest! {
             .provider()
             .run_job("c3.4xlarge", 2, &wl)
             .expect("runs");
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }

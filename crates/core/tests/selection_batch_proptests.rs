@@ -9,48 +9,15 @@
 //! only implements `predict_each`, so the trait's default `predict_grid`
 //! (a per-cell scalar loop) kicks in.
 
-use disar_cloudsim::{InstanceCatalog, InstanceType};
+use disar_cloudsim::InstanceType;
 use disar_core::{
-    select_configuration_with_workspace, CoreError, GridScratch, JobProfile, KnowledgeBase,
-    PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace, TimeEstimate, TimePredictor,
+    select_configuration_with_workspace, CoreError, GridScratch, JobProfile, PredictorFamily,
+    SelectionWorkspace, TimeEstimate, TimePredictor,
 };
-use disar_engine::EebCharacteristics;
-use proptest::prelude::*;
-use std::sync::OnceLock;
+use disar_math::check::cases;
 
-fn profile(contracts: usize) -> JobProfile {
-    JobProfile {
-        characteristics: EebCharacteristics {
-            representative_contracts: contracts,
-            max_horizon: 20,
-            fund_assets: 30,
-            risk_factors: 2,
-        },
-        n_outer: 1000,
-        n_inner: 50,
-    }
-}
-
-/// One shared trained family (training is the slow part).
-fn family() -> &'static (PredictorFamily, InstanceCatalog) {
-    static CELL: OnceLock<(PredictorFamily, InstanceCatalog)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let cat = InstanceCatalog::paper_catalog();
-        let names = cat.names();
-        let mut kb = KnowledgeBase::new();
-        for i in 0..300 {
-            let inst = cat.get(&names[i % names.len()]).expect("known");
-            let nodes = i % 6 + 1;
-            let contracts = 50 + (i * 53) % 400;
-            let time =
-                40_000.0 * contracts as f64 / 100.0 / (inst.compute_power() * nodes as f64);
-            kb.record(RunRecord::new(profile(contracts), inst, nodes, time, 0.0));
-        }
-        let mut fam = PredictorFamily::new(5, 2);
-        fam.retrain(&kb, RetrainMode::Full, 1).expect("large enough");
-        (fam, cat)
-    })
-}
+mod common;
+use common::{family, profile};
 
 /// A [`PredictorFamily`] with its batched `predict_grid` override hidden:
 /// only `predict_each` is implemented, so every grid query runs the
@@ -68,30 +35,20 @@ impl TimePredictor for ScalarOnly<'_> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// For random jobs, deadlines, grids, rules and thread counts, the
-    /// batched sweep's Selection equals the scalar sweep's bit for bit —
-    /// including with a warm workspace left over from a *different*
-    /// previous selection.
-    #[test]
-    fn batched_selection_is_bit_identical_to_scalar(
-        contracts in 60usize..420,
-        t_max in 200.0f64..50_000.0,
-        max_nodes in 1usize..8,
-        epsilon in 0.0f64..1.0,
-        seed in 0u64..500,
-        conservative in any::<bool>(),
-        n_threads in 1usize..5,
-    ) {
+/// For random jobs, deadlines, grids, rules and thread counts, the
+/// batched sweep's Selection equals the scalar sweep's bit for bit —
+/// including with a warm workspace left over from a *different*
+/// previous selection.
+#[test]
+fn batched_selection_is_bit_identical_to_scalar() {
+    cases(24, |rng| {
+        let p = profile(rng.gen_range(60usize..420));
+        let (t_max, max_nodes) = (rng.gen_range(200.0..50_000.0), rng.gen_range(1usize..8));
+        let (epsilon, seed) = (rng.gen_range(0.0..1.0), rng.gen_range(0u64..500));
+        let rules = [TimeEstimate::Conservative, TimeEstimate::EnsembleMean];
+        let rule = rules[rng.gen_range(0..rules.len())];
+        let n_threads = rng.gen_range(1usize..5);
         let (fam, cat) = family();
-        let p = profile(contracts);
-        let rule = if conservative {
-            TimeEstimate::Conservative
-        } else {
-            TimeEstimate::EnsembleMean
-        };
         let mut ws = SelectionWorkspace::new();
         // Dirty the workspace with an unrelated selection so the property
         // also covers warm-buffer reuse, the deployer's steady state.
@@ -107,63 +64,60 @@ proptest! {
         );
         match (batched, scalar) {
             (Ok(b), Ok(s)) => {
-                prop_assert_eq!(&b, &s);
+                assert_eq!(&b, &s);
                 // `==` on f64 admits 0.0 == -0.0; pin the exact bits too.
-                prop_assert_eq!(
+                assert_eq!(
                     b.chosen.predicted_secs.to_bits(),
                     s.chosen.predicted_secs.to_bits()
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     b.chosen.predicted_cost.to_bits(),
                     s.chosen.predicted_cost.to_bits()
                 );
                 for (x, y) in b.feasible.iter().zip(&s.feasible) {
-                    prop_assert_eq!(x.predicted_secs.to_bits(), y.predicted_secs.to_bits());
-                    prop_assert_eq!(x.predicted_cost.to_bits(), y.predicted_cost.to_bits());
+                    assert_eq!(x.predicted_secs.to_bits(), y.predicted_secs.to_bits());
+                    assert_eq!(x.predicted_cost.to_bits(), y.predicted_cost.to_bits());
                 }
             }
             (
                 Err(CoreError::NoFeasibleConfiguration { t_max: tb, best_predicted: bb }),
                 Err(CoreError::NoFeasibleConfiguration { t_max: ts, best_predicted: bs }),
             ) => {
-                prop_assert_eq!(tb.to_bits(), ts.to_bits());
-                prop_assert_eq!(bb.to_bits(), bs.to_bits());
+                assert_eq!(tb.to_bits(), ts.to_bits());
+                assert_eq!(bb.to_bits(), bs.to_bits());
             }
-            (b, s) => prop_assert!(false, "outcomes diverge: {:?} vs {:?}", b, s),
+            (b, s) => panic!("outcomes diverge: {b:?} vs {s:?}"),
         }
-    }
+    });
+}
 
-    /// The grid kernel itself: `predict_grid`'s member-major block equals
-    /// per-cell `predict_each` bitwise for arbitrary node runs.
-    #[test]
-    fn predict_grid_matches_predict_each(
-        contracts in 60usize..420,
-        max_nodes in 1usize..9,
-    ) {
+/// The grid kernel itself: `predict_grid`'s member-major block equals
+/// per-cell `predict_each` bitwise for arbitrary node runs.
+#[test]
+fn predict_grid_matches_predict_each() {
+    cases(24, |rng| {
+        let p = profile(rng.gen_range(60usize..420));
+        let nodes: Vec<usize> = (1..=rng.gen_range(1usize..9)).collect();
         let (fam, cat) = family();
-        let p = profile(contracts);
-        let nodes: Vec<usize> = (1..=max_nodes).collect();
         let mut block = Vec::new();
         let mut scratch = GridScratch::new();
         for inst in cat.iter() {
             let members = fam
                 .predict_grid(&p, inst, &nodes, &mut block, &mut scratch)
                 .expect("trained");
-            prop_assert_eq!(block.len(), members * nodes.len());
+            assert_eq!(block.len(), members * nodes.len());
             for (i, &n) in nodes.iter().enumerate() {
                 let each = fam.predict_each(&p, inst, n).expect("trained");
-                prop_assert_eq!(each.len(), members);
+                assert_eq!(each.len(), members);
                 for (m, (_, want)) in each.iter().enumerate() {
-                    prop_assert_eq!(
+                    assert_eq!(
                         block[m * nodes.len() + i].to_bits(),
                         want.to_bits(),
-                        "member {} diverges at n = {} on {}",
-                        m,
-                        n,
-                        &inst.name
+                        "member {m} diverges at n = {n} on {}",
+                        inst.name
                     );
                 }
             }
         }
-    }
+    });
 }

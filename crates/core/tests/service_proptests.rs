@@ -1,4 +1,4 @@
-//! Property-based tests of the concurrent multi-tenant deploy service.
+//! Property tests of the concurrent multi-tenant deploy service.
 //!
 //! The contract under test:
 //!
@@ -20,47 +20,16 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
+use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use disar_core::deploy::{DeployOutcome, DeployPolicy};
 use disar_core::pipeline::PipelineJob;
 use disar_core::service::{DeployService, ServiceConfig};
-use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
-use disar_core::{CoreError, JobProfile};
-use disar_engine::EebCharacteristics;
-use proptest::prelude::*;
+use disar_core::tenant::{TenantId, TenantShardedDeployer};
+use disar_core::CoreError;
+use disar_math::check::cases;
 
-fn profile(contracts: usize) -> JobProfile {
-    JobProfile {
-        characteristics: EebCharacteristics {
-            representative_contracts: contracts,
-            max_horizon: 20,
-            fund_assets: 30,
-            risk_factors: 2,
-        },
-        n_outer: 1000,
-        n_inner: 50,
-    }
-}
-
-fn workload(contracts: usize) -> Workload {
-    Workload::new(
-        30.0 * contracts as f64,
-        0.02 * contracts as f64,
-        0.8 * contracts as f64,
-        0.05,
-    )
-    .expect("valid workload")
-}
-
-fn policy(min_kb_samples: usize, retrain_every: usize) -> DeployPolicy {
-    DeployPolicy::builder(50_000.0)
-        .max_nodes(4)
-        .min_kb_samples(min_kb_samples)
-        .retrain_every(retrain_every)
-        .n_threads(1)
-        .transfer(TransferPolicy::Isolated)
-        .build()
-}
+mod common;
+use common::{policy, profile, workload};
 
 fn tenant_seed(base_seed: u64, ix: usize) -> u64 {
     base_seed.wrapping_mul(1_000_003).wrapping_add(ix as u64)
@@ -112,24 +81,17 @@ fn solo_run(
     (outcomes, solo)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Property 1: per-tenant bit-identity under concurrency. N tenants
-    /// submit interleaved schedules; each tenant's outcomes and final
-    /// shards equal its solo run.
-    #[test]
-    fn concurrent_tenants_bit_identical_to_solo(
-        base_seed in 0u64..300,
-        n_tenants in 1usize..=8,
-        n_jobs in 8usize..16,
-        min_kb_samples in 4usize..8,
-        retrain_every in 1usize..4,
-        forced_every in 0usize..5,
-        depth in 1usize..4,
-        batch_max in 1usize..9,
-    ) {
-        let pol = policy(min_kb_samples, retrain_every);
+/// Property 1: per-tenant bit-identity under concurrency. N tenants
+/// submit interleaved schedules; each tenant's outcomes and final
+/// shards equal its solo run.
+#[test]
+fn concurrent_tenants_bit_identical_to_solo() {
+    cases(8, |rng| {
+        let base_seed = rng.gen_range(0u64..300);
+        let (n_tenants, n_jobs) = (rng.gen_range(1usize..=8), rng.gen_range(8usize..16));
+        let pol = policy(rng.gen_range(4usize..8), rng.gen_range(1usize..4));
+        let forced_every = rng.gen_range(0usize..5);
+        let (depth, batch_max) = (rng.gen_range(1usize..4), rng.gen_range(1usize..9));
         let tenants: Vec<TenantId> =
             (0..n_tenants).map(|i| TenantId::new(format!("company-{i}"))).collect();
         let schedules: Vec<Vec<PipelineJob>> =
@@ -141,48 +103,51 @@ proptest! {
             ServiceConfig { depth, queue_capacity: n_jobs + 1, batch_max },
         ).expect("valid service");
         let handles: Vec<_> = tenants.iter().enumerate()
-            .map(|(i, t)| service.register(t.clone(), tenant_seed(base_seed, i)).unwrap())
+            .map(|(i, t)| {
+                service
+                    .register(t.clone(), tenant_seed(base_seed, i))
+                    .unwrap()
+            })
             .collect();
         service.start().expect("service starts");
         // Round-robin interleave so every tenant is genuinely concurrent.
         for j in 0..n_jobs {
-            for (i, h) in handles.iter().enumerate() {
-                h.submit(schedules[i][j].clone()).expect("queue sized for the schedule");
+            for (h, schedule) in handles.iter().zip(&schedules) {
+                h.submit(schedule[j].clone()).expect("queue sized for the schedule");
             }
         }
         for (i, h) in handles.into_iter().enumerate() {
             let run = h.finish().expect("tenant stream succeeds");
             let (expected, solo) =
                 solo_run(tenant_seed(base_seed, i), &tenants[i], &schedules[i], &pol);
-            prop_assert_eq!(
+            assert_eq!(
                 &run.outcomes, &expected,
                 "tenant {} diverged from its solo run", i
             );
-            prop_assert_eq!(run.stats.jobs, n_jobs);
+            assert_eq!(run.stats.jobs, n_jobs);
             // Final shard contents match the solo base shard-for-shard.
             for (key, shard) in solo.knowledge_base().shards() {
                 let got = service.shard(&key.0, &key.1)
                     .expect("service holds every solo shard");
-                prop_assert_eq!(got.records(), shard.records());
+                assert_eq!(got.records(), shard.records());
             }
         }
         let stats = service.join().expect("clean shutdown");
-        prop_assert_eq!(stats.admitted, n_tenants * n_jobs);
-        prop_assert_eq!(stats.rejected, 0);
-        prop_assert_eq!(stats.pipeline.jobs, n_tenants * n_jobs);
-    }
+        assert_eq!(stats.admitted, n_tenants * n_jobs);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.pipeline.jobs, n_tenants * n_jobs);
+    });
+}
 
-    /// Property 2: a full queue rejects deterministically with
-    /// `Backpressure`, and the admitted prefix still lands bit-identically
-    /// to the solo run over that prefix.
-    #[test]
-    fn backpressure_rejects_overflow_and_keeps_prefix_identity(
-        base_seed in 0u64..300,
-        queue_capacity in 1usize..6,
-        overflow in 1usize..4,
-        retrain_every in 1usize..3,
-    ) {
-        let pol = policy(4, retrain_every);
+/// Property 2: a full queue rejects deterministically with
+/// `Backpressure`, and the admitted prefix still lands bit-identically
+/// to the solo run over that prefix.
+#[test]
+fn backpressure_rejects_overflow_and_keeps_prefix_identity() {
+    cases(8, |rng| {
+        let base_seed = rng.gen_range(0u64..300);
+        let (queue_capacity, overflow) = (rng.gen_range(1usize..6), rng.gen_range(1usize..4));
+        let pol = policy(4, rng.gen_range(1usize..3));
         let tenant = TenantId::new("company-0");
         let jobs = schedule(0, queue_capacity + overflow, 0);
         let mut service = DeployService::new(
@@ -194,14 +159,14 @@ proptest! {
         // The service is not started: nothing drains, so exactly
         // `queue_capacity` jobs fit and the rest bounce.
         for j in &jobs[..queue_capacity] {
-            prop_assert!(handle.submit(j.clone()).is_ok());
+            assert!(handle.submit(j.clone()).is_ok());
         }
         for j in &jobs[queue_capacity..] {
             match handle.submit(j.clone()) {
                 Err(CoreError::Backpressure { capacity }) => {
-                    prop_assert_eq!(capacity, queue_capacity);
+                    assert_eq!(capacity, queue_capacity);
                 }
-                other => prop_assert!(false, "expected Backpressure, got {:?}", other),
+                other => panic!("expected Backpressure, got {other:?}"),
             }
         }
         service.start().expect("service starts");
@@ -209,26 +174,26 @@ proptest! {
         let (expected, _) = solo_run(
             tenant_seed(base_seed, 0), &tenant, &jobs[..queue_capacity], &pol,
         );
-        prop_assert_eq!(run.outcomes, expected);
+        assert_eq!(run.outcomes, expected);
         let stats = service.join().expect("clean shutdown");
-        prop_assert_eq!(stats.submitted, queue_capacity + overflow);
-        prop_assert_eq!(stats.admitted, queue_capacity);
-        prop_assert_eq!(stats.rejected, overflow);
-        prop_assert_eq!(stats.max_queue_depth, queue_capacity);
-    }
+        assert_eq!(stats.submitted, queue_capacity + overflow);
+        assert_eq!(stats.admitted, queue_capacity);
+        assert_eq!(stats.rejected, overflow);
+        assert_eq!(stats.max_queue_depth, queue_capacity);
+    });
+}
 
-    /// Property 3: snapshot swaps are linearizable from a concurrent
-    /// observer's point of view — generations move forward only, and a
-    /// family observed at a later generation was trained on at least as
-    /// many records as at any earlier one (no half-rebuilt snapshot is
-    /// ever visible).
-    #[test]
-    fn snapshot_swaps_are_linearizable(
-        base_seed in 0u64..300,
-        n_tenants in 2usize..5,
-        n_jobs in 8usize..14,
-        batch_max in 1usize..6,
-    ) {
+/// Property 3: snapshot swaps are linearizable from a concurrent
+/// observer's point of view — generations move forward only, and a
+/// family observed at a later generation was trained on at least as
+/// many records as at any earlier one (no half-rebuilt snapshot is
+/// ever visible).
+#[test]
+fn snapshot_swaps_are_linearizable() {
+    cases(8, |rng| {
+        let base_seed = rng.gen_range(0u64..300);
+        let (n_tenants, n_jobs) = (rng.gen_range(2usize..5), rng.gen_range(8usize..14));
+        let batch_max = rng.gen_range(1usize..6);
         let pol = policy(4, 1);
         let tenants: Vec<TenantId> =
             (0..n_tenants).map(|i| TenantId::new(format!("company-{i}"))).collect();
@@ -238,7 +203,11 @@ proptest! {
             ServiceConfig { depth: 2, queue_capacity: n_jobs + 1, batch_max },
         ).expect("valid service");
         let handles: Vec<_> = tenants.iter().enumerate()
-            .map(|(i, t)| service.register(t.clone(), tenant_seed(base_seed, i)).unwrap())
+            .map(|(i, t)| {
+                service
+                    .register(t.clone(), tenant_seed(base_seed, i))
+                    .unwrap()
+            })
             .collect();
         service.start().expect("service starts");
 
@@ -286,16 +255,16 @@ proptest! {
         }
         stop.store(true, Ordering::Relaxed);
         let observations = observer.join().expect("observer clean");
-        prop_assert!(observations > 0);
+        assert!(observations > 0);
 
         let final_snap = service.snapshot();
         // Every tenant landed n_jobs records, so no family can claim more.
         for ((_, tenant), family) in final_snap.families() {
-            prop_assert!(family.trained_on() <= n_jobs, "tenant {:?}", tenant);
+            assert!(family.trained_on() <= n_jobs, "tenant {:?}", tenant);
         }
         let service = Arc::try_unwrap(service).ok().expect("observer released the service");
         let stats = service.join().expect("clean shutdown");
-        prop_assert!(stats.snapshot_generation > 0);
-        prop_assert!(stats.retrains > 0);
-    }
+        assert!(stats.snapshot_generation > 0);
+        assert!(stats.retrains > 0);
+    });
 }

@@ -23,8 +23,8 @@
 //!   Chebyshev) and multivariate total-degree tensor bases for the
 //!   Least-Squares Monte Carlo technique of Bauer, Reuss & Singer (2012)
 //!   referenced by the paper;
-//! - [`regression`]: convenience wrappers that assemble design matrices and
-//!   fit linear models.
+//! - [`check`]: the seeded case runner every property test of the workspace
+//!   is written on (`cases`, `case`, `vec_of`).
 //!
 //! # Example
 //!
@@ -35,11 +35,11 @@
 //! assert_eq!(quantile(&xs, 0.5), 3.0);
 //! ```
 
+pub mod check;
 pub mod exp;
 pub mod matrix;
 pub mod parallel;
 pub mod poly;
-pub mod regression;
 pub mod rng;
 pub mod stats;
 

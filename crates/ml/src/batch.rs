@@ -9,7 +9,7 @@
 //! them by carrying one [`PredictScratch`] across the whole batch while
 //! executing the **exact same per-query arithmetic** — same fold orders,
 //! same tie-breaks — so batched predictions are bit-identical to the
-//! scalar path (property-tested in `batch_proptests`).
+//! scalar path (the properties of `tests/batch_proptests.rs`).
 
 use crate::MlError;
 

@@ -126,8 +126,8 @@ impl IbK {
     /// Reference prediction via the original early-abandon **linear scan**.
     ///
     /// [`Regressor::predict`] goes through the kd-tree and must return
-    /// bit-identical results; this path survives only as the baseline for
-    /// the equivalence proptests and the `kb_scale` bench. It is not API —
+    /// bit-identical results; this path is the baseline of the property
+    /// `ibk_index_matches_linear_scan` (`tests/proptests.rs`). It is not API —
     /// all real callers go through [`Regressor::predict`].
     ///
     /// # Errors

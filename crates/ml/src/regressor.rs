@@ -34,7 +34,7 @@ pub trait Regressor: Send + Sync {
     /// unchanged. The built-in members override it with batched kernels
     /// that reuse `scratch` across queries while executing the exact same
     /// per-query arithmetic — their batched predictions are **bit
-    /// identical** to the scalar path (see `batch_proptests`). An empty
+    /// identical** to the scalar path (`tests/batch_proptests.rs`). An empty
     /// batch succeeds without touching the model.
     ///
     /// # Errors

@@ -7,50 +7,16 @@
 //! 1 / 2 / 7 / 64, and duplicate-heavy data where neighbour tie-breaks are
 //! the common case.
 
+use disar_math::check::cases;
+use disar_math::rng::stream_rng;
 use disar_ml::ibk::Weighting;
 use disar_ml::{
     Dataset, DecisionTable, Ensemble, FeatureMatrix, IbK, KStar, Mlp, PredictScratch,
     RandomForest, RandomTree, Regressor,
 };
-use proptest::prelude::*;
 
-/// Strategy: a random regression dataset with 1–3 features.
-fn dataset_strategy() -> impl Strategy<Value = Dataset> {
-    (1usize..4, 5usize..40).prop_flat_map(|(dim, n)| {
-        (
-            prop::collection::vec(
-                prop::collection::vec(-100.0f64..100.0, dim..=dim),
-                n..=n,
-            ),
-            prop::collection::vec(-1000.0f64..1000.0, n..=n),
-        )
-            .prop_map(move |(rows, ys)| {
-                let names = (0..dim).map(|i| format!("f{i}")).collect();
-                Dataset::from_rows(names, rows, ys).expect("finite values")
-            })
-    })
-}
-
-/// Strategy: a duplicate-heavy dataset (tiny value alphabet), so kd-tree
-/// ties — where the lowest-row-index tie-break matters — are the common
-/// case rather than the corner case.
-fn tied_dataset_strategy() -> impl Strategy<Value = Dataset> {
-    (1usize..3, 6usize..32).prop_flat_map(|(dim, n)| {
-        (
-            prop::collection::vec(prop::collection::vec(0i32..4, dim..=dim), n..=n),
-            prop::collection::vec(0i32..3, n..=n),
-        )
-            .prop_map(move |(rows, ys)| {
-                let names = (0..dim).map(|i| format!("f{i}")).collect();
-                let rows = rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(f64::from).collect())
-                    .collect();
-                let ys = ys.into_iter().map(f64::from).collect();
-                Dataset::from_rows(names, rows, ys).expect("finite values")
-            })
-    })
-}
+mod common;
+use common::{any_dataset, any_tied_dataset};
 
 /// The ISSUE batch widths: degenerate, tiny, odd, and one full MLP block.
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
@@ -58,7 +24,6 @@ const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 /// Deterministic query batch of `n` rows spanning well past the training
 /// hull (so scaler clipping-free extrapolation paths are exercised too).
 fn query_batch(dim: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
-    use disar_math::rng::stream_rng;
     let mut rng = stream_rng(seed, 0xBA7C);
     (0..n)
         .map(|_| (0..dim).map(|_| rng.gen_range(-200.0..200.0)).collect())
@@ -110,25 +75,24 @@ fn family(seed: u64) -> Vec<Box<dyn Regressor>> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every member's batched kernel is bit-identical to its scalar path.
-    #[test]
-    fn members_batch_matches_scalar(data in dataset_strategy(), seed in 0u64..1000) {
+/// Every member's batched kernel is bit-identical to its scalar path.
+#[test]
+fn members_batch_matches_scalar() {
+    cases(24, |rng| {
+        let (data, seed) = (any_dataset(rng), rng.gen_range(0u64..1000));
         for mut m in family(seed) {
             m.fit(&data).expect("training succeeds");
             assert_bit_identical(m.as_ref(), &data, seed);
         }
-    }
+    });
+}
 
-    /// Same property on duplicate-heavy data, where the kd-tree models'
-    /// lowest-row-index tie-breaks decide the neighbour sets.
-    #[test]
-    fn neighbour_models_batch_matches_scalar_under_ties(
-        data in tied_dataset_strategy(),
-        seed in 0u64..1000,
-    ) {
+/// Same property on duplicate-heavy data, where the kd-tree models'
+/// lowest-row-index tie-breaks decide the neighbour sets.
+#[test]
+fn neighbour_models_batch_matches_scalar_under_ties() {
+    cases(24, |rng| {
+        let (data, seed) = (any_tied_dataset(rng), rng.gen_range(0u64..1000));
         let models: Vec<Box<dyn Regressor>> = vec![
             Box::new(IbK::new(3)),
             Box::new(IbK::with_weighting(4, Weighting::InverseDistance).expect("valid ibk")),
@@ -139,16 +103,19 @@ proptest! {
             m.fit(&data).expect("training succeeds");
             assert_bit_identical(m.as_ref(), &data, seed);
         }
-    }
+    });
+}
 
-    /// The ensemble's batched mean (which nests the member kernels through
-    /// one shared scratch) is bit-identical to its scalar mean.
-    #[test]
-    fn ensemble_batch_matches_scalar(data in dataset_strategy(), seed in 0u64..1000) {
+/// The ensemble's batched mean (which nests the member kernels through one
+/// shared scratch) is bit-identical to its scalar mean.
+#[test]
+fn ensemble_batch_matches_scalar() {
+    cases(24, |rng| {
+        let (data, seed) = (any_dataset(rng), rng.gen_range(0u64..1000));
         let mut ens = Ensemble::new(family(seed));
         ens.fit(&data).expect("training succeeds");
         assert_bit_identical(&ens, &data, seed);
-    }
+    });
 }
 
 #[test]

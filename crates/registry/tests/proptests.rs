@@ -12,8 +12,9 @@ use disar_core::{
     JobProfile, KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,
 };
 use disar_engine::EebCharacteristics;
+use disar_math::check::{cases, vec_of};
+use disar_math::rng::Xoshiro256PlusPlus;
 use disar_registry::{knowledge_fingerprint, Canonicalize, RegistryRow};
-use proptest::prelude::*;
 
 fn profile(contracts: usize) -> JobProfile {
     JobProfile {
@@ -42,17 +43,31 @@ fn record(
         .with_tenant(TenantId::new(format!("company-{tenant}")))
 }
 
-proptest! {
-    /// serialize → parse → identical, for rows with and without timings.
-    #[test]
-    fn row_serialization_roundtrips(
-        experiment in "[a-z]{1,12}",
-        input in any::<u64>(),
-        x in any::<i64>(),
-        y in any::<f64>().prop_filter("finite", |v| v.is_finite()),
-        wall in any::<u64>(),
-        timed in any::<bool>(),
-    ) {
+/// One to twelve lowercase letters.
+fn any_name(rng: &mut Xoshiro256PlusPlus) -> String {
+    let letters = vec_of(rng, 1..=12, |rng| {
+        char::from(b'a' + rng.gen_range(0u32..26) as u8)
+    });
+    letters.into_iter().collect()
+}
+
+/// Any finite `f64`, drawn by bit pattern so that every exponent turns up.
+fn any_finite(rng: &mut Xoshiro256PlusPlus) -> f64 {
+    loop {
+        let v = f64::from_bits(rng.next_u64());
+        if v.is_finite() {
+            return v;
+        }
+    }
+}
+
+/// serialize → parse → identical, for rows with and without timings.
+#[test]
+fn row_serialization_roundtrips() {
+    cases(256, |rng| {
+        let (experiment, input) = (any_name(rng), rng.next_u64());
+        let (x, y) = (rng.next_u64() as i64, any_finite(rng));
+        let (wall, timed) = (rng.next_u64(), rng.gen_bool(0.5));
         let mut row = RegistryRow::new(
             experiment,
             input,
@@ -65,20 +80,18 @@ proptest! {
         }
         let line = serde_json::to_string(&row).unwrap();
         let parsed: RegistryRow = serde_json::from_str(&line).unwrap();
-        prop_assert_eq!(parsed, row);
-    }
+        assert_eq!(parsed, row);
+    });
+}
 
-    /// Hashing is a pure function of the values, and every policy field
-    /// participates: any single-field change moves the digest.
-    #[test]
-    fn policy_hash_is_stable_and_field_sensitive(
-        t_max in 1.0f64..100_000.0,
-        epsilon in 0.0f64..0.5,
-        max_nodes in 1usize..32,
-        min_kb_samples in 1usize..50,
-        retrain_every in 1usize..20,
-        n_threads in 1usize..16,
-    ) {
+/// Hashing is a pure function of the values, and every policy field
+/// participates: any single-field change moves the digest.
+#[test]
+fn policy_hash_is_stable_and_field_sensitive() {
+    cases(256, |rng| {
+        let (t_max, epsilon) = (rng.gen_range(1.0..100_000.0), rng.gen_range(0.0..0.5));
+        let (max_nodes, min_kb_samples) = (rng.gen_range(1usize..32), rng.gen_range(1usize..50));
+        let (retrain_every, n_threads) = (rng.gen_range(1usize..20), rng.gen_range(1usize..16));
         let base = DeployPolicy {
             t_max_secs: t_max,
             epsilon,
@@ -100,52 +113,50 @@ proptest! {
             .n_threads(n_threads)
             .transfer(TransferPolicy::Isolated)
             .build();
-        prop_assert_eq!(h0, rebuilt.canonical_hash());
+        assert_eq!(h0, rebuilt.canonical_hash());
 
         let mut m = base;
         m.t_max_secs += 1.0;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.epsilon += 1.0;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.max_nodes += 1;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.min_kb_samples += 1;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.retrain_every += 1;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.n_threads += 1;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.transfer = TransferPolicy::Pooled;
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.retrain_mode = RetrainMode::Windowed { window: 32, decay: 0.5 };
-        prop_assert_ne!(h0, m.canonical_hash());
+        assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.drift.detector = DetectorKind::PageHinkley;
-        prop_assert_ne!(h0, m.canonical_hash());
-    }
+        assert_ne!(h0, m.canonical_hash());
+    });
+}
 
-    /// The same run stream fingerprints identically however it is stored
-    /// (monolithic, instance-sharded, tenant-sharded), and any appended
-    /// record moves the fingerprint.
-    #[test]
-    fn knowledge_fingerprint_is_layout_independent(
-        specs in prop::collection::vec(
-            (1usize..400, 1usize..4, 0usize..8, 0usize..4),
-            0..24,
-        ),
-    ) {
+/// The same run stream fingerprints identically however it is stored
+/// (monolithic, instance-sharded, tenant-sharded), and any appended
+/// record moves the fingerprint.
+#[test]
+fn knowledge_fingerprint_is_layout_independent() {
+    cases(256, |rng| {
         let cat = InstanceCatalog::paper_catalog();
-        let records: Vec<RunRecord> = specs
-            .iter()
-            .map(|&(c, n, i, t)| record(&cat, c, n, i, t))
-            .collect();
+        let records = vec_of(rng, 0..24, |rng| {
+            let (contracts, nodes) = (rng.gen_range(1usize..400), rng.gen_range(1usize..4));
+            let (inst_ix, tenant) = (rng.gen_range(0usize..8), rng.gen_range(0usize..4));
+            record(&cat, contracts, nodes, inst_ix, tenant)
+        });
         let mut mono = KnowledgeBase::new();
         let mut sharded = ShardedKnowledgeBase::new();
         let mut tenant = TenantShardedKnowledgeBase::new();
@@ -155,13 +166,13 @@ proptest! {
             tenant.record(r.clone());
         }
         let f = knowledge_fingerprint(&mono);
-        prop_assert_eq!(f, knowledge_fingerprint(&sharded));
-        prop_assert_eq!(f, knowledge_fingerprint(&tenant));
+        assert_eq!(f, knowledge_fingerprint(&sharded));
+        assert_eq!(f, knowledge_fingerprint(&tenant));
         if let Some(r) = records.first() {
             mono.record(r.clone());
-            prop_assert_ne!(f, knowledge_fingerprint(&mono));
+            assert_ne!(f, knowledge_fingerprint(&mono));
         }
-    }
+    });
 }
 
 /// Pre-version knowledge-base JSON (no `schema_version` field) loads via
