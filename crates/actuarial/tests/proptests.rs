@@ -32,10 +32,16 @@ fn endowment_mass_conservation() {
         let c = Contract::new(ProductKind::Endowment, age, Gender::Female, term, sum, ps)
             .expect("valid");
         let sched = engine
-            .cash_flow_schedule(&ModelPoint { contract: c, policy_count: 1 })
+            .cash_flow_schedule(&ModelPoint {
+                contract: c,
+                policy_count: 1,
+            })
             .expect("valid");
         let total = sched.total_expected_benefits();
-        assert!((total - sum).abs() < 1e-6 * sum, "total {total} vs sum {sum}");
+        assert!(
+            (total - sum).abs() < 1e-6 * sum,
+            "total {total} vs sum {sum}"
+        );
     });
 }
 
@@ -54,7 +60,10 @@ fn schedule_flows_bounded() {
         let ps = ProfitSharing::new(0.8, 0.02).expect("valid");
         let c = Contract::new(kind, age, gender, term, sum, ps).expect("valid");
         let sched = engine
-            .cash_flow_schedule(&ModelPoint { contract: c, policy_count: 1 })
+            .cash_flow_schedule(&ModelPoint {
+                contract: c,
+                policy_count: 1,
+            })
             .expect("age within table");
         assert!(sched.term >= 1);
         assert!(age + sched.term <= table.omega());
@@ -82,8 +91,15 @@ fn grouping_conserves_and_is_idempotent() {
         let contracts: Vec<Contract> = ages
             .iter()
             .map(|&a| {
-                Contract::new(ProductKind::Endowment, a - a % 5, Gender::Male, term, 100.0, ps)
-                    .expect("valid")
+                Contract::new(
+                    ProductKind::Endowment,
+                    a - a % 5,
+                    Gender::Male,
+                    term,
+                    100.0,
+                    ps,
+                )
+                .expect("valid")
             })
             .collect();
         let n = contracts.len();
@@ -94,10 +110,8 @@ fn grouping_conserves_and_is_idempotent() {
         assert_eq!(count, n);
         assert!((grouped - total).abs() < 1e-9);
         // Re-grouping the representatives changes nothing.
-        let again = group_into_model_points(
-            points.iter().map(|p| p.contract.clone()).collect(),
-        )
-        .expect("non-empty");
+        let again = group_into_model_points(points.iter().map(|p| p.contract.clone()).collect())
+            .expect("non-empty");
         assert_eq!(again.len(), points.len());
     });
 }
@@ -113,7 +127,10 @@ fn lapse_monotonically_erodes_value() {
         let ps = ProfitSharing::new(0.8, 0.02).expect("valid");
         let c = Contract::new(ProductKind::Endowment, age, Gender::Male, term, 1000.0, ps)
             .expect("valid");
-        let point = ModelPoint { contract: c, policy_count: 1 };
+        let point = ModelPoint {
+            contract: c,
+            policy_count: 1,
+        };
         let value_at = |rate: f64| {
             let lapse = ConstantLapse::new(rate).expect("valid");
             ActuarialEngine::new(&table, &lapse)
@@ -122,7 +139,11 @@ fn lapse_monotonically_erodes_value() {
                 .total_expected_benefits()
         };
         let (v_lo, v_hi) = (value_at(r1), value_at((r1 + extra).min(1.0)));
-        assert!(v_hi <= v_lo + 1e-9, "lapse {r1}->{} raised value", r1 + extra);
+        assert!(
+            v_hi <= v_lo + 1e-9,
+            "lapse {r1}->{} raised value",
+            r1 + extra
+        );
     });
 }
 

@@ -20,7 +20,9 @@ use disar_stochastic::scenario::{Measure, ScenarioGenerator, ScenarioSet, TimeGr
 
 fn scenario_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioSet {
     ScenarioGenerator::builder()
-        .driver(Box::new(Vasicek::new(0.025, 0.4, 0.028, 0.009, 0.1).expect("valid")))
+        .driver(Box::new(
+            Vasicek::new(0.025, 0.4, 0.028, 0.009, 0.1).expect("valid"),
+        ))
         .driver(Box::new(Gbm::new(100.0, 0.06, 0.18, 0.025).expect("valid")))
         .grid(TimeGrid::new(horizon, 12).expect("valid"))
         .build()
@@ -34,11 +36,13 @@ fn position(age: u32, term: u32, beta: f64, sum: f64) -> LiabilityPosition {
     let lapse = ConstantLapse::new(0.03).expect("valid");
     let engine = ActuarialEngine::new(&table, &lapse);
     let ps = ProfitSharing::new(beta, 0.02).expect("valid");
-    let c = Contract::new(ProductKind::Endowment, age, Gender::Male, term, sum, ps)
-        .expect("valid");
+    let c = Contract::new(ProductKind::Endowment, age, Gender::Male, term, sum, ps).expect("valid");
     LiabilityPosition {
         schedule: engine
-            .cash_flow_schedule(&ModelPoint { contract: c, policy_count: 1 })
+            .cash_flow_schedule(&ModelPoint {
+                contract: c,
+                policy_count: 1,
+            })
             .expect("valid"),
         profit_sharing: ps,
     }
@@ -127,7 +131,9 @@ fn parallel_map_equivalence() {
 fn nested_generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerator) {
     let build = |h: f64| {
         ScenarioGenerator::builder()
-            .driver(Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.15).expect("valid")))
+            .driver(Box::new(
+                Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.15).expect("valid"),
+            ))
             .driver(Box::new(Gbm::new(100.0, 0.07, 0.18, 0.03).expect("valid")))
             .grid(TimeGrid::new(h, 4).expect("valid"))
             .build()
@@ -195,7 +201,12 @@ fn reference_nested(
                 .expect("inner generation")
         } else {
             inner
-                .generate(Measure::RiskNeutral, config.n_inner, inner_seed, Some(&state))
+                .generate(
+                    Measure::RiskNeutral,
+                    config.n_inner,
+                    inner_seed,
+                    Some(&state),
+                )
                 .expect("inner generation")
         };
         let mut acc = vec![0.0; shifted.len()];
@@ -248,8 +259,7 @@ fn nested_kernel_bitwise_matches_allocating_reference() {
             threads: rng.gen_range(1usize..4),
             confidence: 0.995,
         };
-        let (y1, mean, scr, bel) =
-            reference_nested(&outer, &inner, &fund, &positions, &config);
+        let (y1, mean, scr, bel) = reference_nested(&outer, &inner, &fund, &positions, &config);
         let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("engine");
         let res = mc.run(&positions, &config).expect("run");
         assert_eq!(res.y1.len(), y1.len());
@@ -282,7 +292,9 @@ fn workspace_reuse_never_leaks_state() {
                 threads: 1,
                 confidence: 0.995,
             };
-            let reused = mc.run_with_workspace(&positions, &config, &mut ws).expect("run");
+            let reused = mc
+                .run_with_workspace(&positions, &config, &mut ws)
+                .expect("run");
             let fresh = mc.run(&positions, &config).expect("run");
             assert_eq!(reused, fresh);
         }

@@ -110,7 +110,9 @@ fn hetero_share_shifts_load() {
             ]
         };
         let hi = (share + delta).min(0.95);
-        let r_lo = p.run_hetero_job_with_seed(&mk(share), &wl, seed).expect("ok");
+        let r_lo = p
+            .run_hetero_job_with_seed(&mk(share), &wl, seed)
+            .expect("ok");
         let r_hi = p.run_hetero_job_with_seed(&mk(hi), &wl, seed).expect("ok");
         assert!(r_hi.group_secs[0] > r_lo.group_secs[0]);
         assert!(r_hi.group_secs[1] < r_lo.group_secs[1]);

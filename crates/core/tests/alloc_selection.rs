@@ -95,7 +95,7 @@ fn steady_state_selection_is_allocation_free_per_cell() {
     let n_types = cat.iter().count();
     let mut ws = SelectionWorkspace::new();
 
-    let mut select = |ws: &mut SelectionWorkspace, t_max: f64, max_nodes: usize| {
+    let select = |ws: &mut SelectionWorkspace, t_max: f64, max_nodes: usize| {
         select_configuration_with_workspace(
             &fam,
             &cat,

@@ -2,8 +2,8 @@
 #![allow(dead_code)] // every file uses a subset
 
 use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
-use disar_core::deploy::DeployPolicy;
-use disar_core::{JobProfile, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord};
+use disar_core::deploy::{DeployOutcome, DeployPolicy, Deployer};
+use disar_core::{JobProfile, KnowledgeBase, PipelineJob, PredictorFamily, RetrainMode, RunRecord};
 use disar_engine::EebCharacteristics;
 use std::sync::OnceLock;
 
@@ -41,6 +41,37 @@ pub fn policy(min_kb_samples: usize, retrain_every: usize) -> DeployPolicy {
         .retrain_every(retrain_every)
         .n_threads(1)
         .build()
+}
+
+/// Tenant `ix`'s job list: mostly auto (deployer-chosen) jobs with a sprinkle
+/// of operator-forced ones, like a real campaign's manual training phase, and
+/// unique to the tenant, so concurrent schedules never coincide.
+pub fn schedule(ix: usize, n_jobs: usize, forced_every: usize) -> Vec<PipelineJob> {
+    let names = InstanceCatalog::paper_catalog().names();
+    (0..n_jobs)
+        .map(|i| {
+            let c = 60 + (i * 37 + ix * 13) % 320;
+            if forced_every > 0 && i % forced_every == forced_every - 1 {
+                let instance = &names[(i + ix) % names.len()];
+                PipelineJob::forced(profile(c), workload(c), instance, 1 + i % 3)
+            } else {
+                PipelineJob::auto(profile(c), workload(c))
+            }
+        })
+        .collect()
+}
+
+/// The sequential loop, one deploy after another: the reference that the
+/// pipeline, the service and the other backends must replay.
+pub fn run_jobs<D: Deployer>(d: &mut D, jobs: &[PipelineJob]) -> Vec<DeployOutcome> {
+    jobs.iter()
+        .map(|j| match &j.forced {
+            Some((instance, n_nodes)) => d
+                .deploy_manual(&j.profile, &j.workload, instance, *n_nodes)
+                .expect("deploys succeed"),
+            None => d.deploy(&j.profile, &j.workload).expect("deploys succeed"),
+        })
+        .collect()
 }
 
 /// One shared trained family (training is the slow part).

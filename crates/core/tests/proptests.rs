@@ -132,8 +132,7 @@ fn sharded_kb_bit_identical_to_monolithic() {
             let inst = cat.get(name).expect("known");
             let nodes = rng.gen_range(1..5);
             let contracts = 50 + (i * 53) % 400;
-            let time =
-                40_000.0 * contracts as f64 / 100.0 / (inst.compute_power() * nodes as f64);
+            let time = 40_000.0 * contracts as f64 / 100.0 / (inst.compute_power() * nodes as f64);
             let rec = RunRecord::new(profile(contracts), inst, nodes, time, 0.0);
             mono.record(rec.clone());
             skb.record(rec);

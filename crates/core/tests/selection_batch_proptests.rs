@@ -53,13 +53,30 @@ fn batched_selection_is_bit_identical_to_scalar() {
         // Dirty the workspace with an unrelated selection so the property
         // also covers warm-buffer reuse, the deployer's steady state.
         let _ = select_configuration_with_workspace(
-            fam, cat, &profile(100), 1e9, 3, 0.0, 7, TimeEstimate::EnsembleMean, 1, &mut ws,
+            fam,
+            cat,
+            &profile(100),
+            1e9,
+            3,
+            0.0,
+            7,
+            TimeEstimate::EnsembleMean,
+            1,
+            &mut ws,
         );
         let batched = select_configuration_with_workspace(
             fam, cat, &p, t_max, max_nodes, epsilon, seed, rule, n_threads, &mut ws,
         );
         let scalar = select_configuration_with_workspace(
-            &ScalarOnly(fam), cat, &p, t_max, max_nodes, epsilon, seed, rule, n_threads,
+            &ScalarOnly(fam),
+            cat,
+            &p,
+            t_max,
+            max_nodes,
+            epsilon,
+            seed,
+            rule,
+            n_threads,
             &mut SelectionWorkspace::new(),
         );
         match (batched, scalar) {
@@ -80,8 +97,14 @@ fn batched_selection_is_bit_identical_to_scalar() {
                 }
             }
             (
-                Err(CoreError::NoFeasibleConfiguration { t_max: tb, best_predicted: bb }),
-                Err(CoreError::NoFeasibleConfiguration { t_max: ts, best_predicted: bs }),
+                Err(CoreError::NoFeasibleConfiguration {
+                    t_max: tb,
+                    best_predicted: bb,
+                }),
+                Err(CoreError::NoFeasibleConfiguration {
+                    t_max: ts,
+                    best_predicted: bs,
+                }),
             ) => {
                 assert_eq!(tb.to_bits(), ts.to_bits());
                 assert_eq!(bb.to_bits(), bs.to_bits());

@@ -23,37 +23,16 @@ use std::sync::Arc;
 use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use disar_core::deploy::{DeployOutcome, DeployPolicy};
 use disar_core::pipeline::PipelineJob;
-use disar_core::service::{DeployService, ServiceConfig};
+use disar_core::service::{DeployService, ServiceConfig, TenantHandle};
 use disar_core::tenant::{TenantId, TenantShardedDeployer};
 use disar_core::CoreError;
 use disar_math::check::cases;
 
 mod common;
-use common::{policy, profile, workload};
+use common::{policy, run_jobs, schedule};
 
 fn tenant_seed(base_seed: u64, ix: usize) -> u64 {
     base_seed.wrapping_mul(1_000_003).wrapping_add(ix as u64)
-}
-
-/// Tenant `ix`'s job schedule: a deterministic auto/forced mix unique to
-/// the tenant, so concurrent schedules never coincide.
-fn schedule(ix: usize, n_jobs: usize, forced_every: usize) -> Vec<PipelineJob> {
-    let names = InstanceCatalog::paper_catalog().names();
-    (0..n_jobs)
-        .map(|i| {
-            let c = 60 + (i * 37 + ix * 13) % 320;
-            if forced_every > 0 && i % forced_every == forced_every - 1 {
-                PipelineJob::forced(
-                    profile(c),
-                    workload(c),
-                    &names[(i + ix) % names.len()],
-                    1 + i % 3,
-                )
-            } else {
-                PipelineJob::auto(profile(c), workload(c))
-            }
-        })
-        .collect()
 }
 
 /// Ground truth: the tenant alone, sequentially, through the solo two-key
@@ -65,20 +44,32 @@ fn solo_run(
     pol: &DeployPolicy,
 ) -> (Vec<DeployOutcome>, TenantShardedDeployer) {
     let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
-    let mut solo =
-        TenantShardedDeployer::new(provider, *pol, seed).with_tenant(tenant.clone());
-    let outcomes = jobs
-        .iter()
-        .map(|j| match &j.forced {
-            Some((instance, n_nodes)) => solo
-                .deploy_manual(&j.profile, &j.workload, instance, *n_nodes)
-                .expect("solo deploys succeed"),
-            None => solo
-                .deploy(&j.profile, &j.workload)
-                .expect("solo deploys succeed"),
+    let mut solo = TenantShardedDeployer::new(provider, *pol, seed).with_tenant(tenant.clone());
+    let outcomes = run_jobs(&mut solo, jobs);
+    (outcomes, solo)
+}
+
+/// A service over the paper catalog, not yet started, with tenants
+/// `company-0..n_tenants` registered under their `tenant_seed`s.
+fn service_with(
+    pol: DeployPolicy,
+    config: ServiceConfig,
+    base_seed: u64,
+    n_tenants: usize,
+) -> (DeployService, Vec<TenantId>, Vec<TenantHandle>) {
+    let mut service =
+        DeployService::new(InstanceCatalog::paper_catalog(), pol, config).expect("valid service");
+    let tenants: Vec<TenantId> = (0..n_tenants)
+        .map(|i| TenantId::new(format!("company-{i}")))
+        .collect();
+    let handles = (0..n_tenants)
+        .map(|i| {
+            service
+                .register(tenants[i].clone(), tenant_seed(base_seed, i))
+                .unwrap()
         })
         .collect();
-    (outcomes, solo)
+    (service, tenants, handles)
 }
 
 /// Property 1: per-tenant bit-identity under concurrency. N tenants
@@ -92,28 +83,21 @@ fn concurrent_tenants_bit_identical_to_solo() {
         let pol = policy(rng.gen_range(4usize..8), rng.gen_range(1usize..4));
         let forced_every = rng.gen_range(0usize..5);
         let (depth, batch_max) = (rng.gen_range(1usize..4), rng.gen_range(1usize..9));
-        let tenants: Vec<TenantId> =
-            (0..n_tenants).map(|i| TenantId::new(format!("company-{i}"))).collect();
-        let schedules: Vec<Vec<PipelineJob>> =
-            (0..n_tenants).map(|i| schedule(i, n_jobs, forced_every)).collect();
-
-        let mut service = DeployService::new(
-            InstanceCatalog::paper_catalog(),
-            pol,
-            ServiceConfig { depth, queue_capacity: n_jobs + 1, batch_max },
-        ).expect("valid service");
-        let handles: Vec<_> = tenants.iter().enumerate()
-            .map(|(i, t)| {
-                service
-                    .register(t.clone(), tenant_seed(base_seed, i))
-                    .unwrap()
-            })
+        let schedules: Vec<Vec<PipelineJob>> = (0..n_tenants)
+            .map(|i| schedule(i, n_jobs, forced_every))
             .collect();
+        let config = ServiceConfig {
+            depth,
+            queue_capacity: n_jobs + 1,
+            batch_max,
+        };
+        let (mut service, tenants, handles) = service_with(pol, config, base_seed, n_tenants);
         service.start().expect("service starts");
         // Round-robin interleave so every tenant is genuinely concurrent.
         for j in 0..n_jobs {
             for (h, schedule) in handles.iter().zip(&schedules) {
-                h.submit(schedule[j].clone()).expect("queue sized for the schedule");
+                h.submit(schedule[j].clone())
+                    .expect("queue sized for the schedule");
             }
         }
         for (i, h) in handles.into_iter().enumerate() {
@@ -122,12 +106,14 @@ fn concurrent_tenants_bit_identical_to_solo() {
                 solo_run(tenant_seed(base_seed, i), &tenants[i], &schedules[i], &pol);
             assert_eq!(
                 &run.outcomes, &expected,
-                "tenant {} diverged from its solo run", i
+                "tenant {} diverged from its solo run",
+                i
             );
             assert_eq!(run.stats.jobs, n_jobs);
             // Final shard contents match the solo base shard-for-shard.
             for (key, shard) in solo.knowledge_base().shards() {
-                let got = service.shard(&key.0, &key.1)
+                let got = service
+                    .shard(&key.0, &key.1)
                     .expect("service holds every solo shard");
                 assert_eq!(got.records(), shard.records());
             }
@@ -148,14 +134,14 @@ fn backpressure_rejects_overflow_and_keeps_prefix_identity() {
         let base_seed = rng.gen_range(0u64..300);
         let (queue_capacity, overflow) = (rng.gen_range(1usize..6), rng.gen_range(1usize..4));
         let pol = policy(4, rng.gen_range(1usize..3));
-        let tenant = TenantId::new("company-0");
         let jobs = schedule(0, queue_capacity + overflow, 0);
-        let mut service = DeployService::new(
-            InstanceCatalog::paper_catalog(),
-            pol,
-            ServiceConfig { depth: 2, queue_capacity, batch_max: 4 },
-        ).expect("valid service");
-        let handle = service.register(tenant.clone(), tenant_seed(base_seed, 0)).unwrap();
+        let config = ServiceConfig {
+            depth: 2,
+            queue_capacity,
+            batch_max: 4,
+        };
+        let (mut service, tenants, mut handles) = service_with(pol, config, base_seed, 1);
+        let handle = handles.remove(0);
         // The service is not started: nothing drains, so exactly
         // `queue_capacity` jobs fit and the rest bounce.
         for j in &jobs[..queue_capacity] {
@@ -171,9 +157,8 @@ fn backpressure_rejects_overflow_and_keeps_prefix_identity() {
         }
         service.start().expect("service starts");
         let run = handle.finish().expect("admitted prefix succeeds");
-        let (expected, _) = solo_run(
-            tenant_seed(base_seed, 0), &tenant, &jobs[..queue_capacity], &pol,
-        );
+        let prefix = &jobs[..queue_capacity];
+        let (expected, _) = solo_run(tenant_seed(base_seed, 0), &tenants[0], prefix, &pol);
         assert_eq!(run.outcomes, expected);
         let stats = service.join().expect("clean shutdown");
         assert_eq!(stats.submitted, queue_capacity + overflow);
@@ -195,20 +180,12 @@ fn snapshot_swaps_are_linearizable() {
         let (n_tenants, n_jobs) = (rng.gen_range(2usize..5), rng.gen_range(8usize..14));
         let batch_max = rng.gen_range(1usize..6);
         let pol = policy(4, 1);
-        let tenants: Vec<TenantId> =
-            (0..n_tenants).map(|i| TenantId::new(format!("company-{i}"))).collect();
-        let mut service = DeployService::new(
-            InstanceCatalog::paper_catalog(),
-            pol,
-            ServiceConfig { depth: 2, queue_capacity: n_jobs + 1, batch_max },
-        ).expect("valid service");
-        let handles: Vec<_> = tenants.iter().enumerate()
-            .map(|(i, t)| {
-                service
-                    .register(t.clone(), tenant_seed(base_seed, i))
-                    .unwrap()
-            })
-            .collect();
+        let config = ServiceConfig {
+            depth: 2,
+            queue_capacity: n_jobs + 1,
+            batch_max,
+        };
+        let (mut service, _, handles) = service_with(pol, config, base_seed, n_tenants);
         service.start().expect("service starts");
 
         let service = Arc::new(service);
@@ -225,7 +202,8 @@ fn snapshot_swaps_are_linearizable() {
                     assert!(
                         snap.generation() >= last_generation,
                         "snapshot generation went backwards: {} < {}",
-                        snap.generation(), last_generation,
+                        snap.generation(),
+                        last_generation,
                     );
                     last_generation = snap.generation();
                     for (key, family) in snap.families() {
@@ -234,7 +212,9 @@ fn snapshot_swaps_are_linearizable() {
                         assert!(
                             family.trained_on() >= *seen,
                             "family {:?} shrank: {} < {}",
-                            key, family.trained_on(), *seen,
+                            key,
+                            family.trained_on(),
+                            *seen,
                         );
                         *seen = family.trained_on();
                     }
@@ -262,7 +242,9 @@ fn snapshot_swaps_are_linearizable() {
         for ((_, tenant), family) in final_snap.families() {
             assert!(family.trained_on() <= n_jobs, "tenant {:?}", tenant);
         }
-        let service = Arc::try_unwrap(service).ok().expect("observer released the service");
+        let service = Arc::try_unwrap(service)
+            .ok()
+            .expect("observer released the service");
         let stats = service.join().expect("clean shutdown");
         assert!(stats.snapshot_generation > 0);
         assert!(stats.retrains > 0);

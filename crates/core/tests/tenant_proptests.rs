@@ -14,7 +14,9 @@
 //!    bit-identically.
 
 use disar_cloudsim::InstanceCatalog;
-use disar_core::deploy::{DeployOutcome, DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer};
+use disar_core::deploy::{
+    DeployOutcome, DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer,
+};
 use disar_core::tenant::{
     TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TenantShardedPredictor,
     TransferPolicy,
@@ -23,7 +25,7 @@ use disar_core::{RetrainMode, RunRecord, TimePredictor};
 use disar_math::check::{cases, vec_of};
 
 mod common;
-use common::{profile, provider, workload};
+use common::{profile, provider, run_jobs, schedule, workload};
 
 fn policy(min_kb_samples: usize, retrain_every: usize, transfer: TransferPolicy) -> DeployPolicy {
     DeployPolicy {
@@ -34,18 +36,7 @@ fn policy(min_kb_samples: usize, retrain_every: usize, transfer: TransferPolicy)
 
 /// Drives one deployer through a mixed auto/forced campaign.
 fn campaign<D: Deployer>(d: &mut D, n_jobs: usize, forced_every: usize) -> Vec<DeployOutcome> {
-    let names = InstanceCatalog::paper_catalog().names();
-    (0..n_jobs)
-        .map(|i| {
-            let c = 60 + (i * 37) % 320;
-            if forced_every > 0 && i % forced_every == forced_every - 1 {
-                d.deploy_manual(&profile(c), &workload(c), &names[i % names.len()], 1 + i % 3)
-                    .expect("deploys succeed")
-            } else {
-                d.deploy(&profile(c), &workload(c)).expect("deploys succeed")
-            }
-        })
-        .collect()
+    run_jobs(d, &schedule(0, n_jobs, forced_every))
 }
 
 /// Single tenant, Isolated or Pooled: the tenant-aware backend replays
@@ -134,9 +125,7 @@ fn isolated_predictions_invariant_under_foreign_insertions() {
         let cat = InstanceCatalog::paper_catalog();
         let names = cat.names();
         let probe = |d: &TenantShardedDeployer| -> Vec<Vec<(&'static str, f64)>> {
-            let view = d
-                .predictor()
-                .view(&a, d.knowledge_base().local_lens(&a));
+            let view = d.predictor().view(&a, d.knowledge_base().local_lens(&a));
             names
                 .iter()
                 .filter(|n| d.predictor().is_trained_local(n.as_str(), &a))
@@ -168,8 +157,10 @@ fn isolated_predictions_invariant_under_foreign_insertions() {
             for ((mb, vb), (ma, va)) in b.iter().zip(aft) {
                 assert_eq!(mb, ma);
                 assert_eq!(
-                    vb.to_bits(), va.to_bits(),
-                    "{} moved after tenant-B insertions", mb
+                    vb.to_bits(),
+                    va.to_bits(),
+                    "{} moved after tenant-B insertions",
+                    mb
                 );
             }
         }
@@ -192,7 +183,11 @@ fn borrow_until_crossover_is_deterministic() {
             for i in 0..48 {
                 // Flip the tenant once per pass over the catalog: `i % 2` would
                 // alias with `i % names.len()` and give each type one tenant.
-                let tenant = if (i / names.len()).is_multiple_of(2) { a.clone() } else { b.clone() };
+                let tenant = if (i / names.len()).is_multiple_of(2) {
+                    a.clone()
+                } else {
+                    b.clone()
+                };
                 let inst = cat.get(&names[i % names.len()]).expect("known");
                 let contracts = 50 + (i * 53 + seed as usize) % 400;
                 let time = 40_000.0 * contracts as f64
@@ -205,7 +200,8 @@ fn borrow_until_crossover_is_deterministic() {
             }
             let mut p =
                 TenantShardedPredictor::new(seed, 2, TransferPolicy::BorrowUntil(threshold));
-            p.retrain_all(&kb, RetrainMode::Full, 1).expect("large enough shards");
+            p.retrain_all(&kb, RetrainMode::Full, 1)
+                .expect("large enough shards");
             (kb, p)
         };
         let (kb, p) = build();
@@ -215,7 +211,10 @@ fn borrow_until_crossover_is_deterministic() {
         let instance = &names[0];
         let inst = cat.get(instance).expect("known");
         let predict = |p: &TenantShardedPredictor, lens: usize| {
-            let view = p.view(&a, std::collections::BTreeMap::from([(instance.clone(), lens)]));
+            let view = p.view(
+                &a,
+                std::collections::BTreeMap::from([(instance.clone(), lens)]),
+            );
             view.predict_each(&profile(150), inst, 2).expect("trained")
         };
         for lens in 0..(2 * threshold) {

@@ -113,9 +113,7 @@ fn hermite_recurrence_matches_closed_forms() {
         let x: f64 = rng.gen_range(-5.0..5.0);
         let h = |k: usize| PolyFamily::Hermite.eval(k, x);
         assert!((h(4) - (x.powi(4) - 6.0 * x * x + 3.0)).abs() < 1e-8);
-        assert!(
-            (h(5) - (x.powi(5) - 10.0 * x.powi(3) + 15.0 * x)).abs() < 1e-7
-        );
+        assert!((h(5) - (x.powi(5) - 10.0 * x.powi(3) + 15.0 * x)).abs() < 1e-7);
     });
 }
 

@@ -11,8 +11,8 @@ use disar_math::check::cases;
 use disar_math::rng::stream_rng;
 use disar_ml::ibk::Weighting;
 use disar_ml::{
-    Dataset, DecisionTable, Ensemble, FeatureMatrix, IbK, KStar, Mlp, PredictScratch,
-    RandomForest, RandomTree, Regressor,
+    Dataset, DecisionTable, Ensemble, FeatureMatrix, IbK, KStar, Mlp, PredictScratch, RandomForest,
+    RandomTree, Regressor,
 };
 
 mod common;
@@ -150,7 +150,10 @@ fn batch_errors_and_empty_batches() {
         wide.push_row(&[1.0, 2.0]);
         assert!(matches!(
             m.predict_batch(&wide, &mut out, &mut scratch),
-            Err(disar_ml::MlError::FeatureDimensionMismatch { expected: 1, got: 2 })
+            Err(disar_ml::MlError::FeatureDimensionMismatch {
+                expected: 1,
+                got: 2
+            })
         ));
         // ...and the empty batch succeeds as a no-op.
         let empty = FeatureMatrix::new();

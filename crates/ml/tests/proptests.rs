@@ -30,7 +30,11 @@ fn hull_bound_for_averaging_models() {
     cases(64, |rng| {
         let data = any_dataset(rng);
         let lo = data.targets().iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = data.targets().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let hi = data
+            .targets()
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
         let q = any_query(rng, data.dim(), 200.0);
         for kind in [
             ModelKind::RandomTree,
@@ -42,7 +46,10 @@ fn hull_bound_for_averaging_models() {
             let mut m = kind.instantiate(1);
             m.fit(&data).expect("training succeeds");
             let y = m.predict(&q).expect("fitted");
-            assert!(y >= lo - 1e-9 && y <= hi + 1e-9, "{kind}: {y} outside [{lo}, {hi}]");
+            assert!(
+                y >= lo - 1e-9 && y <= hi + 1e-9,
+                "{kind}: {y} outside [{lo}, {hi}]"
+            );
         }
     });
 }
@@ -56,7 +63,12 @@ fn split_partitions() {
         let (train, test) = data.split(frac, seed).expect("valid split");
         assert_eq!(train.len() + test.len(), data.len());
         assert!(!train.is_empty() && !test.is_empty());
-        let mut all: Vec<f64> = train.targets().iter().chain(test.targets()).copied().collect();
+        let mut all: Vec<f64> = train
+            .targets()
+            .iter()
+            .chain(test.targets())
+            .copied()
+            .collect();
         let mut orig: Vec<f64> = data.targets().to_vec();
         all.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         orig.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -92,7 +104,10 @@ fn ensemble_between_members() {
             m.fit(&data).expect("training succeeds");
         }
         let q = any_query(rng, data.dim(), 150.0);
-        let preds: Vec<f64> = members.iter().map(|m| m.predict(&q).expect("fitted")).collect();
+        let preds: Vec<f64> = members
+            .iter()
+            .map(|m| m.predict(&q).expect("fitted"))
+            .collect();
         let lo = preds.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = preds.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut ens = Ensemble::new(members);
@@ -186,7 +201,11 @@ fn constant_target_recovered() {
             let mut m = kind.instantiate(3);
             m.fit(&data).expect("training succeeds");
             let y = m.predict(&[(n / 2) as f64]).expect("fitted");
-            let tol = if kind == ModelKind::Mlp { 1.0 + 0.05 * c.abs() } else { 1e-6 };
+            let tol = if kind == ModelKind::Mlp {
+                1.0 + 0.05 * c.abs()
+            } else {
+                1e-6
+            };
             assert!((y - c).abs() <= tol, "{kind}: {y} vs constant {c}");
         }
     });

@@ -37,7 +37,9 @@ fn record(
     tenant: usize,
 ) -> RunRecord {
     let names = cat.names();
-    let inst = cat.get(&names[inst_ix % names.len()]).expect("known instance");
+    let inst = cat
+        .get(&names[inst_ix % names.len()])
+        .expect("known instance");
     let time = 1_000.0 + contracts as f64;
     RunRecord::new(profile(contracts), inst, nodes, time, time / 3_600.0)
         .with_tenant(TenantId::new(format!("company-{tenant}")))
@@ -137,7 +139,10 @@ fn policy_hash_is_stable_and_field_sensitive() {
         m.transfer = TransferPolicy::Pooled;
         assert_ne!(h0, m.canonical_hash());
         let mut m = base;
-        m.retrain_mode = RetrainMode::Windowed { window: 32, decay: 0.5 };
+        m.retrain_mode = RetrainMode::Windowed {
+            window: 32,
+            decay: 0.5,
+        };
         assert_ne!(h0, m.canonical_hash());
         let mut m = base;
         m.drift.detector = DetectorKind::PageHinkley;
@@ -194,8 +199,7 @@ fn pre_version_kb_json_loads_with_default_schema() {
 
     // The re-serialized form is versioned at CURRENT again.
     let v = serde_json::to_value(&loaded).unwrap();
-    let version: SchemaVersion =
-        serde_json::from_value(v["schema_version"].clone()).unwrap();
+    let version: SchemaVersion = serde_json::from_value(v["schema_version"].clone()).unwrap();
     assert_eq!(version, SchemaVersion::CURRENT);
 }
 
@@ -208,7 +212,10 @@ fn pre_version_sharded_kb_json_loads_with_default_schema() {
 
     let mut v = serde_json::to_value(&kb).unwrap();
     let removed = v.as_object_mut().unwrap().remove("schema_version");
-    assert!(removed.is_some(), "serialized sharded KB is schema-versioned");
+    assert!(
+        removed.is_some(),
+        "serialized sharded KB is schema-versioned"
+    );
     let loaded: ShardedKnowledgeBase = serde_json::from_value(v).unwrap();
     assert_eq!(loaded.len(), kb.len());
     assert_eq!(knowledge_fingerprint(&loaded), knowledge_fingerprint(&kb));

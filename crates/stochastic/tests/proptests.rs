@@ -82,7 +82,8 @@ fn two_dim_correlation_valid() {
     cases(64, |rng| {
         let rho: f64 = rng.gen_range(-0.99..0.99);
         let (z0, z1): (f64, f64) = (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0));
-        let c = CorrelationMatrix::new(vec![vec![1.0, rho], vec![rho, 1.0]]).expect("PD for |rho|<1");
+        let c =
+            CorrelationMatrix::new(vec![vec![1.0, rho], vec![rho, 1.0]]).expect("PD for |rho|<1");
         let out = c.correlate(&[z0, z1]);
         assert!((out[0] - z0).abs() < 1e-12);
         // Cholesky row: out[1] = rho z0 + sqrt(1-rho²) z1.
@@ -98,14 +99,20 @@ fn generation_reproducible_and_anchored() {
         let (seed, n_paths) = (rng.gen_range(0u64..500), rng.gen_range(1usize..10));
         let (r0, s0) = (rng.gen_range(0.0..0.08), rng.gen_range(10.0..500.0));
         let gen = ScenarioGenerator::builder()
-            .driver(Box::new(Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.0).expect("valid")))
+            .driver(Box::new(
+                Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.0).expect("valid"),
+            ))
             .driver(Box::new(Gbm::new(100.0, 0.05, 0.2, 0.02).expect("valid")))
             .grid(TimeGrid::new(2.0, 4).expect("valid"))
             .build()
             .expect("valid");
         let anchor = [r0, s0];
-        let a = gen.generate(Measure::RiskNeutral, n_paths, seed, Some(&anchor)).expect("ok");
-        let b = gen.generate(Measure::RiskNeutral, n_paths, seed, Some(&anchor)).expect("ok");
+        let a = gen
+            .generate(Measure::RiskNeutral, n_paths, seed, Some(&anchor))
+            .expect("ok");
+        let b = gen
+            .generate(Measure::RiskNeutral, n_paths, seed, Some(&anchor))
+            .expect("ok");
         assert_eq!(&a, &b);
         for p in 0..n_paths {
             assert_eq!(a.value(p, 0, 0), r0);
@@ -120,12 +127,16 @@ fn generation_reproducible_and_anchored() {
 fn discount_factors_monotone() {
     cases(64, |rng| {
         let gen = ScenarioGenerator::builder()
-            .driver(Box::new(Cir::short_rate(0.03, 0.5, 0.03, 0.05, 0.0).expect("valid")))
+            .driver(Box::new(
+                Cir::short_rate(0.03, 0.5, 0.03, 0.05, 0.0).expect("valid"),
+            ))
             .grid(TimeGrid::new(5.0, 12).expect("valid"))
             .build()
             .expect("valid");
         let seed = rng.gen_range(0u64..300);
-        let set = gen.generate(Measure::RiskNeutral, 2, seed, None).expect("ok");
+        let set = gen
+            .generate(Measure::RiskNeutral, 2, seed, None)
+            .expect("ok");
         for p in 0..2 {
             let mut prev = 1.0;
             for step in 0..=set.grid().n_steps() {
@@ -141,11 +152,11 @@ fn discount_factors_monotone() {
 /// The rate + equity generator the buffer-reuse properties run against.
 fn buffered_generator() -> ScenarioGenerator {
     ScenarioGenerator::builder()
-        .driver(Box::new(Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.1).expect("valid")))
+        .driver(Box::new(
+            Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.1).expect("valid"),
+        ))
         .driver(Box::new(Gbm::new(100.0, 0.05, 0.2, 0.02).expect("valid")))
-        .correlation(
-            CorrelationMatrix::new(vec![vec![1.0, -0.3], vec![-0.3, 1.0]]).expect("valid"),
-        )
+        .correlation(CorrelationMatrix::new(vec![vec![1.0, -0.3], vec![-0.3, 1.0]]).expect("valid"))
         .grid(TimeGrid::new(2.0, 4).expect("valid"))
         .build()
         .expect("valid")
@@ -168,7 +179,9 @@ fn assert_view_bitwise(view: &ScenarioView<'_>, reference: &ScenarioSet) {
         }
         assert_eq!(
             view.discount_factor(p, view.grid().n_steps()).to_bits(),
-            reference.discount_factor(p, reference.grid().n_steps()).to_bits()
+            reference
+                .discount_factor(p, reference.grid().n_steps())
+                .to_bits()
         );
     }
 }
@@ -187,9 +200,16 @@ fn generate_into_bitwise_matches_generate() {
         let ov = with_override.then_some(&overrides[..]);
         let reference = gen.generate(measure, n_paths, seed, ov).expect("ok");
         let mut buf = ScenarioBuffer::new();
-        gen.generate_antithetic_into(Measure::RealWorld, pollute_pairs, pollute_seed, None, &mut buf)
+        gen.generate_antithetic_into(
+            Measure::RealWorld,
+            pollute_pairs,
+            pollute_seed,
+            None,
+            &mut buf,
+        )
+        .expect("ok");
+        gen.generate_into(measure, n_paths, seed, ov, &mut buf)
             .expect("ok");
-        gen.generate_into(measure, n_paths, seed, ov, &mut buf).expect("ok");
         assert_view_bitwise(&buf.view(), &reference);
     });
 }
@@ -205,11 +225,20 @@ fn generate_antithetic_into_bitwise_matches() {
         let overrides = [rng.gen_range(0.0..0.08), rng.gen_range(10.0..500.0)];
         let gen = buffered_generator();
         let ov = with_override.then_some(&overrides[..]);
-        let reference = gen.generate_antithetic(measure, n_pairs, seed, ov).expect("ok");
+        let reference = gen
+            .generate_antithetic(measure, n_pairs, seed, ov)
+            .expect("ok");
         let mut buf = ScenarioBuffer::new();
-        gen.generate_into(Measure::RiskNeutral, pollute_paths, pollute_seed, None, &mut buf)
+        gen.generate_into(
+            Measure::RiskNeutral,
+            pollute_paths,
+            pollute_seed,
+            None,
+            &mut buf,
+        )
         .expect("ok");
-    gen.generate_antithetic_into(measure, n_pairs, seed, ov, &mut buf).expect("ok");
+        gen.generate_antithetic_into(measure, n_pairs, seed, ov, &mut buf)
+            .expect("ok");
         assert_view_bitwise(&buf.view(), &reference);
     });
 }
@@ -371,7 +400,14 @@ fn lane_fill_bitwise_matches_scalar_reference() {
         let corr = kernel_correlation();
         let ov = with_override.then_some(&overrides[..]);
         let reference = reference_scalar_paths(
-            &drivers, &corr, gen.grid(), measure, n_units, seed, ov, antithetic,
+            &drivers,
+            &corr,
+            gen.grid(),
+            measure,
+            n_units,
+            seed,
+            ov,
+            antithetic,
         );
         let stride = gen.grid().n_steps() + 1;
         let mut buf = ScenarioBuffer::new();

@@ -73,8 +73,7 @@ fn survival_chain_rule() {
         let (t, s) = (rng.gen_range(0u32..30), rng.gen_range(0u32..30));
         let table = LifeTable::italian_population();
         let joint = table.survival_probability(age, t + s);
-        let chained = table.survival_probability(age, t)
-            * table.survival_probability(age + t, s);
+        let chained = table.survival_probability(age, t) * table.survival_probability(age + t, s);
         assert!((joint - chained).abs() < 1e-12);
     });
 }
@@ -149,7 +148,9 @@ fn cloud_job_invariants() {
         let (n, seed) = (rng.gen_range(1usize..16), rng.gen_range(0u64..1000));
         let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 0);
         let wl = Workload::new(work, mem, transfer, serial).unwrap();
-        let r = provider.run_job_with_seed("c4.8xlarge", n, &wl, seed).unwrap();
+        let r = provider
+            .run_job_with_seed("c4.8xlarge", n, &wl, seed)
+            .unwrap();
         assert!(r.duration_secs > 0.0);
         assert!(r.uptime_secs >= r.duration_secs);
         assert!(r.billed_cost + 1e-9 >= r.prorated_cost);
@@ -190,7 +191,8 @@ fn predicted_cost_matches_prorated_billing() {
                     assert!(c.predicted_cost > 0.0);
                     assert!(
                         (c.predicted_cost - pro).abs() <= 1e-9 * pro.max(1.0),
-                        "cost {} != prorated {pro}", c.predicted_cost
+                        "cost {} != prorated {pro}",
+                        c.predicted_cost
                     );
                 }
             }
