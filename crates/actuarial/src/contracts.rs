@@ -18,10 +18,9 @@
 
 use crate::mortality::Gender;
 use crate::ActuarialError;
-use serde::{Deserialize, Serialize};
 
 /// Profit-sharing parameters contractually specified for a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfitSharing {
     /// Participation coefficient `β ∈ (0, 1)`.
     pub participation: f64,
@@ -83,7 +82,7 @@ impl ProfitSharing {
 }
 
 /// The product families DISAR's Italian book contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProductKind {
     /// Pays the readjusted sum at maturity if the insured survives (the
     /// paper's running example, Eq. 1).
@@ -129,7 +128,7 @@ impl ProductKind {
 
 /// A single-premium profit-sharing contract, written at `t = 0` on a life
 /// aged `age`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contract {
     /// Product family.
     pub kind: ProductKind,

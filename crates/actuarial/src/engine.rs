@@ -22,14 +22,13 @@ use crate::lapse::LapseModel;
 use crate::model_points::ModelPoint;
 use crate::mortality::LifeTable;
 use crate::ActuarialError;
-use serde::{Deserialize, Serialize};
 
 /// Probability-weighted flows for one policy year of one model point.
 ///
 /// All amounts are in *currency units*: decrement probability × total
 /// insured sum of the model point (pre-readjustment, i.e. to be multiplied
 /// by `Φ_t` scenario-wise).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YearFlow {
     /// Policy year `t` (1-based: flows paid at the end of year `t`).
     pub year: u32,
@@ -55,7 +54,7 @@ impl YearFlow {
 
 /// The probabilized cash-flow schedule of one model point — the output of a
 /// type-A elementary elaboration block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CashFlowSchedule {
     /// Contract term in years (after whole-life normalization).
     pub term: u32,

@@ -7,7 +7,6 @@
 //! is the dependence of the annual lapse rate on policy duration.
 
 use crate::ActuarialError;
-use serde::{Deserialize, Serialize};
 
 /// A lapse model: annual probability that a live policy is surrendered
 /// during policy year `duration` (0-based).
@@ -33,7 +32,7 @@ pub trait LapseModel: Send + Sync {
 /// let l = ConstantLapse::new(0.05).unwrap();
 /// assert!((l.persistency(2) - 0.9025).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantLapse {
     rate: f64,
 }
@@ -66,7 +65,7 @@ impl LapseModel for ConstantLapse {
 /// Duration-dependent lapse: elevated in the first policy years (typical
 /// Italian experience: early surrenders cluster right after the surrender
 /// penalty expires), decaying geometrically to a long-run level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurationLapse {
     initial: f64,
     long_run: f64,

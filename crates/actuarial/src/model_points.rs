@@ -11,13 +11,12 @@
 use crate::contracts::{Contract, ProductKind};
 use crate::mortality::Gender;
 use crate::ActuarialError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A group of identical policies: one representative [`Contract`] plus the
 /// number of underlying policies it stands for. The representative's
 /// `insured_sum` is the *total* insured sum of the group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPoint {
     /// The representative contract (insured sum = group total).
     pub contract: Contract,

@@ -13,13 +13,12 @@
 //! drive all decrement computations.
 
 use crate::ActuarialError;
-use serde::{Deserialize, Serialize};
 
 /// Terminal age of all tables built here.
 pub const DEFAULT_OMEGA: u32 = 120;
 
 /// Biological sex for table selection (distinct mortality levels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gender {
     /// Male mortality (higher B parameter).
     Male,
@@ -39,7 +38,7 @@ pub enum Gender {
 /// // Mortality increases with adult age.
 /// assert!(t.qx(80).unwrap() > t.qx(40).unwrap());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifeTable {
     name: String,
     omega: u32,

@@ -13,10 +13,9 @@ use crate::model_points::{group_into_model_points, ModelPoint};
 use crate::mortality::Gender;
 use crate::ActuarialError;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// A policy portfolio backed by one segregated fund.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Portfolio {
     /// Human-readable name (e.g. `"company-A"`).
     pub name: String,
@@ -69,7 +68,7 @@ impl Portfolio {
 }
 
 /// Configuration of the synthetic generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioSpec {
     /// Number of raw policies to draw.
     pub n_policies: usize,

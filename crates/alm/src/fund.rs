@@ -11,7 +11,6 @@
 
 use crate::AlmError;
 use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
-use serde::{Deserialize, Serialize};
 
 /// A segregated fund: asset mix, accounting state and management strategy.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let fund = SegregatedFund::italian_typical(30);
 /// assert_eq!(fund.asset_count(), 30);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegregatedFund {
     bond_weight: f64,
     equity_weight: f64,

@@ -24,12 +24,11 @@ use crate::AlmError;
 use disar_actuarial::contracts::ProfitSharing;
 use disar_actuarial::engine::CashFlowSchedule;
 use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One liability position to value: a probabilized schedule plus its
 /// profit-sharing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiabilityPosition {
     /// The type-A output for this model point.
     pub schedule: CashFlowSchedule,

@@ -25,10 +25,9 @@ use disar_math::matrix::ridge_least_squares;
 use disar_math::poly::{MultiBasis, PolyFamily};
 use disar_math::stats;
 use disar_stochastic::scenario::{Measure, ScenarioGenerator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an LSMC valuation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LsmcConfig {
     /// Outer paths of the calibration sample (`n'_P`, typically ≪ `nP`).
     pub calibration_outer: usize,

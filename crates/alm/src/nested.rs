@@ -29,10 +29,9 @@ use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::split_seed;
 use disar_math::stats;
 use disar_stochastic::scenario::{Measure, ScenarioGenerator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a nested run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NestedConfig {
     /// Number of outer (real-world, "natural") paths `nP`.
     pub n_outer: usize,
@@ -87,7 +86,7 @@ impl NestedConfig {
 }
 
 /// Result of a nested (or LSMC) valuation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestedResult {
     /// Liability value at `t = 1` per outer path.
     pub y1: Vec<f64>,

@@ -15,13 +15,12 @@
 
 use crate::nested::NestedResult;
 use crate::AlmError;
-use serde::{Deserialize, Serialize};
 
 /// The regulatory cost-of-capital rate (Delegated Regulation art. 39).
 pub const COST_OF_CAPITAL_RATE: f64 = 0.06;
 
 /// A composed Solvency II position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolvencyReport {
     /// Market value of assets backing the liabilities.
     pub asset_value: f64,

@@ -17,6 +17,7 @@
 use disar_bench::campaign::CampaignConfig;
 use disar_bench::experiments::{by_name, Experiment, ExperimentCtx, EXPERIMENTS};
 use disar_bench::registry::workspace_registry;
+use disar_math::json::Json;
 use disar_registry::RegistryRow;
 
 fn usage() -> ! {
@@ -117,7 +118,7 @@ fn main() {
     if let Some(path) = out {
         std::fs::write(
             &path,
-            serde_json::to_string_pretty(&produced).expect("rows serialize"),
+            Json::arr(produced.iter().map(RegistryRow::to_json)).pretty(),
         )
         .expect("write --out file");
         println!("wrote {} rows to {path}", produced.len());

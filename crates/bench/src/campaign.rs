@@ -197,7 +197,7 @@ pub fn build_knowledge_base(cfg: &CampaignConfig) -> (KnowledgeBase, CloudProvid
                 let job = &jobs[rng.gen_range(0..jobs.len())];
                 let instance = &names[rng.gen_range(0..names.len())];
                 let n_nodes = rng.gen_range(1..=cfg.max_nodes);
-                PipelineJob::forced(job.profile, job.workload.clone(), instance, n_nodes)
+                PipelineJob::forced(job.profile, job.workload, instance, n_nodes)
             })
             .collect()
     };
@@ -276,7 +276,7 @@ pub fn build_tenant_knowledge_base(
                     let job = &jobs[rng.gen_range(0..jobs.len())];
                     let instance = &names[rng.gen_range(0..names.len())];
                     let n_nodes = rng.gen_range(1..=cfg.max_nodes);
-                    PipelineJob::forced(job.profile, job.workload.clone(), instance, n_nodes)
+                    PipelineJob::forced(job.profile, job.workload, instance, n_nodes)
                 })
                 .collect(),
         );
@@ -284,9 +284,9 @@ pub fn build_tenant_knowledge_base(
     service.start().expect("service starts once");
     // Round-robin submission: every company is genuinely concurrent.
     for i in 0..per_tenant {
-        for (t, handle) in handles.iter().enumerate() {
+        for (handle, stream) in handles.iter().zip(&streams) {
             handle
-                .submit(streams[t][i].clone())
+                .submit(stream[i].clone())
                 .expect("queue sized for the stream");
         }
     }
@@ -330,17 +330,31 @@ mod tests {
         let jobs = paper_eeb_jobs(&small_cfg());
         assert_eq!(jobs.len(), 15);
         // Characteristic parameters must vary across jobs or the ML problem
-        // degenerates.
-        let contracts: std::collections::BTreeSet<usize> = jobs
-            .iter()
-            .map(|j| j.profile.characteristics.representative_contracts)
-            .collect();
-        assert!(contracts.len() > 5, "contracts too uniform: {contracts:?}");
-        let factors: std::collections::BTreeSet<usize> = jobs
-            .iter()
-            .map(|j| j.profile.characteristics.risk_factors)
-            .collect();
-        assert_eq!(factors.len(), 3);
+        // degenerates. What varies is the company: `decompose` deals a
+        // portfolio's contracts evenly over its five blocks (they differ by
+        // at most one), so the campaign spans three job families, one per
+        // portfolio size, market model and fund size, and the rest of the
+        // learning signal is the instance type and node count of each run.
+        let distinct = |feature: fn(&EebJob) -> usize| {
+            let values: std::collections::BTreeSet<usize> = jobs.iter().map(feature).collect();
+            values.len()
+        };
+        let mut sizes = Vec::new();
+        for company in jobs.chunks(5) {
+            let contracts = company
+                .iter()
+                .map(|j| j.profile.characteristics.representative_contracts);
+            let (min, max) = (contracts.clone().min().unwrap(), contracts.max().unwrap());
+            assert!(max - min <= 1, "{} is dealt evenly", company[0].portfolio);
+            sizes.push(min);
+        }
+        sizes.sort_unstable();
+        assert!(
+            sizes[0] < sizes[1] && sizes[1] < sizes[2] && sizes[2] > 2 * sizes[0],
+            "portfolio sizes too uniform: {sizes:?}"
+        );
+        assert_eq!(distinct(|j| j.profile.characteristics.risk_factors), 3);
+        assert_eq!(distinct(|j| j.profile.characteristics.fund_assets), 3);
     }
 
     #[test]
@@ -390,7 +404,7 @@ mod tests {
 
     #[test]
     fn parallel_campaign_is_bit_identical_to_sequential() {
-        let wl = paper_eeb_jobs(&small_cfg())[0].workload.clone();
+        let wl = paper_eeb_jobs(&small_cfg())[0].workload;
         for n_threads in [2, 4] {
             let (seq, seq_provider, _) = build_knowledge_base(&small_cfg());
             let cfg = CampaignConfig {

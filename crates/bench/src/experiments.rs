@@ -26,6 +26,7 @@ use disar_core::{
     select_hetero_configuration, CoreError, DeployMode, DetectorKind, DriftConfig, KnowledgeBase,
     PredictorFamily, RetrainMode, SelectionWorkspace, TimeEstimate,
 };
+use disar_math::json::Json;
 use disar_math::parallel::parallel_map;
 use disar_math::rng::stream_rng;
 use disar_math::stats;
@@ -35,8 +36,6 @@ use disar_ml::Regressor;
 use disar_registry::{knowledge_fingerprint, CanonicalHasher, Canonicalize, RegistryRow};
 use disar_stochastic::scenario::TimeGrid;
 use disar_stochastic::{drivers, CorrelationMatrix};
-use serde::Serialize;
-use serde_json::{json, Value};
 use std::time::Instant;
 
 /// The 40 %/60 % train/test split of Table I.
@@ -73,25 +72,23 @@ impl ExperimentCtx {
 
     /// The replayable parameter object recorded on every row; inverted by
     /// [`ExperimentCtx::from_params`].
-    pub fn params(&self) -> Value {
-        json!({
-            "campaign": {
-                "n_runs": self.cfg.n_runs,
-                "n_outer": self.cfg.n_outer,
-                "n_inner": self.cfg.n_inner,
-                "max_nodes": self.cfg.max_nodes,
-                "seed": self.cfg.seed,
-                "n_threads": self.cfg.n_threads,
-            },
-            "quick": self.quick,
-        })
+    pub fn params(&self) -> Json {
+        let campaign = Json::obj([
+            ("n_runs", self.cfg.n_runs.into()),
+            ("n_outer", self.cfg.n_outer.into()),
+            ("n_inner", self.cfg.n_inner.into()),
+            ("max_nodes", self.cfg.max_nodes.into()),
+            ("seed", self.cfg.seed.into()),
+            ("n_threads", self.cfg.n_threads.into()),
+        ]);
+        Json::obj([("campaign", campaign), ("quick", self.quick.into())])
     }
 
     /// Rebuilds a context from a recorded row's `params`; `None` when the
     /// row was written by something other than an experiment driver.
-    pub fn from_params(params: &Value) -> Option<Self> {
-        let c = params.get("campaign")?;
-        let get = |k: &str| c.get(k).and_then(Value::as_u64);
+    pub fn from_params(params: &Json) -> Option<Self> {
+        let c = params.at("campaign").ok()?;
+        let get = |k: &str| c.uint_at::<u64>(k).ok();
         let cfg = CampaignConfig::builder()
             .n_runs(get("n_runs")? as usize)
             .n_outer(get("n_outer")? as usize)
@@ -100,10 +97,7 @@ impl ExperimentCtx {
             .seed(get("seed")?)
             .n_threads(get("n_threads")? as usize)
             .build();
-        let quick = params
-            .get("quick")
-            .and_then(Value::as_bool)
-            .unwrap_or(false);
+        let quick = params.at("quick") == Ok(&Json::Bool(true));
         Some(Self { cfg, quick })
     }
 
@@ -143,8 +137,8 @@ pub trait Experiment: Sync {
     fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow>;
 
     /// Renders a row's `outputs` for the terminal; pretty JSON by default.
-    fn render(&self, outputs: &Value) -> String {
-        serde_json::to_string_pretty(outputs).unwrap_or_else(|_| outputs.to_string())
+    fn render(&self, outputs: &Json) -> String {
+        outputs.pretty()
     }
 }
 
@@ -173,8 +167,10 @@ pub fn by_name(name: &str) -> Option<&'static dyn Experiment> {
     EXPERIMENTS.iter().copied().find(|e| e.name() == name)
 }
 
-fn to_json<T: Serialize>(v: &T) -> Value {
-    serde_json::to_value(v).expect("experiment outputs serialize")
+/// `[name, value, ...]`: one row of a table keyed by a name.
+fn named_row(name: &str, values: &[f64]) -> Json {
+    let values = values.iter().map(|&x| Json::from(x));
+    Json::Arr(std::iter::once(Json::from(name)).chain(values).collect())
 }
 
 /// Assembles the one row a driver emits: `ctx.params()` plus any
@@ -186,15 +182,15 @@ fn finish(
     ctx: &ExperimentCtx,
     kb: Option<&KnowledgeBase>,
     jobs: &[EebJob],
-    extra_params: &[(&str, Value)],
-    outputs: Value,
-    timings: Value,
+    extra_params: &[(&str, Json)],
+    outputs: Json,
+    timings: Json,
     t0: Instant,
 ) -> Vec<RegistryRow> {
     let mut params = ctx.params();
-    if let Some(obj) = params.as_object_mut() {
+    if let Json::Obj(fields) = &mut params {
         for (k, v) in extra_params {
-            obj.insert((*k).to_string(), v.clone());
+            fields.insert((*k).to_string(), v.clone());
         }
     }
     let row = RegistryRow::new(
@@ -209,7 +205,7 @@ fn finish(
 }
 
 /// Table I: signed bias δ̄ (seconds) per classifier per instance type.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Instance-type names (columns).
     pub instances: Vec<String>,
@@ -217,6 +213,23 @@ pub struct Table1 {
     pub models: Vec<String>,
     /// `bias[model][instance]` in seconds.
     pub bias: Vec<Vec<f64>>,
+}
+
+impl Table1 {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "instances",
+                Json::arr(self.instances.iter().map(String::as_str)),
+            ),
+            ("models", Json::arr(self.models.iter().map(String::as_str))),
+            (
+                "bias",
+                Json::arr(self.bias.iter().map(|row| Json::arr(row.iter().copied()))),
+            ),
+        ])
+    }
 }
 
 /// Driver for Table I (`table1`).
@@ -293,8 +306,8 @@ impl Experiment for Table1Experiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&t),
-            Value::Null,
+            t.to_json(),
+            Json::Null,
             t0,
         )
     }
@@ -351,15 +364,15 @@ impl Experiment for Table2Experiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
+            Json::Null,
             t0,
         )
     }
 }
 
 /// One point of Figure 2's scatter.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Point {
     /// Model abbreviation.
     pub model: String,
@@ -367,6 +380,17 @@ pub struct Fig2Point {
     pub real: f64,
     /// Predicted execution time (seconds).
     pub predicted: f64,
+}
+
+impl Fig2Point {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("model", self.model.as_str().into()),
+            ("real", self.real.into()),
+            ("predicted", self.predicted.into()),
+        ])
+    }
 }
 
 /// Driver for Figure 2 (`fig2`).
@@ -404,7 +428,7 @@ impl Fig2Experiment {
 
     /// Per-model correlation/RMSE summary of a point cloud — the scalar
     /// claims the paper reads off the scatter.
-    pub fn summary(points: &[Fig2Point]) -> Value {
+    pub fn summary(points: &[Fig2Point]) -> Json {
         let mut rows = Vec::new();
         for kind in ModelKind::ALL {
             let abbr = kind.abbreviation();
@@ -416,14 +440,14 @@ impl Fig2Experiment {
             if real.is_empty() {
                 continue;
             }
-            rows.push(json!({
-                "model": abbr,
-                "points": real.len(),
-                "r": stats::correlation(&real, &predicted),
-                "rmse_secs": stats::rmse(&predicted, &real),
-            }));
+            rows.push(Json::obj([
+                ("model", abbr.into()),
+                ("points", real.len().into()),
+                ("r", stats::correlation(&real, &predicted).into()),
+                ("rmse_secs", stats::rmse(&predicted, &real).into()),
+            ]));
         }
-        Value::Array(rows)
+        Json::Arr(rows)
     }
 }
 
@@ -436,22 +460,44 @@ impl Experiment for Fig2Experiment {
         let t0 = Instant::now();
         let (kb, _, jobs) = ctx.campaign();
         let points = Self::compute(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
-        let outputs = json!({
-            "summary": Self::summary(&points),
-            "points": to_json(&points),
-        });
-        finish(self.name(), ctx, Some(&kb), &jobs, &[], outputs, Value::Null, t0)
+        let outputs = Json::obj([
+            ("summary", Self::summary(&points)),
+            ("points", Json::arr(points.iter().map(Fig2Point::to_json))),
+        ]);
+        finish(
+            self.name(),
+            ctx,
+            Some(&kb),
+            &jobs,
+            &[],
+            outputs,
+            Json::Null,
+            t0,
+        )
     }
 }
 
 /// Figure 3: the pooled error histogram.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// `(bin lower edge, percentage)` pairs.
     pub bins: Vec<(f64, f64)>,
     /// Fraction of predictions with |error| ≤ 200 s (the paper reports
     /// ≈ 0.8).
     pub within_200s: f64,
+}
+
+impl Fig3 {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "bins",
+                Json::arr(self.bins.iter().map(|&(edge, pct)| Json::arr([edge, pct]))),
+            ),
+            ("within_200s", self.within_200s.into()),
+        ])
+    }
 }
 
 /// Driver for Figure 3 (`fig3`).
@@ -496,8 +542,8 @@ impl Experiment for Fig3Experiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&f3),
-            Value::Null,
+            f3.to_json(),
+            Json::Null,
             t0,
         )
     }
@@ -553,8 +599,8 @@ impl Experiment for Fig4Experiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
+            Json::Null,
             t0,
         )
     }
@@ -562,7 +608,7 @@ impl Experiment for Fig4Experiment {
 
 /// §IV closing comparison: the ML-selected configuration versus forcing
 /// the higher-end VM and versus the most cost-effective VM.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// Instance Algorithm 1 chose.
     pub ml_instance: String,
@@ -584,6 +630,24 @@ pub struct Comparison {
     pub cost_decrease_pct: f64,
     /// Time reduction of ML vs the most cost-effective machine (%).
     pub time_reduction_pct: f64,
+}
+
+impl Comparison {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("ml_instance", self.ml_instance.as_str().into()),
+            ("ml_nodes", self.ml_nodes.into()),
+            ("ml_secs", self.ml_secs.into()),
+            ("ml_cost", self.ml_cost.into()),
+            ("highend_secs", self.highend_secs.into()),
+            ("highend_cost", self.highend_cost.into()),
+            ("cheap_secs", self.cheap_secs.into()),
+            ("cheap_cost", self.cheap_cost.into()),
+            ("cost_decrease_pct", self.cost_decrease_pct.into()),
+            ("time_reduction_pct", self.time_reduction_pct.into()),
+        ])
+    }
 }
 
 /// Driver for the §IV closing comparison (`comparison`).
@@ -673,8 +737,8 @@ impl Experiment for ComparisonExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&c),
-            Value::Null,
+            c.to_json(),
+            Json::Null,
             t0,
         )
     }
@@ -731,8 +795,8 @@ impl Experiment for EnsembleAblationExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(|(name, a, b)| named_row(name, &[*a, *b]))),
+            Json::Null,
             t0,
         )
     }
@@ -740,7 +804,7 @@ impl Experiment for EnsembleAblationExperiment {
 
 /// Ablation: effect of ε-greedy exploration on knowledge-base coverage and
 /// long-run deploy cost.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EpsilonAblation {
     /// The ε used.
     pub epsilon: f64,
@@ -751,6 +815,18 @@ pub struct EpsilonAblation {
     pub late_mean_cost: f64,
     /// Deadline violations over the whole run.
     pub deadline_misses: usize,
+}
+
+impl EpsilonAblation {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("epsilon", self.epsilon.into()),
+            ("distinct_configs", self.distinct_configs.into()),
+            ("late_mean_cost", self.late_mean_cost.into()),
+            ("deadline_misses", self.deadline_misses.into()),
+        ])
+    }
 }
 
 /// Driver for the ε-greedy exploration ablation (`ablation_epsilon`).
@@ -829,9 +905,9 @@ impl Experiment for EpsilonAblationExperiment {
             ctx,
             None,
             &jobs,
-            &[("n_deploys", json!(n))],
-            json!({ "rows": [to_json(&greedy), to_json(&explore)] }),
-            Value::Null,
+            &[("n_deploys", n.into())],
+            Json::obj([("rows", Json::arr([greedy.to_json(), explore.to_json()]))]),
+            Json::Null,
             t0,
         )
     }
@@ -839,7 +915,7 @@ impl Experiment for EpsilonAblationExperiment {
 
 /// Ablation: heterogeneous (mixed-type) deploys vs homogeneous Algorithm 1
 /// — the paper's §VI future work, quantified.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroAblationRow {
     /// The deadline tested.
     pub t_max: f64,
@@ -847,6 +923,34 @@ pub struct HeteroAblationRow {
     pub homo: Option<(String, usize, f64, f64)>,
     /// Hetero greedy pick as `(description, realized secs, realized cost)`.
     pub hetero: Option<(String, f64, f64)>,
+}
+
+impl HeteroAblationRow {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        let homo = self
+            .homo
+            .as_ref()
+            .map_or(Json::Null, |(instance, nodes, secs, cost)| {
+                Json::Arr(vec![
+                    instance.as_str().into(),
+                    (*nodes).into(),
+                    (*secs).into(),
+                    (*cost).into(),
+                ])
+            });
+        let hetero = self
+            .hetero
+            .as_ref()
+            .map_or(Json::Null, |(description, secs, cost)| {
+                named_row(description, &[*secs, *cost])
+            });
+        Json::obj([
+            ("t_max", self.t_max.into()),
+            ("homo", homo),
+            ("hetero", hetero),
+        ])
+    }
 }
 
 /// Driver for the heterogeneous-deploy ablation (`ablation_hetero`).
@@ -991,15 +1095,15 @@ impl Experiment for HeteroAblationExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(HeteroAblationRow::to_json)),
+            Json::Null,
             t0,
         )
     }
 }
 
 /// Ablation: ensemble-mean vs conservative (worst-member) deadline filter.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeadlineRuleAblation {
     /// Rule name.
     pub rule: String,
@@ -1009,6 +1113,18 @@ pub struct DeadlineRuleAblation {
     pub misses: usize,
     /// Mean realized cost of the executed picks ($).
     pub mean_cost: f64,
+}
+
+impl DeadlineRuleAblation {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("rule", self.rule.as_str().into()),
+            ("feasible_cases", self.feasible_cases.into()),
+            ("misses", self.misses.into()),
+            ("mean_cost", self.mean_cost.into()),
+        ])
+    }
 }
 
 /// Driver for the deadline-rule ablation (`ablation_deadline`).
@@ -1160,8 +1276,8 @@ impl Experiment for DeadlineRuleAblationExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(DeadlineRuleAblation::to_json)),
+            Json::Null,
             t0,
         )
     }
@@ -1170,7 +1286,7 @@ impl Experiment for DeadlineRuleAblationExperiment {
 /// The self-optimizing loop's learning curve — the paper's claim that
 /// learning from useful work "allows to significantly reduce the training
 /// phase of the system".
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LearningCurve {
     /// `(deploy index, rolling mean |relative error|)` for ML-mode deploys
     /// (window of 20).
@@ -1179,6 +1295,21 @@ pub struct LearningCurve {
     pub early_mae: f64,
     /// Mean |relative error| over the last 30 ML deploys.
     pub late_mae: f64,
+}
+
+impl LearningCurve {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        let points = self
+            .points
+            .iter()
+            .map(|&(deploy, mae)| Json::Arr(vec![deploy.into(), mae.into()]));
+        Json::obj([
+            ("points", Json::arr(points)),
+            ("early_mae", self.early_mae.into()),
+            ("late_mae", self.late_mae.into()),
+        ])
+    }
 }
 
 /// Driver for the learning curve (`learning_curve`).
@@ -1256,9 +1387,9 @@ impl Experiment for LearningCurveExperiment {
             ctx,
             None,
             &jobs,
-            &[("n_deploys", json!(n))],
-            to_json(&lc),
-            Value::Null,
+            &[("n_deploys", n.into())],
+            lc.to_json(),
+            Json::Null,
             t0,
         )
     }
@@ -1266,7 +1397,7 @@ impl Experiment for LearningCurveExperiment {
 
 /// Ablation: cross-company knowledge transfer. One row per
 /// [`TransferPolicy`], summarizing how the *second* company onboards.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransferAblationRow {
     /// Transfer policy name.
     pub policy: String,
@@ -1278,6 +1409,19 @@ pub struct TransferAblationRow {
     pub b_mean_abs_rel_err: f64,
     /// Mean realized cost of company B's deploys ($).
     pub b_mean_cost: f64,
+}
+
+impl TransferAblationRow {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("policy", self.policy.as_str().into()),
+            ("b_bootstrap_deploys", self.b_bootstrap_deploys.into()),
+            ("b_ml_deploys", self.b_ml_deploys.into()),
+            ("b_mean_abs_rel_err", self.b_mean_abs_rel_err.into()),
+            ("b_mean_cost", self.b_mean_cost.into()),
+        ])
+    }
 }
 
 /// Driver for the cross-company transfer ablation (`ablation_transfer`).
@@ -1380,9 +1524,9 @@ impl Experiment for TransferAblationExperiment {
             ctx,
             None,
             &jobs,
-            &[("n_per_tenant", json!(n))],
-            to_json(&rows),
-            Value::Null,
+            &[("n_per_tenant", n.into())],
+            Json::arr(rows.iter().map(TransferAblationRow::to_json)),
+            Json::Null,
             t0,
         )
     }
@@ -1426,8 +1570,8 @@ impl Experiment for FeatureAblationExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&rows),
-            Value::Null,
+            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
+            Json::Null,
             t0,
         )
     }
@@ -1435,7 +1579,7 @@ impl Experiment for FeatureAblationExperiment {
 
 /// Ablation: what the campaign would have been invoiced under different
 /// billing policies (2016 per-hour vs modern per-second).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BillingAblation {
     /// Total prorated (economic) cost of all campaign runs ($).
     pub prorated_total: f64,
@@ -1443,6 +1587,17 @@ pub struct BillingAblation {
     pub per_hour_total: f64,
     /// Total under per-second invoicing with a 60 s minimum ($).
     pub per_second_total: f64,
+}
+
+impl BillingAblation {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("prorated_total", self.prorated_total.into()),
+            ("per_hour_total", self.per_hour_total.into()),
+            ("per_second_total", self.per_second_total.into()),
+        ])
+    }
 }
 
 /// Driver for the billing-policy ablation (`ablation_billing`).
@@ -1497,15 +1652,15 @@ impl Experiment for BillingAblationExperiment {
             Some(&kb),
             &jobs,
             &[],
-            to_json(&b),
-            Value::Null,
+            b.to_json(),
+            Json::Null,
             t0,
         )
     }
 }
 
 /// Ablation: LSMC vs plain nested Monte Carlo on a real valuation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LsmcAblation {
     /// Wall seconds of the plain nested run.
     pub nested_secs: f64,
@@ -1626,15 +1781,15 @@ impl Experiment for LsmcAblationExperiment {
             None,
             &[],
             &[],
-            json!({
-                "nested_scr": a.nested_scr,
-                "lsmc_scr": a.lsmc_scr,
-                "mean_rel_gap": a.mean_rel_gap,
-            }),
-            json!({
-                "nested_secs": a.nested_secs,
-                "lsmc_secs": a.lsmc_secs,
-            }),
+            Json::obj([
+                ("nested_scr", a.nested_scr.into()),
+                ("lsmc_scr", a.lsmc_scr.into()),
+                ("mean_rel_gap", a.mean_rel_gap.into()),
+            ]),
+            Json::obj([
+                ("nested_secs", a.nested_secs.into()),
+                ("lsmc_secs", a.lsmc_secs.into()),
+            ]),
             t0,
         )
     }
@@ -1643,7 +1798,7 @@ impl Experiment for LsmcAblationExperiment {
 /// Ablation: drift adaptation. Selection-regret traces of an adaptive
 /// deployer (Page–Hinkley detector + windowed retraining) and a frozen
 /// baseline over the same non-stationary cloud.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DriftAblation {
     /// Run index of the injected hardware-regime change.
     pub change_at: usize,
@@ -1669,6 +1824,35 @@ pub struct DriftAblation {
     /// Regret-derived member weights ([`regret_weights`]) from each
     /// member's solo selection regret on the post-change grid.
     pub member_weights: Vec<f64>,
+}
+
+impl DriftAblation {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("change_at", self.change_at.into()),
+            ("t_max_secs", self.t_max_secs.into()),
+            (
+                "adaptive_regret",
+                Json::arr(self.adaptive_regret.iter().copied()),
+            ),
+            (
+                "frozen_regret",
+                Json::arr(self.frozen_regret.iter().copied()),
+            ),
+            ("adaptive_recovery", self.adaptive_recovery.into()),
+            ("frozen_recovery", self.frozen_recovery.into()),
+            ("drift_fires", self.drift_fires.into()),
+            (
+                "member_names",
+                Json::arr(self.member_names.iter().map(String::as_str)),
+            ),
+            (
+                "member_weights",
+                Json::arr(self.member_weights.iter().copied()),
+            ),
+        ])
+    }
 }
 
 /// Driver for the drift-adaptation ablation (`ablation_drift`).
@@ -1813,7 +1997,7 @@ impl DriftAblationExperiment {
                     }
                     Err(e) => panic!("drift-ablation deploy failed: {e}"),
                 };
-                let chosen = plan(&out.decision.instance, out.decision.n_nodes, idx);
+                let chosen = plan(&out.report.instance, out.report.n_nodes, idx);
                 let best = best_feasible(idx);
                 let mut r = (chosen.prorated_cost - best).max(0.0);
                 if chosen.duration_secs > t_max {
@@ -1913,8 +2097,8 @@ impl Experiment for DriftAblationExperiment {
             None,
             &jobs,
             &[],
-            to_json(&a),
-            Value::Null,
+            a.to_json(),
+            Json::Null,
             t0,
         )
     }
@@ -1977,7 +2161,7 @@ mod tests {
             ctx.input_hash("table2", None, &jobs),
             back.input_hash("table2", None, &jobs)
         );
-        assert!(ExperimentCtx::from_params(&json!({ "model": "IBk" })).is_none());
+        assert!(ExperimentCtx::from_params(&Json::obj([("model", "IBk".into())])).is_none());
     }
 
     #[test]
@@ -2110,7 +2294,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&f3.within_200s));
         // The per-model summary covers all six models.
         let summary = Fig2Experiment::summary(&pts);
-        assert_eq!(summary.as_array().unwrap().len(), 6);
+        assert!(matches!(summary, Json::Arr(ref rows) if rows.len() == 6));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! sink the CI regression gate diffs.
 
 use crate::campaign::{CampaignConfig, EebJob};
+use disar_math::json::Json;
 use disar_registry::{CanonicalHasher, Canonicalize, Registry, RegistryRow};
 use std::path::{Path, PathBuf};
 
@@ -28,15 +29,10 @@ pub fn workspace_registry() -> Registry {
 /// Builds a timing-only row for a hand-rolled bench harness.
 ///
 /// The row's experiment name is `bench:<name>`, its `input_hash` digests
-/// the name plus the canonical (sorted-key) serialization of `params`, and
+/// the name plus the compact (sorted-key) text of `params`, and
 /// all measurements go in `timings` — outside the replay contract, which
 /// is why `runbook` skips `bench:*` rows.
-pub fn bench_row(
-    name: &str,
-    params: serde_json::Value,
-    timings: serde_json::Value,
-    wall_ns: u64,
-) -> RegistryRow {
+pub fn bench_row(name: &str, params: Json, timings: Json, wall_ns: u64) -> RegistryRow {
     let mut h = CanonicalHasher::new();
     h.field("bench");
     h.write_str(name);
@@ -46,7 +42,7 @@ pub fn bench_row(
         format!("bench:{name}"),
         h.finish(),
         params,
-        serde_json::Value::Null,
+        Json::Null,
         wall_ns,
     )
     .with_timings(timings)
@@ -88,29 +84,29 @@ mod tests {
 
     #[test]
     fn bench_rows_are_timing_only() {
+        let params =
+            |kb_size: u64| Json::obj([("model", "IBk".into()), ("kb_size", kb_size.into())]);
         let r = bench_row(
             "kb_scale/retrain",
-            serde_json::json!({ "model": "IBk", "kb_size": 100 }),
-            serde_json::json!({ "full_fit_ns": 10, "incremental_fit_ns": 2 }),
+            params(100),
+            Json::obj([
+                ("full_fit_ns", 10u64.into()),
+                ("incremental_fit_ns", 2u64.into()),
+            ]),
             42,
         );
         assert_eq!(r.experiment, "bench:kb_scale/retrain");
-        assert!(r.outputs.is_null());
-        assert!(!r.timings.is_null());
+        assert_eq!(r.outputs, Json::Null);
+        assert_ne!(r.timings, Json::Null);
         // Same name + params → same input hash; different params → different.
         let again = bench_row(
             "kb_scale/retrain",
-            serde_json::json!({ "model": "IBk", "kb_size": 100 }),
-            serde_json::json!({ "full_fit_ns": 99 }),
+            params(100),
+            Json::obj([("full_fit_ns", 99u64.into())]),
             7,
         );
         assert_eq!(r.input_hash, again.input_hash);
-        let other = bench_row(
-            "kb_scale/retrain",
-            serde_json::json!({ "model": "IBk", "kb_size": 1000 }),
-            serde_json::Value::Null,
-            7,
-        );
+        let other = bench_row("kb_scale/retrain", params(1000), Json::Null, 7);
         assert_ne!(r.input_hash, other.input_hash);
     }
 

@@ -117,7 +117,7 @@ pub fn replay_row(row: &RegistryRow) -> ReplayOutcome {
 /// order.
 pub fn replay_all(rows: &[RegistryRow], filter: Option<&str>) -> Vec<ReplayOutcome> {
     rows.iter()
-        .filter(|r| filter.map_or(true, |f| r.experiment == f))
+        .filter(|r| filter.is_none_or(|f| r.experiment == f))
         .map(replay_row)
         .collect()
 }
@@ -152,6 +152,7 @@ pub fn check() -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::registry::bench_row;
+    use disar_math::json::Json;
 
     #[test]
     fn check_passes_on_a_deterministic_build() {
@@ -162,8 +163,8 @@ mod tests {
     fn bench_rows_are_skipped() {
         let row = bench_row(
             "nested_kernel",
-            serde_json::json!({ "n_outer": 10 }),
-            serde_json::json!({ "median_wall_ns": 1 }),
+            Json::obj([("n_outer", 10u64.into())]),
+            Json::obj([("median_wall_ns", 1u64.into())]),
             1,
         );
         let out = replay_row(&row);

@@ -7,10 +7,9 @@
 //! [`prorated_cost`] the economic cost a per-simulation accounting assigns.
 
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// How uptime is turned into an invoice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BillingPolicy {
     /// Each started hour is billed in full (EC2 on-demand, 2016).
     PerHour,

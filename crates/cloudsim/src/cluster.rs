@@ -10,7 +10,6 @@ use crate::event::{EventQueue, SimTime};
 use crate::instances::InstanceType;
 use crate::CloudError;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// Mean VM boot-and-configure latency (EC2 2016 + StarCluster setup).
 pub(crate) const BOOT_BASE_SECS: f64 = 55.0;
@@ -18,7 +17,7 @@ pub(crate) const BOOT_BASE_SECS: f64 = 55.0;
 const BOOT_JITTER_SECS: f64 = 25.0;
 
 /// One booted virtual machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualMachine {
     /// Node index within its cluster.
     pub node_id: usize,
@@ -29,7 +28,7 @@ pub struct VirtualMachine {
 }
 
 /// A provisioned cluster: `n` identical VMs, ready when the slowest one is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// The VMs, indexed by node id.
     pub vms: Vec<VirtualMachine>,

@@ -8,10 +8,9 @@
 //! bandwidth term for the payload.
 
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// Latency/bandwidth model of the cluster interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// Per-hop latency in seconds (EC2 ~2016: a few hundred µs within a
     /// placement group).

@@ -24,11 +24,10 @@
 //! through the provider's oracle accessors, and must say so.
 
 use crate::perf::PerformanceModel;
-use serde::{Deserialize, Serialize};
 
 /// Deterministic drift applied to the hidden performance model, keyed by
 /// the provider's run index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum DriftModel {
     /// Stationary cloud — the bit-identical default.
     #[default]
@@ -171,14 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trips_and_defaults_to_none() {
-        let d = DriftModel::StepRegime {
-            period: 10,
-            speed_factor: 1.2,
-            price_factor: 1.0,
-        };
-        let json = serde_json::to_string(&d).unwrap();
-        assert_eq!(serde_json::from_str::<DriftModel>(&json).unwrap(), d);
+    fn defaults_to_none() {
         assert_eq!(DriftModel::default(), DriftModel::None);
     }
 }

@@ -16,10 +16,9 @@ use crate::cluster::provision_cluster;
 use crate::provider::CloudProvider;
 use crate::workload::Workload;
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// One homogeneous group within a heterogeneous deploy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeGroup {
     /// Instance-type name.
     pub instance: String,
@@ -53,7 +52,7 @@ impl NodeGroup {
 }
 
 /// Outcome of a heterogeneous run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroReport {
     /// Job execution time (slowest group bounds the barrier).
     pub duration_secs: f64,

@@ -7,12 +7,11 @@
 //! additional types.
 
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One virtualized hardware configuration (`m ∈ M` in Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     /// EC2-style name, e.g. `"c3.4xlarge"`.
     pub name: String,
@@ -80,7 +79,7 @@ impl fmt::Display for InstanceType {
 }
 
 /// The set `M` of available virtualized architectures.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InstanceCatalog {
     types: BTreeMap<String, InstanceType>,
 }

@@ -22,11 +22,10 @@
 use crate::instances::InstanceType;
 use crate::workload::Workload;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth execution-time model (see module docs for the access
 /// contract).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceModel {
     /// Work units per second of one reference core (speed 1.0).
     pub units_per_core_sec: f64,

@@ -18,7 +18,6 @@ use crate::workload::Workload;
 use crate::CloudError;
 use disar_math::parallel::parallel_map;
 use disar_math::rng::split_seed;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A reserved, not-yet-executed run slot — the non-blocking half of
@@ -61,7 +60,7 @@ impl RunHandle<'_> {
 }
 
 /// Outcome of one cloud job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Instance-type name the job ran on.
     pub instance: String,
@@ -97,7 +96,7 @@ impl JobReport {
 /// Noise-free expected outcome of one configuration under the (possibly
 /// drifted) ground truth at a given run index — what
 /// [`CloudProvider::oracle_plan`] returns for oracle baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OraclePlan {
     /// Expected execution time (scatter + compute + serial + gather),
     /// with zero jitter and no stragglers.

@@ -8,10 +8,9 @@
 //! mapping from observations.
 
 use crate::CloudError;
-use serde::{Deserialize, Serialize};
 
 /// The resource profile of one distributed job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Total compute size in abstract work units (≈ single reference-core
     /// seconds).

@@ -23,7 +23,6 @@ use crate::CoreError;
 use disar_cloudsim::{InstanceCatalog, InstanceType};
 use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for repeated Algorithm 1 sweeps.
 ///
@@ -59,7 +58,7 @@ struct GroupSlot {
 }
 
 /// One feasible deploy configuration `⟨m, n, cost⟩`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateConfig {
     /// Instance-type name (`m`).
     pub instance: String,
@@ -72,7 +71,7 @@ pub struct CandidateConfig {
 }
 
 /// The outcome of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Selection {
     /// The chosen configuration.
     pub chosen: CandidateConfig,
@@ -100,7 +99,7 @@ pub struct Selection {
 /// the *worst* (largest) family member prediction instead of the mean,
 /// trading cost for deadline safety. The ablation harness quantifies the
 /// trade.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimeEstimate {
     /// The paper's rule: arithmetic mean of the six models.
     EnsembleMean,

@@ -35,12 +35,11 @@ use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How the deploy configuration was chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeployMode {
     /// Algorithm 1, greedy branch (minimum predicted cost).
     MlGreedy,
@@ -53,7 +52,7 @@ pub enum DeployMode {
 }
 
 /// Policy knobs of the deployer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeployPolicy {
     /// The Solvency II deadline `T_max` in seconds.
     pub t_max_secs: f64,
@@ -75,21 +74,18 @@ pub struct DeployPolicy {
     /// How knowledge is shared across tenants (companies). Consulted only
     /// by the tenant-aware [`crate::tenant::TenantShardedDeployer`]; the
     /// single-tenant backends ignore it. Defaults to
-    /// [`TransferPolicy::Isolated`] (also for pre-tenancy JSON via serde).
-    #[serde(default)]
+    /// [`TransferPolicy::Isolated`].
     pub transfer: TransferPolicy,
     /// Base retrain mode every scheduled retrain uses (bulk warm-ups and
     /// the after-run cadence alike). Defaults to
-    /// [`RetrainMode::Incremental`] — the bit-identity-preserving path —
-    /// also for pre-drift policy JSON via serde. A firing drift detector
-    /// escalates *past* this mode per [`DeployPolicy::drift`].
-    #[serde(default)]
+    /// [`RetrainMode::Incremental`], the bit-identity-preserving path. A
+    /// firing drift detector escalates *past* this mode per
+    /// [`DeployPolicy::drift`].
     pub retrain_mode: RetrainMode,
     /// Drift-adaptation block: residual change detector, sensitivity and
     /// the escalated windowed-retrain shape. Defaults to
     /// [`crate::drift::DetectorKind::Off`] (never fires, stationary
-    /// behaviour), also for pre-drift policy JSON via serde.
-    #[serde(default)]
+    /// behaviour).
     pub drift: DriftConfig,
 }
 
@@ -240,7 +236,7 @@ impl DeployPolicyBuilder {
 }
 
 /// What one deploy produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeployOutcome {
     /// How the configuration was chosen.
     pub mode: DeployMode,
@@ -272,7 +268,7 @@ impl DeployOutcome {
 /// pipeline keeps the decisions of in-flight runs and passes them as the
 /// `pending` argument of [`Deployer::select`] /
 /// [`Deployer::selection_ready`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeployDecision {
     /// How the configuration was chosen.
     pub mode: DeployMode,
@@ -1392,29 +1388,6 @@ mod tests {
         );
     }
 
-
-
-    #[test]
-    fn pre_tenancy_policy_json_defaults_to_isolated() {
-        let mut v = serde_json::to_value(DeployPolicy::paper_defaults(3_600.0)).unwrap();
-        v.as_object_mut().unwrap().remove("transfer").unwrap();
-        let p: DeployPolicy = serde_json::from_value(v).unwrap();
-        assert_eq!(p.transfer, TransferPolicy::Isolated);
-    }
-
-    #[test]
-    fn pre_drift_policy_json_defaults_to_stationary() {
-        // Policy JSON written before the drift knobs existed carries
-        // neither field; it must deserialize to the stationary defaults.
-        let mut v = serde_json::to_value(DeployPolicy::paper_defaults(3_600.0)).unwrap();
-        v.as_object_mut().unwrap().remove("retrain_mode").unwrap();
-        v.as_object_mut().unwrap().remove("drift").unwrap();
-        let p: DeployPolicy = serde_json::from_value(v).unwrap();
-        assert_eq!(p.retrain_mode, RetrainMode::Incremental);
-        assert_eq!(p.drift, DriftConfig::default());
-        assert_eq!(p, DeployPolicy::paper_defaults(3_600.0));
-    }
-
     #[test]
     fn policy_validates_drift_knobs() {
         let mut p = DeployPolicy::paper_defaults(3_600.0);
@@ -1553,7 +1526,7 @@ mod tests {
         };
         // Bootstrap phase: selections are RNG-only, ready even with runs
         // in flight.
-        assert!(d.selection_ready(&[pending.clone()]));
+        assert!(d.selection_ready(std::slice::from_ref(&pending)));
         // Train past the bootstrap.
         for i in 0..10 {
             d.deploy(&profile(80 + i * 17), &workload(80 + i * 17)).unwrap();

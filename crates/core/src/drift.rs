@@ -25,11 +25,10 @@
 //!   metric the drift ablation folds back into prediction.
 
 use crate::predictor::RetrainMode;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which change detector monitors the residual stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectorKind {
     /// No detection: retrains always use the policy's base mode. The
     /// stationary, bit-identity-preserving default.
@@ -65,27 +64,20 @@ fn default_decay() -> f64 {
 /// sensitivity, and the shape of the escalated windowed retrain.
 ///
 /// The default ([`DetectorKind::Off`]) never fires, so policies that do
-/// not opt in keep every retrain on the base mode. Serde-defaulted field
-/// by field, so pre-drift policy JSON deserializes to the stationary
-/// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// not opt in keep every retrain on the base mode.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Residual-stream change detector.
-    #[serde(default)]
     pub detector: DetectorKind,
     /// Fire threshold: Page–Hinkley's λ on the cumulative deviation
     /// statistic (in residual units).
-    #[serde(default = "default_threshold")]
     pub threshold: f64,
     /// Page–Hinkley's drift allowance δ (tolerated mean creep per step)
     /// and ADWIN's confidence parameter.
-    #[serde(default = "default_delta")]
     pub delta: f64,
     /// `window` of the escalated [`RetrainMode::Windowed`] retrain.
-    #[serde(default = "default_window")]
     pub window: usize,
     /// `decay` of the escalated [`RetrainMode::Windowed`] retrain.
-    #[serde(default = "default_decay")]
     pub decay: f64,
 }
 
@@ -463,7 +455,10 @@ mod tests {
         // The applied retrain resets the ladder to the base mode.
         s.on_retrain_applied();
         assert!(!s.escalated());
-        assert_eq!(s.next_mode(RetrainMode::Warm, &cfg), RetrainMode::Warm);
+        assert_eq!(
+            s.next_mode(RetrainMode::Incremental, &cfg),
+            RetrainMode::Incremental
+        );
     }
 
     #[test]
@@ -489,14 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_config_serde_defaults_to_off() {
-        // Pre-drift policy JSON carries no drift block at all; an empty
-        // object must deserialize to the inert default.
-        let cfg: DriftConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(cfg, DriftConfig::default());
-        assert!(!cfg.enabled());
-        let round: DriftConfig =
-            serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
-        assert_eq!(round, cfg);
+    fn drift_config_defaults_to_off() {
+        assert!(!DriftConfig::default().enabled());
     }
 }

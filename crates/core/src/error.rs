@@ -51,8 +51,8 @@ pub enum CoreError {
     },
     /// Persistence I/O failed.
     Io(std::io::Error),
-    /// Persistence (de)serialization failed.
-    Serde(serde_json::Error),
+    /// A persisted artifact is not JSON, or not the JSON its reader needs.
+    Json(disar_math::json::JsonError),
 }
 
 impl fmt::Display for CoreError {
@@ -82,7 +82,7 @@ impl fmt::Display for CoreError {
                 "artifact schema version {found} is newer than the supported {supported}"
             ),
             CoreError::Io(e) => write!(f, "io failure: {e}"),
-            CoreError::Serde(e) => write!(f, "serialization failure: {e}"),
+            CoreError::Json(e) => write!(f, "malformed artifact: {e}"),
         }
     }
 }
@@ -94,7 +94,7 @@ impl Error for CoreError {
             CoreError::Cloud(e) => Some(e),
             CoreError::Engine(e) => Some(e),
             CoreError::Io(e) => Some(e),
-            CoreError::Serde(e) => Some(e),
+            CoreError::Json(e) => Some(e),
             _ => None,
         }
     }
@@ -124,9 +124,9 @@ impl From<std::io::Error> for CoreError {
     }
 }
 
-impl From<serde_json::Error> for CoreError {
-    fn from(e: serde_json::Error) -> Self {
-        CoreError::Serde(e)
+impl From<disar_math::json::JsonError> for CoreError {
+    fn from(e: disar_math::json::JsonError) -> Self {
+        CoreError::Json(e)
     }
 }
 

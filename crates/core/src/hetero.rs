@@ -23,10 +23,9 @@ use crate::CoreError;
 use disar_cloudsim::{InstanceCatalog, InstanceType, NodeGroup};
 use disar_math::parallel::parallel_map_with;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// A candidate (possibly mixed) configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroCandidate {
     /// The node groups (one = homogeneous, two = mixed).
     pub groups: Vec<NodeGroup>,
@@ -37,7 +36,7 @@ pub struct HeteroCandidate {
 }
 
 /// The outcome of heterogeneous selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroSelection {
     /// The chosen candidate.
     pub chosen: HeteroCandidate,

@@ -5,7 +5,22 @@
 //! execution time into the database" (§III). Each record pairs the job's
 //! characteristic parameters and the deploy configuration with the
 //! *measured* execution time; the base is replayed into [`Dataset`]s for
-//! (re)training, and is serializable to a human-inspectable JSON file.
+//! (re)training, and is saved to a human-inspectable JSON file.
+//!
+//! There is one file format, whatever layout wrote it and whatever layout
+//! reads it: the records in arrival order, one to a line.
+//!
+//! ```text
+//! {"schema_version": 1, "records": [
+//! {"cost":0.29,"duration_secs":312.0,"instance":"c3.4xlarge","memory_gib":30.0,"n_nodes":4,"per_core_speed":1.06,"profile":{"characteristics":{"fund_assets":30,"max_horizon":20,"representative_contracts":100,"risk_factors":2},"n_inner":50,"n_outer":1000},"tenant":"default","vcpus":16},
+//! {"cost":0.31, …}
+//! ]}
+//! ```
+//!
+//! One function streams it (`write_records`, behind every `save`) and one
+//! parses it, checks the version and hands each record to the layout's own
+//! `record` (`read_records`, behind every `load`), so shard keys, shard
+//! contents and arrival slots are always rebuilt, never read.
 //!
 //! Machine capabilities enter the feature vector numerically (vCPUs,
 //! per-core speed, RAM) rather than as an opaque name, so knowledge
@@ -16,25 +31,20 @@ use crate::profile::JobProfile;
 use crate::tenant::TenantId;
 use crate::CoreError;
 use disar_cloudsim::InstanceType;
+use disar_math::json::{Json, JsonError};
 use disar_ml::Dataset;
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::cell::{Ref, RefCell};
 use std::fmt;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Version stamp of a persisted artifact's JSON layout.
 ///
-/// Every knowledge-base layout (and the result registry's rows) carries
-/// one, `#[serde(default)]`-ed so pre-version files load as version
-/// [`SchemaVersion::CURRENT`] — the layout they were in fact written in.
-/// Loads reject versions *newer* than this build supports
+/// Every knowledge-base file and every row of the result registry carries
+/// one. Loads reject versions *newer* than this build supports
 /// ([`CoreError::UnsupportedSchema`]) instead of silently misreading a
-/// future format; older versions are the serde defaults' job to upgrade.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+/// future format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchemaVersion(pub u32);
 
 impl SchemaVersion {
@@ -48,33 +58,56 @@ impl SchemaVersion {
     }
 }
 
-impl Default for SchemaVersion {
-    fn default() -> Self {
-        Self::CURRENT
-    }
-}
-
 impl fmt::Display for SchemaVersion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
 }
 
-/// Shared load-time gate: every layout's `load` rejects files stamped by
-/// a newer build the same way.
-pub(crate) fn check_schema(version: SchemaVersion) -> Result<(), CoreError> {
-    if version.is_supported() {
-        Ok(())
-    } else {
-        Err(CoreError::UnsupportedSchema {
-            found: version.0,
-            supported: SchemaVersion::CURRENT.0,
-        })
+/// Writes a knowledge-base file: the one writer behind every layout's `save`.
+///
+/// Record by record through a buffer, so saving a large base holds one
+/// record's text in memory and not the document's.
+pub(crate) fn write_records<'a>(
+    path: &Path,
+    records: impl Iterator<Item = &'a RunRecord>,
+) -> Result<(), CoreError> {
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write!(
+        out,
+        "{{\"schema_version\": {}, \"records\": [",
+        SchemaVersion::CURRENT
+    )?;
+    for (i, record) in records.enumerate() {
+        let separator = if i == 0 { "" } else { "," };
+        write!(out, "{separator}\n{}", record.to_json())?;
     }
+    writeln!(out, "\n]}}")?;
+    out.flush()?;
+    Ok(())
+}
+
+/// Reads a knowledge-base file into any layout: the one reader behind every
+/// layout's `load`. Only the records are taken from the file; `S::record`
+/// rebuilds whatever partitioning and derived state the layout keeps.
+pub(crate) fn read_records<S: KnowledgeStore + Default>(path: &Path) -> Result<S, CoreError> {
+    let document = Json::parse(&std::fs::read_to_string(path)?)?;
+    let found = document.uint_at("schema_version")?;
+    if !SchemaVersion(found).is_supported() {
+        return Err(CoreError::UnsupportedSchema {
+            found,
+            supported: SchemaVersion::CURRENT.0,
+        });
+    }
+    let mut store = S::default();
+    for record in document.arr_at("records")? {
+        store.record(RunRecord::from_json(record)?);
+    }
+    Ok(store)
 }
 
 /// One executed simulation: the ML training row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// The job's characteristic parameters.
     pub profile: JobProfile,
@@ -98,9 +131,7 @@ pub struct RunRecord {
     /// feature vector — the paper's transfer argument is that the job and
     /// machine parameters "are not necessarily bound to a specific"
     /// company, so the tenant key only routes records into shards and
-    /// never biases predictions. Defaults (also for pre-tenancy JSON via
-    /// serde) to [`TenantId::default`].
-    #[serde(default)]
+    /// never biases predictions. Defaults to [`TenantId::default`].
     pub tenant: TenantId,
 }
 
@@ -177,6 +208,40 @@ impl RunRecord {
         names.push("n_nodes".to_string());
         names
     }
+
+    /// The record as one object of a knowledge-base file.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("profile", self.profile.to_json()),
+            ("instance", self.instance.as_str().into()),
+            ("vcpus", self.vcpus.into()),
+            ("per_core_speed", self.per_core_speed.into()),
+            ("memory_gib", self.memory_gib.into()),
+            ("n_nodes", self.n_nodes.into()),
+            ("duration_secs", self.duration_secs.into()),
+            ("cost", self.cost.into()),
+            ("tenant", self.tenant.as_str().into()),
+        ])
+    }
+
+    /// Reads a record back from [`RunRecord::to_json`]'s object.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is missing or holds another type.
+    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(RunRecord {
+            profile: JobProfile::from_json(json.at("profile")?)?,
+            instance: json.str_at("instance")?.to_string(),
+            vcpus: json.uint_at("vcpus")?,
+            per_core_speed: json.f64_at("per_core_speed")?,
+            memory_gib: json.f64_at("memory_gib")?,
+            n_nodes: json.uint_at("n_nodes")?,
+            duration_secs: json.f64_at("duration_secs")?,
+            cost: json.f64_at("cost")?,
+            tenant: TenantId::new(json.str_at("tenant")?),
+        })
+    }
 }
 
 /// The one API every knowledge-base layout speaks.
@@ -219,34 +284,30 @@ pub trait KnowledgeStore {
         kb
     }
 
-    /// Saves the base as pretty JSON.
+    /// Saves the base in the one knowledge-base file format (module docs).
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization failures.
-    fn save(&self, path: &Path) -> Result<(), CoreError>;
+    /// Propagates I/O failures.
+    fn save(&self, path: &Path) -> Result<(), CoreError> {
+        write_records(path, self.records_in_arrival_order())
+    }
 }
 
 /// The persistent store of executed runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
-    /// JSON layout version (serde-defaulted so pre-version files load).
-    #[serde(default)]
-    pub schema_version: SchemaVersion,
     records: Vec<RunRecord>,
     /// Featurized view of `records`, built lazily by [`KnowledgeBase::dataset`]
     /// and kept in sync incrementally by [`KnowledgeBase::record`], so one
     /// retrain featurizes the base once instead of once per model. Never
-    /// serialized; rebuilt on demand after a load.
-    #[serde(skip)]
+    /// saved; rebuilt on demand after a load.
     cache: RefCell<Option<Dataset>>,
 }
 
 /// Equality is over the stored records only — the lazily built dataset
 /// cache is derived state and must not distinguish two bases (e.g. one
 /// freshly loaded from JSON from the original that already featurized).
-/// The schema version is metadata about the *file*, not the knowledge, so
-/// a base loaded from an old stamp equals the freshly built one.
 impl PartialEq for KnowledgeBase {
     fn eq(&self, other: &Self) -> bool {
         self.records == other.records
@@ -336,7 +397,6 @@ impl KnowledgeBase {
     /// Table I columns).
     pub fn for_instance(&self, instance: &str) -> KnowledgeBase {
         KnowledgeBase {
-            schema_version: SchemaVersion::CURRENT,
             records: self
                 .records
                 .iter()
@@ -347,28 +407,25 @@ impl KnowledgeBase {
         }
     }
 
-    /// Saves the base as pretty JSON.
+    /// Saves the base in the one knowledge-base file format (module docs).
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization failures.
+    /// Propagates I/O failures.
     pub fn save(&self, path: &Path) -> Result<(), CoreError> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json)?;
-        Ok(())
+        write_records(path, self.records.iter())
     }
 
-    /// Loads a base previously written with [`KnowledgeBase::save`].
+    /// Loads a base from a file any layout's `save` wrote.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialization failures; rejects files stamped
-    /// with a newer [`SchemaVersion`] than this build supports.
+    /// [`CoreError::Io`] when the file cannot be read, [`CoreError::Json`]
+    /// when it is not a knowledge-base file, and
+    /// [`CoreError::UnsupportedSchema`] when it is stamped with a newer
+    /// [`SchemaVersion`] than this build supports.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path)?;
-        let kb: KnowledgeBase = serde_json::from_str(&json)?;
-        check_schema(kb.schema_version)?;
-        Ok(kb)
+        read_records(path)
     }
 }
 
@@ -389,10 +446,6 @@ impl KnowledgeStore for KnowledgeBase {
     fn to_monolithic(&self) -> KnowledgeBase {
         self.clone()
     }
-
-    fn save(&self, path: &Path) -> Result<(), CoreError> {
-        KnowledgeBase::save(self, path)
-    }
 }
 
 /// A knowledge base partitioned by a key `K` of its records — the store
@@ -409,15 +462,10 @@ impl KnowledgeStore for KnowledgeBase {
 /// or reorders information.
 ///
 /// Equality (like [`KnowledgeBase`]'s) is over records and arrival order
-/// only, never over derived caches or the file-metadata schema stamp.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// only, never over derived caches.
+#[derive(Debug, Clone, Default)]
 pub struct Partitioned<K> {
-    /// JSON layout version (serde-defaulted so pre-version files load).
-    #[serde(default)]
-    pub schema_version: SchemaVersion,
-    /// Key of each shard, in first-seen order (`names` in per-instance
-    /// files written before the two layouts shared this store).
-    #[serde(alias = "names")]
+    /// Key of each shard, in first-seen order.
     keys: Vec<K>,
     shards: Vec<KnowledgeBase>,
     /// Shard slot of each record, in global arrival order.
@@ -489,6 +537,15 @@ impl<K> Partitioned<K> {
         }
         kb
     }
+
+    /// Saves the base in the one knowledge-base file format (module docs).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn save(&self, path: &Path) -> Result<(), CoreError> {
+        write_records(path, self.records_in_arrival_order())
+    }
 }
 
 impl<K: Default + PartialEq> Partitioned<K> {
@@ -513,32 +570,6 @@ impl<K: Default + PartialEq> Partitioned<K> {
     }
 }
 
-impl<K: Serialize + DeserializeOwned> Partitioned<K> {
-    /// Saves the partitioned base as pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and serialization failures.
-    pub fn save(&self, path: &Path) -> Result<(), CoreError> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json)?;
-        Ok(())
-    }
-
-    /// Loads a base previously written with [`Partitioned::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and deserialization failures; rejects files stamped
-    /// with a newer [`SchemaVersion`] than this build supports.
-    pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path)?;
-        let kb: Self = serde_json::from_str(&json)?;
-        check_schema(kb.schema_version)?;
-        Ok(kb)
-    }
-}
-
 impl Partitioned<String> {
     /// Builds a sharded base holding the same record stream as `kb`.
     pub fn from_monolithic(kb: &KnowledgeBase) -> Self {
@@ -552,6 +583,15 @@ impl Partitioned<String> {
     /// Appends one run to the shard owning its instance type.
     pub fn record(&mut self, record: RunRecord) {
         self.record_under(record.instance.clone(), record);
+    }
+
+    /// Loads a base from a file any layout's `save` wrote.
+    ///
+    /// # Errors
+    ///
+    /// As [`KnowledgeBase::load`].
+    pub fn load(path: &Path) -> Result<Self, CoreError> {
+        read_records(path)
     }
 
     /// Instance-type names with a shard, in first-seen order.
@@ -582,16 +622,46 @@ impl KnowledgeStore for ShardedKnowledgeBase {
     fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
         Box::new(ShardedKnowledgeBase::records_in_arrival_order(self))
     }
-
-    fn save(&self, path: &Path) -> Result<(), CoreError> {
-        ShardedKnowledgeBase::save(self, path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TenantShardedKnowledgeBase;
     use disar_engine::EebCharacteristics;
+    use std::path::PathBuf;
+
+    /// A file of its own for one test, in a directory the tests share.
+    fn temp_file(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("disar-kb-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{name}-{}.json", std::process::id()))
+    }
+
+    /// What loading `text` as a knowledge-base file says, in every layout.
+    fn load_text(name: &str, text: &str) -> [Result<usize, CoreError>; 3] {
+        let path = temp_file(name);
+        std::fs::write(&path, text).unwrap();
+        let loaded = [
+            KnowledgeBase::load(&path).map(|kb| kb.len()),
+            ShardedKnowledgeBase::load(&path).map(|kb| kb.len()),
+            TenantShardedKnowledgeBase::load(&path).map(|kb| kb.len()),
+        ];
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    /// The text `save` writes for a base of two records.
+    fn saved_text(name: &str) -> String {
+        let mut kb = KnowledgeBase::new();
+        kb.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
+        kb.record(RunRecord::new(profile(9), &instance(), 1, 42.0, 0.03));
+        let path = temp_file(name);
+        kb.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
+    }
 
     fn profile(contracts: usize) -> JobProfile {
         JobProfile {
@@ -686,13 +756,68 @@ mod tests {
     fn save_load_roundtrip() {
         let mut kb = KnowledgeBase::new();
         kb.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
-        let dir = std::env::temp_dir().join("disar-kb-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = temp_file("mono");
         kb.save(&path).unwrap();
         let loaded = KnowledgeBase::load(&path).unwrap();
         assert_eq!(kb, loaded);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("{\"schema_version\": 1, \"records\": [\n{\"cost\":0.07,"));
         std::fs::remove_file(&path).ok();
+
+        // An empty base is a file too.
+        KnowledgeBase::new().save(&path).unwrap();
+        assert!(KnowledgeBase::load(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncated_file_is_a_typed_error() {
+        let text = saved_text("truncated");
+        for cut in [0, 1, text.len() / 2, text.len() - 2] {
+            for loaded in load_text("truncated-cut", &text[..cut]) {
+                assert!(
+                    matches!(loaded, Err(CoreError::Json(JsonError::Syntax { .. }))),
+                    "cut at {cut}: {loaded:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_type_in_a_field_is_a_typed_error() {
+        let text =
+            saved_text("wrong-type").replace("\"duration_secs\":42.0", "\"duration_secs\":\"42\"");
+        for loaded in load_text("wrong-type-edited", &text) {
+            assert!(matches!(
+                loaded,
+                Err(CoreError::Json(JsonError::WrongType { ref field, .. })) if field == "duration_secs"
+            ));
+        }
+        // An integer that does not fit the field is the wrong type too.
+        let text = saved_text("wrong-range").replace("\"vcpus\":16", "\"vcpus\":4294967296");
+        for loaded in load_text("wrong-range-edited", &text) {
+            assert!(matches!(
+                loaded,
+                Err(CoreError::Json(JsonError::WrongType { ref field, .. })) if field == "vcpus"
+            ));
+        }
+    }
+
+    #[test]
+    fn missing_field_is_a_typed_error() {
+        let text = saved_text("missing").replace("\"tenant\":\"default\",", "");
+        for loaded in load_text("missing-edited", &text) {
+            assert!(matches!(
+                loaded,
+                Err(CoreError::Json(JsonError::MissingField(ref field))) if field == "tenant"
+            ));
+        }
+        for loaded in load_text("missing-records", "{\"schema_version\": 1}") {
+            assert!(matches!(
+                loaded,
+                Err(CoreError::Json(JsonError::MissingField(ref field))) if field == "records"
+            ));
+        }
     }
 
     #[test]
@@ -810,17 +935,61 @@ mod tests {
         for r in mixed_records(12) {
             skb.record(r);
         }
-        // Warm a shard cache pre-save; the cache is skipped, not serialized.
+        // Warm a shard cache pre-save; the cache is derived, never saved.
         let first = skb.shard_names()[0].clone();
         let _ = skb.shard(&first).unwrap().dataset().unwrap();
-        let dir = std::env::temp_dir().join("disar-skb-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("skb.json");
+        let path = temp_file("sharded");
         skb.save(&path).unwrap();
         let loaded = ShardedKnowledgeBase::load(&path).unwrap();
         assert_eq!(skb, loaded);
         assert_eq!(loaded.to_monolithic(), skb.to_monolithic());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One file format: a stream saved from any layout loads into any layout
+    /// as the same stream, with that layout's own partitioning rebuilt.
+    #[test]
+    fn every_layout_loads_every_layouts_file() {
+        let tenants = ["acme-life", "bolt-re", "default"];
+        let records: Vec<RunRecord> = mixed_records(20)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.with_tenant(TenantId::new(tenants[i % 3])))
+            .collect();
+        let mut writers: [Box<dyn KnowledgeStore>; 3] = [
+            Box::new(KnowledgeBase::new()),
+            Box::new(ShardedKnowledgeBase::new()),
+            Box::new(TenantShardedKnowledgeBase::new()),
+        ];
+        for (w, writer) in writers.iter_mut().enumerate() {
+            for r in &records {
+                writer.record(r.clone());
+            }
+            let path = temp_file(&format!("cross-{w}"));
+            writer.save(&path).unwrap();
+            let readers: [Box<dyn KnowledgeStore>; 3] = [
+                Box::new(KnowledgeBase::load(&path).unwrap()),
+                Box::new(ShardedKnowledgeBase::load(&path).unwrap()),
+                Box::new(TenantShardedKnowledgeBase::load(&path).unwrap()),
+            ];
+            for (r, reader) in readers.iter().enumerate() {
+                let replayed: Vec<RunRecord> = reader.records_in_arrival_order().cloned().collect();
+                assert_eq!(replayed, records, "layout {w}'s file in layout {r}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        // Every layout wrote the same bytes.
+        let texts: Vec<String> = writers
+            .iter()
+            .map(|writer| {
+                let path = temp_file("cross-bytes");
+                writer.save(&path).unwrap();
+                std::fs::read_to_string(&path).unwrap()
+            })
+            .collect();
+        assert_eq!(texts[0], texts[1]);
+        assert_eq!(texts[0], texts[2]);
+        std::fs::remove_file(temp_file("cross-bytes")).ok();
     }
 
     #[test]
@@ -855,69 +1024,17 @@ mod tests {
     }
 
     #[test]
-    fn pre_tenancy_json_loads_with_default_tenant() {
-        let r = RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07);
-        let mut v = serde_json::to_value(&r).unwrap();
-        v.as_object_mut().unwrap().remove("tenant").unwrap();
-        let loaded: RunRecord = serde_json::from_value(v).unwrap();
-        assert_eq!(loaded.tenant, TenantId::default());
-        assert_eq!(loaded, r);
-    }
-
-    #[test]
-    fn pre_version_json_loads_with_current_schema() {
-        // Strip the stamp to simulate a file written before versioning.
-        let mut kb = KnowledgeBase::new();
-        kb.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
-        let mut v = serde_json::to_value(&kb).unwrap();
-        v.as_object_mut().unwrap().remove("schema_version").unwrap();
-        let dir = std::env::temp_dir().join("disar-kb-schema-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pre_version.json");
-        std::fs::write(&path, v.to_string()).unwrap();
-        let loaded = KnowledgeBase::load(&path).unwrap();
-        assert_eq!(loaded.schema_version, SchemaVersion::CURRENT);
-        assert_eq!(loaded, kb);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn newer_schema_is_rejected_by_every_layout() {
-        let dir = std::env::temp_dir().join("disar-kb-schema-test");
-        std::fs::create_dir_all(&dir).unwrap();
         let future = SchemaVersion(SchemaVersion::CURRENT.0 + 1);
         assert!(!future.is_supported());
-
-        let mut kb = KnowledgeBase::new();
-        kb.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
-        kb.schema_version = future;
-        let path = dir.join("future_mono.json");
-        kb.save(&path).unwrap();
-        assert!(matches!(
-            KnowledgeBase::load(&path),
-            Err(CoreError::UnsupportedSchema { found, supported })
-                if found == future.0 && supported == SchemaVersion::CURRENT.0
-        ));
-        std::fs::remove_file(&path).ok();
-
-        let mut skb = ShardedKnowledgeBase::from_monolithic(&kb);
-        skb.schema_version = future;
-        let path = dir.join("future_sharded.json");
-        skb.save(&path).unwrap();
-        assert!(matches!(
-            ShardedKnowledgeBase::load(&path),
-            Err(CoreError::UnsupportedSchema { .. })
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn schema_stamp_does_not_enter_equality() {
-        let mut a = KnowledgeBase::new();
-        a.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
-        let mut b = a.clone();
-        b.schema_version = SchemaVersion(0);
-        assert_eq!(a, b);
+        let text = saved_text("future").replace("\"schema_version\": 1", "\"schema_version\": 2");
+        for loaded in load_text("future-edited", &text) {
+            assert!(matches!(
+                loaded,
+                Err(CoreError::UnsupportedSchema { found, supported })
+                    if found == future.0 && supported == SchemaVersion::CURRENT.0
+            ));
+        }
     }
 
     #[test]
@@ -926,9 +1043,7 @@ mod tests {
         kb.record(RunRecord::new(profile(7), &instance(), 3, 99.5, 0.07));
         kb.record(RunRecord::new(profile(9), &instance(), 1, 42.0, 0.03));
         let _ = kb.dataset().unwrap(); // warm the cache pre-save
-        let dir = std::env::temp_dir().join("disar-kb-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = temp_file("cache");
         kb.save(&path).unwrap();
         let loaded = KnowledgeBase::load(&path).unwrap();
         assert_eq!(kb, loaded);

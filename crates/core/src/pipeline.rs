@@ -34,12 +34,11 @@ use crate::deploy::{DeployDecision, DeployOutcome, Deployer};
 use crate::profile::JobProfile;
 use crate::CoreError;
 use disar_cloudsim::{CloudError, JobReport, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::thread::ScopedJoinHandle;
 
 /// One unit of work for the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineJob {
     /// The job's characteristic parameters (predictor features).
     pub profile: JobProfile,
@@ -76,7 +75,7 @@ impl PipelineJob {
 /// Diagnostics only: for `depth ≥ 2` the counters depend on which runs
 /// happen to still be executing when a selection is issued, so they may
 /// vary between executions even though the *outcomes* never do.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PipelineStats {
     /// Jobs submitted.
     pub jobs: usize,

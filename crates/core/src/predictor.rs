@@ -16,18 +16,17 @@ use crate::CoreError;
 use disar_cloudsim::InstanceType;
 use disar_math::parallel::parallel_map_mut;
 use disar_ml::{default_family, Dataset, FeatureMatrix, PredictScratch, Regressor};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a retrain treats the family's previously trained state — the single
 /// knob behind [`PredictorFamily::retrain`], replacing the accreted
 /// `retrain_full*`/`retrain_warm*` method family.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RetrainMode {
     /// The default bit-identity-preserving path: when the knowledge base
     /// grew by appending to the trained prefix (verified by the boundary
-    /// fingerprint), *exact* incremental members are fed only the appended
-    /// rows; everything else refits from scratch. Either way the family is
+    /// fingerprint), incremental members are fed only the appended rows;
+    /// everything else refits from scratch. Either way the family is
     /// bit-identical to a from-scratch retrain.
     #[default]
     Incremental,
@@ -35,12 +34,6 @@ pub enum RetrainMode {
     /// state — the reference the incremental path is measured against
     /// (equal results, different cost).
     Full,
-    /// [`RetrainMode::Incremental`] that additionally lets *inexact*
-    /// members take their suffix path: the MLP continues SGD from its
-    /// previous weights, tree/forest regrow on a suffix subsample.
-    /// Deterministic, but **not** refit-identical — for after-every-run
-    /// loops where retrain latency matters more than refit equivalence.
-    Warm,
     /// Refit every member from scratch on the last `window` records plus a
     /// seeded `decay`-fraction subsample of the older history
     /// ([`disar_ml::Dataset::decayed_window`]) — the drift-recovery mode:
@@ -250,9 +243,8 @@ impl PredictorFamily {
         n_threads: usize,
     ) -> Result<(), CoreError> {
         match mode {
-            RetrainMode::Incremental => self.retrain_impl(kb, n_threads, false, false),
-            RetrainMode::Full => self.retrain_impl(kb, n_threads, true, false),
-            RetrainMode::Warm => self.retrain_impl(kb, n_threads, false, true),
+            RetrainMode::Incremental => self.retrain_impl(kb, n_threads, false),
+            RetrainMode::Full => self.retrain_impl(kb, n_threads, true),
             RetrainMode::Windowed { window, decay } => {
                 self.retrain_windowed(kb, n_threads, window, decay)
             }
@@ -310,7 +302,6 @@ impl PredictorFamily {
         kb: &KnowledgeBase,
         n_threads: usize,
         force_full: bool,
-        allow_inexact: bool,
     ) -> Result<(), CoreError> {
         if n_threads == 0 {
             return Err(CoreError::InvalidParameter("n_threads must be > 0"));
@@ -330,11 +321,7 @@ impl PredictorFamily {
             && Self::fingerprint(data, from) == self.trained_fingerprint;
         let results = parallel_map_mut(&mut self.models, n_threads, |_, m| {
             match m.as_incremental() {
-                Some(inc)
-                    if incremental_ok
-                        && inc.fitted_len() == from
-                        && (allow_inexact || inc.exact()) =>
-                {
+                Some(inc) if incremental_ok && inc.fitted_len() == from => {
                     inc.partial_fit(data, from)
                 }
                 _ => m.fit(data),
@@ -747,50 +734,6 @@ mod tests {
         let mut full = PredictorFamily::new(3, 2);
         full.retrain(&filled_kb(80), RetrainMode::Full, 1).unwrap();
         assert_families_identical(&inc, &full, "incremental vs full");
-    }
-
-    #[test]
-    fn warm_retrain_is_deterministic_and_keeps_exact_members_bitwise() {
-        let run = || {
-            let mut fam = PredictorFamily::new(3, 2);
-            fam.retrain(&filled_kb(50), RetrainMode::Incremental, 1).unwrap();
-            fam.retrain(&filled_kb(80), RetrainMode::Warm, 1).unwrap();
-            fam
-        };
-        let a = run();
-        let b = run();
-        assert_families_identical(&a, &b, "warm retrain determinism");
-
-        // Only the inexact warm-started members (MLP weights, tree/forest
-        // suffix subsampling) are licensed to diverge from a from-scratch
-        // refit; every exact member must stay bitwise equal.
-        let mut full = PredictorFamily::new(3, 2);
-        full.retrain(&filled_kb(80), RetrainMode::Full, 1).unwrap();
-        let cat = InstanceCatalog::paper_catalog();
-        let inst = cat.get("c3.4xlarge").unwrap();
-        let pa = a.predict_each(&profile(180), inst, 2).unwrap();
-        let pf = full.predict_each(&profile(180), inst, 2).unwrap();
-        for ((ma, va), (mf, vf)) in pa.iter().zip(&pf) {
-            assert_eq!(ma, mf);
-            if *ma != "MLP" && *ma != "RT" && *ma != "RF" {
-                assert_eq!(
-                    va.to_bits(),
-                    vf.to_bits(),
-                    "{ma} diverged under warm retrain"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_retrain_threaded_matches_sequential() {
-        let mut seq = PredictorFamily::new(6, 2);
-        seq.retrain(&filled_kb(50), RetrainMode::Incremental, 1).unwrap();
-        seq.retrain(&filled_kb(90), RetrainMode::Warm, 1).unwrap();
-        let mut par = PredictorFamily::new(6, 2);
-        par.retrain(&filled_kb(50), RetrainMode::Incremental, 1).unwrap();
-        par.retrain(&filled_kb(90), RetrainMode::Warm, 4).unwrap();
-        assert_families_identical(&seq, &par, "warm retrain thread invariance");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! scale execution time linearly.
 
 use disar_engine::EebCharacteristics;
-use serde::{Deserialize, Serialize};
+use disar_math::json::{Json, JsonError};
 
 /// The pre-run-known profile of one simulation job (`f ∈ F`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobProfile {
     /// The EEB-derived characteristic parameters.
     pub characteristics: EebCharacteristics,
@@ -49,6 +49,28 @@ impl JobProfile {
     /// Number of job features.
     pub fn n_features() -> usize {
         Self::feature_names().len()
+    }
+
+    /// The profile as it sits inside a knowledge-base record.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("characteristics", self.characteristics.to_json()),
+            ("n_outer", self.n_outer.into()),
+            ("n_inner", self.n_inner.into()),
+        ])
+    }
+
+    /// Reads a profile back from [`JobProfile::to_json`]'s object.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is missing or holds another type.
+    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(JobProfile {
+            characteristics: EebCharacteristics::from_json(json.at("characteristics")?)?,
+            n_outer: json.uint_at("n_outer")?,
+            n_inner: json.uint_at("n_inner")?,
+        })
     }
 }
 

@@ -50,7 +50,6 @@ use crate::predictor::{FamilyRouter, PredictorFamily, RetrainMode, TimePredictor
 use crate::tenant::{TenantId, TenantShardedKnowledgeBase, TransferPolicy};
 use crate::CoreError;
 use disar_cloudsim::{CloudProvider, InstanceCatalog};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -59,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Sizing knobs of a [`DeployService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Per-tenant pipeline depth (in-flight runs; `1` = sequential).
     pub depth: usize,
@@ -99,7 +98,7 @@ impl ServiceConfig {
 
 /// [`PipelineStats`] plus the service's admission, queue-depth and
 /// backpressure counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceStats {
     /// Pipeline occupancy/overlap counters, aggregated over every tenant
     /// that has finished (jobs and overlap counts sum; `max_in_flight` is
@@ -321,12 +320,15 @@ struct LandedMsg {
     mode: RetrainMode,
 }
 
+/// The two-key shard map: one lockable base per (instance type, tenant).
+type ShardMap = BTreeMap<(String, TenantId), Arc<Mutex<KnowledgeBase>>>;
+
 /// Everything the worker, ingester and handle threads share.
 struct ServiceShared {
     policy: DeployPolicy,
     /// The two-key shard map; the outer lock guards only map growth —
     /// steady-state `record()` takes a read lock plus the one shard lock.
-    shards: RwLock<BTreeMap<(String, TenantId), Arc<Mutex<KnowledgeBase>>>>,
+    shards: RwLock<ShardMap>,
     snapshot: SnapshotCell,
     // Admission / queue counters (ServiceStats).
     submitted: AtomicUsize,
@@ -815,11 +817,8 @@ fn worker_loop(
     let mut outcomes: Vec<DeployOutcome> = Vec::new();
     let mut stats = PipelineStats::default();
     let mut failed: Option<CoreError> = None;
-    'serve: loop {
-        let first = match cmd_rx.recv() {
-            Ok(cmd) => cmd,
-            Err(_) => break, // handle dropped without finish()
-        };
+    // The loop also ends when the handle is dropped without finish().
+    'serve: while let Ok(first) = cmd_rx.recv() {
         let mut batch: Vec<PipelineJob> = Vec::new();
         let mut finish = false;
         match first {
@@ -879,11 +878,8 @@ fn worker_loop(
 /// dirty shard once, publish one new snapshot per batch.
 fn ingester_loop(shared: &Arc<ServiceShared>, rx: &Receiver<LandedMsg>, batch_max: usize) {
     let mut masters: BTreeMap<(String, TenantId), PredictorFamily> = BTreeMap::new();
-    loop {
-        let first = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => break, // every worker and the service handle are gone
-        };
+    // Until every worker and the service handle are gone.
+    while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
         while batch.len() < batch_max {
             match rx.try_recv() {
@@ -1118,8 +1114,8 @@ mod tests {
             (0..tenants.len()).map(|i| jobs_for(i, 12)).collect();
         // Interleave submissions across tenants to exercise concurrency.
         for j in 0..12 {
-            for (i, h) in handles.iter().enumerate() {
-                h.submit(all_jobs[i][j].clone()).unwrap();
+            for (h, jobs) in handles.iter().zip(&all_jobs) {
+                h.submit(jobs[j].clone()).unwrap();
             }
         }
         for (i, h) in handles.into_iter().enumerate() {

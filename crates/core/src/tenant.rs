@@ -29,14 +29,13 @@
 
 use crate::deploy::{Backend, DeployLoop, DeployPolicy, Local, Shard, SHARD_FLOOR};
 use crate::knowledge::{
-    KnowledgeBase, KnowledgeStore, Partitioned, RunRecord, ShardedKnowledgeBase,
+    read_records, KnowledgeBase, KnowledgeStore, Partitioned, RunRecord, ShardedKnowledgeBase,
 };
 use crate::predictor::{
     FamilyRouter, PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor,
 };
 use crate::CoreError;
 use disar_cloudsim::CloudProvider;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -47,8 +46,7 @@ use std::sync::Arc;
 /// A plain string key: tenants are administrative, not numeric, and never
 /// enter the feature vector. The default tenant (`"default"`) is what every
 /// pre-tenancy record and single-tenant deployment uses.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(String);
 
 impl TenantId {
@@ -76,7 +74,7 @@ impl fmt::Display for TenantId {
 }
 
 /// How knowledge crosses company boundaries (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferPolicy {
     /// Each tenant trains and predicts only on its own records.
     #[default]
@@ -125,14 +123,12 @@ impl TransferPolicy {
 /// a [`ShardedKnowledgeBase`] fed the same stream, i.e. the union of all
 /// tenants' records for each instance type, in arrival order — so pooled
 /// retrains need no re-partitioning pass. The pooled copies double record
-/// memory; they are derived state, excluded from equality, skipped by
-/// serialization and rebuilt on [`TenantShardedKnowledgeBase::load`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// memory; they are derived state, excluded from equality, never saved and
+/// rebuilt as [`TenantShardedKnowledgeBase::load`] records the file's stream.
+#[derive(Debug, Clone, Default)]
 pub struct TenantShardedKnowledgeBase {
-    #[serde(flatten)]
     store: Partitioned<(String, TenantId)>,
     /// Derived per-instance unions, rebuilt on load.
-    #[serde(skip)]
     pooled: ShardedKnowledgeBase,
 }
 
@@ -239,20 +235,13 @@ impl TenantShardedKnowledgeBase {
         out
     }
 
-    /// Loads a base previously written with [`Partitioned::save`],
-    /// rebuilding the pooled copies.
+    /// Loads a base from a file any layout's `save` wrote.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialization failures; rejects files stamped
-    /// with a newer schema version than this build supports.
+    /// As [`KnowledgeBase::load`].
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let store = Partitioned::load(path)?;
-        let mut pooled = ShardedKnowledgeBase::new();
-        for r in store.records_in_arrival_order() {
-            pooled.record(r.clone());
-        }
-        Ok(TenantShardedKnowledgeBase { store, pooled })
+        read_records(path)
     }
 }
 
@@ -267,10 +256,6 @@ impl KnowledgeStore for TenantShardedKnowledgeBase {
 
     fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
         Box::new(self.store.records_in_arrival_order())
-    }
-
-    fn save(&self, path: &Path) -> Result<(), CoreError> {
-        self.store.save(path)
     }
 }
 
@@ -606,7 +591,6 @@ impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
 mod tests {
     use super::*;
     use crate::deploy::{DeployDecision, DeployMode, DeployOutcome, Deployer, ShardedDeployer};
-    use crate::knowledge::SchemaVersion;
     use crate::profile::JobProfile;
     use disar_cloudsim::{InstanceCatalog, Workload};
     use disar_engine::EebCharacteristics;
@@ -716,36 +700,6 @@ mod tests {
                 records.iter().filter(|r| r.instance == name).collect();
             assert_eq!(pooled.records().iter().collect::<Vec<_>>(), want);
         }
-    }
-
-    #[test]
-    fn schema_version_gates_tenant_load() {
-        let mut kb = TenantShardedKnowledgeBase::new();
-        for r in mixed_records(6) {
-            kb.record(r);
-        }
-        let dir = std::env::temp_dir().join("disar-tkb-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Pre-version file (no stamp) still loads, defaulting to CURRENT.
-        let mut v = serde_json::to_value(&kb).unwrap();
-        v.as_object_mut().unwrap().remove("schema_version").unwrap();
-        let path = dir.join("tkb_pre_version.json");
-        std::fs::write(&path, v.to_string()).unwrap();
-        let loaded = TenantShardedKnowledgeBase::load(&path).unwrap();
-        assert_eq!(loaded.schema_version, SchemaVersion::CURRENT);
-        assert_eq!(loaded, kb);
-        std::fs::remove_file(&path).ok();
-
-        // A newer-than-supported stamp is rejected loudly.
-        kb.store.schema_version = SchemaVersion(SchemaVersion::CURRENT.0 + 1);
-        let path = dir.join("tkb_future.json");
-        kb.save(&path).unwrap();
-        assert!(matches!(
-            TenantShardedKnowledgeBase::load(&path),
-            Err(CoreError::UnsupportedSchema { .. })
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

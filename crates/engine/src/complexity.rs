@@ -12,10 +12,9 @@ use crate::eeb::{Eeb, EebKind};
 use crate::simulation::SimulationSpec;
 use crate::EngineError;
 use disar_cloudsim::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Tunable coefficients of the complexity model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexityModel {
     /// Work units per (contract × horizon-year × path-pair) for type B.
     pub alm_unit_cost: f64,

@@ -16,10 +16,10 @@
 use crate::simulation::SimulationSpec;
 use crate::EngineError;
 use disar_actuarial::model_points::ModelPoint;
-use serde::{Deserialize, Serialize};
+use disar_math::json::{Json, JsonError};
 
 /// The two EEB types of §II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EebKind {
     /// Type A: actuarial valuation (probabilized cash flows) — DiActEng.
     ActuarialValuation,
@@ -31,7 +31,7 @@ pub enum EebKind {
 /// The characteristic parameters of an EEB — "the parameters … that induce
 /// the highest variability in the execution time" (§III), i.e. the ML
 /// feature vector `f`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EebCharacteristics {
     /// Number of representative contracts in the block.
     pub representative_contracts: usize,
@@ -69,10 +69,38 @@ impl EebCharacteristics {
             "risk_factors".to_string(),
         ]
     }
+
+    /// The characteristics as they sit inside a knowledge-base record.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "representative_contracts",
+                self.representative_contracts.into(),
+            ),
+            ("max_horizon", self.max_horizon.into()),
+            ("fund_assets", self.fund_assets.into()),
+            ("risk_factors", self.risk_factors.into()),
+        ])
+    }
+
+    /// Reads the characteristics back from [`EebCharacteristics::to_json`]'s
+    /// object.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is missing or holds another type.
+    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(EebCharacteristics {
+            representative_contracts: json.uint_at("representative_contracts")?,
+            max_horizon: json.uint_at("max_horizon")?,
+            fund_assets: json.uint_at("fund_assets")?,
+            risk_factors: json.uint_at("risk_factors")?,
+        })
+    }
 }
 
 /// One elementary elaboration block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Eeb {
     /// Stable identifier within the simulation.
     pub id: usize,

@@ -27,11 +27,10 @@ use disar_actuarial::mortality::LifeTable;
 use disar_alm::liability::LiabilityPosition;
 use disar_alm::nested::NestedMonteCarlo;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Result of a full local (real-computation) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalOutcome {
     /// Aggregate Solvency Capital Requirement across all EEBs.
     pub scr: f64,

@@ -7,11 +7,10 @@
 //! built-in [`RecordingMonitor`] collects a thread-safe event log suitable
 //! for progress bars, audits, or the tests below.
 
-use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One lifecycle event of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProgressEvent {
     /// The portfolio was decomposed into EEBs.
     Decomposed {

@@ -11,19 +11,14 @@ use disar_alm::{NestedConfig, SegregatedFund};
 use disar_stochastic::drivers::{Cir, FxRate, Gbm, Vasicek};
 use disar_stochastic::scenario::{ScenarioGenerator, TimeGrid};
 use disar_stochastic::CorrelationMatrix;
-use serde::{Deserialize, Serialize};
 
 // Re-exported only because `benchmark/src/adapter.rs` spells
 // `lane: DEFAULT_LANE` in its `SimulationSpec` literal.
 pub use disar_stochastic::scenario::DEFAULT_LANE;
 
-fn default_lane() -> usize {
-    DEFAULT_LANE
-}
-
 /// How rich the market model is — drives the paper's "number of financial
 /// risk-factors" feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MarketModel {
     /// Short rate + equity (2 risk factors).
     RatesEquity,
@@ -102,7 +97,7 @@ impl MarketModel {
 
 /// A complete Solvency II simulation request — what a DISAR user submits
 /// through DiInt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationSpec {
     /// The policy portfolio.
     pub portfolio: Portfolio,
@@ -122,7 +117,6 @@ pub struct SimulationSpec {
     /// [`DEFAULT_LANE`] paths. Declared only because the struct literal in
     /// `benchmark/src/adapter.rs` names it; it goes when a benchmark PR
     /// drops it from that literal.
-    #[serde(default = "default_lane")]
     pub lane: usize,
 }
 

@@ -24,7 +24,10 @@
 //!   Least-Squares Monte Carlo technique of Bauer, Reuss & Singer (2012)
 //!   referenced by the paper;
 //! - [`check`]: the seeded case runner every property test of the workspace
-//!   is written on (`cases`, `case`, `vec_of`).
+//!   is written on (`cases`, `case`, `vec_of`);
+//! - [`json`]: the one written form of what persists (knowledge-base files,
+//!   registry rows, experiment outputs): a JSON value, its compact and
+//!   indented text, and a parser for text from outside the program.
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@
 
 pub mod check;
 pub mod exp;
+pub mod json;
 pub mod matrix;
 pub mod parallel;
 pub mod poly;

@@ -6,7 +6,6 @@
 //! (regularized) least squares. Everything is `f64`.
 
 use crate::MathError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -22,7 +21,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// let c = a.matmul(&b).unwrap();
 /// assert_eq!(c[(1, 0)], 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

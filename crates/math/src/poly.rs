@@ -6,10 +6,9 @@
 //! module provides the univariate families used in practice and a
 //! multivariate total-degree tensor basis.
 
-use serde::{Deserialize, Serialize};
 
 /// The univariate orthogonal polynomial family to expand in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolyFamily {
     /// Plain monomials `1, x, x², …` (not orthogonal; kept as the naive
     /// baseline the orthonormal families are compared against).
@@ -109,7 +108,7 @@ impl PolyFamily {
 /// let row = basis.eval(&[2.0, 3.0]);
 /// assert_eq!(row[0], 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiBasis {
     family: PolyFamily,
     dim: usize,

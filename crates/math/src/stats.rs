@@ -6,7 +6,6 @@
 //! histogram of Figure 3 ([`Histogram`]), and the 99.5 % quantile at the
 //! heart of the Solvency Capital Requirement ([`quantile`]).
 
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean. Returns `0.0` for an empty slice (documented sentinel:
 /// the empirical mean of no observations is conventionally zero in the
@@ -231,7 +230,7 @@ pub fn fraction_within(predicted: &[f64], real: &[f64], tol: f64) -> f64 {
 /// assert_eq!(h.counts(), &[1, 1, 1, 2]);
 /// assert_eq!(h.total(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -335,7 +334,7 @@ impl Extend<f64> for Histogram {
 /// assert_eq!(acc.mean(), 2.0);
 /// assert_eq!(acc.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Accumulator {
     n: u64,
     mean: f64,

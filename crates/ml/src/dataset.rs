@@ -7,7 +7,6 @@
 
 use crate::MlError;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 /// A regression dataset: named features, dense rows, one `f64` target per
 /// row.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.len(), 1);
 /// assert_eq!(d.dim(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     feature_names: Vec<String>,
     rows: Vec<Vec<f64>>,
@@ -233,39 +232,6 @@ impl Dataset {
         }
         out
     }
-
-    /// The full suffix `from..` plus a deterministic subsample of the
-    /// `..from` prefix, in original row order.
-    ///
-    /// This is the training set of the *inexact* incremental refits
-    /// (tree/forest warm retrains): every new observation is kept, the
-    /// history is represented by `min(from, max(4 × suffix, 64))` rows
-    /// drawn without replacement from the prefix. The subsample is a pure
-    /// function of `(seed, from, len)` — the same call on the same data is
-    /// reproducible — but it is *not* the full prefix, which is exactly
-    /// why models trained on it report `IncrementalRegressor::exact() ==
-    /// false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from > self.len()`.
-    pub fn suffix_subsample(&self, from: usize, seed: u64) -> Dataset {
-        assert!(from <= self.len(), "suffix starts past the end");
-        let suffix = self.len() - from;
-        let sample_len = from.min((4 * suffix).max(64));
-        let mut idx: Vec<usize> = (0..from).collect();
-        let mut rng = stream_rng(seed, 0x5FFB);
-        rng.shuffle(&mut idx);
-        idx.truncate(sample_len);
-        idx.sort_unstable();
-        idx.extend(from..self.len());
-        let mut out = Dataset::new(self.feature_names.clone());
-        for i in idx {
-            out.rows.push(self.rows[i].clone());
-            out.targets.push(self.targets[i]);
-        }
-        out
-    }
 }
 
 /// Per-column min–max scaler mapping each feature to `[0, 1]`, the
@@ -286,7 +252,7 @@ impl Dataset {
 /// let s = Scaler::fit(&d).unwrap();
 /// assert_eq!(s.transform(&[20.0]), vec![0.5]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scaler {
     mins: Vec<f64>,
     ranges: Vec<f64>,
@@ -524,34 +490,6 @@ pub(crate) mod tests {
         for (pos, &i) in idx.iter().enumerate() {
             assert_eq!(b1.get(pos), d.get(i));
         }
-    }
-
-    #[test]
-    fn suffix_subsample_keeps_suffix_and_is_deterministic() {
-        let d = toy(200);
-        let s1 = d.suffix_subsample(180, 11);
-        let s2 = d.suffix_subsample(180, 11);
-        assert_eq!(s1, s2);
-        // 4 × 20 = 80 prefix rows plus the 20-row suffix.
-        assert_eq!(s1.len(), 100);
-        // The suffix arrives intact, in order, at the end.
-        assert_eq!(&s1.targets()[80..], &d.targets()[180..]);
-        // Prefix rows keep their original relative order.
-        let prefix = &s1.targets()[..80];
-        assert!(prefix.windows(2).all(|w| w[0] < w[1]));
-        let s3 = d.suffix_subsample(180, 12);
-        assert_ne!(s1, s3);
-    }
-
-    #[test]
-    fn suffix_subsample_small_prefix_is_identity() {
-        let d = toy(40);
-        // Prefix (30) < floor (64): every row is kept.
-        assert_eq!(d.suffix_subsample(30, 3), d);
-        // from == len: suffix empty, prefix capped at 64 — still everything.
-        assert_eq!(d.suffix_subsample(40, 3), d);
-        // from == 0: pure suffix, the whole dataset.
-        assert_eq!(d.suffix_subsample(0, 3), d);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::Regressor;
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Number of equal-width bins used to discretize each numeric attribute.
@@ -36,45 +35,22 @@ const DEFAULT_STALE_LIMIT: usize = 5;
 /// dt.fit(&data).unwrap();
 /// assert!((dt.predict(&[2.0, 3.0]).unwrap() - 200.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTable {
     bins: usize,
     stale_limit: usize,
     fitted: Option<FittedTable>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct FittedTable {
     dim: usize,
     selected: Vec<usize>,
     mins: Vec<f64>,
     widths: Vec<f64>,
     bins: usize,
-    // JSON map keys must be strings, so the table serializes as pairs.
-    #[serde(with = "cells_as_pairs")]
     cells: HashMap<Vec<u32>, f64>,
     global_mean: f64,
-}
-
-mod cells_as_pairs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::HashMap;
-
-    pub fn serialize<S: Serializer>(
-        cells: &HashMap<Vec<u32>, f64>,
-        ser: S,
-    ) -> Result<S::Ok, S::Error> {
-        let mut pairs: Vec<(&Vec<u32>, &f64)> = cells.iter().collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0)); // stable output
-        pairs.serialize(ser)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        de: D,
-    ) -> Result<HashMap<Vec<u32>, f64>, D::Error> {
-        let pairs: Vec<(Vec<u32>, f64)> = Vec::deserialize(de)?;
-        Ok(pairs.into_iter().collect())
-    }
 }
 
 impl DecisionTable {

@@ -147,11 +147,10 @@ impl Regressor for Ensemble {
 }
 
 impl IncrementalRegressor for Ensemble {
-    /// Extends each member with the appended rows: members with *exact*
-    /// incremental support take the O(new rows) path, the rest — including
-    /// inexact warm-starters like the MLP — fall back to a full refit, so
-    /// the ensemble ends up bit-identical to a from-scratch
-    /// [`Regressor::fit`] on all of `data`.
+    /// Extends each member with the appended rows: members with
+    /// incremental support take the O(new rows) path, the rest fall back to
+    /// a full refit, so the ensemble ends up bit-identical to a
+    /// from-scratch [`Regressor::fit`] on all of `data`.
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
         if from != self.fitted_len || from > data.len() {
             return Err(MlError::IncrementalMismatch {
@@ -161,9 +160,7 @@ impl IncrementalRegressor for Ensemble {
         }
         for m in &mut self.members {
             match m.as_incremental() {
-                Some(inc) if inc.exact() && inc.fitted_len() == from => {
-                    inc.partial_fit(data, from)?
-                }
+                Some(inc) if inc.fitted_len() == from => inc.partial_fit(data, from)?,
                 _ => m.fit(data)?,
             }
         }

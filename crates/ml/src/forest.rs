@@ -10,11 +10,10 @@
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
-use crate::regressor::{IncrementalRegressor, Regressor};
+use crate::regressor::Regressor;
 use crate::tree::{RandomTree, TreeFit};
 use crate::MlError;
 use disar_math::rng::split_seed;
-use serde::{Deserialize, Serialize};
 
 /// A bagged forest of randomized regression trees.
 ///
@@ -32,15 +31,13 @@ use serde::{Deserialize, Serialize};
 /// let y = rf.predict(&[30.0]).unwrap();
 /// assert!((y - 900.0).abs() < 150.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     n_trees: usize,
     min_leaf: usize,
     max_depth: usize,
     seed: u64,
     trees: Vec<RandomTree>,
-    #[serde(default)]
-    fitted_len: usize,
 }
 
 impl RandomForest {
@@ -52,7 +49,6 @@ impl RandomForest {
             max_depth: 64,
             seed,
             trees: Vec::new(),
-            fitted_len: 0,
         }
     }
 
@@ -82,7 +78,6 @@ impl RandomForest {
             max_depth,
             seed,
             trees: Vec::new(),
-            fitted_len: 0,
         })
     }
 
@@ -138,7 +133,6 @@ impl Regressor for RandomForest {
             trees.push(tree);
         }
         self.trees = trees;
-        self.fitted_len = data.len();
         Ok(())
     }
 
@@ -196,45 +190,6 @@ impl Regressor for RandomForest {
 
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
-    }
-
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
-        Some(self)
-    }
-}
-
-impl IncrementalRegressor for RandomForest {
-    /// Suffix retrain by subsampling: the forest is re-bagged on
-    /// [`Dataset::suffix_subsample`] — every appended row plus a
-    /// deterministic sample of the history. Inexact
-    /// ([`IncrementalRegressor::exact`] is `false`); exact callers keep
-    /// the from-scratch refit.
-    fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        if self.trees.is_empty() && from == 0 {
-            return self.fit(data);
-        }
-        if from != self.fitted_len || from > data.len() {
-            return Err(MlError::IncrementalMismatch {
-                fitted: self.fitted_len,
-                from,
-            });
-        }
-        if from == data.len() {
-            return Ok(());
-        }
-        let sample = data.suffix_subsample(from, split_seed(self.seed, from as u64) ^ 0xF0BE);
-        self.fit(&sample)?;
-        // The fit trained on the subsample; the cursor tracks the source.
-        self.fitted_len = data.len();
-        Ok(())
-    }
-
-    fn fitted_len(&self) -> usize {
-        self.fitted_len
-    }
-
-    fn exact(&self) -> bool {
-        false
     }
 }
 
@@ -331,61 +286,6 @@ mod tests {
         assert_eq!(imp.len(), 2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > imp[1], "signal must dominate: {imp:?}");
-    }
-
-    #[test]
-    fn partial_fit_from_zero_matches_fit() {
-        let d = wavy(60);
-        let mut a = RandomForest::new(10, 1, 64, 6).unwrap();
-        a.partial_fit(&d, 0).unwrap();
-        let mut b = RandomForest::new(10, 1, 64, 6).unwrap();
-        b.fit(&d).unwrap();
-        assert_eq!(a.fitted_len(), 60);
-        for i in 0..d.len() {
-            assert_eq!(
-                a.predict(d.get(i).0).unwrap().to_bits(),
-                b.predict(d.get(i).0).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn partial_fit_is_inexact_and_deterministic() {
-        assert!(!RandomForest::with_defaults(0).exact());
-        let d = wavy(140);
-        let prefix = d.filter(|i| i < 120);
-        let warm = || {
-            let mut rf = RandomForest::new(10, 1, 64, 8).unwrap();
-            rf.fit(&prefix).unwrap();
-            rf.partial_fit(&d, 120).unwrap();
-            rf
-        };
-        let a = warm();
-        let b = warm();
-        assert_eq!(a.fitted_len(), 140);
-        for i in 0..d.len() {
-            assert_eq!(
-                a.predict(d.get(i).0).unwrap().to_bits(),
-                b.predict(d.get(i).0).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn partial_fit_rejects_mismatched_cursor() {
-        let d = wavy(50);
-        let mut rf = RandomForest::new(5, 1, 64, 2).unwrap();
-        rf.fit(&d).unwrap();
-        assert!(matches!(
-            rf.partial_fit(&d, 10),
-            Err(MlError::IncrementalMismatch {
-                fitted: 50,
-                from: 10
-            })
-        ));
-        let before = rf.predict(&[2.0]).unwrap();
-        rf.partial_fit(&d, d.len()).unwrap();
-        assert_eq!(rf.predict(&[2.0]).unwrap(), before);
     }
 
     /// The forest's definition, spelled out with public parts: tree `t` is a

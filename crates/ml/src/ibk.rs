@@ -16,10 +16,9 @@ use crate::instances::InstanceStore;
 use crate::neighbours::NeighbourIndex;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Neighbour-weighting scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     /// Plain mean of the `k` nearest targets (Weka default).
     Uniform,
@@ -42,7 +41,7 @@ pub enum Weighting {
 /// knn.fit(&data).unwrap();
 /// assert_eq!(knn.predict(&[3.2]).unwrap(), 3.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IbK {
     k: usize,
     weighting: Weighting,
@@ -50,7 +49,7 @@ pub struct IbK {
 }
 
 /// The training set and the kd-tree over its standardized rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Fitted {
     store: InstanceStore,
     index: NeighbourIndex,

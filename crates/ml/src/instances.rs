@@ -17,11 +17,10 @@
 
 use crate::dataset::{Dataset, Scaler};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Fitted state of an instance-based learner: scaler bounds, raw and
 /// standardized rows, and targets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct InstanceStore {
     pub scaler: Scaler,
     mins: Vec<f64>,

@@ -104,7 +104,6 @@ use crate::instances::InstanceStore;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 use disar_math::exp::{exp_nonpositive, INV_FACTORIALS};
-use serde::{Deserialize, Serialize};
 
 /// The scale search stops on a residual `ln(n_eff / target)`, or on a
 /// midpoint step in `u = ln x0`, below this.
@@ -239,7 +238,7 @@ fn reduce(p: &[f64], e: &[f64], y: &[f64]) -> [f64; 8] {
 /// let y = ks.predict(&[10.0]).unwrap();
 /// assert!((y - 40.0).abs() < 8.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KStar {
     blend: f64,
     fitted: Option<Fitted>,
@@ -248,7 +247,7 @@ pub struct KStar {
 /// The training set, and its standardized rows once more by column: every
 /// query measures its distance to every row, and column by column that sweep
 /// is packed arithmetic over contiguous values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Fitted {
     store: InstanceStore,
     /// `(j, column j of store.rows)` for every column that varies. One that

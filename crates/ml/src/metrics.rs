@@ -8,10 +8,9 @@ use crate::dataset::Dataset;
 use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::stats;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a model's accuracy on a held-out set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     /// Model name (the paper's abbreviation).
     pub model: String,

@@ -9,16 +9,15 @@
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::{Dataset, Scaler};
-use crate::regressor::{IncrementalRegressor, Regressor};
+use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::rng::stream_rng;
-use serde::{Deserialize, Serialize};
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Fitted {
     scaler: Scaler,
     target_mean: f64,
@@ -28,9 +27,6 @@ struct Fitted {
     w1: Vec<Vec<f64>>,
     /// Weight from hidden unit `h` to the output; last entry is the bias.
     w2: Vec<f64>,
-    /// Rows of the training set this fit has seen (suffix-retrain cursor).
-    #[serde(default)]
-    trained_rows: usize,
 }
 
 /// A single-hidden-layer perceptron with sigmoid hidden units and a linear
@@ -50,7 +46,7 @@ struct Fitted {
 /// let y = mlp.predict(&[25.0]).unwrap();
 /// assert!((y - 75.0).abs() < 15.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     hidden: Option<usize>,
     learning_rate: f64,
@@ -115,20 +111,9 @@ impl Mlp {
         self.hidden.unwrap_or(dim.div_ceil(2).max(2))
     }
 
-    /// SGD training core shared by [`Regressor::fit`] (cold: random init
-    /// from stream `0x4141`, full epoch budget) and the warm-start
-    /// [`IncrementalRegressor::partial_fit`] (previous weights as init,
-    /// reduced epochs, a per-`from` stream). The cold path draws its init
-    /// weights and its epoch shuffles from the *same* rng, exactly as the
-    /// pre-refactor `fit` did, so cold fits stay bit-identical.
-    fn train(
-        &self,
-        data: &Dataset,
-        scaler: Scaler,
-        warm: Option<(Vec<Vec<f64>>, Vec<f64>)>,
-        epochs: usize,
-        rng_stream: u64,
-    ) -> Result<Fitted, MlError> {
+    /// SGD training core of [`Regressor::fit`]: the initial weights and the
+    /// epoch shuffles are drawn from one rng, stream `0x4141` of the seed.
+    fn train(&self, data: &Dataset, scaler: Scaler) -> Result<Fitted, MlError> {
         let d = data.dim();
         let h = self.hidden_units_for(d);
 
@@ -151,14 +136,9 @@ impl Mlp {
         }
         let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
 
-        let mut rng = stream_rng(self.seed, rng_stream);
-        let (mut w1, mut w2): (Vec<f64>, Vec<f64>) = match warm {
-            Some((w1, w2)) => (w1.concat(), w2),
-            None => {
-                let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
-                (init(h * (d + 1)), init(h + 1))
-            }
-        };
+        let mut rng = stream_rng(self.seed, 0x4141);
+        let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let (mut w1, mut w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
         let mut v1 = vec![0.0; w1.len()];
         let mut v2 = vec![0.0; h + 1];
 
@@ -166,8 +146,8 @@ impl Mlp {
         let momentum = self.momentum;
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut hid = vec![0.0; h];
-        for epoch in 0..epochs {
-            let lr = self.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
+        for epoch in 0..self.epochs {
+            let lr = self.learning_rate * (1.0 - epoch as f64 / self.epochs as f64).max(0.05);
             rng.shuffle(&mut order);
             for &i in &order {
                 let x = &xs[i * d..(i + 1) * d];
@@ -215,7 +195,6 @@ impl Mlp {
             target_std: tstd,
             w1,
             w2,
-            trained_rows: data.len(),
         })
     }
 }
@@ -226,7 +205,7 @@ impl Regressor for Mlp {
             return Err(MlError::EmptyTrainingSet);
         }
         let scaler = Scaler::fit(data)?;
-        self.fitted = Some(self.train(data, scaler, None, self.epochs, 0x4141)?);
+        self.fitted = Some(self.train(data, scaler)?);
         Ok(())
     }
 
@@ -314,60 +293,6 @@ impl Regressor for Mlp {
 
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
-    }
-
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
-        Some(self)
-    }
-}
-
-impl IncrementalRegressor for Mlp {
-    /// Warm-start continuation: when the new rows leave the input bounds
-    /// (and hence the min–max [`Scaler`]) unchanged, the previous weights
-    /// initialize a short SGD run — `(epochs / 4).max(1)` epochs on the
-    /// full dataset, rng stream `0x4142 ^ from` — instead of retraining
-    /// from random init. If the bounds moved, the scaled geometry the old
-    /// weights live in no longer exists, so this falls back to a full
-    /// [`Regressor::fit`] (bit-identical to a fresh one).
-    ///
-    /// Either path is deterministic, but the warm one is **not**
-    /// bit-identical to a from-scratch fit — [`IncrementalRegressor::exact`]
-    /// is `false`, so bit-identity-preserving callers skip it.
-    fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        if self.fitted.is_none() && from == 0 {
-            return self.fit(data);
-        }
-        if from != self.fitted_len() || from > data.len() {
-            return Err(MlError::IncrementalMismatch {
-                fitted: self.fitted_len(),
-                from,
-            });
-        }
-        if from == data.len() {
-            return Ok(());
-        }
-        let scaler = Scaler::fit(data)?;
-        let warm = match &self.fitted {
-            Some(prev) if prev.scaler == scaler => Some((prev.w1.clone(), prev.w2.clone())),
-            _ => None,
-        };
-        match warm {
-            Some(weights) => {
-                let epochs = (self.epochs / 4).max(1);
-                let stream = 0x4142 ^ from as u64;
-                self.fitted = Some(self.train(data, scaler, Some(weights), epochs, stream)?);
-                Ok(())
-            }
-            None => self.fit(data),
-        }
-    }
-
-    fn fitted_len(&self) -> usize {
-        self.fitted.as_ref().map_or(0, |f| f.trained_rows)
-    }
-
-    fn exact(&self) -> bool {
-        false
     }
 }
 
@@ -458,84 +383,9 @@ mod tests {
         assert!((y - 7.0).abs() < 0.5, "got {y}");
     }
 
-    #[test]
-    fn partial_fit_from_zero_matches_fit_bitwise() {
-        let data = linear_data(60);
-        let mut a = Mlp::with_defaults(7);
-        a.partial_fit(&data, 0).unwrap();
-        let mut b = Mlp::with_defaults(7);
-        b.fit(&data).unwrap();
-        assert_eq!(
-            a.predict(&[3.0, 1.0]).unwrap().to_bits(),
-            b.predict(&[3.0, 1.0]).unwrap().to_bits()
-        );
-    }
-
-    #[test]
-    fn warm_partial_fit_is_deterministic_and_advances_cursor() {
-        // linear_data(90) extends linear_data(60) row-for-row, and the
-        // suffix stays inside the prefix's feature bounds, so this takes
-        // the warm path.
-        let full = linear_data(90);
-        let prefix = linear_data(60);
-        let run = || {
-            let mut m = Mlp::with_defaults(11);
-            m.fit(&prefix).unwrap();
-            assert_eq!(m.fitted_len(), 60);
-            m.partial_fit(&full, 60).unwrap();
-            assert_eq!(m.fitted_len(), 90);
-            m.predict(&[3.0, 1.0]).unwrap()
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
-    }
-
-    #[test]
-    fn warm_partial_fit_is_inexact_but_still_learns() {
-        let full = linear_data(90);
-        let prefix = linear_data(60);
-        let mut warm = Mlp::with_defaults(11);
-        warm.fit(&prefix).unwrap();
-        warm.partial_fit(&full, 60).unwrap();
-        assert!(!warm.exact());
-        let mut cold = Mlp::with_defaults(11);
-        cold.fit(&full).unwrap();
-        assert_ne!(
-            warm.predict(&[3.0, 1.0]).unwrap(),
-            cold.predict(&[3.0, 1.0]).unwrap()
-        );
-        let preds: Vec<f64> = full.rows().iter().map(|r| warm.predict(r).unwrap()).collect();
-        let rmse = disar_math::stats::rmse(&preds, full.targets());
-        let spread = disar_math::stats::std_dev(full.targets());
-        assert!(rmse < 0.25 * spread, "warm rmse {rmse} vs spread {spread}");
-    }
-
-    #[test]
-    fn moved_bounds_fall_back_to_a_full_fit_bitwise() {
-        let prefix = linear_data(40);
-        let mut full = linear_data(40);
-        // Out-of-bounds row: the min–max scaler changes, so the previous
-        // weights' geometry is gone and partial_fit must refit cold.
-        full.push(vec![100.0, 50.0], 310.0).unwrap();
-        let mut m = Mlp::with_defaults(4);
-        m.fit(&prefix).unwrap();
-        m.partial_fit(&full, 40).unwrap();
-        let mut fresh = Mlp::with_defaults(4);
-        fresh.fit(&full).unwrap();
-        assert_eq!(
-            m.predict(&[3.0, 1.0]).unwrap().to_bits(),
-            fresh.predict(&[3.0, 1.0]).unwrap().to_bits()
-        );
-    }
-
     /// SGD with momentum written the plain way — nested rows, indexed scalar
     /// loops — returning `(w1, w2)`.
-    fn reference_train(
-        m: &Mlp,
-        data: &Dataset,
-        warm: Option<(Vec<Vec<f64>>, Vec<f64>)>,
-        epochs: usize,
-        stream: u64,
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+    fn reference_train(m: &Mlp, data: &Dataset) -> (Vec<Vec<f64>>, Vec<f64>) {
         let (d, h) = (data.dim(), m.hidden_units_for(data.dim()));
         let scaler = Scaler::fit(data).unwrap();
         let tmean = disar_math::stats::mean(data.targets());
@@ -543,18 +393,16 @@ mod tests {
         let tstd = tstd.filter(|&s| s != 0.0).unwrap_or(1.0);
         let xs: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
         let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
-        let mut rng = stream_rng(m.seed, stream);
-        let (mut w1, mut w2) = warm.unwrap_or_else(|| {
-            let w1: Vec<Vec<f64>> = (0..h)
-                .map(|_| (0..=d).map(|_| rng.gen_range(-0.5..0.5)).collect())
-                .collect();
-            (w1, (0..=h).map(|_| rng.gen_range(-0.5..0.5)).collect())
-        });
+        let mut rng = stream_rng(m.seed, 0x4141);
+        let mut w1: Vec<Vec<f64>> = (0..h)
+            .map(|_| (0..=d).map(|_| rng.gen_range(-0.5..0.5)).collect())
+            .collect();
+        let mut w2: Vec<f64> = (0..=h).map(|_| rng.gen_range(-0.5..0.5)).collect();
         let (mut v1, mut v2) = (vec![vec![0.0; d + 1]; h], vec![0.0; h + 1]);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut hid = vec![0.0; h];
-        for epoch in 0..epochs {
-            let lr = m.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
+        for epoch in 0..m.epochs {
+            let lr = m.learning_rate * (1.0 - epoch as f64 / m.epochs as f64).max(0.05);
             rng.shuffle(&mut order);
             for &i in &order {
                 for hu in 0..h {
@@ -593,49 +441,25 @@ mod tests {
 
     #[test]
     fn train_matches_the_nested_scalar_reference_bitwise() {
-        // d = 1, in the prefix's bounds throughout; d = 10 with the knowledge
-        // base's constant columns, whose scaled value is 0.0.
+        // d = 1; d = 10 with the knowledge base's constant columns, whose
+        // scaled value is 0.0.
         let mut narrow = Dataset::new(vec!["x".into()]);
         for i in 0..90 {
             let x = (i % 17) as f64;
             narrow.push(vec![x], 4.0 * x + (x * 0.9).sin()).unwrap();
         }
         let wide = crate::dataset::tests::kb_shaped(150, 2);
-        for (full, from) in [(narrow, 60), (wide, 120)] {
-            let prefix = full.filter(|i| i < from);
-            assert_eq!(Scaler::fit(&prefix).unwrap(), Scaler::fit(&full).unwrap());
+        for data in [narrow, wide] {
             for mut m in [Mlp::with_defaults(9), Mlp::new(3, 0.2, 0.5, 37, 4).unwrap()] {
-                m.fit(&prefix).unwrap();
-                let cold = reference_train(&m, &prefix, None, m.epochs, 0x4141);
+                m.fit(&data).unwrap();
+                let reference = reference_train(&m, &data);
                 let f = m.fitted.as_ref().unwrap();
-                assert_eq!(weight_bits(&f.w1, &f.w2), weight_bits(&cold.0, &cold.1));
-
-                m.partial_fit(&full, from).unwrap();
-                let epochs = (m.epochs / 4).max(1);
-                let warm = reference_train(&m, &full, Some(cold), epochs, 0x4142 ^ from as u64);
-                let f = m.fitted.as_ref().unwrap();
-                assert_eq!(weight_bits(&f.w1, &f.w2), weight_bits(&warm.0, &warm.1));
-                assert_eq!(f.trained_rows, full.len());
+                assert_eq!(
+                    weight_bits(&f.w1, &f.w2),
+                    weight_bits(&reference.0, &reference.1)
+                );
             }
         }
-    }
-
-    #[test]
-    fn partial_fit_rejects_mismatched_cursor() {
-        let data = linear_data(50);
-        let mut m = Mlp::with_defaults(0);
-        m.fit(&data).unwrap();
-        assert!(matches!(
-            m.partial_fit(&data, 20),
-            Err(MlError::IncrementalMismatch {
-                fitted: 50,
-                from: 20
-            })
-        ));
-        // `from == data.len()` is the no-op contract.
-        let before = m.predict(&[3.0, 1.0]).unwrap();
-        m.partial_fit(&data, 50).unwrap();
-        assert_eq!(before.to_bits(), m.predict(&[3.0, 1.0]).unwrap().to_bits());
     }
 
     #[test]

@@ -21,14 +21,13 @@
 //! structure, keeping the tree balanced under the self-optimizing loop's
 //! one-record-at-a-time growth.
 
-use serde::{Deserialize, Serialize};
 
 /// Points per leaf before a build splits further. Leaves run the same
 /// early-abandon scan as the linear search, so small leaves only add tree
 /// overhead.
 const LEAF_SIZE: usize = 16;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Split {
         dim: usize,
@@ -46,7 +45,7 @@ enum Node {
 /// The index stores only structure (node layout and row indices); the point
 /// coordinates live with the fitted model and are passed into every call, so
 /// the rows are never duplicated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NeighbourIndex {
     nodes: Vec<Node>,
     root: usize,
@@ -91,6 +90,8 @@ impl NeighbourIndex {
         let dim_count = points[ids[0] as usize].len();
         let mut best_dim = 0;
         let mut best_spread = 0.0;
+        // `d` picks a coordinate of each point, not a point.
+        #[allow(clippy::needless_range_loop)]
         for d in 0..dim_count {
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
@@ -149,8 +150,7 @@ impl NeighbourIndex {
     /// amortizes to O(log n) per append.
     pub fn append(&mut self, points: &[Vec<f64>], from: usize) {
         debug_assert_eq!(from, self.len(), "append must continue the point set");
-        for id in from..points.len() {
-            let p = &points[id];
+        for (id, p) in points.iter().enumerate().skip(from) {
             let mut node = self.root;
             loop {
                 match &mut self.nodes[node] {
@@ -381,15 +381,5 @@ mod tests {
                 assert_eq!(buf, index.nearest(&points, q, k), "k {k}");
             }
         }
-    }
-
-    #[test]
-    fn serialization_roundtrip_preserves_results() {
-        let points = random_points(60, 2, 3, true);
-        let index = NeighbourIndex::build(&points);
-        let json = serde_json::to_string(&index).unwrap();
-        let back: NeighbourIndex = serde_json::from_str(&json).unwrap();
-        let q = vec![0.4, 0.6];
-        assert_eq!(index.nearest(&points, &q, 4), back.nearest(&points, &q, 4));
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::{Dataset, DecisionTable, IbK, KStar, MlError, Mlp, RandomForest, RandomTree};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A supervised regression model with Weka-style fit-in-place semantics.
@@ -93,18 +92,12 @@ impl Clone for Box<dyn Regressor> {
 /// The shared preconditions are strict: `partial_fit(data, from)` requires
 /// that `data` is the full training set, that `data.rows()[..from]` is
 /// exactly the prefix the model was last fitted on, and that
-/// `from == fitted_len()`. What the suffix step *guarantees* splits the
-/// implementations in two classes, advertised by
-/// [`IncrementalRegressor::exact`]:
-///
-/// * **exact** (`exact() == true`, e.g. [`IbK`], [`KStar`]): append-only
-///   training state; predictions after `partial_fit` are the same *to the
-///   bit* as a fresh [`Regressor::fit`] on all of `data`;
-/// * **inexact** (`exact() == false`, e.g. [`Mlp`], [`RandomTree`],
-///   [`RandomForest`]): the previous fit warm-starts a cheaper
-///   continuation — an MLP continues from its weights, tree models regrow
-///   on [`Dataset::suffix_subsample`] — deterministic, but numerically
-///   different from a from-scratch fit.
+/// `from == fitted_len()`. What the suffix step guarantees is exactness:
+/// the implementors ([`IbK`], [`KStar`], an [`crate::Ensemble`] of them and
+/// of members it refits) keep append-only training state, so predictions
+/// after `partial_fit` are the same *to the bit* as after a fresh
+/// [`Regressor::fit`] on all of `data`. A model that cannot promise that
+/// does not implement the trait and is refitted.
 pub trait IncrementalRegressor: Regressor {
     /// Extends the fit with the rows `data.rows()[from..]`.
     ///
@@ -121,20 +114,10 @@ pub trait IncrementalRegressor: Regressor {
 
     /// Number of rows the current fit was trained on (0 before any fit).
     fn fitted_len(&self) -> usize;
-
-    /// Whether `partial_fit` is bit-identical to a full refit.
-    ///
-    /// Bit-identity-preserving callers ([`crate::Ensemble::partial_fit`],
-    /// the predictor family's default retrain) only take the incremental
-    /// path when this holds and fall back to [`Regressor::fit`] otherwise;
-    /// warm-start entry points opt into inexact continuation explicitly.
-    fn exact(&self) -> bool {
-        true
-    }
 }
 
 /// Identifies one of the six model families used by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Multi-Layer Perceptron.
     Mlp,

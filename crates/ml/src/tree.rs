@@ -14,10 +14,9 @@
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
-use crate::regressor::{IncrementalRegressor, Regressor};
+use crate::regressor::Regressor;
 use crate::MlError;
-use disar_math::rng::{split_seed, stream_rng, Xoshiro256PlusPlus};
-use serde::{Deserialize, Serialize};
+use disar_math::rng::{stream_rng, Xoshiro256PlusPlus};
 
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
@@ -25,7 +24,7 @@ const LEAF: u32 = u32::MAX;
 /// One slot of a tree's arena. The root is slot 0 and children follow their
 /// parent, so a fitted tree is one exact-size allocation and a clone is one
 /// copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     /// The column a split tests, or [`LEAF`].
     feature: u32,
@@ -111,7 +110,7 @@ impl<'a> TreeFit<'a> {
 /// assert!((tree.predict(&[5.0]).unwrap() - 1.0).abs() < 1e-9);
 /// assert!((tree.predict(&[30.0]).unwrap() - 9.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomTree {
     features_per_split: Option<usize>,
     min_leaf: usize,
@@ -120,8 +119,6 @@ pub struct RandomTree {
     dim: usize,
     nodes: Vec<Node>,
     importances: Vec<f64>,
-    #[serde(default)]
-    fitted_len: usize,
 }
 
 impl RandomTree {
@@ -136,7 +133,6 @@ impl RandomTree {
             dim: 0,
             nodes: Vec::new(),
             importances: Vec::new(),
-            fitted_len: 0,
         }
     }
 
@@ -169,7 +165,6 @@ impl RandomTree {
             dim: 0,
             nodes: Vec::new(),
             importances: Vec::new(),
-            fitted_len: 0,
         })
     }
 
@@ -217,7 +212,6 @@ impl RandomTree {
         self.grow_node(fit, &mut stream_rng(self.seed, 0x7EE5), idx, 0);
         // Exact size: a forest keeps a hundred of these for as long as it lives.
         self.nodes.shrink_to_fit();
-        self.fitted_len = idx.len();
         // Normalize to proportions (all-zero stays all-zero: pure data).
         let total: f64 = self.importances.iter().sum();
         if total > 0.0 {
@@ -422,52 +416,6 @@ impl Regressor for RandomTree {
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
     }
-
-    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
-        Some(self)
-    }
-}
-
-impl IncrementalRegressor for RandomTree {
-    /// Suffix retrain by subsampling: the tree is regrown on
-    /// [`Dataset::suffix_subsample`] — every appended row plus a
-    /// deterministic sample of the history — instead of the full dataset.
-    /// The result is *inexact* ([`IncrementalRegressor::exact`] is
-    /// `false`): bit-identity-preserving callers keep refitting from
-    /// scratch, opt-in warm retrains trade exactness for O(suffix) cost.
-    fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        if self.nodes.is_empty() && from == 0 {
-            return self.fit(data);
-        }
-        if from != self.fitted_len || from > data.len() {
-            return Err(MlError::IncrementalMismatch {
-                fitted: self.fitted_len,
-                from,
-            });
-        }
-        if data.dim() != self.dim {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: self.dim,
-                got: data.dim(),
-            });
-        }
-        if from == data.len() {
-            return Ok(());
-        }
-        let sample = data.suffix_subsample(from, split_seed(self.seed, from as u64));
-        self.fit(&sample)?;
-        // The fit trained on the subsample; the cursor tracks the source.
-        self.fitted_len = data.len();
-        Ok(())
-    }
-
-    fn fitted_len(&self) -> usize {
-        self.fitted_len
-    }
-
-    fn exact(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -602,71 +550,6 @@ mod tests {
         let mut t = RandomTree::with_defaults(0);
         t.fit(&d).unwrap();
         assert_eq!(t.importances(), &[0.0]);
-    }
-
-    #[test]
-    fn partial_fit_from_zero_matches_fit() {
-        let d = step_data();
-        let mut a = RandomTree::with_defaults(3);
-        a.partial_fit(&d, 0).unwrap();
-        let mut b = RandomTree::with_defaults(3);
-        b.fit(&d).unwrap();
-        assert_eq!(a.fitted_len(), d.len());
-        for i in 0..d.len() {
-            assert_eq!(
-                a.predict(d.get(i).0).unwrap().to_bits(),
-                b.predict(d.get(i).0).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn partial_fit_is_inexact_deterministic_and_learns_the_suffix() {
-        assert!(!RandomTree::with_defaults(0).exact());
-        let mut d = Dataset::new(vec!["x".into(), "noise".into()]);
-        for i in 0..110 {
-            let x = i as f64;
-            let y = if x < 60.0 { 10.0 } else { 100.0 };
-            d.push(vec![x, (i % 7) as f64], y).unwrap();
-        }
-        // Prefix (100) > max(4 × suffix, 64): the history really is
-        // subsampled, not replayed whole.
-        let prefix = d.filter(|i| i < 100);
-        let mut a = RandomTree::with_defaults(5);
-        a.fit(&prefix).unwrap();
-        a.partial_fit(&d, 100).unwrap();
-        assert_eq!(a.fitted_len(), 110);
-        let mut b = RandomTree::with_defaults(5);
-        b.fit(&prefix).unwrap();
-        b.partial_fit(&d, 100).unwrap();
-        // Same seed, same cursor → the same subsample → the same tree.
-        for i in 0..d.len() {
-            assert_eq!(
-                a.predict(d.get(i).0).unwrap().to_bits(),
-                b.predict(d.get(i).0).unwrap().to_bits()
-            );
-        }
-        // The warm tree still captures the step (the suffix is kept whole).
-        assert!((a.predict(&[10.0, 0.0]).unwrap() - 10.0).abs() < 1e-9);
-        assert!((a.predict(&[110.0, 0.0]).unwrap() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn partial_fit_rejects_mismatched_cursor() {
-        let d = step_data();
-        let mut t = RandomTree::with_defaults(1);
-        t.fit(&d).unwrap();
-        assert!(matches!(
-            t.partial_fit(&d, 30),
-            Err(MlError::IncrementalMismatch {
-                fitted: 100,
-                from: 30
-            })
-        ));
-        // `from == data.len()` is the no-op contract.
-        let before = t.predict(&[10.0, 0.0]).unwrap();
-        t.partial_fit(&d, d.len()).unwrap();
-        assert_eq!(t.predict(&[10.0, 0.0]).unwrap(), before);
     }
 
     /// The tree written the dumb way, to check the fitted one against: every

@@ -12,10 +12,9 @@ use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::rng::stream_rng;
 use disar_math::stats;
-use serde::{Deserialize, Serialize};
 
 /// Result of a k-fold cross-validation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidation {
     /// Number of folds.
     pub folds: usize,

@@ -270,7 +270,6 @@ impl Canonicalize for RetrainMode {
         match self {
             RetrainMode::Incremental => h.write_str("incremental"),
             RetrainMode::Full => h.write_str("full"),
-            RetrainMode::Warm => h.write_str("warm"),
             RetrainMode::Windowed { window, decay } => {
                 h.write_str("windowed");
                 h.write_usize(*window);

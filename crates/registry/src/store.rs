@@ -8,18 +8,17 @@
 
 use crate::canonical::{format_hash, CanonicalHasher};
 use disar_core::SchemaVersion;
-use serde::{Deserialize, Serialize};
+use disar_math::json::{Json, JsonError};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// One registry row: a result plus everything needed to reproduce it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegistryRow {
     /// Registry row-schema version ([`SchemaVersion::CURRENT`] at write
-    /// time; serde-defaulted so pre-version rows load).
-    #[serde(default)]
+    /// time).
     pub schema_version: SchemaVersion,
     /// `git rev-parse HEAD` of the producing build (see [`commit_id`]).
     pub commit_id: String,
@@ -29,28 +28,27 @@ pub struct RegistryRow {
     /// must have bit-identical `outputs` — the replay contract `runbook`
     /// asserts.
     pub input_hash: String,
-    /// Digest of the serialized `outputs`, rendered by [`format_hash`] —
+    /// Digest of the compact text of `outputs`, rendered by [`format_hash`] —
     /// what a replay compares without parsing the outputs themselves.
     pub output_hash: String,
     /// Producer name (an experiment driver or `bench:*` harness).
     pub experiment: String,
     /// The inputs, echoed as JSON so a replay can reconstruct them.
-    pub params: serde_json::Value,
+    pub params: Json,
     /// The deterministic result payload (covered by `output_hash`).
-    pub outputs: serde_json::Value,
+    pub outputs: Json,
     /// Non-deterministic measurements (wall-time breakdowns, speedups).
     /// Excluded from `output_hash`: a replay reproduces `outputs`, never
-    /// timings.
-    #[serde(default, skip_serializing_if = "serde_json::Value::is_null")]
-    pub timings: serde_json::Value,
+    /// timings. `null` when there are none, and then left out of the line.
+    pub timings: Json,
     /// Wall-clock nanoseconds the producing run took.
     pub wall_ns: u64,
 }
 
-/// Digests a JSON value by its compact serialization. `serde_json` maps
-/// are sorted (`BTreeMap` keys), so the compact form — and therefore this
-/// digest — is deterministic for equal values however they were built.
-pub fn json_hash(value: &serde_json::Value) -> u64 {
+/// Digests a JSON value by its compact text. Objects keep their keys sorted,
+/// so the compact text — and therefore this digest — is deterministic for
+/// equal values however they were built.
+pub fn json_hash(value: &Json) -> u64 {
     let mut h = CanonicalHasher::new();
     h.write_str(&value.to_string());
     h.finish()
@@ -63,8 +61,8 @@ impl RegistryRow {
     pub fn new(
         experiment: impl Into<String>,
         input_hash: u64,
-        params: serde_json::Value,
-        outputs: serde_json::Value,
+        params: Json,
+        outputs: Json,
         wall_ns: u64,
     ) -> Self {
         let output_hash = format_hash(json_hash(&outputs));
@@ -76,21 +74,58 @@ impl RegistryRow {
             experiment: experiment.into(),
             params,
             outputs,
-            timings: serde_json::Value::Null,
+            timings: Json::Null,
             wall_ns,
         }
     }
 
     /// Attaches non-deterministic measurements (builder-style).
-    pub fn with_timings(mut self, timings: serde_json::Value) -> Self {
+    pub fn with_timings(mut self, timings: Json) -> Self {
         self.timings = timings;
         self
     }
 
     /// `true` when `replayed_outputs` digests to this row's `output_hash`
     /// — the bit-identity check `runbook` runs.
-    pub fn outputs_match(&self, replayed_outputs: &serde_json::Value) -> bool {
+    pub fn outputs_match(&self, replayed_outputs: &Json) -> bool {
         format_hash(json_hash(replayed_outputs)) == self.output_hash
+    }
+
+    /// The row as the object one registry line holds.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("schema_version", self.schema_version.0.into()),
+            ("commit_id", self.commit_id.as_str().into()),
+            ("input_hash", self.input_hash.as_str().into()),
+            ("output_hash", self.output_hash.as_str().into()),
+            ("experiment", self.experiment.as_str().into()),
+            ("params", self.params.clone()),
+            ("outputs", self.outputs.clone()),
+            ("wall_ns", self.wall_ns.into()),
+        ];
+        if self.timings != Json::Null {
+            fields.push(("timings", self.timings.clone()));
+        }
+        Json::obj(fields)
+    }
+
+    /// Reads a row back from [`RegistryRow::to_json`]'s object.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that is missing or holds another type.
+    pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(RegistryRow {
+            schema_version: SchemaVersion(json.uint_at("schema_version")?),
+            commit_id: json.str_at("commit_id")?.to_string(),
+            input_hash: json.str_at("input_hash")?.to_string(),
+            output_hash: json.str_at("output_hash")?.to_string(),
+            experiment: json.str_at("experiment")?.to_string(),
+            params: json.at("params")?.clone(),
+            outputs: json.at("outputs")?.clone(),
+            timings: json.at("timings").cloned().unwrap_or(Json::Null),
+            wall_ns: json.uint_at("wall_ns")?,
+        })
     }
 }
 
@@ -99,8 +134,6 @@ impl RegistryRow {
 pub enum RegistryError {
     /// Reading, creating or appending the registry file failed.
     Io(std::io::Error),
-    /// A row failed to (de)serialize.
-    Serde(serde_json::Error),
     /// A stored line is not a valid row.
     BadRow {
         /// 1-based line number in the registry file.
@@ -128,7 +161,6 @@ impl fmt::Display for RegistryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RegistryError::Io(e) => write!(f, "registry io failure: {e}"),
-            RegistryError::Serde(e) => write!(f, "registry serialization failure: {e}"),
             RegistryError::BadRow { line, message } => {
                 write!(f, "registry line {line} is not a valid row: {message}")
             }
@@ -151,7 +183,6 @@ impl std::error::Error for RegistryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RegistryError::Io(e) => Some(e),
-            RegistryError::Serde(e) => Some(e),
             _ => None,
         }
     }
@@ -160,12 +191,6 @@ impl std::error::Error for RegistryError {
 impl From<std::io::Error> for RegistryError {
     fn from(e: std::io::Error) -> Self {
         RegistryError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for RegistryError {
-    fn from(e: serde_json::Error) -> Self {
-        RegistryError::Serde(e)
     }
 }
 
@@ -283,22 +308,22 @@ impl Registry {
     }
 
     /// Appends `rows` atomically with respect to other cooperating
-    /// writers: takes the advisory lock, serializes every row up front,
+    /// writers: takes the advisory lock, renders every row up front,
     /// and lands them in one buffered append.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization failures; fails with
+    /// Propagates I/O failures; fails with
     /// [`RegistryError::LockTimeout`] when the lock cannot be acquired or
     /// broken.
     pub fn append(&self, rows: &[RegistryRow]) -> Result<(), RegistryError> {
         if rows.is_empty() {
             return Ok(());
         }
-        // Serialize before taking the lock: hold it for the write only.
+        // Render before taking the lock: hold it for the write only.
         let mut buf = String::new();
         for row in rows {
-            buf.push_str(&serde_json::to_string(row)?);
+            buf.push_str(&row.to_json().to_string());
             buf.push('\n');
         }
         if let Some(parent) = self.path.parent() {
@@ -332,8 +357,9 @@ impl Registry {
             if line.trim().is_empty() {
                 continue;
             }
-            let row: RegistryRow =
-                serde_json::from_str(line).map_err(|e| RegistryError::BadRow {
+            let row = Json::parse(line)
+                .and_then(|json| RegistryRow::from_json(&json))
+                .map_err(|e| RegistryError::BadRow {
                     line: i + 1,
                     message: e.to_string(),
                 })?;
@@ -372,8 +398,8 @@ mod tests {
         RegistryRow::new(
             experiment,
             x,
-            serde_json::json!({ "x": x }),
-            serde_json::json!({ "y": x * 2 }),
+            Json::obj([("x", x.into())]),
+            Json::obj([("y", (x * 2).into())]),
             123,
         )
     }
@@ -409,10 +435,30 @@ mod tests {
         let reg = temp_registry("badrow");
         reg.append(&[row("a", 1)]).unwrap();
         let mut text = std::fs::read_to_string(reg.path()).unwrap();
+        let good = text.clone();
         text.push_str("{ not json\n");
         std::fs::write(reg.path(), text).unwrap();
         match reg.load() {
             Err(RegistryError::BadRow { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected BadRow, got {other:?}"),
+        }
+        // A torn append: the last line stops mid-row.
+        let torn = good.clone() + &good[..good.len() / 2];
+        std::fs::write(reg.path(), torn).unwrap();
+        match reg.load() {
+            Err(RegistryError::BadRow { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.starts_with("not JSON at byte"), "{message}");
+            }
+            other => panic!("expected BadRow, got {other:?}"),
+        }
+        // A whole line that is JSON but not a row names the field it lacks.
+        std::fs::write(reg.path(), good + "{\"experiment\": \"a\"}\n").unwrap();
+        match reg.load() {
+            Err(RegistryError::BadRow { line, message }) => {
+                assert_eq!(line, 2);
+                assert_eq!(message, "no field `schema_version`");
+            }
             other => panic!("expected BadRow, got {other:?}"),
         }
         std::fs::remove_file(reg.path()).ok();
@@ -423,11 +469,7 @@ mod tests {
         let reg = temp_registry("newschema");
         let mut r = row("a", 1);
         r.schema_version = SchemaVersion(SchemaVersion::CURRENT.0 + 1);
-        std::fs::write(
-            reg.path(),
-            serde_json::to_string(&r).unwrap() + "\n",
-        )
-        .unwrap();
+        std::fs::write(reg.path(), r.to_json().to_string() + "\n").unwrap();
         assert!(matches!(
             reg.load(),
             Err(RegistryError::UnsupportedSchema { line: 1, .. })
@@ -436,33 +478,20 @@ mod tests {
     }
 
     #[test]
-    fn pre_version_row_loads_with_default_schema() {
-        let reg = temp_registry("preversion");
-        let mut v = serde_json::to_value(row("a", 1)).unwrap();
-        v.as_object_mut().unwrap().remove("schema_version").unwrap();
-        std::fs::write(reg.path(), v.to_string() + "\n").unwrap();
-        let loaded = reg.load().unwrap();
-        assert_eq!(loaded[0].schema_version, SchemaVersion::CURRENT);
-        std::fs::remove_file(reg.path()).ok();
-    }
-
-    #[test]
     fn output_hash_is_derived_and_checked() {
         let r = row("a", 7);
-        assert!(r.outputs_match(&serde_json::json!({ "y": 14 })));
-        assert!(!r.outputs_match(&serde_json::json!({ "y": 15 })));
-        // Map key order does not change the digest.
-        let a = serde_json::json!({ "p": 1, "q": 2 });
-        let mut b = serde_json::Map::new();
-        b.insert("q".into(), 2.into());
-        b.insert("p".into(), 1.into());
-        assert_eq!(json_hash(&a), json_hash(&serde_json::Value::Object(b)));
+        assert!(r.outputs_match(&Json::obj([("y", 14u64.into())])));
+        assert!(!r.outputs_match(&Json::obj([("y", 15u64.into())])));
+        // The order the fields were given in does not change the digest.
+        let a = Json::obj([("p", 1u64.into()), ("q", 2u64.into())]);
+        let b = Json::obj([("q", 2u64.into()), ("p", 1u64.into())]);
+        assert_eq!(json_hash(&a), json_hash(&b));
     }
 
     #[test]
     fn timings_are_outside_the_output_hash() {
         let plain = row("a", 7);
-        let timed = plain.clone().with_timings(serde_json::json!({ "ns": 1 }));
+        let timed = plain.clone().with_timings(Json::obj([("ns", 1u64.into())]));
         assert_eq!(plain.output_hash, timed.output_hash);
         assert_ne!(plain, timed);
     }

@@ -1,18 +1,16 @@
 //! Property tests for the registry row schema and canonical hashing:
-//! row serialization round-trips, input hashes are stable and sensitive
-//! to every policy field, knowledge fingerprints are layout-independent,
-//! and pre-version knowledge-base JSON still loads via the serde default.
+//! a row's line reads back as the row, input hashes are stable and sensitive
+//! to every policy field, and knowledge fingerprints are layout-independent.
 
 use disar_cloudsim::InstanceCatalog;
 use disar_core::deploy::DeployPolicy;
 use disar_core::drift::{DetectorKind, DriftConfig};
 use disar_core::predictor::RetrainMode;
 use disar_core::tenant::{TenantId, TenantShardedKnowledgeBase, TransferPolicy};
-use disar_core::{
-    JobProfile, KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,
-};
+use disar_core::{JobProfile, KnowledgeBase, RunRecord, ShardedKnowledgeBase};
 use disar_engine::EebCharacteristics;
 use disar_math::check::{cases, vec_of};
+use disar_math::json::Json;
 use disar_math::rng::Xoshiro256PlusPlus;
 use disar_registry::{knowledge_fingerprint, Canonicalize, RegistryRow};
 
@@ -63,26 +61,27 @@ fn any_finite(rng: &mut Xoshiro256PlusPlus) -> f64 {
     }
 }
 
-/// serialize → parse → identical, for rows with and without timings.
+/// write → parse → identical, for rows with and without timings.
 #[test]
 fn row_serialization_roundtrips() {
     cases(256, |rng| {
         let (experiment, input) = (any_name(rng), rng.next_u64());
-        let (x, y) = (rng.next_u64() as i64, any_finite(rng));
+        let (x, y) = (rng.next_u64(), any_finite(rng));
         let (wall, timed) = (rng.next_u64(), rng.gen_bool(0.5));
         let mut row = RegistryRow::new(
             experiment,
             input,
-            serde_json::json!({ "x": x }),
-            serde_json::json!({ "y": y }),
+            Json::obj([("x", x.into())]),
+            Json::obj([("y", y.into())]),
             wall,
         );
         if timed {
-            row = row.with_timings(serde_json::json!({ "ns": wall }));
+            row = row.with_timings(Json::obj([("ns", wall.into())]));
         }
-        let line = serde_json::to_string(&row).unwrap();
-        let parsed: RegistryRow = serde_json::from_str(&line).unwrap();
+        let line = row.to_json().to_string();
+        let parsed = RegistryRow::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, row);
+        assert!(parsed.outputs_match(&row.outputs));
     });
 }
 
@@ -178,45 +177,4 @@ fn knowledge_fingerprint_is_layout_independent() {
             assert_ne!(f, knowledge_fingerprint(&mono));
         }
     });
-}
-
-/// Pre-version knowledge-base JSON (no `schema_version` field) loads via
-/// the serde default and round-trips to the same base.
-#[test]
-fn pre_version_kb_json_loads_with_default_schema() {
-    let cat = InstanceCatalog::paper_catalog();
-    let mut kb = KnowledgeBase::new();
-    kb.record(record(&cat, 100, 2, 0, 0));
-    kb.record(record(&cat, 250, 1, 3, 1));
-
-    let mut v = serde_json::to_value(&kb).unwrap();
-    let removed = v.as_object_mut().unwrap().remove("schema_version");
-    assert!(removed.is_some(), "serialized KB is schema-versioned");
-    let loaded: KnowledgeBase = serde_json::from_value(v).unwrap();
-    assert_eq!(loaded.len(), kb.len());
-    assert_eq!(loaded, kb, "default schema version matches a fresh base");
-    assert_eq!(knowledge_fingerprint(&loaded), knowledge_fingerprint(&kb));
-
-    // The re-serialized form is versioned at CURRENT again.
-    let v = serde_json::to_value(&loaded).unwrap();
-    let version: SchemaVersion = serde_json::from_value(v["schema_version"].clone()).unwrap();
-    assert_eq!(version, SchemaVersion::CURRENT);
-}
-
-/// Same back-compat contract for the instance-sharded layout.
-#[test]
-fn pre_version_sharded_kb_json_loads_with_default_schema() {
-    let cat = InstanceCatalog::paper_catalog();
-    let mut kb = ShardedKnowledgeBase::new();
-    kb.record(record(&cat, 80, 3, 1, 0));
-
-    let mut v = serde_json::to_value(&kb).unwrap();
-    let removed = v.as_object_mut().unwrap().remove("schema_version");
-    assert!(
-        removed.is_some(),
-        "serialized sharded KB is schema-versioned"
-    );
-    let loaded: ShardedKnowledgeBase = serde_json::from_value(v).unwrap();
-    assert_eq!(loaded.len(), kb.len());
-    assert_eq!(knowledge_fingerprint(&loaded), knowledge_fingerprint(&kb));
 }

@@ -7,7 +7,6 @@
 
 use crate::StochasticError;
 use disar_math::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A validated correlation matrix with a precomputed Cholesky factor.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(z[0], 1.0);
 /// assert!((z[1] - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationMatrix {
     dim: usize,
     chol: Matrix,

@@ -10,7 +10,6 @@
 
 use crate::scenario::Measure;
 use crate::StochasticError;
-use serde::{Deserialize, Serialize};
 
 /// Per-`(grid step, measure)` coefficients of a driver's transition,
 /// hoisted out of the per-path loop by [`RiskDriver::step_coeffs`].
@@ -208,7 +207,7 @@ pub trait RiskDriver: Send + Sync {
 /// // With zero shock the exact step is S exp((r - σ²/2) dt).
 /// assert!((s1 - 100.0 * (0.03f64 - 0.02).exp()).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gbm {
     s0: f64,
     mu: f64,
@@ -291,7 +290,7 @@ impl RiskDriver for Gbm {
 /// Under `P` the long-run level is shifted by the market price of risk
 /// `λ`: `b_P = b_Q + λ σ / a`. The transition is exact (Ornstein–Uhlenbeck
 /// Gaussian step).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vasicek {
     r0: f64,
     a: f64,
@@ -383,7 +382,7 @@ impl RiskDriver for Vasicek {
 ///
 /// Used both as an alternative short-rate model and as a default-intensity
 /// (credit) driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cir {
     x0: f64,
     a: f64,
@@ -519,7 +518,7 @@ impl RiskDriver for Cir {
 
 /// Lognormal FX-rate driver: like GBM but with the interest-rate
 /// differential as the risk-neutral drift (covered interest parity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FxRate {
     x0: f64,
     mu: f64,

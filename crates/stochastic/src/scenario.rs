@@ -44,7 +44,6 @@ use crate::correlation::CorrelationMatrix;
 use crate::drivers::{RiskDriver, StepCoeffs};
 use crate::StochasticError;
 use disar_math::rng::{stream_rng, StandardNormal, Xoshiro256PlusPlus};
-use serde::{Deserialize, Serialize};
 
 /// Path-block width of the block-stepping fill core: every fill steps this
 /// many paths (or antithetic pairs) in lockstep. Measured on
@@ -53,7 +52,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_LANE: usize = 8;
 
 /// The probability measure scenarios are generated under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Measure {
     /// Real-world ("natural") measure `P` — outer simulations.
     RealWorld,
@@ -72,7 +71,7 @@ pub enum Measure {
 /// assert_eq!(g.n_steps(), 24);
 /// assert!((g.dt() - 1.0 / 12.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeGrid {
     horizon: f64,
     steps_per_year: usize,
@@ -129,7 +128,7 @@ impl TimeGrid {
 
 /// A set of simulated joint paths: `n_paths × n_drivers × (n_steps + 1)`
 /// values (index 0 is the initial state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSet {
     grid: TimeGrid,
     measure: Measure,

@@ -22,6 +22,7 @@
 use disar_bench::campaign::CampaignConfig;
 use disar_bench::experiments::{by_name, ExperimentCtx, EXPERIMENTS};
 use disar_bench::registry::workspace_registry;
+use disar_registry::RegistryRow;
 use disar_suite::actuarial::portfolio::PortfolioSpec;
 use disar_suite::alm::SegregatedFund;
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
@@ -29,13 +30,13 @@ use disar_suite::core::deploy::{DeployMode, DeployPolicy, TransparentDeployer};
 use disar_suite::core::JobProfile;
 use disar_suite::engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
 use disar_suite::engine::{DisarMaster, EebCharacteristics};
+use disar_suite::math::json::Json;
 use disar_suite::stochastic::bonds::{zero_curve, BondPricing};
 use disar_suite::stochastic::drivers::Vasicek;
-use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-type CmdResult = Result<Value, Box<dyn std::error::Error>>;
+type CmdResult = Result<Json, Box<dyn std::error::Error>>;
 
 /// Parsed invocation: bare words in order, plus `--name [value]` flags.
 struct Cli {
@@ -149,13 +150,16 @@ fn cmd_portfolio(cli: &Cli) -> CmdResult {
     println!("  representative contracts : {}", p.representative_contracts());
     println!("  total insured sum        : {:.0} EUR", p.total_insured_sum());
     println!("  max horizon              : {} years", p.max_horizon(120));
-    Ok(json!({
-        "seed": seed,
-        "policies": p.policy_count(),
-        "representative_contracts": p.representative_contracts(),
-        "total_insured_sum": p.total_insured_sum(),
-        "max_horizon_years": p.max_horizon(120),
-    }))
+    Ok(Json::obj([
+        ("seed", seed.into()),
+        ("policies", p.policy_count().into()),
+        (
+            "representative_contracts",
+            p.representative_contracts().into(),
+        ),
+        ("total_insured_sum", p.total_insured_sum().into()),
+        ("max_horizon_years", p.max_horizon(120).into()),
+    ]))
 }
 
 fn cmd_value(cli: &Cli) -> CmdResult {
@@ -187,16 +191,16 @@ fn cmd_value(cli: &Cli) -> CmdResult {
     println!("  q99.5(Y1)      : {:.0}", out.var_quantile);
     println!("  SCR            : {:.0}", out.scr);
     println!("  wall time      : {:.2}s ({} type-B EEBs)", out.wall_secs, out.n_type_b);
-    Ok(json!({
-        "seed": seed,
-        "threads": threads,
-        "bel": out.bel,
-        "mean_y1": out.mean_y1,
-        "var_quantile": out.var_quantile,
-        "scr": out.scr,
-        "wall_secs": out.wall_secs,
-        "n_type_b": out.n_type_b,
-    }))
+    Ok(Json::obj([
+        ("seed", seed.into()),
+        ("threads", threads.into()),
+        ("bel", out.bel.into()),
+        ("mean_y1", out.mean_y1.into()),
+        ("var_quantile", out.var_quantile.into()),
+        ("scr", out.scr.into()),
+        ("wall_secs", out.wall_secs.into()),
+        ("n_type_b", out.n_type_b.into()),
+    ]))
 }
 
 fn cmd_deploy(cli: &Cli) -> CmdResult {
@@ -253,13 +257,13 @@ fn cmd_deploy(cli: &Cli) -> CmdResult {
         }
     }
     println!("knowledge base: {} runs", deployer.knowledge_base().len());
-    Ok(json!({
-        "seed": seed,
-        "runs": runs,
-        "t_max_secs": t_max,
-        "total_cost": total_cost,
-        "kb_runs": deployer.knowledge_base().len(),
-    }))
+    Ok(Json::obj([
+        ("seed", seed.into()),
+        ("runs", runs.into()),
+        ("t_max_secs", t_max.into()),
+        ("total_cost", total_cost.into()),
+        ("kb_runs", deployer.knowledge_base().len().into()),
+    ]))
 }
 
 fn cmd_curve(cli: &Cli) -> CmdResult {
@@ -270,9 +274,16 @@ fn cmd_curve(cli: &Cli) -> CmdResult {
     for (t, y) in zero_curve(&v, r, &[1.0, 2.0, 5.0, 10.0, 20.0, 30.0])? {
         let p = v.zcb_price(r, t)?;
         println!("  {t:>5.0}y  yield {:>6.3}%  price {p:.4}", y * 100.0);
-        points.push(json!({ "maturity": t, "yield": y, "price": p }));
+        points.push(Json::obj([
+            ("maturity", t.into()),
+            ("yield", y.into()),
+            ("price", p.into()),
+        ]));
     }
-    Ok(json!({ "rate": r, "points": points }))
+    Ok(Json::obj([
+        ("rate", r.into()),
+        ("points", Json::Arr(points)),
+    ]))
 }
 
 fn cmd_experiment(cli: &Cli) -> CmdResult {
@@ -280,7 +291,7 @@ fn cmd_experiment(cli: &Cli) -> CmdResult {
         for e in EXPERIMENTS {
             println!("{}", e.name());
         }
-        return Ok(json!(EXPERIMENTS.iter().map(|e| e.name()).collect::<Vec<_>>()));
+        return Ok(Json::arr(EXPERIMENTS.iter().map(|e| e.name())));
     }
     let Some(name) = cli.positionals.get(1) else {
         return Err("experiment needs a NAME (try --list)".into());
@@ -304,7 +315,7 @@ fn cmd_experiment(cli: &Cli) -> CmdResult {
         println!("{}", exp.render(&row.outputs));
     }
     println!("appended {} row(s) to {}", rows.len(), registry.path().display());
-    Ok(json!(rows))
+    Ok(Json::arr(rows.iter().map(RegistryRow::to_json)))
 }
 
 fn usage() {
@@ -327,14 +338,7 @@ fn main() -> ExitCode {
     match (cmd.run)(&cli) {
         Ok(summary) => {
             if let Some(path) = cli.out() {
-                let text = match serde_json::to_string_pretty(&summary) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = std::fs::write(path, text) {
+                if let Err(e) = std::fs::write(path, summary.pretty()) {
                     eprintln!("error: cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
