@@ -1,5 +1,7 @@
+use crate::tenant::TenantId;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error type for the provisioning layer.
 #[derive(Debug)]
@@ -38,9 +40,19 @@ pub enum CoreError {
         /// The queue's capacity (jobs it can hold while the worker drains).
         capacity: usize,
     },
-    /// The deploy service stopped (ingester failure or shutdown) while an
+    /// The deploy service stopped (a thread lost, or shutdown) while an
     /// operation was waiting on it.
     ServiceStopped(&'static str),
+    /// The deploy service's ingester could not retrain a shard and stopped:
+    /// what every operation waiting on the service reports from then on.
+    ShardRetrainFailed {
+        /// Instance type of the shard whose retrain failed.
+        instance: String,
+        /// Tenant of that shard.
+        tenant: TenantId,
+        /// What the retrain returned; shared, for every waiter reports it.
+        cause: Arc<CoreError>,
+    },
     /// A persisted artifact (knowledge base, registry row) was written by
     /// a newer schema than this build supports.
     UnsupportedSchema {
@@ -77,6 +89,14 @@ impl fmt::Display for CoreError {
                 write!(f, "submission queue is full ({capacity} jobs)")
             }
             CoreError::ServiceStopped(what) => write!(f, "deploy service stopped: {what}"),
+            CoreError::ShardRetrainFailed {
+                instance,
+                tenant,
+                cause,
+            } => write!(
+                f,
+                "deploy service stopped: retrain of shard ({instance}, {tenant}) failed: {cause}"
+            ),
             CoreError::UnsupportedSchema { found, supported } => write!(
                 f,
                 "artifact schema version {found} is newer than the supported {supported}"
@@ -95,6 +115,7 @@ impl Error for CoreError {
             CoreError::Engine(e) => Some(e),
             CoreError::Io(e) => Some(e),
             CoreError::Json(e) => Some(e),
+            CoreError::ShardRetrainFailed { cause, .. } => Some(cause.as_ref()),
             _ => None,
         }
     }

@@ -188,9 +188,41 @@ impl PredictorSnapshot {
 struct SnapshotCell {
     generation: AtomicU64,
     current: RwLock<Arc<PredictorSnapshot>>,
-    /// `true` once the ingester is gone — waiters must error, not spin.
-    gate: Mutex<bool>,
+    /// Closed once the ingester is gone — waiters must error, not spin.
+    gate: Mutex<Gate>,
     cond: Condvar,
+}
+
+/// Whether the ingester still publishes and, if not, why it stopped.
+enum Gate {
+    Open,
+    /// Shut down: every fired retrain was applied first.
+    Stopped,
+    /// A shard's retrain failed; nothing fired since was applied.
+    Failed {
+        instance: String,
+        tenant: TenantId,
+        cause: Arc<CoreError>,
+    },
+}
+
+impl Gate {
+    /// What an operation that needs the ingester reports once it is gone.
+    fn error(&self) -> Option<CoreError> {
+        match self {
+            Gate::Open => None,
+            Gate::Stopped => Some(CoreError::ServiceStopped("predictor ingester stopped")),
+            Gate::Failed {
+                instance,
+                tenant,
+                cause,
+            } => Some(CoreError::ShardRetrainFailed {
+                instance: instance.clone(),
+                tenant: tenant.clone(),
+                cause: Arc::clone(cause),
+            }),
+        }
+    }
 }
 
 impl SnapshotCell {
@@ -198,7 +230,7 @@ impl SnapshotCell {
         SnapshotCell {
             generation: AtomicU64::new(0),
             current: RwLock::new(Arc::new(PredictorSnapshot::default())),
-            gate: Mutex::new(false),
+            gate: Mutex::new(Gate::Open),
             cond: Condvar::new(),
         }
     }
@@ -216,11 +248,22 @@ impl SnapshotCell {
         self.cond.notify_all();
     }
 
-    /// Marks the ingester gone (normal shutdown or failure) and wakes
-    /// every waiter so they can error out instead of spinning.
-    fn close(&self) {
-        *self.gate.lock().expect("snapshot gate poisoned") = true;
+    /// Marks the ingester gone (`why`: normal shutdown or failure) and
+    /// wakes every waiter so they can error out instead of spinning. The
+    /// first reason given stands.
+    fn close(&self, why: Gate) {
+        let mut gate = self.gate.lock().expect("snapshot gate poisoned");
+        if matches!(*gate, Gate::Open) {
+            *gate = why;
+        }
         self.cond.notify_all();
+    }
+
+    /// Why an ingester that no longer takes messages stopped.
+    fn stopped(&self) -> CoreError {
+        let gate = self.gate.lock().expect("snapshot gate poisoned");
+        gate.error()
+            .unwrap_or(CoreError::ServiceStopped("predictor ingester stopped"))
     }
 
     /// Blocks until the current snapshot satisfies `pred`, rechecking on
@@ -228,7 +271,8 @@ impl SnapshotCell {
     ///
     /// # Errors
     ///
-    /// [`CoreError::ServiceStopped`] if the cell closes first.
+    /// If the cell closes first: [`CoreError::ShardRetrainFailed`] when a
+    /// retrain failure closed it, else [`CoreError::ServiceStopped`].
     fn wait_for<F: Fn(&PredictorSnapshot) -> bool>(
         &self,
         pred: F,
@@ -246,8 +290,8 @@ impl SnapshotCell {
             if pred(&snap) {
                 return Ok(snap);
             }
-            if *closed {
-                return Err(CoreError::ServiceStopped("predictor ingester stopped"));
+            if let Some(why) = closed.error() {
+                return Err(why);
             }
             // The timeout is belt-and-braces only: every publish and the
             // close path notify under the gate.
@@ -462,7 +506,7 @@ impl Backend for ServiceTenant {
                 fired,
                 mode,
             })
-            .map_err(|_| CoreError::ServiceStopped("predictor ingester stopped"))
+            .map_err(|_| self.shared.snapshot.stopped())
     }
 
     fn warm(&mut self, _mode: RetrainMode, _n_threads: usize) -> Result<(), CoreError> {
@@ -527,8 +571,10 @@ impl TenantHandle {
     /// # Errors
     ///
     /// The first deploy error of the tenant's stream (later queued jobs
-    /// are dropped, as the solo loop would stop at the same point), or
-    /// [`CoreError::ServiceStopped`] if the worker died.
+    /// are dropped, as the solo loop would stop at the same point) — a
+    /// [`CoreError::ShardRetrainFailed`] when the ingester could not retrain
+    /// a shard, whichever tenant's — or [`CoreError::ServiceStopped`] if the
+    /// worker died.
     pub fn finish(self) -> Result<TenantRun, CoreError> {
         self.cmd_tx
             .send(Cmd::Finish)
@@ -909,11 +955,15 @@ fn ingester_loop(shared: &Arc<ServiceShared>, rx: &Receiver<LandedMsg>, batch_ma
             let family = masters
                 .entry(key.clone())
                 .or_insert_with(|| PredictorFamily::new(*seed, SHARD_FLOOR));
-            if let Err(_e) = family.retrain(&guard, *mode, shared.policy.n_threads) {
+            if let Err(cause) = family.retrain(&guard, *mode, shared.policy.n_threads) {
                 // A retrain failure poisons the whole service: close the
-                // cell so every watermark waiter errors out instead of
-                // spinning forever.
-                shared.snapshot.close();
+                // cell with the cause and its shard, so every watermark
+                // waiter reports them instead of spinning forever.
+                shared.snapshot.close(Gate::Failed {
+                    instance: key.0.clone(),
+                    tenant: key.1.clone(),
+                    cause: Arc::new(cause),
+                });
                 return;
             }
             shared.retrains.fetch_add(1, Ordering::Relaxed);
@@ -931,7 +981,7 @@ fn ingester_loop(shared: &Arc<ServiceShared>, rx: &Receiver<LandedMsg>, batch_ma
     }
     // Normal shutdown: wake any (stray) waiter so it errors instead of
     // blocking.
-    shared.snapshot.close();
+    shared.snapshot.close(Gate::Stopped);
 }
 
 #[cfg(test)]
@@ -1207,6 +1257,59 @@ mod tests {
             DeployLoop::assemble(provider, policy, seed, backend),
             ingester,
         )
+    }
+
+    /// A shard that cannot be retrained stops the service, and everything
+    /// that waits on the ingester from then on says which shard and why.
+    #[test]
+    fn a_failed_retrain_is_reported_with_its_shard_and_cause() {
+        let (mut d, ingester) = lane(test_policy(), 11);
+        let catalog = InstanceCatalog::paper_catalog();
+        let instance = catalog.get(&catalog.names()[0]).unwrap();
+        // A duration that is not a number cannot be featurized: the refit of
+        // its shard fails before any model sees it.
+        for secs in [120.0, f64::NAN] {
+            let record = RunRecord::new(profile(100), instance, 2, secs, 1.0);
+            d.backend.append(record).unwrap();
+        }
+        let shard = d.backend.shards(&instance.name);
+        d.backend
+            .retrain(&instance.name, &shard, RetrainMode::Full, 1)
+            .unwrap();
+        ingester.join().unwrap();
+
+        let same_failure = |e: CoreError| {
+            let text = e.to_string();
+            assert!(
+                text.contains(&instance.name) && text.contains("acme-life"),
+                "{text}"
+            );
+            let CoreError::ShardRetrainFailed {
+                instance: at,
+                tenant,
+                cause,
+            } = e
+            else {
+                panic!("not a retrain failure: {e}");
+            };
+            assert_eq!(
+                (at.as_str(), tenant.as_str()),
+                (instance.name.as_str(), "acme-life")
+            );
+            assert!(
+                matches!(*cause, CoreError::Ml(disar_ml::MlError::NonFiniteInput)),
+                "{cause}"
+            );
+        };
+        // The selection that waits for the fire, the next record of the
+        // shard, and the next fire handed to an ingester that is gone.
+        same_failure(d.backend.with_view(&BTreeMap::new(), |_| ()).unwrap_err());
+        let next = RunRecord::new(profile(100), instance, 1, 90.0, 1.0);
+        same_failure(d.backend.append(next).unwrap_err());
+        let again = d
+            .backend
+            .retrain(&instance.name, &shard, RetrainMode::Full, 1);
+        same_failure(again.unwrap_err());
     }
 
     /// `n` forced decisions over an uneven cycle of instance types, with the

@@ -255,7 +255,20 @@ impl Dataset {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scaler {
     mins: Vec<f64>,
+    maxs: Vec<f64>,
     ranges: Vec<f64>,
+}
+
+/// Folds `rows` into per-column bounds: the one min/max fold every fitted
+/// model's bounds come from. It is exact and left-associative, so folding
+/// appended rows into stored bounds gives the bounds of a fold from scratch.
+fn fold_bounds(mins: &mut [f64], maxs: &mut [f64], rows: &[Vec<f64>]) {
+    for row in rows {
+        for ((lo, hi), &v) in mins.iter_mut().zip(maxs.iter_mut()).zip(row) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+    }
 }
 
 impl Scaler {
@@ -268,30 +281,14 @@ impl Scaler {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let d = data.dim();
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for row in data.rows() {
-            for j in 0..d {
-                mins[j] = mins[j].min(row[j]);
-                maxs[j] = maxs[j].max(row[j]);
-            }
-        }
-        let ranges = mins
-            .iter()
-            .zip(&maxs)
-            .map(|(lo, hi)| hi - lo)
-            .collect();
-        Ok(Scaler { mins, ranges })
+        let mut mins = vec![f64::INFINITY; data.dim()];
+        let mut maxs = vec![f64::NEG_INFINITY; data.dim()];
+        fold_bounds(&mut mins, &mut maxs, data.rows());
+        Ok(Scaler::from_bounds(mins, maxs))
     }
 
     /// Builds a scaler from precomputed per-column bounds, producing exactly
     /// the scaler [`Scaler::fit`] would return for data with those bounds.
-    ///
-    /// This is the incremental-fit entry point: per-column min/max folds are
-    /// exact and associative, so a model that carries its raw bounds can
-    /// extend them over appended rows and reconstruct a scaler bit-identical
-    /// to a from-scratch fit.
     ///
     /// # Panics
     ///
@@ -299,7 +296,56 @@ impl Scaler {
     pub fn from_bounds(mins: Vec<f64>, maxs: Vec<f64>) -> Self {
         assert_eq!(mins.len(), maxs.len(), "bounds dimension mismatch");
         let ranges = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
-        Scaler { mins, ranges }
+        Scaler { mins, maxs, ranges }
+    }
+
+    /// Extends the fit over appended `rows`, bit-identically to
+    /// [`Scaler::fit`] over the old rows and the new. Returns `true` when a
+    /// bound moved, and with it every scaled coordinate.
+    pub(crate) fn extend(&mut self, rows: &[Vec<f64>]) -> bool {
+        let (mut mins, mut maxs) = (self.mins.clone(), self.maxs.clone());
+        fold_bounds(&mut mins, &mut maxs, rows);
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits());
+        let moved = !(same(&mins, &self.mins) && same(&maxs, &self.maxs));
+        if moved {
+            *self = Scaler::from_bounds(mins, maxs);
+        }
+        moved
+    }
+
+    /// Whether column `j` takes more than one value over the fitted rows.
+    /// One that does not scales to `0.0` whatever the query holds there, so
+    /// no distance, activation, split or table cell can depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a fitted column.
+    pub fn varies(&self, j: usize) -> bool {
+        self.ranges[j] != 0.0
+    }
+
+    /// The fitted columns that vary, ascending.
+    pub(crate) fn live_columns(&self) -> Vec<usize> {
+        (0..self.dim()).filter(|&j| self.varies(j)).collect()
+    }
+
+    /// Per-column minima.
+    pub(crate) fn mins(&self) -> &[f64] {
+        &self.mins
+    }
+
+    /// Per-column `max − min`.
+    pub(crate) fn ranges(&self) -> &[f64] {
+        &self.ranges
+    }
+
+    /// Column `j` of [`Scaler::transform`] alone.
+    pub(crate) fn scale(&self, j: usize, v: f64) -> f64 {
+        if self.varies(j) {
+            (v - self.mins[j]) / self.ranges[j]
+        } else {
+            0.0
+        }
     }
 
     /// Maps a feature vector into `[0, 1]^d`. Values outside the fitted range
@@ -312,13 +358,7 @@ impl Scaler {
         assert_eq!(x.len(), self.mins.len(), "scaler dimension mismatch");
         x.iter()
             .enumerate()
-            .map(|(j, &v)| {
-                if self.ranges[j] == 0.0 {
-                    0.0
-                } else {
-                    (v - self.mins[j]) / self.ranges[j]
-                }
-            })
+            .map(|(j, &v)| self.scale(j, v))
             .collect()
     }
 
@@ -331,25 +371,9 @@ impl Scaler {
     ///
     /// Panics if `x.len()` differs from the fitted dimension.
     pub fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        self.transform_extend(x, out);
-    }
-
-    /// [`Scaler::transform`] appended onto `out` without clearing —
-    /// lets callers pack several standardized rows into one block buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the fitted dimension.
-    pub fn transform_extend(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.mins.len(), "scaler dimension mismatch");
-        out.extend(x.iter().enumerate().map(|(j, &v)| {
-            if self.ranges[j] == 0.0 {
-                0.0
-            } else {
-                (v - self.mins[j]) / self.ranges[j]
-            }
-        }));
+        out.clear();
+        out.extend(x.iter().enumerate().map(|(j, &v)| self.scale(j, v)));
     }
 
     /// Number of columns the scaler was fitted on.
@@ -377,6 +401,16 @@ pub(crate) mod tests {
     /// values together, node counts `1..=8`. Every fifth row repeats an earlier
     /// one, target included, so ties are the common case in every column.
     pub(crate) fn kb_shaped(n: usize, seed: u64) -> Dataset {
+        kb_rows(n, seed, None)
+    }
+
+    /// [`kb_shaped`] with every run on one instance type, as a per-instance
+    /// shard holds them: seven columns that never vary.
+    pub(crate) fn shard_shaped(n: usize, seed: u64) -> Dataset {
+        kb_rows(n, seed, Some(INSTANCES[seed as usize % 6]))
+    }
+
+    fn kb_rows(n: usize, seed: u64, only: Option<(f64, f64, f64)>) -> Dataset {
         let names = "contracts horizon fund_assets risk_factors n_outer n_inner vcpus \
                      per_core_speed memory_gib n_nodes";
         let mut d = Dataset::new(names.split(' ').map(String::from).collect());
@@ -391,7 +425,8 @@ pub(crate) mod tests {
             let job = rng.gen_range(0..12usize);
             let contracts = 150.0 + 75.0 * job as f64;
             let horizon = 10.0 + 5.0 * (job % 4) as f64;
-            let (vcpus, speed, mem) = INSTANCES[rng.gen_range(0..6usize)];
+            let drawn = INSTANCES[rng.gen_range(0..6usize)];
+            let (vcpus, speed, mem) = only.unwrap_or(drawn);
             let nodes = rng.gen_range(1..=8usize) as f64;
             let work = 0.12 * contracts * horizon;
             let secs = 40.0 + work / (vcpus * speed * nodes).powf(0.85) * rng.gen_range(0.9..1.1);
@@ -559,6 +594,33 @@ pub(crate) mod tests {
         .unwrap();
         let s = Scaler::fit(&d).unwrap();
         assert_eq!(s.transform(&[5.0]), vec![0.0]);
+    }
+
+    #[test]
+    fn varies_is_a_nonzero_range_and_shards_keep_three_live_columns() {
+        let live = |d: &Dataset| Scaler::fit(d).unwrap().live_columns();
+        assert_eq!(live(&kb_shaped(100, 1)), [0, 1, 6, 7, 8, 9]);
+        assert_eq!(live(&shard_shaped(100, 1)), [0, 1, 9]);
+        // Signed zeros are one value; a constant column scales to 0.0
+        // whatever the query holds.
+        let rows = vec![vec![-0.0, 3.0], vec![0.0, 3.0]];
+        let d = Dataset::from_rows(vec!["z".into(), "c".into()], rows, vec![1.0, 2.0]).unwrap();
+        let s = Scaler::fit(&d).unwrap();
+        assert!(!s.varies(0) && !s.varies(1));
+        assert_eq!(s.transform(&[f64::NAN, 9.0]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn extend_matches_a_fit_over_all_rows() {
+        let all = toy(20);
+        for prefix in [1, 7, 20] {
+            let mut grown = Scaler::fit(&all.filter(|i| i < prefix)).unwrap();
+            // Rows arrive ascending in both columns: any append moves a maximum.
+            assert_eq!(grown.extend(&all.rows()[prefix..]), prefix < 20);
+            assert_eq!(grown, Scaler::fit(&all).unwrap());
+        }
+        let mut same = Scaler::fit(&all).unwrap();
+        assert!(!same.extend(&all.rows()[3..9]));
     }
 
     #[test]

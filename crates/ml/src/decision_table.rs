@@ -9,7 +9,7 @@
 //! LOO RMSE), as in Kohavi's DTM with Weka's default search.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Scaler};
 use crate::regressor::Regressor;
 use crate::MlError;
 use std::collections::HashMap;
@@ -97,36 +97,92 @@ impl DecisionTable {
         }
         (((v - min) / width).floor().clamp(0.0, (bins - 1) as f64)) as u32
     }
+}
 
-    /// Leave-one-out RMSE of the table keyed on `subset`.
-    fn loo_rmse(
-        keys: &[Vec<u32>],
-        targets: &[f64],
-        subset: &[usize],
-    ) -> f64 {
-        // Group rows by the projected key, built in one buffer and copied
-        // only when it names a new group.
-        let mut pk: Vec<u32> = Vec::with_capacity(subset.len());
-        let mut groups: HashMap<Vec<u32>, (f64, u32)> = HashMap::new(); // sum, n
-        for (key, &y) in keys.iter().zip(targets) {
-            pk.clear();
-            pk.extend(subset.iter().map(|&j| key[j]));
-            if let Some(e) = groups.get_mut(pk.as_slice()) {
-                e.0 += y;
-                e.1 += 1;
-            } else {
+/// `Groups::slots` of a slot no row has fallen in yet.
+const EMPTY: u32 = u32::MAX;
+
+/// The rows grouped by their keys on an attribute subset, as the best-first
+/// search walks it: a candidate subset is the search's current one plus one
+/// column, so its groups are the current groups split by that column's key.
+/// Groups are numbered as their first rows come and summed in row order.
+struct Groups<'a> {
+    /// `keys[j * n + i]` is the bin of row `i` in column `j`.
+    keys: &'a [u32],
+    targets: &'a [f64],
+    bins: usize,
+    /// Every row's group under the current subset, and how many there are.
+    gid: Vec<u32>,
+    n_groups: usize,
+    /// The last refinement: every row's group, every group's target sum and
+    /// row count, and the table `gid * bins + key` → group it was numbered
+    /// through.
+    fine: Vec<u32>,
+    sums: Vec<(f64, u32)>,
+    slots: Vec<u32>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(keys: &'a [u32], targets: &'a [f64], bins: usize) -> Self {
+        let n = targets.len();
+        let mut groups = Groups {
+            keys,
+            targets,
+            bins,
+            gid: vec![0; n],
+            n_groups: 0,
+            fine: vec![0; n],
+            sums: Vec::new(),
+            slots: Vec::new(),
+        };
+        groups.root();
+        groups
+    }
+
+    /// The empty subset as the last refinement: one group of all the rows.
+    fn root(&mut self) {
+        self.fine.fill(0);
+        self.sums.clear();
+        let sum = self.targets.iter().fold(0.0, |s, y| s + y);
+        self.sums.push((sum, self.targets.len() as u32));
+    }
+
+    /// Splits the current groups by column `j`.
+    fn refine(&mut self, j: usize) {
+        let n = self.targets.len();
+        self.slots.clear();
+        self.slots.resize(self.n_groups * self.bins, EMPTY);
+        self.sums.clear();
+        let column = &self.keys[j * n..(j + 1) * n];
+        for (i, (&g, &key)) in self.gid.iter().zip(column).enumerate() {
+            let slot = &mut self.slots[g as usize * self.bins + key as usize];
+            if *slot == EMPTY {
+                *slot = self.sums.len() as u32;
                 // `0.0 + y`, as `+=` onto a fresh sum gives: a -0.0 target
                 // starts its group at 0.0.
-                groups.insert(pk.clone(), (0.0 + y, 1));
+                self.sums.push((0.0 + self.targets[i], 1));
+            } else {
+                let sum = &mut self.sums[*slot as usize];
+                sum.0 += self.targets[i];
+                sum.1 += 1;
             }
+            self.fine[i] = *slot;
         }
-        let n = targets.len() as f64;
-        let global_sum: f64 = targets.iter().sum();
+    }
+
+    /// Makes the last refinement the current subset.
+    fn adopt(&mut self) {
+        std::mem::swap(&mut self.gid, &mut self.fine);
+        self.n_groups = self.sums.len();
+    }
+
+    /// Leave-one-out RMSE of the table keyed as the last refinement groups.
+    fn score(&self) -> f64 {
+        let n = self.targets.len() as f64;
+        let global_sum: f64 = self.targets.iter().sum();
         let mut sse = 0.0;
-        for (key, &y) in keys.iter().zip(targets) {
-            pk.clear();
-            pk.extend(subset.iter().map(|&j| key[j]));
-            let &(sum, cnt) = groups.get(pk.as_slice()).expect("group exists");
+        for (&g, &y) in self.fine.iter().zip(self.targets) {
+            let (sum, cnt) = self.sums[g as usize];
             let pred = if cnt > 1 {
                 (sum - y) / (cnt - 1) as f64
             } else if n > 1.0 {
@@ -146,43 +202,33 @@ impl Regressor for DecisionTable {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let d = data.dim();
+        let (n, d) = (data.len(), data.dim());
         // Per-attribute discretization parameters.
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for row in data.rows() {
-            for j in 0..d {
-                mins[j] = mins[j].min(row[j]);
-                maxs[j] = maxs[j].max(row[j]);
-            }
-        }
-        let widths: Vec<f64> = (0..d)
-            .map(|j| {
-                let r = maxs[j] - mins[j];
-                if r == 0.0 {
-                    0.0
-                } else {
-                    r / self.bins as f64
-                }
-            })
-            .collect();
-        // Pre-discretize all rows over all attributes.
-        let keys: Vec<Vec<u32>> = data
-            .rows()
+        let scaler = Scaler::fit(data)?;
+        let mins = scaler.mins().to_vec();
+        // A column that never varies has width zero and one bin.
+        let widths: Vec<f64> = scaler
+            .ranges()
             .iter()
-            .map(|row| {
-                (0..d)
-                    .map(|j| Self::discretize(row[j], mins[j], widths[j], self.bins))
-                    .collect()
-            })
+            .map(|r| r / self.bins as f64)
             .collect();
+        // Pre-discretize all rows over all attributes, by column.
+        let mut keys = Vec::with_capacity(n * d);
+        for j in 0..d {
+            let bin = |row: &Vec<f64>| Self::discretize(row[j], mins[j], widths[j], self.bins);
+            keys.extend(data.rows().iter().map(bin));
+        }
 
         // Best-first forward selection: start from the empty subset
         // (global-mean predictor), greedily add the attribute that most
         // reduces LOO RMSE, allow `stale_limit` non-improving additions
-        // before stopping, keep the best subset seen.
+        // before stopping, keep the best subset seen. A column that never
+        // varies splits no group: it ties with the current score and uses up
+        // a stale round like any other.
+        let mut groups = Groups::new(&keys, data.targets(), self.bins);
         let mut best_subset: Vec<usize> = Vec::new();
-        let mut best_score = Self::loo_rmse(&keys, data.targets(), &best_subset);
+        let mut best_score = groups.score();
+        groups.adopt();
         let mut current: Vec<usize> = Vec::new();
         let mut stale = 0;
         while stale < self.stale_limit && current.len() < d {
@@ -191,15 +237,16 @@ impl Regressor for DecisionTable {
                 if current.contains(&j) {
                     continue;
                 }
-                let mut cand = current.clone();
-                cand.push(j);
-                let score = Self::loo_rmse(&keys, data.targets(), &cand);
+                groups.refine(j);
+                let score = groups.score();
                 if round_best.is_none_or(|(s, _)| score < s) {
                     round_best = Some((score, j));
                 }
             }
             let Some((score, j)) = round_best else { break };
             current.push(j);
+            groups.refine(j);
+            groups.adopt();
             if score + 1e-12 < best_score {
                 best_score = score;
                 best_subset = current.clone();
@@ -209,18 +256,21 @@ impl Regressor for DecisionTable {
             }
         }
 
-        // Build the final table on the winning subset.
-        let mut sums: HashMap<Vec<u32>, (f64, u32)> = HashMap::new();
-        for (key, &y) in keys.iter().zip(data.targets()) {
-            let pk: Vec<u32> = best_subset.iter().map(|&j| key[j]).collect();
-            let e = sums.entry(pk).or_insert((0.0, 0));
-            e.0 += y;
-            e.1 += 1;
+        // Build the final table on the winning subset: a cell per group,
+        // entered at the group's first row.
+        groups.root();
+        for &j in &best_subset {
+            groups.adopt();
+            groups.refine(j);
         }
-        let cells = sums
-            .into_iter()
-            .map(|(k, (s, c))| (k, s / c as f64))
-            .collect();
+        let mut cells = HashMap::with_capacity(groups.sums.len());
+        for (i, &g) in groups.fine.iter().enumerate() {
+            if g as usize == cells.len() {
+                let (sum, cnt) = groups.sums[g as usize];
+                let key = best_subset.iter().map(|&j| keys[j * n + i]).collect();
+                cells.insert(key, sum / cnt as f64);
+            }
+        }
 
         self.fitted = Some(FittedTable {
             dim: d,
@@ -298,6 +348,177 @@ impl Regressor for DecisionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Leave-one-out RMSE of the table keyed on `subset`, the way the search
+    /// scored a subset before it refined group numbers: every row's projected
+    /// key hashed, once to sum its group and once to read it.
+    fn loo_rmse(keys: &[Vec<u32>], targets: &[f64], subset: &[usize]) -> f64 {
+        let mut groups: HashMap<Vec<u32>, (f64, u32)> = HashMap::new(); // sum, n
+        for (key, &y) in keys.iter().zip(targets) {
+            let e = groups
+                .entry(subset.iter().map(|&j| key[j]).collect())
+                .or_insert((0.0, 0));
+            e.0 += y;
+            e.1 += 1;
+        }
+        let n = targets.len() as f64;
+        let global_sum: f64 = targets.iter().sum();
+        let mut sse = 0.0;
+        for (key, &y) in keys.iter().zip(targets) {
+            let pk: Vec<u32> = subset.iter().map(|&j| key[j]).collect();
+            let (sum, cnt) = groups[&pk];
+            let pred = if cnt > 1 {
+                (sum - y) / (cnt - 1) as f64
+            } else if n > 1.0 {
+                (global_sum - y) / (n - 1.0)
+            } else {
+                y
+            };
+            sse += (pred - y) * (pred - y);
+        }
+        (sse / n).sqrt()
+    }
+
+    /// The bins of `x` in a table fitted on `data`.
+    fn binned(data: &Dataset, bins: usize, x: &[f64]) -> Vec<u32> {
+        let s = Scaler::fit(data).unwrap();
+        let bin = |(j, &v): (usize, &f64)| {
+            DecisionTable::discretize(v, s.mins()[j], s.ranges()[j] / bins as f64, bins)
+        };
+        x.iter().enumerate().map(bin).collect()
+    }
+
+    /// The best-first search over the hashing scorer, and the table built on
+    /// its subset by hashing: `(selected, cells)`.
+    fn reference_fit(
+        data: &Dataset,
+        bins: usize,
+        stale_limit: usize,
+    ) -> (Vec<usize>, HashMap<Vec<u32>, f64>) {
+        let d = data.dim();
+        let keys: Vec<Vec<u32>> = data.rows().iter().map(|x| binned(data, bins, x)).collect();
+        let mut best_subset: Vec<usize> = Vec::new();
+        let mut best_score = loo_rmse(&keys, data.targets(), &best_subset);
+        let mut current: Vec<usize> = Vec::new();
+        let mut stale = 0;
+        while stale < stale_limit && current.len() < d {
+            let mut round_best: Option<(f64, usize)> = None;
+            for j in (0..d).filter(|j| !current.contains(j)) {
+                let mut cand = current.clone();
+                cand.push(j);
+                let score = loo_rmse(&keys, data.targets(), &cand);
+                if round_best.is_none_or(|(s, _)| score < s) {
+                    round_best = Some((score, j));
+                }
+            }
+            let Some((score, j)) = round_best else { break };
+            current.push(j);
+            if score + 1e-12 < best_score {
+                (best_score, best_subset, stale) = (score, current.clone(), 0);
+            } else {
+                stale += 1;
+            }
+        }
+        let mut sums: HashMap<Vec<u32>, (f64, u32)> = HashMap::new();
+        for (key, &y) in keys.iter().zip(data.targets()) {
+            let e = sums
+                .entry(best_subset.iter().map(|&j| key[j]).collect())
+                .or_insert((0.0, 0));
+            e.0 += y;
+            e.1 += 1;
+        }
+        let cells = sums.into_iter().map(|(k, (s, c))| (k, s / c as f64));
+        (best_subset, cells.collect())
+    }
+
+    /// Rows over a small alphabet (duplicate rows and shared cells are the
+    /// rule), a column that never varies, targets that are often `-0.0`.
+    fn tied_rows(rng: &mut disar_math::rng::Xoshiro256PlusPlus, n: usize) -> Dataset {
+        let d = rng.gen_range(1..6usize);
+        let constant = rng.gen_range(0..d);
+        let mut data = Dataset::new((0..d).map(|j| format!("c{j}")).collect());
+        for _ in 0..n {
+            let cell = |j| {
+                if j == constant {
+                    7.0
+                } else {
+                    rng.gen_range(0..4) as f64 * 2.5
+                }
+            };
+            let x: Vec<f64> = (0..d).map(cell).collect();
+            let y = if rng.gen_bool(0.3) {
+                -0.0
+            } else {
+                x[0] - rng.gen_range(0..3) as f64
+            };
+            data.push(x, y).unwrap();
+        }
+        data
+    }
+
+    #[test]
+    fn refined_groups_score_as_the_hashed_keys_do() {
+        use crate::dataset::tests::{kb_shaped, shard_shaped};
+        disar_math::check::cases(40, |rng| {
+            let n = [1, 2, 9, 40, 120][rng.gen_range(0..5usize)];
+            let data = match rng.gen_range(0..4u32) {
+                0 => kb_shaped(n, rng.next_u64()),
+                1 => shard_shaped(n, rng.next_u64()),
+                _ => tied_rows(rng, n),
+            };
+            let bins = [1, 3, 10, 64][rng.gen_range(0..4usize)];
+
+            // Score for score along a random walk of the subsets.
+            let (n, d) = (data.len(), data.dim());
+            let by_row: Vec<Vec<u32>> =
+                data.rows().iter().map(|x| binned(&data, bins, x)).collect();
+            let by_column: Vec<u32> = (0..d * n).map(|at| by_row[at % n][at / n]).collect();
+            let mut groups = Groups::new(&by_column, data.targets(), bins);
+            let mut order: Vec<usize> = (0..d).collect();
+            rng.shuffle(&mut order);
+            let score = |g: &Groups, subset: &[usize]| {
+                let hashed = loo_rmse(&by_row, data.targets(), subset);
+                assert_eq!(g.score().to_bits(), hashed.to_bits(), "{subset:?}");
+            };
+            score(&groups, &[]);
+            for at in 0..d {
+                groups.adopt();
+                for &j in &order[at..] {
+                    groups.refine(j);
+                    score(&groups, &[&order[..at], &[j]].concat());
+                }
+                groups.refine(order[at]);
+            }
+
+            // The fitted table: same subset, same cells, same answers.
+            let stale_limit = rng.gen_range(1..6usize);
+            let mut dt = DecisionTable::new(bins, stale_limit).unwrap();
+            dt.fit(&data).unwrap();
+            let (selected, cells) = reference_fit(&data, bins, stale_limit);
+            let f = dt.fitted.as_ref().unwrap();
+            assert_eq!(f.selected, selected);
+            let bits = |cells: &HashMap<Vec<u32>, f64>| {
+                let mut cells: Vec<_> = cells
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.to_bits()))
+                    .collect();
+                cells.sort();
+                cells
+            };
+            assert_eq!(bits(&f.cells), bits(&cells));
+            let strangers = tied_rows(rng, 4);
+            for x in data
+                .rows()
+                .iter()
+                .chain(strangers.rows().iter().filter(|x| x.len() == d))
+            {
+                let bins_of_x = binned(&data, bins, x);
+                let key: Vec<u32> = selected.iter().map(|&j| bins_of_x[j]).collect();
+                let expected = cells.get(&key).copied().unwrap_or(data.target_mean());
+                assert_eq!(dt.predict(x).unwrap().to_bits(), expected.to_bits());
+            }
+        });
+    }
 
     #[test]
     fn selects_informative_feature_ignores_noise() {

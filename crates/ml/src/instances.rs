@@ -6,9 +6,9 @@
 //! incremental-fit step both models share; IBk keeps its neighbour index
 //! beside the store and K* a copy of the standardized rows by column.
 //!
-//! The incremental invariant: per-column min/max folds are exact and
-//! left-associative, so folding the stored bounds over the appended rows
-//! yields bit-identical bounds to a from-scratch fold over all rows. When the
+//! The incremental invariant: [`Scaler::extend`] folds the appended rows
+//! into the stored bounds, which yields bit-identical bounds to a
+//! from-scratch fold over all rows. When the
 //! bounds are unchanged only the new rows are standardized and appended; when
 //! a bound moved, every normalized coordinate shifts, so the store
 //! re-standardizes from its raw rows — still bit-identical to a full refit,
@@ -23,8 +23,6 @@ use crate::MlError;
 #[derive(Debug, Clone)]
 pub(crate) struct InstanceStore {
     pub scaler: Scaler,
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
     raw_rows: Vec<Vec<f64>>,
     /// Standardized rows — the space all distances are measured in.
     pub rows: Vec<Vec<f64>>,
@@ -34,24 +32,10 @@ pub(crate) struct InstanceStore {
 impl InstanceStore {
     /// Fits from scratch over all of `data`.
     pub fn fit(data: &Dataset) -> Result<Self, MlError> {
-        if data.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        let d = data.dim();
-        let mut mins = vec![f64::INFINITY; d];
-        let mut maxs = vec![f64::NEG_INFINITY; d];
-        for row in data.rows() {
-            for j in 0..d {
-                mins[j] = mins[j].min(row[j]);
-                maxs[j] = maxs[j].max(row[j]);
-            }
-        }
-        let scaler = Scaler::from_bounds(mins.clone(), maxs.clone());
+        let scaler = Scaler::fit(data)?;
         let rows: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
         Ok(InstanceStore {
             scaler,
-            mins,
-            maxs,
             raw_rows: data.rows().to_vec(),
             rows,
             targets: data.targets().to_vec(),
@@ -89,26 +73,10 @@ impl InstanceStore {
         if from == data.len() {
             return Ok(false);
         }
-        let d = data.dim();
-        let mut mins = self.mins.clone();
-        let mut maxs = self.maxs.clone();
-        for row in &data.rows()[from..] {
-            for j in 0..d {
-                mins[j] = mins[j].min(row[j]);
-                maxs[j] = maxs[j].max(row[j]);
-            }
-        }
-        let bounds_moved = mins
-            .iter()
-            .zip(&self.mins)
-            .chain(maxs.iter().zip(&self.maxs))
-            .any(|(a, b)| a.to_bits() != b.to_bits());
+        let bounds_moved = self.scaler.extend(&data.rows()[from..]);
         self.raw_rows.extend(data.rows()[from..].iter().cloned());
         self.targets.extend_from_slice(&data.targets()[from..]);
-        self.mins = mins;
-        self.maxs = maxs;
         if bounds_moved {
-            self.scaler = Scaler::from_bounds(self.mins.clone(), self.maxs.clone());
             self.rows = self
                 .raw_rows
                 .iter()

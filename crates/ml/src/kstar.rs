@@ -272,9 +272,9 @@ impl Fitted {
     fn follow(&mut self, restandardized: bool) {
         let rows = &self.store.rows;
         if restandardized {
-            self.cols = (0..self.store.scaler.dim())
-                .map(|j| (j, rows.iter().map(|r| r[j]).collect::<Vec<f64>>()))
-                .filter(|(_, col)| col.iter().any(|&v| v != 0.0))
+            let live = self.store.scaler.live_columns().into_iter();
+            self.cols = live
+                .map(|j| (j, rows.iter().map(|r| r[j]).collect()))
                 .collect();
             return;
         }

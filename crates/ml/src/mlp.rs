@@ -20,6 +20,9 @@ fn sigmoid(x: f64) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 struct Fitted {
     scaler: Scaler,
+    /// The columns that vary over the training rows, ascending: the only
+    /// ones a fit or a prediction reads.
+    live: Vec<usize>,
     target_mean: f64,
     target_std: f64,
     /// `w1[h][j]` — weight from input `j` to hidden unit `h`; last entry of
@@ -127,75 +130,128 @@ impl Mlp {
             }
         };
 
-        // Inputs, weights and velocities are flat: row `i` of `xs` is
-        // `xs[i * d..][..d]`, hidden unit `hu` owns `w1[hu * (d + 1)..][..=d]`
-        // with its bias last.
-        let mut xs = Vec::with_capacity(data.len() * d);
+        // A column that never varies scales to 0.0: it adds ±0.0 to an
+        // activation and 0.0 to a velocity, so its weights stay as drawn and
+        // SGD runs over the others alone: row `i` of `xs` is `xs[i * l..][..l]`.
+        let live = scaler.live_columns();
+        let l = live.len();
+        let mut xs = Vec::with_capacity(data.len() * l);
         for r in data.rows() {
-            scaler.transform_extend(r, &mut xs);
+            xs.extend(live.iter().map(|&j| scaler.scale(j, r[j])));
         }
         let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
 
+        // Drawn for all `d` columns in their order, as ever: the stream, and
+        // with it every live weight's start, does not depend on `live`.
         let mut rng = stream_rng(self.seed, 0x4141);
         let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let (mut w1, mut w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
-        let mut v1 = vec![0.0; w1.len()];
-        let mut v2 = vec![0.0; h + 1];
+        let (drawn, w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
+        let bias_last = |w: &[f64]| live.iter().map(|&j| w[j]).chain([w[d]]).collect::<Vec<_>>();
+        let mut net = Net {
+            l,
+            w1: drawn.chunks_exact(d + 1).flat_map(bias_last).collect(),
+            w2,
+            v1: vec![0.0; h * (l + 1)],
+            v2: vec![0.0; h + 1],
+            hid: vec![0.0; h],
+        };
 
         // Weka decays the learning rate towards zero over the epoch budget.
-        let momentum = self.momentum;
         let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut hid = vec![0.0; h];
         for epoch in 0..self.epochs {
             let lr = self.learning_rate * (1.0 - epoch as f64 / self.epochs as f64).max(0.05);
             rng.shuffle(&mut order);
-            for &i in &order {
-                let x = &xs[i * d..(i + 1) * d];
-                // Forward pass.
-                for (hv, w) in hid.iter_mut().zip(w1.chunks_exact(d + 1)) {
-                    let mut a = w[d];
-                    for (wj, xj) in w.iter().zip(x) {
-                        a += wj * xj;
-                    }
-                    *hv = sigmoid(a);
-                }
-                let mut out = w2[h];
-                for (w, hv) in w2.iter().zip(&hid) {
-                    out += w * hv;
-                }
-                // Backward pass: linear output, squared error.
-                let err = out - ys[i];
-                let rows = w1.chunks_exact_mut(d + 1).zip(v1.chunks_exact_mut(d + 1));
-                for (hu, (wrow, vrow)) in rows.enumerate() {
-                    let g2 = err * hid[hu];
-                    v2[hu] = momentum * v2[hu] - lr * g2;
-                    let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
-                    w2[hu] += v2[hu];
-                    for ((wj, vj), xj) in wrow.iter_mut().zip(vrow.iter_mut()).zip(x) {
-                        let g1 = delta_h * xj;
-                        *vj = momentum * *vj - lr * g1;
-                        *wj += *vj;
-                    }
-                    vrow[d] = momentum * vrow[d] - lr * delta_h;
-                    wrow[d] += vrow[d];
-                }
-                v2[h] = momentum * v2[h] - lr * err;
-                w2[h] += v2[h];
-            }
+            net.epoch(&xs, &ys, &order, lr, self.momentum);
         }
 
+        let Net { w1, w2, .. } = net;
         if w2.iter().chain(&w1).any(|w| !w.is_finite()) {
             return Err(MlError::Numerical("MLP training diverged".into()));
         }
-        let w1 = w1.chunks_exact(d + 1).map(<[f64]>::to_vec).collect();
+        // Back in the full layout, a dead column's weights as drawn.
+        let full = |(drawn, trained): (&[f64], &[f64])| {
+            let mut w = drawn.to_vec();
+            for (&j, &t) in live.iter().zip(trained) {
+                w[j] = t;
+            }
+            w[d] = trained[l];
+            w
+        };
+        let w1 = drawn
+            .chunks_exact(d + 1)
+            .zip(w1.chunks_exact(l + 1))
+            .map(full)
+            .collect();
 
         Ok(Fitted {
             scaler,
+            live,
             target_mean: tmean,
             target_std: tstd,
             w1,
             w2,
         })
+    }
+}
+
+/// The weights SGD moves, their velocities and the hidden activations of the
+/// sample in hand. Flat: hidden unit `hu` owns `w1[hu * (l + 1)..][..=l]`
+/// with its bias last.
+struct Net {
+    l: usize,
+    w1: Vec<f64>,
+    w2: Vec<f64>,
+    v1: Vec<f64>,
+    v2: Vec<f64>,
+    hid: Vec<f64>,
+}
+
+impl Net {
+    /// One pass of SGD with momentum over the rows `order` names, in that
+    /// order; row `i` is `xs[i * l..][..l]`.
+    fn epoch(&mut self, xs: &[f64], ys: &[f64], order: &[usize], lr: f64, momentum: f64) {
+        let Net {
+            l,
+            w1,
+            w2,
+            v1,
+            v2,
+            hid,
+        } = self;
+        let (l, h) = (*l, hid.len());
+        for &i in order {
+            let x = &xs[i * l..(i + 1) * l];
+            // Forward pass.
+            for (hv, w) in hid.iter_mut().zip(w1.chunks_exact(l + 1)) {
+                let mut a = w[l];
+                for (wj, xj) in w.iter().zip(x) {
+                    a += wj * xj;
+                }
+                *hv = sigmoid(a);
+            }
+            let mut out = w2[h];
+            for (w, hv) in w2.iter().zip(&*hid) {
+                out += w * hv;
+            }
+            // Backward pass: linear output, squared error.
+            let err = out - ys[i];
+            let rows = w1.chunks_exact_mut(l + 1).zip(v1.chunks_exact_mut(l + 1));
+            for (hu, (wrow, vrow)) in rows.enumerate() {
+                let g2 = err * hid[hu];
+                v2[hu] = momentum * v2[hu] - lr * g2;
+                let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
+                w2[hu] += v2[hu];
+                for ((wj, vj), xj) in wrow.iter_mut().zip(vrow.iter_mut()).zip(x) {
+                    let g1 = delta_h * xj;
+                    *vj = momentum * *vj - lr * g1;
+                    *wj += *vj;
+                }
+                vrow[l] = momentum * vrow[l] - lr * delta_h;
+                wrow[l] += vrow[l];
+            }
+            v2[h] = momentum * v2[h] - lr * err;
+            w2[h] += v2[h];
+        }
     }
 }
 
@@ -217,26 +273,25 @@ impl Regressor for Mlp {
                 got: x.len(),
             });
         }
-        let xn = f.scaler.transform(x);
-        let d = xn.len();
-        let h = f.w1.len();
+        let (d, h) = (x.len(), f.w1.len());
         let mut out = f.w2[h];
         for (hu, w) in f.w1.iter().enumerate() {
             let mut a = w[d];
-            for j in 0..d {
-                a += w[j] * xn[j];
+            for &j in &f.live {
+                a += w[j] * f.scaler.scale(j, x[j]);
             }
             out += f.w2[hu] * sigmoid(a);
         }
         Ok(out * f.target_std + f.target_mean)
     }
 
-    /// Blocked forward pass: rows are standardized 64 at a time into one
-    /// reused buffer and each hidden unit's weight row streams over the
-    /// whole block before the next (weight rows stay hot in cache). The
-    /// additions into each output land in the same hidden-unit order, and
-    /// every activation is the same `w[d] + Σⱼ w[j]·xn[j]` left-to-right
-    /// sum, so each output is bit-identical to [`Regressor::predict`].
+    /// Blocked forward pass: the live columns of the rows are standardized
+    /// 64 rows at a time into one reused buffer and each hidden unit's weight
+    /// row streams over the whole block before the next (weight rows stay
+    /// hot in cache). The additions into each output land in the same
+    /// hidden-unit order, and every activation is the same
+    /// `w[d] + Σⱼ w[j]·xn[j]` left-to-right sum over the live `j`, so each
+    /// output is bit-identical to [`Regressor::predict`].
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -255,15 +310,15 @@ impl Regressor for Mlp {
             });
         }
         const BLOCK: usize = 64;
-        let d = xs.dim();
-        let h = f.w1.len();
+        let (d, l, h) = (xs.dim(), f.live.len(), f.w1.len());
         let block = &mut scratch.block;
         let mut start = 0;
         while start < xs.len() {
             let end = (start + BLOCK).min(xs.len());
             block.clear();
             for i in start..end {
-                f.scaler.transform_extend(xs.row(i), block);
+                let x = xs.row(i);
+                block.extend(f.live.iter().map(|&j| f.scaler.scale(j, x[j])));
             }
             let out_b = &mut out[start..end];
             for slot in out_b.iter_mut() {
@@ -271,10 +326,10 @@ impl Regressor for Mlp {
             }
             for (hu, w) in f.w1.iter().enumerate() {
                 for (r, slot) in out_b.iter_mut().enumerate() {
-                    let xn = &block[r * d..(r + 1) * d];
+                    let xn = &block[r * l..(r + 1) * l];
                     let mut a = w[d];
-                    for j in 0..d {
-                        a += w[j] * xn[j];
+                    for (&j, xj) in f.live.iter().zip(xn) {
+                        a += w[j] * xj;
                     }
                     *slot += f.w2[hu] * sigmoid(a);
                 }
@@ -460,6 +515,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The forward pass over every column of the transformed query, dead
+    /// ones included, on the full-layout weights.
+    fn reference_predict(f: &Fitted, x: &[f64]) -> f64 {
+        let (xn, d, h) = (f.scaler.transform(x), x.len(), f.w1.len());
+        let mut out = f.w2[h];
+        for hu in 0..h {
+            let mut a = f.w1[hu][d];
+            for (w, xj) in f.w1[hu].iter().zip(&xn) {
+                a += w * xj;
+            }
+            out += f.w2[hu] * (1.0 / (1.0 + (-a).exp()));
+        }
+        out * f.target_std + f.target_mean
+    }
+
+    #[test]
+    fn train_on_the_live_columns_matches_the_nested_scalar_reference_bitwise() {
+        use crate::dataset::tests::shard_shaped;
+        disar_math::check::cases(6, |rng| {
+            let n = rng.gen_range(7usize..90);
+            // Seven dead columns of ten; none live; one live of four.
+            let shard = shard_shaped(n, rng.next_u64());
+            let mut equal = Dataset::new(vec!["a".into(), "b".into()]);
+            let mut single = Dataset::new((0..4).map(|j| format!("c{j}")).collect());
+            for i in 0..n {
+                equal
+                    .push(vec![3.5, -0.0], rng.gen_range(-9.0..9.0))
+                    .unwrap();
+                let x = (i % 13) as f64;
+                single
+                    .push(vec![7.0, 0.0, x, -2.5], 2.0 * x + rng.gen_range(0.0..1.0))
+                    .unwrap();
+            }
+            for (data, live) in [(shard, 3), (equal, 0), (single, 1)] {
+                let seed = rng.next_u64();
+                for mut m in [
+                    Mlp::with_defaults(seed),
+                    Mlp::new(3, 0.2, 0.5, 37, seed).unwrap(),
+                ] {
+                    m.fit(&data).unwrap();
+                    let reference = reference_train(&m, &data);
+                    let f = m.fitted.as_ref().unwrap();
+                    assert_eq!(f.live.len(), live);
+                    assert_eq!(
+                        weight_bits(&f.w1, &f.w2),
+                        weight_bits(&reference.0, &reference.1)
+                    );
+                    // A query may hold anything where the fit saw one value.
+                    let mut odd = data.rows()[0].clone();
+                    odd.iter_mut().for_each(|v| *v = 1.5 * *v - 4.0);
+                    for x in data.rows().iter().take(5).chain([&odd]) {
+                        let y = m.predict(x).unwrap();
+                        assert_eq!(y.to_bits(), reference_predict(f, x).to_bits());
+                    }
+                }
+            }
+        });
     }
 
     #[test]

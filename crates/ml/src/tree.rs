@@ -258,6 +258,9 @@ impl RandomTree {
         for &f in &fit.feats[..self.k_for(self.dim)] {
             let rank = &fit.rank[f * fit.n..];
             let distinct = &fit.distinct[fit.starts[f]..fit.starts[f + 1]];
+            if distinct.len() == 1 {
+                continue; // the column never varies: no threshold anywhere
+            }
             // Ranks order as values do and the position breaks ties in node
             // order: sorted, the keys are the rows as a stable sort by value
             // leaves them.
@@ -656,6 +659,38 @@ mod tests {
         d
     }
 
+    /// Fits a tree on `d` and grows the reference from copies of its rows
+    /// with the same stream: same shape, same predictions on every row (and
+    /// on the row with its signed zeros flipped), same importances.
+    fn assert_tree_matches_reference(
+        d: &Dataset,
+        k: Option<usize>,
+        (min_leaf, max_depth): (usize, usize),
+        seed: u64,
+    ) {
+        let mut t = RandomTree::new(k, min_leaf, max_depth, seed).unwrap();
+        t.fit(d).unwrap();
+        let rows = d.rows().iter().cloned().zip(d.targets().iter().copied());
+        let (rng, gains) = (stream_rng(seed, 0x7EE5), vec![0.0; d.dim()]);
+        let mut dumb = Reference { t: &t, rng, gains };
+        let r = dumb.grow(rows.collect(), 0);
+        let gains = dumb.gains;
+        let case = format!("{} rows, {min_leaf}/{max_depth}/{k:?}/{seed}", d.len());
+        assert_eq!((t.depth(), t.leaf_count()), r.shape(), "{case}");
+        for x in d.rows() {
+            // The row itself, then each signed zero flipped.
+            let flipped: Vec<f64> = x.iter().map(|&v| if v == 0.0 { -v } else { v }).collect();
+            for q in [x, &flipped] {
+                assert_eq!(t.predict(q).unwrap().to_bits(), r.predict(q).to_bits());
+            }
+        }
+        let total: f64 = gains.iter().sum();
+        for (g, i) in gains.iter().zip(t.importances()) {
+            let g = if total > 0.0 { g / total } else { *g };
+            assert_eq!(g.to_bits(), i.to_bits(), "{case}");
+        }
+    }
+
     #[test]
     fn fitted_tree_matches_the_copied_rows_reference_bitwise() {
         let sets = [
@@ -666,35 +701,59 @@ mod tests {
             tied_data(40).bootstrap(3),
         ];
         for d in &sets {
-            for (min_leaf, max_depth) in [(1, 64), (25, 64), (1, 1), (3, 5)] {
+            for leaf_and_depth in [(1, 64), (25, 64), (1, 1), (3, 5)] {
                 for k in [None, Some(1), Some(d.dim())] {
                     for seed in 0..3 {
-                        let mut t = RandomTree::new(k, min_leaf, max_depth, seed).unwrap();
-                        t.fit(d).unwrap();
-                        let rows = d.rows().iter().cloned().zip(d.targets().iter().copied());
-                        let (rng, gains) = (stream_rng(seed, 0x7EE5), vec![0.0; d.dim()]);
-                        let mut dumb = Reference { t: &t, rng, gains };
-                        let r = dumb.grow(rows.collect(), 0);
-                        let gains = dumb.gains;
-                        let case = format!("{} rows, {min_leaf}/{max_depth}/{k:?}/{seed}", d.len());
-                        assert_eq!((t.depth(), t.leaf_count()), r.shape(), "{case}");
-                        for x in d.rows() {
-                            // The row itself, then each signed zero flipped.
-                            let flipped: Vec<f64> =
-                                x.iter().map(|&v| if v == 0.0 { -v } else { v }).collect();
-                            for q in [x, &flipped] {
-                                assert_eq!(t.predict(q).unwrap().to_bits(), r.predict(q).to_bits());
-                            }
-                        }
-                        let total: f64 = gains.iter().sum();
-                        for (g, i) in gains.iter().zip(t.importances()) {
-                            let g = if total > 0.0 { g / total } else { *g };
-                            assert_eq!(g.to_bits(), i.to_bits(), "{case}");
-                        }
+                        assert_tree_matches_reference(d, k, leaf_and_depth, seed);
                     }
                 }
             }
         }
+    }
+
+    /// A shard's seven constant columns are most of a node's candidates: the
+    /// search passes over them, and neither the stream nor the tree moves.
+    #[test]
+    fn constant_candidates_are_skipped_and_the_reference_tree_still_grows() {
+        use crate::dataset::tests::shard_shaped;
+        use crate::{dataset::Scaler, RandomForest};
+        use disar_math::rng::split_seed;
+
+        disar_math::check::cases(8, |rng| {
+            let d = shard_shaped(rng.gen_range(7usize..120), rng.next_u64());
+            // One distinct value in the fit's view is a column that does not vary.
+            let (fit, scaler) = (TreeFit::new(&d), Scaler::fit(&d).unwrap());
+            for f in 0..d.dim() {
+                assert_eq!(fit.starts[f + 1] - fit.starts[f] > 1, scaler.varies(f));
+            }
+            let seed = rng.gen_range(0u64..1000);
+            for k in [None, Some(1), Some(d.dim())] {
+                assert_tree_matches_reference(&d, k, (1, 64), seed);
+                assert_tree_matches_reference(&d, k, (3, 5), seed);
+            }
+
+            // The forest, against reference trees on its materialised bootstraps.
+            let mut rf = RandomForest::new(6, 1, 64, seed).unwrap();
+            rf.fit(&d).unwrap();
+            let t = RandomTree::new(None, 1, 64, 0).unwrap();
+            let trees: Vec<Ref> = (0..6)
+                .map(|i| {
+                    let tree_seed = split_seed(seed, i);
+                    let sample = d.bootstrap(tree_seed);
+                    let rows = sample
+                        .rows()
+                        .iter()
+                        .cloned()
+                        .zip(sample.targets().iter().copied());
+                    let (rng, gains) = (stream_rng(tree_seed ^ 0x51ED, 0x7EE5), vec![0.0; d.dim()]);
+                    Reference { t: &t, rng, gains }.grow(rows.collect(), 0)
+                })
+                .collect();
+            for x in d.rows() {
+                let sum = trees.iter().fold(0.0, |s, r| s + r.predict(x));
+                assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 6.0).to_bits());
+            }
+        });
     }
 
     #[test]
