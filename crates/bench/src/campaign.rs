@@ -221,10 +221,10 @@ pub fn build_knowledge_base(cfg: &CampaignConfig) -> (KnowledgeBase, CloudProvid
     (kb, provider, jobs)
 }
 
-/// Runs the multi-company variant of the campaign through the concurrent
+/// Runs the multi-company variant of the campaign through the
 /// [`DeployService`]: `n_tenants` companies each push
 /// `cfg.n_runs / n_tenants` forced runs through their own bounded handle,
-/// records land in the shared two-key base, and the exported
+/// records land in each company's own base, and the exported two-key
 /// [`TenantShardedKnowledgeBase`] comes back with the service counters.
 ///
 /// Like [`build_knowledge_base`], this is a record-only campaign: the
@@ -252,9 +252,8 @@ pub fn build_tenant_knowledge_base(
         InstanceCatalog::paper_catalog(),
         policy,
         ServiceConfig {
-            depth: cfg.n_threads.max(1),
             queue_capacity: per_tenant.max(1),
-            batch_max: 32,
+            ..ServiceConfig::default()
         },
     )
     .expect("campaign service config is valid");
@@ -282,7 +281,7 @@ pub fn build_tenant_knowledge_base(
         );
     }
     service.start().expect("service starts once");
-    // Round-robin submission: every company is genuinely concurrent.
+    // Round-robin submission: the companies' runs interleave in the queue.
     for i in 0..per_tenant {
         for (handle, stream) in handles.iter().zip(&streams) {
             handle

@@ -16,10 +16,10 @@
 //!
 //! The loop is written once, in [`DeployLoop`], over a knowledge layout
 //! that supplies only its storage: the monolithic [`TransparentDeployer`],
-//! the instance-type-sharded [`ShardedDeployer`], the two-key
-//! [`crate::tenant::TenantShardedDeployer`] and the lanes of
-//! [`crate::service::DeployService`]. The [`Deployer`] trait splits one
-//! `deploy()` into its *decision* ([`Deployer::select`] /
+//! the instance-type-sharded [`ShardedDeployer`] and the two-key
+//! [`crate::tenant::TenantShardedDeployer`], which is also what each tenant
+//! of [`crate::service::DeployService`] runs on. The [`Deployer`] trait
+//! splits one `deploy()` into its *decision* ([`Deployer::select`] /
 //! [`Deployer::begin_manual`]) and *feedback* ([`Deployer::record`]) halves
 //! so [`crate::pipeline`] can overlap the decision for job *k+1* with the
 //! cloud run of job *k* without changing the paper's semantics (see
@@ -283,9 +283,8 @@ pub struct DeployDecision {
 /// The self-optimizing deploy service, split into decision and feedback
 /// halves.
 ///
-/// The one implementor, [`DeployLoop`], owns (or in the service, reaches)
-/// the knowledge base and the predictor(s), and holds a shared handle on
-/// the cloud provider. The provided [`Deployer::deploy`] / [`Deployer::deploy_manual`]
+/// The one implementor, [`DeployLoop`], owns the knowledge base and the
+/// predictor(s), and holds a shared handle on the cloud provider. The provided [`Deployer::deploy`] / [`Deployer::deploy_manual`]
 /// compose the halves back into the paper's sequential loop; the
 /// event-driven [`crate::pipeline::DeployPipeline`] drives the halves
 /// directly so selection and execution can overlap.
@@ -368,7 +367,8 @@ pub trait Deployer {
     ///
     /// # Errors
     ///
-    /// Propagates catalog lookups and retrain failures; the record itself
+    /// Propagates catalog lookups; a retrain that fails is
+    /// [`CoreError::ShardRetrainFailed`], naming the shard. The record itself
     /// lands before a retrain can fail.
     fn record(
         &mut self,
@@ -478,6 +478,9 @@ mod backend {
         /// Records landed so far.
         fn len(&self) -> usize;
 
+        /// The tenant landed runs are attributed to.
+        fn tenant(&self) -> &TenantId;
+
         /// The shards a run on `instance` grows, the record's own shard
         /// (which keys its drift ladder) first.
         fn shards(&self, instance: &str) -> Vec<Shard>;
@@ -493,8 +496,7 @@ mod backend {
             SHARD_FLOOR
         }
 
-        /// Whether `shard`'s family has been trained (in the service: has
-        /// had a retrain fired, which every later selection waits for).
+        /// Whether `shard`'s family has been trained.
         fn trained(&self, shard: &Shard) -> bool;
 
         /// The shard whose family answers queries on `instance` when shards
@@ -504,27 +506,21 @@ mod backend {
         }
 
         /// Runs `f` on the predictor an ML selection reads once the shards
-        /// in `sizes` have grown to the sizes given. The service waits here
-        /// for its published snapshot, which can fail.
+        /// in `sizes` have grown to the sizes given.
         fn with_view<R>(
-            &mut self,
+            &self,
             sizes: &BTreeMap<Shard, usize>,
             f: impl FnOnce(&dyn TimePredictor) -> R,
-        ) -> Result<R, CoreError>;
+        ) -> R;
 
-        /// Appends one landed run, tagged with the layout's tenant if it has
-        /// one. The service waits here for an unpublished retrain of the
-        /// shard, which can fail.
-        fn append(&mut self, record: RunRecord) -> Result<(), CoreError>;
+        /// Appends one landed run.
+        fn append(&mut self, record: RunRecord);
 
-        /// Applies the retrains a landed run on `instance` fired, in the
-        /// order of `due`. Called for every landed run, with `due` empty
-        /// when it fired none: the service reports each landing to its
-        /// ingester.
+        /// Refits `shard`'s family on the records it holds now: one of the
+        /// retrains a landed run fired.
         fn retrain(
             &mut self,
-            instance: &str,
-            due: &[Shard],
+            shard: &Shard,
             mode: RetrainMode,
             n_threads: usize,
         ) -> Result<(), CoreError>;
@@ -557,9 +553,8 @@ pub(crate) struct PendingSim {
 /// pending replay, bootstrap and Algorithm 1 selection, manual overrides
 /// and the record → residual → gate → retrain → ladder sequence. The
 /// layouts are [`TransparentDeployer`] (one base, one family),
-/// [`ShardedDeployer`] (per instance type),
-/// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant)
-/// and the per-tenant lanes of [`crate::service::DeployService`].
+/// [`ShardedDeployer`] (per instance type) and
+/// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant).
 pub struct DeployLoop<B> {
     provider: Arc<CloudProvider>,
     policy: DeployPolicy,
@@ -580,6 +575,8 @@ pub struct DeployLoop<B> {
     pub(crate) drift: BTreeMap<Shard, DriftState>,
     /// Number of detector fires so far across all shards.
     drift_fires: u64,
+    /// Shard retrains applied so far.
+    retrains: usize,
 }
 
 impl<B> DeployLoop<B> {
@@ -599,6 +596,7 @@ impl<B> DeployLoop<B> {
             runs_since_retrain: 0,
             drift: BTreeMap::new(),
             drift_fires: 0,
+            retrains: 0,
         }
     }
 
@@ -622,6 +620,12 @@ impl<B> DeployLoop<B> {
     /// default [`crate::drift::DetectorKind::Off`] policy).
     pub fn drift_fires(&self) -> u64 {
         self.drift_fires
+    }
+
+    /// Number of shard retrains applied so far (one per shard a landed run
+    /// fired; the bulk warm-up is not counted).
+    pub fn retrains(&self) -> usize {
+        self.retrains
     }
 }
 
@@ -794,7 +798,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
                 n_nodes: selection.chosen.n_nodes,
                 predicted_secs: Some(selection.chosen.predicted_secs),
             })
-        })?
+        })
     }
 
     fn begin_manual(
@@ -839,13 +843,16 @@ impl<B: Backend> Deployer for DeployLoop<B> {
                 }
             }
         }
-        self.backend.append(RunRecord::new(
-            *profile,
-            &inst,
-            decision.n_nodes,
-            report.duration_secs,
-            report.prorated_cost,
-        ))?;
+        self.backend.append(
+            RunRecord::new(
+                *profile,
+                &inst,
+                decision.n_nodes,
+                report.duration_secs,
+                report.prorated_cost,
+            )
+            .with_tenant(self.backend.tenant().clone()),
+        );
         self.runs_since_retrain += 1;
         let mut due: Vec<Shard> = Vec::new();
         if self.runs_since_retrain >= policy.retrain_every {
@@ -860,8 +867,16 @@ impl<B: Backend> Deployer for DeployLoop<B> {
             Some(state) if !due.is_empty() => state.next_mode(policy.retrain_mode, &policy.drift),
             _ => policy.retrain_mode,
         };
-        self.backend
-            .retrain(&decision.instance, &due, mode, policy.n_threads)?;
+        for shard in &due {
+            self.backend
+                .retrain(shard, mode, policy.n_threads)
+                .map_err(|cause| CoreError::ShardRetrainFailed {
+                    instance: shard.instance().to_string(),
+                    tenant: self.backend.tenant().clone(),
+                    cause: Box::new(cause),
+                })?;
+            self.retrains += 1;
+        }
         if !due.is_empty() {
             self.runs_since_retrain = 0;
             if let Some(state) = self.drift.get_mut(own) {
@@ -882,10 +897,10 @@ fn relative_residual(decision: &DeployDecision, report: &JobReport) -> Option<f6
         .map(|p| (p - report.duration_secs).abs() / report.duration_secs.max(f64::EPSILON))
 }
 
-/// Storage of a layout that owns its base and its families (every layout
-/// but a service lane): the monolithic `Local<KnowledgeBase,
-/// PredictorFamily>`, the per-instance `Local<ShardedKnowledgeBase,
-/// ShardedPredictor>` and the two-key tenant layout in [`crate::tenant`].
+/// Storage of a layout, which owns its base and its families: the
+/// monolithic `Local<KnowledgeBase, PredictorFamily>`, the per-instance
+/// `Local<ShardedKnowledgeBase, ShardedPredictor>` and the two-key tenant
+/// layout in [`crate::tenant`].
 pub struct Local<KB, P> {
     pub(crate) kb: KB,
     pub(crate) predictor: P,
@@ -926,6 +941,10 @@ impl Backend for Local<KnowledgeBase, PredictorFamily> {
         self.kb.len()
     }
 
+    fn tenant(&self) -> &TenantId {
+        &self.tenant
+    }
+
     fn shards(&self, _instance: &str) -> Vec<Shard> {
         vec![Shard::Whole]
     }
@@ -943,28 +962,23 @@ impl Backend for Local<KnowledgeBase, PredictorFamily> {
     }
 
     fn with_view<R>(
-        &mut self,
+        &self,
         _sizes: &BTreeMap<Shard, usize>,
         f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> Result<R, CoreError> {
-        Ok(f(&self.predictor))
+    ) -> R {
+        f(&self.predictor)
     }
 
-    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
+    fn append(&mut self, record: RunRecord) {
         self.kb.record(record);
-        Ok(())
     }
 
     fn retrain(
         &mut self,
-        _instance: &str,
-        due: &[Shard],
+        _shard: &Shard,
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        if due.is_empty() {
-            return Ok(());
-        }
         self.predictor.retrain(&self.kb, mode, n_threads)
     }
 
@@ -1056,6 +1070,10 @@ impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
         self.kb.len()
     }
 
+    fn tenant(&self) -> &TenantId {
+        &self.tenant
+    }
+
     fn shards(&self, instance: &str) -> Vec<Shard> {
         vec![Shard::Instance(instance.to_string())]
     }
@@ -1071,34 +1089,29 @@ impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
     }
 
     fn with_view<R>(
-        &mut self,
+        &self,
         _sizes: &BTreeMap<Shard, usize>,
         f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> Result<R, CoreError> {
-        Ok(f(&self.predictor))
+    ) -> R {
+        f(&self.predictor)
     }
 
-    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
+    fn append(&mut self, record: RunRecord) {
         self.kb.record(record);
-        Ok(())
     }
 
     fn retrain(
         &mut self,
-        _instance: &str,
-        due: &[Shard],
+        shard: &Shard,
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        for shard in due {
-            let records = self
-                .kb
-                .shard(shard.instance())
-                .expect("a due shard holds records");
-            self.predictor
-                .retrain_shard(shard.instance(), records, mode, n_threads)?;
-        }
-        Ok(())
+        let records = self
+            .kb
+            .shard(shard.instance())
+            .expect("a due shard holds records");
+        self.predictor
+            .retrain_shard(shard.instance(), records, mode, n_threads)
     }
 
     fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
@@ -1699,5 +1712,163 @@ mod tests {
         // record retrains its shard (retrain_every = 1) → never ready.
         assert!(d.selection_ready(&[]));
         assert!(!d.selection_ready(&pending("c3.4xlarge")));
+    }
+
+    /// `n` forced decisions over an uneven cycle of instance types, with the
+    /// reports of their runs. Every fourth decision claims a prediction 40×
+    /// the realized time (the others claim the realized time exactly), so
+    /// an enabled detector fires now and then.
+    fn decided_runs<B: Backend>(
+        d: &DeployLoop<B>,
+        n: usize,
+        offset: usize,
+    ) -> Vec<(JobProfile, DeployDecision, JobReport)> {
+        let names = InstanceCatalog::paper_catalog().names();
+        (offset..offset + n)
+            .map(|i| {
+                let contracts = 80 + (i * 37) % 200;
+                let instance = &names[(i * 5 + i / 7) % names.len()];
+                let n_nodes = 1 + i % 3;
+                let report = d
+                    .provider()
+                    .run_job(instance, n_nodes, &workload(contracts))
+                    .unwrap();
+                let claimed = report.duration_secs * if i % 4 == 3 { 40.0 } else { 1.0 };
+                let decision = DeployDecision {
+                    mode: DeployMode::Manual,
+                    instance: instance.clone(),
+                    n_nodes,
+                    predicted_secs: Some(claimed),
+                };
+                (profile(contracts), decision, report)
+            })
+            .collect()
+    }
+
+    /// Replays every prefix of `k` pending decisions from the deployer's
+    /// present state, then lands the same records one by one and compares
+    /// the two after each.
+    fn replay_matches_landing<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
+        let policy = *d.policy();
+        let runs = decided_runs(&d, k, 100);
+        let pending: Vec<DeployDecision> = runs.iter().map(|(_, dec, _)| dec.clone()).collect();
+        let sims: Vec<PendingSim> = (0..=k).map(|j| d.replay(&pending[..j])).collect();
+        let escalated = |level: usize| match level {
+            0 => policy.retrain_mode,
+            1 => RetrainMode::Windowed {
+                window: policy.drift.window,
+                decay: policy.drift.decay,
+            },
+            _ => RetrainMode::Full,
+        };
+        let mut ladders: BTreeMap<Shard, usize> = BTreeMap::new();
+        let (mut fires, mut absorbed) = (0, 0);
+        for (j, (profile, decision, report)) in runs.iter().enumerate() {
+            let at = format!("{label}, record {j}");
+            let detector_fires = d.drift_fires();
+            d.record(profile, decision, report).unwrap();
+            let sim = &sims[j + 1];
+
+            // The fire sequence: a record fired exactly when the replay
+            // said it would, whatever the detector made of its residual.
+            let fired = d.runs_since_retrain == 0;
+            assert_eq!(fired, sim.runs_since_retrain == 0, "fire at {at}");
+            assert_eq!(
+                d.runs_since_retrain, sim.runs_since_retrain,
+                "cadence at {at}"
+            );
+            fires += usize::from(fired);
+            assert_eq!(sim.retrain_pending, fires > 0, "retrain_pending at {at}");
+
+            // Sizes, trained flags and coverage.
+            assert_eq!(d.kb_len(), sim.virtual_len, "virtual_len at {at}");
+            for (shard, size) in &sim.sizes {
+                assert_eq!(d.backend.size(shard), *size, "size of {shard:?} at {at}");
+            }
+            let landed = d.replay(&[]);
+            assert_eq!(landed.covered, sim.covered, "covered at {at}");
+            assert!(!landed.retrain_pending && landed.sizes.is_empty());
+
+            // The rest of the replay from here agrees with the whole.
+            let rest = d.replay(&pending[j + 1..]);
+            let whole = &sims[k];
+            assert_eq!(rest.virtual_len, whole.virtual_len, "suffix len at {at}");
+            assert_eq!(rest.covered, whole.covered, "suffix covered at {at}");
+            assert_eq!(
+                rest.runs_since_retrain, whole.runs_since_retrain,
+                "suffix cadence at {at}"
+            );
+
+            // The ladder of the record's own shard: one rung up per detector
+            // fire, back to the base mode once a retrain of the shard fired.
+            let own = d.backend.shards(&decision.instance).swap_remove(0);
+            let level = ladders.entry(own.clone()).or_insert(0);
+            if d.drift_fires() > detector_fires {
+                *level = (*level + 1).min(2);
+                absorbed += usize::from(fired);
+            }
+            if fired {
+                *level = 0;
+            }
+            let mode = d.drift.get(&own).map_or(policy.retrain_mode, |s| {
+                s.next_mode(policy.retrain_mode, &policy.drift)
+            });
+            assert_eq!(mode, escalated(*level), "ladder of {own:?} at {at}");
+        }
+        assert!(!sims[0].covered, "{label}: covered before the first record");
+        if policy.retrain_every == 1 {
+            assert!(
+                sims[k].covered,
+                "{label}: {k} records never covered the catalog"
+            );
+        }
+        assert!(fires > 0, "{label}: no retrain fired in {k} records");
+        assert!(d.drift_fires() > 0, "{label}: the detector never fired");
+        assert!(absorbed > 0, "{label}: no escalated retrain was applied");
+    }
+
+    #[test]
+    fn pending_replay_matches_landing_on_every_layout() {
+        use crate::drift::DetectorKind;
+        use crate::tenant::TenantShardedDeployer;
+        let provider = |seed| CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
+        for retrain_every in [1, 3] {
+            let policy = |transfer| {
+                DeployPolicy::builder(50_000.0)
+                    .max_nodes(4)
+                    .min_kb_samples(5)
+                    .retrain_every(retrain_every)
+                    .n_threads(1)
+                    .transfer(transfer)
+                    .drift(DriftConfig {
+                        detector: DetectorKind::PageHinkley,
+                        ..DriftConfig::default()
+                    })
+                    .build()
+            };
+            let isolated = policy(TransferPolicy::Isolated);
+            let k = 40;
+            let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
+
+            let mono = TransparentDeployer::new(provider(3), isolated, 3);
+            replay_matches_landing(mono, k, &label("monolithic"));
+            let sharded = ShardedDeployer::new(provider(5), isolated, 5);
+            replay_matches_landing(sharded, k, &label("per-instance"));
+            for transfer in [
+                TransferPolicy::Isolated,
+                TransferPolicy::Pooled,
+                TransferPolicy::BorrowUntil(3),
+            ] {
+                // Another tenant's records first, so that pooled and local
+                // shards differ and the replay starts from a grown base.
+                let mut d = TenantShardedDeployer::new(provider(7), policy(transfer), 7)
+                    .with_tenant(TenantId::new("bolt-re"));
+                for (profile, decision, report) in decided_runs(&d, 9, 0) {
+                    d.record(&profile, &decision, &report).unwrap();
+                }
+                d.set_tenant(TenantId::new("acme-life"));
+                replay_matches_landing(d, k, &label(&format!("tenant {transfer:?}")));
+            }
+        }
     }
 }

@@ -1,7 +1,6 @@
 use crate::tenant::TenantId;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Error type for the provisioning layer.
 #[derive(Debug)]
@@ -40,18 +39,19 @@ pub enum CoreError {
         /// The queue's capacity (jobs it can hold while the worker drains).
         capacity: usize,
     },
-    /// The deploy service stopped (a thread lost, or shutdown) while an
-    /// operation was waiting on it.
+    /// The deploy service's thread is gone (it panicked, or the service
+    /// was joined) while a handle still used it.
     ServiceStopped(&'static str),
-    /// The deploy service's ingester could not retrain a shard and stopped:
-    /// what every operation waiting on the service reports from then on.
+    /// A landed run fired a retrain its shard could not make. The run's
+    /// record stays in the base.
     ShardRetrainFailed {
-        /// Instance type of the shard whose retrain failed.
+        /// Instance type of the shard (empty for the monolithic layout's
+        /// whole base).
         instance: String,
-        /// Tenant of that shard.
+        /// Tenant the deployer attributed the run to.
         tenant: TenantId,
-        /// What the retrain returned; shared, for every waiter reports it.
-        cause: Arc<CoreError>,
+        /// What the retrain returned.
+        cause: Box<CoreError>,
     },
     /// A persisted artifact (knowledge base, registry row) was written by
     /// a newer schema than this build supports.
@@ -93,10 +93,7 @@ impl fmt::Display for CoreError {
                 instance,
                 tenant,
                 cause,
-            } => write!(
-                f,
-                "deploy service stopped: retrain of shard ({instance}, {tenant}) failed: {cause}"
-            ),
+            } => write!(f, "retrain of shard ({instance}, {tenant}) failed: {cause}"),
             CoreError::UnsupportedSchema { found, supported } => write!(
                 f,
                 "artifact schema version {found} is newer than the supported {supported}"

@@ -36,12 +36,11 @@
 //!   (instance type × tenant), a pluggable [`tenant::TransferPolicy`]
 //!   deciding whose knowledge crosses company boundaries, and a
 //!   tenant-aware deployer behind the same [`deploy::Deployer`] trait;
-//! - [`service`]: [`service::DeployService`] — the concurrent exterior:
-//!   N tenants submit jobs through bounded per-tenant handles, selections
-//!   read an atomically swapped predictor snapshot, records take
-//!   per-(instance × tenant) shard locks only, and a batching ingester
-//!   coalesces retrains — per-tenant outcome streams bit-identical to the
-//!   solo [`tenant::TenantShardedDeployer`].
+//! - [`service`]: [`service::DeployService`] — N tenants submit jobs
+//!   through bounded per-tenant handles; one service thread runs each job,
+//!   in arrival order, on its tenant's own
+//!   [`tenant::TenantShardedDeployer`], so every tenant's outcome stream is
+//!   bit-identical to its solo run.
 //!
 //! # Example
 //!
@@ -90,9 +89,7 @@ pub use knowledge::{
 pub use pipeline::{DeployPipeline, PipelineJob, PipelineStats};
 pub use predictor::{GridScratch, PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 pub use profile::JobProfile;
-pub use service::{
-    DeployService, PredictorSnapshot, ServiceConfig, ServiceStats, TenantHandle, TenantRun,
-};
+pub use service::{DeployService, ServiceConfig, ServiceStats, TenantHandle, TenantRun};
 pub use tenant::{
     TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TenantShardedPredictor,
     TenantView, TransferPolicy,

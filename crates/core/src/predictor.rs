@@ -147,9 +147,7 @@ pub trait TimePredictor: Sync {
 
 /// The six retrainable execution-time predictors.
 ///
-/// `Clone` copies the full fitted state (via `Regressor::clone_box`), so a
-/// snapshot layer can freeze an immutable copy while the original keeps
-/// retraining incrementally.
+/// `Clone` copies the full fitted state (via `Regressor::clone_box`).
 #[derive(Clone)]
 pub struct PredictorFamily {
     models: Vec<Box<dyn Regressor>>,
@@ -535,9 +533,9 @@ impl FamilyRouter for ShardedPredictor {
 
 /// A predictor made of per-instance-type families: names the family that
 /// answers queries on one instance type. Every such predictor — the
-/// per-instance [`ShardedPredictor`], a tenant's
-/// [`crate::tenant::TenantView`], the service's snapshot view — is a
-/// [`TimePredictor`] through the one routed implementation below.
+/// per-instance [`ShardedPredictor`] and a tenant's
+/// [`crate::tenant::TenantView`] — is a [`TimePredictor`] through the one
+/// routed implementation below.
 pub(crate) trait FamilyRouter: Sync {
     /// The family serving `instance`, if one exists (trained or not).
     fn family_for(&self, instance: &str) -> Option<&PredictorFamily>;

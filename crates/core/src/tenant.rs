@@ -165,7 +165,7 @@ impl TenantShardedKnowledgeBase {
     }
 
     /// Assembles a two-key base from per-shard record streams (e.g. the
-    /// deploy service's shard map). Each record routes by its own
+    /// shards of the deploy service's tenants). Each record routes by its own
     /// instance/tenant tags, so the per-shard streams are preserved
     /// exactly; the global arrival order is shard-major in the order
     /// given — the cross-shard interleaving of the original stream is
@@ -446,6 +446,10 @@ impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
         self.kb.len()
     }
 
+    fn tenant(&self) -> &TenantId {
+        &self.tenant
+    }
+
     fn shards(&self, instance: &str) -> Vec<Shard> {
         vec![
             Shard::Local(instance.to_string(), self.tenant.clone()),
@@ -490,52 +494,47 @@ impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
     }
 
     fn with_view<R>(
-        &mut self,
+        &self,
         sizes: &BTreeMap<Shard, usize>,
         f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> Result<R, CoreError> {
+    ) -> R {
         let mut local_lens = self.kb.local_lens(&self.tenant);
         for (shard, size) in sizes {
             if let Shard::Local(instance, _) = shard {
                 local_lens.insert(instance.clone(), *size);
             }
         }
-        Ok(f(&self.predictor.view(&self.tenant, local_lens)))
+        f(&self.predictor.view(&self.tenant, local_lens))
     }
 
-    fn append(&mut self, record: RunRecord) -> Result<(), CoreError> {
-        self.kb.record(record.with_tenant(self.tenant.clone()));
-        Ok(())
+    fn append(&mut self, record: RunRecord) {
+        self.kb.record(record);
     }
 
     fn retrain(
         &mut self,
-        _instance: &str,
-        due: &[Shard],
+        shard: &Shard,
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        for shard in due {
-            match shard {
-                Shard::Local(instance, tenant) => {
-                    let records = self
-                        .kb
-                        .shard(instance, tenant)
-                        .expect("a due shard holds records");
-                    self.predictor
-                        .retrain_local(instance, tenant, records, mode, n_threads)?;
-                }
-                pooled => {
-                    let records = self
-                        .kb
-                        .pooled_shard(pooled.instance())
-                        .expect("a due shard holds records");
-                    self.predictor
-                        .retrain_pooled(pooled.instance(), records, mode, n_threads)?;
-                }
+        match shard {
+            Shard::Local(instance, tenant) => {
+                let records = self
+                    .kb
+                    .shard(instance, tenant)
+                    .expect("a due shard holds records");
+                self.predictor
+                    .retrain_local(instance, tenant, records, mode, n_threads)
+            }
+            pooled => {
+                let records = self
+                    .kb
+                    .pooled_shard(pooled.instance())
+                    .expect("a due shard holds records");
+                self.predictor
+                    .retrain_pooled(pooled.instance(), records, mode, n_threads)
             }
         }
-        Ok(())
     }
 
     fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {

@@ -1,29 +1,24 @@
-//! Property tests of the concurrent multi-tenant deploy service.
+//! Property tests of the multi-tenant deploy service.
 //!
 //! The contract under test:
 //!
-//! 1. **per-tenant bit-identity** — for 1–8 concurrently submitting
-//!    tenants under [`TransferPolicy::Isolated`], every tenant's outcome
-//!    stream and final shard contents through [`DeployService`] equal
-//!    that tenant running *alone*, sequentially, through
-//!    [`TenantShardedDeployer`] — for any pipeline depth, queue capacity,
-//!    ingest batch size, retrain cadence and auto/forced job mix;
+//! 1. **per-tenant bit-identity** — for 1–8 tenants under
+//!    `TransferPolicy::Isolated`, every tenant's outcome stream, final shard
+//!    contents and retrain count through [`DeployService`] equal that
+//!    tenant running *alone*, sequentially, through
+//!    [`TenantShardedDeployer`] — for any interleaving of submissions,
+//!    from one thread or from a thread per tenant, queue capacity, retrain
+//!    cadence and auto/forced job mix;
 //! 2. **backpressure** — a full submission queue rejects with
 //!    [`disar_core::CoreError::Backpressure`], deterministically, and the
-//!    admitted prefix still lands bit-identically;
-//! 3. **snapshot-swap linearizability** — concurrent observers only ever
-//!    see whole snapshots: generations monotone, families never
-//!    half-rebuilt (each family's `trained_on` is per-key monotone across
-//!    observed generations and never exceeds the records landed).
+//!    admitted prefix still lands bit-identically.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::Barrier;
 
 use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use disar_core::deploy::{DeployOutcome, DeployPolicy};
 use disar_core::pipeline::PipelineJob;
-use disar_core::service::{DeployService, ServiceConfig, TenantHandle};
+use disar_core::service::{DeployService, ServiceConfig, TenantHandle, TenantRun};
 use disar_core::tenant::{TenantId, TenantShardedDeployer};
 use disar_core::CoreError;
 use disar_math::check::cases;
@@ -82,28 +77,29 @@ fn concurrent_tenants_bit_identical_to_solo() {
         let (n_tenants, n_jobs) = (rng.gen_range(1usize..=8), rng.gen_range(8usize..16));
         let pol = policy(rng.gen_range(4usize..8), rng.gen_range(1usize..4));
         let forced_every = rng.gen_range(0usize..5);
-        let (depth, batch_max) = (rng.gen_range(1usize..4), rng.gen_range(1usize..9));
         let schedules: Vec<Vec<PipelineJob>> = (0..n_tenants)
             .map(|i| schedule(i, n_jobs, forced_every))
             .collect();
         let config = ServiceConfig {
-            depth,
             queue_capacity: n_jobs + 1,
-            batch_max,
+            ..ServiceConfig::default()
         };
         let (mut service, tenants, handles) = service_with(pol, config, base_seed, n_tenants);
         service.start().expect("service starts");
-        // Round-robin interleave so every tenant is genuinely concurrent.
+        // Round-robin interleave, so that every tenant's jobs wait among the
+        // others'.
         for j in 0..n_jobs {
             for (h, schedule) in handles.iter().zip(&schedules) {
                 h.submit(schedule[j].clone())
                     .expect("queue sized for the schedule");
             }
         }
+        let mut retrains = 0;
         for (i, h) in handles.into_iter().enumerate() {
             let run = h.finish().expect("tenant stream succeeds");
             let (expected, solo) =
                 solo_run(tenant_seed(base_seed, i), &tenants[i], &schedules[i], &pol);
+            retrains += solo.retrains();
             assert_eq!(
                 &run.outcomes, &expected,
                 "tenant {} diverged from its solo run",
@@ -122,6 +118,7 @@ fn concurrent_tenants_bit_identical_to_solo() {
         assert_eq!(stats.admitted, n_tenants * n_jobs);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.pipeline.jobs, n_tenants * n_jobs);
+        assert_eq!(stats.retrains, retrains);
     });
 }
 
@@ -136,9 +133,8 @@ fn backpressure_rejects_overflow_and_keeps_prefix_identity() {
         let pol = policy(4, rng.gen_range(1usize..3));
         let jobs = schedule(0, queue_capacity + overflow, 0);
         let config = ServiceConfig {
-            depth: 2,
             queue_capacity,
-            batch_max: 4,
+            ..ServiceConfig::default()
         };
         let (mut service, tenants, mut handles) = service_with(pol, config, base_seed, 1);
         let handle = handles.remove(0);
@@ -168,85 +164,51 @@ fn backpressure_rejects_overflow_and_keeps_prefix_identity() {
     });
 }
 
-/// Property 3: snapshot swaps are linearizable from a concurrent
-/// observer's point of view — generations move forward only, and a
-/// family observed at a later generation was trained on at least as
-/// many records as at any earlier one (no half-rebuilt snapshot is
-/// ever visible).
+/// Property 3: tenants that each submit from their own thread, all released
+/// at once, still each get their solo run.
 #[test]
-fn snapshot_swaps_are_linearizable() {
-    cases(8, |rng| {
+fn tenants_submitting_from_their_own_threads_match_solo() {
+    cases(4, |rng| {
         let base_seed = rng.gen_range(0u64..300);
-        let (n_tenants, n_jobs) = (rng.gen_range(2usize..5), rng.gen_range(8usize..14));
-        let batch_max = rng.gen_range(1usize..6);
-        let pol = policy(4, 1);
+        let (n_tenants, n_jobs) = (rng.gen_range(2usize..=6), rng.gen_range(8usize..14));
+        let pol = policy(rng.gen_range(4usize..8), rng.gen_range(1usize..3));
+        let forced_every = rng.gen_range(0usize..4);
         let config = ServiceConfig {
-            depth: 2,
-            queue_capacity: n_jobs + 1,
-            batch_max,
+            queue_capacity: n_jobs,
+            ..ServiceConfig::default()
         };
-        let (mut service, _, handles) = service_with(pol, config, base_seed, n_tenants);
+        let (mut service, tenants, handles) = service_with(pol, config, base_seed, n_tenants);
         service.start().expect("service starts");
-
-        let service = Arc::new(service);
-        let stop = Arc::new(AtomicBool::new(false));
-        let observer = {
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut last_generation = 0u64;
-                let mut watermarks: BTreeMap<(String, TenantId), usize> = BTreeMap::new();
-                let mut observations = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = service.snapshot();
-                    assert!(
-                        snap.generation() >= last_generation,
-                        "snapshot generation went backwards: {} < {}",
-                        snap.generation(),
-                        last_generation,
-                    );
-                    last_generation = snap.generation();
-                    for (key, family) in snap.families() {
-                        assert!(family.is_trained(), "published family untrained");
-                        let seen = watermarks.entry(key.clone()).or_insert(0);
-                        assert!(
-                            family.trained_on() >= *seen,
-                            "family {:?} shrank: {} < {}",
-                            key,
-                            family.trained_on(),
-                            *seen,
-                        );
-                        *seen = family.trained_on();
-                    }
-                    observations += 1;
-                    std::thread::yield_now();
-                }
-                observations
-            })
-        };
-
-        for j in 0..n_jobs {
-            for (i, h) in handles.iter().enumerate() {
-                h.submit(schedule(i, n_jobs, 0)[j].clone()).unwrap();
-            }
+        let barrier = Barrier::new(n_tenants);
+        let runs: Vec<TenantRun> = std::thread::scope(|s| {
+            let submitters: Vec<_> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let jobs = schedule(i, n_jobs, forced_every);
+                        barrier.wait();
+                        for job in jobs {
+                            h.submit(job).expect("queue sized for the schedule");
+                        }
+                        h.finish().expect("tenant stream succeeds")
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|t| t.join().expect("submitter panicked"))
+                .collect()
+        });
+        for (i, run) in runs.iter().enumerate() {
+            let jobs = schedule(i, n_jobs, forced_every);
+            let (expected, _) = solo_run(tenant_seed(base_seed, i), &tenants[i], &jobs, &pol);
+            assert_eq!(
+                run.outcomes, expected,
+                "tenant {i} diverged from its solo run"
+            );
         }
-        for h in handles {
-            h.finish().expect("tenant stream succeeds");
-        }
-        stop.store(true, Ordering::Relaxed);
-        let observations = observer.join().expect("observer clean");
-        assert!(observations > 0);
-
-        let final_snap = service.snapshot();
-        // Every tenant landed n_jobs records, so no family can claim more.
-        for ((_, tenant), family) in final_snap.families() {
-            assert!(family.trained_on() <= n_jobs, "tenant {:?}", tenant);
-        }
-        let service = Arc::try_unwrap(service)
-            .ok()
-            .expect("observer released the service");
-        let stats = service.join().expect("clean shutdown");
-        assert!(stats.snapshot_generation > 0);
-        assert!(stats.retrains > 0);
+        service.join().expect("clean shutdown");
     });
 }
