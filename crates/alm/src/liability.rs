@@ -25,6 +25,7 @@ use disar_actuarial::contracts::ProfitSharing;
 use disar_actuarial::engine::CashFlowSchedule;
 use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One liability position to value: a probabilized schedule plus its
 /// profit-sharing parameters.
@@ -314,6 +315,10 @@ struct BookEntry {
     sharing: usize,
 }
 
+/// How many positions of one pair the inner stage values in one sweep over
+/// the paths (DESIGN.md §12 has the measurement behind the value).
+pub(crate) const GROUP: usize = 4;
+
 /// What a nested run reads of its positions, laid out once per run: the
 /// blocks' positions back to back, every flow reduced to its
 /// `YearFlow::total()`, and the distinct [`ProfitSharing`] pairs. `Φ`
@@ -330,6 +335,9 @@ pub(crate) struct LiabilityBook {
     sharings: Vec<ProfitSharing>,
     /// Where each block ends in `entries`.
     block_ends: Vec<usize>,
+    /// Every index of `entries`, pair by pair, each pair's positions by
+    /// ascending term: the inner stage's groups of [`GROUP`] are runs of it.
+    by_pair: Vec<usize>,
 }
 
 impl LiabilityBook {
@@ -368,7 +376,19 @@ impl LiabilityBook {
             }
             book.block_ends.push(book.entries.len());
         }
+        // Neighbours in a pair differ little in term, so a group's tails
+        // beyond its shortest member are short.
+        book.by_pair = (0..book.entries.len()).collect();
+        let entries = &book.entries;
+        book.by_pair
+            .sort_by_key(|&i| (entries[i].sharing, entries[i].end - entries[i].start));
         Ok(book)
+    }
+
+    /// Position `i`'s residual flows at `t = 1`.
+    fn residual(&self, i: usize) -> &[f64] {
+        let e = self.entries[i];
+        &self.totals[(e.start + 1).min(e.end)..e.end]
     }
 
     pub(crate) fn n_positions(&self) -> usize {
@@ -388,7 +408,9 @@ impl LiabilityBook {
     /// operands of [`position_value`] on the shifted schedule, in its order —
     /// and adds `pv` into `acc[i]`, `q` ascending, as a path-by-path loop
     /// would. `acc[i]` depends on position `i` alone, so visiting positions
-    /// pair by pair changes no bit.
+    /// pair by pair and [`GROUP`] at a time changes no bit: a group's four
+    /// `pv` rows share each sweep over the years all four have, then each
+    /// row finishes its own years alone.
     pub(crate) fn add_residuals_over_paths(
         &self,
         returns: &[f64],
@@ -403,8 +425,10 @@ impl LiabilityBook {
         // position reads them.
         phi.resize((n_years + 1) * n_paths, 0.0);
         phi[..n_paths].fill(1.0);
-        pv.resize(n_paths, 0.0);
-        for (s, ps) in self.sharings.iter().enumerate() {
+        pv.resize(GROUP * n_paths, 0.0);
+        let sharing = |&i: &usize| self.entries[i].sharing;
+        for pair in self.by_pair.chunk_by(|a, b| sharing(a) == sharing(b)) {
+            let ps = self.sharings[sharing(&pair[0])];
             for (k, row) in returns.chunks(n_paths).enumerate() {
                 let (folded, rest) = phi.split_at_mut((k + 1) * n_paths);
                 let before = &folded[k * n_paths..];
@@ -412,19 +436,27 @@ impl LiabilityBook {
                     *next = before * (1.0 + ps.readjustment_rate(r));
                 }
             }
-            let owned = self.entries.iter().zip(acc.iter_mut());
-            for (e, a) in owned.filter(|(e, _)| e.sharing == s) {
-                pv.fill(0.0);
-                let flows = &self.totals[(e.start + 1).min(e.end)..e.end];
-                for (k, total) in flows.iter().enumerate() {
-                    let row = k.min(n_years - 1) * n_paths;
-                    let rows = phi[row + n_paths..].iter().zip(&dfs[row..]);
-                    for (v, (phi, df)) in pv.iter_mut().zip(rows) {
-                        *v += total * phi * df;
-                    }
+            for group in pair.chunks(GROUP) {
+                let mut flows = [&[] as &[f64]; GROUP];
+                for (flow, &i) in flows.iter_mut().zip(group) {
+                    *flow = self.residual(i);
                 }
-                for v in pv.iter() {
-                    *a += v;
+                pv.fill(0.0);
+                // Sorted by term, so the first is the shortest. A partial
+                // group shares no years.
+                let shared = if group.len() == GROUP {
+                    flows[0].len()
+                } else {
+                    0
+                };
+                sweep_years(flows, 0..shared, phi, dfs, pv);
+                for (&flow, pv) in flows[..group.len()].iter().zip(pv.chunks_mut(n_paths)) {
+                    sweep_years([flow], shared..flow.len(), phi, dfs, pv);
+                }
+                for (&i, pv) in group.iter().zip(pv.chunks(n_paths)) {
+                    for v in pv {
+                        acc[i] += v;
+                    }
                 }
             }
         }
@@ -461,6 +493,39 @@ impl LiabilityBook {
                 .sum();
             *slot = PathValue { y1, year1, df1 };
             first = end;
+        }
+    }
+}
+
+/// The book's residual sweep over `W` positions: `pv` holds one row of
+/// `n_paths` per position, and for every year `k` of `years`, ascending,
+/// `pv[w][q] += flows[w][k] * phi[k + 1][q] * dfs[k][q]` in one pass over
+/// the paths that reads `phi` and `dfs` once for all `W` rows. A year past
+/// the horizon reads the last row.
+fn sweep_years<const W: usize>(
+    flows: [&[f64]; W],
+    years: Range<usize>,
+    phi: &[f64],
+    dfs: &[f64],
+    pv: &mut [f64],
+) {
+    let n_paths = pv.len() / W;
+    let last = dfs.len() / n_paths - 1;
+    let mut rest = pv;
+    let mut rows: [&mut [f64]; W] = std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n_paths);
+        rest = tail;
+        row
+    });
+    for k in years {
+        let row = k.min(last) * n_paths;
+        let (phi, dfs) = (&phi[row + n_paths..][..n_paths], &dfs[row..][..n_paths]);
+        let totals = flows.map(|f| f[k]);
+        for q in 0..n_paths {
+            let (phi, df) = (phi[q], dfs[q]);
+            for (pv, total) in rows.iter_mut().zip(totals) {
+                pv[q] += total * phi * df;
+            }
         }
     }
 }
@@ -712,6 +777,81 @@ mod tests {
                 assert_eq!(got.year1.to_bits(), year1.to_bits());
                 assert_eq!(got.df1, df1);
             }
+        }
+    }
+
+    #[test]
+    fn book_groups_match_the_one_position_loop_bitwise() {
+        // One pair owns ten positions, grouped by term 1, 3, 5, 5 | 5, 7, 8,
+        // 10 | 12, 20: two full groups (the first shares no year, for its
+        // 1-year member has no residual flow) and a partial one, with tails
+        // and terms past the 6-year horizon. The other pair owns one.
+        let terms = [12, 1, 5, 9, 5, 8, 3, 20, 7, 5, 10];
+        let positions: Vec<LiabilityPosition> = terms
+            .iter()
+            .enumerate()
+            .map(|(i, &term)| match i {
+                3 => make_position(term, 0.9, 0.01),
+                _ => make_position(term, 0.8, 0.02),
+            })
+            .collect();
+        let (a, b) = positions.split_at(6);
+        let book = LiabilityBook::new(&[a, b]).unwrap();
+        assert_eq!((book.n_positions(), book.sharings.len()), (11, 2));
+        let grouped: Vec<u32> = book.by_pair.iter().map(|&i| terms[i]).collect();
+        assert_eq!(grouped, [1, 3, 5, 5, 5, 7, 8, 10, 12, 20, 9]);
+        let shifted: Vec<LiabilityPosition> = positions
+            .iter()
+            .map(|p| LiabilityPosition {
+                schedule: shift_schedule(&p.schedule, 1),
+                profit_sharing: p.profit_sharing,
+            })
+            .collect();
+
+        let fund = SegregatedFund::italian_typical(20);
+        let mut scratch = PathScratch::new();
+        let (mut returns_panel, mut dfs_panel) = (Vec::new(), Vec::new());
+        // Polluted scratch, then each shape's leftovers for the next.
+        let (mut phi, mut pv) = (vec![f64::NAN; 7], vec![f64::NAN; 333]);
+        for n_paths in [1, 9, 50] {
+            let set = q_set(6.0, n_paths, 23);
+            let view = set.view();
+            let n_years = fill_valuation_panels(
+                &fund,
+                &view,
+                1,
+                0,
+                &mut scratch,
+                &mut returns_panel,
+                &mut dfs_panel,
+            )
+            .unwrap();
+            let mut acc = vec![0.0; positions.len()];
+            book.add_residuals_over_paths(
+                &returns_panel,
+                &dfs_panel,
+                n_paths,
+                &mut phi,
+                &mut pv,
+                &mut acc,
+            );
+
+            let mut acc_ref = vec![0.0; positions.len()];
+            let (mut returns, mut dfs, mut vals) = (Vec::new(), Vec::new(), Vec::new());
+            for q in 0..n_paths {
+                fund.annual_returns_into(&view, q, 1, 0, &mut returns)
+                    .unwrap();
+                view.year_discount_factors_into(q, n_years, &mut dfs);
+                value_each_position_from_series(&shifted, &returns, &dfs, &mut vals);
+                for (a, v) in acc_ref.iter_mut().zip(&vals) {
+                    *a += *v;
+                }
+            }
+            for (i, (a, b)) in acc.iter().zip(&acc_ref).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{n_paths} paths, position {i}");
+            }
+            assert_eq!(acc[1], 0.0, "a 1-year position has no residual value");
+            assert!(acc.iter().enumerate().all(|(i, &a)| i == 1 || a > 0.0));
         }
     }
 

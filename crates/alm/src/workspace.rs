@@ -14,7 +14,7 @@
 //! bit-identical to the allocating implementation it replaced (see
 //! DESIGN.md §10).
 
-use crate::liability::PathScratch;
+use crate::liability::{PathScratch, GROUP};
 use crate::nested::NestedConfig;
 use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 
@@ -27,8 +27,8 @@ use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 /// * the inner-stage [`ScenarioBuffer`] (paths + generator scratch),
 /// * the per-path [`PathScratch`] (fund returns, per-year discount factors),
 /// * the per-position inner-PV accumulator, the pairs' `Φ_1` factors, one
-///   pair's cumulative `Φ` table over all inner paths, one position's PV
-///   row, and the re-anchoring state vector.
+///   pair's cumulative `Φ` table over all inner paths, one group's PV
+///   rows, and the re-anchoring state vector.
 #[derive(Debug, Clone, Default)]
 pub struct ValuationWorkspace {
     /// Inner (risk-neutral) scenario buffer, refilled per outer path.
@@ -38,7 +38,7 @@ pub struct ValuationWorkspace {
     /// One pair's cumulative `Φ` over all inner paths, `[year][path]` under
     /// a row of ones.
     pub(crate) phi: Vec<f64>,
-    /// One position's residual PV per inner path.
+    /// One group of positions' residual PVs, `[position][path]`.
     pub(crate) pv: Vec<f64>,
     /// Per-position accumulator over the `nQ` inner paths.
     pub(crate) acc: Vec<f64>,
@@ -79,7 +79,7 @@ impl ValuationWorkspace {
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
         ws.scratch.reserve_years(inner_years.max(outer_years));
         ws.phi.reserve(config.n_inner * (inner_years + 1));
-        ws.pv.reserve(config.n_inner);
+        ws.pv.reserve(GROUP * config.n_inner);
         ws.acc.reserve(n_positions);
         ws.phi1.reserve(n_positions);
         ws.state.reserve(inner.n_drivers());
@@ -112,7 +112,7 @@ mod tests {
         let config = NestedConfig::paper_defaults(1);
         let ws = ValuationWorkspace::sized_for(&outer, &inner, &config, 7);
         assert!(ws.phi.capacity() >= 50 * 11);
-        assert!(ws.pv.capacity() >= 50);
+        assert!(ws.pv.capacity() >= GROUP * 50);
         assert!(ws.acc.capacity() >= 7);
         assert!(ws.phi1.capacity() >= 7);
         assert!(ws.state.capacity() >= 2);

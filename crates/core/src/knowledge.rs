@@ -228,9 +228,11 @@ impl RunRecord {
     ///
     /// # Errors
     ///
-    /// Names the first field that is missing or holds another type.
+    /// Names the first field that is missing or holds another type. A run
+    /// no deploy can have made is the wrong type too: no vCPUs or nodes, a
+    /// duration that is not positive or a negative cost.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(RunRecord {
+        let record = RunRecord {
             profile: JobProfile::from_json(json.at("profile")?)?,
             instance: json.str_at("instance")?.to_string(),
             vcpus: json.uint_at("vcpus")?,
@@ -240,7 +242,24 @@ impl RunRecord {
             duration_secs: json.f64_at("duration_secs")?,
             cost: json.f64_at("cost")?,
             tenant: TenantId::new(json.str_at("tenant")?),
-        })
+        };
+        let impossible = [
+            ("vcpus", "a positive integer", record.vcpus == 0),
+            ("n_nodes", "a positive integer", record.n_nodes == 0),
+            (
+                "duration_secs",
+                "a positive number",
+                record.duration_secs <= 0.0,
+            ),
+            ("cost", "a non-negative number", record.cost < 0.0),
+        ];
+        match impossible.into_iter().find(|&(.., bad)| bad) {
+            Some((field, expected, _)) => Err(JsonError::WrongType {
+                field: field.to_string(),
+                expected,
+            }),
+            None => Ok(record),
+        }
     }
 }
 
@@ -800,6 +819,37 @@ mod tests {
                 loaded,
                 Err(CoreError::Json(JsonError::WrongType { ref field, .. })) if field == "vcpus"
             ));
+        }
+    }
+
+    #[test]
+    fn impossible_runs_are_typed_load_errors() {
+        let text = saved_text("impossible");
+        for (from, to) in [
+            ("\"duration_secs\":42.0", "\"duration_secs\":0.0"),
+            ("\"duration_secs\":42.0", "\"duration_secs\":-42.0"),
+            ("\"cost\":0.03", "\"cost\":-0.03"),
+            ("\"n_nodes\":1,", "\"n_nodes\":0,"),
+            ("\"vcpus\":16", "\"vcpus\":0"),
+        ] {
+            let field = to.split('"').nth(1).unwrap();
+            let edited = text.replace(from, to);
+            assert_ne!(edited, text, "{from} is in the saved text");
+            for loaded in load_text("impossible-edited", &edited) {
+                assert!(
+                    matches!(
+                        loaded,
+                        Err(CoreError::Json(JsonError::WrongType { field: ref f, .. })) if f == field
+                    ),
+                    "{to}: {loaded:?}"
+                );
+            }
+        }
+        // A free run is possible.
+        let free = text.replace("\"cost\":0.03", "\"cost\":0.0");
+        assert_ne!(free, text);
+        for loaded in load_text("free-run", &free) {
+            assert_eq!(loaded.unwrap(), 2);
         }
     }
 

@@ -117,12 +117,24 @@ impl CorrelationMatrix {
     pub fn correlate_into(&self, z: &[f64], out: &mut [f64]) {
         assert_eq!(z.len(), self.dim, "shock dimension mismatch");
         assert_eq!(out.len(), self.dim, "output dimension mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (j, zj) in z.iter().enumerate().take(i + 1) {
-                s += self.chol[(i, j)] * zj;
+        self.correlate_path_into(z, out, 1);
+    }
+
+    /// [`CorrelationMatrix::correlate_into`] over a whole path: `z` holds
+    /// one vector of draws per step, back to back, and correlated entry `d`
+    /// of step `s` goes to `out[(s * dim + d) * stride]`. Every entry is the
+    /// sum `correlate_into` forms: `0.0`, then `L[d][j] · z[j]` for `j ≤ d`
+    /// in order of `j`.
+    pub(crate) fn correlate_path_into(&self, z: &[f64], out: &mut [f64], stride: usize) {
+        let chol = self.chol.as_slice();
+        for (s, z) in z.chunks(self.dim).enumerate() {
+            for (d, row) in chol.chunks(self.dim).enumerate() {
+                let mut sum = 0.0;
+                for (l, zj) in row[..=d].iter().zip(z) {
+                    sum += l * zj;
+                }
+                out[(s * self.dim + d) * stride] = sum;
             }
-            *o = s;
         }
     }
 }

@@ -30,8 +30,9 @@
 //! # Block generation
 //!
 //! The fill core steps **blocks of [`DEFAULT_LANE`] paths in lockstep**:
-//! per grid step, each path of the block draws its own shocks from its own
-//! RNG stream, then every driver advances the block's states through one
+//! each path of the block first draws and correlates its whole path of
+//! shocks from its own RNG stream into a step-major panel, then per grid
+//! step every driver advances the block's states through one
 //! [`crate::drivers::RiskDriver::step_block`] call with per-step
 //! coefficients ([`crate::drivers::StepCoeffs`]) hoisted once per fill.
 //! This is **bit-identical to the per-path scalar loop**, by construction:
@@ -43,7 +44,7 @@
 use crate::correlation::CorrelationMatrix;
 use crate::drivers::{RiskDriver, StepCoeffs};
 use crate::StochasticError;
-use disar_math::rng::{stream_rng, StandardNormal, Xoshiro256PlusPlus};
+use disar_math::rng::{stream_rng, StandardNormal};
 
 /// Path-block width of the block-stepping fill core: every fill steps this
 /// many paths (or antithetic pairs) in lockstep. Measured on
@@ -434,20 +435,17 @@ pub struct ScenarioBuffer {
     /// Flattened `[path][driver][step]`, same layout as [`ScenarioSet`].
     data: Vec<f64>,
     initials: Vec<f64>,
+    /// One unit's whole path of independent draws, `[step][driver]`.
     raw: Vec<f64>,
-    shocks: Vec<f64>,
     /// Per-step driver coefficients, hoisted once per fill.
     coeffs: Vec<StepCoeffs>,
-    /// One generator per lane of the current block, so every path keeps
-    /// exactly the draw sequence of the scalar loop.
-    lane_rngs: Vec<Xoshiro256PlusPlus>,
     /// Lane-major state panel, `[driver][lane]`.
     lane_states: Vec<f64>,
     /// Antithetic partner states, `[driver][lane]`.
     lane_states_neg: Vec<f64>,
-    /// Lane-major shock panel, `[driver][lane]`.
+    /// The block's correlated shocks, step-major: `[step][driver][lane]`.
     lane_shocks: Vec<f64>,
-    /// Negated shocks for antithetic partners, `[driver][lane]`.
+    /// Negated shocks for antithetic partners, same layout.
     lane_shocks_neg: Vec<f64>,
 }
 
@@ -462,23 +460,17 @@ impl ScenarioBuffer {
     /// allocates nothing.
     pub fn reserve_for(&mut self, generator: &ScenarioGenerator, n_paths: usize) {
         let n_drivers = generator.n_drivers();
-        let stride = generator.grid().n_steps() + 1;
-        let need = n_paths * n_drivers * stride;
-        self.data.reserve(need.saturating_sub(self.data.len()));
-        for v in [&mut self.initials, &mut self.raw, &mut self.shocks] {
-            v.reserve(n_drivers.saturating_sub(v.len()));
-        }
+        let n_steps = generator.grid().n_steps();
+        let reserve = |v: &mut Vec<f64>, need: usize| v.reserve(need.saturating_sub(v.len()));
+        reserve(&mut self.data, n_paths * n_drivers * (n_steps + 1));
+        reserve(&mut self.initials, n_drivers);
+        reserve(&mut self.raw, n_steps * n_drivers);
         self.coeffs.reserve(n_drivers.saturating_sub(self.coeffs.len()));
-        self.lane_rngs
-            .reserve(DEFAULT_LANE.saturating_sub(self.lane_rngs.len()));
-        let panel = n_drivers * DEFAULT_LANE;
-        for v in [
-            &mut self.lane_states,
-            &mut self.lane_states_neg,
-            &mut self.lane_shocks,
-            &mut self.lane_shocks_neg,
-        ] {
-            v.reserve(panel.saturating_sub(v.len()));
+        for v in [&mut self.lane_states, &mut self.lane_states_neg] {
+            reserve(v, n_drivers * DEFAULT_LANE);
+        }
+        for v in [&mut self.lane_shocks, &mut self.lane_shocks_neg] {
+            reserve(v, n_steps * n_drivers * DEFAULT_LANE);
         }
     }
 
@@ -566,8 +558,7 @@ impl ScenarioGenerator {
                 .initials
                 .extend(self.drivers.iter().map(|d| d.initial_value())),
         }
-        buf.raw.resize(n_drivers, 0.0);
-        buf.shocks.resize(n_drivers, 0.0);
+        buf.raw.resize(self.grid.n_steps() * n_drivers, 0.0);
         buf.meta = Some(BufferMeta {
             grid: self.grid,
             measure,
@@ -682,15 +673,16 @@ impl ScenarioGenerator {
     /// The shared block-stepping fill core.
     ///
     /// A *unit* is one path (plain) or one antithetic pair. Per block of up
-    /// to [`DEFAULT_LANE`] units: every lane re-derives its unit's RNG
-    /// stream (`stream_rng(seed, unit)`), then per grid step each lane draws
-    /// its drivers' shocks **in path order** (preserving each unit's exact
-    /// draw sequence), the shocks are transposed into the lane-major panel,
-    /// and each driver advances its whole lane of states through one
-    /// [`RiskDriver::step_block`] call using the coefficients hoisted at
-    /// the top of the fill. Because no floating-point value ever crosses
-    /// between lanes, the per-unit results are bit-identical to the scalar
-    /// per-path loop.
+    /// to [`DEFAULT_LANE`] units: each lane draws its unit's whole path of
+    /// normals from `stream_rng(seed, unit)` with one
+    /// [`StandardNormal::fill`] (the draws of one fill per step, in the same
+    /// order: the sampler keeps no state) and correlates them straight into
+    /// the step-major shock panel; an antithetic block negates that panel in
+    /// one pass. Then per grid step each driver advances its whole lane of
+    /// states through one [`RiskDriver::step_block`] call using the
+    /// coefficients hoisted at the top of the fill. Because no
+    /// floating-point value ever crosses between lanes, the per-unit
+    /// results are bit-identical to the scalar per-path loop.
     fn fill_blocks(
         &self,
         measure: Measure,
@@ -706,20 +698,19 @@ impl ScenarioGenerator {
         buf.coeffs.clear();
         buf.coeffs
             .extend(self.drivers.iter().map(|d| d.step_coeffs(dt, measure)));
-        let panel = n_drivers * DEFAULT_LANE;
-        buf.lane_states.resize(panel, 0.0);
-        buf.lane_shocks.resize(panel, 0.0);
+        let state_panel = n_drivers * DEFAULT_LANE;
+        let shock_panel = n_steps * state_panel;
+        buf.lane_states.resize(state_panel, 0.0);
+        buf.lane_shocks.resize(shock_panel, 0.0);
         if antithetic {
-            buf.lane_states_neg.resize(panel, 0.0);
-            buf.lane_shocks_neg.resize(panel, 0.0);
+            buf.lane_states_neg.resize(state_panel, 0.0);
+            buf.lane_shocks_neg.resize(shock_panel, 0.0);
         }
         let ScenarioBuffer {
             data,
             initials,
             raw,
-            shocks,
             coeffs,
-            lane_rngs,
             lane_states,
             lane_states_neg,
             lane_shocks,
@@ -731,8 +722,22 @@ impl ScenarioGenerator {
         while block < n_units {
             // `l < DEFAULT_LANE` only on the final partial block.
             let l = DEFAULT_LANE.min(n_units - block);
-            lane_rngs.clear();
-            lane_rngs.extend((0..l).map(|i| stream_rng(seed, (block + i) as u64)));
+            // Lane `i`'s shock for `(step, driver)` lands at
+            // `[(step - 1) * n_drivers + driver] * l + i`.
+            for i in 0..l {
+                gauss.fill(&mut stream_rng(seed, (block + i) as u64), raw);
+                self.correlation
+                    .correlate_path_into(raw, &mut lane_shocks[i..], l);
+            }
+            if antithetic {
+                let filled = n_steps * n_drivers * l;
+                let pairs = lane_shocks_neg[..filled]
+                    .iter_mut()
+                    .zip(&lane_shocks[..filled]);
+                for (neg, z) in pairs {
+                    *neg = -z;
+                }
+            }
             for d in 0..n_drivers {
                 let init = initials[d];
                 lane_states[d * l..(d + 1) * l].fill(init);
@@ -749,21 +754,12 @@ impl ScenarioGenerator {
                 lane_states_neg[..filled].copy_from_slice(&lane_states[..filled]);
             }
             for step in 1..=n_steps {
-                for (i, rng) in lane_rngs.iter_mut().enumerate() {
-                    gauss.fill(rng, raw);
-                    self.correlation.correlate_into(raw, shocks);
-                    for d in 0..n_drivers {
-                        lane_shocks[d * l + i] = shocks[d];
-                        if antithetic {
-                            lane_shocks_neg[d * l + i] = -shocks[d];
-                        }
-                    }
-                }
                 for d in 0..n_drivers {
+                    let at = ((step - 1) * n_drivers + d) * l;
                     let states = &mut lane_states[d * l..(d + 1) * l];
                     self.drivers[d].step_block(
                         states,
-                        &lane_shocks[d * l..(d + 1) * l],
+                        &lane_shocks[at..at + l],
                         dt,
                         &coeffs[d],
                         measure,
@@ -772,7 +768,7 @@ impl ScenarioGenerator {
                         let states_neg = &mut lane_states_neg[d * l..(d + 1) * l];
                         self.drivers[d].step_block(
                             states_neg,
-                            &lane_shocks_neg[d * l..(d + 1) * l],
+                            &lane_shocks_neg[at..at + l],
                             dt,
                             &coeffs[d],
                             measure,
@@ -1419,30 +1415,112 @@ mod tests {
         }
     }
 
+    /// The valuation's shape: 40 years at four steps a year, with the
+    /// rates-equity market's two correlated drivers and with a third.
+    fn valuation_shape_generators() -> [ScenarioGenerator; 2] {
+        let rates_equity = || {
+            ScenarioGenerator::builder()
+                .driver(Box::new(
+                    Vasicek::new(0.025, 0.35, 0.028, 0.009, 0.18).unwrap(),
+                ))
+                .driver(Box::new(Gbm::new(100.0, 0.065, 0.17, 0.025).unwrap()))
+                .grid(TimeGrid::new(40.0, 4).unwrap())
+        };
+        let corr = |rows: Vec<Vec<f64>>| CorrelationMatrix::new(rows).unwrap();
+        [
+            rates_equity()
+                .correlation(corr(vec![vec![1.0, -0.25], vec![-0.25, 1.0]]))
+                .build()
+                .unwrap(),
+            rates_equity()
+                .driver(Box::new(FxRate::new(1.1, 0.02, 0.1, 0.015).unwrap()))
+                .correlation(corr(vec![
+                    vec![1.0, -0.3, 0.1],
+                    vec![-0.3, 1.0, 0.2],
+                    vec![0.1, 0.2, 1.0],
+                ]))
+                .build()
+                .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn fill_bitwise_matches_scalar_reference_at_the_valuation_shape() {
+        let mut buf = ScenarioBuffer::new();
+        for gen in valuation_shape_generators() {
+            assert_eq!(gen.grid.n_steps(), 160);
+            let init: Vec<f64> = gen
+                .drivers
+                .iter()
+                .map(|d| 1.1 * d.initial_value())
+                .collect();
+            // One unit, a full block, a tail block, and six blocks and a tail.
+            for n_units in [1usize, 8, 9, 50] {
+                for measure in [Measure::RealWorld, Measure::RiskNeutral] {
+                    for overrides in [None, Some(&init[..])] {
+                        for antithetic in [false, true] {
+                            if antithetic {
+                                gen.generate_antithetic_into(
+                                    measure, n_units, 7, overrides, &mut buf,
+                                )
+                                .unwrap();
+                            } else {
+                                gen.generate_into(measure, n_units, 7, overrides, &mut buf)
+                                    .unwrap();
+                            }
+                            let reference = reference_scalar_paths(
+                                &gen, measure, n_units, 7, overrides, antithetic,
+                            );
+                            let data = buf.view().data;
+                            assert_eq!(data.len(), reference.len());
+                            for (k, (x, y)) in data.iter().zip(&reference).enumerate() {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "{} drivers, {n_units} units {measure:?} antithetic \
+                                     {antithetic} flat index {k}",
+                                    gen.n_drivers()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn reserve_for_covers_the_first_fill() {
-        let gen = kernel_generator();
         let capacities = |b: &ScenarioBuffer| {
             [
                 b.data.capacity(),
+                b.raw.capacity(),
                 b.lane_states.capacity(),
                 b.lane_states_neg.capacity(),
                 b.lane_shocks.capacity(),
                 b.lane_shocks_neg.capacity(),
             ]
         };
-        for antithetic in [false, true] {
-            let mut buf = ScenarioBuffer::new();
-            buf.reserve_for(&gen, 20);
-            let reserved = capacities(&buf);
-            if antithetic {
-                gen.generate_antithetic_into(Measure::RiskNeutral, 10, 3, None, &mut buf)
-                    .unwrap();
-            } else {
-                gen.generate_into(Measure::RiskNeutral, 20, 3, None, &mut buf)
-                    .unwrap();
+        let [two, three] = valuation_shape_generators();
+        for gen in [kernel_generator(), two, three] {
+            for antithetic in [false, true] {
+                let mut buf = ScenarioBuffer::new();
+                buf.reserve_for(&gen, 20);
+                let reserved = capacities(&buf);
+                if antithetic {
+                    gen.generate_antithetic_into(Measure::RiskNeutral, 10, 3, None, &mut buf)
+                        .unwrap();
+                } else {
+                    gen.generate_into(Measure::RiskNeutral, 20, 3, None, &mut buf)
+                        .unwrap();
+                }
+                let what = format!("{} drivers, antithetic {antithetic}", gen.n_drivers());
+                assert_eq!(capacities(&buf), reserved, "{what}");
+                let n_steps = gen.grid.n_steps();
+                assert_eq!(buf.raw.len(), n_steps * gen.n_drivers(), "{what}");
+                let panel = n_steps * gen.n_drivers() * DEFAULT_LANE;
+                assert_eq!(buf.lane_shocks.len(), panel, "{what}");
             }
-            assert_eq!(capacities(&buf), reserved, "antithetic {antithetic}");
         }
     }
 
