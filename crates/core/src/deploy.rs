@@ -1871,4 +1871,51 @@ mod tests {
             }
         }
     }
+
+    /// A catalog of one instance type, on every layout: the bootstrap and then
+    /// Algorithm 1, each deploy an outcome or a typed error, never a panic.
+    /// The base the members fit holds seven columns that never vary: the
+    /// instance's three and four of the job's.
+    #[test]
+    fn a_one_type_catalog_runs_both_phases_on_every_layout() {
+        use crate::tenant::TenantShardedDeployer;
+        use disar_cloudsim::InstanceType;
+        use disar_ml::Scaler;
+
+        fn run<D: Deployer>(d: &mut D, layout: &str) {
+            let mut modes = Vec::new();
+            for i in 0..24 {
+                let c = 60 + (i * 37) % 300;
+                let mut p = profile(c);
+                p.characteristics.max_horizon = 10 + 5 * (i % 3) as u32;
+                // A typed error is an answer; a panic fails the test.
+                if let Ok(out) = d.deploy(&p, &workload(c)) {
+                    modes.push(out.mode);
+                }
+            }
+            assert_eq!(modes.first(), Some(&DeployMode::Bootstrap), "{layout}");
+            assert!(modes.contains(&DeployMode::MlGreedy), "{layout}: {modes:?}");
+        }
+        let provider = |seed| {
+            let mut catalog = InstanceCatalog::new();
+            catalog.register(InstanceType::new("c4.4xlarge", 16, 30.0, 0.838, 1.18).unwrap());
+            CloudProvider::new(catalog, seed)
+        };
+        let policy = DeployPolicy::builder(50_000.0)
+            .max_nodes(4)
+            .min_kb_samples(8)
+            .n_threads(1)
+            .build();
+
+        let mut mono = TransparentDeployer::new(provider(3), policy, 3);
+        run(&mut mono, "monolithic");
+        let data = mono.knowledge_base().to_dataset().unwrap();
+        let scaler = Scaler::fit(&data).unwrap();
+        assert_eq!((0..data.dim()).filter(|&j| !scaler.varies(j)).count(), 7);
+        assert!(mono.family().is_trained());
+        let mut sharded = ShardedDeployer::new(provider(5), policy, 5);
+        run(&mut sharded, "per-instance");
+        let mut tenant = TenantShardedDeployer::new(provider(7), policy, 7);
+        run(&mut tenant, "tenant");
+    }
 }

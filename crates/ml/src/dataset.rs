@@ -179,10 +179,16 @@ impl Dataset {
     /// The row numbers of a bootstrap resample: `len()` draws with
     /// replacement, in draw order (what Random Forest bagging trains on).
     pub fn bootstrap_indices(&self, seed: u64) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.len());
+        self.bootstrap_indices_into(seed, &mut out);
+        out
+    }
+
+    /// [`Dataset::bootstrap_indices`] into a reused list (cleared first).
+    pub(crate) fn bootstrap_indices_into(&self, seed: u64, out: &mut Vec<usize>) {
         let mut rng = stream_rng(seed, 0xB00F);
-        (0..self.len())
-            .map(|_| rng.gen_range(0..self.len()))
-            .collect()
+        out.clear();
+        out.extend((0..self.len()).map(|_| rng.gen_range(0..self.len())));
     }
 
     /// The rows [`Dataset::bootstrap_indices`] names, copied into a dataset.

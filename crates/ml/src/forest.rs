@@ -5,8 +5,9 @@
 //! Weka defaults: 100 trees, `⌊log₂ d⌋ + 1` features per split.
 //!
 //! A resample is a list of row numbers ([`Dataset::bootstrap_indices`]), not
-//! a copied dataset: every tree grows on the same [`TreeFit`] view of the
-//! data and borrows its buffers.
+//! a copied dataset, and one list is refilled for every tree: every tree
+//! grows on the same [`TreeFit`] view of the data and borrows its buffers,
+//! so a tree's own allocations are its arena and its importances.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
@@ -123,10 +124,11 @@ impl Regressor for RandomForest {
             return Err(MlError::EmptyTrainingSet);
         }
         let mut fit = TreeFit::new(data);
+        let mut sample = Vec::with_capacity(data.len());
         let mut trees = Vec::with_capacity(self.n_trees);
         for t in 0..self.n_trees {
             let tree_seed = split_seed(self.seed, t as u64);
-            let mut sample = data.bootstrap_indices(tree_seed);
+            data.bootstrap_indices_into(tree_seed, &mut sample);
             let mut tree =
                 RandomTree::new(None, self.min_leaf, self.max_depth, tree_seed ^ 0x51ED)?;
             tree.grow(&mut fit, &mut sample);

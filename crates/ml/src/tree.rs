@@ -21,6 +21,12 @@ use disar_math::rng::{stream_rng, Xoshiro256PlusPlus};
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
 
+/// A node of at most this many rows orders its keys by placement.
+const PLACE_MAX: usize = 16;
+/// A larger node counting-sorts its keys when its ranks span at most this
+/// many values per row.
+const SPAN_PER_ROW: usize = 4;
+
 /// One slot of a tree's arena. The root is slot 0 and children follow their
 /// parent, so a fitted tree is one exact-size allocation and a clone is one
 /// copy.
@@ -48,12 +54,18 @@ pub(crate) struct TreeFit<'a> {
     rank: Vec<u32>,
     distinct: Vec<f64>,
     starts: Vec<usize>,
-    /// `rank << 32 | position` of a node's rows under one candidate feature.
+    /// `rank << 32 | position` of a node's rows under one candidate feature,
+    /// the same keys in ascending order, and the counting sort's buckets:
+    /// sized once, for the largest node.
     keys: Vec<u64>,
+    ordered: Vec<u64>,
+    counts: Vec<u32>,
     /// The right-hand rows while a node's slice is partitioned.
     spill: Vec<usize>,
     /// The shuffled features; a node's candidates are the first `k`.
     feats: Vec<usize>,
+    /// The arena of the tree being grown, which takes an exact-size copy.
+    nodes: Vec<Node>,
 }
 
 impl<'a> TreeFit<'a> {
@@ -68,9 +80,13 @@ impl<'a> TreeFit<'a> {
             rank: vec![0; n * dim],
             distinct: Vec::new(),
             starts: vec![0],
-            keys: Vec::new(),
-            spill: Vec::new(),
-            feats: Vec::new(),
+            keys: vec![0; n],
+            ordered: vec![0; n],
+            counts: vec![0; SPAN_PER_ROW * n],
+            spill: vec![0; n],
+            feats: Vec::with_capacity(dim),
+            // A leaf holds a row at least, so a tree has fewer than 2n nodes.
+            nodes: Vec::with_capacity(2 * n),
         };
         let mut order: Vec<u32> = Vec::with_capacity(n);
         for f in 0..dim {
@@ -92,6 +108,46 @@ impl<'a> TreeFit<'a> {
         }
         fit
     }
+}
+
+/// A node's keys, which are distinct and whose ranks lie in `lo..=hi`, in the
+/// ascending order `sort_unstable` gives them. At a few rows per node a sort
+/// pays for its mispredicted comparisons, so a small node places each key at
+/// its count of smaller keys and a larger one with dense ranks takes a
+/// counting sort by rank (buckets in rank order, a bucket's keys in node
+/// order), neither of which branches on a key. Any other sorts in place.
+fn order_keys<'k>(
+    keys: &'k mut [u64],
+    (lo, hi): (u32, u32),
+    out: &'k mut [u64],
+    counts: &mut [u32],
+) -> &'k [u64] {
+    let (n, span) = (keys.len(), (hi - lo) as usize + 1);
+    let bucket = |key: u64| ((key >> 32) as u32 - lo) as usize;
+    if n <= PLACE_MAX {
+        for &key in &*keys {
+            out[keys.iter().map(|&k| usize::from(k < key)).sum::<usize>()] = key;
+        }
+    } else if span <= SPAN_PER_ROW * n {
+        let counts = &mut counts[..span];
+        counts.fill(0);
+        for &key in &*keys {
+            counts[bucket(key)] += 1;
+        }
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &key in &*keys {
+            let at = &mut counts[bucket(key)];
+            out[*at as usize] = key;
+            *at += 1;
+        }
+    } else {
+        keys.sort_unstable();
+        return keys;
+    }
+    out
 }
 
 /// A randomized regression tree (Weka `RandomTree` analogue).
@@ -207,11 +263,11 @@ impl RandomTree {
     /// more than once), reordering `idx` as it goes.
     pub(crate) fn grow(&mut self, fit: &mut TreeFit<'_>, idx: &mut [usize]) {
         self.dim = fit.starts.len() - 1;
-        self.nodes = Vec::new();
         self.importances = vec![0.0; self.dim];
+        fit.nodes.clear();
         self.grow_node(fit, &mut stream_rng(self.seed, 0x7EE5), idx, 0);
         // Exact size: a forest keeps a hundred of these for as long as it lives.
-        self.nodes.shrink_to_fit();
+        self.nodes = fit.nodes.to_vec();
         // Normalize to proportions (all-zero stays all-zero: pure data).
         let total: f64 = self.importances.iter().sum();
         if total > 0.0 {
@@ -230,9 +286,9 @@ impl RandomTree {
         depth: usize,
     ) -> u32 {
         let (n, ys) = (idx.len(), fit.ys);
-        let slot = self.nodes.len();
+        let slot = fit.nodes.len();
         let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
-        self.nodes.push(Node {
+        fit.nodes.push(Node {
             feature: LEAF,
             left: 0,
             right: 0,
@@ -262,17 +318,22 @@ impl RandomTree {
                 continue; // the column never varies: no threshold anywhere
             }
             // Ranks order as values do and the position breaks ties in node
-            // order: sorted, the keys are the rows as a stable sort by value
-            // leaves them.
-            let key = |(pos, &i): (u64, &usize)| u64::from(rank[i]) << 32 | pos;
-            fit.keys.clear();
-            fit.keys.extend((0..).zip(&*idx).map(key));
-            fit.keys.sort_unstable();
+            // order: ascending, the keys are the rows as a stable sort by
+            // value leaves them.
+            let (keys, mut lo, mut hi) = (&mut fit.keys[..n], u32::MAX, 0);
+            for ((key, pos), &i) in keys.iter_mut().zip(0..).zip(&*idx) {
+                (lo, hi) = (lo.min(rank[i]), hi.max(rank[i]));
+                *key = u64::from(rank[i]) << 32 | pos;
+            }
+            if lo == hi {
+                continue; // one value in the node: no threshold here
+            }
+            let keys = order_keys(keys, (lo, hi), &mut fit.ordered[..n], &mut fit.counts);
             // Scan split positions; candidate threshold between consecutive
             // distinct feature values.
             let mut lsum = 0.0;
             let mut lsq = 0.0;
-            for (pos, pair) in fit.keys.windows(2).enumerate() {
+            for (pos, pair) in keys.windows(2).enumerate() {
                 let y = ys[idx[pair[0] as u32 as usize]];
                 lsum += y;
                 lsq += y * y;
@@ -303,26 +364,24 @@ impl RandomTree {
         self.importances[feature] += (parent_sse - best_sse).max(0.0);
 
         // Partition idx stably in place: the left rows close up, the right
-        // rows wait in the spill and then follow them.
+        // rows wait in the spill and then follow them. Each row is written
+        // to both and the comparison advances one count, not a branch.
         let col = &fit.x[feature * fit.n..];
-        fit.spill.clear();
-        let mut n_left = 0;
+        let (mut n_left, mut n_right) = (0, 0);
         for p in 0..n {
             let i = idx[p];
-            if col[i] <= threshold {
-                idx[n_left] = i;
-                n_left += 1;
-            } else {
-                fit.spill.push(i);
-            }
+            let goes_left = usize::from(col[i] <= threshold);
+            (idx[n_left], fit.spill[n_right]) = (i, i);
+            n_left += goes_left;
+            n_right += 1 - goes_left;
         }
         let (left, right) = idx.split_at_mut(n_left);
-        right.copy_from_slice(&fit.spill);
+        right.copy_from_slice(&fit.spill[..n_right]);
         debug_assert!(!left.is_empty() && !right.is_empty());
         // Left before right: the subtrees draw from one stream.
         let left = self.grow_node(fit, rng, left, depth + 1);
         let right = self.grow_node(fit, rng, right, depth + 1);
-        self.nodes[slot] = Node {
+        fit.nodes[slot] = Node {
             feature: feature as u32,
             left,
             right,
@@ -754,6 +813,92 @@ mod tests {
                 assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 6.0).to_bits());
             }
         });
+    }
+
+    /// Columns for each way a node orders its keys: a nearly distinct one,
+    /// whose ranks span more than `SPAN_PER_ROW` per row in a node split off
+    /// by another column; one of six values; signed zeros among few values;
+    /// and one that takes a single value wherever the six-valued one is low,
+    /// so a node split off there has a candidate with one rank. Rows come in
+    /// pairs with equal features and unequal targets, so every order of tied
+    /// rows shows in the sums.
+    fn paths_data(n: usize) -> Dataset {
+        let mut d = Dataset::new((0..4).map(|j| format!("c{j}")).collect());
+        for i in 0..n {
+            let j = i / 2;
+            let six = (j * 5 % 6) as f64 * 1.5 - 3.0;
+            let zeros = [-0.0, 0.0, 1.0, -2.0, 0.0][j % 5];
+            let near_unique = ((j * 7919) % 1009) as f64 / 8.0;
+            let low_flat = if six < 0.0 { 7.0 } else { (j % 13) as f64 };
+            let wave = (near_unique * 0.3).sin();
+            let y = 2.0 * six + 5.0 * wave + 10.0 * zeros + 0.3 * low_flat + 0.37 * (i % 2) as f64;
+            d.push(vec![near_unique, six, zeros, low_flat], y).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn split_search_paths_match_the_copied_rows_reference_bitwise() {
+        use crate::dataset::tests::kb_shaped;
+        use crate::RandomForest;
+        use disar_math::rng::split_seed;
+
+        // Keys as a node builds them, at sizes on both sides of the
+        // placement cutoff and with rank spans under and over the bound,
+        // against the sort they stand in for.
+        let mut rng = stream_rng(5, 0x0DE5);
+        let (mut out, mut counts) = (vec![0; 64], vec![0; SPAN_PER_ROW * 64]);
+        for n in 1..=64 {
+            for span in [1, 2, 6, n, SPAN_PER_ROW * n, SPAN_PER_ROW * n + 1, 1000] {
+                let base = rng.gen_range(0..50u32);
+                let ranks: Vec<u32> = (0..n)
+                    .map(|_| base + rng.gen_range(0..span as u32))
+                    .collect();
+                let key = |(pos, &r): (u64, &u32)| u64::from(r) << 32 | pos;
+                let mut keys: Vec<u64> = (0..).zip(&ranks).map(key).collect();
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                let lo_hi = (*ranks.iter().min().unwrap(), *ranks.iter().max().unwrap());
+                let ordered = order_keys(&mut keys, lo_hi, &mut out[..n], &mut counts);
+                assert_eq!(ordered, &sorted[..], "{n} keys over {span} ranks");
+            }
+        }
+
+        // Whole trees: roots of 15, 16 and 17 rows and the deep small nodes
+        // of larger ones, min_leaf above 1, bootstrap copies.
+        let mut sets: Vec<Dataset> = [15, 16, 17, 120, 500].map(paths_data).into();
+        sets.push(paths_data(60).bootstrap(4));
+        for d in &sets {
+            for leaf_and_depth in [(1, 64), (2, 64), (4, 64), (3, 5)] {
+                for k in [None, Some(1), Some(d.dim())] {
+                    assert_tree_matches_reference(d, k, leaf_and_depth, 7);
+                }
+            }
+        }
+
+        // A forest, whose trees share one set of buffers, against reference
+        // trees on its materialised bootstraps.
+        for n in [30, 50, 100, 500] {
+            let d = kb_shaped(n, 13);
+            let mut rf = RandomForest::new(8, 1, 64, 21).unwrap();
+            rf.fit(&d).unwrap();
+            let t = RandomTree::new(None, 1, 64, 0).unwrap();
+            let trees: Vec<Ref> = (0..8)
+                .map(|i| {
+                    let tree_seed = split_seed(21, i);
+                    let sample = d.bootstrap(tree_seed);
+                    let targets = sample.targets().iter().copied();
+                    let rows = sample.rows().iter().cloned().zip(targets);
+                    let (rng, gains) = (stream_rng(tree_seed ^ 0x51ED, 0x7EE5), vec![0.0; d.dim()]);
+                    Reference { t: &t, rng, gains }.grow(rows.collect(), 0)
+                })
+                .collect();
+            for x in d.rows() {
+                let sum = trees.iter().fold(0.0, |s, r| s + r.predict(x));
+                let (got, want) = (rf.predict(x).unwrap(), sum / 8.0);
+                assert_eq!(got.to_bits(), want.to_bits(), "{n} rows");
+            }
+        }
     }
 
     #[test]
