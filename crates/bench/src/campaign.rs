@@ -6,14 +6,13 @@ use disar_alm::SegregatedFund;
 use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use disar_core::tenant::TransferPolicy;
 use disar_core::{
-    DeployPipeline, DeployPolicy, DeployService, JobProfile, KnowledgeBase, PipelineJob,
-    ServiceConfig, ServiceStats, TenantId, TenantShardedKnowledgeBase, TransparentDeployer,
+    DeployPolicy, DeployService, JobProfile, KnowledgeBase, PipelineJob, RunRecord, ServiceConfig,
+    ServiceStats, TenantId, TenantShardedKnowledgeBase,
 };
 use disar_engine::complexity::ComplexityModel;
 use disar_engine::eeb::{decompose, EebKind};
 use disar_engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
 use disar_math::rng::stream_rng;
-use std::sync::Arc;
 
 /// One runnable EEB job: profile (what the ML sees) + workload (what the
 /// cloud executes).
@@ -42,16 +41,19 @@ pub struct CampaignConfig {
     pub max_nodes: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the campaign's cloud runs (and, where a driver
-    /// takes this config, Algorithm 1 sweeps). Results are bit-identical
-    /// for any value; `1` is the sequential escape hatch.
+    /// Worker threads for the experiment drivers that take this config:
+    /// their Algorithm 1 sweeps and their fan-outs over cloud runs on
+    /// reserved noise-stream slots. The campaign's own runs are one plain
+    /// loop. Results are bit-identical for any value; `1` is the sequential
+    /// escape hatch.
     pub n_threads: usize,
 }
 
 impl Default for CampaignConfig {
     /// §IV: "1500 runs", `nQ = 50`, `nP = 1000 for illustrative purposes".
-    /// `n_threads` defaults to the available cores (results are
-    /// thread-count invariant; set `1` for the sequential escape hatch).
+    /// `n_threads` (the experiment drivers' sweeps and fan-outs) defaults
+    /// to the available cores (results are thread-count invariant; set `1`
+    /// for the sequential escape hatch).
     fn default() -> Self {
         CampaignConfig {
             n_runs: 1500,
@@ -173,51 +175,33 @@ pub fn paper_eeb_jobs(cfg: &CampaignConfig) -> Vec<EebJob> {
 /// type, node count), every realized duration recorded — the knowledge
 /// base Table I/Figures 2–3 are computed from.
 ///
-/// The runs go through a [`DeployPipeline`] of forced (operator-pinned)
-/// jobs, `cfg.n_threads` deep: forced jobs never consult the predictor, so
-/// the pipeline keeps every slot busy while records land strictly in job
-/// order — bit-identical to the sequential loop at any depth.
+/// One run at a time: draw the run's configuration from the campaign's own
+/// RNG stream (untouched by the cloud), run it, record it.
 ///
 /// Returns the knowledge base and the provider (with its noise stream
 /// advanced), so follow-up experiments see fresh cloud conditions.
 pub fn build_knowledge_base(cfg: &CampaignConfig) -> (KnowledgeBase, CloudProvider, Vec<EebJob>) {
     let jobs = paper_eeb_jobs(cfg);
-    let provider = Arc::new(CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed));
+    let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed);
     let names = provider.catalog().names();
-
-    // Pre-sample every (job, instance, nodes) decision with the campaign's
-    // own RNG stream (untouched by the cloud runs), then submit them as
-    // forced pipeline jobs: run `i` holds the `i`-th noise-stream slot, so
-    // it sees exactly the cloud conditions the `i`-th iteration of the
-    // sequential loop would have.
-    let pipeline_jobs: Vec<PipelineJob> = {
-        let mut rng = stream_rng(cfg.seed, 0xCA3F);
-        (0..cfg.n_runs)
-            .map(|_| {
-                let job = &jobs[rng.gen_range(0..jobs.len())];
-                let instance = &names[rng.gen_range(0..names.len())];
-                let n_nodes = rng.gen_range(1..=cfg.max_nodes);
-                PipelineJob::forced(job.profile, job.workload, instance, n_nodes)
-            })
-            .collect()
-    };
-    // The campaign only records; the deployer must never select or
-    // retrain, so the bootstrap threshold is unreachable.
-    let policy = DeployPolicy::builder(f64::MAX)
-        .epsilon(0.0)
-        .max_nodes(cfg.max_nodes)
-        .min_kb_samples(usize::MAX)
-        .n_threads(1)
-        .build();
-    let deployer = TransparentDeployer::from_shared(Arc::clone(&provider), policy, cfg.seed);
-    let mut pipeline =
-        DeployPipeline::new(deployer, cfg.n_threads.max(1)).expect("depth >= 1");
-    pipeline
-        .run(&pipeline_jobs)
-        .expect("catalog instances are valid");
-    let kb = pipeline.into_deployer().into_knowledge_base();
-    let provider =
-        Arc::try_unwrap(provider).expect("pipeline workers released their provider handles");
+    let mut rng = stream_rng(cfg.seed, 0xCA3F);
+    let mut kb = KnowledgeBase::new();
+    for _ in 0..cfg.n_runs {
+        let job = &jobs[rng.gen_range(0..jobs.len())];
+        let instance = &names[rng.gen_range(0..names.len())];
+        let n_nodes = rng.gen_range(1..=cfg.max_nodes);
+        let report = provider
+            .run_job(instance, n_nodes, &job.workload)
+            .expect("catalog instances are valid");
+        let inst = provider.catalog().get(instance).expect("catalog instance");
+        kb.record(RunRecord::new(
+            job.profile,
+            inst,
+            n_nodes,
+            report.duration_secs,
+            report.prorated_cost,
+        ));
+    }
     (kb, provider, jobs)
 }
 
@@ -300,6 +284,7 @@ pub fn build_tenant_knowledge_base(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disar_core::TransparentDeployer;
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig::builder()
@@ -402,20 +387,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_is_bit_identical_to_sequential() {
-        let wl = paper_eeb_jobs(&small_cfg())[0].workload;
-        for n_threads in [2, 4] {
-            let (seq, seq_provider, _) = build_knowledge_base(&small_cfg());
-            let cfg = CampaignConfig {
-                n_threads,
-                ..small_cfg()
-            };
-            let (par, par_provider, _) = build_knowledge_base(&cfg);
-            assert_eq!(seq, par, "divergence at n_threads = {n_threads}");
-            // Both providers left their noise stream at the same point.
-            let a = seq_provider.run_job("c3.4xlarge", 2, &wl).unwrap();
-            let b = par_provider.run_job("c3.4xlarge", 2, &wl).unwrap();
-            assert_eq!(a, b);
+    fn campaign_loop_matches_manual_deploys() {
+        // The reference: the same triples, drawn from the same stream, each
+        // through a transparent deployer's manual override. The campaign
+        // must record the same base and leave its provider's noise stream
+        // at the same position.
+        let cfg = small_cfg();
+        let jobs = paper_eeb_jobs(&cfg);
+        let names = InstanceCatalog::paper_catalog().names();
+        let policy = DeployPolicy::builder(f64::MAX)
+            .max_nodes(cfg.max_nodes)
+            .min_kb_samples(usize::MAX)
+            .n_threads(1)
+            .build();
+        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed);
+        let mut reference = TransparentDeployer::new(provider, policy, cfg.seed);
+        let mut rng = stream_rng(cfg.seed, 0xCA3F);
+        for _ in 0..cfg.n_runs {
+            let job = &jobs[rng.gen_range(0..jobs.len())];
+            let instance = &names[rng.gen_range(0..names.len())];
+            let n_nodes = rng.gen_range(1..=cfg.max_nodes);
+            reference
+                .deploy_manual(&job.profile, &job.workload, instance, n_nodes)
+                .unwrap();
         }
+        let (kb, provider, _) = build_knowledge_base(&cfg);
+        assert_eq!(&kb, reference.knowledge_base());
+        let wl = jobs[0].workload;
+        let a = provider.run_job("c3.4xlarge", 2, &wl).unwrap();
+        let b = reference.provider().run_job("c3.4xlarge", 2, &wl).unwrap();
+        assert_eq!(a, b);
     }
 }

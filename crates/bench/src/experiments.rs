@@ -321,9 +321,10 @@ impl Table2Experiment {
     /// type, measured by running every EEB job once on a single node of
     /// each type.
     ///
-    /// The `names × jobs` runs execute as a [`CloudProvider::run_batch`]
-    /// over reserved noise-stream slots — bit-identical to the sequential
-    /// (instance-major) loop for any `n_threads`.
+    /// The `names × jobs` runs fan out over `n_threads` on noise-stream
+    /// slots reserved up front ([`CloudProvider::reserve_runs`]) —
+    /// bit-identical to the sequential (instance-major) loop for any
+    /// `n_threads`.
     pub fn compute(
         jobs: &[EebJob],
         provider: &CloudProvider,
@@ -331,10 +332,12 @@ impl Table2Experiment {
     ) -> Vec<(String, f64)> {
         let names = provider.catalog().names();
         let total = names.len() * jobs.len();
-        let costs = provider.run_batch(total, n_threads, |i, run| {
+        let base = provider.reserve_runs(total as u64);
+        let costs = parallel_map(total, n_threads.max(1), |i| {
             let name = &names[i / jobs.len()];
             let job = &jobs[i % jobs.len()];
-            run.execute(name, 1, &job.workload)
+            provider
+                .run_job_at(name, 1, &job.workload, base + i as u64)
                 .expect("catalog instance")
                 .prorated_cost
         });
@@ -566,11 +569,14 @@ impl Fig4Experiment {
     ) -> Vec<(String, f64)> {
         let names = provider.catalog().names();
         let total = names.len() * jobs.len();
-        let speedups = provider.run_batch(total, n_threads, |i, run| {
+        let base = provider.reserve_runs(total as u64);
+        let speedups = parallel_map(total, n_threads.max(1), |i| {
             let name = &names[i / jobs.len()];
             let job = &jobs[i % jobs.len()];
             let seq = provider.ground_truth().sequential_secs(&job.workload);
-            let report = run.execute(name, 1, &job.workload).expect("catalog instance");
+            let report = provider
+                .run_job_at(name, 1, &job.workload, base + i as u64)
+                .expect("catalog instance");
             seq / report.duration_secs
         });
         names

@@ -62,5 +62,5 @@ pub use drift::DriftModel;
 pub use error::CloudError;
 pub use hetero::{HeteroReport, NodeGroup};
 pub use instances::{InstanceCatalog, InstanceType};
-pub use provider::{CloudProvider, JobReport, OraclePlan, RunHandle};
+pub use provider::{CloudProvider, JobReport, OraclePlan};
 pub use workload::Workload;

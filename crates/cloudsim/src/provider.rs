@@ -16,48 +16,8 @@ use crate::instances::InstanceCatalog;
 use crate::perf::PerformanceModel;
 use crate::workload::Workload;
 use crate::CloudError;
-use disar_math::parallel::parallel_map;
 use disar_math::rng::split_seed;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A reserved, not-yet-executed run slot — the non-blocking half of
-/// [`CloudProvider::run_job`].
-///
-/// Creating a handle ([`CloudProvider::begin_job`] /
-/// [`CloudProvider::begin_jobs`]) claims the next noise-stream index
-/// immediately; [`RunHandle::execute`] plays the job out later — possibly
-/// on another thread, possibly out of order — under exactly the cloud
-/// conditions the same-position blocking [`CloudProvider::run_job`] call
-/// would have seen. This is what lets a pipelined deploy service commit to
-/// the sequential noise order at submission time while the actual
-/// execution overlaps with other work.
-#[derive(Debug)]
-pub struct RunHandle<'a> {
-    provider: &'a CloudProvider,
-    slot: u64,
-}
-
-impl RunHandle<'_> {
-    /// The reserved noise-stream index.
-    pub fn slot(&self) -> u64 {
-        self.slot
-    }
-
-    /// Executes the job in this handle's reserved slot.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CloudProvider::run_job`].
-    pub fn execute(
-        &self,
-        instance: &str,
-        n_nodes: usize,
-        workload: &Workload,
-    ) -> Result<JobReport, CloudError> {
-        self.provider
-            .run_job_at(instance, n_nodes, workload, self.slot)
-    }
-}
 
 /// Outcome of one cloud job.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,7 +158,7 @@ impl CloudProvider {
     /// Reserves a contiguous block of `n` noise-stream indices and returns
     /// the first one.
     ///
-    /// A parallel campaign driver claims its indices up front, hands index
+    /// A parallel experiment driver claims its indices up front, hands index
     /// `base + i` to the worker running the `i`-th job via
     /// [`CloudProvider::run_job_at`], and observes exactly the cloud
     /// conditions a sequential [`CloudProvider::run_job`] loop would have —
@@ -274,54 +234,6 @@ impl CloudProvider {
         Ok(OraclePlan {
             duration_secs,
             prorated_cost: prorated,
-        })
-    }
-
-    /// Reserves the next noise-stream slot without executing anything —
-    /// the non-blocking counterpart of [`CloudProvider::run_job`].
-    ///
-    /// The returned handle can be executed later (on any thread), and sees
-    /// exactly the conditions a blocking `run_job` call issued at the same
-    /// point of the stream would have.
-    pub fn begin_job(&self) -> RunHandle<'_> {
-        RunHandle {
-            provider: self,
-            slot: self.run_counter.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Reserves `n` consecutive slots and returns their handles in stream
-    /// order (handle `i` replays the `i`-th call of the sequential
-    /// [`CloudProvider::run_job`] loop).
-    pub fn begin_jobs(&self, n: usize) -> Vec<RunHandle<'_>> {
-        let base = self.reserve_runs(n as u64);
-        (0..n as u64)
-            .map(|i| RunHandle {
-                provider: self,
-                slot: base + i,
-            })
-            .collect()
-    }
-
-    /// Reserves `n_runs` consecutive slots and executes `run(i, handle_i)`
-    /// for every index, fanned out over up to `n_threads` workers.
-    ///
-    /// Results come back in index order and are bit-identical to the
-    /// sequential loop for any thread count: handle `i` carries the `i`-th
-    /// reserved slot regardless of which worker executes it or when. This
-    /// is the batch driver behind the `table2`/`fig4` style sweeps.
-    pub fn run_batch<R, F>(&self, n_runs: usize, n_threads: usize, run: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &RunHandle<'_>) -> R + Sync,
-    {
-        let base = self.reserve_runs(n_runs as u64);
-        parallel_map(n_runs, n_threads.max(1), |i| {
-            let handle = RunHandle {
-                provider: self,
-                slot: base + i as u64,
-            };
-            run(i, &handle)
         })
     }
 
@@ -535,46 +447,6 @@ mod tests {
         // a fresh index.
         let next = par.run_job("c3.8xlarge", 3, &wl()).unwrap();
         assert!(!reports.contains(&next));
-    }
-
-    #[test]
-    fn run_handles_replay_the_run_job_stream() {
-        // begin_job/begin_jobs must commit to stream order at reservation
-        // time: executing the handles out of order (or never interleaving
-        // with run_job) still reproduces the sequential stream.
-        let seq = provider();
-        let reports: Vec<JobReport> = (0..4)
-            .map(|_| seq.run_job("c4.4xlarge", 2, &wl()).unwrap())
-            .collect();
-        let par = provider();
-        let first = par.begin_job();
-        let rest = par.begin_jobs(3);
-        assert_eq!(first.slot(), 0);
-        assert_eq!(rest[2].slot(), 3);
-        // Execute back to front.
-        for (i, h) in rest.iter().enumerate().rev() {
-            assert_eq!(h.execute("c4.4xlarge", 2, &wl()).unwrap(), reports[i + 1]);
-        }
-        assert_eq!(first.execute("c4.4xlarge", 2, &wl()).unwrap(), reports[0]);
-        // The counter advanced past every handle.
-        assert_eq!(par.run_job("c4.4xlarge", 2, &wl()).unwrap(), {
-            seq.run_job("c4.4xlarge", 2, &wl()).unwrap()
-        });
-    }
-
-    #[test]
-    fn run_batch_matches_sequential_for_any_thread_count() {
-        let seq = provider();
-        let expected: Vec<JobReport> = (0..6)
-            .map(|_| seq.run_job("m4.4xlarge", 3, &wl()).unwrap())
-            .collect();
-        for n_threads in [1, 4] {
-            let par = provider();
-            let got = par.run_batch(6, n_threads, |_, h| {
-                h.execute("m4.4xlarge", 3, &wl()).unwrap()
-            });
-            assert_eq!(got, expected, "divergence at n_threads = {n_threads}");
-        }
     }
 
     #[test]

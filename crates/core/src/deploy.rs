@@ -19,11 +19,10 @@
 //! the instance-type-sharded [`ShardedDeployer`] and the two-key
 //! [`crate::tenant::TenantShardedDeployer`], which is also what each tenant
 //! of [`crate::service::DeployService`] runs on. The [`Deployer`] trait
-//! splits one `deploy()` into its *decision* ([`Deployer::select`] /
-//! [`Deployer::begin_manual`]) and *feedback* ([`Deployer::record`]) halves
-//! so [`crate::pipeline`] can overlap the decision for job *k+1* with the
-//! cloud run of job *k* without changing the paper's semantics (see
-//! [`Deployer::selection_ready`]).
+//! names one `deploy()`'s *decision* ([`Deployer::select`] /
+//! [`Deployer::begin_manual`]) and *feedback* ([`Deployer::record`])
+//! halves; every caller runs them in sequence, one job at a time, as the
+//! paper does.
 
 use crate::algorithm::{select_configuration_with_workspace, SelectionWorkspace, TimeEstimate};
 use crate::drift::{DriftConfig, DriftState};
@@ -36,7 +35,6 @@ use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
 use disar_math::rng::stream_rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// How the deploy configuration was chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,10 +262,9 @@ impl DeployOutcome {
 /// before the run has executed.
 ///
 /// This is the first half of a [`DeployOutcome`]; [`Deployer::record`]
-/// turns it into knowledge once the cloud's [`JobReport`] arrives. The
-/// pipeline keeps the decisions of in-flight runs and passes them as the
-/// `pending` argument of [`Deployer::select`] /
-/// [`Deployer::selection_ready`].
+/// turns it into knowledge once the cloud's [`JobReport`] arrives. Decisions
+/// issued but not yet recorded are what the `pending` argument of
+/// [`Deployer::select`] / [`Deployer::selection_ready`] takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployDecision {
     /// How the configuration was chosen.
@@ -283,11 +280,10 @@ pub struct DeployDecision {
 /// The self-optimizing deploy service, split into decision and feedback
 /// halves.
 ///
-/// The one implementor, [`DeployLoop`], owns the knowledge base and the
-/// predictor(s), and holds a shared handle on the cloud provider. The provided [`Deployer::deploy`] / [`Deployer::deploy_manual`]
-/// compose the halves back into the paper's sequential loop; the
-/// event-driven [`crate::pipeline::DeployPipeline`] drives the halves
-/// directly so selection and execution can overlap.
+/// The one implementor, [`DeployLoop`], owns the knowledge base, the
+/// predictor(s) and the cloud provider. The provided [`Deployer::deploy`] /
+/// [`Deployer::deploy_manual`] compose the halves into the paper's
+/// sequential loop.
 ///
 /// # The `pending` contract
 ///
@@ -313,10 +309,6 @@ pub trait Deployer {
 
     /// The underlying cloud provider.
     fn provider(&self) -> &CloudProvider;
-
-    /// An owned handle on the provider, for workers that must outlive a
-    /// mutable borrow of the deployer (the pipeline's run threads).
-    fn provider_handle(&self) -> Arc<CloudProvider>;
 
     /// Number of records in the knowledge base.
     fn kb_len(&self) -> usize;
@@ -556,7 +548,7 @@ pub(crate) struct PendingSim {
 /// [`ShardedDeployer`] (per instance type) and
 /// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant).
 pub struct DeployLoop<B> {
-    provider: Arc<CloudProvider>,
+    provider: CloudProvider,
     policy: DeployPolicy,
     seed: u64,
     /// Decisions made so far; with `seed` it keys each decision's seed, so
@@ -581,7 +573,7 @@ pub struct DeployLoop<B> {
 
 impl<B> DeployLoop<B> {
     pub(crate) fn assemble(
-        provider: Arc<CloudProvider>,
+        provider: CloudProvider,
         policy: DeployPolicy,
         seed: u64,
         backend: B,
@@ -722,10 +714,6 @@ impl<B: Backend> Deployer for DeployLoop<B> {
 
     fn provider(&self) -> &CloudProvider {
         &self.provider
-    }
-
-    fn provider_handle(&self) -> Arc<CloudProvider> {
-        Arc::clone(&self.provider)
     }
 
     fn kb_len(&self) -> usize {
@@ -924,8 +912,7 @@ impl<KB, P> DeployLoop<Local<KB, P>> {
         &self.backend.kb
     }
 
-    /// Consumes the deployer, returning the knowledge base (and dropping
-    /// this handle on the shared provider).
+    /// Consumes the deployer, returning the knowledge base.
     pub fn into_knowledge_base(self) -> KB {
         self.backend.kb
     }
@@ -993,12 +980,6 @@ pub type TransparentDeployer = DeployLoop<Local<KnowledgeBase, PredictorFamily>>
 impl DeployLoop<Local<KnowledgeBase, PredictorFamily>> {
     /// Creates a deployer with an empty knowledge base.
     pub fn new(provider: CloudProvider, policy: DeployPolicy, seed: u64) -> Self {
-        Self::from_shared(Arc::new(provider), policy, seed)
-    }
-
-    /// Creates a deployer over an already-shared provider (e.g. one a
-    /// [`crate::pipeline::DeployPipeline`] driver also holds a handle on).
-    pub fn from_shared(provider: Arc<CloudProvider>, policy: DeployPolicy, seed: u64) -> Self {
         let backend = Local {
             kb: KnowledgeBase::new(),
             predictor: PredictorFamily::new(seed, SHARD_FLOOR),
@@ -1145,7 +1126,7 @@ impl DeployLoop<Local<ShardedKnowledgeBase, ShardedPredictor>> {
             predictor: ShardedPredictor::new(seed, SHARD_FLOOR),
             tenant: TenantId::default(),
         };
-        Self::assemble(Arc::new(provider), policy, seed, backend)
+        Self::assemble(provider, policy, seed, backend)
     }
 }
 

@@ -27,12 +27,6 @@ pub enum CoreError {
     Cloud(disar_cloudsim::CloudError),
     /// The DISAR engine failed.
     Engine(disar_engine::EngineError),
-    /// A pipeline worker thread died (panicked) before delivering its run
-    /// report; `job` is the submission index of the lost run.
-    PipelineWorkerLost {
-        /// Submission index of the job whose worker was lost.
-        job: usize,
-    },
     /// A bounded submission queue is full; the caller should retry after
     /// in-flight work drains instead of queueing without bound.
     Backpressure {
@@ -82,9 +76,6 @@ impl fmt::Display for CoreError {
             CoreError::Ml(e) => write!(f, "ml failure: {e}"),
             CoreError::Cloud(e) => write!(f, "cloud failure: {e}"),
             CoreError::Engine(e) => write!(f, "engine failure: {e}"),
-            CoreError::PipelineWorkerLost { job } => {
-                write!(f, "pipeline worker for job {job} was lost before reporting")
-            }
             CoreError::Backpressure { capacity } => {
                 write!(f, "submission queue is full ({capacity} jobs)")
             }

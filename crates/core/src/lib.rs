@@ -29,9 +29,6 @@
 //!   override for the early training phase. The loop is one
 //!   [`deploy::DeployLoop`] behind the [`deploy::Deployer`] trait; the
 //!   knowledge layouts supply only their storage;
-//! - [`pipeline`]: [`pipeline::DeployPipeline`] — the event-driven deploy
-//!   service overlapping Algorithm 1's sweep for job *k+1* with the cloud
-//!   run of job *k*, bit-identical to the sequential loop for any depth;
 //! - [`tenant`]: the multi-company extension — records keyed by
 //!   (instance type × tenant), a pluggable [`tenant::TransferPolicy`]
 //!   deciding whose knowledge crosses company boundaries, and a
@@ -59,7 +56,6 @@ pub mod deploy;
 pub mod drift;
 pub mod hetero;
 pub mod knowledge;
-pub mod pipeline;
 pub mod predictor;
 pub mod profile;
 pub mod service;
@@ -86,10 +82,11 @@ pub use hetero::{
 pub use knowledge::{
     KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,
 };
-pub use pipeline::{DeployPipeline, PipelineJob, PipelineStats};
 pub use predictor::{GridScratch, PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 pub use profile::JobProfile;
-pub use service::{DeployService, ServiceConfig, ServiceStats, TenantHandle, TenantRun};
+pub use service::{
+    DeployService, PipelineJob, PipelineStats, ServiceConfig, ServiceStats, TenantHandle, TenantRun,
+};
 pub use tenant::{
     TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TenantShardedPredictor,
     TenantView, TransferPolicy,

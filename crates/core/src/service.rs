@@ -23,20 +23,70 @@
 //!   on.
 //!
 //! One thread running lanes one job at a time is a measured choice
-//! (DESIGN.md §11): a thread per tenant, with or without a pipeline each,
-//! ran slower and larger on one pinned CPU, the pipelined one on two too.
+//! (DESIGN.md §11): a thread per tenant, with or without a run thread per
+//! job beside it, ran slower and larger on one pinned CPU.
 
 use crate::deploy::{DeployOutcome, DeployPolicy};
 use crate::knowledge::KnowledgeBase;
-use crate::pipeline::{PipelineJob, PipelineStats};
+use crate::profile::JobProfile;
 use crate::tenant::{TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TransferPolicy};
 use crate::CoreError;
-use disar_cloudsim::{CloudProvider, InstanceCatalog};
+use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// One job for a tenant's lane.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PipelineJob {
+    /// The job's characteristic parameters (predictor features).
+    pub profile: JobProfile,
+    /// The cloud workload to execute.
+    pub workload: Workload,
+    /// `Some((instance, n_nodes))` forces this configuration (the manual
+    /// override of [`crate::deploy::Deployer::deploy_manual`]); `None` lets
+    /// the deployer choose.
+    pub forced: Option<(String, usize)>,
+}
+
+impl PipelineJob {
+    /// A job whose configuration the deployer chooses.
+    pub fn auto(profile: JobProfile, workload: Workload) -> Self {
+        PipelineJob {
+            profile,
+            workload,
+            forced: None,
+        }
+    }
+
+    /// A job pinned to an operator-chosen configuration.
+    pub fn forced(profile: JobProfile, workload: Workload, instance: &str, n_nodes: usize) -> Self {
+        PipelineJob {
+            profile,
+            workload,
+            forced: Some((instance.to_string(), n_nodes)),
+        }
+    }
+}
+
+/// Job counters of a lane ([`TenantRun::stats`]) or of the whole service
+/// ([`ServiceStats::pipeline`]). Only `jobs` is counted; the other fields
+/// are always 0 and are removed with ROADMAP direction 2a.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PipelineStats {
+    /// Jobs run.
+    pub jobs: usize,
+    /// Always 0.
+    pub max_in_flight: usize,
+    /// Always 0.
+    pub mean_in_flight: f64,
+    /// Always 0.
+    pub overlapped_selections: usize,
+    /// Always 0.
+    pub stalled_selections: usize,
+}
 
 /// Sizing of a [`DeployService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

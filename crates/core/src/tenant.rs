@@ -21,9 +21,8 @@
 //!
 //! [`TenantShardedDeployer`] is the one deploy loop
 //! ([`crate::deploy::DeployLoop`]) over this layout, behind the existing
-//! [`crate::deploy::Deployer`] trait, so
-//! [`crate::pipeline::DeployPipeline`], the bench campaign and the
-//! experiment drivers run unchanged over a multi-tenant base. With a single tenant and [`TransferPolicy::Isolated`] (or
+//! [`crate::deploy::Deployer`] trait, so the service and the experiment
+//! drivers run unchanged over a multi-tenant base. With a single tenant and [`TransferPolicy::Isolated`] (or
 //! [`TransferPolicy::Pooled`] — the partitions coincide), the backend is
 //! bit-identical to [`crate::deploy::ShardedDeployer`].
 
@@ -39,7 +38,6 @@ use disar_cloudsim::CloudProvider;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Identifies the company (tenant) a run belongs to.
 ///
@@ -411,7 +409,8 @@ impl TenantShardedPredictor {
     /// A [`TimePredictor`] view of the predictor as seen by one tenant,
     /// routing with the given per-instance local observation counts
     /// (usually [`TenantShardedKnowledgeBase::local_lens`], or the virtual
-    /// counts of a pipeline's pending decisions).
+    /// counts of the `pending` decisions passed to
+    /// [`crate::deploy::Deployer::select`]).
     pub fn view<'a>(
         &'a self,
         tenant: &'a TenantId,
@@ -549,9 +548,10 @@ impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
 /// [`TransferPolicy`] (local families, pooled families, or both), and
 /// whose selections see only the families the active tenant is entitled
 /// to. The deployer serves one tenant at a time
-/// ([`DeployLoop::set_tenant`] switches); pending pipeline decisions are
-/// attributed to the tenant that is active when they are replayed, so
-/// switch tenants only between pipeline batches.
+/// ([`DeployLoop::set_tenant`] switches); the `pending` decisions passed
+/// to [`crate::deploy::Deployer::select`] are attributed to the tenant
+/// that is active when they are replayed, so switch tenants only while
+/// none are pending.
 pub type TenantShardedDeployer =
     DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>>;
 
@@ -564,7 +564,7 @@ impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
             predictor: TenantShardedPredictor::new(seed, SHARD_FLOOR, policy.transfer),
             tenant: TenantId::default(),
         };
-        Self::assemble(Arc::new(provider), policy, seed, backend)
+        Self::assemble(provider, policy, seed, backend)
     }
 
     /// Sets the tenant subsequent deploys are attributed to
@@ -575,7 +575,7 @@ impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
     }
 
     /// Switches the tenant subsequent deploys are attributed to. Do not
-    /// switch while pipeline decisions are in flight (see the type docs).
+    /// switch while decisions are pending (see the type docs).
     pub fn set_tenant(&mut self, tenant: TenantId) {
         self.backend.tenant = tenant;
     }

@@ -62,7 +62,7 @@ pub fn schedule(ix: usize, n_jobs: usize, forced_every: usize) -> Vec<PipelineJo
 }
 
 /// The sequential loop, one deploy after another: the reference that the
-/// pipeline, the service and the other backends must replay.
+/// service and the other backends must replay.
 pub fn run_jobs<D: Deployer>(d: &mut D, jobs: &[PipelineJob]) -> Vec<DeployOutcome> {
     jobs.iter()
         .map(|j| match &j.forced {

@@ -17,8 +17,7 @@ use std::sync::Barrier;
 
 use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use disar_core::deploy::{DeployOutcome, DeployPolicy};
-use disar_core::pipeline::PipelineJob;
-use disar_core::service::{DeployService, ServiceConfig, TenantHandle, TenantRun};
+use disar_core::service::{DeployService, PipelineJob, ServiceConfig, TenantHandle, TenantRun};
 use disar_core::tenant::{TenantId, TenantShardedDeployer};
 use disar_core::CoreError;
 use disar_math::check::cases;
