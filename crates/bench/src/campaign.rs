@@ -284,7 +284,7 @@ pub fn build_tenant_knowledge_base(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disar_core::TransparentDeployer;
+    use disar_core::{Deployer, TransparentDeployer};
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig::builder()

@@ -19,7 +19,7 @@ use disar_alm::lsmc::{Lsmc, LsmcConfig};
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
 use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog};
-use disar_core::deploy::{DeployPolicy, TransparentDeployer};
+use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
 use disar_core::{
     regret_weights, select_configuration, select_configuration_with_workspace,

@@ -19,10 +19,9 @@
 //! the instance-type-sharded [`ShardedDeployer`] and the two-key
 //! [`crate::tenant::TenantShardedDeployer`], which is also what each tenant
 //! of [`crate::service::DeployService`] runs on. The [`Deployer`] trait
-//! names one `deploy()`'s *decision* ([`Deployer::select`] /
-//! [`Deployer::begin_manual`]) and *feedback* ([`Deployer::record`])
-//! halves; every caller runs them in sequence, one job at a time, as the
-//! paper does.
+//! names one `deploy()`'s *decision* ([`Deployer::select`]) and
+//! *feedback* ([`Deployer::record`]) halves; every caller runs them in
+//! sequence, one job at a time, as the paper does.
 
 use crate::algorithm::{select_configuration_with_workspace, SelectionWorkspace, TimeEstimate};
 use crate::drift::{DriftConfig, DriftState};
@@ -34,7 +33,7 @@ use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
 use disar_math::rng::stream_rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How the deploy configuration was chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,9 +261,7 @@ impl DeployOutcome {
 /// before the run has executed.
 ///
 /// This is the first half of a [`DeployOutcome`]; [`Deployer::record`]
-/// turns it into knowledge once the cloud's [`JobReport`] arrives. Decisions
-/// issued but not yet recorded are what the `pending` argument of
-/// [`Deployer::select`] / [`Deployer::selection_ready`] takes.
+/// turns it into knowledge once the cloud's [`JobReport`] arrives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployDecision {
     /// How the configuration was chosen.
@@ -281,28 +278,11 @@ pub struct DeployDecision {
 /// halves.
 ///
 /// The one implementor, [`DeployLoop`], owns the knowledge base, the
-/// predictor(s) and the cloud provider. The provided [`Deployer::deploy`] /
-/// [`Deployer::deploy_manual`] compose the halves into the paper's
+/// predictor(s) and the cloud provider. It takes one job at a time: each
+/// `select` reads the base and families every earlier run left, so the
+/// previous decision's run must be recorded before the next `select`. The
+/// provided [`Deployer::deploy`] composes the halves into the paper's
 /// sequential loop.
-///
-/// # The `pending` contract
-///
-/// `select` and `selection_ready` take the decisions of runs that have been
-/// *issued but not yet recorded*, in job order. A selection must behave
-/// exactly as if those records had already landed — which is only possible
-/// when its result does not depend on their still-unknown outcomes:
-///
-/// - bootstrap-phase selections are RNG-only (seeded by the deploy
-///   counter), so they never depend on pending outcomes;
-/// - ML selections are valid while no retrain is scheduled to fire among
-///   the pending records (the family snapshot the sequential loop would
-///   use is the current one);
-/// - otherwise `selection_ready` returns `false` and the caller must land
-///   records first.
-///
-/// Whether a retrain fires is deterministic given the pending decisions
-/// alone (the gates count records and shard sizes, never realized times),
-/// so readiness never needs to wait on a run's result.
 pub trait Deployer {
     /// The active policy.
     fn policy(&self) -> &DeployPolicy;
@@ -322,36 +302,19 @@ pub trait Deployer {
     /// [`CoreError::InsufficientKnowledge`] on a base that is too small).
     fn warm(&mut self) -> Result<(), CoreError>;
 
-    /// `true` when the next selection can be made *now*, as if the
-    /// `pending` records had already landed (see the trait docs).
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool;
-
-    /// Chooses the configuration for the next job, given the decisions of
-    /// in-flight runs. Advances the deploy counter. Callers must only pass
-    /// a non-empty `pending` after `selection_ready(pending)` returned
-    /// `true`.
+    /// Chooses the configuration for the next job from the runs recorded so
+    /// far, and advances the deploy counter. `pending` must be empty: the
+    /// loop takes one job at a time (see the trait docs).
     ///
     /// # Errors
     ///
-    /// Propagates policy validation and Algorithm 1 failures (including
-    /// [`CoreError::NoFeasibleConfiguration`]).
+    /// [`CoreError::InvalidParameter`] for a non-empty `pending`, before the
+    /// counter moves; otherwise propagates policy validation and Algorithm 1
+    /// failures (including [`CoreError::NoFeasibleConfiguration`]).
     fn select(
         &mut self,
         profile: &JobProfile,
         pending: &[DeployDecision],
-    ) -> Result<DeployDecision, CoreError>;
-
-    /// Registers an operator-forced configuration (manual override) as the
-    /// next decision. Advances the deploy counter; always ready (no
-    /// selection happens).
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy validation.
-    fn begin_manual(
-        &mut self,
-        instance: &str,
-        n_nodes: usize,
     ) -> Result<DeployDecision, CoreError>;
 
     /// Feeds one finished run back into the knowledge base and retrains
@@ -386,21 +349,20 @@ pub trait Deployer {
     }
 
     /// Deploys with an operator-forced configuration (manual override);
-    /// the run is still recorded and learned from.
+    /// the run is still recorded and learned from. Advances the deploy
+    /// counter as a selection does.
     ///
     /// # Errors
     ///
-    /// Propagates cloud failures (unknown instance, zero nodes).
+    /// Propagates policy validation and cloud failures (unknown instance,
+    /// zero nodes).
     fn deploy_manual(
         &mut self,
         profile: &JobProfile,
         workload: &Workload,
         instance: &str,
         n_nodes: usize,
-    ) -> Result<DeployOutcome, CoreError> {
-        let decision = self.begin_manual(instance, n_nodes)?;
-        run_decided(self, profile, workload, decision)
-    }
+    ) -> Result<DeployOutcome, CoreError>;
 }
 
 /// Runs a decided job on the cloud and feeds the report back: the tail of
@@ -436,7 +398,6 @@ mod backend {
     use crate::predictor::{RetrainMode, TimePredictor};
     use crate::tenant::TenantId;
     use crate::CoreError;
-    use std::collections::BTreeMap;
 
     /// One family a backend retrains, named by the records it trains on.
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -464,8 +425,8 @@ mod backend {
     /// What a knowledge layout supplies to the one deploy loop
     /// ([`super::DeployLoop`]): where records go, which families they grow,
     /// and how a selection reads and a retrain writes those families. The
-    /// gate schedule, the pending replay, selection and the drift ladder
-    /// are the loop's and never look behind this trait.
+    /// gate schedule, selection and the drift ladder are the loop's and
+    /// never look behind this trait.
     pub trait Backend {
         /// Records landed so far.
         fn len(&self) -> usize;
@@ -491,19 +452,13 @@ mod backend {
         /// Whether `shard`'s family has been trained.
         fn trained(&self, shard: &Shard) -> bool;
 
-        /// The shard whose family answers queries on `instance` when shards
-        /// have the sizes `size_of` gives.
-        fn serving(&self, instance: &str, _size_of: &dyn Fn(&Shard) -> usize) -> Shard {
+        /// The shard whose family answers queries on `instance` now.
+        fn serving(&self, instance: &str) -> Shard {
             self.shards(instance).swap_remove(0)
         }
 
-        /// Runs `f` on the predictor an ML selection reads once the shards
-        /// in `sizes` have grown to the sizes given.
-        fn with_view<R>(
-            &self,
-            sizes: &BTreeMap<Shard, usize>,
-            f: impl FnOnce(&dyn TimePredictor) -> R,
-        ) -> R;
+        /// Runs `f` on the predictor an ML selection reads.
+        fn with_view<R>(&self, f: impl FnOnce(&dyn TimePredictor) -> R) -> R;
 
         /// Appends one landed run.
         fn append(&mut self, record: RunRecord);
@@ -522,29 +477,11 @@ mod backend {
     }
 }
 
-/// State of the loop once a set of pending records has landed — computable
-/// without their outcomes because the retrain gates only count.
-pub(crate) struct PendingSim {
-    /// Knowledge-base size once every pending record has landed.
-    pub(crate) virtual_len: usize,
-    /// Records landed since the last fired retrain at that point (read by
-    /// the schedule test only: it tells which pending record fired).
-    #[cfg(test)]
-    pub(crate) runs_since_retrain: usize,
-    /// Whether every catalog type would then be served by a trained family.
-    pub(crate) covered: bool,
-    /// Whether landing the pending records fires at least one retrain
-    /// (i.e. the current predictor snapshot would go stale).
-    pub(crate) retrain_pending: bool,
-    /// Size, at that point, of every shard the pending records grow.
-    pub(crate) sizes: BTreeMap<Shard, usize>,
-}
-
 /// The paper's self-optimizing loop, written once over a knowledge layout
-/// `B`: validation, the decision-seed stream, the retrain schedule, the
-/// pending replay, bootstrap and Algorithm 1 selection, manual overrides
-/// and the record → residual → gate → retrain → ladder sequence. The
-/// layouts are [`TransparentDeployer`] (one base, one family),
+/// `B`: validation, the decision-seed stream, the retrain schedule,
+/// bootstrap and Algorithm 1 selection, manual overrides and the record →
+/// residual → gate → retrain → ladder sequence. The layouts are
+/// [`TransparentDeployer`] (one base, one family),
 /// [`ShardedDeployer`] (per instance type) and
 /// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant).
 pub struct DeployLoop<B> {
@@ -598,16 +535,6 @@ impl<B> DeployLoop<B> {
         disar_math::rng::split_seed(self.seed, self.deploy_counter)
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &DeployPolicy {
-        &self.policy
-    }
-
-    /// The underlying cloud provider.
-    pub fn provider(&self) -> &CloudProvider {
-        &self.provider
-    }
-
     /// Number of drift-detector fires so far across all shards (0 with the
     /// default [`crate::drift::DetectorKind::Off`] policy).
     pub fn drift_fires(&self) -> u64 {
@@ -622,88 +549,15 @@ impl<B> DeployLoop<B> {
 }
 
 impl<B: Backend> DeployLoop<B> {
-    /// [`Deployer::warm`], callable without importing the trait.
-    pub fn warm(&mut self) -> Result<(), CoreError> {
-        Deployer::warm(self)
-    }
-
-    /// [`Deployer::deploy`], callable without importing the trait.
-    pub fn deploy(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy(self, profile, workload)
-    }
-
-    /// [`Deployer::deploy_manual`], callable without importing the trait.
-    pub fn deploy_manual(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-        instance: &str,
-        n_nodes: usize,
-    ) -> Result<DeployOutcome, CoreError> {
-        Deployer::deploy_manual(self, profile, workload, instance, n_nodes)
-    }
-
-    /// Replays the retrain schedule over the pending decisions. The gates
-    /// count landed records and shard sizes — both derivable from the
-    /// decisions' instances alone — so the virtual state is exact.
-    pub(crate) fn replay(&self, pending: &[DeployDecision]) -> PendingSim {
-        let policy = &self.policy;
-        let mut virtual_len = self.backend.len();
-        let mut runs_since_retrain = self.runs_since_retrain;
-        let mut retrain_pending = false;
-        let mut sizes: BTreeMap<Shard, usize> = BTreeMap::new();
-        let mut newly_trained: BTreeSet<Shard> = BTreeSet::new();
-        for d in pending {
-            virtual_len += 1;
-            runs_since_retrain += 1;
-            let mut fired = false;
-            for shard in self.backend.shards(&d.instance) {
-                let size = sizes
-                    .entry(shard.clone())
-                    .or_insert_with(|| self.backend.size(&shard));
-                *size += 1;
-                if runs_since_retrain >= policy.retrain_every
-                    && *size >= self.backend.floor(&shard, policy)
-                {
-                    newly_trained.insert(shard);
-                    fired = true;
-                }
-            }
-            if fired {
-                retrain_pending = true;
-                runs_since_retrain = 0;
-            }
-        }
-        let size_of = |shard: &Shard| {
-            sizes
-                .get(shard)
-                .copied()
-                .unwrap_or_else(|| self.backend.size(shard))
-        };
-        // Covered = every catalog type is served (at the virtual sizes) by a
-        // family that is trained now or retrains among the pending records.
-        let covered = self.provider.catalog().names().iter().all(|n| {
-            let serving = self.backend.serving(n, &size_of);
-            self.backend.trained(&serving) || newly_trained.contains(&serving)
-        });
-        PendingSim {
-            virtual_len,
-            #[cfg(test)]
-            runs_since_retrain,
-            covered,
-            retrain_pending,
-            sizes,
-        }
-    }
-
     /// Bootstrap phase: the base is below the policy's size or some catalog
     /// type has no trained family to answer Algorithm 1's sweep.
-    fn bootstrapping(&self, sim: &PendingSim) -> bool {
-        sim.virtual_len < self.policy.min_kb_samples || !sim.covered
+    fn bootstrapping(&self) -> bool {
+        self.backend.len() < self.policy.min_kb_samples
+            || !self
+                .provider
+                .catalog()
+                .iter()
+                .all(|inst| self.backend.trained(&self.backend.serving(&inst.name)))
     }
 }
 
@@ -726,23 +580,20 @@ impl<B: Backend> Deployer for DeployLoop<B> {
             .warm(self.policy.retrain_mode, self.policy.n_threads)
     }
 
-    fn selection_ready(&self, pending: &[DeployDecision]) -> bool {
-        let sim = self.replay(pending);
-        // Bootstrap-mode selections are RNG-only; ML selections need no
-        // retrain scheduled among the pending records.
-        self.bootstrapping(&sim) || !sim.retrain_pending
-    }
-
     fn select(
         &mut self,
         profile: &JobProfile,
         pending: &[DeployDecision],
     ) -> Result<DeployDecision, CoreError> {
+        if !pending.is_empty() {
+            return Err(CoreError::InvalidParameter(
+                "select takes one job at a time: record every decided run first",
+            ));
+        }
         self.policy.validate()?;
         let decision_seed = self.next_decision_seed();
 
-        let sim = self.replay(pending);
-        if self.bootstrapping(&sim) {
+        if self.bootstrapping() {
             // A uniformly random configuration, no prediction.
             let names = self.provider.catalog().names();
             if names.is_empty() {
@@ -763,7 +614,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
             backend,
             ..
         } = self;
-        backend.with_view(&sim.sizes, |view| {
+        backend.with_view(|view| {
             let selection = select_configuration_with_workspace(
                 view,
                 provider.catalog(),
@@ -789,21 +640,24 @@ impl<B: Backend> Deployer for DeployLoop<B> {
         })
     }
 
-    fn begin_manual(
+    fn deploy_manual(
         &mut self,
+        profile: &JobProfile,
+        workload: &Workload,
         instance: &str,
         n_nodes: usize,
-    ) -> Result<DeployDecision, CoreError> {
+    ) -> Result<DeployOutcome, CoreError> {
         // One decision-counter tick, so forced and automatic deploys draw
         // from the same seed stream.
         self.policy.validate()?;
         self.deploy_counter += 1;
-        Ok(DeployDecision {
+        let decision = DeployDecision {
             mode: DeployMode::Manual,
             instance: instance.to_string(),
             n_nodes,
             predicted_secs: None,
-        })
+        };
+        run_decided(self, profile, workload, decision)
     }
 
     fn record(
@@ -818,8 +672,8 @@ impl<B: Backend> Deployer for DeployLoop<B> {
         let own = &shards[0];
         // Feed the prediction residual to the shard's drift detector.
         // Detectors only modulate the *mode* of the retrains the
-        // count-based gate below fires anyway, so the pending/readiness
-        // contract (whether a retrain fires is outcome-independent) holds.
+        // count-based gate below fires anyway, so whether a retrain fires
+        // never depends on a run's outcome.
         if policy.drift.enabled() {
             if let Some(residual) = relative_residual(decision, report) {
                 let state = self
@@ -900,7 +754,7 @@ pub struct Local<KB, P> {
 impl<KB, P> DeployLoop<Local<KB, P>> {
     /// Seeds the deployer with a pre-existing knowledge base (e.g. loaded
     /// from disk, converted with `from_monolithic`, or transferred from
-    /// another company's runs). Call [`DeployLoop::warm`] afterwards to
+    /// another company's runs). Call [`Deployer::warm`] afterwards to
     /// train on it without waiting for fresh runs.
     pub fn with_knowledge_base(mut self, kb: KB) -> Self {
         self.backend.kb = kb;
@@ -948,11 +802,7 @@ impl Backend for Local<KnowledgeBase, PredictorFamily> {
         self.predictor.is_trained()
     }
 
-    fn with_view<R>(
-        &self,
-        _sizes: &BTreeMap<Shard, usize>,
-        f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> R {
+    fn with_view<R>(&self, f: impl FnOnce(&dyn TimePredictor) -> R) -> R {
         f(&self.predictor)
     }
 
@@ -1069,11 +919,7 @@ impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
         self.predictor.is_trained_for(shard.instance())
     }
 
-    fn with_view<R>(
-        &self,
-        _sizes: &BTreeMap<Shard, usize>,
-        f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> R {
+    fn with_view<R>(&self, f: impl FnOnce(&dyn TimePredictor) -> R) -> R {
         f(&self.predictor)
     }
 
@@ -1135,6 +981,7 @@ mod tests {
     use super::*;
     use disar_cloudsim::InstanceCatalog;
     use disar_engine::EebCharacteristics;
+    use std::collections::BTreeSet;
 
     fn profile(contracts: usize) -> JobProfile {
         JobProfile {
@@ -1510,58 +1357,32 @@ mod tests {
     }
 
     #[test]
-    fn feedback_visibility_gates_ml_selections() {
-        let mut d = deployer(41);
+    fn select_rejects_pending_decisions() {
+        // The loop takes one job at a time: a selection as if decided runs
+        // had landed is refused, in either phase, and the refusal leaves the
+        // deploy counter (and with it every later draw) where it was.
+        let (mut d, mut untouched) = (deployer(59), deployer(59));
         let pending = DeployDecision {
-            mode: DeployMode::Bootstrap,
+            mode: DeployMode::Manual,
             instance: "c3.4xlarge".to_string(),
-            n_nodes: 2,
+            n_nodes: 1,
             predicted_secs: None,
         };
-        // Bootstrap phase: selections are RNG-only, ready even with runs
-        // in flight.
-        assert!(d.selection_ready(std::slice::from_ref(&pending)));
-        // Train past the bootstrap.
-        for i in 0..10 {
-            d.deploy(&profile(80 + i * 17), &workload(80 + i * 17)).unwrap();
+        let mut modes = Vec::new();
+        for i in 0..12 {
+            if i % 5 == 0 {
+                assert!(matches!(
+                    d.select(&profile(100), std::slice::from_ref(&pending)),
+                    Err(CoreError::InvalidParameter(_))
+                ));
+            }
+            let c = 90 + i * 19;
+            let out = d.deploy(&profile(c), &workload(c)).unwrap();
+            assert_eq!(out, untouched.deploy(&profile(c), &workload(c)).unwrap(), "deploy {i}");
+            modes.push(out.mode);
         }
-        // retrain_every = 1: a pending record forces a retrain before the
-        // next ML selection may observe the base.
-        assert!(d.selection_ready(&[]));
-        assert!(!d.selection_ready(&[pending]));
-    }
-
-    #[test]
-    fn retrain_window_permits_overlapped_selections() {
-        // retrain_every = 5: selections inside the same retrain window see
-        // the same family snapshot and stay ready; the selection whose
-        // pending records cross the retrain boundary stalls.
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 47);
-        let policy = DeployPolicy::builder(50_000.0)
-            .epsilon(0.0)
-            .max_nodes(3)
-            .min_kb_samples(4)
-            .retrain_every(5)
-            .n_threads(1)
-            .build();
-        let mut d = TransparentDeployer::new(provider, policy, 47);
-        for i in 0..5 {
-            d.deploy(&profile(50 + i * 7), &workload(50 + i * 7)).unwrap();
-        }
-        assert!(d.family().is_trained());
-        let pending = |n: usize| {
-            vec![
-                DeployDecision {
-                    mode: DeployMode::Manual,
-                    instance: "c3.4xlarge".to_string(),
-                    n_nodes: 1,
-                    predicted_secs: None,
-                };
-                n
-            ]
-        };
-        assert!(d.selection_ready(&pending(4)));
-        assert!(!d.selection_ready(&pending(5)));
+        assert_eq!(modes[5], DeployMode::Bootstrap);
+        assert!(matches!(modes[10], DeployMode::MlGreedy | DeployMode::MlExplored));
     }
 
     fn sharded_deployer(seed: u64) -> ShardedDeployer {
@@ -1665,36 +1486,6 @@ mod tests {
         assert_eq!(d.knowledge_base().shard("m4.10xlarge").unwrap().len(), 1);
     }
 
-    #[test]
-    fn sharded_readiness_tracks_per_shard_gates() {
-        // A pending record that completes a shard's minimum fires a
-        // retrain → not ready; one that lands in a still-too-small shard
-        // fires nothing → ready (once the deployer is in the ML phase).
-        let mut d = sharded_deployer(53);
-        let mut ml = false;
-        for i in 0..120 {
-            let c = 60 + (i * 29) % 280;
-            let out = d.deploy(&profile(c), &workload(c)).unwrap();
-            if out.mode != DeployMode::Bootstrap {
-                ml = true;
-                break;
-            }
-        }
-        assert!(ml, "ML phase never reached");
-        let pending = |instance: &str| {
-            vec![DeployDecision {
-                mode: DeployMode::Manual,
-                instance: instance.to_string(),
-                n_nodes: 1,
-                predicted_secs: None,
-            }]
-        };
-        // Every shard is at/past the 2-sample minimum here, so any landing
-        // record retrains its shard (retrain_every = 1) → never ready.
-        assert!(d.selection_ready(&[]));
-        assert!(!d.selection_ready(&pending("c3.4xlarge")));
-    }
-
     /// `n` forced decisions over an uneven cycle of instance types, with the
     /// reports of their runs. Every fourth decision claims a prediction 40×
     /// the realized time (the others claim the realized time exactly), so
@@ -1726,14 +1517,34 @@ mod tests {
             .collect()
     }
 
-    /// Replays every prefix of `k` pending decisions from the deployer's
-    /// present state, then lands the same records one by one and compares
-    /// the two after each.
-    fn replay_matches_landing<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
+    /// Lands `k` decided runs one by one and checks the loop after each
+    /// record against a reference that only counts: the records that fire a
+    /// retrain and the shards each refits, every shard's size and trained
+    /// flag, catalog coverage, and the drift-ladder rung of the record's own
+    /// shard.
+    fn landing_fires_and_escalates<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
         let policy = *d.policy();
         let runs = decided_runs(&d, k, 100);
-        let pending: Vec<DeployDecision> = runs.iter().map(|(_, dec, _)| dec.clone()).collect();
-        let sims: Vec<PendingSim> = (0..=k).map(|j| d.replay(&pending[..j])).collect();
+        let names = d.provider().catalog().names();
+        let len0 = d.kb_len();
+        let mut sizes: BTreeMap<Shard, usize> = BTreeMap::new();
+        let mut trained: BTreeSet<Shard> = BTreeSet::new();
+        for shard in names.iter().flat_map(|n| d.backend.shards(n)) {
+            sizes.insert(shard.clone(), d.backend.size(&shard));
+            if d.backend.trained(&shard) {
+                trained.insert(shard);
+            }
+        }
+        let covered = |d: &DeployLoop<B>, trained: &BTreeSet<Shard>| {
+            names
+                .iter()
+                .all(|n| trained.contains(&d.backend.serving(n)))
+        };
+        assert!(
+            !covered(&d, &trained),
+            "{label}: covered before the first record"
+        );
+        let mut runs_since = d.runs_since_retrain;
         let escalated = |level: usize| match level {
             0 => policy.retrain_mode,
             1 => RetrainMode::Windowed {
@@ -1746,38 +1557,46 @@ mod tests {
         let (mut fires, mut absorbed) = (0, 0);
         for (j, (profile, decision, report)) in runs.iter().enumerate() {
             let at = format!("{label}, record {j}");
-            let detector_fires = d.drift_fires();
+            let (detector_fires, retrains) = (d.drift_fires(), d.retrains());
             d.record(profile, decision, report).unwrap();
-            let sim = &sims[j + 1];
 
-            // The fire sequence: a record fired exactly when the replay
-            // said it would, whatever the detector made of its residual.
-            let fired = d.runs_since_retrain == 0;
-            assert_eq!(fired, sim.runs_since_retrain == 0, "fire at {at}");
-            assert_eq!(
-                d.runs_since_retrain, sim.runs_since_retrain,
-                "cadence at {at}"
-            );
+            // The reference gate: once `retrain_every` records have landed
+            // since the last fire, every shard the record grows to its floor
+            // retrains, whatever the detector made of the residual.
+            runs_since += 1;
+            let mut due = 0;
+            for shard in d.backend.shards(&decision.instance) {
+                let size = sizes
+                    .get_mut(&shard)
+                    .expect("every type's shards are counted");
+                *size += 1;
+                if runs_since >= policy.retrain_every && *size >= d.backend.floor(&shard, &policy) {
+                    trained.insert(shard);
+                    due += 1;
+                }
+            }
+            let fired = due > 0;
+            if fired {
+                runs_since = 0;
+            }
             fires += usize::from(fired);
-            assert_eq!(sim.retrain_pending, fires > 0, "retrain_pending at {at}");
+            assert_eq!(d.runs_since_retrain, runs_since, "cadence at {at}");
+            assert_eq!(d.retrains() - retrains, due, "retrains at {at}");
 
             // Sizes, trained flags and coverage.
-            assert_eq!(d.kb_len(), sim.virtual_len, "virtual_len at {at}");
-            for (shard, size) in &sim.sizes {
+            assert_eq!(d.kb_len(), len0 + j + 1, "len at {at}");
+            for (shard, size) in &sizes {
                 assert_eq!(d.backend.size(shard), *size, "size of {shard:?} at {at}");
+                assert_eq!(
+                    d.backend.trained(shard),
+                    trained.contains(shard),
+                    "trained {shard:?} at {at}"
+                );
             }
-            let landed = d.replay(&[]);
-            assert_eq!(landed.covered, sim.covered, "covered at {at}");
-            assert!(!landed.retrain_pending && landed.sizes.is_empty());
-
-            // The rest of the replay from here agrees with the whole.
-            let rest = d.replay(&pending[j + 1..]);
-            let whole = &sims[k];
-            assert_eq!(rest.virtual_len, whole.virtual_len, "suffix len at {at}");
-            assert_eq!(rest.covered, whole.covered, "suffix covered at {at}");
             assert_eq!(
-                rest.runs_since_retrain, whole.runs_since_retrain,
-                "suffix cadence at {at}"
+                d.bootstrapping(),
+                d.kb_len() < policy.min_kb_samples || !covered(&d, &trained),
+                "bootstrap at {at}"
             );
 
             // The ladder of the record's own shard: one rung up per detector
@@ -1796,10 +1615,9 @@ mod tests {
             });
             assert_eq!(mode, escalated(*level), "ladder of {own:?} at {at}");
         }
-        assert!(!sims[0].covered, "{label}: covered before the first record");
         if policy.retrain_every == 1 {
             assert!(
-                sims[k].covered,
+                covered(&d, &trained),
                 "{label}: {k} records never covered the catalog"
             );
         }
@@ -1809,7 +1627,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_replay_matches_landing_on_every_layout() {
+    fn landing_fires_and_escalates_on_every_layout() {
         use crate::drift::DetectorKind;
         use crate::tenant::TenantShardedDeployer;
         let provider = |seed| CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
@@ -1832,23 +1650,23 @@ mod tests {
             let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
 
             let mono = TransparentDeployer::new(provider(3), isolated, 3);
-            replay_matches_landing(mono, k, &label("monolithic"));
+            landing_fires_and_escalates(mono, k, &label("monolithic"));
             let sharded = ShardedDeployer::new(provider(5), isolated, 5);
-            replay_matches_landing(sharded, k, &label("per-instance"));
+            landing_fires_and_escalates(sharded, k, &label("per-instance"));
             for transfer in [
                 TransferPolicy::Isolated,
                 TransferPolicy::Pooled,
                 TransferPolicy::BorrowUntil(3),
             ] {
                 // Another tenant's records first, so that pooled and local
-                // shards differ and the replay starts from a grown base.
+                // shards differ and the landing starts from a grown base.
                 let mut d = TenantShardedDeployer::new(provider(7), policy(transfer), 7)
                     .with_tenant(TenantId::new("bolt-re"));
                 for (profile, decision, report) in decided_runs(&d, 9, 0) {
                     d.record(&profile, &decision, &report).unwrap();
                 }
                 d.set_tenant(TenantId::new("acme-life"));
-                replay_matches_landing(d, k, &label(&format!("tenant {transfer:?}")));
+                landing_fires_and_escalates(d, k, &label(&format!("tenant {transfer:?}")));
             }
         }
     }

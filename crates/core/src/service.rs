@@ -26,7 +26,7 @@
 //! (DESIGN.md §11): a thread per tenant, with or without a run thread per
 //! job beside it, ran slower and larger on one pinned CPU.
 
-use crate::deploy::{DeployOutcome, DeployPolicy};
+use crate::deploy::{DeployOutcome, DeployPolicy, Deployer};
 use crate::knowledge::KnowledgeBase;
 use crate::profile::JobProfile;
 use crate::tenant::{TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TransferPolicy};
@@ -500,7 +500,7 @@ impl DeployService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{DeployDecision, DeployMode, Deployer};
+    use crate::deploy::{DeployDecision, DeployMode};
     use crate::profile::JobProfile;
     use disar_cloudsim::{InstanceType, Workload};
     use disar_engine::EebCharacteristics;

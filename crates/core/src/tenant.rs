@@ -408,9 +408,7 @@ impl TenantShardedPredictor {
 
     /// A [`TimePredictor`] view of the predictor as seen by one tenant,
     /// routing with the given per-instance local observation counts
-    /// (usually [`TenantShardedKnowledgeBase::local_lens`], or the virtual
-    /// counts of the `pending` decisions passed to
-    /// [`crate::deploy::Deployer::select`]).
+    /// (the deployer passes [`TenantShardedKnowledgeBase::local_lens`]).
     pub fn view<'a>(
         &'a self,
         tenant: &'a TenantId,
@@ -483,27 +481,19 @@ impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
         }
     }
 
-    fn serving(&self, instance: &str, size_of: &dyn Fn(&Shard) -> usize) -> Shard {
+    fn serving(&self, instance: &str) -> Shard {
         let local = Shard::Local(instance.to_string(), self.tenant.clone());
-        if self.predictor.transfer().routes_local(size_of(&local)) {
+        if self.predictor.transfer().routes_local(self.size(&local)) {
             local
         } else {
             Shard::Instance(instance.to_string())
         }
     }
 
-    fn with_view<R>(
-        &self,
-        sizes: &BTreeMap<Shard, usize>,
-        f: impl FnOnce(&dyn TimePredictor) -> R,
-    ) -> R {
-        let mut local_lens = self.kb.local_lens(&self.tenant);
-        for (shard, size) in sizes {
-            if let Shard::Local(instance, _) = shard {
-                local_lens.insert(instance.clone(), *size);
-            }
-        }
-        f(&self.predictor.view(&self.tenant, local_lens))
+    fn with_view<R>(&self, f: impl FnOnce(&dyn TimePredictor) -> R) -> R {
+        f(&self
+            .predictor
+            .view(&self.tenant, self.kb.local_lens(&self.tenant)))
     }
 
     fn append(&mut self, record: RunRecord) {
@@ -548,10 +538,8 @@ impl Backend for Local<TenantShardedKnowledgeBase, TenantShardedPredictor> {
 /// [`TransferPolicy`] (local families, pooled families, or both), and
 /// whose selections see only the families the active tenant is entitled
 /// to. The deployer serves one tenant at a time
-/// ([`DeployLoop::set_tenant`] switches); the `pending` decisions passed
-/// to [`crate::deploy::Deployer::select`] are attributed to the tenant
-/// that is active when they are replayed, so switch tenants only while
-/// none are pending.
+/// ([`DeployLoop::set_tenant`] switches); a run is attributed to the
+/// tenant that is active when it is recorded.
 pub type TenantShardedDeployer =
     DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>>;
 
@@ -574,8 +562,7 @@ impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
         self
     }
 
-    /// Switches the tenant subsequent deploys are attributed to. Do not
-    /// switch while decisions are pending (see the type docs).
+    /// Switches the tenant subsequent deploys are attributed to.
     pub fn set_tenant(&mut self, tenant: TenantId) {
         self.backend.tenant = tenant;
     }
@@ -589,7 +576,7 @@ impl DeployLoop<Local<TenantShardedKnowledgeBase, TenantShardedPredictor>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{DeployDecision, DeployMode, DeployOutcome, Deployer, ShardedDeployer};
+    use crate::deploy::{DeployMode, DeployOutcome, Deployer, ShardedDeployer};
     use crate::profile::JobProfile;
     use disar_cloudsim::{InstanceCatalog, Workload};
     use disar_engine::EebCharacteristics;
@@ -929,32 +916,5 @@ mod tests {
             out.mode,
             DeployMode::MlGreedy | DeployMode::MlExplored
         ));
-    }
-
-    #[test]
-    fn tenant_readiness_tracks_two_key_gates() {
-        // Mirrors the sharded readiness test: once in the ML phase with
-        // retrain_every = 1, any pending record fires a retrain → not
-        // ready; an empty pending set is always ready.
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 53);
-        let mut d =
-            TenantShardedDeployer::new(provider, test_policy(TransferPolicy::Isolated), 53);
-        let mut ml = false;
-        for i in 0..120 {
-            let c = 60 + (i * 29) % 280;
-            if d.deploy(&profile(c), &workload(c)).unwrap().mode != DeployMode::Bootstrap {
-                ml = true;
-                break;
-            }
-        }
-        assert!(ml, "ML phase never reached");
-        let pending = vec![DeployDecision {
-            mode: DeployMode::Manual,
-            instance: "c3.4xlarge".to_string(),
-            n_nodes: 1,
-            predicted_secs: None,
-        }];
-        assert!(d.selection_ready(&[]));
-        assert!(!d.selection_ready(&pending));
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the provisioning layer.
 
 use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog, Workload};
-use disar_core::deploy::{DeployPolicy, TransparentDeployer};
+use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_core::{
     select_configuration, select_configuration_with_workspace, select_hetero_configuration,
     CoreError, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace,

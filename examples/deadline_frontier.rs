@@ -7,7 +7,7 @@
 //! ```
 
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
-use disar_suite::core::deploy::{DeployPolicy, TransparentDeployer};
+use disar_suite::core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_suite::core::{select_configuration, CoreError, JobProfile, PredictorFamily, RetrainMode};
 use disar_suite::engine::EebCharacteristics;
 use disar_suite::math::rng::stream_rng;

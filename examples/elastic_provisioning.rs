@@ -9,7 +9,7 @@
 //! ```
 
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog};
-use disar_suite::core::deploy::{DeployMode, DeployPolicy, TransparentDeployer};
+use disar_suite::core::deploy::{DeployMode, DeployPolicy, Deployer, TransparentDeployer};
 use disar_suite::core::{select_configuration, JobProfile, PredictorFamily, RetrainMode};
 use disar_suite::engine::EebCharacteristics;
 use disar_suite::math::rng::stream_rng;

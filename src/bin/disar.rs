@@ -26,7 +26,7 @@ use disar_registry::RegistryRow;
 use disar_suite::actuarial::portfolio::PortfolioSpec;
 use disar_suite::alm::SegregatedFund;
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
-use disar_suite::core::deploy::{DeployMode, DeployPolicy, TransparentDeployer};
+use disar_suite::core::deploy::{DeployMode, DeployPolicy, Deployer, TransparentDeployer};
 use disar_suite::core::JobProfile;
 use disar_suite::engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
 use disar_suite::engine::{DisarMaster, EebCharacteristics};

@@ -5,7 +5,7 @@
 use disar_suite::actuarial::portfolio::PortfolioSpec;
 use disar_suite::alm::SegregatedFund;
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog};
-use disar_suite::core::deploy::{DeployMode, DeployPolicy, TransparentDeployer};
+use disar_suite::core::deploy::{DeployMode, DeployPolicy, Deployer, TransparentDeployer};
 use disar_suite::core::KnowledgeBase;
 use disar_suite::engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
 use disar_suite::engine::DisarMaster;
