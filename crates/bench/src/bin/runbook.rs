@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Exit status is nonzero when any replayed row's input or output digest
-//! diverges from the record. Timing-only rows (`bench:*`) are skipped —
-//! they have no replayable outputs.
+//! diverges from the record. Rows from anything but a registered experiment
+//! driver are skipped.
 
 use disar_bench::registry::workspace_registry;
 use disar_bench::runbook::{self, ReplayOutcome};

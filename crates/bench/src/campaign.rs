@@ -12,6 +12,7 @@ use disar_core::{
 use disar_engine::complexity::ComplexityModel;
 use disar_engine::eeb::{decompose, EebKind};
 use disar_engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
+use disar_math::json::Json;
 use disar_math::rng::stream_rng;
 
 /// One runnable EEB job: profile (what the ML sees) + workload (what the
@@ -26,6 +27,22 @@ pub struct EebJob {
     pub profile: JobProfile,
     /// Cloud workload of the block.
     pub workload: Workload,
+}
+
+impl EebJob {
+    /// The job as a row's input digest holds it (every field).
+    pub fn to_json(&self) -> Json {
+        let w = &self.workload;
+        Json::obj([
+            ("portfolio", self.portfolio.as_str().into()),
+            ("eeb_id", self.eeb_id.into()),
+            ("profile", self.profile.to_json()),
+            ("work_units", w.work_units.into()),
+            ("memory_gib", w.memory_gib.into()),
+            ("transfer_mib", w.transfer_mib.into()),
+            ("serial_fraction", w.serial_fraction.into()),
+        ])
+    }
 }
 
 /// Campaign configuration (defaults follow §IV).

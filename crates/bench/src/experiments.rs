@@ -4,9 +4,9 @@
 //! Every driver is a unit struct implementing [`Experiment`]; the
 //! name-keyed [`EXPERIMENTS`] registry replaces the old string-match
 //! dispatch in the CLIs, and each `run` emits exactly one replayable
-//! [`RegistryRow`] whose `input_hash` digests the campaign config, the
-//! quick flag, the job list, and (where consumed) the knowledge-base
-//! fingerprint — the contract `runbook` replays against (DESIGN.md §13).
+//! [`RegistryRow`] whose `input_hash` digests the driver's name, the row's
+//! `params`, the job list and (where consumed) the knowledge base's records
+//! ([`input_hash`]) — the contract `runbook` replays against (DESIGN.md §13).
 
 use crate::campaign::{build_knowledge_base, paper_eeb_jobs, CampaignConfig, EebJob};
 use disar_actuarial::contracts::{Contract, ProductKind, ProfitSharing};
@@ -24,7 +24,7 @@ use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
 use disar_core::{
     regret_weights, select_configuration, select_configuration_with_workspace,
     select_hetero_configuration, CoreError, DeployMode, DetectorKind, DriftConfig, KnowledgeBase,
-    PredictorFamily, RetrainMode, SelectionWorkspace, TimeEstimate,
+    PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace, TimeEstimate,
 };
 use disar_math::json::Json;
 use disar_math::parallel::parallel_map;
@@ -33,7 +33,7 @@ use disar_math::stats;
 use disar_ml::metrics::evaluate;
 use disar_ml::regressor::ModelKind;
 use disar_ml::Regressor;
-use disar_registry::{knowledge_fingerprint, CanonicalHasher, Canonicalize, RegistryRow};
+use disar_registry::{json_hash, RegistryRow};
 use disar_stochastic::scenario::TimeGrid;
 use disar_stochastic::{drivers, CorrelationMatrix};
 use std::time::Instant;
@@ -100,29 +100,27 @@ impl ExperimentCtx {
         let quick = params.at("quick") == Ok(&Json::Bool(true));
         Some(Self { cfg, quick })
     }
+}
 
-    /// Canonical input digest for a named experiment: the name, the
-    /// campaign config, the quick flag, the job list, and (when consumed)
-    /// the knowledge-base fingerprint.
-    pub fn input_hash(
-        &self,
-        experiment: &str,
-        kb: Option<&KnowledgeBase>,
-        jobs: &[EebJob],
-    ) -> u64 {
-        let mut h = CanonicalHasher::new();
-        h.field("experiment");
-        h.write_str(experiment);
-        h.field("campaign");
-        self.cfg.canonicalize(&mut h);
-        h.field("quick");
-        h.write_bool(self.quick);
-        h.field("jobs");
-        jobs.canonicalize(&mut h);
-        h.field("kb");
-        kb.map(knowledge_fingerprint).canonicalize(&mut h);
-        h.finish()
-    }
+/// The input digest of a driver's row: [`json_hash`] of one object holding
+/// the driver's name, the row's `params` (campaign config, quick flag and
+/// the driver's own extras), the job list, and the knowledge base's records
+/// in arrival order — `null` when the driver reads no base.
+pub fn input_hash(
+    experiment: &str,
+    params: &Json,
+    jobs: &[EebJob],
+    kb: Option<&KnowledgeBase>,
+) -> u64 {
+    let kb = kb.map_or(Json::Null, |kb| {
+        Json::arr(kb.records().iter().map(RunRecord::to_json))
+    });
+    json_hash(&Json::obj([
+        ("experiment", experiment.into()),
+        ("params", params.clone()),
+        ("jobs", Json::arr(jobs.iter().map(EebJob::to_json))),
+        ("kb", kb),
+    ]))
 }
 
 /// A named, replayable experiment driver. Implementors are unit structs;
@@ -174,7 +172,7 @@ fn named_row(name: &str, values: &[f64]) -> Json {
 }
 
 /// Assembles the one row a driver emits: `ctx.params()` plus any
-/// experiment-specific extras, the canonical input digest, and the wall
+/// experiment-specific extras, the input digest, and the wall
 /// time since `t0` (kept out of the replay contract via `wall_ns`).
 #[allow(clippy::too_many_arguments)]
 fn finish(
@@ -195,7 +193,7 @@ fn finish(
     }
     let row = RegistryRow::new(
         name,
-        ctx.input_hash(name, kb, jobs),
+        input_hash(name, &params, jobs, kb),
         params,
         outputs,
         t0.elapsed().as_nanos() as u64,
@@ -2161,13 +2159,60 @@ mod tests {
         assert_eq!(back.cfg.seed, ctx.cfg.seed);
         assert_eq!(back.cfg.n_threads, ctx.cfg.n_threads);
         assert_eq!(back.quick, ctx.quick);
-        // Same context → same digest; bench rows carry foreign params.
-        let jobs = ctx.jobs();
-        assert_eq!(
-            ctx.input_hash("table2", None, &jobs),
-            back.input_hash("table2", None, &jobs)
-        );
+        assert_eq!(back.params(), ctx.params());
         assert!(ExperimentCtx::from_params(&Json::obj([("model", "IBk".into())])).is_none());
+    }
+
+    #[test]
+    fn input_hash_is_stable_and_moves_with_every_input() {
+        let cfg = CampaignConfig::builder()
+            .n_runs(20)
+            .n_outer(200)
+            .n_inner(20)
+            .max_nodes(4)
+            .seed(7)
+            .n_threads(1)
+            .build();
+        let (kb, _, jobs) = build_knowledge_base(&cfg);
+        let digest = |ctx: &ExperimentCtx, jobs: &[EebJob], kb: &KnowledgeBase| {
+            input_hash("table2", &ctx.params(), jobs, Some(kb))
+        };
+        let ctx = ExperimentCtx::new(cfg, true);
+        let h0 = digest(&ctx, &jobs, &kb);
+        // An equal context, base and job list built afresh digest alike.
+        let equal = ExperimentCtx::from_params(&ctx.params()).unwrap();
+        let (kb_again, _, jobs_again) = build_knowledge_base(&cfg);
+        assert_eq!(h0, digest(&equal, &jobs_again, &kb_again));
+        assert_ne!(h0, input_hash("table2", &ctx.params(), &jobs, None));
+        assert_ne!(h0, input_hash("fig2", &ctx.params(), &jobs, Some(&kb)));
+
+        let fields: [fn(&mut CampaignConfig); 6] = [
+            |c| c.n_runs += 1,
+            |c| c.n_outer += 1,
+            |c| c.n_inner += 1,
+            |c| c.max_nodes += 1,
+            |c| c.seed += 1,
+            |c| c.n_threads += 1,
+        ];
+        for (i, bump) in fields.iter().enumerate() {
+            let mut moved = cfg;
+            bump(&mut moved);
+            let h = digest(&ExperimentCtx::new(moved, true), &jobs, &kb);
+            assert_ne!(h0, h, "campaign field {i}");
+        }
+        assert_ne!(h0, digest(&ExperimentCtx::new(cfg, false), &jobs, &kb));
+
+        let mut moved_jobs = jobs.clone();
+        moved_jobs[3].workload.serial_fraction += 0.01;
+        assert_ne!(h0, digest(&ctx, &moved_jobs, &kb));
+
+        let mut records = kb.records().to_vec();
+        records[5].duration_secs += 1.0;
+        let mut moved_kb = KnowledgeBase::new();
+        for r in records {
+            moved_kb.record(r);
+        }
+        assert_ne!(h0, digest(&ctx, &jobs, &moved_kb));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Every experiment driver records enough in its row (`params` +
 //! `input_hash`) to be re-run from scratch; `runbook` inverts that record:
 //! rebuild the [`ExperimentCtx`], re-run the driver, and compare both the
-//! input and output digests against what was recorded. Timing-only rows
-//! (`bench:*`) have no replayable outputs and are skipped, as is anything
-//! written by a newer driver this build doesn't know.
+//! input and output digests against what was recorded. A row from anything
+//! but a registered driver (a `perf:<workload>` row, or a driver newer than
+//! this build) is skipped.
 
 use crate::experiments::{by_name, ExperimentCtx};
 use disar_registry::RegistryRow;
@@ -66,15 +66,9 @@ impl ReplayOutcome {
 /// compare digests.
 pub fn replay_row(row: &RegistryRow) -> ReplayOutcome {
     let Some(exp) = by_name(&row.experiment) else {
-        let timing_only = row.experiment.starts_with("bench:");
-        let reason = if timing_only {
-            "timing-only row, nothing replayable".to_string()
-        } else {
-            "not a registered experiment driver".to_string()
-        };
         return ReplayOutcome::Skipped {
             experiment: row.experiment.clone(),
-            reason,
+            reason: "not a registered experiment driver".to_string(),
         };
     };
     let Some(ctx) = ExperimentCtx::from_params(&row.params) else {
@@ -151,7 +145,6 @@ pub fn check() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::bench_row;
     use disar_math::json::Json;
 
     #[test]
@@ -160,13 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn bench_rows_are_skipped() {
-        let row = bench_row(
-            "nested_kernel",
-            Json::obj([("n_outer", 10u64.into())]),
-            Json::obj([("median_wall_ns", 1u64.into())]),
+    fn perf_rows_are_skipped() {
+        let row = RegistryRow::new(
+            "perf:campaign_paper",
             1,
-        );
+            Json::obj([("seconds", 10u64.into())]),
+            Json::Null,
+            1,
+        )
+        .with_timings(Json::obj([("ops_per_s", 1u64.into())]));
         let out = replay_row(&row);
         assert!(matches!(out, ReplayOutcome::Skipped { .. }), "{out:?}");
         assert!(!out.is_failure());

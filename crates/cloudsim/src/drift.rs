@@ -1,11 +1,10 @@
 //! Deterministic non-stationarity for the hidden performance model.
 //!
 //! Real clouds drift: hardware refresh generations step the per-core
-//! speed, noisy multi-tenancy grows contention gradually, and providers
-//! revise prices. The paper's Algorithm 1 assumes none of this — its KB
-//! only ever grows and the ensemble refits on everything — so the drift
-//! ablations need a cloud whose ground truth *moves* while staying fully
-//! reproducible.
+//! speed and the prices. The paper's Algorithm 1 assumes none of this —
+//! its KB only ever grows and the ensemble refits on everything — so the
+//! drift ablation needs a cloud whose ground truth *moves* while staying
+//! fully reproducible.
 //!
 //! A [`DriftModel`] maps the provider's run index (the same noise-stream
 //! index that already orders every job, see
@@ -44,22 +43,6 @@ pub enum DriftModel {
         /// Per-generation multiplier on hourly prices.
         price_factor: f64,
     },
-    /// Gradually growing multi-tenant contention: κ increases by
-    /// `per_run` every run, capped at `max_contention`.
-    LinearContention {
-        /// Additive contention growth per run.
-        per_run: f64,
-        /// Ceiling on the effective contention coefficient.
-        max_contention: f64,
-    },
-    /// Price revisions: every `period` runs the provider multiplies all
-    /// hourly prices by `factor` (compounding); performance is untouched.
-    PriceRevision {
-        /// Runs per pricing epoch (must be > 0).
-        period: u64,
-        /// Per-epoch multiplier on hourly prices.
-        factor: f64,
-    },
 }
 
 impl DriftModel {
@@ -82,19 +65,6 @@ impl DriftModel {
                 let mut perf = base.clone();
                 perf.units_per_core_sec *= speed_factor.powi(generation);
                 Some((perf, price_factor.powi(generation)))
-            }
-            DriftModel::LinearContention {
-                per_run,
-                max_contention,
-            } => {
-                let mut perf = base.clone();
-                perf.contention =
-                    (base.contention + per_run * run_index as f64).min(max_contention);
-                Some((perf, 1.0))
-            }
-            DriftModel::PriceRevision { period, factor } => {
-                let epoch = (run_index / period.max(1)) as i32;
-                Some((base.clone(), factor.powi(epoch)))
             }
         }
     }
@@ -138,35 +108,6 @@ mod tests {
         // Everything but the reference speed is untouched.
         assert_eq!(p2.contention, base.contention);
         assert_eq!(p2.noise_sigma, base.noise_sigma);
-    }
-
-    #[test]
-    fn linear_contention_grows_and_caps() {
-        let base = PerformanceModel::default();
-        let d = DriftModel::LinearContention {
-            per_run: 0.001,
-            max_contention: 0.5,
-        };
-        let (p, c) = d.effective(&base, 10).unwrap();
-        assert!((p.contention - (base.contention + 0.01)).abs() < 1e-12);
-        assert_eq!(c, 1.0);
-        let (p, _) = d.effective(&base, 1_000_000).unwrap();
-        assert_eq!(p.contention, 0.5);
-    }
-
-    #[test]
-    fn price_revision_leaves_performance_alone() {
-        let base = PerformanceModel::default();
-        let d = DriftModel::PriceRevision {
-            period: 50,
-            factor: 0.9,
-        };
-        let (p, c) = d.effective(&base, 49).unwrap();
-        assert_eq!(p, base);
-        assert_eq!(c, 1.0);
-        let (p, c) = d.effective(&base, 149).unwrap();
-        assert_eq!(p, base);
-        assert!((c - 0.81).abs() < 1e-12);
     }
 
     #[test]

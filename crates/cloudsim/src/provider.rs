@@ -484,37 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn price_revision_touches_cost_but_not_time() {
-        let base = provider();
-        let revised = provider().with_drift(DriftModel::PriceRevision {
-            period: 2,
-            factor: 1.5,
-        });
-        let a = base.run_job_at("m4.4xlarge", 2, &wl(), 4).unwrap();
-        let b = revised.run_job_at("m4.4xlarge", 2, &wl(), 4).unwrap();
-        assert_eq!(a.duration_secs, b.duration_secs);
-        assert_eq!(a.uptime_secs, b.uptime_secs);
-        // Two epochs have passed: 1.5² on every invoice.
-        assert!((b.prorated_cost - a.prorated_cost * 2.25).abs() < 1e-9);
-        assert!((b.billed_cost - a.billed_cost * 2.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_contention_slows_later_runs() {
-        let base = provider();
-        let drifty = provider().with_drift(DriftModel::LinearContention {
-            per_run: 0.02,
-            max_contention: 2.0,
-        });
-        let a0 = base.run_job_at("c3.8xlarge", 2, &wl(), 0).unwrap();
-        let b0 = drifty.run_job_at("c3.8xlarge", 2, &wl(), 0).unwrap();
-        assert_eq!(a0, b0, "run 0 sees the base contention");
-        let a9 = base.run_job_at("c3.8xlarge", 2, &wl(), 9).unwrap();
-        let b9 = drifty.run_job_at("c3.8xlarge", 2, &wl(), 9).unwrap();
-        assert!(b9.duration_secs > a9.duration_secs);
-    }
-
-    #[test]
     fn oracle_plan_tracks_the_drifted_ground_truth() {
         let p = provider().with_drift(DriftModel::StepRegime {
             period: 5,

@@ -1208,7 +1208,7 @@ mod tests {
             .transfer(TransferPolicy::BorrowUntil(12))
             .retrain_mode(RetrainMode::Windowed { window: 64, decay: 0.5 })
             .drift(DriftConfig {
-                detector: crate::drift::DetectorKind::Adwin,
+                detector: crate::drift::DetectorKind::PageHinkley,
                 ..DriftConfig::default()
             })
             .build();
@@ -1220,7 +1220,7 @@ mod tests {
         assert_eq!(p.n_threads, 2);
         assert_eq!(p.transfer, TransferPolicy::BorrowUntil(12));
         assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64, decay: 0.5 });
-        assert_eq!(p.drift.detector, crate::drift::DetectorKind::Adwin);
+        assert_eq!(p.drift.detector, crate::drift::DetectorKind::PageHinkley);
         // Unnamed knobs keep the paper defaults.
         let d = DeployPolicy::paper_defaults(50_000.0);
         assert_eq!(

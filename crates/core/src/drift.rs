@@ -6,14 +6,13 @@
 //! prices get revised — and a family trained on the full history then
 //! *underfits the present*. This module supplies the adaptation loop:
 //!
-//! - [`DriftDetector`]s ([Page–Hinkley](https://doi.org/10.1093/biomet/41.1-2.100)
-//!   and a simplified adaptive-windowing test) watch the stream of
-//!   per-deploy prediction residuals that the deployers already compute on
-//!   the feedback path;
+//! - a [Page–Hinkley](https://doi.org/10.1093/biomet/41.1-2.100) test
+//!   watches the stream of per-deploy prediction residuals that the
+//!   deployers already compute on the feedback path;
 //! - [`DriftConfig`] is the policy block selecting a detector and the
 //!   windowed-retrain shape, **off by default** so a default policy stays
 //!   bit-identical to the stationary system;
-//! - [`DriftState`] owns one detector per model shard and the escalation
+//! - [`DriftState`] owns one test per model shard and the escalation
 //!   ladder: a fire escalates the next retrain from the policy's base mode
 //!   to [`RetrainMode::Windowed`], a second fire before that retrain lands
 //!   escalates to [`RetrainMode::Full`], and an applied escalated retrain
@@ -25,7 +24,6 @@
 //!   metric the drift ablation folds back into prediction.
 
 use crate::predictor::RetrainMode;
-use std::collections::VecDeque;
 
 /// Which change detector monitors the residual stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,10 +36,6 @@ pub enum DetectorKind {
     /// observation), directional (detects residual *increases*), the
     /// classic sequential change-point test.
     PageHinkley,
-    /// Simplified ADWIN: a bounded residual window cut in half, firing
-    /// when the two half-means differ by more than a Hoeffding-style
-    /// bound. Slower to arm than Page–Hinkley but self-normalizing.
-    Adwin,
 }
 
 fn default_threshold() -> f64 {
@@ -72,8 +66,7 @@ pub struct DriftConfig {
     /// Fire threshold: Page–Hinkley's λ on the cumulative deviation
     /// statistic (in residual units).
     pub threshold: f64,
-    /// Page–Hinkley's drift allowance δ (tolerated mean creep per step)
-    /// and ADWIN's confidence parameter.
+    /// Page–Hinkley's drift allowance δ (tolerated mean creep per step).
     pub delta: f64,
     /// `window` of the escalated [`RetrainMode::Windowed`] retrain.
     pub window: usize,
@@ -98,14 +91,6 @@ impl DriftConfig {
     pub fn enabled(&self) -> bool {
         self.detector != DetectorKind::Off
     }
-}
-
-/// A sequential change detector over a residual stream.
-pub trait DriftDetector {
-    /// Feeds one residual; returns `true` when a change is detected. The
-    /// detector re-arms itself after firing (internal state resets to the
-    /// post-change regime).
-    fn update(&mut self, residual: f64) -> bool;
 }
 
 /// Page–Hinkley test for an increase in the residual mean.
@@ -144,79 +129,17 @@ impl PageHinkley {
         self.cum = 0.0;
         self.min_cum = 0.0;
     }
-}
 
-impl DriftDetector for PageHinkley {
-    fn update(&mut self, residual: f64) -> bool {
+    /// Feeds one residual; returns `true` when a change is detected. The
+    /// test re-arms itself after firing (its state resets to the
+    /// post-change regime).
+    pub fn update(&mut self, residual: f64) -> bool {
         self.n += 1;
         self.mean += (residual - self.mean) / self.n as f64;
         self.cum += residual - self.mean - self.delta;
         self.min_cum = self.min_cum.min(self.cum);
         if self.cum - self.min_cum > self.threshold {
             self.reset();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Number of residuals the ADWIN-style buffer retains.
-const ADWIN_CAP: usize = 64;
-/// Minimum buffered residuals before the half-split test arms.
-const ADWIN_MIN: usize = 8;
-
-/// Simplified adaptive-windowing detector: the last [`ADWIN_CAP`]
-/// residuals are split into an older and a newer half and the means are
-/// compared against a Hoeffding-style bound scaled by the buffer's value
-/// range. On fire the older half is dropped (the window "adapts" to the
-/// new regime).
-#[derive(Debug, Clone)]
-pub struct Adwin {
-    delta: f64,
-    buf: VecDeque<f64>,
-}
-
-impl Adwin {
-    /// A fresh detector with confidence parameter `delta` (smaller ⇒
-    /// fewer, more certain fires).
-    pub fn new(delta: f64) -> Self {
-        Adwin {
-            delta: delta.clamp(1e-9, 1.0),
-            buf: VecDeque::with_capacity(ADWIN_CAP),
-        }
-    }
-}
-
-impl DriftDetector for Adwin {
-    fn update(&mut self, residual: f64) -> bool {
-        if self.buf.len() == ADWIN_CAP {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(residual);
-        let n = self.buf.len();
-        if n < ADWIN_MIN {
-            return false;
-        }
-        let mid = n / 2;
-        let (mut old_sum, mut new_sum) = (0.0, 0.0);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (i, &x) in self.buf.iter().enumerate() {
-            if i < mid {
-                old_sum += x;
-            } else {
-                new_sum += x;
-            }
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        let (n0, n1) = (mid as f64, (n - mid) as f64);
-        let gap = new_sum / n1 - old_sum / n0;
-        let range = (hi - lo).max(f64::EPSILON);
-        let eps = range * ((2.0 / self.delta).ln() / 2.0 * (1.0 / n0 + 1.0 / n1)).sqrt();
-        // One-sided, like Page–Hinkley: only a residual *increase* fires.
-        if gap > eps {
-            self.buf.drain(..mid);
             true
         } else {
             false
@@ -236,7 +159,7 @@ enum Escalation {
     Full,
 }
 
-/// Per-shard drift state: the configured detector plus the
+/// Per-shard drift state: the configured Page–Hinkley test plus the
 /// Incremental → Windowed → Full escalation ladder.
 ///
 /// The state machine is strictly mode-modulating: [`DriftState::observe`]
@@ -247,14 +170,8 @@ enum Escalation {
 /// armed).
 #[derive(Debug, Clone, Default)]
 pub struct DriftState {
-    detector: Option<Detector>,
+    detector: Option<PageHinkley>,
     escalation: Escalation,
-}
-
-#[derive(Debug, Clone)]
-enum Detector {
-    PageHinkley(PageHinkley),
-    Adwin(Adwin),
 }
 
 impl DriftState {
@@ -263,10 +180,7 @@ impl DriftState {
     pub fn new(cfg: &DriftConfig) -> Self {
         let detector = match cfg.detector {
             DetectorKind::Off => None,
-            DetectorKind::PageHinkley => {
-                Some(Detector::PageHinkley(PageHinkley::new(cfg.threshold, cfg.delta)))
-            }
-            DetectorKind::Adwin => Some(Detector::Adwin(Adwin::new(cfg.delta))),
+            DetectorKind::PageHinkley => Some(PageHinkley::new(cfg.threshold, cfg.delta)),
         };
         DriftState {
             detector,
@@ -277,11 +191,7 @@ impl DriftState {
     /// Feeds one prediction residual. Returns `true` when the detector
     /// fired, in which case the escalation ladder has already advanced.
     pub fn observe(&mut self, residual: f64) -> bool {
-        let fired = match &mut self.detector {
-            None => false,
-            Some(Detector::PageHinkley(d)) => d.update(residual),
-            Some(Detector::Adwin(d)) => d.update(residual),
-        };
+        let fired = self.detector.as_mut().is_some_and(|d| d.update(residual));
         if fired {
             self.escalation = match self.escalation {
                 Escalation::Calm => Escalation::Windowed,
@@ -381,30 +291,6 @@ mod tests {
         let mut d = PageHinkley::new(default_threshold(), default_delta());
         for &x in &stream(200, 200, 2.0, 0.1) {
             assert!(!d.update(x), "improvement fired the detector");
-        }
-    }
-
-    #[test]
-    fn adwin_fires_after_the_change_never_before() {
-        let mut d = Adwin::new(default_delta());
-        let xs = stream(200, 64, 0.1, 2.0);
-        let mut fired_at = None;
-        for (i, &x) in xs.iter().enumerate() {
-            if d.update(x) {
-                fired_at = Some(i);
-                break;
-            }
-        }
-        let at = fired_at.expect("a 20× residual jump must fire");
-        assert!(at >= 200, "fired during the stationary prefix at {at}");
-        assert!(at < 264, "fired too late at {at}");
-    }
-
-    #[test]
-    fn adwin_stays_quiet_on_stationary_noise() {
-        let mut d = Adwin::new(default_delta());
-        for &x in &stream(500, 0, 0.15, 0.0) {
-            assert!(!d.update(x), "stationary stream fired ADWIN");
         }
     }
 

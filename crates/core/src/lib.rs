@@ -19,10 +19,10 @@
 //!   `(m, n)` configuration, average the predictions, discard those above
 //!   `T_max`, pick the cheapest, and with probability ε explore a random
 //!   feasible configuration instead;
-//! - [`drift`]: residual-based change detectors (Page–Hinkley, simplified
-//!   ADWIN), the per-shard Incremental → Windowed → Full retrain
-//!   escalation ladder, and regret-derived ensemble weighting — the
-//!   adaptation loop for a non-stationary cloud, off by default;
+//! - [`drift`]: a residual-based change detector (Page–Hinkley), the
+//!   per-shard Incremental → Windowed → Full retrain escalation ladder, and
+//!   regret-derived ensemble weighting — the adaptation loop for a
+//!   non-stationary cloud, off by default;
 //! - [`deploy`]: the **self-optimizing loop**: select a configuration,
 //!   provision and run on the (simulated) cloud, record the realized time
 //!   in the knowledge base, retrain, repeat. Supports the paper's manual
@@ -71,9 +71,7 @@ pub use deploy::{
     DeployDecision, DeployLoop, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder,
     Deployer, ShardedDeployer, TransparentDeployer,
 };
-pub use drift::{
-    regret_weights, Adwin, DetectorKind, DriftConfig, DriftDetector, DriftState, PageHinkley,
-};
+pub use drift::{regret_weights, DetectorKind, DriftConfig, DriftState, PageHinkley};
 pub use error::CoreError;
 pub use hetero::{
     select_hetero_configuration, select_hetero_configuration_threads, HeteroCandidate,

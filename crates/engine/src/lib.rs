@@ -20,7 +20,6 @@
 pub mod complexity;
 pub mod eeb;
 pub mod master;
-pub mod progress;
 pub mod simulation;
 
 mod error;

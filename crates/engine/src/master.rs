@@ -18,7 +18,6 @@
 
 use crate::complexity::ComplexityModel;
 use crate::eeb::{decompose, Eeb, EebCharacteristics, EebKind};
-use crate::progress::{ProgressEvent, ProgressMonitor};
 use crate::simulation::SimulationSpec;
 use crate::EngineError;
 use disar_actuarial::engine::ActuarialEngine;
@@ -169,34 +168,11 @@ impl DisarMaster {
     ///
     /// Propagates actuarial, stochastic and ALM failures.
     pub fn run_local(&self, threads: usize) -> Result<LocalOutcome, EngineError> {
-        self.run_local_monitored(threads, &crate::progress::NoopMonitor)
-    }
-
-    /// [`DisarMaster::run_local`] with a [`ProgressMonitor`] observing EEB
-    /// lifecycle events (the DiInt view). The shared-memory grid is one unit
-    /// of `threads` workers: every block starts before the shared run and
-    /// completes after it, on `unit: 0`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DisarMaster::run_local`].
-    pub fn run_local_monitored(
-        &self,
-        threads: usize,
-        monitor: &dyn ProgressMonitor,
-    ) -> Result<LocalOutcome, EngineError> {
         if threads == 0 {
             return Err(EngineError::InvalidParameter("threads must be > 0"));
         }
         let start = Instant::now();
-        let eebs = self.eebs()?;
-        monitor.on_event(ProgressEvent::Decomposed {
-            n_type_b: eebs
-                .iter()
-                .filter(|e| e.kind == EebKind::AlmValuation)
-                .count(),
-        });
-        let blocks = Self::type_b_positions(&eebs)?;
+        let blocks = Self::type_b_positions(&self.eebs()?)?;
 
         // DiAlmEng: one nested Monte Carlo run over every type-B EEB.
         let horizon = self.characteristics()?.max_horizon.max(1) as f64;
@@ -212,14 +188,8 @@ impl DisarMaster {
         )?;
         let mut config = self.spec.nested_config();
         config.threads = threads;
-        for eeb in 0..blocks.len() {
-            monitor.on_event(ProgressEvent::EebStarted { eeb, unit: 0 });
-        }
         let block_refs: Vec<&[LiabilityPosition]> = blocks.iter().map(Vec::as_slice).collect();
         let results = nested.run_blocks(&block_refs, &config)?;
-        for eeb in 0..blocks.len() {
-            monitor.on_event(ProgressEvent::EebCompleted { eeb, unit: 0 });
-        }
 
         // Gather: element-wise aggregation of Y_1 across EEBs, in block order.
         let mut y1_total: Vec<f64> = vec![0.0; self.spec.n_outer];
@@ -230,7 +200,6 @@ impl DisarMaster {
             }
             bel += res.bel;
         }
-        monitor.on_event(ProgressEvent::Gathered);
         let mean_y1 = disar_math::stats::mean(&y1_total);
         let var_quantile = disar_math::stats::quantile(&y1_total, 0.995);
         // Approximate aggregate discount with BEL/mean ratio when positive.
@@ -464,28 +433,6 @@ mod tests {
             (one.var_quantile, two.var_quantile),
         ] {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn monitor_sees_full_lifecycle() {
-        use crate::progress::{ProgressEvent, RecordingMonitor};
-        let master = DisarMaster::new(tiny_spec(17)).unwrap().with_blocks(3).unwrap();
-        let monitor = RecordingMonitor::new();
-        let out = master.run_local_monitored(2, &monitor).unwrap();
-        let events = monitor.events();
-        assert_eq!(events[0], ProgressEvent::Decomposed { n_type_b: 3 });
-        assert_eq!(*events.last().unwrap(), ProgressEvent::Gathered);
-        assert_eq!(monitor.completed(), out.n_type_b);
-        // Every EEB starts before it completes.
-        for eeb in 0..3 {
-            let start = events
-                .iter()
-                .position(|e| matches!(e, ProgressEvent::EebStarted { eeb: i, .. } if *i == eeb));
-            let done = events
-                .iter()
-                .position(|e| matches!(e, ProgressEvent::EebCompleted { eeb: i, .. } if *i == eeb));
-            assert!(start.unwrap() < done.unwrap());
         }
     }
 

@@ -47,7 +47,6 @@ pub mod mlp;
 pub mod neighbours;
 pub mod regressor;
 pub mod tree;
-pub mod validation;
 
 mod error;
 mod instances;

@@ -6,13 +6,12 @@
 //! means appending fresh rows (with a fresh `commit_id`), never rewriting
 //! old ones — so the perf trajectory of the repo is the file's history.
 
-use crate::canonical::{format_hash, CanonicalHasher};
 use disar_core::SchemaVersion;
 use disar_math::json::{Json, JsonError};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One registry row: a result plus everything needed to reproduce it.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,16 +21,18 @@ pub struct RegistryRow {
     pub schema_version: SchemaVersion,
     /// `git rev-parse HEAD` of the producing build (see [`commit_id`]).
     pub commit_id: String,
-    /// Canonical digest of every input the row's outputs depend on
-    /// (policy, seeds, job list, knowledge-base fingerprint), rendered by
-    /// [`format_hash`]. Two rows with equal `experiment` + `input_hash`
+    /// Digest of every input the row's outputs depend on, rendered by
+    /// [`format_hash`]: the producer's [`json_hash`] of one object holding
+    /// them (for an experiment driver: its name, `params`, job list and
+    /// knowledge-base records). Two rows with equal `experiment` + `input_hash`
     /// must have bit-identical `outputs` — the replay contract `runbook`
     /// asserts.
     pub input_hash: String,
     /// Digest of the compact text of `outputs`, rendered by [`format_hash`] —
     /// what a replay compares without parsing the outputs themselves.
     pub output_hash: String,
-    /// Producer name (an experiment driver or `bench:*` harness).
+    /// Producer name: an experiment driver, or a producer `runbook` does not
+    /// replay (such as `perf:<workload>`).
     pub experiment: String,
     /// The inputs, echoed as JSON so a replay can reconstruct them.
     pub params: Json,
@@ -45,13 +46,32 @@ pub struct RegistryRow {
     pub wall_ns: u64,
 }
 
-/// Digests a JSON value by its compact text. Objects keep their keys sorted,
-/// so the compact text — and therefore this digest — is deterministic for
-/// equal values however they were built.
+/// Digests a JSON value by its compact text: FNV-1a 64 over the byte `s`,
+/// the text's length as a little-endian `u64`, then the text. Objects keep
+/// their keys sorted, so the compact text — and therefore this digest — is
+/// deterministic for equal values however they were built; a float prints
+/// as the shortest text that reads back to its bits, so `0.0` and `-0.0`,
+/// or `1` and `1.0`, digest apart.
 pub fn json_hash(value: &Json) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_str(&value.to_string());
-    h.finish()
+    let text = value.to_string();
+    fnv1a(&[b"s", &(text.len() as u64).to_le_bytes(), text.as_bytes()])
+}
+
+/// FNV-1a 64 over `parts` in order: stable across processes, platforms and
+/// compiler versions, as std's `Hasher` is not.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    parts
+        .iter()
+        .copied()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Renders a digest in the registry's on-disk form (`fnv1a64:<16 hex>`).
+pub fn format_hash(hash: u64) -> String {
+    format!("fnv1a64:{hash:016x}")
 }
 
 impl RegistryRow {
@@ -150,9 +170,9 @@ pub enum RegistryError {
         /// Highest version this build reads.
         supported: u32,
     },
-    /// The advisory lock could not be acquired before the deadline.
+    /// A stale advisory lock could not be broken.
     LockTimeout {
-        /// The lock file that stayed held.
+        /// The lock file that stayed in place.
         path: PathBuf,
     },
 }
@@ -227,18 +247,22 @@ struct FileLock {
 impl FileLock {
     const RETRY: Duration = Duration::from_millis(10);
 
-    /// Locks are held for one buffered write; anything held longer than
-    /// this is a crashed holder and gets broken. `DISAR_LOCK_STALE_MS`
-    /// overrides the window (tests shrink it to avoid real waits).
-    fn stale_window() -> Duration {
-        std::env::var("DISAR_LOCK_STALE_MS")
+    /// Locks are held for one buffered write; a lock file last modified
+    /// longer ago than this was left by a crashed holder and gets broken.
+    const STALE: Duration = Duration::from_secs(10);
+
+    /// `true` when the lock file at `path` is older than [`Self::STALE`]. It
+    /// is the file's age that counts, not how long this waiter has waited,
+    /// so a live holder's fresh lock is always waited for.
+    fn is_stale(path: &Path) -> bool {
+        std::fs::metadata(path)
+            .and_then(|m| m.modified())
             .ok()
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_secs(10), Duration::from_millis)
+            .and_then(|t| t.elapsed().ok())
+            .is_some_and(|age| age > Self::STALE)
     }
 
     fn acquire(path: PathBuf) -> Result<FileLock, RegistryError> {
-        let deadline = Instant::now() + Self::stale_window();
         loop {
             match std::fs::OpenOptions::new()
                 .write(true)
@@ -251,14 +275,13 @@ impl FileLock {
                     return Ok(FileLock { path });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if Instant::now() >= deadline {
-                        // The holder has been gone for the whole window:
-                        // break the stale lock and retry once more.
-                        if std::fs::remove_file(&path).is_err() {
+                    if !Self::is_stale(&path) {
+                        std::thread::sleep(Self::RETRY);
+                    } else if let Err(e) = std::fs::remove_file(&path) {
+                        // Another waiter breaking it first is no failure.
+                        if e.kind() != std::io::ErrorKind::NotFound {
                             return Err(RegistryError::LockTimeout { path });
                         }
-                    } else {
-                        std::thread::sleep(Self::RETRY);
                     }
                 }
                 Err(e) => return Err(e.into()),
@@ -314,8 +337,7 @@ impl Registry {
     /// # Errors
     ///
     /// Propagates I/O failures; fails with
-    /// [`RegistryError::LockTimeout`] when the lock cannot be acquired or
-    /// broken.
+    /// [`RegistryError::LockTimeout`] when a stale lock cannot be broken.
     pub fn append(&self, rows: &[RegistryRow]) -> Result<(), RegistryError> {
         if rows.is_empty() {
             return Ok(());
@@ -486,6 +508,24 @@ mod tests {
         let a = Json::obj([("p", 1u64.into()), ("q", 2u64.into())]);
         let b = Json::obj([("q", 2u64.into()), ("p", 1u64.into())]);
         assert_eq!(json_hash(&a), json_hash(&b));
+        // Floats digest by their bits: the sign of zero counts, and an
+        // integer is not the float of the same value.
+        assert_ne!(json_hash(&Json::Num(0.0)), json_hash(&Json::Num(-0.0)));
+        assert_ne!(json_hash(&Json::UInt(1)), json_hash(&Json::Num(1.0)));
+        assert_eq!(json_hash(&Json::Num(1.5)), json_hash(&Json::Num(1.5)));
+    }
+
+    #[test]
+    fn fnv_reference_vectors() {
+        // Standard FNV-1a 64 test vectors, however the bytes are split.
+        assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(&[b"foo", b"", b"bar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            format_hash(0xaf63_dc4c_8601_ec8c),
+            "fnv1a64:af63dc4c8601ec8c"
+        );
     }
 
     #[test]
@@ -499,18 +539,44 @@ mod tests {
     #[test]
     fn stale_lock_is_broken() {
         let reg = temp_registry("stalelock");
-        let lock = {
-            let mut os = reg.path().as_os_str().to_os_string();
-            os.push(".lock");
-            PathBuf::from(os)
-        };
+        let lock = reg.lock_path();
         std::fs::write(&lock, "dead-holder").unwrap();
-        // Acquisition waits out the (test-shrunk) stale window, then
-        // breaks the lock.
-        std::env::set_var("DISAR_LOCK_STALE_MS", "100");
-        let appended = reg.append(&[row("a", 1)]);
-        std::env::remove_var("DISAR_LOCK_STALE_MS");
-        appended.unwrap();
+        // A holder that crashed a minute ago: its lock file is that old.
+        let a_minute_ago = std::time::SystemTime::now() - Duration::from_secs(60);
+        std::fs::File::options()
+            .write(true)
+            .open(&lock)
+            .unwrap()
+            .set_modified(a_minute_ago)
+            .unwrap();
+        reg.append(&[row("a", 1)]).unwrap();
+        assert_eq!(reg.load().unwrap().len(), 1);
+        assert!(!lock.exists(), "lock released after append");
+        std::fs::remove_file(reg.path()).ok();
+    }
+
+    #[test]
+    fn fresh_lock_is_waited_for_not_broken() {
+        let reg = temp_registry("freshlock");
+        let lock = reg.lock_path();
+        std::fs::write(&lock, "live-holder").unwrap();
+        // Taken before the holder starts, so its release (and with it the
+        // append, which cannot create the lock before) is 300 ms after it.
+        let t0 = std::time::Instant::now();
+        let holder = {
+            let lock = lock.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(300));
+                // Still this holder's lock: the waiter did not break it.
+                let held = std::fs::read_to_string(&lock).unwrap();
+                std::fs::remove_file(&lock).unwrap();
+                held
+            })
+        };
+        reg.append(&[row("a", 1)]).unwrap();
+        let waited = t0.elapsed();
+        assert!(waited >= Duration::from_millis(300), "{waited:?}");
+        assert_eq!(holder.join().unwrap(), "live-holder");
         assert_eq!(reg.load().unwrap().len(), 1);
         assert!(!lock.exists(), "lock released after append");
         std::fs::remove_file(reg.path()).ok();

@@ -1,28 +1,21 @@
 //! `disar` — command-line interface to the DISAR reproduction.
 //!
-//! The DiInt stand-in: generate portfolios, run Solvency II valuations,
-//! drive the ML-based cloud provisioning loop, and run any registered
-//! paper experiment from a shell.
+//! The DiInt stand-in: generate portfolios, run Solvency II valuations and
+//! drive the ML-based cloud provisioning loop from a shell. The paper's
+//! experiments run from their own binary, `experiments` (crate
+//! `disar-bench`).
 //!
 //! ```text
 //! disar portfolio  --policies 5000 --seed 42
 //! disar value      --policies 500 --outer 200 --inner 20 --threads 4
 //! disar deploy     --runs 40 --tmax 3600
 //! disar curve      --rate 0.03
-//! disar experiment table2 --quick --seed 7 --out rows.json
-//! disar experiment --list
 //! ```
 //!
 //! Commands are dispatched through a lookup table, and every command
 //! accepts the uniform `--seed S`, `--threads N`, and `--out FILE`
-//! flags (`--out` writes the command's JSON summary). Experiment rows
-//! additionally land in the append-only registry
-//! (`results/registry.jsonl`).
+//! flags (`--out` writes the command's JSON summary).
 
-use disar_bench::campaign::CampaignConfig;
-use disar_bench::experiments::{by_name, ExperimentCtx, EXPERIMENTS};
-use disar_bench::registry::workspace_registry;
-use disar_registry::RegistryRow;
 use disar_suite::actuarial::portfolio::PortfolioSpec;
 use disar_suite::alm::SegregatedFund;
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
@@ -74,10 +67,6 @@ impl Cli {
             .unwrap_or(default)
     }
 
-    fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
-    }
-
     /// Uniform flags shared by every command.
     fn seed(&self) -> u64 {
         self.get("seed", 42)
@@ -124,12 +113,6 @@ static COMMANDS: &[Command] = &[
         usage: "curve      --rate R",
         about: "print the Vasicek zero curve",
         run: cmd_curve,
-    },
-    Command {
-        name: "experiment",
-        usage: "experiment NAME [--quick] | --list",
-        about: "run a registered paper experiment into the registry",
-        run: cmd_experiment,
     },
 ];
 
@@ -286,40 +269,8 @@ fn cmd_curve(cli: &Cli) -> CmdResult {
     ]))
 }
 
-fn cmd_experiment(cli: &Cli) -> CmdResult {
-    if cli.has("list") {
-        for e in EXPERIMENTS {
-            println!("{}", e.name());
-        }
-        return Ok(Json::arr(EXPERIMENTS.iter().map(|e| e.name())));
-    }
-    let Some(name) = cli.positionals.get(1) else {
-        return Err("experiment needs a NAME (try --list)".into());
-    };
-    let exp = by_name(name).ok_or_else(|| format!("unknown experiment: {name} (try --list)"))?;
-    let quick = cli.has("quick");
-    let mut cfg = CampaignConfig::default();
-    if quick {
-        cfg.n_runs = 300;
-    }
-    cfg.seed = cli.seed();
-    cfg.n_threads = cli.threads();
-    let ctx = ExperimentCtx::new(cfg, quick);
-    let rows = exp.run(&ctx);
-    let registry = workspace_registry();
-    registry.append(&rows)?;
-    for row in &rows {
-        println!("-- {} --", row.experiment);
-        println!("input  {}", row.input_hash);
-        println!("output {}", row.output_hash);
-        println!("{}", exp.render(&row.outputs));
-    }
-    println!("appended {} row(s) to {}", rows.len(), registry.path().display());
-    Ok(Json::arr(rows.iter().map(RegistryRow::to_json)))
-}
-
 fn usage() {
-    eprintln!("usage: disar <command> [NAME] [--flag value ...]\n\ncommands:");
+    eprintln!("usage: disar <command> [--flag value ...]\n\ncommands:");
     for c in COMMANDS {
         eprintln!("  {:<38} {}", c.usage, c.about);
     }
