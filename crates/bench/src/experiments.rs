@@ -22,9 +22,9 @@ use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog};
 use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
 use disar_core::{
-    regret_weights, select_configuration, select_configuration_with_workspace,
-    select_hetero_configuration, CoreError, DeployMode, DetectorKind, DriftConfig, KnowledgeBase,
-    PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace, TimeEstimate,
+    regret_weights, select_configuration, select_configuration_with_workspace, CoreError,
+    DeployMode, DetectorKind, DriftConfig, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord,
+    SelectionWorkspace, TimeEstimate,
 };
 use disar_math::json::Json;
 use disar_math::parallel::parallel_map;
@@ -150,7 +150,6 @@ pub static EXPERIMENTS: &[&dyn Experiment] = &[
     &ComparisonExperiment,
     &EnsembleAblationExperiment,
     &EpsilonAblationExperiment,
-    &HeteroAblationExperiment,
     &DeadlineRuleAblationExperiment,
     &LearningCurveExperiment,
     &TransferAblationExperiment,
@@ -911,195 +910,6 @@ impl Experiment for EpsilonAblationExperiment {
             &jobs,
             &[("n_deploys", n.into())],
             Json::obj([("rows", Json::arr([greedy.to_json(), explore.to_json()]))]),
-            Json::Null,
-            t0,
-        )
-    }
-}
-
-/// Ablation: heterogeneous (mixed-type) deploys vs homogeneous Algorithm 1
-/// — the paper's §VI future work, quantified.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeteroAblationRow {
-    /// The deadline tested.
-    pub t_max: f64,
-    /// Homogeneous greedy pick, `None` when infeasible.
-    pub homo: Option<(String, usize, f64, f64)>,
-    /// Hetero greedy pick as `(description, realized secs, realized cost)`.
-    pub hetero: Option<(String, f64, f64)>,
-}
-
-impl HeteroAblationRow {
-    /// The fields as the registry row's `outputs` holds them.
-    pub fn to_json(&self) -> Json {
-        let homo = self
-            .homo
-            .as_ref()
-            .map_or(Json::Null, |(instance, nodes, secs, cost)| {
-                Json::Arr(vec![
-                    instance.as_str().into(),
-                    (*nodes).into(),
-                    (*secs).into(),
-                    (*cost).into(),
-                ])
-            });
-        let hetero = self
-            .hetero
-            .as_ref()
-            .map_or(Json::Null, |(description, secs, cost)| {
-                named_row(description, &[*secs, *cost])
-            });
-        Json::obj([
-            ("t_max", self.t_max.into()),
-            ("homo", homo),
-            ("hetero", hetero),
-        ])
-    }
-}
-
-/// Driver for the heterogeneous-deploy ablation (`ablation_hetero`).
-pub struct HeteroAblationExperiment;
-
-impl HeteroAblationExperiment {
-    /// For a sweep of deadlines on the largest EEB, compares the realized
-    /// time/cost of the homogeneous pick against the heterogeneous one.
-    ///
-    /// The sweep runs in two phases so it parallelizes: selections first
-    /// (pure reads of the trained family), then the realized runs.
-    /// Homogeneous runs draw reserved noise-stream slots in deadline order
-    /// — exactly the indices the sequential loop's `run_job` calls would
-    /// consume — and heterogeneous runs are counter-free (explicit seed),
-    /// so the rows are bit-identical for any thread count; `1` is the
-    /// sequential escape hatch.
-    pub fn compute(
-        kb: &KnowledgeBase,
-        jobs: &[EebJob],
-        provider: &CloudProvider,
-        seed: u64,
-        n_threads: usize,
-    ) -> Vec<HeteroAblationRow> {
-        let n_threads = n_threads.max(1);
-        let mut family = PredictorFamily::new(seed, 2);
-        family
-            .retrain(kb, RetrainMode::Incremental, n_threads)
-            .expect("knowledge base is large enough");
-        let job = jobs
-            .iter()
-            .max_by(|a, b| {
-                a.workload
-                    .work_units
-                    .partial_cmp(&b.workload.work_units)
-                    .expect("finite")
-            })
-            .expect("non-empty");
-
-        // Anchor the sweep on the best homogeneous prediction.
-        let loose =
-            select_configuration(&family, provider.catalog(), &job.profile, 1e12, 4, 0.0, seed)
-                .expect("feasible at infinite deadline");
-        let best_secs = loose
-            .feasible
-            .iter()
-            .map(|c| c.predicted_secs)
-            .fold(f64::INFINITY, f64::min);
-
-        const MULTS: [f64; 4] = [0.8, 1.0, 1.5, 3.0];
-        let sels = parallel_map(MULTS.len(), n_threads, |i| {
-            let t_max = best_secs * MULTS[i];
-            let homo = select_configuration(
-                &family,
-                provider.catalog(),
-                &job.profile,
-                t_max,
-                4,
-                0.0,
-                seed,
-            )
-            .ok();
-            let hetero = select_hetero_configuration(
-                &family,
-                provider.catalog(),
-                &job.profile,
-                t_max,
-                4,
-                0.0,
-                seed,
-            )
-            .ok();
-            (t_max, homo, hetero)
-        });
-
-        // Only feasible homogeneous picks consume provider noise slots, in
-        // deadline order.
-        let mut n_homo = 0u64;
-        let homo_slot: Vec<u64> = sels
-            .iter()
-            .map(|(_, homo, _)| {
-                let slot = n_homo;
-                if homo.is_some() {
-                    n_homo += 1;
-                }
-                slot
-            })
-            .collect();
-        let base = provider.reserve_runs(n_homo);
-
-        parallel_map(MULTS.len(), n_threads, |i| {
-            let (t_max, homo_sel, hetero_sel) = &sels[i];
-            let homo = homo_sel.as_ref().map(|sel| {
-                let r = provider
-                    .run_job_at(
-                        &sel.chosen.instance,
-                        sel.chosen.n_nodes,
-                        &job.workload,
-                        base + homo_slot[i],
-                    )
-                    .expect("valid instance");
-                (
-                    sel.chosen.instance.clone(),
-                    sel.chosen.n_nodes,
-                    r.duration_secs,
-                    r.prorated_cost,
-                )
-            });
-            let hetero = hetero_sel.as_ref().map(|sel| {
-                let desc = sel
-                    .chosen
-                    .groups
-                    .iter()
-                    .map(|g| format!("{}x{}", g.instance, g.n_nodes))
-                    .collect::<Vec<_>>()
-                    .join("+");
-                let r = provider
-                    .run_hetero_job_with_seed(&sel.chosen.groups, &job.workload, seed ^ 0x4E7)
-                    .expect("valid groups");
-                (desc, r.duration_secs, r.prorated_cost)
-            });
-            HeteroAblationRow {
-                t_max: *t_max,
-                homo,
-                hetero,
-            }
-        })
-    }
-}
-
-impl Experiment for HeteroAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_hetero"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let rows = Self::compute(&kb, &jobs, &provider, ctx.cfg.seed, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(HeteroAblationRow::to_json)),
             Json::Null,
             t0,
         )
@@ -2131,7 +1941,7 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             EXPERIMENTS.iter().map(|e| e.name()).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
-        assert_eq!(EXPERIMENTS.len(), 16);
+        assert_eq!(EXPERIMENTS.len(), 15);
         for e in EXPERIMENTS {
             assert_eq!(by_name(e.name()).unwrap().name(), e.name());
         }
@@ -2316,20 +2126,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_hetero_and_deadline_ablations_match_sequential() {
+    fn parallel_deadline_ablation_matches_sequential() {
         // Separate providers so both variants see identical noise-stream
-        // positions; the ablations run back-to-back on each, which also
-        // checks that both leave the stream at the same point.
+        // positions, and both must leave their stream at the same point.
         let (kb, seq_provider, jobs) = small_campaign();
         let (_, par_provider, _) = small_campaign();
-        assert_eq!(
-            HeteroAblationExperiment::compute(&kb, &jobs, &seq_provider, 3, 1),
-            HeteroAblationExperiment::compute(&kb, &jobs, &par_provider, 3, 4)
-        );
         assert_eq!(
             DeadlineRuleAblationExperiment::compute(&kb, &jobs, &seq_provider, 5, 1),
             DeadlineRuleAblationExperiment::compute(&kb, &jobs, &par_provider, 5, 4)
         );
+        assert_eq!(seq_provider.reserve_runs(0), par_provider.reserve_runs(0));
     }
 
     #[test]
@@ -2399,25 +2205,6 @@ mod tests {
             explore.distinct_configs >= greedy.distinct_configs,
             "exploration must not shrink coverage: {greedy:?} vs {explore:?}"
         );
-    }
-
-    #[test]
-    fn hetero_ablation_finds_feasible_configs() {
-        let (kb, provider, jobs) = small_campaign();
-        let rows = HeteroAblationExperiment::compute(&kb, &jobs, &provider, 3, 1);
-        assert_eq!(rows.len(), 4);
-        // At a loose deadline both approaches find something, and the
-        // hetero candidate set contains the homogeneous one, so its
-        // predicted pick cannot be worse; realized costs stay comparable.
-        let loose = rows.last().unwrap();
-        assert!(loose.homo.is_some());
-        assert!(loose.hetero.is_some());
-        // Whenever homo is feasible, hetero must be too (superset).
-        for r in &rows {
-            if r.homo.is_some() {
-                assert!(r.hetero.is_some(), "hetero infeasible at {}", r.t_max);
-            }
-        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ impl InstanceType {
     ///
     /// # Errors
     ///
-    /// Returns [`CloudError::InvalidParameter`] for zero vCPUs or
-    /// non-positive memory/cost/speed.
+    /// Returns [`CloudError::InvalidParameter`] for zero vCPUs or a
+    /// memory/cost/speed that is not a finite positive number.
     pub fn new(
         name: &str,
         vcpus: u32,
@@ -43,14 +43,20 @@ impl InstanceType {
         if vcpus == 0 {
             return Err(CloudError::InvalidParameter("vcpus must be > 0"));
         }
-        if memory_gib <= 0.0 {
-            return Err(CloudError::InvalidParameter("memory_gib must be > 0"));
+        if !(memory_gib > 0.0 && memory_gib.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "memory_gib must be finite and > 0",
+            ));
         }
-        if hourly_cost <= 0.0 {
-            return Err(CloudError::InvalidParameter("hourly_cost must be > 0"));
+        if !(hourly_cost > 0.0 && hourly_cost.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "hourly_cost must be finite and > 0",
+            ));
         }
-        if per_core_speed <= 0.0 {
-            return Err(CloudError::InvalidParameter("per_core_speed must be > 0"));
+        if !(per_core_speed > 0.0 && per_core_speed.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "per_core_speed must be finite and > 0",
+            ));
         }
         Ok(InstanceType {
             name: name.to_string(),
@@ -214,6 +220,18 @@ mod tests {
         assert!(InstanceType::new("z", 1, 0.0, 1.0, 1.0).is_err());
         assert!(InstanceType::new("z", 1, 1.0, 0.0, 1.0).is_err());
         assert!(InstanceType::new("z", 1, 1.0, 1.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_instance_fields_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for args in [(bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)] {
+                assert!(matches!(
+                    InstanceType::new("z", 1, args.0, args.1, args.2),
+                    Err(CloudError::InvalidParameter(_))
+                ));
+            }
+        }
     }
 
     #[test]

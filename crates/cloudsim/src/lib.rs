@@ -50,7 +50,6 @@ pub mod cluster;
 pub mod comm;
 pub mod drift;
 pub mod event;
-pub mod hetero;
 pub mod instances;
 pub mod perf;
 pub mod provider;
@@ -60,7 +59,6 @@ mod error;
 
 pub use drift::DriftModel;
 pub use error::CloudError;
-pub use hetero::{HeteroReport, NodeGroup};
 pub use instances::{InstanceCatalog, InstanceType};
 pub use provider::{CloudProvider, JobReport, OraclePlan};
 pub use workload::Workload;

@@ -29,22 +29,29 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Returns [`CloudError::InvalidParameter`] for non-positive work,
-    /// negative memory/transfer, or a serial fraction outside `[0, 1)`.
+    /// Returns [`CloudError::InvalidParameter`] for work that is not a
+    /// finite positive number, memory/transfer that is not a finite
+    /// non-negative number, or a serial fraction outside `[0, 1)`.
     pub fn new(
         work_units: f64,
         memory_gib: f64,
         transfer_mib: f64,
         serial_fraction: f64,
     ) -> Result<Self, CloudError> {
-        if !(work_units > 0.0) {
-            return Err(CloudError::InvalidParameter("work_units must be > 0"));
+        if !(work_units > 0.0 && work_units.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "work_units must be finite and > 0",
+            ));
         }
-        if memory_gib < 0.0 {
-            return Err(CloudError::InvalidParameter("memory_gib must be >= 0"));
+        if !(memory_gib >= 0.0 && memory_gib.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "memory_gib must be finite and >= 0",
+            ));
         }
-        if transfer_mib < 0.0 {
-            return Err(CloudError::InvalidParameter("transfer_mib must be >= 0"));
+        if !(transfer_mib >= 0.0 && transfer_mib.is_finite()) {
+            return Err(CloudError::InvalidParameter(
+                "transfer_mib must be finite and >= 0",
+            ));
         }
         if !(0.0..1.0).contains(&serial_fraction) {
             return Err(CloudError::InvalidParameter(
@@ -85,6 +92,23 @@ mod tests {
         assert!(Workload::new(1.0, 1.0, -1.0, 0.1).is_err());
         assert!(Workload::new(1.0, 1.0, 1.0, 1.0).is_err());
         assert!(Workload::new(1.0, 1.0, 1.0, 0.0).is_ok());
+    }
+
+    #[test]
+    fn non_finite_workload_fields_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for args in [
+                (bad, 1.0, 1.0, 0.1),
+                (1.0, bad, 1.0, 0.1),
+                (1.0, 1.0, bad, 0.1),
+                (1.0, 1.0, 1.0, bad),
+            ] {
+                assert!(matches!(
+                    Workload::new(args.0, args.1, args.2, args.3),
+                    Err(CloudError::InvalidParameter(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests of the cloud simulator.
 
-use disar_cloudsim::{CloudProvider, InstanceCatalog, NodeGroup, Workload};
+use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use disar_math::check::cases;
 use disar_math::rng::Xoshiro256PlusPlus;
 
@@ -73,48 +73,5 @@ fn billed_cost_identity() {
         assert!((r.billed_cost - expect).abs() < 1e-9);
         let pro = r.uptime_secs / 3600.0 * rate * n as f64;
         assert!((r.prorated_cost - pro).abs() < 1e-9);
-    });
-}
-
-/// Hetero runs with a single full-share group are valid for any type.
-#[test]
-fn hetero_single_group_valid() {
-    cases(64, |rng| {
-        let (instance, work) = (any_instance(rng), rng.gen_range(100.0..5e4));
-        let (n, seed) = (rng.gen_range(1usize..6), rng.gen_range(0u64..100));
-        let wl = Workload::new(work, 2.0, 10.0, 0.02).expect("valid");
-        let g = NodeGroup::new(instance, n, 1.0).expect("valid");
-        let r = provider()
-            .run_hetero_job_with_seed(&[g], &wl, seed)
-            .expect("ok");
-        assert!(r.duration_secs > 0.0);
-        assert!(r.prorated_cost > 0.0);
-        assert_eq!(r.group_secs.len(), 1);
-        assert_eq!(r.group_idle[0], 0.0);
-    });
-}
-
-/// Two-group hetero: shifting work towards a group increases that group's
-/// compute time.
-#[test]
-fn hetero_share_shifts_load() {
-    cases(64, |rng| {
-        let (share, delta) = (rng.gen_range(0.2..0.8), rng.gen_range(0.05..0.15));
-        let seed = rng.gen_range(0u64..100);
-        let p = provider();
-        let wl = Workload::new(20_000.0, 8.0, 50.0, 0.0).expect("valid");
-        let mk = |s: f64| {
-            vec![
-                NodeGroup::new("c4.8xlarge", 1, s).expect("valid"),
-                NodeGroup::new("m4.4xlarge", 1, 1.0 - s).expect("valid"),
-            ]
-        };
-        let hi = (share + delta).min(0.95);
-        let r_lo = p
-            .run_hetero_job_with_seed(&mk(share), &wl, seed)
-            .expect("ok");
-        let r_hi = p.run_hetero_job_with_seed(&mk(hi), &wl, seed).expect("ok");
-        assert!(r_hi.group_secs[0] > r_lo.group_secs[0]);
-        assert!(r_hi.group_secs[1] < r_lo.group_secs[1]);
     });
 }

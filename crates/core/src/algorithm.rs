@@ -242,14 +242,15 @@ pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     for (i, n) in nodes.iter().copied().enumerate() {
         for (g, inst) in insts.iter().enumerate() {
             let (time, filter_time) = slots[g].evals[i];
-            best_predicted = best_predicted.min(filter_time);
             // A non-positive mean prediction is a model artefact, not a
             // 0-second job: it would produce `predicted_cost = 0` and steal
-            // the greedy argmin, so the cell is rejected outright.
+            // the greedy argmin, so the cell is rejected outright — and it
+            // is not the best predicted time an infeasible deadline reports.
             if time <= 0.0 {
                 rejected_nonpositive += 1;
                 continue;
             }
+            best_predicted = best_predicted.min(filter_time);
             if filter_time <= t_max {
                 feasible.push(CandidateConfig {
                     instance: inst.name.clone(),
@@ -559,6 +560,47 @@ mod tests {
             assert!(c.predicted_cost > 0.0, "zero-cost candidate survived: {c:?}");
         }
         assert!(sel.chosen.predicted_cost > 0.0);
+    }
+
+    /// A stub predictor: negative times from three nodes up, times above
+    /// any deadline below 1 000 s on one and two nodes.
+    struct NegativeOrSlowPredictor;
+
+    impl TimePredictor for NegativeOrSlowPredictor {
+        fn predict_each(
+            &self,
+            _profile: &JobProfile,
+            instance: &InstanceType,
+            n_nodes: usize,
+        ) -> Result<Vec<(&'static str, f64)>, CoreError> {
+            let t = if n_nodes >= 3 {
+                -50.0
+            } else {
+                1_000.0 + (n_nodes * instance.vcpus as usize) as f64
+            };
+            Ok(vec![("M0", t), ("M1", t)])
+        }
+    }
+
+    #[test]
+    fn rejected_cells_do_not_set_the_best_predicted_time() {
+        let cat = InstanceCatalog::paper_catalog();
+        let stub = NegativeOrSlowPredictor;
+        let err = select_configuration(&stub, &cat, &profile(100), 500.0, 4, 0.0, 1).unwrap_err();
+        let smallest = cat
+            .iter()
+            .map(|inst| 1_000.0 + inst.vcpus as f64)
+            .fold(f64::INFINITY, f64::min);
+        match err {
+            CoreError::NoFeasibleConfiguration {
+                t_max,
+                best_predicted,
+            } => {
+                assert_eq!(t_max, 500.0);
+                assert_eq!(best_predicted, smallest);
+            }
+            other => panic!("unexpected error {other}"),
+        }
     }
 
     /// A stub predictor whose `predict_each` counts member evaluations —

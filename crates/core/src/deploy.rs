@@ -843,42 +843,6 @@ impl DeployLoop<Local<KnowledgeBase, PredictorFamily>> {
         &self.backend.predictor
     }
 
-    /// Deploys one job on a (possibly mixed) heterogeneous configuration —
-    /// the §VI extension. Selection uses
-    /// [`crate::select_hetero_configuration`] over the homogeneous
-    /// knowledge base; the realized run is *not* recorded (mixed runs do
-    /// not fit the homogeneous record schema the predictors train on —
-    /// knowledge flows homogeneous → hetero only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection ([`CoreError::NoFeasibleConfiguration`], ML)
-    /// and cloud failures.
-    pub fn deploy_hetero(
-        &mut self,
-        profile: &JobProfile,
-        workload: &Workload,
-    ) -> Result<(crate::hetero::HeteroSelection, disar_cloudsim::HeteroReport), CoreError> {
-        self.policy.validate()?;
-        let seed = self.next_decision_seed();
-        let selection = crate::hetero::select_hetero_configuration_threads(
-            &self.backend.predictor,
-            self.provider.catalog(),
-            profile,
-            self.policy.t_max_secs,
-            self.policy.max_nodes,
-            self.policy.epsilon,
-            seed,
-            self.policy.n_threads,
-        )?;
-        let report = self.provider.run_hetero_job_with_seed(
-            &selection.chosen.groups,
-            workload,
-            seed ^ 0x4E7E,
-        )?;
-        Ok((selection, report))
-    }
-
     /// Convenience: deploys a DISAR simulation, deriving the profile and
     /// workload from its master.
     ///
@@ -1109,31 +1073,6 @@ mod tests {
         bad.epsilon = 2.0;
         let mut d = TransparentDeployer::new(provider, bad, 1);
         assert!(d.deploy(&profile(10), &workload(10)).is_err());
-    }
-
-    #[test]
-    fn hetero_deploy_after_training() {
-        let mut d = deployer(11);
-        // Warm up with homogeneous deploys.
-        for i in 0..12 {
-            d.deploy(&profile(80 + i * 23), &workload(80 + i * 23)).unwrap();
-        }
-        let kb_before = d.knowledge_base().len();
-        let (sel, report) = d.deploy_hetero(&profile(200), &workload(200)).unwrap();
-        assert!(!sel.feasible.is_empty());
-        assert!(report.duration_secs > 0.0);
-        assert!(report.prorated_cost > 0.0);
-        // Hetero runs are not recorded (homogeneous-only knowledge base).
-        assert_eq!(d.knowledge_base().len(), kb_before);
-    }
-
-    #[test]
-    fn hetero_deploy_untrained_fails_cleanly() {
-        let mut d = deployer(13);
-        assert!(matches!(
-            d.deploy_hetero(&profile(100), &workload(100)),
-            Err(CoreError::Ml(_))
-        ));
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub enum CoreError {
     NoFeasibleConfiguration {
         /// The deadline that could not be met (seconds).
         t_max: f64,
-        /// The best (smallest) predicted time among all configurations.
+        /// The best (smallest) predicted time among the configurations not
+        /// rejected for a non-positive prediction (infinity when all were).
         best_predicted: f64,
     },
     /// An ML model failed to train or predict.

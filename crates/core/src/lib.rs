@@ -54,7 +54,6 @@
 pub mod algorithm;
 pub mod deploy;
 pub mod drift;
-pub mod hetero;
 pub mod knowledge;
 pub mod predictor;
 pub mod profile;
@@ -73,10 +72,6 @@ pub use deploy::{
 };
 pub use drift::{regret_weights, DetectorKind, DriftConfig, DriftState, PageHinkley};
 pub use error::CoreError;
-pub use hetero::{
-    select_hetero_configuration, select_hetero_configuration_threads, HeteroCandidate,
-    HeteroSelection,
-};
 pub use knowledge::{
     KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,
 };

@@ -820,10 +820,17 @@ mod tests {
         // In the service, an instance type of unbounded memory does the same
         // to the tenant that runs on it: the cloud runs its jobs, the shard
         // cannot be fitted. The other tenant's stream is its solo run.
+        // `InstanceType::new` refuses a non-finite memory, so the entry is
+        // built field by field, as a catalog that skips the constructor would.
         let mut catalog = InstanceCatalog::paper_catalog();
         let names = catalog.names();
-        let unbounded = InstanceType::new("x1.unbounded", 16, f64::INFINITY, 1.0, 1.0).unwrap();
-        catalog.register(unbounded);
+        catalog.register(InstanceType {
+            name: "x1.unbounded".to_string(),
+            vcpus: 16,
+            memory_gib: f64::INFINITY,
+            hourly_cost: 1.0,
+            per_core_speed: 1.0,
+        });
         let forced = |i: usize, instance: &str| {
             let c = 80 + 13 * i;
             PipelineJob::forced(profile(c), workload(c), instance, 1 + i % 2)

@@ -3,9 +3,8 @@
 use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog, Workload};
 use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_core::{
-    select_configuration, select_configuration_with_workspace, select_hetero_configuration,
-    CoreError, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace,
-    ShardedKnowledgeBase, TimeEstimate,
+    select_configuration, select_configuration_with_workspace, KnowledgeBase, PredictorFamily,
+    RetrainMode, RunRecord, SelectionWorkspace, ShardedKnowledgeBase, TimeEstimate,
 };
 use disar_math::check::cases;
 
@@ -87,30 +86,6 @@ fn conservative_subset() {
             (Ok(m), Ok(c)) => assert!(c.feasible.len() <= m.feasible.len()),
             (Err(_), Ok(_)) => panic!("conservative feasible but mean not"),
             _ => {}
-        }
-    });
-}
-
-/// Hetero selection dominates homogeneous selection on predicted cost
-/// whenever both succeed.
-#[test]
-fn hetero_weakly_dominates() {
-    cases(32, |rng| {
-        let (contracts, t_max) = (rng.gen_range(60usize..420), rng.gen_range(500.0..20_000.0));
-        let (fam, cat) = family();
-        let p = profile(contracts);
-        let homo = select_configuration(fam, cat, &p, t_max, 4, 0.0, 1);
-        let hetero = select_hetero_configuration(fam, cat, &p, t_max, 4, 0.0, 1);
-        if let Ok(h) = &homo {
-            let het = hetero.as_ref().expect("superset feasibility");
-            assert!(het.chosen.predicted_cost <= h.chosen.predicted_cost + 1e-9);
-        }
-        if homo.is_err() {
-            // Hetero may still succeed (mixes are faster) — and when it
-            // fails too, the reported best prediction must exceed t_max.
-            if let Err(CoreError::NoFeasibleConfiguration { best_predicted, .. }) = hetero {
-                assert!(best_predicted > t_max);
-            }
         }
     });
 }

@@ -8,7 +8,7 @@
 //! order (each worker owns a contiguous run of indices and the runs are
 //! gathered in order, so the schedule cannot change the result). It is
 //! shared by the ALM nested Monte Carlo, Algorithm 1's grid sweep, the
-//! predictor retrain loop and the bench campaign driver.
+//! predictor retrain loop and the experiment drivers of `disar-bench`.
 
 /// The library-wide default worker-thread count: one per core the process
 /// may use ([`std::thread::available_parallelism`]), falling back to `1`
@@ -19,49 +19,6 @@
 /// `n_threads = 1` explicitly for the sequential escape hatch.
 pub fn default_n_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The one chunked body behind the three maps: worker `t` builds a
-/// workspace with `init`, then runs `f(i, &mut items[i], &mut ws)` over its
-/// contiguous chunk of `n_items.div_ceil(threads)` items; the chunks'
-/// results are gathered in index order. The maps without items pass a slice
-/// of `()` (no allocation), the maps without a workspace pass `|| ()`.
-fn chunked<T, W, R, I, F>(items: &mut [T], n_threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(usize, &mut T, &mut W) -> R + Sync,
-{
-    assert!(n_threads > 0, "n_threads must be positive");
-    let n_items = items.len();
-    if n_items == 0 {
-        return Vec::new();
-    }
-    let run = |base: usize, part: &mut [T]| -> Vec<R> {
-        let mut ws = init();
-        part.iter_mut()
-            .enumerate()
-            .map(|(off, item)| f(base + off, item, &mut ws))
-            .collect()
-    };
-    if n_threads == 1 || n_items == 1 {
-        return run(0, items);
-    }
-    let chunk = n_items.div_ceil(n_threads.min(n_items));
-    std::thread::scope(|s| {
-        let run = &run;
-        let workers: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, part)| s.spawn(move || run(t * chunk, part)))
-            .collect();
-        let mut results = Vec::with_capacity(n_items);
-        for w in workers {
-            results.extend(w.join().expect("worker thread panicked"));
-        }
-        results
-    })
 }
 
 /// Applies `f` to every index in `0..n_items` using up to `n_threads`
@@ -88,7 +45,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    chunked(&mut vec![(); n_items], n_threads, || (), |i, _, _| f(i))
+    parallel_map_mut(&mut vec![(); n_items], n_threads, |i, _| f(i))
 }
 
 /// Applies `f` to every element of `items` in place, using up to
@@ -101,8 +58,9 @@ where
 /// output — like the mutations — is independent of the thread schedule as
 /// long as `f(i, item)` depends only on `i` and `*item`.
 ///
-/// `n_threads = 1` degrades to a plain sequential loop (no threads
-/// spawned).
+/// Worker `t` takes the `t`-th contiguous chunk of
+/// `items.len().div_ceil(n_threads)` items. `n_threads = 1` degrades to a
+/// plain sequential loop (no threads spawned).
 ///
 /// # Panics
 ///
@@ -129,51 +87,31 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    chunked(items, n_threads, || (), |i, item, _| f(i, item))
-}
-
-/// Like [`parallel_map`], but each worker thread first builds a private
-/// workspace with `init` and then threads it mutably through every item of
-/// its chunk — the zero-allocation companion of [`parallel_map`] for
-/// kernels that reuse scratch buffers across items.
-///
-/// `f(i, ws)` must produce a result that depends only on `i`, treating the
-/// workspace as pure scratch (anything it left behind may be observed by
-/// the next item of the same chunk, but must not change results). Under
-/// that contract the output is bit-identical for every thread count;
-/// `n_threads = 1` is the sequential escape hatch (one workspace, no
-/// threads spawned).
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`, or if `init` or `f` panics (the panic is
-/// propagated).
-///
-/// # Example
-///
-/// ```
-/// use disar_math::parallel::parallel_map_with;
-///
-/// // One scratch Vec per worker, reused across its whole chunk.
-/// let sums = parallel_map_with(
-///     6,
-///     3,
-///     Vec::new,
-///     |i, scratch: &mut Vec<usize>| {
-///         scratch.clear();
-///         scratch.extend(0..=i);
-///         scratch.iter().sum::<usize>()
-///     },
-/// );
-/// assert_eq!(sums, vec![0, 1, 3, 6, 10, 15]);
-/// ```
-pub fn parallel_map_with<T, W, I, F>(n_items: usize, n_threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(usize, &mut W) -> T + Sync,
-{
-    chunked(&mut vec![(); n_items], n_threads, init, |i, _, ws| f(i, ws))
+    assert!(n_threads > 0, "n_threads must be positive");
+    let n_items = items.len();
+    let run = |base: usize, part: &mut [T]| -> Vec<R> {
+        part.iter_mut()
+            .enumerate()
+            .map(|(off, item)| f(base + off, item))
+            .collect()
+    };
+    if n_threads == 1 || n_items <= 1 {
+        return run(0, items);
+    }
+    let chunk = n_items.div_ceil(n_threads.min(n_items));
+    std::thread::scope(|s| {
+        let run = &run;
+        let workers: Vec<_> = items
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(t, part)| s.spawn(move || run(t * chunk, part)))
+            .collect();
+        let mut results = Vec::with_capacity(n_items);
+        for w in workers {
+            results.extend(w.join().expect("worker thread panicked"));
+        }
+        results
+    })
 }
 
 #[cfg(test)]
@@ -293,62 +231,5 @@ mod tests {
     fn map_mut_zero_threads_panics() {
         let mut items = vec![1, 2];
         let _ = parallel_map_mut(&mut items, 0, |_, x| *x);
-    }
-
-    #[test]
-    fn map_with_matches_sequential_for_any_thread_count() {
-        let seq: Vec<usize> = (0..97).map(|i| i * 7 + 2).collect();
-        for threads in [1, 2, 3, 8, 97, 200] {
-            let par = parallel_map_with(97, threads, Vec::new, |i, ws: &mut Vec<usize>| {
-                ws.clear();
-                ws.push(i * 7 + 2);
-                ws[0]
-            });
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn map_with_builds_at_most_one_workspace_per_worker() {
-        let inits = AtomicUsize::new(0);
-        for threads in [1usize, 3, 5] {
-            inits.store(0, Ordering::Relaxed);
-            let v = parallel_map_with(
-                50,
-                threads,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                },
-                |i, _| i,
-            );
-            assert_eq!(v.len(), 50);
-            assert!(
-                inits.load(Ordering::Relaxed) <= threads,
-                "threads = {threads}: {} workspaces",
-                inits.load(Ordering::Relaxed)
-            );
-        }
-    }
-
-    #[test]
-    fn map_with_workspace_persists_within_a_chunk() {
-        // With one thread the single workspace sees every item in order.
-        let trace = parallel_map_with(5, 1, Vec::new, |i, seen: &mut Vec<usize>| {
-            seen.push(i);
-            seen.clone()
-        });
-        assert_eq!(trace[4], vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn map_with_empty_input() {
-        let v: Vec<u32> = parallel_map_with(0, 4, || (), |_, _| unreachable!());
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "n_threads must be positive")]
-    fn map_with_zero_threads_panics() {
-        let _ = parallel_map_with(4, 0, || (), |i, _| i);
     }
 }
