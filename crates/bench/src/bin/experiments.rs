@@ -1,5 +1,5 @@
-//! Regenerates every table and figure of the paper through the uniform
-//! [`Experiment`] registry.
+//! Regenerates every table and figure of the paper through the name-keyed
+//! driver table `EXPERIMENTS`.
 //!
 //! ```text
 //! cargo run --release -p disar-bench --bin experiments              # all
@@ -15,10 +15,9 @@
 //! `$DISAR_RESULTS_DIR/registry.jsonl`); `runbook` replays them.
 
 use disar_bench::campaign::CampaignConfig;
-use disar_bench::experiments::{by_name, Experiment, ExperimentCtx, EXPERIMENTS};
-use disar_bench::registry::workspace_registry;
+use disar_bench::experiments::{by_name, Driver, ExperimentCtx, EXPERIMENTS};
+use disar_bench::registry::{workspace_registry, RegistryRow};
 use disar_math::json::Json;
-use disar_registry::RegistryRow;
 
 fn usage() -> ! {
     eprintln!(
@@ -39,8 +38,8 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--list" => {
-                for e in EXPERIMENTS {
-                    println!("{}", e.name());
+                for (name, _) in EXPERIMENTS {
+                    println!("{name}");
                 }
                 return;
             }
@@ -64,8 +63,8 @@ fn main() {
 
     // Resolve every requested driver up front so a typo fails before any
     // expensive campaign build.
-    let selected: Vec<&'static dyn Experiment> = if names.is_empty() {
-        EXPERIMENTS.to_vec()
+    let selected: Vec<Driver> = if names.is_empty() {
+        EXPERIMENTS.iter().map(|&(_, run)| run).collect()
     } else {
         names
             .iter()
@@ -98,21 +97,21 @@ fn main() {
     let registry = workspace_registry();
     let t0 = std::time::Instant::now();
     let mut produced: Vec<RegistryRow> = Vec::new();
-    for exp in selected {
+    for run in selected {
         let t1 = std::time::Instant::now();
-        let rows = exp.run(&ctx);
-        for row in &rows {
-            println!(
-                "-- {} ({:.1}s) --\ninput  {}\noutput {}\n{}\n",
-                row.experiment,
-                t1.elapsed().as_secs_f64(),
-                row.input_hash,
-                row.output_hash,
-                exp.render(&row.outputs)
-            );
-        }
-        registry.append(&rows).expect("registry append succeeds");
-        produced.extend(rows);
+        let row = run(&ctx);
+        println!(
+            "-- {} ({:.1}s) --\ninput  {}\noutput {}\n{}\n",
+            row.experiment,
+            t1.elapsed().as_secs_f64(),
+            row.input_hash,
+            row.output_hash,
+            row.outputs.pretty()
+        );
+        registry
+            .append(std::slice::from_ref(&row))
+            .expect("registry append succeeds");
+        produced.push(row);
     }
 
     if let Some(path) = out {

@@ -8,12 +8,12 @@
 //! ```
 //!
 //! Exit status is nonzero when any replayed row's input or output digest
-//! diverges from the record. Rows from anything but a registered experiment
-//! driver are skipped.
+//! diverges from the record, and 2 when `--experiment` names no driver. Rows
+//! from anything but a registered experiment driver are skipped.
 
-use disar_bench::registry::workspace_registry;
+use disar_bench::experiments::by_name;
+use disar_bench::registry::{workspace_registry, Registry};
 use disar_bench::runbook::{self, ReplayOutcome};
-use disar_registry::Registry;
 
 fn usage() -> ! {
     eprintln!("usage: runbook [--check] [--registry PATH] [--experiment NAME]");
@@ -37,6 +37,11 @@ fn main() {
                 usage();
             }
         }
+    }
+    // A typo would otherwise replay nothing and pass.
+    if let Some(name) = experiment.as_deref().filter(|n| by_name(n).is_none()) {
+        eprintln!("unknown experiment: {name} (try `experiments --list`)");
+        std::process::exit(2);
     }
 
     if check {

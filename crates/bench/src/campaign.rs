@@ -4,11 +4,7 @@
 use disar_actuarial::portfolio::paper_portfolios;
 use disar_alm::SegregatedFund;
 use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
-use disar_core::tenant::TransferPolicy;
-use disar_core::{
-    DeployPolicy, DeployService, JobProfile, KnowledgeBase, PipelineJob, RunRecord, ServiceConfig,
-    ServiceStats, TenantId, TenantShardedKnowledgeBase,
-};
+use disar_core::{JobProfile, KnowledgeBase, RunRecord};
 use disar_engine::complexity::ComplexityModel;
 use disar_engine::eeb::{decompose, EebKind};
 use disar_engine::simulation::{MarketModel, SimulationSpec, DEFAULT_LANE};
@@ -45,7 +41,9 @@ impl EebJob {
     }
 }
 
-/// Campaign configuration (defaults follow §IV).
+/// Campaign configuration (defaults follow §IV). Call sites state their
+/// deltas with struct-update syntax:
+/// `CampaignConfig { n_runs: 300, ..Default::default() }`.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Total cloud runs recorded into the knowledge base.
@@ -80,67 +78,6 @@ impl Default for CampaignConfig {
             seed: 20160627, // ICDCS 2016 opening day
             n_threads: disar_math::parallel::default_n_threads(),
         }
-    }
-}
-
-impl CampaignConfig {
-    /// Starts a chainable config build from the §IV defaults
-    /// ([`CampaignConfig::default`]) — call sites state their deltas
-    /// instead of re-listing every knob.
-    pub fn builder() -> CampaignConfigBuilder {
-        CampaignConfigBuilder {
-            cfg: CampaignConfig::default(),
-        }
-    }
-}
-
-/// Chainable construction of a [`CampaignConfig`], starting from the
-/// paper's §IV defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignConfigBuilder {
-    cfg: CampaignConfig,
-}
-
-impl CampaignConfigBuilder {
-    /// Sets the total number of recorded cloud runs.
-    pub fn n_runs(mut self, n_runs: usize) -> Self {
-        self.cfg.n_runs = n_runs;
-        self
-    }
-
-    /// Sets the natural iterations per simulation (`nP`).
-    pub fn n_outer(mut self, n_outer: usize) -> Self {
-        self.cfg.n_outer = n_outer;
-        self
-    }
-
-    /// Sets the risk-neutral iterations (`nQ`).
-    pub fn n_inner(mut self, n_inner: usize) -> Self {
-        self.cfg.n_inner = n_inner;
-        self
-    }
-
-    /// Sets the node-count range sampled during the campaign.
-    pub fn max_nodes(mut self, max_nodes: usize) -> Self {
-        self.cfg.max_nodes = max_nodes;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (results are thread-count invariant).
-    pub fn n_threads(mut self, n_threads: usize) -> Self {
-        self.cfg.n_threads = n_threads;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> CampaignConfig {
-        self.cfg
     }
 }
 
@@ -222,108 +159,20 @@ pub fn build_knowledge_base(cfg: &CampaignConfig) -> (KnowledgeBase, CloudProvid
     (kb, provider, jobs)
 }
 
-/// Runs the multi-company variant of the campaign through the
-/// [`DeployService`]: `n_tenants` companies each push
-/// `cfg.n_runs / n_tenants` forced runs through their own bounded handle,
-/// records land in each company's own base, and the exported two-key
-/// [`TenantShardedKnowledgeBase`] comes back with the service counters.
-///
-/// Like [`build_knowledge_base`], this is a record-only campaign: the
-/// bootstrap threshold and retrain cadence are unreachable, so the service
-/// never selects or retrains — every decision is operator-pinned from each
-/// tenant's own RNG stream, making the result independent of the
-/// cross-tenant interleaving (and deterministic run to run).
-pub fn build_tenant_knowledge_base(
-    cfg: &CampaignConfig,
-    n_tenants: usize,
-) -> (TenantShardedKnowledgeBase, ServiceStats) {
-    assert!(n_tenants > 0, "need at least one tenant");
-    let jobs = paper_eeb_jobs(cfg);
-    let names = InstanceCatalog::paper_catalog().names();
-    let per_tenant = cfg.n_runs / n_tenants;
-    let policy = DeployPolicy::builder(f64::MAX)
-        .epsilon(0.0)
-        .max_nodes(cfg.max_nodes)
-        .min_kb_samples(usize::MAX)
-        .retrain_every(per_tenant + 2)
-        .n_threads(1)
-        .transfer(TransferPolicy::Isolated)
-        .build();
-    let mut service = DeployService::new(
-        InstanceCatalog::paper_catalog(),
-        policy,
-        ServiceConfig {
-            queue_capacity: per_tenant.max(1),
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("campaign service config is valid");
-    let mut handles = Vec::with_capacity(n_tenants);
-    let mut streams: Vec<Vec<PipelineJob>> = Vec::with_capacity(n_tenants);
-    for t in 0..n_tenants {
-        let seed = cfg.seed.wrapping_add(t as u64);
-        handles.push(
-            service
-                .register(TenantId::new(format!("company-{t}")), seed)
-                .expect("tenants are fresh"),
-        );
-        // Each company pre-samples its own decisions from its own stream,
-        // exactly as the single-company campaign does.
-        let mut rng = stream_rng(seed, 0xCA3F);
-        streams.push(
-            (0..per_tenant)
-                .map(|_| {
-                    let job = &jobs[rng.gen_range(0..jobs.len())];
-                    let instance = &names[rng.gen_range(0..names.len())];
-                    let n_nodes = rng.gen_range(1..=cfg.max_nodes);
-                    PipelineJob::forced(job.profile, job.workload, instance, n_nodes)
-                })
-                .collect(),
-        );
-    }
-    service.start().expect("service starts once");
-    // Round-robin submission: the companies' runs interleave in the queue.
-    for i in 0..per_tenant {
-        for (handle, stream) in handles.iter().zip(&streams) {
-            handle
-                .submit(stream[i].clone())
-                .expect("queue sized for the stream");
-        }
-    }
-    for handle in handles {
-        handle.finish().expect("forced runs succeed");
-    }
-    let kb = service.export_knowledge_base();
-    let stats = service.join().expect("clean shutdown");
-    (kb, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disar_core::{Deployer, TransparentDeployer};
+    use disar_core::{DeployPolicy, Deployer, TransparentDeployer};
 
     fn small_cfg() -> CampaignConfig {
-        CampaignConfig::builder()
-            .n_runs(60)
-            .n_outer(200)
-            .n_inner(20)
-            .max_nodes(4)
-            .seed(7)
-            .n_threads(1)
-            .build()
-    }
-
-    #[test]
-    fn builder_defaults_match_default() {
-        let b = CampaignConfig::builder().build();
-        let d = CampaignConfig::default();
-        assert_eq!(b.n_runs, d.n_runs);
-        assert_eq!(b.n_outer, d.n_outer);
-        assert_eq!(b.n_inner, d.n_inner);
-        assert_eq!(b.max_nodes, d.max_nodes);
-        assert_eq!(b.seed, d.seed);
-        assert_eq!(b.n_threads, disar_math::parallel::default_n_threads());
+        CampaignConfig {
+            n_runs: 60,
+            n_outer: 200,
+            n_inner: 20,
+            max_nodes: 4,
+            seed: 7,
+            n_threads: 1,
+        }
     }
 
     #[test]
@@ -382,24 +231,6 @@ mod tests {
     fn campaign_is_deterministic() {
         let (a, _, _) = build_knowledge_base(&small_cfg());
         let (b, _, _) = build_knowledge_base(&small_cfg());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tenant_campaign_is_deterministic_and_partitioned() {
-        let (kb, stats) = build_tenant_knowledge_base(&small_cfg(), 3);
-        assert_eq!(kb.len(), 60); // 20 runs per company
-        assert_eq!(kb.tenants().len(), 3);
-        assert_eq!(stats.tenants, 3);
-        assert_eq!(stats.admitted, 60);
-        assert_eq!(stats.rejected, 0);
-        // Record-only campaign: the ingester never had to retrain.
-        assert_eq!(stats.retrains, 0);
-        // Per-tenant record streams are independent of the cross-tenant
-        // interleaving: a second concurrent run exports the same base.
-        let (kb2, _) = build_tenant_knowledge_base(&small_cfg(), 3);
-        let a: Vec<_> = kb.records_in_arrival_order().collect();
-        let b: Vec<_> = kb2.records_in_arrival_order().collect();
         assert_eq!(a, b);
     }
 

@@ -1,14 +1,16 @@
-//! Implementations of every table/figure of the paper's §IV plus the
-//! ablations DESIGN.md calls out, behind one uniform [`Experiment`] API.
+//! Every table/figure of the paper's §IV plus the ablations DESIGN.md calls
+//! out. Each artifact is one plain `pub fn` returning its typed result (for
+//! example [`table2`]) and one driver that turns it into a row.
 //!
-//! Every driver is a unit struct implementing [`Experiment`]; the
-//! name-keyed [`EXPERIMENTS`] registry replaces the old string-match
-//! dispatch in the CLIs, and each `run` emits exactly one replayable
-//! [`RegistryRow`] whose `input_hash` digests the driver's name, the row's
-//! `params`, the job list and (where consumed) the knowledge base's records
-//! ([`input_hash`]) — the contract `runbook` replays against (DESIGN.md §13).
+//! [`EXPERIMENTS`] is a table of `(name, driver)` pairs, and [`by_name`]
+//! looks a driver up. A [`Driver`] is a plain `fn(&ExperimentCtx) ->
+//! RegistryRow`: it returns one replayable [`RegistryRow`] whose `input_hash` digests the
+//! driver's name, the row's `params`, the job list and (where consumed) the
+//! knowledge base's records ([`input_hash`]) — the contract `runbook`
+//! replays against (DESIGN.md §13).
 
 use crate::campaign::{build_knowledge_base, paper_eeb_jobs, CampaignConfig, EebJob};
+use crate::registry::{json_hash, RegistryRow};
 use disar_actuarial::contracts::{Contract, ProductKind, ProfitSharing};
 use disar_actuarial::engine::ActuarialEngine;
 use disar_actuarial::lapse::DurationLapse;
@@ -22,9 +24,9 @@ use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog};
 use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
 use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
 use disar_core::{
-    regret_weights, select_configuration, select_configuration_with_workspace, CoreError,
-    DeployMode, DetectorKind, DriftConfig, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord,
-    SelectionWorkspace, TimeEstimate,
+    select_configuration, select_configuration_with_workspace, CoreError, DeployMode, DetectorKind,
+    DriftConfig, KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace,
+    TimeEstimate,
 };
 use disar_math::json::Json;
 use disar_math::parallel::parallel_map;
@@ -33,7 +35,6 @@ use disar_math::stats;
 use disar_ml::metrics::evaluate;
 use disar_ml::regressor::ModelKind;
 use disar_ml::Regressor;
-use disar_registry::{json_hash, RegistryRow};
 use disar_stochastic::scenario::TimeGrid;
 use disar_stochastic::{drivers, CorrelationMatrix};
 use std::time::Instant;
@@ -41,7 +42,7 @@ use std::time::Instant;
 /// The 40 %/60 % train/test split of Table I.
 pub const TABLE1_TRAIN_FRACTION: f64 = 0.4;
 
-/// Everything an [`Experiment`] needs: the campaign configuration (which
+/// Everything a driver needs: the campaign configuration (which
 /// seeds the knowledge base, the provider noise streams, and every model
 /// fit) plus the quick-mode flag that shrinks the slow deploy loops.
 #[derive(Debug, Clone)]
@@ -59,7 +60,7 @@ impl ExperimentCtx {
     }
 
     /// Builds the campaign knowledge base, provider, and job list afresh.
-    /// Replay determinism requires every `run` to start from the same
+    /// Replay determinism requires every driver to start from the same
     /// provider noise-stream position, so nothing is cached or shared.
     pub fn campaign(&self) -> (KnowledgeBase, CloudProvider, Vec<EebJob>) {
         build_knowledge_base(&self.cfg)
@@ -89,14 +90,14 @@ impl ExperimentCtx {
     pub fn from_params(params: &Json) -> Option<Self> {
         let c = params.at("campaign").ok()?;
         let get = |k: &str| c.uint_at::<u64>(k).ok();
-        let cfg = CampaignConfig::builder()
-            .n_runs(get("n_runs")? as usize)
-            .n_outer(get("n_outer")? as usize)
-            .n_inner(get("n_inner")? as usize)
-            .max_nodes(get("max_nodes")? as usize)
-            .seed(get("seed")?)
-            .n_threads(get("n_threads")? as usize)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: get("n_runs")? as usize,
+            n_outer: get("n_outer")? as usize,
+            n_inner: get("n_inner")? as usize,
+            max_nodes: get("max_nodes")? as usize,
+            seed: get("seed")?,
+            n_threads: get("n_threads")? as usize,
+        };
         let quick = params.at("quick") == Ok(&Json::Bool(true));
         Some(Self { cfg, quick })
     }
@@ -123,45 +124,35 @@ pub fn input_hash(
     ]))
 }
 
-/// A named, replayable experiment driver. Implementors are unit structs;
-/// dispatch goes through [`EXPERIMENTS`] / [`by_name`] instead of string
-/// matching in each CLI.
-pub trait Experiment: Sync {
-    /// Stable registry key; also the CLI argument that selects the driver.
-    fn name(&self) -> &'static str;
+/// A driver: runs one artifact and returns its one registry row.
+pub type Driver = fn(&ExperimentCtx) -> RegistryRow;
 
-    /// Runs the experiment and returns its registry rows — exactly one per
-    /// driver today; the `Vec` leaves room for multi-row sweeps.
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow>;
-
-    /// Renders a row's `outputs` for the terminal; pretty JSON by default.
-    fn render(&self, outputs: &Json) -> String {
-        outputs.pretty()
-    }
-}
-
-/// Every driver, keyed by [`Experiment::name`].
-pub static EXPERIMENTS: &[&dyn Experiment] = &[
-    &Table1Experiment,
-    &Table2Experiment,
-    &Fig2Experiment,
-    &Fig3Experiment,
-    &Fig4Experiment,
-    &ComparisonExperiment,
-    &EnsembleAblationExperiment,
-    &EpsilonAblationExperiment,
-    &DeadlineRuleAblationExperiment,
-    &LearningCurveExperiment,
-    &TransferAblationExperiment,
-    &FeatureAblationExperiment,
-    &BillingAblationExperiment,
-    &LsmcAblationExperiment,
-    &DriftAblationExperiment,
+/// Every driver, keyed by its registry name (also the CLI argument that
+/// selects it).
+pub static EXPERIMENTS: &[(&str, Driver)] = &[
+    ("table1", table1_row),
+    ("table2", table2_row),
+    ("fig2", fig2_row),
+    ("fig3", fig3_row),
+    ("fig4", fig4_row),
+    ("comparison", comparison_row),
+    ("ablation_ensemble", ablation_ensemble_row),
+    ("ablation_epsilon", ablation_epsilon_row),
+    ("ablation_deadline", ablation_deadline_row),
+    ("learning_curve", learning_curve_row),
+    ("ablation_transfer", ablation_transfer_row),
+    ("ablation_features", ablation_features_row),
+    ("ablation_billing", ablation_billing_row),
+    ("ablation_lsmc", ablation_lsmc_row),
+    ("ablation_drift", ablation_drift_row),
 ];
 
-/// Looks a driver up by its registry key.
-pub fn by_name(name: &str) -> Option<&'static dyn Experiment> {
-    EXPERIMENTS.iter().copied().find(|e| e.name() == name)
+/// Looks a driver up by its registry name.
+pub fn by_name(name: &str) -> Option<Driver> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
 }
 
 /// `[name, value, ...]`: one row of a table keyed by a name.
@@ -173,7 +164,6 @@ fn named_row(name: &str, values: &[f64]) -> Json {
 /// Assembles the one row a driver emits: `ctx.params()` plus any
 /// experiment-specific extras, the input digest, and the wall
 /// time since `t0` (kept out of the replay contract via `wall_ns`).
-#[allow(clippy::too_many_arguments)]
 fn finish(
     name: &str,
     ctx: &ExperimentCtx,
@@ -181,24 +171,22 @@ fn finish(
     jobs: &[EebJob],
     extra_params: &[(&str, Json)],
     outputs: Json,
-    timings: Json,
     t0: Instant,
-) -> Vec<RegistryRow> {
+) -> RegistryRow {
     let mut params = ctx.params();
     if let Json::Obj(fields) = &mut params {
         for (k, v) in extra_params {
             fields.insert((*k).to_string(), v.clone());
         }
     }
-    let row = RegistryRow::new(
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    RegistryRow::new(
         name,
         input_hash(name, &params, jobs, kb),
         params,
         outputs,
-        t0.elapsed().as_nanos() as u64,
+        wall_ns,
     )
-    .with_timings(timings);
-    vec![row]
 }
 
 /// Table I: signed bias δ̄ (seconds) per classifier per instance type.
@@ -229,146 +217,105 @@ impl Table1 {
     }
 }
 
-/// Driver for Table I (`table1`).
-pub struct Table1Experiment;
-
-impl Table1Experiment {
-    /// Regenerates Table I from a knowledge base: per instance type, train
-    /// each of the six classifiers on 40 % of that type's runs and report
-    /// the signed mean error on the remaining 60 %.
-    ///
-    /// The `instances × models` train/evaluate cells spread over up to
-    /// `n_threads` workers. Every cell depends only on its instance's
-    /// (deterministic) split and its own model seed, so the table is
-    /// bit-identical for any thread count; `1` is the sequential escape
-    /// hatch.
-    pub fn compute(
-        kb: &KnowledgeBase,
-        catalog: &InstanceCatalog,
-        seed: u64,
-        n_threads: usize,
-    ) -> Table1 {
-        let instances = catalog.names();
-        let models: Vec<String> = ModelKind::ALL
-            .iter()
-            .map(|k| k.abbreviation().to_string())
-            .collect();
-        // Per-instance splits are cheap; precompute them sequentially so the
-        // workers share plain `Dataset`s (the knowledge base's dataset cache
-        // is not Sync).
-        let splits: Vec<_> = instances
-            .iter()
-            .map(|inst| {
-                kb.for_instance(inst)
-                    .to_dataset()
-                    .expect("campaign covers every instance")
-                    .split(TABLE1_TRAIN_FRACTION, seed)
-                    .expect("instance subsets are large enough")
-            })
-            .collect();
-        let total = instances.len() * ModelKind::ALL.len();
-        let cells = parallel_map(total, n_threads.max(1), |i| {
-            let (ii, mi) = (i / ModelKind::ALL.len(), i % ModelKind::ALL.len());
-            let (train, test) = &splits[ii];
-            let mut model = ModelKind::ALL[mi].instantiate(seed ^ (mi as u64) << 8);
-            model.fit(train).expect("training succeeds");
-            evaluate(model.as_ref(), test)
-                .expect("evaluation succeeds")
-                .bias
-        });
-        let mut bias = vec![vec![f64::NAN; instances.len()]; models.len()];
-        for (i, b) in cells.into_iter().enumerate() {
-            bias[i % ModelKind::ALL.len()][i / ModelKind::ALL.len()] = b;
-        }
-        Table1 {
-            instances,
-            models,
-            bias,
-        }
+/// Regenerates Table I from a knowledge base: per instance type, train
+/// each of the six classifiers on 40 % of that type's runs and report
+/// the signed mean error on the remaining 60 %.
+///
+/// The `instances × models` train/evaluate cells spread over up to
+/// `n_threads` workers. Every cell depends only on its instance's
+/// (deterministic) split and its own model seed, so the table is
+/// bit-identical for any thread count; `1` is the sequential escape
+/// hatch.
+pub fn table1(
+    kb: &KnowledgeBase,
+    catalog: &InstanceCatalog,
+    seed: u64,
+    n_threads: usize,
+) -> Table1 {
+    let instances = catalog.names();
+    let models: Vec<String> = ModelKind::ALL
+        .iter()
+        .map(|k| k.abbreviation().to_string())
+        .collect();
+    // Per-instance splits are cheap; precompute them sequentially so the
+    // workers share plain `Dataset`s (the knowledge base's dataset cache
+    // is not Sync).
+    let splits: Vec<_> = instances
+        .iter()
+        .map(|inst| {
+            kb.for_instance(inst)
+                .to_dataset()
+                .expect("campaign covers every instance")
+                .split(TABLE1_TRAIN_FRACTION, seed)
+                .expect("instance subsets are large enough")
+        })
+        .collect();
+    let total = instances.len() * ModelKind::ALL.len();
+    let cells = parallel_map(total, n_threads.max(1), |i| {
+        let (ii, mi) = (i / ModelKind::ALL.len(), i % ModelKind::ALL.len());
+        let (train, test) = &splits[ii];
+        let mut model = ModelKind::ALL[mi].instantiate(seed ^ (mi as u64) << 8);
+        model.fit(train).expect("training succeeds");
+        evaluate(model.as_ref(), test)
+            .expect("evaluation succeeds")
+            .bias
+    });
+    let mut bias = vec![vec![f64::NAN; instances.len()]; models.len()];
+    for (i, b) in cells.into_iter().enumerate() {
+        bias[i % ModelKind::ALL.len()][i / ModelKind::ALL.len()] = b;
+    }
+    Table1 {
+        instances,
+        models,
+        bias,
     }
 }
 
-impl Experiment for Table1Experiment {
-    fn name(&self) -> &'static str {
-        "table1"
-    }
+/// Driver for Table I (`table1`).
+fn table1_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let t = table1(&kb, provider.catalog(), ctx.cfg.seed, ctx.cfg.n_threads);
+    finish("table1", ctx, Some(&kb), &jobs, &[], t.to_json(), t0)
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let t = Self::compute(&kb, provider.catalog(), ctx.cfg.seed, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            t.to_json(),
-            Json::Null,
-            t0,
-        )
-    }
+/// Table II: mean prorated per-simulation cost (USD) per instance
+/// type, measured by running every EEB job once on a single node of
+/// each type.
+///
+/// The `names × jobs` runs fan out over `n_threads` on noise-stream
+/// slots reserved up front ([`CloudProvider::reserve_runs`]) —
+/// bit-identical to the sequential (instance-major) loop for any
+/// `n_threads`.
+pub fn table2(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Vec<(String, f64)> {
+    let names = provider.catalog().names();
+    let total = names.len() * jobs.len();
+    let base = provider.reserve_runs(total as u64);
+    let costs = parallel_map(total, n_threads.max(1), |i| {
+        let name = &names[i / jobs.len()];
+        let job = &jobs[i % jobs.len()];
+        provider
+            .run_job_at(name, 1, &job.workload, base + i as u64)
+            .expect("catalog instance")
+            .prorated_cost
+    });
+    names
+        .into_iter()
+        .enumerate()
+        .map(|(ni, name)| {
+            let slice = &costs[ni * jobs.len()..(ni + 1) * jobs.len()];
+            (name, stats::mean(slice))
+        })
+        .collect()
 }
 
 /// Driver for Table II (`table2`).
-pub struct Table2Experiment;
-
-impl Table2Experiment {
-    /// Table II: mean prorated per-simulation cost (USD) per instance
-    /// type, measured by running every EEB job once on a single node of
-    /// each type.
-    ///
-    /// The `names × jobs` runs fan out over `n_threads` on noise-stream
-    /// slots reserved up front ([`CloudProvider::reserve_runs`]) —
-    /// bit-identical to the sequential (instance-major) loop for any
-    /// `n_threads`.
-    pub fn compute(
-        jobs: &[EebJob],
-        provider: &CloudProvider,
-        n_threads: usize,
-    ) -> Vec<(String, f64)> {
-        let names = provider.catalog().names();
-        let total = names.len() * jobs.len();
-        let base = provider.reserve_runs(total as u64);
-        let costs = parallel_map(total, n_threads.max(1), |i| {
-            let name = &names[i / jobs.len()];
-            let job = &jobs[i % jobs.len()];
-            provider
-                .run_job_at(name, 1, &job.workload, base + i as u64)
-                .expect("catalog instance")
-                .prorated_cost
-        });
-        names
-            .into_iter()
-            .enumerate()
-            .map(|(ni, name)| {
-                let slice = &costs[ni * jobs.len()..(ni + 1) * jobs.len()];
-                (name, stats::mean(slice))
-            })
-            .collect()
-    }
-}
-
-impl Experiment for Table2Experiment {
-    fn name(&self) -> &'static str {
-        "table2"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let rows = Self::compute(&jobs, &provider, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
-            Json::Null,
-            t0,
-        )
-    }
+fn table2_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let rows = table2(&jobs, &provider, ctx.cfg.n_threads);
+    let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
+    finish("table2", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// One point of Figure 2's scatter.
@@ -393,88 +340,69 @@ impl Fig2Point {
     }
 }
 
-/// Driver for Figure 2 (`fig2`).
-pub struct Fig2Experiment;
-
-impl Fig2Experiment {
-    /// Figure 2: per-model predicted-vs-real pairs on a held-out 60 %
-    /// split of the whole knowledge base.
-    ///
-    /// The six model fits spread over up to `n_threads` workers,
-    /// concatenating the per-model point runs in model order —
-    /// bit-identical for any thread count; `1` is the sequential escape
-    /// hatch.
-    pub fn compute(kb: &KnowledgeBase, seed: u64, n_threads: usize) -> Vec<Fig2Point> {
-        let data = kb.to_dataset().expect("knowledge base is non-empty");
-        let (train, test) = data
-            .split(TABLE1_TRAIN_FRACTION, seed)
-            .expect("knowledge base is large enough");
-        let per_model = parallel_map(ModelKind::ALL.len(), n_threads.max(1), |mi| {
-            let kind = ModelKind::ALL[mi];
-            let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
-            model.fit(&train).expect("training succeeds");
-            let ev = evaluate(model.as_ref(), &test).expect("evaluation succeeds");
-            ev.pairs
-                .into_iter()
-                .map(|(real, predicted)| Fig2Point {
-                    model: kind.abbreviation().to_string(),
-                    real,
-                    predicted,
-                })
-                .collect::<Vec<_>>()
-        });
-        per_model.into_iter().flatten().collect()
-    }
-
-    /// Per-model correlation/RMSE summary of a point cloud — the scalar
-    /// claims the paper reads off the scatter.
-    pub fn summary(points: &[Fig2Point]) -> Json {
-        let mut rows = Vec::new();
-        for kind in ModelKind::ALL {
-            let abbr = kind.abbreviation();
-            let (real, predicted): (Vec<f64>, Vec<f64>) = points
-                .iter()
-                .filter(|p| p.model == abbr)
-                .map(|p| (p.real, p.predicted))
-                .unzip();
-            if real.is_empty() {
-                continue;
-            }
-            rows.push(Json::obj([
-                ("model", abbr.into()),
-                ("points", real.len().into()),
-                ("r", stats::correlation(&real, &predicted).into()),
-                ("rmse_secs", stats::rmse(&predicted, &real).into()),
-            ]));
-        }
-        Json::Arr(rows)
-    }
+/// Figure 2: per-model predicted-vs-real pairs on a held-out 60 %
+/// split of the whole knowledge base.
+///
+/// The six model fits spread over up to `n_threads` workers,
+/// concatenating the per-model point runs in model order —
+/// bit-identical for any thread count; `1` is the sequential escape
+/// hatch.
+pub fn fig2(kb: &KnowledgeBase, seed: u64, n_threads: usize) -> Vec<Fig2Point> {
+    let data = kb.to_dataset().expect("knowledge base is non-empty");
+    let (train, test) = data
+        .split(TABLE1_TRAIN_FRACTION, seed)
+        .expect("knowledge base is large enough");
+    let per_model = parallel_map(ModelKind::ALL.len(), n_threads.max(1), |mi| {
+        let kind = ModelKind::ALL[mi];
+        let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
+        model.fit(&train).expect("training succeeds");
+        let ev = evaluate(model.as_ref(), &test).expect("evaluation succeeds");
+        ev.pairs
+            .into_iter()
+            .map(|(real, predicted)| Fig2Point {
+                model: kind.abbreviation().to_string(),
+                real,
+                predicted,
+            })
+            .collect::<Vec<_>>()
+    });
+    per_model.into_iter().flatten().collect()
 }
 
-impl Experiment for Fig2Experiment {
-    fn name(&self) -> &'static str {
-        "fig2"
+/// Per-model correlation/RMSE summary of a point cloud — the scalar
+/// claims the paper reads off the scatter.
+pub fn fig2_summary(points: &[Fig2Point]) -> Json {
+    let mut rows = Vec::new();
+    for kind in ModelKind::ALL {
+        let abbr = kind.abbreviation();
+        let (real, predicted): (Vec<f64>, Vec<f64>) = points
+            .iter()
+            .filter(|p| p.model == abbr)
+            .map(|p| (p.real, p.predicted))
+            .unzip();
+        if real.is_empty() {
+            continue;
+        }
+        rows.push(Json::obj([
+            ("model", abbr.into()),
+            ("points", real.len().into()),
+            ("r", stats::correlation(&real, &predicted).into()),
+            ("rmse_secs", stats::rmse(&predicted, &real).into()),
+        ]));
     }
+    Json::Arr(rows)
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, _, jobs) = ctx.campaign();
-        let points = Self::compute(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
-        let outputs = Json::obj([
-            ("summary", Self::summary(&points)),
-            ("points", Json::arr(points.iter().map(Fig2Point::to_json))),
-        ]);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            outputs,
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for Figure 2 (`fig2`).
+fn fig2_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, _, jobs) = ctx.campaign();
+    let points = fig2(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
+    let outputs = Json::obj([
+        ("summary", fig2_summary(&points)),
+        ("points", Json::arr(points.iter().map(Fig2Point::to_json))),
+    ]);
+    finish("fig2", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// Figure 3: the pooled error histogram.
@@ -500,113 +428,70 @@ impl Fig3 {
     }
 }
 
-/// Driver for Figure 3 (`fig3`).
-pub struct Fig3Experiment;
-
-impl Fig3Experiment {
-    /// Builds Figure 3 from Figure 2's points.
-    pub fn compute(points: &[Fig2Point]) -> Fig3 {
-        let errors: Vec<f64> = points.iter().map(|p| p.predicted - p.real).collect();
-        let lo = errors.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = errors.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        // Paper's axis: roughly [-6000, 4000]; adapt to the observed range
-        // but keep 200 s bins like the paper's granularity claim.
-        let lo = (lo / 200.0).floor() * 200.0;
-        let hi = ((hi / 200.0).ceil() * 200.0).max(lo + 200.0);
-        let bins = ((hi - lo) / 200.0) as usize;
-        let mut h = disar_math::stats::Histogram::new(lo, hi, bins).expect("valid range");
-        h.extend(errors.iter().copied());
-        let pct = h.percentages();
-        let within =
-            errors.iter().filter(|e| e.abs() <= 200.0).count() as f64 / errors.len() as f64;
-        Fig3 {
-            bins: (0..bins).map(|i| (h.bin_lo(i), pct[i])).collect(),
-            within_200s: within,
-        }
+/// Builds Figure 3 from Figure 2's points.
+pub fn fig3(points: &[Fig2Point]) -> Fig3 {
+    let errors: Vec<f64> = points.iter().map(|p| p.predicted - p.real).collect();
+    let lo = errors.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = errors.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    // Paper's axis: roughly [-6000, 4000]; adapt to the observed range
+    // but keep 200 s bins like the paper's granularity claim.
+    let lo = (lo / 200.0).floor() * 200.0;
+    let hi = ((hi / 200.0).ceil() * 200.0).max(lo + 200.0);
+    let bins = ((hi - lo) / 200.0) as usize;
+    let mut h = disar_math::stats::Histogram::new(lo, hi, bins).expect("valid range");
+    h.extend(errors.iter().copied());
+    let pct = h.percentages();
+    let within = errors.iter().filter(|e| e.abs() <= 200.0).count() as f64 / errors.len() as f64;
+    Fig3 {
+        bins: (0..bins).map(|i| (h.bin_lo(i), pct[i])).collect(),
+        within_200s: within,
     }
 }
 
-impl Experiment for Fig3Experiment {
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
+/// Driver for Figure 3 (`fig3`).
+fn fig3_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, _, jobs) = ctx.campaign();
+    let f3 = fig3(&fig2(&kb, ctx.cfg.seed, ctx.cfg.n_threads));
+    finish("fig3", ctx, Some(&kb), &jobs, &[], f3.to_json(), t0)
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, _, jobs) = ctx.campaign();
-        let points = Fig2Experiment::compute(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
-        let f3 = Self::compute(&points);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            f3.to_json(),
-            Json::Null,
-            t0,
-        )
-    }
+/// Figure 4: mean speedup of a single-VM cloud deploy over the
+/// sequential (one reference core) execution, per instance type.
+///
+/// The sequential baseline uses the simulator's ground-truth model —
+/// an *oracle* read, legitimate here because the baseline is a
+/// measurement protocol, not a provisioning decision.
+pub fn fig4(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Vec<(String, f64)> {
+    let names = provider.catalog().names();
+    let total = names.len() * jobs.len();
+    let base = provider.reserve_runs(total as u64);
+    let speedups = parallel_map(total, n_threads.max(1), |i| {
+        let name = &names[i / jobs.len()];
+        let job = &jobs[i % jobs.len()];
+        let seq = provider.ground_truth().sequential_secs(&job.workload);
+        let report = provider
+            .run_job_at(name, 1, &job.workload, base + i as u64)
+            .expect("catalog instance");
+        seq / report.duration_secs
+    });
+    names
+        .into_iter()
+        .enumerate()
+        .map(|(ni, name)| {
+            let slice = &speedups[ni * jobs.len()..(ni + 1) * jobs.len()];
+            (name, stats::mean(slice))
+        })
+        .collect()
 }
 
 /// Driver for Figure 4 (`fig4`).
-pub struct Fig4Experiment;
-
-impl Fig4Experiment {
-    /// Figure 4: mean speedup of a single-VM cloud deploy over the
-    /// sequential (one reference core) execution, per instance type.
-    ///
-    /// The sequential baseline uses the simulator's ground-truth model —
-    /// an *oracle* read, legitimate here because the baseline is a
-    /// measurement protocol, not a provisioning decision.
-    pub fn compute(
-        jobs: &[EebJob],
-        provider: &CloudProvider,
-        n_threads: usize,
-    ) -> Vec<(String, f64)> {
-        let names = provider.catalog().names();
-        let total = names.len() * jobs.len();
-        let base = provider.reserve_runs(total as u64);
-        let speedups = parallel_map(total, n_threads.max(1), |i| {
-            let name = &names[i / jobs.len()];
-            let job = &jobs[i % jobs.len()];
-            let seq = provider.ground_truth().sequential_secs(&job.workload);
-            let report = provider
-                .run_job_at(name, 1, &job.workload, base + i as u64)
-                .expect("catalog instance");
-            seq / report.duration_secs
-        });
-        names
-            .into_iter()
-            .enumerate()
-            .map(|(ni, name)| {
-                let slice = &speedups[ni * jobs.len()..(ni + 1) * jobs.len()];
-                (name, stats::mean(slice))
-            })
-            .collect()
-    }
-}
-
-impl Experiment for Fig4Experiment {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let rows = Self::compute(&jobs, &provider, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
-            Json::Null,
-            t0,
-        )
-    }
+fn fig4_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let rows = fig4(&jobs, &provider, ctx.cfg.n_threads);
+    let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
+    finish("fig4", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// §IV closing comparison: the ML-selected configuration versus forcing
@@ -653,156 +538,123 @@ impl Comparison {
     }
 }
 
-/// Driver for the §IV closing comparison (`comparison`).
-pub struct ComparisonExperiment;
+/// Runs the closing comparison on the largest EEB job.
+pub fn comparison(
+    kb: &KnowledgeBase,
+    jobs: &[EebJob],
+    provider: &CloudProvider,
+    seed: u64,
+) -> Comparison {
+    let mut family = PredictorFamily::new(seed, 2);
+    family
+        .retrain(kb, RetrainMode::Full, 1)
+        .expect("knowledge base is large enough");
 
-impl ComparisonExperiment {
-    /// Runs the closing comparison on the largest EEB job.
-    pub fn compute(
-        kb: &KnowledgeBase,
-        jobs: &[EebJob],
-        provider: &CloudProvider,
-        seed: u64,
-    ) -> Comparison {
-        let mut family = PredictorFamily::new(seed, 2);
-        family
-            .retrain(kb, RetrainMode::Full, 1)
-            .expect("knowledge base is large enough");
+    // "A large configuration": the EEB with the most work.
+    let job = jobs
+        .iter()
+        .max_by(|a, b| {
+            a.workload
+                .work_units
+                .partial_cmp(&b.workload.work_units)
+                .expect("finite work")
+        })
+        .expect("non-empty job list");
 
-        // "A large configuration": the EEB with the most work.
-        let job = jobs
-            .iter()
-            .max_by(|a, b| {
-                a.workload
-                    .work_units
-                    .partial_cmp(&b.workload.work_units)
-                    .expect("finite work")
-            })
-            .expect("non-empty job list");
+    // Forced deploys.
+    let highend = provider
+        .run_job("m4.10xlarge", 1, &job.workload)
+        .expect("catalog instance");
+    let cheap_name = table2(jobs, provider, 1)
+        .into_iter()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+        .expect("catalog non-empty")
+        .0;
+    let cheap = provider
+        .run_job(&cheap_name, 1, &job.workload)
+        .expect("catalog instance");
 
-        // Forced deploys.
-        let highend = provider
-            .run_job("m4.10xlarge", 1, &job.workload)
-            .expect("catalog instance");
-        let cheap_name = Table2Experiment::compute(jobs, provider, 1)
-            .into_iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
-            .expect("catalog non-empty")
-            .0;
-        let cheap = provider
-            .run_job(&cheap_name, 1, &job.workload)
-            .expect("catalog instance");
+    // ML deploy: deadline set below the cheap machine's realized time
+    // so Algorithm 1 must find something faster yet still cheap.
+    let t_max = cheap.duration_secs * 0.75;
+    let sel = select_configuration(
+        &family,
+        provider.catalog(),
+        &job.profile,
+        t_max,
+        8,
+        0.0,
+        seed,
+    )
+    .expect("a feasible configuration exists");
+    let ml = provider
+        .run_job(&sel.chosen.instance, sel.chosen.n_nodes, &job.workload)
+        .expect("catalog instance");
 
-        // ML deploy: deadline set below the cheap machine's realized time
-        // so Algorithm 1 must find something faster yet still cheap.
-        let t_max = cheap.duration_secs * 0.75;
-        let sel = select_configuration(
-            &family,
-            provider.catalog(),
-            &job.profile,
-            t_max,
-            8,
-            0.0,
-            seed,
-        )
-        .expect("a feasible configuration exists");
-        let ml = provider
-            .run_job(&sel.chosen.instance, sel.chosen.n_nodes, &job.workload)
-            .expect("catalog instance");
-
-        Comparison {
-            ml_instance: sel.chosen.instance.clone(),
-            ml_nodes: sel.chosen.n_nodes,
-            ml_secs: ml.duration_secs,
-            ml_cost: ml.prorated_cost,
-            highend_secs: highend.duration_secs,
-            highend_cost: highend.prorated_cost,
-            cheap_secs: cheap.duration_secs,
-            cheap_cost: cheap.prorated_cost,
-            cost_decrease_pct: 100.0 * (1.0 - ml.prorated_cost / highend.prorated_cost),
-            time_reduction_pct: 100.0 * (1.0 - ml.duration_secs / cheap.duration_secs),
-        }
+    Comparison {
+        ml_instance: sel.chosen.instance.clone(),
+        ml_nodes: sel.chosen.n_nodes,
+        ml_secs: ml.duration_secs,
+        ml_cost: ml.prorated_cost,
+        highend_secs: highend.duration_secs,
+        highend_cost: highend.prorated_cost,
+        cheap_secs: cheap.duration_secs,
+        cheap_cost: cheap.prorated_cost,
+        cost_decrease_pct: 100.0 * (1.0 - ml.prorated_cost / highend.prorated_cost),
+        time_reduction_pct: 100.0 * (1.0 - ml.duration_secs / cheap.duration_secs),
     }
 }
 
-impl Experiment for ComparisonExperiment {
-    fn name(&self) -> &'static str {
-        "comparison"
-    }
+/// Driver for the §IV closing comparison (`comparison`).
+fn comparison_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let c = comparison(&kb, &jobs, &provider, ctx.cfg.seed);
+    finish("comparison", ctx, Some(&kb), &jobs, &[], c.to_json(), t0)
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let c = Self::compute(&kb, &jobs, &provider, ctx.cfg.seed);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            c.to_json(),
-            Json::Null,
-            t0,
-        )
+/// Ablation: accuracy of each single model vs the six-model average on
+/// a held-out split. Returns `(name, bias, rmse)` rows, ensemble last.
+///
+/// The six member fits spread over up to `n_threads` workers; the
+/// ensemble is then assembled from the fitted members in model order,
+/// so the rows are bit-identical for any thread count; `1` is the
+/// sequential escape hatch.
+pub fn ablation_ensemble(
+    kb: &KnowledgeBase,
+    seed: u64,
+    n_threads: usize,
+) -> Vec<(String, f64, f64)> {
+    let data = kb.to_dataset().expect("knowledge base is non-empty");
+    let (train, test) = data
+        .split(TABLE1_TRAIN_FRACTION, seed)
+        .expect("knowledge base is large enough");
+    let per_model = parallel_map(ModelKind::ALL.len(), n_threads.max(1), |mi| {
+        let kind = ModelKind::ALL[mi];
+        let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
+        model.fit(&train).expect("training succeeds");
+        let ev = evaluate(model.as_ref(), &test).expect("evaluation succeeds");
+        ((kind.abbreviation().to_string(), ev.bias, ev.rmse), model)
+    });
+    let mut fitted: Vec<Box<dyn Regressor>> = Vec::with_capacity(per_model.len());
+    let mut rows = Vec::with_capacity(per_model.len() + 1);
+    for (row, model) in per_model {
+        rows.push(row);
+        fitted.push(model);
     }
+    let ensemble = disar_ml::Ensemble::new(fitted);
+    let ev = evaluate(&ensemble, &test).expect("evaluation succeeds");
+    rows.push(("Ensemble".to_string(), ev.bias, ev.rmse));
+    rows
 }
 
 /// Driver for the single-model-vs-ensemble ablation (`ablation_ensemble`).
-pub struct EnsembleAblationExperiment;
-
-impl EnsembleAblationExperiment {
-    /// Ablation: accuracy of each single model vs the six-model average on
-    /// a held-out split. Returns `(name, bias, rmse)` rows, ensemble last.
-    ///
-    /// The six member fits spread over up to `n_threads` workers; the
-    /// ensemble is then assembled from the fitted members in model order,
-    /// so the rows are bit-identical for any thread count; `1` is the
-    /// sequential escape hatch.
-    pub fn compute(kb: &KnowledgeBase, seed: u64, n_threads: usize) -> Vec<(String, f64, f64)> {
-        let data = kb.to_dataset().expect("knowledge base is non-empty");
-        let (train, test) = data
-            .split(TABLE1_TRAIN_FRACTION, seed)
-            .expect("knowledge base is large enough");
-        let per_model = parallel_map(ModelKind::ALL.len(), n_threads.max(1), |mi| {
-            let kind = ModelKind::ALL[mi];
-            let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
-            model.fit(&train).expect("training succeeds");
-            let ev = evaluate(model.as_ref(), &test).expect("evaluation succeeds");
-            ((kind.abbreviation().to_string(), ev.bias, ev.rmse), model)
-        });
-        let mut fitted: Vec<Box<dyn Regressor>> = Vec::with_capacity(per_model.len());
-        let mut rows = Vec::with_capacity(per_model.len() + 1);
-        for (row, model) in per_model {
-            rows.push(row);
-            fitted.push(model);
-        }
-        let ensemble = disar_ml::Ensemble::new(fitted);
-        let ev = evaluate(&ensemble, &test).expect("evaluation succeeds");
-        rows.push(("Ensemble".to_string(), ev.bias, ev.rmse));
-        rows
-    }
-}
-
-impl Experiment for EnsembleAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_ensemble"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, _, jobs) = ctx.campaign();
-        let rows = Self::compute(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(|(name, a, b)| named_row(name, &[*a, *b]))),
-            Json::Null,
-            t0,
-        )
-    }
+fn ablation_ensemble_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, _, jobs) = ctx.campaign();
+    let rows = ablation_ensemble(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
+    let outputs = Json::arr(rows.iter().map(|(name, a, b)| named_row(name, &[*a, *b])));
+    finish("ablation_ensemble", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// Ablation: effect of ε-greedy exploration on knowledge-base coverage and
@@ -832,88 +684,62 @@ impl EpsilonAblation {
     }
 }
 
-/// Driver for the ε-greedy exploration ablation (`ablation_epsilon`).
-pub struct EpsilonAblationExperiment;
-
-impl EpsilonAblationExperiment {
-    /// Runs `n_deploys` self-optimizing deploys at the given ε and
-    /// summarizes.
-    pub fn compute(
-        cfg: &CampaignConfig,
-        jobs: &[EebJob],
-        epsilon: f64,
-        n_deploys: usize,
-    ) -> EpsilonAblation {
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0xEE);
-        let t_max = 3_000.0;
-        let policy = DeployPolicy::builder(t_max)
-            .epsilon(epsilon)
-            .max_nodes(cfg.max_nodes)
-            .min_kb_samples(30)
-            .retrain_every(10)
-            .n_threads(cfg.n_threads.max(1))
-            .build();
-        let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0xEE);
-        let mut rng = stream_rng(cfg.seed, 0xE9);
-        let mut costs = Vec::with_capacity(n_deploys);
-        let mut misses = 0;
-        for _ in 0..n_deploys {
-            let job = &jobs[rng.gen_range(0..jobs.len())];
-            let out = deployer
-                .deploy(&job.profile, &job.workload)
-                .expect("deploys succeed under a generous deadline");
-            costs.push(out.report.prorated_cost);
-            if out.missed_deadline(t_max) {
-                misses += 1;
-            }
-        }
-        let configs: std::collections::BTreeSet<(String, usize)> = deployer
-            .knowledge_base()
-            .records()
-            .iter()
-            .map(|r| (r.instance.clone(), r.n_nodes))
-            .collect();
-        let late = &costs[costs.len() - costs.len() / 3..];
-        EpsilonAblation {
-            epsilon,
-            distinct_configs: configs.len(),
-            late_mean_cost: stats::mean(late),
-            deadline_misses: misses,
+/// Runs `n_deploys` self-optimizing deploys at the given ε and
+/// summarizes.
+pub fn ablation_epsilon(
+    cfg: &CampaignConfig,
+    jobs: &[EebJob],
+    epsilon: f64,
+    n_deploys: usize,
+) -> EpsilonAblation {
+    let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0xEE);
+    let t_max = 3_000.0;
+    let policy = DeployPolicy::builder(t_max)
+        .epsilon(epsilon)
+        .max_nodes(cfg.max_nodes)
+        .min_kb_samples(30)
+        .retrain_every(10)
+        .n_threads(cfg.n_threads.max(1))
+        .build();
+    let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0xEE);
+    let mut rng = stream_rng(cfg.seed, 0xE9);
+    let mut costs = Vec::with_capacity(n_deploys);
+    let mut misses = 0;
+    for _ in 0..n_deploys {
+        let job = &jobs[rng.gen_range(0..jobs.len())];
+        let out = deployer
+            .deploy(&job.profile, &job.workload)
+            .expect("deploys succeed under a generous deadline");
+        costs.push(out.report.prorated_cost);
+        if out.missed_deadline(t_max) {
+            misses += 1;
         }
     }
-
-    /// The deploy-loop length the driver uses under `quick` / full mode.
-    pub fn n_deploys(quick: bool) -> usize {
-        if quick {
-            120
-        } else {
-            400
-        }
+    let configs: std::collections::BTreeSet<(String, usize)> = deployer
+        .knowledge_base()
+        .records()
+        .iter()
+        .map(|r| (r.instance.clone(), r.n_nodes))
+        .collect();
+    let late = &costs[costs.len() - costs.len() / 3..];
+    EpsilonAblation {
+        epsilon,
+        distinct_configs: configs.len(),
+        late_mean_cost: stats::mean(late),
+        deadline_misses: misses,
     }
 }
 
-impl Experiment for EpsilonAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_epsilon"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let jobs = ctx.jobs();
-        let n = Self::n_deploys(ctx.quick);
-        let greedy = Self::compute(&ctx.cfg, &jobs, 0.0, n);
-        let explore = Self::compute(&ctx.cfg, &jobs, 0.1, n);
-        finish(
-            self.name(),
-            ctx,
-            None,
-            &jobs,
-            &[("n_deploys", n.into())],
-            Json::obj([("rows", Json::arr([greedy.to_json(), explore.to_json()]))]),
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for the ε-greedy exploration ablation (`ablation_epsilon`).
+fn ablation_epsilon_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let jobs = ctx.jobs();
+    let n = if ctx.quick { 120 } else { 400 };
+    let greedy = ablation_epsilon(&ctx.cfg, &jobs, 0.0, n);
+    let explore = ablation_epsilon(&ctx.cfg, &jobs, 0.1, n);
+    let outputs = Json::obj([("rows", Json::arr([greedy.to_json(), explore.to_json()]))]);
+    let extra = [("n_deploys", n.into())];
+    finish("ablation_epsilon", ctx, None, &jobs, &extra, outputs, t0)
 }
 
 /// Ablation: ensemble-mean vs conservative (worst-member) deadline filter.
@@ -941,160 +767,142 @@ impl DeadlineRuleAblation {
     }
 }
 
-/// Driver for the deadline-rule ablation (`ablation_deadline`).
-pub struct DeadlineRuleAblationExperiment;
+/// Sweeps moderately tight deadlines over every EEB job and compares
+/// the deadline-miss rate and cost of the two filtering rules.
+///
+/// The `rules × jobs × deadlines` sweep runs in two phases so it
+/// parallelizes: every selection is a pure read of the trained family,
+/// and the realized runs draw reserved noise-stream slots in the
+/// sequential loop's (rule, job, deadline) order — only feasible cases
+/// consume a slot, exactly as the sequential `run_job` calls would.
+/// Bit-identical for any thread count; `1` is the sequential escape
+/// hatch.
+pub fn ablation_deadline(
+    kb: &KnowledgeBase,
+    jobs: &[EebJob],
+    provider: &CloudProvider,
+    seed: u64,
+    n_threads: usize,
+) -> Vec<DeadlineRuleAblation> {
+    let n_threads = n_threads.max(1);
+    let mut family = PredictorFamily::new(seed, 2);
+    family
+        .retrain(kb, RetrainMode::Incremental, n_threads)
+        .expect("knowledge base is large enough");
+    let rules = [
+        ("mean", TimeEstimate::EnsembleMean),
+        ("conservative", TimeEstimate::Conservative),
+    ];
+    const MULTS: [f64; 3] = [1.05, 1.3, 2.0];
 
-impl DeadlineRuleAblationExperiment {
-    /// Sweeps moderately tight deadlines over every EEB job and compares
-    /// the deadline-miss rate and cost of the two filtering rules.
-    ///
-    /// The `rules × jobs × deadlines` sweep runs in two phases so it
-    /// parallelizes: every selection is a pure read of the trained family,
-    /// and the realized runs draw reserved noise-stream slots in the
-    /// sequential loop's (rule, job, deadline) order — only feasible cases
-    /// consume a slot, exactly as the sequential `run_job` calls would.
-    /// Bit-identical for any thread count; `1` is the sequential escape
-    /// hatch.
-    pub fn compute(
-        kb: &KnowledgeBase,
-        jobs: &[EebJob],
-        provider: &CloudProvider,
-        seed: u64,
-        n_threads: usize,
-    ) -> Vec<DeadlineRuleAblation> {
-        let n_threads = n_threads.max(1);
-        let mut family = PredictorFamily::new(seed, 2);
-        family
-            .retrain(kb, RetrainMode::Incremental, n_threads)
-            .expect("knowledge base is large enough");
-        let rules = [
-            ("mean", TimeEstimate::EnsembleMean),
-            ("conservative", TimeEstimate::Conservative),
-        ];
-        const MULTS: [f64; 3] = [1.05, 1.3, 2.0];
-
-        // Per-job deadline anchor: a deadline near the best mean prediction
-        // — tight enough that optimistic filtering risks violations. The
-        // anchor is rule-independent.
-        let best: Vec<f64> = parallel_map(jobs.len(), n_threads, |ji| {
-            let loose = select_configuration(
-                &family,
-                provider.catalog(),
-                &jobs[ji].profile,
-                1e12,
-                6,
-                0.0,
-                seed,
-            )
-            .expect("feasible at infinite deadline");
-            loose
-                .feasible
-                .iter()
-                .map(|c| c.predicted_secs)
-                .fold(f64::INFINITY, f64::min)
-        });
-
-        // Every (rule, job, deadline) selection, rule-major like the
-        // sequential loop.
-        let per_rule = jobs.len() * MULTS.len();
-        let total = rules.len() * per_rule;
-        let sels = parallel_map(total, n_threads, |i| {
-            let (ri, rem) = (i / per_rule, i % per_rule);
-            let (ji, mi) = (rem / MULTS.len(), rem % MULTS.len());
-            let t_max = best[ji] * MULTS[mi];
-            let sel = select_configuration_with_workspace(
-                &family,
-                provider.catalog(),
-                &jobs[ji].profile,
-                t_max,
-                6,
-                0.0,
-                seed ^ ji as u64,
-                rules[ri].1,
-                1,
-                &mut SelectionWorkspace::new(),
-            )
-            .ok();
-            (t_max, sel)
-        });
-
-        // Feasible cases consume provider noise slots in sweep order.
-        let mut n_runs = 0u64;
-        let run_slot: Vec<u64> = sels
+    // Per-job deadline anchor: a deadline near the best mean prediction
+    // — tight enough that optimistic filtering risks violations. The
+    // anchor is rule-independent.
+    let best: Vec<f64> = parallel_map(jobs.len(), n_threads, |ji| {
+        let loose = select_configuration(
+            &family,
+            provider.catalog(),
+            &jobs[ji].profile,
+            1e12,
+            6,
+            0.0,
+            seed,
+        )
+        .expect("feasible at infinite deadline");
+        loose
+            .feasible
             .iter()
-            .map(|(_, sel)| {
-                let slot = n_runs;
-                if sel.is_some() {
-                    n_runs += 1;
-                }
-                slot
-            })
-            .collect();
-        let base = provider.reserve_runs(n_runs);
-        let runs = parallel_map(total, n_threads, |i| {
-            let ji = (i % per_rule) / MULTS.len();
-            sels[i].1.as_ref().map(|sel| {
-                provider
-                    .run_job_at(
-                        &sel.chosen.instance,
-                        sel.chosen.n_nodes,
-                        &jobs[ji].workload,
-                        base + run_slot[i],
-                    )
-                    .expect("valid instance")
-            })
-        });
+            .map(|c| c.predicted_secs)
+            .fold(f64::INFINITY, f64::min)
+    });
 
-        rules
-            .iter()
-            .enumerate()
-            .map(|(ri, (name, _))| {
-                let mut feasible_cases = 0;
-                let mut misses = 0;
-                let mut costs = Vec::new();
-                for i in ri * per_rule..(ri + 1) * per_rule {
-                    let (t_max, sel) = &sels[i];
-                    if sel.is_none() {
-                        continue;
-                    }
-                    feasible_cases += 1;
-                    let r = runs[i].as_ref().expect("a run for every feasible case");
-                    if r.duration_secs > *t_max {
-                        misses += 1;
-                    }
-                    costs.push(r.prorated_cost);
+    // Every (rule, job, deadline) selection, rule-major like the
+    // sequential loop.
+    let per_rule = jobs.len() * MULTS.len();
+    let total = rules.len() * per_rule;
+    let sels = parallel_map(total, n_threads, |i| {
+        let (ri, rem) = (i / per_rule, i % per_rule);
+        let (ji, mi) = (rem / MULTS.len(), rem % MULTS.len());
+        let t_max = best[ji] * MULTS[mi];
+        let sel = select_configuration_with_workspace(
+            &family,
+            provider.catalog(),
+            &jobs[ji].profile,
+            t_max,
+            6,
+            0.0,
+            seed ^ ji as u64,
+            rules[ri].1,
+            1,
+            &mut SelectionWorkspace::new(),
+        )
+        .ok();
+        (t_max, sel)
+    });
+
+    // Feasible cases consume provider noise slots in sweep order.
+    let mut n_runs = 0u64;
+    let run_slot: Vec<u64> = sels
+        .iter()
+        .map(|(_, sel)| {
+            let slot = n_runs;
+            if sel.is_some() {
+                n_runs += 1;
+            }
+            slot
+        })
+        .collect();
+    let base = provider.reserve_runs(n_runs);
+    let runs = parallel_map(total, n_threads, |i| {
+        let ji = (i % per_rule) / MULTS.len();
+        sels[i].1.as_ref().map(|sel| {
+            provider
+                .run_job_at(
+                    &sel.chosen.instance,
+                    sel.chosen.n_nodes,
+                    &jobs[ji].workload,
+                    base + run_slot[i],
+                )
+                .expect("valid instance")
+        })
+    });
+
+    rules
+        .iter()
+        .enumerate()
+        .map(|(ri, (name, _))| {
+            let mut feasible_cases = 0;
+            let mut misses = 0;
+            let mut costs = Vec::new();
+            for i in ri * per_rule..(ri + 1) * per_rule {
+                let (t_max, sel) = &sels[i];
+                if sel.is_none() {
+                    continue;
                 }
-                DeadlineRuleAblation {
-                    rule: name.to_string(),
-                    feasible_cases,
-                    misses,
-                    mean_cost: stats::mean(&costs),
+                feasible_cases += 1;
+                let r = runs[i].as_ref().expect("a run for every feasible case");
+                if r.duration_secs > *t_max {
+                    misses += 1;
                 }
-            })
-            .collect()
-    }
+                costs.push(r.prorated_cost);
+            }
+            DeadlineRuleAblation {
+                rule: name.to_string(),
+                feasible_cases,
+                misses,
+                mean_cost: stats::mean(&costs),
+            }
+        })
+        .collect()
 }
 
-impl Experiment for DeadlineRuleAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_deadline"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let rows = Self::compute(&kb, &jobs, &provider, ctx.cfg.seed, ctx.cfg.n_threads);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(DeadlineRuleAblation::to_json)),
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for the deadline-rule ablation (`ablation_deadline`).
+fn ablation_deadline_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let rows = ablation_deadline(&kb, &jobs, &provider, ctx.cfg.seed, ctx.cfg.n_threads);
+    let outputs = Json::arr(rows.iter().map(DeadlineRuleAblation::to_json));
+    finish("ablation_deadline", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// The self-optimizing loop's learning curve — the paper's claim that
@@ -1126,87 +934,60 @@ impl LearningCurve {
     }
 }
 
-/// Driver for the learning curve (`learning_curve`).
-pub struct LearningCurveExperiment;
-
-impl LearningCurveExperiment {
-    /// Runs `n_deploys` self-optimizing deploys over random EEB jobs and
-    /// tracks how the ensemble's relative prediction error shrinks with
-    /// knowledge-base size.
-    pub fn compute(cfg: &CampaignConfig, jobs: &[EebJob], n_deploys: usize) -> LearningCurve {
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0x1EA2);
-        // No deadline pressure (t_max = 1e9): isolate accuracy.
-        let policy = DeployPolicy::builder(1e9)
-            .epsilon(0.1)
-            .max_nodes(cfg.max_nodes)
-            .min_kb_samples(30)
-            .retrain_every(5)
-            .n_threads(cfg.n_threads.max(1))
-            .build();
-        let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0x1EA2);
-        let mut rng = stream_rng(cfg.seed, 0x1C);
-        let mut rel_errors: Vec<(usize, f64)> = Vec::new();
-        for i in 0..n_deploys {
-            let job = &jobs[rng.gen_range(0..jobs.len())];
-            let out = deployer
-                .deploy(&job.profile, &job.workload)
-                .expect("generous deadline");
-            if let Some(err) = out.prediction_error() {
-                rel_errors.push((i, (err / out.report.duration_secs).abs()));
-            }
-        }
-        let window = 20;
-        let points: Vec<(usize, f64)> = rel_errors
-            .iter()
-            .enumerate()
-            .map(|(k, &(i, _))| {
-                let lo = k.saturating_sub(window - 1);
-                let vals: Vec<f64> = rel_errors[lo..=k].iter().map(|&(_, e)| e).collect();
-                (i, stats::mean(&vals))
-            })
-            .collect();
-        let n = rel_errors.len();
-        let take = 30.min(n / 2).max(1);
-        let early: Vec<f64> = rel_errors[..take].iter().map(|&(_, e)| e).collect();
-        let late: Vec<f64> = rel_errors[n - take..].iter().map(|&(_, e)| e).collect();
-        LearningCurve {
-            points,
-            early_mae: stats::mean(&early),
-            late_mae: stats::mean(&late),
+/// Runs `n_deploys` self-optimizing deploys over random EEB jobs and
+/// tracks how the ensemble's relative prediction error shrinks with
+/// knowledge-base size.
+pub fn learning_curve(cfg: &CampaignConfig, jobs: &[EebJob], n_deploys: usize) -> LearningCurve {
+    let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0x1EA2);
+    // No deadline pressure (t_max = 1e9): isolate accuracy.
+    let policy = DeployPolicy::builder(1e9)
+        .epsilon(0.1)
+        .max_nodes(cfg.max_nodes)
+        .min_kb_samples(30)
+        .retrain_every(5)
+        .n_threads(cfg.n_threads.max(1))
+        .build();
+    let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0x1EA2);
+    let mut rng = stream_rng(cfg.seed, 0x1C);
+    let mut rel_errors: Vec<(usize, f64)> = Vec::new();
+    for i in 0..n_deploys {
+        let job = &jobs[rng.gen_range(0..jobs.len())];
+        let out = deployer
+            .deploy(&job.profile, &job.workload)
+            .expect("generous deadline");
+        if let Some(err) = out.prediction_error() {
+            rel_errors.push((i, (err / out.report.duration_secs).abs()));
         }
     }
-
-    /// The deploy-loop length the driver uses under `quick` / full mode.
-    pub fn n_deploys(quick: bool) -> usize {
-        if quick {
-            150
-        } else {
-            400
-        }
+    let window = 20;
+    let points: Vec<(usize, f64)> = rel_errors
+        .iter()
+        .enumerate()
+        .map(|(k, &(i, _))| {
+            let lo = k.saturating_sub(window - 1);
+            let vals: Vec<f64> = rel_errors[lo..=k].iter().map(|&(_, e)| e).collect();
+            (i, stats::mean(&vals))
+        })
+        .collect();
+    let n = rel_errors.len();
+    let take = 30.min(n / 2).max(1);
+    let early: Vec<f64> = rel_errors[..take].iter().map(|&(_, e)| e).collect();
+    let late: Vec<f64> = rel_errors[n - take..].iter().map(|&(_, e)| e).collect();
+    LearningCurve {
+        points,
+        early_mae: stats::mean(&early),
+        late_mae: stats::mean(&late),
     }
 }
 
-impl Experiment for LearningCurveExperiment {
-    fn name(&self) -> &'static str {
-        "learning_curve"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let jobs = ctx.jobs();
-        let n = Self::n_deploys(ctx.quick);
-        let lc = Self::compute(&ctx.cfg, &jobs, n);
-        finish(
-            self.name(),
-            ctx,
-            None,
-            &jobs,
-            &[("n_deploys", n.into())],
-            lc.to_json(),
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for the learning curve (`learning_curve`).
+fn learning_curve_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let jobs = ctx.jobs();
+    let n = if ctx.quick { 150 } else { 400 };
+    let lc = learning_curve(&ctx.cfg, &jobs, n);
+    let extra = [("n_deploys", n.into())];
+    finish("learning_curve", ctx, None, &jobs, &extra, lc.to_json(), t0)
 }
 
 /// Ablation: cross-company knowledge transfer. One row per
@@ -1238,157 +1019,108 @@ impl TransferAblationRow {
     }
 }
 
-/// Driver for the cross-company transfer ablation (`ablation_transfer`).
-pub struct TransferAblationExperiment;
-
-impl TransferAblationExperiment {
-    /// The multi-tenant ablation: company A runs `n_per_tenant` deploys
-    /// from a cold start, then company B runs `n_per_tenant` deploys over
-    /// the same job mix. Under [`TransferPolicy::Isolated`] B must repeat
-    /// the whole manual-training phase; under [`TransferPolicy::Pooled`] /
-    /// [`TransferPolicy::BorrowUntil`] B starts from A's knowledge — the
-    /// paper's observation that the knowledge-base parameters "are not
-    /// necessarily bound to a specific" company, quantified.
-    pub fn compute(
-        cfg: &CampaignConfig,
-        jobs: &[EebJob],
-        n_per_tenant: usize,
-    ) -> Vec<TransferAblationRow> {
-        let policies = [
-            ("isolated", TransferPolicy::Isolated),
-            ("pooled", TransferPolicy::Pooled),
-            ("borrow-until-8", TransferPolicy::BorrowUntil(8)),
-        ];
-        policies
-            .iter()
-            .map(|(name, transfer)| {
-                let provider =
-                    CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0x7E);
-                // Generous deadline to isolate onboarding; the paper's
-                // after-every-run retrain cadence, so a shard trains exactly
-                // when it reaches the family's minimum sample count.
-                let policy = DeployPolicy::builder(1e9)
-                    .epsilon(0.1)
-                    .max_nodes(cfg.max_nodes)
-                    .min_kb_samples(30)
-                    .n_threads(cfg.n_threads.max(1))
-                    .transfer(*transfer)
-                    .build();
-                let mut d = TenantShardedDeployer::new(provider, policy, cfg.seed ^ 0x7E)
-                    .with_tenant(TenantId::new("company-a"));
-                let mut rng = stream_rng(cfg.seed, 0x7A);
-                for _ in 0..n_per_tenant {
-                    let job = &jobs[rng.gen_range(0..jobs.len())];
-                    d.deploy(&job.profile, &job.workload)
-                        .expect("generous deadline");
-                }
-                d.set_tenant(TenantId::new("company-b"));
-                let mut bootstrap = 0;
-                let mut rel_errors = Vec::new();
-                let mut costs = Vec::with_capacity(n_per_tenant);
-                for _ in 0..n_per_tenant {
-                    let job = &jobs[rng.gen_range(0..jobs.len())];
-                    let out = d
-                        .deploy(&job.profile, &job.workload)
-                        .expect("generous deadline");
-                    match out.mode {
-                        DeployMode::Bootstrap => bootstrap += 1,
-                        _ => {
-                            if let Some(err) = out.prediction_error() {
-                                rel_errors.push((err / out.report.duration_secs).abs());
-                            }
+/// The multi-tenant ablation: company A runs `n_per_tenant` deploys
+/// from a cold start, then company B runs `n_per_tenant` deploys over
+/// the same job mix. Under [`TransferPolicy::Isolated`] B must repeat
+/// the whole manual-training phase; under [`TransferPolicy::Pooled`] /
+/// [`TransferPolicy::BorrowUntil`] B starts from A's knowledge — the
+/// paper's observation that the knowledge-base parameters "are not
+/// necessarily bound to a specific" company, quantified.
+pub fn ablation_transfer(
+    cfg: &CampaignConfig,
+    jobs: &[EebJob],
+    n_per_tenant: usize,
+) -> Vec<TransferAblationRow> {
+    let policies = [
+        ("isolated", TransferPolicy::Isolated),
+        ("pooled", TransferPolicy::Pooled),
+        ("borrow-until-8", TransferPolicy::BorrowUntil(8)),
+    ];
+    policies
+        .iter()
+        .map(|(name, transfer)| {
+            let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0x7E);
+            // Generous deadline to isolate onboarding; the paper's
+            // after-every-run retrain cadence, so a shard trains exactly
+            // when it reaches the family's minimum sample count.
+            let policy = DeployPolicy::builder(1e9)
+                .epsilon(0.1)
+                .max_nodes(cfg.max_nodes)
+                .min_kb_samples(30)
+                .n_threads(cfg.n_threads.max(1))
+                .transfer(*transfer)
+                .build();
+            let mut d = TenantShardedDeployer::new(provider, policy, cfg.seed ^ 0x7E)
+                .with_tenant(TenantId::new("company-a"));
+            let mut rng = stream_rng(cfg.seed, 0x7A);
+            for _ in 0..n_per_tenant {
+                let job = &jobs[rng.gen_range(0..jobs.len())];
+                d.deploy(&job.profile, &job.workload)
+                    .expect("generous deadline");
+            }
+            d.set_tenant(TenantId::new("company-b"));
+            let mut bootstrap = 0;
+            let mut rel_errors = Vec::new();
+            let mut costs = Vec::with_capacity(n_per_tenant);
+            for _ in 0..n_per_tenant {
+                let job = &jobs[rng.gen_range(0..jobs.len())];
+                let out = d
+                    .deploy(&job.profile, &job.workload)
+                    .expect("generous deadline");
+                match out.mode {
+                    DeployMode::Bootstrap => bootstrap += 1,
+                    _ => {
+                        if let Some(err) = out.prediction_error() {
+                            rel_errors.push((err / out.report.duration_secs).abs());
                         }
                     }
-                    costs.push(out.report.prorated_cost);
                 }
-                TransferAblationRow {
-                    policy: name.to_string(),
-                    b_bootstrap_deploys: bootstrap,
-                    b_ml_deploys: rel_errors.len(),
-                    b_mean_abs_rel_err: stats::mean(&rel_errors),
-                    b_mean_cost: stats::mean(&costs),
-                }
-            })
-            .collect()
-    }
-
-    /// The per-tenant deploy count the driver uses under `quick` / full
-    /// mode.
-    pub fn n_per_tenant(quick: bool) -> usize {
-        if quick {
-            60
-        } else {
-            150
-        }
-    }
+                costs.push(out.report.prorated_cost);
+            }
+            TransferAblationRow {
+                policy: name.to_string(),
+                b_bootstrap_deploys: bootstrap,
+                b_ml_deploys: rel_errors.len(),
+                b_mean_abs_rel_err: stats::mean(&rel_errors),
+                b_mean_cost: stats::mean(&costs),
+            }
+        })
+        .collect()
 }
 
-impl Experiment for TransferAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_transfer"
-    }
+/// Driver for the cross-company transfer ablation (`ablation_transfer`).
+fn ablation_transfer_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let jobs = ctx.jobs();
+    let n = if ctx.quick { 60 } else { 150 };
+    let rows = ablation_transfer(&ctx.cfg, &jobs, n);
+    let outputs = Json::arr(rows.iter().map(TransferAblationRow::to_json));
+    let extra = [("n_per_tenant", n.into())];
+    finish("ablation_transfer", ctx, None, &jobs, &extra, outputs, t0)
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let jobs = ctx.jobs();
-        let n = Self::n_per_tenant(ctx.quick);
-        let rows = Self::compute(&ctx.cfg, &jobs, n);
-        finish(
-            self.name(),
-            ctx,
-            None,
-            &jobs,
-            &[("n_per_tenant", n.into())],
-            Json::arr(rows.iter().map(TransferAblationRow::to_json)),
-            Json::Null,
-            t0,
-        )
-    }
+/// Ablation: which features actually drive execution time, per the
+/// Random Forest's variance-reduction importances — validating the
+/// paper's claim that its characteristic parameters "induce the
+/// highest variability in the execution time".
+pub fn ablation_features(kb: &KnowledgeBase, seed: u64) -> Vec<(String, f64)> {
+    use disar_core::RunRecord;
+    let data = kb.to_dataset().expect("knowledge base is non-empty");
+    let mut rf = disar_ml::RandomForest::with_defaults(seed);
+    rf.fit(&data).expect("training succeeds");
+    let names = RunRecord::feature_names();
+    let mut rows: Vec<(String, f64)> = names.into_iter().zip(rf.importances()).collect();
+    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importances"));
+    rows
 }
 
 /// Driver for the feature-importance ablation (`ablation_features`).
-pub struct FeatureAblationExperiment;
-
-impl FeatureAblationExperiment {
-    /// Ablation: which features actually drive execution time, per the
-    /// Random Forest's variance-reduction importances — validating the
-    /// paper's claim that its characteristic parameters "induce the
-    /// highest variability in the execution time".
-    pub fn compute(kb: &KnowledgeBase, seed: u64) -> Vec<(String, f64)> {
-        use disar_core::RunRecord;
-        let data = kb.to_dataset().expect("knowledge base is non-empty");
-        let mut rf = disar_ml::RandomForest::with_defaults(seed);
-        rf.fit(&data).expect("training succeeds");
-        let names = RunRecord::feature_names();
-        let mut rows: Vec<(String, f64)> = names
-            .into_iter()
-            .zip(rf.importances())
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importances"));
-        rows
-    }
-}
-
-impl Experiment for FeatureAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_features"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, _, jobs) = ctx.campaign();
-        let rows = Self::compute(&kb, ctx.cfg.seed);
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x]))),
-            Json::Null,
-            t0,
-        )
-    }
+fn ablation_features_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, _, jobs) = ctx.campaign();
+    let rows = ablation_features(&kb, ctx.cfg.seed);
+    let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
+    finish("ablation_features", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// Ablation: what the campaign would have been invoiced under different
@@ -1414,63 +1146,52 @@ impl BillingAblation {
     }
 }
 
-/// Driver for the billing-policy ablation (`ablation_billing`).
-pub struct BillingAblationExperiment;
-
-impl BillingAblationExperiment {
-    /// Re-prices every knowledge-base run under the alternative billing
-    /// policies. The paper's "total cost of 128 $" for 1500 runs only
-    /// makes sense with sub-hour granularity; this quantifies how much the
-    /// 2016 hourly rounding inflates short Solvency II jobs.
-    pub fn compute(kb: &KnowledgeBase, catalog: &InstanceCatalog) -> BillingAblation {
-        use disar_cloudsim::billing::BillingPolicy;
-        let mut prorated_total = 0.0;
-        let mut per_hour_total = 0.0;
-        let mut per_second_total = 0.0;
-        for r in kb.records() {
-            let rate = catalog
-                .get(&r.instance)
-                .expect("campaign instances are in the catalog")
-                .hourly_cost;
-            // Uptime ≈ duration + boot; the recorded cost is prorated
-            // uptime, so recover uptime from it exactly.
-            let uptime = r.cost / (rate * r.n_nodes as f64) * 3600.0;
-            prorated_total += r.cost;
-            per_hour_total += BillingPolicy::PerHour
-                .cost(uptime, rate, r.n_nodes)
-                .expect("valid inputs");
-            per_second_total += BillingPolicy::PerSecond { min_secs: 60.0 }
-                .cost(uptime, rate, r.n_nodes)
-                .expect("valid inputs");
-        }
-        BillingAblation {
-            prorated_total,
-            per_hour_total,
-            per_second_total,
-        }
+/// Re-prices every knowledge-base run under the alternative billing
+/// policies. The paper's "total cost of 128 $" for 1500 runs only
+/// makes sense with sub-hour granularity; this quantifies how much the
+/// 2016 hourly rounding inflates short Solvency II jobs.
+pub fn ablation_billing(kb: &KnowledgeBase, catalog: &InstanceCatalog) -> BillingAblation {
+    use disar_cloudsim::billing::BillingPolicy;
+    let mut prorated_total = 0.0;
+    let mut per_hour_total = 0.0;
+    let mut per_second_total = 0.0;
+    for r in kb.records() {
+        let rate = catalog
+            .get(&r.instance)
+            .expect("campaign instances are in the catalog")
+            .hourly_cost;
+        // Uptime ≈ duration + boot; the recorded cost is prorated
+        // uptime, so recover uptime from it exactly.
+        let uptime = r.cost / (rate * r.n_nodes as f64) * 3600.0;
+        prorated_total += r.cost;
+        per_hour_total += BillingPolicy::PerHour
+            .cost(uptime, rate, r.n_nodes)
+            .expect("valid inputs");
+        per_second_total += BillingPolicy::PerSecond { min_secs: 60.0 }
+            .cost(uptime, rate, r.n_nodes)
+            .expect("valid inputs");
+    }
+    BillingAblation {
+        prorated_total,
+        per_hour_total,
+        per_second_total,
     }
 }
 
-impl Experiment for BillingAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_billing"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let (kb, provider, jobs) = ctx.campaign();
-        let b = Self::compute(&kb, provider.catalog());
-        finish(
-            self.name(),
-            ctx,
-            Some(&kb),
-            &jobs,
-            &[],
-            b.to_json(),
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for the billing-policy ablation (`ablation_billing`).
+fn ablation_billing_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let (kb, provider, jobs) = ctx.campaign();
+    let b = ablation_billing(&kb, provider.catalog());
+    finish(
+        "ablation_billing",
+        ctx,
+        Some(&kb),
+        &jobs,
+        &[],
+        b.to_json(),
+        t0,
+    )
 }
 
 /// Ablation: LSMC vs plain nested Monte Carlo on a real valuation.
@@ -1488,125 +1209,105 @@ pub struct LsmcAblation {
     pub mean_rel_gap: f64,
 }
 
-/// Driver for the LSMC-vs-nested ablation (`ablation_lsmc`).
-pub struct LsmcAblationExperiment;
+/// Runs both valuation methods on the same small book and times them.
+pub fn ablation_lsmc(seed: u64) -> LsmcAblation {
+    let table = LifeTable::italian_population();
+    let lapse = DurationLapse::italian_typical();
+    let act = ActuarialEngine::new(&table, &lapse);
+    let positions: Vec<LiabilityPosition> = [(45u32, 10u32), (55, 15), (60, 8)]
+        .iter()
+        .map(|&(age, term)| {
+            let ps = ProfitSharing::new(0.8, 0.02).expect("valid");
+            let c = Contract::new(ProductKind::Endowment, age, Gender::Male, term, 1000.0, ps)
+                .expect("valid");
+            let mp = ModelPoint {
+                contract: c,
+                policy_count: 1,
+            };
+            LiabilityPosition {
+                schedule: act.cash_flow_schedule(&mp).expect("valid"),
+                profit_sharing: ps,
+            }
+        })
+        .collect();
 
-impl LsmcAblationExperiment {
-    /// Runs both valuation methods on the same small book and times them.
-    pub fn compute(seed: u64) -> LsmcAblation {
-        let table = LifeTable::italian_population();
-        let lapse = DurationLapse::italian_typical();
-        let act = ActuarialEngine::new(&table, &lapse);
-        let positions: Vec<LiabilityPosition> = [(45u32, 10u32), (55, 15), (60, 8)]
-            .iter()
-            .map(|&(age, term)| {
-                let ps = ProfitSharing::new(0.8, 0.02).expect("valid");
-                let c =
-                    Contract::new(ProductKind::Endowment, age, Gender::Male, term, 1000.0, ps)
-                        .expect("valid");
-                let mp = ModelPoint {
-                    contract: c,
-                    policy_count: 1,
-                };
-                LiabilityPosition {
-                    schedule: act.cash_flow_schedule(&mp).expect("valid"),
-                    profit_sharing: ps,
-                }
-            })
-            .collect();
-
-        let build = |h: f64| {
-            disar_stochastic::scenario::ScenarioGenerator::builder()
-                .driver(Box::new(
-                    drivers::Vasicek::new(0.025, 0.4, 0.028, 0.009, 0.15).expect("valid"),
-                ))
-                .driver(Box::new(
-                    drivers::Gbm::new(100.0, 0.065, 0.17, 0.025).expect("valid"),
-                ))
-                .correlation(
-                    CorrelationMatrix::new(vec![vec![1.0, -0.25], vec![-0.25, 1.0]])
-                        .expect("valid"),
-                )
-                .grid(TimeGrid::new(h, 12).expect("valid"))
-                .build()
-                .expect("valid")
-        };
-        let outer = build(1.0);
-        let inner = build(15.0);
-        let fund = SegregatedFund::italian_typical(30);
-
-        let nested = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("valid");
-        let t0 = std::time::Instant::now();
-        let nres = nested
-            .run(
-                &positions,
-                &NestedConfig {
-                    n_outer: 300,
-                    n_inner: 40,
-                    confidence: 0.995,
-                    seed,
-                    threads: 1,
-                    antithetic: false,
-                },
+    let build = |h: f64| {
+        disar_stochastic::scenario::ScenarioGenerator::builder()
+            .driver(Box::new(
+                drivers::Vasicek::new(0.025, 0.4, 0.028, 0.009, 0.15).expect("valid"),
+            ))
+            .driver(Box::new(
+                drivers::Gbm::new(100.0, 0.065, 0.17, 0.025).expect("valid"),
+            ))
+            .correlation(
+                CorrelationMatrix::new(vec![vec![1.0, -0.25], vec![-0.25, 1.0]]).expect("valid"),
             )
-            .expect("nested run succeeds");
-        let nested_secs = t0.elapsed().as_secs_f64();
+            .grid(TimeGrid::new(h, 12).expect("valid"))
+            .build()
+            .expect("valid")
+    };
+    let outer = build(1.0);
+    let inner = build(15.0);
+    let fund = SegregatedFund::italian_typical(30);
 
-        let lsmc = Lsmc::new(&outer, &inner, &fund, 1, 0).expect("valid");
-        let t1 = std::time::Instant::now();
-        let lres = lsmc
-            .run(
-                &positions,
-                &LsmcConfig {
-                    calibration_outer: 60,
-                    calibration_inner: 40,
-                    n_outer: 300,
-                    seed,
-                    ..LsmcConfig::paper_defaults(seed)
-                },
-            )
-            .expect("LSMC run succeeds");
-        let lsmc_secs = t1.elapsed().as_secs_f64();
+    let nested = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("valid");
+    let t0 = std::time::Instant::now();
+    let nres = nested
+        .run(
+            &positions,
+            &NestedConfig {
+                n_outer: 300,
+                n_inner: 40,
+                confidence: 0.995,
+                seed,
+                threads: 1,
+                antithetic: false,
+            },
+        )
+        .expect("nested run succeeds");
+    let nested_secs = t0.elapsed().as_secs_f64();
 
-        let gap = (stats::mean(&lres.y1) - stats::mean(&nres.y1)).abs() / stats::mean(&nres.y1);
-        LsmcAblation {
-            nested_secs,
-            lsmc_secs,
-            nested_scr: nres.scr,
-            lsmc_scr: lres.scr,
-            mean_rel_gap: gap,
-        }
+    let lsmc = Lsmc::new(&outer, &inner, &fund, 1, 0).expect("valid");
+    let t1 = std::time::Instant::now();
+    let lres = lsmc
+        .run(
+            &positions,
+            &LsmcConfig {
+                calibration_outer: 60,
+                calibration_inner: 40,
+                n_outer: 300,
+                seed,
+                ..LsmcConfig::paper_defaults(seed)
+            },
+        )
+        .expect("LSMC run succeeds");
+    let lsmc_secs = t1.elapsed().as_secs_f64();
+
+    let gap = (stats::mean(&lres.y1) - stats::mean(&nres.y1)).abs() / stats::mean(&nres.y1);
+    LsmcAblation {
+        nested_secs,
+        lsmc_secs,
+        nested_scr: nres.scr,
+        lsmc_scr: lres.scr,
+        mean_rel_gap: gap,
     }
 }
 
-impl Experiment for LsmcAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_lsmc"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let a = Self::compute(ctx.cfg.seed);
-        // Wall times are machine noise: they go in `timings`, outside the
-        // replay contract, so only the numeric results are hash-checked.
-        finish(
-            self.name(),
-            ctx,
-            None,
-            &[],
-            &[],
-            Json::obj([
-                ("nested_scr", a.nested_scr.into()),
-                ("lsmc_scr", a.lsmc_scr.into()),
-                ("mean_rel_gap", a.mean_rel_gap.into()),
-            ]),
-            Json::obj([
-                ("nested_secs", a.nested_secs.into()),
-                ("lsmc_secs", a.lsmc_secs.into()),
-            ]),
-            t0,
-        )
-    }
+/// Driver for the LSMC-vs-nested ablation (`ablation_lsmc`). Wall times
+/// are machine noise: they go in `timings`, outside the replay contract, so
+/// only the numeric results are hash-checked.
+fn ablation_lsmc_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let a = ablation_lsmc(ctx.cfg.seed);
+    let outputs = Json::obj([
+        ("nested_scr", a.nested_scr.into()),
+        ("lsmc_scr", a.lsmc_scr.into()),
+        ("mean_rel_gap", a.mean_rel_gap.into()),
+    ]);
+    finish("ablation_lsmc", ctx, None, &[], &[], outputs, t0).with_timings(Json::obj([
+        ("nested_secs", a.nested_secs.into()),
+        ("lsmc_secs", a.lsmc_secs.into()),
+    ]))
 }
 
 /// Ablation: drift adaptation. Selection-regret traces of an adaptive
@@ -1635,7 +1336,7 @@ pub struct DriftAblation {
     pub drift_fires: u64,
     /// Ensemble member names, in family order.
     pub member_names: Vec<String>,
-    /// Regret-derived member weights ([`regret_weights`]) from each
+    /// Regret-derived member weights (`regret_weights`) from each
     /// member's solo selection regret on the post-change grid.
     pub member_weights: Vec<f64>,
 }
@@ -1669,253 +1370,259 @@ impl DriftAblation {
     }
 }
 
-/// Driver for the drift-adaptation ablation (`ablation_drift`).
-pub struct DriftAblationExperiment;
-
-impl DriftAblationExperiment {
-    /// Runs both arms over a [`DriftModel::StepRegime`] cloud: a manual
-    /// grid warm-up, a pre-change ML phase, then a 3.3× hardware slowdown
-    /// at a known run index. Per deploy, *selection regret* is the extra
-    /// noise-free cost of the chosen configuration over the oracle argmin
-    /// on the sim's true times, plus one oracle-cost penalty per oracle
-    /// deadline miss. The adaptive arm retrains on a decayed window and
-    /// escalates via the Page–Hinkley residual detector; the frozen arm
-    /// trains once at warm-up and never again.
-    ///
-    /// Everything is a pure function of the campaign seed: both arms
-    /// replay identical run indices, and the oracle reads the drifted
-    /// ground truth through [`CloudProvider::oracle_plan`] (a benchmark
-    /// privilege the deployers themselves never get).
-    pub fn compute(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
-        let warmup = 36;
-        let pre_ml = 20;
-        let post = 48;
-        let roll = 8;
-        let change_at = warmup + pre_ml;
-        let horizon = change_at + post;
-        let catalog = InstanceCatalog::paper_catalog();
-        let names = catalog.names();
-        let max_nodes = cfg.max_nodes.clamp(2, 4);
-        let grid: Vec<(String, usize)> = names
-            .iter()
-            .flat_map(|n| (1..=max_nodes).map(move |k| (n.clone(), k)))
-            .collect();
-        let drift = DriftModel::StepRegime {
-            period: change_at as u64,
-            speed_factor: 0.3,
-            price_factor: 1.0,
-        };
-        // The oracle probe: a provider whose run counter never advances,
-        // so `oracle_plan` reads any stream position's ground truth.
-        let probe =
-            CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
-        let job = &jobs[0];
-        let plan = |name: &str, n: usize, idx: u64| {
-            probe
-                .oracle_plan(name, n, &job.workload, idx)
-                .expect("catalog configuration")
-        };
-        // Deadline: pre-change, the cost optimum fits comfortably; after
-        // the slowdown it no longer does, while faster configurations
-        // still do — so a stale model keeps choosing configurations that
-        // now miss.
-        let pre_best = grid
-            .iter()
+/// Runs both arms over a [`DriftModel::StepRegime`] cloud: a manual
+/// grid warm-up, a pre-change ML phase, then a 3.3× hardware slowdown
+/// at a known run index. Per deploy, *selection regret* is the extra
+/// noise-free cost of the chosen configuration over the oracle argmin
+/// on the sim's true times, plus one oracle-cost penalty per oracle
+/// deadline miss. The adaptive arm retrains on a decayed window and
+/// escalates via the Page–Hinkley residual detector; the frozen arm
+/// trains once at warm-up and never again.
+///
+/// Everything is a pure function of the campaign seed: both arms
+/// replay identical run indices, and the oracle reads the drifted
+/// ground truth through [`CloudProvider::oracle_plan`] (a benchmark
+/// privilege the deployers themselves never get).
+pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
+    let warmup = 36;
+    let pre_ml = 20;
+    let post = 48;
+    let roll = 8;
+    let change_at = warmup + pre_ml;
+    let horizon = change_at + post;
+    let catalog = InstanceCatalog::paper_catalog();
+    let names = catalog.names();
+    let max_nodes = cfg.max_nodes.clamp(2, 4);
+    let grid: Vec<(String, usize)> = names
+        .iter()
+        .flat_map(|n| (1..=max_nodes).map(move |k| (n.clone(), k)))
+        .collect();
+    let drift = DriftModel::StepRegime {
+        period: change_at as u64,
+        speed_factor: 0.3,
+        price_factor: 1.0,
+    };
+    // The oracle probe: a provider whose run counter never advances,
+    // so `oracle_plan` reads any stream position's ground truth.
+    let probe = CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
+    let job = &jobs[0];
+    let plan = |name: &str, n: usize, idx: u64| {
+        probe
+            .oracle_plan(name, n, &job.workload, idx)
+            .expect("catalog configuration")
+    };
+    // Deadline: pre-change, the cost optimum fits comfortably; after
+    // the slowdown it no longer does, while faster configurations
+    // still do — so a stale model keeps choosing configurations that
+    // now miss.
+    let pre_best = grid
+        .iter()
+        .min_by(|a, b| {
+            let ca = plan(&a.0, a.1, 0).prorated_cost;
+            let cb = plan(&b.0, b.1, 0).prorated_cost;
+            ca.partial_cmp(&cb).expect("finite oracle costs")
+        })
+        .expect("non-empty grid")
+        .clone();
+    let d0_pre = plan(&pre_best.0, pre_best.1, 0).duration_secs;
+    let d0_post = plan(&pre_best.0, pre_best.1, change_at as u64).duration_secs;
+    let dmin_post = grid
+        .iter()
+        .map(|(nm, n)| plan(nm, *n, change_at as u64).duration_secs)
+        .fold(f64::INFINITY, f64::min);
+    let t_max = (0.5 * (dmin_post + d0_post)).max(1.15 * d0_pre);
+    // Cheapest oracle cost among deadline-feasible configurations
+    // (falling back to the unconstrained optimum if none fits).
+    let best_feasible = |idx: u64| -> f64 {
+        let mut best = f64::INFINITY;
+        let mut best_any = f64::INFINITY;
+        for (nm, n) in &grid {
+            let p = plan(nm, *n, idx);
+            best_any = best_any.min(p.prorated_cost);
+            if p.duration_secs <= t_max {
+                best = best.min(p.prorated_cost);
+            }
+        }
+        if best.is_finite() {
+            best
+        } else {
+            best_any
+        }
+    };
+    let fastest = |idx: u64| -> (String, usize) {
+        grid.iter()
             .min_by(|a, b| {
-                let ca = plan(&a.0, a.1, 0).prorated_cost;
-                let cb = plan(&b.0, b.1, 0).prorated_cost;
-                ca.partial_cmp(&cb).expect("finite oracle costs")
+                let da = plan(&a.0, a.1, idx).duration_secs;
+                let db = plan(&b.0, b.1, idx).duration_secs;
+                da.partial_cmp(&db).expect("finite oracle durations")
             })
             .expect("non-empty grid")
-            .clone();
-        let d0_pre = plan(&pre_best.0, pre_best.1, 0).duration_secs;
-        let d0_post = plan(&pre_best.0, pre_best.1, change_at as u64).duration_secs;
-        let dmin_post = grid
-            .iter()
-            .map(|(nm, n)| plan(nm, *n, change_at as u64).duration_secs)
-            .fold(f64::INFINITY, f64::min);
-        let t_max = (0.5 * (dmin_post + d0_post)).max(1.15 * d0_pre);
-        // Cheapest oracle cost among deadline-feasible configurations
-        // (falling back to the unconstrained optimum if none fits).
-        let best_feasible = |idx: u64| -> f64 {
-            let mut best = f64::INFINITY;
-            let mut best_any = f64::INFINITY;
-            for (nm, n) in &grid {
-                let p = plan(nm, *n, idx);
-                best_any = best_any.min(p.prorated_cost);
-                if p.duration_secs <= t_max {
-                    best = best.min(p.prorated_cost);
-                }
-            }
-            if best.is_finite() {
-                best
-            } else {
-                best_any
-            }
-        };
-        let fastest = |idx: u64| -> (String, usize) {
-            grid.iter()
-                .min_by(|a, b| {
-                    let da = plan(&a.0, a.1, idx).duration_secs;
-                    let db = plan(&b.0, b.1, idx).duration_secs;
-                    da.partial_cmp(&db).expect("finite oracle durations")
+            .clone()
+    };
+    let run_arm = |adaptive: bool| -> (Vec<f64>, u64, TransparentDeployer) {
+        let provider =
+            CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
+        let mut builder = DeployPolicy::builder(t_max)
+            .epsilon(0.0)
+            .max_nodes(max_nodes)
+            .min_kb_samples(warmup)
+            .retrain_every(if adaptive { 1 } else { 10_000 })
+            .n_threads(cfg.n_threads.max(1));
+        if adaptive {
+            builder = builder
+                .retrain_mode(RetrainMode::Windowed {
+                    window: 16,
+                    decay: 0.0,
                 })
-                .expect("non-empty grid")
-                .clone()
-        };
-        let run_arm = |adaptive: bool| -> (Vec<f64>, u64, TransparentDeployer) {
-            let provider =
-                CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
-            let mut builder = DeployPolicy::builder(t_max)
-                .epsilon(0.0)
-                .max_nodes(max_nodes)
-                .min_kb_samples(warmup)
-                .retrain_every(if adaptive { 1 } else { 10_000 })
-                .n_threads(cfg.n_threads.max(1));
-            if adaptive {
-                builder = builder
-                    .retrain_mode(RetrainMode::Windowed {
-                        window: 16,
-                        decay: 0.0,
-                    })
-                    .drift(DriftConfig {
-                        detector: DetectorKind::PageHinkley,
-                        threshold: 1.5,
-                        delta: 0.05,
-                        window: 16,
-                        decay: 0.0,
-                    });
-            }
-            let mut d = TransparentDeployer::new(provider, builder.build(), cfg.seed ^ 0xD21F);
-            // Manual grid warm-up: both arms record the same runs, so
-            // their noise streams and knowledge bases stay aligned.
-            for i in 0..warmup {
-                let inst = &names[i % names.len()];
-                let n = 1 + (i / names.len()) % max_nodes;
-                d.deploy_manual(&job.profile, &job.workload, inst, n)
-                    .expect("catalog configuration");
-            }
-            d.warm().expect("warm-up records train the family");
-            let mut regret = Vec::with_capacity(horizon - warmup);
-            for i in warmup..horizon {
-                let idx = i as u64;
-                let out = match d.deploy(&job.profile, &job.workload) {
-                    Ok(out) => out,
-                    Err(CoreError::NoFeasibleConfiguration { .. }) => {
-                        // A mis-calibrated model can reject everything;
-                        // fall back to the fastest machine so the loop
-                        // keeps learning (the regret speaks for itself).
-                        let (nm, n) = fastest(idx);
-                        d.deploy_manual(&job.profile, &job.workload, &nm, n)
-                            .expect("catalog configuration")
-                    }
-                    Err(e) => panic!("drift-ablation deploy failed: {e}"),
-                };
-                let chosen = plan(&out.report.instance, out.report.n_nodes, idx);
-                let best = best_feasible(idx);
-                let mut r = (chosen.prorated_cost - best).max(0.0);
-                if chosen.duration_secs > t_max {
-                    r += best;
+                .drift(DriftConfig {
+                    detector: DetectorKind::PageHinkley,
+                    threshold: 1.5,
+                    delta: 0.05,
+                    window: 16,
+                    decay: 0.0,
+                });
+        }
+        let mut d = TransparentDeployer::new(provider, builder.build(), cfg.seed ^ 0xD21F);
+        // Manual grid warm-up: both arms record the same runs, so
+        // their noise streams and knowledge bases stay aligned.
+        for i in 0..warmup {
+            let inst = &names[i % names.len()];
+            let n = 1 + (i / names.len()) % max_nodes;
+            d.deploy_manual(&job.profile, &job.workload, inst, n)
+                .expect("catalog configuration");
+        }
+        d.warm().expect("warm-up records train the family");
+        let mut regret = Vec::with_capacity(horizon - warmup);
+        for i in warmup..horizon {
+            let idx = i as u64;
+            let out = match d.deploy(&job.profile, &job.workload) {
+                Ok(out) => out,
+                Err(CoreError::NoFeasibleConfiguration { .. }) => {
+                    // A mis-calibrated model can reject everything;
+                    // fall back to the fastest machine so the loop
+                    // keeps learning (the regret speaks for itself).
+                    let (nm, n) = fastest(idx);
+                    d.deploy_manual(&job.profile, &job.workload, &nm, n)
+                        .expect("catalog configuration")
                 }
-                regret.push(r);
+                Err(e) => panic!("drift-ablation deploy failed: {e}"),
+            };
+            let chosen = plan(&out.report.instance, out.report.n_nodes, idx);
+            let best = best_feasible(idx);
+            let mut r = (chosen.prorated_cost - best).max(0.0);
+            if chosen.duration_secs > t_max {
+                r += best;
             }
-            (regret, d.drift_fires(), d)
-        };
-        let (adaptive_regret, drift_fires, adaptive_deployer) = run_arm(true);
-        let (frozen_regret, _, _) = run_arm(false);
-        // In-band: rolling mean regret at or below a band derived from
-        // the arm's own pre-change level, floored at a quarter of the
-        // post-change oracle cost — one deadline miss per rolling window
-        // already exceeds the floor, so a stale arm cannot sneak in.
-        let post_costs: Vec<f64> = (change_at..horizon)
-            .map(|i| best_feasible(i as u64))
-            .collect();
-        let floor = 0.25 * stats::mean(&post_costs);
-        let recovery = |regret: &[f64]| -> usize {
-            let band = (1.5 * stats::mean(&regret[..pre_ml])).max(floor);
-            let trace = &regret[pre_ml..];
-            for k in roll..=trace.len() {
-                if stats::mean(&trace[k - roll..k]) <= band {
-                    return k;
-                }
+            regret.push(r);
+        }
+        (regret, d.drift_fires(), d)
+    };
+    let (adaptive_regret, drift_fires, adaptive_deployer) = run_arm(true);
+    let (frozen_regret, _, _) = run_arm(false);
+    // In-band: rolling mean regret at or below a band derived from
+    // the arm's own pre-change level, floored at a quarter of the
+    // post-change oracle cost — one deadline miss per rolling window
+    // already exceeds the floor, so a stale arm cannot sneak in.
+    let post_costs: Vec<f64> = (change_at..horizon)
+        .map(|i| best_feasible(i as u64))
+        .collect();
+    let floor = 0.25 * stats::mean(&post_costs);
+    let recovery = |regret: &[f64]| -> usize {
+        let band = (1.5 * stats::mean(&regret[..pre_ml])).max(floor);
+        let trace = &regret[pre_ml..];
+        for k in roll..=trace.len() {
+            if stats::mean(&trace[k - roll..k]) <= band {
+                return k;
             }
-            trace.len()
-        };
-        let adaptive_recovery = recovery(&adaptive_regret);
-        let frozen_recovery = recovery(&frozen_regret);
-        // Regret-weight the surviving ensemble: each member alone picks
-        // its cheapest predicted-feasible configuration on the final
-        // post-change grid; its weight decays with the oracle regret of
-        // that solo pick.
-        let final_idx = (horizon - 1) as u64;
-        let family = adaptive_deployer.family();
-        let mut member_names: Vec<String> = Vec::new();
-        let mut picks: Vec<Option<(f64, f64, f64)>> = Vec::new();
-        for (nm, n) in &grid {
-            let inst = catalog.get(nm).expect("catalog instance");
-            let preds = family
-                .predict_each(&job.profile, inst, *n)
-                .expect("adaptive family is trained");
-            if member_names.is_empty() {
-                member_names = preds.iter().map(|(m, _)| (*m).to_string()).collect();
-                picks = vec![None; preds.len()];
-            }
-            let oracle = plan(nm, *n, final_idx);
-            for (m, (_, secs)) in preds.iter().enumerate() {
-                if *secs <= t_max {
-                    let predicted_cost = secs / 3_600.0 * *n as f64 * inst.hourly_cost;
-                    if picks[m].is_none_or(|(c, _, _)| predicted_cost < c) {
-                        picks[m] =
-                            Some((predicted_cost, oracle.prorated_cost, oracle.duration_secs));
-                    }
+        }
+        trace.len()
+    };
+    let adaptive_recovery = recovery(&adaptive_regret);
+    let frozen_recovery = recovery(&frozen_regret);
+    // Regret-weight the surviving ensemble: each member alone picks
+    // its cheapest predicted-feasible configuration on the final
+    // post-change grid; its weight decays with the oracle regret of
+    // that solo pick.
+    let final_idx = (horizon - 1) as u64;
+    let family = adaptive_deployer.family();
+    let mut member_names: Vec<String> = Vec::new();
+    let mut picks: Vec<Option<(f64, f64, f64)>> = Vec::new();
+    for (nm, n) in &grid {
+        let inst = catalog.get(nm).expect("catalog instance");
+        let preds = family
+            .predict_each(&job.profile, inst, *n)
+            .expect("adaptive family is trained");
+        if member_names.is_empty() {
+            member_names = preds.iter().map(|(m, _)| (*m).to_string()).collect();
+            picks = vec![None; preds.len()];
+        }
+        let oracle = plan(nm, *n, final_idx);
+        for (m, (_, secs)) in preds.iter().enumerate() {
+            if *secs <= t_max {
+                let predicted_cost = secs / 3_600.0 * *n as f64 * inst.hourly_cost;
+                if picks[m].is_none_or(|(c, _, _)| predicted_cost < c) {
+                    picks[m] = Some((predicted_cost, oracle.prorated_cost, oracle.duration_secs));
                 }
             }
         }
-        let best_final = best_feasible(final_idx);
-        let member_regrets: Vec<f64> = picks
-            .iter()
-            .map(|pick| match pick {
-                Some((_, cost, dur)) => {
-                    (cost - best_final).max(0.0) + if *dur > t_max { best_final } else { 0.0 }
-                }
-                None => best_final,
-            })
-            .collect();
-        let member_weights = regret_weights(&member_regrets);
-        DriftAblation {
-            change_at,
-            t_max_secs: t_max,
-            adaptive_regret,
-            frozen_regret,
-            adaptive_recovery,
-            frozen_recovery,
-            drift_fires,
-            member_names,
-            member_weights,
-        }
+    }
+    let best_final = best_feasible(final_idx);
+    let member_regrets: Vec<f64> = picks
+        .iter()
+        .map(|pick| match pick {
+            Some((_, cost, dur)) => {
+                (cost - best_final).max(0.0) + if *dur > t_max { best_final } else { 0.0 }
+            }
+            None => best_final,
+        })
+        .collect();
+    let member_weights = regret_weights(&member_regrets);
+    DriftAblation {
+        change_at,
+        t_max_secs: t_max,
+        adaptive_regret,
+        frozen_regret,
+        adaptive_recovery,
+        frozen_recovery,
+        drift_fires,
+        member_names,
+        member_weights,
     }
 }
 
-impl Experiment for DriftAblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation_drift"
+/// Converts per-member selection regrets (≥ 0, lower is better) into
+/// normalized ensemble weights `wᵢ ∝ 1 / (ε + rᵢ)` with
+/// `ε = 10⁻⁶ + mean(r) / 100` — a pure, deterministic function of the
+/// regrets: equal regrets give uniform weights, a member with much lower
+/// regret than the rest dominates without ever zeroing the others out.
+///
+/// Negative regrets are clamped to zero. Returns an empty vector for an
+/// empty slice.
+///
+/// # Panics
+///
+/// Panics if any regret is non-finite.
+fn regret_weights(regrets: &[f64]) -> Vec<f64> {
+    if regrets.is_empty() {
+        return Vec::new();
     }
+    assert!(
+        regrets.iter().all(|r| r.is_finite()),
+        "regrets must be finite"
+    );
+    let clamped: Vec<f64> = regrets.iter().map(|r| r.max(0.0)).collect();
+    let eps = 1e-6 + stats::mean(&clamped) / 100.0;
+    let raw: Vec<f64> = clamped.iter().map(|r| 1.0 / (eps + r)).collect();
+    let total: f64 = raw.iter().sum();
+    raw.into_iter().map(|w| w / total).collect()
+}
 
-    fn run(&self, ctx: &ExperimentCtx) -> Vec<RegistryRow> {
-        let t0 = Instant::now();
-        let jobs = ctx.jobs();
-        let a = Self::compute(&ctx.cfg, &jobs);
-        finish(
-            self.name(),
-            ctx,
-            None,
-            &jobs,
-            &[],
-            a.to_json(),
-            Json::Null,
-            t0,
-        )
-    }
+/// Driver for the drift-adaptation ablation (`ablation_drift`).
+fn ablation_drift_row(ctx: &ExperimentCtx) -> RegistryRow {
+    let t0 = Instant::now();
+    let jobs = ctx.jobs();
+    let a = ablation_drift(&ctx.cfg, &jobs);
+    finish("ablation_drift", ctx, None, &jobs, &[], a.to_json(), t0)
 }
 
 #[cfg(test)]
@@ -1924,26 +1631,24 @@ mod tests {
     use crate::campaign::build_knowledge_base;
 
     fn small_campaign() -> (KnowledgeBase, CloudProvider, Vec<EebJob>) {
-        build_knowledge_base(
-            &CampaignConfig::builder()
-                .n_runs(240)
-                .n_outer(400)
-                .n_inner(30)
-                .max_nodes(4)
-                .seed(11)
-                .n_threads(1)
-                .build(),
-        )
+        build_knowledge_base(&CampaignConfig {
+            n_runs: 240,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 4,
+            seed: 11,
+            n_threads: 1,
+        })
     }
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
         let names: std::collections::BTreeSet<&str> =
-            EXPERIMENTS.iter().map(|e| e.name()).collect();
+            EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
         assert_eq!(EXPERIMENTS.len(), 15);
-        for e in EXPERIMENTS {
-            assert_eq!(by_name(e.name()).unwrap().name(), e.name());
+        for (name, _) in EXPERIMENTS {
+            assert!(by_name(name).is_some(), "{name}");
         }
         assert!(by_name("no_such_experiment").is_none());
     }
@@ -1951,14 +1656,14 @@ mod tests {
     #[test]
     fn ctx_params_roundtrip() {
         let ctx = ExperimentCtx::new(
-            CampaignConfig::builder()
-                .n_runs(60)
-                .n_outer(200)
-                .n_inner(20)
-                .max_nodes(4)
-                .seed(7)
-                .n_threads(1)
-                .build(),
+            CampaignConfig {
+                n_runs: 60,
+                n_outer: 200,
+                n_inner: 20,
+                max_nodes: 4,
+                seed: 7,
+                n_threads: 1,
+            },
             true,
         );
         let back = ExperimentCtx::from_params(&ctx.params()).expect("round-trips");
@@ -1975,14 +1680,14 @@ mod tests {
 
     #[test]
     fn input_hash_is_stable_and_moves_with_every_input() {
-        let cfg = CampaignConfig::builder()
-            .n_runs(20)
-            .n_outer(200)
-            .n_inner(20)
-            .max_nodes(4)
-            .seed(7)
-            .n_threads(1)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: 20,
+            n_outer: 200,
+            n_inner: 20,
+            max_nodes: 4,
+            seed: 7,
+            n_threads: 1,
+        };
         let (kb, _, jobs) = build_knowledge_base(&cfg);
         let digest = |ctx: &ExperimentCtx, jobs: &[EebJob], kb: &KnowledgeBase| {
             input_hash("table2", &ctx.params(), jobs, Some(kb))
@@ -2026,36 +1731,33 @@ mod tests {
     }
 
     #[test]
-    fn trait_run_emits_one_replayable_row() {
+    fn driver_emits_one_replayable_row() {
         let ctx = ExperimentCtx::new(
-            CampaignConfig::builder()
-                .n_runs(60)
-                .n_outer(200)
-                .n_inner(20)
-                .max_nodes(4)
-                .seed(7)
-                .n_threads(1)
-                .build(),
+            CampaignConfig {
+                n_runs: 60,
+                n_outer: 200,
+                n_inner: 20,
+                max_nodes: 4,
+                seed: 7,
+                n_threads: 1,
+            },
             true,
         );
-        let first = Table2Experiment.run(&ctx);
-        assert_eq!(first.len(), 1);
-        let row = &first[0];
+        let row = table2_row(&ctx);
         assert_eq!(row.experiment, "table2");
         // Replaying from the recorded params must reproduce both hashes
         // bit-identically — the runbook contract.
         let replay_ctx = ExperimentCtx::from_params(&row.params).expect("driver params");
-        let again = Table2Experiment.run(&replay_ctx);
-        assert_eq!(again.len(), 1);
-        assert_eq!(again[0].input_hash, row.input_hash);
-        assert_eq!(again[0].output_hash, row.output_hash);
-        assert!(row.outputs_match(&again[0].outputs));
+        let again = table2_row(&replay_ctx);
+        assert_eq!(again.input_hash, row.input_hash);
+        assert_eq!(again.output_hash, row.output_hash);
+        assert!(row.outputs_match(&again.outputs));
     }
 
     #[test]
     fn table1_has_full_shape_and_moderate_bias() {
         let (kb, provider, _) = small_campaign();
-        let t = Table1Experiment::compute(&kb, provider.catalog(), 1, 1);
+        let t = table1(&kb, provider.catalog(), 1, 1);
         assert_eq!(t.models.len(), 6);
         assert_eq!(t.instances.len(), 6);
         let times: Vec<f64> = kb.records().iter().map(|r| r.duration_secs).collect();
@@ -2074,7 +1776,7 @@ mod tests {
     #[test]
     fn table2_costs_positive_and_differentiated() {
         let (_, provider, jobs) = small_campaign();
-        let t2 = Table2Experiment::compute(&jobs, &provider, 1);
+        let t2 = table2(&jobs, &provider, 1);
         assert_eq!(t2.len(), 6);
         for (_, c) in &t2 {
             assert!(*c > 0.0);
@@ -2088,26 +1790,23 @@ mod tests {
         let (_, seq_provider, jobs) = small_campaign();
         let (_, par_provider, _) = small_campaign();
         assert_eq!(
-            Table2Experiment::compute(&jobs, &seq_provider, 1),
-            Table2Experiment::compute(&jobs, &par_provider, 4)
+            table2(&jobs, &seq_provider, 1),
+            table2(&jobs, &par_provider, 4)
         );
-        assert_eq!(
-            Fig4Experiment::compute(&jobs, &seq_provider, 1),
-            Fig4Experiment::compute(&jobs, &par_provider, 4)
-        );
+        assert_eq!(fig4(&jobs, &seq_provider, 1), fig4(&jobs, &par_provider, 4));
     }
 
     #[test]
     fn parallel_table1_fig2_ensemble_match_sequential() {
         let (kb, provider, _) = small_campaign();
-        let seq = Table1Experiment::compute(&kb, provider.catalog(), 1, 1);
-        let par = Table1Experiment::compute(&kb, provider.catalog(), 1, 4);
+        let seq = table1(&kb, provider.catalog(), 1, 1);
+        let par = table1(&kb, provider.catalog(), 1, 4);
         assert_eq!(seq.instances, par.instances);
         assert_eq!(seq.models, par.models);
         assert_eq!(seq.bias, par.bias);
 
-        let f_seq = Fig2Experiment::compute(&kb, 3, 1);
-        let f_par = Fig2Experiment::compute(&kb, 3, 4);
+        let f_seq = fig2(&kb, 3, 1);
+        let f_par = fig2(&kb, 3, 4);
         assert_eq!(f_seq.len(), f_par.len());
         for (a, b) in f_seq.iter().zip(&f_par) {
             assert_eq!(a.model, b.model);
@@ -2115,8 +1814,8 @@ mod tests {
             assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
         }
 
-        let e_seq = EnsembleAblationExperiment::compute(&kb, 2, 1);
-        let e_par = EnsembleAblationExperiment::compute(&kb, 2, 4);
+        let e_seq = ablation_ensemble(&kb, 2, 1);
+        let e_par = ablation_ensemble(&kb, 2, 4);
         assert_eq!(e_seq.len(), e_par.len());
         for (a, b) in e_seq.iter().zip(&e_par) {
             assert_eq!(a.0, b.0);
@@ -2132,8 +1831,8 @@ mod tests {
         let (kb, seq_provider, jobs) = small_campaign();
         let (_, par_provider, _) = small_campaign();
         assert_eq!(
-            DeadlineRuleAblationExperiment::compute(&kb, &jobs, &seq_provider, 5, 1),
-            DeadlineRuleAblationExperiment::compute(&kb, &jobs, &par_provider, 5, 4)
+            ablation_deadline(&kb, &jobs, &seq_provider, 5, 1),
+            ablation_deadline(&kb, &jobs, &par_provider, 5, 4)
         );
         assert_eq!(seq_provider.reserve_runs(0), par_provider.reserve_runs(0));
     }
@@ -2141,23 +1840,23 @@ mod tests {
     #[test]
     fn fig2_fig3_consistency() {
         let (kb, _, _) = small_campaign();
-        let pts = Fig2Experiment::compute(&kb, 3, 1);
+        let pts = fig2(&kb, 3, 1);
         assert!(!pts.is_empty());
         // 6 models × 60% of the KB.
         assert_eq!(pts.len(), 6 * (kb.len() - (kb.len() as f64 * 0.4) as usize));
-        let f3 = Fig3Experiment::compute(&pts);
+        let f3 = fig3(&pts);
         let total_pct: f64 = f3.bins.iter().map(|(_, p)| p).sum();
         assert!((total_pct - 100.0).abs() < 1e-6);
         assert!((0.0..=1.0).contains(&f3.within_200s));
         // The per-model summary covers all six models.
-        let summary = Fig2Experiment::summary(&pts);
+        let summary = fig2_summary(&pts);
         assert!(matches!(summary, Json::Arr(ref rows) if rows.len() == 6));
     }
 
     #[test]
     fn fig4_speedups_in_paper_band() {
         let (_, provider, jobs) = small_campaign();
-        for (name, s) in Fig4Experiment::compute(&jobs, &provider, 1) {
+        for (name, s) in fig4(&jobs, &provider, 1) {
             assert!((2.0..12.0).contains(&s), "{name}: speedup {s}");
         }
     }
@@ -2165,7 +1864,7 @@ mod tests {
     #[test]
     fn comparison_shows_both_wins() {
         let (kb, provider, jobs) = small_campaign();
-        let c = ComparisonExperiment::compute(&kb, &jobs, &provider, 5);
+        let c = comparison(&kb, &jobs, &provider, 5);
         assert!(
             c.cost_decrease_pct > 0.0,
             "ML should beat the high-end machine on cost: {c:?}"
@@ -2179,7 +1878,7 @@ mod tests {
     #[test]
     fn ensemble_ablation_contains_all_rows() {
         let (kb, _, _) = small_campaign();
-        let rows = EnsembleAblationExperiment::compute(&kb, 2, 1);
+        let rows = ablation_ensemble(&kb, 2, 1);
         assert_eq!(rows.len(), 7);
         assert_eq!(rows.last().unwrap().0, "Ensemble");
         for (_, bias, rmse) in &rows {
@@ -2190,17 +1889,17 @@ mod tests {
 
     #[test]
     fn epsilon_widens_coverage() {
-        let cfg = CampaignConfig::builder()
-            .n_runs(0)
-            .n_outer(400)
-            .n_inner(30)
-            .max_nodes(6)
-            .seed(17)
-            .n_threads(1)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: 0,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 6,
+            seed: 17,
+            n_threads: 1,
+        };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
-        let greedy = EpsilonAblationExperiment::compute(&cfg, &jobs, 0.0, 120);
-        let explore = EpsilonAblationExperiment::compute(&cfg, &jobs, 0.25, 120);
+        let greedy = ablation_epsilon(&cfg, &jobs, 0.0, 120);
+        let explore = ablation_epsilon(&cfg, &jobs, 0.25, 120);
         assert!(
             explore.distinct_configs >= greedy.distinct_configs,
             "exploration must not shrink coverage: {greedy:?} vs {explore:?}"
@@ -2210,7 +1909,7 @@ mod tests {
     #[test]
     fn conservative_rule_shrinks_feasibility() {
         let (kb, provider, jobs) = small_campaign();
-        let rows = DeadlineRuleAblationExperiment::compute(&kb, &jobs, &provider, 5, 1);
+        let rows = ablation_deadline(&kb, &jobs, &provider, 5, 1);
         assert_eq!(rows.len(), 2);
         let mean = &rows[0];
         let cons = &rows[1];
@@ -2228,16 +1927,16 @@ mod tests {
 
     #[test]
     fn learning_curve_improves() {
-        let cfg = CampaignConfig::builder()
-            .n_runs(0)
-            .n_outer(400)
-            .n_inner(30)
-            .max_nodes(4)
-            .seed(23)
-            .n_threads(1)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: 0,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 4,
+            seed: 23,
+            n_threads: 1,
+        };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
-        let lc = LearningCurveExperiment::compute(&cfg, &jobs, 200);
+        let lc = learning_curve(&cfg, &jobs, 200);
         assert!(!lc.points.is_empty());
         assert!(
             lc.late_mae < lc.early_mae,
@@ -2250,16 +1949,16 @@ mod tests {
 
     #[test]
     fn transfer_ablation_quantifies_onboarding() {
-        let cfg = CampaignConfig::builder()
-            .n_runs(0)
-            .n_outer(400)
-            .n_inner(30)
-            .max_nodes(4)
-            .seed(29)
-            .n_threads(1)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: 0,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 4,
+            seed: 29,
+            n_threads: 1,
+        };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
-        let rows = TransferAblationExperiment::compute(&cfg, &jobs, 60);
+        let rows = ablation_transfer(&cfg, &jobs, 60);
         assert_eq!(rows.len(), 3);
         let by_name = |n: &str| rows.iter().find(|r| r.policy == n).unwrap();
         let isolated = by_name("isolated");
@@ -2283,7 +1982,7 @@ mod tests {
     #[test]
     fn feature_importances_find_the_real_drivers() {
         let (kb, _, _) = small_campaign();
-        let rows = FeatureAblationExperiment::compute(&kb, 1);
+        let rows = ablation_features(&kb, 1);
         assert_eq!(rows.len(), disar_core::RunRecord::feature_names().len());
         let total: f64 = rows.iter().map(|(_, i)| i).sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -2306,7 +2005,7 @@ mod tests {
     #[test]
     fn billing_ablation_orders_policies() {
         let (kb, provider, _) = small_campaign();
-        let b = BillingAblationExperiment::compute(&kb, provider.catalog());
+        let b = ablation_billing(&kb, provider.catalog());
         // Per-hour rounding can only add money; per-second sits between
         // prorated and per-hour.
         assert!(b.per_hour_total >= b.per_second_total - 1e-9);
@@ -2323,7 +2022,7 @@ mod tests {
 
     #[test]
     fn lsmc_is_faster_and_close() {
-        let a = LsmcAblationExperiment::compute(9);
+        let a = ablation_lsmc(9);
         assert!(
             a.lsmc_secs < a.nested_secs,
             "LSMC ({}) should beat nested ({})",
@@ -2335,17 +2034,39 @@ mod tests {
     }
 
     #[test]
+    fn regret_weights_prefer_low_regret() {
+        let w = regret_weights(&[0.0, 1.0, 10.0]);
+        assert_eq!(w.len(), 3);
+        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(w[0] > w[1] && w[1] > w[2]);
+        // Equal regrets ⇒ exactly uniform.
+        let u = regret_weights(&[2.0, 2.0, 2.0, 2.0]);
+        for &wi in &u {
+            assert_eq!(wi, 0.25);
+        }
+        // Negative regrets clamp to zero; empty input stays empty.
+        assert_eq!(regret_weights(&[-1.0]), vec![1.0]);
+        assert!(regret_weights(&[]).is_empty());
+    }
+
+    #[test]
+    fn regret_weights_are_deterministic() {
+        let r = [0.3, 0.7, 0.1, 4.0];
+        assert_eq!(regret_weights(&r), regret_weights(&r));
+    }
+
+    #[test]
     fn drift_ablation_adapts_faster_than_frozen() {
-        let cfg = CampaignConfig::builder()
-            .n_runs(0)
-            .n_outer(400)
-            .n_inner(30)
-            .max_nodes(3)
-            .seed(31)
-            .n_threads(1)
-            .build();
+        let cfg = CampaignConfig {
+            n_runs: 0,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 3,
+            seed: 31,
+            n_threads: 1,
+        };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
-        let a = DriftAblationExperiment::compute(&cfg, &jobs);
+        let a = ablation_drift(&cfg, &jobs);
         assert!(a.t_max_secs > 0.0);
         assert_eq!(a.adaptive_regret.len(), a.frozen_regret.len());
         for r in a.adaptive_regret.iter().chain(&a.frozen_regret) {

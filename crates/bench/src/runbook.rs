@@ -7,8 +7,9 @@
 //! but a registered driver (a `perf:<workload>` row, or a driver newer than
 //! this build) is skipped.
 
+use crate::campaign::CampaignConfig;
 use crate::experiments::{by_name, ExperimentCtx};
-use disar_registry::RegistryRow;
+use crate::registry::RegistryRow;
 
 /// What replaying one row produced.
 #[derive(Debug, Clone)]
@@ -65,7 +66,7 @@ impl ReplayOutcome {
 /// Replays one row: rebuild the context from `params`, re-run the driver,
 /// compare digests.
 pub fn replay_row(row: &RegistryRow) -> ReplayOutcome {
-    let Some(exp) = by_name(&row.experiment) else {
+    let Some(run) = by_name(&row.experiment) else {
         return ReplayOutcome::Skipped {
             experiment: row.experiment.clone(),
             reason: "not a registered experiment driver".to_string(),
@@ -77,15 +78,7 @@ pub fn replay_row(row: &RegistryRow) -> ReplayOutcome {
             reason: "params are not a replayable campaign context".to_string(),
         };
     };
-    let replayed = exp.run(&ctx);
-    let [fresh] = replayed.as_slice() else {
-        return ReplayOutcome::Mismatched {
-            experiment: row.experiment.clone(),
-            what: "output_hash",
-            recorded: row.output_hash.clone(),
-            replayed: format!("{} rows instead of 1", replayed.len()),
-        };
-    };
+    let fresh = run(&ctx);
     if fresh.input_hash != row.input_hash {
         return ReplayOutcome::Mismatched {
             experiment: row.experiment.clone(),
@@ -120,26 +113,24 @@ pub fn replay_all(rows: &[RegistryRow], filter: Option<&str>) -> Vec<ReplayOutco
 /// replay its row through the same path `runbook` uses for recorded rows,
 /// and demand bit-identity. No registry file is touched.
 pub fn check() -> Result<(), String> {
-    let ctx = ExperimentCtx::new(
-        crate::campaign::CampaignConfig::builder()
-            .n_runs(60)
-            .n_outer(200)
-            .n_inner(20)
-            .max_nodes(4)
-            .seed(7)
-            .n_threads(1)
-            .build(),
-        true,
-    );
-    let exp = by_name("table2").expect("table2 is registered");
-    let rows = exp.run(&ctx);
-    let [row] = rows.as_slice() else {
-        return Err(format!("table2 emitted {} rows instead of 1", rows.len()));
-    };
-    match replay_row(row) {
+    let row = by_name("table2").expect("table2 is registered")(&tiny_ctx());
+    match replay_row(&row) {
         ReplayOutcome::Matched { .. } => Ok(()),
         other => Err(other.describe()),
     }
+}
+
+/// The CI-sized context `check` runs: 60 campaign runs, seed 7, one thread.
+fn tiny_ctx() -> ExperimentCtx {
+    let cfg = CampaignConfig {
+        n_runs: 60,
+        n_outer: 200,
+        n_inner: 20,
+        max_nodes: 4,
+        seed: 7,
+        n_threads: 1,
+    };
+    ExperimentCtx::new(cfg, true)
 }
 
 #[cfg(test)]
@@ -169,20 +160,9 @@ mod tests {
 
     #[test]
     fn corrupted_outputs_are_caught() {
-        let ctx = ExperimentCtx::new(
-            crate::campaign::CampaignConfig::builder()
-                .n_runs(60)
-                .n_outer(200)
-                .n_inner(20)
-                .max_nodes(4)
-                .seed(7)
-                .n_threads(1)
-                .build(),
-            true,
-        );
-        let mut rows = by_name("table2").unwrap().run(&ctx);
-        rows[0].output_hash = "fnv1a64:0000000000000000".to_string();
-        let out = replay_row(&rows[0]);
+        let mut row = by_name("table2").unwrap()(&tiny_ctx());
+        row.output_hash = "fnv1a64:0000000000000000".to_string();
+        let out = replay_row(&row);
         assert!(out.is_failure(), "{out:?}");
         assert!(out.describe().contains("output_hash"));
     }

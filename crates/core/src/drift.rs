@@ -1,4 +1,4 @@
-//! Residual-based drift detection and regret-derived model weighting.
+//! Residual-based drift detection.
 //!
 //! The paper assumes a stationary cloud: the knowledge base only ever
 //! grows and every observation remains representative. Real clouds drift —
@@ -18,10 +18,7 @@
 //!   escalates to [`RetrainMode::Full`], and an applied escalated retrain
 //!   resets the ladder. Detectors never change *whether* a retrain fires —
 //!   only which mode it uses — so deploy outcomes keep their
-//!   count-determined cadence;
-//! - [`regret_weights`] turns per-member selection regrets (extra cost vs
-//!   the oracle argmin) into normalized ensemble weights, the evaluation
-//!   metric the drift ablation folds back into prediction.
+//!   count-determined cadence.
 
 use crate::predictor::RetrainMode;
 
@@ -226,33 +223,6 @@ impl DriftState {
     }
 }
 
-/// Converts per-member selection regrets (≥ 0, lower is better) into
-/// normalized ensemble weights `wᵢ ∝ 1 / (ε + rᵢ)` with
-/// `ε = 10⁻⁶ + mean(r) / 100` — a pure, deterministic function of the
-/// regrets: equal regrets give uniform weights, a member with much lower
-/// regret than the rest dominates without ever zeroing the others out.
-///
-/// Negative regrets are clamped to zero. Returns an empty vector for an
-/// empty slice.
-///
-/// # Panics
-///
-/// Panics if any regret is non-finite.
-pub fn regret_weights(regrets: &[f64]) -> Vec<f64> {
-    if regrets.is_empty() {
-        return Vec::new();
-    }
-    assert!(
-        regrets.iter().all(|r| r.is_finite()),
-        "regrets must be finite"
-    );
-    let clamped: Vec<f64> = regrets.iter().map(|r| r.max(0.0)).collect();
-    let eps = 1e-6 + disar_math::stats::mean(&clamped) / 100.0;
-    let raw: Vec<f64> = clamped.iter().map(|r| 1.0 / (eps + r)).collect();
-    let total: f64 = raw.iter().sum();
-    raw.into_iter().map(|w| w / total).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,28 +315,6 @@ mod tests {
             s.next_mode(RetrainMode::Incremental, &cfg),
             RetrainMode::Incremental
         );
-    }
-
-    #[test]
-    fn regret_weights_prefer_low_regret() {
-        let w = regret_weights(&[0.0, 1.0, 10.0]);
-        assert_eq!(w.len(), 3);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(w[0] > w[1] && w[1] > w[2]);
-        // Equal regrets ⇒ exactly uniform.
-        let u = regret_weights(&[2.0, 2.0, 2.0, 2.0]);
-        for &wi in &u {
-            assert_eq!(wi, 0.25);
-        }
-        // Negative regrets clamp to zero; empty input stays empty.
-        assert_eq!(regret_weights(&[-1.0]), vec![1.0]);
-        assert!(regret_weights(&[]).is_empty());
-    }
-
-    #[test]
-    fn regret_weights_are_deterministic() {
-        let r = [0.3, 0.7, 0.1, 4.0];
-        assert_eq!(regret_weights(&r), regret_weights(&r));
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use deploy::{
     DeployDecision, DeployLoop, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder,
     Deployer, ShardedDeployer, TransparentDeployer,
 };
-pub use drift::{regret_weights, DetectorKind, DriftConfig, DriftState, PageHinkley};
+pub use drift::{DetectorKind, DriftConfig, DriftState, PageHinkley};
 pub use error::CoreError;
 pub use knowledge::{
     KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,

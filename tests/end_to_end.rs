@@ -214,14 +214,14 @@ fn knowledge_transfers_across_companies() {
     use disar_bench::campaign::{paper_eeb_jobs, CampaignConfig};
     use disar_suite::core::{KnowledgeBase, PredictorFamily, RetrainMode, RunRecord};
 
-    let cfg = CampaignConfig::builder()
-        .n_runs(0)
-        .n_outer(500)
-        .n_inner(30)
-        .max_nodes(4)
-        .seed(404)
-        .n_threads(1)
-        .build();
+    let cfg = CampaignConfig {
+        n_runs: 0,
+        n_outer: 500,
+        n_inner: 30,
+        max_nodes: 4,
+        seed: 404,
+        n_threads: 1,
+    };
     let jobs = paper_eeb_jobs(&cfg);
     let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 404);
     let names = provider.catalog().names();

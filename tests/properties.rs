@@ -17,16 +17,14 @@ use std::sync::OnceLock;
 fn trained_family() -> &'static (PredictorFamily, Vec<EebJob>) {
     static FAMILY: OnceLock<(PredictorFamily, Vec<EebJob>)> = OnceLock::new();
     FAMILY.get_or_init(|| {
-        let (kb, _, jobs) = build_knowledge_base(
-            &CampaignConfig::builder()
-                .n_runs(120)
-                .n_outer(200)
-                .n_inner(20)
-                .max_nodes(4)
-                .seed(11)
-                .n_threads(1)
-                .build(),
-        );
+        let (kb, _, jobs) = build_knowledge_base(&CampaignConfig {
+            n_runs: 120,
+            n_outer: 200,
+            n_inner: 20,
+            max_nodes: 4,
+            seed: 11,
+            n_threads: 1,
+        });
         let mut family = PredictorFamily::new(1, 2);
         family
             .retrain(&kb, RetrainMode::Full, 1)
