@@ -56,18 +56,18 @@ pub struct CampaignConfig {
     pub max_nodes: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the experiment drivers that take this config:
-    /// their Algorithm 1 sweeps and their fan-outs over cloud runs on
-    /// reserved noise-stream slots. The campaign's own runs are one plain
-    /// loop. Results are bit-identical for any value; `1` is the sequential
-    /// escape hatch.
+    /// Worker threads for the model fits of `table1`, `fig2`/`fig3` and
+    /// `ablation_ensemble`, and for the retrain and selections of
+    /// `ablation_deadline`. Cloud runs, the campaign included, are plain
+    /// loops, and the deploy-loop drivers run on one thread. Results are
+    /// bit-identical for any value; `1` is the sequential escape hatch.
     pub n_threads: usize,
 }
 
 impl Default for CampaignConfig {
     /// §IV: "1500 runs", `nQ = 50`, `nP = 1000 for illustrative purposes".
-    /// `n_threads` (the experiment drivers' sweeps and fan-outs) defaults
-    /// to the available cores (results are thread-count invariant; set `1`
+    /// `n_threads` (the drivers' model fits and selections) defaults to
+    /// the available cores (results are thread-count invariant; set `1`
     /// for the sequential escape hatch).
     fn default() -> Self {
         CampaignConfig {

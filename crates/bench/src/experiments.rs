@@ -281,30 +281,23 @@ fn table1_row(ctx: &ExperimentCtx) -> RegistryRow {
 
 /// Table II: mean prorated per-simulation cost (USD) per instance
 /// type, measured by running every EEB job once on a single node of
-/// each type.
-///
-/// The `names × jobs` runs fan out over `n_threads` on noise-stream
-/// slots reserved up front ([`CloudProvider::reserve_runs`]) —
-/// bit-identical to the sequential (instance-major) loop for any
-/// `n_threads`.
-pub fn table2(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Vec<(String, f64)> {
-    let names = provider.catalog().names();
-    let total = names.len() * jobs.len();
-    let base = provider.reserve_runs(total as u64);
-    let costs = parallel_map(total, n_threads.max(1), |i| {
-        let name = &names[i / jobs.len()];
-        let job = &jobs[i % jobs.len()];
-        provider
-            .run_job_at(name, 1, &job.workload, base + i as u64)
-            .expect("catalog instance")
-            .prorated_cost
-    });
-    names
+/// each type, instance-major.
+pub fn table2(jobs: &[EebJob], provider: &CloudProvider) -> Vec<(String, f64)> {
+    provider
+        .catalog()
+        .names()
         .into_iter()
-        .enumerate()
-        .map(|(ni, name)| {
-            let slice = &costs[ni * jobs.len()..(ni + 1) * jobs.len()];
-            (name, stats::mean(slice))
+        .map(|name| {
+            let costs: Vec<f64> = jobs
+                .iter()
+                .map(|job| {
+                    provider
+                        .run_job(&name, 1, &job.workload)
+                        .expect("catalog instance")
+                        .prorated_cost
+                })
+                .collect();
+            (name, stats::mean(&costs))
         })
         .collect()
 }
@@ -313,7 +306,7 @@ pub fn table2(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Ve
 fn table2_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, provider, jobs) = ctx.campaign();
-    let rows = table2(&jobs, &provider, ctx.cfg.n_threads);
+    let rows = table2(&jobs, &provider);
     let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
     finish("table2", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
@@ -457,30 +450,29 @@ fn fig3_row(ctx: &ExperimentCtx) -> RegistryRow {
 }
 
 /// Figure 4: mean speedup of a single-VM cloud deploy over the
-/// sequential (one reference core) execution, per instance type.
+/// sequential (one reference core) execution, per instance type,
+/// instance-major.
 ///
 /// The sequential baseline uses the simulator's ground-truth model —
 /// an *oracle* read, legitimate here because the baseline is a
 /// measurement protocol, not a provisioning decision.
-pub fn fig4(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Vec<(String, f64)> {
-    let names = provider.catalog().names();
-    let total = names.len() * jobs.len();
-    let base = provider.reserve_runs(total as u64);
-    let speedups = parallel_map(total, n_threads.max(1), |i| {
-        let name = &names[i / jobs.len()];
-        let job = &jobs[i % jobs.len()];
-        let seq = provider.ground_truth().sequential_secs(&job.workload);
-        let report = provider
-            .run_job_at(name, 1, &job.workload, base + i as u64)
-            .expect("catalog instance");
-        seq / report.duration_secs
-    });
-    names
+pub fn fig4(jobs: &[EebJob], provider: &CloudProvider) -> Vec<(String, f64)> {
+    provider
+        .catalog()
+        .names()
         .into_iter()
-        .enumerate()
-        .map(|(ni, name)| {
-            let slice = &speedups[ni * jobs.len()..(ni + 1) * jobs.len()];
-            (name, stats::mean(slice))
+        .map(|name| {
+            let speedups: Vec<f64> = jobs
+                .iter()
+                .map(|job| {
+                    let seq = provider.ground_truth().sequential_secs(&job.workload);
+                    let report = provider
+                        .run_job(&name, 1, &job.workload)
+                        .expect("catalog instance");
+                    seq / report.duration_secs
+                })
+                .collect();
+            (name, stats::mean(&speedups))
         })
         .collect()
 }
@@ -489,7 +481,7 @@ pub fn fig4(jobs: &[EebJob], provider: &CloudProvider, n_threads: usize) -> Vec<
 fn fig4_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, provider, jobs) = ctx.campaign();
-    let rows = fig4(&jobs, &provider, ctx.cfg.n_threads);
+    let rows = fig4(&jobs, &provider);
     let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
     finish("fig4", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
@@ -565,7 +557,7 @@ pub fn comparison(
     let highend = provider
         .run_job("m4.10xlarge", 1, &job.workload)
         .expect("catalog instance");
-    let cheap_name = table2(jobs, provider, 1)
+    let cheap_name = table2(jobs, provider)
         .into_iter()
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
         .expect("catalog non-empty")
@@ -699,7 +691,9 @@ pub fn ablation_epsilon(
         .max_nodes(cfg.max_nodes)
         .min_kb_samples(30)
         .retrain_every(10)
-        .n_threads(cfg.n_threads.max(1))
+        // The deploy loop's retrains and sweeps are too small to pay for a
+        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
+        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0xEE);
     let mut rng = stream_rng(cfg.seed, 0xE9);
@@ -770,13 +764,12 @@ impl DeadlineRuleAblation {
 /// Sweeps moderately tight deadlines over every EEB job and compares
 /// the deadline-miss rate and cost of the two filtering rules.
 ///
-/// The `rules × jobs × deadlines` sweep runs in two phases so it
-/// parallelizes: every selection is a pure read of the trained family,
-/// and the realized runs draw reserved noise-stream slots in the
-/// sequential loop's (rule, job, deadline) order — only feasible cases
-/// consume a slot, exactly as the sequential `run_job` calls would.
-/// Bit-identical for any thread count; `1` is the sequential escape
-/// hatch.
+/// The retrain and every selection of the `rules × jobs × deadlines`
+/// sweep spread over up to `n_threads` workers: a selection is a pure
+/// read of the trained family. The realized runs are then one plain loop
+/// in (rule, job, deadline) order, each feasible case drawing the next
+/// run of the provider's noise stream. Bit-identical for any thread
+/// count; `1` is the sequential escape hatch.
 pub fn ablation_deadline(
     kb: &KnowledgeBase,
     jobs: &[EebJob],
@@ -816,11 +809,9 @@ pub fn ablation_deadline(
             .fold(f64::INFINITY, f64::min)
     });
 
-    // Every (rule, job, deadline) selection, rule-major like the
-    // sequential loop.
+    // Every (rule, job, deadline) selection, rule-major like the run loop.
     let per_rule = jobs.len() * MULTS.len();
-    let total = rules.len() * per_rule;
-    let sels = parallel_map(total, n_threads, |i| {
+    let sels = parallel_map(rules.len() * per_rule, n_threads, |i| {
         let (ri, rem) = (i / per_rule, i % per_rule);
         let (ji, mi) = (rem / MULTS.len(), rem % MULTS.len());
         let t_max = best[ji] * MULTS[mi];
@@ -840,55 +831,27 @@ pub fn ablation_deadline(
         (t_max, sel)
     });
 
-    // Feasible cases consume provider noise slots in sweep order.
-    let mut n_runs = 0u64;
-    let run_slot: Vec<u64> = sels
-        .iter()
-        .map(|(_, sel)| {
-            let slot = n_runs;
-            if sel.is_some() {
-                n_runs += 1;
-            }
-            slot
-        })
-        .collect();
-    let base = provider.reserve_runs(n_runs);
-    let runs = parallel_map(total, n_threads, |i| {
-        let ji = (i % per_rule) / MULTS.len();
-        sels[i].1.as_ref().map(|sel| {
-            provider
-                .run_job_at(
-                    &sel.chosen.instance,
-                    sel.chosen.n_nodes,
-                    &jobs[ji].workload,
-                    base + run_slot[i],
-                )
-                .expect("valid instance")
-        })
-    });
-
     rules
         .iter()
         .enumerate()
-        .map(|(ri, (name, _))| {
-            let mut feasible_cases = 0;
+        .map(|(ri, (rule, _))| {
             let mut misses = 0;
             let mut costs = Vec::new();
-            for i in ri * per_rule..(ri + 1) * per_rule {
-                let (t_max, sel) = &sels[i];
-                if sel.is_none() {
-                    continue;
-                }
-                feasible_cases += 1;
-                let r = runs[i].as_ref().expect("a run for every feasible case");
+            let cases = &sels[ri * per_rule..(ri + 1) * per_rule];
+            for (i, (t_max, sel)) in cases.iter().enumerate() {
+                let Some(sel) = sel else { continue };
+                let job = &jobs[i / MULTS.len()];
+                let r = provider
+                    .run_job(&sel.chosen.instance, sel.chosen.n_nodes, &job.workload)
+                    .expect("valid instance");
                 if r.duration_secs > *t_max {
                     misses += 1;
                 }
                 costs.push(r.prorated_cost);
             }
             DeadlineRuleAblation {
-                rule: name.to_string(),
-                feasible_cases,
+                rule: rule.to_string(),
+                feasible_cases: costs.len(),
                 misses,
                 mean_cost: stats::mean(&costs),
             }
@@ -945,7 +908,9 @@ pub fn learning_curve(cfg: &CampaignConfig, jobs: &[EebJob], n_deploys: usize) -
         .max_nodes(cfg.max_nodes)
         .min_kb_samples(30)
         .retrain_every(5)
-        .n_threads(cfg.n_threads.max(1))
+        // The deploy loop's retrains and sweeps are too small to pay for a
+        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
+        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0x1EA2);
     let mut rng = stream_rng(cfg.seed, 0x1C);
@@ -969,8 +934,10 @@ pub fn learning_curve(cfg: &CampaignConfig, jobs: &[EebJob], n_deploys: usize) -
             (i, stats::mean(&vals))
         })
         .collect();
+    // With no ML deploy at all (n = 0) both windows are empty and both
+    // means read `stats::mean`'s 0.0.
     let n = rel_errors.len();
-    let take = 30.min(n / 2).max(1);
+    let take = 30.min(n / 2).max(1).min(n);
     let early: Vec<f64> = rel_errors[..take].iter().map(|&(_, e)| e).collect();
     let late: Vec<f64> = rel_errors[n - take..].iter().map(|&(_, e)| e).collect();
     LearningCurve {
@@ -1047,7 +1014,9 @@ pub fn ablation_transfer(
                 .epsilon(0.1)
                 .max_nodes(cfg.max_nodes)
                 .min_kb_samples(30)
-                .n_threads(cfg.n_threads.max(1))
+                // The deploy loop's retrains and sweeps are too small to pay for a
+                // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
+                .n_threads(1)
                 .transfer(*transfer)
                 .build();
             let mut d = TenantShardedDeployer::new(provider, policy, cfg.seed ^ 0x7E)
@@ -1467,7 +1436,9 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
             .max_nodes(max_nodes)
             .min_kb_samples(warmup)
             .retrain_every(if adaptive { 1 } else { 10_000 })
-            .n_threads(cfg.n_threads.max(1));
+            // The deploy loop's retrains and sweeps are too small to pay for a
+            // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
+            .n_threads(1);
         if adaptive {
             builder = builder
                 .retrain_mode(RetrainMode::Windowed {
@@ -1776,24 +1747,13 @@ mod tests {
     #[test]
     fn table2_costs_positive_and_differentiated() {
         let (_, provider, jobs) = small_campaign();
-        let t2 = table2(&jobs, &provider, 1);
+        let t2 = table2(&jobs, &provider);
         assert_eq!(t2.len(), 6);
         for (_, c) in &t2 {
             assert!(*c > 0.0);
         }
         let costs: Vec<f64> = t2.iter().map(|(_, c)| *c).collect();
         assert!(stats::std_dev(&costs) > 0.0);
-    }
-
-    #[test]
-    fn parallel_table2_and_fig4_match_sequential() {
-        let (_, seq_provider, jobs) = small_campaign();
-        let (_, par_provider, _) = small_campaign();
-        assert_eq!(
-            table2(&jobs, &seq_provider, 1),
-            table2(&jobs, &par_provider, 4)
-        );
-        assert_eq!(fig4(&jobs, &seq_provider, 1), fig4(&jobs, &par_provider, 4));
     }
 
     #[test]
@@ -1834,7 +1794,11 @@ mod tests {
             ablation_deadline(&kb, &jobs, &seq_provider, 5, 1),
             ablation_deadline(&kb, &jobs, &par_provider, 5, 4)
         );
-        assert_eq!(seq_provider.reserve_runs(0), par_provider.reserve_runs(0));
+        let wl = jobs[0].workload;
+        assert_eq!(
+            seq_provider.run_job("c4.8xlarge", 2, &wl).unwrap(),
+            par_provider.run_job("c4.8xlarge", 2, &wl).unwrap()
+        );
     }
 
     #[test]
@@ -1856,7 +1820,7 @@ mod tests {
     #[test]
     fn fig4_speedups_in_paper_band() {
         let (_, provider, jobs) = small_campaign();
-        for (name, s) in fig4(&jobs, &provider, 1) {
+        for (name, s) in fig4(&jobs, &provider) {
             assert!((2.0..12.0).contains(&s), "{name}: speedup {s}");
         }
     }
@@ -1923,6 +1887,45 @@ mod tests {
         assert!(mean.misses <= mean.feasible_cases);
         assert!(cons.misses <= cons.feasible_cases);
         assert!(mean.mean_cost > 0.0 && cons.mean_cost > 0.0);
+    }
+
+    #[test]
+    fn deadline_ablation_draws_one_run_per_feasible_case() {
+        // The sweep runs each feasible case once on the campaign's provider,
+        // in order: it leaves the noise stream exactly as far on as a fresh
+        // campaign provider that made that many runs.
+        let (kb, provider, jobs) = small_campaign();
+        let rows = ablation_deadline(&kb, &jobs, &provider, 5, 2);
+        let feasible: usize = rows.iter().map(|r| r.feasible_cases).sum();
+        assert!(feasible > 0);
+        let (_, fresh, _) = small_campaign();
+        let wl = jobs[0].workload;
+        for _ in 0..feasible {
+            fresh.run_job("c3.4xlarge", 1, &wl).unwrap();
+        }
+        assert_eq!(
+            provider.run_job("c4.8xlarge", 2, &wl).unwrap(),
+            fresh.run_job("c4.8xlarge", 2, &wl).unwrap()
+        );
+    }
+
+    #[test]
+    fn learning_curve_without_ml_deploys_is_empty() {
+        // Ten deploys under `min_kb_samples(30)` are all bootstrap: no
+        // prediction error to average, so no point and both means 0.0.
+        let cfg = CampaignConfig {
+            n_runs: 0,
+            n_outer: 400,
+            n_inner: 30,
+            max_nodes: 4,
+            seed: 23,
+            n_threads: 1,
+        };
+        let jobs = crate::campaign::paper_eeb_jobs(&cfg);
+        let lc = learning_curve(&cfg, &jobs, 10);
+        assert!(lc.points.is_empty());
+        assert_eq!(lc.early_mae, 0.0);
+        assert_eq!(lc.late_mae, 0.0);
     }
 
     #[test]

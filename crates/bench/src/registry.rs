@@ -22,7 +22,7 @@
 use disar_core::SchemaVersion;
 use disar_math::json::{Json, JsonError};
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -344,7 +344,9 @@ impl Registry {
 
     /// Appends `rows` atomically with respect to other cooperating
     /// writers: takes the advisory lock, renders every row up front,
-    /// and lands them in one buffered append.
+    /// and lands them in one buffered append. When the file's last line
+    /// is torn (it does not end in a newline), the rows start on a line of
+    /// their own, so the torn line stays the one bad row.
     ///
     /// # Errors
     ///
@@ -368,8 +370,17 @@ impl Registry {
         let _lock = FileLock::acquire(self.lock_path())?;
         let mut f = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)?;
+        if f.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            f.seek(SeekFrom::End(-1))?;
+            f.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                buf.insert(0, '\n');
+            }
+        }
         f.write_all(buf.as_bytes())?;
         Ok(())
     }
@@ -508,6 +519,26 @@ mod tests {
             }
             other => panic!("expected BadRow, got {other:?}"),
         }
+        std::fs::remove_file(reg.path()).ok();
+    }
+
+    #[test]
+    fn append_after_a_torn_line_starts_a_new_line() {
+        // A writer died mid-row: the file ends without a newline.
+        let reg = temp_registry("tornappend");
+        std::fs::write(reg.path(), r#"{"schema_version":1,"comm"#).unwrap();
+        let r = row("a", 1);
+        reg.append(std::slice::from_ref(&r)).unwrap();
+        let text = std::fs::read_to_string(reg.path()).unwrap();
+        let last = text.lines().last().unwrap();
+        assert_eq!(
+            RegistryRow::from_json(&Json::parse(last).unwrap()).unwrap(),
+            r
+        );
+        assert!(matches!(
+            reg.load(),
+            Err(RegistryError::BadRow { line: 1, .. })
+        ));
         std::fs::remove_file(reg.path()).ok();
     }
 

@@ -6,16 +6,15 @@
 //! drift ablation needs a cloud whose ground truth *moves* while staying
 //! fully reproducible.
 //!
-//! A [`DriftModel`] maps the provider's run index (the same noise-stream
-//! index that already orders every job, see
-//! [`crate::provider::CloudProvider::run_job_at`]) to an *effective*
-//! [`PerformanceModel`] and a price multiplier. Everything is a pure
-//! function of the run index, so drifted campaigns inherit the provider's
-//! replay guarantees: reserved slots, handles, and batches all see the
-//! drifted conditions of their stream position regardless of execution
-//! order. [`DriftModel::None`] is the default and leaves the provider on
-//! the exact pre-drift code path — bit-identical to a provider that has
-//! never heard of drift.
+//! A [`DriftModel`] maps the provider's run index (the position of a job
+//! in the [`crate::provider::CloudProvider::run_job`] stream, the same
+//! index that seeds its noise) to an *effective* [`PerformanceModel`] and
+//! a price multiplier. Everything is a pure function of the run index, so
+//! drifted campaigns replay exactly as stationary ones do, and
+//! [`crate::provider::CloudProvider::oracle_plan`] reads the drifted
+//! conditions of any position. [`DriftModel::None`] is the default and
+//! leaves the provider on the exact pre-drift code path — bit-identical to
+//! a provider that has never heard of drift.
 //!
 //! The same access contract as [`crate::perf`] applies: the provisioning
 //! layer never consults the drift model; it only observes realized

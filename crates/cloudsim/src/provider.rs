@@ -155,26 +155,9 @@ impl CloudProvider {
         self.run_job_at(instance, n_nodes, workload, run)
     }
 
-    /// Reserves a contiguous block of `n` noise-stream indices and returns
-    /// the first one.
-    ///
-    /// A parallel experiment driver claims its indices up front, hands index
-    /// `base + i` to the worker running the `i`-th job via
-    /// [`CloudProvider::run_job_at`], and observes exactly the cloud
-    /// conditions a sequential [`CloudProvider::run_job`] loop would have —
-    /// regardless of the order the workers actually finish in.
-    pub fn reserve_runs(&self, n: u64) -> u64 {
-        self.run_counter.fetch_add(n, Ordering::Relaxed)
-    }
-
     /// Runs a job under the noise conditions of the `run_index`-th call of
-    /// the [`CloudProvider::run_job`] stream (see
-    /// [`CloudProvider::reserve_runs`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CloudProvider::run_job`].
-    pub fn run_job_at(
+    /// the [`CloudProvider::run_job`] stream.
+    fn run_job_at(
         &self,
         instance: &str,
         n_nodes: usize,
@@ -425,28 +408,18 @@ mod tests {
     }
 
     #[test]
-    fn reserved_indices_replay_the_run_job_stream() {
-        // run_job_at(i) must reproduce exactly what the i-th run_job call
-        // sees, so a parallel driver with reserved indices is bit-identical
-        // to the sequential loop.
-        let seq = provider();
+    fn run_job_at_i_is_the_ith_run_job() {
+        // The drift tests below index runs by position through run_job_at,
+        // so run_job_at(i) must be exactly what the i-th run_job call sees.
+        let p = provider();
         let reports: Vec<JobReport> = (0..5)
-            .map(|_| seq.run_job("c3.8xlarge", 3, &wl()).unwrap())
+            .map(|_| p.run_job("c3.8xlarge", 3, &wl()).unwrap())
             .collect();
-        let par = provider();
-        let base = par.reserve_runs(5);
-        assert_eq!(base, 0);
-        // Replay out of order.
+        let fresh = provider();
         for i in [4usize, 0, 2, 1, 3] {
-            let r = par
-                .run_job_at("c3.8xlarge", 3, &wl(), base + i as u64)
-                .unwrap();
+            let r = fresh.run_job_at("c3.8xlarge", 3, &wl(), i as u64).unwrap();
             assert_eq!(r, reports[i]);
         }
-        // The counter advanced past the block: the next plain run_job gets
-        // a fresh index.
-        let next = par.run_job("c3.8xlarge", 3, &wl()).unwrap();
-        assert!(!reports.contains(&next));
     }
 
     #[test]
