@@ -23,6 +23,7 @@ use crate::CoreError;
 use disar_cloudsim::{InstanceCatalog, InstanceType};
 use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::stream_rng;
+use disar_ml::MlError;
 
 /// Reusable buffers for repeated Algorithm 1 sweeps.
 ///
@@ -119,7 +120,8 @@ pub enum TimeEstimate {
 ///
 /// - [`CoreError::InvalidParameter`] for a non-positive `t_max`,
 ///   `max_nodes == 0`, ε outside `[0, 1]`, or an empty catalog;
-/// - [`CoreError::Ml`] if the family is untrained;
+/// - [`CoreError::Ml`] if the family is untrained, or if a cell's member
+///   predictions sum to NaN;
 /// - [`CoreError::NoFeasibleConfiguration`] when the deadline is
 ///   unattainable.
 pub fn select_configuration<P: TimePredictor + ?Sized>(
@@ -221,6 +223,14 @@ pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
                     let t = slot.members[m * nodes.len() + i];
                     sum += t;
                     worst = worst.max(t.max(0.0));
+                }
+                // `f64::max` would turn a NaN mean into `0.0`, and the cell
+                // would pass for a non-positive one.
+                if sum.is_nan() {
+                    return Err(CoreError::Ml(MlError::Numerical(format!(
+                        "the ensemble mean of {} on {} nodes is NaN",
+                        insts[g].name, nodes[i]
+                    ))));
                 }
                 let time = (sum / members as f64).max(0.0);
                 let filter_time = match rule {
@@ -600,6 +610,53 @@ mod tests {
                 assert_eq!(best_predicted, smallest);
             }
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    /// A stub predictor whose first member predicts NaN for `c4.4xlarge` on
+    /// two nodes, and every other prediction is a plain positive time.
+    struct NanMemberPredictor;
+
+    impl TimePredictor for NanMemberPredictor {
+        fn predict_each(
+            &self,
+            _profile: &JobProfile,
+            instance: &InstanceType,
+            n_nodes: usize,
+        ) -> Result<Vec<(&'static str, f64)>, CoreError> {
+            let t = 100.0 * n_nodes as f64;
+            let first = if instance.name == "c4.4xlarge" && n_nodes == 2 {
+                f64::NAN
+            } else {
+                t
+            };
+            Ok(vec![("M0", first), ("M1", t)])
+        }
+    }
+
+    #[test]
+    fn a_nan_member_prediction_is_a_numerical_error() {
+        let cat = InstanceCatalog::paper_catalog();
+        for rule in [TimeEstimate::EnsembleMean, TimeEstimate::Conservative] {
+            let err = select_configuration_with_workspace(
+                &NanMemberPredictor,
+                &cat,
+                &profile(100),
+                1e9,
+                3,
+                0.0,
+                1,
+                rule,
+                1,
+                &mut SelectionWorkspace::new(),
+            )
+            .unwrap_err();
+            match err {
+                CoreError::Ml(MlError::Numerical(what)) => {
+                    assert!(what.contains("c4.4xlarge on 2 nodes"), "{rule:?}: {what}");
+                }
+                other => panic!("{rule:?}: unexpected error {other}"),
+            }
         }
     }
 

@@ -24,7 +24,6 @@
 //! sequence, one job at a time, as the paper does.
 
 use crate::algorithm::{select_configuration_with_workspace, SelectionWorkspace, TimeEstimate};
-use crate::drift::{DriftConfig, DriftState};
 use crate::knowledge::{KnowledgeBase, RunRecord, ShardedKnowledgeBase};
 use crate::predictor::{PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 use crate::profile::JobProfile;
@@ -33,7 +32,6 @@ use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
 use disar_math::rng::stream_rng;
-use std::collections::BTreeMap;
 
 /// How the deploy configuration was chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,25 +63,20 @@ pub struct DeployPolicy {
     /// speed in large campaigns).
     pub retrain_every: usize,
     /// Worker threads for Algorithm 1's grid sweep and the per-model
-    /// retrain. Results are bit-identical for any value; `1` (the default)
-    /// is the sequential escape hatch.
+    /// retrain. Results are bit-identical for any value. The default is
+    /// [`disar_math::parallel::default_n_threads`], one per available core;
+    /// `1` is the sequential escape hatch.
     pub n_threads: usize,
     /// How knowledge is shared across tenants (companies). Consulted only
     /// by the tenant-aware [`crate::tenant::TenantShardedDeployer`]; the
     /// single-tenant backends ignore it. Defaults to
     /// [`TransferPolicy::Isolated`].
     pub transfer: TransferPolicy,
-    /// Base retrain mode every scheduled retrain uses (bulk warm-ups and
-    /// the after-run cadence alike). Defaults to
-    /// [`RetrainMode::Incremental`], the bit-identity-preserving path. A
-    /// firing drift detector escalates *past* this mode per
-    /// [`DeployPolicy::drift`].
+    /// Retrain mode every scheduled retrain uses (bulk warm-ups and the
+    /// after-run cadence alike). Defaults to [`RetrainMode::Incremental`],
+    /// the bit-identity-preserving path; [`RetrainMode::Windowed`] is the
+    /// adaptation to a drifting cloud.
     pub retrain_mode: RetrainMode,
-    /// Drift-adaptation block: residual change detector, sensitivity and
-    /// the escalated windowed-retrain shape. Defaults to
-    /// [`crate::drift::DetectorKind::Off`] (never fires, stationary
-    /// behaviour).
-    pub drift: DriftConfig,
 }
 
 impl DeployPolicy {
@@ -101,7 +94,6 @@ impl DeployPolicy {
             n_threads: disar_math::parallel::default_n_threads(),
             transfer: TransferPolicy::Isolated,
             retrain_mode: RetrainMode::Incremental,
-            drift: DriftConfig::default(),
         }
     }
 
@@ -139,24 +131,6 @@ impl DeployPolicy {
             if !(0.0..=1.0).contains(&decay) {
                 return Err(CoreError::InvalidParameter(
                     "retrain_mode decay must be in [0, 1]",
-                ));
-            }
-        }
-        if self.drift.enabled() {
-            if !(self.drift.threshold > 0.0) {
-                return Err(CoreError::InvalidParameter(
-                    "drift threshold must be positive",
-                ));
-            }
-            if !(self.drift.delta > 0.0) {
-                return Err(CoreError::InvalidParameter("drift delta must be positive"));
-            }
-            if self.drift.window == 0 {
-                return Err(CoreError::InvalidParameter("drift window must be > 0"));
-            }
-            if !(0.0..=1.0).contains(&self.drift.decay) {
-                return Err(CoreError::InvalidParameter(
-                    "drift decay must be in [0, 1]",
                 ));
             }
         }
@@ -214,15 +188,9 @@ impl DeployPolicyBuilder {
         self
     }
 
-    /// Sets the base retrain mode used by every scheduled retrain.
+    /// Sets the retrain mode used by every scheduled retrain.
     pub fn retrain_mode(mut self, retrain_mode: RetrainMode) -> Self {
         self.policy.retrain_mode = retrain_mode;
-        self
-    }
-
-    /// Sets the drift-adaptation block (detector + escalation shape).
-    pub fn drift(mut self, drift: DriftConfig) -> Self {
-        self.policy.drift = drift;
         self
     }
 
@@ -425,8 +393,8 @@ mod backend {
     /// What a knowledge layout supplies to the one deploy loop
     /// ([`super::DeployLoop`]): where records go, which families they grow,
     /// and how a selection reads and a retrain writes those families. The
-    /// gate schedule, selection and the drift ladder are the loop's and
-    /// never look behind this trait.
+    /// gate schedule and selection are the loop's and never look behind
+    /// this trait.
     pub trait Backend {
         /// Records landed so far.
         fn len(&self) -> usize;
@@ -435,7 +403,7 @@ mod backend {
         fn tenant(&self) -> &TenantId;
 
         /// The shards a run on `instance` grows, the record's own shard
-        /// (which keys its drift ladder) first.
+        /// first.
         fn shards(&self, instance: &str) -> Vec<Shard>;
 
         /// Records `shard` holds now.
@@ -480,7 +448,7 @@ mod backend {
 /// The paper's self-optimizing loop, written once over a knowledge layout
 /// `B`: validation, the decision-seed stream, the retrain schedule,
 /// bootstrap and Algorithm 1 selection, manual overrides and the record →
-/// residual → gate → retrain → ladder sequence. The layouts are
+/// gate → retrain sequence. The layouts are
 /// [`TransparentDeployer`] (one base, one family),
 /// [`ShardedDeployer`] (per instance type) and
 /// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant).
@@ -498,12 +466,6 @@ pub struct DeployLoop<B> {
     /// Records landed since the last fired retrain (the `retrain_every`
     /// cadence).
     pub(crate) runs_since_retrain: usize,
-    /// Residual drift detector + retrain escalation ladder of each shard
-    /// that has landed a predicted run (inert unless the policy enables a
-    /// detector): a fire escalates only that shard's next retrain.
-    pub(crate) drift: BTreeMap<Shard, DriftState>,
-    /// Number of detector fires so far across all shards.
-    drift_fires: u64,
     /// Shard retrains applied so far.
     retrains: usize,
 }
@@ -523,8 +485,6 @@ impl<B> DeployLoop<B> {
             selection: SelectionWorkspace::new(),
             backend,
             runs_since_retrain: 0,
-            drift: BTreeMap::new(),
-            drift_fires: 0,
             retrains: 0,
         }
     }
@@ -533,12 +493,6 @@ impl<B> DeployLoop<B> {
     fn next_decision_seed(&mut self) -> u64 {
         self.deploy_counter += 1;
         disar_math::rng::split_seed(self.seed, self.deploy_counter)
-    }
-
-    /// Number of drift-detector fires so far across all shards (0 with the
-    /// default [`crate::drift::DetectorKind::Off`] policy).
-    pub fn drift_fires(&self) -> u64 {
-        self.drift_fires
     }
 
     /// Number of shard retrains applied so far (one per shard a landed run
@@ -669,22 +623,6 @@ impl<B: Backend> Deployer for DeployLoop<B> {
         let policy = self.policy;
         let inst = self.provider.catalog().get(&decision.instance)?.clone();
         let shards = self.backend.shards(&decision.instance);
-        let own = &shards[0];
-        // Feed the prediction residual to the shard's drift detector.
-        // Detectors only modulate the *mode* of the retrains the
-        // count-based gate below fires anyway, so whether a retrain fires
-        // never depends on a run's outcome.
-        if policy.drift.enabled() {
-            if let Some(residual) = relative_residual(decision, report) {
-                let state = self
-                    .drift
-                    .entry(own.clone())
-                    .or_insert_with(|| DriftState::new(&policy.drift));
-                if state.observe(residual) {
-                    self.drift_fires += 1;
-                }
-            }
-        }
         self.backend.append(
             RunRecord::new(
                 *profile,
@@ -705,13 +643,9 @@ impl<B: Backend> Deployer for DeployLoop<B> {
                     .cloned(),
             );
         }
-        let mode = match self.drift.get(own) {
-            Some(state) if !due.is_empty() => state.next_mode(policy.retrain_mode, &policy.drift),
-            _ => policy.retrain_mode,
-        };
         for shard in &due {
             self.backend
-                .retrain(shard, mode, policy.n_threads)
+                .retrain(shard, policy.retrain_mode, policy.n_threads)
                 .map_err(|cause| CoreError::ShardRetrainFailed {
                     instance: shard.instance().to_string(),
                     tenant: self.backend.tenant().clone(),
@@ -721,22 +655,9 @@ impl<B: Backend> Deployer for DeployLoop<B> {
         }
         if !due.is_empty() {
             self.runs_since_retrain = 0;
-            if let Some(state) = self.drift.get_mut(own) {
-                state.on_retrain_applied();
-            }
         }
         Ok(())
     }
-}
-
-/// The residual the drift detectors consume: the *relative* absolute
-/// prediction error `|Θ̂ − Θ| / Θ`, scale-free so one threshold serves
-/// minute-long and hour-long jobs alike. `None` when the deploy carried no
-/// prediction (bootstrap/manual).
-fn relative_residual(decision: &DeployDecision, report: &JobReport) -> Option<f64> {
-    decision
-        .predicted_secs
-        .map(|p| (p - report.duration_secs).abs() / report.duration_secs.max(f64::EPSILON))
 }
 
 /// Storage of a layout, which owns its base and its families: the
@@ -945,7 +866,7 @@ mod tests {
     use super::*;
     use disar_cloudsim::InstanceCatalog;
     use disar_engine::EebCharacteristics;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn profile(contracts: usize) -> JobProfile {
         JobProfile {
@@ -1146,10 +1067,6 @@ mod tests {
             .n_threads(2)
             .transfer(TransferPolicy::BorrowUntil(12))
             .retrain_mode(RetrainMode::Windowed { window: 64, decay: 0.5 })
-            .drift(DriftConfig {
-                detector: crate::drift::DetectorKind::PageHinkley,
-                ..DriftConfig::default()
-            })
             .build();
         assert_eq!(p.t_max_secs, 50_000.0);
         assert_eq!(p.epsilon, 0.2);
@@ -1159,7 +1076,6 @@ mod tests {
         assert_eq!(p.n_threads, 2);
         assert_eq!(p.transfer, TransferPolicy::BorrowUntil(12));
         assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64, decay: 0.5 });
-        assert_eq!(p.drift.detector, crate::drift::DetectorKind::PageHinkley);
         // Unnamed knobs keep the paper defaults.
         let d = DeployPolicy::paper_defaults(50_000.0);
         assert_eq!(
@@ -1169,19 +1085,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_validates_drift_knobs() {
+    fn policy_validates_the_windowed_retrain_mode() {
         let mut p = DeployPolicy::paper_defaults(3_600.0);
         p.retrain_mode = RetrainMode::Windowed { window: 0, decay: 0.5 };
         assert!(p.validate().is_err());
         p.retrain_mode = RetrainMode::Windowed { window: 16, decay: 7.0 };
         assert!(p.validate().is_err());
-        p.retrain_mode = RetrainMode::Incremental;
-        p.drift.detector = crate::drift::DetectorKind::PageHinkley;
-        p.drift.threshold = 0.0;
-        assert!(p.validate().is_err());
-        // The same bad threshold is ignored while the detector is off.
-        p.drift.detector = crate::drift::DetectorKind::Off;
-        assert!(p.validate().is_ok());
     }
 
     #[test]
@@ -1213,43 +1122,6 @@ mod tests {
                 decay: 1.0
             })
         );
-    }
-
-    #[test]
-    fn drift_detector_fires_under_a_regime_change() {
-        use crate::drift::DetectorKind;
-        // A hidden hardware-generation change at run 40 slows every node to
-        // 35% of its speed: the family trained on the old regime
-        // underestimates durations, residuals jump, the detector fires and
-        // escalates retrains — all while the deploy loop keeps succeeding.
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 61).with_drift(
-            disar_cloudsim::DriftModel::StepRegime {
-                period: 40,
-                speed_factor: 0.35,
-                price_factor: 1.0,
-            },
-        );
-        let policy = DeployPolicy::builder(1e9)
-            .epsilon(0.0)
-            .max_nodes(3)
-            .min_kb_samples(8)
-            .n_threads(1)
-            .drift(DriftConfig {
-                detector: DetectorKind::PageHinkley,
-                ..DriftConfig::default()
-            })
-            .build();
-        let mut d = TransparentDeployer::new(provider, policy, 61);
-        for i in 0..80 {
-            let c = 90 + (i * 19) % 250;
-            d.deploy(&profile(c), &workload(c)).unwrap();
-        }
-        assert!(
-            d.drift_fires() >= 1,
-            "a 2.9× duration jump must fire the detector"
-        );
-        assert!(d.family().is_trained());
-        assert_eq!(d.knowledge_base().len(), 80);
     }
 
     #[test]
@@ -1426,9 +1298,7 @@ mod tests {
     }
 
     /// `n` forced decisions over an uneven cycle of instance types, with the
-    /// reports of their runs. Every fourth decision claims a prediction 40×
-    /// the realized time (the others claim the realized time exactly), so
-    /// an enabled detector fires now and then.
+    /// reports of their runs.
     fn decided_runs<B: Backend>(
         d: &DeployLoop<B>,
         n: usize,
@@ -1444,12 +1314,11 @@ mod tests {
                     .provider()
                     .run_job(instance, n_nodes, &workload(contracts))
                     .unwrap();
-                let claimed = report.duration_secs * if i % 4 == 3 { 40.0 } else { 1.0 };
                 let decision = DeployDecision {
                     mode: DeployMode::Manual,
                     instance: instance.clone(),
                     n_nodes,
-                    predicted_secs: Some(claimed),
+                    predicted_secs: None,
                 };
                 (profile(contracts), decision, report)
             })
@@ -1459,9 +1328,8 @@ mod tests {
     /// Lands `k` decided runs one by one and checks the loop after each
     /// record against a reference that only counts: the records that fire a
     /// retrain and the shards each refits, every shard's size and trained
-    /// flag, catalog coverage, and the drift-ladder rung of the record's own
-    /// shard.
-    fn landing_fires_and_escalates<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
+    /// flag, catalog coverage and the bootstrap phase.
+    fn landing_fires_retrains<B: Backend>(mut d: DeployLoop<B>, k: usize, label: &str) {
         let policy = *d.policy();
         let runs = decided_runs(&d, k, 100);
         let names = d.provider().catalog().names();
@@ -1484,24 +1352,15 @@ mod tests {
             "{label}: covered before the first record"
         );
         let mut runs_since = d.runs_since_retrain;
-        let escalated = |level: usize| match level {
-            0 => policy.retrain_mode,
-            1 => RetrainMode::Windowed {
-                window: policy.drift.window,
-                decay: policy.drift.decay,
-            },
-            _ => RetrainMode::Full,
-        };
-        let mut ladders: BTreeMap<Shard, usize> = BTreeMap::new();
-        let (mut fires, mut absorbed) = (0, 0);
+        let mut fires = 0;
         for (j, (profile, decision, report)) in runs.iter().enumerate() {
             let at = format!("{label}, record {j}");
-            let (detector_fires, retrains) = (d.drift_fires(), d.retrains());
+            let retrains = d.retrains();
             d.record(profile, decision, report).unwrap();
 
             // The reference gate: once `retrain_every` records have landed
             // since the last fire, every shard the record grows to its floor
-            // retrains, whatever the detector made of the residual.
+            // retrains.
             runs_since += 1;
             let mut due = 0;
             for shard in d.backend.shards(&decision.instance) {
@@ -1537,22 +1396,6 @@ mod tests {
                 d.kb_len() < policy.min_kb_samples || !covered(&d, &trained),
                 "bootstrap at {at}"
             );
-
-            // The ladder of the record's own shard: one rung up per detector
-            // fire, back to the base mode once a retrain of the shard fired.
-            let own = d.backend.shards(&decision.instance).swap_remove(0);
-            let level = ladders.entry(own.clone()).or_insert(0);
-            if d.drift_fires() > detector_fires {
-                *level = (*level + 1).min(2);
-                absorbed += usize::from(fired);
-            }
-            if fired {
-                *level = 0;
-            }
-            let mode = d.drift.get(&own).map_or(policy.retrain_mode, |s| {
-                s.next_mode(policy.retrain_mode, &policy.drift)
-            });
-            assert_eq!(mode, escalated(*level), "ladder of {own:?} at {at}");
         }
         if policy.retrain_every == 1 {
             assert!(
@@ -1561,13 +1404,10 @@ mod tests {
             );
         }
         assert!(fires > 0, "{label}: no retrain fired in {k} records");
-        assert!(d.drift_fires() > 0, "{label}: the detector never fired");
-        assert!(absorbed > 0, "{label}: no escalated retrain was applied");
     }
 
     #[test]
-    fn landing_fires_and_escalates_on_every_layout() {
-        use crate::drift::DetectorKind;
+    fn landing_fires_retrains_on_every_layout() {
         use crate::tenant::TenantShardedDeployer;
         let provider = |seed| CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
         for retrain_every in [1, 3] {
@@ -1578,10 +1418,6 @@ mod tests {
                     .retrain_every(retrain_every)
                     .n_threads(1)
                     .transfer(transfer)
-                    .drift(DriftConfig {
-                        detector: DetectorKind::PageHinkley,
-                        ..DriftConfig::default()
-                    })
                     .build()
             };
             let isolated = policy(TransferPolicy::Isolated);
@@ -1589,9 +1425,9 @@ mod tests {
             let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
 
             let mono = TransparentDeployer::new(provider(3), isolated, 3);
-            landing_fires_and_escalates(mono, k, &label("monolithic"));
+            landing_fires_retrains(mono, k, &label("monolithic"));
             let sharded = ShardedDeployer::new(provider(5), isolated, 5);
-            landing_fires_and_escalates(sharded, k, &label("per-instance"));
+            landing_fires_retrains(sharded, k, &label("per-instance"));
             for transfer in [
                 TransferPolicy::Isolated,
                 TransferPolicy::Pooled,
@@ -1605,7 +1441,7 @@ mod tests {
                     d.record(&profile, &decision, &report).unwrap();
                 }
                 d.set_tenant(TenantId::new("acme-life"));
-                landing_fires_and_escalates(d, k, &label(&format!("tenant {transfer:?}")));
+                landing_fires_retrains(d, k, &label(&format!("tenant {transfer:?}")));
             }
         }
     }

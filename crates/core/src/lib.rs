@@ -14,15 +14,13 @@
 //!   database along with the values for the above parameters";
 //! - [`predictor`]: the prediction-model family
 //!   `P = { p_x : M × N × F → R⁺ }` with
-//!   `x ∈ {MLP, RT, RF, IBk, KStar, DT}`, retrained after every run;
+//!   `x ∈ {MLP, RT, RF, IBk, KStar, DT}`, retrained after every run —
+//!   on the whole base, or with [`predictor::RetrainMode::Windowed`] on
+//!   the most recent records only, the adaptation to a drifting cloud;
 //! - [`algorithm`]: **Algorithm 1** — evaluate every `p_x` on every
 //!   `(m, n)` configuration, average the predictions, discard those above
 //!   `T_max`, pick the cheapest, and with probability ε explore a random
 //!   feasible configuration instead;
-//! - [`drift`]: a residual-based change detector (Page–Hinkley), the
-//!   per-shard Incremental → Windowed → Full retrain escalation ladder, and
-//!   regret-derived ensemble weighting — the adaptation loop for a
-//!   non-stationary cloud, off by default;
 //! - [`deploy`]: the **self-optimizing loop**: select a configuration,
 //!   provision and run on the (simulated) cloud, record the realized time
 //!   in the knowledge base, retrain, repeat. Supports the paper's manual
@@ -53,7 +51,6 @@
 
 pub mod algorithm;
 pub mod deploy;
-pub mod drift;
 pub mod knowledge;
 pub mod predictor;
 pub mod profile;
@@ -70,7 +67,6 @@ pub use deploy::{
     DeployDecision, DeployLoop, DeployMode, DeployOutcome, DeployPolicy, DeployPolicyBuilder,
     Deployer, ShardedDeployer, TransparentDeployer,
 };
-pub use drift::{DetectorKind, DriftConfig, DriftState, PageHinkley};
 pub use error::CoreError;
 pub use knowledge::{
     KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase,
