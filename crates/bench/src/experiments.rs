@@ -21,11 +21,11 @@ use disar_alm::lsmc::{Lsmc, LsmcConfig};
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
 use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog};
-use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
-use disar_core::tenant::{TenantId, TenantShardedDeployer, TransferPolicy};
+use disar_core::deploy::{DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer};
 use disar_core::{
     select_configuration, select_configuration_with_workspace, CoreError, DeployMode,
-    KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace, TimeEstimate,
+    KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, SelectionWorkspace, TenantId,
+    TimeEstimate,
 };
 use disar_math::json::Json;
 use disar_math::parallel::parallel_map;
@@ -956,11 +956,11 @@ fn learning_curve_row(ctx: &ExperimentCtx) -> RegistryRow {
     finish("learning_curve", ctx, None, &jobs, &extra, lc.to_json(), t0)
 }
 
-/// Ablation: cross-company knowledge transfer. One row per
-/// [`TransferPolicy`], summarizing how the *second* company onboards.
+/// Ablation: cross-company knowledge transfer. One row per arm,
+/// summarizing how the *second* company onboards.
 #[derive(Debug, Clone)]
 pub struct TransferAblationRow {
-    /// Transfer policy name.
+    /// Arm name: `isolated` or `pooled`.
     pub policy: String,
     /// Bootstrap (random-configuration) deploys company B needed.
     pub b_bootstrap_deploys: usize,
@@ -970,6 +970,10 @@ pub struct TransferAblationRow {
     pub b_mean_abs_rel_err: f64,
     /// Mean realized cost of company B's deploys ($).
     pub b_mean_cost: f64,
+    /// Mean decision regret (%) over all of company B's deploys: the
+    /// noise-free cost of the chosen configuration over the cheapest one of
+    /// the `catalog × 1..=max_nodes` grid, minus 1.
+    pub b_mean_regret_pct: f64,
 }
 
 impl TransferAblationRow {
@@ -981,57 +985,71 @@ impl TransferAblationRow {
             ("b_ml_deploys", self.b_ml_deploys.into()),
             ("b_mean_abs_rel_err", self.b_mean_abs_rel_err.into()),
             ("b_mean_cost", self.b_mean_cost.into()),
+            ("b_mean_regret_pct", self.b_mean_regret_pct.into()),
         ])
     }
 }
 
-/// The multi-tenant ablation: company A runs `n_per_tenant` deploys
-/// from a cold start, then company B runs `n_per_tenant` deploys over
-/// the same job mix. Under [`TransferPolicy::Isolated`] B must repeat
-/// the whole manual-training phase; under [`TransferPolicy::Pooled`] /
-/// [`TransferPolicy::BorrowUntil`] B starts from A's knowledge — the
-/// paper's observation that the knowledge-base parameters "are not
-/// necessarily bound to a specific" company, quantified.
+/// The multi-tenant ablation: company A runs `n_per_tenant` deploys from a
+/// cold start, then company B runs `n_per_tenant` deploys over the same
+/// job mix. In the `isolated` arm B runs on a deployer of its own, as a
+/// [`disar_core::DeployService`] lane does, and repeats the whole
+/// manual-training phase; in the `pooled` arm B runs on A's deployer and
+/// starts from A's knowledge — the paper's observation that the
+/// knowledge-base parameters "are not necessarily bound to a specific"
+/// company, quantified.
 pub fn ablation_transfer(
     cfg: &CampaignConfig,
     jobs: &[EebJob],
     n_per_tenant: usize,
 ) -> Vec<TransferAblationRow> {
-    let policies = [
-        ("isolated", TransferPolicy::Isolated),
-        ("pooled", TransferPolicy::Pooled),
-        ("borrow-until-8", TransferPolicy::BorrowUntil(8)),
-    ];
-    policies
-        .iter()
-        .map(|(name, transfer)| {
-            let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed ^ 0x7E);
-            // Generous deadline to isolate onboarding; the paper's
-            // after-every-run retrain cadence, so a shard trains exactly
-            // when it reaches the family's minimum sample count.
-            let policy = DeployPolicy::builder(1e9)
-                .epsilon(0.1)
-                .max_nodes(cfg.max_nodes)
-                .min_kb_samples(30)
-                // The deploy loop's retrains and sweeps are too small to pay for a
-                // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
-                .n_threads(1)
-                .transfer(*transfer)
-                .build();
-            let mut d = TenantShardedDeployer::new(provider, policy, cfg.seed ^ 0x7E)
-                .with_tenant(TenantId::new("company-a"));
-            let mut rng = stream_rng(cfg.seed, 0x7A);
-            for _ in 0..n_per_tenant {
-                let job = &jobs[rng.gen_range(0..jobs.len())];
-                d.deploy(&job.profile, &job.workload)
-                    .expect("generous deadline");
-            }
-            d.set_tenant(TenantId::new("company-b"));
+    let catalog = InstanceCatalog::paper_catalog();
+    // Generous deadline to isolate onboarding; the paper's after-every-run
+    // retrain cadence, so a shard trains exactly when it reaches the
+    // family's minimum sample count.
+    let policy = DeployPolicy::builder(1e9)
+        .epsilon(0.1)
+        .max_nodes(cfg.max_nodes)
+        .min_kb_samples(30)
+        // The deploy loop's retrains and sweeps are too small to pay for a
+        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
+        .n_threads(1)
+        .build();
+    let deployer = |seed: u64, tenant: &str| {
+        let provider = CloudProvider::new(catalog.clone(), seed);
+        ShardedDeployer::new(provider, policy, seed).with_tenant(TenantId::new(tenant))
+    };
+    let mut rng = stream_rng(cfg.seed, 0x7A);
+    let mut draw = |n: usize| -> Vec<&EebJob> {
+        (0..n)
+            .map(|_| &jobs[rng.gen_range(0..jobs.len())])
+            .collect()
+    };
+    let (a_jobs, b_jobs) = (draw(n_per_tenant), draw(n_per_tenant));
+    let mut pooled = deployer(cfg.seed ^ 0x7E, "company-a");
+    for job in &a_jobs {
+        pooled
+            .deploy(&job.profile, &job.workload)
+            .expect("generous deadline");
+    }
+    pooled.set_tenant(TenantId::new("company-b"));
+    let isolated = deployer(cfg.seed ^ 0x7F, "company-b");
+    // The oracle probe: a provider whose run counter never advances.
+    let probe = CloudProvider::new(catalog.clone(), cfg.seed ^ 0x7E);
+    let cost = |job: &EebJob, instance: &str, n_nodes: usize| {
+        probe
+            .oracle_plan(instance, n_nodes, &job.workload, 0)
+            .expect("catalog configuration")
+            .prorated_cost
+    };
+    [("isolated", isolated), ("pooled", pooled)]
+        .into_iter()
+        .map(|(name, mut d)| {
             let mut bootstrap = 0;
             let mut rel_errors = Vec::new();
             let mut costs = Vec::with_capacity(n_per_tenant);
-            for _ in 0..n_per_tenant {
-                let job = &jobs[rng.gen_range(0..jobs.len())];
+            let mut regrets = Vec::with_capacity(n_per_tenant);
+            for job in &b_jobs {
                 let out = d
                     .deploy(&job.profile, &job.workload)
                     .expect("generous deadline");
@@ -1044,6 +1062,14 @@ pub fn ablation_transfer(
                     }
                 }
                 costs.push(out.report.prorated_cost);
+                let best = catalog
+                    .names()
+                    .iter()
+                    .flat_map(|n| (1..=cfg.max_nodes).map(move |k| (n, k)))
+                    .map(|(n, k)| cost(job, n, k))
+                    .fold(f64::INFINITY, f64::min);
+                let chosen = cost(job, &out.report.instance, out.report.n_nodes);
+                regrets.push(100.0 * (chosen / best - 1.0));
             }
             TransferAblationRow {
                 policy: name.to_string(),
@@ -1051,6 +1077,7 @@ pub fn ablation_transfer(
                 b_ml_deploys: rel_errors.len(),
                 b_mean_abs_rel_err: stats::mean(&rel_errors),
                 b_mean_cost: stats::mean(&costs),
+                b_mean_regret_pct: stats::mean(&regrets),
             }
         })
         .collect()
@@ -1300,11 +1327,6 @@ pub struct DriftAblation {
     /// Same for the frozen baseline (the cap, in practice: its model
     /// never sees the new regime).
     pub frozen_recovery: usize,
-    /// Ensemble member names, in family order.
-    pub member_names: Vec<String>,
-    /// Regret-derived member weights (`regret_weights`) from each
-    /// member's solo selection regret on the post-change grid.
-    pub member_weights: Vec<f64>,
 }
 
 impl DriftAblation {
@@ -1323,14 +1345,6 @@ impl DriftAblation {
             ),
             ("adaptive_recovery", self.adaptive_recovery.into()),
             ("frozen_recovery", self.frozen_recovery.into()),
-            (
-                "member_names",
-                Json::arr(self.member_names.iter().map(String::as_str)),
-            ),
-            (
-                "member_weights",
-                Json::arr(self.member_weights.iter().copied()),
-            ),
         ])
     }
 }
@@ -1424,7 +1438,7 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
             .expect("non-empty grid")
             .clone()
     };
-    let run_arm = |adaptive: bool| -> (Vec<f64>, TransparentDeployer) {
+    let run_arm = |adaptive: bool| -> Vec<f64> {
         let provider =
             CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
         let mut builder = DeployPolicy::builder(t_max)
@@ -1474,10 +1488,10 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
             }
             regret.push(r);
         }
-        (regret, d)
+        regret
     };
-    let (adaptive_regret, adaptive_deployer) = run_arm(true);
-    let (frozen_regret, _) = run_arm(false);
+    let adaptive_regret = run_arm(true);
+    let frozen_regret = run_arm(false);
     // In-band: rolling mean regret at or below a band derived from
     // the arm's own pre-change level, floored at a quarter of the
     // post-change oracle cost — one deadline miss per rolling window
@@ -1498,44 +1512,6 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
     };
     let adaptive_recovery = recovery(&adaptive_regret);
     let frozen_recovery = recovery(&frozen_regret);
-    // Regret-weight the surviving ensemble: each member alone picks
-    // its cheapest predicted-feasible configuration on the final
-    // post-change grid; its weight decays with the oracle regret of
-    // that solo pick.
-    let final_idx = (horizon - 1) as u64;
-    let family = adaptive_deployer.family();
-    let mut member_names: Vec<String> = Vec::new();
-    let mut picks: Vec<Option<(f64, f64, f64)>> = Vec::new();
-    for (nm, n) in &grid {
-        let inst = catalog.get(nm).expect("catalog instance");
-        let preds = family
-            .predict_each(&job.profile, inst, *n)
-            .expect("adaptive family is trained");
-        if member_names.is_empty() {
-            member_names = preds.iter().map(|(m, _)| (*m).to_string()).collect();
-            picks = vec![None; preds.len()];
-        }
-        let oracle = plan(nm, *n, final_idx);
-        for (m, (_, secs)) in preds.iter().enumerate() {
-            if *secs <= t_max {
-                let predicted_cost = secs / 3_600.0 * *n as f64 * inst.hourly_cost;
-                if picks[m].is_none_or(|(c, _, _)| predicted_cost < c) {
-                    picks[m] = Some((predicted_cost, oracle.prorated_cost, oracle.duration_secs));
-                }
-            }
-        }
-    }
-    let best_final = best_feasible(final_idx);
-    let member_regrets: Vec<f64> = picks
-        .iter()
-        .map(|pick| match pick {
-            Some((_, cost, dur)) => {
-                (cost - best_final).max(0.0) + if *dur > t_max { best_final } else { 0.0 }
-            }
-            None => best_final,
-        })
-        .collect();
-    let member_weights = regret_weights(&member_regrets);
     DriftAblation {
         change_at,
         t_max_secs: t_max,
@@ -1543,36 +1519,7 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
         frozen_regret,
         adaptive_recovery,
         frozen_recovery,
-        member_names,
-        member_weights,
     }
-}
-
-/// Converts per-member selection regrets (≥ 0, lower is better) into
-/// normalized ensemble weights `wᵢ ∝ 1 / (ε + rᵢ)` with
-/// `ε = 10⁻⁶ + mean(r) / 100` — a pure, deterministic function of the
-/// regrets: equal regrets give uniform weights, a member with much lower
-/// regret than the rest dominates without ever zeroing the others out.
-///
-/// Negative regrets are clamped to zero. Returns an empty vector for an
-/// empty slice.
-///
-/// # Panics
-///
-/// Panics if any regret is non-finite.
-fn regret_weights(regrets: &[f64]) -> Vec<f64> {
-    if regrets.is_empty() {
-        return Vec::new();
-    }
-    assert!(
-        regrets.iter().all(|r| r.is_finite()),
-        "regrets must be finite"
-    );
-    let clamped: Vec<f64> = regrets.iter().map(|r| r.max(0.0)).collect();
-    let eps = 1e-6 + stats::mean(&clamped) / 100.0;
-    let raw: Vec<f64> = clamped.iter().map(|r| 1.0 / (eps + r)).collect();
-    let total: f64 = raw.iter().sum();
-    raw.into_iter().map(|w| w / total).collect()
 }
 
 /// Driver for the drift-adaptation ablation (`ablation_drift`).
@@ -1937,8 +1884,8 @@ mod tests {
         assert!(lc.late_mae < 0.5, "late relative error {}", lc.late_mae);
     }
 
-    #[test]
-    fn transfer_ablation_quantifies_onboarding() {
+    /// The transfer ablation at CI scale: two arms, one by name.
+    fn transfer_rows() -> (TransferAblationRow, TransferAblationRow) {
         let cfg = CampaignConfig {
             n_runs: 0,
             n_outer: 400,
@@ -1949,11 +1896,14 @@ mod tests {
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let rows = ablation_transfer(&cfg, &jobs, 60);
-        assert_eq!(rows.len(), 3);
-        let by_name = |n: &str| rows.iter().find(|r| r.policy == n).unwrap();
-        let isolated = by_name("isolated");
-        let pooled = by_name("pooled");
-        let borrow = by_name("borrow-until-8");
+        assert_eq!(rows.len(), 2);
+        let by_name = |n: &str| rows.iter().find(|r| r.policy == n).unwrap().clone();
+        (by_name("isolated"), by_name("pooled"))
+    }
+
+    #[test]
+    fn transfer_ablation_quantifies_onboarding() {
+        let (isolated, pooled) = transfer_rows();
         // Isolated: company B repeats the whole manual-training phase.
         assert!(
             isolated.b_bootstrap_deploys > 10,
@@ -1961,12 +1911,21 @@ mod tests {
         );
         // Transfer: company B starts from company A's knowledge.
         assert_eq!(pooled.b_bootstrap_deploys, 0, "{pooled:?}");
-        assert_eq!(borrow.b_bootstrap_deploys, 0, "{borrow:?}");
-        assert!(pooled.b_ml_deploys > 0 && borrow.b_ml_deploys > 0);
-        for r in &rows {
+        assert!(pooled.b_ml_deploys > 0);
+        for r in [&isolated, &pooled] {
             assert!(r.b_mean_cost > 0.0);
+            assert!(r.b_mean_regret_pct >= 0.0, "{r:?}");
             assert_eq!(r.b_bootstrap_deploys + r.b_ml_deploys, 60, "{r:?}");
         }
+    }
+
+    /// A company on its own deployer counts only its own records toward
+    /// the bootstrap gate, so it stays in bootstrap for at least the
+    /// policy's `min_kb_samples` (30) deploys.
+    #[test]
+    fn isolated_company_bootstraps_on_its_own_records() {
+        let (isolated, _) = transfer_rows();
+        assert!(isolated.b_bootstrap_deploys >= 30, "{isolated:?}");
     }
 
     #[test]
@@ -2024,28 +1983,6 @@ mod tests {
     }
 
     #[test]
-    fn regret_weights_prefer_low_regret() {
-        let w = regret_weights(&[0.0, 1.0, 10.0]);
-        assert_eq!(w.len(), 3);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(w[0] > w[1] && w[1] > w[2]);
-        // Equal regrets ⇒ exactly uniform.
-        let u = regret_weights(&[2.0, 2.0, 2.0, 2.0]);
-        for &wi in &u {
-            assert_eq!(wi, 0.25);
-        }
-        // Negative regrets clamp to zero; empty input stays empty.
-        assert_eq!(regret_weights(&[-1.0]), vec![1.0]);
-        assert!(regret_weights(&[]).is_empty());
-    }
-
-    #[test]
-    fn regret_weights_are_deterministic() {
-        let r = [0.3, 0.7, 0.1, 4.0];
-        assert_eq!(regret_weights(&r), regret_weights(&r));
-    }
-
-    #[test]
     fn drift_ablation_adapts_faster_than_frozen() {
         let cfg = CampaignConfig {
             n_runs: 0,
@@ -2070,11 +2007,5 @@ mod tests {
             a.adaptive_recovery,
             a.frozen_recovery
         );
-        // Regret weighting covers the whole family and forms a simplex.
-        assert_eq!(a.member_names.len(), 6);
-        assert_eq!(a.member_weights.len(), 6);
-        let total: f64 = a.member_weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
-        assert!(a.member_weights.iter().all(|w| *w >= 0.0));
     }
 }

@@ -15,19 +15,21 @@
 //! 4. **Retrain** the model family and go to 1 for the next simulation.
 //!
 //! The loop is written once, in [`DeployLoop`], over a knowledge layout
-//! that supplies only its storage: the monolithic [`TransparentDeployer`],
-//! the instance-type-sharded [`ShardedDeployer`] and the two-key
-//! [`crate::tenant::TenantShardedDeployer`], which is also what each tenant
-//! of [`crate::service::DeployService`] runs on. The [`Deployer`] trait
+//! that supplies only its storage: the monolithic [`TransparentDeployer`]
+//! and the instance-type-sharded [`ShardedDeployer`], which is also what
+//! each tenant of [`crate::service::DeployService`] runs on. Tenancy is a
+//! tag, not a layout: a deployer stamps every run it lands with its active
+//! tenant ([`DeployLoop::set_tenant`]). One deployer per tenant keeps
+//! companies' knowledge apart; one deployer shared by several tenants pools
+//! it. The [`Deployer`] trait
 //! names one `deploy()`'s *decision* ([`Deployer::select`]) and
 //! *feedback* ([`Deployer::record`]) halves; every caller runs them in
 //! sequence, one job at a time, as the paper does.
 
 use crate::algorithm::{select_configuration_with_workspace, SelectionWorkspace, TimeEstimate};
-use crate::knowledge::{KnowledgeBase, RunRecord, ShardedKnowledgeBase};
+use crate::knowledge::{KnowledgeBase, RunRecord, ShardedKnowledgeBase, TenantId};
 use crate::predictor::{PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 use crate::profile::JobProfile;
-use crate::tenant::{TenantId, TransferPolicy};
 use crate::CoreError;
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use disar_engine::DisarMaster;
@@ -67,11 +69,6 @@ pub struct DeployPolicy {
     /// [`disar_math::parallel::default_n_threads`], one per available core;
     /// `1` is the sequential escape hatch.
     pub n_threads: usize,
-    /// How knowledge is shared across tenants (companies). Consulted only
-    /// by the tenant-aware [`crate::tenant::TenantShardedDeployer`]; the
-    /// single-tenant backends ignore it. Defaults to
-    /// [`TransferPolicy::Isolated`].
-    pub transfer: TransferPolicy,
     /// Retrain mode every scheduled retrain uses (bulk warm-ups and the
     /// after-run cadence alike). Defaults to [`RetrainMode::Incremental`],
     /// the bit-identity-preserving path; [`RetrainMode::Windowed`] is the
@@ -83,7 +80,7 @@ impl DeployPolicy {
     /// Paper-like defaults: ε = 0.05, up to 8 nodes, 30-sample bootstrap,
     /// retrain after every run, one worker thread per available core
     /// (results are thread-count invariant; set `n_threads: 1` for the
-    /// sequential escape hatch), tenants isolated.
+    /// sequential escape hatch).
     pub fn paper_defaults(t_max_secs: f64) -> Self {
         DeployPolicy {
             t_max_secs,
@@ -92,7 +89,6 @@ impl DeployPolicy {
             min_kb_samples: 30,
             retrain_every: 1,
             n_threads: disar_math::parallel::default_n_threads(),
-            transfer: TransferPolicy::Isolated,
             retrain_mode: RetrainMode::Incremental,
         }
     }
@@ -179,12 +175,6 @@ impl DeployPolicyBuilder {
     /// Sets the worker-thread count (results are thread-count invariant).
     pub fn n_threads(mut self, n_threads: usize) -> Self {
         self.policy.n_threads = n_threads;
-        self
-    }
-
-    /// Sets the cross-tenant knowledge-transfer policy.
-    pub fn transfer(mut self, transfer: TransferPolicy) -> Self {
-        self.policy.transfer = transfer;
         self
     }
 
@@ -362,9 +352,8 @@ pub(crate) use backend::{Backend, Shard};
 /// methods are bounded by [`Backend`], and no other crate can implement it.
 mod backend {
     use super::{DeployPolicy, SHARD_FLOOR};
-    use crate::knowledge::RunRecord;
+    use crate::knowledge::{RunRecord, TenantId};
     use crate::predictor::{RetrainMode, TimePredictor};
-    use crate::tenant::TenantId;
     use crate::CoreError;
 
     /// One family a backend retrains, named by the records it trains on.
@@ -372,11 +361,8 @@ mod backend {
     pub enum Shard {
         /// The whole base: the monolithic layout's only family.
         Whole,
-        /// One instance type's records across tenants: a per-instance
-        /// family, or a tenant layout's pooled one.
+        /// One instance type's records, whichever tenant landed them.
         Instance(String),
-        /// One tenant's records on one instance type.
-        Local(String, TenantId),
     }
 
     impl Shard {
@@ -385,7 +371,7 @@ mod backend {
         pub fn instance(&self) -> &str {
             match self {
                 Shard::Whole => "",
-                Shard::Instance(instance) | Shard::Local(instance, _) => instance,
+                Shard::Instance(instance) => instance,
             }
         }
     }
@@ -402,17 +388,14 @@ mod backend {
         /// The tenant landed runs are attributed to.
         fn tenant(&self) -> &TenantId;
 
-        /// The shards a run on `instance` grows, the record's own shard
-        /// first.
-        fn shards(&self, instance: &str) -> Vec<Shard>;
+        /// The shard a run on `instance` grows, whose family also answers
+        /// queries on `instance`.
+        fn shard(&self, instance: &str) -> Shard;
 
         /// Records `shard` holds now.
         fn size(&self, shard: &Shard) -> usize;
 
-        /// Fewest records `shard` must hold for its retrain to fire:
-        /// `usize::MAX` when the layout keeps no family for it (a tenant
-        /// layout grows local and pooled shards alike and trains those its
-        /// transfer policy reads).
+        /// Fewest records `shard` must hold for its retrain to fire.
         fn floor(&self, _shard: &Shard, _policy: &DeployPolicy) -> usize {
             SHARD_FLOOR
         }
@@ -420,19 +403,14 @@ mod backend {
         /// Whether `shard`'s family has been trained.
         fn trained(&self, shard: &Shard) -> bool;
 
-        /// The shard whose family answers queries on `instance` now.
-        fn serving(&self, instance: &str) -> Shard {
-            self.shards(instance).swap_remove(0)
-        }
-
         /// Runs `f` on the predictor an ML selection reads.
         fn with_view<R>(&self, f: impl FnOnce(&dyn TimePredictor) -> R) -> R;
 
         /// Appends one landed run.
         fn append(&mut self, record: RunRecord);
 
-        /// Refits `shard`'s family on the records it holds now: one of the
-        /// retrains a landed run fired.
+        /// Refits `shard`'s family on the records it holds now: the retrain
+        /// a landed run fired.
         fn retrain(
             &mut self,
             shard: &Shard,
@@ -449,9 +427,8 @@ mod backend {
 /// `B`: validation, the decision-seed stream, the retrain schedule,
 /// bootstrap and Algorithm 1 selection, manual overrides and the record →
 /// gate → retrain sequence. The layouts are
-/// [`TransparentDeployer`] (one base, one family),
-/// [`ShardedDeployer`] (per instance type) and
-/// [`crate::tenant::TenantShardedDeployer`] (per instance type × tenant).
+/// [`TransparentDeployer`] (one base, one family) and
+/// [`ShardedDeployer`] (per instance type).
 pub struct DeployLoop<B> {
     provider: CloudProvider,
     policy: DeployPolicy,
@@ -511,7 +488,7 @@ impl<B: Backend> DeployLoop<B> {
                 .provider
                 .catalog()
                 .iter()
-                .all(|inst| self.backend.trained(&self.backend.serving(&inst.name)))
+                .all(|inst| self.backend.trained(&self.backend.shard(&inst.name)))
     }
 }
 
@@ -622,7 +599,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
     ) -> Result<(), CoreError> {
         let policy = self.policy;
         let inst = self.provider.catalog().get(&decision.instance)?.clone();
-        let shards = self.backend.shards(&decision.instance);
+        let shard = self.backend.shard(&decision.instance);
         self.backend.append(
             RunRecord::new(
                 *profile,
@@ -634,41 +611,31 @@ impl<B: Backend> Deployer for DeployLoop<B> {
             .with_tenant(self.backend.tenant().clone()),
         );
         self.runs_since_retrain += 1;
-        let mut due: Vec<Shard> = Vec::new();
-        if self.runs_since_retrain >= policy.retrain_every {
-            due.extend(
-                shards
-                    .iter()
-                    .filter(|s| self.backend.size(s) >= self.backend.floor(s, &policy))
-                    .cloned(),
-            );
+        if self.runs_since_retrain < policy.retrain_every
+            || self.backend.size(&shard) < self.backend.floor(&shard, &policy)
+        {
+            return Ok(());
         }
-        for shard in &due {
-            self.backend
-                .retrain(shard, policy.retrain_mode, policy.n_threads)
-                .map_err(|cause| CoreError::ShardRetrainFailed {
-                    instance: shard.instance().to_string(),
-                    tenant: self.backend.tenant().clone(),
-                    cause: Box::new(cause),
-                })?;
-            self.retrains += 1;
-        }
-        if !due.is_empty() {
-            self.runs_since_retrain = 0;
-        }
+        self.backend
+            .retrain(&shard, policy.retrain_mode, policy.n_threads)
+            .map_err(|cause| CoreError::ShardRetrainFailed {
+                instance: shard.instance().to_string(),
+                tenant: self.backend.tenant().clone(),
+                cause: Box::new(cause),
+            })?;
+        self.retrains += 1;
+        self.runs_since_retrain = 0;
         Ok(())
     }
 }
 
 /// Storage of a layout, which owns its base and its families: the
-/// monolithic `Local<KnowledgeBase, PredictorFamily>`, the per-instance
-/// `Local<ShardedKnowledgeBase, ShardedPredictor>` and the two-key tenant
-/// layout in [`crate::tenant`].
+/// monolithic `Local<KnowledgeBase, PredictorFamily>` and the per-instance
+/// `Local<ShardedKnowledgeBase, ShardedPredictor>`.
 pub struct Local<KB, P> {
     pub(crate) kb: KB,
     pub(crate) predictor: P,
-    /// The tenant landed runs are attributed to (the default tenant in the
-    /// single-tenant layouts, which never change it).
+    /// The tenant landed runs are attributed to.
     pub(crate) tenant: TenantId,
 }
 
@@ -696,6 +663,24 @@ impl<KB, P> DeployLoop<Local<KB, P>> {
     pub fn predictor(&self) -> &P {
         &self.backend.predictor
     }
+
+    /// Sets the tenant subsequent runs are tagged with (builder-style).
+    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
+        self.backend.tenant = tenant;
+        self
+    }
+
+    /// Switches the tenant subsequent runs are tagged with. The base and
+    /// the families stay shared: the next tenant's selections read every
+    /// run landed so far, whichever tenant landed it.
+    pub fn set_tenant(&mut self, tenant: TenantId) {
+        self.backend.tenant = tenant;
+    }
+
+    /// The tenant runs are currently tagged with.
+    pub fn tenant(&self) -> &TenantId {
+        &self.backend.tenant
+    }
 }
 
 impl Backend for Local<KnowledgeBase, PredictorFamily> {
@@ -707,8 +692,8 @@ impl Backend for Local<KnowledgeBase, PredictorFamily> {
         &self.tenant
     }
 
-    fn shards(&self, _instance: &str) -> Vec<Shard> {
-        vec![Shard::Whole]
+    fn shard(&self, _instance: &str) -> Shard {
+        Shard::Whole
     }
 
     fn size(&self, _shard: &Shard) -> usize {
@@ -790,8 +775,8 @@ impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
         &self.tenant
     }
 
-    fn shards(&self, instance: &str) -> Vec<Shard> {
-        vec![Shard::Instance(instance.to_string())]
+    fn shard(&self, instance: &str) -> Shard {
+        Shard::Instance(instance.to_string())
     }
 
     fn size(&self, shard: &Shard) -> usize {
@@ -1065,7 +1050,6 @@ mod tests {
             .min_kb_samples(5)
             .retrain_every(4)
             .n_threads(2)
-            .transfer(TransferPolicy::BorrowUntil(12))
             .retrain_mode(RetrainMode::Windowed { window: 64, decay: 0.5 })
             .build();
         assert_eq!(p.t_max_secs, 50_000.0);
@@ -1074,7 +1058,6 @@ mod tests {
         assert_eq!(p.min_kb_samples, 5);
         assert_eq!(p.retrain_every, 4);
         assert_eq!(p.n_threads, 2);
-        assert_eq!(p.transfer, TransferPolicy::BorrowUntil(12));
         assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64, decay: 0.5 });
         // Unnamed knobs keep the paper defaults.
         let d = DeployPolicy::paper_defaults(50_000.0);
@@ -1336,16 +1319,14 @@ mod tests {
         let len0 = d.kb_len();
         let mut sizes: BTreeMap<Shard, usize> = BTreeMap::new();
         let mut trained: BTreeSet<Shard> = BTreeSet::new();
-        for shard in names.iter().flat_map(|n| d.backend.shards(n)) {
+        for shard in names.iter().map(|n| d.backend.shard(n)) {
             sizes.insert(shard.clone(), d.backend.size(&shard));
             if d.backend.trained(&shard) {
                 trained.insert(shard);
             }
         }
         let covered = |d: &DeployLoop<B>, trained: &BTreeSet<Shard>| {
-            names
-                .iter()
-                .all(|n| trained.contains(&d.backend.serving(n)))
+            names.iter().all(|n| trained.contains(&d.backend.shard(n)))
         };
         assert!(
             !covered(&d, &trained),
@@ -1359,27 +1340,27 @@ mod tests {
             d.record(profile, decision, report).unwrap();
 
             // The reference gate: once `retrain_every` records have landed
-            // since the last fire, every shard the record grows to its floor
-            // retrains.
+            // since the last fire, the shard the record grows retrains if it
+            // holds its floor.
             runs_since += 1;
-            let mut due = 0;
-            for shard in d.backend.shards(&decision.instance) {
-                let size = sizes
-                    .get_mut(&shard)
-                    .expect("every type's shards are counted");
-                *size += 1;
-                if runs_since >= policy.retrain_every && *size >= d.backend.floor(&shard, &policy) {
-                    trained.insert(shard);
-                    due += 1;
-                }
-            }
-            let fired = due > 0;
+            let shard = d.backend.shard(&decision.instance);
+            let size = sizes
+                .get_mut(&shard)
+                .expect("every type's shard is counted");
+            *size += 1;
+            let fired =
+                runs_since >= policy.retrain_every && *size >= d.backend.floor(&shard, &policy);
             if fired {
+                trained.insert(shard);
                 runs_since = 0;
             }
             fires += usize::from(fired);
             assert_eq!(d.runs_since_retrain, runs_since, "cadence at {at}");
-            assert_eq!(d.retrains() - retrains, due, "retrains at {at}");
+            assert_eq!(
+                d.retrains() - retrains,
+                usize::from(fired),
+                "retrains at {at}"
+            );
 
             // Sizes, trained flags and coverage.
             assert_eq!(d.kb_len(), len0 + j + 1, "len at {at}");
@@ -1408,41 +1389,30 @@ mod tests {
 
     #[test]
     fn landing_fires_retrains_on_every_layout() {
-        use crate::tenant::TenantShardedDeployer;
         let provider = |seed| CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
         for retrain_every in [1, 3] {
-            let policy = |transfer| {
-                DeployPolicy::builder(50_000.0)
-                    .max_nodes(4)
-                    .min_kb_samples(5)
-                    .retrain_every(retrain_every)
-                    .n_threads(1)
-                    .transfer(transfer)
-                    .build()
-            };
-            let isolated = policy(TransferPolicy::Isolated);
+            let policy = DeployPolicy::builder(50_000.0)
+                .max_nodes(4)
+                .min_kb_samples(5)
+                .retrain_every(retrain_every)
+                .n_threads(1)
+                .build();
             let k = 40;
             let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
 
-            let mono = TransparentDeployer::new(provider(3), isolated, 3);
+            let mono = TransparentDeployer::new(provider(3), policy, 3);
             landing_fires_retrains(mono, k, &label("monolithic"));
-            let sharded = ShardedDeployer::new(provider(5), isolated, 5);
+            let sharded = ShardedDeployer::new(provider(5), policy, 5);
             landing_fires_retrains(sharded, k, &label("per-instance"));
-            for transfer in [
-                TransferPolicy::Isolated,
-                TransferPolicy::Pooled,
-                TransferPolicy::BorrowUntil(3),
-            ] {
-                // Another tenant's records first, so that pooled and local
-                // shards differ and the landing starts from a grown base.
-                let mut d = TenantShardedDeployer::new(provider(7), policy(transfer), 7)
-                    .with_tenant(TenantId::new("bolt-re"));
-                for (profile, decision, report) in decided_runs(&d, 9, 0) {
-                    d.record(&profile, &decision, &report).unwrap();
-                }
-                d.set_tenant(TenantId::new("acme-life"));
-                landing_fires_retrains(d, k, &label(&format!("tenant {transfer:?}")));
+            // A deployer shared by two tenants: another tenant's records
+            // first, so that the landing starts from a grown base.
+            let mut pooled =
+                ShardedDeployer::new(provider(7), policy, 7).with_tenant(TenantId::new("bolt-re"));
+            for (profile, decision, report) in decided_runs(&pooled, 9, 0) {
+                pooled.record(&profile, &decision, &report).unwrap();
             }
+            pooled.set_tenant(TenantId::new("acme-life"));
+            landing_fires_retrains(pooled, k, &label("pooled per-instance"));
         }
     }
 
@@ -1452,7 +1422,6 @@ mod tests {
     /// instance's three and four of the job's.
     #[test]
     fn a_one_type_catalog_runs_both_phases_on_every_layout() {
-        use crate::tenant::TenantShardedDeployer;
         use disar_cloudsim::InstanceType;
         use disar_ml::Scaler;
 
@@ -1489,7 +1458,5 @@ mod tests {
         assert!(mono.family().is_trained());
         let mut sharded = ShardedDeployer::new(provider(5), policy, 5);
         run(&mut sharded, "per-instance");
-        let mut tenant = TenantShardedDeployer::new(provider(7), policy, 7);
-        run(&mut tenant, "tenant");
     }
 }

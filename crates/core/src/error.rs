@@ -1,4 +1,4 @@
-use crate::tenant::TenantId;
+use crate::knowledge::TenantId;
 use std::error::Error;
 use std::fmt;
 

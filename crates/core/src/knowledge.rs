@@ -28,7 +28,6 @@
 //! companies: the parameters "are not necessarily bound to a specific one".
 
 use crate::profile::JobProfile;
-use crate::tenant::TenantId;
 use crate::CoreError;
 use disar_cloudsim::InstanceType;
 use disar_math::json::{Json, JsonError};
@@ -106,6 +105,38 @@ pub(crate) fn read_records<S: KnowledgeStore + Default>(path: &Path) -> Result<S
     Ok(store)
 }
 
+/// Identifies the company (tenant) a run belongs to.
+///
+/// A plain string key: tenants are administrative, not numeric, and never
+/// enter the feature vector. The default tenant (`"default"`) is what every
+/// pre-tenancy record and single-tenant deployment uses.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TenantId(String);
+
+impl TenantId {
+    /// Creates a tenant id from a name.
+    pub fn new(name: impl Into<String>) -> Self {
+        TenantId(name.into())
+    }
+
+    /// The tenant name.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Default for TenantId {
+    fn default() -> Self {
+        TenantId("default".to_string())
+    }
+}
+
+impl fmt::Display for TenantId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// One executed simulation: the ML training row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
@@ -130,8 +161,10 @@ pub struct RunRecord {
     /// Owning company (tenant) of the run. Deliberately *not* part of the
     /// feature vector — the paper's transfer argument is that the job and
     /// machine parameters "are not necessarily bound to a specific"
-    /// company, so the tenant key only routes records into shards and
-    /// never biases predictions. Defaults to [`TenantId::default`].
+    /// company, so the tag records whose run it was and never biases
+    /// predictions. The deployer that lands the run stamps it with its
+    /// active tenant ([`crate::deploy::DeployLoop::set_tenant`]). Defaults
+    /// to [`TenantId::default`].
     pub tenant: TenantId,
 }
 
@@ -265,13 +298,11 @@ impl RunRecord {
 
 /// The one API every knowledge-base layout speaks.
 ///
-/// Three layouts store the same append-only record stream with different
-/// partitioning: the monolithic [`KnowledgeBase`] (one flat vector), the
-/// per-instance [`ShardedKnowledgeBase`], and the two-key
-/// per-(instance, tenant) [`crate::tenant::TenantShardedKnowledgeBase`].
-/// Code that only appends runs, replays the stream, or persists the base
-/// can be written once against this trait; layout-specific accessors
-/// (per-shard views, pooled views) stay inherent on each type.
+/// Two layouts store the same append-only record stream with different
+/// partitioning: the monolithic [`KnowledgeBase`] (one flat vector) and the
+/// per-instance [`ShardedKnowledgeBase`]. Code that only appends runs,
+/// replays the stream, or persists the base can be written once against
+/// this trait; per-shard views stay inherent on the sharded type.
 ///
 /// Every implementation preserves the *global arrival order*:
 /// [`KnowledgeStore::records_in_arrival_order`] yields the exact stream a
@@ -467,41 +498,61 @@ impl KnowledgeStore for KnowledgeBase {
     }
 }
 
-/// A knowledge base partitioned by a key `K` of its records — the store
-/// under both the per-instance [`ShardedKnowledgeBase`] (`K` = instance
-/// type) and the two-key [`crate::tenant::TenantShardedKnowledgeBase`]
-/// (`K` = instance type × tenant).
+/// A knowledge base partitioned by instance type — the million-record-scale
+/// layout of the self-optimizing loop.
 ///
-/// Each shard is a plain [`KnowledgeBase`] holding the records of one key
-/// (with its own incrementally maintained featurized [`Dataset`] cache), so
-/// `record()` touches exactly one shard and a per-shard retrain scales with
-/// that shard's size, not the total base. The global arrival order is kept
-/// alongside the shards, so the exact monolithic record stream can always
-/// be reconstructed ([`Partitioned::to_monolithic`]) — sharding never loses
-/// or reorders information.
+/// Each shard is a plain [`KnowledgeBase`] holding the records of one
+/// instance type (with its own incrementally maintained featurized
+/// [`Dataset`] cache), so `record()` touches exactly one shard and a
+/// per-shard retrain scales with that shard's size, not the total base. The
+/// global arrival order is kept alongside the shards, so the exact
+/// monolithic record stream can always be reconstructed
+/// ([`ShardedKnowledgeBase::to_monolithic`]) — sharding never loses or
+/// reorders information. Records of several tenants share a shard; each
+/// keeps its own [`RunRecord::tenant`] tag.
 ///
 /// Equality (like [`KnowledgeBase`]'s) is over records and arrival order
 /// only, never over derived caches.
-#[derive(Debug, Clone, Default)]
-pub struct Partitioned<K> {
-    /// Key of each shard, in first-seen order.
-    keys: Vec<K>,
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardedKnowledgeBase {
+    /// Instance type of each shard, in first-seen order.
+    names: Vec<String>,
     shards: Vec<KnowledgeBase>,
     /// Shard slot of each record, in global arrival order.
     arrival: Vec<u32>,
 }
 
-/// A knowledge base partitioned by instance type — the million-record-scale
-/// layout of the self-optimizing loop.
-pub type ShardedKnowledgeBase = Partitioned<String>;
-
-impl<K: PartialEq> PartialEq for Partitioned<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys && self.shards == other.shards && self.arrival == other.arrival
+impl ShardedKnowledgeBase {
+    /// Creates an empty sharded base.
+    pub fn new() -> Self {
+        Self::default()
     }
-}
 
-impl<K> Partitioned<K> {
+    /// Builds a sharded base holding the same record stream as `kb`.
+    pub fn from_monolithic(kb: &KnowledgeBase) -> Self {
+        let mut sharded = ShardedKnowledgeBase::new();
+        for r in kb.records() {
+            sharded.record(r.clone());
+        }
+        sharded
+    }
+
+    /// Appends one run to the shard owning its instance type (creating the
+    /// shard on first sight of the type). Only that shard's dataset cache
+    /// is touched.
+    pub fn record(&mut self, record: RunRecord) {
+        let slot = match self.names.iter().position(|n| *n == record.instance) {
+            Some(slot) => slot,
+            None => {
+                self.names.push(record.instance.clone());
+                self.shards.push(KnowledgeBase::new());
+                self.names.len() - 1
+            }
+        };
+        self.arrival.push(slot as u32);
+        self.shards[slot].record(record);
+    }
+
     /// Total number of stored runs across all shards.
     pub fn len(&self) -> usize {
         self.arrival.len()
@@ -512,27 +563,28 @@ impl<K> Partitioned<K> {
         self.arrival.is_empty()
     }
 
-    /// Number of shards (distinct keys seen).
+    /// Number of shards (distinct instance types seen).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// The keys with a shard, in first-seen order.
-    pub fn keys(&self) -> &[K] {
-        &self.keys
+    /// Instance-type names with a shard, in first-seen order.
+    pub fn shard_names(&self) -> &[String] {
+        &self.names
     }
 
-    /// The shard of the first key `matches` accepts.
-    pub(crate) fn find(&self, matches: impl Fn(&K) -> bool) -> Option<&KnowledgeBase> {
-        self.keys
+    /// The shard holding the named instance type's records.
+    pub fn shard(&self, instance: &str) -> Option<&KnowledgeBase> {
+        let slot = self.names.iter().position(|n| n == instance)?;
+        Some(&self.shards[slot])
+    }
+
+    /// Iterates `(instance name, shard)` pairs in first-seen order.
+    pub fn shards(&self) -> impl Iterator<Item = (&str, &KnowledgeBase)> {
+        self.names
             .iter()
-            .position(matches)
-            .map(|slot| &self.shards[slot])
-    }
-
-    /// Iterates `(key, shard)` pairs in first-seen order.
-    pub(crate) fn keyed_shards(&self) -> impl Iterator<Item = (&K, &KnowledgeBase)> {
-        self.keys.iter().zip(self.shards.iter())
+            .map(String::as_str)
+            .zip(self.shards.iter())
     }
 
     /// Iterates every record in global arrival order — the exact stream a
@@ -565,44 +617,6 @@ impl<K> Partitioned<K> {
     pub fn save(&self, path: &Path) -> Result<(), CoreError> {
         write_records(path, self.records_in_arrival_order())
     }
-}
-
-impl<K: Default + PartialEq> Partitioned<K> {
-    /// Creates an empty partitioned base.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one run to the shard of `key` (creating the shard on first
-    /// sight of the key). Only that shard's dataset cache is touched.
-    pub(crate) fn record_under(&mut self, key: K, record: RunRecord) {
-        let slot = match self.keys.iter().position(|k| *k == key) {
-            Some(slot) => slot,
-            None => {
-                self.keys.push(key);
-                self.shards.push(KnowledgeBase::new());
-                self.keys.len() - 1
-            }
-        };
-        self.arrival.push(slot as u32);
-        self.shards[slot].record(record);
-    }
-}
-
-impl Partitioned<String> {
-    /// Builds a sharded base holding the same record stream as `kb`.
-    pub fn from_monolithic(kb: &KnowledgeBase) -> Self {
-        let mut sharded = ShardedKnowledgeBase::new();
-        for r in kb.records() {
-            sharded.record(r.clone());
-        }
-        sharded
-    }
-
-    /// Appends one run to the shard owning its instance type.
-    pub fn record(&mut self, record: RunRecord) {
-        self.record_under(record.instance.clone(), record);
-    }
 
     /// Loads a base from a file any layout's `save` wrote.
     ///
@@ -611,21 +625,6 @@ impl Partitioned<String> {
     /// As [`KnowledgeBase::load`].
     pub fn load(path: &Path) -> Result<Self, CoreError> {
         read_records(path)
-    }
-
-    /// Instance-type names with a shard, in first-seen order.
-    pub fn shard_names(&self) -> &[String] {
-        &self.keys
-    }
-
-    /// The shard holding the named instance type's records.
-    pub fn shard(&self, instance: &str) -> Option<&KnowledgeBase> {
-        self.find(|n| n == instance)
-    }
-
-    /// Iterates `(instance name, shard)` pairs in first-seen order.
-    pub fn shards(&self) -> impl Iterator<Item = (&str, &KnowledgeBase)> {
-        self.keyed_shards().map(|(n, s)| (n.as_str(), s))
     }
 }
 
@@ -646,7 +645,6 @@ impl KnowledgeStore for ShardedKnowledgeBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenant::TenantShardedKnowledgeBase;
     use disar_engine::EebCharacteristics;
     use std::path::PathBuf;
 
@@ -658,13 +656,12 @@ mod tests {
     }
 
     /// What loading `text` as a knowledge-base file says, in every layout.
-    fn load_text(name: &str, text: &str) -> [Result<usize, CoreError>; 3] {
+    fn load_text(name: &str, text: &str) -> [Result<usize, CoreError>; 2] {
         let path = temp_file(name);
         std::fs::write(&path, text).unwrap();
         let loaded = [
             KnowledgeBase::load(&path).map(|kb| kb.len()),
             ShardedKnowledgeBase::load(&path).map(|kb| kb.len()),
-            TenantShardedKnowledgeBase::load(&path).map(|kb| kb.len()),
         ];
         std::fs::remove_file(&path).ok();
         loaded
@@ -1006,10 +1003,9 @@ mod tests {
             .enumerate()
             .map(|(i, r)| r.with_tenant(TenantId::new(tenants[i % 3])))
             .collect();
-        let mut writers: [Box<dyn KnowledgeStore>; 3] = [
+        let mut writers: [Box<dyn KnowledgeStore>; 2] = [
             Box::new(KnowledgeBase::new()),
             Box::new(ShardedKnowledgeBase::new()),
-            Box::new(TenantShardedKnowledgeBase::new()),
         ];
         for (w, writer) in writers.iter_mut().enumerate() {
             for r in &records {
@@ -1017,10 +1013,9 @@ mod tests {
             }
             let path = temp_file(&format!("cross-{w}"));
             writer.save(&path).unwrap();
-            let readers: [Box<dyn KnowledgeStore>; 3] = [
+            let readers: [Box<dyn KnowledgeStore>; 2] = [
                 Box::new(KnowledgeBase::load(&path).unwrap()),
                 Box::new(ShardedKnowledgeBase::load(&path).unwrap()),
-                Box::new(TenantShardedKnowledgeBase::load(&path).unwrap()),
             ];
             for (r, reader) in readers.iter().enumerate() {
                 let replayed: Vec<RunRecord> = reader.records_in_arrival_order().cloned().collect();
@@ -1038,7 +1033,6 @@ mod tests {
             })
             .collect();
         assert_eq!(texts[0], texts[1]);
-        assert_eq!(texts[0], texts[2]);
         std::fs::remove_file(temp_file("cross-bytes")).ok();
     }
 
@@ -1069,7 +1063,7 @@ mod tests {
         assert_eq!(plain.tenant, TenantId::default());
         assert_eq!(tagged.tenant, TenantId::new("acme-life"));
         assert_ne!(plain, tagged);
-        // The tenant key routes shards; it must never leak into the ML view.
+        // The tenant tag names the owner; it must never leak into the ML view.
         assert_eq!(plain.features(), tagged.features());
     }
 

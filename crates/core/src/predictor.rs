@@ -459,11 +459,6 @@ impl ShardedPredictor {
         }
     }
 
-    /// The knowledge-base size below which a shard's training is refused.
-    pub fn min_samples(&self) -> usize {
-        self.min_samples
-    }
-
     /// `true` once the named instance type has a trained family.
     pub fn is_trained_for(&self, instance: &str) -> bool {
         self.families
@@ -525,30 +520,16 @@ impl ShardedPredictor {
     }
 }
 
-impl FamilyRouter for ShardedPredictor {
-    fn family_for(&self, instance: &str) -> Option<&PredictorFamily> {
-        self.families.get(instance)
-    }
-}
-
-/// A predictor made of per-instance-type families: names the family that
-/// answers queries on one instance type. Every such predictor — the
-/// per-instance [`ShardedPredictor`] and a tenant's
-/// [`crate::tenant::TenantView`] — is a [`TimePredictor`] through the one
-/// routed implementation below.
-pub(crate) trait FamilyRouter: Sync {
-    /// The family serving `instance`, if one exists (trained or not).
-    fn family_for(&self, instance: &str) -> Option<&PredictorFamily>;
-}
-
-impl<R: FamilyRouter> TimePredictor for R {
+/// Answers a query from the family of the queried instance type; a type
+/// with no trained family is [`disar_ml::MlError::NotFitted`].
+impl TimePredictor for ShardedPredictor {
     fn predict_each(
         &self,
         profile: &JobProfile,
         instance: &InstanceType,
         n_nodes: usize,
     ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-        match self.family_for(&instance.name) {
+        match self.families.get(&instance.name) {
             Some(f) if f.is_trained() => f.predict_each(profile, instance, n_nodes),
             _ => Err(disar_ml::MlError::NotFitted.into()),
         }
@@ -562,7 +543,7 @@ impl<R: FamilyRouter> TimePredictor for R {
         out: &mut Vec<f64>,
         scratch: &mut GridScratch,
     ) -> Result<usize, CoreError> {
-        match self.family_for(&instance.name) {
+        match self.families.get(&instance.name) {
             Some(f) if f.is_trained() => f.predict_grid(profile, instance, nodes, out, scratch),
             _ => Err(disar_ml::MlError::NotFitted.into()),
         }

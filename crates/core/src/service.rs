@@ -1,17 +1,15 @@
 //! The multi-tenant deploy service.
 //!
 //! [`DeployService`] serves N companies at once. Each registered tenant is
-//! a lane: its own [`TenantShardedDeployer`], built as its solo deployer
-//! is. One service thread, spawned by [`DeployService::start`], takes the
-//! commands of every [`TenantHandle`] off one channel and runs each job on
-//! its tenant's lane, in arrival order.
+//! a lane: its own [`ShardedDeployer`], built as its solo deployer is and
+//! tagging every run with the tenant. One service thread, spawned by
+//! [`DeployService::start`], takes the commands of every [`TenantHandle`]
+//! off one channel and runs each job on its tenant's lane, in arrival order.
 //!
 //! What a handle guarantees:
 //!
 //! - **the solo run, bit for bit** — a tenant's jobs run on its lane in the
-//!   order it submitted them, and under [`TransferPolicy::Isolated`] (the
-//!   only policy the service accepts: pooled families would be trained on
-//!   the cross-tenant arrival order) a lane reads and writes only its own
+//!   order it submitted them, and a lane reads and writes only its own
 //!   knowledge, so the tenant's outcomes and shards are those of the tenant
 //!   running alone, whatever the others submit and when;
 //! - **a bounded queue** — at most `queue_capacity` of its jobs wait at
@@ -26,10 +24,9 @@
 //! (DESIGN.md §11): a thread per tenant, with or without a run thread per
 //! job beside it, ran slower and larger on one pinned CPU.
 
-use crate::deploy::{DeployOutcome, DeployPolicy, Deployer};
-use crate::knowledge::KnowledgeBase;
+use crate::deploy::{DeployOutcome, DeployPolicy, Deployer, ShardedDeployer};
+use crate::knowledge::{KnowledgeBase, ShardedKnowledgeBase, TenantId};
 use crate::profile::JobProfile;
-use crate::tenant::{TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase, TransferPolicy};
 use crate::CoreError;
 use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use std::collections::BTreeMap;
@@ -73,7 +70,7 @@ impl PipelineJob {
 
 /// Job counters of a lane ([`TenantRun::stats`]) or of the whole service
 /// ([`ServiceStats::pipeline`]). Only `jobs` is counted; the other fields
-/// are always 0 and are removed with ROADMAP direction 2a.
+/// are always 0 and are removed with ROADMAP direction 1a.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PipelineStats {
     /// Jobs run.
@@ -92,12 +89,12 @@ pub struct PipelineStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Ignored: a lane runs one job at a time. Removed with ROADMAP
-    /// direction 2a (the benchmark's adapter sets it).
+    /// direction 1a (the benchmark's adapter sets it).
     pub depth: usize,
     /// Most jobs a handle may have waiting; the next `submit` is refused
     /// with [`CoreError::Backpressure`].
     pub queue_capacity: usize,
-    /// Ignored: nothing batches records. Removed with ROADMAP direction 2a.
+    /// Ignored: nothing batches records. Removed with ROADMAP direction 1a.
     pub batch_max: usize,
 }
 
@@ -115,7 +112,7 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServiceStats {
     /// `jobs` counts the deploys of every tenant that has finished; the
-    /// other counters are always 0 and are removed with ROADMAP direction 2a.
+    /// other counters are always 0 and are removed with ROADMAP direction 1a.
     pub pipeline: PipelineStats,
     /// Registered tenants.
     pub tenants: usize,
@@ -127,12 +124,12 @@ pub struct ServiceStats {
     pub rejected: usize,
     /// Most jobs waiting at once, across all tenants.
     pub max_queue_depth: usize,
-    /// Always 0; removed with ROADMAP direction 2a.
+    /// Always 0; removed with ROADMAP direction 1a.
     pub ingest_batches: usize,
     /// Shard retrains of every tenant that has finished
     /// ([`crate::deploy::DeployLoop::retrains`], summed).
     pub retrains: usize,
-    /// Always 0; removed with ROADMAP direction 2a.
+    /// Always 0; removed with ROADMAP direction 1a.
     pub snapshot_generation: u64,
 }
 
@@ -144,7 +141,7 @@ pub struct TenantRun {
     /// Per-job outcomes in submission order.
     pub outcomes: Vec<DeployOutcome>,
     /// `jobs` counts the deploys; the other counters are always 0 and are
-    /// removed with ROADMAP direction 2a.
+    /// removed with ROADMAP direction 1a.
     pub stats: PipelineStats,
 }
 
@@ -170,7 +167,7 @@ struct Shared {
 /// What lanes leave behind once their tenants finish.
 #[derive(Default)]
 struct Retired {
-    bases: BTreeMap<TenantId, TenantShardedKnowledgeBase>,
+    bases: BTreeMap<TenantId, ShardedKnowledgeBase>,
     deploys: usize,
     retrains: usize,
 }
@@ -248,7 +245,7 @@ impl TenantHandle {
 
 /// A tenant's deployer on the service thread, with what it has produced.
 struct Lane {
-    deployer: TenantShardedDeployer,
+    deployer: ShardedDeployer,
     queued: Arc<AtomicUsize>,
     outcomes: Vec<DeployOutcome>,
     /// The first error; the tenant's later jobs are dropped.
@@ -346,9 +343,8 @@ impl DeployService {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] for an invalid policy, a zero
-    /// `queue_capacity`, and any transfer policy other than
-    /// [`TransferPolicy::Isolated`].
+    /// [`CoreError::InvalidParameter`] for an invalid policy and a zero
+    /// `queue_capacity`.
     pub fn new(
         catalog: InstanceCatalog,
         policy: DeployPolicy,
@@ -358,11 +354,6 @@ impl DeployService {
         if config.queue_capacity == 0 {
             return Err(CoreError::InvalidParameter(
                 "service queue_capacity must be > 0",
-            ));
-        }
-        if policy.transfer != TransferPolicy::Isolated {
-            return Err(CoreError::InvalidParameter(
-                "DeployService requires TransferPolicy::Isolated",
             ));
         }
         let (tx, rx) = mpsc::channel();
@@ -381,7 +372,8 @@ impl DeployService {
     /// Registers a tenant. `seed` plays the role the solo deployer's seed
     /// does (cloud noise, decision counter, family initialization), so a
     /// service run with seed `s` compares bit for bit with
-    /// `TenantShardedDeployer::new(provider(s), policy, s)`. Jobs submitted
+    /// `ShardedDeployer::new(provider(s), policy, s).with_tenant(tenant)`.
+    /// Jobs submitted
     /// before `start()` wait in the queue, which is what makes
     /// [`CoreError::Backpressure`] deterministic to provoke.
     ///
@@ -430,7 +422,7 @@ impl DeployService {
             .map(|(tenant, seed, queued)| {
                 let provider = CloudProvider::new(self.catalog.clone(), *seed);
                 Some(Lane {
-                    deployer: TenantShardedDeployer::new(provider, self.policy, *seed)
+                    deployer: ShardedDeployer::new(provider, self.policy, *seed)
                         .with_tenant(tenant.clone()),
                     queued: Arc::clone(queued),
                     outcomes: Vec::new(),
@@ -464,20 +456,24 @@ impl DeployService {
         }
     }
 
-    /// A copy of one (instance, tenant) shard of a finished tenant, if it
+    /// A copy of a finished tenant's shard of one instance type, if it
     /// exists.
     pub fn shard(&self, instance: &str, tenant: &TenantId) -> Option<KnowledgeBase> {
         let retired = self.shared.retired.lock().expect(POISONED);
-        retired.bases.get(tenant)?.shard(instance, tenant).cloned()
+        retired.bases.get(tenant)?.shard(instance).cloned()
     }
 
-    /// Exports the finished tenants' knowledge as one two-key base: shards
-    /// in (instance, tenant) order, each in arrival order (see
-    /// [`TenantShardedKnowledgeBase::from_shards`]).
-    pub fn export_knowledge_base(&self) -> TenantShardedKnowledgeBase {
+    /// Exports every finished tenant's records as one base: tenant-major in
+    /// tenant order, each tenant's records in its arrival order.
+    pub fn export_knowledge_base(&self) -> ShardedKnowledgeBase {
         let retired = self.shared.retired.lock().expect(POISONED);
-        let shards: BTreeMap<_, _> = retired.bases.values().flat_map(|kb| kb.shards()).collect();
-        TenantShardedKnowledgeBase::from_shards(shards.into_values().cloned())
+        let mut out = ShardedKnowledgeBase::new();
+        for kb in retired.bases.values() {
+            for r in kb.records_in_arrival_order() {
+                out.record(r.clone());
+            }
+        }
+        out
     }
 
     /// Waits for the service thread to end and returns the final counters.
@@ -533,7 +529,6 @@ mod tests {
             .max_nodes(4)
             .min_kb_samples(8)
             .n_threads(1)
-            .transfer(TransferPolicy::Isolated)
             .build()
     }
 
@@ -546,13 +541,13 @@ mod tests {
             .collect()
     }
 
-    fn solo(catalog: &InstanceCatalog, seed: u64, tenant: &TenantId) -> TenantShardedDeployer {
+    fn solo(catalog: &InstanceCatalog, seed: u64, tenant: &TenantId) -> ShardedDeployer {
         let provider = CloudProvider::new(catalog.clone(), seed);
-        TenantShardedDeployer::new(provider, test_policy(), seed).with_tenant(tenant.clone())
+        ShardedDeployer::new(provider, test_policy(), seed).with_tenant(tenant.clone())
     }
 
     /// The ground truth: the same tenant running alone, sequentially,
-    /// through the solo two-key deployer.
+    /// through its own deployer.
     fn solo_run(seed: u64, tenant: &TenantId, jobs: &[PipelineJob]) -> Vec<DeployOutcome> {
         let mut solo = solo(&InstanceCatalog::paper_catalog(), seed, tenant);
         jobs.iter()
@@ -572,15 +567,8 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_config_and_non_isolated_policy() {
+    fn rejects_a_zero_queue_capacity() {
         let cat = InstanceCatalog::paper_catalog();
-        let pooled = DeployPolicy::builder(50_000.0)
-            .transfer(TransferPolicy::Pooled)
-            .build();
-        assert!(matches!(
-            DeployService::new(cat.clone(), pooled, ServiceConfig::default()),
-            Err(CoreError::InvalidParameter(_))
-        ));
         let no_queue = ServiceConfig {
             queue_capacity: 0,
             ..ServiceConfig::default()
@@ -646,8 +634,10 @@ mod tests {
             .map(|j| solo.deploy(&j.profile, &j.workload).unwrap())
             .collect();
         assert_eq!(run.outcomes, expected);
-        for (key, shard) in solo.knowledge_base().shards() {
-            let got = service.shard(&key.0, &key.1).expect("service shard exists");
+        for (instance, shard) in solo.knowledge_base().shards() {
+            let got = service
+                .shard(instance, &tenant)
+                .expect("service shard exists");
             assert_eq!(got.records(), shard.records());
         }
         let stats = service.join().unwrap();

@@ -1,7 +1,7 @@
 //! Property tests of the provisioning layer.
 
 use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog, Workload};
-use disar_core::deploy::{DeployPolicy, Deployer, TransparentDeployer};
+use disar_core::deploy::{DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer};
 use disar_core::{
     select_configuration, select_configuration_with_workspace, KnowledgeBase, PredictorFamily,
     RetrainMode, RunRecord, SelectionWorkspace, ShardedKnowledgeBase, TimeEstimate,
@@ -9,7 +9,7 @@ use disar_core::{
 use disar_math::check::cases;
 
 mod common;
-use common::{family, profile, provider};
+use common::{family, profile, provider, run_jobs, schedule};
 
 /// Algorithm 1's feasible set is monotone in the deadline: relaxing
 /// `T_max` never removes a candidate.
@@ -209,5 +209,23 @@ fn stationary_drift_model_is_bit_identical() {
             outs
         };
         assert_eq!(run(false), run(true));
+    });
+}
+
+/// Operator-forced streams never consult a predictor, so both layouts —
+/// monolithic and instance-sharded — must produce identical outcomes and
+/// identical canonical record streams.
+#[test]
+fn all_backends_agree_on_forced_streams() {
+    cases(10, |rng| {
+        let (seed, n_jobs) = (rng.gen_range(0u64..500), rng.gen_range(4usize..16));
+        let jobs = schedule(0, n_jobs, 1);
+        let mut mono = TransparentDeployer::new(provider(seed), common::policy(6, 1), seed);
+        let mut sharded = ShardedDeployer::new(provider(seed), common::policy(6, 1), seed);
+        assert_eq!(run_jobs(&mut mono, &jobs), run_jobs(&mut sharded, &jobs));
+        assert_eq!(
+            sharded.into_knowledge_base().to_monolithic(),
+            mono.into_knowledge_base()
+        );
     });
 }

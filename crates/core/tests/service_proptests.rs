@@ -2,11 +2,10 @@
 //!
 //! The contract under test:
 //!
-//! 1. **per-tenant bit-identity** — for 1–8 tenants under
-//!    `TransferPolicy::Isolated`, every tenant's outcome stream, final shard
-//!    contents and retrain count through [`DeployService`] equal that
-//!    tenant running *alone*, sequentially, through
-//!    [`TenantShardedDeployer`] — for any interleaving of submissions,
+//! 1. **per-tenant bit-identity** — for 1–8 tenants, every tenant's
+//!    outcome stream, final shard contents and retrain count through
+//!    [`DeployService`] equal that tenant running *alone*, sequentially,
+//!    through its own [`ShardedDeployer`] — for any interleaving of submissions,
 //!    from one thread or from a thread per tenant, queue capacity, retrain
 //!    cadence and auto/forced job mix;
 //! 2. **backpressure** — a full submission queue rejects with
@@ -18,8 +17,7 @@ use std::sync::Barrier;
 use disar_cloudsim::{CloudProvider, InstanceCatalog};
 use disar_core::deploy::{DeployOutcome, DeployPolicy};
 use disar_core::service::{DeployService, PipelineJob, ServiceConfig, TenantHandle, TenantRun};
-use disar_core::tenant::{TenantId, TenantShardedDeployer};
-use disar_core::CoreError;
+use disar_core::{CoreError, ShardedDeployer, TenantId};
 use disar_math::check::cases;
 
 mod common;
@@ -29,16 +27,16 @@ fn tenant_seed(base_seed: u64, ix: usize) -> u64 {
     base_seed.wrapping_mul(1_000_003).wrapping_add(ix as u64)
 }
 
-/// Ground truth: the tenant alone, sequentially, through the solo two-key
+/// Ground truth: the tenant alone, sequentially, through its own sharded
 /// deployer (fresh provider from the same seed).
 fn solo_run(
     seed: u64,
     tenant: &TenantId,
     jobs: &[PipelineJob],
     pol: &DeployPolicy,
-) -> (Vec<DeployOutcome>, TenantShardedDeployer) {
+) -> (Vec<DeployOutcome>, ShardedDeployer) {
     let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), seed);
-    let mut solo = TenantShardedDeployer::new(provider, *pol, seed).with_tenant(tenant.clone());
+    let mut solo = ShardedDeployer::new(provider, *pol, seed).with_tenant(tenant.clone());
     let outcomes = run_jobs(&mut solo, jobs);
     (outcomes, solo)
 }
@@ -106,9 +104,9 @@ fn concurrent_tenants_bit_identical_to_solo() {
             );
             assert_eq!(run.stats.jobs, n_jobs);
             // Final shard contents match the solo base shard-for-shard.
-            for (key, shard) in solo.knowledge_base().shards() {
+            for (instance, shard) in solo.knowledge_base().shards() {
                 let got = service
-                    .shard(&key.0, &key.1)
+                    .shard(instance, &tenants[i])
                     .expect("service holds every solo shard");
                 assert_eq!(got.records(), shard.records());
             }

@@ -63,11 +63,11 @@ pub trait Regressor: Send + Sync {
 
     /// Downcast hook to the model's incremental-learning capability.
     ///
-    /// Models with append-only training state ([`IbK`], [`KStar`]) and
-    /// models with a cheaper warm-start continuation ([`Mlp`],
-    /// [`RandomTree`], [`RandomForest`]) override this to return `Some`;
-    /// everything else keeps the `None` default and callers fall back to a
-    /// full [`Regressor::fit`] behind the same API.
+    /// The models with append-only training state ([`IbK`], [`KStar`]) and
+    /// an [`crate::Ensemble`] (which extends the members that can and
+    /// refits the rest) override this to return `Some`; everything else
+    /// keeps the `None` default and callers fall back to a full
+    /// [`Regressor::fit`] behind the same API.
     fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
         None
     }

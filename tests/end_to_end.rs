@@ -282,12 +282,11 @@ fn knowledge_transfers_across_companies() {
 
 #[test]
 fn multi_tenant_campaign_transfers_and_persists() {
-    // Two insurance companies share one provisioner through the two-key
-    // (instance × tenant) knowledge base: company A learns from scratch,
-    // then company B onboards under `TransferPolicy::Pooled` and skips the
-    // bootstrap entirely — A's runs already trained the pooled shards.
-    use disar_suite::core::tenant::{TenantId, TenantShardedDeployer, TenantShardedKnowledgeBase};
-    use disar_suite::core::{JobProfile, TransferPolicy};
+    // Two insurance companies share one provisioner, one sharded deployer
+    // whose runs carry the company's tag: company A learns from scratch,
+    // then company B onboards on the same deployer and skips the bootstrap
+    // entirely — A's runs already trained the shards.
+    use disar_suite::core::{JobProfile, ShardedDeployer, ShardedKnowledgeBase, TenantId};
     use disar_suite::engine::EebCharacteristics;
 
     let profile = |contracts: usize| JobProfile {
@@ -308,12 +307,10 @@ fn multi_tenant_campaign_transfers_and_persists() {
         .max_nodes(4)
         .min_kb_samples(8)
         .n_threads(1)
-        .transfer(TransferPolicy::Pooled)
         .build();
     let a = TenantId::new("company-A");
     let b = TenantId::new("company-B");
-    let mut deployer =
-        TenantShardedDeployer::new(provider, policy, 17).with_tenant(a.clone());
+    let mut deployer = ShardedDeployer::new(provider, policy, 17).with_tenant(a.clone());
 
     // Company A's campaign: bootstrap → ML.
     let mut saw_ml = false;
@@ -339,23 +336,27 @@ fn multi_tenant_campaign_transfers_and_persists() {
         );
     }
 
-    // The two-key base kept the companies' records apart…
+    // Every record carries the company it ran for…
     let kb = deployer.knowledge_base();
     assert_eq!(kb.len(), 72);
-    assert_eq!(kb.tenants(), vec![a.clone(), b.clone()]);
-    assert_eq!(kb.local_lens(&a).values().sum::<usize>(), 60);
-    assert_eq!(kb.local_lens(&b).values().sum::<usize>(), 12);
-    // …while the canonical stream still reassembles in arrival order.
+    let count = |t: &TenantId| {
+        kb.records_in_arrival_order()
+            .filter(|r| r.tenant == *t)
+            .count()
+    };
+    assert_eq!(count(&a), 60);
+    assert_eq!(count(&b), 12);
+    // …and the canonical stream reassembles in arrival order.
     let mono = kb.to_monolithic();
     assert!(mono.records()[..60].iter().all(|r| r.tenant == a));
     assert!(mono.records()[60..].iter().all(|r| r.tenant == b));
 
-    // Persistence round-trip, pooled copies rebuilt on load.
+    // Persistence round-trip, tags included.
     let dir = std::env::temp_dir().join("disar-e2e-tenant");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("tkb.json");
     kb.save(&path).expect("save tenant kb");
-    let loaded = TenantShardedKnowledgeBase::load(&path).expect("load tenant kb");
+    let loaded = ShardedKnowledgeBase::load(&path).expect("load tenant kb");
     assert_eq!(&loaded, kb);
     assert_eq!(loaded.to_monolithic(), mono);
     std::fs::remove_file(&path).ok();
