@@ -71,8 +71,9 @@ pub struct DeployPolicy {
     pub n_threads: usize,
     /// Retrain mode every scheduled retrain uses (bulk warm-ups and the
     /// after-run cadence alike). Defaults to [`RetrainMode::Incremental`],
-    /// the bit-identity-preserving path; [`RetrainMode::Windowed`] is the
-    /// adaptation to a drifting cloud.
+    /// which extends IBk and K\* exactly and continues the MLP from its last
+    /// fit; [`RetrainMode::Full`] is the from-scratch reference and
+    /// [`RetrainMode::Windowed`] the adaptation to a drifting cloud.
     pub retrain_mode: RetrainMode,
 }
 
@@ -1079,9 +1080,8 @@ mod tests {
     #[test]
     fn unbounded_windowed_policy_matches_default_outcomes() {
         // Windowed with an unbounded window and no history decay refits on
-        // the whole base — like Full, and Incremental is refit-identical by
-        // construction — so the entire deploy stream must be bit-identical
-        // to the default policy's.
+        // the whole base from scratch, which is what Full does, so the
+        // entire deploy stream must be bit-identical to a Full policy's.
         let run = |mode: RetrainMode| {
             let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 67);
             let policy = DeployPolicy::builder(50_000.0)
@@ -1099,7 +1099,7 @@ mod tests {
                 .collect::<Vec<DeployOutcome>>()
         };
         assert_eq!(
-            run(RetrainMode::Incremental),
+            run(RetrainMode::Full),
             run(RetrainMode::Windowed {
                 window: usize::MAX,
                 decay: 1.0

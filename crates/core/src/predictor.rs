@@ -23,16 +23,21 @@ use std::collections::BTreeMap;
 /// `retrain_full*`/`retrain_warm*` method family.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RetrainMode {
-    /// The default bit-identity-preserving path: when the knowledge base
-    /// grew by appending to the trained prefix (verified by the boundary
-    /// fingerprint), incremental members are fed only the appended rows;
-    /// everything else refits from scratch. Either way the family is
-    /// bit-identical to a from-scratch retrain.
+    /// The default: when the knowledge base grew by appending to the
+    /// trained prefix (verified by the boundary fingerprint), IBk and K\*
+    /// are fed only the appended rows, which leaves them bit-identical to a
+    /// from-scratch fit, and the MLP, once its previous fit covered 30 rows,
+    /// continues from its previous weights for a short fixed budget of
+    /// epochs (`disar_ml::mlp` module docs), which does not. The trees and
+    /// the decision table refit from scratch, and so does every member when
+    /// the base did not grow by appending. The family is thus a pure
+    /// function of the sequence of bases it was retrained on; its other five
+    /// members depend on the last base alone.
     #[default]
     Incremental,
     /// Force every member to refit from scratch, ignoring any reusable
-    /// state — the reference the incremental path is measured against
-    /// (equal results, different cost).
+    /// state — the from-scratch reference the incremental path is measured
+    /// against.
     Full,
     /// Refit every member from scratch on the last `window` records plus a
     /// seeded `decay`-fraction subsample of the older history
@@ -92,7 +97,9 @@ pub trait TimePredictor: Sync {
     ///
     /// # Errors
     ///
-    /// Same contract as [`TimePredictor::predict_each`].
+    /// Same contract as [`TimePredictor::predict_each`], and
+    /// [`CoreError::Ml`] with [`disar_ml::MlError::Numerical`] when the mean
+    /// is not finite.
     fn predict_mean(
         &self,
         profile: &JobProfile,
@@ -101,6 +108,13 @@ pub trait TimePredictor: Sync {
     ) -> Result<f64, CoreError> {
         let each = self.predict_each(profile, instance, n_nodes)?;
         let mean = each.iter().map(|(_, t)| t).sum::<f64>() / each.len() as f64;
+        if !mean.is_finite() {
+            return Err(disar_ml::MlError::Numerical(format!(
+                "mean predicted time {mean} on {} x {n_nodes}",
+                instance.name
+            ))
+            .into());
+        }
         Ok(mean.max(0.0))
     }
 
@@ -220,14 +234,13 @@ impl PredictorFamily {
     /// Retrains every model on the current knowledge base.
     ///
     /// `mode` selects how previously trained state is reused (see
-    /// [`RetrainMode`]); [`RetrainMode::Incremental`] is the bit-identity-
-    /// preserving default. The per-model fits are spread over up to
-    /// `n_threads` worker threads: every model owns its RNG state and
-    /// trains against a shared immutable view of the featurized knowledge
-    /// base (built once, cached by the base), so the fits are
-    /// order-independent and the trained family is bit-identical to
-    /// `n_threads = 1`. Fit errors are surfaced in model order, matching
-    /// the sequential loop.
+    /// [`RetrainMode`]); [`RetrainMode::Incremental`] is the default. The
+    /// per-model fits are spread over up to `n_threads` worker threads:
+    /// every model owns its RNG state and trains against a shared immutable
+    /// view of the featurized knowledge base (built once, cached by the
+    /// base), so the fits are order-independent and the trained family is
+    /// bit-identical to `n_threads = 1`. Fit errors are surfaced in model
+    /// order, matching the sequential loop.
     ///
     /// # Errors
     ///
@@ -318,11 +331,12 @@ impl PredictorFamily {
             && from <= data.len()
             && Self::fingerprint(data, from) == self.trained_fingerprint;
         let results = parallel_map_mut(&mut self.models, n_threads, |_, m| {
+            if !incremental_ok {
+                return m.fit(data);
+            }
             match m.as_incremental() {
-                Some(inc) if incremental_ok && inc.fitted_len() == from => {
-                    inc.partial_fit(data, from)
-                }
-                _ => m.fit(data),
+                Some(inc) if inc.fitted_len() == from => inc.partial_fit(data, from),
+                _ => m.fit_appended(data, from),
             }
         });
         for r in results {
@@ -399,7 +413,8 @@ impl PredictorFamily {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] if the family is untrained.
+    /// Returns [`CoreError::Ml`] if the family is untrained or the mean is
+    /// not finite.
     pub fn predict_mean(
         &self,
         profile: &JobProfile,
@@ -440,8 +455,10 @@ impl TimePredictor for PredictorFamily {
 /// after-every-run retrain touches that shard's records instead of the
 /// whole base. Every family is created from the same `(seed, min_samples)`
 /// pair, so a shard's family is bit-identical to a monolithic
-/// [`PredictorFamily`] trained on
-/// [`KnowledgeBase::for_instance`] of the equivalent monolithic base.
+/// [`PredictorFamily`] trained on [`KnowledgeBase::for_instance`] of the
+/// equivalent monolithic base through the same prefix sequence (the MLP's
+/// incremental retrain continues from its last fit, so the sequence counts,
+/// not the last base alone).
 pub struct ShardedPredictor {
     families: BTreeMap<String, PredictorFamily>,
     seed: u64,
@@ -701,18 +718,77 @@ mod tests {
         }
     }
 
+    /// The family's MLP replaced by a cold fit on `fits[0]` continued over
+    /// each later base in turn, as the incremental retrain does it.
+    fn with_continued_mlp(mut fam: PredictorFamily, fits: &[KnowledgeBase]) -> PredictorFamily {
+        let mut mlp = default_family(fam.seed).remove(0);
+        assert_eq!(mlp.name(), "MLP");
+        let mut from = 0;
+        for kb in fits {
+            // Unfitted, the MLP fits cold.
+            let data = kb.to_dataset().unwrap();
+            mlp.fit_appended(&data, from).unwrap();
+            from = data.len();
+        }
+        fam.models[0] = mlp;
+        fam
+    }
+
     #[test]
     fn incremental_retrain_matches_full_refit() {
         // filled_kb(80) extends filled_kb(50) by appending — the second
         // retrain may feed the instance-based models only the 30 new rows,
-        // yet must land bit-identical to a from-scratch fit on all 80.
+        // yet they and the members that refit must land bit-identical to a
+        // from-scratch fit on all 80. The MLP continues from its fit on the
+        // 50, so it must equal a cold fit on the 50 continued over the 80.
         let mut inc = PredictorFamily::new(3, 2);
         inc.retrain(&filled_kb(50), RetrainMode::Incremental, 1).unwrap();
         inc.retrain(&filled_kb(80), RetrainMode::Incremental, 1).unwrap();
         assert_eq!(inc.trained_on(), 80);
         let mut full = PredictorFamily::new(3, 2);
         full.retrain(&filled_kb(80), RetrainMode::Full, 1).unwrap();
+        let full = with_continued_mlp(full, &[filled_kb(50), filled_kb(80)]);
         assert_families_identical(&inc, &full, "incremental vs full");
+    }
+
+    #[test]
+    fn full_prefix_fit_then_incremental_retrain_continues_the_mlp() {
+        // The retrain the benchmark's incremental probe times: a Full fit
+        // on all but the last record, then an Incremental retrain on all.
+        let (head, all) = (filled_kb(79), filled_kb(80));
+        let mut fam = PredictorFamily::new(6, 2);
+        fam.retrain(&head, RetrainMode::Full, 1).unwrap();
+        fam.retrain(&all, RetrainMode::Incremental, 1).unwrap();
+        let mut full = PredictorFamily::new(6, 2);
+        full.retrain(&all, RetrainMode::Full, 1).unwrap();
+        let cat = InstanceCatalog::paper_catalog();
+        let inst = cat.get("c3.4xlarge").unwrap();
+        let cold = full.predict_each(&profile(180), inst, 2).unwrap()[0].1;
+        let warm = fam.predict_each(&profile(180), inst, 2).unwrap()[0].1;
+        assert_ne!(cold.to_bits(), warm.to_bits(), "the MLP was refitted cold");
+        let continued = with_continued_mlp(full, &[head, all]);
+        assert_families_identical(&fam, &continued, "full prefix, then incremental");
+    }
+
+    #[test]
+    fn continued_family_is_the_same_on_any_thread_count_and_after_clone() {
+        let (kb50, kb80, kb95) = (filled_kb(50), filled_kb(80), filled_kb(95));
+        let trained = |threads: usize| {
+            let mut fam = PredictorFamily::new(12, 2);
+            for kb in [&kb50, &kb80, &kb95] {
+                fam.retrain(kb, RetrainMode::Incremental, threads).unwrap();
+            }
+            fam
+        };
+        let one = trained(1);
+        assert_families_identical(&one, &trained(4), "1 against 4 threads");
+        let mut cloned = PredictorFamily::new(12, 2);
+        cloned.retrain(&kb50, RetrainMode::Incremental, 1).unwrap();
+        let mut cloned = cloned.clone();
+        for kb in [&kb80, &kb95] {
+            cloned.retrain(kb, RetrainMode::Incremental, 1).unwrap();
+        }
+        assert_families_identical(&one, &cloned, "continued from a clone");
     }
 
     #[test]
@@ -886,6 +962,29 @@ mod tests {
         ) -> Result<Vec<(&'static str, f64)>, CoreError> {
             self.0.predict_each(profile, instance, n_nodes)
         }
+    }
+
+    /// A predictor whose first member answers NaN.
+    struct NanMember;
+    impl TimePredictor for NanMember {
+        fn predict_each(
+            &self,
+            _: &JobProfile,
+            _: &InstanceType,
+            _: usize,
+        ) -> Result<Vec<(&'static str, f64)>, CoreError> {
+            Ok(vec![("MLP", f64::NAN), ("RT", 120.0)])
+        }
+    }
+
+    #[test]
+    fn non_finite_mean_is_a_numerical_error() {
+        let cat = InstanceCatalog::paper_catalog();
+        let inst = cat.get("c3.4xlarge").unwrap();
+        assert!(matches!(
+            NanMember.predict_mean(&profile(100), inst, 2),
+            Err(CoreError::Ml(disar_ml::MlError::Numerical(_)))
+        ));
     }
 
     #[test]

@@ -6,12 +6,38 @@
 //! and momentum 0.2, 500 training epochs, and min–max normalization of the
 //! inputs. Targets are standardized internally and predictions un-scaled on
 //! the way out.
+//!
+//! [`Regressor::fit`] always starts from freshly drawn weights.
+//! [`Regressor::fit_appended`], the retrain after the training set grew by
+//! appending rows to the exact prefix the last fit covered, continues from
+//! the last fit's weights instead, for `WARM_EPOCHS` epochs, when that fit
+//! covered at least `WARM_MIN_ROWS` rows. It first re-expresses the old
+//! network under the grown set's min–max scaler and target mean and
+//! standard deviation, so that before any epoch runs it computes the
+//! function the old fit computed: a first-layer weight is multiplied by
+//! `range_new / range_old` and the shift of the column's minimum is folded
+//! into the unit's bias; a column that was constant and now varies starts
+//! at weight 0; the output weights are multiplied by `std_old / std_new`
+//! and the output bias is re-centred on the new mean. The epochs then run
+//! as a cold fit's do, with the learning rate decayed over the shorter
+//! budget, and their shuffles come from a stream that depends on the seed
+//! and the row count alone. A continued model is therefore a pure function
+//! of the sequence of training sets it was fitted on, but not the model a
+//! cold fit on the last set would give.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::{Dataset, Scaler};
 use crate::regressor::Regressor;
 use crate::MlError;
-use disar_math::rng::stream_rng;
+use disar_math::rng::{split_seed, stream_rng};
+
+/// Epochs of a continuation ([`Regressor::fit_appended`]), against the 500 of
+/// a cold fit.
+const WARM_EPOCHS: usize = 10;
+/// The fewest rows a fit must have covered to be continued: the paper's
+/// bootstrap size, below which predictions are not trusted. A smaller fit is
+/// cheap to redo from scratch and worth little as a start.
+const WARM_MIN_ROWS: usize = 30;
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -19,6 +45,9 @@ fn sigmoid(x: f64) -> f64 {
 
 #[derive(Debug, Clone, PartialEq)]
 struct Fitted {
+    /// The number of training rows: a continuation needs the grown set to
+    /// extend exactly these.
+    rows: usize,
     scaler: Scaler,
     /// The columns that vary over the training rows, ascending: the only
     /// ones a fit or a prediction reads.
@@ -78,7 +107,8 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns [`MlError::InvalidHyperparameter`] for zero hidden units, a
-    /// non-positive learning rate, or zero epochs.
+    /// learning rate that is not a positive finite number, a momentum
+    /// outside `[0, 1)`, or zero epochs.
     pub fn new(
         hidden: usize,
         learning_rate: f64,
@@ -89,8 +119,10 @@ impl Mlp {
         if hidden == 0 {
             return Err(MlError::InvalidHyperparameter("hidden units must be > 0"));
         }
-        if learning_rate <= 0.0 {
-            return Err(MlError::InvalidHyperparameter("learning rate must be > 0"));
+        if !(learning_rate > 0.0 && learning_rate.is_finite()) {
+            return Err(MlError::InvalidHyperparameter(
+                "learning rate must be positive and finite",
+            ));
         }
         if !(0.0..1.0).contains(&momentum) {
             return Err(MlError::InvalidHyperparameter("momentum must be in [0, 1)"));
@@ -114,10 +146,20 @@ impl Mlp {
         self.hidden.unwrap_or(dim.div_ceil(2).max(2))
     }
 
-    /// SGD training core of [`Regressor::fit`]: the initial weights and the
-    /// epoch shuffles are drawn from one rng, stream `0x4141` of the seed.
-    fn train(&self, data: &Dataset, scaler: Scaler) -> Result<Fitted, MlError> {
-        let d = data.dim();
+    /// SGD training core of [`Regressor::fit`] and
+    /// [`Regressor::fit_appended`]. A cold fit (`warm` is `None`) draws the
+    /// initial weights and the shuffles of its `self.epochs` epochs from one
+    /// rng, stream `0x4141` of the seed. A continuation of `(old, epochs)`
+    /// starts from `old` re-expressed under `scaler` and runs `epochs` epochs
+    /// whose shuffles are stream `n` (the row count) of the seed's warm
+    /// stream.
+    fn train(
+        &self,
+        data: &Dataset,
+        scaler: Scaler,
+        warm: Option<(Fitted, usize)>,
+    ) -> Result<Fitted, MlError> {
+        let (d, n) = (data.dim(), data.len());
         let h = self.hidden_units_for(d);
 
         let tmean = disar_math::stats::mean(data.targets());
@@ -131,25 +173,38 @@ impl Mlp {
         };
 
         // A column that never varies scales to 0.0: it adds ±0.0 to an
-        // activation and 0.0 to a velocity, so its weights stay as drawn and
-        // SGD runs over the others alone: row `i` of `xs` is `xs[i * l..][..l]`.
+        // activation and 0.0 to a velocity, so its weights stay as they start
+        // and SGD runs over the others alone: row `i` of `xs` is
+        // `xs[i * l..][..l]`.
         let live = scaler.live_columns();
         let l = live.len();
-        let mut xs = Vec::with_capacity(data.len() * l);
+        let mut xs = Vec::with_capacity(n * l);
         for r in data.rows() {
             xs.extend(live.iter().map(|&j| scaler.scale(j, r[j])));
         }
         let ys: Vec<f64> = data.targets().iter().map(|y| (y - tmean) / tstd).collect();
 
-        // Drawn for all `d` columns in their order, as ever: the stream, and
-        // with it every live weight's start, does not depend on `live`.
-        let mut rng = stream_rng(self.seed, 0x4141);
-        let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let (drawn, w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
+        // The starting weights in the full layout, `d + 1` per hidden unit.
+        let (mut rng, epochs, start, w2) = match warm {
+            None => {
+                // Drawn for all `d` columns in their order, as ever: the
+                // stream, and with it every live weight's start, does not
+                // depend on `live`.
+                let mut rng = stream_rng(self.seed, 0x4141);
+                let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                let (drawn, w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
+                (rng, self.epochs, drawn, w2)
+            }
+            Some((old, epochs)) => {
+                let (w1, w2) = old.reexpress(&scaler, tmean, tstd);
+                let rng = stream_rng(split_seed(self.seed, 0x5741), n as u64);
+                (rng, epochs, w1, w2)
+            }
+        };
         let bias_last = |w: &[f64]| live.iter().map(|&j| w[j]).chain([w[d]]).collect::<Vec<_>>();
         let mut net = Net {
             l,
-            w1: drawn.chunks_exact(d + 1).flat_map(bias_last).collect(),
+            w1: start.chunks_exact(d + 1).flat_map(bias_last).collect(),
             w2,
             v1: vec![0.0; h * (l + 1)],
             v2: vec![0.0; h + 1],
@@ -157,9 +212,9 @@ impl Mlp {
         };
 
         // Weka decays the learning rate towards zero over the epoch budget.
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        for epoch in 0..self.epochs {
-            let lr = self.learning_rate * (1.0 - epoch as f64 / self.epochs as f64).max(0.05);
+        let mut order: Vec<usize> = (0..n).collect();
+        for epoch in 0..epochs {
+            let lr = self.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
             rng.shuffle(&mut order);
             net.epoch(&xs, &ys, &order, lr, self.momentum);
         }
@@ -168,22 +223,23 @@ impl Mlp {
         if w2.iter().chain(&w1).any(|w| !w.is_finite()) {
             return Err(MlError::Numerical("MLP training diverged".into()));
         }
-        // Back in the full layout, a dead column's weights as drawn.
-        let full = |(drawn, trained): (&[f64], &[f64])| {
-            let mut w = drawn.to_vec();
+        // Back in the full layout, a dead column's weights as they started.
+        let full = |(start, trained): (&[f64], &[f64])| {
+            let mut w = start.to_vec();
             for (&j, &t) in live.iter().zip(trained) {
                 w[j] = t;
             }
             w[d] = trained[l];
             w
         };
-        let w1 = drawn
+        let w1 = start
             .chunks_exact(d + 1)
             .zip(w1.chunks_exact(l + 1))
             .map(full)
             .collect();
 
         Ok(Fitted {
+            rows: n,
             scaler,
             live,
             target_mean: tmean,
@@ -191,6 +247,36 @@ impl Mlp {
             w1,
             w2,
         })
+    }
+}
+
+impl Fitted {
+    /// This network's weights in the full layout (`d + 1` per hidden unit,
+    /// then the output layer) re-expressed under `scaler` and the target
+    /// moments `(tmean, tstd)`, so that they compute the same function of the
+    /// raw features. `scaler` must bound the rows this fit's scaler bounds.
+    fn reexpress(self, scaler: &Scaler, tmean: f64, tstd: f64) -> (Vec<f64>, Vec<f64>) {
+        let d = scaler.dim();
+        let (old, new) = (&self.scaler, scaler);
+        let mut w1 = Vec::with_capacity(self.w1.len() * (d + 1));
+        for mut w in self.w1 {
+            for j in (0..d).filter(|&j| new.varies(j)) {
+                if old.varies(j) {
+                    w[d] += w[j] * (new.mins()[j] - old.mins()[j]) / old.ranges()[j];
+                    w[j] *= new.ranges()[j] / old.ranges()[j];
+                } else {
+                    w[j] = 0.0;
+                }
+            }
+            w1.extend(w);
+        }
+        let mut w2 = self.w2;
+        let (bias, hidden) = w2.split_last_mut().expect("an output bias");
+        for v in hidden {
+            *v *= self.target_std / tstd;
+        }
+        *bias = (*bias * self.target_std + self.target_mean - tmean) / tstd;
+        (w1, w2)
     }
 }
 
@@ -261,8 +347,31 @@ impl Regressor for Mlp {
             return Err(MlError::EmptyTrainingSet);
         }
         let scaler = Scaler::fit(data)?;
-        self.fitted = Some(self.train(data, scaler)?);
+        self.fitted = Some(self.train(data, scaler, None)?);
         Ok(())
+    }
+
+    /// Continues from the last fit for `WARM_EPOCHS` epochs when that fit
+    /// covered exactly `from` rows of the same dimension, at least
+    /// `WARM_MIN_ROWS`; otherwise a cold [`Regressor::fit`]. See the module
+    /// docs.
+    fn fit_appended(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
+        let extends = |f: &mut Fitted| {
+            f.rows == from
+                && (WARM_MIN_ROWS..=data.len()).contains(&from)
+                && f.scaler.dim() == data.dim()
+        };
+        let Some(old) = self.fitted.take_if(extends) else {
+            return self.fit(data);
+        };
+        match self.train(data, Scaler::fit(data)?, Some((old, WARM_EPOCHS))) {
+            Ok(fitted) => {
+                self.fitted = Some(fitted);
+                Ok(())
+            }
+            // A continuation that diverged is retried from fresh weights.
+            Err(_) => self.fit(data),
+        }
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
@@ -378,6 +487,13 @@ mod tests {
         assert!(Mlp::new(4, 0.0, 0.2, 10, 0).is_err());
         assert!(Mlp::new(4, 0.3, 1.0, 10, 0).is_err());
         assert!(Mlp::new(4, 0.3, 0.2, 0, 0).is_err());
+        for rate in [f64::NAN, f64::INFINITY, -0.0] {
+            assert!(matches!(
+                Mlp::new(4, rate, 0.2, 10, 0),
+                Err(MlError::InvalidHyperparameter(_))
+            ));
+        }
+        assert!(Mlp::new(4, 0.3, f64::NAN, 10, 0).is_err());
     }
 
     #[test]
@@ -574,6 +690,96 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// 40 rows where `b` and `c` never vary, then 25 appended rows that
+    /// move `a`'s minimum and maximum, make `b` vary and move the target's
+    /// mean and spread; `c` stays constant.
+    fn grown_data() -> (Dataset, Dataset) {
+        let mut old = Dataset::new(vec!["a".into(), "b".into(), "c".into()]);
+        for i in 0..40 {
+            let a = 10.0 + (i % 13) as f64;
+            old.push(vec![a, 4.0, -1.0], 50.0 + 3.0 * a + (0.7 * a).sin())
+                .unwrap();
+        }
+        let mut grown = old.clone();
+        for i in 0..25 {
+            let (a, b) = (2.0 + (i % 29) as f64, (i % 5) as f64);
+            grown
+                .push(vec![a, b, -1.0], 400.0 + 9.0 * a - 20.0 * b)
+                .unwrap();
+        }
+        (old, grown)
+    }
+
+    #[test]
+    fn continuation_with_no_epochs_computes_the_previous_fit() {
+        let (old, grown) = grown_data();
+        for mut m in [
+            Mlp::with_defaults(21),
+            Mlp::new(3, 0.2, 0.5, 37, 4).unwrap(),
+        ] {
+            m.fit(&old).unwrap();
+            let before = m.clone();
+            let (scaler, start) = (Scaler::fit(&grown).unwrap(), m.fitted.take());
+            m.fitted = Some(m.train(&grown, scaler, start.zip(Some(0))).unwrap());
+            let f = m.fitted.as_ref().unwrap();
+            assert_eq!((f.rows, f.live.clone()), (65, vec![0, 1]));
+            for x in grown.rows() {
+                let (was, is) = (before.predict(x).unwrap(), m.predict(x).unwrap());
+                assert!(
+                    (is - was).abs() <= 1e-12 * was.abs(),
+                    "{x:?}: {was} then {is}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn continuation_moves_towards_the_grown_rows() {
+        let (old, grown) = grown_data();
+        let rmse = |m: &Mlp| {
+            let preds: Vec<f64> = grown.rows().iter().map(|r| m.predict(r).unwrap()).collect();
+            disar_math::stats::rmse(&preds, grown.targets())
+        };
+        let mut m = Mlp::with_defaults(8);
+        m.fit(&old).unwrap();
+        let stale = rmse(&m);
+        m.fit_appended(&grown, old.len()).unwrap();
+        assert!(rmse(&m) < 0.5 * stale, "rmse {} against {stale}", rmse(&m));
+    }
+
+    #[test]
+    fn continuation_needs_a_fit_of_exactly_the_prefix() {
+        let (old, grown) = grown_data();
+        let mut cold = Mlp::with_defaults(5);
+        cold.fit(&grown).unwrap();
+        // Unfitted, fitted on a row count other than `from`, or on fewer
+        // than `WARM_MIN_ROWS`: a cold fit.
+        let mut m = Mlp::with_defaults(5);
+        m.fit_appended(&grown, old.len()).unwrap();
+        assert_eq!(m.fitted, cold.fitted);
+        m.fit(&old).unwrap();
+        m.fit_appended(&grown, old.len() - 1).unwrap();
+        assert_eq!(m.fitted, cold.fitted);
+        let few = WARM_MIN_ROWS - 1;
+        let head = Dataset::from_rows(
+            old.feature_names().to_vec(),
+            old.rows()[..few].to_vec(),
+            old.targets()[..few].to_vec(),
+        )
+        .unwrap();
+        m.fit(&head).unwrap();
+        m.fit_appended(&grown, few).unwrap();
+        assert_eq!(m.fitted, cold.fitted);
+        // A continuation is a pure function of the sequence of fits.
+        let mut a = Mlp::with_defaults(5);
+        a.fit(&old).unwrap();
+        let mut b = a.clone();
+        a.fit_appended(&grown, old.len()).unwrap();
+        b.fit_appended(&grown, old.len()).unwrap();
+        assert_eq!(a.fitted, b.fitted);
+        assert_ne!(a.fitted, cold.fitted);
     }
 
     #[test]

@@ -17,6 +17,26 @@ pub trait Regressor: Send + Sync {
     /// are implementation-specific (see each model's docs).
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError>;
 
+    /// Retrains on `data`, which grew by appending rows to
+    /// `data.rows()[..from]`. The caller guarantees that if this model's
+    /// last fit was on `from` rows, it was on exactly those.
+    ///
+    /// The default is a cold [`Regressor::fit`]. [`Mlp`] overrides it: when
+    /// its last fit covered exactly `from` rows, and at least 30, it
+    /// continues from that fit's weights for a short fixed budget of epochs
+    /// instead of 500 from fresh ones (`mlp` module docs), so its model
+    /// depends on the sequence of training sets and is not the one a cold
+    /// fit would give. The members that can extend a fit exactly implement
+    /// [`IncrementalRegressor`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Regressor::fit`].
+    fn fit_appended(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
+        let _ = from;
+        self.fit(data)
+    }
+
     /// Predicts the target for one feature vector.
     ///
     /// # Errors

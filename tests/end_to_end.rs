@@ -374,3 +374,83 @@ fn richer_market_model_increases_scr_inputs() {
     assert!(out.scr.is_finite());
     assert!(out.bel > 0.0);
 }
+
+/// Mean decision regret of the greedy ML deploys of a paper-default
+/// campaign of 60 deploys with `T_max` = 2000 s, and the deadline misses of
+/// its ML deploys. The regret of a deploy is the noise-free cost of the cell
+/// Algorithm 1 chose over the cheapest deadline-feasible cell's
+/// (`CloudProvider::oracle_plan` on both), so the run's jitter and the
+/// ε-explored deploys take no part in it.
+fn paper_loop_decision_quality(seed: u64) -> (f64, usize) {
+    use disar_bench::campaign::{paper_eeb_jobs, CampaignConfig};
+
+    let t_max = 2000.0;
+    let cfg = CampaignConfig {
+        n_runs: 0,
+        n_outer: 500,
+        n_inner: 30,
+        max_nodes: 8,
+        seed,
+        n_threads: 1,
+    };
+    let jobs = paper_eeb_jobs(&cfg);
+    let catalog = InstanceCatalog::paper_catalog();
+    let oracle = CloudProvider::new(catalog.clone(), seed);
+    let policy = DeployPolicy {
+        n_threads: 1,
+        ..DeployPolicy::paper_defaults(t_max)
+    };
+    let mut deployer =
+        TransparentDeployer::new(CloudProvider::new(catalog.clone(), seed), policy, seed);
+    let cost = |name: &str, nodes: usize, job: &disar_bench::campaign::EebJob| {
+        let plan = oracle
+            .oracle_plan(name, nodes, &job.workload, 0)
+            .expect("catalog cell");
+        (plan.duration_secs <= t_max).then_some(plan.prorated_cost)
+    };
+    let (mut regret, mut greedy, mut misses) = (0.0, 0usize, 0usize);
+    for i in 0..60 {
+        let job = &jobs[i % jobs.len()];
+        let out = deployer
+            .deploy(&job.profile, &job.workload)
+            .expect("deploys");
+        if out.mode == DeployMode::Bootstrap {
+            continue;
+        }
+        misses += usize::from(out.missed_deadline(t_max));
+        if out.mode != DeployMode::MlGreedy {
+            continue;
+        }
+        let cheapest = catalog
+            .names()
+            .iter()
+            .flat_map(|name| (1..=policy.max_nodes).filter_map(move |n| cost(name, n, job)))
+            .fold(f64::INFINITY, f64::min);
+        let chosen = oracle
+            .oracle_plan(&out.report.instance, out.report.n_nodes, &job.workload, 0)
+            .expect("chosen cell")
+            .prorated_cost;
+        regret += chosen / cheapest - 1.0;
+        greedy += 1;
+    }
+    assert!(greedy > 0, "seed {seed}: no greedy ML deploy");
+    (regret / greedy as f64, misses)
+}
+
+/// The decision-quality floor of the paper's loop: 60 deploys of the 15 EEB
+/// jobs from an empty base, at three seeds, with `T_max` = 2000 s. No ML
+/// deploy misses the deadline, and no seed's mean decision regret exceeds
+/// 1.25 times the worst seed's (seed 1, 0.041884) as measured with a cold
+/// 500-epoch MLP refit after every run.
+#[test]
+fn paper_loop_meets_its_regret_and_miss_floor() {
+    const REGRET_CEILING: f64 = 1.25 * 0.041_884;
+    for seed in [1, 2, 3] {
+        let (regret, misses) = paper_loop_decision_quality(seed);
+        assert_eq!(misses, 0, "seed {seed}: {misses} deadline misses");
+        assert!(
+            regret <= REGRET_CEILING,
+            "seed {seed}: mean decision regret {regret} above {REGRET_CEILING}"
+        );
+    }
+}
