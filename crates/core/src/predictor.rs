@@ -851,6 +851,18 @@ mod tests {
             1,
         )
         .unwrap();
+        // The members that extend a fit exactly, the forest among them, each
+        // cover the window's rows, not the 100 the family was retrained on.
+        let mut exact = Vec::new();
+        for m in &mut fam.models {
+            let name = m.name();
+            if let Some(inc) = m.as_incremental() {
+                let rows = inc.fitted_len();
+                assert!(rows < 100, "{name} covers {rows} rows");
+                exact.push(name);
+            }
+        }
+        assert_eq!(exact, ["RF", "IBk", "KStar"]);
         fam.retrain(&filled_kb(130), RetrainMode::Incremental, 1).unwrap();
         let mut fresh = PredictorFamily::new(8, 2);
         fresh.retrain(&filled_kb(130), RetrainMode::Full, 1).unwrap();

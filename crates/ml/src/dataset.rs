@@ -176,31 +176,6 @@ impl Dataset {
         out
     }
 
-    /// The row numbers of a bootstrap resample: `len()` draws with
-    /// replacement, in draw order (what Random Forest bagging trains on).
-    pub fn bootstrap_indices(&self, seed: u64) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        self.bootstrap_indices_into(seed, &mut out);
-        out
-    }
-
-    /// [`Dataset::bootstrap_indices`] into a reused list (cleared first).
-    pub(crate) fn bootstrap_indices_into(&self, seed: u64, out: &mut Vec<usize>) {
-        let mut rng = stream_rng(seed, 0xB00F);
-        out.clear();
-        out.extend((0..self.len()).map(|_| rng.gen_range(0..self.len())));
-    }
-
-    /// The rows [`Dataset::bootstrap_indices`] names, copied into a dataset.
-    pub fn bootstrap(&self, seed: u64) -> Dataset {
-        let mut out = Dataset::new(self.feature_names.clone());
-        for i in self.bootstrap_indices(seed) {
-            out.rows.push(self.rows[i].clone());
-            out.targets.push(self.targets[i]);
-        }
-        out
-    }
-
     /// The full suffix `start..` plus a deterministic `decay`-fraction
     /// subsample of the `..start` prefix, in original row order — the
     /// training set of a windowed retrain over a drifting target.
@@ -513,24 +488,6 @@ pub(crate) mod tests {
         assert!(d.split(0.0, 1).is_err());
         assert!(d.split(1.0, 1).is_err());
         assert!(toy(1).split(0.5, 1).is_err());
-    }
-
-    #[test]
-    fn bootstrap_same_size_and_deterministic() {
-        let d = toy(30);
-        let b1 = d.bootstrap(5);
-        let b2 = d.bootstrap(5);
-        assert_eq!(b1.len(), 30);
-        assert_eq!(b1, b2);
-        // With 30 draws from 30 rows, a resample is essentially never the
-        // identity permutation.
-        assert_ne!(b1.targets(), d.targets());
-        // The copied form is the gather of the drawn row numbers.
-        let idx = d.bootstrap_indices(5);
-        assert_eq!(idx.len(), 30);
-        for (pos, &i) in idx.iter().enumerate() {
-            assert_eq!(b1.get(pos), d.get(i));
-        }
     }
 
     #[test]

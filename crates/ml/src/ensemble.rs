@@ -148,9 +148,9 @@ impl Regressor for Ensemble {
 
 impl IncrementalRegressor for Ensemble {
     /// Extends each member with the appended rows: members with
-    /// incremental support take the O(new rows) path, the rest fall back to
-    /// a full refit, so the ensemble ends up bit-identical to a
-    /// from-scratch [`Regressor::fit`] on all of `data`.
+    /// incremental support extend their fit, the rest fall back to a full
+    /// refit, so the ensemble ends up bit-identical to a from-scratch
+    /// [`Regressor::fit`] on all of `data`.
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
         if from != self.fitted_len || from > data.len() {
             return Err(MlError::IncrementalMismatch {

@@ -1,20 +1,112 @@
 //! Random Forest regressor (Breiman 2001).
 //!
-//! Bagged ensemble of [`RandomTree`]s: each tree is trained on a bootstrap
-//! resample of the data and the forest predicts the mean of the trees.
-//! Weka defaults: 100 trees, `⌊log₂ d⌋ + 1` features per split.
+//! Bagged ensemble of [`RandomTree`]s: each tree is trained on a resample of
+//! the data and the forest predicts the mean of the trees. Weka defaults:
+//! 100 trees, `⌊log₂ d⌋ + 1` features per split.
 //!
-//! A resample is a list of row numbers ([`Dataset::bootstrap_indices`]), not
-//! a copied dataset, and one list is refilled for every tree: every tree
-//! grows on the same [`TreeFit`] view of the data and borrows its buffers,
-//! so a tree's own allocations are its arena and its importances.
+//! The resample is an online bag (Oza & Russell 2001): tree `t`'s sample is
+//! row `i` repeated `k_{t,i}` times, in ascending `i`, where `k_{t,i}` is a
+//! Poisson(1) count drawn from a uniform keyed by the tree's seed and `i`
+//! alone ([`bag_count`]). A bag that draws no row, which has probability
+//! e⁻ⁿ at `n` rows, holds every row once ([`fill_bag`]). A sample is a
+//! list of row numbers, not a copied dataset, and one list is refilled for
+//! every tree: every tree grows on the same [`TreeFit`] view of the data and
+//! borrows its buffers, so a tree's own allocations are its arena and its
+//! importances.
+//!
+//! A base that grows by appending rows appends to every bag and reorders
+//! none, so the forest is an exact [`IncrementalRegressor`]. A tree whose
+//! bag gained no row (e⁻¹ ≈ 37 % of trees per appended row) is the tree a
+//! cold fit grows and is kept as it is. The others regrow from their old
+//! arena ([`RandomTree::grow`]), copying every subtree whose rows are all
+//! old ones; the tree's per-node streams make that copy the subtree a cold
+//! fit grows. After `partial_fit` every arena, prediction and importance is
+//! the one a cold [`Regressor::fit`] with the same seed gives, to the bit.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
-use crate::regressor::Regressor;
+use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::tree::{RandomTree, TreeFit};
 use crate::MlError;
-use disar_math::rng::split_seed;
+use disar_math::rng::{split_seed, splitmix64};
+
+/// `⌊P(K ≤ k) · 2⁶⁴⌋` for a Poisson(1) count `K` and `k` in `0..20`;
+/// `P(K > 19)` is below 2⁻⁶².
+const POISSON1_CDF: [u64; 20] = [
+    0x5e2d_58d8_b3bc_df1a,
+    0xbc5a_b1b1_6779_be35,
+    0xeb71_5e1d_c158_2dc2,
+    0xfb23_9797_34a2_52f1,
+    0xff10_25f5_9174_dc3d,
+    0xffd9_0f3b_a405_5e19,
+    0xfffa_8b71_fc72_c913,
+    0xffff_540c_0914_b3c9,
+    0xffff_ed1f_4aa8_f120,
+    0xffff_fe21_6e64_1462,
+    0xffff_ffd4_d85d_3183,
+    0xffff_fffc_6da2_62b4,
+    0xffff_ffff_ba12_d178,
+    0xffff_ffff_fb07_c64c,
+    0xffff_ffff_ffab_8ea5,
+    0xffff_ffff_fffa_be22,
+    0xffff_ffff_ffff_b11a,
+    0xffff_ffff_ffff_fba1,
+    0xffff_ffff_ffff_ffc5,
+    0xffff_ffff_ffff_fffd,
+];
+
+/// How many times the bag of the tree seeded `tree_seed` holds row `i`: a
+/// Poisson(1) count, inverted from the `i`-th output of the SplitMix64
+/// stream seeded `tree_seed`, so it is a function of the seed and the row
+/// number alone.
+fn bag_count(tree_seed: u64, i: usize) -> usize {
+    let mut state = tree_seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let u = splitmix64(&mut state);
+    // Branch-free over the first four thresholds, past which 1.9 % of
+    // counts lie: a count is a coin the branch predictor cannot call.
+    let k = POISSON1_CDF[..4].iter().map(|&t| usize::from(u >= t)).sum();
+    if k < 4 {
+        k
+    } else {
+        4 + POISSON1_CDF[4..].iter().take_while(|&&t| u >= t).count()
+    }
+}
+
+/// The tree seeded `tree_seed`'s sample of the first `n` rows, in
+/// `sample`: row `i` [`bag_count`] times, in ascending `i`, or every row once
+/// when the bag draws none. `sample` needs room for 4 rows past the bag.
+fn fill_bag(tree_seed: u64, n: usize, sample: &mut Vec<usize>) {
+    sample.clear();
+    for i in 0..n {
+        let (len, k) = (sample.len(), bag_count(tree_seed, i));
+        // Four copies and a cut, which do not branch on the count.
+        sample.extend_from_slice(&[i; 4]);
+        if k <= 4 {
+            sample.truncate(len + k);
+        } else {
+            sample.resize(len + k, i);
+        }
+    }
+    if sample.is_empty() {
+        sample.extend(0..n);
+    }
+}
+
+/// Whether the tree keyed `key`, last grown on its bag of the first `from`
+/// rows, must grow again on its bag of `n` rows. `None`: the bag gained no
+/// row, so it is the bag the tree was grown on. `Some(below)`: the old bag is
+/// the new one's rows below `below` (`RandomTree::grow`'s `from`). That is
+/// `from`, unless the old bag drew no row, so held every row once, and the
+/// new one draws some: the two then share no row and `below` is 0.
+fn regrow_below(key: u64, from: usize, n: usize) -> Option<usize> {
+    let gained = (from..n).any(|i| bag_count(key, i) > 0);
+    let was_empty = (0..from).all(|i| bag_count(key, i) == 0);
+    match (gained, was_empty) {
+        (false, false) => None,
+        (true, true) => Some(0),
+        _ => Some(from),
+    }
+}
 
 /// A bagged forest of randomized regression trees.
 ///
@@ -39,6 +131,8 @@ pub struct RandomForest {
     max_depth: usize,
     seed: u64,
     trees: Vec<RandomTree>,
+    /// Rows of the data the trees were grown on (0 before fitting).
+    fitted_len: usize,
 }
 
 impl RandomForest {
@@ -50,6 +144,7 @@ impl RandomForest {
             max_depth: 64,
             seed,
             trees: Vec::new(),
+            fitted_len: 0,
         }
     }
 
@@ -79,6 +174,7 @@ impl RandomForest {
             max_depth,
             seed,
             trees: Vec::new(),
+            fitted_len: 0,
         })
     }
 
@@ -116,6 +212,36 @@ impl RandomForest {
             .ok_or(MlError::NotFitted)?
             .check_query(dim)
     }
+
+    /// Tree `t`'s bag key; the tree itself is seeded `tree_seed(t) ^ 0x51ED`.
+    fn tree_seed(&self, t: usize) -> u64 {
+        split_seed(self.seed, t as u64)
+    }
+
+    /// Brings every tree to its bag of `data`, whose first `from` rows the
+    /// trees were last grown on (`from == 0`: none, so every tree grows).
+    fn grow(&mut self, data: &Dataset, from: usize) {
+        let n = data.len();
+        // The buffers are sized once, for the largest bag that grows (or
+        // every row, which a bag that draws none holds).
+        let cap = (0..self.trees.len())
+            .map(|t| self.tree_seed(t))
+            .filter(|&key| regrow_below(key, from, n).is_some())
+            .map(|key| (0..n).map(|i| bag_count(key, i)).sum::<usize>().max(n))
+            .max();
+        let Some(cap) = cap else {
+            return; // every bag is the one its tree was grown on
+        };
+        let mut fit = TreeFit::new(data, cap);
+        let mut sample = Vec::with_capacity(cap + 4);
+        for t in 0..self.trees.len() {
+            let key = self.tree_seed(t);
+            if let Some(below) = regrow_below(key, from, n) {
+                fill_bag(key, n, &mut sample);
+                self.trees[t].grow(&mut fit, &mut sample, below);
+            }
+        }
+    }
 }
 
 impl Regressor for RandomForest {
@@ -123,18 +249,14 @@ impl Regressor for RandomForest {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let mut fit = TreeFit::new(data);
-        let mut sample = Vec::with_capacity(data.len());
         let mut trees = Vec::with_capacity(self.n_trees);
         for t in 0..self.n_trees {
-            let tree_seed = split_seed(self.seed, t as u64);
-            data.bootstrap_indices_into(tree_seed, &mut sample);
-            let mut tree =
-                RandomTree::new(None, self.min_leaf, self.max_depth, tree_seed ^ 0x51ED)?;
-            tree.grow(&mut fit, &mut sample);
-            trees.push(tree);
+            let seed = self.tree_seed(t) ^ 0x51ED;
+            trees.push(RandomTree::new(None, self.min_leaf, self.max_depth, seed)?);
         }
         self.trees = trees;
+        self.grow(data, 0);
+        self.fitted_len = data.len();
         Ok(())
     }
 
@@ -193,11 +315,52 @@ impl Regressor for RandomForest {
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
     }
+
+    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
+        Some(self)
+    }
+}
+
+impl IncrementalRegressor for RandomForest {
+    fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
+        if self.trees.is_empty() && from == 0 {
+            return self.fit(data);
+        }
+        if from != self.fitted_len || from > data.len() {
+            return Err(MlError::IncrementalMismatch {
+                fitted: self.fitted_len,
+                from,
+            });
+        }
+        self.check_query(data.dim())?;
+        if from == data.len() {
+            return Ok(());
+        }
+        self.grow(data, from);
+        self.fitted_len = data.len();
+        Ok(())
+    }
+
+    fn fitted_len(&self) -> usize {
+        self.fitted_len
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::dataset::tests::{kb_shaped, shard_shaped};
+
+    /// The bag of the tree seeded `tree_seed`, its rows copied.
+    pub(crate) fn bagged(d: &Dataset, tree_seed: u64) -> Dataset {
+        let (mut out, mut sample) = (Dataset::new(d.feature_names().to_vec()), Vec::new());
+        fill_bag(tree_seed, d.len(), &mut sample);
+        for i in sample {
+            let (x, y) = d.get(i);
+            out.push(x.to_vec(), y).unwrap();
+        }
+        out
+    }
 
     fn wavy(n: usize) -> Dataset {
         let mut d = Dataset::new(vec!["x".into()]);
@@ -292,11 +455,9 @@ mod tests {
 
     /// The forest's definition, spelled out with public parts: tree `t` is a
     /// `RandomTree` seeded `tree_seed ^ 0x51ED` and fitted on the copied
-    /// rows of `Dataset::bootstrap(tree_seed)`.
+    /// rows of its online bag (`bagged(tree_seed)`).
     #[test]
     fn forest_equals_trees_on_materialised_bootstraps_bitwise() {
-        use crate::dataset::tests::kb_shaped;
-
         let held_out = kb_shaped(50, 0xFEED);
         for (n, min_leaf, max_depth) in [(30, 1, 64), (100, 1, 64), (100, 3, 4), (260, 1, 64)] {
             let d = kb_shaped(n, 11);
@@ -307,7 +468,7 @@ mod tests {
                     let tree_seed = split_seed(5, t);
                     let mut tree =
                         RandomTree::new(None, min_leaf, max_depth, tree_seed ^ 0x51ED).unwrap();
-                    tree.fit(&d.bootstrap(tree_seed)).unwrap();
+                    tree.fit(&bagged(&d, tree_seed)).unwrap();
                     tree
                 })
                 .collect();
@@ -333,13 +494,13 @@ mod tests {
     /// batched answers equal to scalar ones.
     #[test]
     fn shape_queries_and_clones_answer_as_before() {
-        use crate::dataset::tests::{fnv1a, kb_shaped};
+        use crate::dataset::tests::fnv1a;
 
         let d = kb_shaped(100, 3);
         let mut tree = RandomTree::with_defaults(9);
         assert_eq!((tree.depth(), tree.leaf_count()), (0, 0));
         tree.fit(&d).unwrap();
-        assert_eq!((tree.depth(), tree.leaf_count()), (10, 45));
+        assert_eq!((tree.depth(), tree.leaf_count()), (11, 52));
         let mut stump = RandomTree::new(None, 25, 1, 9).unwrap();
         stump.fit(&d).unwrap();
         assert_eq!((stump.depth(), stump.leaf_count()), (2, 2));
@@ -360,7 +521,7 @@ mod tests {
             assert_eq!(y, boxed.predict(x).unwrap().to_bits());
             assert_eq!(y, b.to_bits());
         }
-        assert_eq!(fnv1a(&batch), 0x887649476d5d5f1d);
+        assert_eq!(fnv1a(&batch), 0x3d4cf06c4dfcb612);
         // Rows go through a tree four at a time; seven leave three over.
         let mut seven = FeatureMatrix::new();
         for x in &d.rows()[..7] {
@@ -379,9 +540,212 @@ mod tests {
         ));
     }
 
+    /// A bag is a Poisson(1) count per row, keyed by the tree and the row
+    /// alone: a grown base appends to it, and over many rows it holds about
+    /// one draw per row and leaves out about e⁻¹ of them.
+    #[test]
+    fn online_bags_append_and_draw_one_row_per_row_on_average() {
+        let (n, trees) = (400, 50);
+        let (mut drawn, mut left_out) = (0, 0);
+        for t in 0..trees {
+            let key = split_seed(11, t);
+            let bag = |n| {
+                let mut rows = Vec::new();
+                fill_bag(key, n, &mut rows);
+                rows
+            };
+            let all = bag(n);
+            for m in [1, 2, 37, 399] {
+                let head = bag(m);
+                if all.iter().any(|&i| i < m) {
+                    let kept: Vec<usize> = all.iter().copied().filter(|&i| i < m).collect();
+                    assert_eq!(head, kept, "tree {t}, {m} rows");
+                }
+            }
+            assert!(
+                all.windows(2).all(|w| w[0] <= w[1]),
+                "tree {t}: out of order"
+            );
+            drawn += all.len();
+            left_out += (0..n).filter(|&i| bag_count(key, i) == 0).count();
+        }
+        let rows = (n * trees as usize) as f64;
+        assert!((drawn as f64 / rows - 1.0).abs() < 0.02, "{drawn} draws");
+        let share = left_out as f64 / rows;
+        assert!(
+            (share - (-1.0f64).exp()).abs() < 0.01,
+            "{left_out} left out"
+        );
+    }
+
+    /// The thresholds a count is inverted against are the Poisson(1)
+    /// distribution's: `2⁶⁴ − POISSON1_CDF[k]` is `P(K > k) · 2⁶⁴` rounded up,
+    /// each tail summed in `f64` from its largest term.
+    #[test]
+    fn bag_thresholds_are_the_poisson_tail() {
+        let two64 = 2f64.powi(64);
+        for (k, &t) in POISSON1_CDF.iter().enumerate() {
+            let (mut term, mut tail) = ((-1.0f64).exp(), 0.0);
+            for j in 1..=k + 1 {
+                term /= j as f64;
+            }
+            for j in k + 2..k + 40 {
+                tail += term;
+                term /= j as f64;
+            }
+            let above = (u64::MAX - t) as f64 + 1.0;
+            let want = tail * two64;
+            assert!(
+                (above - want).abs() <= 1.0 + 1e-12 * want,
+                "k = {k}: {above} vs {want}"
+            );
+        }
+        assert!(POISSON1_CDF.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Every tree of two forests, arena and importances, bit for bit; their
+    /// predictions on `rows`; and the forests' importances.
+    fn assert_forests_identical(a: &RandomForest, b: &RandomForest, rows: &[Vec<f64>], what: &str) {
+        assert_eq!(a.fitted_len, b.fitted_len, "{what}");
+        assert_eq!(a.trees.len(), b.trees.len(), "{what}");
+        for (t, (ta, tb)) in a.trees.iter().zip(&b.trees).enumerate() {
+            assert_eq!(ta.arena_bits(), tb.arena_bits(), "{what}: tree {t}");
+            let bits = |t: &RandomTree| {
+                t.importances()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(ta), bits(tb), "{what}: tree {t}'s importances");
+        }
+        for x in rows {
+            let (pa, pb) = (a.predict(x).unwrap(), b.predict(x).unwrap());
+            assert_eq!(pa.to_bits(), pb.to_bits(), "{what}: at {x:?}");
+        }
+        let bits = |f: &RandomForest| {
+            f.importances()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b), "{what}: importances");
+    }
+
+    /// `partial_fit` is a cold fit with the same seed, to the bit: every
+    /// tree's arena and importances, the predictions and the forest's
+    /// importances. Appends of 1–7 rows, from 2-row starts (where about one
+    /// bag in seven draws no row) and from random prefixes, on shard-shaped
+    /// data with seven constant columns and on a base's, at several
+    /// `min_leaf` and `max_depth`.
+    #[test]
+    fn partial_fit_equals_a_cold_fit_bitwise() {
+        let held_out = kb_shaped(20, 0xFEED);
+        let mut empty_bags = 0;
+        disar_math::check::cases(16, |rng| {
+            let n = rng.gen_range(8usize..80);
+            let d = if rng.gen_bool(0.5) {
+                shard_shaped(n, rng.next_u64())
+            } else {
+                kb_shaped(n, rng.next_u64())
+            };
+            let (min_leaf, max_depth) =
+                [(1, 64), (3, 64), (1, 2), (2, 5)][rng.gen_range(0..4usize)];
+            let seed = rng.next_u64();
+            let forest = || RandomForest::new(12, min_leaf, max_depth, seed).unwrap();
+            let mut from = if rng.gen_bool(0.5) {
+                2
+            } else {
+                rng.gen_range(1..n)
+            };
+            let mut inc = forest();
+            inc.fit(&d.filter(|i| i < from)).unwrap();
+            empty_bags += (0..12)
+                .filter(|&t| (0..from).all(|i| bag_count(inc.tree_seed(t), i) == 0))
+                .count();
+            while from < n {
+                let to = (from + rng.gen_range(1usize..8)).min(n);
+                let grown = d.filter(|i| i < to);
+                inc.partial_fit(&grown, from).unwrap();
+                let mut cold = forest();
+                cold.fit(&grown).unwrap();
+                let rows: Vec<Vec<f64>> = grown
+                    .rows()
+                    .iter()
+                    .chain(held_out.rows())
+                    .cloned()
+                    .collect();
+                assert_forests_identical(&inc, &cold, &rows, &format!("{from} → {to} of {n} rows"));
+                from = to;
+            }
+        });
+        assert!(
+            empty_bags > 0,
+            "no case started from a bag that drew no row"
+        );
+    }
+
+    /// A clone continues as the forest does: the service retrains clones.
+    #[test]
+    fn a_cloned_forest_continues_identically() {
+        let d = kb_shaped(70, 4);
+        let mut rf = RandomForest::new(20, 1, 64, 3).unwrap();
+        rf.fit(&d.filter(|i| i < 40)).unwrap();
+        let mut copy = rf.clone();
+        let mut boxed = rf.clone_box();
+        for (from, to) in [(40, 41), (41, 52), (52, 70)] {
+            let grown = d.filter(|i| i < to);
+            rf.partial_fit(&grown, from).unwrap();
+            copy.partial_fit(&grown, from).unwrap();
+            let inc = boxed.as_incremental().unwrap();
+            inc.partial_fit(&grown, from).unwrap();
+            assert_eq!(inc.fitted_len(), to);
+        }
+        assert_forests_identical(&rf, &copy, d.rows(), "clone");
+        for x in d.rows() {
+            assert_eq!(
+                rf.predict(x).unwrap().to_bits(),
+                boxed.predict(x).unwrap().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn partial_fit_checks_what_it_continues() {
+        let d = kb_shaped(30, 2);
+        let mut rf = RandomForest::new(4, 1, 64, 1).unwrap();
+        assert!(matches!(
+            rf.partial_fit(&d, 10),
+            Err(MlError::IncrementalMismatch {
+                fitted: 0,
+                from: 10
+            })
+        ));
+        rf.partial_fit(&d.filter(|i| i < 20), 0).unwrap();
+        assert_eq!(rf.fitted_len(), 20);
+        assert!(matches!(
+            rf.partial_fit(&d, 15),
+            Err(MlError::IncrementalMismatch {
+                fitted: 20,
+                from: 15
+            })
+        ));
+        let narrow =
+            Dataset::from_rows(vec!["x".into()], vec![vec![1.0]; 25], vec![1.0; 25]).unwrap();
+        assert!(matches!(
+            rf.partial_fit(&narrow, 20),
+            Err(MlError::FeatureDimensionMismatch {
+                expected: 10,
+                got: 1
+            })
+        ));
+        let before = rf.clone();
+        rf.partial_fit(&d.filter(|i| i < 20), 20).unwrap();
+        assert_forests_identical(&rf, &before, d.rows(), "no rows appended");
+    }
+
     #[test]
     fn single_tree_forest_close_to_tree_family() {
-        // A 1-tree forest is still a valid regressor on its bootstrap sample.
+        // A 1-tree forest is still a valid regressor on its bag.
         let d = wavy(40);
         let mut rf = RandomForest::new(1, 1, 64, 4).unwrap();
         rf.fit(&d).unwrap();

@@ -26,8 +26,9 @@ pub trait Regressor: Send + Sync {
     /// continues from that fit's weights for a short fixed budget of epochs
     /// instead of 500 from fresh ones (`mlp` module docs), so its model
     /// depends on the sequence of training sets and is not the one a cold
-    /// fit would give. The members that can extend a fit exactly implement
-    /// [`IncrementalRegressor`] instead.
+    /// fit would give. The members that can extend a fit exactly ([`IbK`],
+    /// [`KStar`], [`RandomForest`]) implement [`IncrementalRegressor`]
+    /// instead, and callers route them there.
     ///
     /// # Errors
     ///
@@ -83,11 +84,11 @@ pub trait Regressor: Send + Sync {
 
     /// Downcast hook to the model's incremental-learning capability.
     ///
-    /// The models with append-only training state ([`IbK`], [`KStar`]) and
-    /// an [`crate::Ensemble`] (which extends the members that can and
-    /// refits the rest) override this to return `Some`; everything else
-    /// keeps the `None` default and callers fall back to a full
-    /// [`Regressor::fit`] behind the same API.
+    /// The models whose fit a grown base extends exactly ([`IbK`],
+    /// [`KStar`], [`RandomForest`]) and an [`crate::Ensemble`] (which
+    /// extends the members that can and refits the rest) override this to
+    /// return `Some`; everything else keeps the `None` default and callers
+    /// fall back to [`Regressor::fit_appended`] behind the same API.
     fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
         None
     }
@@ -113,11 +114,15 @@ impl Clone for Box<dyn Regressor> {
 /// that `data` is the full training set, that `data.rows()[..from]` is
 /// exactly the prefix the model was last fitted on, and that
 /// `from == fitted_len()`. What the suffix step guarantees is exactness:
-/// the implementors ([`IbK`], [`KStar`], an [`crate::Ensemble`] of them and
-/// of members it refits) keep append-only training state, so predictions
-/// after `partial_fit` are the same *to the bit* as after a fresh
-/// [`Regressor::fit`] on all of `data`. A model that cannot promise that
-/// does not implement the trait and is refitted.
+/// predictions after `partial_fit` are the same *to the bit* as after a
+/// fresh [`Regressor::fit`] on all of `data`. [`IbK`] and [`KStar`] keep
+/// append-only training state. [`RandomForest`] bags online, so a grown
+/// base only appends to each tree's sample: it keeps every tree whose sample
+/// gained no row and regrows the others, copying each subtree the new rows
+/// do not reach, and its arenas and importances equal a cold fit's too.
+/// An [`crate::Ensemble`] extends the members that can and refits the rest.
+/// A model that cannot promise exactness does not implement the trait and
+/// is refitted.
 pub trait IncrementalRegressor: Regressor {
     /// Extends the fit with the rows `data.rows()[from..]`.
     ///
@@ -250,21 +255,23 @@ mod tests {
     /// Every member's predictions on its training rows and on 50 rows it has
     /// not seen, as the digests the members gave before any of them was
     /// rewritten for speed: a fit that reorders one sum or one draw fails
-    /// here, on data where equal feature values are the rule. K\*'s column
-    /// alone is of a later date: its scale search ends on a first-order
+    /// here, on data where equal feature values are the rule. Three columns
+    /// are of a later date. K\*'s scale search ends on a first-order
     /// correction where Newton's ended on an iterate, equal to 10⁻¹² and not
-    /// to the bit (`kstar.rs` module header).
+    /// to the bit (`kstar.rs` module header). RT and RF draw each node's
+    /// candidates from a stream keyed by its path, and RF bags online
+    /// (`forest` module header), which moved their digests by definition.
     #[test]
     fn known_answer_digests_pin_all_six_members() {
         use crate::dataset::tests::{fnv1a, kb_shaped};
 
         #[rustfmt::skip]
         let expected: [(usize, [u64; 6]); 3] = [
-            (30, [0xdbdd84614439b533, 0xe03668d2e6728e42, 0x7c320c6d079f6163,
+            (30, [0xdbdd84614439b533, 0xa91e25d5a09f6a10, 0xca31c1a7fda668e5,
                   0x765fa631737fe62e, 0x2ebdd906bc2d8341, 0x7c51c4663ab27a2f]),
-            (100, [0x2d915519381b42a0, 0xb3e1e847049113f9, 0xef1e8a0b008af10a,
+            (100, [0x2d915519381b42a0, 0xfbd1bfd11bb2687d, 0x1a466ed0468c7aab,
                    0x8970e69da883919f, 0x723c4b0d6f8c2c61, 0x651366aad27fdaa7]),
-            (500, [0x84a587e3627b5ba7, 0x86b3143d15df6273, 0xe3e90af01cff926e,
+            (500, [0x84a587e3627b5ba7, 0x640cd28eeae288f1, 0x1624c56aeb60542d,
                    0x8d03778c653b242f, 0x00fa296142f825dc, 0xbdff9f1055d9aa7c]),
         ];
         let held_out = kb_shaped(50, 0xFEED);

@@ -7,16 +7,25 @@
 //! the paper's six models and the base learner of [`crate::RandomForest`].
 //!
 //! A tree is grown on row numbers into one [`TreeFit`] view of the data,
-//! never on copies of rows: a node is a slice of row numbers (a bootstrap
-//! names some more than once) that its split partitions stably in place.
-//! The fitted tree is one `Vec` of [`Node`]s, and a prediction a loop over
-//! slots.
+//! never on copies of rows: a node is a slice of row numbers in ascending
+//! order (a forest's bag names some more than once) that its split
+//! partitions stably in place. The fitted tree is one `Vec` of [`Node`]s in
+//! pre-order, and a prediction a loop over slots.
+//!
+//! Each node draws its candidate features from a stream of its own, keyed
+//! by its path: the root's key is the tree's seed and a child's is
+//! `split_seed(key, 1)` on the `<=` side and `split_seed(key, 2)` on the
+//! `>` side. A subtree is then a function of its rows in order, its key and
+//! its depth alone, which is what lets a forest regrow a tree on a bag that
+//! gained rows by copying every subtree whose rows it did not gain
+//! ([`RandomTree::grow`]).
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::Regressor;
 use crate::MlError;
-use disar_math::rng::{stream_rng, Xoshiro256PlusPlus};
+use disar_math::rng::{split_seed, stream_rng};
+use std::hint::select_unpredictable;
 
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
@@ -27,18 +36,30 @@ const PLACE_MAX: usize = 16;
 /// many values per row.
 const SPAN_PER_ROW: usize = 4;
 
-/// One slot of a tree's arena. The root is slot 0 and children follow their
-/// parent, so a fitted tree is one exact-size allocation and a clone is one
-/// copy.
-#[derive(Debug, Clone, PartialEq)]
+/// One slot of a tree's arena, in pre-order: the root is slot 0, a split's
+/// `<=` child is the slot after it and its `>` child the slot after the `<=`
+/// subtree. A fitted tree is one exact-size allocation, a clone is one copy,
+/// and a subtree is a run of slots that ends at its rightmost leaf.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     /// The column a split tests, or [`LEAF`].
     feature: u32,
-    /// Slots of the `x[feature] <= value` and the `> value` child.
-    left: u32,
+    /// A split's `x[feature] > value` child (0 in a leaf).
     right: u32,
     /// A split's threshold; a leaf's prediction.
     value: f64,
+    /// A split's variance reduction, SSE(parent) − SSE(children) floored at
+    /// 0, which its feature's importance sums (0 in a leaf).
+    gain: f64,
+}
+
+/// A node's counterpart in the arena of the tree being regrown: `slot` roots
+/// a subtree grown on the rows of this node below `from`, in this order.
+#[derive(Clone, Copy)]
+struct Hint<'h> {
+    old: &'h [Node],
+    slot: usize,
+    from: usize,
 }
 
 /// What one fit shares among the nodes of a tree and the trees of a forest:
@@ -56,7 +77,7 @@ pub(crate) struct TreeFit<'a> {
     starts: Vec<usize>,
     /// `rank << 32 | position` of a node's rows under one candidate feature,
     /// the same keys in ascending order, and the counting sort's buckets:
-    /// sized once, for the largest node.
+    /// sized once, for the largest sample a tree of the fit grows on.
     keys: Vec<u64>,
     ordered: Vec<u64>,
     counts: Vec<u32>,
@@ -69,10 +90,12 @@ pub(crate) struct TreeFit<'a> {
 }
 
 impl<'a> TreeFit<'a> {
-    pub(crate) fn new(data: &'a Dataset) -> Self {
+    /// The view of `data` for trees grown on samples of at most `cap` rows
+    /// (a bag may hold more rows than `data`).
+    pub(crate) fn new(data: &'a Dataset, cap: usize) -> Self {
         let (n, dim) = (data.len(), data.dim());
-        // Ranks, positions in a node and arena slots (< 2n) are held as u32.
-        assert!(n < (LEAF / 2) as usize, "too many rows for a tree");
+        // Ranks, positions in a node and arena slots (< 2·cap) are held as u32.
+        assert!(n.max(cap) < (LEAF / 2) as usize, "too many rows for a tree");
         let mut fit = TreeFit {
             ys: data.targets(),
             n,
@@ -80,13 +103,13 @@ impl<'a> TreeFit<'a> {
             rank: vec![0; n * dim],
             distinct: Vec::new(),
             starts: vec![0],
-            keys: vec![0; n],
-            ordered: vec![0; n],
-            counts: vec![0; SPAN_PER_ROW * n],
-            spill: vec![0; n],
+            keys: vec![0; cap],
+            ordered: vec![0; cap],
+            counts: vec![0; SPAN_PER_ROW * cap],
+            spill: vec![0; cap],
             feats: Vec::with_capacity(dim),
-            // A leaf holds a row at least, so a tree has fewer than 2n nodes.
-            nodes: Vec::with_capacity(2 * n),
+            // A leaf holds a row at least, so a tree has fewer than 2·cap nodes.
+            nodes: Vec::with_capacity(2 * cap),
         };
         let mut order: Vec<u32> = Vec::with_capacity(n);
         for f in 0..dim {
@@ -230,7 +253,7 @@ impl RandomTree {
         let mut depth = vec![1; self.nodes.len()];
         for (slot, node) in self.nodes.iter().enumerate().rev() {
             if node.feature != LEAF {
-                depth[slot] = 1 + depth[node.left as usize].max(depth[node.right as usize]);
+                depth[slot] = 1 + depth[slot + 1].max(depth[node.right as usize]);
             }
         }
         depth.first().copied().unwrap_or(0)
@@ -252,20 +275,37 @@ impl RandomTree {
         &self.importances
     }
 
+    /// Candidates per split: at least one, at most `dim` (none without
+    /// columns, where every node is a leaf).
     fn k_for(&self, dim: usize) -> usize {
         let k = self
             .features_per_split
             .unwrap_or_else(|| (dim as f64).log2().floor() as usize + 1);
-        k.clamp(1, dim)
+        k.max(1).min(dim)
     }
 
-    /// Fits the tree to the rows `idx` of `fit` (a bootstrap names some rows
-    /// more than once), reordering `idx` as it goes.
-    pub(crate) fn grow(&mut self, fit: &mut TreeFit<'_>, idx: &mut [usize]) {
+    /// Fits the tree to the rows `idx` of `fit`, which ascend (a forest's
+    /// bag names some rows more than once), reordering `idx` as it goes.
+    ///
+    /// `from > 0` says the tree's current arena was grown on the rows of
+    /// `idx` below `from`, in the same order (a bag that gained rows). The
+    /// growth is then the same, slot for slot, and cheaper: a node whose rows
+    /// all lie below `from` copies its counterpart's subtree, and a node that
+    /// re-searches and splits as its counterpart did hands the counterpart's
+    /// children down to its own.
+    pub(crate) fn grow(&mut self, fit: &mut TreeFit<'_>, idx: &mut [usize], from: usize) {
+        debug_assert!(idx.windows(2).all(|w| w[0] <= w[1]), "rows out of order");
+        let old = std::mem::take(&mut self.nodes);
+        let hint = (from > 0).then_some(Hint {
+            old: &old,
+            slot: 0,
+            from,
+        });
         self.dim = fit.starts.len() - 1;
-        self.importances = vec![0.0; self.dim];
+        self.importances.clear();
+        self.importances.resize(self.dim, 0.0);
         fit.nodes.clear();
-        self.grow_node(fit, &mut stream_rng(self.seed, 0x7EE5), idx, 0);
+        self.grow_node(fit, idx, self.seed, 0, hint);
         // Exact size: a forest keeps a hundred of these for as long as it lives.
         self.nodes = fit.nodes.to_vec();
         // Normalize to proportions (all-zero stays all-zero: pure data).
@@ -277,22 +317,28 @@ impl RandomTree {
         }
     }
 
-    /// Grows the subtree over the rows `idx` and returns its slot.
+    /// Grows the subtree keyed `key` over the rows `idx` and returns its slot.
     fn grow_node(
         &mut self,
         fit: &mut TreeFit<'_>,
-        rng: &mut Xoshiro256PlusPlus,
         idx: &mut [usize],
+        key: u64,
         depth: usize,
+        hint: Option<Hint<'_>>,
     ) -> u32 {
         let (n, ys) = (idx.len(), fit.ys);
         let slot = fit.nodes.len();
+        // The rows ascend: the last is the largest.
+        if let Some(h) = hint.filter(|h| idx[n - 1] < h.from) {
+            self.copy_subtree(fit, h);
+            return slot as u32;
+        }
         let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / n as f64;
         fit.nodes.push(Node {
             feature: LEAF,
-            left: 0,
             right: 0,
             value: mean,
+            gain: 0.0,
         });
         if depth >= self.max_depth || n < 2 * self.min_leaf || n < 2 {
             return slot as u32;
@@ -305,7 +351,7 @@ impl RandomTree {
 
         fit.feats.clear();
         fit.feats.extend(0..self.dim);
-        rng.shuffle(&mut fit.feats);
+        stream_rng(key, 0x7EE5).shuffle(&mut fit.feats);
 
         let total_sum: f64 = idx.iter().map(|&i| ys[i]).sum();
         let total_sq: f64 = idx.iter().map(|&i| ys[i] * ys[i]).sum();
@@ -361,7 +407,8 @@ impl RandomTree {
         };
         // Variance-reduction importance: SSE(parent) − SSE(children).
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
-        self.importances[feature] += (parent_sse - best_sse).max(0.0);
+        let gain = (parent_sse - best_sse).max(0.0);
+        self.importances[feature] += gain;
 
         // Partition idx stably in place: the left rows close up, the right
         // rows wait in the spill and then follow them. Each row is written
@@ -378,16 +425,50 @@ impl RandomTree {
         let (left, right) = idx.split_at_mut(n_left);
         right.copy_from_slice(&fit.spill[..n_right]);
         debug_assert!(!left.is_empty() && !right.is_empty());
-        // Left before right: the subtrees draw from one stream.
-        let left = self.grow_node(fit, rng, left, depth + 1);
-        let right = self.grow_node(fit, rng, right, depth + 1);
+        // A counterpart that split alike sent its rows below `from` the same
+        // ways, so its children are these children's counterparts.
+        let alike = hint.filter(|h| {
+            let at = h.old[h.slot];
+            at.feature == feature as u32 && at.value.to_bits() == threshold.to_bits()
+        });
+        let left_hint = alike.map(|h| Hint {
+            slot: h.slot + 1,
+            ..h
+        });
+        let right_hint = alike.map(|h| Hint {
+            slot: h.old[h.slot].right as usize,
+            ..h
+        });
+        self.grow_node(fit, left, split_seed(key, 1), depth + 1, left_hint);
+        let right = self.grow_node(fit, right, split_seed(key, 2), depth + 1, right_hint);
         fit.nodes[slot] = Node {
             feature: feature as u32,
-            left,
             right,
             value: threshold,
+            gain,
         };
         slot as u32
+    }
+
+    /// Appends the subtree of `h`, which was grown on the same rows with the
+    /// same key at the same depth and so is the one a growth would give: its
+    /// slots move by the distance between the two arenas' positions, and its
+    /// gains add to the importances in pre-order, as its growth added them.
+    fn copy_subtree(&mut self, fit: &mut TreeFit<'_>, h: Hint<'_>) {
+        let mut last = h.slot;
+        while h.old[last].feature != LEAF {
+            last = h.old[last].right as usize;
+        }
+        let shift = (fit.nodes.len() as u32).wrapping_sub(h.slot as u32);
+        for &node in &h.old[h.slot..=last] {
+            if node.feature == LEAF {
+                fit.nodes.push(node);
+            } else {
+                self.importances[node.feature as usize] += node.gain;
+                let right = node.right.wrapping_add(shift);
+                fit.nodes.push(Node { right, ..node });
+            }
+        }
     }
 
     /// What a query must pass before [`RandomTree::descend`]: a fitted tree
@@ -407,12 +488,13 @@ impl RandomTree {
 
     /// The leaf value `x` falls to; [`RandomTree::check_query`] comes first.
     pub(crate) fn descend(&self, x: &[f64]) -> f64 {
-        let mut node = &self.nodes[0];
+        let (mut slot, mut node) = (0, &self.nodes[0]);
         while node.feature != LEAF {
             // One indexing, fed by a select: a forest's hundred trees give
             // a branch here little to predict.
             let go_left = x[node.feature as usize] <= node.value;
-            node = &self.nodes[if go_left { node.left } else { node.right } as usize];
+            slot = select_unpredictable(go_left, slot + 1, node.right as usize);
+            node = &self.nodes[slot];
         }
         node.value
     }
@@ -422,16 +504,24 @@ impl RandomTree {
     /// that is not yet at its leaf one level down, and the four loads of a
     /// round wait for nothing but their own row's last.
     pub(crate) fn descend4(&self, rows: [&[f64]; 4]) -> [f64; 4] {
-        let mut at = [&self.nodes[0]; 4];
-        while at.iter().any(|node| node.feature != LEAF) {
-            for (node, x) in at.iter_mut().zip(rows) {
+        let mut at = [(0, &self.nodes[0]); 4];
+        while at.iter().any(|(_, node)| node.feature != LEAF) {
+            for ((slot, node), x) in at.iter_mut().zip(rows) {
                 if node.feature != LEAF {
                     let go_left = x[node.feature as usize] <= node.value;
-                    *node = &self.nodes[if go_left { node.left } else { node.right } as usize];
+                    *slot = select_unpredictable(go_left, *slot + 1, node.right as usize);
+                    *node = &self.nodes[*slot];
                 }
             }
         }
-        at.map(|node| node.value)
+        at.map(|(_, node)| node.value)
+    }
+
+    /// The arena as bits, to hold two trees equal slot for slot.
+    #[cfg(test)]
+    pub(crate) fn arena_bits(&self) -> Vec<(u32, u32, u64, u64)> {
+        let bits = |n: &Node| (n.feature, n.right, n.value.to_bits(), n.gain.to_bits());
+        self.nodes.iter().map(bits).collect()
     }
 }
 
@@ -441,7 +531,7 @@ impl Regressor for RandomTree {
             return Err(MlError::EmptyTrainingSet);
         }
         let mut idx: Vec<usize> = (0..data.len()).collect();
-        self.grow(&mut TreeFit::new(data), &mut idx);
+        self.grow(&mut TreeFit::new(data, data.len()), &mut idx, 0);
         Ok(())
     }
 
@@ -483,6 +573,7 @@ impl Regressor for RandomTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::tests::bagged;
 
     fn step_data() -> Dataset {
         let mut d = Dataset::new(vec!["x".into(), "noise".into()]);
@@ -615,8 +706,8 @@ mod tests {
     }
 
     /// The tree written the dumb way, to check the fitted one against: every
-    /// node owns copies of its rows and orders them by value with the stable
-    /// sort.
+    /// node owns copies of its rows, orders them by value with the stable
+    /// sort and draws its candidates from the stream its key names.
     enum Ref {
         Leaf(f64),
         Split(usize, f64, Box<[Ref; 2]>),
@@ -624,12 +715,11 @@ mod tests {
 
     struct Reference<'a> {
         t: &'a RandomTree,
-        rng: Xoshiro256PlusPlus,
         gains: Vec<f64>,
     }
 
     impl Reference<'_> {
-        fn grow(&mut self, rows: Vec<(Vec<f64>, f64)>, depth: usize) -> Ref {
+        fn grow(&mut self, rows: Vec<(Vec<f64>, f64)>, depth: usize, key: u64) -> Ref {
             let (n, t) = (rows.len(), self.t);
             let sum: f64 = rows.iter().map(|r| r.1).sum();
             let pure = rows.iter().all(|r| (r.1 - rows[0].1).abs() < 1e-12);
@@ -637,7 +727,7 @@ mod tests {
                 return Ref::Leaf(sum / n as f64);
             }
             let mut feats: Vec<usize> = (0..rows[0].0.len()).collect();
-            self.rng.shuffle(&mut feats);
+            stream_rng(key, 0x7EE5).shuffle(&mut feats);
             let sq: f64 = rows.iter().map(|r| r.1 * r.1).sum();
             let mut best: Option<(f64, usize, f64)> = None;
             for &f in &feats[..t.k_for(feats.len())] {
@@ -664,8 +754,9 @@ mod tests {
             };
             self.gains[f] += ((sq - sum * sum / n as f64) - sse).max(0.0);
             let (l, r): (Vec<_>, Vec<_>) = rows.into_iter().partition(|row| row.0[f] <= at);
-            let l = self.grow(l, depth + 1);
-            Ref::Split(f, at, Box::new([l, self.grow(r, depth + 1)]))
+            let l = self.grow(l, depth + 1, split_seed(key, 1));
+            let r = self.grow(r, depth + 1, split_seed(key, 2));
+            Ref::Split(f, at, Box::new([l, r]))
         }
     }
 
@@ -730,9 +821,9 @@ mod tests {
         let mut t = RandomTree::new(k, min_leaf, max_depth, seed).unwrap();
         t.fit(d).unwrap();
         let rows = d.rows().iter().cloned().zip(d.targets().iter().copied());
-        let (rng, gains) = (stream_rng(seed, 0x7EE5), vec![0.0; d.dim()]);
-        let mut dumb = Reference { t: &t, rng, gains };
-        let r = dumb.grow(rows.collect(), 0);
+        let gains = vec![0.0; d.dim()];
+        let mut dumb = Reference { t: &t, gains };
+        let r = dumb.grow(rows.collect(), 0, seed);
         let gains = dumb.gains;
         let case = format!("{} rows, {min_leaf}/{max_depth}/{k:?}/{seed}", d.len());
         assert_eq!((t.depth(), t.leaf_count()), r.shape(), "{case}");
@@ -756,8 +847,8 @@ mod tests {
             tied_data(120),
             tied_data(31),
             crate::dataset::tests::kb_shaped(100, 5),
-            // Bootstrap copies: every row many times over.
-            tied_data(40).bootstrap(3),
+            // A forest's bag, copied: rows left out and rows repeated.
+            bagged(&tied_data(40), 3),
         ];
         for d in &sets {
             for leaf_and_depth in [(1, 64), (25, 64), (1, 1), (3, 5)] {
@@ -776,12 +867,11 @@ mod tests {
     fn constant_candidates_are_skipped_and_the_reference_tree_still_grows() {
         use crate::dataset::tests::shard_shaped;
         use crate::{dataset::Scaler, RandomForest};
-        use disar_math::rng::split_seed;
 
         disar_math::check::cases(8, |rng| {
             let d = shard_shaped(rng.gen_range(7usize..120), rng.next_u64());
             // One distinct value in the fit's view is a column that does not vary.
-            let (fit, scaler) = (TreeFit::new(&d), Scaler::fit(&d).unwrap());
+            let (fit, scaler) = (TreeFit::new(&d, d.len()), Scaler::fit(&d).unwrap());
             for f in 0..d.dim() {
                 assert_eq!(fit.starts[f + 1] - fit.starts[f] > 1, scaler.varies(f));
             }
@@ -791,21 +881,21 @@ mod tests {
                 assert_tree_matches_reference(&d, k, (3, 5), seed);
             }
 
-            // The forest, against reference trees on its materialised bootstraps.
+            // The forest, against reference trees on its materialised bags.
             let mut rf = RandomForest::new(6, 1, 64, seed).unwrap();
             rf.fit(&d).unwrap();
             let t = RandomTree::new(None, 1, 64, 0).unwrap();
             let trees: Vec<Ref> = (0..6)
                 .map(|i| {
                     let tree_seed = split_seed(seed, i);
-                    let sample = d.bootstrap(tree_seed);
+                    let sample = bagged(&d, tree_seed);
                     let rows = sample
                         .rows()
                         .iter()
                         .cloned()
                         .zip(sample.targets().iter().copied());
-                    let (rng, gains) = (stream_rng(tree_seed ^ 0x51ED, 0x7EE5), vec![0.0; d.dim()]);
-                    Reference { t: &t, rng, gains }.grow(rows.collect(), 0)
+                    let gains = vec![0.0; d.dim()];
+                    Reference { t: &t, gains }.grow(rows.collect(), 0, tree_seed ^ 0x51ED)
                 })
                 .collect();
             for x in d.rows() {
@@ -841,7 +931,6 @@ mod tests {
     fn split_search_paths_match_the_copied_rows_reference_bitwise() {
         use crate::dataset::tests::kb_shaped;
         use crate::RandomForest;
-        use disar_math::rng::split_seed;
 
         // Keys as a node builds them, at sizes on both sides of the
         // placement cutoff and with rank spans under and over the bound,
@@ -865,9 +954,9 @@ mod tests {
         }
 
         // Whole trees: roots of 15, 16 and 17 rows and the deep small nodes
-        // of larger ones, min_leaf above 1, bootstrap copies.
+        // of larger ones, min_leaf above 1, a forest's bag copied.
         let mut sets: Vec<Dataset> = [15, 16, 17, 120, 500].map(paths_data).into();
-        sets.push(paths_data(60).bootstrap(4));
+        sets.push(bagged(&paths_data(60), 4));
         for d in &sets {
             for leaf_and_depth in [(1, 64), (2, 64), (4, 64), (3, 5)] {
                 for k in [None, Some(1), Some(d.dim())] {
@@ -877,7 +966,7 @@ mod tests {
         }
 
         // A forest, whose trees share one set of buffers, against reference
-        // trees on its materialised bootstraps.
+        // trees on its materialised bags.
         for n in [30, 50, 100, 500] {
             let d = kb_shaped(n, 13);
             let mut rf = RandomForest::new(8, 1, 64, 21).unwrap();
@@ -886,11 +975,11 @@ mod tests {
             let trees: Vec<Ref> = (0..8)
                 .map(|i| {
                     let tree_seed = split_seed(21, i);
-                    let sample = d.bootstrap(tree_seed);
+                    let sample = bagged(&d, tree_seed);
                     let targets = sample.targets().iter().copied();
                     let rows = sample.rows().iter().cloned().zip(targets);
-                    let (rng, gains) = (stream_rng(tree_seed ^ 0x51ED, 0x7EE5), vec![0.0; d.dim()]);
-                    Reference { t: &t, rng, gains }.grow(rows.collect(), 0)
+                    let gains = vec![0.0; d.dim()];
+                    Reference { t: &t, gains }.grow(rows.collect(), 0, tree_seed ^ 0x51ED)
                 })
                 .collect();
             for x in d.rows() {
@@ -899,6 +988,28 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "{n} rows");
             }
         }
+    }
+
+    /// Without columns there is nothing to split on: a tree is one leaf, the
+    /// mean, and a forest's trees are each the mean of its bag.
+    #[test]
+    fn a_dataset_without_columns_fits_one_leaf_its_mean() {
+        use crate::RandomForest;
+
+        let d = Dataset::from_rows(Vec::new(), vec![Vec::new(); 2], vec![2.0, 5.0]).unwrap();
+        let mut t = RandomTree::with_defaults(1);
+        t.fit(&d).unwrap();
+        assert_eq!((t.depth(), t.leaf_count()), (1, 1));
+        assert_eq!(t.predict(&[]).unwrap(), 3.5);
+        assert_eq!(t.importances(), &[] as &[f64]);
+
+        let mut rf = RandomForest::new(8, 1, 64, 1).unwrap();
+        rf.fit(&d).unwrap();
+        let sum = (0..8).fold(0.0, |s, i| {
+            let bag = bagged(&d, split_seed(1, i));
+            s + bag.targets().iter().sum::<f64>() / bag.len() as f64
+        });
+        assert_eq!(rf.predict(&[]).unwrap().to_bits(), (sum / 8.0).to_bits());
     }
 
     #[test]

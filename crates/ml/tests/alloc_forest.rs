@@ -1,17 +1,18 @@
-//! Counting-allocator gate for a forest fit.
+//! Counting-allocator gate for a forest fit and a forest's partial fit.
 //!
 //! The trees of a forest share one view of the data and one set of buffers:
-//! the bootstrap list, the split search's keys, buckets and spill, and the
-//! arena a tree grows in. What a tree allocates of its own is then what it
-//! keeps, an exact-size copy of its arena and its importances, so fitting
-//! twice the trees on the same rows may allocate at most two more times per
-//! added tree.
+//! the bag list, the split search's keys, buckets and spill, and the arena a
+//! tree grows in. What a tree allocates of its own is then what it keeps, an
+//! exact-size copy of its arena and its importances, so fitting twice the
+//! trees on the same rows may allocate at most two more times per added
+//! tree. A partial fit keeps every tree whose bag gained no row, which
+//! allocates nothing, and regrows the others at the same price at most.
 //!
 //! This file deliberately holds a single `#[test]`: the counter is a
 //! process-global and concurrently running tests would pollute it.
 
-use disar_math::rng::stream_rng;
-use disar_ml::{Dataset, RandomForest, Regressor};
+use disar_math::rng::{split_seed, splitmix64, stream_rng};
+use disar_ml::{Dataset, IncrementalRegressor, RandomForest, Regressor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -83,4 +84,38 @@ fn a_forest_fit_allocates_at_most_two_times_per_tree() {
         twice - once,
         2 * trees
     );
+
+    // The last row appended to the other 99.
+    let head = data.filter(|i| i < 99);
+    let extend = |n_trees, seed| {
+        let mut rf = RandomForest::new(n_trees, 1, 64, seed).expect("valid sizes");
+        rf.fit(&head).expect("non-empty data");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        rf.partial_fit(&data, 99)
+            .expect("the base grew by appending");
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(rf.predict(data.get(99).0).expect("fitted").is_finite());
+        allocations
+    };
+    // Row 99 joins the bag of tree `t` unless its Poisson(1) count is 0: unless
+    // output 99 of the SplitMix64 stream seeded with the tree's seed falls
+    // below e⁻¹ · 2⁶⁴.
+    let joins = |seed: u64, t: u64| {
+        let mut state = split_seed(seed, t).wrapping_add(99u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        splitmix64(&mut state) as f64 >= (-1.0f64).exp() * 2f64.powi(64)
+    };
+    let regrown = (trees..2 * trees).filter(|&t| joins(7, t as u64)).count();
+    assert!(
+        0 < regrown && regrown < trees,
+        "{regrown} of {trees} trees regrow"
+    );
+    let (once, twice) = (extend(trees, 7), extend(2 * trees, 7));
+    assert!(
+        twice - once <= 2 * regrown,
+        "{trees} more trees, {regrown} of them regrown, allocated {} more times on a partial fit",
+        twice - once
+    );
+    // A forest whose every tree is kept allocates nothing at all.
+    let kept = (0..).find(|&seed| !joins(seed, 0)).expect("a seed");
+    assert_eq!(extend(1, kept), 0, "a kept tree allocated");
 }
