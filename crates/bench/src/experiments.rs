@@ -607,10 +607,11 @@ fn comparison_row(ctx: &ExperimentCtx) -> RegistryRow {
 /// Ablation: accuracy of each single model vs the six-model average on
 /// a held-out split. Returns `(name, bias, rmse)` rows, ensemble last.
 ///
-/// The six member fits spread over up to `n_threads` workers; the
-/// ensemble is then assembled from the fitted members in model order,
-/// so the rows are bit-identical for any thread count; `1` is the
-/// sequential escape hatch.
+/// The six member fits spread over up to `n_threads` workers. The
+/// `"Ensemble"` row is Algorithm 1's average of the members' held-out
+/// predictions: per test row, the member predictions summed in model order
+/// from 0.0 and divided by the member count. The rows are bit-identical for
+/// any thread count; `1` is the sequential escape hatch.
 pub fn ablation_ensemble(
     kb: &KnowledgeBase,
     seed: u64,
@@ -624,18 +625,28 @@ pub fn ablation_ensemble(
         let kind = ModelKind::ALL[mi];
         let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
         model.fit(&train).expect("training succeeds");
-        let ev = evaluate(model.as_ref(), &test).expect("evaluation succeeds");
-        ((kind.abbreviation().to_string(), ev.bias, ev.rmse), model)
+        evaluate(model.as_ref(), &test).expect("evaluation succeeds")
     });
-    let mut fitted: Vec<Box<dyn Regressor>> = Vec::with_capacity(per_model.len());
-    let mut rows = Vec::with_capacity(per_model.len() + 1);
-    for (row, model) in per_model {
-        rows.push(row);
-        fitted.push(model);
+    let mut mean = vec![0.0; test.len()];
+    for ev in &per_model {
+        for (sum, (_, p)) in mean.iter_mut().zip(&ev.pairs) {
+            *sum += p;
+        }
     }
-    let ensemble = disar_ml::Ensemble::new(fitted);
-    let ev = evaluate(&ensemble, &test).expect("evaluation succeeds");
-    rows.push(("Ensemble".to_string(), ev.bias, ev.rmse));
+    for sum in &mut mean {
+        *sum /= per_model.len() as f64;
+    }
+    let mut rows: Vec<(String, f64, f64)> = ModelKind::ALL
+        .iter()
+        .zip(&per_model)
+        .map(|(kind, ev)| (kind.abbreviation().to_string(), ev.bias, ev.rmse))
+        .collect();
+    let real = test.targets();
+    rows.push((
+        "Ensemble".to_string(),
+        stats::bias(&mean, real),
+        stats::rmse(&mean, real),
+    ));
     rows
 }
 

@@ -71,9 +71,10 @@ pub struct DeployPolicy {
     pub n_threads: usize,
     /// Retrain mode every scheduled retrain uses (bulk warm-ups and the
     /// after-run cadence alike). Defaults to [`RetrainMode::Incremental`],
-    /// which extends IBk and K\* exactly and continues the MLP from its last
-    /// fit; [`RetrainMode::Full`] is the from-scratch reference and
-    /// [`RetrainMode::Windowed`] the adaptation to a drifting cloud.
+    /// which extends IBk, K\* and the random forest exactly and continues
+    /// the MLP from its last fit; [`RetrainMode::Full`] is the from-scratch
+    /// reference and [`RetrainMode::Windowed`] the adaptation to a drifting
+    /// cloud.
     pub retrain_mode: RetrainMode,
 }
 
@@ -119,19 +120,7 @@ impl DeployPolicy {
         if self.n_threads == 0 {
             return Err(CoreError::InvalidParameter("n_threads must be > 0"));
         }
-        if let RetrainMode::Windowed { window, decay } = self.retrain_mode {
-            if window == 0 {
-                return Err(CoreError::InvalidParameter(
-                    "retrain_mode window must be > 0",
-                ));
-            }
-            if !(0.0..=1.0).contains(&decay) {
-                return Err(CoreError::InvalidParameter(
-                    "retrain_mode decay must be in [0, 1]",
-                ));
-            }
-        }
-        Ok(())
+        self.retrain_mode.validate()
     }
 }
 
@@ -1071,10 +1060,10 @@ mod tests {
     #[test]
     fn policy_validates_the_windowed_retrain_mode() {
         let mut p = DeployPolicy::paper_defaults(3_600.0);
-        p.retrain_mode = RetrainMode::Windowed { window: 0, decay: 0.5 };
-        assert!(p.validate().is_err());
-        p.retrain_mode = RetrainMode::Windowed { window: 16, decay: 7.0 };
-        assert!(p.validate().is_err());
+        for (window, decay) in [(0, 0.5), (16, 7.0), (16, f64::NAN)] {
+            p.retrain_mode = RetrainMode::Windowed { window, decay };
+            assert!(p.validate().is_err(), "window {window}, decay {decay}");
+        }
     }
 
     #[test]

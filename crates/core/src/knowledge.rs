@@ -86,10 +86,14 @@ pub(crate) fn write_records<'a>(
     Ok(())
 }
 
-/// Reads a knowledge-base file into any layout: the one reader behind every
-/// layout's `load`. Only the records are taken from the file; `S::record`
-/// rebuilds whatever partitioning and derived state the layout keeps.
-pub(crate) fn read_records<S: KnowledgeStore + Default>(path: &Path) -> Result<S, CoreError> {
+/// Reads a knowledge-base file: the one reader behind every layout's `load`.
+/// Only the records are taken from the file; each goes to `record`, the
+/// layout's own append, which rebuilds whatever partitioning and derived
+/// state the layout keeps.
+pub(crate) fn read_records(
+    path: &Path,
+    mut record: impl FnMut(RunRecord),
+) -> Result<(), CoreError> {
     let document = Json::parse(&std::fs::read_to_string(path)?)?;
     let found = document.uint_at("schema_version")?;
     if !SchemaVersion(found).is_supported() {
@@ -98,11 +102,10 @@ pub(crate) fn read_records<S: KnowledgeStore + Default>(path: &Path) -> Result<S
             supported: SchemaVersion::CURRENT.0,
         });
     }
-    let mut store = S::default();
-    for record in document.arr_at("records")? {
-        store.record(RunRecord::from_json(record)?);
+    for r in document.arr_at("records")? {
+        record(RunRecord::from_json(r)?);
     }
-    Ok(store)
+    Ok(())
 }
 
 /// Identifies the company (tenant) a run belongs to.
@@ -296,54 +299,6 @@ impl RunRecord {
     }
 }
 
-/// The one API every knowledge-base layout speaks.
-///
-/// Two layouts store the same append-only record stream with different
-/// partitioning: the monolithic [`KnowledgeBase`] (one flat vector) and the
-/// per-instance [`ShardedKnowledgeBase`]. Code that only appends runs,
-/// replays the stream, or persists the base can be written once against
-/// this trait; per-shard views stay inherent on the sharded type.
-///
-/// Every implementation preserves the *global arrival order*:
-/// [`KnowledgeStore::records_in_arrival_order`] yields the exact stream a
-/// monolithic base fed the same runs would hold, which is what the
-/// sharding bit-identity proofs replay.
-pub trait KnowledgeStore {
-    /// Appends one executed run.
-    fn record(&mut self, record: RunRecord);
-
-    /// Total number of stored runs across all partitions.
-    fn len(&self) -> usize;
-
-    /// `true` when no runs are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates every record in global arrival order, regardless of the
-    /// physical partitioning.
-    fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_>;
-
-    /// Reconstructs the equivalent monolithic base (records in arrival
-    /// order) — the layout-independent canonical form.
-    fn to_monolithic(&self) -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
-        for r in self.records_in_arrival_order() {
-            kb.record(r.clone());
-        }
-        kb
-    }
-
-    /// Saves the base in the one knowledge-base file format (module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    fn save(&self, path: &Path) -> Result<(), CoreError> {
-        write_records(path, self.records_in_arrival_order())
-    }
-}
-
 /// The persistent store of executed runs.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
@@ -475,26 +430,9 @@ impl KnowledgeBase {
     /// [`CoreError::UnsupportedSchema`] when it is stamped with a newer
     /// [`SchemaVersion`] than this build supports.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        read_records(path)
-    }
-}
-
-impl KnowledgeStore for KnowledgeBase {
-    fn record(&mut self, record: RunRecord) {
-        KnowledgeBase::record(self, record);
-    }
-
-    fn len(&self) -> usize {
-        KnowledgeBase::len(self)
-    }
-
-    fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
-        Box::new(self.records.iter())
-    }
-
-    /// A monolithic base is already its own canonical form.
-    fn to_monolithic(&self) -> KnowledgeBase {
-        self.clone()
+        let mut kb = Self::new();
+        read_records(path, |r| kb.record(r))?;
+        Ok(kb)
     }
 }
 
@@ -624,21 +562,9 @@ impl ShardedKnowledgeBase {
     ///
     /// As [`KnowledgeBase::load`].
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        read_records(path)
-    }
-}
-
-impl KnowledgeStore for ShardedKnowledgeBase {
-    fn record(&mut self, record: RunRecord) {
-        ShardedKnowledgeBase::record(self, record);
-    }
-
-    fn len(&self) -> usize {
-        ShardedKnowledgeBase::len(self)
-    }
-
-    fn records_in_arrival_order(&self) -> Box<dyn Iterator<Item = &RunRecord> + '_> {
-        Box::new(ShardedKnowledgeBase::records_in_arrival_order(self))
+        let mut kb = Self::new();
+        read_records(path, |r| kb.record(r))?;
+        Ok(kb)
     }
 }
 
@@ -1003,57 +929,46 @@ mod tests {
             .enumerate()
             .map(|(i, r)| r.with_tenant(TenantId::new(tenants[i % 3])))
             .collect();
-        let mut writers: [Box<dyn KnowledgeStore>; 2] = [
-            Box::new(KnowledgeBase::new()),
-            Box::new(ShardedKnowledgeBase::new()),
-        ];
-        for (w, writer) in writers.iter_mut().enumerate() {
-            for r in &records {
-                writer.record(r.clone());
-            }
-            let path = temp_file(&format!("cross-{w}"));
-            writer.save(&path).unwrap();
-            let readers: [Box<dyn KnowledgeStore>; 2] = [
-                Box::new(KnowledgeBase::load(&path).unwrap()),
-                Box::new(ShardedKnowledgeBase::load(&path).unwrap()),
-            ];
-            for (r, reader) in readers.iter().enumerate() {
-                let replayed: Vec<RunRecord> = reader.records_in_arrival_order().cloned().collect();
-                assert_eq!(replayed, records, "layout {w}'s file in layout {r}");
-            }
-            std::fs::remove_file(&path).ok();
+        let (mut mono, mut sharded) = (KnowledgeBase::new(), ShardedKnowledgeBase::new());
+        for r in &records {
+            mono.record(r.clone());
+            sharded.record(r.clone());
+        }
+        let paths = [temp_file("cross-0"), temp_file("cross-1")];
+        mono.save(&paths[0]).unwrap();
+        sharded.save(&paths[1]).unwrap();
+        for (w, path) in paths.iter().enumerate() {
+            let loaded = KnowledgeBase::load(path).unwrap();
+            assert_eq!(loaded.records(), records, "layout {w}'s file in layout 0");
+            let loaded = ShardedKnowledgeBase::load(path).unwrap();
+            let replayed: Vec<RunRecord> = loaded.records_in_arrival_order().cloned().collect();
+            assert_eq!(replayed, records, "layout {w}'s file in layout 1");
         }
         // Every layout wrote the same bytes.
-        let texts: Vec<String> = writers
+        let texts: Vec<String> = paths
             .iter()
-            .map(|writer| {
-                let path = temp_file("cross-bytes");
-                writer.save(&path).unwrap();
-                std::fs::read_to_string(&path).unwrap()
-            })
+            .map(|path| std::fs::read_to_string(path).unwrap())
             .collect();
         assert_eq!(texts[0], texts[1]);
-        std::fs::remove_file(temp_file("cross-bytes")).ok();
+        for path in &paths {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
-    fn knowledge_store_trait_unifies_layouts() {
+    fn both_layouts_hold_the_same_stream() {
         let records = mixed_records(20);
-        let mut stores: Vec<Box<dyn KnowledgeStore>> = vec![
-            Box::new(KnowledgeBase::new()),
-            Box::new(ShardedKnowledgeBase::new()),
-        ];
-        for store in &mut stores {
-            for r in &records {
-                store.record(r.clone());
-            }
-            assert_eq!(store.len(), records.len());
-            assert!(!store.is_empty());
-            let replayed: Vec<RunRecord> =
-                store.records_in_arrival_order().cloned().collect();
-            assert_eq!(replayed, records);
+        let (mut mono, mut sharded) = (KnowledgeBase::new(), ShardedKnowledgeBase::new());
+        for r in &records {
+            mono.record(r.clone());
+            sharded.record(r.clone());
         }
-        assert_eq!(stores[0].to_monolithic(), stores[1].to_monolithic());
+        assert_eq!((mono.len(), sharded.len()), (records.len(), records.len()));
+        assert!(!mono.is_empty() && !sharded.is_empty());
+        assert_eq!(mono.records(), records);
+        let replayed: Vec<RunRecord> = sharded.records_in_arrival_order().cloned().collect();
+        assert_eq!(replayed, records);
+        assert_eq!(mono, sharded.to_monolithic());
     }
 
     #[test]

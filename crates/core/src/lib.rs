@@ -69,9 +69,7 @@ pub use error::CoreError;
 pub use frozen_adapter::{
     TenantShardedDeployer, TenantShardedKnowledgeBase, TenantShardedPredictor,
 };
-pub use knowledge::{
-    KnowledgeBase, KnowledgeStore, RunRecord, SchemaVersion, ShardedKnowledgeBase, TenantId,
-};
+pub use knowledge::{KnowledgeBase, RunRecord, SchemaVersion, ShardedKnowledgeBase, TenantId};
 pub use predictor::{GridScratch, PredictorFamily, RetrainMode, ShardedPredictor, TimePredictor};
 pub use profile::JobProfile;
 pub use service::{

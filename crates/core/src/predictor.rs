@@ -24,15 +24,17 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RetrainMode {
     /// The default: when the knowledge base grew by appending to the
-    /// trained prefix (verified by the boundary fingerprint), IBk and K\*
-    /// are fed only the appended rows, which leaves them bit-identical to a
-    /// from-scratch fit, and the MLP, once its previous fit covered 30 rows,
-    /// continues from its previous weights for a short fixed budget of
-    /// epochs (`disar_ml::mlp` module docs), which does not. The trees and
-    /// the decision table refit from scratch, and so does every member when
-    /// the base did not grow by appending. The family is thus a pure
-    /// function of the sequence of bases it was retrained on; its other five
-    /// members depend on the last base alone.
+    /// trained prefix (verified by the boundary fingerprint), every member
+    /// retrains through [`Regressor::fit_appended`]. IBk, K\* and the random
+    /// forest extend their fit exactly, bit-identical to a from-scratch fit
+    /// (the forest regrows only the trees whose online bag gained a row);
+    /// the MLP, once its previous fit covered 30 rows, continues from its
+    /// previous weights for a short fixed budget of epochs
+    /// (`disar_ml::mlp` module docs), which does not equal a cold fit. The
+    /// random tree and the decision table refit from scratch, and so does
+    /// every member when the base did not grow by appending. The family is
+    /// thus a pure function of the sequence of bases it was retrained on;
+    /// its five members other than the MLP depend on the last base alone.
     #[default]
     Incremental,
     /// Force every member to refit from scratch, ignoring any reusable
@@ -54,6 +56,27 @@ pub enum RetrainMode {
         /// Fraction of the pre-window history retained, in `[0, 1]`.
         decay: f64,
     },
+}
+
+impl RetrainMode {
+    /// The one definition of a valid mode, read by
+    /// [`PredictorFamily::retrain`] and by a deploy policy's validation: a
+    /// window must be non-empty and its decay in `[0, 1]` (NaN is not).
+    pub(crate) fn validate(self) -> Result<(), CoreError> {
+        if let RetrainMode::Windowed { window, decay } = self {
+            if window == 0 {
+                return Err(CoreError::InvalidParameter(
+                    "windowed retrain needs a non-empty window",
+                ));
+            }
+            if !(0.0..=1.0).contains(&decay) {
+                return Err(CoreError::InvalidParameter(
+                    "windowed decay must be in [0, 1]",
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Reusable buffers for [`TimePredictor::predict_grid`]: the feature
@@ -233,9 +256,15 @@ impl PredictorFamily {
 
     /// Retrains every model on the current knowledge base.
     ///
-    /// `mode` selects how previously trained state is reused (see
-    /// [`RetrainMode`]); [`RetrainMode::Incremental`] is the default. The
-    /// per-model fits are spread over up to `n_threads` worker threads:
+    /// `mode` selects the training set and whether previously trained
+    /// state is reused (see [`RetrainMode`]); [`RetrainMode::Incremental`]
+    /// is the default. Every mode runs the same guards and the same member
+    /// loop: under `Incremental`, a base that grew by appending to the
+    /// prefix of the last retrain (the boundary fingerprint) reaches each
+    /// member through [`Regressor::fit_appended`]; otherwise each member
+    /// refits from scratch, on the window under `Windowed`.
+    ///
+    /// The per-model fits are spread over up to `n_threads` worker threads:
     /// every model owns its RNG state and trains against a shared immutable
     /// view of the featurized knowledge base (built once, cached by the
     /// base), so the fits are order-independent and the trained family is
@@ -244,79 +273,19 @@ impl PredictorFamily {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InsufficientKnowledge`] below `min_samples`,
-    /// [`CoreError::InvalidParameter`] for `n_threads == 0`, and
-    /// propagates model-training failures.
+    /// Returns [`CoreError::InvalidParameter`] for `n_threads == 0` or an
+    /// invalid windowed mode, [`CoreError::InsufficientKnowledge`] below
+    /// `min_samples`, and propagates model-training failures.
     pub fn retrain(
         &mut self,
         kb: &KnowledgeBase,
         mode: RetrainMode,
         n_threads: usize,
     ) -> Result<(), CoreError> {
-        match mode {
-            RetrainMode::Incremental => self.retrain_impl(kb, n_threads, false),
-            RetrainMode::Full => self.retrain_impl(kb, n_threads, true),
-            RetrainMode::Windowed { window, decay } => {
-                self.retrain_windowed(kb, n_threads, window, decay)
-            }
-        }
-    }
-
-    /// The [`RetrainMode::Windowed`] path: refit every member from scratch
-    /// on the suffix window plus the decayed history sample. When the
-    /// windowed set happens to be the whole base (unbounded window or
-    /// `decay = 1.0`) this is bit-identical to [`RetrainMode::Full`];
-    /// otherwise the members end up fitted on fewer rows than
-    /// `trained_on`, which by itself forces the *next* incremental retrain
-    /// down the safe full-refit fallback.
-    fn retrain_windowed(
-        &mut self,
-        kb: &KnowledgeBase,
-        n_threads: usize,
-        window: usize,
-        decay: f64,
-    ) -> Result<(), CoreError> {
         if n_threads == 0 {
             return Err(CoreError::InvalidParameter("n_threads must be > 0"));
         }
-        if window == 0 {
-            return Err(CoreError::InvalidParameter(
-                "windowed retrain needs a non-empty window",
-            ));
-        }
-        if !(0.0..=1.0).contains(&decay) {
-            return Err(CoreError::InvalidParameter(
-                "windowed decay must be in [0, 1]",
-            ));
-        }
-        if kb.len() < self.min_samples {
-            return Err(CoreError::InsufficientKnowledge {
-                have: kb.len(),
-                need: self.min_samples,
-            });
-        }
-        let data_ref = kb.dataset()?;
-        let data: &Dataset = &data_ref;
-        let start = data.len().saturating_sub(window);
-        let windowed = data.decayed_window(start, decay, self.seed);
-        let results = parallel_map_mut(&mut self.models, n_threads, |_, m| m.fit(&windowed));
-        for r in results {
-            r?;
-        }
-        self.trained_on = data.len();
-        self.trained_fingerprint = Self::fingerprint(data, data.len());
-        Ok(())
-    }
-
-    fn retrain_impl(
-        &mut self,
-        kb: &KnowledgeBase,
-        n_threads: usize,
-        force_full: bool,
-    ) -> Result<(), CoreError> {
-        if n_threads == 0 {
-            return Err(CoreError::InvalidParameter("n_threads must be > 0"));
-        }
+        mode.validate()?;
         if kb.len() < self.min_samples {
             return Err(CoreError::InsufficientKnowledge {
                 have: kb.len(),
@@ -326,17 +295,24 @@ impl PredictorFamily {
         let data_ref = kb.dataset()?;
         let data: &Dataset = &data_ref;
         let from = self.trained_on;
-        let incremental_ok = !force_full
+        let appended = mode == RetrainMode::Incremental
             && from > 0
             && from <= data.len()
             && Self::fingerprint(data, from) == self.trained_fingerprint;
-        let results = parallel_map_mut(&mut self.models, n_threads, |_, m| {
-            if !incremental_ok {
-                return m.fit(data);
+        let windowed;
+        let train = match mode {
+            RetrainMode::Windowed { window, decay } => {
+                let start = data.len().saturating_sub(window);
+                windowed = data.decayed_window(start, decay, self.seed);
+                &windowed
             }
-            match m.as_incremental() {
-                Some(inc) if inc.fitted_len() == from => inc.partial_fit(data, from),
-                _ => m.fit_appended(data, from),
+            _ => data,
+        };
+        let results = parallel_map_mut(&mut self.models, n_threads, |_, m| {
+            if appended {
+                m.fit_appended(data, from)
+            } else {
+                m.fit(train)
             }
         });
         for r in results {
@@ -873,14 +849,12 @@ mod tests {
     fn windowed_retrain_validates_parameters() {
         let mut fam = PredictorFamily::new(3, 2);
         let kb = filled_kb(50);
-        assert!(matches!(
-            fam.retrain(&kb, RetrainMode::Windowed { window: 0, decay: 0.5 }, 1),
-            Err(CoreError::InvalidParameter(_))
-        ));
-        assert!(matches!(
-            fam.retrain(&kb, RetrainMode::Windowed { window: 10, decay: 1.5 }, 1),
-            Err(CoreError::InvalidParameter(_))
-        ));
+        for (window, decay) in [(0, 0.5), (10, 1.5), (10, f64::NAN)] {
+            assert!(matches!(
+                fam.retrain(&kb, RetrainMode::Windowed { window, decay }, 1),
+                Err(CoreError::InvalidParameter(_))
+            ));
+        }
         assert!(!fam.is_trained());
     }
 

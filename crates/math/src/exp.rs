@@ -50,7 +50,7 @@ pub const INV_FACTORIALS: [f64; 14] = [
 /// arguments are outside the contract.
 ///
 /// The argument is reduced to `x = k·ln 2 + r` with `k` the nearest integer
-/// to `x / ln 2` (rounded by [`ROUND`], subtracted in two parts à la Cody and
+/// to `x / ln 2` (rounded by `ROUND`, subtracted in two parts à la Cody and
 /// Waite), `exp(r)` is a degree-13 polynomial, and `2ᵏ` is applied by adding
 /// `k` to the result's exponent field.
 ///

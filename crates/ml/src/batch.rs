@@ -2,7 +2,7 @@
 //! reusable [`PredictScratch`].
 //!
 //! The Algorithm 1 grid sweep evaluates the whole `(instance × n_nodes)`
-//! grid through every ensemble member per selection. Scalar
+//! grid through every member of the family per selection. Scalar
 //! [`crate::Regressor::predict`] pays per-call heap allocations (the
 //! standardized query, the kd-tree candidate list, K*'s distance vector,
 //! the decision-table key); [`crate::Regressor::predict_batch`] amortizes
@@ -132,8 +132,6 @@ pub struct PredictScratch {
     pub(crate) key: Vec<u32>,
     /// Standardized row block (MLP's blocked forward pass).
     pub(crate) block: Vec<f64>,
-    /// Per-member batch output (ensemble accumulation).
-    pub(crate) ensemble_tmp: Vec<f64>,
 }
 
 impl PredictScratch {

@@ -7,10 +7,10 @@
 //! The resample is an online bag (Oza & Russell 2001): tree `t`'s sample is
 //! row `i` repeated `k_{t,i}` times, in ascending `i`, where `k_{t,i}` is a
 //! Poisson(1) count drawn from a uniform keyed by the tree's seed and `i`
-//! alone ([`bag_count`]). A bag that draws no row, which has probability
-//! e⁻ⁿ at `n` rows, holds every row once ([`fill_bag`]). A sample is a
+//! alone (`bag_count`). A bag that draws no row, which has probability
+//! e⁻ⁿ at `n` rows, holds every row once (`fill_bag`). A sample is a
 //! list of row numbers, not a copied dataset, and one list is refilled for
-//! every tree: every tree grows on the same [`TreeFit`] view of the data and
+//! every tree: every tree grows on the same `TreeFit` view of the data and
 //! borrows its buffers, so a tree's own allocations are its arena and its
 //! importances.
 //!
@@ -18,7 +18,7 @@
 //! none, so the forest is an exact [`IncrementalRegressor`]. A tree whose
 //! bag gained no row (e⁻¹ ≈ 37 % of trees per appended row) is the tree a
 //! cold fit grows and is kept as it is. The others regrow from their old
-//! arena ([`RandomTree::grow`]), copying every subtree whose rows are all
+//! arena (`RandomTree::grow`), copying every subtree whose rows are all
 //! old ones; the tree's per-node streams make that copy the subtree a cold
 //! fit grows. After `partial_fit` every arena, prediction and importance is
 //! the one a cold [`Regressor::fit`] with the same seed gives, to the bit.

@@ -17,8 +17,13 @@
 //! | [`KStar`] | Cleary & Trigg 1995 | [`kstar`] |
 //! | [`DecisionTable`] | Kohavi 1995 (best-first feature selection) | [`decision_table`] |
 //!
-//! All models implement the [`Regressor`] trait and can be combined with
-//! [`Ensemble`], which reproduces the paper's prediction-averaging step.
+//! All models implement the [`Regressor`] trait, and [`default_family`]
+//! builds the six as the paper's set `X`. The averaging of their predictions
+//! is Algorithm 1's and lives with it, in `disar-core`'s `PredictorFamily`.
+//! A retrain after the training set grew by appending rows goes through
+//! [`Regressor::fit_appended`]: [`IbK`], [`KStar`] and [`RandomForest`]
+//! extend their fit exactly ([`IncrementalRegressor`]), the [`Mlp`]
+//! continues from its last weights, and the rest refit.
 //!
 //! # Example
 //!
@@ -38,7 +43,6 @@
 pub mod batch;
 pub mod dataset;
 pub mod decision_table;
-pub mod ensemble;
 pub mod forest;
 pub mod ibk;
 pub mod kstar;
@@ -54,7 +58,6 @@ mod instances;
 pub use batch::{FeatureMatrix, PredictScratch};
 pub use dataset::{Dataset, Scaler};
 pub use decision_table::DecisionTable;
-pub use ensemble::Ensemble;
 pub use error::MlError;
 pub use forest::RandomForest;
 pub use ibk::IbK;

@@ -21,21 +21,25 @@ pub trait Regressor: Send + Sync {
     /// `data.rows()[..from]`. The caller guarantees that if this model's
     /// last fit was on `from` rows, it was on exactly those.
     ///
-    /// The default is a cold [`Regressor::fit`]. [`Mlp`] overrides it: when
-    /// its last fit covered exactly `from` rows, and at least 30, it
-    /// continues from that fit's weights for a short fixed budget of epochs
-    /// instead of 500 from fresh ones (`mlp` module docs), so its model
-    /// depends on the sequence of training sets and is not the one a cold
-    /// fit would give. The members that can extend a fit exactly ([`IbK`],
-    /// [`KStar`], [`RandomForest`]) implement [`IncrementalRegressor`]
-    /// instead, and callers route them there.
+    /// This is the one rule for how a member meets a grown base. The
+    /// default extends the fit through [`Regressor::as_incremental`] when
+    /// the model has that capability and its last fit covered exactly
+    /// `from` rows ([`IbK`], [`KStar`], [`RandomForest`]: the result is the
+    /// cold fit's to the bit), and is a cold [`Regressor::fit`] otherwise.
+    /// [`Mlp`] overrides it: when its last fit covered exactly `from` rows,
+    /// and at least 30, it continues from that fit's weights for a short
+    /// fixed budget of epochs instead of 500 from fresh ones (`mlp` module
+    /// docs), so its model depends on the sequence of training sets and is
+    /// not the one a cold fit would give.
     ///
     /// # Errors
     ///
     /// Same contract as [`Regressor::fit`].
     fn fit_appended(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        let _ = from;
-        self.fit(data)
+        match self.as_incremental() {
+            Some(inc) if inc.fitted_len() == from => inc.partial_fit(data, from),
+            _ => self.fit(data),
+        }
     }
 
     /// Predicts the target for one feature vector.
@@ -85,10 +89,10 @@ pub trait Regressor: Send + Sync {
     /// Downcast hook to the model's incremental-learning capability.
     ///
     /// The models whose fit a grown base extends exactly ([`IbK`],
-    /// [`KStar`], [`RandomForest`]) and an [`crate::Ensemble`] (which
-    /// extends the members that can and refits the rest) override this to
-    /// return `Some`; everything else keeps the `None` default and callers
-    /// fall back to [`Regressor::fit_appended`] behind the same API.
+    /// [`KStar`], [`RandomForest`]) override this to return `Some`;
+    /// everything else keeps the `None` default. The default
+    /// [`Regressor::fit_appended`] reads it, so a caller retraining on a
+    /// grown base calls `fit_appended` and never needs it.
     fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
         None
     }
@@ -120,9 +124,9 @@ impl Clone for Box<dyn Regressor> {
 /// base only appends to each tree's sample: it keeps every tree whose sample
 /// gained no row and regrows the others, copying each subtree the new rows
 /// do not reach, and its arenas and importances equal a cold fit's too.
-/// An [`crate::Ensemble`] extends the members that can and refits the rest.
-/// A model that cannot promise exactness does not implement the trait and
-/// is refitted.
+/// A model that cannot promise exactness does not implement the trait, and
+/// [`Regressor::fit_appended`] refits it (or, for the [`Mlp`], continues
+/// it).
 pub trait IncrementalRegressor: Regressor {
     /// Extends the fit with the rows `data.rows()[from..]`.
     ///

@@ -6,10 +6,10 @@
 //! pruning until nodes are pure or smaller than `min_leaf`. It is both one of
 //! the paper's six models and the base learner of [`crate::RandomForest`].
 //!
-//! A tree is grown on row numbers into one [`TreeFit`] view of the data,
+//! A tree is grown on row numbers into one `TreeFit` view of the data,
 //! never on copies of rows: a node is a slice of row numbers in ascending
 //! order (a forest's bag names some more than once) that its split
-//! partitions stably in place. The fitted tree is one `Vec` of [`Node`]s in
+//! partitions stably in place. The fitted tree is one `Vec` of `Node`s in
 //! pre-order, and a prediction a loop over slots.
 //!
 //! Each node draws its candidate features from a stream of its own, keyed
@@ -18,7 +18,7 @@
 //! `>` side. A subtree is then a function of its rows in order, its key and
 //! its depth alone, which is what lets a forest regrow a tree on a bag that
 //! gained rows by copying every subtree whose rows it did not gain
-//! ([`RandomTree::grow`]).
+//! (`RandomTree::grow`).
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;

@@ -11,7 +11,7 @@ use disar_math::check::cases;
 use disar_math::rng::stream_rng;
 use disar_ml::ibk::Weighting;
 use disar_ml::{
-    Dataset, DecisionTable, Ensemble, FeatureMatrix, IbK, KStar, Mlp, PredictScratch, RandomForest,
+    Dataset, DecisionTable, FeatureMatrix, IbK, KStar, Mlp, PredictScratch, RandomForest,
     RandomTree, Regressor,
 };
 
@@ -103,18 +103,6 @@ fn neighbour_models_batch_matches_scalar_under_ties() {
             m.fit(&data).expect("training succeeds");
             assert_bit_identical(m.as_ref(), &data, seed);
         }
-    });
-}
-
-/// The ensemble's batched mean (which nests the member kernels through one
-/// shared scratch) is bit-identical to its scalar mean.
-#[test]
-fn ensemble_batch_matches_scalar() {
-    cases(24, |rng| {
-        let (data, seed) = (any_dataset(rng), rng.gen_range(0u64..1000));
-        let mut ens = Ensemble::new(family(seed));
-        ens.fit(&data).expect("training succeeds");
-        assert_bit_identical(&ens, &data, seed);
     });
 }
 

@@ -3,7 +3,7 @@
 use disar_math::check::cases;
 use disar_math::rng::Xoshiro256PlusPlus;
 use disar_ml::regressor::ModelKind;
-use disar_ml::{Dataset, Ensemble, IbK, IncrementalRegressor, KStar, Regressor, Scaler};
+use disar_ml::{Dataset, IbK, IncrementalRegressor, KStar, Regressor, Scaler};
 
 mod common;
 use common::{any_dataset, any_tied_dataset};
@@ -87,33 +87,6 @@ fn scaler_unit_interval() {
                 assert!((-1e-12..=1.0 + 1e-12).contains(&v));
             }
         }
-    });
-}
-
-/// The ensemble mean is bounded by its members' extremes.
-#[test]
-fn ensemble_between_members() {
-    cases(64, |rng| {
-        let data = any_dataset(rng);
-        let mut members: Vec<Box<dyn Regressor>> = vec![
-            ModelKind::IbK.instantiate(1),
-            ModelKind::RandomTree.instantiate(2),
-            ModelKind::DecisionTable.instantiate(3),
-        ];
-        for m in &mut members {
-            m.fit(&data).expect("training succeeds");
-        }
-        let q = any_query(rng, data.dim(), 150.0);
-        let preds: Vec<f64> = members
-            .iter()
-            .map(|m| m.predict(&q).expect("fitted"))
-            .collect();
-        let lo = preds.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = preds.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut ens = Ensemble::new(members);
-        ens.fit(&data).expect("training succeeds");
-        let y = ens.predict(&q).expect("fitted");
-        assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
     });
 }
 
