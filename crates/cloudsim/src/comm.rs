@@ -58,11 +58,6 @@ impl CommModel {
         let hops = (n_nodes as f64).log2().ceil().max(1.0);
         self.latency_secs * hops + data_mib / self.bandwidth_mib_per_sec
     }
-
-    /// Time for a barrier across `n_nodes` (latency-only collective).
-    pub fn barrier_secs(&self, n_nodes: usize) -> f64 {
-        self.collective_secs(n_nodes, 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,6 @@ mod tests {
     fn single_node_is_free() {
         let c = CommModel::ec2_like();
         assert_eq!(c.collective_secs(1, 1000.0), 0.0);
-        assert_eq!(c.barrier_secs(1), 0.0);
     }
 
     #[test]

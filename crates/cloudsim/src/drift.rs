@@ -47,7 +47,7 @@ pub enum DriftModel {
 impl DriftModel {
     /// The effective performance model and price multiplier at run
     /// `run_index`, or `None` when the base model applies unchanged (the
-    /// stationary fast path the provider keeps bit-identical).
+    /// provider then runs the base model at price factor 1.0).
     pub fn effective(
         &self,
         base: &PerformanceModel,

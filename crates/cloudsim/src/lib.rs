@@ -1,5 +1,4 @@
-//! A discrete-event cloud simulator standing in for Amazon EC2 +
-//! StarCluster.
+//! A cloud simulator standing in for Amazon EC2 + StarCluster.
 //!
 //! The paper's experiments ran 1 500 DISAR simulations on six EC2 instance
 //! types. Re-running them against real EC2 is neither reproducible nor free,
@@ -17,19 +16,17 @@
 //!   lognormal noise and stragglers. The provisioner never reads this
 //!   model; it only observes realized durations, exactly like the paper's
 //!   system observes EC2;
-//! - [`drift`]: deterministic non-stationarity — hardware generations,
-//!   gradual contention growth, price revisions — keyed by the provider's
-//!   run index, with [`drift::DriftModel::None`] the bit-identical
+//! - [`drift`]: deterministic non-stationarity — hardware generations
+//!   that step core speed and prices — keyed by the provider's run index, with [`drift::DriftModel::None`] the bit-identical
 //!   stationary default;
-//! - [`event`]: a small discrete-event simulation kernel (clock + event
-//!   queue);
-//! - [`comm`]: the scatter/gather/barrier communication model;
-//! - [`cluster`]: VM and cluster lifecycle (boot latency, termination) on
-//!   top of the event kernel;
+//! - [`comm`]: the scatter/gather communication model;
 //! - [`billing`]: per-hour (EC2 2016) and prorated billing policies;
 //! - [`provider`]: [`provider::CloudProvider`], the StarCluster-like
 //!   façade: `run_job(instance, n, workload) → JobReport` with realized
-//!   duration, cost and per-node idle time.
+//!   duration, cost and per-node idle time. A run's phases (boot, scatter,
+//!   compute on every node, serial aggregation, gather) come in the fixed
+//!   order of §III, so a run is a sum of phase lengths and one max over the
+//!   nodes; boot latency is drawn per VM inside the provider.
 //!
 //! # Example
 //!
@@ -46,10 +43,8 @@
 //! ```
 
 pub mod billing;
-pub mod cluster;
 pub mod comm;
 pub mod drift;
-pub mod event;
 pub mod instances;
 pub mod perf;
 pub mod provider;

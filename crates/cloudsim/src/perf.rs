@@ -117,12 +117,7 @@ impl PerformanceModel {
         n_nodes: usize,
         seed: u64,
     ) -> Vec<f64> {
-        assert!(n_nodes > 0, "n_nodes must be positive");
-        let parallel_work = workload.work_units * (1.0 - workload.serial_fraction);
-        let share = parallel_work / n_nodes as f64;
-        let throughput = self.node_throughput(instance);
-        let mem = self.memory_factor(workload, instance, n_nodes);
-        let base = share / throughput * mem;
+        let base = self.noise_free_compute_secs(workload, instance, n_nodes);
 
         let mut rng = stream_rng(seed, 0x9EF2);
         let mut gauss = disar_math::rng::StandardNormal::new();

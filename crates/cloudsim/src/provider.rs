@@ -1,23 +1,38 @@
 //! The cloud-provider façade — the StarCluster/EC2 stand-in.
 //!
-//! [`CloudProvider::run_job`] plays out one full deploy on the discrete-
-//! event kernel: boot the cluster, scatter the input, compute on every node
-//! (with noise and stragglers), synchronize at the gather barrier, gather
-//! the partial results, terminate. It returns a [`JobReport`] with the
-//! realized execution time and cost — the *only* signal the provisioning
-//! layer is allowed to see (see [`crate::perf`] for the access contract).
+//! [`CloudProvider::run_job`] plays out one full deploy in the fixed order
+//! of §III: boot the cluster, scatter the input, compute on every node (with
+//! noise and stragglers), wait for the slowest node, run the serial
+//! aggregation and gather the partial results. Because the order is fixed,
+//! a run is a sum of phase lengths and one max over the nodes. It returns a
+//! [`JobReport`] with the realized execution time and cost — the *only*
+//! signal the provisioning layer is allowed to see (see [`crate::perf`] for
+//! the access contract).
 
 use crate::billing::{prorated_cost, BillingPolicy};
-use crate::cluster::{provision_cluster, BOOT_BASE_SECS};
 use crate::comm::CommModel;
 use crate::drift::DriftModel;
-use crate::event::EventQueue;
 use crate::instances::InstanceCatalog;
 use crate::perf::PerformanceModel;
 use crate::workload::Workload;
 use crate::CloudError;
-use disar_math::rng::split_seed;
+use disar_math::rng::{split_seed, stream_rng};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Mean VM boot-and-configure latency (EC2 2016 + StarCluster setup).
+const BOOT_BASE_SECS: f64 = 55.0;
+/// Uniform half-width of the boot-latency jitter.
+const BOOT_JITTER_SECS: f64 = 25.0;
+
+/// Boot latency of an `n_nodes` cluster, which is ready when its slowest VM
+/// is: each VM draws `BOOT_BASE_SECS ± BOOT_JITTER_SECS` uniformly, floored
+/// at 10 s, in node order from `seed`'s stream.
+fn boot_secs(n_nodes: usize, seed: u64) -> f64 {
+    let mut rng = stream_rng(seed, 0xB007);
+    (0..n_nodes)
+        .map(|_| (BOOT_BASE_SECS + rng.gen_range(-BOOT_JITTER_SECS..=BOOT_JITTER_SECS)).max(10.0))
+        .fold(0.0_f64, f64::max)
+}
 
 /// Outcome of one cloud job.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +50,7 @@ pub struct JobReport {
     pub billed_cost: f64,
     /// Prorated (fractional-hour) cost — Table II's per-simulation figure.
     pub prorated_cost: f64,
-    /// Boot phase length (max over nodes).
+    /// Boot latency of the slowest VM: the cluster is ready when it is.
     pub boot_secs: f64,
     /// Total communication time (scatter + gather).
     pub comm_secs: f64,
@@ -44,13 +59,6 @@ pub struct JobReport {
     /// Per-node idle fraction while waiting at the gather barrier — the
     /// waste Algorithm 1 implicitly penalizes via cost.
     pub idle_fractions: Vec<f64>,
-}
-
-impl JobReport {
-    /// Mean idle fraction across nodes.
-    pub fn mean_idle(&self) -> f64 {
-        disar_math::stats::mean(&self.idle_fractions)
-    }
 }
 
 /// Noise-free expected outcome of one configuration under the (possibly
@@ -65,22 +73,13 @@ pub struct OraclePlan {
     pub prorated_cost: f64,
 }
 
-/// Phases of the job state machine on the event kernel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum JobEvent {
-    ClusterReady,
-    ScatterDone,
-    NodeDone(usize),
-    GatherDone,
-}
-
-/// The simulated cloud: catalog + hidden performance model + billing.
+/// The simulated cloud: catalog + hidden performance model + per-hour
+/// billing.
 #[derive(Debug)]
 pub struct CloudProvider {
     catalog: InstanceCatalog,
     perf: PerformanceModel,
     comm: CommModel,
-    billing: BillingPolicy,
     drift: DriftModel,
     master_seed: u64,
     run_counter: AtomicU64,
@@ -95,28 +94,15 @@ impl CloudProvider {
             catalog,
             perf: PerformanceModel::default(),
             comm: CommModel::ec2_like(),
-            billing: BillingPolicy::PerHour,
             drift: DriftModel::None,
             master_seed,
             run_counter: AtomicU64::new(0),
         }
     }
 
-    /// Overrides the performance model (testing / ablations).
-    pub fn with_performance_model(mut self, perf: PerformanceModel) -> Self {
-        self.perf = perf;
-        self
-    }
-
-    /// Overrides the billing policy.
-    pub fn with_billing(mut self, billing: BillingPolicy) -> Self {
-        self.billing = billing;
-        self
-    }
-
     /// Makes the hidden performance model non-stationary (drift ablations).
-    /// [`DriftModel::None`] keeps the provider on the exact stationary code
-    /// path — bit-identical to a provider built without this call.
+    /// [`DriftModel::None`] runs the base model at price factor 1.0 — bit-
+    /// identical to a provider built without this call.
     pub fn with_drift(mut self, drift: DriftModel) -> Self {
         self.drift = drift;
         self
@@ -144,7 +130,9 @@ impl CloudProvider {
     /// # Errors
     ///
     /// Returns [`CloudError::UnknownInstanceType`] or
-    /// [`CloudError::InvalidRequest`] for a malformed request.
+    /// [`CloudError::InvalidRequest`] for a malformed request, and
+    /// [`CloudError::InvalidRequest`] for a run with no finite duration (a
+    /// drifted ground truth whose cores have stopped, say).
     pub fn run_job(
         &self,
         instance: &str,
@@ -165,12 +153,8 @@ impl CloudProvider {
         run_index: u64,
     ) -> Result<JobReport, CloudError> {
         let seed = split_seed(self.master_seed, run_index);
-        match self.drift.effective(&self.perf, run_index) {
-            None => self.run_job_with_seed(instance, n_nodes, workload, seed),
-            Some((perf, price_factor)) => {
-                self.execute_with(instance, n_nodes, workload, seed, &perf, price_factor)
-            }
-        }
+        let (perf, price_factor) = self.ground_truth_at(run_index);
+        self.execute_with(instance, n_nodes, workload, seed, &perf, price_factor)
     }
 
     /// The drifted ground-truth conditions at run `run_index`: the
@@ -211,6 +195,11 @@ impl CloudProvider {
         let duration_secs = comm_secs
             + perf.noise_free_compute_secs(workload, inst, n_nodes)
             + perf.serial_secs(workload, inst);
+        if !duration_secs.is_finite() {
+            return Err(CloudError::InvalidRequest(format!(
+                "{instance} x {n_nodes} has no finite duration under this ground truth"
+            )));
+        }
         let uptime_secs = BOOT_BASE_SECS + duration_secs;
         let prorated = prorated_cost(uptime_secs, inst.hourly_cost * price_factor, n_nodes)
             .expect("validated inputs");
@@ -225,7 +214,8 @@ impl CloudProvider {
     /// # Errors
     ///
     /// Returns [`CloudError::UnknownInstanceType`] for a name not in the
-    /// catalog and [`CloudError::InvalidRequest`] for zero nodes.
+    /// catalog and [`CloudError::InvalidRequest`] for zero nodes or a run
+    /// with no finite duration.
     pub fn run_job_with_seed(
         &self,
         instance: &str,
@@ -236,10 +226,11 @@ impl CloudProvider {
         self.execute_with(instance, n_nodes, workload, seed, &self.perf, 1.0)
     }
 
-    /// Plays one job out on the event kernel under an explicit performance
-    /// model and price multiplier — the shared engine behind the stationary
-    /// path ([`CloudProvider::run_job_with_seed`], base model, factor 1.0)
-    /// and the drifted path ([`CloudProvider::run_job_at`]).
+    /// Plays one job out under an explicit performance model and price
+    /// multiplier — the shared engine behind [`CloudProvider::run_job_with_seed`]
+    /// (base model, factor 1.0) and [`CloudProvider::run_job_at`] (the
+    /// ground truth at the run's index). The job ends at `boot + scatter +
+    /// max_i(t_i) + serial + gather`, added in that order.
     fn execute_with(
         &self,
         instance: &str,
@@ -254,48 +245,26 @@ impl CloudProvider {
             return Err(CloudError::InvalidRequest("n_nodes must be > 0".into()));
         }
 
-        // Phase 0: boot.
-        let cluster = provision_cluster(inst, n_nodes, seed ^ 0xB007)?;
-        let boot_secs = cluster.ready_at;
-
-        // Pre-draw the per-node compute times (the DES replays them).
+        let boot_secs = boot_secs(n_nodes, seed ^ 0xB007);
         let node_secs = perf.node_compute_secs(workload, inst, n_nodes, seed ^ 0xC0DE);
         let serial_secs = perf.serial_secs(workload, inst);
-        let scatter_secs = self.comm.collective_secs(n_nodes, workload.transfer_mib / 2.0);
-        let gather_secs = self.comm.collective_secs(n_nodes, workload.transfer_mib / 2.0);
+        // Scatter and gather each move half of the transferred data.
+        let scatter_secs = self
+            .comm
+            .collective_secs(n_nodes, workload.transfer_mib / 2.0);
+        let gather_secs = scatter_secs;
 
-        // Play the job out on the event kernel.
-        let mut q: EventQueue<JobEvent> = EventQueue::new();
-        q.schedule(boot_secs, JobEvent::ClusterReady);
-        let mut compute_start = 0.0;
-        let mut node_finish = vec![0.0_f64; n_nodes];
-        let mut pending = n_nodes;
-        let mut compute_end = 0.0;
-        let mut job_end = 0.0;
-        while let Some((at, ev)) = q.pop() {
-            match ev {
-                JobEvent::ClusterReady => {
-                    q.schedule(at + scatter_secs, JobEvent::ScatterDone);
-                }
-                JobEvent::ScatterDone => {
-                    compute_start = at;
-                    for (node, t) in node_secs.iter().enumerate() {
-                        q.schedule(at + t, JobEvent::NodeDone(node));
-                    }
-                }
-                JobEvent::NodeDone(node) => {
-                    node_finish[node] = at;
-                    pending -= 1;
-                    if pending == 0 {
-                        compute_end = at;
-                        // Serial aggregation on the master, then gather.
-                        q.schedule(at + serial_secs + gather_secs, JobEvent::GatherDone);
-                    }
-                }
-                JobEvent::GatherDone => {
-                    job_end = at;
-                }
-            }
+        // The nodes start together once the input is scattered; the serial
+        // aggregation and the gather wait for the slowest of them.
+        let compute_start = boot_secs + scatter_secs;
+        let node_finish: Vec<f64> = node_secs.iter().map(|t| compute_start + t).collect();
+        let compute_end = node_finish.iter().copied().fold(compute_start, f64::max);
+        let job_end = compute_end + serial_secs + gather_secs;
+        // `!(t >= 0.0)` also rejects NaN, which the max above would skip.
+        if !job_end.is_finite() || node_secs.iter().any(|&t| !(t >= 0.0)) {
+            return Err(CloudError::InvalidRequest(format!(
+                "{instance} x {n_nodes} has no finite duration under this ground truth"
+            )));
         }
 
         let compute_secs = compute_end - compute_start;
@@ -313,12 +282,10 @@ impl CloudProvider {
         let duration_secs = job_end - boot_secs;
         let uptime_secs = job_end;
         let hourly_rate = inst.hourly_cost * price_factor;
-        let billed_cost = self
-            .billing
+        let billed_cost = BillingPolicy::PerHour
             .cost(uptime_secs, hourly_rate, n_nodes)
             .expect("validated inputs");
-        let prorated =
-            prorated_cost(uptime_secs, hourly_rate, n_nodes).expect("validated inputs");
+        let prorated = prorated_cost(uptime_secs, hourly_rate, n_nodes).expect("validated inputs");
         Ok(JobReport {
             instance: inst.name.clone(),
             n_nodes,
@@ -474,6 +441,63 @@ mod tests {
         assert!(rel < 0.25, "oracle {} vs realized {}", before.duration_secs, realized.duration_secs);
         assert!(p.oracle_plan("nope.large", 1, &wl(), 0).is_err());
         assert!(p.oracle_plan("c3.4xlarge", 0, &wl(), 0).is_err());
+    }
+
+    #[test]
+    fn boot_draws_lie_in_the_jitter_band() {
+        // One node's boot is its single draw.
+        for seed in 0..200 {
+            let b = boot_secs(1, seed);
+            assert!(
+                (10.0..=BOOT_BASE_SECS + BOOT_JITTER_SECS).contains(&b),
+                "seed {seed}: {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn boot_is_deterministic_per_seed() {
+        assert_eq!(boot_secs(4, 9).to_bits(), boot_secs(4, 9).to_bits());
+        assert_ne!(boot_secs(4, 9), boot_secs(4, 10));
+    }
+
+    #[test]
+    fn more_nodes_are_never_ready_sooner() {
+        // At one seed the draws of n nodes are a prefix of those of n + 1,
+        // so the cluster's boot (their max) never shrinks as it grows.
+        for seed in [1, 7, 2024] {
+            assert!(boot_secs(64, seed) >= boot_secs(1, seed));
+            for n in 1..64 {
+                assert!(
+                    boot_secs(n + 1, seed) >= boot_secs(n, seed),
+                    "seed {seed}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_without_a_finite_duration_is_a_typed_error() {
+        // From the second run on, every core has speed 0: the compute and
+        // serial phases never end.
+        let p = CloudProvider::new(InstanceCatalog::paper_catalog(), 1).with_drift(
+            DriftModel::StepRegime {
+                period: 1,
+                speed_factor: 0.0,
+                price_factor: 1.0,
+            },
+        );
+        let first = p.run_job("c3.4xlarge", 2, &wl()).unwrap();
+        assert!(first.duration_secs.is_finite());
+        assert!(matches!(
+            p.run_job("c3.4xlarge", 2, &wl()),
+            Err(CloudError::InvalidRequest(_))
+        ));
+        assert!(p.oracle_plan("c3.4xlarge", 2, &wl(), 0).is_ok());
+        assert!(matches!(
+            p.oracle_plan("c3.4xlarge", 2, &wl(), 1),
+            Err(CloudError::InvalidRequest(_))
+        ));
     }
 
     #[test]
