@@ -10,7 +10,7 @@
 //! contract readjustment of Eq. (3)–(5).
 
 use crate::AlmError;
-use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
+use disar_stochastic::scenario::ScenarioView;
 
 /// A segregated fund: asset mix, accounting state and management strategy.
 ///
@@ -47,8 +47,8 @@ impl SegregatedFund {
     /// # Errors
     ///
     /// Returns [`AlmError::InvalidParameter`] unless the weights are
-    /// non-negative and sum to at most 1, all fractions are in `[0, 1]`, and
-    /// `asset_count > 0`.
+    /// non-negative and sum to at most 1, all fractions are in `[0, 1]`,
+    /// `initial_book_yield` is finite and `asset_count > 0`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         bond_weight: f64,
@@ -60,7 +60,10 @@ impl SegregatedFund {
         loss_recognition: f64,
         asset_count: usize,
     ) -> Result<Self, AlmError> {
-        if bond_weight < 0.0 || equity_weight < 0.0 || bond_weight + equity_weight > 1.0 + 1e-12 {
+        if !(bond_weight >= 0.0
+            && equity_weight >= 0.0
+            && bond_weight + equity_weight <= 1.0 + 1e-12)
+        {
             return Err(AlmError::InvalidParameter(
                 "weights must be non-negative and sum to <= 1",
             ));
@@ -75,6 +78,9 @@ impl SegregatedFund {
                 let _ = what;
                 return Err(AlmError::InvalidParameter("fractions must be in [0, 1]"));
             }
+        }
+        if !initial_book_yield.is_finite() {
+            return Err(AlmError::InvalidParameter("book yield must be finite"));
         }
         if asset_count == 0 {
             return Err(AlmError::InvalidParameter("asset_count must be > 0"));
@@ -117,8 +123,9 @@ impl SegregatedFund {
         self.equity_weight
     }
 
-    /// Computes the annual fund-return series `I_1 … I_n` along one
-    /// scenario path.
+    /// Writes the annual fund-return series `I_1 … I_n` along one scenario
+    /// path into `out` (cleared first), allocating nothing once `out` is
+    /// warm.
     ///
     /// `equity_driver` and `rate_driver` are driver indices in `set`. Years
     /// are aggregated from the fine grid: the equity return of year `k` is
@@ -129,27 +136,6 @@ impl SegregatedFund {
     ///
     /// Returns [`AlmError::ScenarioMismatch`] for out-of-range indices or a
     /// grid shorter than one year.
-    pub fn annual_returns(
-        &self,
-        set: &ScenarioSet,
-        path: usize,
-        equity_driver: usize,
-        rate_driver: usize,
-    ) -> Result<Vec<f64>, AlmError> {
-        let mut returns = Vec::new();
-        self.annual_returns_into(&set.view(), path, equity_driver, rate_driver, &mut returns)?;
-        Ok(returns)
-    }
-
-    /// Allocation-free core of [`SegregatedFund::annual_returns`]: writes
-    /// the annual return series into `out` (cleared first), reading the
-    /// scenario through a [`ScenarioView`] so either a [`ScenarioSet`] or a
-    /// reused `ScenarioBuffer` can back it. Bit-identical to
-    /// [`SegregatedFund::annual_returns`] — same fold, same order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegregatedFund::annual_returns`].
     pub fn annual_returns_into(
         &self,
         set: &ScenarioView<'_>,
@@ -218,24 +204,39 @@ mod tests {
     use super::*;
     use disar_math::stats;
     use disar_stochastic::drivers::{Gbm, Vasicek};
-    use disar_stochastic::scenario::{Measure, ScenarioGenerator, TimeGrid};
+    use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
 
-    fn scenario_set(horizon: f64, n_paths: usize, equity_sigma: f64) -> ScenarioSet {
+    fn scenario_set(horizon: f64, n_paths: usize, equity_sigma: f64) -> ScenarioBuffer {
+        let mut buf = ScenarioBuffer::new();
         ScenarioGenerator::builder()
             .driver(Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.0).unwrap()))
             .driver(Box::new(Gbm::new(100.0, 0.06, equity_sigma, 0.03).unwrap()))
             .grid(TimeGrid::new(horizon, 12).unwrap())
             .build()
             .unwrap()
-            .generate(Measure::RealWorld, n_paths, 77, None)
-            .unwrap()
+            .generate_into(Measure::RealWorld, n_paths, 77, None, &mut buf)
+            .unwrap();
+        buf
+    }
+
+    /// Path `p`'s annual returns into a fresh vector.
+    fn returns(
+        fund: &SegregatedFund,
+        set: &ScenarioBuffer,
+        p: usize,
+        equity_driver: usize,
+        rate_driver: usize,
+    ) -> Result<Vec<f64>, AlmError> {
+        let mut out = Vec::new();
+        fund.annual_returns_into(&set.view(), p, equity_driver, rate_driver, &mut out)?;
+        Ok(out)
     }
 
     #[test]
     fn returns_have_one_entry_per_year() {
         let set = scenario_set(10.0, 3, 0.2);
         let fund = SegregatedFund::italian_typical(20);
-        let r = fund.annual_returns(&set, 0, 1, 0).unwrap();
+        let r = returns(&fund, &set, 0, 1, 0).unwrap();
         assert_eq!(r.len(), 10);
         assert!(r.iter().all(|x| x.is_finite()));
     }
@@ -248,11 +249,12 @@ mod tests {
         let fund = SegregatedFund::italian_typical(20);
         let mut fund_sd = Vec::new();
         let mut market_sd = Vec::new();
-        for p in 0..set.n_paths() {
-            let fr = fund.annual_returns(&set, p, 1, 0).unwrap();
+        let view = set.view();
+        for p in 0..view.n_paths() {
+            let fr = returns(&fund, &set, p, 1, 0).unwrap();
             fund_sd.push(stats::std_dev(&fr));
-            let eq = set.path(p, 1);
-            let spy = set.grid().steps_per_year();
+            let eq = view.path(p, 1);
+            let spy = view.grid().steps_per_year();
             let mr: Vec<f64> = (0..20)
                 .map(|k| eq[(k + 1) * spy] / eq[k * spy] - 1.0)
                 .collect();
@@ -268,7 +270,7 @@ mod tests {
         let set = scenario_set(5.0, 2, 0.2);
         let fund = SegregatedFund::new(1.0, 0.0, 0.0, 1.0, 0.04, 0.0, 0.0, 10).unwrap();
         // Smoothing = 1.0 freezes the book yield at its initial value.
-        let r = fund.annual_returns(&set, 0, 1, 0).unwrap();
+        let r = returns(&fund, &set, 0, 1, 0).unwrap();
         for x in r {
             assert!((x - 0.04).abs() < 1e-12);
         }
@@ -281,9 +283,9 @@ mod tests {
         let hi = SegregatedFund::new(0.55, 0.45, 0.02, 0.85, 0.03, 0.3, 0.5, 10).unwrap();
         let mut sd_lo = Vec::new();
         let mut sd_hi = Vec::new();
-        for p in 0..set.n_paths() {
-            sd_lo.push(stats::std_dev(&lo.annual_returns(&set, p, 1, 0).unwrap()));
-            sd_hi.push(stats::std_dev(&hi.annual_returns(&set, p, 1, 0).unwrap()));
+        for p in 0..set.view().n_paths() {
+            sd_lo.push(stats::std_dev(&returns(&lo, &set, p, 1, 0).unwrap()));
+            sd_hi.push(stats::std_dev(&returns(&hi, &set, p, 1, 0).unwrap()));
         }
         assert!(stats::mean(&sd_hi) > stats::mean(&sd_lo));
     }
@@ -297,22 +299,39 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_fund_parameters_are_typed_errors() {
+        let base = [0.8, 0.2, 0.02, 0.8, 0.03, 0.3, 0.5];
+        let new = |p: [f64; 7]| SegregatedFund::new(p[0], p[1], p[2], p[3], p[4], p[5], p[6], 10);
+        assert!(new(base).is_ok());
+        for i in 0..base.len() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut params = base;
+                params[i] = bad;
+                assert!(
+                    matches!(new(params), Err(AlmError::InvalidParameter(_))),
+                    "parameter {i} = {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn index_validation() {
         let set = scenario_set(2.0, 2, 0.2);
         let fund = SegregatedFund::italian_typical(5);
-        assert!(fund.annual_returns(&set, 99, 1, 0).is_err());
-        assert!(fund.annual_returns(&set, 0, 7, 0).is_err());
-        assert!(fund.annual_returns(&set, 0, 1, 7).is_err());
+        assert!(returns(&fund, &set, 99, 1, 0).is_err());
+        assert!(returns(&fund, &set, 0, 7, 0).is_err());
+        assert!(returns(&fund, &set, 0, 1, 7).is_err());
     }
 
     #[test]
     fn deterministic_per_path() {
         let set = scenario_set(5.0, 4, 0.2);
         let fund = SegregatedFund::italian_typical(5);
-        let a = fund.annual_returns(&set, 2, 1, 0).unwrap();
-        let b = fund.annual_returns(&set, 2, 1, 0).unwrap();
+        let a = returns(&fund, &set, 2, 1, 0).unwrap();
+        let b = returns(&fund, &set, 2, 1, 0).unwrap();
         assert_eq!(a, b);
-        let c = fund.annual_returns(&set, 3, 1, 0).unwrap();
+        let c = returns(&fund, &set, 3, 1, 0).unwrap();
         assert_ne!(a, c);
     }
 }

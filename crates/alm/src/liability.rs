@@ -23,7 +23,7 @@ use crate::fund::SegregatedFund;
 use crate::AlmError;
 use disar_actuarial::contracts::ProfitSharing;
 use disar_actuarial::engine::CashFlowSchedule;
-use disar_stochastic::scenario::{ScenarioSet, ScenarioView};
+use disar_stochastic::scenario::ScenarioView;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -37,8 +37,8 @@ pub struct LiabilityPosition {
     pub profit_sharing: ProfitSharing,
 }
 
-/// Reusable per-path scratch for the `_into` valuation kernels: the annual
-/// fund returns and per-year discount factors of the path being valued.
+/// Reusable per-path scratch for the valuation kernels: the annual fund
+/// returns and per-year discount factors of the path being valued.
 /// Owned by the caller (typically a `ValuationWorkspace`) so repeated
 /// valuations reuse the same storage; every field is fully rewritten per
 /// path, so no state survives between calls.
@@ -80,51 +80,17 @@ impl PathScratch {
 pub fn value_positions_on_path(
     positions: &[LiabilityPosition],
     fund: &SegregatedFund,
-    set: &ScenarioSet,
-    path: usize,
-    equity_driver: usize,
-    rate_driver: usize,
-) -> Result<f64, AlmError> {
-    let mut scratch = PathScratch::new();
-    value_positions_on_path_into(
-        positions,
-        fund,
-        &set.view(),
-        path,
-        equity_driver,
-        rate_driver,
-        &mut scratch,
-    )
-}
-
-/// Allocation-free core of [`value_positions_on_path`]: reads the scenario
-/// through a [`ScenarioView`] and keeps all per-path intermediates in the
-/// caller's [`PathScratch`]. Bit-identical to the allocating wrapper — the
-/// per-year discount factors come from
-/// [`ScenarioView::year_discount_factors_into`], whose running integral
-/// adds terms in exactly the order of the per-call loops it replaces.
-///
-/// # Errors
-///
-/// Propagates [`AlmError::ScenarioMismatch`] from the fund-return
-/// computation.
-#[allow(clippy::too_many_arguments)]
-pub fn value_positions_on_path_into(
-    positions: &[LiabilityPosition],
-    fund: &SegregatedFund,
     set: &ScenarioView<'_>,
     path: usize,
     equity_driver: usize,
     rate_driver: usize,
-    scratch: &mut PathScratch,
 ) -> Result<f64, AlmError> {
-    fund.annual_returns_into(set, path, equity_driver, rate_driver, &mut scratch.returns)?;
-    let n_years = scratch.returns.len();
-    set.year_discount_factors_into(path, n_years, &mut scratch.dfs);
-
+    let (mut returns, mut dfs) = (Vec::new(), Vec::new());
+    fund.annual_returns_into(set, path, equity_driver, rate_driver, &mut returns)?;
+    set.year_discount_factors_into(path, returns.len(), &mut dfs);
     let mut total = 0.0;
     for pos in positions {
-        total += position_value(pos, &scratch.returns, &scratch.dfs);
+        total += position_value(pos, &returns, &dfs);
     }
     Ok(total)
 }
@@ -159,56 +125,21 @@ fn position_value(pos: &LiabilityPosition, returns: &[f64], dfs: &[f64]) -> f64 
 pub fn value_each_position_on_path(
     positions: &[LiabilityPosition],
     fund: &SegregatedFund,
-    set: &ScenarioSet,
-    path: usize,
-    equity_driver: usize,
-    rate_driver: usize,
-) -> Result<Vec<f64>, AlmError> {
-    let mut scratch = PathScratch::new();
-    let mut out = Vec::with_capacity(positions.len());
-    value_each_position_on_path_into(
-        positions,
-        fund,
-        &set.view(),
-        path,
-        equity_driver,
-        rate_driver,
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// Allocation-free core of [`value_each_position_on_path`]: one PV per
-/// position written into `out` (cleared first), all intermediates in the
-/// caller's [`PathScratch`]. This is the `nP × nQ` inner kernel of the
-/// nested Monte Carlo — with a warm scratch and output vector it performs
-/// zero heap allocations.
-///
-/// # Errors
-///
-/// Propagates [`AlmError::ScenarioMismatch`] from the fund-return
-/// computation.
-#[allow(clippy::too_many_arguments)]
-pub fn value_each_position_on_path_into(
-    positions: &[LiabilityPosition],
-    fund: &SegregatedFund,
     set: &ScenarioView<'_>,
     path: usize,
     equity_driver: usize,
     rate_driver: usize,
-    scratch: &mut PathScratch,
-    out: &mut Vec<f64>,
-) -> Result<(), AlmError> {
-    fund.annual_returns_into(set, path, equity_driver, rate_driver, &mut scratch.returns)?;
-    let n_years = scratch.returns.len();
-    set.year_discount_factors_into(path, n_years, &mut scratch.dfs);
-    value_each_position_from_series(positions, &scratch.returns, &scratch.dfs, out);
-    Ok(())
+) -> Result<Vec<f64>, AlmError> {
+    let (mut returns, mut dfs) = (Vec::new(), Vec::new());
+    fund.annual_returns_into(set, path, equity_driver, rate_driver, &mut returns)?;
+    set.year_discount_factors_into(path, returns.len(), &mut dfs);
+    let mut out = Vec::with_capacity(positions.len());
+    value_each_position_from_series(positions, &returns, &dfs, &mut out);
+    Ok(out)
 }
 
 /// The one-path position-valuation core behind
-/// [`value_each_position_on_path_into`]: one PV per position written into
+/// [`value_each_position_on_path`]: one PV per position written into
 /// `out` (cleared first), computed from an already-materialized annual
 /// fund-return series and the matching per-year discount factors.
 /// `returns.len()` defines the path horizon in years; `dfs` must have the
@@ -539,7 +470,7 @@ fn sweep_years<const W: usize>(
 pub fn value_positions_all_paths(
     positions: &[LiabilityPosition],
     fund: &SegregatedFund,
-    set: &ScenarioSet,
+    set: &ScenarioView<'_>,
     equity_driver: usize,
     rate_driver: usize,
 ) -> Result<Vec<f64>, AlmError> {
@@ -557,7 +488,7 @@ mod tests {
     use disar_actuarial::model_points::ModelPoint;
     use disar_actuarial::mortality::{Gender, LifeTable};
     use disar_stochastic::drivers::{Gbm, Vasicek};
-    use disar_stochastic::scenario::{Measure, ScenarioGenerator, TimeGrid};
+    use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
 
     fn make_position(term: u32, beta: f64, tech: f64) -> LiabilityPosition {
         let table = LifeTable::italian_population();
@@ -576,21 +507,29 @@ mod tests {
         }
     }
 
-    fn q_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioSet {
-        ScenarioGenerator::builder()
+    /// `n_paths` risk-neutral paths of `gen` filled into a fresh buffer.
+    fn filled(gen: ScenarioGenerator, n_paths: usize, seed: u64) -> ScenarioBuffer {
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_into(Measure::RiskNeutral, n_paths, seed, None, &mut buf)
+            .unwrap();
+        buf
+    }
+
+    fn q_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioBuffer {
+        let gen = ScenarioGenerator::builder()
             .driver(Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.0).unwrap()))
             .driver(Box::new(Gbm::new(100.0, 0.06, 0.18, 0.03).unwrap()))
             .grid(TimeGrid::new(horizon, 12).unwrap())
             .build()
-            .unwrap()
-            .generate(Measure::RiskNeutral, n_paths, seed, None)
-            .unwrap()
+            .unwrap();
+        filled(gen, n_paths, seed)
     }
 
     #[test]
     fn pv_is_positive_and_below_undiscounted_max() {
         let pos = make_position(10, 0.8, 0.02);
-        let set = q_set(12.0, 20, 5);
+        let buf = q_set(12.0, 20, 5);
+        let set = buf.view();
         let fund = SegregatedFund::italian_typical(20);
         for p in 0..set.n_paths() {
             let pv = value_positions_on_path(std::slice::from_ref(&pos), &fund, &set, p, 1, 0).unwrap();
@@ -609,7 +548,8 @@ mod tests {
         // monotone this way: Eq. 2 normalizes it out of the crediting.)
         let lo = make_position(15, 0.70, 0.01);
         let hi = make_position(15, 0.95, 0.01);
-        let set = q_set(16.0, 50, 7);
+        let buf = q_set(16.0, 50, 7);
+        let set = buf.view();
         let fund = SegregatedFund::italian_typical(20);
         let pv_lo: f64 = value_positions_all_paths(std::slice::from_ref(&lo), &fund, &set, 1, 0)
             .unwrap()
@@ -626,7 +566,8 @@ mod tests {
     fn valuation_is_additive_over_positions() {
         let a = make_position(10, 0.8, 0.02);
         let b = make_position(20, 0.85, 0.01);
-        let set = q_set(21.0, 5, 9);
+        let buf = q_set(21.0, 5, 9);
+        let set = buf.view();
         let fund = SegregatedFund::italian_typical(20);
         for p in 0..set.n_paths() {
             let sep = value_positions_on_path(std::slice::from_ref(&a), &fund, &set, p, 1, 0).unwrap()
@@ -860,14 +801,14 @@ mod tests {
         // Deterministic degenerate economy: rate pinned at 0 (sigma 0,
         // r0 = b = 0), equity flat, guarantee 0 ⇒ Φ = 1, df = 1, so PV =
         // sum of expected nominal benefits.
-        let set = ScenarioGenerator::builder()
+        let gen = ScenarioGenerator::builder()
             .driver(Box::new(Vasicek::new(0.0, 0.5, 0.0, 0.0, 0.0).unwrap()))
             .driver(Box::new(Gbm::new(100.0, 0.0, 0.0, 0.0).unwrap()))
             .grid(TimeGrid::new(12.0, 12).unwrap())
             .build()
-            .unwrap()
-            .generate(Measure::RiskNeutral, 1, 0, None)
             .unwrap();
+        let buf = filled(gen, 1, 0);
+        let set = buf.view();
         // Fund with zero book yield and no dividends returns exactly zero.
         let fund = SegregatedFund::new(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 5).unwrap();
         let pos = make_position(10, 0.8, 0.0);
@@ -879,7 +820,8 @@ mod tests {
     #[test]
     fn flows_beyond_horizon_are_clamped_not_dropped() {
         let pos = make_position(20, 0.8, 0.02);
-        let short = q_set(5.0, 3, 11);
+        let buf = q_set(5.0, 3, 11);
+        let short = buf.view();
         let fund = SegregatedFund::italian_typical(10);
         let pv = value_positions_on_path(&[pos], &fund, &short, 0, 1, 0).unwrap();
         assert!(pv > 0.0, "clamped valuation must still count the flows");
@@ -889,7 +831,8 @@ mod tests {
     fn per_position_values_sum_to_joint() {
         let a = make_position(10, 0.8, 0.02);
         let b = make_position(20, 0.85, 0.01);
-        let set = q_set(21.0, 4, 13);
+        let buf = q_set(21.0, 4, 13);
+        let set = buf.view();
         let fund = SegregatedFund::italian_typical(20);
         for p in 0..set.n_paths() {
             let each =

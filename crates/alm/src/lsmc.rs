@@ -24,7 +24,7 @@ use crate::AlmError;
 use disar_math::matrix::ridge_least_squares;
 use disar_math::poly::{MultiBasis, PolyFamily};
 use disar_math::stats;
-use disar_stochastic::scenario::{Measure, ScenarioGenerator};
+use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator};
 
 /// Configuration of an LSMC valuation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,15 +116,18 @@ impl<'a> Lsmc<'a> {
         };
         let calib = self.nested.run(positions, &calib_cfg)?;
 
-        // Outer endpoint states of the calibration sample.
-        let calib_set = self.outer.generate(
+        // Outer endpoint states of the calibration sample. One buffer holds
+        // the calibration set, then the evaluation set.
+        let mut buf = ScenarioBuffer::new();
+        self.outer.generate_into(
             Measure::RealWorld,
             config.calibration_outer,
             calib_cfg.seed,
             None,
+            &mut buf,
         )?;
-        let spy = calib_set.grid().steps_per_year();
-        let calib_view = calib_set.view();
+        let calib_view = buf.view();
+        let spy = calib_view.grid().steps_per_year();
         let mut state = Vec::new();
         let calib_states: Vec<Vec<f64>> = (0..config.calibration_outer)
             .map(|p| {
@@ -158,10 +161,14 @@ impl<'a> Lsmc<'a> {
         let beta = ridge_least_squares(&design, &calib.y1, config.ridge)?;
 
         // 3. Evaluation: full nP outer set, expansion instead of inner sims.
-        let eval_set =
-            self.outer
-                .generate(Measure::RealWorld, config.n_outer, config.seed, None)?;
-        let eval_view = eval_set.view();
+        self.outer.generate_into(
+            Measure::RealWorld,
+            config.n_outer,
+            config.seed,
+            None,
+            &mut buf,
+        )?;
+        let eval_view = buf.view();
         let y1: Vec<f64> = (0..config.n_outer)
             .map(|p| {
                 eval_view.state_into(p, spy, &mut state);
@@ -175,7 +182,7 @@ impl<'a> Lsmc<'a> {
             })
             .collect();
         let dfs: Vec<f64> = (0..config.n_outer)
-            .map(|p| eval_set.discount_factor(p, spy))
+            .map(|p| eval_view.discount_factor(p, spy))
             .collect();
 
         let mean = stats::mean(&y1);

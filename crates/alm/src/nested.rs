@@ -28,7 +28,7 @@ use crate::AlmError;
 use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::split_seed;
 use disar_math::stats;
-use disar_stochastic::scenario::{Measure, ScenarioGenerator};
+use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, ScenarioView};
 
 /// Configuration of a nested run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -235,15 +235,21 @@ impl<'a> NestedMonteCarlo<'a> {
         let n_blocks = blocks.len();
 
         // Outer stage: nP real-world paths over [0, 1].
-        let outer_set =
-            self.outer
-                .generate(Measure::RealWorld, config.n_outer, config.seed, None)?;
+        let mut outer_buf = ScenarioBuffer::new();
+        self.outer.generate_into(
+            Measure::RealWorld,
+            config.n_outer,
+            config.seed,
+            None,
+            &mut outer_buf,
+        )?;
+        let outer = outer_buf.view();
 
         // Inner stage: one row per outer path, one entry per block.
         let mut values = vec![PathValue::default(); config.n_outer * n_blocks];
         let value_paths = |first: usize, rows: &mut [PathValue], ws: &mut ValuationWorkspace| {
             for (i, row) in rows.chunks_mut(n_blocks).enumerate() {
-                self.value_outer_path(&outer_set, first + i, &book, config, ws, row)?;
+                self.value_outer_path(&outer, first + i, &book, config, ws, row)?;
             }
             Ok::<(), AlmError>(())
         };
@@ -289,19 +295,18 @@ impl<'a> NestedMonteCarlo<'a> {
     /// of the result.
     fn value_outer_path(
         &self,
-        outer_set: &disar_stochastic::scenario::ScenarioSet,
+        outer: &ScenarioView<'_>,
         p: usize,
         book: &LiabilityBook,
         config: &NestedConfig,
         ws: &mut ValuationWorkspace,
         out: &mut [PathValue],
     ) -> Result<(), AlmError> {
-        let outer = outer_set.view();
         let spy = outer.grid().steps_per_year();
         // First-year fund return on the outer path drives Φ_1 and the
         // year-1 flows.
         self.fund.annual_returns_into(
-            &outer,
+            outer,
             p,
             self.equity_driver,
             self.rate_driver,

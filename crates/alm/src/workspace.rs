@@ -1,9 +1,9 @@
 //! Per-worker valuation workspaces for the nested Monte Carlo hot path.
 //!
 //! The nested procedure evaluates `nP × nQ` inner valuations; before this
-//! layer existed, every one of them heap-allocated (a fresh inner
-//! `ScenarioSet`, fund-return and discount-factor vectors, a per-position
-//! result `Vec`). A [`ValuationWorkspace`] gathers all of that scratch into
+//! layer existed, every one of them heap-allocated (a fresh inner scenario
+//! set, fund-return and discount-factor vectors, a per-position result
+//! `Vec`). A [`ValuationWorkspace`] gathers all of that scratch into
 //! one struct that is created **once per outer-loop worker thread** and
 //! reused across every outer path of that worker's chunk — steady-state
 //! inner-loop allocations drop to zero.

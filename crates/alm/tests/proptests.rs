@@ -16,9 +16,10 @@ use disar_math::parallel::parallel_map;
 use disar_math::rng::split_seed;
 use disar_math::stats;
 use disar_stochastic::drivers::{Gbm, Vasicek};
-use disar_stochastic::scenario::{Measure, ScenarioGenerator, ScenarioSet, TimeGrid};
+use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
 
-fn scenario_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioSet {
+fn scenario_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioBuffer {
+    let mut buf = ScenarioBuffer::new();
     ScenarioGenerator::builder()
         .driver(Box::new(
             Vasicek::new(0.025, 0.4, 0.028, 0.009, 0.1).expect("valid"),
@@ -27,8 +28,9 @@ fn scenario_set(horizon: f64, n_paths: usize, seed: u64) -> ScenarioSet {
         .grid(TimeGrid::new(horizon, 12).expect("valid"))
         .build()
         .expect("valid")
-        .generate(Measure::RiskNeutral, n_paths, seed, None)
-        .expect("valid")
+        .generate_into(Measure::RiskNeutral, n_paths, seed, None, &mut buf)
+        .expect("valid");
+    buf
 }
 
 fn position(age: u32, term: u32, beta: f64, sum: f64) -> LiabilityPosition {
@@ -54,7 +56,8 @@ fn valuation_linear_in_sum() {
     cases(24, |rng| {
         let (age, term) = (rng.gen_range(30u32..65), rng.gen_range(3u32..15));
         let (scale, seed) = (rng.gen_range(1.5..10.0), rng.gen_range(0u64..50));
-        let set = scenario_set(16.0, 3, seed);
+        let buf = scenario_set(16.0, 3, seed);
+        let set = buf.view();
         let fund = SegregatedFund::italian_typical(20);
         let base = [position(age, term, 0.8, 1000.0)];
         let scaled = [position(age, term, 0.8, 1000.0 * scale)];
@@ -72,13 +75,13 @@ fn valuations_positive_finite() {
     cases(24, |rng| {
         let ages = vec_of(rng, 1..5, |rng| rng.gen_range(25u32..70));
         let (term, seed) = (rng.gen_range(3u32..20), rng.gen_range(0u64..50));
-        let set = scenario_set(21.0, 4, seed);
+        let buf = scenario_set(21.0, 4, seed);
         let fund = SegregatedFund::italian_typical(30);
         let positions: Vec<LiabilityPosition> = ages
             .iter()
             .map(|&a| position(a, term, 0.8, 500.0))
             .collect();
-        let values = value_positions_all_paths(&positions, &fund, &set, 1, 0).expect("ok");
+        let values = value_positions_all_paths(&positions, &fund, &buf.view(), 1, 0).expect("ok");
         for v in values {
             assert!(v.is_finite());
             assert!(v > 0.0);
@@ -142,12 +145,12 @@ fn nested_generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerato
     (build(1.0), build(inner_horizon))
 }
 
-/// The pre-workspace nested procedure, reimplemented with the allocating
-/// APIs only (`generate`, `value_each_position_on_path`) — the reference
-/// the zero-allocation kernel path must match to the bit. The outer state
-/// is read via `view().state_into`, which is bit-identical to the removed
-/// `state_at` (it reads the same `[path][driver][step]` cells in the same
-/// order), so the frozen reference is unchanged numerically.
+/// The pre-workspace nested procedure: a fresh buffer per fill and the
+/// one-path kernel `value_each_position_on_path` position by position — the
+/// reference the workspace-backed kernel path must match to the bit. The
+/// outer state is read via `state_into`, which is bit-identical to the
+/// removed `state_at` (it reads the same `[path][driver][step]` cells in the
+/// same order), so the frozen reference is unchanged numerically.
 fn reference_nested(
     outer: &ScenarioGenerator,
     inner: &ScenarioGenerator,
@@ -155,9 +158,17 @@ fn reference_nested(
     positions: &[LiabilityPosition],
     config: &NestedConfig,
 ) -> (Vec<f64>, f64, f64, f64) {
-    let outer_set = outer
-        .generate(Measure::RealWorld, config.n_outer, config.seed, None)
+    let mut outer_buf = ScenarioBuffer::new();
+    outer
+        .generate_into(
+            Measure::RealWorld,
+            config.n_outer,
+            config.seed,
+            None,
+            &mut outer_buf,
+        )
         .expect("outer generation");
+    let outer_set = outer_buf.view();
     let spy = outer_set.grid().steps_per_year();
     let shifted: Vec<LiabilityPosition> = positions
         .iter()
@@ -171,8 +182,8 @@ fn reference_nested(
     let mut year1_pv = Vec::new();
     let mut dfs = Vec::new();
     for p in 0..config.n_outer {
-        let returns = fund
-            .annual_returns(&outer_set, p, 1, 0)
+        let mut returns = Vec::new();
+        fund.annual_returns_into(&outer_set, p, 1, 0, &mut returns)
             .expect("fund returns");
         let i1 = returns[0];
         let df1 = outer_set.discount_factor(p, spy);
@@ -188,27 +199,28 @@ fn reference_nested(
             phi1.push(phi);
         }
         let mut state = Vec::new();
-        outer_set.view().state_into(p, spy, &mut state);
+        outer_set.state_into(p, spy, &mut state);
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
-        let inner_set = if config.antithetic {
-            inner
-                .generate_antithetic(
-                    Measure::RiskNeutral,
-                    config.n_inner / 2,
-                    inner_seed,
-                    Some(&state),
-                )
-                .expect("inner generation")
+        let mut inner_buf = ScenarioBuffer::new();
+        if config.antithetic {
+            inner.generate_antithetic_into(
+                Measure::RiskNeutral,
+                config.n_inner / 2,
+                inner_seed,
+                Some(&state),
+                &mut inner_buf,
+            )
         } else {
-            inner
-                .generate(
-                    Measure::RiskNeutral,
-                    config.n_inner,
-                    inner_seed,
-                    Some(&state),
-                )
-                .expect("inner generation")
-        };
+            inner.generate_into(
+                Measure::RiskNeutral,
+                config.n_inner,
+                inner_seed,
+                Some(&state),
+                &mut inner_buf,
+            )
+        }
+        .expect("inner generation");
+        let inner_set = inner_buf.view();
         let mut acc = vec![0.0; shifted.len()];
         for q in 0..config.n_inner {
             let vals = value_each_position_on_path(&shifted, fund, &inner_set, q, 1, 0)
@@ -243,8 +255,8 @@ fn reference_nested(
 
 /// The workspace-backed nested engine is bit-identical to the allocating
 /// reference — sequential and threaded, plain and antithetic, for arbitrary
-/// seeds and path counts (the reference generates its scenarios through the
-/// allocating entry points and values them position by position).
+/// seeds and path counts (the reference fills a fresh buffer per scenario
+/// set and values the inner paths position by position).
 #[test]
 fn nested_kernel_bitwise_matches_allocating_reference() {
     cases(8, |rng| {

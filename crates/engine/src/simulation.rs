@@ -182,7 +182,7 @@ impl SimulationSpec {
 mod tests {
     use super::*;
     use disar_actuarial::portfolio::PortfolioSpec;
-    use disar_stochastic::scenario::Measure;
+    use disar_stochastic::scenario::{Measure, ScenarioBuffer};
 
     fn small_portfolio() -> Portfolio {
         PortfolioSpec {
@@ -210,9 +210,11 @@ mod tests {
             let g = m.build_generator(5.0, 12).unwrap();
             assert_eq!(g.n_drivers(), m.risk_factors());
             // Smoke-generate a couple of paths.
-            let set = g.generate(Measure::RiskNeutral, 2, 1, None).unwrap();
-            assert_eq!(set.n_drivers(), m.risk_factors());
-            assert_eq!(set.short_rate_index(), Some(0));
+            let mut buf = ScenarioBuffer::new();
+            g.generate_into(Measure::RiskNeutral, 2, 1, None, &mut buf)
+                .unwrap();
+            assert_eq!(buf.view().n_drivers(), m.risk_factors());
+            assert_eq!(buf.view().short_rate_index(), Some(0));
         }
     }
 

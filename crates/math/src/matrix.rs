@@ -437,7 +437,8 @@ impl fmt::Display for Matrix {
 ///
 /// # Errors
 ///
-/// Returns [`MathError::DimensionMismatch`] if `y.len() != x.rows()`, and
+/// Returns [`MathError::DimensionMismatch`] if `y.len() != x.rows()`,
+/// [`MathError::InvalidArgument`] if `lambda` is negative or not finite, and
 /// [`MathError::NotPositiveDefinite`] if the (regularized) Gram matrix is not
 /// positive definite.
 ///
@@ -460,8 +461,8 @@ pub fn ridge_least_squares(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64
             rhs: (y.len(), 1),
         });
     }
-    if lambda < 0.0 {
-        return Err(MathError::InvalidArgument("lambda must be >= 0"));
+    if !(lambda >= 0.0 && lambda.is_finite()) {
+        return Err(MathError::InvalidArgument("lambda must be finite and >= 0"));
     }
     let mut gram = x.gram();
     for i in 0..gram.rows() {
@@ -592,6 +593,20 @@ mod tests {
             ridge_least_squares(&x, &[1.0, 1.0], -1.0),
             Err(MathError::InvalidArgument(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_ridge_lambda_is_a_typed_error() {
+        let x = Matrix::identity(2);
+        for lambda in [f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    ridge_least_squares(&x, &[1.0, 1.0], lambda),
+                    Err(MathError::InvalidArgument(_))
+                ),
+                "lambda {lambda}"
+            );
+        }
     }
 
     #[test]

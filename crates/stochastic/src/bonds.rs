@@ -103,7 +103,7 @@ pub fn zero_curve<M: BondPricing>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ScenarioGenerator, TimeGrid};
+    use crate::scenario::{ScenarioBuffer, ScenarioGenerator, TimeGrid};
     use disar_math::stats;
 
     fn vasicek() -> Vasicek {
@@ -169,9 +169,10 @@ mod tests {
             .grid(TimeGrid::new(5.0, 24).unwrap())
             .build()
             .unwrap();
-        let set = gen
-            .generate(Measure::RiskNeutral, 20_000, 42, None)
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_into(Measure::RiskNeutral, 20_000, 42, None, &mut buf)
             .unwrap();
+        let set = buf.view();
         let steps = set.grid().n_steps();
         let dfs: Vec<f64> = (0..set.n_paths())
             .map(|p| set.discount_factor(p, steps))
@@ -190,9 +191,10 @@ mod tests {
             .grid(TimeGrid::new(5.0, 48).unwrap()) // finer grid: Euler bias
             .build()
             .unwrap();
-        let set = gen
-            .generate(Measure::RiskNeutral, 20_000, 7, None)
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_into(Measure::RiskNeutral, 20_000, 7, None, &mut buf)
             .unwrap();
+        let set = buf.view();
         let steps = set.grid().n_steps();
         let dfs: Vec<f64> = (0..set.n_paths())
             .map(|p| set.discount_factor(p, steps))

@@ -11,6 +11,15 @@
 use crate::scenario::Measure;
 use crate::StochasticError;
 
+/// The first check of every driver constructor: a NaN or infinite parameter
+/// is an error, not a scenario of NaNs.
+fn check_finite(params: &[f64]) -> Result<(), StochasticError> {
+    if !params.iter().all(|p| p.is_finite()) {
+        return Err(StochasticError::InvalidParameter("non-finite parameter"));
+    }
+    Ok(())
+}
+
 /// Per-`(grid step, measure)` coefficients of a driver's transition,
 /// hoisted out of the per-path loop by [`RiskDriver::step_coeffs`].
 ///
@@ -222,13 +231,14 @@ impl Gbm {
     ///
     /// # Errors
     ///
-    /// Returns [`StochasticError::InvalidParameter`] if `s0 <= 0` or
-    /// `sigma < 0`.
+    /// Returns [`StochasticError::InvalidParameter`] if a parameter is not
+    /// finite, `s0 <= 0` or `sigma < 0`.
     pub fn new(s0: f64, mu: f64, sigma: f64, risk_free: f64) -> Result<Self, StochasticError> {
-        if s0 <= 0.0 {
+        check_finite(&[s0, mu, sigma, risk_free])?;
+        if !(s0 > 0.0) {
             return Err(StochasticError::InvalidParameter("s0 must be positive"));
         }
-        if sigma < 0.0 {
+        if !(sigma >= 0.0) {
             return Err(StochasticError::InvalidParameter("sigma must be >= 0"));
         }
         Ok(Gbm {
@@ -307,13 +317,14 @@ impl Vasicek {
     ///
     /// # Errors
     ///
-    /// Returns [`StochasticError::InvalidParameter`] if `a <= 0` or
-    /// `sigma < 0`.
+    /// Returns [`StochasticError::InvalidParameter`] if a parameter is not
+    /// finite, `a <= 0` or `sigma < 0`.
     pub fn new(r0: f64, a: f64, b: f64, sigma: f64, lambda: f64) -> Result<Self, StochasticError> {
-        if a <= 0.0 {
+        check_finite(&[r0, a, b, sigma, lambda])?;
+        if !(a > 0.0) {
             return Err(StochasticError::InvalidParameter("a must be positive"));
         }
-        if sigma < 0.0 {
+        if !(sigma >= 0.0) {
             return Err(StochasticError::InvalidParameter("sigma must be >= 0"));
         }
         Ok(Vasicek {
@@ -398,8 +409,8 @@ impl Cir {
     ///
     /// # Errors
     ///
-    /// Returns [`StochasticError::InvalidParameter`] if `x0 < 0`, `a <= 0`,
-    /// `b < 0` or `sigma < 0`.
+    /// Returns [`StochasticError::InvalidParameter`] if a parameter is not
+    /// finite, `x0 < 0`, `a <= 0`, `b < 0` or `sigma < 0`.
     pub fn short_rate(
         x0: f64,
         a: f64,
@@ -433,16 +444,17 @@ impl Cir {
         short_rate: bool,
         name: &str,
     ) -> Result<Self, StochasticError> {
-        if x0 < 0.0 {
+        check_finite(&[x0, a, b, sigma, lambda])?;
+        if !(x0 >= 0.0) {
             return Err(StochasticError::InvalidParameter("x0 must be >= 0"));
         }
-        if a <= 0.0 {
+        if !(a > 0.0) {
             return Err(StochasticError::InvalidParameter("a must be positive"));
         }
-        if b < 0.0 {
+        if !(b >= 0.0) {
             return Err(StochasticError::InvalidParameter("b must be >= 0"));
         }
-        if sigma < 0.0 {
+        if !(sigma >= 0.0) {
             return Err(StochasticError::InvalidParameter("sigma must be >= 0"));
         }
         Ok(Cir {
@@ -533,18 +545,19 @@ impl FxRate {
     ///
     /// # Errors
     ///
-    /// Returns [`StochasticError::InvalidParameter`] if `x0 <= 0` or
-    /// `sigma < 0`.
+    /// Returns [`StochasticError::InvalidParameter`] if a parameter is not
+    /// finite, `x0 <= 0` or `sigma < 0`.
     pub fn new(
         x0: f64,
         mu: f64,
         sigma: f64,
         rate_differential: f64,
     ) -> Result<Self, StochasticError> {
-        if x0 <= 0.0 {
+        check_finite(&[x0, mu, sigma, rate_differential])?;
+        if !(x0 > 0.0) {
             return Err(StochasticError::InvalidParameter("x0 must be positive"));
         }
-        if sigma < 0.0 {
+        if !(sigma >= 0.0) {
             return Err(StochasticError::InvalidParameter("sigma must be >= 0"));
         }
         Ok(FxRate {
@@ -641,6 +654,56 @@ pub(crate) mod tests {
         let logs: Vec<f64> = finals.iter().map(|s| s.ln()).collect();
         let v = stats::variance(&logs);
         assert!((v - 0.18).abs() < 0.01, "log variance {v}");
+    }
+
+    /// `new` accepts `base`, and rejects it with any one parameter set to NaN
+    /// or to either infinity.
+    fn assert_non_finite_rejected<T, const N: usize>(
+        base: [f64; N],
+        new: impl Fn([f64; N]) -> Result<T, StochasticError>,
+    ) {
+        assert!(new(base).is_ok());
+        for i in 0..N {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut params = base;
+                params[i] = bad;
+                assert!(
+                    matches!(new(params), Err(StochasticError::InvalidParameter(_))),
+                    "parameter {i} = {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_gbm_parameters_are_typed_errors() {
+        assert_non_finite_rejected([100.0, 0.05, 0.2, 0.02], |[s0, mu, sigma, r]| {
+            Gbm::new(s0, mu, sigma, r)
+        });
+    }
+
+    #[test]
+    fn non_finite_vasicek_parameters_are_typed_errors() {
+        assert_non_finite_rejected([0.02, 0.5, 0.03, 0.01, 0.2], |[r0, a, b, sigma, lambda]| {
+            Vasicek::new(r0, a, b, sigma, lambda)
+        });
+    }
+
+    #[test]
+    fn non_finite_cir_parameters_are_typed_errors() {
+        assert_non_finite_rejected([0.02, 0.5, 0.03, 0.01, 0.2], |[x0, a, b, sigma, lambda]| {
+            Cir::short_rate(x0, a, b, sigma, lambda)
+        });
+        assert_non_finite_rejected([0.01, 0.3, 0.02, 0.5], |[x0, a, b, sigma]| {
+            Cir::default_intensity(x0, a, b, sigma)
+        });
+    }
+
+    #[test]
+    fn non_finite_fx_parameters_are_typed_errors() {
+        assert_non_finite_rejected([1.1, 0.02, 0.1, 0.015], |[x0, mu, sigma, diff]| {
+            FxRate::new(x0, mu, sigma, diff)
+        });
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   `Q` used for market-consistent valuation;
 //! - [`correlation`]: a validated correlation matrix that turns independent
 //!   Gaussian shocks into correlated ones via Cholesky;
-//! - [`scenario`]: the time grid, the scenario generator, and the
-//!   [`scenario::ScenarioSet`] container holding simulated paths. The
-//!   generator supports the *nested* setup of the paper: outer paths under
+//! - [`scenario`]: the time grid, the scenario generator, the reusable
+//!   [`scenario::ScenarioBuffer`] every fill writes its paths into, and the
+//!   [`scenario::ScenarioView`] they are read through. The generator
+//!   supports the *nested* setup of the paper: outer paths under
 //!   `P` from `t = 0` to `t = 1`, then inner paths under `Q` from `t = 1`
 //!   to maturity, re-anchored at each outer endpoint.
 //!
@@ -23,15 +24,16 @@
 //!
 //! ```
 //! use disar_stochastic::drivers::Gbm;
-//! use disar_stochastic::scenario::{Measure, ScenarioGenerator, TimeGrid};
+//! use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
 //!
 //! let gen = ScenarioGenerator::builder()
 //!     .driver(Box::new(Gbm::new(100.0, 0.05, 0.2, 0.02).unwrap()))
 //!     .grid(TimeGrid::new(1.0, 12).unwrap())
 //!     .build()
 //!     .unwrap();
-//! let set = gen.generate(Measure::RealWorld, 100, 42, None).unwrap();
-//! assert_eq!(set.n_paths(), 100);
+//! let mut buf = ScenarioBuffer::new();
+//! gen.generate_into(Measure::RealWorld, 100, 42, None, &mut buf).unwrap();
+//! assert_eq!(buf.view().n_paths(), 100);
 //! ```
 
 pub mod bonds;

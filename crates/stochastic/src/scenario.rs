@@ -1,4 +1,4 @@
-//! Time grids, scenario sets and the scenario generator.
+//! Time grids, the scenario buffer and the scenario generator.
 //!
 //! A *scenario* is a joint path of all risk drivers on a fine time grid.
 //! The nested Monte Carlo procedure of the paper needs two kinds:
@@ -10,22 +10,17 @@
 //!    outer endpoint's state (the `F_1` filtration conditioning).
 //!
 //! The re-anchoring is expressed through the `initial_overrides` parameter
-//! of [`ScenarioGenerator::generate`].
+//! of [`ScenarioGenerator::generate_into`].
 //!
 //! # Allocation discipline
 //!
-//! The nested procedure regenerates an inner scenario set *per outer path*,
-//! which made the allocating [`ScenarioGenerator::generate`] the hottest
-//! allocation site in the whole engine. The `_into` variants
-//! ([`ScenarioGenerator::generate_into`] /
-//! [`ScenarioGenerator::generate_antithetic_into`]) fill a caller-owned
-//! [`ScenarioBuffer`] instead: after the first fill of a given shape, a
-//! reused buffer performs **zero** heap allocations. The allocating entry
-//! points are thin allocate-then-fill wrappers over the same core, so their
-//! output is bit-identical to what they produced before the buffers existed.
-//! [`ScenarioView`] is the read-only window shared by both backings
-//! ([`ScenarioSet::view`] / [`ScenarioBuffer::view`]), so valuation kernels
-//! are written once against the view.
+//! The nested procedure regenerates an inner scenario set *per outer path*.
+//! Generated paths therefore live in one place only, a caller-owned
+//! [`ScenarioBuffer`] that [`ScenarioGenerator::generate_into`] and
+//! [`ScenarioGenerator::generate_antithetic_into`] fill in place: after the
+//! first fill of a given shape, a reused buffer performs **zero** heap
+//! allocations. They are read through one type, the borrowed
+//! [`ScenarioView`] that [`ScenarioBuffer::view`] returns.
 //!
 //! # Block generation
 //!
@@ -84,11 +79,13 @@ impl TimeGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`StochasticError::InvalidParameter`] if `horizon <= 0` or
-    /// `steps_per_year == 0`.
+    /// Returns [`StochasticError::InvalidParameter`] if `horizon` is not a
+    /// positive finite number or `steps_per_year == 0`.
     pub fn new(horizon: f64, steps_per_year: usize) -> Result<Self, StochasticError> {
-        if horizon <= 0.0 {
-            return Err(StochasticError::InvalidParameter("horizon must be positive"));
+        if !(horizon > 0.0 && horizon.is_finite()) {
+            return Err(StochasticError::InvalidParameter(
+                "horizon must be positive and finite",
+            ));
         }
         if steps_per_year == 0 {
             return Err(StochasticError::InvalidParameter(
@@ -127,123 +124,22 @@ impl TimeGrid {
     }
 }
 
-/// A set of simulated joint paths: `n_paths × n_drivers × (n_steps + 1)`
-/// values (index 0 is the initial state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSet {
-    grid: TimeGrid,
-    measure: Measure,
-    driver_names: Vec<String>,
-    short_rate_index: Option<usize>,
-    n_paths: usize,
-    /// Flattened `[path][driver][step]`.
-    data: Vec<f64>,
-}
-
-impl ScenarioSet {
-    /// Number of simulated paths.
-    pub fn n_paths(&self) -> usize {
-        self.n_paths
-    }
-
-    /// Number of risk drivers.
-    pub fn n_drivers(&self) -> usize {
-        self.driver_names.len()
-    }
-
-    /// The time grid the set was generated on.
-    pub fn grid(&self) -> TimeGrid {
-        self.grid
-    }
-
-    /// The measure the set was generated under.
-    pub fn measure(&self) -> Measure {
-        self.measure
-    }
-
-    /// Driver names, in driver-index order.
-    pub fn driver_names(&self) -> &[String] {
-        &self.driver_names
-    }
-
-    /// Index of the short-rate driver, if one was configured.
-    pub fn short_rate_index(&self) -> Option<usize> {
-        self.short_rate_index
-    }
-
-    /// A borrowed read-only window over this set — the common currency of
-    /// the allocation-free valuation kernels (a [`ScenarioBuffer`] yields
-    /// the same view type).
-    pub fn view(&self) -> ScenarioView<'_> {
-        ScenarioView {
-            grid: self.grid,
-            measure: self.measure,
-            short_rate_index: self.short_rate_index,
-            n_paths: self.n_paths,
-            n_drivers: self.n_drivers(),
-            data: &self.data,
-        }
-    }
-
-    fn offset(&self, path: usize, driver: usize) -> usize {
-        let stride = self.grid.n_steps() + 1;
-        (path * self.n_drivers() + driver) * stride
-    }
-
-    /// The full path of `driver` on `path` (length `n_steps + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn path(&self, path: usize, driver: usize) -> &[f64] {
-        assert!(path < self.n_paths, "path index out of range");
-        assert!(driver < self.n_drivers(), "driver index out of range");
-        let o = self.offset(path, driver);
-        &self.data[o..o + self.grid.n_steps() + 1]
-    }
-
-    /// The value of `driver` on `path` at grid `step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn value(&self, path: usize, driver: usize, step: usize) -> f64 {
-        assert!(step <= self.grid.n_steps(), "step index out of range");
-        self.path(path, driver)[step]
-    }
-
-    /// Money-market discount factor from step 0 to `step` along `path`,
-    /// `exp(-∫ r dt)` by trapezoidal integration of the short-rate path.
-    ///
-    /// Returns `1.0` when no short-rate driver is present (deterministic
-    /// zero-rate fallback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn discount_factor(&self, path: usize, step: usize) -> f64 {
-        self.view().discount_factor(path, step)
-    }
-}
-
-/// A borrowed, read-only window over generated scenario data.
-///
-/// Both backing stores produce it — [`ScenarioSet::view`] for the owning
-/// set and [`ScenarioBuffer::view`] for the reusable workspace — so the
-/// valuation kernels in `disar-alm` are written once against this type and
-/// stay allocation-free regardless of where the paths live.
-#[derive(Debug, Clone, Copy)]
+/// A borrowed, read-only window over the paths of a [`ScenarioBuffer`]'s
+/// last fill ([`ScenarioBuffer::view`]). The valuation kernels in
+/// `disar-alm` read every scenario through it. Two views are equal when
+/// their shape, measure and every value are.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioView<'a> {
     grid: TimeGrid,
     measure: Measure,
     short_rate_index: Option<usize>,
     n_paths: usize,
     n_drivers: usize,
-    /// Flattened `[path][driver][step]`, same layout as [`ScenarioSet`].
+    /// Flattened `[path][driver][step]`.
     data: &'a [f64],
 }
 
-impl ScenarioView<'_> {
+impl<'a> ScenarioView<'a> {
     /// Number of simulated paths.
     pub fn n_paths(&self) -> usize {
         self.n_paths
@@ -274,12 +170,14 @@ impl ScenarioView<'_> {
         (path * self.n_drivers + driver) * stride
     }
 
-    /// The full path of `driver` on `path` (length `n_steps + 1`).
+    /// The full path of `driver` on `path` (length `n_steps + 1`), borrowed
+    /// from the buffer for `'a`, not from the view, so it outlives a
+    /// temporary `buf.view()`.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
-    pub fn path(&self, path: usize, driver: usize) -> &[f64] {
+    pub fn path(&self, path: usize, driver: usize) -> &'a [f64] {
         assert!(path < self.n_paths, "path index out of range");
         assert!(driver < self.n_drivers, "driver index out of range");
         let o = self.offset(path, driver);
@@ -427,12 +325,11 @@ struct BufferMeta {
 /// vectors), so the whole generation loop runs without touching the
 /// allocator.
 ///
-/// Read access goes through [`ScenarioBuffer::view`], which yields the same
-/// [`ScenarioView`] as a [`ScenarioSet`].
+/// Read access goes through [`ScenarioBuffer::view`].
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioBuffer {
     meta: Option<BufferMeta>,
-    /// Flattened `[path][driver][step]`, same layout as [`ScenarioSet`].
+    /// Flattened `[path][driver][step]`.
     data: Vec<f64>,
     initials: Vec<f64>,
     /// One unit's whole path of independent draws, `[step][driver]`.
@@ -569,32 +466,14 @@ impl ScenarioGenerator {
         Ok(())
     }
 
-    /// Generates `n_paths` joint paths under `measure` with deterministic
-    /// per-path RNG streams derived from `seed`.
+    /// Fills `buf` with `n_paths` joint paths under `measure`, with
+    /// deterministic per-path RNG streams derived from `seed`, reusing the
+    /// buffer's storage: a warm same-shape refill performs zero heap
+    /// allocations.
     ///
     /// `initial_overrides` replaces the drivers' own `t = 0` values — this is
     /// how inner (risk-neutral) simulations are conditioned on an outer
     /// endpoint state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StochasticError::InvalidConfiguration`] if `n_paths == 0` or
-    /// the override vector has the wrong length.
-    pub fn generate(
-        &self,
-        measure: Measure,
-        n_paths: usize,
-        seed: u64,
-        initial_overrides: Option<&[f64]>,
-    ) -> Result<ScenarioSet, StochasticError> {
-        let mut buf = ScenarioBuffer::new();
-        self.generate_into(measure, n_paths, seed, initial_overrides, &mut buf)?;
-        Ok(self.set_from_buffer(buf))
-    }
-
-    /// Fills `buf` with `n_paths` joint paths under `measure` — what
-    /// [`ScenarioGenerator::generate`] returns, but reusing the buffer's
-    /// storage: a warm same-shape refill performs zero heap allocations.
     ///
     /// Path `p` consumes the RNG stream `stream_rng(seed, p)` in scalar
     /// order (all drivers' draws for step 1, then step 2, …) and undergoes
@@ -604,7 +483,8 @@ impl ScenarioGenerator {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ScenarioGenerator::generate`].
+    /// Returns [`StochasticError::InvalidConfiguration`] if `n_paths == 0` or
+    /// the override vector has the wrong length.
     pub fn generate_into(
         &self,
         measure: Measure,
@@ -618,38 +498,20 @@ impl ScenarioGenerator {
         Ok(())
     }
 
-    /// Generates `2 · n_pairs` paths using **antithetic variates**: paths
-    /// `2k` and `2k + 1` share the same Gaussian draws with opposite
-    /// signs. The pair-averaged estimator of any monotone payoff has lower
-    /// variance than `2 · n_pairs` independent paths at the same cost —
-    /// the standard variance-reduction technique for the Monte Carlo loads
-    /// this system schedules.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ScenarioGenerator::generate`].
-    pub fn generate_antithetic(
-        &self,
-        measure: Measure,
-        n_pairs: usize,
-        seed: u64,
-        initial_overrides: Option<&[f64]>,
-    ) -> Result<ScenarioSet, StochasticError> {
-        let mut buf = ScenarioBuffer::new();
-        self.generate_antithetic_into(measure, n_pairs, seed, initial_overrides, &mut buf)?;
-        Ok(self.set_from_buffer(buf))
-    }
-
-    /// Fills `buf` with `2 · n_pairs` antithetic paths — what
-    /// [`ScenarioGenerator::generate_antithetic`] returns (pair `k` draws
-    /// from `stream_rng(seed, k)`, the partner's shock is the exact
-    /// negation), reusing the buffer's storage like
-    /// [`ScenarioGenerator::generate_into`] and stepping blocks of
+    /// Fills `buf` with `2 · n_pairs` paths using **antithetic variates**:
+    /// paths `2k` and `2k + 1` share the same Gaussian draws with opposite
+    /// signs (pair `k` draws from `stream_rng(seed, k)`, the partner's shock
+    /// is the exact negation). The pair-averaged estimator of any monotone
+    /// payoff has lower variance than `2 · n_pairs` independent paths at the
+    /// same cost — the standard variance-reduction technique for the Monte
+    /// Carlo loads this system schedules. Reuses the buffer's storage like
+    /// [`ScenarioGenerator::generate_into`] and steps blocks of
     /// [`DEFAULT_LANE`] *pairs* in lockstep.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ScenarioGenerator::generate`].
+    /// Returns [`StochasticError::InvalidConfiguration`] if `n_pairs == 0` or
+    /// the override vector has the wrong length.
     pub fn generate_antithetic_into(
         &self,
         measure: Measure,
@@ -788,20 +650,6 @@ impl ScenarioGenerator {
             block += l;
         }
     }
-
-    /// Moves a freshly filled buffer's path data into an owning
-    /// [`ScenarioSet`] (the allocating wrappers' final step).
-    fn set_from_buffer(&self, buf: ScenarioBuffer) -> ScenarioSet {
-        let meta = buf.meta.expect("buffer was filled by the caller");
-        ScenarioSet {
-            grid: meta.grid,
-            measure: meta.measure,
-            driver_names: self.drivers.iter().map(|d| d.name().to_string()).collect(),
-            short_rate_index: meta.short_rate_index,
-            n_paths: meta.n_paths,
-            data: buf.data,
-        }
-    }
 }
 
 /// Builder for [`ScenarioGenerator`].
@@ -900,10 +748,52 @@ mod tests {
         assert_eq!(g.step_at(99.0), g.n_steps());
     }
 
+    /// A fresh buffer holding `generate_into`'s fill.
+    fn fill(
+        gen: &ScenarioGenerator,
+        measure: Measure,
+        n_paths: usize,
+        seed: u64,
+        overrides: Option<&[f64]>,
+    ) -> ScenarioBuffer {
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_into(measure, n_paths, seed, overrides, &mut buf)
+            .unwrap();
+        buf
+    }
+
+    /// A fresh buffer holding `generate_antithetic_into`'s fill.
+    fn fill_antithetic(
+        gen: &ScenarioGenerator,
+        measure: Measure,
+        n_pairs: usize,
+        seed: u64,
+        overrides: Option<&[f64]>,
+    ) -> ScenarioBuffer {
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_antithetic_into(measure, n_pairs, seed, overrides, &mut buf)
+            .unwrap();
+        buf
+    }
+
+    #[test]
+    fn non_finite_grid_horizons_are_typed_errors() {
+        for horizon in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    TimeGrid::new(horizon, 12),
+                    Err(StochasticError::InvalidParameter(_))
+                ),
+                "horizon {horizon}"
+            );
+        }
+    }
+
     #[test]
     fn set_shape_and_initials() {
         let gen = sample_generator();
-        let set = gen.generate(Measure::RealWorld, 25, 3, None).unwrap();
+        let buf = fill(&gen, Measure::RealWorld, 25, 3, None);
+        let set = buf.view();
         assert_eq!(set.n_paths(), 25);
         assert_eq!(set.n_drivers(), 2);
         assert_eq!(set.path(0, 0).len(), 13);
@@ -916,23 +806,21 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let gen = sample_generator();
-        let a = gen.generate(Measure::RiskNeutral, 10, 5, None).unwrap();
-        let b = gen.generate(Measure::RiskNeutral, 10, 5, None).unwrap();
-        assert_eq!(a, b);
-        let c = gen.generate(Measure::RiskNeutral, 10, 6, None).unwrap();
-        assert_ne!(a, c);
+        let a = fill(&gen, Measure::RiskNeutral, 10, 5, None);
+        let b = fill(&gen, Measure::RiskNeutral, 10, 5, None);
+        assert_eq!(a.view(), b.view());
+        let c = fill(&gen, Measure::RiskNeutral, 10, 6, None);
+        assert_ne!(a.view(), c.view());
     }
 
     #[test]
     fn initial_overrides_anchor_paths() {
         let gen = sample_generator();
         let init = vec![0.05, 80.0];
-        let set = gen
-            .generate(Measure::RiskNeutral, 5, 1, Some(&init))
-            .unwrap();
+        let buf = fill(&gen, Measure::RiskNeutral, 5, 1, Some(&init));
         let mut state = Vec::new();
         for p in 0..5 {
-            set.view().state_into(p, 0, &mut state);
+            buf.view().state_into(p, 0, &mut state);
             assert_eq!(state, init);
         }
     }
@@ -940,15 +828,17 @@ mod tests {
     #[test]
     fn override_length_validated() {
         let gen = sample_generator();
+        let mut buf = ScenarioBuffer::new();
         assert!(gen
-            .generate(Measure::RiskNeutral, 5, 1, Some(&[0.05]))
+            .generate_into(Measure::RiskNeutral, 5, 1, Some(&[0.05]), &mut buf)
             .is_err());
     }
 
     #[test]
     fn discount_factor_decreases_with_positive_rates() {
         let gen = sample_generator();
-        let set = gen.generate(Measure::RiskNeutral, 3, 9, None).unwrap();
+        let buf = fill(&gen, Measure::RiskNeutral, 3, 9, None);
+        let set = buf.view();
         for p in 0..3 {
             let d_half = set.discount_factor(p, 6);
             let d_full = set.discount_factor(p, 12);
@@ -960,20 +850,16 @@ mod tests {
 
     #[test]
     fn discount_factor_without_short_rate_is_one() {
-        let gen = ScenarioGenerator::builder()
-            .driver(Box::new(Gbm::new(1.0, 0.0, 0.1, 0.0).unwrap()))
-            .grid(TimeGrid::new(1.0, 4).unwrap())
-            .build()
-            .unwrap();
-        let set = gen.generate(Measure::RiskNeutral, 2, 0, None).unwrap();
-        assert_eq!(set.discount_factor(0, 4), 1.0);
-        assert_eq!(set.short_rate_index(), None);
+        let buf = rateless_set();
+        assert_eq!(buf.view().discount_factor(0, 4), 1.0);
+        assert_eq!(buf.view().short_rate_index(), None);
     }
 
     #[test]
     fn empirical_cross_correlation_has_right_sign() {
         let gen = sample_generator();
-        let set = gen.generate(Measure::RealWorld, 4000, 13, None).unwrap();
+        let buf = fill(&gen, Measure::RealWorld, 4000, 13, None);
+        let set = buf.view();
         // One-step increments of rate vs log-equity should correlate ≈ -0.3.
         let mut dr = Vec::new();
         let mut ds = Vec::new();
@@ -1006,8 +892,6 @@ mod tests {
     #[test]
     fn zero_paths_rejected() {
         let gen = sample_generator();
-        assert!(gen.generate(Measure::RealWorld, 0, 1, None).is_err());
-        assert!(gen.generate_antithetic(Measure::RealWorld, 0, 1, None).is_err());
         let mut buf = ScenarioBuffer::new();
         assert!(gen
             .generate_into(Measure::RealWorld, 0, 1, None, &mut buf)
@@ -1027,9 +911,8 @@ mod tests {
             .grid(TimeGrid::new(1.0, 12).unwrap())
             .build()
             .unwrap();
-        let set = gen
-            .generate_antithetic(Measure::RiskNeutral, 10, 3, None)
-            .unwrap();
+        let buf = fill_antithetic(&gen, Measure::RiskNeutral, 10, 3, None);
+        let set = buf.view();
         assert_eq!(set.n_paths(), 20);
         let v = Vasicek::new(0.03, 0.5, 0.03, 0.01, 0.0).unwrap();
         let det = v.step(0.03, 1.0 / 12.0, 0.0, Measure::RiskNeutral);
@@ -1040,10 +923,6 @@ mod tests {
         }
     }
 
-    /// The valuation's market (`MarketModel::RatesEquity` of `disar-engine`:
-    /// these drivers, this correlation, four steps a year) under `Q`: the
-    /// terminal rate and log-index are jointly Gaussian with known moments,
-    /// whatever sampler made the shocks.
     #[test]
     fn rates_equity_terminal_moments_match_closed_form_under_q() {
         let (r0, a, b, sigma) = (0.025, 0.35, 0.028, 0.009);
@@ -1056,9 +935,8 @@ mod tests {
             .grid(TimeGrid::new(years, spy).unwrap())
             .build()
             .unwrap();
-        let set = gen
-            .generate(Measure::RiskNeutral, n_paths, 20160627, None)
-            .unwrap();
+        let buf = fill(&gen, Measure::RiskNeutral, n_paths, 20160627, None);
+        let set = buf.view();
         let n_steps = set.grid().n_steps();
         assert_eq!(n_steps, 40);
         let rate: Vec<f64> = (0..n_paths).map(|p| set.value(p, 0, n_steps)).collect();
@@ -1111,12 +989,9 @@ mod tests {
             .build()
             .unwrap();
         let n_pairs = 4000;
-        let anti = gen
-            .generate_antithetic(Measure::RiskNeutral, n_pairs, 5, None)
-            .unwrap();
-        let indep = gen
-            .generate(Measure::RiskNeutral, 2 * n_pairs, 5, None)
-            .unwrap();
+        let anti_buf = fill_antithetic(&gen, Measure::RiskNeutral, n_pairs, 5, None);
+        let indep_buf = fill(&gen, Measure::RiskNeutral, 2 * n_pairs, 5, None);
+        let (anti, indep) = (anti_buf.view(), indep_buf.view());
         let steps = anti.grid().n_steps();
         let pair_means: Vec<f64> = (0..n_pairs)
             .map(|k| {
@@ -1142,57 +1017,26 @@ mod tests {
     fn antithetic_is_deterministic_and_anchored() {
         let gen = sample_generator();
         let init = vec![0.04, 90.0];
-        let a = gen
-            .generate_antithetic(Measure::RiskNeutral, 6, 9, Some(&init))
-            .unwrap();
-        let b = gen
-            .generate_antithetic(Measure::RiskNeutral, 6, 9, Some(&init))
-            .unwrap();
-        assert_eq!(a, b);
+        let a = fill_antithetic(&gen, Measure::RiskNeutral, 6, 9, Some(&init));
+        let b = fill_antithetic(&gen, Measure::RiskNeutral, 6, 9, Some(&init));
+        assert_eq!(a.view(), b.view());
         let mut state = Vec::new();
-        for p in 0..a.n_paths() {
+        for p in 0..a.view().n_paths() {
             a.view().state_into(p, 0, &mut state);
             assert_eq!(state, init);
         }
+        let mut buf = ScenarioBuffer::new();
         assert!(gen
-            .generate_antithetic(Measure::RiskNeutral, 2, 1, Some(&[0.04]))
+            .generate_antithetic_into(Measure::RiskNeutral, 2, 1, Some(&[0.04]), &mut buf)
             .is_err());
     }
 
-    fn assert_view_matches_set(v: &ScenarioView<'_>, set: &ScenarioSet) {
-        assert_eq!(v.n_paths(), set.n_paths());
-        assert_eq!(v.n_drivers(), set.n_drivers());
-        assert_eq!(v.grid(), set.grid());
-        assert_eq!(v.measure(), set.measure());
-        assert_eq!(v.short_rate_index(), set.short_rate_index());
-        for p in 0..set.n_paths() {
-            for d in 0..set.n_drivers() {
-                for (a, b) in v.path(p, d).iter().zip(set.path(p, d)) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn generate_into_matches_generate_bitwise() {
-        let gen = sample_generator();
-        let init = vec![0.045, 110.0];
-        for (measure, overrides) in [
-            (Measure::RealWorld, None),
-            (Measure::RiskNeutral, Some(init.as_slice())),
-        ] {
-            let mut buf = ScenarioBuffer::new();
-            gen.generate_into(measure, 7, 42, overrides, &mut buf).unwrap();
-            let set = gen.generate(measure, 7, 42, overrides).unwrap();
-            assert_view_matches_set(&buf.view(), &set);
-
-            let mut anti_buf = ScenarioBuffer::new();
-            gen.generate_antithetic_into(measure, 7, 42, overrides, &mut anti_buf)
-                .unwrap();
-            let anti = gen.generate_antithetic(measure, 7, 42, overrides).unwrap();
-            assert_view_matches_set(&anti_buf.view(), &anti);
-        }
+    /// Shape, measure and every value of `a` equal `b`'s, bit for bit.
+    fn assert_views_bitwise(a: &ScenarioView<'_>, b: &ScenarioView<'_>) {
+        let shape = |v: &ScenarioView<'_>| (v.grid, v.measure, v.short_rate_index, v.n_paths, v.n_drivers);
+        assert_eq!(shape(a), shape(b));
+        let bits = |v: &ScenarioView<'_>| v.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]
@@ -1200,15 +1044,13 @@ mod tests {
         let gen = sample_generator();
         let mut buf = ScenarioBuffer::new();
         // Pollute with a larger antithetic fill, then refill smaller: the
-        // result must match a fresh generation exactly.
+        // result must match a fresh buffer's fill exactly.
         gen.generate_antithetic_into(Measure::RealWorld, 9, 7, None, &mut buf)
             .unwrap();
         gen.generate_into(Measure::RiskNeutral, 4, 11, Some(&[0.01, 95.0]), &mut buf)
             .unwrap();
-        let fresh = gen
-            .generate(Measure::RiskNeutral, 4, 11, Some(&[0.01, 95.0]))
-            .unwrap();
-        assert_view_matches_set(&buf.view(), &fresh);
+        let fresh = fill(&gen, Measure::RiskNeutral, 4, 11, Some(&[0.01, 95.0]));
+        assert_views_bitwise(&buf.view(), &fresh.view());
     }
 
     #[test]
@@ -1217,8 +1059,8 @@ mod tests {
         let mut buf = ScenarioBuffer::new();
         buf.reserve_for(&gen, 10);
         gen.generate_into(Measure::RealWorld, 10, 3, None, &mut buf).unwrap();
-        let fresh = gen.generate(Measure::RealWorld, 10, 3, None).unwrap();
-        assert_view_matches_set(&buf.view(), &fresh);
+        let fresh = fill(&gen, Measure::RealWorld, 10, 3, None);
+        assert_views_bitwise(&buf.view(), &fresh.view());
     }
 
     #[test]
@@ -1229,14 +1071,14 @@ mod tests {
             .grid(TimeGrid::new(3.0, 12).unwrap())
             .build()
             .unwrap();
-        let set = gen.generate(Measure::RiskNeutral, 4, 21, None).unwrap();
-        let v = set.view();
+        let buf = fill(&gen, Measure::RiskNeutral, 4, 21, None);
+        let v = buf.view();
         let mut dfs = Vec::new();
-        for p in 0..set.n_paths() {
+        for p in 0..v.n_paths() {
             v.year_discount_factors_into(p, 3, &mut dfs);
             assert_eq!(dfs.len(), 3);
             for (k, df) in dfs.iter().enumerate() {
-                let reference = set.discount_factor(p, (k + 1) * 12);
+                let reference = v.discount_factor(p, (k + 1) * 12);
                 assert_eq!(df.to_bits(), reference.to_bits(), "path {p} year {}", k + 1);
             }
         }
@@ -1252,14 +1094,13 @@ mod tests {
     }
 
     /// Two paths over two years, no short-rate driver.
-    fn rateless_set() -> ScenarioSet {
-        ScenarioGenerator::builder()
+    fn rateless_set() -> ScenarioBuffer {
+        let gen = ScenarioGenerator::builder()
             .driver(Box::new(Gbm::new(1.0, 0.0, 0.1, 0.0).unwrap()))
             .grid(TimeGrid::new(2.0, 4).unwrap())
             .build()
-            .unwrap()
-            .generate(Measure::RiskNeutral, 2, 0, None)
-            .unwrap()
+            .unwrap();
+        fill(&gen, Measure::RiskNeutral, 2, 0, None)
     }
 
     #[test]
@@ -1281,13 +1122,12 @@ mod tests {
     #[test]
     fn state_into_matches_per_driver_values() {
         let gen = sample_generator();
-        let set = gen.generate(Measure::RealWorld, 3, 17, None).unwrap();
-        let v = set.view();
+        let buf = fill(&gen, Measure::RealWorld, 3, 17, None);
+        let v = buf.view();
         let mut state = Vec::new();
         for p in 0..3 {
             v.state_into(p, 12, &mut state);
-            let expected: Vec<f64> =
-                (0..set.n_drivers()).map(|d| set.value(p, d, 12)).collect();
+            let expected: Vec<f64> = (0..v.n_drivers()).map(|d| v.value(p, d, 12)).collect();
             assert_eq!(state, expected);
         }
     }
@@ -1527,12 +1367,12 @@ mod tests {
     #[test]
     fn step_discount_factors_match_per_step_calls() {
         let gen = sample_generator();
-        let set = gen.generate(Measure::RiskNeutral, 3, 29, None).unwrap();
-        let v = set.view();
+        let buf = fill(&gen, Measure::RiskNeutral, 3, 29, None);
+        let v = buf.view();
         let mut dfs = vec![0.25; 3]; // polluted; must be cleared by the fill
-        for p in 0..set.n_paths() {
+        for p in 0..v.n_paths() {
             v.step_discount_factors_into(p, &mut dfs);
-            assert_eq!(dfs.len(), set.grid().n_steps() + 1);
+            assert_eq!(dfs.len(), v.grid().n_steps() + 1);
             for (s, df) in dfs.iter().enumerate() {
                 let reference = v.discount_factor(p, s);
                 assert_eq!(df.to_bits(), reference.to_bits(), "path {p} step {s}");
@@ -1542,15 +1382,9 @@ mod tests {
 
     #[test]
     fn step_discount_factors_without_short_rate_are_one() {
-        let gen = ScenarioGenerator::builder()
-            .driver(Box::new(Gbm::new(1.0, 0.0, 0.1, 0.0).unwrap()))
-            .grid(TimeGrid::new(1.0, 4).unwrap())
-            .build()
-            .unwrap();
-        let set = gen.generate(Measure::RiskNeutral, 2, 0, None).unwrap();
         let mut dfs = Vec::new();
-        set.view().step_discount_factors_into(1, &mut dfs);
-        assert_eq!(dfs, vec![1.0; 5]);
+        rateless_set().view().step_discount_factors_into(1, &mut dfs);
+        assert_eq!(dfs, vec![1.0; 9]);
     }
 
     #[test]
@@ -1565,9 +1399,9 @@ mod tests {
             .grid(TimeGrid::new(4096.0 / 12.0, 12).unwrap())
             .build()
             .unwrap();
-        let set = gen.generate(Measure::RiskNeutral, 1, 5, None).unwrap();
-        let v = set.view();
-        let n = set.grid().n_steps();
+        let buf = fill(&gen, Measure::RiskNeutral, 1, 5, None);
+        let v = buf.view();
+        let n = v.grid().n_steps();
         assert!(n >= 4096);
 
         let t_prefix = std::time::Instant::now();
