@@ -688,7 +688,7 @@ mod tests {
 
     #[test]
     fn each_member_is_evaluated_exactly_once_per_cell() {
-        // Regression: the Conservative rule used to run `predict_mean`
+        // Regression: the Conservative rule used to run the ensemble mean
         // *and* a second full `predict_each` per cell — a 2× member-eval
         // bug. Both rules must now evaluate each member exactly once per
         // grid cell.

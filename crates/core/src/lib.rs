@@ -127,15 +127,6 @@ mod frozen_adapter {
             (**self).predict_each(profile, instance, n_nodes)
         }
 
-        fn predict_mean(
-            &self,
-            profile: &JobProfile,
-            instance: &InstanceType,
-            n_nodes: usize,
-        ) -> Result<f64, CoreError> {
-            (**self).predict_mean(profile, instance, n_nodes)
-        }
-
         fn predict_grid(
             &self,
             profile: &JobProfile,

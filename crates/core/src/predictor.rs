@@ -115,32 +115,6 @@ pub trait TimePredictor: Sync {
         n_nodes: usize,
     ) -> Result<Vec<(&'static str, f64)>, CoreError>;
 
-    /// The ensemble-averaged predicted time (Algorithm 1's `time`),
-    /// floored at zero since times are non-negative.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TimePredictor::predict_each`], and
-    /// [`CoreError::Ml`] with [`disar_ml::MlError::Numerical`] when the mean
-    /// is not finite.
-    fn predict_mean(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<f64, CoreError> {
-        let each = self.predict_each(profile, instance, n_nodes)?;
-        let mean = each.iter().map(|(_, t)| t).sum::<f64>() / each.len() as f64;
-        if !mean.is_finite() {
-            return Err(disar_ml::MlError::Numerical(format!(
-                "mean predicted time {mean} on {} x {n_nodes}",
-                instance.name
-            ))
-            .into());
-        }
-        Ok(mean.max(0.0))
-    }
-
     /// Every member's predicted time over one instance type and a run of
     /// node counts — the batched kernel behind the Algorithm 1 grid sweep.
     ///
@@ -322,16 +296,13 @@ impl PredictorFamily {
         self.trained_fingerprint = Self::fingerprint(data, data.len());
         Ok(())
     }
+}
 
-    /// Per-model predicted times `p_x(m, n, f)`, paired with model names.
-    /// Names are `&'static str` (the members' compile-time names), so the
-    /// per-cell cost is one `Vec` — Table I callers that want owned names
-    /// convert at the reporting edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] if the family is untrained.
-    pub fn predict_each(
+impl TimePredictor for PredictorFamily {
+    /// Each member's one-row `Regressor::predict`. Names are the members'
+    /// `&'static str` names, so the per-cell cost is one `Vec`; Table I
+    /// callers that want owned names convert at the reporting edge.
+    fn predict_each(
         &self,
         profile: &JobProfile,
         instance: &InstanceType,
@@ -344,16 +315,10 @@ impl PredictorFamily {
             .collect()
     }
 
-    /// Batched per-member predictions over one instance's node run — see
-    /// [`TimePredictor::predict_grid`] for the layout contract. Builds the
-    /// feature matrix once (one row per node count, assembled in place) and
-    /// runs each member's `predict_batch` over it, so the whole run costs
-    /// one member pass instead of `nodes.len()` scalar passes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] if the family is untrained.
-    pub fn predict_grid(
+    /// Builds the feature matrix once (one row per node count, assembled in
+    /// place) and runs each member's `predict_batch` over it, so the whole
+    /// run costs one member pass instead of `nodes.len()` one-row passes.
+    fn predict_grid(
         &self,
         profile: &JobProfile,
         instance: &InstanceType,
@@ -382,44 +347,6 @@ impl PredictorFamily {
             )?;
         }
         Ok(self.models.len())
-    }
-
-    /// The ensemble-averaged predicted time (Algorithm 1's `time`),
-    /// floored at zero since times are non-negative.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] if the family is untrained or the mean is
-    /// not finite.
-    pub fn predict_mean(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<f64, CoreError> {
-        TimePredictor::predict_mean(self, profile, instance, n_nodes)
-    }
-}
-
-impl TimePredictor for PredictorFamily {
-    fn predict_each(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        n_nodes: usize,
-    ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-        PredictorFamily::predict_each(self, profile, instance, n_nodes)
-    }
-
-    fn predict_grid(
-        &self,
-        profile: &JobProfile,
-        instance: &InstanceType,
-        nodes: &[usize],
-        out: &mut Vec<f64>,
-        scratch: &mut GridScratch,
-    ) -> Result<usize, CoreError> {
-        PredictorFamily::predict_grid(self, profile, instance, nodes, out, scratch)
     }
 }
 
@@ -595,7 +522,7 @@ mod tests {
         let fam = PredictorFamily::new(1, 2);
         let cat = InstanceCatalog::paper_catalog();
         let inst = cat.get("c3.4xlarge").unwrap();
-        assert!(fam.predict_mean(&profile(100), inst, 2).is_err());
+        assert!(fam.predict_each(&profile(100), inst, 2).is_err());
     }
 
     #[test]
@@ -604,8 +531,8 @@ mod tests {
         fam.retrain(&filled_kb(300), RetrainMode::Incremental, 1).unwrap();
         let cat = InstanceCatalog::paper_catalog();
         let inst = cat.get("c3.4xlarge").unwrap();
-        let t1 = fam.predict_mean(&profile(200), inst, 1).unwrap();
-        let t4 = fam.predict_mean(&profile(200), inst, 4).unwrap();
+        let t1 = mean_time(&fam, inst, 1);
+        let t4 = mean_time(&fam, inst, 4);
         assert!(t4 < t1, "more nodes should predict faster: {t1} vs {t4}");
     }
 
@@ -623,16 +550,26 @@ mod tests {
         }
     }
 
+    /// The members' mean for a 200-contract job, floored at zero.
+    fn mean_time(fam: &PredictorFamily, inst: &InstanceType, n_nodes: usize) -> f64 {
+        let each = fam.predict_each(&profile(200), inst, n_nodes).unwrap();
+        (each.iter().map(|(_, t)| t).sum::<f64>() / each.len() as f64).max(0.0)
+    }
+
+    /// Algorithm 1's `time` of every cell it keeps is the members' mean.
     #[test]
     fn mean_is_average_of_each() {
         let mut fam = PredictorFamily::new(3, 2);
         fam.retrain(&filled_kb(100), RetrainMode::Incremental, 1).unwrap();
         let cat = InstanceCatalog::paper_catalog();
-        let inst = cat.get("m4.4xlarge").unwrap();
-        let each = fam.predict_each(&profile(100), inst, 2).unwrap();
-        let mean = fam.predict_mean(&profile(100), inst, 2).unwrap();
-        let expect = (each.iter().map(|(_, t)| t).sum::<f64>() / 6.0).max(0.0);
-        assert!((mean - expect).abs() < 1e-12);
+        let sel =
+            crate::algorithm::select_configuration(&fam, &cat, &profile(200), 1e12, 4, 0.0, 1)
+                .unwrap();
+        assert!(!sel.feasible.is_empty());
+        for c in &sel.feasible {
+            let want = mean_time(&fam, cat.get(&c.instance).unwrap(), c.n_nodes);
+            assert_eq!(c.predicted_secs.to_bits(), want.to_bits(), "{c:?}");
+        }
     }
 
     #[test]
@@ -948,29 +885,6 @@ mod tests {
         ) -> Result<Vec<(&'static str, f64)>, CoreError> {
             self.0.predict_each(profile, instance, n_nodes)
         }
-    }
-
-    /// A predictor whose first member answers NaN.
-    struct NanMember;
-    impl TimePredictor for NanMember {
-        fn predict_each(
-            &self,
-            _: &JobProfile,
-            _: &InstanceType,
-            _: usize,
-        ) -> Result<Vec<(&'static str, f64)>, CoreError> {
-            Ok(vec![("MLP", f64::NAN), ("RT", 120.0)])
-        }
-    }
-
-    #[test]
-    fn non_finite_mean_is_a_numerical_error() {
-        let cat = InstanceCatalog::paper_catalog();
-        let inst = cat.get("c3.4xlarge").unwrap();
-        assert!(matches!(
-            NanMember.predict_mean(&profile(100), inst, 2),
-            Err(CoreError::Ml(disar_ml::MlError::Numerical(_)))
-        ));
     }
 
     #[test]

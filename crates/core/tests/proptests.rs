@@ -4,7 +4,7 @@ use disar_cloudsim::{CloudProvider, DriftModel, InstanceCatalog, Workload};
 use disar_core::deploy::{DeployPolicy, Deployer, ShardedDeployer, TransparentDeployer};
 use disar_core::{
     select_configuration, select_configuration_with_workspace, KnowledgeBase, PredictorFamily,
-    RetrainMode, RunRecord, SelectionWorkspace, ShardedKnowledgeBase, TimeEstimate,
+    RetrainMode, RunRecord, SelectionWorkspace, ShardedKnowledgeBase, TimeEstimate, TimePredictor,
 };
 use disar_math::check::cases;
 

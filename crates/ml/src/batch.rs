@@ -2,14 +2,14 @@
 //! reusable [`PredictScratch`].
 //!
 //! The Algorithm 1 grid sweep evaluates the whole `(instance × n_nodes)`
-//! grid through every member of the family per selection. Scalar
-//! [`crate::Regressor::predict`] pays per-call heap allocations (the
-//! standardized query, the kd-tree candidate list, K*'s distance vector,
-//! the decision-table key); [`crate::Regressor::predict_batch`] amortizes
-//! them by carrying one [`PredictScratch`] across the whole batch while
-//! executing the **exact same per-query arithmetic** — same fold orders,
-//! same tie-breaks — so batched predictions are bit-identical to the
-//! scalar path (the properties of `tests/batch_proptests.rs`).
+//! grid through every member of the family per selection.
+//! [`crate::Regressor::predict_batch`] is each member's one prediction
+//! kernel: it carries one [`PredictScratch`] across the batch (the
+//! standardized query, the kd-tree candidate list, K*'s distances and
+//! weights, the decision-table key, the MLP's row block), so a warm scratch
+//! allocates nothing, and a row's prediction does not depend on the rows
+//! around it (the properties of `tests/batch_proptests.rs`).
+//! [`crate::Regressor::predict`] is a batch of one row.
 
 use crate::MlError;
 
@@ -62,12 +62,13 @@ impl FeatureMatrix {
         self.data.clear();
     }
 
-    /// Appends one feature row.
+    /// Appends one feature row. A first row without values fixes the
+    /// dimension 0: the batch of a model fitted on no columns.
     ///
     /// # Panics
     ///
-    /// Panics if `row` is empty or its length differs from the matrix
-    /// dimension fixed by the first row.
+    /// Panics if the row's length differs from the matrix dimension fixed
+    /// by the first row.
     pub fn push_row(&mut self, row: &[f64]) {
         self.push_row_with(|buf| buf.extend_from_slice(row));
     }
@@ -79,13 +80,12 @@ impl FeatureMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `fill` pushes no values or a number of values that
-    /// differs from the matrix dimension fixed by the first row.
+    /// Panics if `fill` pushes a number of values that differs from the
+    /// matrix dimension fixed by the first row.
     pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
         let start = self.data.len();
         fill(&mut self.data);
         let pushed = self.data.len() - start;
-        assert!(pushed > 0, "a feature row cannot be empty");
         if self.rows == 0 {
             self.dim = pushed;
         } else {

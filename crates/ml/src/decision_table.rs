@@ -284,27 +284,9 @@ impl Regressor for DecisionTable {
         Ok(())
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != f.dim {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: f.dim,
-                got: x.len(),
-            });
-        }
-        let key: Vec<u32> = f
-            .selected
-            .iter()
-            .map(|&j| Self::discretize(x[j], f.mins[j], f.widths[j], f.bins))
-            .collect();
-        Ok(*f.cells.get(&key).unwrap_or(&f.global_mean))
-    }
-
-    /// Batched lookup reusing one discretized-key buffer across the batch.
-    /// The key is built with the same discretization in the same selected-
-    /// attribute order, so every output is bit-identical to
-    /// [`Regressor::predict`]. (`HashMap<Vec<u32>, _>` can be probed with a
-    /// `&[u32]` key because `Vec<u32>: Borrow<[u32]>`.)
+    /// Table lookup reusing one discretized-key buffer across the batch.
+    /// (`HashMap<Vec<u32>, _>` can be probed with a `&[u32]` key because
+    /// `Vec<u32>: Borrow<[u32]>`.)
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,

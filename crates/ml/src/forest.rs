@@ -260,21 +260,12 @@ impl Regressor for RandomForest {
         Ok(())
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        self.check_query(x.len())?;
-        let mut sum = 0.0;
-        for t in &self.trees {
-            sum += t.descend(x);
-        }
-        Ok(sum / self.trees.len() as f64)
-    }
-
     /// Tree-major batched traversal: each tree streams over the whole batch
     /// before the next, keeping its nodes hot in cache, and takes the rows
-    /// four at a time (`RandomTree::descend4`). Per row the tree
-    /// contributions still land in tree order starting from 0.0 — the same
-    /// left-to-right sum as the scalar loop — so every output is
-    /// bit-identical to [`Regressor::predict`].
+    /// four at a time (`RandomTree::descend4`), the last `len % 4` one at a
+    /// time (`RandomTree::descend`). Per row the tree contributions land in
+    /// tree order starting from 0.0, so a row gets the same bits in a batch
+    /// of any width.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -490,8 +481,8 @@ pub(crate) mod tests {
     }
 
     /// What callers ask of a fitted forest besides predictions: its shape,
-    /// a clone that answers alike (the service publishes clones), and
-    /// batched answers equal to scalar ones.
+    /// a clone that answers alike, and a batch that answers as its rows do
+    /// one at a time.
     #[test]
     fn shape_queries_and_clones_answer_as_before() {
         use crate::dataset::tests::fnv1a;

@@ -127,7 +127,7 @@ impl IbK {
     /// [`Regressor::predict`] goes through the kd-tree and must return
     /// bit-identical results; this path is the baseline of the property
     /// `ibk_index_matches_linear_scan` (`tests/proptests.rs`). It is not API —
-    /// all real callers go through [`Regressor::predict`].
+    /// all real callers go through [`Regressor::predict_batch`].
     ///
     /// # Errors
     ///
@@ -177,17 +177,9 @@ impl Regressor for IbK {
         Ok(())
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        let (f, q) = self.standardized_query(x)?;
-        let k = self.k.min(f.store.rows.len());
-        let best = f.index.nearest(&f.store.rows, &q, k);
-        Ok(self.weighted_mean(&f.store, &best))
-    }
-
     /// Batched kd-tree queries reusing one standardized-query buffer and one
-    /// neighbour heap across the whole batch. Each row runs the exact scalar
-    /// search (same standardization, same tree descent, same tie-breaks), so
-    /// every output is bit-identical to [`Regressor::predict`].
+    /// neighbour heap across the whole batch; each row is standardized,
+    /// searched and tie-broken on its own.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,

@@ -1,7 +1,7 @@
 //! Shared append-only training state for the instance-based learners.
 //!
 //! [`IbK`](crate::IbK) and [`KStar`](crate::KStar) both keep their training
-//! set verbatim: a min–max scaler, the raw and standardized rows and the
+//! set standardized: a min–max scaler, the standardized rows and the
 //! targets. [`InstanceStore`] owns that state and implements the
 //! incremental-fit step both models share; IBk keeps its neighbour index
 //! beside the store and K* a copy of the standardized rows by column.
@@ -11,19 +11,19 @@
 //! from-scratch fold over all rows. When the
 //! bounds are unchanged only the new rows are standardized and appended; when
 //! a bound moved, every normalized coordinate shifts, so the store
-//! re-standardizes from its raw rows — still bit-identical to a full refit,
+//! re-standardizes the rows of the grown set, which holds the fitted prefix
+//! as its first rows — still bit-identical to a full refit,
 //! just no longer O(new rows) for that append. [`InstanceStore::extend`]
 //! reports which of the two happened so an index over the rows can follow.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::MlError;
 
-/// Fitted state of an instance-based learner: scaler bounds, raw and
-/// standardized rows, and targets.
+/// Fitted state of an instance-based learner: scaler bounds, standardized
+/// rows, and targets.
 #[derive(Debug, Clone)]
 pub(crate) struct InstanceStore {
     pub scaler: Scaler,
-    raw_rows: Vec<Vec<f64>>,
     /// Standardized rows — the space all distances are measured in.
     pub rows: Vec<Vec<f64>>,
     pub targets: Vec<f64>,
@@ -36,7 +36,6 @@ impl InstanceStore {
         let rows: Vec<Vec<f64>> = data.rows().iter().map(|r| scaler.transform(r)).collect();
         Ok(InstanceStore {
             scaler,
-            raw_rows: data.rows().to_vec(),
             rows,
             targets: data.targets().to_vec(),
         })
@@ -44,7 +43,7 @@ impl InstanceStore {
 
     /// Number of rows the store is fitted on.
     pub fn len(&self) -> usize {
-        self.raw_rows.len()
+        self.targets.len()
     }
 
     /// Extends the fit with `data.rows()[from..]`. The caller guarantees
@@ -64,9 +63,9 @@ impl InstanceStore {
                 got: data.dim(),
             });
         }
-        if from != self.raw_rows.len() || from > data.len() {
+        if from != self.len() || from > data.len() {
             return Err(MlError::IncrementalMismatch {
-                fitted: self.raw_rows.len(),
+                fitted: self.len(),
                 from,
             });
         }
@@ -74,20 +73,13 @@ impl InstanceStore {
             return Ok(false);
         }
         let bounds_moved = self.scaler.extend(&data.rows()[from..]);
-        self.raw_rows.extend(data.rows()[from..].iter().cloned());
         self.targets.extend_from_slice(&data.targets()[from..]);
-        if bounds_moved {
-            self.rows = self
-                .raw_rows
-                .iter()
-                .map(|r| self.scaler.transform(r))
-                .collect();
-        } else {
-            let start = self.rows.len();
-            for r in &self.raw_rows[start..] {
-                self.rows.push(self.scaler.transform(r));
-            }
-        }
+        // The standardized rows the bounds leave as they are.
+        let keep = if bounds_moved { 0 } else { from };
+        self.rows.truncate(keep);
+        let scaler = &self.scaler;
+        self.rows
+            .extend(data.rows()[keep..].iter().map(|r| scaler.transform(r)));
         Ok(bounds_moved)
     }
 }

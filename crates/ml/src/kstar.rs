@@ -302,8 +302,8 @@ impl KStar {
 
     /// One query against the fitted store: standardize into `scratch.q`, take
     /// the L1 distances (the natural metric for a product of per-attribute
-    /// Laplace kernels) into `scratch.dists`, run the kernel. The single path
-    /// behind both [`Regressor::predict`] and [`Regressor::predict_batch`].
+    /// Laplace kernels) into `scratch.dists`, run the kernel: the per-row
+    /// body of [`Regressor::predict_batch`].
     fn predict_row(&self, f: &Fitted, x: &[f64], scratch: &mut PredictScratch) -> f64 {
         let Fitted { store, cols } = f;
         if store.targets.len() == 1 {
@@ -460,20 +460,8 @@ impl Regressor for KStar {
         Ok(())
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != f.store.scaler.dim() {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: f.store.scaler.dim(),
-                got: x.len(),
-            });
-        }
-        Ok(self.predict_row(f, x, &mut PredictScratch::new()))
-    }
-
-    /// Batched K*: the scalar path per row with the per-query buffers
-    /// (standardized query, distances) carried in `scratch`, so every output
-    /// is bit-identical to [`Regressor::predict`] by construction.
+    /// Batched K*: `predict_row` per row, with the per-query buffers
+    /// (standardized query, distances, weights) carried in `scratch`.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,

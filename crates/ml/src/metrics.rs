@@ -1,9 +1,11 @@
 //! Model-evaluation helpers built on `disar_math::stats`.
 //!
-//! [`evaluate`] runs a fitted model over a test set and summarizes exactly
-//! the quantities the paper reports: the signed bias `δ̄` (Table I), the
-//! error distribution (Figure 3) and prediction/real pairs (Figure 2).
+//! [`evaluate`] runs a fitted model over a test set in one batch and
+//! summarizes exactly the quantities the paper reports: the signed bias `δ̄`
+//! (Table I), the error distribution (Figure 3) and prediction/real pairs
+//! (Figure 2).
 
+use crate::batch::{FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::Regressor;
 use crate::MlError;
@@ -52,19 +54,21 @@ pub fn evaluate<M: Regressor + ?Sized>(model: &M, test: &Dataset) -> Result<Eval
     if test.is_empty() {
         return Err(MlError::EmptyTrainingSet);
     }
-    let mut pairs = Vec::with_capacity(test.len());
-    for i in 0..test.len() {
-        let (x, y) = test.get(i);
-        pairs.push((y, model.predict(x)?));
+    let mut xs = FeatureMatrix::with_capacity(test.len(), test.dim());
+    for x in test.rows() {
+        xs.push_row(x);
     }
-    let (real, pred): (Vec<f64>, Vec<f64>) = pairs.iter().cloned().unzip();
+    let mut pred = vec![0.0; test.len()];
+    model.predict_batch(&xs, &mut pred, &mut PredictScratch::new())?;
+    let real = test.targets();
+    let pairs = real.iter().copied().zip(pred.iter().copied()).collect();
     Ok(Evaluation {
         model: model.name().to_string(),
         n: test.len(),
-        bias: stats::bias(&pred, &real),
-        mae: stats::mae(&pred, &real),
-        rmse: stats::rmse(&pred, &real),
-        r_squared: stats::r_squared(&pred, &real),
+        bias: stats::bias(&pred, real),
+        mae: stats::mae(&pred, real),
+        rmse: stats::rmse(&pred, real),
+        r_squared: stats::r_squared(&pred, real),
         pairs,
     })
 }
@@ -101,8 +105,16 @@ mod tests {
             fn fit(&mut self, _d: &Dataset) -> Result<(), MlError> {
                 Ok(())
             }
-            fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-                Ok(x[0] + 10.0)
+            fn predict_batch(
+                &self,
+                xs: &FeatureMatrix,
+                out: &mut [f64],
+                _: &mut PredictScratch,
+            ) -> Result<(), MlError> {
+                for (i, y) in out.iter_mut().enumerate() {
+                    *y = xs.row(i)[0] + 10.0;
+                }
+                Ok(())
             }
             fn name(&self) -> &'static str {
                 "Plus10"

@@ -43,22 +43,24 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// A fitted network ([`Mlp::network`]).
+#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
-struct Fitted {
+pub struct Fitted {
     /// The number of training rows: a continuation needs the grown set to
     /// extend exactly these.
     rows: usize,
-    scaler: Scaler,
+    pub scaler: Scaler,
     /// The columns that vary over the training rows, ascending: the only
     /// ones a fit or a prediction reads.
-    live: Vec<usize>,
-    target_mean: f64,
-    target_std: f64,
+    pub live: Vec<usize>,
+    pub target_mean: f64,
+    pub target_std: f64,
     /// `w1[h][j]` — weight from input `j` to hidden unit `h`; last entry of
     /// each row is the bias.
-    w1: Vec<Vec<f64>>,
+    pub w1: Vec<Vec<f64>>,
     /// Weight from hidden unit `h` to the output; last entry is the bias.
-    w2: Vec<f64>,
+    pub w2: Vec<f64>,
 }
 
 /// A single-hidden-layer perceptron with sigmoid hidden units and a linear
@@ -144,6 +146,13 @@ impl Mlp {
     /// `dim` (Weka's "a" wildcard).
     pub fn hidden_units_for(&self, dim: usize) -> usize {
         self.hidden.unwrap_or(dim.div_ceil(2).max(2))
+    }
+
+    /// The fitted network, `None` before a fit. Not API: it is what
+    /// `tests/batch_proptests.rs` evaluates the per-row forward pass on.
+    #[doc(hidden)]
+    pub fn network(&self) -> Option<&Fitted> {
+        self.fitted.as_ref()
     }
 
     /// SGD training core of [`Regressor::fit`] and
@@ -374,33 +383,14 @@ impl Regressor for Mlp {
         }
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != f.scaler.dim() {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: f.scaler.dim(),
-                got: x.len(),
-            });
-        }
-        let (d, h) = (x.len(), f.w1.len());
-        let mut out = f.w2[h];
-        for (hu, w) in f.w1.iter().enumerate() {
-            let mut a = w[d];
-            for &j in &f.live {
-                a += w[j] * f.scaler.scale(j, x[j]);
-            }
-            out += f.w2[hu] * sigmoid(a);
-        }
-        Ok(out * f.target_std + f.target_mean)
-    }
-
     /// Blocked forward pass: the live columns of the rows are standardized
     /// 64 rows at a time into one reused buffer and each hidden unit's weight
     /// row streams over the whole block before the next (weight rows stay
-    /// hot in cache). The additions into each output land in the same
-    /// hidden-unit order, and every activation is the same
-    /// `w[d] + Σⱼ w[j]·xn[j]` left-to-right sum over the live `j`, so each
-    /// output is bit-identical to [`Regressor::predict`].
+    /// hot in cache). A row's output is `w2[h] + Σ_hu w2[hu]·σ(a_hu)`, added
+    /// in hidden-unit order, with each activation `a_hu = w[d] + Σⱼ w[j]·xn[j]`
+    /// summed left to right over the live `j`, so it has the same bits in a
+    /// block of any width (`tests/batch_proptests.rs` holds it to the
+    /// formula).
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,

@@ -172,18 +172,10 @@ impl NeighbourIndex {
         }
     }
 
-    /// Returns the `k` lexicographically smallest `(distance, row)` pairs,
-    /// sorted ascending — bit-identical (same rows, same distance values,
-    /// same order) to the early-abandon linear scan over all points.
-    pub fn nearest(&self, points: &[Vec<f64>], q: &[f64], k: usize) -> Vec<(f64, usize)> {
-        let mut items = Vec::with_capacity(k + 1);
-        self.nearest_into(points, q, k, &mut items);
-        items
-    }
-
-    /// [`NeighbourIndex::nearest`] into a reused buffer (cleared first) —
-    /// the allocation-free variant for batched prediction. The search is
-    /// the same code, so the result is bit-identical.
+    /// Writes the `k` lexicographically smallest `(distance, row)` pairs
+    /// into `out` (cleared first), sorted ascending — bit-identical (same
+    /// rows, same distance values, same order) to the early-abandon linear
+    /// scan over all points. A reused `out` stops allocating once warm.
     pub fn nearest_into(
         &self,
         points: &[Vec<f64>],
@@ -299,6 +291,18 @@ mod tests {
         all
     }
 
+    /// [`NeighbourIndex::nearest_into`] into a fresh buffer.
+    fn k_nearest(
+        index: &NeighbourIndex,
+        points: &[Vec<f64>],
+        q: &[f64],
+        k: usize,
+    ) -> Vec<(f64, usize)> {
+        let mut out = Vec::new();
+        index.nearest_into(points, q, k, &mut out);
+        out
+    }
+
     fn random_points(n: usize, dim: usize, seed: u64, grid: bool) -> Vec<Vec<f64>> {
         let mut rng = stream_rng(seed, 0x4D7E);
         (0..n)
@@ -325,7 +329,7 @@ mod tests {
             let queries = random_points(20, dim, 7, grid);
             for q in &queries {
                 for k in [1, 3, n] {
-                    let got = index.nearest(&points, q, k);
+                    let got = k_nearest(&index, &points, q, k);
                     let want = brute_force(&points, q, k);
                     assert_eq!(got, want, "n {n} k {k}");
                 }
@@ -338,7 +342,7 @@ mod tests {
         // Four identical points: the 2 nearest must be rows 0 and 1.
         let points = vec![vec![1.0, 2.0]; 4];
         let index = NeighbourIndex::build(&points);
-        let got = index.nearest(&points, &[0.0, 0.0], 2);
+        let got = k_nearest(&index, &points, &[0.0, 0.0], 2);
         assert_eq!(got, vec![(5.0, 0), (5.0, 1)]);
     }
 
@@ -352,7 +356,7 @@ mod tests {
         assert_eq!(grown.len(), 120);
         let queries = random_points(10, 3, 11, false);
         for q in &queries {
-            let got = grown.nearest(&points, q, 5);
+            let got = k_nearest(&grown, &points, q, 5);
             let want = brute_force(&points, q, 5);
             assert_eq!(got, want);
         }
@@ -363,22 +367,22 @@ mod tests {
         let points: Vec<Vec<f64>> = Vec::new();
         let index = NeighbourIndex::build(&points);
         assert!(index.is_empty());
-        assert!(index.nearest(&points, &[0.0], 3).is_empty());
+        assert!(k_nearest(&index, &points, &[0.0], 3).is_empty());
         let points = vec![vec![0.0]];
         let index = NeighbourIndex::build(&points);
-        assert!(index.nearest(&points, &[0.0], 0).is_empty());
+        assert!(k_nearest(&index, &points, &[0.0], 0).is_empty());
     }
 
     #[test]
-    fn nearest_into_reuses_buffer_and_matches_nearest() {
+    fn nearest_into_reuses_its_buffer_and_matches_brute_force() {
         let points = random_points(80, 3, 5, true);
         let index = NeighbourIndex::build(&points);
         let queries = random_points(12, 3, 13, false);
         let mut buf = Vec::new();
         for q in &queries {
-            for k in [1, 4, 80] {
+            for k in [80, 4, 1] {
                 index.nearest_into(&points, q, k, &mut buf);
-                assert_eq!(buf, index.nearest(&points, q, k), "k {k}");
+                assert_eq!(buf, brute_force(&points, q, k), "k {k}");
             }
         }
     }

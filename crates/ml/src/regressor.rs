@@ -1,13 +1,16 @@
 //! The [`Regressor`] trait and the paper's six-model family.
 
-use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
+use crate::batch::{FeatureMatrix, PredictScratch};
 use crate::{Dataset, DecisionTable, IbK, KStar, MlError, Mlp, RandomForest, RandomTree};
 use std::fmt;
 
 /// A supervised regression model with Weka-style fit-in-place semantics.
 ///
-/// Implementations are object-safe so a heterogeneous family of models can be
-/// stored as `Vec<Box<dyn Regressor>>` (the paper's set `X`).
+/// A model writes [`Regressor::fit`], one prediction kernel,
+/// [`Regressor::predict_batch`], [`Regressor::name`] and
+/// [`Regressor::clone_box`]; a single [`Regressor::predict`] is a batch of
+/// one row. Implementations are object-safe so a heterogeneous family of
+/// models can be stored as `Vec<Box<dyn Regressor>>` (the paper's set `X`).
 pub trait Regressor: Send + Sync {
     /// Trains the model on `data`, replacing any previous fit.
     ///
@@ -42,42 +45,38 @@ pub trait Regressor: Send + Sync {
         }
     }
 
-    /// Predicts the target for one feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::NotFitted`] before the first successful `fit` and
-    /// [`MlError::FeatureDimensionMismatch`] for a wrong-length input.
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError>;
-
     /// Predicts the targets for a whole batch of feature vectors, writing
-    /// one prediction per row into `out`.
-    ///
-    /// The default implementation loops the scalar
-    /// [`Regressor::predict`], so custom regressors keep working
-    /// unchanged. The built-in members override it with batched kernels
-    /// that reuse `scratch` across queries while executing the exact same
-    /// per-query arithmetic — their batched predictions are **bit
-    /// identical** to the scalar path (`tests/batch_proptests.rs`). An empty
-    /// batch succeeds without touching the model.
+    /// one prediction per row into `out`: the one prediction kernel a model
+    /// writes. The built-in members carry `scratch`'s buffers across the
+    /// rows, and a row's prediction does not depend on the batch around
+    /// it: an n-row batch gives, slot for slot, the bits of the n one-row
+    /// batches of its rows (`tests/batch_proptests.rs`). An empty batch
+    /// succeeds without touching the model.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::BatchShapeMismatch`] when `out.len()` differs
-    /// from `xs.len()`; otherwise the same contract as
-    /// [`Regressor::predict`].
+    /// from `xs.len()`, [`MlError::NotFitted`] before the first successful
+    /// `fit`, and [`MlError::FeatureDimensionMismatch`] for rows of the
+    /// wrong width.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
         out: &mut [f64],
         scratch: &mut PredictScratch,
-    ) -> Result<(), MlError> {
-        let _ = scratch;
-        check_out_len(xs.len(), out)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.predict(xs.row(i))?;
-        }
-        Ok(())
+    ) -> Result<(), MlError>;
+
+    /// Predicts the target for one feature vector: a batch of one row.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Regressor::predict_batch`].
+    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
+        let mut xs = FeatureMatrix::with_capacity(1, x.len());
+        xs.push_row(x);
+        let mut out = [0.0];
+        self.predict_batch(&xs, &mut out, &mut PredictScratch::new())?;
+        Ok(out[0])
     }
 
     /// Short human-readable name (used in experiment tables, e.g. `"IBk"`).
@@ -99,9 +98,8 @@ pub trait Regressor: Send + Sync {
 
     /// Clones the model behind the trait object, fitted state included.
     ///
-    /// Powers `impl Clone for Box<dyn Regressor>`, which read-mostly
-    /// snapshot layers need to freeze an immutable copy of a family while
-    /// the original keeps retraining.
+    /// Powers `impl Clone for Box<dyn Regressor>`, through which a
+    /// predictor family is cloned with its fitted members.
     fn clone_box(&self) -> Box<dyn Regressor>;
 }
 

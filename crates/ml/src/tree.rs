@@ -535,14 +535,8 @@ impl Regressor for RandomTree {
         Ok(())
     }
 
-    fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        self.check_query(x.len())?;
-        Ok(self.descend(x))
-    }
-
-    /// Batched traversal hoisting the fitted and dimension checks out of the
-    /// per-row loop; each row then walks the exact scalar descent, so every
-    /// output is bit-identical to [`Regressor::predict`].
+    /// The fitted and dimension checks once per batch, then each row's
+    /// descent from the root.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -761,10 +755,10 @@ mod tests {
     }
 
     impl Ref {
-        fn predict(&self, x: &[f64]) -> f64 {
+        fn descend(&self, x: &[f64]) -> f64 {
             match self {
                 Ref::Leaf(v) => *v,
-                Ref::Split(f, at, kids) => kids[(x[*f] > *at) as usize].predict(x),
+                Ref::Split(f, at, kids) => kids[(x[*f] > *at) as usize].descend(x),
             }
         }
 
@@ -831,7 +825,7 @@ mod tests {
             // The row itself, then each signed zero flipped.
             let flipped: Vec<f64> = x.iter().map(|&v| if v == 0.0 { -v } else { v }).collect();
             for q in [x, &flipped] {
-                assert_eq!(t.predict(q).unwrap().to_bits(), r.predict(q).to_bits());
+                assert_eq!(t.predict(q).unwrap().to_bits(), r.descend(q).to_bits());
             }
         }
         let total: f64 = gains.iter().sum();
@@ -899,7 +893,7 @@ mod tests {
                 })
                 .collect();
             for x in d.rows() {
-                let sum = trees.iter().fold(0.0, |s, r| s + r.predict(x));
+                let sum = trees.iter().fold(0.0, |s, r| s + r.descend(x));
                 assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 6.0).to_bits());
             }
         });
@@ -983,7 +977,7 @@ mod tests {
                 })
                 .collect();
             for x in d.rows() {
-                let sum = trees.iter().fold(0.0, |s, r| s + r.predict(x));
+                let sum = trees.iter().fold(0.0, |s, r| s + r.descend(x));
                 let (got, want) = (rf.predict(x).unwrap(), sum / 8.0);
                 assert_eq!(got.to_bits(), want.to_bits(), "{n} rows");
             }

@@ -212,7 +212,9 @@ fn knowledge_transfers_across_companies() {
     // new company's execution times far better than the global-mean
     // baseline.
     use disar_bench::campaign::{paper_eeb_jobs, CampaignConfig};
-    use disar_suite::core::{KnowledgeBase, PredictorFamily, RetrainMode, RunRecord};
+    use disar_suite::core::{
+        KnowledgeBase, PredictorFamily, RetrainMode, RunRecord, TimePredictor,
+    };
 
     let cfg = CampaignConfig {
         n_runs: 0,
@@ -263,9 +265,10 @@ fn knowledge_transfers_across_companies() {
             let r = provider
                 .run_job_with_seed(name, 2, &job.workload, 9000 + i)
                 .expect("valid");
-            let pred = family
-                .predict_mean(&job.profile, provider.catalog().get(name).expect("ok"), 2)
+            let each = family
+                .predict_each(&job.profile, provider.catalog().get(name).expect("ok"), 2)
                 .expect("trained");
+            let pred = (each.iter().map(|(_, t)| t).sum::<f64>() / each.len() as f64).max(0.0);
             model_err.push((pred - r.duration_secs).abs());
             baseline_err.push((train_mean - r.duration_secs).abs());
             i += 1;
