@@ -95,21 +95,25 @@ impl CorrelationMatrix {
         self.dim
     }
 
+    /// The lower-triangular Cholesky factor `L` (`L · Lᵀ` is the matrix).
+    pub fn cholesky(&self) -> &Matrix {
+        &self.chol
+    }
+
     /// Maps a vector of independent N(0,1) draws to correlated ones
-    /// (`L · z`).
+    /// (`L · z`): [`CorrelationMatrix::correlate_into`] into a new vector.
     ///
     /// # Panics
     ///
     /// Panics if `z.len() != self.dim()`.
     pub fn correlate(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.dim, "shock dimension mismatch");
-        (0..self.dim)
-            .map(|i| (0..=i).map(|j| self.chol[(i, j)] * z[j]).sum())
-            .collect()
+        let mut out = vec![0.0; self.dim];
+        self.correlate_into(z, &mut out);
+        out
     }
 
-    /// In-place variant of [`CorrelationMatrix::correlate`] writing into
-    /// `out` (hot-loop friendly).
+    /// Writes `L · z` into `out`: entry `d` is `0.0`, then `+ L[d][j] · z[j]`
+    /// for `j ≤ d` in order of `j`.
     ///
     /// # Panics
     ///
@@ -122,18 +126,27 @@ impl CorrelationMatrix {
 
     /// [`CorrelationMatrix::correlate_into`] over a whole path: `z` holds
     /// one vector of draws per step, back to back, and correlated entry `d`
-    /// of step `s` goes to `out[(s * dim + d) * stride]`. Every entry is the
-    /// sum `correlate_into` forms: `0.0`, then `L[d][j] · z[j]` for `j ≤ d`
-    /// in order of `j`.
+    /// of step `s` goes to `out[(s * dim + d) * stride]`.
+    ///
+    /// Driver by driver: the loop writes `0.0` down driver `d`'s column of
+    /// the path, then adds `L[d][j] · z[j]` down the whole column for each
+    /// `j ≤ d` in order of `j`, with `L[d][j]` read once. Every entry sees
+    /// the operations `correlate_into` applies to it, in the same order, so
+    /// it gets the same bits; only the order in which entries are visited
+    /// changes.
     pub(crate) fn correlate_path_into(&self, z: &[f64], out: &mut [f64], stride: usize) {
+        let (dim, n_steps) = (self.dim, z.len() / self.dim);
         let chol = self.chol.as_slice();
-        for (s, z) in z.chunks(self.dim).enumerate() {
-            for (d, row) in chol.chunks(self.dim).enumerate() {
-                let mut sum = 0.0;
-                for (l, zj) in row[..=d].iter().zip(z) {
-                    sum += l * zj;
+        for d in 0..dim {
+            let column = &mut out[d * stride..];
+            for o in column.iter_mut().step_by(dim * stride).take(n_steps) {
+                *o = 0.0;
+            }
+            for (j, &l) in chol[d * dim..=d * dim + d].iter().enumerate() {
+                let draws = z[j..].iter().step_by(dim);
+                for (o, zj) in column.iter_mut().step_by(dim * stride).zip(draws) {
+                    *o += l * zj;
                 }
-                out[(s * self.dim + d) * stride] = sum;
             }
         }
     }
@@ -198,16 +211,28 @@ mod tests {
 
     #[test]
     fn correlate_into_matches_correlate() {
-        let c = CorrelationMatrix::new(vec![
-            vec![1.0, 0.3, 0.1],
-            vec![0.3, 1.0, -0.2],
-            vec![0.1, -0.2, 1.0],
-        ])
-        .unwrap();
-        let z = [0.5, -0.7, 1.1];
-        let v1 = c.correlate(&z);
-        let mut v2 = vec![0.0; 3];
-        c.correlate_into(&z, &mut v2);
-        assert_eq!(v1, v2);
+        // One dimension per size from 1 to 4, and a −0.0 draw: an entry that
+        // sums to an exact signed zero must read +0.0 either way.
+        let rows = [
+            vec![1.0, 0.3, 0.1, -0.25],
+            vec![0.3, 1.0, -0.2, 0.15],
+            vec![0.1, -0.2, 1.0, 0.05],
+            vec![-0.25, 0.15, 0.05, 1.0],
+        ];
+        for dim in 1..=4 {
+            let c = CorrelationMatrix::new(rows[..dim].iter().map(|r| r[..dim].to_vec()).collect())
+                .unwrap();
+            for z in [
+                [-0.0, -0.0, -0.0, -0.0],
+                [0.5, -0.7, 1.1, -0.0],
+                [-0.0, 1.3, -0.4, 2.2],
+            ] {
+                let v1 = c.correlate(&z[..dim]);
+                let mut v2 = vec![f64::NAN; dim];
+                c.correlate_into(&z[..dim], &mut v2);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&v1), bits(&v2), "dimension {dim}, draws {z:?}");
+            }
+        }
     }
 }

@@ -1190,6 +1190,7 @@ mod tests {
         let mut data = vec![0.0; n_paths * n_drivers * stride];
         let mut raw = vec![0.0; n_drivers];
         let mut shocks = vec![0.0; n_drivers];
+        let chol = gen.correlation.cholesky();
         for unit in 0..n_units {
             let mut rng = stream_rng(seed, unit as u64);
             let mut gauss = StandardNormal::new();
@@ -1206,7 +1207,15 @@ mod tests {
                 for z in raw.iter_mut() {
                     *z = gauss.sample(&mut rng);
                 }
-                gen.correlation.correlate_into(&raw, &mut shocks);
+                // `L · raw` entry by entry: `0.0`, then `L[d][j] · raw[j]`
+                // for `j ≤ d` in order of `j`.
+                for (d, shock) in shocks.iter_mut().enumerate() {
+                    let mut sum = 0.0;
+                    for (j, z) in raw[..=d].iter().enumerate() {
+                        sum += chol[(d, j)] * z;
+                    }
+                    *shock = sum;
+                }
                 for d in 0..n_drivers {
                     state_pos[d] = gen.drivers[d].step(state_pos[d], dt, shocks[d], measure);
                     data[(p_pos * n_drivers + d) * stride + step] = state_pos[d];
