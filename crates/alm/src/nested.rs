@@ -16,7 +16,12 @@
 //!
 //! where `Φ_1^pos(p)` is the position's first-year readjustment realized on
 //! the outer path (benefits are linear in the readjusted sum, so the
-//! factorization is exact). The segregated fund's accounting state is
+//! factorization is exact). The inner sum is taken over the paths before the
+//! flows: `Φ` depends on a position only through its profit-sharing pair, so
+//! the discounted `Φ` is summed over the `nQ` paths once per pair and year,
+//! and each position's residual flows are weighted by its pair's sums
+//! (DESIGN.md §10.5). That exchange is exact in real arithmetic and moves the
+//! figures by rounding only. The segregated fund's accounting state is
 //! re-initialized at `t = 1` — a documented approximation: the book-yield
 //! EMA carries one year of memory that we reset, which perturbs values far
 //! less than the Monte Carlo noise at the paper's `nQ = 50`.
@@ -338,7 +343,8 @@ impl<'a> NestedMonteCarlo<'a> {
         let inner = ws.inner_buf.view();
 
         // Every inner path's fund returns and discount factors, year-major,
-        // then each position valued across all paths at once.
+        // then each pair's discounted `Φ` summed over the paths once and
+        // each position valued against its pair's sums.
         fill_valuation_panels(
             self.fund,
             &inner,
@@ -348,14 +354,14 @@ impl<'a> NestedMonteCarlo<'a> {
             &mut ws.returns_panel,
             &mut ws.dfs_panel,
         )?;
-        ws.acc.clear();
+        // `resize` without `clear`: every entry is overwritten below.
         ws.acc.resize(book.n_positions(), 0.0);
-        book.add_residuals_over_paths(
+        book.residuals_over_paths(
             &ws.returns_panel,
             &ws.dfs_panel,
             config.n_inner,
             &mut ws.phi,
-            &mut ws.pv,
+            &mut ws.table,
             &mut ws.acc,
         );
         book.block_values(i1, df1, &ws.acc, config.n_inner as f64, &mut ws.phi1, out);

@@ -14,7 +14,7 @@
 //! bit-identical to the allocating implementation it replaced (see
 //! DESIGN.md §10).
 
-use crate::liability::{PathScratch, GROUP};
+use crate::liability::PathScratch;
 use crate::nested::NestedConfig;
 use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 
@@ -27,19 +27,19 @@ use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 /// * the inner-stage [`ScenarioBuffer`] (paths + generator scratch),
 /// * the per-path [`PathScratch`] (fund returns, per-year discount factors),
 /// * the per-position inner-PV accumulator, the pairs' `Φ_1` factors, one
-///   pair's cumulative `Φ` table over all inner paths, one group's PV
-///   rows, and the re-anchoring state vector.
+///   pair's cumulative `Φ` row over all inner paths, the pairs' discounted
+///   `Φ` summed over the paths per year, and the re-anchoring state vector.
 #[derive(Debug, Clone, Default)]
 pub struct ValuationWorkspace {
     /// Inner (risk-neutral) scenario buffer, refilled per outer path.
     pub(crate) inner_buf: ScenarioBuffer,
     /// Fund-return / discount-factor scratch for the valuation kernels.
     pub(crate) scratch: PathScratch,
-    /// One pair's cumulative `Φ` over all inner paths, `[year][path]` under
-    /// a row of ones.
+    /// One pair's cumulative `Φ` up to the year being folded, one entry per
+    /// inner path.
     pub(crate) phi: Vec<f64>,
-    /// One group of positions' residual PVs, `[position][path]`.
-    pub(crate) pv: Vec<f64>,
+    /// Per pair and year, `Σ_q Φ · df` over the inner paths, `[pair][year]`.
+    pub(crate) table: Vec<f64>,
     /// Per-position accumulator over the `nQ` inner paths.
     pub(crate) acc: Vec<f64>,
     /// Per-pair first-year readjustment factors `Φ_1`.
@@ -64,7 +64,7 @@ impl ValuationWorkspace {
     /// A workspace presized for `config` runs of a nested engine built on
     /// `outer`/`inner` generators and `n_positions` liability positions —
     /// even the first outer path then performs zero heap allocations
-    /// (`phi1`: as if every position had its own pair).
+    /// (`phi1` and `table`: as if every position had its own pair).
     pub fn sized_for(
         outer: &ScenarioGenerator,
         inner: &ScenarioGenerator,
@@ -78,8 +78,8 @@ impl ValuationWorkspace {
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
         ws.scratch.reserve_years(inner_years.max(outer_years));
-        ws.phi.reserve(config.n_inner * (inner_years + 1));
-        ws.pv.reserve(GROUP * config.n_inner);
+        ws.phi.reserve(config.n_inner);
+        ws.table.reserve(n_positions * inner_years);
         ws.acc.reserve(n_positions);
         ws.phi1.reserve(n_positions);
         ws.state.reserve(inner.n_drivers());
@@ -111,8 +111,8 @@ mod tests {
         let inner = generator(10.0);
         let config = NestedConfig::paper_defaults(1);
         let ws = ValuationWorkspace::sized_for(&outer, &inner, &config, 7);
-        assert!(ws.phi.capacity() >= 50 * 11);
-        assert!(ws.pv.capacity() >= GROUP * 50);
+        assert!(ws.phi.capacity() >= 50);
+        assert!(ws.table.capacity() >= 7 * 10);
         assert!(ws.acc.capacity() >= 7);
         assert!(ws.phi1.capacity() >= 7);
         assert!(ws.state.capacity() >= 2);

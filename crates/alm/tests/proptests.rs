@@ -6,8 +6,7 @@ use disar_actuarial::lapse::ConstantLapse;
 use disar_actuarial::model_points::ModelPoint;
 use disar_actuarial::mortality::{Gender, LifeTable};
 use disar_alm::liability::{
-    shift_schedule, value_each_position_on_path, value_positions_all_paths,
-    value_positions_on_path, LiabilityPosition,
+    shift_schedule, value_positions_all_paths, value_positions_on_path, LiabilityPosition,
 };
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
@@ -145,12 +144,13 @@ fn nested_generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerato
     (build(1.0), build(inner_horizon))
 }
 
-/// The pre-workspace nested procedure: a fresh buffer per fill and the
-/// one-path kernel `value_each_position_on_path` position by position — the
-/// reference the workspace-backed kernel path must match to the bit. The
-/// outer state is read via `state_into`, which is bit-identical to the
-/// removed `state_at` (it reads the same `[path][driver][step]` cells in the
-/// same order), so the frozen reference is unchanged numerically.
+/// The nested procedure with a fresh buffer per fill and every inner path's
+/// series computed on its own, position by position — the reference the
+/// workspace-backed kernel path must match to the bit. Each position's inner
+/// sum is taken in the book's order: `Φ` folded per path, the discounted
+/// `Φ` summed over the paths (`q` ascending) per year, then the residual
+/// flows against those sums, year ascending, flows past the horizon on the
+/// last year.
 fn reference_nested(
     outer: &ScenarioGenerator,
     inner: &ScenarioGenerator,
@@ -221,13 +221,33 @@ fn reference_nested(
         }
         .expect("inner generation");
         let inner_set = inner_buf.view();
-        let mut acc = vec![0.0; shifted.len()];
-        for q in 0..config.n_inner {
-            let vals = value_each_position_on_path(&shifted, fund, &inner_set, q, 1, 0)
-                .expect("inner valuation");
-            for (a, v) in acc.iter_mut().zip(&vals) {
-                *a += *v;
+        let series: Vec<(Vec<f64>, Vec<f64>)> = (0..config.n_inner)
+            .map(|q| {
+                let (mut returns, mut dfs) = (Vec::new(), Vec::new());
+                fund.annual_returns_into(&inner_set, q, 1, 0, &mut returns)
+                    .expect("inner fund returns");
+                inner_set.year_discount_factors_into(q, returns.len(), &mut dfs);
+                (returns, dfs)
+            })
+            .collect();
+        let n_years = series[0].0.len();
+        let mut acc = Vec::new();
+        for pos in &shifted {
+            let mut phis = vec![1.0; series.len()];
+            let mut t = Vec::new();
+            for k in 0..n_years {
+                let mut sum = 0.0;
+                for (phi, (returns, dfs)) in phis.iter_mut().zip(&series) {
+                    *phi *= 1.0 + pos.profit_sharing.readjustment_rate(returns[k]);
+                    sum += *phi * dfs[k];
+                }
+                t.push(sum);
             }
+            let mut a = 0.0;
+            for flow in &pos.schedule.flows {
+                a += flow.total() * t[(flow.year as usize).min(n_years) - 1];
+            }
+            acc.push(a);
         }
         let y: f64 = acc
             .iter()
@@ -256,7 +276,7 @@ fn reference_nested(
 /// The workspace-backed nested engine is bit-identical to the allocating
 /// reference — sequential and threaded, plain and antithetic, for arbitrary
 /// seeds and path counts (the reference fills a fresh buffer per scenario
-/// set and values the inner paths position by position).
+/// set and values the positions one by one from per-path series).
 #[test]
 fn nested_kernel_bitwise_matches_allocating_reference() {
     cases(8, |rng| {
