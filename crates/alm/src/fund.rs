@@ -12,6 +12,15 @@
 use crate::AlmError;
 use disar_stochastic::scenario::ScenarioView;
 
+/// The fund's accounting carried from one policy year into the next: the
+/// bond book yield and the unrealized equity gains per unit of fund book
+/// value ([`SegregatedFund::close_year`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FundAccounts {
+    book_yield: f64,
+    unrealized: f64,
+}
+
 /// A segregated fund: asset mix, accounting state and management strategy.
 ///
 /// # Example
@@ -123,6 +132,42 @@ impl SegregatedFund {
         self.equity_weight
     }
 
+    /// The accounts at the start of a path: the initial book yield and no
+    /// unrealized gains.
+    pub fn opening_accounts(&self) -> FundAccounts {
+        FundAccounts {
+            book_yield: self.initial_book_yield,
+            unrealized: 0.0,
+        }
+    }
+
+    /// Closes one policy year of `accounts` given the year's equity return
+    /// and average short rate, and returns the year's fund return `I_t`.
+    /// The one fold of the fund's accounting:
+    /// [`SegregatedFund::annual_returns_into`] runs it over a generated path,
+    /// and the nested run's inner stage over years drawn one at a time.
+    #[inline]
+    pub fn close_year(&self, accounts: &mut FundAccounts, eq_return: f64, avg_rate: f64) -> f64 {
+        // Bond book yield: EMA towards the current market rate.
+        accounts.book_yield = self.book_yield_smoothing * accounts.book_yield
+            + (1.0 - self.book_yield_smoothing) * avg_rate;
+
+        // Equity: dividends are cash income; the price move accrues to the
+        // unrealized-gains pot, of which the strategy realizes a fraction
+        // (asymmetric for gains vs losses).
+        let dividends = self.equity_weight * self.dividend_yield;
+        let price_move = self.equity_weight * (eq_return - self.dividend_yield);
+        accounts.unrealized += price_move;
+        let realized = if accounts.unrealized >= 0.0 {
+            self.gain_realization * accounts.unrealized
+        } else {
+            self.loss_recognition * accounts.unrealized
+        };
+        accounts.unrealized -= realized;
+
+        self.bond_weight * accounts.book_yield + dividends + realized
+    }
+
     /// Writes the annual fund-return series `I_1 … I_n` along one scenario
     /// path into `out` (cleared first), allocating nothing once `out` is
     /// warm.
@@ -167,33 +212,13 @@ impl SegregatedFund {
 
         out.clear();
         out.reserve(n_years); // no-op once the buffer is warm
-        let mut book_yield = self.initial_book_yield;
-        let mut unrealized = 0.0_f64; // per unit of fund book value
+        let mut accounts = self.opening_accounts();
         for k in 0..n_years {
             let a = k * spy;
             let b = (k + 1) * spy;
             let eq_return = equity[b] / equity[a] - 1.0;
-            let avg_rate =
-                rates[a..=b].iter().sum::<f64>() / (spy + 1) as f64;
-
-            // Bond book yield: EMA towards the current market rate.
-            book_yield = self.book_yield_smoothing * book_yield
-                + (1.0 - self.book_yield_smoothing) * avg_rate;
-
-            // Equity: dividends are cash income; the price move accrues to
-            // the unrealized-gains pot, of which the strategy realizes a
-            // fraction (asymmetric for gains vs losses).
-            let dividends = self.equity_weight * self.dividend_yield;
-            let price_move = self.equity_weight * (eq_return - self.dividend_yield);
-            unrealized += price_move;
-            let realized = if unrealized >= 0.0 {
-                self.gain_realization * unrealized
-            } else {
-                self.loss_recognition * unrealized
-            };
-            unrealized -= realized;
-
-            out.push(self.bond_weight * book_yield + dividends + realized);
+            let avg_rate = rates[a..=b].iter().sum::<f64>() / (spy + 1) as f64;
+            out.push(self.close_year(&mut accounts, eq_return, avg_rate));
         }
         Ok(())
     }

@@ -23,6 +23,8 @@ use crate::fund::SegregatedFund;
 use crate::AlmError;
 use disar_actuarial::contracts::ProfitSharing;
 use disar_actuarial::engine::CashFlowSchedule;
+use disar_math::rng::{stream_rng, StandardNormal};
+use disar_stochastic::annual::AnnualRatesEquity;
 use disar_stochastic::scenario::ScenarioView;
 use std::collections::HashMap;
 
@@ -34,31 +36,6 @@ pub struct LiabilityPosition {
     pub schedule: CashFlowSchedule,
     /// The contract's profit-sharing parameters (drives `Φ_t`).
     pub profit_sharing: ProfitSharing,
-}
-
-/// Reusable per-path scratch for the valuation kernels: the annual fund
-/// returns and per-year discount factors of the path being valued.
-/// Owned by the caller (typically a `ValuationWorkspace`) so repeated
-/// valuations reuse the same storage; every field is fully rewritten per
-/// path, so no state survives between calls.
-#[derive(Debug, Clone, Default)]
-pub struct PathScratch {
-    returns: Vec<f64>,
-    dfs: Vec<f64>,
-}
-
-impl PathScratch {
-    /// An empty scratch; the first valuation sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes the scratch for paths spanning `n_years` years, so even
-    /// the first valuation allocates nothing.
-    pub fn reserve_years(&mut self, n_years: usize) {
-        self.returns.reserve(n_years.saturating_sub(self.returns.len()));
-        self.dfs.reserve(n_years.saturating_sub(self.dfs.len()));
-    }
 }
 
 /// Values a set of liability positions on one scenario path.
@@ -164,45 +141,78 @@ pub fn value_each_position_from_series(
     );
 }
 
-/// Fills year-major valuation panels for **every** path of `set`: entry
-/// `[k * n_paths + q]` of `returns_panel` (`dfs_panel`) holds the annual fund
-/// return (discount factor) of year `k + 1` on path `q`, so one year's values
-/// across all paths are contiguous. Returns the number of years on a path.
-///
-/// The nested inner loop fills the panels in one pass and its
-/// `LiabilityBook` then sums each profit-sharing pair's discounted `Φ` across
-/// all paths, one year row after the other. The entries are bit-identical to
-/// the per-path series: the fund fold and the running discount integral carry
-/// no state across paths, and laying their results out year-major moves
-/// values without touching them.
-///
-/// # Errors
-///
-/// Propagates [`AlmError::ScenarioMismatch`] from the fund-return
-/// computation.
-pub fn fill_valuation_panels(
-    fund: &SegregatedFund,
-    set: &ScenarioView<'_>,
-    equity_driver: usize,
-    rate_driver: usize,
-    scratch: &mut PathScratch,
-    returns_panel: &mut Vec<f64>,
-    dfs_panel: &mut Vec<f64>,
-) -> Result<usize, AlmError> {
-    let n_paths = set.n_paths();
-    let n_years = set.grid().n_steps() / set.grid().steps_per_year();
-    // `resize` without `clear`: every slot is overwritten below.
-    returns_panel.resize(n_years * n_paths, 0.0);
-    dfs_panel.resize(n_years * n_paths, 0.0);
-    for q in 0..n_paths {
-        fund.annual_returns_into(set, q, equity_driver, rate_driver, &mut scratch.returns)?;
-        set.year_discount_factors_into(q, n_years, &mut scratch.dfs);
-        for (k, (r, df)) in scratch.returns.iter().zip(&scratch.dfs).enumerate() {
-            returns_panel[k * n_paths + q] = *r;
-            dfs_panel[k * n_paths + q] = *df;
+/// Year-major panels of the inner paths' annual fund returns and discount
+/// factors: entry `[k * n_paths + q]` of `returns` (`dfs`) is year `k + 1` on
+/// inner path `q`, so one year's values across all paths are contiguous
+/// (what [`LiabilityBook::residuals_over_paths`] reads a row at a time).
+/// Every field is rewritten by [`ValuationPanels::fill`] before it is read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ValuationPanels {
+    /// One path's standard normals, three per policy year.
+    draws: Vec<f64>,
+    pub(crate) returns: Vec<f64>,
+    pub(crate) dfs: Vec<f64>,
+}
+
+impl ValuationPanels {
+    /// Reserves the panels for `n_paths` paths of `n_years` years.
+    pub(crate) fn reserve(&mut self, n_paths: usize, n_years: usize) {
+        let reserve = |v: &mut Vec<f64>, need: usize| v.reserve(need.saturating_sub(v.len()));
+        reserve(&mut self.draws, 3 * n_years);
+        reserve(&mut self.returns, n_paths * n_years);
+        reserve(&mut self.dfs, n_paths * n_years);
+    }
+
+    /// Fills the panels for `n_paths` inner paths opening at rate
+    /// `rate_start`, each drawn one policy year at a time from `law`.
+    ///
+    /// Path `q` takes `3 · n_years` normals from `stream_rng(seed, q)`; with
+    /// `antithetic`, pair `k` draws from `stream_rng(seed, k)` for paths
+    /// `2k` and `2k + 1`, the second with the normals negated. Per year the
+    /// path's draw gives the equity return `exp(X) − 1` and the average rate
+    /// `Σ / (spy + 1)` to the fund's [`SegregatedFund::close_year`], and the
+    /// trapezoid integral `dt · (Σ − (r_a + r_b)/2)` to the running discount
+    /// integral, whose `exp(−·)` is the year's discount factor. The year
+    /// closes at `r_b`, which opens the next.
+    pub(crate) fn fill(
+        &mut self,
+        fund: &SegregatedFund,
+        law: &AnnualRatesEquity,
+        rate_start: f64,
+        seed: u64,
+        n_paths: usize,
+        antithetic: bool,
+    ) {
+        let n_years = law.n_years();
+        let points = (law.steps_per_year() + 1) as f64;
+        let dt = law.dt();
+        // `resize` without `clear`: every slot is overwritten below.
+        self.draws.resize(3 * n_years, 0.0);
+        self.returns.resize(n_years * n_paths, 0.0);
+        self.dfs.resize(n_years * n_paths, 0.0);
+        let signs: &[f64] = if antithetic { &[1.0, -1.0] } else { &[1.0] };
+        let mut gauss = StandardNormal::new();
+        for unit in 0..n_paths / signs.len() {
+            gauss.fill(&mut stream_rng(seed, unit as u64), &mut self.draws);
+            for (i, &sign) in signs.iter().enumerate() {
+                let q = unit * signs.len() + i;
+                let mut accounts = fund.opening_accounts();
+                let (mut rate, mut integral) = (rate_start, 0.0_f64);
+                for (k, z) in self.draws.chunks(3).enumerate() {
+                    let year = law.draw(rate, [sign * z[0], sign * z[1], sign * z[2]]);
+                    let at = k * n_paths + q;
+                    self.returns[at] = fund.close_year(
+                        &mut accounts,
+                        year.log_return.exp() - 1.0,
+                        year.rate_sum / points,
+                    );
+                    integral += dt * (year.rate_sum - 0.5 * (rate + year.rate_end));
+                    self.dfs[at] = (-integral).exp();
+                    rate = year.rate_end;
+                }
+            }
         }
     }
-    Ok(n_years)
 }
 
 /// Shifts a schedule forward by `years`: flows already paid are dropped and
@@ -314,7 +324,7 @@ impl LiabilityBook {
 
     /// Writes into `acc[i]` position `i`'s residual PV at `t = 1` summed
     /// over all `n_paths` inner paths, given the year-major panels of
-    /// [`fill_valuation_panels`]. `phi` and `table` are scratch.
+    /// [`ValuationPanels`]. `phi` and `table` are scratch.
     ///
     /// Summed path by path, `acc[i] = Σ_q Σ_k total_ik · Φ_{k+1}[q] ·
     /// df_k[q]`, and `Φ` depends on a position only through its pair `p`.
@@ -373,23 +383,46 @@ impl LiabilityBook {
         phi1: &mut Vec<f64>,
         out: &mut [PathValue],
     ) {
+        self.first_year_values(i1, df1, phi1, out);
+        let mut first = 0;
+        for (&end, slot) in self.block_ends.iter().zip(out) {
+            let block = &self.entries[first..end];
+            slot.y1 = block
+                .iter()
+                .zip(&acc[first..end])
+                .map(|(e, a)| phi1[e.sharing] * a / n_inner)
+                .sum();
+            first = end;
+        }
+    }
+
+    /// What an outer path fixes of each block before any inner path: the
+    /// pairs' `Φ_1` into `phi1`, and per block a [`PathValue`] with the
+    /// year-1 flows readjusted by `Φ_1` and discounted at `df1`, and `y1`
+    /// zero. [`LiabilityBook::block_values`] then adds `y1`; the LSMC
+    /// evaluation, whose `y1` comes from its regression, reads these alone.
+    pub(crate) fn first_year_values(
+        &self,
+        i1: f64,
+        df1: f64,
+        phi1: &mut Vec<f64>,
+        out: &mut [PathValue],
+    ) {
         phi1.clear();
         for ps in &self.sharings {
             phi1.push(1.0 + ps.readjustment_rate(i1));
         }
         let mut first = 0;
         for (&end, slot) in self.block_ends.iter().zip(out) {
-            let block = &self.entries[first..end];
             let mut year1 = 0.0;
-            for e in block.iter().filter(|e| e.start < e.end) {
+            for e in self.entries[first..end].iter().filter(|e| e.start < e.end) {
                 year1 += self.totals[e.start] * phi1[e.sharing] * df1;
             }
-            let y1 = block
-                .iter()
-                .zip(&acc[first..end])
-                .map(|(e, a)| phi1[e.sharing] * a / n_inner)
-                .sum();
-            *slot = PathValue { y1, year1, df1 };
+            *slot = PathValue {
+                y1: 0.0,
+                year1,
+                df1,
+            };
             first = end;
         }
     }
@@ -421,8 +454,10 @@ mod tests {
     use disar_actuarial::lapse::ConstantLapse;
     use disar_actuarial::model_points::ModelPoint;
     use disar_actuarial::mortality::{Gender, LifeTable};
+    use disar_math::stats;
     use disar_stochastic::drivers::{Gbm, Vasicek};
     use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
+    use disar_stochastic::CorrelationMatrix;
 
     fn make_position(term: u32, beta: f64, tech: f64) -> LiabilityPosition {
         let table = LifeTable::italian_population();
@@ -512,40 +547,146 @@ mod tests {
         }
     }
 
+    /// The one-year law of `q_set`'s market over `horizon` years.
+    fn inner_law(horizon: f64) -> AnnualRatesEquity {
+        ScenarioGenerator::builder()
+            .driver(Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.0).unwrap()))
+            .driver(Box::new(Gbm::new(100.0, 0.06, 0.18, 0.03).unwrap()))
+            .grid(TimeGrid::new(horizon, 12).unwrap())
+            .build()
+            .unwrap()
+            .annual_rates_equity(Measure::RiskNeutral, 0, 1)
+            .unwrap()
+    }
+
+    /// One inner path's annual fund returns and discount factors, drawn year
+    /// by year from `law` with the normals `z` (negated for an antithetic
+    /// partner), the fund folded and the discount integral summed per year.
+    fn drawn_series(
+        fund: &SegregatedFund,
+        law: &AnnualRatesEquity,
+        rate_start: f64,
+        z: &[f64],
+        negate: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let points = (law.steps_per_year() + 1) as f64;
+        let mut accounts = fund.opening_accounts();
+        let (mut rate, mut integral) = (rate_start, 0.0);
+        let (mut returns, mut dfs) = (Vec::new(), Vec::new());
+        for k in 0..law.n_years() {
+            let mut z = [z[3 * k], z[3 * k + 1], z[3 * k + 2]];
+            if negate {
+                z = z.map(|x| -x);
+            }
+            let year = law.draw(rate, z);
+            let eq_return = year.log_return.exp() - 1.0;
+            returns.push(fund.close_year(&mut accounts, eq_return, year.rate_sum / points));
+            integral += law.dt() * (year.rate_sum - 0.5 * (rate + year.rate_end));
+            dfs.push((-integral).exp());
+            rate = year.rate_end;
+        }
+        (returns, dfs)
+    }
+
     #[test]
     fn valuation_panels_bitwise_match_per_path_kernel() {
-        let set = q_set(16.0, 7, 11);
-        let view = set.view();
+        let law = inner_law(16.0);
+        let n_years = law.n_years();
+        assert_eq!(n_years, 16);
         let fund = SegregatedFund::italian_typical(20);
-        let mut scratch = PathScratch::new();
-        // Pre-polluted panels: fill must fully overwrite them.
-        let mut returns_panel = vec![f64::NAN; 3];
-        let mut dfs_panel = vec![f64::NAN; 999];
-        let n_years = fill_valuation_panels(
-            &fund,
-            &view,
-            1,
-            0,
-            &mut scratch,
-            &mut returns_panel,
-            &mut dfs_panel,
+        // Pre-polluted panels, then each shape's leftovers for the next: the
+        // fill must fully overwrite them.
+        let mut panels = ValuationPanels {
+            draws: vec![f64::NAN; 5],
+            returns: vec![f64::NAN; 3],
+            dfs: vec![f64::NAN; 999],
+        };
+        for (n_paths, antithetic) in [(7, false), (8, true), (1, false), (2, true)] {
+            panels.fill(&fund, &law, 0.041, 11, n_paths, antithetic);
+            assert_eq!(panels.returns.len(), n_paths * n_years);
+            assert_eq!(panels.dfs.len(), n_paths * n_years);
+            // Path `q` draws from stream `q`; an antithetic pair `k` from
+            // stream `k`, its second path negated. Year-major: entry
+            // `[k][q]` is path `q`'s year `k + 1`.
+            for q in 0..n_paths {
+                let (unit, negate) = if antithetic {
+                    (q / 2, q % 2 == 1)
+                } else {
+                    (q, false)
+                };
+                let mut z = vec![0.0; 3 * n_years];
+                StandardNormal::new().fill(&mut stream_rng(11, unit as u64), &mut z);
+                let (returns, dfs) = drawn_series(&fund, &law, 0.041, &z, negate);
+                for k in 0..n_years {
+                    let at = k * n_paths + q;
+                    let what =
+                        format!("{n_paths} paths, antithetic {antithetic}, path {q} year {k}");
+                    assert_eq!(panels.returns[at].to_bits(), returns[k].to_bits(), "{what}");
+                    assert_eq!(panels.dfs[at].to_bits(), dfs[k].to_bits(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drawn_panels_match_grid_paths_in_law() {
+        // What the fill folds from each drawn year (the equity return, the
+        // average rate, the discount integral) against what the fund and
+        // the discount factors read of step-by-step paths from the same
+        // opening rate: per year, the means of the returns and of the
+        // discount factors agree within four standard errors.
+        const PATHS: usize = 20_000;
+        let gen = ScenarioGenerator::builder()
+            .driver(Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.0).unwrap()))
+            .driver(Box::new(Gbm::new(100.0, 0.06, 0.18, 0.03).unwrap()))
+            .correlation(CorrelationMatrix::new(vec![vec![1.0, -0.3], vec![-0.3, 1.0]]).unwrap())
+            .grid(TimeGrid::new(5.0, 4).unwrap())
+            .build()
+            .unwrap();
+        let law = gen.annual_rates_equity(Measure::RiskNeutral, 0, 1).unwrap();
+        let fund = SegregatedFund::italian_typical(20);
+        let rate_start = 0.045;
+        let mut panels = ValuationPanels::default();
+        panels.fill(&fund, &law, rate_start, 3, PATHS, false);
+        let mut buf = ScenarioBuffer::new();
+        gen.generate_into(
+            Measure::RiskNeutral,
+            PATHS,
+            4,
+            Some(&[rate_start, 100.0]),
+            &mut buf,
         )
         .unwrap();
-        let n_paths = view.n_paths();
-        assert_eq!(n_years, 16);
-        assert_eq!(returns_panel.len(), n_paths * n_years);
-        assert_eq!(dfs_panel.len(), n_paths * n_years);
-        // Year-major: entry `[k][q]` is path `q`'s year `k + 1`.
+        let view = buf.view();
+        let (mut grid_returns, mut grid_dfs) = (vec![Vec::new(); 5], vec![Vec::new(); 5]);
         let (mut returns, mut dfs) = (Vec::new(), Vec::new());
-        for q in 0..n_paths {
+        for q in 0..PATHS {
             fund.annual_returns_into(&view, q, 1, 0, &mut returns)
                 .unwrap();
-            view.year_discount_factors_into(q, n_years, &mut dfs);
-            for k in 0..n_years {
-                let at = k * n_paths + q;
-                let (r, df) = (returns_panel[at], dfs_panel[at]);
-                assert_eq!(r.to_bits(), returns[k].to_bits(), "path {q} year {k}");
-                assert_eq!(df.to_bits(), dfs[k].to_bits(), "path {q} year {k}");
+            view.year_discount_factors_into(q, 5, &mut dfs);
+            for k in 0..5 {
+                grid_returns[k].push(returns[k]);
+                grid_dfs[k].push(dfs[k]);
+            }
+        }
+        for k in 0..5 {
+            let row = k * PATHS..(k + 1) * PATHS;
+            for (what, drawn, grid) in [
+                (
+                    "fund return",
+                    &panels.returns[row.clone()],
+                    &grid_returns[k],
+                ),
+                ("discount factor", &panels.dfs[row], &grid_dfs[k]),
+            ] {
+                let se = ((stats::variance(drawn) + stats::variance(grid)) / PATHS as f64).sqrt();
+                let diff = stats::mean(drawn) - stats::mean(grid);
+                assert!(
+                    diff.abs() < 4.0 * se,
+                    "year {}: {what} off by {} standard errors",
+                    k + 1,
+                    diff / se
+                );
             }
         }
     }
@@ -621,43 +762,31 @@ mod tests {
             .collect();
 
         let fund = SegregatedFund::italian_typical(20);
-        let mut scratch = PathScratch::new();
-        let (mut returns_panel, mut dfs_panel) = (Vec::new(), Vec::new());
+        let law = inner_law(6.0);
+        let n_years = law.n_years();
+        assert_eq!(n_years, 6);
+        let mut panels = ValuationPanels::default();
         // NaN-polluted scratch, then each shape's leftovers for the next:
         // the kernel must not read them.
         let (mut phi, mut table) = (vec![f64::NAN; 5], vec![f64::NAN; 40]);
         let mut acc = vec![f64::NAN; positions.len()];
         for n_paths in [1, 9, 50] {
-            let set = q_set(6.0, n_paths, 17);
-            let view = set.view();
-            let n_years = fill_valuation_panels(
-                &fund,
-                &view,
-                1,
-                0,
-                &mut scratch,
-                &mut returns_panel,
-                &mut dfs_panel,
-            )
-            .unwrap();
-            assert_eq!(n_years, 6);
+            panels.fill(&fund, &law, 0.03, 17, n_paths, false);
             book.residuals_over_paths(
-                &returns_panel,
-                &dfs_panel,
+                &panels.returns,
+                &panels.dfs,
                 n_paths,
                 &mut phi,
                 &mut table,
                 &mut acc,
             );
 
+            // Each path's own series, read back out of the panels.
+            let column = |panel: &[f64], q: usize| -> Vec<f64> {
+                (0..n_years).map(|k| panel[k * n_paths + q]).collect()
+            };
             let series: Vec<(Vec<f64>, Vec<f64>)> = (0..n_paths)
-                .map(|q| {
-                    let (mut returns, mut dfs) = (Vec::new(), Vec::new());
-                    fund.annual_returns_into(&view, q, 1, 0, &mut returns)
-                        .unwrap();
-                    view.year_discount_factors_into(q, n_years, &mut dfs);
-                    (returns, dfs)
-                })
+                .map(|q| (column(&panels.returns, q), column(&panels.dfs, q)))
                 .collect();
             // The semantic reference: path by path through the one-path
             // kernel, accumulated in path order.

@@ -21,18 +21,24 @@
 //! the discounted `Φ` is summed over the `nQ` paths once per pair and year,
 //! and each position's residual flows are weighted by its pair's sums
 //! (DESIGN.md §10.5). That exchange is exact in real arithmetic and moves the
-//! figures by rounding only. The segregated fund's accounting state is
+//! figures by rounding only. The inner paths are not stepped on the grid:
+//! each is drawn one policy year at a time from the exact Gaussian law of
+//! what the fund and the book read of the year (the equity ratio, the
+//! closing rate, the rate's grid sum) given the year's opening rate, three
+//! normals a year ([`AnnualRatesEquity`], DESIGN.md §12.4); a step-by-step
+//! path gives the same law. The segregated fund's accounting state is
 //! re-initialized at `t = 1` — a documented approximation: the book-yield
 //! EMA carries one year of memory that we reset, which perturbs values far
 //! less than the Monte Carlo noise at the paper's `nQ = 50`.
 
 use crate::fund::SegregatedFund;
-use crate::liability::{fill_valuation_panels, LiabilityBook, LiabilityPosition, PathValue};
+use crate::liability::{LiabilityBook, LiabilityPosition, PathValue};
 use crate::workspace::ValuationWorkspace;
 use crate::AlmError;
 use disar_math::parallel::parallel_map_mut;
 use disar_math::rng::split_seed;
 use disar_math::stats;
+use disar_stochastic::annual::AnnualRatesEquity;
 use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, ScenarioView};
 
 /// Configuration of a nested run.
@@ -115,9 +121,19 @@ pub struct NestedResult {
 /// `inner` must cover the residual liability horizon, and both must be
 /// built over the *same driver list in the same order* (the inner paths are
 /// re-anchored at outer endpoint states).
+///
+/// The outer stage steps `outer`'s grid. The inner stage does not: it draws
+/// each inner path one policy year at a time from the exact law of the
+/// year's equity ratio, closing rate and rate sum given the opening rate
+/// ([`AnnualRatesEquity`], built once from `inner`), which is all the fund
+/// and the book read of a path. The fund reads equity ratios only, so the
+/// outer endpoint's rate `r_1` is the whole anchor; `inner`'s other drivers
+/// (an FX rate, a credit intensity) are not drawn.
 pub struct NestedMonteCarlo<'a> {
     outer: &'a ScenarioGenerator,
     inner: &'a ScenarioGenerator,
+    /// The inner stage's one-year law under `Q`.
+    inner_years: AnnualRatesEquity,
     fund: &'a SegregatedFund,
     equity_driver: usize,
     rate_driver: usize,
@@ -129,7 +145,12 @@ impl<'a> NestedMonteCarlo<'a> {
     /// # Errors
     ///
     /// Returns [`AlmError::ScenarioMismatch`] if the two generators have a
-    /// different driver count or the driver indices are out of range.
+    /// different driver count, the driver indices are out of range, the
+    /// outer grid is shorter than a year, or `inner` has no one-year law for
+    /// the pair ([`ScenarioGenerator::annual_rates_equity`]: the rate driver
+    /// is not a Vasicek short rate, say a CIR one, or the equity driver does
+    /// not step by the exact lognormal transition, say a driver on the
+    /// `Generic` coefficients).
     pub fn new(
         outer: &'a ScenarioGenerator,
         inner: &'a ScenarioGenerator,
@@ -154,9 +175,13 @@ impl<'a> NestedMonteCarlo<'a> {
                 "outer grid must cover at least one year".to_string(),
             ));
         }
+        let inner_years = inner
+            .annual_rates_equity(Measure::RiskNeutral, rate_driver, equity_driver)
+            .map_err(|e| AlmError::ScenarioMismatch(format!("inner stage: {e}")))?;
         Ok(NestedMonteCarlo {
             outer,
             inner,
+            inner_years,
             fund,
             equity_driver,
             rate_driver,
@@ -293,6 +318,20 @@ impl<'a> NestedMonteCarlo<'a> {
             .collect())
     }
 
+    /// Outer path `p`'s first-year fund return `i1` and discount factor
+    /// `df1` to `t = 1`; `returns` is scratch for the path's annual returns.
+    pub(crate) fn first_year(
+        &self,
+        outer: &ScenarioView<'_>,
+        p: usize,
+        returns: &mut Vec<f64>,
+    ) -> Result<(f64, f64), AlmError> {
+        self.fund
+            .annual_returns_into(outer, p, self.equity_driver, self.rate_driver, returns)?;
+        let spy = outer.grid().steps_per_year();
+        Ok((returns[0], outer.discount_factor(p, spy)))
+    }
+
     /// Values one outer path for every block of `book`, writing one
     /// [`PathValue`] per block into `out`. All intermediates live in `ws`,
     /// which is fully rewritten before being read — reusing it across paths
@@ -307,58 +346,30 @@ impl<'a> NestedMonteCarlo<'a> {
         ws: &mut ValuationWorkspace,
         out: &mut [PathValue],
     ) -> Result<(), AlmError> {
-        let spy = outer.grid().steps_per_year();
         // First-year fund return on the outer path drives Φ_1 and the
         // year-1 flows.
-        self.fund.annual_returns_into(
-            outer,
-            p,
-            self.equity_driver,
-            self.rate_driver,
-            &mut ws.outer_returns,
-        )?;
-        let (i1, df1) = (ws.outer_returns[0], outer.discount_factor(p, spy));
+        let (i1, df1) = self.first_year(outer, p, &mut ws.outer_returns)?;
 
-        // Inner stage: nQ risk-neutral paths anchored at the outer state,
-        // filled into the workspace's reusable scenario buffer.
-        outer.state_into(p, spy, &mut ws.state);
+        // Inner stage: nQ risk-neutral paths opening at the outer path's
+        // rate at t = 1, drawn year by year into the workspace's panels.
+        let r1 = outer.value(p, self.rate_driver, outer.grid().steps_per_year());
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
-        if config.antithetic {
-            self.inner.generate_antithetic_into(
-                Measure::RiskNeutral,
-                config.n_inner / 2,
-                inner_seed,
-                Some(&ws.state),
-                &mut ws.inner_buf,
-            )?;
-        } else {
-            self.inner.generate_into(
-                Measure::RiskNeutral,
-                config.n_inner,
-                inner_seed,
-                Some(&ws.state),
-                &mut ws.inner_buf,
-            )?;
-        }
-        let inner = ws.inner_buf.view();
-
-        // Every inner path's fund returns and discount factors, year-major,
-        // then each pair's discounted `Φ` summed over the paths once and
-        // each position valued against its pair's sums.
-        fill_valuation_panels(
+        ws.panels.fill(
             self.fund,
-            &inner,
-            self.equity_driver,
-            self.rate_driver,
-            &mut ws.scratch,
-            &mut ws.returns_panel,
-            &mut ws.dfs_panel,
-        )?;
+            &self.inner_years,
+            r1,
+            inner_seed,
+            config.n_inner,
+            config.antithetic,
+        );
+
+        // Each pair's discounted `Φ` summed over the paths once, and each
+        // position valued against its pair's sums.
         // `resize` without `clear`: every entry is overwritten below.
         ws.acc.resize(book.n_positions(), 0.0);
         book.residuals_over_paths(
-            &ws.returns_panel,
-            &ws.dfs_panel,
+            &ws.panels.returns,
+            &ws.panels.dfs,
             config.n_inner,
             &mut ws.phi,
             &mut ws.table,
@@ -377,7 +388,7 @@ mod tests {
     use disar_actuarial::lapse::ConstantLapse;
     use disar_actuarial::model_points::ModelPoint;
     use disar_actuarial::mortality::{Gender, LifeTable};
-    use disar_stochastic::drivers::{Gbm, Vasicek};
+    use disar_stochastic::drivers::{Cir, Gbm, RiskDriver, Vasicek};
     use disar_stochastic::scenario::TimeGrid;
 
     fn generators(horizon: f64) -> (ScenarioGenerator, ScenarioGenerator) {
@@ -597,6 +608,52 @@ mod tests {
             .build()
             .unwrap();
         assert!(NestedMonteCarlo::new(&short, &inner, &fund, 1, 0).is_err());
+    }
+
+    /// A driver on the default `Generic` coefficients.
+    struct Drifting;
+
+    impl RiskDriver for Drifting {
+        fn initial_value(&self) -> f64 {
+            100.0
+        }
+        fn step(&self, state: f64, dt: f64, shock: f64, _measure: Measure) -> f64 {
+            state + dt + shock
+        }
+        fn name(&self) -> &str {
+            "drifting"
+        }
+    }
+
+    #[test]
+    fn inner_market_without_a_one_year_law_is_a_scenario_mismatch() {
+        // A CIR short rate, and an equity on the `Generic` coefficients:
+        // neither has the inner stage's closed-form year, and there is no
+        // step-by-step fallback.
+        let build = |rate: Box<dyn RiskDriver>, equity: Box<dyn RiskDriver>, h: f64| {
+            ScenarioGenerator::builder()
+                .driver(rate)
+                .driver(equity)
+                .grid(TimeGrid::new(h, 4).unwrap())
+                .build()
+                .unwrap()
+        };
+        let cir = || Box::new(Cir::short_rate(0.03, 0.5, 0.03, 0.05, 0.1).unwrap());
+        let vasicek = || Box::new(Vasicek::new(0.03, 0.5, 0.03, 0.008, 0.15).unwrap());
+        let gbm = || Box::new(Gbm::new(100.0, 0.07, 0.18, 0.03).unwrap());
+        let fund = SegregatedFund::italian_typical(10);
+        for (outer, inner) in [
+            (build(cir(), gbm(), 1.0), build(cir(), gbm(), 5.0)),
+            (
+                build(vasicek(), Box::new(Drifting), 1.0),
+                build(vasicek(), Box::new(Drifting), 5.0),
+            ),
+        ] {
+            assert!(matches!(
+                NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0),
+                Err(AlmError::ScenarioMismatch(_))
+            ));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The nested procedure evaluates `nP × nQ` inner valuations; before this
 //! layer existed, every one of them heap-allocated (a fresh inner scenario
 //! set, fund-return and discount-factor vectors, a per-position result
-//! `Vec`). A [`ValuationWorkspace`] gathers all of that scratch into
+//! `Vec`). A [`ValuationWorkspace`] gathers all of the scratch into
 //! one struct that is created **once per outer-loop worker thread** and
 //! reused across every outer path of that worker's chunk — steady-state
 //! inner-loop allocations drop to zero.
@@ -14,9 +14,9 @@
 //! bit-identical to the allocating implementation it replaced (see
 //! DESIGN.md §10).
 
-use crate::liability::PathScratch;
+use crate::liability::ValuationPanels;
 use crate::nested::NestedConfig;
-use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
+use disar_stochastic::scenario::ScenarioGenerator;
 
 /// Reusable scratch for valuing outer paths of a nested Monte Carlo run.
 ///
@@ -24,17 +24,16 @@ use disar_stochastic::scenario::{ScenarioBuffer, ScenarioGenerator};
 /// empty with [`ValuationWorkspace::new`] — the first outer path then
 /// warms it up). The workspace owns:
 ///
-/// * the inner-stage [`ScenarioBuffer`] (paths + generator scratch),
-/// * the per-path [`PathScratch`] (fund returns, per-year discount factors),
+/// * the year-major panels of the inner paths' fund returns and discount
+///   factors, with one path's normals,
 /// * the per-position inner-PV accumulator, the pairs' `Φ_1` factors, one
 ///   pair's cumulative `Φ` row over all inner paths, the pairs' discounted
-///   `Φ` summed over the paths per year, and the re-anchoring state vector.
+///   `Φ` summed over the paths per year, and the outer path's annual
+///   returns.
 #[derive(Debug, Clone, Default)]
 pub struct ValuationWorkspace {
-    /// Inner (risk-neutral) scenario buffer, refilled per outer path.
-    pub(crate) inner_buf: ScenarioBuffer,
-    /// Fund-return / discount-factor scratch for the valuation kernels.
-    pub(crate) scratch: PathScratch,
+    /// The inner paths' year-major return and discount-factor panels.
+    pub(crate) panels: ValuationPanels,
     /// One pair's cumulative `Φ` up to the year being folded, one entry per
     /// inner path.
     pub(crate) phi: Vec<f64>,
@@ -44,15 +43,8 @@ pub struct ValuationWorkspace {
     pub(crate) acc: Vec<f64>,
     /// Per-pair first-year readjustment factors `Φ_1`.
     pub(crate) phi1: Vec<f64>,
-    /// Outer endpoint state re-anchoring the inner simulation.
-    pub(crate) state: Vec<f64>,
     /// Annual fund returns along the outer path.
     pub(crate) outer_returns: Vec<f64>,
-    /// Year-major panel of annual fund returns: row `k` holds year `k + 1`'s
-    /// return on every inner path, contiguously.
-    pub(crate) returns_panel: Vec<f64>,
-    /// Year-major panel of per-year discount factors, same layout.
-    pub(crate) dfs_panel: Vec<f64>,
 }
 
 impl ValuationWorkspace {
@@ -72,20 +64,16 @@ impl ValuationWorkspace {
         n_positions: usize,
     ) -> Self {
         let mut ws = Self::default();
-        // Antithetic runs generate 2 · (n_inner / 2) = n_inner total paths,
-        // so the buffer shape is the same either way.
-        ws.inner_buf.reserve_for(inner, config.n_inner);
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
-        ws.scratch.reserve_years(inner_years.max(outer_years));
+        // Antithetic runs draw 2 · (n_inner / 2) = n_inner paths, so the
+        // panels have the same shape either way.
+        ws.panels.reserve(config.n_inner, inner_years);
         ws.phi.reserve(config.n_inner);
         ws.table.reserve(n_positions * inner_years);
         ws.acc.reserve(n_positions);
         ws.phi1.reserve(n_positions);
-        ws.state.reserve(inner.n_drivers());
         ws.outer_returns.reserve(outer_years.max(1));
-        ws.returns_panel.reserve(config.n_inner * inner_years.max(1));
-        ws.dfs_panel.reserve(config.n_inner * inner_years.max(1));
         ws
     }
 }
@@ -115,8 +103,9 @@ mod tests {
         assert!(ws.table.capacity() >= 7 * 10);
         assert!(ws.acc.capacity() >= 7);
         assert!(ws.phi1.capacity() >= 7);
-        assert!(ws.state.capacity() >= 2);
         assert!(ws.outer_returns.capacity() >= 1);
+        assert!(ws.panels.returns.capacity() >= 50 * 10);
+        assert!(ws.panels.dfs.capacity() >= 50 * 10);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
 use disar_math::check::{cases, vec_of};
 use disar_math::parallel::parallel_map;
-use disar_math::rng::split_seed;
+use disar_math::rng::{split_seed, stream_rng, StandardNormal};
 use disar_math::stats;
 use disar_stochastic::drivers::{Gbm, Vasicek};
 use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, TimeGrid};
@@ -144,9 +144,9 @@ fn nested_generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerato
     (build(1.0), build(inner_horizon))
 }
 
-/// The nested procedure with a fresh buffer per fill and every inner path's
-/// series computed on its own, position by position — the reference the
-/// workspace-backed kernel path must match to the bit. Each position's inner
+/// The nested procedure with a fresh outer buffer and every inner path's
+/// series drawn on its own, year by year, position by position — the
+/// reference the workspace-backed kernel path must match to the bit. Each position's inner
 /// sum is taken in the book's order: `Φ` folded per path, the discounted
 /// `Φ` summed over the paths (`q` ascending) per year, then the residual
 /// flows against those sums, year ascending, flows past the horizon on the
@@ -198,35 +198,38 @@ fn reference_nested(
             }
             phi1.push(phi);
         }
-        let mut state = Vec::new();
-        outer_set.state_into(p, spy, &mut state);
+        // The inner paths open at the outer path's rate at t = 1 and are
+        // drawn a policy year at a time: path `q` (pair `q / 2`, its second
+        // path negated) takes three normals a year from its stream.
+        let rate_start = outer_set.value(p, 0, spy);
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
-        let mut inner_buf = ScenarioBuffer::new();
-        if config.antithetic {
-            inner.generate_antithetic_into(
-                Measure::RiskNeutral,
-                config.n_inner / 2,
-                inner_seed,
-                Some(&state),
-                &mut inner_buf,
-            )
-        } else {
-            inner.generate_into(
-                Measure::RiskNeutral,
-                config.n_inner,
-                inner_seed,
-                Some(&state),
-                &mut inner_buf,
-            )
-        }
-        .expect("inner generation");
-        let inner_set = inner_buf.view();
+        let law = inner
+            .annual_rates_equity(Measure::RiskNeutral, 0, 1)
+            .expect("inner law");
+        let points = (law.steps_per_year() + 1) as f64;
         let series: Vec<(Vec<f64>, Vec<f64>)> = (0..config.n_inner)
             .map(|q| {
+                let (unit, negate) = if config.antithetic {
+                    (q / 2, q % 2 == 1)
+                } else {
+                    (q, false)
+                };
+                let mut z = vec![0.0; 3 * law.n_years()];
+                StandardNormal::new().fill(&mut stream_rng(inner_seed, unit as u64), &mut z);
+                if negate {
+                    z.iter_mut().for_each(|x| *x = -*x);
+                }
+                let mut accounts = fund.opening_accounts();
+                let (mut rate, mut integral) = (rate_start, 0.0);
                 let (mut returns, mut dfs) = (Vec::new(), Vec::new());
-                fund.annual_returns_into(&inner_set, q, 1, 0, &mut returns)
-                    .expect("inner fund returns");
-                inner_set.year_discount_factors_into(q, returns.len(), &mut dfs);
+                for z in z.chunks(3) {
+                    let year = law.draw(rate, [z[0], z[1], z[2]]);
+                    let eq_return = year.log_return.exp() - 1.0;
+                    returns.push(fund.close_year(&mut accounts, eq_return, year.rate_sum / points));
+                    integral += law.dt() * (year.rate_sum - 0.5 * (rate + year.rate_end));
+                    dfs.push((-integral).exp());
+                    rate = year.rate_end;
+                }
                 (returns, dfs)
             })
             .collect();
@@ -275,8 +278,9 @@ fn reference_nested(
 
 /// The workspace-backed nested engine is bit-identical to the allocating
 /// reference — sequential and threaded, plain and antithetic, for arbitrary
-/// seeds and path counts (the reference fills a fresh buffer per scenario
-/// set and values the positions one by one from per-path series).
+/// seeds and path counts (the reference fills a fresh outer buffer, draws
+/// each inner path's series on its own and values the positions one by one
+/// from them).
 #[test]
 fn nested_kernel_bitwise_matches_allocating_reference() {
     cases(8, |rng| {

@@ -18,7 +18,11 @@
 //!   [`scenario::ScenarioView`] they are read through. The generator
 //!   supports the *nested* setup of the paper: outer paths under
 //!   `P` from `t = 0` to `t = 1`, then inner paths under `Q` from `t = 1`
-//!   to maturity, re-anchored at each outer endpoint.
+//!   to maturity, re-anchored at each outer endpoint;
+//! - [`annual`]: the exact law of one policy year of a Vasicek rate and a
+//!   lognormal equity, `(ln S_b/S_a, r_b, Σ r)`, drawn from three normals —
+//!   what the nested valuation's inner stage draws instead of stepping the
+//!   grid.
 //!
 //! # Example
 //!
@@ -36,6 +40,7 @@
 //! assert_eq!(buf.view().n_paths(), 100);
 //! ```
 
+pub mod annual;
 pub mod bonds;
 pub mod correlation;
 pub mod drivers;

@@ -10,12 +10,16 @@
 //!    outer endpoint's state (the `F_1` filtration conditioning).
 //!
 //! The re-anchoring is expressed through the `initial_overrides` parameter
-//! of [`ScenarioGenerator::generate_into`].
+//! of [`ScenarioGenerator::generate_into`]. The nested valuation of
+//! `disar-alm` steps only its outer paths on the grid: its inner paths are
+//! drawn one policy year at a time from the exact law that
+//! [`ScenarioGenerator::annual_rates_equity`] derives from the same drivers
+//! ([`crate::annual`]), anchored at the outer endpoint's rate.
 //!
 //! # Allocation discipline
 //!
-//! The nested procedure regenerates an inner scenario set *per outer path*.
-//! Generated paths therefore live in one place only, a caller-owned
+//! A caller may fill many scenario sets of one shape in a row. Generated
+//! paths therefore live in one place only, a caller-owned
 //! [`ScenarioBuffer`] that [`ScenarioGenerator::generate_into`] and
 //! [`ScenarioGenerator::generate_antithetic_into`] fill in place: after the
 //! first fill of a given shape, a reused buffer performs **zero** heap
@@ -36,6 +40,7 @@
 //! interleaving *across* independent paths changes. The width is a constant,
 //! not a setting (DESIGN.md §12 has the measurements behind the value).
 
+use crate::annual::AnnualRatesEquity;
 use crate::correlation::CorrelationMatrix;
 use crate::drivers::{RiskDriver, StepCoeffs};
 use crate::StochasticError;
@@ -412,6 +417,66 @@ impl ScenarioGenerator {
     /// The configured time grid.
     pub fn grid(&self) -> TimeGrid {
         self.grid
+    }
+
+    /// The exact law of one policy year of `rate_driver` and
+    /// `equity_driver` under `measure` on this generator's grid: the
+    /// drivers' hoisted [`StepCoeffs`], their shock correlation `(L·Lᵀ)[rate]
+    /// [equity]` and the steps per year, folded once into the mean
+    /// coefficients and the 3 × 3 factor of [`AnnualRatesEquity`]. Drawing a
+    /// path year by year from it gives what the generator's paths give a
+    /// valuation (the equity's annual ratios, the rate at year ends, the
+    /// rate's grid sums), in law, for three normals a year.
+    ///
+    /// # Errors
+    ///
+    /// [`StochasticError::IndexOutOfRange`] for a driver index past the
+    /// drivers; [`StochasticError::InvalidConfiguration`] if the two indices
+    /// are equal, the rate driver is not the short rate the generator's
+    /// paths discount with, the grid is shorter than a year, or the rate's
+    /// coefficients are not [`StepCoeffs::OrnsteinUhlenbeck`] or the
+    /// equity's not [`StepCoeffs::Lognormal`] (a CIR rate, a driver on the
+    /// `Generic` coefficients).
+    pub fn annual_rates_equity(
+        &self,
+        measure: Measure,
+        rate_driver: usize,
+        equity_driver: usize,
+    ) -> Result<AnnualRatesEquity, StochasticError> {
+        let n_drivers = self.drivers.len();
+        if rate_driver >= n_drivers || equity_driver >= n_drivers {
+            return Err(StochasticError::IndexOutOfRange("driver index"));
+        }
+        if rate_driver == equity_driver {
+            return Err(StochasticError::InvalidConfiguration(
+                "the rate and the equity driver must differ".into(),
+            ));
+        }
+        if self.drivers.iter().position(|d| d.is_short_rate()) != Some(rate_driver) {
+            return Err(StochasticError::InvalidConfiguration(format!(
+                "driver {rate_driver} is not the short rate the paths discount with"
+            )));
+        }
+        let spy = self.grid.steps_per_year();
+        let n_years = self.grid.n_steps() / spy;
+        if n_years == 0 {
+            return Err(StochasticError::InvalidConfiguration(
+                "the grid is shorter than one policy year".into(),
+            ));
+        }
+        let chol = self.correlation.cholesky();
+        let rho: f64 = (0..n_drivers)
+            .map(|k| chol[(rate_driver, k)] * chol[(equity_driver, k)])
+            .sum();
+        let dt = self.grid.dt();
+        AnnualRatesEquity::new(
+            self.drivers[rate_driver].step_coeffs(dt, measure),
+            self.drivers[equity_driver].step_coeffs(dt, measure),
+            rho.clamp(-1.0, 1.0),
+            spy,
+            dt,
+            n_years,
+        )
     }
 
     /// Shared validation + setup core of the plain and antithetic
@@ -1371,6 +1436,47 @@ mod tests {
                 assert_eq!(buf.lane_shocks.len(), panel, "{what}");
             }
         }
+    }
+
+    #[test]
+    fn annual_rates_equity_is_a_typed_error_off_vasicek_and_lognormal() {
+        let build = |drivers: Vec<Box<dyn RiskDriver>>| {
+            let mut b = ScenarioGenerator::builder();
+            for d in drivers {
+                b = b.driver(d);
+            }
+            b.grid(TimeGrid::new(2.0, 4).unwrap()).build().unwrap()
+        };
+        let vasicek = || Box::new(Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.1).unwrap());
+        let gbm = || Box::new(Gbm::new(100.0, 0.05, 0.2, 0.02).unwrap());
+        let cir = Box::new(Cir::short_rate(0.02, 0.5, 0.03, 0.05, 0.0).unwrap());
+        let config_error = |gen: &ScenarioGenerator, rate, equity| {
+            matches!(
+                gen.annual_rates_equity(Measure::RiskNeutral, rate, equity),
+                Err(StochasticError::InvalidConfiguration(_))
+            )
+        };
+        // A CIR short rate, an equity on the `Generic` coefficients, two
+        // equities, one index twice, and a Vasicek that is not the first
+        // short rate (the paths discount with the CIR one).
+        assert!(config_error(&build(vec![cir.clone(), gbm()]), 0, 1));
+        assert!(config_error(&build(vec![vasicek(), Box::new(Drifting)]), 0, 1));
+        assert!(config_error(&build(vec![gbm(), gbm()]), 0, 1));
+        assert!(config_error(&build(vec![vasicek(), gbm()]), 0, 0));
+        assert!(config_error(&build(vec![cir, vasicek(), gbm()]), 1, 2));
+        let gen = build(vec![vasicek(), gbm()]);
+        assert!(matches!(
+            gen.annual_rates_equity(Measure::RiskNeutral, 0, 2),
+            Err(StochasticError::IndexOutOfRange(_))
+        ));
+        assert!(gen.annual_rates_equity(Measure::RiskNeutral, 0, 1).is_ok());
+        let short = ScenarioGenerator::builder()
+            .driver(vasicek())
+            .driver(gbm())
+            .grid(TimeGrid::new(0.5, 4).unwrap())
+            .build()
+            .unwrap();
+        assert!(config_error(&short, 0, 1));
     }
 
     #[test]
