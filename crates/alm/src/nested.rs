@@ -620,9 +620,6 @@ mod tests {
         fn step(&self, state: f64, dt: f64, shock: f64, _measure: Measure) -> f64 {
             state + dt + shock
         }
-        fn name(&self) -> &str {
-            "drifting"
-        }
     }
 
     #[test]

@@ -12,9 +12,10 @@ use disar_stochastic::drivers::{Cir, FxRate, Gbm, Vasicek};
 use disar_stochastic::scenario::{ScenarioGenerator, TimeGrid};
 use disar_stochastic::CorrelationMatrix;
 
-// Re-exported only because `benchmark/src/adapter.rs` spells
-// `lane: DEFAULT_LANE` in its `SimulationSpec` literal.
-pub use disar_stochastic::scenario::DEFAULT_LANE;
+/// The value of the ignored [`SimulationSpec::lane`]. Only the frozen
+/// benchmark adapter's `SimulationSpec` literal needs the name; ROADMAP
+/// direction 1a deletes it together with `SimulationSpec.lane`.
+pub const DEFAULT_LANE: usize = 8;
 
 /// How rich the market model is — drives the paper's "number of financial
 /// risk-factors" feature.
@@ -113,8 +114,8 @@ pub struct SimulationSpec {
     pub steps_per_year: usize,
     /// Master seed of the whole run.
     pub seed: u64,
-    /// Ignored: the scenario kernels step blocks of the fixed
-    /// [`DEFAULT_LANE`] paths. Declared only because the struct literal in
+    /// Ignored: the scenario fill steps one path at a time and takes no
+    /// width. Declared only because the struct literal in
     /// `benchmark/src/adapter.rs` names it; it goes when a benchmark PR
     /// drops it from that literal.
     pub lane: usize,

@@ -121,12 +121,12 @@ impl CorrelationMatrix {
     pub fn correlate_into(&self, z: &[f64], out: &mut [f64]) {
         assert_eq!(z.len(), self.dim, "shock dimension mismatch");
         assert_eq!(out.len(), self.dim, "output dimension mismatch");
-        self.correlate_path_into(z, out, 1);
+        self.correlate_path_into(z, out);
     }
 
-    /// [`CorrelationMatrix::correlate_into`] over a whole path: `z` holds
-    /// one vector of draws per step, back to back, and correlated entry `d`
-    /// of step `s` goes to `out[(s * dim + d) * stride]`.
+    /// [`CorrelationMatrix::correlate_into`] over a whole path: `z` and
+    /// `out` hold one vector per step, back to back, and correlated entry
+    /// `d` of step `s` goes to `out[s * dim + d]`.
     ///
     /// Driver by driver: the loop writes `0.0` down driver `d`'s column of
     /// the path, then adds `L[d][j] · z[j]` down the whole column for each
@@ -134,17 +134,17 @@ impl CorrelationMatrix {
     /// the operations `correlate_into` applies to it, in the same order, so
     /// it gets the same bits; only the order in which entries are visited
     /// changes.
-    pub(crate) fn correlate_path_into(&self, z: &[f64], out: &mut [f64], stride: usize) {
+    pub(crate) fn correlate_path_into(&self, z: &[f64], out: &mut [f64]) {
         let (dim, n_steps) = (self.dim, z.len() / self.dim);
         let chol = self.chol.as_slice();
         for d in 0..dim {
-            let column = &mut out[d * stride..];
-            for o in column.iter_mut().step_by(dim * stride).take(n_steps) {
+            let column = &mut out[d..];
+            for o in column.iter_mut().step_by(dim).take(n_steps) {
                 *o = 0.0;
             }
             for (j, &l) in chol[d * dim..=d * dim + d].iter().enumerate() {
                 let draws = z[j..].iter().step_by(dim);
-                for (o, zj) in column.iter_mut().step_by(dim * stride).zip(draws) {
+                for (o, zj) in column.iter_mut().step_by(dim).zip(draws) {
                     *o += l * zj;
                 }
             }

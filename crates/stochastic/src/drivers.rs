@@ -20,22 +20,18 @@ fn check_finite(params: &[f64]) -> Result<(), StochasticError> {
     Ok(())
 }
 
-/// Per-`(grid step, measure)` coefficients of a driver's transition,
-/// hoisted out of the per-path loop by [`RiskDriver::step_coeffs`].
+/// A driver's one-step transition as affine coefficients, for a given
+/// `(dt, measure)`: [`RiskDriver::step_coeffs`].
 ///
-/// Every variant's element operation reproduces the corresponding
-/// [`RiskDriver::step`] **to the bit**: only subexpressions that the scalar
-/// step recomputes identically on every call (e.g. GBM's
-/// `(μ − σ²/2)·dt` and `σ·√dt`) are precomputed — no association or
-/// evaluation order of the remaining per-element arithmetic is changed.
-/// The safety line matters: CIR's `a·(b − x⁺)·dt` is kept in exactly that
-/// association (folding `a·dt` would reassociate and change bits), which is
-/// why the variant stores `speed` and `dt` separately.
+/// Only [`crate::scenario::ScenarioGenerator::annual_rates_equity`] reads
+/// them: it folds a year of a rate's and an equity's steps into one Gaussian
+/// law ([`crate::annual`]), which needs the exact Ornstein–Uhlenbeck rate
+/// and the exact lognormal equity. Every other driver keeps the default
+/// [`StepCoeffs::Generic`], and the annual law then answers a typed error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepCoeffs {
     /// Exact lognormal step `s ← s · exp(log_drift + vol_sqrt_dt · z)`
-    /// ([`Gbm`] and [`FxRate`]); `log_drift = (drift − σ²/2)·dt`,
-    /// `vol_sqrt_dt = σ·√dt`.
+    /// ([`Gbm`]); `log_drift = (drift − σ²/2)·dt`, `vol_sqrt_dt = σ·√dt`.
     Lognormal {
         /// `(drift − σ²/2)·dt` under the requested measure.
         log_drift: f64,
@@ -53,101 +49,15 @@ pub enum StepCoeffs {
         /// Conditional standard deviation of one step.
         vol: f64,
     },
-    /// Full-truncation Euler step of [`Cir`]:
-    /// `s ← (s + speed·(mean_level − s⁺)·dt + sigma·√s⁺·sqrt_dt·z)⁺`.
-    /// `speed` and `dt` stay separate factors on purpose — see the type-level
-    /// docs on reassociation.
-    CirFullTruncation {
-        /// Mean-reversion speed `a`.
-        speed: f64,
-        /// Measure-adjusted long-run level `b`.
-        mean_level: f64,
-        /// Step width.
-        dt: f64,
-        /// Volatility `σ`.
-        sigma: f64,
-        /// `√dt`, hoisted (the scalar step calls `dt.sqrt()` each time —
-        /// same bits, deterministic).
-        sqrt_dt: f64,
-    },
-    /// No specialized block body; [`RiskDriver::step_block`] falls back to
-    /// the scalar [`RiskDriver::step`] loop.
+    /// No coefficients the annual law reads (a [`Cir`] process, an
+    /// [`FxRate`], a custom driver).
     Generic,
-}
-
-impl StepCoeffs {
-    /// Advances a block of `states` in place given one standard-normal
-    /// shock per lane. Returns `false` for [`StepCoeffs::Generic`] (nothing
-    /// written); the caller then loops the scalar step.
-    ///
-    /// Each variant is one plain zipped loop: hand-chunking it by 8 measured
-    /// no faster (DESIGN.md §12 — `exp` and `sqrt` are libm calls, and the
-    /// pure-arithmetic Ornstein–Uhlenbeck body vectorizes as it stands).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` and `shocks` have different lengths.
-    pub fn apply(&self, states: &mut [f64], shocks: &[f64]) -> bool {
-        assert_eq!(
-            states.len(),
-            shocks.len(),
-            "state/shock block length mismatch"
-        );
-        match *self {
-            StepCoeffs::Lognormal {
-                log_drift,
-                vol_sqrt_dt,
-            } => {
-                for (s, z) in states.iter_mut().zip(shocks) {
-                    *s *= (log_drift + vol_sqrt_dt * z).exp();
-                }
-            }
-            StepCoeffs::OrnsteinUhlenbeck {
-                mean_level,
-                decay,
-                vol,
-            } => {
-                for (s, z) in states.iter_mut().zip(shocks) {
-                    *s = (mean_level + (*s - mean_level) * decay) + vol * z;
-                }
-            }
-            StepCoeffs::CirFullTruncation {
-                speed,
-                mean_level,
-                dt,
-                sigma,
-                sqrt_dt,
-            } => {
-                for (s, z) in states.iter_mut().zip(shocks) {
-                    let xp = s.max(0.0);
-                    let next =
-                        *s + speed * (mean_level - xp) * dt + sigma * xp.sqrt() * sqrt_dt * z;
-                    *s = next.max(0.0);
-                }
-            }
-            StepCoeffs::Generic => return false,
-        }
-        true
-    }
 }
 
 /// A one-dimensional stochastic risk driver.
 ///
 /// Implementations must be deterministic functions of `(state, dt, shock,
 /// measure)` so that scenario generation is reproducible.
-///
-/// # Block stepping
-///
-/// [`RiskDriver::step_block`] advances a whole block (lane) of independent
-/// paths at once. The contract is **bit-identity with the scalar path**:
-/// for every lane `i`, the written value equals
-/// `self.step(states[i], dt, shocks[i], measure)` to the bit. Paths share no
-/// floating-point state, so processing them in lockstep only changes the
-/// iteration order *across* paths — never the operation sequence *within*
-/// one — which is what makes vectorization free of reassociation. The
-/// built-in drivers override [`RiskDriver::step_coeffs`] to hoist per-step
-/// constants once per `(grid, measure)` instead of recomputing them per
-/// path×step.
 pub trait RiskDriver: Send + Sync {
     /// The driver's value at `t = 0`.
     fn initial_value(&self) -> f64;
@@ -156,43 +66,12 @@ pub trait RiskDriver: Send + Sync {
     /// standard-normal `shock`.
     fn step(&self, state: f64, dt: f64, shock: f64, measure: Measure) -> f64;
 
-    /// Hoisted per-step coefficients for [`RiskDriver::step_block`],
-    /// computed once per `(dt, measure)` rather than per path×step.
-    ///
-    /// The default returns [`StepCoeffs::Generic`], which makes
-    /// `step_block` fall back to a scalar [`RiskDriver::step`] loop — a
-    /// custom driver is block-correct without overriding anything.
+    /// The step's affine coefficients for `(dt, measure)` ([`StepCoeffs`]).
+    /// The default, [`StepCoeffs::Generic`], says there are none.
     fn step_coeffs(&self, dt: f64, measure: Measure) -> StepCoeffs {
         let _ = (dt, measure);
         StepCoeffs::Generic
     }
-
-    /// Advances a block of independent paths by one step, bit-identical to
-    /// calling [`RiskDriver::step`] per lane.
-    ///
-    /// `coeffs` must be the result of `self.step_coeffs(dt, measure)` —
-    /// passing another driver's coefficients is a logic error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` and `shocks` have different lengths.
-    fn step_block(
-        &self,
-        states: &mut [f64],
-        shocks: &[f64],
-        dt: f64,
-        coeffs: &StepCoeffs,
-        measure: Measure,
-    ) {
-        if !coeffs.apply(states, shocks) {
-            for (s, z) in states.iter_mut().zip(shocks) {
-                *s = self.step(*s, dt, *z, measure);
-            }
-        }
-    }
-
-    /// Short human-readable name, e.g. `"equity"`.
-    fn name(&self) -> &str;
 
     /// `true` when this driver is a short rate usable for discounting.
     fn is_short_rate(&self) -> bool {
@@ -222,7 +101,6 @@ pub struct Gbm {
     mu: f64,
     sigma: f64,
     risk_free: f64,
-    name: String,
 }
 
 impl Gbm {
@@ -246,14 +124,7 @@ impl Gbm {
             mu,
             sigma,
             risk_free,
-            name: "equity".to_string(),
         })
-    }
-
-    /// Renames the driver (useful with several equity indices).
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
     }
 
     /// Volatility parameter.
@@ -281,17 +152,10 @@ impl RiskDriver for Gbm {
             Measure::RealWorld => self.mu,
             Measure::RiskNeutral => self.risk_free,
         };
-        // Same expressions, same association, as the scalar `step` — the
-        // hoisted values are bit-identical to what every per-path call
-        // recomputed.
         StepCoeffs::Lognormal {
             log_drift: (drift - 0.5 * self.sigma * self.sigma) * dt,
             vol_sqrt_dt: self.sigma * dt.sqrt(),
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -307,7 +171,6 @@ pub struct Vasicek {
     b: f64,
     sigma: f64,
     lambda: f64,
-    name: String,
 }
 
 impl Vasicek {
@@ -333,7 +196,6 @@ impl Vasicek {
             b,
             sigma,
             lambda,
-            name: "short-rate".to_string(),
         })
     }
 
@@ -379,10 +241,6 @@ impl RiskDriver for Vasicek {
         }
     }
 
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn is_short_rate(&self) -> bool {
         true
     }
@@ -401,7 +259,6 @@ pub struct Cir {
     sigma: f64,
     lambda: f64,
     short_rate: bool,
-    name: String,
 }
 
 impl Cir {
@@ -418,7 +275,7 @@ impl Cir {
         sigma: f64,
         lambda: f64,
     ) -> Result<Self, StochasticError> {
-        Self::validated(x0, a, b, sigma, lambda, true, "short-rate-cir")
+        Self::validated(x0, a, b, sigma, lambda, true)
     }
 
     /// Creates a CIR default-intensity (credit-spread) driver.
@@ -432,7 +289,7 @@ impl Cir {
         b: f64,
         sigma: f64,
     ) -> Result<Self, StochasticError> {
-        Self::validated(x0, a, b, sigma, 0.0, false, "default-intensity")
+        Self::validated(x0, a, b, sigma, 0.0, false)
     }
 
     fn validated(
@@ -442,7 +299,6 @@ impl Cir {
         sigma: f64,
         lambda: f64,
         short_rate: bool,
-        name: &str,
     ) -> Result<Self, StochasticError> {
         check_finite(&[x0, a, b, sigma, lambda])?;
         if !(x0 >= 0.0) {
@@ -464,7 +320,6 @@ impl Cir {
             sigma,
             lambda,
             short_rate,
-            name: name.to_string(),
         })
     }
 
@@ -505,24 +360,6 @@ impl RiskDriver for Cir {
         next.max(0.0)
     }
 
-    fn step_coeffs(&self, dt: f64, measure: Measure) -> StepCoeffs {
-        let b = match measure {
-            Measure::RiskNeutral => self.b,
-            Measure::RealWorld => self.b + self.lambda * self.sigma / self.a,
-        };
-        StepCoeffs::CirFullTruncation {
-            speed: self.a,
-            mean_level: b,
-            dt,
-            sigma: self.sigma,
-            sqrt_dt: dt.sqrt(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn is_short_rate(&self) -> bool {
         self.short_rate
     }
@@ -536,7 +373,6 @@ pub struct FxRate {
     mu: f64,
     sigma: f64,
     rate_differential: f64,
-    name: String,
 }
 
 impl FxRate {
@@ -565,7 +401,6 @@ impl FxRate {
             mu,
             sigma,
             rate_differential,
-            name: "fx".to_string(),
         })
     }
 }
@@ -582,21 +417,6 @@ impl RiskDriver for FxRate {
         };
         state * ((drift - 0.5 * self.sigma * self.sigma) * dt + self.sigma * dt.sqrt() * shock)
             .exp()
-    }
-
-    fn step_coeffs(&self, dt: f64, measure: Measure) -> StepCoeffs {
-        let drift = match measure {
-            Measure::RealWorld => self.mu,
-            Measure::RiskNeutral => self.rate_differential,
-        };
-        StepCoeffs::Lognormal {
-            log_drift: (drift - 0.5 * self.sigma * self.sigma) * dt,
-            vol_sqrt_dt: self.sigma * dt.sqrt(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -787,8 +607,7 @@ pub(crate) mod tests {
         assert!(!Gbm::new(1.0, 0.0, 0.1, 0.0).unwrap().is_short_rate());
     }
 
-    /// A driver that deliberately keeps the default `Generic` coefficients,
-    /// exercising `step_block`'s scalar fallback loop.
+    /// A driver that keeps the default `Generic` coefficients.
     pub(crate) struct Drifting;
 
     impl RiskDriver for Drifting {
@@ -798,75 +617,5 @@ pub(crate) mod tests {
         fn step(&self, state: f64, dt: f64, shock: f64, _measure: Measure) -> f64 {
             state + dt * 0.01 + shock * 0.1
         }
-        fn name(&self) -> &str {
-            "drifting"
-        }
-    }
-
-    fn assert_block_matches_scalar<D: RiskDriver>(d: &D, dt: f64, lo: f64, hi: f64) {
-        // Block lengths around the fill's block width of 8, and one far
-        // beyond it.
-        for measure in [Measure::RealWorld, Measure::RiskNeutral] {
-            let coeffs = d.step_coeffs(dt, measure);
-            for len in [1usize, 7, 8, 9, 40] {
-                let mut rng = stream_rng(97, len as u64);
-                let mut g = StandardNormal::new();
-                let states: Vec<f64> = (0..len)
-                    .map(|i| lo + (hi - lo) * (i as f64 / len.max(1) as f64))
-                    .collect();
-                let shocks: Vec<f64> = (0..len).map(|_| g.sample(&mut rng)).collect();
-                let expect: Vec<f64> = states
-                    .iter()
-                    .zip(&shocks)
-                    .map(|(s, z)| d.step(*s, dt, *z, measure))
-                    .collect();
-                let mut block = states.clone();
-                d.step_block(&mut block, &shocks, dt, &coeffs, measure);
-                for (i, (a, b)) in block.iter().zip(&expect).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} lane {i} of {len}: {a} vs {b}",
-                        d.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn step_block_bitwise_matches_scalar_all_drivers() {
-        assert_block_matches_scalar(&Gbm::new(100.0, 0.07, 0.2, 0.02).unwrap(), 1.0 / 12.0, 50.0, 150.0);
-        assert_block_matches_scalar(
-            &Vasicek::new(0.02, 0.5, 0.03, 0.01, 0.2).unwrap(),
-            1.0 / 12.0,
-            -0.05,
-            0.10,
-        );
-        // Negative states exercise CIR's full-truncation branch.
-        assert_block_matches_scalar(
-            &Cir::short_rate(0.02, 0.8, 0.03, 0.4, 0.1).unwrap(),
-            1.0 / 12.0,
-            -0.02,
-            0.12,
-        );
-        assert_block_matches_scalar(&FxRate::new(1.1, 0.02, 0.1, 0.015).unwrap(), 1.0 / 12.0, 0.8, 1.4);
-        assert_block_matches_scalar(&Drifting, 1.0 / 12.0, -1.0, 1.0);
-    }
-
-    #[test]
-    fn generic_coeffs_apply_writes_nothing() {
-        let mut states = [1.0, 2.0];
-        assert!(!StepCoeffs::Generic.apply(&mut states, &[0.3, -0.4]));
-        assert_eq!(states, [1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_block_lengths_panic() {
-        let gbm = Gbm::new(100.0, 0.07, 0.2, 0.02).unwrap();
-        let coeffs = gbm.step_coeffs(1.0 / 12.0, Measure::RealWorld);
-        let mut states = [100.0, 101.0];
-        coeffs.apply(&mut states, &[0.1]);
     }
 }

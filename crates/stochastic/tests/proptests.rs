@@ -1,7 +1,7 @@
 //! Property tests of the stochastic substrate.
 
 use disar_math::check::cases;
-use disar_math::rng::{normal_vec, stream_rng, StandardNormal, Xoshiro256PlusPlus};
+use disar_math::rng::{stream_rng, StandardNormal, Xoshiro256PlusPlus};
 use disar_stochastic::drivers::{Cir, FxRate, Gbm, RiskDriver, Vasicek};
 use disar_stochastic::scenario::{
     Measure, ScenarioBuffer, ScenarioGenerator, ScenarioView, TimeGrid,
@@ -187,14 +187,14 @@ fn assert_view_bitwise(view: &ScenarioView<'_>, reference: &ScenarioView<'_>) {
     }
 }
 
-/// A plain fill into a reused buffer is bit-identical to the same fill into
-/// a fresh one for arbitrary measures, seeds and overrides — even when the
-/// buffer is polluted by a previous, differently-shaped antithetic fill.
+/// A fill into a reused buffer is bit-identical to the same fill into a
+/// fresh one for arbitrary measures, seeds and overrides — even when the
+/// buffer is polluted by a previous, differently-shaped fill.
 #[test]
 fn reused_buffer_fill_bitwise_matches_a_fresh_buffer() {
     cases(32, |rng| {
         let (seed, pollute_seed) = (rng.gen_range(0u64..1000), rng.gen_range(0u64..1000));
-        let (n_paths, pollute_pairs) = (rng.gen_range(1usize..8), rng.gen_range(1usize..7));
+        let (n_paths, pollute_paths) = (rng.gen_range(1usize..8), rng.gen_range(1usize..13));
         let (measure, with_override) = (any_measure(rng), rng.gen_bool(0.5));
         let overrides = [rng.gen_range(0.0..0.08), rng.gen_range(10.0..500.0)];
         let gen = buffered_generator();
@@ -203,9 +203,9 @@ fn reused_buffer_fill_bitwise_matches_a_fresh_buffer() {
         gen.generate_into(measure, n_paths, seed, ov, &mut fresh)
             .expect("ok");
         let mut buf = ScenarioBuffer::new();
-        gen.generate_antithetic_into(
+        gen.generate_into(
             Measure::RealWorld,
-            pollute_pairs,
+            pollute_paths,
             pollute_seed,
             None,
             &mut buf,
@@ -217,38 +217,9 @@ fn reused_buffer_fill_bitwise_matches_a_fresh_buffer() {
     });
 }
 
-/// Antithetic counterpart: an antithetic fill through a polluted buffer
-/// matches the same fill into a fresh one bit-for-bit.
-#[test]
-fn reused_buffer_antithetic_fill_bitwise_matches_a_fresh_buffer() {
-    cases(32, |rng| {
-        let (seed, pollute_seed) = (rng.gen_range(0u64..1000), rng.gen_range(0u64..1000));
-        let (n_pairs, pollute_paths) = (rng.gen_range(1usize..6), rng.gen_range(1usize..13));
-        let (measure, with_override) = (any_measure(rng), rng.gen_bool(0.5));
-        let overrides = [rng.gen_range(0.0..0.08), rng.gen_range(10.0..500.0)];
-        let gen = buffered_generator();
-        let ov = with_override.then_some(&overrides[..]);
-        let mut fresh = ScenarioBuffer::new();
-        gen.generate_antithetic_into(measure, n_pairs, seed, ov, &mut fresh)
-            .expect("ok");
-        let mut buf = ScenarioBuffer::new();
-        gen.generate_into(
-            Measure::RiskNeutral,
-            pollute_paths,
-            pollute_seed,
-            None,
-            &mut buf,
-        )
-        .expect("ok");
-        gen.generate_antithetic_into(measure, n_pairs, seed, ov, &mut buf)
-            .expect("ok");
-        assert_view_bitwise(&buf.view(), &fresh.view());
-    });
-}
-
 // ---------------------------------------------------------------------------
-// Block-kernel identity: step_block vs scalar step, and the block fill vs a
-// per-path reimplementation of the scalar generation loop.
+// Fill identity: the fill vs a per-path reimplementation of the scalar
+// generation loop.
 // ---------------------------------------------------------------------------
 
 /// One of each built-in driver, with spiky parameters (CIR violating the
@@ -283,25 +254,23 @@ fn kernel_generator() -> ScenarioGenerator {
         .expect("valid")
 }
 
-/// The scalar generation loop: path-major iteration, one
-/// `RiskDriver::step` call per `(path, step, driver)`. The block fill must
-/// reproduce this to the bit — the reference shares no code with it.
-#[allow(clippy::too_many_arguments)]
+/// The scalar generation loop: path-major iteration, one draw per driver and
+/// step, the correlation entry by entry, one `RiskDriver::step` call per
+/// `(path, step, driver)`. The fill must reproduce this to the bit — the
+/// reference shares no code with it.
 fn reference_scalar_paths(
     drivers: &[Box<dyn RiskDriver>],
     corr: &CorrelationMatrix,
     grid: TimeGrid,
     measure: Measure,
-    n_units: usize,
+    n_paths: usize,
     seed: u64,
     overrides: Option<&[f64]>,
-    antithetic: bool,
 ) -> Vec<f64> {
     let n_drivers = drivers.len();
     let n_steps = grid.n_steps();
     let dt = grid.dt();
     let stride = n_steps + 1;
-    let n_paths = if antithetic { 2 * n_units } else { n_units };
     let initials: Vec<f64> = match overrides {
         Some(o) => o.to_vec(),
         None => drivers.iter().map(|d| d.initial_value()).collect(),
@@ -310,17 +279,12 @@ fn reference_scalar_paths(
     let mut raw = vec![0.0; n_drivers];
     let mut shocks = vec![0.0; n_drivers];
     let chol = corr.cholesky();
-    for unit in 0..n_units {
-        let mut rng = stream_rng(seed, unit as u64);
+    for p in 0..n_paths {
+        let mut rng = stream_rng(seed, p as u64);
         let mut gauss = StandardNormal::new();
-        let mut state_pos = initials.clone();
-        let mut state_neg = initials.clone();
-        let p_pos = if antithetic { 2 * unit } else { unit };
+        let mut state = initials.clone();
         for d in 0..n_drivers {
-            data[(p_pos * n_drivers + d) * stride] = initials[d];
-            if antithetic {
-                data[((p_pos + 1) * n_drivers + d) * stride] = initials[d];
-            }
+            data[(p * n_drivers + d) * stride] = initials[d];
         }
         for step in 1..=n_steps {
             for z in raw.iter_mut() {
@@ -336,12 +300,8 @@ fn reference_scalar_paths(
                 *shock = sum;
             }
             for d in 0..n_drivers {
-                state_pos[d] = drivers[d].step(state_pos[d], dt, shocks[d], measure);
-                data[(p_pos * n_drivers + d) * stride + step] = state_pos[d];
-                if antithetic {
-                    state_neg[d] = drivers[d].step(state_neg[d], dt, -shocks[d], measure);
-                    data[((p_pos + 1) * n_drivers + d) * stride + step] = state_neg[d];
-                }
+                state[d] = drivers[d].step(state[d], dt, shocks[d], measure);
+                data[(p * n_drivers + d) * stride + step] = state[d];
             }
         }
     }
@@ -363,44 +323,14 @@ fn assert_view_matches_flat(view: &ScenarioView<'_>, flat: &[f64], stride: usize
     }
 }
 
-/// `step_block` is bit-identical to a per-lane scalar `step` loop for every
-/// built-in driver, arbitrary block lengths, states, shocks, step widths and
-/// measures.
-#[test]
-fn step_block_bitwise_matches_scalar() {
-    cases(32, |rng| {
-        let (len, dt) = (rng.gen_range(1usize..40), rng.gen_range(0.001..1.0));
-        let measure = any_measure(rng);
-        // Shocks and (possibly negative) states from dedicated streams.
-        let shocks = normal_vec(rng.gen_range(0u64..1000), 0, len);
-        let raw_states = normal_vec(rng.gen_range(0u64..1000), 1, len);
-        for d in kernel_drivers() {
-            let scale = d.initial_value();
-            let states: Vec<f64> = raw_states.iter().map(|z| scale * (1.0 + 0.3 * z)).collect();
-            let coeffs = d.step_coeffs(dt, measure);
-            let expect: Vec<f64> = states
-                .iter()
-                .zip(&shocks)
-                .map(|(s, z)| d.step(*s, dt, *z, measure))
-                .collect();
-            let mut block = states.clone();
-            d.step_block(&mut block, &shocks, dt, &coeffs, measure);
-            for (i, (a, b)) in block.iter().zip(&expect).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} lane {}", d.name(), i);
-            }
-        }
-    });
-}
-
-/// The block fill reproduces the scalar reference loop to the bit for unit
-/// counts below, at and beyond the block width — plain and antithetic, with
-/// and without re-anchoring overrides.
+/// The fill reproduces the scalar reference loop to the bit for any path
+/// count, with and without re-anchoring overrides.
 #[test]
 fn lane_fill_bitwise_matches_scalar_reference() {
     cases(32, |rng| {
-        let (seed, n_units) = (rng.gen_range(0u64..1000), rng.gen_range(1usize..40));
+        let (seed, n_paths) = (rng.gen_range(0u64..1000), rng.gen_range(1usize..40));
         let measure = any_measure(rng);
-        let (with_override, antithetic) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+        let with_override = rng.gen_bool(0.5);
         let overrides = [
             rng.gen_range(0.0..0.08),
             rng.gen_range(10.0..500.0),
@@ -411,25 +341,12 @@ fn lane_fill_bitwise_matches_scalar_reference() {
         let drivers = kernel_drivers();
         let corr = kernel_correlation();
         let ov = with_override.then_some(&overrides[..]);
-        let reference = reference_scalar_paths(
-            &drivers,
-            &corr,
-            gen.grid(),
-            measure,
-            n_units,
-            seed,
-            ov,
-            antithetic,
-        );
+        let reference =
+            reference_scalar_paths(&drivers, &corr, gen.grid(), measure, n_paths, seed, ov);
         let stride = gen.grid().n_steps() + 1;
         let mut buf = ScenarioBuffer::new();
-        if antithetic {
-            gen.generate_antithetic_into(measure, n_units, seed, ov, &mut buf)
-                .expect("ok");
-        } else {
-            gen.generate_into(measure, n_units, seed, ov, &mut buf)
-                .expect("ok");
-        }
+        gen.generate_into(measure, n_paths, seed, ov, &mut buf)
+            .expect("ok");
         assert_view_matches_flat(&buf.view(), &reference, stride);
     });
 }
