@@ -12,10 +12,12 @@
 //! (standardized) outer state and then evaluate the fitted expansion on the
 //! full set of `nP` outer paths — no inner simulations needed there.
 //!
-//! The calibration stage is a plain [`NestedMonteCarlo::run`], so it
-//! inherits the allocation-free kernel layer (per-worker
-//! [`crate::workspace::ValuationWorkspace`]s, DESIGN.md §10) — the
-//! `n'_P × n'_Q` inner evaluations reuse each worker's buffers.
+//! The calibration stage is a plain nested run (the body of
+//! [`NestedMonteCarlo::run`]), so it inherits the allocation-free kernel
+//! layer (per-worker [`crate::workspace::ValuationWorkspace`]s, DESIGN.md
+//! §10) — the `n'_P × n'_Q` inner evaluations reuse each worker's buffers —
+//! and the regression reads its states from the outer set that run
+//! generated, not from a second one.
 
 use crate::fund::SegregatedFund;
 use crate::liability::{LiabilityBook, LiabilityPosition, PathValue};
@@ -114,18 +116,16 @@ impl<'a> Lsmc<'a> {
             threads: config.threads,
             antithetic: false,
         };
-        let calib = self.nested.run(positions, &calib_cfg)?;
-
-        // Outer endpoint states of the calibration sample. One buffer holds
-        // the calibration set, then the evaluation set.
+        // Its outer set stays in `buf` for the endpoint states; one buffer
+        // holds the calibration set, then the evaluation set.
         let mut buf = ScenarioBuffer::new();
-        self.outer.generate_into(
-            Measure::RealWorld,
-            config.calibration_outer,
-            calib_cfg.seed,
-            None,
-            &mut buf,
-        )?;
+        let calib = self
+            .nested
+            .run_impl(&[positions], &calib_cfg, None, &mut buf)?
+            .pop()
+            .expect("one block, one result");
+
+        // Outer endpoint states of the calibration sample.
         let calib_view = buf.view();
         let spy = calib_view.grid().steps_per_year();
         let mut state = Vec::new();
