@@ -47,8 +47,9 @@
 //! - **A pass fills, then reduces.** The weights at the current scale go
 //!   into a buffer through [`disar_math::exp::exp_nonpositive`], a
 //!   branch-free `exp` that the fill loop runs as packed arithmetic; one
-//!   reduction of the buffer — no call in it, even and odd rows in separate
-//!   accumulators — yields the six sums above and `Σp·y`, `Σe·p·y`.
+//!   reduction of the buffer — no call in it, row `i` summed on lane `i % 8`
+//!   of eight accumulators per sum (`LANES`) — yields the six sums above
+//!   and `Σp·y`, `Σe·p·y`.
 //! - **Halley's step.** With `g`, `g'` and `g''` the step is Newton's
 //!   `−g/g'` divided by `1 + ½·(−g/g')·g''/g'`, which converges cubically:
 //!   measured steps go 0.3, 5·10⁻³, 5·10⁻⁸. Where the curvature term is not
@@ -106,13 +107,17 @@
 //! whenever the CPU reports `avx512f` and the features the compiler enables
 //! with it. Everything the loop calls is `#[inline(always)]`,
 //! `exp_nonpositive` included, so in the wide instance the exp fill, the
-//! series step and the distance sweep run eight rows to an instruction. Both
-//! instances do the same IEEE operations in the same order. `avx512f` brings
-//! `fma` with it, but nothing here can be fused: the code calls no
-//! `mul_add`, and Rust emits every multiply and add as its own operation,
-//! which LLVM may not contract. The reductions keep their two lane
-//! accumulators, and `ln`, `exp` and `exp_m1` are the same libm calls. So a
-//! prediction has the same bits on either instance.
+//! series step, the distance sweep and the sweeps that sum over the rows
+//! (`min_max`, `shift`, `reduce`) run eight rows to an instruction: each sum
+//! of a sweep is eight lanes, row `i` on lane `i % 8`, added in lane order
+//! at the end, which is one AVX-512 register and one add per eight rows.
+//! Both instances do the same IEEE operations in the same order: the lane
+//! order is the code's, not the register's, and the portable instance keeps
+//! it in four registers of two. `avx512f` brings `fma` with it, but nothing
+//! here can be fused: the code calls no `mul_add`, and Rust emits every
+//! multiply and add as its own operation, which LLVM may not contract. `ln`,
+//! `exp` and `exp_m1` are the same libm calls. So a prediction has the same
+//! bits on either instance.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
@@ -156,19 +161,51 @@ struct Found {
     converged: bool,
 }
 
-/// Calls `row(lane, i)` for every row number below `n`, pairs first (`lane`
-/// 0 then 1) and an odd last row on lane 0. The sweeps over the rows keep one
-/// accumulator per lane: that makes them packed arithmetic, and fixes the
-/// order of every sum by the row count alone.
+/// Lanes per sweep over the rows: row `i` goes to lane `i % LANES`, and the
+/// lanes of a sum are added in lane order once every row is in. That fixes
+/// the order of every sum by the row count alone, and eight `f64` lanes are
+/// one AVX-512 register, so in the wide instance a sum takes one add per
+/// eight rows.
+///
+/// A sweep runs its body, an `#[inline(always)]` fn with one reference
+/// parameter per column and per set of sums, on each full run of `LANES`
+/// rows ([`run`]), then once on the rows after them, padded to a full run
+/// ([`padded_tail`]). Separate reference parameters tell the compiler that
+/// the sums and the columns do not overlap, so the body's loop over the lanes
+/// becomes one vector instruction per operation with the sums in registers;
+/// a closure, an array of references, or a `map` over the sums leaves it a
+/// scalar loop over sums in memory.
+const LANES: usize = 8;
+
+/// One value per lane.
+type Lanes = [f64; LANES];
+
+/// The run of `col` that starts at row `i`.
 #[inline(always)]
-fn by_lanes(n: usize, mut row: impl FnMut(usize, usize)) {
-    for i in (0..n - n % 2).step_by(2) {
-        row(0, i);
-        row(1, i + 1);
+fn run(col: &[f64], i: usize) -> &Lanes {
+    col[i..i + LANES].try_into().expect("a slice of LANES rows")
+}
+
+/// The rows of each column after its last full run, padded with `pad` to a
+/// run (of padding alone when there are none).
+#[inline(always)]
+fn padded_tail<const K: usize>(cols: [&[f64]; K], pad: f64) -> [Lanes; K] {
+    let mut tail = [[pad; LANES]; K];
+    for (tail, col) in tail.iter_mut().zip(cols) {
+        let rest = &col[col.len() - col.len() % LANES..];
+        for (l, t) in tail.iter_mut().enumerate() {
+            if let Some(&v) = rest.get(l) {
+                *t = v;
+            }
+        }
     }
-    if n % 2 == 1 {
-        row(0, n - 1);
-    }
+    tail
+}
+
+/// The lanes of `s` folded by `f` in lane order.
+#[inline(always)]
+fn across(s: Lanes, f: impl Fn(f64, f64) -> f64) -> f64 {
+    s[1..].iter().fold(s[0], |t, &v| f(t, v))
 }
 
 /// Whether this CPU has every feature [`KStar::predict_rows_wide`] enables:
@@ -182,15 +219,24 @@ fn wide_detected() -> bool {
         && std::arch::is_x86_feature_detected!("f16c")
 }
 
-/// Smallest and largest of `d`. NaN compares as neither, so it is passed over.
+/// Smallest and largest of `d`. NaN compares as neither, so it is passed
+/// over; it pads the last run.
 #[inline(always)]
 fn min_max(d: &[f64]) -> (f64, f64) {
-    let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
-    by_lanes(d.len(), |lane, i| {
-        lo[lane] = if d[i] < lo[lane] { d[i] } else { lo[lane] };
-        hi[lane] = if d[i] > hi[lane] { d[i] } else { hi[lane] };
-    });
-    (lo[0].min(lo[1]), hi[0].max(hi[1]))
+    #[inline(always)]
+    fn add(lo: &mut Lanes, hi: &mut Lanes, d: &Lanes) {
+        for l in 0..LANES {
+            lo[l] = if d[l] < lo[l] { d[l] } else { lo[l] };
+            hi[l] = if d[l] > hi[l] { d[l] } else { hi[l] };
+        }
+    }
+    let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
+    for i in (0..d.len() - d.len() % LANES).step_by(LANES) {
+        add(&mut lo, &mut hi, run(d, i));
+    }
+    let [d] = padded_tail([d], f64::NAN);
+    add(&mut lo, &mut hi, &d);
+    (across(lo, f64::min), across(hi, f64::max))
 }
 
 /// What [`shift`] gathers while it shifts.
@@ -199,57 +245,115 @@ struct Shifted {
     e_sum: f64,
     /// The smallest positive shifted distance.
     e_pos_min: f64,
-    /// How many rows sit at `dmin`, and the sum of their targets.
+    /// How many rows sit at `dmin`.
     at_min: f64,
-    y_at_min: f64,
 }
 
-/// Replaces every distance `d` by `e = d − dmin`, in one sweep with the sums
-/// the search starts from.
+/// Replaces every distance `d` by `e = d − dmin`, then takes the sums the
+/// search starts from in one sweep.
 #[inline(always)]
-fn shift(d: &mut [f64], y: &[f64], dmin: f64) -> Shifted {
-    let y = &y[..d.len()];
-    let mut sums = [[0.0; 2]; 3];
-    let mut e_pos_min = [f64::INFINITY; 2];
-    by_lanes(d.len(), |lane, i| {
-        let e = d[i] - dmin;
-        d[i] = e;
-        let nearest = e == 0.0;
-        sums[0][lane] += e;
-        sums[1][lane] += if nearest { 1.0 } else { 0.0 };
-        sums[2][lane] += if nearest { y[i] } else { 0.0 };
-        let e_pos = if nearest { f64::INFINITY } else { e };
-        e_pos_min[lane] = if e_pos < e_pos_min[lane] {
-            e_pos
-        } else {
-            e_pos_min[lane]
-        };
-    });
-    let [e_sum, at_min, y_at_min] = sums.map(|[even, odd]| even + odd);
-    Shifted {
-        e_sum,
-        e_pos_min: e_pos_min[0].min(e_pos_min[1]),
-        at_min,
-        y_at_min,
+fn shift(d: &mut [f64], dmin: f64) -> Shifted {
+    #[inline(always)]
+    fn add(e_sum: &mut Lanes, at_min: &mut Lanes, e_pos_min: &mut Lanes, e: &Lanes) {
+        for l in 0..LANES {
+            let nearest = e[l] == 0.0;
+            e_sum[l] += e[l];
+            at_min[l] += if nearest { 1.0 } else { 0.0 };
+            let e_pos = if nearest { f64::INFINITY } else { e[l] };
+            e_pos_min[l] = if e_pos < e_pos_min[l] {
+                e_pos
+            } else {
+                e_pos_min[l]
+            };
+        }
     }
+    for d in d.iter_mut() {
+        *d -= dmin;
+    }
+    let e = &*d;
+    let (mut e_sum, mut at_min) = ([0.0; LANES], [0.0; LANES]);
+    let mut e_pos_min = [f64::INFINITY; LANES];
+    for i in (0..e.len() - e.len() % LANES).step_by(LANES) {
+        add(&mut e_sum, &mut at_min, &mut e_pos_min, run(e, i));
+    }
+    let [tail] = padded_tail([e], 0.0);
+    add(&mut e_sum, &mut at_min, &mut e_pos_min, &tail);
+    // A padded row is a row at `dmin`: it adds `+0.0` to `Σe` and one to the
+    // count, which is of whole numbers and so exact in any order.
+    let padded = LANES - e.len() % LANES;
+    Shifted {
+        e_sum: across(e_sum, |a, b| a + b),
+        e_pos_min: across(e_pos_min, f64::min),
+        at_min: across(at_min, |a, b| a + b) - padded as f64,
+    }
+}
+
+/// The sum of the targets `y` of the rows whose shifted distance `e` is 0,
+/// which is all a query needs of them when they are at least `target` rows.
+/// Its own sweep, and not a fourth sum of [`shift`]'s: beside the others, its
+/// select of a target keeps that sweep from packing into vectors.
+#[inline(always)]
+fn y_at_min(e: &[f64], y: &[f64]) -> f64 {
+    #[inline(always)]
+    fn add(sum: &mut Lanes, e: &Lanes, y: &Lanes) {
+        for l in 0..LANES {
+            sum[l] += if e[l] == 0.0 { y[l] } else { 0.0 };
+        }
+    }
+    let y = &y[..e.len()];
+    let mut sum = [0.0; LANES];
+    for i in (0..e.len() - e.len() % LANES).step_by(LANES) {
+        add(&mut sum, run(e, i), run(y, i));
+    }
+    let [e, y] = padded_tail([e, y], 0.0);
+    add(&mut sum, &e, &y);
+    across(sum, |a, b| a + b)
 }
 
 /// One reduction of the weight buffer `p` over the shifted distances `e` and
 /// the targets `y`: `[Σp, Σp², Σe·p, Σe·p², Σe²·p, Σe²·p², Σp·y, Σe·p·y]`.
+/// Zeros pad the last run: each adds `+0.0`, which leaves a sum unchanged.
 #[inline(always)]
 fn reduce(p: &[f64], e: &[f64], y: &[f64]) -> [f64; 8] {
-    let (e, y) = (&e[..p.len()], &y[..p.len()]);
-    let mut acc = [[0.0; 2]; 8];
-    by_lanes(p.len(), |lane, i| {
-        let (p, e, y) = (p[i], e[i], y[i]);
-        let (pp, ep, py) = (p * p, e * p, p * y);
-        let epp = ep * p;
-        let terms = [p, pp, ep, epp, e * ep, e * epp, py, e * py];
-        for (a, t) in acc.iter_mut().zip(terms) {
-            a[lane] += t;
+    #[inline(always)]
+    fn add(sums: &mut [Lanes; 8], p: &Lanes, e: &Lanes, y: &Lanes) {
+        let [s1, s2, a1, a2, b1, b2, c0, c1] = sums;
+        for l in 0..LANES {
+            let (p, e, y) = (p[l], e[l], y[l]);
+            let (pp, ep, py) = (p * p, e * p, p * y);
+            let epp = ep * p;
+            s1[l] += p;
+            s2[l] += pp;
+            a1[l] += ep;
+            a2[l] += epp;
+            b1[l] += e * ep;
+            b2[l] += e * epp;
+            c0[l] += py;
+            c1[l] += e * py;
         }
-    });
-    acc.map(|[even, odd]| even + odd)
+    }
+    let (e, y) = (&e[..p.len()], &y[..p.len()]);
+    let mut sums = [[0.0; LANES]; 8];
+    for i in (0..p.len() - p.len() % LANES).step_by(LANES) {
+        add(&mut sums, run(p, i), run(e, i), run(y, i));
+    }
+    let [p, e, y] = padded_tail([p, e, y], 0.0);
+    add(&mut sums, &p, &e, &y);
+    // Unpacked, not `sums.map(..)`: `map` takes the sums' address, and the
+    // loop over the lanes would then need overlap checks at run time, which
+    // a loop of eight is too short to be given.
+    let sum = |s| across(s, |a, b| a + b);
+    let [s1, s2, a1, a2, b1, b2, c0, c1] = sums;
+    [
+        sum(s1),
+        sum(s2),
+        sum(a1),
+        sum(a2),
+        sum(b1),
+        sum(b2),
+        sum(c0),
+        sum(c1),
+    ]
 }
 
 /// The K* regressor.
@@ -422,9 +526,9 @@ impl KStar {
         if !(e_max >= 1e-12) || target >= n {
             return settled(targets.iter().sum::<f64>() / n);
         }
-        let shifted = shift(dists, targets, dmin);
+        let shifted = shift(dists, dmin);
         if shifted.at_min >= target {
-            return settled(shifted.y_at_min / shifted.at_min);
+            return settled(y_at_min(dists, targets) / shifted.at_min);
         }
         let dists = &*dists;
 
@@ -860,6 +964,100 @@ mod tests {
         }
     }
 
+    /// The declared order of every sweep, written as the plain loop it
+    /// stands for: row `i` added to lane `i % 8`, the lanes added in lane
+    /// order at the end.
+    fn eight_lane_sum(n: usize, term: impl Fn(usize) -> f64) -> f64 {
+        let mut lanes = [0.0; 8];
+        for i in 0..n {
+            lanes[i % 8] += term(i);
+        }
+        lanes[1..].iter().fold(lanes[0], |s, v| s + v)
+    }
+
+    #[test]
+    fn sweeps_match_the_eight_lane_reference_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = stream_rng(50, 0x5357);
+        for n in (1..=40).chain([501]) {
+            // Distances on a coarse grid, so that several rows share `dmin`,
+            // weights in (0, 1], targets of either sign.
+            let d: Vec<f64> = (0..n)
+                .map(|_| rng.gen_range(0..6) as f64 * 0.25 + 1.5)
+                .collect();
+            let p: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0) + 1e-3).collect();
+            let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..150.0)).collect();
+
+            let (dmin, dmax) = min_max(&d);
+            let fold = |f: fn(f64, f64) -> f64, from: f64| d.iter().fold(from, |a, &b| f(a, b));
+            assert_eq!(
+                dmin.to_bits(),
+                fold(f64::min, f64::INFINITY).to_bits(),
+                "n {n}"
+            );
+            assert_eq!(
+                dmax.to_bits(),
+                fold(f64::max, f64::NEG_INFINITY).to_bits(),
+                "n {n}"
+            );
+
+            let mut e = d.clone();
+            let shifted = shift(&mut e, dmin);
+            let want: Vec<f64> = d.iter().map(|d| d - dmin).collect();
+            assert_eq!(bits(&e), bits(&want), "n {n}: shifted distances");
+            let nearest = |i: usize| e[i] == 0.0;
+            assert_eq!(
+                shifted.e_sum.to_bits(),
+                eight_lane_sum(n, |i| e[i]).to_bits(),
+                "n {n}"
+            );
+            assert_eq!(
+                shifted.at_min,
+                (0..n).filter(|&i| nearest(i)).count() as f64,
+                "n {n}"
+            );
+            let e_pos_min = e
+                .iter()
+                .filter(|e| **e > 0.0)
+                .fold(f64::INFINITY, |a, &b| a.min(b));
+            assert_eq!(shifted.e_pos_min.to_bits(), e_pos_min.to_bits(), "n {n}");
+            let y_near = eight_lane_sum(n, |i| if nearest(i) { y[i] } else { 0.0 });
+            assert_eq!(y_at_min(&e, &y).to_bits(), y_near.to_bits(), "n {n}");
+
+            let terms: [fn(f64, f64, f64) -> f64; 8] = [
+                |p, _, _| p,
+                |p, _, _| p * p,
+                |p, e, _| e * p,
+                |p, e, _| e * p * p,
+                |p, e, _| e * (e * p),
+                |p, e, _| e * (e * p * p),
+                |p, _, y| p * y,
+                |p, e, y| e * (p * y),
+            ];
+            let want = terms.map(|t| eight_lane_sum(n, |i| t(p[i], e[i], y[i])));
+            assert_eq!(bits(&reduce(&p, &e, &y)), bits(&want), "n {n}: reduce");
+        }
+
+        // `min_max` passes over NaN, and takes infinities like any value.
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (d, lo, hi) in [
+            (vec![nan; 11], inf, -inf),
+            (
+                vec![3.0, nan, -inf, 2.0, nan, 7.0, nan, 1.0, nan],
+                -inf,
+                7.0,
+            ),
+            (
+                vec![nan, 4.0, inf, nan, 0.5, nan, nan, nan, nan, 2.0],
+                0.5,
+                inf,
+            ),
+            (vec![inf; 9], inf, inf),
+        ] {
+            assert_eq!(min_max(&d), (lo, hi), "{d:?}");
+        }
+    }
+
     /// Each instance's outputs on `xs` as bits, portable first.
     #[cfg(target_arch = "x86_64")]
     fn on_both_instances(ks: &KStar, xs: &FeatureMatrix) -> (Vec<u64>, Vec<u64>) {
@@ -922,6 +1120,18 @@ mod tests {
             }
             let (portable, wide) = on_both_instances(&shard, &xs);
             assert_eq!(wide, portable, "shard, job ({a}, {b})");
+        }
+
+        // Every tail a sweep can end on: stores of 16 to 23 rows, each with
+        // queries inside the hull, far outside and at a row.
+        for n in 16..24 {
+            let ks = random_model(n, 3, 20.0, false, n as u64);
+            let mut xs = FeatureMatrix::new();
+            xs.push_row(&[0.4, 0.6, 0.1]);
+            xs.push_row(&[40.0, -7.0, 900.0]);
+            xs.push_row(&ks.fitted.as_ref().unwrap().store.rows[n / 3].clone());
+            let (portable, wide) = on_both_instances(&ks, &xs);
+            assert_eq!(wide, portable, "{n} rows, tail {}", n % 8);
         }
 
         // Two-row stores, both settled blends, all-equal distances and
