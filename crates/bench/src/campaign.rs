@@ -57,10 +57,10 @@ pub struct CampaignConfig {
     /// Master seed.
     pub seed: u64,
     /// Worker threads for the model fits of `table1`, `fig2`/`fig3` and
-    /// `ablation_ensemble`, and for the retrain and selections of
-    /// `ablation_deadline`. Cloud runs, the campaign included, are plain
-    /// loops, and the deploy-loop drivers run on one thread. Results are
-    /// bit-identical for any value; `1` is the sequential escape hatch.
+    /// `ablation_ensemble`, and for the selections of `ablation_deadline`.
+    /// Cloud runs, the campaign included, are plain loops, and so is every
+    /// deploy loop. Results are bit-identical for any value; `1` is the
+    /// sequential escape hatch.
     pub n_threads: usize,
 }
 
@@ -246,7 +246,6 @@ mod tests {
         let policy = DeployPolicy::builder(f64::MAX)
             .max_nodes(cfg.max_nodes)
             .min_kb_samples(usize::MAX)
-            .n_threads(1)
             .build();
         let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), cfg.seed);
         let mut reference = TransparentDeployer::new(provider, policy, cfg.seed);

@@ -701,9 +701,6 @@ pub fn ablation_epsilon(
         .max_nodes(cfg.max_nodes)
         .min_kb_samples(30)
         .retrain_every(10)
-        // The deploy loop's retrains and sweeps are too small to pay for a
-        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
-        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0xEE);
     let mut rng = stream_rng(cfg.seed, 0xE9);
@@ -774,9 +771,9 @@ impl DeadlineRuleAblation {
 /// Sweeps moderately tight deadlines over every EEB job and compares
 /// the deadline-miss rate and cost of the two filtering rules.
 ///
-/// The retrain and every selection of the `rules × jobs × deadlines`
-/// sweep spread over up to `n_threads` workers: a selection is a pure
-/// read of the trained family. The realized runs are then one plain loop
+/// Every selection of the `rules × jobs × deadlines` sweep spreads over up
+/// to `n_threads` workers: a selection is a pure read of the trained
+/// family. The realized runs are then one plain loop
 /// in (rule, job, deadline) order, each feasible case drawing the next
 /// run of the provider's noise stream. Bit-identical for any thread
 /// count; `1` is the sequential escape hatch.
@@ -790,7 +787,7 @@ pub fn ablation_deadline(
     let n_threads = n_threads.max(1);
     let mut family = PredictorFamily::new(seed, 2);
     family
-        .retrain(kb, RetrainMode::Incremental, n_threads)
+        .retrain(kb, RetrainMode::Incremental, 1)
         .expect("knowledge base is large enough");
     let rules = [
         ("mean", TimeEstimate::EnsembleMean),
@@ -918,9 +915,6 @@ pub fn learning_curve(cfg: &CampaignConfig, jobs: &[EebJob], n_deploys: usize) -
         .max_nodes(cfg.max_nodes)
         .min_kb_samples(30)
         .retrain_every(5)
-        // The deploy loop's retrains and sweeps are too small to pay for a
-        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
-        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, cfg.seed ^ 0x1EA2);
     let mut rng = stream_rng(cfg.seed, 0x1C);
@@ -1022,9 +1016,6 @@ pub fn ablation_transfer(
         .epsilon(0.1)
         .max_nodes(cfg.max_nodes)
         .min_kb_samples(30)
-        // The deploy loop's retrains and sweeps are too small to pay for a
-        // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
-        .n_threads(1)
         .build();
     let deployer = |seed: u64, tenant: &str| {
         let provider = CloudProvider::new(catalog.clone(), seed);
@@ -1456,10 +1447,7 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
             .epsilon(0.0)
             .max_nodes(max_nodes)
             .min_kb_samples(warmup)
-            .retrain_every(if adaptive { 1 } else { 10_000 })
-            // The deploy loop's retrains and sweeps are too small to pay for a
-            // second thread (EXPERIMENTS.md, "Threads in the experiment drivers").
-            .n_threads(1);
+            .retrain_every(if adaptive { 1 } else { 10_000 });
         if adaptive {
             builder = builder.retrain_mode(RetrainMode::Windowed {
                 window: 16,

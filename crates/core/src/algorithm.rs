@@ -20,22 +20,25 @@
 use crate::predictor::{GridScratch, TimePredictor};
 use crate::profile::JobProfile;
 use crate::CoreError;
-use disar_cloudsim::{InstanceCatalog, InstanceType};
-use disar_math::parallel::parallel_map_mut;
+use disar_cloudsim::InstanceCatalog;
 use disar_math::rng::stream_rng;
 use disar_ml::MlError;
 
 /// Reusable buffers for repeated Algorithm 1 sweeps.
 ///
-/// The grid sweep needs, per instance group, a feature matrix, the member
-/// kernels' scratch, the member-major prediction block and the folded
-/// per-node evaluations. A warm workspace retains all of them between
-/// selections, so a steady-state deployer sweeping the same catalog
-/// allocates nothing per decision (see `tests/alloc_selection.rs`).
+/// The sweep needs a feature matrix with the member kernels' scratch, the
+/// member-major prediction block of one instance type, and the folded
+/// per-cell evaluations of the whole grid. A warm workspace retains all of
+/// them between selections, so a steady-state deployer sweeping the same
+/// catalog allocates nothing per decision (see `tests/alloc_selection.rs`).
 #[derive(Debug, Default)]
 pub struct SelectionWorkspace {
-    /// One slot per catalog entry; each worker thread owns one slot.
-    slots: Vec<GroupSlot>,
+    /// Featurization + member-kernel scratch, reused for every type.
+    scratch: GridScratch,
+    /// Member-major `members × nodes` predictions of the type in hand.
+    members: Vec<f64>,
+    /// Type-major `(mean, filter_time)` pairs of every cell.
+    evals: Vec<(f64, f64)>,
     /// The node axis `1..=max_nodes`, rebuilt in place each selection.
     nodes: Vec<usize>,
 }
@@ -45,17 +48,6 @@ impl SelectionWorkspace {
     pub fn new() -> Self {
         SelectionWorkspace::default()
     }
-}
-
-/// Per-instance-group buffers of a [`SelectionWorkspace`].
-#[derive(Debug, Default)]
-struct GroupSlot {
-    /// Featurization + member-kernel scratch for this group's thread.
-    scratch: GridScratch,
-    /// Member-major `members × nodes` predictions from `predict_grid`.
-    members: Vec<f64>,
-    /// Per-node `(mean, filter_time)` pairs folded from `members`.
-    evals: Vec<(f64, f64)>,
 }
 
 /// One feasible deploy configuration `⟨m, n, cost⟩`.
@@ -148,26 +140,25 @@ pub fn select_configuration<P: TimePredictor + ?Sized>(
 }
 
 /// Algorithm 1 in full: [`select_configuration`] with an explicit
-/// deadline-filter `rule`, the `(m, n)` grid sweep spread over up to
-/// `n_threads` worker threads, and a caller-owned [`SelectionWorkspace`] —
-/// the entry point for deployers that select repeatedly, where a warm
+/// deadline-filter `rule` and a caller-owned [`SelectionWorkspace`] — the
+/// entry point for deployers that select repeatedly, where a warm
 /// workspace's buffers are reused instead of reallocated.
 ///
-/// The sweep is grouped by instance type: each worker thread takes one
-/// catalog entry, featurizes its whole node column once, and runs every
-/// family member's batched kernel over the column
+/// The sweep is one loop over the catalog: for each instance type it
+/// featurizes the whole node column once and runs every family member's
+/// batched kernel over it
 /// ([`crate::predictor::PredictorFamily::predict_grid`]). Both the mean and
-/// the Conservative maximum are folded from that single member-major block,
-/// so each member is evaluated exactly once per `(m, n)` cell. Every cell's
-/// prediction is independent, so the sweep is a deterministic parallel map:
-/// per-cell results are written by index and folded in the sequential nested
-/// loop's node-major order, keeping `feasible` ordering, `best_predicted`
-/// and tie-breaks bit-identical for any thread count.
+/// the Conservative maximum are folded from that member-major block, so
+/// each member is evaluated exactly once per `(m, n)` cell; the cells are
+/// then visited in the nested loop's node-major order, which fixes the
+/// `feasible` ordering, `best_predicted` and tie-breaks.
+///
+/// `n_threads` is ignored: the sweep runs on the calling thread. The
+/// argument stays until the benchmark's frozen adapter stops passing it.
 ///
 /// # Errors
 ///
-/// Same contract as [`select_configuration`], plus
-/// [`CoreError::InvalidParameter`] for `n_threads == 0`.
+/// Same contract as [`select_configuration`].
 #[allow(clippy::too_many_arguments)]
 pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     family: &P,
@@ -178,7 +169,7 @@ pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     epsilon: f64,
     seed: u64,
     rule: TimeEstimate,
-    n_threads: usize,
+    _n_threads: usize,
     ws: &mut SelectionWorkspace,
 ) -> Result<Selection, CoreError> {
     if !(t_max > 0.0) {
@@ -193,56 +184,48 @@ pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     if catalog.is_empty() {
         return Err(CoreError::InvalidParameter("catalog is empty"));
     }
-    if n_threads == 0 {
-        return Err(CoreError::InvalidParameter("n_threads must be > 0"));
-    }
 
-    let insts: Vec<&InstanceType> = catalog.iter().collect();
-    let SelectionWorkspace { slots, nodes } = ws;
+    let SelectionWorkspace {
+        scratch,
+        members,
+        evals,
+        nodes,
+    } = ws;
     nodes.clear();
     nodes.extend(1..=max_nodes);
-    if slots.len() < insts.len() {
-        slots.resize_with(insts.len(), GroupSlot::default);
-    }
+    evals.clear();
 
-    // One group per instance type: featurize the node column once, run each
-    // member's batched kernel over it, and fold the member-major block into
-    // per-node `(mean, filter_time)` pairs. The mean is summed in member
-    // order and the Conservative max folded from `NEG_INFINITY` in member
-    // order — term for term the expressions of the per-cell
-    // `predict_each` path, so the results are bit-identical to it.
-    let results: Vec<Result<(), CoreError>> =
-        parallel_map_mut(&mut slots[..insts.len()], n_threads, |g, slot| {
-            let members =
-                family.predict_grid(profile, insts[g], nodes, &mut slot.members, &mut slot.scratch)?;
-            slot.evals.clear();
-            for i in 0..nodes.len() {
-                let mut sum = 0.0;
-                let mut worst = f64::NEG_INFINITY;
-                for m in 0..members {
-                    let t = slot.members[m * nodes.len() + i];
-                    sum += t;
-                    worst = worst.max(t.max(0.0));
-                }
-                // `f64::max` would turn a NaN mean into `0.0`, and the cell
-                // would pass for a non-positive one.
-                if sum.is_nan() {
-                    return Err(CoreError::Ml(MlError::Numerical(format!(
-                        "the ensemble mean of {} on {} nodes is NaN",
-                        insts[g].name, nodes[i]
-                    ))));
-                }
-                let time = (sum / members as f64).max(0.0);
-                let filter_time = match rule {
-                    TimeEstimate::EnsembleMean => time,
-                    TimeEstimate::Conservative => worst,
-                };
-                slot.evals.push((time, filter_time));
+    // Per instance type: featurize the node column once, run each member's
+    // batched kernel over it, and fold the member-major block into per-node
+    // `(mean, filter_time)` pairs. The mean is summed in member order and
+    // the Conservative max folded from `NEG_INFINITY` in member order —
+    // term for term the expressions of the per-cell `predict_each` path, so
+    // the results are bit-identical to it.
+    for inst in catalog.iter() {
+        let count = family.predict_grid(profile, inst, nodes, members, scratch)?;
+        for (i, &n) in nodes.iter().enumerate() {
+            let mut sum = 0.0;
+            let mut worst = f64::NEG_INFINITY;
+            for m in 0..count {
+                let t = members[m * nodes.len() + i];
+                sum += t;
+                worst = worst.max(t.max(0.0));
             }
-            Ok(())
-        });
-    for r in results {
-        r?;
+            // `f64::max` would turn a NaN mean into `0.0`, and the cell
+            // would pass for a non-positive one.
+            if sum.is_nan() {
+                return Err(CoreError::Ml(MlError::Numerical(format!(
+                    "the ensemble mean of {} on {n} nodes is NaN",
+                    inst.name
+                ))));
+            }
+            let time = (sum / count as f64).max(0.0);
+            let filter_time = match rule {
+                TimeEstimate::EnsembleMean => time,
+                TimeEstimate::Conservative => worst,
+            };
+            evals.push((time, filter_time));
+        }
     }
 
     // Fold in the sequential nested loop's node-major order.
@@ -250,8 +233,8 @@ pub fn select_configuration_with_workspace<P: TimePredictor + ?Sized>(
     let mut best_predicted = f64::INFINITY;
     let mut rejected_nonpositive = 0usize;
     for (i, n) in nodes.iter().copied().enumerate() {
-        for (g, inst) in insts.iter().enumerate() {
-            let (time, filter_time) = slots[g].evals[i];
+        for (g, inst) in catalog.iter().enumerate() {
+            let (time, filter_time) = evals[g * nodes.len() + i];
             // A non-positive mean prediction is a model artefact, not a
             // 0-second job: it would produce `predicted_cost = 0` and steal
             // the greedy argmin, so the cell is rejected outright — and it
@@ -305,6 +288,7 @@ mod tests {
     use super::*;
     use crate::knowledge::{KnowledgeBase, RunRecord};
     use crate::predictor::{PredictorFamily, RetrainMode};
+    use disar_cloudsim::InstanceType;
     use disar_engine::EebCharacteristics;
 
     fn profile(contracts: usize) -> JobProfile {
@@ -491,19 +475,6 @@ mod tests {
         assert!(select_configuration(&fam, &cat, &p, 100.0, 4, 1.5, 1).is_err());
         let empty = InstanceCatalog::new();
         assert!(select_configuration(&fam, &empty, &p, 100.0, 4, 0.0, 1).is_err());
-        assert!(select_configuration_with_workspace(
-            &fam,
-            &cat,
-            &p,
-            100.0,
-            4,
-            0.0,
-            1,
-            TimeEstimate::EnsembleMean,
-            0,
-            &mut SelectionWorkspace::new(),
-        )
-        .is_err());
     }
 
     /// A family trained on `time = base − slope · (nodes − 1)`: positive at
@@ -720,31 +691,6 @@ mod tests {
                 cells * stub.members,
                 "rule {rule:?} must evaluate each member exactly once per cell"
             );
-        }
-    }
-
-    #[test]
-    fn threaded_sweep_is_bit_identical_to_sequential() {
-        let (fam, cat) = trained_family();
-        let p = profile(200);
-        let sweep = |threads: usize| {
-            select_configuration_with_workspace(
-                &fam,
-                &cat,
-                &p,
-                10_000.0,
-                6,
-                0.3,
-                9,
-                TimeEstimate::EnsembleMean,
-                threads,
-                &mut SelectionWorkspace::new(),
-            )
-            .unwrap()
-        };
-        let seq = sweep(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(seq, sweep(threads), "divergence at n_threads = {threads}");
         }
     }
 }

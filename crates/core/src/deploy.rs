@@ -64,10 +64,9 @@ pub struct DeployPolicy {
     /// every run, the paper's setting; larger values trade freshness for
     /// speed in large campaigns).
     pub retrain_every: usize,
-    /// Worker threads for Algorithm 1's grid sweep and the per-model
-    /// retrain. Results are bit-identical for any value. The default is
-    /// [`disar_math::parallel::default_n_threads`], one per available core;
-    /// `1` is the sequential escape hatch.
+    /// Ignored: the loop selects and retrains on the calling thread.
+    /// Always 1 from [`DeployPolicy::paper_defaults`]; removed with ROADMAP
+    /// direction 1a (the benchmark's adapter reads it).
     pub n_threads: usize,
     /// Retrain mode every scheduled retrain uses (bulk warm-ups and the
     /// after-run cadence alike). Defaults to [`RetrainMode::Incremental`],
@@ -80,9 +79,7 @@ pub struct DeployPolicy {
 
 impl DeployPolicy {
     /// Paper-like defaults: ε = 0.05, up to 8 nodes, 30-sample bootstrap,
-    /// retrain after every run, one worker thread per available core
-    /// (results are thread-count invariant; set `n_threads: 1` for the
-    /// sequential escape hatch).
+    /// retrain after every run.
     pub fn paper_defaults(t_max_secs: f64) -> Self {
         DeployPolicy {
             t_max_secs,
@@ -90,7 +87,7 @@ impl DeployPolicy {
             max_nodes: 8,
             min_kb_samples: 30,
             retrain_every: 1,
-            n_threads: disar_math::parallel::default_n_threads(),
+            n_threads: 1,
             retrain_mode: RetrainMode::Incremental,
         }
     }
@@ -116,9 +113,6 @@ impl DeployPolicy {
         }
         if self.retrain_every == 0 {
             return Err(CoreError::InvalidParameter("retrain_every must be > 0"));
-        }
-        if self.n_threads == 0 {
-            return Err(CoreError::InvalidParameter("n_threads must be > 0"));
         }
         self.retrain_mode.validate()
     }
@@ -159,12 +153,6 @@ impl DeployPolicyBuilder {
     /// Sets the retrain cadence (retrain every `retrain_every` records).
     pub fn retrain_every(mut self, retrain_every: usize) -> Self {
         self.policy.retrain_every = retrain_every;
-        self
-    }
-
-    /// Sets the worker-thread count (results are thread-count invariant).
-    pub fn n_threads(mut self, n_threads: usize) -> Self {
-        self.policy.n_threads = n_threads;
         self
     }
 
@@ -401,15 +389,10 @@ mod backend {
 
         /// Refits `shard`'s family on the records it holds now: the retrain
         /// a landed run fired.
-        fn retrain(
-            &mut self,
-            shard: &Shard,
-            mode: RetrainMode,
-            n_threads: usize,
-        ) -> Result<(), CoreError>;
+        fn retrain(&mut self, shard: &Shard, mode: RetrainMode) -> Result<(), CoreError>;
 
         /// Trains every family whose shard already holds the floor.
-        fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError>;
+        fn warm(&mut self, mode: RetrainMode) -> Result<(), CoreError>;
     }
 }
 
@@ -497,8 +480,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
 
     fn warm(&mut self) -> Result<(), CoreError> {
         self.policy.validate()?;
-        self.backend
-            .warm(self.policy.retrain_mode, self.policy.n_threads)
+        self.backend.warm(self.policy.retrain_mode)
     }
 
     fn select(
@@ -545,7 +527,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
                 policy.epsilon,
                 decision_seed,
                 TimeEstimate::EnsembleMean,
-                policy.n_threads,
+                1,
                 selection,
             )?;
             Ok(DeployDecision {
@@ -607,7 +589,7 @@ impl<B: Backend> Deployer for DeployLoop<B> {
             return Ok(());
         }
         self.backend
-            .retrain(&shard, policy.retrain_mode, policy.n_threads)
+            .retrain(&shard, policy.retrain_mode)
             .map_err(|cause| CoreError::ShardRetrainFailed {
                 instance: shard.instance().to_string(),
                 tenant: self.backend.tenant().clone(),
@@ -706,17 +688,12 @@ impl Backend for Local<KnowledgeBase, PredictorFamily> {
         self.kb.record(record);
     }
 
-    fn retrain(
-        &mut self,
-        _shard: &Shard,
-        mode: RetrainMode,
-        n_threads: usize,
-    ) -> Result<(), CoreError> {
-        self.predictor.retrain(&self.kb, mode, n_threads)
+    fn retrain(&mut self, _shard: &Shard, mode: RetrainMode) -> Result<(), CoreError> {
+        self.predictor.retrain(&self.kb, mode, 1)
     }
 
-    fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
-        self.predictor.retrain(&self.kb, mode, n_threads)
+    fn warm(&mut self, mode: RetrainMode) -> Result<(), CoreError> {
+        self.predictor.retrain(&self.kb, mode, 1)
     }
 }
 
@@ -787,22 +764,17 @@ impl Backend for Local<ShardedKnowledgeBase, ShardedPredictor> {
         self.kb.record(record);
     }
 
-    fn retrain(
-        &mut self,
-        shard: &Shard,
-        mode: RetrainMode,
-        n_threads: usize,
-    ) -> Result<(), CoreError> {
+    fn retrain(&mut self, shard: &Shard, mode: RetrainMode) -> Result<(), CoreError> {
         let records = self
             .kb
             .shard(shard.instance())
             .expect("a due shard holds records");
         self.predictor
-            .retrain_shard(shard.instance(), records, mode, n_threads)
+            .retrain_shard(shard.instance(), records, mode)
     }
 
-    fn warm(&mut self, mode: RetrainMode, n_threads: usize) -> Result<(), CoreError> {
-        self.predictor.retrain_all(&self.kb, mode, n_threads)
+    fn warm(&mut self, mode: RetrainMode) -> Result<(), CoreError> {
+        self.predictor.retrain_all(&self.kb, mode)
     }
 }
 
@@ -866,7 +838,6 @@ mod tests {
         let policy = DeployPolicy::builder(50_000.0)
             .max_nodes(4)
             .min_kb_samples(8)
-            .n_threads(1)
             .build();
         TransparentDeployer::new(provider, policy, seed)
     }
@@ -979,7 +950,6 @@ mod tests {
             .max_nodes(3)
             .min_kb_samples(4)
             .retrain_every(5)
-            .n_threads(1)
             .build();
         let mut d = TransparentDeployer::new(provider, policy, 9);
         for i in 0..6 {
@@ -987,41 +957,6 @@ mod tests {
         }
         // Trained at run 5 (first multiple of 5 past the 4-sample floor).
         assert_eq!(d.family().trained_on(), 5);
-    }
-
-    #[test]
-    fn threaded_deployer_matches_sequential() {
-        // The full select → run → record → retrain loop must be
-        // bit-identical regardless of the thread count.
-        let run = |n_threads: usize| {
-            let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 21);
-            let policy = DeployPolicy::builder(50_000.0)
-                .max_nodes(4)
-                .min_kb_samples(8)
-                .n_threads(n_threads)
-                .build();
-            let mut d = TransparentDeployer::new(provider, policy, 21);
-            let outs: Vec<DeployOutcome> = (0..16)
-                .map(|i| {
-                    d.deploy(&profile(90 + i * 19), &workload(90 + i * 19))
-                        .unwrap()
-                })
-                .collect();
-            (outs, d.knowledge_base().clone())
-        };
-        let (seq_outs, seq_kb) = run(1);
-        let (par_outs, par_kb) = run(4);
-        assert_eq!(seq_outs, par_outs);
-        assert_eq!(seq_kb, par_kb);
-    }
-
-    #[test]
-    fn zero_thread_policy_is_rejected() {
-        let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 1);
-        let mut bad = DeployPolicy::paper_defaults(3600.0);
-        bad.n_threads = 0;
-        let mut d = TransparentDeployer::new(provider, bad, 1);
-        assert!(d.deploy(&profile(10), &workload(10)).is_err());
     }
 
     #[test]
@@ -1039,7 +974,6 @@ mod tests {
             .max_nodes(3)
             .min_kb_samples(5)
             .retrain_every(4)
-            .n_threads(2)
             .retrain_mode(RetrainMode::Windowed { window: 64, decay: 0.5 })
             .build();
         assert_eq!(p.t_max_secs, 50_000.0);
@@ -1047,7 +981,6 @@ mod tests {
         assert_eq!(p.max_nodes, 3);
         assert_eq!(p.min_kb_samples, 5);
         assert_eq!(p.retrain_every, 4);
-        assert_eq!(p.n_threads, 2);
         assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64, decay: 0.5 });
         // Unnamed knobs keep the paper defaults.
         let d = DeployPolicy::paper_defaults(50_000.0);
@@ -1076,7 +1009,6 @@ mod tests {
             let policy = DeployPolicy::builder(50_000.0)
                 .max_nodes(4)
                 .min_kb_samples(8)
-                .n_threads(1)
                 .retrain_mode(mode)
                 .build();
             let mut d = TransparentDeployer::new(provider, policy, 67);
@@ -1094,13 +1026,6 @@ mod tests {
                 decay: 1.0
             })
         );
-    }
-
-    #[test]
-    fn paper_defaults_use_available_parallelism() {
-        let p = DeployPolicy::paper_defaults(3600.0);
-        assert_eq!(p.n_threads, disar_math::parallel::default_n_threads());
-        assert!(p.n_threads >= 1);
     }
 
     #[test]
@@ -1131,7 +1056,7 @@ mod tests {
             d.select(&profile(100), &[])
         }
         let provider = CloudProvider::new(InstanceCatalog::new(), 9);
-        let policy = DeployPolicy::builder(50_000.0).n_threads(1).build();
+        let policy = DeployPolicy::builder(50_000.0).build();
         let mut d = TransparentDeployer::new(provider, policy, 9);
         assert!(matches!(
             select_once(&mut d),
@@ -1173,7 +1098,6 @@ mod tests {
         let policy = DeployPolicy::builder(50_000.0)
             .max_nodes(4)
             .min_kb_samples(8)
-            .n_threads(1)
             .build();
         ShardedDeployer::new(provider, policy, seed)
     }
@@ -1384,7 +1308,6 @@ mod tests {
                 .max_nodes(4)
                 .min_kb_samples(5)
                 .retrain_every(retrain_every)
-                .n_threads(1)
                 .build();
             let k = 40;
             let label = |layout: &str| format!("{layout}, retrain_every {retrain_every}");
@@ -1436,7 +1359,6 @@ mod tests {
         let policy = DeployPolicy::builder(50_000.0)
             .max_nodes(4)
             .min_kb_samples(8)
-            .n_threads(1)
             .build();
 
         let mut mono = TransparentDeployer::new(provider(3), policy, 3);

@@ -14,7 +14,6 @@ use crate::knowledge::{KnowledgeBase, RunRecord, ShardedKnowledgeBase};
 use crate::profile::JobProfile;
 use crate::CoreError;
 use disar_cloudsim::InstanceType;
-use disar_math::parallel::parallel_map_mut;
 use disar_ml::{default_family, Dataset, FeatureMatrix, PredictScratch, Regressor};
 use std::collections::BTreeMap;
 
@@ -100,9 +99,8 @@ impl GridScratch {
 
 /// Anything Algorithm 1 can query for predicted execution times — the
 /// monolithic [`PredictorFamily`] or the per-instance-type
-/// [`ShardedPredictor`]. `Sync` so selection sweeps can share one predictor
-/// across worker threads.
-pub trait TimePredictor: Sync {
+/// [`ShardedPredictor`].
+pub trait TimePredictor {
     /// Per-model predicted times `p_x(m, n, f)`, paired with model names.
     ///
     /// # Errors
@@ -238,27 +236,24 @@ impl PredictorFamily {
     /// member through [`Regressor::fit_appended`]; otherwise each member
     /// refits from scratch, on the window under `Windowed`.
     ///
-    /// The per-model fits are spread over up to `n_threads` worker threads:
-    /// every model owns its RNG state and trains against a shared immutable
-    /// view of the featurized knowledge base (built once, cached by the
-    /// base), so the fits are order-independent and the trained family is
-    /// bit-identical to `n_threads = 1`. Fit errors are surfaced in model
-    /// order, matching the sequential loop.
+    /// The members fit one after another on the calling thread, each
+    /// against the featurized knowledge base the base builds once and
+    /// caches. Every member is fitted even when an earlier one fails, and
+    /// the first failure in member order is returned. `n_threads` is
+    /// ignored; the argument stays until the benchmark's frozen adapter
+    /// stops passing it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] for `n_threads == 0` or an
-    /// invalid windowed mode, [`CoreError::InsufficientKnowledge`] below
-    /// `min_samples`, and propagates model-training failures.
+    /// Returns [`CoreError::InvalidParameter`] for an invalid windowed
+    /// mode, [`CoreError::InsufficientKnowledge`] below `min_samples`, and
+    /// propagates model-training failures.
     pub fn retrain(
         &mut self,
         kb: &KnowledgeBase,
         mode: RetrainMode,
-        n_threads: usize,
+        _n_threads: usize,
     ) -> Result<(), CoreError> {
-        if n_threads == 0 {
-            return Err(CoreError::InvalidParameter("n_threads must be > 0"));
-        }
         mode.validate()?;
         if kb.len() < self.min_samples {
             return Err(CoreError::InsufficientKnowledge {
@@ -282,16 +277,16 @@ impl PredictorFamily {
             }
             _ => data,
         };
-        let results = parallel_map_mut(&mut self.models, n_threads, |_, m| {
-            if appended {
+        let mut fitted = Ok(());
+        for m in &mut self.models {
+            let fit = if appended {
                 m.fit_appended(data, from)
             } else {
                 m.fit(train)
-            }
-        });
-        for r in results {
-            r?;
+            };
+            fitted = fitted.and(fit);
         }
+        fitted?;
         self.trained_on = data.len();
         self.trained_fingerprint = Self::fingerprint(data, data.len());
         Ok(())
@@ -397,8 +392,8 @@ impl ShardedPredictor {
     }
 
     /// Retrains the family owning `instance` on that shard's records,
-    /// creating the family on first use. `mode` and `n_threads` behave as
-    /// in [`PredictorFamily::retrain`].
+    /// creating the family on first use. `mode` behaves as in
+    /// [`PredictorFamily::retrain`].
     ///
     /// # Errors
     ///
@@ -408,14 +403,13 @@ impl ShardedPredictor {
         instance: &str,
         shard: &KnowledgeBase,
         mode: RetrainMode,
-        n_threads: usize,
     ) -> Result<(), CoreError> {
         let seed = self.seed;
         let min_samples = self.min_samples;
         self.families
             .entry(instance.to_string())
             .or_insert_with(|| PredictorFamily::new(seed, min_samples))
-            .retrain(shard, mode, n_threads)
+            .retrain(shard, mode, 1)
     }
 
     /// Retrains every shard holding at least `min_samples` records —
@@ -429,11 +423,10 @@ impl ShardedPredictor {
         &mut self,
         kb: &ShardedKnowledgeBase,
         mode: RetrainMode,
-        n_threads: usize,
     ) -> Result<(), CoreError> {
         for (name, shard) in kb.shards() {
             if shard.len() >= self.min_samples {
-                self.retrain_shard(name, shard, mode, n_threads)?;
+                self.retrain_shard(name, shard, mode)?;
             }
         }
         Ok(())
@@ -581,36 +574,6 @@ mod tests {
         assert_eq!(fam.trained_on(), 80);
     }
 
-    #[test]
-    fn threaded_retrain_is_bit_identical_to_sequential() {
-        let kb = filled_kb(150);
-        let cat = InstanceCatalog::paper_catalog();
-        let mut seq = PredictorFamily::new(11, 2);
-        seq.retrain(&kb, RetrainMode::Incremental, 1).unwrap();
-        for threads in [2, 4, 7] {
-            let mut par = PredictorFamily::new(11, 2);
-            par.retrain(&kb, RetrainMode::Incremental, threads).unwrap();
-            assert_eq!(par.trained_on(), seq.trained_on());
-            for name in cat.names() {
-                let inst = cat.get(&name).unwrap();
-                for n in [1usize, 3, 6] {
-                    let a = seq.predict_each(&profile(180), inst, n).unwrap();
-                    let b = par.predict_each(&profile(180), inst, n).unwrap();
-                    assert_eq!(a, b, "divergence at n_threads = {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_threads_is_rejected() {
-        let mut fam = PredictorFamily::new(3, 2);
-        assert!(matches!(
-            fam.retrain(&filled_kb(50), RetrainMode::Incremental, 0),
-            Err(CoreError::InvalidParameter(_))
-        ));
-    }
-
     /// Predictions of two families must agree bitwise across the catalog.
     fn assert_families_identical(a: &PredictorFamily, b: &PredictorFamily, what: &str) {
         let cat = InstanceCatalog::paper_catalog();
@@ -684,17 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn continued_family_is_the_same_on_any_thread_count_and_after_clone() {
+    fn continued_family_is_the_same_after_clone() {
         let (kb50, kb80, kb95) = (filled_kb(50), filled_kb(80), filled_kb(95));
-        let trained = |threads: usize| {
-            let mut fam = PredictorFamily::new(12, 2);
-            for kb in [&kb50, &kb80, &kb95] {
-                fam.retrain(kb, RetrainMode::Incremental, threads).unwrap();
-            }
-            fam
-        };
-        let one = trained(1);
-        assert_families_identical(&one, &trained(4), "1 against 4 threads");
+        let mut one = PredictorFamily::new(12, 2);
+        for kb in [&kb50, &kb80, &kb95] {
+            one.retrain(kb, RetrainMode::Incremental, 1).unwrap();
+        }
         let mut cloned = PredictorFamily::new(12, 2);
         cloned.retrain(&kb50, RetrainMode::Incremental, 1).unwrap();
         let mut cloned = cloned.clone();
@@ -829,7 +787,7 @@ mod tests {
         let kb = filled_kb(120);
         let skb = crate::knowledge::ShardedKnowledgeBase::from_monolithic(&kb);
         let mut sharded = ShardedPredictor::new(5, 2);
-        sharded.retrain_all(&skb, RetrainMode::Incremental, 2).unwrap();
+        sharded.retrain_all(&skb, RetrainMode::Incremental).unwrap();
         let cat = InstanceCatalog::paper_catalog();
         assert_eq!(sharded.trained_shards(), cat.names().len());
         for name in cat.names() {

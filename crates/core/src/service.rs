@@ -528,7 +528,6 @@ mod tests {
         DeployPolicy::builder(50_000.0)
             .max_nodes(4)
             .min_kb_samples(8)
-            .n_threads(1)
             .build()
     }
 

@@ -39,7 +39,6 @@ pub fn policy(min_kb_samples: usize, retrain_every: usize) -> DeployPolicy {
         .max_nodes(4)
         .min_kb_samples(min_kb_samples)
         .retrain_every(retrain_every)
-        .n_threads(1)
         .build()
 }
 

@@ -151,7 +151,6 @@ fn deployer(cloud: CloudProvider, seed: u64) -> TransparentDeployer {
         .max_nodes(4)
         .min_kb_samples(3)
         .retrain_every(2)
-        .n_threads(1)
         .build();
     TransparentDeployer::new(cloud, policy, seed)
 }

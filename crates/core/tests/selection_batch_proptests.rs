@@ -35,7 +35,7 @@ impl TimePredictor for ScalarOnly<'_> {
     }
 }
 
-/// For random jobs, deadlines, grids, rules and thread counts, the
+/// For random jobs, deadlines, grids and rules, the
 /// batched sweep's Selection equals the scalar sweep's bit for bit —
 /// including with a warm workspace left over from a *different*
 /// previous selection.
@@ -47,7 +47,6 @@ fn batched_selection_is_bit_identical_to_scalar() {
         let (epsilon, seed) = (rng.gen_range(0.0..1.0), rng.gen_range(0u64..500));
         let rules = [TimeEstimate::Conservative, TimeEstimate::EnsembleMean];
         let rule = rules[rng.gen_range(0..rules.len())];
-        let n_threads = rng.gen_range(1usize..5);
         let (fam, cat) = family();
         let mut ws = SelectionWorkspace::new();
         // Dirty the workspace with an unrelated selection so the property
@@ -65,7 +64,7 @@ fn batched_selection_is_bit_identical_to_scalar() {
             &mut ws,
         );
         let batched = select_configuration_with_workspace(
-            fam, cat, &p, t_max, max_nodes, epsilon, seed, rule, n_threads, &mut ws,
+            fam, cat, &p, t_max, max_nodes, epsilon, seed, rule, 1, &mut ws,
         );
         let scalar = select_configuration_with_workspace(
             &ScalarOnly(fam),
@@ -76,7 +75,7 @@ fn batched_selection_is_bit_identical_to_scalar() {
             epsilon,
             seed,
             rule,
-            n_threads,
+            1,
             &mut SelectionWorkspace::new(),
         );
         match (batched, scalar) {

@@ -2,8 +2,8 @@
 //! (Aha, Kibler & Albert, *Machine Learning* 6, 1991).
 //!
 //! Distances are Euclidean over min–max-normalized attributes, exactly as in
-//! Weka's `IBk`. For regression the prediction is the (optionally
-//! inverse-distance-weighted) mean of the `k` nearest targets.
+//! Weka's `IBk`. For regression the prediction is the mean of the `k`
+//! nearest targets.
 //!
 //! Neighbour lookups run through a kd-tree ([`crate::neighbours`]) and the
 //! training state is append-only ([`IncrementalRegressor`]); both are
@@ -16,15 +16,6 @@ use crate::instances::InstanceStore;
 use crate::neighbours::NeighbourIndex;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
-
-/// Neighbour-weighting scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Weighting {
-    /// Plain mean of the `k` nearest targets (Weka default).
-    Uniform,
-    /// Weight each neighbour by `1 / (distance + ε)`.
-    InverseDistance,
-}
 
 /// The IBk k-nearest-neighbour regressor.
 ///
@@ -44,7 +35,6 @@ pub enum Weighting {
 #[derive(Debug, Clone)]
 pub struct IbK {
     k: usize,
-    weighting: Weighting,
     fitted: Option<Fitted>,
 }
 
@@ -56,34 +46,14 @@ struct Fitted {
 }
 
 impl IbK {
-    /// Creates an IBk model with `k` neighbours and uniform weighting.
+    /// Creates an IBk model with `k` neighbours.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
-        IbK {
-            k,
-            weighting: Weighting::Uniform,
-            fitted: None,
-        }
-    }
-
-    /// Creates an IBk model with an explicit weighting scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] if `k == 0`.
-    pub fn with_weighting(k: usize, weighting: Weighting) -> Result<Self, MlError> {
-        if k == 0 {
-            return Err(MlError::InvalidHyperparameter("k must be > 0"));
-        }
-        Ok(IbK {
-            k,
-            weighting,
-            fitted: None,
-        })
+        IbK { k, fitted: None }
     }
 
     /// Number of neighbours.
@@ -102,24 +72,9 @@ impl IbK {
         Ok((f, f.store.scaler.transform(x)))
     }
 
-    /// Applies the weighting scheme to a sorted `(distance², row)` list.
-    fn weighted_mean(&self, f: &InstanceStore, neighbours: &[(f64, usize)]) -> f64 {
-        match self.weighting {
-            Weighting::Uniform => {
-                neighbours.iter().map(|&(_, i)| f.targets[i]).sum::<f64>()
-                    / neighbours.len() as f64
-            }
-            Weighting::InverseDistance => {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for &(d2, i) in neighbours {
-                    let w = 1.0 / (d2.sqrt() + 1e-9);
-                    num += w * f.targets[i];
-                    den += w;
-                }
-                num / den
-            }
-        }
+    /// The mean target of a sorted `(distance², row)` list.
+    fn mean(f: &InstanceStore, neighbours: &[(f64, usize)]) -> f64 {
+        neighbours.iter().map(|&(_, i)| f.targets[i]).sum::<f64>() / neighbours.len() as f64
     }
 
     /// Reference prediction via the original early-abandon **linear scan**.
@@ -165,7 +120,7 @@ impl IbK {
             best.insert(pos, (d2, i));
             best.truncate(k);
         }
-        Ok(self.weighted_mean(f, &best[..k]))
+        Ok(Self::mean(f, &best[..k]))
     }
 }
 
@@ -202,7 +157,7 @@ impl Regressor for IbK {
         for (i, slot) in out.iter_mut().enumerate() {
             store.scaler.transform_into(xs.row(i), &mut scratch.q);
             index.nearest_into(&store.rows, &scratch.q, k, &mut scratch.best);
-            *slot = self.weighted_mean(store, &scratch.best);
+            *slot = Self::mean(store, &scratch.best);
         }
         Ok(())
     }
@@ -278,32 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_distance_prefers_closest() {
-        let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![0.0], 0.0).unwrap();
-        d.push(vec![10.0], 100.0).unwrap();
-        let mut uni = IbK::new(2);
-        let mut inv = IbK::with_weighting(2, Weighting::InverseDistance).unwrap();
-        uni.fit(&d).unwrap();
-        inv.fit(&d).unwrap();
-        let pu = uni.predict(&[1.0]).unwrap();
-        let pi = inv.predict(&[1.0]).unwrap();
-        assert_eq!(pu, 50.0);
-        assert!(pi < pu, "inverse-distance {pi} should skew to near point");
-    }
-
-    #[test]
-    fn exact_hit_with_inverse_distance_is_finite() {
-        let mut d = Dataset::new(vec!["x".into()]);
-        d.push(vec![0.0], 7.0).unwrap();
-        d.push(vec![5.0], 9.0).unwrap();
-        let mut m = IbK::with_weighting(1, Weighting::InverseDistance).unwrap();
-        m.fit(&d).unwrap();
-        let y = m.predict(&[0.0]).unwrap();
-        assert!((y - 7.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn normalization_makes_scales_comparable() {
         // Feature "big" spans 0..10000, feature "small" 0..1 and carries the
         // signal; without normalization "big" would dominate distances.
@@ -341,14 +270,12 @@ mod tests {
     fn indexed_predict_matches_linear_scan() {
         let d = grid();
         for k in [1, 3, 7, 200] {
-            for weighting in [Weighting::Uniform, Weighting::InverseDistance] {
-                let mut m = IbK::with_weighting(k, weighting).unwrap();
-                m.fit(&d).unwrap();
-                for q in [[3.2, 7.1], [0.0, 0.0], [-4.0, 15.0], [9.5, 0.5]] {
-                    let indexed = m.predict(&q).unwrap();
-                    let linear = m.predict_linear(&q).unwrap();
-                    assert_eq!(indexed.to_bits(), linear.to_bits(), "k={k} q={q:?}");
-                }
+            let mut m = IbK::new(k);
+            m.fit(&d).unwrap();
+            for q in [[3.2, 7.1], [0.0, 0.0], [-4.0, 15.0], [9.5, 0.5]] {
+                let indexed = m.predict(&q).unwrap();
+                let linear = m.predict_linear(&q).unwrap();
+                assert_eq!(indexed.to_bits(), linear.to_bits(), "k={k} q={q:?}");
             }
         }
     }

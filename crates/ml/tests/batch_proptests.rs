@@ -13,7 +13,6 @@
 
 use disar_math::check::cases;
 use disar_math::rng::stream_rng;
-use disar_ml::ibk::Weighting;
 use disar_ml::{
     Dataset, DecisionTable, FeatureMatrix, IbK, KStar, MlError, Mlp, ModelKind, PredictScratch,
     RandomForest, RandomTree, Regressor,
@@ -104,7 +103,6 @@ fn family(seed: u64) -> Vec<Box<dyn Regressor>> {
         Box::new(RandomTree::with_defaults(seed)),
         Box::new(RandomForest::new(8, 1, 64, seed).expect("valid forest")),
         Box::new(IbK::new(3)),
-        Box::new(IbK::with_weighting(2, Weighting::InverseDistance).expect("valid ibk")),
         Box::new(KStar::new(20.0)),
         Box::new(DecisionTable::with_defaults()),
     ]
@@ -141,7 +139,6 @@ fn neighbour_models_batch_matches_one_row_batches_under_ties() {
         let (data, seed) = (any_tied_dataset(rng), rng.gen_range(0u64..1000));
         let models: Vec<Box<dyn Regressor>> = vec![
             Box::new(IbK::new(3)),
-            Box::new(IbK::with_weighting(4, Weighting::InverseDistance).expect("valid ibk")),
             Box::new(KStar::new(0.0)),
             Box::new(KStar::new(20.0)),
         ];

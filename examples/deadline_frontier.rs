@@ -18,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = DeployPolicy::builder(50_000.0)
         .epsilon(0.15) // explore hard while warming up
         .retrain_every(5)
-        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, 3);
     let mut rng = stream_rng(17, 0);

@@ -42,10 +42,7 @@ fn job(contracts: usize, horizon: u32) -> (JobProfile, disar_suite::cloudsim::Wo
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_max = 2_000.0;
     let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 1);
-    let policy = DeployPolicy::builder(t_max)
-        .min_kb_samples(25)
-        .n_threads(1)
-        .build();
+    let policy = DeployPolicy::builder(t_max).min_kb_samples(25).build();
     let mut deployer = TransparentDeployer::new(provider, policy, 1);
     let mut rng = stream_rng(99, 0);
 

@@ -57,7 +57,6 @@ fn self_optimizing_loop_learns_and_persists() {
     let policy = DeployPolicy::builder(10_000.0)
         .max_nodes(4)
         .min_kb_samples(5)
-        .n_threads(1)
         .build();
     let mut deployer = TransparentDeployer::new(provider, policy, 9);
 
@@ -105,7 +104,6 @@ fn sharded_deployer_learns_routes_and_persists() {
     let policy = DeployPolicy::builder(50_000.0)
         .max_nodes(4)
         .min_kb_samples(8)
-        .n_threads(1)
         .build();
     let mut deployer = ShardedDeployer::new(provider, policy, 13);
 
@@ -309,7 +307,6 @@ fn multi_tenant_campaign_transfers_and_persists() {
     let policy = DeployPolicy::builder(50_000.0)
         .max_nodes(4)
         .min_kb_samples(8)
-        .n_threads(1)
         .build();
     let a = TenantId::new("company-A");
     let b = TenantId::new("company-B");
