@@ -3,7 +3,7 @@
 
 use disar_actuarial::portfolio::paper_portfolios;
 use disar_alm::SegregatedFund;
-use disar_cloudsim::{CloudProvider, InstanceCatalog, Workload};
+use disar_cloudsim::{CloudProvider, InstanceCatalog, OraclePlan, Workload};
 use disar_core::{JobProfile, KnowledgeBase, RunRecord};
 use disar_engine::complexity::ComplexityModel;
 use disar_engine::eeb::{decompose, EebKind};
@@ -56,10 +56,9 @@ pub struct CampaignConfig {
     pub max_nodes: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the model fits of `table1`, `fig2`/`fig3` and
-    /// `ablation_ensemble`, and for the selections of `ablation_deadline`.
-    /// Cloud runs, the campaign included, are plain loops, and so is every
-    /// deploy loop. Results are bit-identical for any value; `1` is the
+    /// Worker threads for three fan-outs: the model fits of `table1` and
+    /// `fig2`, and the selections of `ablation_deadline`. Cloud runs, the
+    /// campaign included, are plain loops, and so is every deploy loop. Results are bit-identical for any value; `1` is the
     /// sequential escape hatch.
     pub n_threads: usize,
 }
@@ -127,7 +126,7 @@ pub fn paper_eeb_jobs(cfg: &CampaignConfig) -> Vec<EebJob> {
 
 /// Runs the campaign: `n_runs` jobs sampled uniformly over (EEB, instance
 /// type, node count), every realized duration recorded — the knowledge
-/// base Table I/Figures 2–3 are computed from.
+/// base Table I and Figure 2 are computed from.
 ///
 /// One run at a time: draw the run's configuration from the campaign's own
 /// RNG stream (untouched by the cloud), run it, record it.
@@ -157,6 +156,75 @@ pub fn build_knowledge_base(cfg: &CampaignConfig) -> (KnowledgeBase, CloudProvid
         ));
     }
     (kb, provider, jobs)
+}
+
+/// The noise-free yardstick of every decision-regret figure: a probe
+/// provider whose run counter never advances, so
+/// [`CloudProvider::oracle_plan`] reads the ground truth at any run index,
+/// over the `catalog × 1..=max_nodes` grid in catalog-major order. Of cells
+/// that tie, the first in grid order wins.
+#[derive(Debug)]
+pub struct Oracle {
+    probe: CloudProvider,
+    grid: Vec<(String, usize)>,
+}
+
+impl Oracle {
+    /// The oracle of `probe`'s catalog (and drift) up to `max_nodes` nodes.
+    pub fn new(probe: CloudProvider, max_nodes: usize) -> Self {
+        let grid = probe
+            .catalog()
+            .names()
+            .into_iter()
+            .flat_map(|name| (1..=max_nodes).map(move |n| (name.clone(), n)))
+            .collect();
+        Self { probe, grid }
+    }
+
+    /// The noise-free run of `workload` on `n_nodes` × `instance` at run
+    /// `run_index`.
+    pub fn plan(
+        &self,
+        instance: &str,
+        n_nodes: usize,
+        workload: &Workload,
+        run_index: u64,
+    ) -> OraclePlan {
+        self.probe
+            .oracle_plan(instance, n_nodes, workload, run_index)
+            .expect("catalog configuration")
+    }
+
+    /// The cheapest cell whose noise-free duration is at most `t_max`, with
+    /// its plan; `None` when no cell fits.
+    pub fn cheapest(
+        &self,
+        workload: &Workload,
+        t_max: f64,
+        run_index: u64,
+    ) -> Option<(&(String, usize), OraclePlan)> {
+        self.plans(*workload, run_index)
+            .filter(|(_, p)| p.duration_secs <= t_max)
+            .min_by(|a, b| a.1.prorated_cost.total_cmp(&b.1.prorated_cost))
+    }
+
+    /// The cell with the shortest noise-free duration, with its plan.
+    pub fn fastest(&self, workload: &Workload, run_index: u64) -> (&(String, usize), OraclePlan) {
+        self.plans(*workload, run_index)
+            .min_by(|a, b| a.1.duration_secs.total_cmp(&b.1.duration_secs))
+            .expect("non-empty grid")
+    }
+
+    /// Every cell of the grid with its noise-free run, in grid order.
+    fn plans(
+        &self,
+        workload: Workload,
+        run_index: u64,
+    ) -> impl Iterator<Item = (&(String, usize), OraclePlan)> {
+        self.grid
+            .iter()
+            .map(move |cell| (cell, self.plan(&cell.0, cell.1, &workload, run_index)))
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +300,32 @@ mod tests {
         let (a, _, _) = build_knowledge_base(&small_cfg());
         let (b, _, _) = build_knowledge_base(&small_cfg());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn oracle_searches_the_whole_grid() {
+        let cfg = small_cfg();
+        let wl = paper_eeb_jobs(&cfg)[0].workload;
+        let catalog = InstanceCatalog::paper_catalog();
+        let oracle = Oracle::new(CloudProvider::new(catalog.clone(), cfg.seed), cfg.max_nodes);
+        let mut plans = Vec::new();
+        for name in catalog.names() {
+            for n in 1..=cfg.max_nodes {
+                plans.push(oracle.plan(&name, n, &wl, 3));
+            }
+        }
+        let least = |f: fn(&OraclePlan) -> f64| plans.iter().map(f).fold(f64::INFINITY, f64::min);
+        let (fastest_cell, fastest) = oracle.fastest(&wl, 3);
+        assert_eq!(fastest.duration_secs, least(|p| p.duration_secs));
+        let (_, cheapest) = oracle.cheapest(&wl, f64::INFINITY, 3).unwrap();
+        assert_eq!(cheapest.prorated_cost, least(|p| p.prorated_cost));
+        // A deadline only the fastest cell meets leaves it the cheapest; a
+        // tighter one leaves none.
+        let (cell, _) = oracle.cheapest(&wl, fastest.duration_secs, 3).unwrap();
+        assert_eq!(cell, fastest_cell);
+        assert!(oracle
+            .cheapest(&wl, 0.5 * fastest.duration_secs, 3)
+            .is_none());
     }
 
     #[test]

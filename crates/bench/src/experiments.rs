@@ -1,6 +1,8 @@
 //! Every table/figure of the paper's §IV plus the ablations DESIGN.md calls
 //! out. Each artifact is one plain `pub fn` returning its typed result (for
-//! example [`table2`]) and one driver that turns it into a row.
+//! example [`table2`]), and one driver turns it into a row, together with
+//! the artifacts read off the same runs: `fig2`'s row carries Figure 3 and
+//! the ensemble ablation, `table2`'s Figure 4.
 //!
 //! [`EXPERIMENTS`] is a table of `(name, driver)` pairs, and [`by_name`]
 //! looks a driver up. A [`Driver`] is a plain `fn(&ExperimentCtx) ->
@@ -9,7 +11,7 @@
 //! knowledge base's records ([`input_hash`]) — the contract `runbook`
 //! replays against (DESIGN.md §13).
 
-use crate::campaign::{build_knowledge_base, paper_eeb_jobs, CampaignConfig, EebJob};
+use crate::campaign::{build_knowledge_base, paper_eeb_jobs, CampaignConfig, EebJob, Oracle};
 use crate::registry::{json_hash, RegistryRow};
 use disar_actuarial::contracts::{Contract, ProductKind, ProfitSharing};
 use disar_actuarial::engine::ActuarialEngine;
@@ -132,10 +134,7 @@ pub static EXPERIMENTS: &[(&str, Driver)] = &[
     ("table1", table1_row),
     ("table2", table2_row),
     ("fig2", fig2_row),
-    ("fig3", fig3_row),
-    ("fig4", fig4_row),
     ("comparison", comparison_row),
-    ("ablation_ensemble", ablation_ensemble_row),
     ("ablation_epsilon", ablation_epsilon_row),
     ("ablation_deadline", ablation_deadline_row),
     ("learning_curve", learning_curve_row),
@@ -278,35 +277,67 @@ fn table1_row(ctx: &ExperimentCtx) -> RegistryRow {
     finish("table1", ctx, Some(&kb), &jobs, &[], t.to_json(), t0)
 }
 
-/// Table II: mean prorated per-simulation cost (USD) per instance
-/// type, measured by running every EEB job once on a single node of
-/// each type, instance-major.
-pub fn table2(jobs: &[EebJob], provider: &CloudProvider) -> Vec<(String, f64)> {
+/// One instance type's row of Table II and Figure 4.
+#[derive(Debug, Clone)]
+pub struct Table2Row {
+    /// Instance-type name.
+    pub instance: String,
+    /// Table II: mean prorated per-simulation cost (USD).
+    pub mean_cost: f64,
+    /// Figure 4: mean speedup over the sequential execution.
+    pub mean_speedup: f64,
+}
+
+impl Table2Row {
+    /// The fields as the registry row's `outputs` holds them.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("instance", self.instance.as_str().into()),
+            ("mean_cost", self.mean_cost.into()),
+            ("mean_speedup", self.mean_speedup.into()),
+        ])
+    }
+}
+
+/// Table II and Figure 4 from one pass: every EEB job runs once on a
+/// single node of each type, instance-major. Table II is the runs' mean
+/// prorated cost per type, Figure 4 their mean speedup over the
+/// sequential (one reference core) execution.
+///
+/// The sequential baseline uses the simulator's ground-truth model —
+/// an *oracle* read, legitimate here because the baseline is a
+/// measurement protocol, not a provisioning decision.
+pub fn table2(jobs: &[EebJob], provider: &CloudProvider) -> Vec<Table2Row> {
     provider
         .catalog()
         .names()
         .into_iter()
-        .map(|name| {
-            let costs: Vec<f64> = jobs
+        .map(|instance| {
+            let (costs, speedups): (Vec<f64>, Vec<f64>) = jobs
                 .iter()
                 .map(|job| {
-                    provider
-                        .run_job(&name, 1, &job.workload)
-                        .expect("catalog instance")
-                        .prorated_cost
+                    let seq = provider.ground_truth().sequential_secs(&job.workload);
+                    let report = provider
+                        .run_job(&instance, 1, &job.workload)
+                        .expect("catalog instance");
+                    (report.prorated_cost, seq / report.duration_secs)
                 })
-                .collect();
-            (name, stats::mean(&costs))
+                .unzip();
+            Table2Row {
+                instance,
+                mean_cost: stats::mean(&costs),
+                mean_speedup: stats::mean(&speedups),
+            }
         })
         .collect()
 }
 
-/// Driver for Table II (`table2`).
+/// Driver for Table II and Figure 4 (`table2`).
 fn table2_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, provider, jobs) = ctx.campaign();
     let rows = table2(&jobs, &provider);
-    let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
+    let outputs = Json::arr(rows.iter().map(Table2Row::to_json));
     finish("table2", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
@@ -361,37 +392,59 @@ pub fn fig2(kb: &KnowledgeBase, seed: u64, n_threads: usize) -> Vec<Fig2Point> {
     per_model.into_iter().flatten().collect()
 }
 
-/// Per-model correlation/RMSE summary of a point cloud — the scalar
-/// claims the paper reads off the scatter.
+/// Per-model correlation, RMSE and bias of a point cloud — the scalar
+/// claims the paper reads off the scatter — then the same for the
+/// `"Ensemble"`, Algorithm 1's average of the members: per held-out row,
+/// the member predictions summed in model order from 0.0 and divided by
+/// the member count (the single-model-vs-ensemble ablation).
 pub fn fig2_summary(points: &[Fig2Point]) -> Json {
-    let mut rows = Vec::new();
-    for kind in ModelKind::ALL {
-        let abbr = kind.abbreviation();
-        let (real, predicted): (Vec<f64>, Vec<f64>) = points
-            .iter()
-            .filter(|p| p.model == abbr)
-            .map(|p| (p.real, p.predicted))
-            .unzip();
-        if real.is_empty() {
-            continue;
-        }
-        rows.push(Json::obj([
-            ("model", abbr.into()),
+    let row = |model: &str, real: &[f64], predicted: &[f64]| {
+        Json::obj([
+            ("model", model.into()),
             ("points", real.len().into()),
-            ("r", stats::correlation(&real, &predicted).into()),
-            ("rmse_secs", stats::rmse(&predicted, &real).into()),
-        ]));
+            ("r", stats::correlation(real, predicted).into()),
+            ("rmse_secs", stats::rmse(predicted, real).into()),
+            ("bias", stats::bias(predicted, real).into()),
+        ])
+    };
+    let members: Vec<(Vec<f64>, Vec<f64>)> = ModelKind::ALL
+        .iter()
+        .map(|kind| {
+            points
+                .iter()
+                .filter(|p| p.model == kind.abbreviation())
+                .map(|p| (p.real, p.predicted))
+                .unzip()
+        })
+        .collect();
+    let (real, _) = &members[0];
+    let mut mean = vec![0.0; real.len()];
+    for (_, predicted) in &members {
+        for (sum, p) in mean.iter_mut().zip(predicted) {
+            *sum += p;
+        }
     }
+    for sum in &mut mean {
+        *sum /= members.len() as f64;
+    }
+    let mut rows: Vec<Json> = ModelKind::ALL
+        .iter()
+        .zip(&members)
+        .map(|(kind, (real, predicted))| row(kind.abbreviation(), real, predicted))
+        .collect();
+    rows.push(row("Ensemble", real, &mean));
     Json::Arr(rows)
 }
 
-/// Driver for Figure 2 (`fig2`).
+/// Driver for Figures 2 and 3 and the single-model-vs-ensemble ablation
+/// (`fig2`): one held-out fit of the six members.
 fn fig2_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, _, jobs) = ctx.campaign();
     let points = fig2(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
     let outputs = Json::obj([
         ("summary", fig2_summary(&points)),
+        ("fig3", fig3(&points).to_json()),
         ("points", Json::arr(points.iter().map(Fig2Point::to_json))),
     ]);
     finish("fig2", ctx, Some(&kb), &jobs, &[], outputs, t0)
@@ -438,51 +491,6 @@ pub fn fig3(points: &[Fig2Point]) -> Fig3 {
         bins: (0..bins).map(|i| (h.bin_lo(i), pct[i])).collect(),
         within_200s: within,
     }
-}
-
-/// Driver for Figure 3 (`fig3`).
-fn fig3_row(ctx: &ExperimentCtx) -> RegistryRow {
-    let t0 = Instant::now();
-    let (kb, _, jobs) = ctx.campaign();
-    let f3 = fig3(&fig2(&kb, ctx.cfg.seed, ctx.cfg.n_threads));
-    finish("fig3", ctx, Some(&kb), &jobs, &[], f3.to_json(), t0)
-}
-
-/// Figure 4: mean speedup of a single-VM cloud deploy over the
-/// sequential (one reference core) execution, per instance type,
-/// instance-major.
-///
-/// The sequential baseline uses the simulator's ground-truth model —
-/// an *oracle* read, legitimate here because the baseline is a
-/// measurement protocol, not a provisioning decision.
-pub fn fig4(jobs: &[EebJob], provider: &CloudProvider) -> Vec<(String, f64)> {
-    provider
-        .catalog()
-        .names()
-        .into_iter()
-        .map(|name| {
-            let speedups: Vec<f64> = jobs
-                .iter()
-                .map(|job| {
-                    let seq = provider.ground_truth().sequential_secs(&job.workload);
-                    let report = provider
-                        .run_job(&name, 1, &job.workload)
-                        .expect("catalog instance");
-                    seq / report.duration_secs
-                })
-                .collect();
-            (name, stats::mean(&speedups))
-        })
-        .collect()
-}
-
-/// Driver for Figure 4 (`fig4`).
-fn fig4_row(ctx: &ExperimentCtx) -> RegistryRow {
-    let t0 = Instant::now();
-    let (kb, provider, jobs) = ctx.campaign();
-    let rows = fig4(&jobs, &provider);
-    let outputs = Json::arr(rows.iter().map(|(name, x)| named_row(name, &[*x])));
-    finish("fig4", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// §IV closing comparison: the ML-selected configuration versus forcing
@@ -558,9 +566,9 @@ pub fn comparison(
         .expect("catalog instance");
     let cheap_name = table2(jobs, provider)
         .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
+        .min_by(|a, b| a.mean_cost.partial_cmp(&b.mean_cost).expect("finite costs"))
         .expect("catalog non-empty")
-        .0;
+        .instance;
     let cheap = provider
         .run_job(&cheap_name, 1, &job.workload)
         .expect("catalog instance");
@@ -602,61 +610,6 @@ fn comparison_row(ctx: &ExperimentCtx) -> RegistryRow {
     let (kb, provider, jobs) = ctx.campaign();
     let c = comparison(&kb, &jobs, &provider, ctx.cfg.seed);
     finish("comparison", ctx, Some(&kb), &jobs, &[], c.to_json(), t0)
-}
-
-/// Ablation: accuracy of each single model vs the six-model average on
-/// a held-out split. Returns `(name, bias, rmse)` rows, ensemble last.
-///
-/// The six member fits spread over up to `n_threads` workers. The
-/// `"Ensemble"` row is Algorithm 1's average of the members' held-out
-/// predictions: per test row, the member predictions summed in model order
-/// from 0.0 and divided by the member count. The rows are bit-identical for
-/// any thread count; `1` is the sequential escape hatch.
-pub fn ablation_ensemble(
-    kb: &KnowledgeBase,
-    seed: u64,
-    n_threads: usize,
-) -> Vec<(String, f64, f64)> {
-    let data = kb.to_dataset().expect("knowledge base is non-empty");
-    let (train, test) = data
-        .split(TABLE1_TRAIN_FRACTION, seed)
-        .expect("knowledge base is large enough");
-    let per_model = parallel_map(ModelKind::ALL.len(), n_threads.max(1), |mi| {
-        let kind = ModelKind::ALL[mi];
-        let mut model = kind.instantiate(seed ^ (mi as u64) << 8);
-        model.fit(&train).expect("training succeeds");
-        evaluate(model.as_ref(), &test).expect("evaluation succeeds")
-    });
-    let mut mean = vec![0.0; test.len()];
-    for ev in &per_model {
-        for (sum, (_, p)) in mean.iter_mut().zip(&ev.pairs) {
-            *sum += p;
-        }
-    }
-    for sum in &mut mean {
-        *sum /= per_model.len() as f64;
-    }
-    let mut rows: Vec<(String, f64, f64)> = ModelKind::ALL
-        .iter()
-        .zip(&per_model)
-        .map(|(kind, ev)| (kind.abbreviation().to_string(), ev.bias, ev.rmse))
-        .collect();
-    let real = test.targets();
-    rows.push((
-        "Ensemble".to_string(),
-        stats::bias(&mean, real),
-        stats::rmse(&mean, real),
-    ));
-    rows
-}
-
-/// Driver for the single-model-vs-ensemble ablation (`ablation_ensemble`).
-fn ablation_ensemble_row(ctx: &ExperimentCtx) -> RegistryRow {
-    let t0 = Instant::now();
-    let (kb, _, jobs) = ctx.campaign();
-    let rows = ablation_ensemble(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
-    let outputs = Json::arr(rows.iter().map(|(name, a, b)| named_row(name, &[*a, *b])));
-    finish("ablation_ensemble", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
 
 /// Ablation: effect of ε-greedy exploration on knowledge-base coverage and
@@ -976,8 +929,8 @@ pub struct TransferAblationRow {
     /// Mean realized cost of company B's deploys ($).
     pub b_mean_cost: f64,
     /// Mean decision regret (%) over all of company B's deploys: the
-    /// noise-free cost of the chosen configuration over the cheapest one of
-    /// the `catalog × 1..=max_nodes` grid, minus 1.
+    /// noise-free cost of the chosen configuration over the [`Oracle`]'s
+    /// cheapest cell, minus 1.
     pub b_mean_regret_pct: f64,
 }
 
@@ -1036,14 +989,10 @@ pub fn ablation_transfer(
     }
     pooled.set_tenant(TenantId::new("company-b"));
     let isolated = deployer(cfg.seed ^ 0x7F, "company-b");
-    // The oracle probe: a provider whose run counter never advances.
-    let probe = CloudProvider::new(catalog.clone(), cfg.seed ^ 0x7E);
-    let cost = |job: &EebJob, instance: &str, n_nodes: usize| {
-        probe
-            .oracle_plan(instance, n_nodes, &job.workload, 0)
-            .expect("catalog configuration")
-            .prorated_cost
-    };
+    let oracle = Oracle::new(
+        CloudProvider::new(catalog.clone(), cfg.seed ^ 0x7E),
+        cfg.max_nodes,
+    );
     [("isolated", isolated), ("pooled", pooled)]
         .into_iter()
         .map(|(name, mut d)| {
@@ -1064,14 +1013,12 @@ pub fn ablation_transfer(
                     }
                 }
                 costs.push(out.report.prorated_cost);
-                let best = catalog
-                    .names()
-                    .iter()
-                    .flat_map(|n| (1..=cfg.max_nodes).map(move |k| (n, k)))
-                    .map(|(n, k)| cost(job, n, k))
-                    .fold(f64::INFINITY, f64::min);
-                let chosen = cost(job, &out.report.instance, out.report.n_nodes);
-                regrets.push(100.0 * (chosen / best - 1.0));
+                let (_, best) = oracle
+                    .cheapest(&job.workload, f64::INFINITY, 0)
+                    .expect("non-empty grid");
+                let chosen =
+                    oracle.plan(&out.report.instance, out.report.n_nodes, &job.workload, 0);
+                regrets.push(100.0 * (chosen.prorated_cost / best.prorated_cost - 1.0));
             }
             TransferAblationRow {
                 policy: name.to_string(),
@@ -1361,9 +1308,9 @@ impl DriftAblation {
 /// again.
 ///
 /// Everything is a pure function of the campaign seed: both arms
-/// replay identical run indices, and the oracle reads the drifted
-/// ground truth through [`CloudProvider::oracle_plan`] (a benchmark
-/// privilege the deployers themselves never get).
+/// replay identical run indices, and the [`Oracle`] reads the drifted
+/// ground truth at each of them (a benchmark privilege the deployers
+/// themselves never get).
 pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
     let warmup = 36;
     let pre_ml = 20;
@@ -1374,71 +1321,38 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
     let catalog = InstanceCatalog::paper_catalog();
     let names = catalog.names();
     let max_nodes = cfg.max_nodes.clamp(2, 4);
-    let grid: Vec<(String, usize)> = names
-        .iter()
-        .flat_map(|n| (1..=max_nodes).map(move |k| (n.clone(), k)))
-        .collect();
     let drift = DriftModel::StepRegime {
         period: change_at as u64,
         speed_factor: 0.3,
         price_factor: 1.0,
     };
-    // The oracle probe: a provider whose run counter never advances,
-    // so `oracle_plan` reads any stream position's ground truth.
-    let probe = CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone());
+    let oracle = Oracle::new(
+        CloudProvider::new(catalog.clone(), cfg.seed ^ 0xD21F).with_drift(drift.clone()),
+        max_nodes,
+    );
     let job = &jobs[0];
-    let plan = |name: &str, n: usize, idx: u64| {
-        probe
-            .oracle_plan(name, n, &job.workload, idx)
-            .expect("catalog configuration")
-    };
+    let wl = &job.workload;
     // Deadline: pre-change, the cost optimum fits comfortably; after
     // the slowdown it no longer does, while faster configurations
     // still do — so a stale model keeps choosing configurations that
     // now miss.
-    let pre_best = grid
-        .iter()
-        .min_by(|a, b| {
-            let ca = plan(&a.0, a.1, 0).prorated_cost;
-            let cb = plan(&b.0, b.1, 0).prorated_cost;
-            ca.partial_cmp(&cb).expect("finite oracle costs")
-        })
-        .expect("non-empty grid")
-        .clone();
-    let d0_pre = plan(&pre_best.0, pre_best.1, 0).duration_secs;
-    let d0_post = plan(&pre_best.0, pre_best.1, change_at as u64).duration_secs;
-    let dmin_post = grid
-        .iter()
-        .map(|(nm, n)| plan(nm, *n, change_at as u64).duration_secs)
-        .fold(f64::INFINITY, f64::min);
-    let t_max = (0.5 * (dmin_post + d0_post)).max(1.15 * d0_pre);
+    let ((pre_inst, pre_n), pre_plan) = oracle
+        .cheapest(wl, f64::INFINITY, 0)
+        .expect("non-empty grid");
+    let d0_post = oracle
+        .plan(pre_inst, *pre_n, wl, change_at as u64)
+        .duration_secs;
+    let dmin_post = oracle.fastest(wl, change_at as u64).1.duration_secs;
+    let t_max = (0.5 * (dmin_post + d0_post)).max(1.15 * pre_plan.duration_secs);
     // Cheapest oracle cost among deadline-feasible configurations
     // (falling back to the unconstrained optimum if none fits).
-    let best_feasible = |idx: u64| -> f64 {
-        let mut best = f64::INFINITY;
-        let mut best_any = f64::INFINITY;
-        for (nm, n) in &grid {
-            let p = plan(nm, *n, idx);
-            best_any = best_any.min(p.prorated_cost);
-            if p.duration_secs <= t_max {
-                best = best.min(p.prorated_cost);
-            }
-        }
-        if best.is_finite() {
-            best
-        } else {
-            best_any
-        }
-    };
-    let fastest = |idx: u64| -> (String, usize) {
-        grid.iter()
-            .min_by(|a, b| {
-                let da = plan(&a.0, a.1, idx).duration_secs;
-                let db = plan(&b.0, b.1, idx).duration_secs;
-                da.partial_cmp(&db).expect("finite oracle durations")
-            })
+    let best_feasible = |idx: u64| {
+        oracle
+            .cheapest(wl, t_max, idx)
+            .or_else(|| oracle.cheapest(wl, f64::INFINITY, idx))
             .expect("non-empty grid")
-            .clone()
+            .1
+            .prorated_cost
     };
     let run_arm = |adaptive: bool| -> Vec<f64> {
         let provider =
@@ -1449,10 +1363,7 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
             .min_kb_samples(warmup)
             .retrain_every(if adaptive { 1 } else { 10_000 });
         if adaptive {
-            builder = builder.retrain_mode(RetrainMode::Windowed {
-                window: 16,
-                decay: 0.0,
-            });
+            builder = builder.retrain_mode(RetrainMode::Windowed { window: 16 });
         }
         let mut d = TransparentDeployer::new(provider, builder.build(), cfg.seed ^ 0xD21F);
         // Manual grid warm-up: both arms record the same runs, so
@@ -1473,13 +1384,13 @@ pub fn ablation_drift(cfg: &CampaignConfig, jobs: &[EebJob]) -> DriftAblation {
                     // A mis-calibrated model can reject everything;
                     // fall back to the fastest machine so the loop
                     // keeps learning (the regret speaks for itself).
-                    let (nm, n) = fastest(idx);
-                    d.deploy_manual(&job.profile, &job.workload, &nm, n)
+                    let ((nm, n), _) = oracle.fastest(wl, idx);
+                    d.deploy_manual(&job.profile, wl, nm, *n)
                         .expect("catalog configuration")
                 }
                 Err(e) => panic!("drift-ablation deploy failed: {e}"),
             };
-            let chosen = plan(&out.report.instance, out.report.n_nodes, idx);
+            let chosen = oracle.plan(&out.report.instance, out.report.n_nodes, wl, idx);
             let best = best_feasible(idx);
             let mut r = (chosen.prorated_cost - best).max(0.0);
             if chosen.duration_secs > t_max {
@@ -1550,7 +1461,7 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
-        assert_eq!(EXPERIMENTS.len(), 15);
+        assert_eq!(EXPERIMENTS.len(), 12);
         for (name, _) in EXPERIMENTS {
             assert!(by_name(name).is_some(), "{name}");
         }
@@ -1678,19 +1589,20 @@ mod tests {
     }
 
     #[test]
-    fn table2_costs_positive_and_differentiated() {
+    fn table2_costs_differ_and_speedups_sit_in_the_paper_band() {
         let (_, provider, jobs) = small_campaign();
         let t2 = table2(&jobs, &provider);
         assert_eq!(t2.len(), 6);
-        for (_, c) in &t2 {
-            assert!(*c > 0.0);
+        for r in &t2 {
+            assert!(r.mean_cost > 0.0);
+            assert!((2.0..12.0).contains(&r.mean_speedup), "{r:?}");
         }
-        let costs: Vec<f64> = t2.iter().map(|(_, c)| *c).collect();
+        let costs: Vec<f64> = t2.iter().map(|r| r.mean_cost).collect();
         assert!(stats::std_dev(&costs) > 0.0);
     }
 
     #[test]
-    fn parallel_table1_fig2_ensemble_match_sequential() {
+    fn parallel_table1_fig2_match_sequential() {
         let (kb, provider, _) = small_campaign();
         let seq = table1(&kb, provider.catalog(), 1, 1);
         let par = table1(&kb, provider.catalog(), 1, 4);
@@ -1705,15 +1617,6 @@ mod tests {
             assert_eq!(a.model, b.model);
             assert_eq!(a.real.to_bits(), b.real.to_bits());
             assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
-        }
-
-        let e_seq = ablation_ensemble(&kb, 2, 1);
-        let e_par = ablation_ensemble(&kb, 2, 4);
-        assert_eq!(e_seq.len(), e_par.len());
-        for (a, b) in e_seq.iter().zip(&e_par) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-            assert_eq!(a.2.to_bits(), b.2.to_bits());
         }
     }
 
@@ -1745,16 +1648,15 @@ mod tests {
         let total_pct: f64 = f3.bins.iter().map(|(_, p)| p).sum();
         assert!((total_pct - 100.0).abs() < 1e-6);
         assert!((0.0..=1.0).contains(&f3.within_200s));
-        // The per-model summary covers all six models.
-        let summary = fig2_summary(&pts);
-        assert!(matches!(summary, Json::Arr(ref rows) if rows.len() == 6));
-    }
-
-    #[test]
-    fn fig4_speedups_in_paper_band() {
-        let (_, provider, jobs) = small_campaign();
-        for (name, s) in fig4(&jobs, &provider) {
-            assert!((2.0..12.0).contains(&s), "{name}: speedup {s}");
+        // The summary covers all six models, then their average.
+        let Json::Arr(rows) = fig2_summary(&pts) else {
+            panic!("the summary is an array")
+        };
+        assert_eq!(rows.len(), 7);
+        assert_eq!(rows[6].str_at("model"), Ok("Ensemble"));
+        for row in &rows {
+            assert!(row.f64_at("bias").unwrap().is_finite());
+            assert!(row.f64_at("rmse_secs").unwrap() >= 0.0);
         }
     }
 
@@ -1770,18 +1672,6 @@ mod tests {
             c.time_reduction_pct > 0.0,
             "ML should beat the cheapest machine on time: {c:?}"
         );
-    }
-
-    #[test]
-    fn ensemble_ablation_contains_all_rows() {
-        let (kb, _, _) = small_campaign();
-        let rows = ablation_ensemble(&kb, 2, 1);
-        assert_eq!(rows.len(), 7);
-        assert_eq!(rows.last().unwrap().0, "Ensemble");
-        for (_, bias, rmse) in &rows {
-            assert!(bias.is_finite());
-            assert!(*rmse >= 0.0);
-        }
     }
 
     #[test]

@@ -79,3 +79,20 @@ fn runbook_rejects_an_unknown_experiment_name() {
         .expect("runbook starts");
     assert_eq!(status.code(), Some(2));
 }
+
+/// A removed or misspelt driver name is a usage error before any campaign is
+/// built: nothing runs, nothing is printed to stdout and no row is appended.
+#[test]
+fn experiments_rejects_an_unknown_experiment_name() {
+    let (_, path) = temp_registry("unknown-driver");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .env("DISAR_REGISTRY", &path)
+        .args(["--quick", "fig3"])
+        .output()
+        .expect("experiments starts");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment: fig3"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(!path.exists());
+}

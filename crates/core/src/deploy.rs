@@ -974,14 +974,14 @@ mod tests {
             .max_nodes(3)
             .min_kb_samples(5)
             .retrain_every(4)
-            .retrain_mode(RetrainMode::Windowed { window: 64, decay: 0.5 })
+            .retrain_mode(RetrainMode::Windowed { window: 64 })
             .build();
         assert_eq!(p.t_max_secs, 50_000.0);
         assert_eq!(p.epsilon, 0.2);
         assert_eq!(p.max_nodes, 3);
         assert_eq!(p.min_kb_samples, 5);
         assert_eq!(p.retrain_every, 4);
-        assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64, decay: 0.5 });
+        assert_eq!(p.retrain_mode, RetrainMode::Windowed { window: 64 });
         // Unnamed knobs keep the paper defaults.
         let d = DeployPolicy::paper_defaults(50_000.0);
         assert_eq!(
@@ -993,17 +993,17 @@ mod tests {
     #[test]
     fn policy_validates_the_windowed_retrain_mode() {
         let mut p = DeployPolicy::paper_defaults(3_600.0);
-        for (window, decay) in [(0, 0.5), (16, 7.0), (16, f64::NAN)] {
-            p.retrain_mode = RetrainMode::Windowed { window, decay };
-            assert!(p.validate().is_err(), "window {window}, decay {decay}");
-        }
+        p.retrain_mode = RetrainMode::Windowed { window: 0 };
+        assert!(p.validate().is_err());
+        p.retrain_mode = RetrainMode::Windowed { window: 16 };
+        assert!(p.validate().is_ok());
     }
 
     #[test]
     fn unbounded_windowed_policy_matches_default_outcomes() {
-        // Windowed with an unbounded window and no history decay refits on
-        // the whole base from scratch, which is what Full does, so the
-        // entire deploy stream must be bit-identical to a Full policy's.
+        // Windowed with an unbounded window refits on the whole base from
+        // scratch, which is what Full does, so the entire deploy stream must
+        // be bit-identical to a Full policy's.
         let run = |mode: RetrainMode| {
             let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 67);
             let policy = DeployPolicy::builder(50_000.0)
@@ -1021,10 +1021,7 @@ mod tests {
         };
         assert_eq!(
             run(RetrainMode::Full),
-            run(RetrainMode::Windowed {
-                window: usize::MAX,
-                decay: 1.0
-            })
+            run(RetrainMode::Windowed { window: usize::MAX })
         );
     }
 

@@ -40,39 +40,28 @@ pub enum RetrainMode {
     /// state — the from-scratch reference the incremental path is measured
     /// against.
     Full,
-    /// Refit every member from scratch on the last `window` records plus a
-    /// seeded `decay`-fraction subsample of the older history
-    /// ([`disar_ml::Dataset::decayed_window`]) — the drift-recovery mode:
-    /// after a regime change the stale prefix is down-weighted instead of
-    /// dominating the fit. `window: usize::MAX` (or `decay: 1.0`) keeps
-    /// everything, making the retrain bit-identical to
+    /// Refit every member from scratch on the last `window` records alone
+    /// — the drift-recovery mode: after a regime change the stale prefix
+    /// drops out of the fit instead of dominating it. `window: usize::MAX`
+    /// keeps everything, making the retrain bit-identical to
     /// [`RetrainMode::Full`]; the retrain after a genuine windowed fit
     /// falls back to a full refit automatically (the members' fitted
     /// length no longer matches the trained prefix).
     Windowed {
-        /// Number of most-recent records always kept in the training set.
+        /// Number of most-recent records in the training set.
         window: usize,
-        /// Fraction of the pre-window history retained, in `[0, 1]`.
-        decay: f64,
     },
 }
 
 impl RetrainMode {
     /// The one definition of a valid mode, read by
     /// [`PredictorFamily::retrain`] and by a deploy policy's validation: a
-    /// window must be non-empty and its decay in `[0, 1]` (NaN is not).
+    /// window must be non-empty.
     pub(crate) fn validate(self) -> Result<(), CoreError> {
-        if let RetrainMode::Windowed { window, decay } = self {
-            if window == 0 {
-                return Err(CoreError::InvalidParameter(
-                    "windowed retrain needs a non-empty window",
-                ));
-            }
-            if !(0.0..=1.0).contains(&decay) {
-                return Err(CoreError::InvalidParameter(
-                    "windowed decay must be in [0, 1]",
-                ));
-            }
+        if matches!(self, RetrainMode::Windowed { window: 0 }) {
+            return Err(CoreError::InvalidParameter(
+                "windowed retrain needs a non-empty window",
+            ));
         }
         Ok(())
     }
@@ -165,8 +154,6 @@ pub struct PredictorFamily {
     /// gates the incremental retrain path.
     trained_fingerprint: u64,
     min_samples: usize,
-    /// Family seed, reused to key the windowed-retrain history subsample.
-    seed: u64,
 }
 
 impl PredictorFamily {
@@ -181,7 +168,6 @@ impl PredictorFamily {
             trained_on: 0,
             trained_fingerprint: 0,
             min_samples: min_samples.max(2),
-            seed,
         }
     }
 
@@ -270,9 +256,9 @@ impl PredictorFamily {
             && Self::fingerprint(data, from) == self.trained_fingerprint;
         let windowed;
         let train = match mode {
-            RetrainMode::Windowed { window, decay } => {
+            RetrainMode::Windowed { window } => {
                 let start = data.len().saturating_sub(window);
-                windowed = data.decayed_window(start, decay, self.seed);
+                windowed = data.filter(|i| i >= start);
                 &windowed
             }
             _ => data,
@@ -595,9 +581,14 @@ mod tests {
     }
 
     /// The family's MLP replaced by a cold fit on `fits[0]` continued over
-    /// each later base in turn, as the incremental retrain does it.
-    fn with_continued_mlp(mut fam: PredictorFamily, fits: &[KnowledgeBase]) -> PredictorFamily {
-        let mut mlp = default_family(fam.seed).remove(0);
+    /// each later base in turn, as the incremental retrain of a family of
+    /// `seed` does it.
+    fn with_continued_mlp(
+        mut fam: PredictorFamily,
+        seed: u64,
+        fits: &[KnowledgeBase],
+    ) -> PredictorFamily {
+        let mut mlp = default_family(seed).remove(0);
         assert_eq!(mlp.name(), "MLP");
         let mut from = 0;
         for kb in fits {
@@ -623,7 +614,7 @@ mod tests {
         assert_eq!(inc.trained_on(), 80);
         let mut full = PredictorFamily::new(3, 2);
         full.retrain(&filled_kb(80), RetrainMode::Full, 1).unwrap();
-        let full = with_continued_mlp(full, &[filled_kb(50), filled_kb(80)]);
+        let full = with_continued_mlp(full, 3, &[filled_kb(50), filled_kb(80)]);
         assert_families_identical(&inc, &full, "incremental vs full");
     }
 
@@ -642,7 +633,7 @@ mod tests {
         let cold = full.predict_each(&profile(180), inst, 2).unwrap()[0].1;
         let warm = fam.predict_each(&profile(180), inst, 2).unwrap()[0].1;
         assert_ne!(cold.to_bits(), warm.to_bits(), "the MLP was refitted cold");
-        let continued = with_continued_mlp(full, &[head, all]);
+        let continued = with_continued_mlp(full, 6, &[head, all]);
         assert_families_identical(&fam, &continued, "full prefix, then incremental");
     }
 
@@ -666,35 +657,21 @@ mod tests {
     fn unbounded_window_matches_full_refit_bitwise() {
         let kb = filled_kb(120);
         let mut win = PredictorFamily::new(3, 2);
-        win.retrain(
-            &kb,
-            RetrainMode::Windowed {
-                window: usize::MAX,
-                decay: 1.0,
-            },
-            1,
-        )
-        .unwrap();
+        win.retrain(&kb, RetrainMode::Windowed { window: usize::MAX }, 1)
+            .unwrap();
         let mut full = PredictorFamily::new(3, 2);
         full.retrain(&kb, RetrainMode::Full, 1).unwrap();
         assert_eq!(win.trained_on(), full.trained_on());
-        assert_families_identical(&win, &full, "windowed(∞, 1.0) vs full");
-
-        // decay = 1.0 alone also keeps everything, regardless of window.
-        let mut decayed = PredictorFamily::new(3, 2);
-        decayed
-            .retrain(&kb, RetrainMode::Windowed { window: 10, decay: 1.0 }, 1)
-            .unwrap();
-        assert_families_identical(&decayed, &full, "windowed(10, 1.0) vs full");
+        assert_families_identical(&win, &full, "windowed(∞) vs full");
     }
 
     #[test]
     fn windowed_retrain_trains_on_the_window() {
         // A genuine window must match a from-scratch fit on just the
-        // suffix (decay = 0 keeps no history at all).
+        // suffix.
         let kb = filled_kb(150);
         let mut win = PredictorFamily::new(3, 2);
-        win.retrain(&kb, RetrainMode::Windowed { window: 40, decay: 0.0 }, 1)
+        win.retrain(&kb, RetrainMode::Windowed { window: 40 }, 1)
             .unwrap();
         assert_eq!(win.trained_on(), 150);
         let mut suffix_kb = KnowledgeBase::new();
@@ -716,12 +693,8 @@ mod tests {
         // `trained_on`; the next incremental retrain must not splice new
         // rows onto that state but refit from scratch.
         let mut fam = PredictorFamily::new(8, 2);
-        fam.retrain(
-            &filled_kb(100),
-            RetrainMode::Windowed { window: 30, decay: 0.1 },
-            1,
-        )
-        .unwrap();
+        fam.retrain(&filled_kb(100), RetrainMode::Windowed { window: 30 }, 1)
+            .unwrap();
         // The members that extend a fit exactly, the forest among them, each
         // cover the window's rows, not the 100 the family was retrained on.
         let mut exact = Vec::new();
@@ -744,12 +717,10 @@ mod tests {
     fn windowed_retrain_validates_parameters() {
         let mut fam = PredictorFamily::new(3, 2);
         let kb = filled_kb(50);
-        for (window, decay) in [(0, 0.5), (10, 1.5), (10, f64::NAN)] {
-            assert!(matches!(
-                fam.retrain(&kb, RetrainMode::Windowed { window, decay }, 1),
-                Err(CoreError::InvalidParameter(_))
-            ));
-        }
+        assert!(matches!(
+            fam.retrain(&kb, RetrainMode::Windowed { window: 0 }, 1),
+            Err(CoreError::InvalidParameter(_))
+        ));
         assert!(!fam.is_trained());
     }
 

@@ -175,44 +175,6 @@ impl Dataset {
         }
         out
     }
-
-    /// The full suffix `start..` plus a deterministic `decay`-fraction
-    /// subsample of the `..start` prefix, in original row order — the
-    /// training set of a windowed retrain over a drifting target.
-    ///
-    /// `decay` is the fraction of pre-window history retained
-    /// (`⌈decay · start⌉` rows drawn without replacement, order
-    /// preserved): `0.0` trains on the window alone, `1.0` keeps every
-    /// prefix row — in which case (or when `start == 0`) the result is
-    /// the *whole dataset, bit for bit*, so a windowed fit with
-    /// `decay = 1.0` or an unbounded window is bit-identical to a full
-    /// refit. The subsample is a pure function of `(seed, start, len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > self.len()` or `decay` is outside `[0, 1]`.
-    pub fn decayed_window(&self, start: usize, decay: f64, seed: u64) -> Dataset {
-        assert!(start <= self.len(), "window starts past the end");
-        assert!(
-            (0.0..=1.0).contains(&decay),
-            "decay must be in [0, 1], got {decay}"
-        );
-        let keep = (decay * start as f64).ceil() as usize;
-        let mut idx: Vec<usize> = (0..start).collect();
-        if keep < start {
-            let mut rng = stream_rng(seed, 0xDECA);
-            rng.shuffle(&mut idx);
-            idx.truncate(keep);
-            idx.sort_unstable();
-        }
-        idx.extend(start..self.len());
-        let mut out = Dataset::new(self.feature_names.clone());
-        for i in idx {
-            out.rows.push(self.rows[i].clone());
-            out.targets.push(self.targets[i]);
-        }
-        out
-    }
 }
 
 /// Per-column min–max scaler mapping each feature to `[0, 1]`, the
@@ -488,42 +450,6 @@ pub(crate) mod tests {
         assert!(d.split(0.0, 1).is_err());
         assert!(d.split(1.0, 1).is_err());
         assert!(toy(1).split(0.5, 1).is_err());
-    }
-
-    #[test]
-    fn decayed_window_full_decay_is_identity() {
-        let d = toy(60);
-        // decay = 1.0 keeps the whole prefix — bit-identical to the data.
-        assert_eq!(d.decayed_window(45, 1.0, 9), d);
-        // start = 0: pure suffix, again the whole dataset.
-        assert_eq!(d.decayed_window(0, 0.0, 9), d);
-    }
-
-    #[test]
-    fn decayed_window_keeps_suffix_and_decays_prefix() {
-        let d = toy(100);
-        let w1 = d.decayed_window(80, 0.25, 4);
-        let w2 = d.decayed_window(80, 0.25, 4);
-        assert_eq!(w1, w2);
-        // ⌈0.25 × 80⌉ = 20 prefix rows plus the 20-row window.
-        assert_eq!(w1.len(), 40);
-        assert_eq!(&w1.targets()[20..], &d.targets()[80..]);
-        // Retained history keeps its original relative order.
-        assert!(w1.targets()[..20].windows(2).all(|w| w[0] < w[1]));
-        assert_ne!(w1, d.decayed_window(80, 0.25, 5));
-    }
-
-    #[test]
-    fn decayed_window_zero_decay_is_pure_window() {
-        let d = toy(30);
-        let w = d.decayed_window(25, 0.0, 1);
-        assert_eq!(w.targets(), &d.targets()[25..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay must be in [0, 1]")]
-    fn decayed_window_rejects_bad_decay() {
-        toy(10).decayed_window(5, 1.5, 0);
     }
 
     #[test]

@@ -172,9 +172,11 @@ struct Found {
 /// rows ([`run`]), then once on the rows after them, padded to a full run
 /// ([`padded_tail`]). Separate reference parameters tell the compiler that
 /// the sums and the columns do not overlap, so the body's loop over the lanes
-/// becomes one vector instruction per operation with the sums in registers;
-/// a closure, an array of references, or a `map` over the sums leaves it a
-/// scalar loop over sums in memory.
+/// becomes one vector instruction per operation with the sums in registers.
+/// A `map` over the sums, or the body written inline in the loop over the
+/// runs, leaves it a scalar loop over sums in memory; a closure per run
+/// compiled to the same 46 `vaddpd` and 42 `vmulpd` on `zmm` as the fn
+/// (rustc 1.95).
 const LANES: usize = 8;
 
 /// One value per lane.

@@ -378,11 +378,11 @@ fn richer_market_model_increases_scr_inputs() {
 /// Mean decision regret of the greedy ML deploys of a paper-default
 /// campaign of 60 deploys with `T_max` = 2000 s, and the deadline misses of
 /// its ML deploys. The regret of a deploy is the noise-free cost of the cell
-/// Algorithm 1 chose over the cheapest deadline-feasible cell's
-/// (`CloudProvider::oracle_plan` on both), so the run's jitter and the
-/// ε-explored deploys take no part in it.
+/// Algorithm 1 chose over the cheapest deadline-feasible cell's (both read
+/// from an `Oracle`), so the run's jitter and the ε-explored deploys take no
+/// part in it.
 fn paper_loop_decision_quality(seed: u64) -> (f64, usize) {
-    use disar_bench::campaign::{paper_eeb_jobs, CampaignConfig};
+    use disar_bench::campaign::{paper_eeb_jobs, CampaignConfig, Oracle};
 
     let t_max = 2000.0;
     let cfg = CampaignConfig {
@@ -395,19 +395,12 @@ fn paper_loop_decision_quality(seed: u64) -> (f64, usize) {
     };
     let jobs = paper_eeb_jobs(&cfg);
     let catalog = InstanceCatalog::paper_catalog();
-    let oracle = CloudProvider::new(catalog.clone(), seed);
     let policy = DeployPolicy {
         n_threads: 1,
         ..DeployPolicy::paper_defaults(t_max)
     };
-    let mut deployer =
-        TransparentDeployer::new(CloudProvider::new(catalog.clone(), seed), policy, seed);
-    let cost = |name: &str, nodes: usize, job: &disar_bench::campaign::EebJob| {
-        let plan = oracle
-            .oracle_plan(name, nodes, &job.workload, 0)
-            .expect("catalog cell");
-        (plan.duration_secs <= t_max).then_some(plan.prorated_cost)
-    };
+    let oracle = Oracle::new(CloudProvider::new(catalog.clone(), seed), policy.max_nodes);
+    let mut deployer = TransparentDeployer::new(CloudProvider::new(catalog, seed), policy, seed);
     let (mut regret, mut greedy, mut misses) = (0.0, 0usize, 0usize);
     for i in 0..60 {
         let job = &jobs[i % jobs.len()];
@@ -421,16 +414,11 @@ fn paper_loop_decision_quality(seed: u64) -> (f64, usize) {
         if out.mode != DeployMode::MlGreedy {
             continue;
         }
-        let cheapest = catalog
-            .names()
-            .iter()
-            .flat_map(|name| (1..=policy.max_nodes).filter_map(move |n| cost(name, n, job)))
-            .fold(f64::INFINITY, f64::min);
-        let chosen = oracle
-            .oracle_plan(&out.report.instance, out.report.n_nodes, &job.workload, 0)
-            .expect("chosen cell")
-            .prorated_cost;
-        regret += chosen / cheapest - 1.0;
+        let (_, cheapest) = oracle
+            .cheapest(&job.workload, t_max, 0)
+            .expect("a cell meets the deadline");
+        let chosen = oracle.plan(&out.report.instance, out.report.n_nodes, &job.workload, 0);
+        regret += chosen.prorated_cost / cheapest.prorated_cost - 1.0;
         greedy += 1;
     }
     assert!(greedy > 0, "seed {seed}: no greedy ML deploy");
