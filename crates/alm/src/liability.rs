@@ -166,14 +166,13 @@ impl ValuationPanels {
     /// Fills the panels for `n_paths` inner paths opening at rate
     /// `rate_start`, each drawn one policy year at a time from `law`.
     ///
-    /// Path `q` takes `3 · n_years` normals from `stream_rng(seed, q)`; with
-    /// `antithetic`, pair `k` draws from `stream_rng(seed, k)` for paths
-    /// `2k` and `2k + 1`, the second with the normals negated. Per year the
-    /// path's draw gives the equity return `exp(X) − 1` and the average rate
-    /// `Σ / (spy + 1)` to the fund's [`SegregatedFund::close_year`], and the
-    /// trapezoid integral `dt · (Σ − (r_a + r_b)/2)` to the running discount
-    /// integral, whose `exp(−·)` is the year's discount factor. The year
-    /// closes at `r_b`, which opens the next.
+    /// Path `q` takes `3 · n_years` normals from `stream_rng(seed, q)`. Per
+    /// year the path's draw gives the equity return `exp(X) − 1` and the
+    /// average rate `Σ / (spy + 1)` to the fund's
+    /// [`SegregatedFund::close_year`], and the trapezoid integral
+    /// `dt · (Σ − (r_a + r_b)/2)` to the running discount integral, whose
+    /// `exp(−·)` is the year's discount factor. The year closes at `r_b`,
+    /// which opens the next.
     pub(crate) fn fill(
         &mut self,
         fund: &SegregatedFund,
@@ -181,7 +180,6 @@ impl ValuationPanels {
         rate_start: f64,
         seed: u64,
         n_paths: usize,
-        antithetic: bool,
     ) {
         let n_years = law.n_years();
         let points = (law.steps_per_year() + 1) as f64;
@@ -190,26 +188,22 @@ impl ValuationPanels {
         self.draws.resize(3 * n_years, 0.0);
         self.returns.resize(n_years * n_paths, 0.0);
         self.dfs.resize(n_years * n_paths, 0.0);
-        let signs: &[f64] = if antithetic { &[1.0, -1.0] } else { &[1.0] };
         let mut gauss = StandardNormal::new();
-        for unit in 0..n_paths / signs.len() {
-            gauss.fill(&mut stream_rng(seed, unit as u64), &mut self.draws);
-            for (i, &sign) in signs.iter().enumerate() {
-                let q = unit * signs.len() + i;
-                let mut accounts = fund.opening_accounts();
-                let (mut rate, mut integral) = (rate_start, 0.0_f64);
-                for (k, z) in self.draws.chunks(3).enumerate() {
-                    let year = law.draw(rate, [sign * z[0], sign * z[1], sign * z[2]]);
-                    let at = k * n_paths + q;
-                    self.returns[at] = fund.close_year(
-                        &mut accounts,
-                        year.log_return.exp() - 1.0,
-                        year.rate_sum / points,
-                    );
-                    integral += dt * (year.rate_sum - 0.5 * (rate + year.rate_end));
-                    self.dfs[at] = (-integral).exp();
-                    rate = year.rate_end;
-                }
+        for q in 0..n_paths {
+            gauss.fill(&mut stream_rng(seed, q as u64), &mut self.draws);
+            let mut accounts = fund.opening_accounts();
+            let (mut rate, mut integral) = (rate_start, 0.0_f64);
+            for (k, z) in self.draws.chunks(3).enumerate() {
+                let year = law.draw(rate, [z[0], z[1], z[2]]);
+                let at = k * n_paths + q;
+                self.returns[at] = fund.close_year(
+                    &mut accounts,
+                    year.log_return.exp() - 1.0,
+                    year.rate_sum / points,
+                );
+                integral += dt * (year.rate_sum - 0.5 * (rate + year.rate_end));
+                self.dfs[at] = (-integral).exp();
+                rate = year.rate_end;
             }
         }
     }
@@ -560,25 +554,20 @@ mod tests {
     }
 
     /// One inner path's annual fund returns and discount factors, drawn year
-    /// by year from `law` with the normals `z` (negated for an antithetic
-    /// partner), the fund folded and the discount integral summed per year.
+    /// by year from `law` with the normals `z`, the fund folded and the
+    /// discount integral summed per year.
     fn drawn_series(
         fund: &SegregatedFund,
         law: &AnnualRatesEquity,
         rate_start: f64,
         z: &[f64],
-        negate: bool,
     ) -> (Vec<f64>, Vec<f64>) {
         let points = (law.steps_per_year() + 1) as f64;
         let mut accounts = fund.opening_accounts();
         let (mut rate, mut integral) = (rate_start, 0.0);
         let (mut returns, mut dfs) = (Vec::new(), Vec::new());
         for k in 0..law.n_years() {
-            let mut z = [z[3 * k], z[3 * k + 1], z[3 * k + 2]];
-            if negate {
-                z = z.map(|x| -x);
-            }
-            let year = law.draw(rate, z);
+            let year = law.draw(rate, [z[3 * k], z[3 * k + 1], z[3 * k + 2]]);
             let eq_return = year.log_return.exp() - 1.0;
             returns.push(fund.close_year(&mut accounts, eq_return, year.rate_sum / points));
             integral += law.dt() * (year.rate_sum - 0.5 * (rate + year.rate_end));
@@ -601,26 +590,19 @@ mod tests {
             returns: vec![f64::NAN; 3],
             dfs: vec![f64::NAN; 999],
         };
-        for (n_paths, antithetic) in [(7, false), (8, true), (1, false), (2, true)] {
-            panels.fill(&fund, &law, 0.041, 11, n_paths, antithetic);
+        for n_paths in [7, 8, 1, 2] {
+            panels.fill(&fund, &law, 0.041, 11, n_paths);
             assert_eq!(panels.returns.len(), n_paths * n_years);
             assert_eq!(panels.dfs.len(), n_paths * n_years);
-            // Path `q` draws from stream `q`; an antithetic pair `k` from
-            // stream `k`, its second path negated. Year-major: entry
-            // `[k][q]` is path `q`'s year `k + 1`.
+            // Path `q` draws from stream `q`. Year-major: entry `[k][q]` is
+            // path `q`'s year `k + 1`.
             for q in 0..n_paths {
-                let (unit, negate) = if antithetic {
-                    (q / 2, q % 2 == 1)
-                } else {
-                    (q, false)
-                };
                 let mut z = vec![0.0; 3 * n_years];
-                StandardNormal::new().fill(&mut stream_rng(11, unit as u64), &mut z);
-                let (returns, dfs) = drawn_series(&fund, &law, 0.041, &z, negate);
+                StandardNormal::new().fill(&mut stream_rng(11, q as u64), &mut z);
+                let (returns, dfs) = drawn_series(&fund, &law, 0.041, &z);
                 for k in 0..n_years {
                     let at = k * n_paths + q;
-                    let what =
-                        format!("{n_paths} paths, antithetic {antithetic}, path {q} year {k}");
+                    let what = format!("{n_paths} paths, path {q} year {k}");
                     assert_eq!(panels.returns[at].to_bits(), returns[k].to_bits(), "{what}");
                     assert_eq!(panels.dfs[at].to_bits(), dfs[k].to_bits(), "{what}");
                 }
@@ -647,7 +629,7 @@ mod tests {
         let fund = SegregatedFund::italian_typical(20);
         let rate_start = 0.045;
         let mut panels = ValuationPanels::default();
-        panels.fill(&fund, &law, rate_start, 3, PATHS, false);
+        panels.fill(&fund, &law, rate_start, 3, PATHS);
         let mut buf = ScenarioBuffer::new();
         gen.generate_into(
             Measure::RiskNeutral,
@@ -771,7 +753,7 @@ mod tests {
         let (mut phi, mut table) = (vec![f64::NAN; 5], vec![f64::NAN; 40]);
         let mut acc = vec![f64::NAN; positions.len()];
         for n_paths in [1, 9, 50] {
-            panels.fill(&fund, &law, 0.03, 17, n_paths, false);
+            panels.fill(&fund, &law, 0.03, 17, n_paths);
             book.residuals_over_paths(
                 &panels.returns,
                 &panels.dfs,

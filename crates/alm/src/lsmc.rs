@@ -21,14 +21,20 @@
 
 use crate::fund::SegregatedFund;
 use crate::liability::{LiabilityBook, LiabilityPosition, PathValue};
-use crate::nested::{NestedConfig, NestedMonteCarlo, NestedResult};
+use crate::nested::{NestedConfig, NestedMonteCarlo, NestedResult, SCR_CONFIDENCE};
 use crate::AlmError;
 use disar_math::matrix::ridge_least_squares;
-use disar_math::poly::{MultiBasis, PolyFamily};
+use disar_math::poly::MultiBasis;
 use disar_math::stats;
 use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator};
 
-/// Configuration of an LSMC valuation.
+/// Total degree of the Hermite basis the inner value is expanded in.
+const DEGREE: usize = 2;
+
+/// Ridge penalty of the regression (0 would be ordinary least squares).
+const RIDGE: f64 = 1e-8;
+
+/// Configuration of an LSMC valuation. The calibration run is sequential.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LsmcConfig {
     /// Outer paths of the calibration sample (`n'_P`, typically ≪ `nP`).
@@ -37,34 +43,19 @@ pub struct LsmcConfig {
     pub calibration_inner: usize,
     /// Outer paths of the final evaluation (`nP`).
     pub n_outer: usize,
-    /// Total degree of the polynomial basis.
-    pub degree: usize,
-    /// Orthonormal family to expand in.
-    pub family: PolyFamily,
-    /// Ridge regularization of the regression (0 = OLS).
-    pub ridge: f64,
-    /// VaR confidence level.
-    pub confidence: f64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for the calibration stage.
-    pub threads: usize,
 }
 
 impl LsmcConfig {
     /// A sensible default mirroring the paper's setup: calibrate on
-    /// 100 × 50, evaluate on 1000 outer paths, Hermite basis of degree 2.
+    /// 100 × 50, evaluate on 1000 outer paths.
     pub fn paper_defaults(seed: u64) -> Self {
         LsmcConfig {
             calibration_outer: 100,
             calibration_inner: 50,
             n_outer: 1000,
-            degree: 2,
-            family: PolyFamily::Hermite,
-            ridge: 1e-8,
-            confidence: 0.995,
             seed,
-            threads: 1,
         }
     }
 }
@@ -111,10 +102,8 @@ impl<'a> Lsmc<'a> {
         let calib_cfg = NestedConfig {
             n_outer: config.calibration_outer,
             n_inner: config.calibration_inner,
-            confidence: config.confidence,
             seed: config.seed ^ 0xCA11_B0A7,
-            threads: config.threads,
-            antithetic: false,
+            threads: 1,
         };
         // Its outer set stays in `buf` for the endpoint states; one buffer
         // holds the calibration set, then the evaluation set.
@@ -154,11 +143,11 @@ impl<'a> Lsmc<'a> {
         };
 
         // 2. Regression of Y_1 on the polynomial basis.
-        let basis = MultiBasis::new(config.family, dim, config.degree);
+        let basis = MultiBasis::new(dim, DEGREE);
         let design_rows: Vec<Vec<f64>> =
             calib_states.iter().map(|s| standardize(s)).collect();
         let design = basis.design_matrix(&design_rows);
-        let beta = ridge_least_squares(&design, &calib.y1, config.ridge)?;
+        let beta = ridge_least_squares(&design, &calib.y1, RIDGE)?;
 
         // 3. Evaluation: full nP outer set, expansion instead of inner sims.
         self.outer.generate_into(
@@ -196,7 +185,7 @@ impl<'a> Lsmc<'a> {
         }
 
         let mean = stats::mean(&y1);
-        let var_quantile = stats::quantile(&y1, config.confidence);
+        let var_quantile = stats::quantile(&y1, SCR_CONFIDENCE);
         let avg_df = stats::mean(&dfs);
         Ok(NestedResult {
             scr: (var_quantile - mean) * avg_df,
@@ -254,12 +243,7 @@ mod tests {
             calibration_outer: 40,
             calibration_inner: 10,
             n_outer: 120,
-            degree: 2,
-            family: PolyFamily::Hermite,
-            ridge: 1e-8,
-            confidence: 0.995,
             seed,
-            threads: 1,
         }
     }
 
@@ -277,10 +261,8 @@ mod tests {
                 &NestedConfig {
                     n_outer: 120,
                     n_inner: 20,
-                    confidence: 0.995,
                     seed: 3,
                     threads: 1,
-                    antithetic: false,
                 },
             )
             .unwrap();
@@ -316,10 +298,8 @@ mod tests {
                 &NestedConfig {
                     n_outer: 400,
                     n_inner: 20,
-                    confidence: 0.995,
                     seed: 3,
                     threads: 1,
-                    antithetic: false,
                 },
             )
             .unwrap();

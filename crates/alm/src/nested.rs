@@ -41,6 +41,11 @@ use disar_math::stats;
 use disar_stochastic::annual::AnnualRatesEquity;
 use disar_stochastic::scenario::{Measure, ScenarioBuffer, ScenarioGenerator, ScenarioView};
 
+/// The confidence level of the one-year VaR that defines the SCR, fixed by
+/// the Solvency II Directive: the nested run, LSMC and the master's
+/// aggregate all take their quantile here.
+pub const SCR_CONFIDENCE: f64 = 0.995;
+
 /// Configuration of a nested run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NestedConfig {
@@ -48,30 +53,21 @@ pub struct NestedConfig {
     pub n_outer: usize,
     /// Number of inner (risk-neutral) paths `nQ` per outer path.
     pub n_inner: usize,
-    /// Confidence level of the VaR (Solvency II: 0.995).
-    pub confidence: f64,
     /// Master seed; outer/inner streams are derived deterministically.
     pub seed: u64,
     /// Worker threads for the outer loop (1 = sequential).
     pub threads: usize,
-    /// Use antithetic variates for the *inner* (risk-neutral) stage:
-    /// `n_inner` paths are generated as `n_inner / 2` mirrored pairs,
-    /// cutting the inner Monte Carlo error at equal cost. Requires an even
-    /// `n_inner`.
-    pub antithetic: bool,
 }
 
 impl NestedConfig {
     /// The paper's experimental setting: `nQ = 50` inner iterations,
-    /// `nP = 1000` natural iterations, 99.5 % confidence, sequential.
+    /// `nP = 1000` natural iterations, sequential.
     pub fn paper_defaults(seed: u64) -> Self {
         NestedConfig {
             n_outer: 1000,
             n_inner: 50,
-            confidence: 0.995,
             seed,
             threads: 1,
-            antithetic: false,
         }
     }
 
@@ -81,16 +77,8 @@ impl NestedConfig {
                 "n_outer and n_inner must be > 0",
             ));
         }
-        if !(0.0 < self.confidence && self.confidence < 1.0) {
-            return Err(AlmError::InvalidParameter("confidence must be in (0, 1)"));
-        }
         if self.threads == 0 {
             return Err(AlmError::InvalidParameter("threads must be > 0"));
-        }
-        if self.antithetic && !self.n_inner.is_multiple_of(2) {
-            return Err(AlmError::InvalidParameter(
-                "antithetic inner sampling needs an even n_inner",
-            ));
         }
         Ok(())
     }
@@ -103,7 +91,7 @@ pub struct NestedResult {
     pub y1: Vec<f64>,
     /// Mean of `y1`.
     pub mean: f64,
-    /// Quantile of `y1` at the configured confidence.
+    /// Quantile of `y1` at [`SCR_CONFIDENCE`].
     pub var_quantile: f64,
     /// Solvency Capital Requirement: `(quantile − mean)` discounted to 0 at
     /// the average outer-path discount factor.
@@ -309,7 +297,7 @@ impl<'a> NestedMonteCarlo<'a> {
             .map(|b| {
                 let y1 = column(b, |v| v.y1);
                 let mean = stats::mean(&y1);
-                let var_quantile = stats::quantile(&y1, config.confidence);
+                let var_quantile = stats::quantile(&y1, SCR_CONFIDENCE);
                 NestedResult {
                     mean,
                     var_quantile,
@@ -358,14 +346,8 @@ impl<'a> NestedMonteCarlo<'a> {
         // rate at t = 1, drawn year by year into the workspace's panels.
         let r1 = outer.value(p, self.rate_driver, outer.grid().steps_per_year());
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
-        ws.panels.fill(
-            self.fund,
-            &self.inner_years,
-            r1,
-            inner_seed,
-            config.n_inner,
-            config.antithetic,
-        );
+        ws.panels
+            .fill(self.fund, &self.inner_years, r1, inner_seed, config.n_inner);
 
         // Each pair's discounted `Φ` summed over the paths once, and each
         // position valued against its pair's sums.
@@ -431,10 +413,8 @@ mod tests {
         NestedConfig {
             n_outer: 60,
             n_inner: 20,
-            confidence: 0.995,
             seed,
             threads: 1,
-            antithetic: false,
         }
     }
 
@@ -443,7 +423,6 @@ mod tests {
         let c = NestedConfig::paper_defaults(1);
         assert_eq!(c.n_outer, 1000);
         assert_eq!(c.n_inner, 50);
-        assert_eq!(c.confidence, 0.995);
     }
 
     #[test]
@@ -518,26 +497,19 @@ mod tests {
         ];
         let refs: Vec<&[LiabilityPosition]> = blocks.iter().map(Vec::as_slice).collect();
         for threads in [1, 2, 3] {
-            for antithetic in [false, true] {
-                let config = NestedConfig {
-                    n_outer: 7,
-                    n_inner: 6,
-                    threads,
-                    antithetic,
-                    ..small_config(19)
-                };
-                let shared = mc.run_blocks(&refs, &config).unwrap();
-                assert_eq!(shared.len(), blocks.len());
-                let mut solo = config;
-                solo.threads = 1;
-                for (block, res) in blocks.iter().zip(&shared) {
-                    let alone = mc.run(block, &solo).unwrap();
-                    assert_eq!(
-                        bits(res),
-                        bits(&alone),
-                        "threads {threads} antithetic {antithetic}"
-                    );
-                }
+            let config = NestedConfig {
+                n_outer: 7,
+                n_inner: 6,
+                threads,
+                ..small_config(19)
+            };
+            let shared = mc.run_blocks(&refs, &config).unwrap();
+            assert_eq!(shared.len(), blocks.len());
+            let mut solo = config;
+            solo.threads = 1;
+            for (block, res) in blocks.iter().zip(&shared) {
+                let alone = mc.run(block, &solo).unwrap();
+                assert_eq!(bits(res), bits(&alone), "threads {threads}");
             }
         }
     }
@@ -591,7 +563,6 @@ mod tests {
         for bad in [
             NestedConfig { n_outer: 0, ..small_config(1) },
             NestedConfig { n_inner: 0, ..small_config(1) },
-            NestedConfig { confidence: 1.0, ..small_config(1) },
             NestedConfig { threads: 0, ..small_config(1) },
         ] {
             assert!(mc.run(&pos, &bad).is_err());
@@ -658,72 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn antithetic_inner_sampling_matches_plain_mean() {
-        let (outer, inner) = generators(8.0);
-        let fund = SegregatedFund::italian_typical(10);
-        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
-        let pos = positions(8);
-        let plain = mc.run(&pos, &small_config(11)).unwrap();
-        let anti = mc
-            .run(
-                &pos,
-                &NestedConfig {
-                    antithetic: true,
-                    ..small_config(11)
-                },
-            )
-            .unwrap();
-        // Same estimand: means agree within Monte Carlo noise.
-        let rel = (anti.mean - plain.mean).abs() / plain.mean;
-        assert!(rel < 0.05, "plain {} vs antithetic {}", plain.mean, anti.mean);
-        assert_eq!(anti.y1.len(), plain.y1.len());
-    }
-
-    #[test]
-    fn antithetic_inner_sampling_reduces_variance_across_seeds() {
-        // The spread of `mean Y_1` over 40 seeds at equal `n_inner`. With 20
-        // outer paths of 8 inner ones the inner noise is most of it, and the
-        // mirrored pairs cut the variance to 0.38 of the plain runs' here
-        // (0.32 to 0.47 on other runs of 40 seeds).
-        let (outer, inner) = generators(8.0);
-        let fund = SegregatedFund::italian_typical(10);
-        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
-        let pos = positions(8);
-        let variance = |antithetic: bool| {
-            let means: Vec<f64> = (1000..1040)
-                .map(|seed| {
-                    let config = NestedConfig {
-                        n_outer: 20,
-                        n_inner: 8,
-                        antithetic,
-                        ..small_config(seed)
-                    };
-                    mc.run(&pos, &config).unwrap().mean
-                })
-                .collect();
-            stats::variance(&means)
-        };
-        let (plain, anti) = (variance(false), variance(true));
-        assert!(
-            anti < plain,
-            "variance of mean Y_1: antithetic {anti} vs plain {plain}"
-        );
-    }
-
-    #[test]
-    fn antithetic_requires_even_inner_count() {
-        let (outer, inner) = generators(5.0);
-        let fund = SegregatedFund::italian_typical(10);
-        let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).unwrap();
-        let bad = NestedConfig {
-            n_inner: 7,
-            antithetic: true,
-            ..small_config(1)
-        };
-        assert!(mc.run(&positions(5), &bad).is_err());
-    }
-
-    #[test]
     fn workspace_reuse_across_runs_matches_fresh_workspaces() {
         let (outer, inner) = generators(8.0);
         let fund = SegregatedFund::italian_typical(10);
@@ -733,13 +638,13 @@ mod tests {
         // Two successive runs through the same workspace — including a
         // config change in between — must equal fresh-workspace runs.
         let first = mc.run_with_workspace(&pos, &small_config(3), &mut ws).unwrap();
-        let anti_cfg = NestedConfig {
-            antithetic: true,
+        let other_cfg = NestedConfig {
+            n_inner: 7,
             ..small_config(7)
         };
-        let second = mc.run_with_workspace(&pos, &anti_cfg, &mut ws).unwrap();
+        let second = mc.run_with_workspace(&pos, &other_cfg, &mut ws).unwrap();
         assert_eq!(first, mc.run(&pos, &small_config(3)).unwrap());
-        assert_eq!(second, mc.run(&pos, &anti_cfg).unwrap());
+        assert_eq!(second, mc.run(&pos, &other_cfg).unwrap());
     }
 
     #[test]

@@ -184,10 +184,8 @@ mod tests {
                 &NestedConfig {
                     n_outer: 80,
                     n_inner: 20,
-                    confidence: 0.995,
                     seed: 3,
                     threads: 1,
-                    antithetic: false,
                 },
             )
             .unwrap();

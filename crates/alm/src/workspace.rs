@@ -66,8 +66,6 @@ impl ValuationWorkspace {
         let mut ws = Self::default();
         let inner_years = inner.grid().n_steps() / inner.grid().steps_per_year();
         let outer_years = outer.grid().n_steps() / outer.grid().steps_per_year();
-        // Antithetic runs draw 2 · (n_inner / 2) = n_inner paths, so the
-        // panels have the same shape either way.
         ws.panels.reserve(config.n_inner, inner_years);
         ws.phi.reserve(config.n_inner);
         ws.table.reserve(n_positions * inner_years);

@@ -105,45 +105,41 @@ fn steady_state_inner_loop_is_allocation_free() {
 
     // The run goes through the block kernels and the year-major panels —
     // the very code this gate must keep allocation-free.
-    let config = |n_outer, n_inner, antithetic| NestedConfig {
+    let config = |n_outer, n_inner| NestedConfig {
         n_outer,
         n_inner,
-        confidence: 0.995,
         seed: 17,
         threads: 1,
-        antithetic,
     };
 
-    for antithetic in [false, true] {
-        let small = config(8, 6, antithetic);
-        let large = config(40, 30, antithetic);
-        let mut ws = mc.workspace_for(&large, pos.len());
+    let small = config(8, 6);
+    let large = config(40, 30);
+    let mut ws = mc.workspace_for(&large, pos.len());
 
-        // Warm-up: both shapes fill the workspace once so later runs are
-        // steady-state.
-        mc.run_with_workspace(&pos, &small, &mut ws).unwrap();
-        mc.run_with_workspace(&pos, &large, &mut ws).unwrap();
+    // Warm-up: both shapes fill the workspace once so later runs are
+    // steady-state.
+    mc.run_with_workspace(&pos, &small, &mut ws).unwrap();
+    mc.run_with_workspace(&pos, &large, &mut ws).unwrap();
 
-        let (small_res, small_allocs) =
-            count_allocations(|| mc.run_with_workspace(&pos, &small, &mut ws).unwrap());
-        let (large_res, large_allocs) =
-            count_allocations(|| mc.run_with_workspace(&pos, &large, &mut ws).unwrap());
+    let (small_res, small_allocs) =
+        count_allocations(|| mc.run_with_workspace(&pos, &small, &mut ws).unwrap());
+    let (large_res, large_allocs) =
+        count_allocations(|| mc.run_with_workspace(&pos, &large, &mut ws).unwrap());
 
-        // Sanity: the measured runs are real runs.
-        assert_eq!(small_res.y1.len(), 8);
-        assert_eq!(large_res.y1.len(), 40);
+    // Sanity: the measured runs are real runs.
+    assert_eq!(small_res.y1.len(), 8);
+    assert_eq!(large_res.y1.len(), 40);
 
-        // 40·30 − 8·6 = 1152 extra inner paths. If even one allocation per
-        // inner path (or per outer path) survived in the kernels, the large
-        // run's count would exceed the small run's by hundreds; the
-        // per-run bookkeeping (outer set, shifted schedules, result
-        // vectors) is identical in *count* for both sizes.
-        let leaked = large_allocs.saturating_sub(small_allocs);
-        let extra_inner_paths = (40 * 30 - 8 * 6) as f64;
-        assert!(
-            (leaked as f64) / extra_inner_paths < 0.05,
-            "antithetic={antithetic}: {leaked} extra allocations across {extra_inner_paths} \
-             extra inner paths (small run: {small_allocs}, large run: {large_allocs})"
-        );
-    }
+    // 40·30 − 8·6 = 1152 extra inner paths. If even one allocation per
+    // inner path (or per outer path) survived in the kernels, the large
+    // run's count would exceed the small run's by hundreds; the per-run
+    // bookkeeping (outer set, shifted schedules, result vectors) is
+    // identical in *count* for both sizes.
+    let leaked = large_allocs.saturating_sub(small_allocs);
+    let extra_inner_paths = (40 * 30 - 8 * 6) as f64;
+    assert!(
+        (leaked as f64) / extra_inner_paths < 0.05,
+        "{leaked} extra allocations across {extra_inner_paths} extra inner paths \
+         (small run: {small_allocs}, large run: {large_allocs})"
+    );
 }

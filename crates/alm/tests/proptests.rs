@@ -8,7 +8,7 @@ use disar_actuarial::mortality::{Gender, LifeTable};
 use disar_alm::liability::{
     shift_schedule, value_positions_all_paths, value_positions_on_path, LiabilityPosition,
 };
-use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
+use disar_alm::nested::{NestedConfig, NestedMonteCarlo, SCR_CONFIDENCE};
 use disar_alm::SegregatedFund;
 use disar_math::check::{cases, vec_of};
 use disar_math::parallel::parallel_map;
@@ -199,8 +199,8 @@ fn reference_nested(
             phi1.push(phi);
         }
         // The inner paths open at the outer path's rate at t = 1 and are
-        // drawn a policy year at a time: path `q` (pair `q / 2`, its second
-        // path negated) takes three normals a year from its stream.
+        // drawn a policy year at a time: path `q` takes three normals a year
+        // from its stream.
         let rate_start = outer_set.value(p, 0, spy);
         let inner_seed = split_seed(config.seed ^ 0x1AAE_5EED, p as u64);
         let law = inner
@@ -209,16 +209,8 @@ fn reference_nested(
         let points = (law.steps_per_year() + 1) as f64;
         let series: Vec<(Vec<f64>, Vec<f64>)> = (0..config.n_inner)
             .map(|q| {
-                let (unit, negate) = if config.antithetic {
-                    (q / 2, q % 2 == 1)
-                } else {
-                    (q, false)
-                };
                 let mut z = vec![0.0; 3 * law.n_years()];
-                StandardNormal::new().fill(&mut stream_rng(inner_seed, unit as u64), &mut z);
-                if negate {
-                    z.iter_mut().for_each(|x| *x = -*x);
-                }
+                StandardNormal::new().fill(&mut stream_rng(inner_seed, q as u64), &mut z);
                 let mut accounts = fund.opening_accounts();
                 let (mut rate, mut integral) = (rate_start, 0.0);
                 let (mut returns, mut dfs) = (Vec::new(), Vec::new());
@@ -263,7 +255,7 @@ fn reference_nested(
     }
 
     let mean = stats::mean(&y1);
-    let var_quantile = stats::quantile(&y1, config.confidence);
+    let var_quantile = stats::quantile(&y1, SCR_CONFIDENCE);
     let avg_df = stats::mean(&dfs);
     let scr = (var_quantile - mean) * avg_df;
     let bel = stats::mean(
@@ -277,8 +269,7 @@ fn reference_nested(
 }
 
 /// The workspace-backed nested engine is bit-identical to the allocating
-/// reference — sequential and threaded, plain and antithetic, for arbitrary
-/// seeds and path counts (the reference fills a fresh outer buffer, draws
+/// reference — sequential and threaded, for arbitrary seeds and path counts (the reference fills a fresh outer buffer, draws
 /// each inner path's series on its own and values the positions one by one
 /// from them).
 #[test]
@@ -290,10 +281,8 @@ fn nested_kernel_bitwise_matches_allocating_reference() {
         let config = NestedConfig {
             seed: rng.gen_range(0u64..200),
             n_outer: rng.gen_range(2usize..8),
-            n_inner: 2 * rng.gen_range(1usize..4),
-            antithetic: rng.gen_bool(0.5),
+            n_inner: rng.gen_range(1usize..7),
             threads: rng.gen_range(1usize..4),
-            confidence: 0.995,
         };
         let (y1, mean, scr, bel) = reference_nested(&outer, &inner, &fund, &positions, &config);
         let mc = NestedMonteCarlo::new(&outer, &inner, &fund, 1, 0).expect("engine");
@@ -323,10 +312,8 @@ fn workspace_reuse_never_leaks_state() {
             let config = NestedConfig {
                 seed: rng.gen_range(0u64..100),
                 n_outer: rng.gen_range(2usize..6),
-                n_inner: 2 * rng.gen_range(1usize..3),
-                antithetic: rng.gen_bool(0.5),
+                n_inner: rng.gen_range(1usize..5),
                 threads: 1,
-                confidence: 0.995,
             };
             let reused = mc
                 .run_with_workspace(&positions, &config, &mut ws)

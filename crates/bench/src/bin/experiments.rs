@@ -7,12 +7,15 @@
 //! cargo run --release -p disar-bench --bin experiments -- --list
 //! ```
 //!
-//! Flags: `--quick` (CI-sized campaign), `--seed S`, `--threads N`,
-//! `--out FILE` (also dump the produced rows as a pretty JSON array),
-//! `--list` (print registered experiment names and exit). Every run
-//! appends its replayable rows to the append-only registry
-//! (`results/registry.jsonl`, or `$DISAR_REGISTRY` /
-//! `$DISAR_RESULTS_DIR/registry.jsonl`); `runbook` replays them.
+//! Flags: `--quick` (CI-sized campaign), `--seed S`, `--out FILE` (also
+//! dump the produced rows as a pretty JSON array), `--list` (print
+//! registered experiment names and exit). The model fits of `table1` and
+//! `fig2` and the selections of `ablation_deadline` run on every core the
+//! process may use; the rows are the same on any count, and
+//! `taskset -c 0` runs them in sequence. Every run appends its replayable
+//! rows to the append-only registry (`results/registry.jsonl`, or
+//! `$DISAR_REGISTRY` / `$DISAR_RESULTS_DIR/registry.jsonl`); `runbook`
+//! replays them.
 
 use disar_bench::campaign::CampaignConfig;
 use disar_bench::experiments::{by_name, Driver, ExperimentCtx, EXPERIMENTS};
@@ -20,9 +23,7 @@ use disar_bench::registry::{workspace_registry, RegistryRow};
 use disar_math::json::Json;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: experiments [NAME ...] [--quick] [--seed S] [--threads N] [--out FILE] [--list]"
-    );
+    eprintln!("usage: experiments [NAME ...] [--quick] [--seed S] [--out FILE] [--list]");
     std::process::exit(2);
 }
 
@@ -30,7 +31,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -46,10 +46,6 @@ fn main() {
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 seed = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--out" => out = Some(it.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
@@ -84,14 +80,11 @@ fn main() {
     if let Some(s) = seed {
         cfg.seed = s;
     }
-    if let Some(t) = threads {
-        cfg.n_threads = t.max(1);
-    }
     let ctx = ExperimentCtx::new(cfg, quick);
 
     println!(
-        "== DISAR reproduction experiments ==\ncampaign: {} runs, nP={}, nQ={}, seed={}, {} threads\n",
-        ctx.cfg.n_runs, ctx.cfg.n_outer, ctx.cfg.n_inner, ctx.cfg.seed, ctx.cfg.n_threads
+        "== DISAR reproduction experiments ==\ncampaign: {} runs, nP={}, nQ={}, seed={}\n",
+        ctx.cfg.n_runs, ctx.cfg.n_outer, ctx.cfg.n_inner, ctx.cfg.seed
     );
 
     let registry = workspace_registry();

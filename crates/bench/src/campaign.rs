@@ -56,18 +56,10 @@ pub struct CampaignConfig {
     pub max_nodes: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for three fan-outs: the model fits of `table1` and
-    /// `fig2`, and the selections of `ablation_deadline`. Cloud runs, the
-    /// campaign included, are plain loops, and so is every deploy loop. Results are bit-identical for any value; `1` is the
-    /// sequential escape hatch.
-    pub n_threads: usize,
 }
 
 impl Default for CampaignConfig {
     /// §IV: "1500 runs", `nQ = 50`, `nP = 1000 for illustrative purposes".
-    /// `n_threads` (the drivers' model fits and selections) defaults to
-    /// the available cores (results are thread-count invariant; set `1`
-    /// for the sequential escape hatch).
     fn default() -> Self {
         CampaignConfig {
             n_runs: 1500,
@@ -75,7 +67,6 @@ impl Default for CampaignConfig {
             n_inner: 50,
             max_nodes: 8,
             seed: 20160627, // ICDCS 2016 opening day
-            n_threads: disar_math::parallel::default_n_threads(),
         }
     }
 }
@@ -239,7 +230,6 @@ mod tests {
             n_inner: 20,
             max_nodes: 4,
             seed: 7,
-            n_threads: 1,
         }
     }
 

@@ -30,7 +30,7 @@ use disar_core::{
     TimeEstimate,
 };
 use disar_math::json::Json;
-use disar_math::parallel::parallel_map;
+use disar_math::parallel::{default_n_threads, parallel_map};
 use disar_math::rng::stream_rng;
 use disar_math::stats;
 use disar_ml::metrics::evaluate;
@@ -81,7 +81,6 @@ impl ExperimentCtx {
             ("n_inner", self.cfg.n_inner.into()),
             ("max_nodes", self.cfg.max_nodes.into()),
             ("seed", self.cfg.seed.into()),
-            ("n_threads", self.cfg.n_threads.into()),
         ]);
         Json::obj([("campaign", campaign), ("quick", self.quick.into())])
     }
@@ -97,7 +96,6 @@ impl ExperimentCtx {
             n_inner: get("n_inner")? as usize,
             max_nodes: get("max_nodes")? as usize,
             seed: get("seed")?,
-            n_threads: get("n_threads")? as usize,
         };
         let quick = params.at("quick") == Ok(&Json::Bool(true));
         Some(Self { cfg, quick })
@@ -273,7 +271,7 @@ pub fn table1(
 fn table1_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, provider, jobs) = ctx.campaign();
-    let t = table1(&kb, provider.catalog(), ctx.cfg.seed, ctx.cfg.n_threads);
+    let t = table1(&kb, provider.catalog(), ctx.cfg.seed, default_n_threads());
     finish("table1", ctx, Some(&kb), &jobs, &[], t.to_json(), t0)
 }
 
@@ -441,7 +439,7 @@ pub fn fig2_summary(points: &[Fig2Point]) -> Json {
 fn fig2_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, _, jobs) = ctx.campaign();
-    let points = fig2(&kb, ctx.cfg.seed, ctx.cfg.n_threads);
+    let points = fig2(&kb, ctx.cfg.seed, default_n_threads());
     let outputs = Json::obj([
         ("summary", fig2_summary(&points)),
         ("fig3", fig3(&points).to_json()),
@@ -823,7 +821,7 @@ pub fn ablation_deadline(
 fn ablation_deadline_row(ctx: &ExperimentCtx) -> RegistryRow {
     let t0 = Instant::now();
     let (kb, provider, jobs) = ctx.campaign();
-    let rows = ablation_deadline(&kb, &jobs, &provider, ctx.cfg.seed, ctx.cfg.n_threads);
+    let rows = ablation_deadline(&kb, &jobs, &provider, ctx.cfg.seed, default_n_threads());
     let outputs = Json::arr(rows.iter().map(DeadlineRuleAblation::to_json));
     finish("ablation_deadline", ctx, Some(&kb), &jobs, &[], outputs, t0)
 }
@@ -1202,10 +1200,8 @@ pub fn ablation_lsmc(seed: u64) -> LsmcAblation {
             &NestedConfig {
                 n_outer: 300,
                 n_inner: 40,
-                confidence: 0.995,
                 seed,
                 threads: 1,
-                antithetic: false,
             },
         )
         .expect("nested run succeeds");
@@ -1221,7 +1217,6 @@ pub fn ablation_lsmc(seed: u64) -> LsmcAblation {
                 calibration_inner: 40,
                 n_outer: 300,
                 seed,
-                ..LsmcConfig::paper_defaults(seed)
             },
         )
         .expect("LSMC run succeeds");
@@ -1452,7 +1447,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 4,
             seed: 11,
-            n_threads: 1,
         })
     }
 
@@ -1477,7 +1471,6 @@ mod tests {
                 n_inner: 20,
                 max_nodes: 4,
                 seed: 7,
-                n_threads: 1,
             },
             true,
         );
@@ -1487,7 +1480,6 @@ mod tests {
         assert_eq!(back.cfg.n_inner, ctx.cfg.n_inner);
         assert_eq!(back.cfg.max_nodes, ctx.cfg.max_nodes);
         assert_eq!(back.cfg.seed, ctx.cfg.seed);
-        assert_eq!(back.cfg.n_threads, ctx.cfg.n_threads);
         assert_eq!(back.quick, ctx.quick);
         assert_eq!(back.params(), ctx.params());
         assert!(ExperimentCtx::from_params(&Json::obj([("model", "IBk".into())])).is_none());
@@ -1501,7 +1493,6 @@ mod tests {
             n_inner: 20,
             max_nodes: 4,
             seed: 7,
-            n_threads: 1,
         };
         let (kb, _, jobs) = build_knowledge_base(&cfg);
         let digest = |ctx: &ExperimentCtx, jobs: &[EebJob], kb: &KnowledgeBase| {
@@ -1516,13 +1507,12 @@ mod tests {
         assert_ne!(h0, input_hash("table2", &ctx.params(), &jobs, None));
         assert_ne!(h0, input_hash("fig2", &ctx.params(), &jobs, Some(&kb)));
 
-        let fields: [fn(&mut CampaignConfig); 6] = [
+        let fields: [fn(&mut CampaignConfig); 5] = [
             |c| c.n_runs += 1,
             |c| c.n_outer += 1,
             |c| c.n_inner += 1,
             |c| c.max_nodes += 1,
             |c| c.seed += 1,
-            |c| c.n_threads += 1,
         ];
         for (i, bump) in fields.iter().enumerate() {
             let mut moved = cfg;
@@ -1554,7 +1544,6 @@ mod tests {
                 n_inner: 20,
                 max_nodes: 4,
                 seed: 7,
-                n_threads: 1,
             },
             true,
         );
@@ -1682,7 +1671,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 6,
             seed: 17,
-            n_threads: 1,
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let greedy = ablation_epsilon(&cfg, &jobs, 0.0, 120);
@@ -1742,7 +1730,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 4,
             seed: 23,
-            n_threads: 1,
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let lc = learning_curve(&cfg, &jobs, 10);
@@ -1759,7 +1746,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 4,
             seed: 23,
-            n_threads: 1,
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let lc = learning_curve(&cfg, &jobs, 200);
@@ -1781,7 +1767,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 4,
             seed: 29,
-            n_threads: 1,
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let rows = ablation_transfer(&cfg, &jobs, 60);
@@ -1879,7 +1864,6 @@ mod tests {
             n_inner: 30,
             max_nodes: 3,
             seed: 31,
-            n_threads: 1,
         };
         let jobs = crate::campaign::paper_eeb_jobs(&cfg);
         let a = ablation_drift(&cfg, &jobs);

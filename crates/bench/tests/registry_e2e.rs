@@ -24,7 +24,6 @@ fn tiny_ctx() -> ExperimentCtx {
         n_inner: 20,
         max_nodes: 4,
         seed: 7,
-        n_threads: 1,
     };
     ExperimentCtx::new(cfg, true)
 }

@@ -24,7 +24,7 @@ use disar_actuarial::engine::ActuarialEngine;
 use disar_actuarial::lapse::DurationLapse;
 use disar_actuarial::mortality::LifeTable;
 use disar_alm::liability::LiabilityPosition;
-use disar_alm::nested::NestedMonteCarlo;
+use disar_alm::nested::{NestedMonteCarlo, SCR_CONFIDENCE};
 use disar_cloudsim::{CloudProvider, JobReport, Workload};
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ pub struct LocalOutcome {
     pub bel: f64,
     /// Mean of the aggregate `Y_1` distribution.
     pub mean_y1: f64,
-    /// 99.5 % quantile of the aggregate `Y_1` distribution.
+    /// Quantile of the aggregate `Y_1` distribution at [`SCR_CONFIDENCE`].
     pub var_quantile: f64,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
@@ -201,7 +201,7 @@ impl DisarMaster {
             bel += res.bel;
         }
         let mean_y1 = disar_math::stats::mean(&y1_total);
-        let var_quantile = disar_math::stats::quantile(&y1_total, 0.995);
+        let var_quantile = disar_math::stats::quantile(&y1_total, SCR_CONFIDENCE);
         // Approximate aggregate discount with BEL/mean ratio when positive.
         let avg_df = if mean_y1 > 0.0 {
             (bel / mean_y1).min(1.0)
@@ -368,7 +368,7 @@ mod tests {
             bel += res.bel;
         }
         let mean_y1 = disar_math::stats::mean(&y1_total);
-        let var_quantile = disar_math::stats::quantile(&y1_total, 0.995);
+        let var_quantile = disar_math::stats::quantile(&y1_total, SCR_CONFIDENCE);
         let avg_df = if mean_y1 > 0.0 {
             (bel / mean_y1).min(1.0)
         } else {
@@ -403,6 +403,34 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads {threads}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn one_block_takes_the_nested_runs_confidence_level() {
+        // With one type-B block the aggregate is that block's `Y_1`, so the
+        // master's quantile and the nested run's are of the same numbers at
+        // the same level.
+        let master = DisarMaster::new(tiny_spec(25))
+            .unwrap()
+            .with_blocks(1)
+            .unwrap();
+        let spec = master.spec();
+        let blocks = DisarMaster::type_b_positions(&master.eebs().unwrap()).unwrap();
+        assert_eq!(blocks.len(), 1);
+        let horizon = master.characteristics().unwrap().max_horizon.max(1) as f64;
+        let market = spec.market;
+        let outer_gen = market.build_generator(1.0, spec.steps_per_year).unwrap();
+        let inner_gen = market
+            .build_generator(horizon, spec.steps_per_year)
+            .unwrap();
+        let (equity, rate) = (market.equity_driver(), market.rate_driver());
+        let nested =
+            NestedMonteCarlo::new(&outer_gen, &inner_gen, &spec.fund, equity, rate).unwrap();
+        let alone = nested
+            .run_blocks(&[&blocks[0]], &spec.nested_config())
+            .unwrap();
+        let out = master.run_local(1).unwrap();
+        assert_eq!(out.var_quantile.to_bits(), alone[0].var_quantile.to_bits());
     }
 
     #[test]

@@ -141,19 +141,16 @@ impl SimulationSpec {
     }
 
     /// The nested-Monte-Carlo configuration this spec induces: its path
-    /// counts and seed at the regulatory 99.5 % confidence, sequential
-    /// plain sampling. Callers that parallelize set `threads` on the copy
-    /// they pass down, as the master's local run does: the fan-out is over
-    /// the outer paths of one nested run, never across EEBs, which would
-    /// regenerate the same scenarios once per EEB.
+    /// counts and seed, sequential. Callers that parallelize set `threads`
+    /// on the copy they pass down, as the master's local run does: the
+    /// fan-out is over the outer paths of one nested run, never across
+    /// EEBs, which would regenerate the same scenarios once per EEB.
     pub fn nested_config(&self) -> NestedConfig {
         NestedConfig {
             n_outer: self.n_outer,
             n_inner: self.n_inner,
-            confidence: 0.995,
             seed: self.seed,
             threads: 1,
-            antithetic: false,
         }
     }
 
@@ -242,9 +239,7 @@ mod tests {
         assert_eq!(cfg.n_outer, spec.n_outer);
         assert_eq!(cfg.n_inner, spec.n_inner);
         assert_eq!(cfg.seed, spec.seed);
-        assert_eq!(cfg.confidence, 0.995);
         assert_eq!(cfg.threads, 1);
-        assert!(!cfg.antithetic);
     }
 
     #[test]

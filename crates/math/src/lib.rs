@@ -19,10 +19,9 @@
 //!   (results gathered in index order, `n_threads = 1` runs in sequence) used
 //!   by the ALM nested Monte Carlo, Algorithm 1's configuration sweep, the
 //!   predictor retrain loop and the bench campaign driver;
-//! - [`poly`]: orthonormal polynomial bases (Laguerre, probabilists' Hermite,
-//!   Chebyshev) and multivariate total-degree tensor bases for the
-//!   Least-Squares Monte Carlo technique of Bauer, Reuss & Singer (2012)
-//!   referenced by the paper;
+//! - [`poly`]: the multivariate total-degree basis of probabilists' Hermite
+//!   polynomials for the Least-Squares Monte Carlo technique of Bauer,
+//!   Reuss & Singer (2012) referenced by the paper;
 //! - [`check`]: the seeded case runner every property test of the workspace
 //!   is written on (`cases`, `case`, `vec_of`);
 //! - [`json`]: the one written form of what persists (knowledge-base files,

@@ -338,11 +338,6 @@ impl Matrix {
         l.transpose().solve_upper(&y)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Scales every entry by `s`, in place, returning `self` for chaining.
     pub fn scale(mut self, s: f64) -> Matrix {
         for x in &mut self.data {

@@ -3,96 +3,29 @@
 //! The LSMC technique (Bauer, Reuss & Singer 2012; Longstaff & Schwartz 2001)
 //! replaces the inner Monte Carlo valuation by a *truncated series expansion
 //! in orthonormal polynomials* of the outer-scenario state variables. This
-//! module provides the univariate families used in practice and a
-//! multivariate total-degree tensor basis.
+//! module provides that basis: total-degree tensor products of the
+//! probabilists' Hermite polynomials.
 
-
-/// The univariate orthogonal polynomial family to expand in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolyFamily {
-    /// Plain monomials `1, x, x², …` (not orthogonal; kept as the naive
-    /// baseline the orthonormal families are compared against).
-    Monomial,
-    /// Laguerre polynomials, orthogonal on `[0, ∞)` w.r.t. `e^{-x}`;
-    /// the classical choice of Longstaff & Schwartz.
-    Laguerre,
-    /// Probabilists' Hermite polynomials, orthogonal w.r.t. the standard
-    /// normal density; natural for Gaussian risk drivers.
-    Hermite,
-    /// Chebyshev polynomials of the first kind on `[-1, 1]`.
-    Chebyshev,
-}
-
-impl PolyFamily {
-    /// Evaluates the degree-`k` member of the family at `x` using the
-    /// three-term recurrence.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use disar_math::poly::PolyFamily;
-    /// // L_2(x) = (x² - 4x + 2) / 2
-    /// let x = 1.5;
-    /// let expect = (x * x - 4.0 * x + 2.0) / 2.0;
-    /// assert!((PolyFamily::Laguerre.eval(2, x) - expect).abs() < 1e-12);
-    /// ```
-    pub fn eval(self, k: usize, x: f64) -> f64 {
-        match self {
-            PolyFamily::Monomial => x.powi(k as i32),
-            PolyFamily::Laguerre => {
-                // L_0 = 1, L_1 = 1 - x,
-                // (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}
-                let mut p0 = 1.0;
-                if k == 0 {
-                    return p0;
-                }
-                let mut p1 = 1.0 - x;
-                for n in 1..k {
-                    let p2 = ((2.0 * n as f64 + 1.0 - x) * p1 - n as f64 * p0) / (n as f64 + 1.0);
-                    p0 = p1;
-                    p1 = p2;
-                }
-                p1
-            }
-            PolyFamily::Hermite => {
-                // He_0 = 1, He_1 = x, He_{n+1} = x He_n - n He_{n-1}
-                let mut p0 = 1.0;
-                if k == 0 {
-                    return p0;
-                }
-                let mut p1 = x;
-                for n in 1..k {
-                    let p2 = x * p1 - n as f64 * p0;
-                    p0 = p1;
-                    p1 = p2;
-                }
-                p1
-            }
-            PolyFamily::Chebyshev => {
-                // T_0 = 1, T_1 = x, T_{n+1} = 2x T_n - T_{n-1}
-                let mut p0 = 1.0;
-                if k == 0 {
-                    return p0;
-                }
-                let mut p1 = x;
-                for _ in 1..k {
-                    let p2 = 2.0 * x * p1 - p0;
-                    p0 = p1;
-                    p1 = p2;
-                }
-                p1
-            }
-        }
+/// The probabilists' Hermite polynomials `He_0 … He_max_degree` at `x`, by
+/// the three-term recurrence `He_0 = 1`, `He_1 = x`,
+/// `He_{n+1} = x He_n − n He_{n−1}`. They are orthogonal under the standard
+/// normal density, which suits the standardized Gaussian states LSMC
+/// regresses on.
+fn eval_all(max_degree: usize, x: f64) -> Vec<f64> {
+    let mut he = Vec::with_capacity(max_degree + 1);
+    he.push(1.0);
+    if max_degree > 0 {
+        he.push(x);
     }
-
-    /// Evaluates degrees `0..=max_degree` at `x` in one pass.
-    pub fn eval_all(self, max_degree: usize, x: f64) -> Vec<f64> {
-        (0..=max_degree).map(|k| self.eval(k, x)).collect()
+    for n in 1..max_degree {
+        he.push(x * he[n] - n as f64 * he[n - 1]);
     }
+    he
 }
 
 /// A multivariate polynomial basis with total degree at most `max_degree`
-/// over `dim` variables, built as tensor products of a univariate family.
+/// over `dim` variables, built as tensor products of the probabilists'
+/// Hermite polynomials.
 ///
 /// The basis functions are enumerated in graded order: all multi-indices
 /// `(k_1, …, k_dim)` with `k_1 + … + k_dim <= max_degree`.
@@ -100,17 +33,16 @@ impl PolyFamily {
 /// # Example
 ///
 /// ```
-/// use disar_math::poly::{MultiBasis, PolyFamily};
+/// use disar_math::poly::MultiBasis;
 ///
-/// let basis = MultiBasis::new(PolyFamily::Monomial, 2, 2);
-/// // 1, x, y, x², xy, y² → 6 functions
+/// let basis = MultiBasis::new(2, 2);
+/// // 1, He_1(y), He_1(x), He_2(y), He_1(x) He_1(y), He_2(x) → 6 functions
 /// assert_eq!(basis.len(), 6);
 /// let row = basis.eval(&[2.0, 3.0]);
-/// assert_eq!(row[0], 1.0);
+/// assert_eq!(row, vec![1.0, 3.0, 2.0, 8.0, 6.0, 3.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiBasis {
-    family: PolyFamily,
     dim: usize,
     max_degree: usize,
     exponents: Vec<Vec<usize>>,
@@ -122,7 +54,7 @@ impl MultiBasis {
     /// # Panics
     ///
     /// Panics if `dim == 0`.
-    pub fn new(family: PolyFamily, dim: usize, max_degree: usize) -> Self {
+    pub fn new(dim: usize, max_degree: usize) -> Self {
         assert!(dim > 0, "basis dimension must be positive");
         let mut exponents = Vec::new();
         let mut current = vec![0usize; dim];
@@ -134,7 +66,6 @@ impl MultiBasis {
             sa.cmp(&sb).then_with(|| a.cmp(b))
         });
         MultiBasis {
-            family,
             dim,
             max_degree,
             exponents,
@@ -169,10 +100,7 @@ impl MultiBasis {
     pub fn eval(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.dim, "point dimension mismatch");
         // Precompute univariate values up to max_degree per coordinate.
-        let uni: Vec<Vec<f64>> = x
-            .iter()
-            .map(|&xi| self.family.eval_all(self.max_degree, xi))
-            .collect();
+        let uni: Vec<Vec<f64>> = x.iter().map(|&xi| eval_all(self.max_degree, xi)).collect();
         self.exponents
             .iter()
             .map(|ks| ks.iter().zip(&uni).map(|(&k, u)| u[k]).product())
@@ -215,53 +143,25 @@ mod tests {
     use crate::stats::mean;
 
     #[test]
-    fn laguerre_low_orders() {
-        let x = 0.7;
-        assert_eq!(PolyFamily::Laguerre.eval(0, x), 1.0);
-        assert!((PolyFamily::Laguerre.eval(1, x) - (1.0 - x)).abs() < 1e-12);
-        let l2 = (x * x - 4.0 * x + 2.0) / 2.0;
-        assert!((PolyFamily::Laguerre.eval(2, x) - l2).abs() < 1e-12);
-        let l3 = (-x * x * x + 9.0 * x * x - 18.0 * x + 6.0) / 6.0;
-        assert!((PolyFamily::Laguerre.eval(3, x) - l3).abs() < 1e-12);
-    }
-
-    #[test]
     fn hermite_low_orders() {
         let x = -1.3;
-        assert_eq!(PolyFamily::Hermite.eval(0, x), 1.0);
-        assert_eq!(PolyFamily::Hermite.eval(1, x), x);
-        assert!((PolyFamily::Hermite.eval(2, x) - (x * x - 1.0)).abs() < 1e-12);
-        assert!((PolyFamily::Hermite.eval(3, x) - (x * x * x - 3.0 * x)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chebyshev_identity() {
-        // T_n(cos θ) = cos(n θ)
-        for n in 0..8 {
-            for &theta in &[0.1f64, 0.5, 1.2, 2.9] {
-                let lhs = PolyFamily::Chebyshev.eval(n, theta.cos());
-                let rhs = (n as f64 * theta).cos();
-                assert!((lhs - rhs).abs() < 1e-10, "n={n} theta={theta}");
-            }
-        }
+        let he = eval_all(3, x);
+        assert_eq!(he.len(), 4);
+        assert_eq!(he[0], 1.0);
+        assert_eq!(he[1], x);
+        assert!((he[2] - (x * x - 1.0)).abs() < 1e-12);
+        assert!((he[3] - (x * x * x - 3.0 * x)).abs() < 1e-12);
+        assert_eq!(eval_all(0, x), vec![1.0]);
     }
 
     #[test]
     fn hermite_orthogonality_under_gaussian() {
         // E[He_m(Z) He_n(Z)] = n! δ_{mn} for Z ~ N(0,1).
         let z = normal_vec(77, 0, 400_000);
-        let h1h2: Vec<f64> = z
-            .iter()
-            .map(|&x| PolyFamily::Hermite.eval(1, x) * PolyFamily::Hermite.eval(2, x))
-            .collect();
+        let he: Vec<Vec<f64>> = z.iter().map(|&x| eval_all(2, x)).collect();
+        let h1h2: Vec<f64> = he.iter().map(|h| h[1] * h[2]).collect();
         assert!(mean(&h1h2).abs() < 0.05, "cross moment {}", mean(&h1h2));
-        let h2sq: Vec<f64> = z
-            .iter()
-            .map(|&x| {
-                let v = PolyFamily::Hermite.eval(2, x);
-                v * v
-            })
-            .collect();
+        let h2sq: Vec<f64> = he.iter().map(|h| h[2] * h[2]).collect();
         assert!((mean(&h2sq) - 2.0).abs() < 0.1, "He_2 norm {}", mean(&h2sq));
     }
 
@@ -270,30 +170,32 @@ mod tests {
         // C(dim + deg, dim)
         let cases = [(1usize, 3usize, 4usize), (2, 2, 6), (3, 2, 10), (4, 3, 35)];
         for (dim, deg, expect) in cases {
-            let b = MultiBasis::new(PolyFamily::Monomial, dim, deg);
+            let b = MultiBasis::new(dim, deg);
             assert_eq!(b.len(), expect, "dim={dim} deg={deg}");
         }
     }
 
     #[test]
     fn multibasis_first_function_is_constant() {
-        let b = MultiBasis::new(PolyFamily::Laguerre, 3, 2);
+        let b = MultiBasis::new(3, 2);
         let v = b.eval(&[0.3, 1.2, 5.0]);
         assert_eq!(v[0], 1.0);
     }
 
     #[test]
-    fn multibasis_monomial_values() {
-        let b = MultiBasis::new(PolyFamily::Monomial, 2, 2);
+    fn multibasis_hermite_values() {
+        let b = MultiBasis::new(2, 2);
         let v = b.eval(&[2.0, 3.0]);
-        // graded order: 1, y, x, y², xy, x²  (lexicographic within degree on
-        // exponent vectors (k_x, k_y): (0,0),(0,1),(1,0),(0,2),(1,1),(2,0))
-        assert_eq!(v, vec![1.0, 3.0, 2.0, 9.0, 6.0, 4.0]);
+        // graded order, lexicographic within degree on exponent vectors
+        // (k_x, k_y): (0,0),(0,1),(1,0),(0,2),(1,1),(2,0), that is
+        // 1, He_1(3) = 3, He_1(2) = 2, He_2(3) = 9 − 1, He_1(2) He_1(3) = 6
+        // and He_2(2) = 4 − 1.
+        assert_eq!(v, vec![1.0, 3.0, 2.0, 8.0, 6.0, 3.0]);
     }
 
     #[test]
     fn design_matrix_shape() {
-        let b = MultiBasis::new(PolyFamily::Hermite, 2, 3);
+        let b = MultiBasis::new(2, 3);
         let pts = vec![vec![0.0, 0.0], vec![1.0, -1.0], vec![0.5, 2.0]];
         let m = b.design_matrix(&pts);
         assert_eq!(m.shape(), (3, b.len()));
@@ -303,7 +205,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "point dimension mismatch")]
     fn eval_wrong_dim_panics() {
-        let b = MultiBasis::new(PolyFamily::Monomial, 2, 1);
+        let b = MultiBasis::new(2, 1);
         b.eval(&[1.0]);
     }
 }

@@ -293,11 +293,6 @@ impl Histogram {
         self.lo + w * i as f64
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
     /// Per-bin relative frequency (percentage in `[0, 100]`).
     pub fn percentages(&self) -> Vec<f64> {
         let t = self.total();
@@ -315,94 +310,6 @@ impl Extend<f64> for Histogram {
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
         for x in iter {
             self.add(x);
-        }
-    }
-}
-
-/// Online mean/variance accumulator (Welford), handy inside hot Monte Carlo
-/// loops where storing every sample would be wasteful.
-///
-/// # Example
-///
-/// ```
-/// use disar_math::stats::Accumulator;
-///
-/// let mut acc = Accumulator::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.add(x);
-/// }
-/// assert_eq!(acc.mean(), 2.0);
-/// assert_eq!(acc.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Accumulator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (`0.0` with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
         }
     }
 }
@@ -504,8 +411,8 @@ mod tests {
     #[test]
     fn histogram_edges_and_width() {
         let h = Histogram::new(-6000.0, 4000.0, 50).unwrap();
-        assert_eq!(h.bin_width(), 200.0);
         assert_eq!(h.bin_lo(0), -6000.0);
+        assert_eq!(h.bin_lo(1) - h.bin_lo(0), 200.0);
         assert_eq!(h.bin_lo(30), 0.0);
     }
 
@@ -522,47 +429,5 @@ mod tests {
         assert!(Histogram::new(0.0, 1.0, 0).is_err());
         assert!(Histogram::new(1.0, 1.0, 4).is_err());
         assert!(Histogram::new(2.0, 1.0, 4).is_err());
-    }
-
-    #[test]
-    fn accumulator_matches_batch() {
-        let xs = [1.0, 4.0, 9.0, 16.0, 25.0];
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.variance() - variance(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_merge_matches_whole() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut a = Accumulator::new();
-        let mut b = Accumulator::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        assert!((a.mean() - mean(&xs)).abs() < 1e-10);
-        assert!((a.variance() - variance(&xs)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn accumulator_merge_with_empty() {
-        let mut a = Accumulator::new();
-        a.add(2.0);
-        let b = Accumulator::new();
-        let mut c = a;
-        c.merge(&b);
-        assert_eq!(c.mean(), 2.0);
-        let mut d = Accumulator::new();
-        d.merge(&a);
-        assert_eq!(d.count(), 1);
-        assert_eq!(d.mean(), 2.0);
     }
 }

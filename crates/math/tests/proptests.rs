@@ -2,9 +2,9 @@
 
 use disar_math::check::{cases, vec_of};
 use disar_math::matrix::{ridge_least_squares, Matrix};
-use disar_math::poly::PolyFamily;
+use disar_math::poly::MultiBasis;
 use disar_math::rng::{split_seed, stream_rng, StandardNormal};
-use disar_math::stats::{self, Accumulator};
+use disar_math::stats;
 
 /// Builds a random symmetric positive-definite matrix `A = B Bᵀ + εI`.
 fn random_spd(n: usize, seed: u64) -> Matrix {
@@ -81,39 +81,16 @@ fn ols_normal_equations_hold() {
     });
 }
 
-/// Welford accumulator merging is order-independent (associative and
-/// commutative up to floating error).
-#[test]
-fn accumulator_merge_commutes() {
-    cases(256, |rng| {
-        let xs = vec_of(rng, 1..50, |rng| rng.gen_range(-1e3..1e3));
-        let ys = vec_of(rng, 1..50, |rng| rng.gen_range(-1e3..1e3));
-        let acc = |v: &[f64]| {
-            let mut a = Accumulator::new();
-            for &x in v {
-                a.add(x);
-            }
-            a
-        };
-        let mut ab = acc(&xs);
-        ab.merge(&acc(&ys));
-        let mut ba = acc(&ys);
-        ba.merge(&acc(&xs));
-        assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-        assert!((ab.variance() - ba.variance()).abs() < 1e-6);
-        let all: Vec<f64> = xs.iter().chain(&ys).copied().collect();
-        assert!((ab.mean() - stats::mean(&all)).abs() < 1e-9);
-    });
-}
-
-/// Polynomial recurrences match naive evaluation for low orders.
+/// Polynomial recurrences match naive evaluation for low orders: over one
+/// variable the basis is `He_0 … He_5` in degree order.
 #[test]
 fn hermite_recurrence_matches_closed_forms() {
+    let basis = MultiBasis::new(1, 5);
     cases(256, |rng| {
         let x: f64 = rng.gen_range(-5.0..5.0);
-        let h = |k: usize| PolyFamily::Hermite.eval(k, x);
-        assert!((h(4) - (x.powi(4) - 6.0 * x * x + 3.0)).abs() < 1e-8);
-        assert!((h(5) - (x.powi(5) - 10.0 * x.powi(3) + 15.0 * x)).abs() < 1e-7);
+        let h = basis.eval(&[x]);
+        assert!((h[4] - (x.powi(4) - 6.0 * x * x + 3.0)).abs() < 1e-8);
+        assert!((h[5] - (x.powi(5) - 10.0 * x.powi(3) + 15.0 * x)).abs() < 1e-7);
     });
 }
 

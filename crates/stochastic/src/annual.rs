@@ -169,8 +169,7 @@ impl AnnualRatesEquity {
 
     /// One policy year from the opening rate and three independent standard
     /// normals: the mean plus the lower factor times `z`. Negating `z`
-    /// mirrors the year's deviation from its mean, which is how an
-    /// antithetic partner draws.
+    /// mirrors the year's deviation from its mean.
     #[inline]
     pub fn draw(&self, rate_start: f64, z: [f64; 3]) -> YearDraw {
         let f = &self.factor;

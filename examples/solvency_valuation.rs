@@ -74,10 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &NestedConfig {
             n_outer: 500,
             n_inner: 50,
-            confidence: 0.995,
             seed: 2024,
             threads: 4,
-            antithetic: false,
         },
     )?;
     let nested_wall = t0.elapsed().as_secs_f64();

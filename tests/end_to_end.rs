@@ -220,7 +220,6 @@ fn knowledge_transfers_across_companies() {
         n_inner: 30,
         max_nodes: 4,
         seed: 404,
-        n_threads: 1,
     };
     let jobs = paper_eeb_jobs(&cfg);
     let provider = CloudProvider::new(InstanceCatalog::paper_catalog(), 404);
@@ -391,7 +390,6 @@ fn paper_loop_decision_quality(seed: u64) -> (f64, usize) {
         n_inner: 30,
         max_nodes: 8,
         seed,
-        n_threads: 1,
     };
     let jobs = paper_eeb_jobs(&cfg);
     let catalog = InstanceCatalog::paper_catalog();

@@ -8,7 +8,7 @@ use disar_suite::cloudsim::billing::{prorated_cost, BillingPolicy};
 use disar_suite::cloudsim::{CloudProvider, InstanceCatalog, Workload};
 use disar_suite::core::{select_configuration, CoreError, PredictorFamily, RetrainMode};
 use disar_suite::math::check::{cases, vec_of};
-use disar_suite::math::poly::{MultiBasis, PolyFamily};
+use disar_suite::math::poly::MultiBasis;
 use disar_suite::math::stats;
 use std::sync::OnceLock;
 
@@ -23,7 +23,6 @@ fn trained_family() -> &'static (PredictorFamily, Vec<EebJob>) {
             n_inner: 20,
             max_nodes: 4,
             seed: 11,
-            n_threads: 1,
         });
         let mut family = PredictorFamily::new(1, 2);
         family
@@ -124,7 +123,7 @@ fn quantile_monotonicity() {
 fn basis_size_and_constant() {
     cases(256, |rng| {
         let (dim, deg) = (rng.gen_range(1usize..5), rng.gen_range(0usize..5));
-        let b = MultiBasis::new(PolyFamily::Hermite, dim, deg);
+        let b = MultiBasis::new(dim, deg);
         // C(dim+deg, dim)
         let mut expect = 1usize;
         for i in 0..dim {
