@@ -186,9 +186,10 @@ impl<'a> Lsmc<'a> {
 
         let mean = stats::mean(&y1);
         let var_quantile = stats::quantile(&y1, SCR_CONFIDENCE);
-        let avg_df = stats::mean(&dfs);
+        let mean_df1 = stats::mean(&dfs);
         Ok(NestedResult {
-            scr: (var_quantile - mean) * avg_df,
+            scr: (var_quantile - mean) * mean_df1,
+            mean_df1,
             bel: stats::mean(&discounted),
             std_error: stats::std_error(&y1),
             mean,

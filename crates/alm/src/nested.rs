@@ -94,8 +94,11 @@ pub struct NestedResult {
     /// Quantile of `y1` at [`SCR_CONFIDENCE`].
     pub var_quantile: f64,
     /// Solvency Capital Requirement: `(quantile − mean)` discounted to 0 at
-    /// the average outer-path discount factor.
+    /// `mean_df1`.
     pub scr: f64,
+    /// Mean over the outer paths of the discount factor from `t = 1` to 0.
+    /// Every block of one run shares the outer paths, so it shares this too.
+    pub mean_df1: f64,
     /// Best-estimate liability at `t = 0`: discounted mean of `y1` plus the
     /// discounted expected first-year flows.
     pub bel: f64,
@@ -292,7 +295,7 @@ impl<'a> NestedMonteCarlo<'a> {
         let column = |b: usize, f: fn(&PathValue) -> f64| -> Vec<f64> {
             values.iter().skip(b).step_by(n_blocks).map(f).collect()
         };
-        let avg_df = stats::mean(&column(0, |v| v.df1));
+        let mean_df1 = stats::mean(&column(0, |v| v.df1));
         Ok((0..n_blocks)
             .map(|b| {
                 let y1 = column(b, |v| v.y1);
@@ -301,7 +304,8 @@ impl<'a> NestedMonteCarlo<'a> {
                 NestedResult {
                     mean,
                     var_quantile,
-                    scr: (var_quantile - mean) * avg_df,
+                    scr: (var_quantile - mean) * mean_df1,
+                    mean_df1,
                     bel: stats::mean(&column(b, |v| v.y1 * v.df1 + v.year1)),
                     std_error: stats::std_error(&y1),
                     y1,

@@ -97,6 +97,7 @@ mod tests {
             mean: bel,
             var_quantile: bel + scr,
             scr,
+            mean_df1: 1.0,
             bel,
             std_error: 1.0,
         }

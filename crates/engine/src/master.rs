@@ -202,14 +202,10 @@ impl DisarMaster {
         }
         let mean_y1 = disar_math::stats::mean(&y1_total);
         let var_quantile = disar_math::stats::quantile(&y1_total, SCR_CONFIDENCE);
-        // Approximate aggregate discount with BEL/mean ratio when positive.
-        let avg_df = if mean_y1 > 0.0 {
-            (bel / mean_y1).min(1.0)
-        } else {
-            1.0
-        };
+        // The blocks share the outer paths, so each carries the discount the
+        // nested run applies to its own SCR.
         Ok(LocalOutcome {
-            scr: (var_quantile - mean_y1) * avg_df,
+            scr: (var_quantile - mean_y1) * results[0].mean_df1,
             bel,
             mean_y1,
             var_quantile,
@@ -359,23 +355,19 @@ mod tests {
         let nested = NestedMonteCarlo::new(&outer_gen, &inner_gen, &spec.fund, 1, 0).unwrap();
         let config = spec.nested_config();
         let mut y1_total = vec![0.0; master.spec.n_outer];
-        let mut bel = 0.0;
+        let (mut bel, mut mean_df1) = (0.0, 0.0);
         for block in &blocks {
             let res = nested.run(block, &config).unwrap();
             for (t, y) in y1_total.iter_mut().zip(&res.y1) {
                 *t += y;
             }
             bel += res.bel;
+            mean_df1 = res.mean_df1;
         }
         let mean_y1 = disar_math::stats::mean(&y1_total);
         let var_quantile = disar_math::stats::quantile(&y1_total, SCR_CONFIDENCE);
-        let avg_df = if mean_y1 > 0.0 {
-            (bel / mean_y1).min(1.0)
-        } else {
-            1.0
-        };
         LocalOutcome {
-            scr: (var_quantile - mean_y1) * avg_df,
+            scr: (var_quantile - mean_y1) * mean_df1,
             bel,
             mean_y1,
             var_quantile,
@@ -409,7 +401,8 @@ mod tests {
     fn one_block_takes_the_nested_runs_confidence_level() {
         // With one type-B block the aggregate is that block's `Y_1`, so the
         // master's quantile and the nested run's are of the same numbers at
-        // the same level.
+        // the same level, and the master's SCR is the nested run's: the same
+        // spread discounted at the same mean factor.
         let master = DisarMaster::new(tiny_spec(25))
             .unwrap()
             .with_blocks(1)
@@ -431,6 +424,7 @@ mod tests {
             .unwrap();
         let out = master.run_local(1).unwrap();
         assert_eq!(out.var_quantile.to_bits(), alone[0].var_quantile.to_bits());
+        assert_eq!(out.scr.to_bits(), alone[0].scr.to_bits());
     }
 
     #[test]

@@ -82,21 +82,12 @@ impl MultiBasis {
         self.exponents.is_empty()
     }
 
-    /// Input dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Maximum total degree.
-    pub fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
     /// Evaluates every basis function at the point `x`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.dim()`.
+    /// Panics if `x.len()` differs from the dimension the basis was built
+    /// for.
     pub fn eval(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.dim, "point dimension mismatch");
         // Precompute univariate values up to max_degree per coordinate.

@@ -10,6 +10,12 @@
 //! allocates nothing, and a row's prediction does not depend on the rows
 //! around it (the properties of `tests/batch_proptests.rs`).
 //! [`crate::Regressor::predict`] is a batch of one row.
+//!
+//! A grid column is a batch of one shape: its rows are one job on one
+//! instance type at a run of node counts, so they agree in every feature
+//! but one. The trees answer such a batch with one walk per tree for the
+//! whole column (`RandomTree::descend_column`); `Column::fill` tells the
+//! shape and orders the rows by the feature that varies.
 
 use crate::MlError;
 
@@ -132,12 +138,82 @@ pub struct PredictScratch {
     pub(crate) key: Vec<u32>,
     /// Standardized row block (MLP's blocked forward pass).
     pub(crate) block: Vec<f64>,
+    /// A column batch ordered for the trees' column descent (RT, RF).
+    pub(crate) column: Column,
+    /// The column descent's value at each position of `column.order`.
+    pub(crate) sums: Vec<f64>,
 }
 
 impl PredictScratch {
     /// An empty scratch; buffers are sized lazily by the kernels.
     pub fn new() -> Self {
         PredictScratch::default()
+    }
+}
+
+/// A batch of two rows or more that each equal the first, bit for bit, in
+/// every feature but at most one, which holds no NaN, ordered by that
+/// feature. A tree's column descent reads it (`RandomTree::descend_column`):
+/// the rows at positions `lo..hi` of [`Column::order`] reach a node together,
+/// and a split on the varying feature cuts them where [`Column::keys`] pass
+/// its threshold.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Column {
+    /// The feature in which the rows differ (`None`: all rows are equal).
+    pub(crate) feature: Option<usize>,
+    /// The batch's rows in ascending order of `feature` (ties and ±0.0 in
+    /// any order: a threshold sends them the same way).
+    pub(crate) order: Vec<usize>,
+    /// `feature`'s value in each row of `order` (empty when `feature` is
+    /// `None`).
+    pub(crate) keys: Vec<f64>,
+    /// The walk's pending subtrees: a slot and the positions `lo..hi` that
+    /// reach it. At most one per row, and reserved so.
+    pub(crate) stack: Vec<(usize, usize, usize)>,
+}
+
+impl Column {
+    /// Orders `xs` for the column descent and returns `true` when it is a
+    /// column; otherwise returns `false`, and the batch takes the per-row
+    /// path. A one-row batch is not a column: its descent is already one
+    /// walk per tree. Grows the buffers once, to the widest column seen.
+    pub(crate) fn fill(&mut self, xs: &FeatureMatrix) -> bool {
+        let n = xs.len();
+        if n < 2 {
+            return false;
+        }
+        let first = xs.row(0);
+        let mut feature = None;
+        for i in 1..n {
+            for (j, (x, f)) in xs.row(i).iter().zip(first).enumerate() {
+                if x.to_bits() != f.to_bits() {
+                    match feature {
+                        None => feature = Some(j),
+                        Some(v) if v == j => {}
+                        Some(_) => return false,
+                    }
+                }
+            }
+        }
+        let at = |i: usize| feature.map_or(0.0, |j| xs.row(i)[j]);
+        if (0..n).any(|i| at(i).is_nan()) {
+            return false;
+        }
+        self.feature = feature;
+        self.order.clear();
+        self.order.extend(0..n);
+        // Grid rows ascend by node count, so the sort is usually skipped.
+        if (1..n).any(|i| at(i - 1) > at(i)) {
+            self.order
+                .sort_unstable_by(|&a, &b| at(a).total_cmp(&at(b)));
+        }
+        self.keys.clear();
+        if feature.is_some() {
+            self.keys.extend(self.order.iter().map(|&i| at(i)));
+        }
+        self.stack.clear();
+        self.stack.reserve(n);
+        true
     }
 }
 

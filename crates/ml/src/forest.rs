@@ -22,6 +22,13 @@
 //! old ones; the tree's per-node streams make that copy the subtree a cold
 //! fit grows. After `partial_fit` every arena, prediction and importance is
 //! the one a cold [`Regressor::fit`] with the same seed gives, to the bit.
+//!
+//! A prediction sums the trees in tree order from 0.0 and divides once. A
+//! grid column (rows that differ from the first in one feature at most,
+//! which holds no NaN) walks each tree once for all its rows, ranges of rows
+//! going down together (`RandomTree::descend_column`), and any other batch
+//! descends each tree four rows at a time; either way each row's sum is the
+//! same, so its bits do not depend on the batch around it.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
@@ -261,23 +268,42 @@ impl Regressor for RandomForest {
     }
 
     /// Tree-major batched traversal: each tree streams over the whole batch
-    /// before the next, keeping its nodes hot in cache, and takes the rows
-    /// four at a time (`RandomTree::descend4`), the last `len % 4` one at a
-    /// time (`RandomTree::descend`). Per row the tree contributions land in
-    /// tree order starting from 0.0, so a row gets the same bits in a batch
-    /// of any width.
+    /// before the next, keeping its nodes hot in cache. A column (rows that
+    /// differ in one feature at most, `Column::fill`) takes one walk per tree
+    /// for all its rows (`RandomTree::descend_column`); any other batch takes
+    /// the rows four at a time (`RandomTree::descend4`), the last `len % 4`
+    /// one at a time (`RandomTree::descend`). Either way, per row the tree
+    /// contributions land in tree order starting from 0.0 and the sum is
+    /// divided once, so a row gets the same bits in a batch of any width and
+    /// shape.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
         out: &mut [f64],
         scratch: &mut PredictScratch,
     ) -> Result<(), MlError> {
-        let _ = scratch;
         check_out_len(xs.len(), out)?;
         if xs.is_empty() {
             return Ok(());
         }
         self.check_query(xs.dim())?;
+        let n = self.trees.len() as f64;
+        let PredictScratch { column, sums, .. } = scratch;
+        if column.fill(xs) {
+            sums.clear();
+            sums.resize(xs.len(), 0.0);
+            for t in &self.trees {
+                t.descend_column(xs.row(0), column, |at, y| {
+                    for s in &mut sums[at] {
+                        *s += y;
+                    }
+                });
+            }
+            for (&i, &s) in column.order.iter().zip(&*sums) {
+                out[i] = s / n;
+            }
+            return Ok(());
+        }
         out.fill(0.0);
         let tail = out.len() - out.len() % 4;
         for t in &self.trees {
@@ -292,7 +318,6 @@ impl Regressor for RandomForest {
                 *slot += t.descend(xs.row(tail + k));
             }
         }
-        let n = self.trees.len() as f64;
         for slot in out.iter_mut() {
             *slot /= n;
         }

@@ -12,6 +12,16 @@
 //! partitions stably in place. The fitted tree is one `Vec` of `Node`s in
 //! pre-order, and a prediction a loop over slots.
 //!
+//! A batch whose rows differ from its first row in one feature at most,
+//! which holds no NaN, is a column: a grid's run of node counts is one. The
+//! tree answers a column with one walk for all its rows
+//! (`RandomTree::descend_column`): the rows are ordered once by the
+//! varying feature, a split on another feature sends them all one way, a
+//! split on the varying feature cuts them at `partition_point(x <=
+//! threshold)`, and a leaf hands its value to the rows that reach it. Each
+//! row gets the bits its own descent gives it. Any other batch descends row
+//! by row.
+//!
 //! Each node draws its candidate features from a stream of its own, keyed
 //! by its path: the root's key is the tree's seed and a child's is
 //! `split_seed(key, 1)` on the `<=` side and `split_seed(key, 2)` on the
@@ -20,12 +30,13 @@
 //! gained rows by copying every subtree whose rows it did not gain
 //! (`RandomTree::grow`).
 
-use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
+use crate::batch::{check_out_len, Column, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::rng::{split_seed, stream_rng};
 use std::hint::select_unpredictable;
+use std::ops::Range;
 
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
@@ -517,6 +528,51 @@ impl RandomTree {
         at.map(|(_, node)| node.value)
     }
 
+    /// The tree walked once for a whole column (`Column::fill`), not once per
+    /// row: a split on another feature sends every row one way on one
+    /// comparison of `first`, the batch's first row; a split on the varying
+    /// feature cuts the rows where the column's keys pass its threshold; and
+    /// each leaf hands its value to `leaf` with the positions in
+    /// `col.order` of the rows that reach it. Every row reaches the leaf
+    /// [`RandomTree::descend`] gives it, because the keys ascend, so
+    /// `x <= threshold` holds on a prefix of them.
+    pub(crate) fn descend_column(
+        &self,
+        first: &[f64],
+        col: &mut Column,
+        mut leaf: impl FnMut(Range<usize>, f64),
+    ) {
+        let Column {
+            feature,
+            order,
+            keys,
+            stack,
+        } = col;
+        stack.push((0, 0, order.len()));
+        while let Some((mut slot, lo, mut hi)) = stack.pop() {
+            let mut node = &self.nodes[slot];
+            while node.feature != LEAF {
+                let (f, right) = (node.feature as usize, node.right as usize);
+                if *feature == Some(f) {
+                    let cut = lo + keys[lo..hi].partition_point(|&x| x <= node.value);
+                    if cut == lo {
+                        slot = right;
+                    } else {
+                        if cut < hi {
+                            stack.push((right, cut, hi));
+                            hi = cut;
+                        }
+                        slot += 1;
+                    }
+                } else {
+                    slot = select_unpredictable(first[f] <= node.value, slot + 1, right);
+                }
+                node = &self.nodes[slot];
+            }
+            leaf(lo..hi, node.value);
+        }
+    }
+
     /// The arena as bits, to hold two trees equal slot for slot.
     #[cfg(test)]
     pub(crate) fn arena_bits(&self) -> Vec<(u32, u32, u64, u64)> {
@@ -535,20 +591,29 @@ impl Regressor for RandomTree {
         Ok(())
     }
 
-    /// The fitted and dimension checks once per batch, then each row's
-    /// descent from the root.
+    /// The fitted and dimension checks once per batch, then one walk for a
+    /// column (`RandomTree::descend_column`) or each row's descent from the
+    /// root.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
         out: &mut [f64],
         scratch: &mut PredictScratch,
     ) -> Result<(), MlError> {
-        let _ = scratch;
         check_out_len(xs.len(), out)?;
         if xs.is_empty() {
             return Ok(());
         }
         self.check_query(xs.dim())?;
+        let PredictScratch { column, sums, .. } = scratch;
+        if column.fill(xs) {
+            sums.resize(xs.len(), 0.0);
+            self.descend_column(xs.row(0), column, |at, y| sums[at].fill(y));
+            for (&i, &y) in column.order.iter().zip(&*sums) {
+                out[i] = y;
+            }
+            return Ok(());
+        }
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = self.descend(xs.row(i));
         }

@@ -9,7 +9,9 @@
 //! duplicate-heavy data where neighbour tie-breaks are the common case. The
 //! MLP's 64-row blocked kernel is also held to its forward pass written one
 //! row at a time (`mlp_forward`), and a model fitted on no columns answers
-//! the empty row through the same kernel.
+//! the empty row through the same kernel. The trees answer a grid column
+//! (rows that differ in one feature) with one walk per tree, which random
+//! rows never reach: a column case holds it to the one-row batches too.
 
 use disar_math::check::cases;
 use disar_math::rng::stream_rng;
@@ -239,4 +241,87 @@ fn zero_width_rows_predict_through_the_batch() {
             assert_eq!(y.to_bits(), want.to_bits(), "{kind}: batched {y}");
         }
     }
+}
+
+/// A tied training alphabet: the trees' thresholds are the midpoints -3, 0,
+/// 3 and 5 of neighbouring values.
+const TREE_ALPHABET: [f64; 5] = [-4.0, -2.0, 2.0, 4.0, 6.0];
+
+/// The values a column case draws: the alphabet, every threshold, both
+/// zeros, and one value past each end.
+const COLUMN_VALUES: [f64; 12] = [
+    -5.0, -4.0, -3.0, -2.0, -0.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+];
+
+/// The column widths: one row, a pair, odd, one `descend4` stride pair, and
+/// a grid's longest column.
+const COLUMN_WIDTHS: [usize; 5] = [1, 2, 7, 8, 64];
+
+/// RT and RF answer a base row with one varying column, drawn with ties,
+/// ±0.0, values on the thresholds and in any order, as they answer each of
+/// its rows alone; so do an ascending column, an all-equal batch, and the
+/// two shapes that fall back to the per-row path: a NaN in the varying
+/// column and a second varying column.
+#[test]
+fn trees_answer_a_column_as_its_rows_alone() {
+    cases(24, |rng| {
+        let (dim, n) = (rng.gen_range(2usize..5), rng.gen_range(8usize..40));
+        let mut pick = |values: &[f64]| values[rng.gen_range(0..values.len())];
+        let rows = (0..n)
+            .map(|_| (0..dim).map(|_| pick(&TREE_ALPHABET)).collect())
+            .collect();
+        let ys = (0..n).map(|_| pick(&[-3.0, 1.0, 10.0, 250.0])).collect();
+        let names = (0..dim).map(|i| format!("f{i}")).collect();
+        let data = Dataset::from_rows(names, rows, ys).expect("finite values");
+
+        let base: Vec<f64> = (0..dim).map(|_| pick(&COLUMN_VALUES)).collect();
+        let j = rng.gen_range(0..dim);
+        let mut column = |width: usize| -> Vec<Vec<f64>> {
+            (0..width)
+                .map(|_| {
+                    let mut row = base.clone();
+                    row[j] = COLUMN_VALUES[rng.gen_range(0..COLUMN_VALUES.len())];
+                    row
+                })
+                .collect()
+        };
+        let mut batches: Vec<Vec<Vec<f64>>> = COLUMN_WIDTHS.iter().map(|&w| column(w)).collect();
+        let mut ascending = column(64);
+        ascending.sort_by(|a, b| a[j].total_cmp(&b[j]));
+        let mut nan = column(8);
+        nan[3][j] = f64::NAN;
+        let mut two = column(8);
+        let k = (j + 1) % dim;
+        (two[0][k], two[5][k]) = (-5.0, 7.0);
+        batches.extend([ascending, vec![base.clone(); 8], nan, two]);
+
+        let seed = rng.gen_range(0u64..1000);
+        let trees: [Box<dyn Regressor>; 2] = [
+            Box::new(RandomTree::with_defaults(seed)),
+            Box::new(RandomForest::new(8, 1, 64, seed).expect("valid forest")),
+        ];
+        for mut m in trees {
+            m.fit(&data).expect("training succeeds");
+            let mut scratch = PredictScratch::new();
+            for batch in &batches {
+                let mut xs = FeatureMatrix::new();
+                for row in batch {
+                    xs.push_row(row);
+                }
+                let mut out = vec![f64::NAN; batch.len()];
+                m.predict_batch(&xs, &mut out, &mut scratch)
+                    .expect("fitted model accepts a well-shaped batch");
+                for (row, got) in batch.iter().zip(out) {
+                    let want = m.predict(row).expect("one-row batch");
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{}: column {j} of width {}, row {row:?}: batched {got} != alone {want}",
+                        m.name(),
+                        batch.len()
+                    );
+                }
+            }
+        }
+    });
 }
