@@ -1048,7 +1048,7 @@ fn ablation_transfer_row(ctx: &ExperimentCtx) -> RegistryRow {
 pub fn ablation_features(kb: &KnowledgeBase, seed: u64) -> Vec<(String, f64)> {
     use disar_core::RunRecord;
     let data = kb.to_dataset().expect("knowledge base is non-empty");
-    let mut rf = disar_ml::RandomForest::with_defaults(seed);
+    let mut rf = disar_ml::RandomForest::new(seed);
     rf.fit(&data).expect("training succeeds");
     let names = RunRecord::feature_names();
     let mut rows: Vec<(String, f64)> = names.into_iter().zip(rf.importances()).collect();

@@ -1,13 +1,13 @@
 //! Dense row-major matrices and the factorizations the workspace needs.
 //!
 //! This is intentionally a *small* kernel, not a general linear-algebra
-//! library: the LSMC regression and the correlation machinery only require
-//! matrix products, Cholesky factorization, triangular solves and
-//! (regularized) least squares. Everything is `f64`.
+//! library: the correlation machinery only requires a Cholesky
+//! factorization, and the LSMC regression a Gram matrix and (regularized)
+//! least squares through Cholesky and triangular solves. The products are
+//! what the tests check those against. Everything is `f64`.
 
 use crate::MathError;
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// A dense, row-major `f64` matrix.
 ///
@@ -92,15 +92,6 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Creates a column vector (an `n x 1` matrix) from a slice.
-    pub fn column(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -129,16 +120,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Extracts column `j` as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Returns the transpose.
@@ -337,14 +318,6 @@ impl Matrix {
         let y = l.solve_lower(b)?;
         l.transpose().solve_upper(&y)
     }
-
-    /// Scales every entry by `s`, in place, returning `self` for chaining.
-    pub fn scale(mut self, s: f64) -> Matrix {
-        for x in &mut self.data {
-            *x *= s;
-        }
-        self
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -358,67 +331,6 @@ impl Index<(usize, usize)> for Matrix {
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         &mut self.data[i * self.cols + j]
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "matrix addition shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "matrix subtraction shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Mul<f64> for Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        self.scale(s)
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{:>10.4}", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
     }
 }
 
@@ -608,7 +520,6 @@ mod tests {
     fn row_and_col_access() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -616,13 +527,5 @@ mod tests {
         let r1: &[f64] = &[1.0, 2.0];
         let r2: &[f64] = &[3.0];
         assert!(Matrix::from_rows(&[r1, r2]).is_err());
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]).unwrap();
-        let c = &(&a + &b) - &b;
-        assert_eq!(c, a);
     }
 }

@@ -6,7 +6,9 @@
 //! combination. Queries look their cell up; unseen cells fall back to the
 //! global training mean. The attribute subset is chosen by best-first
 //! search maximizing leave-one-out cross-validation accuracy (here: minimal
-//! LOO RMSE), as in Kohavi's DTM with Weka's default search.
+//! LOO RMSE), as in Kohavi's DTM with Weka's default search. Its two
+//! settings are constants: 10 equal-width bins per attribute and a search
+//! that stops after 5 expansions that do not improve.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::{Dataset, Scaler};
@@ -15,9 +17,9 @@ use crate::MlError;
 use std::collections::HashMap;
 
 /// Number of equal-width bins used to discretize each numeric attribute.
-const DEFAULT_BINS: usize = 10;
+const BINS: usize = 10;
 /// Best-first search stops after this many non-improving expansions.
-const DEFAULT_STALE_LIMIT: usize = 5;
+const STALE_LIMIT: usize = 5;
 
 /// The Decision Table regressor.
 ///
@@ -31,14 +33,12 @@ const DEFAULT_STALE_LIMIT: usize = 5;
 ///     let x = (i % 4) as f64;
 ///     data.push(vec![x, (i % 7) as f64], x * 100.0).unwrap();
 /// }
-/// let mut dt = DecisionTable::with_defaults();
+/// let mut dt = DecisionTable::new();
 /// dt.fit(&data).unwrap();
 /// assert!((dt.predict(&[2.0, 3.0]).unwrap() - 200.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DecisionTable {
-    bins: usize,
-    stale_limit: usize,
     fitted: Option<FittedTable>,
 }
 
@@ -48,40 +48,14 @@ struct FittedTable {
     selected: Vec<usize>,
     mins: Vec<f64>,
     widths: Vec<f64>,
-    bins: usize,
     cells: HashMap<Vec<u32>, f64>,
     global_mean: f64,
 }
 
 impl DecisionTable {
-    /// Weka-like defaults: 10 discretization bins, best-first search with a
-    /// stale limit of 5.
-    pub fn with_defaults() -> Self {
-        DecisionTable {
-            bins: DEFAULT_BINS,
-            stale_limit: DEFAULT_STALE_LIMIT,
-            fitted: None,
-        }
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] for zero bins or a zero
-    /// stale limit.
-    pub fn new(bins: usize, stale_limit: usize) -> Result<Self, MlError> {
-        if bins == 0 {
-            return Err(MlError::InvalidHyperparameter("bins must be > 0"));
-        }
-        if stale_limit == 0 {
-            return Err(MlError::InvalidHyperparameter("stale_limit must be > 0"));
-        }
-        Ok(DecisionTable {
-            bins,
-            stale_limit,
-            fitted: None,
-        })
+    /// An unfitted decision table.
+    pub fn new() -> Self {
+        DecisionTable { fitted: None }
     }
 
     /// The attribute indices the best-first search selected (empty before
@@ -91,11 +65,11 @@ impl DecisionTable {
         self.fitted.as_ref().map_or(&[], |f| &f.selected)
     }
 
-    fn discretize(v: f64, min: f64, width: f64, bins: usize) -> u32 {
+    fn discretize(v: f64, min: f64, width: f64) -> u32 {
         if width == 0.0 {
             return 0;
         }
-        (((v - min) / width).floor().clamp(0.0, (bins - 1) as f64)) as u32
+        (((v - min) / width).floor().clamp(0.0, (BINS - 1) as f64)) as u32
     }
 }
 
@@ -110,12 +84,11 @@ struct Groups<'a> {
     /// `keys[j * n + i]` is the bin of row `i` in column `j`.
     keys: &'a [u32],
     targets: &'a [f64],
-    bins: usize,
     /// Every row's group under the current subset, and how many there are.
     gid: Vec<u32>,
     n_groups: usize,
     /// The last refinement: every row's group, every group's target sum and
-    /// row count, and the table `gid * bins + key` → group it was numbered
+    /// row count, and the table `gid * BINS + key` → group it was numbered
     /// through.
     fine: Vec<u32>,
     sums: Vec<(f64, u32)>,
@@ -123,12 +96,11 @@ struct Groups<'a> {
 }
 
 impl<'a> Groups<'a> {
-    fn new(keys: &'a [u32], targets: &'a [f64], bins: usize) -> Self {
+    fn new(keys: &'a [u32], targets: &'a [f64]) -> Self {
         let n = targets.len();
         let mut groups = Groups {
             keys,
             targets,
-            bins,
             gid: vec![0; n],
             n_groups: 0,
             fine: vec![0; n],
@@ -151,11 +123,11 @@ impl<'a> Groups<'a> {
     fn refine(&mut self, j: usize) {
         let n = self.targets.len();
         self.slots.clear();
-        self.slots.resize(self.n_groups * self.bins, EMPTY);
+        self.slots.resize(self.n_groups * BINS, EMPTY);
         self.sums.clear();
         let column = &self.keys[j * n..(j + 1) * n];
         for (i, (&g, &key)) in self.gid.iter().zip(column).enumerate() {
-            let slot = &mut self.slots[g as usize * self.bins + key as usize];
+            let slot = &mut self.slots[g as usize * BINS + key as usize];
             if *slot == EMPTY {
                 *slot = self.sums.len() as u32;
                 // `0.0 + y`, as `+=` onto a fresh sum gives: a -0.0 target
@@ -207,31 +179,27 @@ impl Regressor for DecisionTable {
         let scaler = Scaler::fit(data)?;
         let mins = scaler.mins().to_vec();
         // A column that never varies has width zero and one bin.
-        let widths: Vec<f64> = scaler
-            .ranges()
-            .iter()
-            .map(|r| r / self.bins as f64)
-            .collect();
+        let widths: Vec<f64> = scaler.ranges().iter().map(|r| r / BINS as f64).collect();
         // Pre-discretize all rows over all attributes, by column.
         let mut keys = Vec::with_capacity(n * d);
         for j in 0..d {
-            let bin = |row: &Vec<f64>| Self::discretize(row[j], mins[j], widths[j], self.bins);
+            let bin = |row: &Vec<f64>| Self::discretize(row[j], mins[j], widths[j]);
             keys.extend(data.rows().iter().map(bin));
         }
 
         // Best-first forward selection: start from the empty subset
         // (global-mean predictor), greedily add the attribute that most
-        // reduces LOO RMSE, allow `stale_limit` non-improving additions
+        // reduces LOO RMSE, allow `STALE_LIMIT` non-improving additions
         // before stopping, keep the best subset seen. A column that never
         // varies splits no group: it ties with the current score and uses up
         // a stale round like any other.
-        let mut groups = Groups::new(&keys, data.targets(), self.bins);
+        let mut groups = Groups::new(&keys, data.targets());
         let mut best_subset: Vec<usize> = Vec::new();
         let mut best_score = groups.score();
         groups.adopt();
         let mut current: Vec<usize> = Vec::new();
         let mut stale = 0;
-        while stale < self.stale_limit && current.len() < d {
+        while stale < STALE_LIMIT && current.len() < d {
             let mut round_best: Option<(f64, usize)> = None;
             for j in 0..d {
                 if current.contains(&j) {
@@ -277,7 +245,6 @@ impl Regressor for DecisionTable {
             selected: best_subset,
             mins,
             widths,
-            bins: self.bins,
             cells,
             global_mean: data.target_mean(),
         });
@@ -311,7 +278,7 @@ impl Regressor for DecisionTable {
             key.extend(
                 f.selected
                     .iter()
-                    .map(|&j| Self::discretize(x[j], f.mins[j], f.widths[j], f.bins)),
+                    .map(|&j| Self::discretize(x[j], f.mins[j], f.widths[j])),
             );
             *slot = *f.cells.get(key.as_slice()).unwrap_or(&f.global_mean);
         }
@@ -362,28 +329,24 @@ mod tests {
     }
 
     /// The bins of `x` in a table fitted on `data`.
-    fn binned(data: &Dataset, bins: usize, x: &[f64]) -> Vec<u32> {
+    fn binned(data: &Dataset, x: &[f64]) -> Vec<u32> {
         let s = Scaler::fit(data).unwrap();
         let bin = |(j, &v): (usize, &f64)| {
-            DecisionTable::discretize(v, s.mins()[j], s.ranges()[j] / bins as f64, bins)
+            DecisionTable::discretize(v, s.mins()[j], s.ranges()[j] / BINS as f64)
         };
         x.iter().enumerate().map(bin).collect()
     }
 
     /// The best-first search over the hashing scorer, and the table built on
     /// its subset by hashing: `(selected, cells)`.
-    fn reference_fit(
-        data: &Dataset,
-        bins: usize,
-        stale_limit: usize,
-    ) -> (Vec<usize>, HashMap<Vec<u32>, f64>) {
+    fn reference_fit(data: &Dataset) -> (Vec<usize>, HashMap<Vec<u32>, f64>) {
         let d = data.dim();
-        let keys: Vec<Vec<u32>> = data.rows().iter().map(|x| binned(data, bins, x)).collect();
+        let keys: Vec<Vec<u32>> = data.rows().iter().map(|x| binned(data, x)).collect();
         let mut best_subset: Vec<usize> = Vec::new();
         let mut best_score = loo_rmse(&keys, data.targets(), &best_subset);
         let mut current: Vec<usize> = Vec::new();
         let mut stale = 0;
-        while stale < stale_limit && current.len() < d {
+        while stale < STALE_LIMIT && current.len() < d {
             let mut round_best: Option<(f64, usize)> = None;
             for j in (0..d).filter(|j| !current.contains(j)) {
                 let mut cand = current.clone();
@@ -448,14 +411,12 @@ mod tests {
                 1 => shard_shaped(n, rng.next_u64()),
                 _ => tied_rows(rng, n),
             };
-            let bins = [1, 3, 10, 64][rng.gen_range(0..4usize)];
 
             // Score for score along a random walk of the subsets.
             let (n, d) = (data.len(), data.dim());
-            let by_row: Vec<Vec<u32>> =
-                data.rows().iter().map(|x| binned(&data, bins, x)).collect();
+            let by_row: Vec<Vec<u32>> = data.rows().iter().map(|x| binned(&data, x)).collect();
             let by_column: Vec<u32> = (0..d * n).map(|at| by_row[at % n][at / n]).collect();
-            let mut groups = Groups::new(&by_column, data.targets(), bins);
+            let mut groups = Groups::new(&by_column, data.targets());
             let mut order: Vec<usize> = (0..d).collect();
             rng.shuffle(&mut order);
             let score = |g: &Groups, subset: &[usize]| {
@@ -473,10 +434,9 @@ mod tests {
             }
 
             // The fitted table: same subset, same cells, same answers.
-            let stale_limit = rng.gen_range(1..6usize);
-            let mut dt = DecisionTable::new(bins, stale_limit).unwrap();
+            let mut dt = DecisionTable::new();
             dt.fit(&data).unwrap();
-            let (selected, cells) = reference_fit(&data, bins, stale_limit);
+            let (selected, cells) = reference_fit(&data);
             let f = dt.fitted.as_ref().unwrap();
             assert_eq!(f.selected, selected);
             let bits = |cells: &HashMap<Vec<u32>, f64>| {
@@ -494,7 +454,7 @@ mod tests {
                 .iter()
                 .chain(strangers.rows().iter().filter(|x| x.len() == d))
             {
-                let bins_of_x = binned(&data, bins, x);
+                let bins_of_x = binned(&data, x);
                 let key: Vec<u32> = selected.iter().map(|&j| bins_of_x[j]).collect();
                 let expected = cells.get(&key).copied().unwrap_or(data.target_mean());
                 assert_eq!(dt.predict(x).unwrap().to_bits(), expected.to_bits());
@@ -510,7 +470,7 @@ mod tests {
             let n = ((i * 31) % 13) as f64;
             d.push(vec![s, n], s * 10.0).unwrap();
         }
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         dt.fit(&d).unwrap();
         assert!(dt.selected_features().contains(&0));
         assert!((dt.predict(&[3.0, 12.0]).unwrap() - 30.0).abs() < 1e-9);
@@ -522,14 +482,14 @@ mod tests {
         for i in 0..10 {
             d.push(vec![i as f64], i as f64).unwrap();
         }
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         dt.fit(&d).unwrap();
         // Far outside → clamps to edge bin, still a seen cell; instead use a
         // constant-target check below for the fallback.
         let mut d2 = Dataset::new(vec!["x".into(), "y".into()]);
         d2.push(vec![0.0, 0.0], 1.0).unwrap();
         d2.push(vec![9.0, 9.0], 3.0).unwrap();
-        let mut dt2 = DecisionTable::with_defaults();
+        let mut dt2 = DecisionTable::new();
         dt2.fit(&d2).unwrap();
         // A middle cell was never observed when both features are selected;
         // if no feature is selected the prediction is the global mean anyway.
@@ -543,7 +503,7 @@ mod tests {
         for i in 0..20 {
             d.push(vec![i as f64], 5.5).unwrap();
         }
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         dt.fit(&d).unwrap();
         assert_eq!(dt.predict(&[3.0]).unwrap(), 5.5);
         // No feature can improve on the global mean.
@@ -558,22 +518,16 @@ mod tests {
             let y = if x < 5.0 { -50.0 } else { 70.0 };
             d.push(vec![x], y).unwrap();
         }
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         dt.fit(&d).unwrap();
         assert_eq!(dt.predict(&[1.0]).unwrap(), -50.0);
         assert_eq!(dt.predict(&[9.0]).unwrap(), 70.0);
     }
 
     #[test]
-    fn rejects_invalid_hyperparameters() {
-        assert!(DecisionTable::new(0, 5).is_err());
-        assert!(DecisionTable::new(10, 0).is_err());
-    }
-
-    #[test]
     fn empty_training_set_rejected() {
         let d = Dataset::new(vec!["x".into()]);
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         assert!(matches!(dt.fit(&d), Err(MlError::EmptyTrainingSet)));
     }
 
@@ -584,7 +538,7 @@ mod tests {
             d.push(vec![7.0, (i % 3) as f64], ((i % 3) * 10) as f64)
                 .unwrap();
         }
-        let mut dt = DecisionTable::with_defaults();
+        let mut dt = DecisionTable::new();
         dt.fit(&d).unwrap();
         assert!((dt.predict(&[7.0, 1.0]).unwrap() - 10.0).abs() < 1e-9);
     }

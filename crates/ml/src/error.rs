@@ -15,7 +15,8 @@ pub enum MlError {
     },
     /// `predict` was called before `fit`.
     NotFitted,
-    /// A hyper-parameter was outside its valid range.
+    /// An argument was outside its valid range (`Dataset::split`'s
+    /// fraction).
     InvalidHyperparameter(&'static str),
     /// A numerical routine failed during training.
     Numerical(String),

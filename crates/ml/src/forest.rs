@@ -1,8 +1,9 @@
 //! Random Forest regressor (Breiman 2001).
 //!
 //! Bagged ensemble of [`RandomTree`]s: each tree is trained on a resample of
-//! the data and the forest predicts the mean of the trees. Weka defaults:
-//! 100 trees, `⌊log₂ d⌋ + 1` features per split.
+//! the data and the forest predicts the mean of the trees. Weka's default of
+//! 100 trees is the forest's one setting; each tree keeps its own defaults
+//! (`⌊log₂ d⌋ + 1` features per split).
 //!
 //! The resample is an online bag (Oza & Russell 2001): tree `t`'s sample is
 //! row `i` repeated `k_{t,i}` times, in ascending `i`, where `k_{t,i}` is a
@@ -27,8 +28,8 @@
 //! grid column (rows that differ from the first in one feature at most,
 //! which holds no NaN) walks each tree once for all its rows, ranges of rows
 //! going down together (`RandomTree::descend_column`), and any other batch
-//! descends each tree four rows at a time; either way each row's sum is the
-//! same, so its bits do not depend on the batch around it.
+//! descends each tree row by row; either way each row's sum is the same, so
+//! its bits do not depend on the batch around it.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
@@ -36,6 +37,9 @@ use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::tree::{RandomTree, TreeFit};
 use crate::MlError;
 use disar_math::rng::{split_seed, splitmix64};
+
+/// Trees per forest.
+pub(crate) const N_TREES: usize = 100;
 
 /// `⌊P(K ≤ k) · 2⁶⁴⌋` for a Poisson(1) count `K` and `k` in `0..20`;
 /// `P(K > 19)` is below 2⁻⁶².
@@ -126,16 +130,13 @@ fn regrow_below(key: u64, from: usize, n: usize) -> Option<usize> {
 /// for i in 0..60 {
 ///     data.push(vec![i as f64], i as f64 * i as f64).unwrap();
 /// }
-/// let mut rf = RandomForest::with_defaults(7);
+/// let mut rf = RandomForest::new(7);
 /// rf.fit(&data).unwrap();
 /// let y = rf.predict(&[30.0]).unwrap();
 /// assert!((y - 900.0).abs() < 150.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomForest {
-    n_trees: usize,
-    min_leaf: usize,
-    max_depth: usize,
     seed: u64,
     trees: Vec<RandomTree>,
     /// Rows of the data the trees were grown on (0 before fitting).
@@ -143,51 +144,13 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Weka defaults: 100 trees, unbounded depth, leaves of size ≥ 1.
-    pub fn with_defaults(seed: u64) -> Self {
+    /// An unfitted forest whose bags and trees are keyed by `seed`.
+    pub fn new(seed: u64) -> Self {
         RandomForest {
-            n_trees: 100,
-            min_leaf: 1,
-            max_depth: 64,
             seed,
             trees: Vec::new(),
             fitted_len: 0,
         }
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] if any size parameter is
-    /// zero.
-    pub fn new(
-        n_trees: usize,
-        min_leaf: usize,
-        max_depth: usize,
-        seed: u64,
-    ) -> Result<Self, MlError> {
-        if n_trees == 0 {
-            return Err(MlError::InvalidHyperparameter("n_trees must be > 0"));
-        }
-        if min_leaf == 0 || max_depth == 0 {
-            return Err(MlError::InvalidHyperparameter(
-                "min_leaf and max_depth must be > 0",
-            ));
-        }
-        Ok(RandomForest {
-            n_trees,
-            min_leaf,
-            max_depth,
-            seed,
-            trees: Vec::new(),
-            fitted_len: 0,
-        })
-    }
-
-    /// Number of trees in the (fitted or configured) forest.
-    pub fn n_trees(&self) -> usize {
-        self.n_trees
     }
 
     /// Mean variance-reduction feature importances across the fitted
@@ -256,12 +219,9 @@ impl Regressor for RandomForest {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let mut trees = Vec::with_capacity(self.n_trees);
-        for t in 0..self.n_trees {
-            let seed = self.tree_seed(t) ^ 0x51ED;
-            trees.push(RandomTree::new(None, self.min_leaf, self.max_depth, seed)?);
-        }
-        self.trees = trees;
+        self.trees = (0..N_TREES)
+            .map(|t| RandomTree::new(self.tree_seed(t) ^ 0x51ED))
+            .collect();
         self.grow(data, 0);
         self.fitted_len = data.len();
         Ok(())
@@ -270,12 +230,11 @@ impl Regressor for RandomForest {
     /// Tree-major batched traversal: each tree streams over the whole batch
     /// before the next, keeping its nodes hot in cache. A column (rows that
     /// differ in one feature at most, `Column::fill`) takes one walk per tree
-    /// for all its rows (`RandomTree::descend_column`); any other batch takes
-    /// the rows four at a time (`RandomTree::descend4`), the last `len % 4`
-    /// one at a time (`RandomTree::descend`). Either way, per row the tree
-    /// contributions land in tree order starting from 0.0 and the sum is
-    /// divided once, so a row gets the same bits in a batch of any width and
-    /// shape.
+    /// for all its rows (`RandomTree::descend_column`); any other batch
+    /// descends each tree row by row (`RandomTree::descend`). Either way, per
+    /// row the tree contributions land in tree order starting from 0.0 and
+    /// the sum is divided once, so a row gets the same bits in a batch of any
+    /// width and shape.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -305,17 +264,9 @@ impl Regressor for RandomForest {
             return Ok(());
         }
         out.fill(0.0);
-        let tail = out.len() - out.len() % 4;
         for t in &self.trees {
-            let mut fours = out.chunks_exact_mut(4);
-            for (c, slots) in fours.by_ref().enumerate() {
-                let ys = t.descend4(std::array::from_fn(|k| xs.row(4 * c + k)));
-                for (slot, y) in slots.iter_mut().zip(ys) {
-                    *slot += y;
-                }
-            }
-            for (k, slot) in fours.into_remainder().iter_mut().enumerate() {
-                *slot += t.descend(xs.row(tail + k));
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot += t.descend(xs.row(i));
             }
         }
         for slot in out.iter_mut() {
@@ -405,9 +356,9 @@ pub(crate) mod tests {
                 test.push(vec![x], y).unwrap();
             }
         }
-        let mut tree = RandomTree::with_defaults(2);
+        let mut tree = RandomTree::new(2);
         tree.fit(&train).unwrap();
-        let mut forest = RandomForest::new(40, 1, 64, 2).unwrap();
+        let mut forest = RandomForest::new(2);
         forest.fit(&train).unwrap();
         let tp: Vec<f64> = test.rows().iter().map(|r| tree.predict(r).unwrap()).collect();
         let fp: Vec<f64> = test.rows().iter().map(|r| forest.predict(r).unwrap()).collect();
@@ -422,7 +373,7 @@ pub(crate) mod tests {
     #[test]
     fn prediction_within_target_hull() {
         let d = wavy(80);
-        let mut rf = RandomForest::new(20, 1, 64, 3).unwrap();
+        let mut rf = RandomForest::new(3);
         rf.fit(&d).unwrap();
         let lo = d.targets().iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = d.targets().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -435,21 +386,16 @@ pub(crate) mod tests {
     #[test]
     fn deterministic_per_seed() {
         let d = wavy(50);
-        let mut a = RandomForest::new(10, 1, 64, 9).unwrap();
-        let mut b = RandomForest::new(10, 1, 64, 9).unwrap();
+        let mut a = RandomForest::new(9);
+        let mut b = RandomForest::new(9);
         a.fit(&d).unwrap();
         b.fit(&d).unwrap();
         assert_eq!(a.predict(&[2.5]).unwrap(), b.predict(&[2.5]).unwrap());
     }
 
     #[test]
-    fn rejects_zero_trees() {
-        assert!(RandomForest::new(0, 1, 10, 0).is_err());
-    }
-
-    #[test]
     fn unfitted_reports_not_fitted() {
-        let rf = RandomForest::with_defaults(0);
+        let rf = RandomForest::new(0);
         assert!(matches!(rf.predict(&[1.0]), Err(MlError::NotFitted)));
     }
 
@@ -460,7 +406,7 @@ pub(crate) mod tests {
             let s = (i % 8) as f64;
             d.push(vec![s, ((i * 29) % 13) as f64], s * 10.0).unwrap();
         }
-        let mut rf = RandomForest::new(15, 1, 64, 3).unwrap();
+        let mut rf = RandomForest::new(3);
         assert!(rf.importances().is_empty(), "unfitted forest");
         rf.fit(&d).unwrap();
         let imp = rf.importances();
@@ -475,22 +421,22 @@ pub(crate) mod tests {
     #[test]
     fn forest_equals_trees_on_materialised_bootstraps_bitwise() {
         let held_out = kb_shaped(50, 0xFEED);
-        for (n, min_leaf, max_depth) in [(30, 1, 64), (100, 1, 64), (100, 3, 4), (260, 1, 64)] {
+        for n in [30, 100, 260] {
             let d = kb_shaped(n, 11);
-            let mut rf = RandomForest::new(12, min_leaf, max_depth, 5).unwrap();
+            let mut rf = RandomForest::new(5);
             rf.fit(&d).unwrap();
-            let trees: Vec<RandomTree> = (0..12)
+            let trees: Vec<RandomTree> = (0..N_TREES as u64)
                 .map(|t| {
                     let tree_seed = split_seed(5, t);
-                    let mut tree =
-                        RandomTree::new(None, min_leaf, max_depth, tree_seed ^ 0x51ED).unwrap();
+                    let mut tree = RandomTree::new(tree_seed ^ 0x51ED);
                     tree.fit(&bagged(&d, tree_seed)).unwrap();
                     tree
                 })
                 .collect();
             for x in d.rows().iter().chain(held_out.rows()) {
                 let sum = trees.iter().fold(0.0, |s, t| s + t.predict(x).unwrap());
-                assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 12.0).to_bits());
+                let mean = sum / N_TREES as f64;
+                assert_eq!(rf.predict(x).unwrap().to_bits(), mean.to_bits());
             }
             let mut imp = vec![0.0; d.dim()];
             for t in &trees {
@@ -513,15 +459,12 @@ pub(crate) mod tests {
         use crate::dataset::tests::fnv1a;
 
         let d = kb_shaped(100, 3);
-        let mut tree = RandomTree::with_defaults(9);
+        let mut tree = RandomTree::new(9);
         assert_eq!((tree.depth(), tree.leaf_count()), (0, 0));
         tree.fit(&d).unwrap();
         assert_eq!((tree.depth(), tree.leaf_count()), (11, 52));
-        let mut stump = RandomTree::new(None, 25, 1, 9).unwrap();
-        stump.fit(&d).unwrap();
-        assert_eq!((stump.depth(), stump.leaf_count()), (2, 2));
 
-        let mut rf = RandomForest::new(10, 1, 64, 9).unwrap();
+        let mut rf = RandomForest::new(9);
         rf.fit(&d).unwrap();
         let copy = rf.clone();
         let boxed = rf.clone_box();
@@ -537,8 +480,8 @@ pub(crate) mod tests {
             assert_eq!(y, boxed.predict(x).unwrap().to_bits());
             assert_eq!(y, b.to_bits());
         }
-        assert_eq!(fnv1a(&batch), 0x3d4cf06c4dfcb612);
-        // Rows go through a tree four at a time; seven leave three over.
+        assert_eq!(fnv1a(&batch), 0x02fa24f0b2d5c19e);
+        // A batch of seven rows that form no column, row by row.
         let mut seven = FeatureMatrix::new();
         for x in &d.rows()[..7] {
             seven.push_row(x);
@@ -651,8 +594,7 @@ pub(crate) mod tests {
     /// tree's arena and importances, the predictions and the forest's
     /// importances. Appends of 1–7 rows, from 2-row starts (where about one
     /// bag in seven draws no row) and from random prefixes, on shard-shaped
-    /// data with seven constant columns and on a base's, at several
-    /// `min_leaf` and `max_depth`.
+    /// data with seven constant columns and on a base's.
     #[test]
     fn partial_fit_equals_a_cold_fit_bitwise() {
         let held_out = kb_shaped(20, 0xFEED);
@@ -664,10 +606,8 @@ pub(crate) mod tests {
             } else {
                 kb_shaped(n, rng.next_u64())
             };
-            let (min_leaf, max_depth) =
-                [(1, 64), (3, 64), (1, 2), (2, 5)][rng.gen_range(0..4usize)];
             let seed = rng.next_u64();
-            let forest = || RandomForest::new(12, min_leaf, max_depth, seed).unwrap();
+            let forest = || RandomForest::new(seed);
             let mut from = if rng.gen_bool(0.5) {
                 2
             } else {
@@ -675,7 +615,7 @@ pub(crate) mod tests {
             };
             let mut inc = forest();
             inc.fit(&d.filter(|i| i < from)).unwrap();
-            empty_bags += (0..12)
+            empty_bags += (0..N_TREES)
                 .filter(|&t| (0..from).all(|i| bag_count(inc.tree_seed(t), i) == 0))
                 .count();
             while from < n {
@@ -704,7 +644,7 @@ pub(crate) mod tests {
     #[test]
     fn a_cloned_forest_continues_identically() {
         let d = kb_shaped(70, 4);
-        let mut rf = RandomForest::new(20, 1, 64, 3).unwrap();
+        let mut rf = RandomForest::new(3);
         rf.fit(&d.filter(|i| i < 40)).unwrap();
         let mut copy = rf.clone();
         let mut boxed = rf.clone_box();
@@ -728,7 +668,7 @@ pub(crate) mod tests {
     #[test]
     fn partial_fit_checks_what_it_continues() {
         let d = kb_shaped(30, 2);
-        let mut rf = RandomForest::new(4, 1, 64, 1).unwrap();
+        let mut rf = RandomForest::new(1);
         assert!(matches!(
             rf.partial_fit(&d, 10),
             Err(MlError::IncrementalMismatch {
@@ -761,9 +701,9 @@ pub(crate) mod tests {
 
     #[test]
     fn single_tree_forest_close_to_tree_family() {
-        // A 1-tree forest is still a valid regressor on its bag.
+        // A forest on a small base predicts as the trees' mean does: finitely.
         let d = wavy(40);
-        let mut rf = RandomForest::new(1, 1, 64, 4).unwrap();
+        let mut rf = RandomForest::new(4);
         rf.fit(&d).unwrap();
         let y = rf.predict(&[2.0]).unwrap();
         assert!(y.is_finite());

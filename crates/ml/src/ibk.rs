@@ -2,8 +2,9 @@
 //! (Aha, Kibler & Albert, *Machine Learning* 6, 1991).
 //!
 //! Distances are Euclidean over min–max-normalized attributes, exactly as in
-//! Weka's `IBk`. For regression the prediction is the mean of the `k`
-//! nearest targets.
+//! Weka's `IBk`. For regression the prediction is the mean of the `k = 3`
+//! nearest targets, the paper's family's one setting (fewer when the
+//! training set holds fewer rows).
 //!
 //! Neighbour lookups run through a kd-tree ([`crate::neighbours`]) and the
 //! training state is append-only ([`IncrementalRegressor`]); both are
@@ -17,6 +18,9 @@ use crate::neighbours::NeighbourIndex;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 
+/// Neighbours a prediction averages.
+const K: usize = 3;
+
 /// The IBk k-nearest-neighbour regressor.
 ///
 /// # Example
@@ -28,13 +32,13 @@ use crate::MlError;
 /// for i in 0..10 {
 ///     data.push(vec![i as f64], i as f64).unwrap();
 /// }
-/// let mut knn = IbK::new(1);
+/// let mut knn = IbK::new();
 /// knn.fit(&data).unwrap();
+/// // The three nearest rows are 3, 4 and 2.
 /// assert_eq!(knn.predict(&[3.2]).unwrap(), 3.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IbK {
-    k: usize,
     fitted: Option<Fitted>,
 }
 
@@ -46,19 +50,9 @@ struct Fitted {
 }
 
 impl IbK {
-    /// Creates an IBk model with `k` neighbours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        IbK { k, fitted: None }
-    }
-
-    /// Number of neighbours.
-    pub fn k(&self) -> usize {
-        self.k
+    /// An unfitted IBk model.
+    pub fn new() -> Self {
+        IbK { fitted: None }
     }
 
     fn standardized_query(&self, x: &[f64]) -> Result<(&Fitted, Vec<f64>), MlError> {
@@ -96,7 +90,7 @@ impl IbK {
         // k-th best: only rows whose *full* distance is strictly worse are
         // dropped, so the neighbour set matches a full scan (ties at the
         // boundary resolve to the lowest row index).
-        let k = self.k.min(f.rows.len());
+        let k = K.min(f.rows.len());
         let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
         for (i, r) in f.rows.iter().enumerate() {
             let threshold = if best.len() < k {
@@ -153,7 +147,7 @@ impl Regressor for IbK {
                 got: xs.dim(),
             });
         }
-        let k = self.k.min(store.rows.len());
+        let k = K.min(store.rows.len());
         for (i, slot) in out.iter_mut().enumerate() {
             store.scaler.transform_into(xs.row(i), &mut scratch.q);
             index.nearest_into(&store.rows, &scratch.q, k, &mut scratch.best);
@@ -211,14 +205,24 @@ mod tests {
         d
     }
 
+    /// The mean target of the `k` rows the fitted index finds nearest `x`:
+    /// the prediction at a neighbour count other than `K`.
+    fn mean_of_nearest(m: &IbK, x: &[f64], k: usize) -> f64 {
+        let Fitted { store, index } = m.fitted.as_ref().unwrap();
+        let mut best = Vec::new();
+        index.nearest_into(&store.rows, &store.scaler.transform(x), k, &mut best);
+        IbK::mean(store, &best)
+    }
+
     #[test]
     fn one_nn_memorizes_training_set() {
         let d = grid();
-        let mut m = IbK::new(1);
+        let mut m = IbK::new();
         m.fit(&d).unwrap();
         for i in 0..d.len() {
             let (x, y) = d.get(i);
-            assert_eq!(m.predict(x).unwrap(), y);
+            assert_eq!(mean_of_nearest(&m, x, 1), y);
+            assert_eq!(mean_of_nearest(&m, x, K), m.predict(x).unwrap());
         }
     }
 
@@ -227,7 +231,7 @@ mod tests {
         let mut d = Dataset::new(vec!["x".into()]);
         d.push(vec![0.0], 2.0).unwrap();
         d.push(vec![1.0], 4.0).unwrap();
-        let mut m = IbK::new(10);
+        let mut m = IbK::new();
         m.fit(&d).unwrap();
         assert_eq!(m.predict(&[0.5]).unwrap(), 3.0);
     }
@@ -242,7 +246,7 @@ mod tests {
             let small = (i % 2) as f64;
             d.push(vec![big, small], small * 100.0).unwrap();
         }
-        let mut m = IbK::new(3);
+        let mut m = IbK::new();
         m.fit(&d).unwrap();
         let y = m.predict(&[5000.0, 1.0]).unwrap();
         assert!((y - 100.0).abs() < 1e-9, "got {y}");
@@ -255,37 +259,37 @@ mod tests {
         for i in 0..50 {
             d.push(vec![i as f64], i as f64).unwrap();
         }
-        let mut m = IbK::new(3);
+        let mut m = IbK::new();
         m.fit(&d).unwrap();
         assert!((m.predict(&[17.3]).unwrap() - 17.0).abs() < 1e-12);
+        assert!((m.predict_linear(&[17.3]).unwrap() - 17.0).abs() < 1e-12);
 
-        // 2-D grid: the 4 nearest to (3.2, 7.1) are (3,7), (4,7), (3,8),
-        // (3,6) → targets 10, 11, 11, 9 → mean 10.25.
-        let mut m = IbK::new(4);
+        // 2-D grid: the 3 nearest to (3.2, 7.1) are (3,7), (4,7), (3,8)
+        // → targets 10, 11, 11 → mean 32/3.
+        let mut m = IbK::new();
         m.fit(&grid()).unwrap();
-        assert!((m.predict(&[3.2, 7.1]).unwrap() - 10.25).abs() < 1e-12);
+        assert!((m.predict(&[3.2, 7.1]).unwrap() - 32.0 / 3.0).abs() < 1e-12);
+        assert!((m.predict_linear(&[3.2, 7.1]).unwrap() - 32.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn indexed_predict_matches_linear_scan() {
         let d = grid();
-        for k in [1, 3, 7, 200] {
-            let mut m = IbK::new(k);
-            m.fit(&d).unwrap();
-            for q in [[3.2, 7.1], [0.0, 0.0], [-4.0, 15.0], [9.5, 0.5]] {
-                let indexed = m.predict(&q).unwrap();
-                let linear = m.predict_linear(&q).unwrap();
-                assert_eq!(indexed.to_bits(), linear.to_bits(), "k={k} q={q:?}");
-            }
+        let mut m = IbK::new();
+        m.fit(&d).unwrap();
+        for q in [[3.2, 7.1], [0.0, 0.0], [-4.0, 15.0], [9.5, 0.5], [4.5, 4.5]] {
+            let indexed = m.predict(&q).unwrap();
+            let linear = m.predict_linear(&q).unwrap();
+            assert_eq!(indexed.to_bits(), linear.to_bits(), "q={q:?}");
         }
     }
 
     #[test]
     fn partial_fit_matches_full_fit() {
         let d = grid();
-        let mut full = IbK::new(3);
+        let mut full = IbK::new();
         full.fit(&d).unwrap();
-        let mut inc = IbK::new(3);
+        let mut inc = IbK::new();
         inc.partial_fit(&d.filter(|i| i < 30), 0).unwrap();
         assert_eq!(inc.fitted_len(), 30);
         inc.partial_fit(&d, 30).unwrap();
@@ -306,17 +310,11 @@ mod tests {
     #[test]
     fn dimension_check() {
         let d = grid();
-        let mut m = IbK::new(2);
+        let mut m = IbK::new();
         m.fit(&d).unwrap();
         assert!(matches!(
             m.predict(&[1.0]),
             Err(MlError::FeatureDimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_panics() {
-        let _ = IbK::new(0);
     }
 }

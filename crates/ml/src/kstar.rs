@@ -18,8 +18,10 @@
 //! n_eff(x0) = (Σ_b p_b)² / Σ_b p_b²
 //! ```
 //!
-//! equals `target = 1 + (blend/100) · (N − 1)`, where `blend ∈ [0, 100]` is
-//! the "global blend" parameter (Weka default 20).
+//! equals `target = 1 + (blend/100) · (N − 1)`, where the "global blend" is
+//! Weka's default of 20 percent, K\*'s one setting. The kernel below is
+//! written over `target`, which a blend anywhere in `[0, 100]` puts in
+//! `[1, N]`.
 //!
 //! # The scale search
 //!
@@ -89,9 +91,9 @@
 //! not silent (`Found::converged`, asserted in debug builds).
 //!
 //! Three cases have no root to search for and are defined directly: all
-//! distances equal (within 1e-12) or `target ≥ N` (`blend = 100`) give the
+//! distances equal (within 1e-12) or `target ≥ N` (a blend of 100) give the
 //! plain mean of the targets; at least `target` rows at `d_min` (always so
-//! for `blend = 0`) give the mean over those rows.
+//! at a blend of 0) give the mean over those rows.
 //!
 //! The training state is append-only ([`IncrementalRegressor`]), bit-identical
 //! to a from-scratch fit. Every training row carries weight and the per-query
@@ -125,6 +127,9 @@ use crate::instances::InstanceStore;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 use disar_math::exp::{exp_nonpositive, INV_FACTORIALS};
+
+/// The global blend, in percent of the rows past the first.
+const BLEND: f64 = 20.0;
 
 /// The scale search stops on a residual `ln(n_eff / target)`, or on a
 /// midpoint step in `u = ln x0`, below this.
@@ -369,14 +374,13 @@ fn reduce(p: &[f64], e: &[f64], y: &[f64]) -> [f64; 8] {
 /// for i in 0..20 {
 ///     data.push(vec![i as f64], 4.0 * i as f64).unwrap();
 /// }
-/// let mut ks = KStar::new(20.0);
+/// let mut ks = KStar::new();
 /// ks.fit(&data).unwrap();
 /// let y = ks.predict(&[10.0]).unwrap();
 /// assert!((y - 40.0).abs() < 8.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KStar {
-    blend: f64,
     fitted: Option<Fitted>,
 }
 
@@ -422,18 +426,9 @@ impl Fitted {
 }
 
 impl KStar {
-    /// Creates a K* model with the given global blend percentage
-    /// (clamped to `[0, 100]`; Weka's default is 20).
-    pub fn new(blend: f64) -> Self {
-        KStar {
-            blend: blend.clamp(0.0, 100.0),
-            fitted: None,
-        }
-    }
-
-    /// The configured blend percentage.
-    pub fn blend(&self) -> f64 {
-        self.blend
+    /// An unfitted K\* model.
+    pub fn new() -> Self {
+        KStar { fitted: None }
     }
 
     /// `predict_row` for every row of `xs` into `out`: the loop both
@@ -480,8 +475,10 @@ impl KStar {
             q, dists, weights, ..
         } = scratch;
         store.scaler.transform_into(x, q);
-        Self::distances(cols, q, store.targets.len(), dists);
-        let found = Self::kernel_predict(&store.targets, self.blend, dists, weights);
+        let n = store.targets.len();
+        Self::distances(cols, q, n, dists);
+        let target = 1.0 + (BLEND / 100.0) * (n as f64 - 1.0);
+        let found = Self::kernel_predict(&store.targets, target, dists, weights);
         debug_assert!(
             found.converged,
             "scale search left by its ceiling after {} exp passes",
@@ -507,11 +504,12 @@ impl KStar {
 
     /// The per-query kernel on precomputed distances (at least two), which
     /// it shifts in place, with `weights` as its buffer: the scale search of
-    /// the module header and the weighted mean at the scale found.
+    /// the module header for the effective neighbour count `target`, and the
+    /// weighted mean at the scale found.
     #[inline(always)]
     fn kernel_predict(
         targets: &[f64],
-        blend: f64,
+        target: f64,
         dists: &mut [f64],
         weights: &mut Vec<f64>,
     ) -> Found {
@@ -521,7 +519,6 @@ impl KStar {
             converged: true,
         };
         let n = dists.len() as f64;
-        let target = 1.0 + (blend / 100.0) * (n - 1.0);
         let (dmin, dmax) = min_max(dists);
         let e_max = dmax - dmin;
         // Negated so that a non-finite spread (a non-finite query) also ends here.
@@ -714,13 +711,19 @@ mod tests {
         d.iter().map(|d| d - dmin).collect()
     }
 
+    /// The effective neighbour count a global blend of `blend` percent
+    /// aims at among `n` rows, as `predict_row` computes it at `BLEND`.
+    fn target_at(blend: f64, n: usize) -> f64 {
+        1.0 + (blend / 100.0) * (n as f64 - 1.0)
+    }
+
     /// The algorithm the scale search replaced, kept as its reference: a
     /// 200-step log-bisection of `n_eff(x0) = target` over `[1e-300, 1e300]`
     /// on the shifted distances, then the weighted mean at the scale found.
-    fn reference_predict(ks: &KStar, x: &[f64]) -> f64 {
+    fn reference_predict(ks: &KStar, x: &[f64], blend: f64) -> f64 {
         let e = shifted_distances(ks, x);
         let ys = &ks.fitted.as_ref().unwrap().store.targets;
-        let target = 1.0 + (ks.blend / 100.0) * (e.len() as f64 - 1.0);
+        let target = target_at(blend, e.len());
         let n_eff = |x0: f64| {
             let (s, s2) = e.iter().fold((0.0, 0.0), |(s, s2), e| {
                 let p = (-e / x0).exp();
@@ -747,7 +750,7 @@ mod tests {
 
     /// A fitted model over `n` seeded rows in `[0, 1]^dim` — on a four-level
     /// grid when `grid`, so that many rows and many distances coincide.
-    fn random_model(n: usize, dim: usize, blend: f64, grid: bool, seed: u64) -> KStar {
+    fn random_model(n: usize, dim: usize, grid: bool, seed: u64) -> KStar {
         let mut rng = stream_rng(seed, 0x4B53);
         let mut d = Dataset::new((0..dim).map(|j| format!("x{j}")).collect());
         for _ in 0..n {
@@ -768,33 +771,34 @@ mod tests {
                 + rng.gen_range(0.0..10.0);
             d.push(x, y).unwrap();
         }
-        let mut ks = KStar::new(blend);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         ks
     }
 
-    /// Runs `check(model, query)` over the seeded sets the solver is held to:
-    /// n 2…2000, dim 1…5, continuous and duplicate-heavy rows, four blends,
-    /// queries inside the hull, far outside, and at a training row's
-    /// standardized coordinates (the row itself when the set spans `[0, 1]`,
-    /// as the grid sets do; a hair off it otherwise).
-    fn for_each_case(mut check: impl FnMut(&KStar, &[f64])) {
+    /// Runs `check(model, query, blend)` over the seeded sets the solver is
+    /// held to: n 2…2000, dim 1…5, continuous and duplicate-heavy rows, the
+    /// kernel at four blends (a fit does not depend on the blend), queries
+    /// inside the hull, far outside, and at a training row's standardized
+    /// coordinates (the row itself when the set spans `[0, 1]`, as the grid
+    /// sets do; a hair off it otherwise).
+    fn for_each_case(mut check: impl FnMut(&KStar, &[f64], f64)) {
         let sizes = [2, 3, 5, 17, 100, 530, 2000];
         for (i, &n) in sizes.iter().enumerate() {
             for dim in 1..=5 {
                 for grid in [false, true] {
                     let blend = [1.0, 20.0, 60.0, 99.0][(i + dim) % 4];
                     let seed = (n * 10 + dim) as u64;
-                    let ks = random_model(n, dim, blend, grid, seed);
+                    let ks = random_model(n, dim, grid, seed);
                     let mut rng = stream_rng(seed, 0x5155);
                     for _ in 0..3 {
                         let inside: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-                        check(&ks, &inside);
+                        check(&ks, &inside, blend);
                         let far: Vec<f64> = inside.iter().map(|v| 50.0 + 1e3 * v).collect();
-                        check(&ks, &far);
+                        check(&ks, &far, blend);
                     }
                     let at_a_row = ks.fitted.as_ref().unwrap().store.rows[n / 2].clone();
-                    check(&ks, &at_a_row);
+                    check(&ks, &at_a_row, blend);
                 }
             }
         }
@@ -802,9 +806,9 @@ mod tests {
 
     #[test]
     fn scale_search_matches_bisection_reference() {
-        for_each_case(|ks, x| {
-            let got = ks.predict(x).unwrap();
-            let want = reference_predict(ks, x);
+        for_each_case(|ks, x, blend| {
+            let got = search(ks, x, blend).y;
+            let want = reference_predict(ks, x, blend);
             assert!(
                 (got - want).abs() <= 1e-12 * want.abs(),
                 "n {} x {x:?}: {got} vs reference {want}",
@@ -813,13 +817,17 @@ mod tests {
         });
     }
 
-    /// The kernel on `x`'s by-row distances, with the answer checked against
-    /// `predict` (whose distances are by column) bit for bit.
-    fn search(ks: &KStar, x: &[f64]) -> Found {
+    /// The kernel on `x`'s by-row distances for a global blend of `blend`
+    /// percent; at `BLEND` its answer is checked against `predict` (whose
+    /// distances are by column) bit for bit.
+    fn search(ks: &KStar, x: &[f64], blend: f64) -> Found {
         let ys = &ks.fitted.as_ref().unwrap().store.targets;
         let mut dists = shifted_distances(ks, x);
-        let found = KStar::kernel_predict(ys, ks.blend, &mut dists, &mut Vec::new());
-        assert_eq!(found.y.to_bits(), ks.predict(x).unwrap().to_bits());
+        let target = target_at(blend, ys.len());
+        let found = KStar::kernel_predict(ys, target, &mut dists, &mut Vec::new());
+        if blend == BLEND {
+            assert_eq!(found.y.to_bits(), ks.predict(x).unwrap().to_bits());
+        }
         found
     }
 
@@ -829,8 +837,8 @@ mod tests {
         // the far and the duplicate-heavy cases included, this search stays
         // at a few and never leaves by its ceiling.
         let mut searched = 0;
-        for_each_case(|ks, x| {
-            let found = search(ks, x);
+        for_each_case(|ks, x, blend| {
+            let found = search(ks, x, blend);
             assert!(
                 found.converged && found.exp_passes <= 8,
                 "n {} x {x:?}: {found:?}",
@@ -856,7 +864,7 @@ mod tests {
             d.push(x, 40.0 + work / nodes.powf(0.85) * rng.gen_range(0.9..1.1))
                 .unwrap();
         }
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         ks
     }
@@ -873,8 +881,8 @@ mod tests {
                 for nodes in 1..=64 {
                     let mut x = job.clone();
                     x.extend([8.0, 2.5, 32.0, nodes as f64]);
-                    let found = search(&ks, &x);
-                    let want = reference_predict(&ks, &x);
+                    let found = search(&ks, &x, BLEND);
+                    let want = reference_predict(&ks, &x, BLEND);
                     assert!(
                         (found.y - want).abs() <= 1e-12 * want.abs(),
                         "n {n} x {x:?}: {} vs reference {want}",
@@ -898,10 +906,7 @@ mod tests {
     fn distances_by_column_are_the_by_row_sums_bitwise() {
         // Three columns of the shard never vary and are not held by column;
         // the query differs from the rows in those too.
-        for (ks, varying) in [
-            (shard_model(501, 5), 7),
-            (random_model(100, 3, 20.0, true, 9), 3),
-        ] {
+        for (ks, varying) in [(shard_model(501, 5), 7), (random_model(100, 3, true, 9), 3)] {
             let Fitted { store, cols } = ks.fitted.as_ref().unwrap();
             assert_eq!(cols.len(), varying);
             let x: Vec<f64> = store.rows[7].iter().map(|v| 1.7 * v + 0.3).collect();
@@ -927,11 +932,11 @@ mod tests {
         d.push(vec![0.1, 0.9, 0.3, 0.5, 0.2], 250.0).unwrap();
         d.push(vec![0.8, 0.2, 0.6, 0.1, 0.9], 290.0).unwrap();
         d.push(vec![0.4, 0.5, 0.9, 0.7, 0.4], 330.0).unwrap();
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         let x = [900.0, 700.0, 800.0, 600.0, 1000.0];
         let got = ks.predict(&x).unwrap();
-        let want = reference_predict(&ks, &x);
+        let want = reference_predict(&ks, &x, BLEND);
         assert!(
             (got - want).abs() <= 1e-12 * want,
             "{got} vs reference {want}"
@@ -940,7 +945,7 @@ mod tests {
 
     #[test]
     fn scale_search_is_bitwise_stable_across_batches() {
-        let ks = random_model(200, 3, 20.0, false, 7);
+        let ks = random_model(200, 3, false, 7);
         let mut rng = stream_rng(7, 0x5155);
         let queries: Vec<Vec<f64>> = (0..64)
             .map(|_| (0..3).map(|_| rng.gen_range(-0.5..1.5)).collect())
@@ -1086,10 +1091,10 @@ mod tests {
             xs.push_row(x);
             xs
         };
-        // The seeded sets of the scale search's tests: 2 to 2000 rows, four
-        // blends, queries inside, far outside and at a row.
+        // The seeded sets of the scale search's tests: 2 to 2000 rows,
+        // queries inside, far outside and at a row.
         let mut cases = 0;
-        for_each_case(|ks, x| {
+        for_each_case(|ks, x, _| {
             let (portable, wide) = on_both_instances(ks, &one_row(x));
             assert_eq!(wide, portable, "n {} x {x:?}", ks.fitted_len());
             cases += 1;
@@ -1109,7 +1114,7 @@ mod tests {
             d.push(x, 40.0 + work / nodes.powf(0.85) * rng.gen_range(0.9..1.1))
                 .unwrap();
         }
-        let mut shard = KStar::new(20.0);
+        let mut shard = KStar::new();
         shard.fit(&d).unwrap();
         assert_eq!(shard.fitted.as_ref().unwrap().cols.len(), 3);
         for _ in 0..4 {
@@ -1127,7 +1132,7 @@ mod tests {
         // Every tail a sweep can end on: stores of 16 to 23 rows, each with
         // queries inside the hull, far outside and at a row.
         for n in 16..24 {
-            let ks = random_model(n, 3, 20.0, false, n as u64);
+            let ks = random_model(n, 3, false, n as u64);
             let mut xs = FeatureMatrix::new();
             xs.push_row(&[0.4, 0.6, 0.1]);
             xs.push_row(&[40.0, -7.0, 900.0]);
@@ -1136,8 +1141,7 @@ mod tests {
             assert_eq!(wide, portable, "{n} rows, tail {}", n % 8);
         }
 
-        // Two-row stores, both settled blends, all-equal distances and
-        // non-finite queries.
+        // A two-row store, all-equal distances and non-finite queries.
         let mut two = Dataset::new(vec!["x".into(), "z".into()]);
         two.push(vec![0.0, 1.0], 3.0).unwrap();
         two.push(vec![1.0, 0.0], 5.0).unwrap();
@@ -1145,16 +1149,8 @@ mod tests {
         for i in 0..10 {
             equal.push(vec![1.0], 10.0 + i as f64).unwrap();
         }
-        let models = [
-            (two.clone(), 20.0),
-            (two, 1.0),
-            (ramp(30), 0.0),
-            (ramp(30), 100.0),
-            (ramp(30), 20.0),
-            (equal, 20.0),
-        ];
-        for (data, blend) in models {
-            let mut ks = KStar::new(blend);
+        for data in [two, ramp(30), equal] {
+            let mut ks = KStar::new();
             ks.fit(&data).unwrap();
             let dim = data.dim();
             let mut xs = FeatureMatrix::new();
@@ -1162,17 +1158,17 @@ mod tests {
                 xs.push_row(&vec![v; dim]);
             }
             let (portable, wide) = on_both_instances(&ks, &xs);
-            assert_eq!(wide, portable, "blend {blend} dim {dim}");
+            assert_eq!(wide, portable, "{} rows, dim {dim}", data.len());
         }
     }
 
     #[test]
     fn blend_zero_behaves_like_nearest_neighbour() {
         let d = ramp(30);
-        let mut ks = KStar::new(0.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         // Query close to x=7 → target = 14.
-        assert_eq!(ks.predict(&[7.1]).unwrap(), 14.0);
+        assert_eq!(search(&ks, &[7.1], 0.0).y, 14.0);
     }
 
     #[test]
@@ -1181,27 +1177,27 @@ mod tests {
         for (x, y) in [(0.0, 0.0), (2.0, 20.0), (2.0, 40.0), (4.0, 90.0)] {
             d.push(vec![x], y).unwrap();
         }
-        let mut ks = KStar::new(0.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
-        assert_eq!(ks.predict(&[2.5]).unwrap(), 30.0);
+        assert_eq!(search(&ks, &[2.5], 0.0).y, 30.0);
         // Rows 1 and 2 on one side, row 3 on the other, all at distance 1.
-        assert_eq!(ks.predict(&[3.0]).unwrap(), 50.0);
+        assert_eq!(search(&ks, &[3.0], 0.0).y, 50.0);
     }
 
     #[test]
     fn blend_hundred_is_the_plain_mean() {
         let d = ramp(30);
-        let mut ks = KStar::new(100.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         let mean = d.targets().iter().sum::<f64>() / 30.0;
-        assert_eq!(ks.predict(&[0.0]).unwrap(), mean);
+        assert_eq!(search(&ks, &[0.0], 100.0).y, mean);
     }
 
     #[test]
     fn non_finite_query_gets_the_plain_mean() {
         // Every distance is infinite and their spread NaN: no scale to search.
         let d = ramp(30);
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         let mean = d.targets().iter().sum::<f64>() / 30.0;
         assert_eq!(ks.predict(&[f64::INFINITY]).unwrap(), mean);
@@ -1211,7 +1207,7 @@ mod tests {
     #[test]
     fn default_blend_interpolates_sensibly() {
         let d = ramp(50);
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         let y = ks.predict(&[25.0]).unwrap();
         assert!((y - 50.0).abs() < 10.0, "got {y}");
@@ -1222,11 +1218,11 @@ mod tests {
         // At a boundary query, larger blend → prediction closer to the mean.
         let d = ramp(40);
         let mean = d.target_mean();
+        let mut ks = KStar::new();
+        ks.fit(&d).unwrap();
         let mut prev_gap = f64::INFINITY;
         for blend in [0.0, 20.0, 60.0, 100.0] {
-            let mut ks = KStar::new(blend);
-            ks.fit(&d).unwrap();
-            let y = ks.predict(&[0.0]).unwrap();
+            let y = search(&ks, &[0.0], blend).y;
             let gap = (y - mean).abs();
             assert!(gap <= prev_gap + 1e-6, "blend {blend}: gap {gap} > {prev_gap}");
             prev_gap = gap;
@@ -1242,7 +1238,7 @@ mod tests {
         for _ in 0..5 {
             d.push(vec![1.0], 20.0).unwrap();
         }
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         let y = ks.predict(&[1.0]).unwrap();
         assert!((y - 15.0).abs() < 1e-9, "uniform over duplicates, got {y}");
@@ -1252,21 +1248,15 @@ mod tests {
     fn single_instance_training_set() {
         let mut d = Dataset::new(vec!["x".into()]);
         d.push(vec![5.0], 123.0).unwrap();
-        let mut ks = KStar::new(20.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         assert_eq!(ks.predict(&[0.0]).unwrap(), 123.0);
     }
 
     #[test]
-    fn blend_is_clamped() {
-        assert_eq!(KStar::new(-5.0).blend(), 0.0);
-        assert_eq!(KStar::new(250.0).blend(), 100.0);
-    }
-
-    #[test]
     fn predictions_within_target_range() {
         let d = ramp(25);
-        let mut ks = KStar::new(35.0);
+        let mut ks = KStar::new();
         ks.fit(&d).unwrap();
         for x in [-10.0, 0.0, 12.5, 24.0, 100.0] {
             let y = ks.predict(&[x]).unwrap();
@@ -1284,9 +1274,9 @@ mod tests {
             spanned.push(vec![i as f64], 2.0 * i as f64).unwrap();
         }
         for d in [ramp(40), spanned] {
-            let mut full = KStar::new(20.0);
+            let mut full = KStar::new();
             full.fit(&d).unwrap();
-            let mut inc = KStar::new(20.0);
+            let mut inc = KStar::new();
             inc.partial_fit(&d.filter(|i| i < 15), 0).unwrap();
             inc.partial_fit(&d, 15).unwrap();
             assert_eq!(inc.fitted_len(), 40);

@@ -34,7 +34,7 @@
 //! for i in 0..20 {
 //!     data.push(vec![i as f64], 2.0 * i as f64).unwrap();
 //! }
-//! let mut knn = IbK::new(3);
+//! let mut knn = IbK::new();
 //! knn.fit(&data).unwrap();
 //! let y = knn.predict(&[10.0]).unwrap();
 //! assert!((y - 20.0).abs() < 2.5);

@@ -76,7 +76,7 @@ pub fn evaluate<M: Regressor + ?Sized>(model: &M, test: &Dataset) -> Result<Eval
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ibk::IbK;
+    use crate::tree::RandomTree;
 
     #[test]
     fn perfect_model_zero_errors() {
@@ -84,7 +84,8 @@ mod tests {
         for i in 0..20 {
             d.push(vec![i as f64], i as f64).unwrap();
         }
-        let mut m = IbK::new(1);
+        // A tree on distinct values fits every training row exactly.
+        let mut m = RandomTree::new(0);
         m.fit(&d).unwrap();
         let ev = evaluate(&m, &d).unwrap();
         assert_eq!(ev.bias, 0.0);
@@ -132,7 +133,7 @@ mod tests {
     #[test]
     fn empty_test_set_rejected() {
         let d = Dataset::new(vec!["x".into()]);
-        let m = IbK::new(1);
+        let m = RandomTree::new(0);
         assert!(evaluate(&m, &d).is_err());
     }
 }

@@ -1,11 +1,11 @@
 //! Multi-Layer Perceptron regressor.
 //!
-//! Mirrors Weka's `MultilayerPerceptron` defaults: one hidden layer with
-//! `(attributes + classes) / 2` sigmoid units (at least 2), a linear output
-//! unit for regression, stochastic gradient descent with learning rate 0.3
-//! and momentum 0.2, 500 training epochs, and min–max normalization of the
-//! inputs. Targets are standardized internally and predictions un-scaled on
-//! the way out.
+//! Mirrors Weka's `MultilayerPerceptron` defaults, which are its only
+//! settings: one hidden layer with `(attributes + classes) / 2` sigmoid units
+//! (at least 2), a linear output unit for regression, stochastic gradient
+//! descent with learning rate 0.3 and momentum 0.2, 500 training epochs, and
+//! min–max normalization of the inputs. Targets are standardized internally
+//! and predictions un-scaled on the way out.
 //!
 //! [`Regressor::fit`] always starts from freshly drawn weights.
 //! [`Regressor::fit_appended`], the retrain after the training set grew by
@@ -31,8 +31,13 @@ use crate::regressor::Regressor;
 use crate::MlError;
 use disar_math::rng::{split_seed, stream_rng};
 
-/// Epochs of a continuation ([`Regressor::fit_appended`]), against the 500 of
-/// a cold fit.
+/// SGD's learning rate, decayed over the epochs.
+const LEARNING_RATE: f64 = 0.3;
+/// SGD's momentum.
+const MOMENTUM: f64 = 0.2;
+/// Epochs of a cold fit.
+const EPOCHS: usize = 500;
+/// Epochs of a continuation ([`Regressor::fit_appended`]).
 const WARM_EPOCHS: usize = 10;
 /// The fewest rows a fit must have covered to be continued: the paper's
 /// bootstrap size, below which predictions are not trusted. A smaller fit is
@@ -41,6 +46,11 @@ const WARM_MIN_ROWS: usize = 30;
 
 fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
+}
+
+/// The hidden-layer width for `dim` attributes (Weka's "a" wildcard).
+fn hidden_units(dim: usize) -> usize {
+    dim.div_ceil(2).max(2)
 }
 
 /// A fitted network ([`Mlp::network`]).
@@ -75,77 +85,21 @@ pub struct Fitted {
 /// for i in 0..50 {
 ///     data.push(vec![i as f64], 3.0 * i as f64).unwrap();
 /// }
-/// let mut mlp = Mlp::with_defaults(42);
+/// let mut mlp = Mlp::new(42);
 /// mlp.fit(&data).unwrap();
 /// let y = mlp.predict(&[25.0]).unwrap();
 /// assert!((y - 75.0).abs() < 15.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    hidden: Option<usize>,
-    learning_rate: f64,
-    momentum: f64,
-    epochs: usize,
     seed: u64,
     fitted: Option<Fitted>,
 }
 
 impl Mlp {
-    /// Creates an MLP with Weka's default hyper-parameters and automatic
-    /// hidden-layer sizing (`(attributes + 1) / 2`, minimum 2).
-    pub fn with_defaults(seed: u64) -> Self {
-        Mlp {
-            hidden: None,
-            learning_rate: 0.3,
-            momentum: 0.2,
-            epochs: 500,
-            seed,
-            fitted: None,
-        }
-    }
-
-    /// Creates an MLP with an explicit hidden-layer width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] for zero hidden units, a
-    /// learning rate that is not a positive finite number, a momentum
-    /// outside `[0, 1)`, or zero epochs.
-    pub fn new(
-        hidden: usize,
-        learning_rate: f64,
-        momentum: f64,
-        epochs: usize,
-        seed: u64,
-    ) -> Result<Self, MlError> {
-        if hidden == 0 {
-            return Err(MlError::InvalidHyperparameter("hidden units must be > 0"));
-        }
-        if !(learning_rate > 0.0 && learning_rate.is_finite()) {
-            return Err(MlError::InvalidHyperparameter(
-                "learning rate must be positive and finite",
-            ));
-        }
-        if !(0.0..1.0).contains(&momentum) {
-            return Err(MlError::InvalidHyperparameter("momentum must be in [0, 1)"));
-        }
-        if epochs == 0 {
-            return Err(MlError::InvalidHyperparameter("epochs must be > 0"));
-        }
-        Ok(Mlp {
-            hidden: Some(hidden),
-            learning_rate,
-            momentum,
-            epochs,
-            seed,
-            fitted: None,
-        })
-    }
-
-    /// The hidden-layer width that will be used for a dataset of dimension
-    /// `dim` (Weka's "a" wildcard).
-    pub fn hidden_units_for(&self, dim: usize) -> usize {
-        self.hidden.unwrap_or(dim.div_ceil(2).max(2))
+    /// An unfitted MLP whose weights and shuffles are drawn from `seed`.
+    pub fn new(seed: u64) -> Self {
+        Mlp { seed, fitted: None }
     }
 
     /// The fitted network, `None` before a fit. Not API: it is what
@@ -157,7 +111,7 @@ impl Mlp {
 
     /// SGD training core of [`Regressor::fit`] and
     /// [`Regressor::fit_appended`]. A cold fit (`warm` is `None`) draws the
-    /// initial weights and the shuffles of its `self.epochs` epochs from one
+    /// initial weights and the shuffles of its `EPOCHS` epochs from one
     /// rng, stream `0x4141` of the seed. A continuation of `(old, epochs)`
     /// starts from `old` re-expressed under `scaler` and runs `epochs` epochs
     /// whose shuffles are stream `n` (the row count) of the seed's warm
@@ -169,7 +123,7 @@ impl Mlp {
         warm: Option<(Fitted, usize)>,
     ) -> Result<Fitted, MlError> {
         let (d, n) = (data.dim(), data.len());
-        let h = self.hidden_units_for(d);
+        let h = hidden_units(d);
 
         let tmean = disar_math::stats::mean(data.targets());
         let tstd = {
@@ -202,7 +156,7 @@ impl Mlp {
                 let mut rng = stream_rng(self.seed, 0x4141);
                 let mut init = |len: usize| (0..len).map(|_| rng.gen_range(-0.5..0.5)).collect();
                 let (drawn, w2): (Vec<f64>, Vec<f64>) = (init(h * (d + 1)), init(h + 1));
-                (rng, self.epochs, drawn, w2)
+                (rng, EPOCHS, drawn, w2)
             }
             Some((old, epochs)) => {
                 let (w1, w2) = old.reexpress(&scaler, tmean, tstd);
@@ -223,9 +177,9 @@ impl Mlp {
         // Weka decays the learning rate towards zero over the epoch budget.
         let mut order: Vec<usize> = (0..n).collect();
         for epoch in 0..epochs {
-            let lr = self.learning_rate * (1.0 - epoch as f64 / epochs as f64).max(0.05);
+            let lr = LEARNING_RATE * (1.0 - epoch as f64 / epochs as f64).max(0.05);
             rng.shuffle(&mut order);
-            net.epoch(&xs, &ys, &order, lr, self.momentum);
+            net.epoch(&xs, &ys, &order, lr);
         }
 
         let Net { w1, w2, .. } = net;
@@ -304,7 +258,7 @@ struct Net {
 impl Net {
     /// One pass of SGD with momentum over the rows `order` names, in that
     /// order; row `i` is `xs[i * l..][..l]`.
-    fn epoch(&mut self, xs: &[f64], ys: &[f64], order: &[usize], lr: f64, momentum: f64) {
+    fn epoch(&mut self, xs: &[f64], ys: &[f64], order: &[usize], lr: f64) {
         let Net {
             l,
             w1,
@@ -333,18 +287,18 @@ impl Net {
             let rows = w1.chunks_exact_mut(l + 1).zip(v1.chunks_exact_mut(l + 1));
             for (hu, (wrow, vrow)) in rows.enumerate() {
                 let g2 = err * hid[hu];
-                v2[hu] = momentum * v2[hu] - lr * g2;
+                v2[hu] = MOMENTUM * v2[hu] - lr * g2;
                 let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
                 w2[hu] += v2[hu];
                 for ((wj, vj), xj) in wrow.iter_mut().zip(vrow.iter_mut()).zip(x) {
                     let g1 = delta_h * xj;
-                    *vj = momentum * *vj - lr * g1;
+                    *vj = MOMENTUM * *vj - lr * g1;
                     *wj += *vj;
                 }
-                vrow[l] = momentum * vrow[l] - lr * delta_h;
+                vrow[l] = MOMENTUM * vrow[l] - lr * delta_h;
                 wrow[l] += vrow[l];
             }
-            v2[h] = momentum * v2[h] - lr * err;
+            v2[h] = MOMENTUM * v2[h] - lr * err;
             w2[h] += v2[h];
         }
     }
@@ -466,30 +420,14 @@ mod tests {
 
     #[test]
     fn hidden_default_sizing() {
-        let m = Mlp::with_defaults(0);
-        assert_eq!(m.hidden_units_for(1), 2);
-        assert_eq!(m.hidden_units_for(7), 4);
-    }
-
-    #[test]
-    fn rejects_bad_hyperparameters() {
-        assert!(Mlp::new(0, 0.3, 0.2, 10, 0).is_err());
-        assert!(Mlp::new(4, 0.0, 0.2, 10, 0).is_err());
-        assert!(Mlp::new(4, 0.3, 1.0, 10, 0).is_err());
-        assert!(Mlp::new(4, 0.3, 0.2, 0, 0).is_err());
-        for rate in [f64::NAN, f64::INFINITY, -0.0] {
-            assert!(matches!(
-                Mlp::new(4, rate, 0.2, 10, 0),
-                Err(MlError::InvalidHyperparameter(_))
-            ));
-        }
-        assert!(Mlp::new(4, 0.3, f64::NAN, 10, 0).is_err());
+        assert_eq!(hidden_units(1), 2);
+        assert_eq!(hidden_units(7), 4);
     }
 
     #[test]
     fn learns_linear_function() {
         let data = linear_data(200);
-        let mut m = Mlp::with_defaults(3);
+        let mut m = Mlp::new(3);
         m.fit(&data).unwrap();
         let preds: Vec<f64> = data
             .rows()
@@ -504,8 +442,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let data = linear_data(60);
-        let mut m1 = Mlp::with_defaults(5);
-        let mut m2 = Mlp::with_defaults(5);
+        let mut m1 = Mlp::new(5);
+        let mut m2 = Mlp::new(5);
         m1.fit(&data).unwrap();
         m2.fit(&data).unwrap();
         assert_eq!(m1.predict(&[3.0, 1.0]).unwrap(), m2.predict(&[3.0, 1.0]).unwrap());
@@ -514,8 +452,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let data = linear_data(60);
-        let mut m1 = Mlp::with_defaults(1);
-        let mut m2 = Mlp::with_defaults(2);
+        let mut m1 = Mlp::new(1);
+        let mut m2 = Mlp::new(2);
         m1.fit(&data).unwrap();
         m2.fit(&data).unwrap();
         assert_ne!(m1.predict(&[3.0, 1.0]).unwrap(), m2.predict(&[3.0, 1.0]).unwrap());
@@ -524,7 +462,7 @@ mod tests {
     #[test]
     fn predict_checks_dimension() {
         let data = linear_data(30);
-        let mut m = Mlp::with_defaults(0);
+        let mut m = Mlp::new(0);
         m.fit(&data).unwrap();
         assert!(matches!(
             m.predict(&[1.0]),
@@ -538,7 +476,7 @@ mod tests {
         for i in 0..20 {
             d.push(vec![i as f64], 7.0).unwrap();
         }
-        let mut m = Mlp::with_defaults(0);
+        let mut m = Mlp::new(0);
         m.fit(&d).unwrap();
         let y = m.predict(&[10.0]).unwrap();
         assert!((y - 7.0).abs() < 0.5, "got {y}");
@@ -547,7 +485,7 @@ mod tests {
     /// SGD with momentum written the plain way — nested rows, indexed scalar
     /// loops — returning `(w1, w2)`.
     fn reference_train(m: &Mlp, data: &Dataset) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let (d, h) = (data.dim(), m.hidden_units_for(data.dim()));
+        let (d, h) = (data.dim(), hidden_units(data.dim()));
         let scaler = Scaler::fit(data).unwrap();
         let tmean = disar_math::stats::mean(data.targets());
         let tstd = Some(disar_math::stats::std_dev(data.targets()));
@@ -562,8 +500,8 @@ mod tests {
         let (mut v1, mut v2) = (vec![vec![0.0; d + 1]; h], vec![0.0; h + 1]);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut hid = vec![0.0; h];
-        for epoch in 0..m.epochs {
-            let lr = m.learning_rate * (1.0 - epoch as f64 / m.epochs as f64).max(0.05);
+        for epoch in 0..EPOCHS {
+            let lr = LEARNING_RATE * (1.0 - epoch as f64 / EPOCHS as f64).max(0.05);
             rng.shuffle(&mut order);
             for &i in &order {
                 for hu in 0..h {
@@ -579,17 +517,17 @@ mod tests {
                 }
                 let err = out - ys[i];
                 for hu in 0..h {
-                    v2[hu] = m.momentum * v2[hu] - lr * (err * hid[hu]);
+                    v2[hu] = MOMENTUM * v2[hu] - lr * (err * hid[hu]);
                     let delta_h = err * w2[hu] * hid[hu] * (1.0 - hid[hu]);
                     w2[hu] += v2[hu];
                     for j in 0..d {
-                        v1[hu][j] = m.momentum * v1[hu][j] - lr * (delta_h * xs[i][j]);
+                        v1[hu][j] = MOMENTUM * v1[hu][j] - lr * (delta_h * xs[i][j]);
                         w1[hu][j] += v1[hu][j];
                     }
-                    v1[hu][d] = m.momentum * v1[hu][d] - lr * delta_h;
+                    v1[hu][d] = MOMENTUM * v1[hu][d] - lr * delta_h;
                     w1[hu][d] += v1[hu][d];
                 }
-                v2[h] = m.momentum * v2[h] - lr * err;
+                v2[h] = MOMENTUM * v2[h] - lr * err;
                 w2[h] += v2[h];
             }
         }
@@ -611,7 +549,7 @@ mod tests {
         }
         let wide = crate::dataset::tests::kb_shaped(150, 2);
         for data in [narrow, wide] {
-            for mut m in [Mlp::with_defaults(9), Mlp::new(3, 0.2, 0.5, 37, 4).unwrap()] {
+            for mut m in [Mlp::new(9), Mlp::new(4)] {
                 m.fit(&data).unwrap();
                 let reference = reference_train(&m, &data);
                 let f = m.fitted.as_ref().unwrap();
@@ -658,25 +596,21 @@ mod tests {
             }
             for (data, live) in [(shard, 3), (equal, 0), (single, 1)] {
                 let seed = rng.next_u64();
-                for mut m in [
-                    Mlp::with_defaults(seed),
-                    Mlp::new(3, 0.2, 0.5, 37, seed).unwrap(),
-                ] {
-                    m.fit(&data).unwrap();
-                    let reference = reference_train(&m, &data);
-                    let f = m.fitted.as_ref().unwrap();
-                    assert_eq!(f.live.len(), live);
-                    assert_eq!(
-                        weight_bits(&f.w1, &f.w2),
-                        weight_bits(&reference.0, &reference.1)
-                    );
-                    // A query may hold anything where the fit saw one value.
-                    let mut odd = data.rows()[0].clone();
-                    odd.iter_mut().for_each(|v| *v = 1.5 * *v - 4.0);
-                    for x in data.rows().iter().take(5).chain([&odd]) {
-                        let y = m.predict(x).unwrap();
-                        assert_eq!(y.to_bits(), reference_predict(f, x).to_bits());
-                    }
+                let mut m = Mlp::new(seed);
+                m.fit(&data).unwrap();
+                let reference = reference_train(&m, &data);
+                let f = m.fitted.as_ref().unwrap();
+                assert_eq!(f.live.len(), live);
+                assert_eq!(
+                    weight_bits(&f.w1, &f.w2),
+                    weight_bits(&reference.0, &reference.1)
+                );
+                // A query may hold anything where the fit saw one value.
+                let mut odd = data.rows()[0].clone();
+                odd.iter_mut().for_each(|v| *v = 1.5 * *v - 4.0);
+                for x in data.rows().iter().take(5).chain([&odd]) {
+                    let y = m.predict(x).unwrap();
+                    assert_eq!(y.to_bits(), reference_predict(f, x).to_bits());
                 }
             }
         });
@@ -705,10 +639,7 @@ mod tests {
     #[test]
     fn continuation_with_no_epochs_computes_the_previous_fit() {
         let (old, grown) = grown_data();
-        for mut m in [
-            Mlp::with_defaults(21),
-            Mlp::new(3, 0.2, 0.5, 37, 4).unwrap(),
-        ] {
+        for mut m in [Mlp::new(21), Mlp::new(4)] {
             m.fit(&old).unwrap();
             let before = m.clone();
             let (scaler, start) = (Scaler::fit(&grown).unwrap(), m.fitted.take());
@@ -732,7 +663,7 @@ mod tests {
             let preds: Vec<f64> = grown.rows().iter().map(|r| m.predict(r).unwrap()).collect();
             disar_math::stats::rmse(&preds, grown.targets())
         };
-        let mut m = Mlp::with_defaults(8);
+        let mut m = Mlp::new(8);
         m.fit(&old).unwrap();
         let stale = rmse(&m);
         m.fit_appended(&grown, old.len()).unwrap();
@@ -742,11 +673,11 @@ mod tests {
     #[test]
     fn continuation_needs_a_fit_of_exactly_the_prefix() {
         let (old, grown) = grown_data();
-        let mut cold = Mlp::with_defaults(5);
+        let mut cold = Mlp::new(5);
         cold.fit(&grown).unwrap();
         // Unfitted, fitted on a row count other than `from`, or on fewer
         // than `WARM_MIN_ROWS`: a cold fit.
-        let mut m = Mlp::with_defaults(5);
+        let mut m = Mlp::new(5);
         m.fit_appended(&grown, old.len()).unwrap();
         assert_eq!(m.fitted, cold.fitted);
         m.fit(&old).unwrap();
@@ -763,7 +694,7 @@ mod tests {
         m.fit_appended(&grown, few).unwrap();
         assert_eq!(m.fitted, cold.fitted);
         // A continuation is a pure function of the sequence of fits.
-        let mut a = Mlp::with_defaults(5);
+        let mut a = Mlp::new(5);
         a.fit(&old).unwrap();
         let mut b = a.clone();
         a.fit_appended(&grown, old.len()).unwrap();
@@ -779,7 +710,7 @@ mod tests {
         for i in 0..50 {
             d2.push(vec![i as f64, 0.0], -5.0 * i as f64).unwrap();
         }
-        let mut m = Mlp::with_defaults(9);
+        let mut m = Mlp::new(9);
         m.fit(&d1).unwrap();
         let before = m.predict(&[8.0, 2.0]).unwrap();
         m.fit(&d2).unwrap();

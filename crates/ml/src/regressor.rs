@@ -172,18 +172,19 @@ impl ModelKind {
         ModelKind::DecisionTable,
     ];
 
-    /// Instantiates the model with its Weka-like default hyper-parameters.
+    /// Instantiates the model, whose Weka-like hyper-parameters are
+    /// constants of its module.
     ///
     /// `seed` feeds the stochastic learners (MLP weight init, tree/forest
     /// feature sampling); deterministic learners ignore it.
     pub fn instantiate(self, seed: u64) -> Box<dyn Regressor> {
         match self {
-            ModelKind::Mlp => Box::new(Mlp::with_defaults(seed)),
-            ModelKind::RandomTree => Box::new(RandomTree::with_defaults(seed)),
-            ModelKind::RandomForest => Box::new(RandomForest::with_defaults(seed)),
-            ModelKind::IbK => Box::new(IbK::new(3)),
-            ModelKind::KStar => Box::new(KStar::new(20.0)),
-            ModelKind::DecisionTable => Box::new(DecisionTable::with_defaults()),
+            ModelKind::Mlp => Box::new(Mlp::new(seed)),
+            ModelKind::RandomTree => Box::new(RandomTree::new(seed)),
+            ModelKind::RandomForest => Box::new(RandomForest::new(seed)),
+            ModelKind::IbK => Box::new(IbK::new()),
+            ModelKind::KStar => Box::new(KStar::new()),
+            ModelKind::DecisionTable => Box::new(DecisionTable::new()),
         }
     }
 

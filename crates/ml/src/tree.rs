@@ -3,8 +3,10 @@
 //! Mirrors Weka's `RandomTree`: at every node a random subset of
 //! `K = ⌊log₂(d)⌋ + 1` candidate features is considered, the best
 //! variance-reducing split among them is taken, and the tree is grown without
-//! pruning until nodes are pure or smaller than `min_leaf`. It is both one of
-//! the paper's six models and the base learner of [`crate::RandomForest`].
+//! pruning until nodes are pure or hold one row. Those are Weka's defaults and
+//! the tree's only settings: a leaf holds one row at least and a path splits
+//! at most 64 times, a bound no knowledge base reaches. It is both one of the
+//! paper's six models and the base learner of [`crate::RandomForest`].
 //!
 //! A tree is grown on row numbers into one `TreeFit` view of the data,
 //! never on copies of rows: a node is a slice of row numbers in ascending
@@ -40,6 +42,15 @@ use std::ops::Range;
 
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
+
+/// A node this many splits below the root is a leaf.
+const MAX_DEPTH: usize = 64;
+
+/// Weka's `K = ⌊log₂ d⌋ + 1` candidates per split, at most `d` (none without
+/// columns, where every node is a leaf).
+fn features_per_split(dim: usize) -> usize {
+    ((dim as f64).log2().floor() as usize + 1).min(dim)
+}
 
 /// A node of at most this many rows orders its keys by placement.
 const PLACE_MAX: usize = 16;
@@ -195,16 +206,13 @@ fn order_keys<'k>(
 /// for i in 0..40 {
 ///     data.push(vec![i as f64], if i < 20 { 1.0 } else { 9.0 }).unwrap();
 /// }
-/// let mut tree = RandomTree::with_defaults(1);
+/// let mut tree = RandomTree::new(1);
 /// tree.fit(&data).unwrap();
 /// assert!((tree.predict(&[5.0]).unwrap() - 1.0).abs() < 1e-9);
 /// assert!((tree.predict(&[30.0]).unwrap() - 9.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomTree {
-    features_per_split: Option<usize>,
-    min_leaf: usize,
-    max_depth: usize,
     seed: u64,
     dim: usize,
     nodes: Vec<Node>,
@@ -212,50 +220,14 @@ pub struct RandomTree {
 }
 
 impl RandomTree {
-    /// Weka defaults: `K = ⌊log₂ d⌋ + 1` random features per split,
-    /// minimum leaf size 1, effectively unbounded depth.
-    pub fn with_defaults(seed: u64) -> Self {
+    /// An unfitted tree whose node streams are keyed by `seed`.
+    pub fn new(seed: u64) -> Self {
         RandomTree {
-            features_per_split: None,
-            min_leaf: 1,
-            max_depth: 64,
             seed,
             dim: 0,
             nodes: Vec::new(),
             importances: Vec::new(),
         }
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// `features_per_split = None` selects the `⌊log₂ d⌋ + 1` default at fit
-    /// time; `Some(k)` forces exactly `k` (clamped to the dimension).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] if `min_leaf == 0` or
-    /// `max_depth == 0`.
-    pub fn new(
-        features_per_split: Option<usize>,
-        min_leaf: usize,
-        max_depth: usize,
-        seed: u64,
-    ) -> Result<Self, MlError> {
-        if min_leaf == 0 {
-            return Err(MlError::InvalidHyperparameter("min_leaf must be > 0"));
-        }
-        if max_depth == 0 {
-            return Err(MlError::InvalidHyperparameter("max_depth must be > 0"));
-        }
-        Ok(RandomTree {
-            features_per_split,
-            min_leaf,
-            max_depth,
-            seed,
-            dim: 0,
-            nodes: Vec::new(),
-            importances: Vec::new(),
-        })
     }
 
     /// Depth of the fitted tree (`0` before fitting).
@@ -284,15 +256,6 @@ impl RandomTree {
     /// highest variability in the execution time".
     pub fn importances(&self) -> &[f64] {
         &self.importances
-    }
-
-    /// Candidates per split: at least one, at most `dim` (none without
-    /// columns, where every node is a leaf).
-    fn k_for(&self, dim: usize) -> usize {
-        let k = self
-            .features_per_split
-            .unwrap_or_else(|| (dim as f64).log2().floor() as usize + 1);
-        k.max(1).min(dim)
     }
 
     /// Fits the tree to the rows `idx` of `fit`, which ascend (a forest's
@@ -351,7 +314,7 @@ impl RandomTree {
             value: mean,
             gain: 0.0,
         });
-        if depth >= self.max_depth || n < 2 * self.min_leaf || n < 2 {
+        if depth >= MAX_DEPTH || n < 2 {
             return slot as u32;
         }
         // Pure node?
@@ -368,7 +331,7 @@ impl RandomTree {
         let total_sq: f64 = idx.iter().map(|&i| ys[i] * ys[i]).sum();
 
         let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
-        for &f in &fit.feats[..self.k_for(self.dim)] {
+        for &f in &fit.feats[..features_per_split(self.dim)] {
             let rank = &fit.rank[f * fit.n..];
             let distinct = &fit.distinct[fit.starts[f]..fit.starts[f + 1]];
             if distinct.len() == 1 {
@@ -387,7 +350,8 @@ impl RandomTree {
             }
             let keys = order_keys(keys, (lo, hi), &mut fit.ordered[..n], &mut fit.counts);
             // Scan split positions; candidate threshold between consecutive
-            // distinct feature values.
+            // distinct feature values. Every position leaves a row on either
+            // side, which is all a leaf needs.
             let mut lsum = 0.0;
             let mut lsq = 0.0;
             for (pos, pair) in keys.windows(2).enumerate() {
@@ -396,9 +360,6 @@ impl RandomTree {
                 lsq += y * y;
                 let nl = (pos + 1) as f64;
                 let nr = (n - pos - 1) as f64;
-                if (pos + 1) < self.min_leaf || (n - pos - 1) < self.min_leaf {
-                    continue;
-                }
                 let (r, rnext) = ((pair[0] >> 32) as usize, (pair[1] >> 32) as usize);
                 if rnext == r {
                     continue; // no valid threshold between equal values
@@ -508,24 +469,6 @@ impl RandomTree {
             node = &self.nodes[slot];
         }
         node.value
-    }
-
-    /// [`RandomTree::descend`] for four rows at once. A descent is a chain of
-    /// loads, each waiting for the one before; a round here moves every row
-    /// that is not yet at its leaf one level down, and the four loads of a
-    /// round wait for nothing but their own row's last.
-    pub(crate) fn descend4(&self, rows: [&[f64]; 4]) -> [f64; 4] {
-        let mut at = [(0, &self.nodes[0]); 4];
-        while at.iter().any(|(_, node)| node.feature != LEAF) {
-            for ((slot, node), x) in at.iter_mut().zip(rows) {
-                if node.feature != LEAF {
-                    let go_left = x[node.feature as usize] <= node.value;
-                    *slot = select_unpredictable(go_left, *slot + 1, node.right as usize);
-                    *node = &self.nodes[*slot];
-                }
-            }
-        }
-        at.map(|(_, node)| node.value)
     }
 
     /// The tree walked once for a whole column (`Column::fill`), not once per
@@ -646,7 +589,7 @@ mod tests {
 
     #[test]
     fn learns_step_function_exactly() {
-        let mut t = RandomTree::with_defaults(3);
+        let mut t = RandomTree::new(3);
         t.fit(&step_data()).unwrap();
         assert_eq!(t.predict(&[10.0, 0.0]).unwrap(), 10.0);
         assert_eq!(t.predict(&[80.0, 0.0]).unwrap(), 100.0);
@@ -654,13 +597,13 @@ mod tests {
 
     #[test]
     fn interpolates_training_points_with_min_leaf_one() {
-        // With min_leaf=1 and no depth cap, a regression tree fits the
+        // With one-row leaves and no depth cap, a regression tree fits the
         // training targets exactly when feature values are distinct.
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..30 {
             d.push(vec![i as f64], (i as f64).sin() * 10.0).unwrap();
         }
-        let mut t = RandomTree::with_defaults(1);
+        let mut t = RandomTree::new(1);
         t.fit(&d).unwrap();
         for i in 0..30 {
             let (x, y) = d.get(i);
@@ -669,36 +612,12 @@ mod tests {
     }
 
     #[test]
-    fn min_leaf_limits_tree_size() {
-        let d = step_data();
-        let mut small = RandomTree::new(None, 1, 64, 1).unwrap();
-        let mut big = RandomTree::new(None, 25, 64, 1).unwrap();
-        small.fit(&d).unwrap();
-        big.fit(&d).unwrap();
-        assert!(big.leaf_count() <= small.leaf_count());
-        assert!(big.leaf_count() >= 2);
-    }
-
-    #[test]
-    fn max_depth_one_is_a_stump() {
-        // `max_depth` counts splits along a path: with max_depth = 1 the
-        // root may split once and both children must be leaves.
-        let d = step_data();
-        let mut t = RandomTree::new(None, 1, 1, 1).unwrap();
-        t.fit(&d).unwrap();
-        assert!(t.depth() <= 2, "depth {}", t.depth());
-        assert!(t.leaf_count() <= 2);
-        let y = t.predict(&[0.0, 0.0]).unwrap();
-        assert!(y.is_finite());
-    }
-
-    #[test]
     fn constant_target_single_leaf() {
         let mut d = Dataset::new(vec!["x".into()]);
         for i in 0..10 {
             d.push(vec![i as f64], 3.0).unwrap();
         }
-        let mut t = RandomTree::with_defaults(0);
+        let mut t = RandomTree::new(0);
         t.fit(&d).unwrap();
         assert_eq!(t.leaf_count(), 1);
         assert_eq!(t.predict(&[100.0]).unwrap(), 3.0);
@@ -710,7 +629,7 @@ mod tests {
         for i in 0..20 {
             d.push(vec![(i % 2) as f64], i as f64).unwrap();
         }
-        let mut t = RandomTree::with_defaults(2);
+        let mut t = RandomTree::new(2);
         t.fit(&d).unwrap();
         // Only one valid threshold (0.5); both sides must predict their mean.
         let y0 = t.predict(&[0.0]).unwrap();
@@ -720,16 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_hyperparameters() {
-        assert!(RandomTree::new(None, 0, 10, 0).is_err());
-        assert!(RandomTree::new(None, 1, 0, 0).is_err());
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let d = step_data();
-        let mut a = RandomTree::with_defaults(11);
-        let mut b = RandomTree::with_defaults(11);
+        let mut a = RandomTree::new(11);
+        let mut b = RandomTree::new(11);
         a.fit(&d).unwrap();
         b.fit(&d).unwrap();
         for i in 0..d.len() {
@@ -745,7 +658,7 @@ mod tests {
             let s = (i % 10) as f64;
             d.push(vec![s, ((i * 31) % 17) as f64], s * 100.0).unwrap();
         }
-        let mut t = RandomTree::new(Some(2), 1, 64, 5).unwrap();
+        let mut t = RandomTree::new(5);
         t.fit(&d).unwrap();
         let imp = t.importances();
         assert_eq!(imp.len(), 2);
@@ -759,7 +672,7 @@ mod tests {
         for i in 0..10 {
             d.push(vec![i as f64], 5.0).unwrap();
         }
-        let mut t = RandomTree::with_defaults(0);
+        let mut t = RandomTree::new(0);
         t.fit(&d).unwrap();
         assert_eq!(t.importances(), &[0.0]);
     }
@@ -772,24 +685,23 @@ mod tests {
         Split(usize, f64, Box<[Ref; 2]>),
     }
 
-    struct Reference<'a> {
-        t: &'a RandomTree,
+    struct Reference {
         gains: Vec<f64>,
     }
 
-    impl Reference<'_> {
+    impl Reference {
         fn grow(&mut self, rows: Vec<(Vec<f64>, f64)>, depth: usize, key: u64) -> Ref {
-            let (n, t) = (rows.len(), self.t);
+            let n = rows.len();
             let sum: f64 = rows.iter().map(|r| r.1).sum();
             let pure = rows.iter().all(|r| (r.1 - rows[0].1).abs() < 1e-12);
-            if depth >= t.max_depth || n < 2 * t.min_leaf || n < 2 || pure {
+            if depth >= MAX_DEPTH || n < 2 || pure {
                 return Ref::Leaf(sum / n as f64);
             }
             let mut feats: Vec<usize> = (0..rows[0].0.len()).collect();
             stream_rng(key, 0x7EE5).shuffle(&mut feats);
             let sq: f64 = rows.iter().map(|r| r.1 * r.1).sum();
             let mut best: Option<(f64, usize, f64)> = None;
-            for &f in &feats[..t.k_for(feats.len())] {
+            for &f in &feats[..features_per_split(feats.len())] {
                 let mut sorted = rows.clone();
                 sorted.sort_by(|a, b| a.0[f].partial_cmp(&b.0[f]).unwrap());
                 let (mut lsum, mut lsq) = (0.0, 0.0);
@@ -798,7 +710,7 @@ mod tests {
                     lsq += sorted[pos].1 * sorted[pos].1;
                     let (nl, nr) = (pos + 1, n - pos - 1);
                     let (xv, xnext) = (sorted[pos].0[f], sorted[pos + 1].0[f]);
-                    if nl < t.min_leaf || nr < t.min_leaf || xnext <= xv {
+                    if xnext <= xv {
                         continue;
                     }
                     let (rsum, rsq) = (sum - lsum, sq - lsq);
@@ -871,20 +783,16 @@ mod tests {
     /// Fits a tree on `d` and grows the reference from copies of its rows
     /// with the same stream: same shape, same predictions on every row (and
     /// on the row with its signed zeros flipped), same importances.
-    fn assert_tree_matches_reference(
-        d: &Dataset,
-        k: Option<usize>,
-        (min_leaf, max_depth): (usize, usize),
-        seed: u64,
-    ) {
-        let mut t = RandomTree::new(k, min_leaf, max_depth, seed).unwrap();
+    fn assert_tree_matches_reference(d: &Dataset, seed: u64) {
+        let mut t = RandomTree::new(seed);
         t.fit(d).unwrap();
         let rows = d.rows().iter().cloned().zip(d.targets().iter().copied());
-        let gains = vec![0.0; d.dim()];
-        let mut dumb = Reference { t: &t, gains };
+        let mut dumb = Reference {
+            gains: vec![0.0; d.dim()],
+        };
         let r = dumb.grow(rows.collect(), 0, seed);
         let gains = dumb.gains;
-        let case = format!("{} rows, {min_leaf}/{max_depth}/{k:?}/{seed}", d.len());
+        let case = format!("{} rows, seed {seed}", d.len());
         assert_eq!((t.depth(), t.leaf_count()), r.shape(), "{case}");
         for x in d.rows() {
             // The row itself, then each signed zero flipped.
@@ -910,13 +818,37 @@ mod tests {
             bagged(&tied_data(40), 3),
         ];
         for d in &sets {
-            for leaf_and_depth in [(1, 64), (25, 64), (1, 1), (3, 5)] {
-                for k in [None, Some(1), Some(d.dim())] {
-                    for seed in 0..3 {
-                        assert_tree_matches_reference(d, k, leaf_and_depth, seed);
-                    }
-                }
+            for seed in 0..12 {
+                assert_tree_matches_reference(d, seed);
             }
+        }
+    }
+
+    /// A forest, whose trees share one set of buffers, against reference
+    /// trees grown on its materialised bags: every prediction on `d`'s rows.
+    fn assert_forest_matches_reference(d: &Dataset, seed: u64) {
+        use crate::forest::N_TREES;
+        use crate::RandomForest;
+
+        let mut rf = RandomForest::new(seed);
+        rf.fit(d).unwrap();
+        let trees: Vec<Ref> = (0..N_TREES as u64)
+            .map(|i| {
+                let tree_seed = split_seed(seed, i);
+                let sample = bagged(d, tree_seed);
+                let targets = sample.targets().iter().copied();
+                let rows = sample.rows().iter().cloned().zip(targets);
+                let mut dumb = Reference {
+                    gains: vec![0.0; d.dim()],
+                };
+                dumb.grow(rows.collect(), 0, tree_seed ^ 0x51ED)
+            })
+            .collect();
+        for x in d.rows() {
+            let sum = trees.iter().fold(0.0, |s, r| s + r.descend(x));
+            let (got, want) = (rf.predict(x).unwrap(), sum / N_TREES as f64);
+            let case = format!("{} rows, seed {seed}", d.len());
+            assert_eq!(got.to_bits(), want.to_bits(), "{case}");
         }
     }
 
@@ -924,8 +856,7 @@ mod tests {
     /// search passes over them, and neither the stream nor the tree moves.
     #[test]
     fn constant_candidates_are_skipped_and_the_reference_tree_still_grows() {
-        use crate::dataset::tests::shard_shaped;
-        use crate::{dataset::Scaler, RandomForest};
+        use crate::dataset::{tests::shard_shaped, Scaler};
 
         disar_math::check::cases(8, |rng| {
             let d = shard_shaped(rng.gen_range(7usize..120), rng.next_u64());
@@ -935,32 +866,8 @@ mod tests {
                 assert_eq!(fit.starts[f + 1] - fit.starts[f] > 1, scaler.varies(f));
             }
             let seed = rng.gen_range(0u64..1000);
-            for k in [None, Some(1), Some(d.dim())] {
-                assert_tree_matches_reference(&d, k, (1, 64), seed);
-                assert_tree_matches_reference(&d, k, (3, 5), seed);
-            }
-
-            // The forest, against reference trees on its materialised bags.
-            let mut rf = RandomForest::new(6, 1, 64, seed).unwrap();
-            rf.fit(&d).unwrap();
-            let t = RandomTree::new(None, 1, 64, 0).unwrap();
-            let trees: Vec<Ref> = (0..6)
-                .map(|i| {
-                    let tree_seed = split_seed(seed, i);
-                    let sample = bagged(&d, tree_seed);
-                    let rows = sample
-                        .rows()
-                        .iter()
-                        .cloned()
-                        .zip(sample.targets().iter().copied());
-                    let gains = vec![0.0; d.dim()];
-                    Reference { t: &t, gains }.grow(rows.collect(), 0, tree_seed ^ 0x51ED)
-                })
-                .collect();
-            for x in d.rows() {
-                let sum = trees.iter().fold(0.0, |s, r| s + r.descend(x));
-                assert_eq!(rf.predict(x).unwrap().to_bits(), (sum / 6.0).to_bits());
-            }
+            assert_tree_matches_reference(&d, seed);
+            assert_forest_matches_reference(&d, seed);
         });
     }
 
@@ -989,7 +896,6 @@ mod tests {
     #[test]
     fn split_search_paths_match_the_copied_rows_reference_bitwise() {
         use crate::dataset::tests::kb_shaped;
-        use crate::RandomForest;
 
         // Keys as a node builds them, at sizes on both sides of the
         // placement cutoff and with rank spans under and over the bound,
@@ -1013,39 +919,17 @@ mod tests {
         }
 
         // Whole trees: roots of 15, 16 and 17 rows and the deep small nodes
-        // of larger ones, min_leaf above 1, a forest's bag copied.
+        // of larger ones, a forest's bag copied.
         let mut sets: Vec<Dataset> = [15, 16, 17, 120, 500].map(paths_data).into();
         sets.push(bagged(&paths_data(60), 4));
         for d in &sets {
-            for leaf_and_depth in [(1, 64), (2, 64), (4, 64), (3, 5)] {
-                for k in [None, Some(1), Some(d.dim())] {
-                    assert_tree_matches_reference(d, k, leaf_and_depth, 7);
-                }
+            for seed in 7..11 {
+                assert_tree_matches_reference(d, seed);
             }
         }
 
-        // A forest, whose trees share one set of buffers, against reference
-        // trees on its materialised bags.
         for n in [30, 50, 100, 500] {
-            let d = kb_shaped(n, 13);
-            let mut rf = RandomForest::new(8, 1, 64, 21).unwrap();
-            rf.fit(&d).unwrap();
-            let t = RandomTree::new(None, 1, 64, 0).unwrap();
-            let trees: Vec<Ref> = (0..8)
-                .map(|i| {
-                    let tree_seed = split_seed(21, i);
-                    let sample = bagged(&d, tree_seed);
-                    let targets = sample.targets().iter().copied();
-                    let rows = sample.rows().iter().cloned().zip(targets);
-                    let gains = vec![0.0; d.dim()];
-                    Reference { t: &t, gains }.grow(rows.collect(), 0, tree_seed ^ 0x51ED)
-                })
-                .collect();
-            for x in d.rows() {
-                let sum = trees.iter().fold(0.0, |s, r| s + r.descend(x));
-                let (got, want) = (rf.predict(x).unwrap(), sum / 8.0);
-                assert_eq!(got.to_bits(), want.to_bits(), "{n} rows");
-            }
+            assert_forest_matches_reference(&kb_shaped(n, 13), 21);
         }
     }
 
@@ -1053,29 +937,30 @@ mod tests {
     /// mean, and a forest's trees are each the mean of its bag.
     #[test]
     fn a_dataset_without_columns_fits_one_leaf_its_mean() {
-        use crate::RandomForest;
+        use crate::{forest::N_TREES, RandomForest};
 
         let d = Dataset::from_rows(Vec::new(), vec![Vec::new(); 2], vec![2.0, 5.0]).unwrap();
-        let mut t = RandomTree::with_defaults(1);
+        let mut t = RandomTree::new(1);
         t.fit(&d).unwrap();
         assert_eq!((t.depth(), t.leaf_count()), (1, 1));
         assert_eq!(t.predict(&[]).unwrap(), 3.5);
         assert_eq!(t.importances(), &[] as &[f64]);
 
-        let mut rf = RandomForest::new(8, 1, 64, 1).unwrap();
+        let mut rf = RandomForest::new(1);
         rf.fit(&d).unwrap();
-        let sum = (0..8).fold(0.0, |s, i| {
+        let sum = (0..N_TREES as u64).fold(0.0, |s, i| {
             let bag = bagged(&d, split_seed(1, i));
             s + bag.targets().iter().sum::<f64>() / bag.len() as f64
         });
-        assert_eq!(rf.predict(&[]).unwrap().to_bits(), (sum / 8.0).to_bits());
+        let mean = sum / N_TREES as f64;
+        assert_eq!(rf.predict(&[]).unwrap().to_bits(), mean.to_bits());
     }
 
     #[test]
     fn single_row_dataset() {
         let mut d = Dataset::new(vec!["x".into()]);
         d.push(vec![1.0], 42.0).unwrap();
-        let mut t = RandomTree::with_defaults(0);
+        let mut t = RandomTree::new(0);
         t.fit(&d).unwrap();
         assert_eq!(t.predict(&[99.0]).unwrap(), 42.0);
     }

@@ -71,7 +71,7 @@ fn rows() -> Dataset {
 fn fit_appended_is_the_forests_partial_fit() {
     let data = rows();
     let n = data.len();
-    let mut head_fit = RandomForest::with_defaults(11);
+    let mut head_fit = RandomForest::new(11);
     head_fit
         .fit(&data.filter(|i| i < n - 1))
         .expect("non-empty data");
@@ -88,7 +88,7 @@ fn fit_appended_is_the_forests_partial_fit() {
             .fit_appended(&data, n - 1)
             .expect("the base grew by appending")
     });
-    let mut cold = RandomForest::with_defaults(11);
+    let mut cold = RandomForest::new(11);
     let refit = allocations(|| cold.fit(&data).expect("non-empty data"));
     assert_eq!(
         appended, partial,

@@ -96,17 +96,15 @@ fn mlp_forward(mlp: &Mlp, x: &[f64]) -> f64 {
     out * f.target_std + f.target_mean
 }
 
-/// The family members with hand-tuned cheap hyper-parameters (the MLP in
-/// particular trains with a reduced epoch budget — the properties hold for
-/// any fitted weights).
+/// The family's six members, as `default_family` builds them.
 fn family(seed: u64) -> Vec<Box<dyn Regressor>> {
     vec![
-        Box::new(Mlp::new(3, 0.3, 0.2, 20, seed).expect("valid mlp")),
-        Box::new(RandomTree::with_defaults(seed)),
-        Box::new(RandomForest::new(8, 1, 64, seed).expect("valid forest")),
-        Box::new(IbK::new(3)),
-        Box::new(KStar::new(20.0)),
-        Box::new(DecisionTable::with_defaults()),
+        Box::new(Mlp::new(seed)),
+        Box::new(RandomTree::new(seed)),
+        Box::new(RandomForest::new(seed)),
+        Box::new(IbK::new()),
+        Box::new(KStar::new()),
+        Box::new(DecisionTable::new()),
     ]
 }
 
@@ -120,7 +118,7 @@ fn members_batch_matches_one_row_batches() {
             m.fit(&data).expect("training succeeds");
             assert_rows_alone_match(m.as_ref(), &data, seed);
         }
-        let mut mlp = Mlp::new(3, 0.3, 0.2, 20, seed).expect("valid mlp");
+        let mut mlp = Mlp::new(seed);
         mlp.fit(&data).expect("training succeeds");
         for_each_batched_row(&mlp, data.dim(), seed, |n, q, got| {
             let want = mlp_forward(&mlp, q);
@@ -139,11 +137,7 @@ fn members_batch_matches_one_row_batches() {
 fn neighbour_models_batch_matches_one_row_batches_under_ties() {
     cases(24, |rng| {
         let (data, seed) = (any_tied_dataset(rng), rng.gen_range(0u64..1000));
-        let models: Vec<Box<dyn Regressor>> = vec![
-            Box::new(IbK::new(3)),
-            Box::new(KStar::new(0.0)),
-            Box::new(KStar::new(20.0)),
-        ];
+        let models: Vec<Box<dyn Regressor>> = vec![Box::new(IbK::new()), Box::new(KStar::new())];
         for mut m in models {
             m.fit(&data).expect("training succeeds");
             assert_rows_alone_match(m.as_ref(), &data, seed);
@@ -253,8 +247,8 @@ const COLUMN_VALUES: [f64; 12] = [
     -5.0, -4.0, -3.0, -2.0, -0.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
 ];
 
-/// The column widths: one row, a pair, odd, one `descend4` stride pair, and
-/// a grid's longest column.
+/// The column widths: one row, a pair, odd, even, and a grid's longest
+/// column.
 const COLUMN_WIDTHS: [usize; 5] = [1, 2, 7, 8, 64];
 
 /// RT and RF answer a base row with one varying column, drawn with ties,
@@ -297,8 +291,8 @@ fn trees_answer_a_column_as_its_rows_alone() {
 
         let seed = rng.gen_range(0u64..1000);
         let trees: [Box<dyn Regressor>; 2] = [
-            Box::new(RandomTree::with_defaults(seed)),
-            Box::new(RandomForest::new(8, 1, 64, seed).expect("valid forest")),
+            Box::new(RandomTree::new(seed)),
+            Box::new(RandomForest::new(seed)),
         ];
         for mut m in trees {
             m.fit(&data).expect("training succeeds");

@@ -117,16 +117,16 @@ fn partial_fit_bit_identical_to_full_fit() {
         let split = rng.gen_range(1..data.len());
         let prefix = prefix_of(&data, split);
 
-        let mut full_ibk = IbK::new(3);
+        let mut full_ibk = IbK::new();
         full_ibk.fit(&data).expect("fits");
-        let mut inc_ibk = IbK::new(3);
+        let mut inc_ibk = IbK::new();
         inc_ibk.fit(&prefix).expect("fits");
         inc_ibk.partial_fit(&data, split).expect("prefix extends");
         assert_eq!(inc_ibk.fitted_len(), data.len());
 
-        let mut full_ks = KStar::new(20.0);
+        let mut full_ks = KStar::new();
         full_ks.fit(&data).expect("fits");
-        let mut inc_ks = KStar::new(20.0);
+        let mut inc_ks = KStar::new();
         inc_ks.fit(&prefix).expect("fits");
         inc_ks.partial_fit(&data, split).expect("prefix extends");
         assert_eq!(inc_ks.fitted_len(), data.len());
@@ -149,7 +149,7 @@ fn partial_fit_bit_identical_to_full_fit() {
 fn ibk_index_matches_linear_scan() {
     cases(64, |rng| {
         let data = any_tied_dataset(rng);
-        let mut m = IbK::new(rng.gen_range(1usize..6));
+        let mut m = IbK::new();
         m.fit(&data).expect("fits");
         let off_grid: Vec<Vec<f64>> = (0..8)
             .map(|_| (0..data.dim()).map(|_| rng.gen_range(-1.0..5.0)).collect())
