@@ -11,8 +11,12 @@
 //! difference, which the assertion bounds at a small fraction of one
 //! allocation per extra inner path.
 //!
-//! This file deliberately holds a single `#[test]`: the counter is a
-//! process-global and concurrently running tests would pollute it.
+//! The counts are per thread (`disar_math::check::CountingAlloc`): a run
+//! with one thread and a workspace runs its outer loop on the calling
+//! thread, and what the test harness allocates on its threads never lands
+//! in a window. What keeps a count clean is that nothing else runs on the
+//! test's thread while a window is open, and that the measured runs keep
+//! `threads: 1`: a worker thread's allocations would go uncounted.
 
 use disar_actuarial::contracts::{Contract, ProductKind, ProfitSharing};
 use disar_actuarial::engine::ActuarialEngine;
@@ -22,45 +26,12 @@ use disar_actuarial::mortality::{Gender, LifeTable};
 use disar_alm::liability::LiabilityPosition;
 use disar_alm::nested::{NestedConfig, NestedMonteCarlo};
 use disar_alm::SegregatedFund;
+use disar_math::check::{allocations, CountingAlloc};
 use disar_stochastic::drivers::{Gbm, Vasicek};
 use disar_stochastic::scenario::{ScenarioGenerator, TimeGrid};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// System allocator wrapper that counts every allocation-producing call.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
 
 fn generators(inner_horizon: f64) -> (ScenarioGenerator, ScenarioGenerator) {
     let build = |h: f64| {
@@ -122,9 +93,9 @@ fn steady_state_inner_loop_is_allocation_free() {
     mc.run_with_workspace(&pos, &large, &mut ws).unwrap();
 
     let (small_res, small_allocs) =
-        count_allocations(|| mc.run_with_workspace(&pos, &small, &mut ws).unwrap());
+        allocations(|| mc.run_with_workspace(&pos, &small, &mut ws).unwrap());
     let (large_res, large_allocs) =
-        count_allocations(|| mc.run_with_workspace(&pos, &large, &mut ws).unwrap());
+        allocations(|| mc.run_with_workspace(&pos, &large, &mut ws).unwrap());
 
     // Sanity: the measured runs are real runs.
     assert_eq!(small_res.y1.len(), 8);

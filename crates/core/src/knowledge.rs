@@ -303,10 +303,10 @@ impl RunRecord {
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
     records: Vec<RunRecord>,
-    /// Featurized view of `records`, built lazily by [`KnowledgeBase::dataset`]
-    /// and kept in sync incrementally by [`KnowledgeBase::record`], so one
-    /// retrain featurizes the base once instead of once per model. Never
-    /// saved; rebuilt on demand after a load.
+    /// Featurized view of a prefix of `records`, which
+    /// [`KnowledgeBase::dataset`] extends with the records appended since,
+    /// so a record is featurized once however many retrains read it. Never
+    /// saved; built on demand after a load.
     cache: RefCell<Option<Dataset>>,
 }
 
@@ -327,13 +327,6 @@ impl KnowledgeBase {
 
     /// Appends one run.
     pub fn record(&mut self, record: RunRecord) {
-        let cache = self.cache.get_mut();
-        if let Some(d) = cache.as_mut() {
-            let in_sync = d.len() == self.records.len();
-            if !in_sync || d.push(record.features(), record.duration_secs).is_err() {
-                *cache = None;
-            }
-        }
         self.records.push(record);
     }
 
@@ -365,33 +358,27 @@ impl KnowledgeBase {
         Ok(self.dataset()?.clone())
     }
 
-    /// A shared view of the featurized base, built at most once per batch
-    /// of appended records.
+    /// A shared view of the featurized base.
     ///
-    /// The first call (or the first call after a [`KnowledgeBase::load`] or
-    /// a cache invalidation) featurizes every record; subsequent calls and
-    /// records appended through [`KnowledgeBase::record`] reuse the cached
-    /// rows. Records are append-only, so a length match means the cache is
-    /// current.
+    /// Records are append-only, so the cached rows are a prefix of the
+    /// records: a call featurizes only the records appended since the last
+    /// one (every record, the first time and after a
+    /// [`KnowledgeBase::load`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InsufficientKnowledge`] when empty.
+    /// Returns [`CoreError::InsufficientKnowledge`] when empty, and
+    /// [`CoreError::Ml`] for a record that is not a finite row.
     pub fn dataset(&self) -> Result<Ref<'_, Dataset>, CoreError> {
         if self.records.is_empty() {
             return Err(CoreError::InsufficientKnowledge { have: 0, need: 1 });
         }
-        let stale = match &*self.cache.borrow() {
-            Some(d) => d.len() != self.records.len(),
-            None => true,
-        };
-        if stale {
-            let mut d = Dataset::new(RunRecord::feature_names());
-            for r in &self.records {
-                d.push(r.features(), r.duration_secs)
-                    .map_err(CoreError::from)?;
+        {
+            let mut cache = self.cache.borrow_mut();
+            let d = cache.get_or_insert_with(|| Dataset::new(RunRecord::feature_names()));
+            for r in &self.records[d.len()..] {
+                d.push(r.features(), r.duration_secs)?;
             }
-            *self.cache.borrow_mut() = Some(d);
         }
         Ok(Ref::map(self.cache.borrow(), |c| {
             c.as_ref().expect("cache populated above")
@@ -476,8 +463,7 @@ impl ShardedKnowledgeBase {
     }
 
     /// Appends one run to the shard owning its instance type (creating the
-    /// shard on first sight of the type). Only that shard's dataset cache
-    /// is touched.
+    /// shard on first sight of the type).
     pub fn record(&mut self, record: RunRecord) {
         let slot = match self.names.iter().position(|n| *n == record.instance) {
             Some(slot) => slot,
@@ -799,25 +785,35 @@ mod tests {
         assert!(matches!(KnowledgeBase::load(path), Err(CoreError::Io(_))));
     }
 
+    /// The cache a run of reads extends, record batch by record batch, is
+    /// the dataset built from scratch, bit for bit: names, rows and targets.
     #[test]
-    fn cached_dataset_tracks_incremental_records() {
+    fn an_extended_cache_is_a_fresh_build_bitwise() {
+        let bits = |d: &Dataset| {
+            let rows: Vec<Vec<u64>> = d
+                .rows()
+                .iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let targets: Vec<u64> = d.targets().iter().map(|v| v.to_bits()).collect();
+            (d.feature_names().to_vec(), rows, targets)
+        };
+        let records = mixed_records(40);
         let mut kb = KnowledgeBase::new();
-        for i in 1..=10 {
-            kb.record(RunRecord::new(profile(i * 10), &instance(), 1, i as f64, 0.0));
+        assert!(kb.dataset().is_err(), "an empty base has no dataset");
+        for (i, r) in records.iter().enumerate() {
+            kb.record(r.clone());
+            // Reads after batches of one, two and three records.
+            if i % 3 != 1 {
+                let mut fresh = Dataset::new(RunRecord::feature_names());
+                for r in kb.records() {
+                    fresh.push(r.features(), r.duration_secs).unwrap();
+                }
+                let what = format!("{} records", i + 1);
+                assert_eq!(bits(&kb.dataset().unwrap()), bits(&fresh), "{what}");
+                assert_eq!(bits(&kb.clone().to_dataset().unwrap()), bits(&fresh));
+            }
         }
-        // Build the cache, then append through it.
-        assert_eq!(kb.dataset().unwrap().len(), 10);
-        for i in 11..=15 {
-            kb.record(RunRecord::new(profile(i * 10), &instance(), 2, i as f64, 0.0));
-        }
-        // The incrementally maintained cache must match a from-scratch
-        // featurization of the same records.
-        let mut fresh = Dataset::new(RunRecord::feature_names());
-        for r in kb.records() {
-            fresh.push(r.features(), r.duration_secs).unwrap();
-        }
-        assert_eq!(*kb.dataset().unwrap(), fresh);
-        assert_eq!(kb.to_dataset().unwrap(), fresh);
     }
 
     /// An interleaved multi-instance record stream for sharding tests.

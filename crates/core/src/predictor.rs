@@ -695,7 +695,7 @@ mod tests {
         let mut fam = PredictorFamily::new(8, 2);
         fam.retrain(&filled_kb(100), RetrainMode::Windowed { window: 30 }, 1)
             .unwrap();
-        // The members that extend a fit exactly, the forest among them, each
+        // The members that extend a fit exactly, the trees among them, each
         // cover the window's rows, not the 100 the family was retrained on.
         let mut exact = Vec::new();
         for m in &mut fam.models {
@@ -706,7 +706,7 @@ mod tests {
                 exact.push(name);
             }
         }
-        assert_eq!(exact, ["RF", "IBk", "KStar"]);
+        assert_eq!(exact, ["RT", "RF", "IBk", "KStar"]);
         fam.retrain(&filled_kb(130), RetrainMode::Incremental, 1).unwrap();
         let mut fresh = PredictorFamily::new(8, 2);
         fresh.retrain(&filled_kb(130), RetrainMode::Full, 1).unwrap();

@@ -12,8 +12,12 @@
 //! (a realistic selection stays under 0.05 allocations per grid cell, the
 //! ISSUE budget).
 //!
-//! This file deliberately holds a single `#[test]`: the counter is a
-//! process-global and concurrently running tests would pollute it.
+//! The counts are per thread (`disar_math::check::CountingAlloc`): a
+//! selection runs its sweep and its members on the calling thread, and what
+//! the test harness allocates on its threads never lands in a window. What
+//! keeps a count clean is that nothing else runs on the test's thread while
+//! a window is open, and that the selection hands no work to another thread
+//! (`disar-core` fans out nothing since its sweep became a plain loop).
 
 use disar_cloudsim::InstanceCatalog;
 use disar_core::{
@@ -21,43 +25,10 @@ use disar_core::{
     RetrainMode, RunRecord, SelectionWorkspace, TimeEstimate,
 };
 use disar_engine::EebCharacteristics;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// System allocator wrapper that counts every allocation-producing call.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use disar_math::check::{allocations, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
 
 fn profile(contracts: usize) -> JobProfile {
     JobProfile {
@@ -122,8 +93,8 @@ fn steady_state_selection_is_allocation_free_per_cell() {
             Err(CoreError::NoFeasibleConfiguration { .. })
         ));
     }
-    let (res_small, small_allocs) = count_allocations(|| select(&mut ws, 1e-3, 8));
-    let (res_large, large_allocs) = count_allocations(|| select(&mut ws, 1e-3, 64));
+    let (res_small, small_allocs) = allocations(|| select(&mut ws, 1e-3, 8));
+    let (res_large, large_allocs) = allocations(|| select(&mut ws, 1e-3, 64));
     assert!(res_small.is_err() && res_large.is_err(), "deadline unattainable by design");
     let leaked = large_allocs.saturating_sub(small_allocs);
     let extra_cells = (large_cells - small_cells) as f64;
@@ -144,7 +115,7 @@ fn steady_state_selection_is_allocation_free_per_cell() {
     let t_max = secs[7.min(secs.len() - 1)];
     // Warm-up at this shape, then measure.
     select(&mut ws, t_max, 64).expect("kth-smallest time is feasible");
-    let (sel, allocs) = count_allocations(|| select(&mut ws, t_max, 64));
+    let (sel, allocs) = allocations(|| select(&mut ws, t_max, 64));
     let sel = sel.expect("kth-smallest time is feasible");
     assert!(!sel.feasible.is_empty() && sel.feasible.len() <= 12);
     let budget = 0.05 * large_cells as f64;

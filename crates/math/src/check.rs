@@ -18,8 +18,14 @@
 //! regression. There is nothing to configure and nothing is shrunk; a
 //! generator is any function of `&mut Xoshiro256PlusPlus`, built from its
 //! `gen_range`, `gen_bool` and `shuffle`.
+//!
+//! The allocation gates of the workspace (the `alloc_*` test files) count
+//! with [`CountingAlloc`], which a test binary installs as its global
+//! allocator, and read a window with [`allocations`].
 
 use crate::rng::{stream_rng, UniformRange, Xoshiro256PlusPlus};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The master seed of every property's cases.
@@ -60,6 +66,66 @@ pub fn vec_of<T>(
     mut item: impl FnMut(&mut Xoshiro256PlusPlus) -> T,
 ) -> Vec<T> {
     (0..rng.gen_range(len)).map(|_| item(rng)).collect()
+}
+
+/// The system allocator, counting each allocation-producing call on the
+/// thread that makes it. A test binary installs it with
+///
+/// ```
+/// use disar_math::check::{allocations, CountingAlloc};
+///
+/// #[global_allocator]
+/// static GLOBAL: CountingAlloc = CountingAlloc;
+///
+/// let (v, n) = allocations(|| vec![1u8; 3]);
+/// assert_eq!((v.len(), n), (3, 1));
+/// ```
+///
+/// and reads the count with [`allocations`]. A count is per thread, so what
+/// the test harness or a concurrently running test allocates on a thread of
+/// its own never lands in a window.
+pub struct CountingAlloc;
+
+thread_local! {
+    /// Allocations the thread has made. Constant-initialised and without a
+    /// destructor, so the counter itself never allocates and is never torn
+    /// down.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call goes to `System` unchanged; counting touches no heap.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+}
+
+/// `f`'s result and the allocations the calling thread made while it ran:
+/// 0 unless the binary's global allocator is [`CountingAlloc`]. Work that
+/// `f` hands to other threads is not counted.
+pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! grid through every member of the family per selection.
 //! [`crate::Regressor::predict_batch`] is each member's one prediction
 //! kernel: it carries one [`PredictScratch`] across the batch (the
-//! standardized query, the kd-tree candidate list, K*'s distances and
-//! weights, the decision-table key, the MLP's row block), so a warm scratch
+//! standardized query, IBk's neighbour list, K*'s distances and weights,
+//! the decision-table key, the MLP's row block), so a warm scratch
 //! allocates nothing, and a row's prediction does not depend on the rows
 //! around it (the properties of `tests/batch_proptests.rs`).
 //! [`crate::Regressor::predict`] is a batch of one row.
@@ -14,8 +14,10 @@
 //! A grid column is a batch of one shape: its rows are one job on one
 //! instance type at a run of node counts, so they agree in every feature
 //! but one. The trees answer such a batch with one walk per tree for the
-//! whole column (`RandomTree::descend_column`); `Column::fill` tells the
-//! shape and orders the rows by the feature that varies.
+//! whole column (`RandomTree::descend_column`), and IBk sums the distance
+//! terms of the features before the varying one once for all its rows;
+//! `Column::fill` tells the shape and orders the rows by the feature that
+//! varies.
 
 use crate::MlError;
 
@@ -128,9 +130,11 @@ impl FeatureMatrix {
 pub struct PredictScratch {
     /// Standardized query vector (IBk, K*).
     pub(crate) q: Vec<f64>,
-    /// kd-tree k-best candidate list (IBk).
+    /// The `k` nearest rows found so far, as `(distance², row)` in
+    /// ascending order, ties in row order (IBk).
     pub(crate) best: Vec<(f64, usize)>,
-    /// Per-row L1 distances, min-shifted in place by the scale search (K*).
+    /// Per-row L1 distances, min-shifted in place by the scale search (K*);
+    /// per-row squared distances (IBk).
     pub(crate) dists: Vec<f64>,
     /// Per-row kernel weights at the scale the search stands at (K*).
     pub(crate) weights: Vec<f64>,
@@ -140,7 +144,9 @@ pub struct PredictScratch {
     pub(crate) block: Vec<f64>,
     /// A column batch ordered for the trees' column descent (RT, RF).
     pub(crate) column: Column,
-    /// The column descent's value at each position of `column.order`.
+    /// The column descent's value at each position of `column.order` (RT,
+    /// RF); per-row sums of the squared-distance terms a grid column's rows
+    /// share (IBk).
     pub(crate) sums: Vec<f64>,
 }
 

@@ -138,16 +138,14 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`MlError::EmptyTrainingSet`] if the dataset has fewer than
-    /// two rows, and [`MlError::InvalidHyperparameter`] if the fraction is
+    /// two rows, and [`MlError::InvalidSplitFraction`] if the fraction is
     /// outside `(0, 1)`.
     pub fn split(&self, train_fraction: f64, seed: u64) -> Result<(Dataset, Dataset), MlError> {
         if self.len() < 2 {
             return Err(MlError::EmptyTrainingSet);
         }
         if !(train_fraction > 0.0 && train_fraction < 1.0) {
-            return Err(MlError::InvalidHyperparameter(
-                "train_fraction must be in (0, 1)",
-            ));
+            return Err(MlError::InvalidSplitFraction(train_fraction));
         }
         let mut idx: Vec<usize> = (0..self.len()).collect();
         let mut rng = stream_rng(seed, 0xDA7A);
@@ -447,9 +445,11 @@ pub(crate) mod tests {
     #[test]
     fn split_rejects_bad_fraction() {
         let d = toy(10);
-        assert!(d.split(0.0, 1).is_err());
-        assert!(d.split(1.0, 1).is_err());
-        assert!(toy(1).split(0.5, 1).is_err());
+        for f in [0.0, 1.0, f64::NAN] {
+            let e = d.split(f, 1).unwrap_err();
+            assert_eq!(e.to_string(), MlError::InvalidSplitFraction(f).to_string());
+        }
+        assert_eq!(toy(1).split(0.5, 1), Err(MlError::EmptyTrainingSet));
     }
 
     #[test]

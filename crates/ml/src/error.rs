@@ -15,9 +15,8 @@ pub enum MlError {
     },
     /// `predict` was called before `fit`.
     NotFitted,
-    /// An argument was outside its valid range (`Dataset::split`'s
-    /// fraction).
-    InvalidHyperparameter(&'static str),
+    /// `Dataset::split` was asked for a training fraction outside `(0, 1)`.
+    InvalidSplitFraction(f64),
     /// A numerical routine failed during training.
     Numerical(String),
     /// A feature value was NaN or infinite.
@@ -48,8 +47,8 @@ impl fmt::Display for MlError {
                 write!(f, "feature dimension mismatch: expected {expected}, got {got}")
             }
             MlError::NotFitted => write!(f, "model has not been fitted"),
-            MlError::InvalidHyperparameter(what) => {
-                write!(f, "invalid hyperparameter: {what}")
+            MlError::InvalidSplitFraction(fraction) => {
+                write!(f, "training fraction {fraction} is outside (0, 1)")
             }
             MlError::Numerical(what) => write!(f, "numerical failure: {what}"),
             MlError::NonFiniteInput => write!(f, "feature values must be finite"),
@@ -83,6 +82,8 @@ mod tests {
         assert!(MlError::NotFitted.to_string().contains("not been fitted"));
         let e = MlError::FeatureDimensionMismatch { expected: 4, got: 2 };
         assert!(e.to_string().contains("expected 4"));
+        let e = MlError::InvalidSplitFraction(1.5);
+        assert_eq!(e.to_string(), "training fraction 1.5 is outside (0, 1)");
     }
 
     #[test]

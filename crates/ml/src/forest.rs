@@ -21,8 +21,11 @@
 //! cold fit grows and is kept as it is. The others regrow from their old
 //! arena (`RandomTree::grow`), copying every subtree whose rows are all
 //! old ones; the tree's per-node streams make that copy the subtree a cold
-//! fit grows. After `partial_fit` every arena, prediction and importance is
-//! the one a cold [`Regressor::fit`] with the same seed gives, to the bit.
+//! fit grows. The forest keeps each bag's size, repeats counted, so an
+//! append draws the counts of its new rows alone to learn which bags gained
+//! rows and how large the largest that regrows is. After `partial_fit` every
+//! arena, prediction and importance is the one a cold [`Regressor::fit`]
+//! with the same seed gives, to the bit.
 //!
 //! A prediction sums the trees in tree order from 0.0 and divides once. A
 //! grid column (rows that differ from the first in one feature at most,
@@ -103,16 +106,14 @@ fn fill_bag(tree_seed: u64, n: usize, sample: &mut Vec<usize>) {
     }
 }
 
-/// Whether the tree keyed `key`, last grown on its bag of the first `from`
-/// rows, must grow again on its bag of `n` rows. `None`: the bag gained no
-/// row, so it is the bag the tree was grown on. `Some(below)`: the old bag is
-/// the new one's rows below `below` (`RandomTree::grow`'s `from`). That is
-/// `from`, unless the old bag drew no row, so held every row once, and the
-/// new one draws some: the two then share no row and `below` is 0.
-fn regrow_below(key: u64, from: usize, n: usize) -> Option<usize> {
-    let gained = (from..n).any(|i| bag_count(key, i) > 0);
-    let was_empty = (0..from).all(|i| bag_count(key, i) == 0);
-    match (gained, was_empty) {
+/// Whether a tree whose bag drew `old` rows of the first `from` and draws
+/// `new` of all rows must grow again. `None`: the bag gained no row, so it
+/// is the bag the tree was grown on. `Some(below)`: the old bag is the new
+/// one's rows below `below` (`RandomTree::grow`'s `from`). That is `from`,
+/// unless the old bag drew no row, so held every row once, and the new one
+/// draws some: the two then share no row and `below` is 0.
+fn regrow_below(old: u32, new: u32, from: usize) -> Option<usize> {
+    match (new > old, old == 0) {
         (false, false) => None,
         (true, true) => Some(0),
         _ => Some(from),
@@ -141,6 +142,10 @@ pub struct RandomForest {
     trees: Vec<RandomTree>,
     /// Rows of the data the trees were grown on (0 before fitting).
     fitted_len: usize,
+    /// Rows each tree's bag draws of the first `fitted_len`, repeats
+    /// counted: the sum of its [`bag_count`]s, 0 for a bag that draws none
+    /// (and so holds every row once).
+    drawn: [u32; N_TREES],
 }
 
 impl RandomForest {
@@ -150,6 +155,7 @@ impl RandomForest {
             seed,
             trees: Vec::new(),
             fitted_len: 0,
+            drawn: [0; N_TREES],
         }
     }
 
@@ -190,24 +196,29 @@ impl RandomForest {
 
     /// Brings every tree to its bag of `data`, whose first `from` rows the
     /// trees were last grown on (`from == 0`: none, so every tree grows).
+    /// Only the new rows are drawn to learn which bags gained rows.
     fn grow(&mut self, data: &Dataset, from: usize) {
         let n = data.len();
+        let old = self.drawn;
+        for t in 0..N_TREES {
+            let key = self.tree_seed(t);
+            self.drawn[t] += (from..n).map(|i| bag_count(key, i) as u32).sum::<u32>();
+        }
+        let below = |t: usize| regrow_below(old[t], self.drawn[t], from);
         // The buffers are sized once, for the largest bag that grows (or
         // every row, which a bag that draws none holds).
-        let cap = (0..self.trees.len())
-            .map(|t| self.tree_seed(t))
-            .filter(|&key| regrow_below(key, from, n).is_some())
-            .map(|key| (0..n).map(|i| bag_count(key, i)).sum::<usize>().max(n))
-            .max();
-        let Some(cap) = cap else {
+        let Some(cap) = (0..N_TREES)
+            .filter(|&t| below(t).is_some())
+            .map(|t| (self.drawn[t] as usize).max(n))
+            .max()
+        else {
             return; // every bag is the one its tree was grown on
         };
         let mut fit = TreeFit::new(data, cap);
         let mut sample = Vec::with_capacity(cap + 4);
-        for t in 0..self.trees.len() {
-            let key = self.tree_seed(t);
-            if let Some(below) = regrow_below(key, from, n) {
-                fill_bag(key, n, &mut sample);
+        for t in 0..N_TREES {
+            if let Some(below) = below(t) {
+                fill_bag(self.tree_seed(t), n, &mut sample);
                 self.trees[t].grow(&mut fit, &mut sample, below);
             }
         }
@@ -222,6 +233,7 @@ impl Regressor for RandomForest {
         self.trees = (0..N_TREES)
             .map(|t| RandomTree::new(self.tree_seed(t) ^ 0x51ED))
             .collect();
+        self.drawn = [0; N_TREES];
         self.grow(data, 0);
         self.fitted_len = data.len();
         Ok(())

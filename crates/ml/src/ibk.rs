@@ -6,15 +6,25 @@
 //! nearest targets, the paper's family's one setting (fewer when the
 //! training set holds fewer rows).
 //!
-//! Neighbour lookups run through a kd-tree ([`crate::neighbours`]) and the
-//! training state is append-only ([`IncrementalRegressor`]); both are
-//! bit-identical to the from-scratch fit + early-abandon linear scan, which
-//! is kept as [`IbK::predict_linear`] for the equivalence tests and benches.
+//! A query scans the store by column (`InstanceStore`): a row's squared
+//! distance is its terms summed over the live columns, left to right from
+//! 0.0, and the `k` smallest `(d², row)` pairs are kept in ascending order,
+//! a tie going to the lower row. That is the neighbour list, and so the
+//! mean, of the early-abandon row loop [`IbK::predict_linear`], which the
+//! tests hold the scan to bit for bit. A grid column (`Column::fill`: rows
+//! that differ from the first in one feature at most) shares the terms of
+//! every column before the one it varies in, so the batch sums those once
+//! and each row adds the rest in column order: the same sum, term for term.
+//! A query whose distance to some row is NaN (a NaN in its standardized
+//! value) takes the row loop itself, whose order among NaN distances the
+//! scan does not mirror.
+//!
+//! The training state is append-only ([`IncrementalRegressor`]),
+//! bit-identical to a from-scratch fit.
 
 use crate::batch::{check_out_len, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
 use crate::instances::InstanceStore;
-use crate::neighbours::NeighbourIndex;
 use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 
@@ -39,14 +49,7 @@ const K: usize = 3;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IbK {
-    fitted: Option<Fitted>,
-}
-
-/// The training set and the kd-tree over its standardized rows.
-#[derive(Debug, Clone)]
-struct Fitted {
-    store: InstanceStore,
-    index: NeighbourIndex,
+    fitted: Option<InstanceStore>,
 }
 
 impl IbK {
@@ -55,80 +58,135 @@ impl IbK {
         IbK { fitted: None }
     }
 
-    fn standardized_query(&self, x: &[f64]) -> Result<(&Fitted, Vec<f64>), MlError> {
-        let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if x.len() != f.store.scaler.dim() {
+    /// The fitted store, for queries of width `dim`.
+    fn store(&self, dim: usize) -> Result<&InstanceStore, MlError> {
+        let store = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
+        if dim != store.scaler.dim() {
             return Err(MlError::FeatureDimensionMismatch {
-                expected: f.store.scaler.dim(),
-                got: x.len(),
+                expected: store.scaler.dim(),
+                got: dim,
             });
         }
-        Ok((f, f.store.scaler.transform(x)))
+        Ok(store)
     }
 
     /// The mean target of a sorted `(distance², row)` list.
-    fn mean(f: &InstanceStore, neighbours: &[(f64, usize)]) -> f64 {
-        neighbours.iter().map(|&(_, i)| f.targets[i]).sum::<f64>() / neighbours.len() as f64
+    fn mean(targets: &[f64], neighbours: &[(f64, usize)]) -> f64 {
+        neighbours.iter().map(|&(_, i)| targets[i]).sum::<f64>() / neighbours.len() as f64
     }
 
-    /// Reference prediction via the original early-abandon **linear scan**.
+    /// Reference prediction through the early-abandon row loop.
     ///
-    /// [`Regressor::predict`] goes through the kd-tree and must return
+    /// [`Regressor::predict_batch`] scans by column and must return
     /// bit-identical results; this path is the baseline of the property
-    /// `ibk_index_matches_linear_scan` (`tests/proptests.rs`). It is not API —
-    /// all real callers go through [`Regressor::predict_batch`].
+    /// `ibk_batch_matches_the_row_loop` (`tests/proptests.rs`). It is not
+    /// API — all real callers go through [`Regressor::predict_batch`].
     ///
     /// # Errors
     ///
     /// Same contract as [`Regressor::predict`].
     #[doc(hidden)]
     pub fn predict_linear(&self, x: &[f64]) -> Result<f64, MlError> {
-        let (f, q) = self.standardized_query(x)?;
-        let f = &f.store;
-        // The k smallest (distance², index), kept sorted ascending. A row is
-        // abandoned mid-sum once its partial distance exceeds the current
-        // k-th best: only rows whose *full* distance is strictly worse are
-        // dropped, so the neighbour set matches a full scan (ties at the
-        // boundary resolve to the lowest row index).
-        let k = K.min(f.rows.len());
-        let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
-        for (i, r) in f.rows.iter().enumerate() {
-            let threshold = if best.len() < k {
-                f64::INFINITY
-            } else {
-                best[k - 1].0
-            };
-            let mut d2 = 0.0;
-            let mut abandoned = false;
-            for (a, b) in r.iter().zip(&q) {
-                d2 += (a - b) * (a - b);
-                if d2 > threshold {
-                    abandoned = true;
-                    break;
-                }
+        let store = self.store(x.len())?;
+        let mut best = Vec::new();
+        row_loop(
+            store,
+            &store.scaler.transform(x),
+            K.min(store.len()),
+            &mut best,
+        );
+        Ok(Self::mean(&store.targets, &best))
+    }
+}
+
+/// Puts row `i` at squared distance `d2` into the sorted list `best`, after
+/// the rows as near, and keeps its first `k`.
+fn insert(best: &mut Vec<(f64, usize)>, k: usize, d2: f64, i: usize) {
+    let pos = best.partition_point(|&(bd2, _)| bd2 <= d2);
+    best.insert(pos, (d2, i));
+    best.truncate(k);
+}
+
+/// The `k` rows nearest the standardized query `q`, into `best`, row by
+/// row: a row is abandoned mid-sum once its partial distance exceeds the
+/// current `k`-th best. Only rows whose *full* distance is strictly worse
+/// are dropped, so the neighbour set matches a full scan (ties at the
+/// boundary resolve to the lowest row index).
+fn row_loop(store: &InstanceStore, q: &[f64], k: usize, best: &mut Vec<(f64, usize)>) {
+    best.clear();
+    'rows: for i in 0..store.len() {
+        let threshold = if best.len() < k {
+            f64::INFINITY
+        } else {
+            best[k - 1].0
+        };
+        let mut d2 = 0.0;
+        for (j, col) in &store.cols {
+            let t = col[i] - q[*j];
+            d2 += t * t;
+            if d2 > threshold {
+                continue 'rows;
             }
-            if abandoned {
+        }
+        insert(best, k, d2, i);
+    }
+}
+
+/// The `k` rows nearest the standardized query `q`, into `best`, by a scan
+/// that sums each row's distance in full into `dists`: `shared[i]` is row
+/// `i`'s sum over the columns before `split`, to which the terms of the
+/// others are added a column at a time, in column order. Returns `false`,
+/// with `best` in no particular state, at a NaN distance.
+fn scan(
+    store: &InstanceStore,
+    q: &[f64],
+    k: usize,
+    (split, shared): (usize, &[f64]),
+    dists: &mut Vec<f64>,
+    best: &mut Vec<(f64, usize)>,
+) -> bool {
+    dists.clear();
+    dists.extend_from_slice(shared);
+    for (j, col) in &store.cols[split..] {
+        let qj = q[*j];
+        for (d2, &c) in dists.iter_mut().zip(col) {
+            let t = c - qj;
+            *d2 += t * t;
+        }
+    }
+    best.clear();
+    let mut threshold = f64::INFINITY;
+    for (run, d2s) in dists.chunks(8).enumerate() {
+        // Eight rows all farther than the `k`-th best pass with no branch
+        // per row: the fold is packed compares.
+        if let Ok(d2s) = <&[f64; 8]>::try_from(d2s) {
+            if d2s.iter().fold(true, |far, &d2| far & (d2 > threshold)) {
                 continue;
             }
-            let pos = best.partition_point(|&(bd2, _)| bd2 <= d2);
-            best.insert(pos, (d2, i));
-            best.truncate(k);
         }
-        Ok(Self::mean(f, &best[..k]))
+        for (i, &d2) in (run * 8..).zip(d2s) {
+            if d2 <= threshold {
+                insert(best, k, d2, i);
+                if best.len() == k {
+                    threshold = best[k - 1].0;
+                }
+            } else if d2.is_nan() {
+                return false;
+            }
+        }
     }
+    true
 }
 
 impl Regressor for IbK {
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        let store = InstanceStore::fit(data)?;
-        let index = NeighbourIndex::build(&store.rows);
-        self.fitted = Some(Fitted { store, index });
+        self.fitted = Some(InstanceStore::fit(data)?);
         Ok(())
     }
 
-    /// Batched kd-tree queries reusing one standardized-query buffer and one
-    /// neighbour heap across the whole batch; each row is standardized,
-    /// searched and tie-broken on its own.
+    /// The column scan per row, reusing one standardized-query buffer, one
+    /// neighbour list and one row of shared sums across the whole batch.
+    /// The shared sums are zeros unless the batch is a grid column.
     fn predict_batch(
         &self,
         xs: &FeatureMatrix,
@@ -139,19 +197,38 @@ impl Regressor for IbK {
         if xs.is_empty() {
             return Ok(());
         }
-        let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        let Fitted { store, index } = f;
-        if xs.dim() != store.scaler.dim() {
-            return Err(MlError::FeatureDimensionMismatch {
-                expected: store.scaler.dim(),
-                got: xs.dim(),
-            });
+        let store = self.store(xs.dim())?;
+        let k = K.min(store.len());
+        let PredictScratch {
+            q,
+            best,
+            dists,
+            column,
+            sums: shared,
+            ..
+        } = scratch;
+        let split = if column.fill(xs) {
+            let before = |v| store.cols.partition_point(|&(j, _)| j < v);
+            column.feature.map_or(store.cols.len(), before)
+        } else {
+            0
+        };
+        store.scaler.transform_into(xs.row(0), q);
+        shared.clear();
+        shared.resize(store.len(), 0.0);
+        for (j, col) in &store.cols[..split] {
+            let qj = q[*j];
+            for (sum, &c) in shared.iter_mut().zip(col) {
+                let t = c - qj;
+                *sum += t * t;
+            }
         }
-        let k = K.min(store.rows.len());
         for (i, slot) in out.iter_mut().enumerate() {
-            store.scaler.transform_into(xs.row(i), &mut scratch.q);
-            index.nearest_into(&store.rows, &scratch.q, k, &mut scratch.best);
-            *slot = Self::mean(store, &scratch.best);
+            store.scaler.transform_into(xs.row(i), q);
+            if !scan(store, q, k, (split, shared), dists, best) {
+                row_loop(store, q, k, best);
+            }
+            *slot = Self::mean(&store.targets, best);
         }
         Ok(())
     }
@@ -171,23 +248,11 @@ impl Regressor for IbK {
 
 impl IncrementalRegressor for IbK {
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        match &mut self.fitted {
-            Some(Fitted { store, index }) => {
-                let start = store.len();
-                if store.extend(data, from)? {
-                    *index = NeighbourIndex::build(&store.rows);
-                } else {
-                    index.append(&store.rows, start);
-                }
-                Ok(())
-            }
-            None if from == 0 => self.fit(data),
-            None => Err(MlError::IncrementalMismatch { fitted: 0, from }),
-        }
+        InstanceStore::partial_fit(&mut self.fitted, data, from)
     }
 
     fn fitted_len(&self) -> usize {
-        self.fitted.as_ref().map_or(0, |f| f.store.len())
+        self.fitted.as_ref().map_or(0, InstanceStore::len)
     }
 }
 
@@ -205,13 +270,14 @@ mod tests {
         d
     }
 
-    /// The mean target of the `k` rows the fitted index finds nearest `x`:
-    /// the prediction at a neighbour count other than `K`.
+    /// The mean target of the `k` rows the scan finds nearest `x`: the
+    /// prediction at a neighbour count other than `K`.
     fn mean_of_nearest(m: &IbK, x: &[f64], k: usize) -> f64 {
-        let Fitted { store, index } = m.fitted.as_ref().unwrap();
-        let mut best = Vec::new();
-        index.nearest_into(&store.rows, &store.scaler.transform(x), k, &mut best);
-        IbK::mean(store, &best)
+        let store = m.fitted.as_ref().unwrap();
+        let (q, zeros) = (store.scaler.transform(x), vec![0.0; store.len()]);
+        let (mut dists, mut best) = (Vec::new(), Vec::new());
+        assert!(scan(store, &q, k, (0, &zeros), &mut dists, &mut best));
+        IbK::mean(&store.targets, &best)
     }
 
     #[test]
@@ -273,14 +339,33 @@ mod tests {
     }
 
     #[test]
-    fn indexed_predict_matches_linear_scan() {
+    fn scan_matches_the_row_loop() {
         let d = grid();
         let mut m = IbK::new();
         m.fit(&d).unwrap();
         for q in [[3.2, 7.1], [0.0, 0.0], [-4.0, 15.0], [9.5, 0.5], [4.5, 4.5]] {
-            let indexed = m.predict(&q).unwrap();
+            let scanned = m.predict(&q).unwrap();
             let linear = m.predict_linear(&q).unwrap();
-            assert_eq!(indexed.to_bits(), linear.to_bits(), "q={q:?}");
+            assert_eq!(scanned.to_bits(), linear.to_bits(), "q={q:?}");
+        }
+    }
+
+    /// A store whose range overflows holds NaN where a value minus the
+    /// minimum overflows too: a query at a finite distance from every other
+    /// row takes the row loop, and its answer is the loop's.
+    #[test]
+    fn a_nan_distance_takes_the_row_loop() {
+        let mut d = Dataset::new(vec!["wide".into(), "x".into()]);
+        for (i, w) in [-1e308, 1e308, 0.0, 5.0, -7.0].into_iter().enumerate() {
+            d.push(vec![w, i as f64], i as f64).unwrap();
+        }
+        let mut m = IbK::new();
+        m.fit(&d).unwrap();
+        let store = m.fitted.as_ref().unwrap();
+        assert!(store.cols[0].1[1].is_nan(), "1e308 - (-1e308) overflows");
+        for q in [[0.0, 1.0], [1e308, 3.0], [f64::NAN, 2.0], [3.0, f64::NAN]] {
+            let (scanned, linear) = (m.predict(&q).unwrap(), m.predict_linear(&q).unwrap());
+            assert_eq!(scanned.to_bits(), linear.to_bits(), "q={q:?}");
         }
     }
 

@@ -381,48 +381,7 @@ fn reduce(p: &[f64], e: &[f64], y: &[f64]) -> [f64; 8] {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KStar {
-    fitted: Option<Fitted>,
-}
-
-/// The training set, and its standardized rows once more by column: every
-/// query measures its distance to every row, and column by column that sweep
-/// is packed arithmetic over contiguous values.
-#[derive(Debug, Clone)]
-struct Fitted {
-    store: InstanceStore,
-    /// `(j, column j of store.rows)` for every column that varies. One that
-    /// does not is all zeros, as is the query's value in it, and adds `+0.0`
-    /// to every distance: leaving it out changes no bit.
-    cols: Vec<(usize, Vec<f64>)>,
-}
-
-impl Fitted {
-    fn new(store: InstanceStore) -> Self {
-        let mut fitted = Fitted {
-            store,
-            cols: Vec::new(),
-        };
-        fitted.follow(true);
-        fitted
-    }
-
-    /// Brings the columns up to the store's rows: all of them anew when the
-    /// store re-standardized them (only then can a column start to vary),
-    /// else the appended ones.
-    fn follow(&mut self, restandardized: bool) {
-        let rows = &self.store.rows;
-        if restandardized {
-            let live = self.store.scaler.live_columns().into_iter();
-            self.cols = live
-                .map(|j| (j, rows.iter().map(|r| r[j]).collect()))
-                .collect();
-            return;
-        }
-        for (j, col) in &mut self.cols {
-            let from = col.len();
-            col.extend(rows[from..].iter().map(|r| r[*j]));
-        }
-    }
+    fitted: Option<InstanceStore>,
 }
 
 impl KStar {
@@ -436,7 +395,7 @@ impl KStar {
     #[inline(always)]
     fn predict_rows(
         &self,
-        f: &Fitted,
+        f: &InstanceStore,
         xs: &FeatureMatrix,
         out: &mut [f64],
         scratch: &mut PredictScratch,
@@ -453,7 +412,7 @@ impl KStar {
     #[target_feature(enable = "avx512f")]
     fn predict_rows_wide(
         &self,
-        f: &Fitted,
+        f: &InstanceStore,
         xs: &FeatureMatrix,
         out: &mut [f64],
         scratch: &mut PredictScratch,
@@ -466,8 +425,7 @@ impl KStar {
     /// Laplace kernels) into `scratch.dists`, run the kernel: the per-row
     /// body of [`Regressor::predict_batch`].
     #[inline(always)]
-    fn predict_row(&self, f: &Fitted, x: &[f64], scratch: &mut PredictScratch) -> f64 {
-        let Fitted { store, cols } = f;
+    fn predict_row(&self, store: &InstanceStore, x: &[f64], scratch: &mut PredictScratch) -> f64 {
         if store.targets.len() == 1 {
             return store.targets[0];
         }
@@ -476,7 +434,7 @@ impl KStar {
         } = scratch;
         store.scaler.transform_into(x, q);
         let n = store.targets.len();
-        Self::distances(cols, q, n, dists);
+        Self::distances(&store.cols, q, n, dists);
         let target = 1.0 + (BLEND / 100.0) * (n as f64 - 1.0);
         let found = Self::kernel_predict(&store.targets, target, dists, weights);
         debug_assert!(
@@ -622,7 +580,7 @@ impl KStar {
 
 impl Regressor for KStar {
     fn fit(&mut self, data: &Dataset) -> Result<(), MlError> {
-        self.fitted = Some(Fitted::new(InstanceStore::fit(data)?));
+        self.fitted = Some(InstanceStore::fit(data)?);
         Ok(())
     }
 
@@ -641,9 +599,9 @@ impl Regressor for KStar {
             return Ok(());
         }
         let f = self.fitted.as_ref().ok_or(MlError::NotFitted)?;
-        if xs.dim() != f.store.scaler.dim() {
+        if xs.dim() != f.scaler.dim() {
             return Err(MlError::FeatureDimensionMismatch {
-                expected: f.store.scaler.dim(),
+                expected: f.scaler.dim(),
                 got: xs.dim(),
             });
         }
@@ -673,15 +631,11 @@ impl Regressor for KStar {
 
 impl IncrementalRegressor for KStar {
     fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
-        match &mut self.fitted {
-            Some(f) => f.store.extend(data, from).map(|moved| f.follow(moved)),
-            None if from == 0 => self.fit(data),
-            None => Err(MlError::IncrementalMismatch { fitted: 0, from }),
-        }
+        InstanceStore::partial_fit(&mut self.fitted, data, from)
     }
 
     fn fitted_len(&self) -> usize {
-        self.fitted.as_ref().map_or(0, |f| f.store.len())
+        self.fitted.as_ref().map_or(0, InstanceStore::len)
     }
 }
 
@@ -700,12 +654,10 @@ mod tests {
 
     /// Min-shifted L1 distances of `x` to the fitted rows, in row order.
     fn shifted_distances(ks: &KStar, x: &[f64]) -> Vec<f64> {
-        let f = &ks.fitted.as_ref().unwrap().store;
+        let f = ks.fitted.as_ref().unwrap();
         let q = f.scaler.transform(x);
-        let d: Vec<f64> = f
-            .rows
-            .iter()
-            .map(|r| r.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum())
+        let d: Vec<f64> = (0..f.len())
+            .map(|i| f.row(i).iter().zip(&q).map(|(a, b)| (a - b).abs()).sum())
             .collect();
         let dmin = d.iter().cloned().fold(f64::INFINITY, f64::min);
         d.iter().map(|d| d - dmin).collect()
@@ -722,7 +674,7 @@ mod tests {
     /// on the shifted distances, then the weighted mean at the scale found.
     fn reference_predict(ks: &KStar, x: &[f64], blend: f64) -> f64 {
         let e = shifted_distances(ks, x);
-        let ys = &ks.fitted.as_ref().unwrap().store.targets;
+        let ys = &ks.fitted.as_ref().unwrap().targets;
         let target = target_at(blend, e.len());
         let n_eff = |x0: f64| {
             let (s, s2) = e.iter().fold((0.0, 0.0), |(s, s2), e| {
@@ -797,7 +749,7 @@ mod tests {
                         let far: Vec<f64> = inside.iter().map(|v| 50.0 + 1e3 * v).collect();
                         check(&ks, &far, blend);
                     }
-                    let at_a_row = ks.fitted.as_ref().unwrap().store.rows[n / 2].clone();
+                    let at_a_row = ks.fitted.as_ref().unwrap().row(n / 2);
                     check(&ks, &at_a_row, blend);
                 }
             }
@@ -821,7 +773,7 @@ mod tests {
     /// percent; at `BLEND` its answer is checked against `predict` (whose
     /// distances are by column) bit for bit.
     fn search(ks: &KStar, x: &[f64], blend: f64) -> Found {
-        let ys = &ks.fitted.as_ref().unwrap().store.targets;
+        let ys = &ks.fitted.as_ref().unwrap().targets;
         let mut dists = shifted_distances(ks, x);
         let target = target_at(blend, ys.len());
         let found = KStar::kernel_predict(ys, target, &mut dists, &mut Vec::new());
@@ -907,17 +859,14 @@ mod tests {
         // Three columns of the shard never vary and are not held by column;
         // the query differs from the rows in those too.
         for (ks, varying) in [(shard_model(501, 5), 7), (random_model(100, 3, true, 9), 3)] {
-            let Fitted { store, cols } = ks.fitted.as_ref().unwrap();
-            assert_eq!(cols.len(), varying);
-            let x: Vec<f64> = store.rows[7].iter().map(|v| 1.7 * v + 0.3).collect();
+            let store = ks.fitted.as_ref().unwrap();
+            assert_eq!(store.cols.len(), varying);
+            let x: Vec<f64> = store.row(7).iter().map(|v| 1.7 * v + 0.3).collect();
             let q = store.scaler.transform(&x);
-            let by_row: Vec<f64> = store
-                .rows
-                .iter()
-                .map(|r| r.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum())
-                .collect();
+            let l1 = |r: Vec<f64>| r.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum();
+            let by_row: Vec<f64> = (0..store.len()).map(|i| l1(store.row(i))).collect();
             let mut by_column = vec![f64::NAN; 3];
-            KStar::distances(cols, &q, store.rows.len(), &mut by_column);
+            KStar::distances(&store.cols, &q, store.len(), &mut by_column);
             let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&by_column), bits(&by_row));
         }
@@ -1136,7 +1085,7 @@ mod tests {
             let mut xs = FeatureMatrix::new();
             xs.push_row(&[0.4, 0.6, 0.1]);
             xs.push_row(&[40.0, -7.0, 900.0]);
-            xs.push_row(&ks.fitted.as_ref().unwrap().store.rows[n / 3].clone());
+            xs.push_row(&ks.fitted.as_ref().unwrap().row(n / 3));
             let (portable, wide) = on_both_instances(&ks, &xs);
             assert_eq!(wide, portable, "{n} rows, tail {}", n % 8);
         }

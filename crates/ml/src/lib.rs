@@ -21,9 +21,9 @@
 //! builds the six as the paper's set `X`. The averaging of their predictions
 //! is Algorithm 1's and lives with it, in `disar-core`'s `PredictorFamily`.
 //! A retrain after the training set grew by appending rows goes through
-//! [`Regressor::fit_appended`]: [`IbK`], [`KStar`] and [`RandomForest`]
-//! extend their fit exactly ([`IncrementalRegressor`]), the [`Mlp`]
-//! continues from its last weights, and the rest refit.
+//! [`Regressor::fit_appended`]: [`IbK`], [`KStar`], [`RandomTree`] and
+//! [`RandomForest`] extend their fit exactly ([`IncrementalRegressor`]), the
+//! [`Mlp`] continues from its last weights, and the decision table refits.
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@ pub mod ibk;
 pub mod kstar;
 pub mod metrics;
 pub mod mlp;
-pub mod neighbours;
 pub mod regressor;
 pub mod tree;
 
@@ -63,6 +62,5 @@ pub use forest::RandomForest;
 pub use ibk::IbK;
 pub use kstar::KStar;
 pub use mlp::Mlp;
-pub use neighbours::NeighbourIndex;
 pub use regressor::{default_family, IncrementalRegressor, ModelKind, Regressor};
 pub use tree::RandomTree;

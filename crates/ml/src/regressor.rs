@@ -27,8 +27,9 @@ pub trait Regressor: Send + Sync {
     /// This is the one rule for how a member meets a grown base. The
     /// default extends the fit through [`Regressor::as_incremental`] when
     /// the model has that capability and its last fit covered exactly
-    /// `from` rows ([`IbK`], [`KStar`], [`RandomForest`]: the result is the
-    /// cold fit's to the bit), and is a cold [`Regressor::fit`] otherwise.
+    /// `from` rows ([`IbK`], [`KStar`], [`RandomTree`], [`RandomForest`]:
+    /// the result is the cold fit's to the bit), and is a cold
+    /// [`Regressor::fit`] otherwise.
     /// [`Mlp`] overrides it: when its last fit covered exactly `from` rows,
     /// and at least 30, it continues from that fit's weights for a short
     /// fixed budget of epochs instead of 500 from fresh ones (`mlp` module
@@ -88,8 +89,8 @@ pub trait Regressor: Send + Sync {
     /// Downcast hook to the model's incremental-learning capability.
     ///
     /// The models whose fit a grown base extends exactly ([`IbK`],
-    /// [`KStar`], [`RandomForest`]) override this to return `Some`;
-    /// everything else keeps the `None` default. The default
+    /// [`KStar`], [`RandomTree`], [`RandomForest`]) override this to return
+    /// `Some`; everything else keeps the `None` default. The default
     /// [`Regressor::fit_appended`] reads it, so a caller retraining on a
     /// grown base calls `fit_appended` and never needs it.
     fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
@@ -118,10 +119,12 @@ impl Clone for Box<dyn Regressor> {
 /// `from == fitted_len()`. What the suffix step guarantees is exactness:
 /// predictions after `partial_fit` are the same *to the bit* as after a
 /// fresh [`Regressor::fit`] on all of `data`. [`IbK`] and [`KStar`] keep
-/// append-only training state. [`RandomForest`] bags online, so a grown
-/// base only appends to each tree's sample: it keeps every tree whose sample
-/// gained no row and regrows the others, copying each subtree the new rows
-/// do not reach, and its arenas and importances equal a cold fit's too.
+/// append-only training state. A [`RandomTree`] regrows on all rows from
+/// its old arena, copying every subtree the new rows do not reach.
+/// [`RandomForest`] bags online, so a grown base only appends to each tree's
+/// sample: it keeps every tree whose sample gained no row and regrows the
+/// others the same way. The trees' arenas and importances equal a cold
+/// fit's too.
 /// A model that cannot promise exactness does not implement the trait, and
 /// [`Regressor::fit_appended`] refits it (or, for the [`Mlp`], continues
 /// it).

@@ -34,7 +34,7 @@
 
 use crate::batch::{check_out_len, Column, FeatureMatrix, PredictScratch};
 use crate::dataset::Dataset;
-use crate::regressor::Regressor;
+use crate::regressor::{IncrementalRegressor, Regressor};
 use crate::MlError;
 use disar_math::rng::{split_seed, stream_rng};
 use std::hint::select_unpredictable;
@@ -217,6 +217,9 @@ pub struct RandomTree {
     dim: usize,
     nodes: Vec<Node>,
     importances: Vec<f64>,
+    /// Rows [`Regressor::fit`] or [`IncrementalRegressor::partial_fit`]
+    /// last grew the tree on (0 before fitting, and in a forest's trees).
+    fitted_len: usize,
 }
 
 impl RandomTree {
@@ -227,6 +230,7 @@ impl RandomTree {
             dim: 0,
             nodes: Vec::new(),
             importances: Vec::new(),
+            fitted_len: 0,
         }
     }
 
@@ -516,6 +520,14 @@ impl RandomTree {
         }
     }
 
+    /// Grows the tree on every row of `data`, whose first `from` rows its
+    /// arena was grown on.
+    fn grow_on_all(&mut self, data: &Dataset, from: usize) {
+        let mut idx: Vec<usize> = (0..data.len()).collect();
+        self.grow(&mut TreeFit::new(data, data.len()), &mut idx, from);
+        self.fitted_len = data.len();
+    }
+
     /// The arena as bits, to hold two trees equal slot for slot.
     #[cfg(test)]
     pub(crate) fn arena_bits(&self) -> Vec<(u32, u32, u64, u64)> {
@@ -529,8 +541,7 @@ impl Regressor for RandomTree {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let mut idx: Vec<usize> = (0..data.len()).collect();
-        self.grow(&mut TreeFit::new(data, data.len()), &mut idx, 0);
+        self.grow_on_all(data, 0);
         Ok(())
     }
 
@@ -569,6 +580,37 @@ impl Regressor for RandomTree {
 
     fn clone_box(&self) -> Box<dyn Regressor> {
         Box::new(self.clone())
+    }
+
+    fn as_incremental(&mut self) -> Option<&mut dyn IncrementalRegressor> {
+        Some(self)
+    }
+}
+
+/// A tree fitted on the first `from` rows grew on the rows `0..from` in
+/// order, which are the rows below `from` of `0..n`: its regrowth on all
+/// `n` rows is the cold fit's, slot for slot (`RandomTree::grow`), as a
+/// forest's tree is on a bag that gained rows.
+impl IncrementalRegressor for RandomTree {
+    fn partial_fit(&mut self, data: &Dataset, from: usize) -> Result<(), MlError> {
+        if self.nodes.is_empty() && from == 0 {
+            return self.fit(data);
+        }
+        if from != self.fitted_len || from > data.len() {
+            return Err(MlError::IncrementalMismatch {
+                fitted: self.fitted_len,
+                from,
+            });
+        }
+        self.check_query(data.dim())?;
+        if from < data.len() {
+            self.grow_on_all(data, from);
+        }
+        Ok(())
+    }
+
+    fn fitted_len(&self) -> usize {
+        self.fitted_len
     }
 }
 
@@ -954,6 +996,94 @@ mod tests {
         });
         let mean = sum / N_TREES as f64;
         assert_eq!(rf.predict(&[]).unwrap().to_bits(), mean.to_bits());
+    }
+
+    /// `partial_fit` is a cold fit with the same seed, to the bit: the
+    /// arena, the importances and the predictions. Appends of 1–7 rows from
+    /// random prefixes, on shard-shaped data with seven constant columns and
+    /// on a base's.
+    #[test]
+    fn tree_partial_fit_equals_a_cold_fit_bitwise() {
+        use crate::dataset::tests::{kb_shaped, shard_shaped};
+
+        let held_out = kb_shaped(20, 0xFEED);
+        disar_math::check::cases(24, |rng| {
+            let n = rng.gen_range(8usize..120);
+            let d = if rng.gen_bool(0.5) {
+                shard_shaped(n, rng.next_u64())
+            } else {
+                kb_shaped(n, rng.next_u64())
+            };
+            let seed = rng.next_u64();
+            let mut from = rng.gen_range(1..n);
+            let mut inc = RandomTree::new(seed);
+            inc.partial_fit(&d.filter(|i| i < from), 0).unwrap();
+            while from < n {
+                let to = (from + rng.gen_range(1usize..8)).min(n);
+                let grown = d.filter(|i| i < to);
+                inc.partial_fit(&grown, from).unwrap();
+                let mut cold = RandomTree::new(seed);
+                cold.fit(&grown).unwrap();
+                let what = format!("{from} → {to} of {n} rows");
+                assert_eq!(inc.fitted_len(), to, "{what}");
+                assert_eq!(inc.arena_bits(), cold.arena_bits(), "{what}");
+                let bits = |t: &RandomTree| {
+                    t.importances()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&inc), bits(&cold), "{what}: importances");
+                for x in grown.rows().iter().chain(held_out.rows()) {
+                    let (a, b) = (inc.predict(x).unwrap(), cold.predict(x).unwrap());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: at {x:?}");
+                }
+                from = to;
+            }
+        });
+    }
+
+    #[test]
+    fn tree_partial_fit_checks_what_it_continues() {
+        use crate::dataset::tests::kb_shaped;
+
+        let d = kb_shaped(30, 2);
+        let mut t = RandomTree::new(1);
+        assert!(matches!(
+            t.partial_fit(&d, 10),
+            Err(MlError::IncrementalMismatch {
+                fitted: 0,
+                from: 10
+            })
+        ));
+        t.fit(&d.filter(|i| i < 20)).unwrap();
+        assert!(matches!(
+            t.partial_fit(&d, 15),
+            Err(MlError::IncrementalMismatch {
+                fitted: 20,
+                from: 15
+            })
+        ));
+        let narrow =
+            Dataset::from_rows(vec!["x".into()], vec![vec![1.0]; 25], vec![1.0; 25]).unwrap();
+        assert!(matches!(
+            t.partial_fit(&narrow, 20),
+            Err(MlError::FeatureDimensionMismatch {
+                expected: 10,
+                got: 1
+            })
+        ));
+        let before = t.arena_bits();
+        t.partial_fit(&d.filter(|i| i < 20), 20).unwrap();
+        assert_eq!(t.arena_bits(), before, "no rows appended");
+        // Through the trait object the retrain is the same partial fit.
+        let mut boxed: Box<dyn Regressor> = Box::new(t.clone());
+        boxed.fit_appended(&d, 20).unwrap();
+        t.partial_fit(&d, 20).unwrap();
+        for x in d.rows() {
+            let (a, b) = (boxed.predict(x).unwrap(), t.predict(x).unwrap());
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -8,49 +8,18 @@
 //! partial fit does, which is far less than a cold fit of its 100 trees,
 //! and lands on the cold fit's model to the bit.
 //!
-//! This file deliberately holds a single `#[test]`: the counter is a
-//! process-global and concurrently running tests would pollute it.
+//! The counts are per thread (`disar_math::check::CountingAlloc`): a
+//! retrain runs on the test's own thread, and what the test harness
+//! allocates on its threads never lands in a window. What keeps a count
+//! clean is that nothing else runs on the test's thread while a window is
+//! open; a second `#[test]` in this file would run on a thread of its own.
 
+use disar_math::check::{allocations, CountingAlloc};
 use disar_math::rng::stream_rng;
 use disar_ml::{Dataset, IncrementalRegressor, RandomForest, Regressor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// System allocator wrapper that counts every allocation-producing call.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 /// 100 rows of a job size, a core count and a node count against a time.
 fn rows() -> Dataset {
@@ -77,19 +46,19 @@ fn fit_appended_is_the_forests_partial_fit() {
         .expect("non-empty data");
 
     let mut direct = head_fit.clone();
-    let partial = allocations(|| {
+    let ((), partial) = allocations(|| {
         direct
             .partial_fit(&data, n - 1)
             .expect("the base grew by appending")
     });
     let mut boxed: Box<dyn Regressor> = Box::new(head_fit.clone());
-    let appended = allocations(|| {
+    let ((), appended) = allocations(|| {
         boxed
             .fit_appended(&data, n - 1)
             .expect("the base grew by appending")
     });
     let mut cold = RandomForest::new(11);
-    let refit = allocations(|| cold.fit(&data).expect("non-empty data"));
+    let ((), refit) = allocations(|| cold.fit(&data).expect("non-empty data"));
     assert_eq!(
         appended, partial,
         "fit_appended allocated {appended} times, partial_fit {partial} (a cold fit: {refit})"

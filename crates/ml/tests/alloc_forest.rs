@@ -12,52 +12,21 @@
 //! about a third of the trees kept, a kept tree that allocated would break
 //! that bound.
 //!
-//! This file deliberately holds a single `#[test]`: the counter is a
-//! process-global and concurrently running tests would pollute it.
+//! The counts are per thread (`disar_math::check::CountingAlloc`): a fit
+//! runs on the test's own thread, and what the test harness allocates on
+//! its threads never lands in a window. What keeps a count clean is that
+//! nothing else runs on the test's thread while a window is open; a second
+//! `#[test]` in this file would run on a thread of its own.
 
+use disar_math::check::{allocations, CountingAlloc};
 use disar_math::rng::{split_seed, splitmix64, stream_rng};
 use disar_ml::{Dataset, IncrementalRegressor, RandomForest, RandomTree, Regressor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// System allocator wrapper that counts every allocation-producing call.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The trees of a forest (Weka's default).
 const TREES: usize = 100;
-
-/// How many allocations `f` makes.
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 /// 100 rows shaped like a knowledge base's: a job's two varying columns,
 /// four that never vary, an instance type's three, and a node count.
@@ -83,9 +52,9 @@ fn knowledge_base_rows() -> Dataset {
 fn a_forest_fit_allocates_at_most_two_times_per_tree() {
     let data = knowledge_base_rows();
     let mut tree = RandomTree::new(7);
-    let one_tree = allocations(|| tree.fit(&data).expect("non-empty data"));
+    let ((), one_tree) = allocations(|| tree.fit(&data).expect("non-empty data"));
     let mut rf = RandomForest::new(7);
-    let forest = allocations(|| rf.fit(&data).expect("non-empty data"));
+    let ((), forest) = allocations(|| rf.fit(&data).expect("non-empty data"));
     assert!(rf.predict(data.get(0).0).expect("fitted").is_finite());
     assert!(
         forest <= one_tree + 2 * TREES,
@@ -96,7 +65,7 @@ fn a_forest_fit_allocates_at_most_two_times_per_tree() {
     let head = data.filter(|i| i < 99);
     let mut rf = RandomForest::new(7);
     rf.fit(&head).expect("non-empty data");
-    let partial = allocations(|| {
+    let ((), partial) = allocations(|| {
         rf.partial_fit(&data, 99)
             .expect("the base grew by appending")
     });

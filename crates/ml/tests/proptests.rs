@@ -3,7 +3,9 @@
 use disar_math::check::cases;
 use disar_math::rng::Xoshiro256PlusPlus;
 use disar_ml::regressor::ModelKind;
-use disar_ml::{Dataset, IbK, IncrementalRegressor, KStar, Regressor, Scaler};
+use disar_ml::{
+    Dataset, FeatureMatrix, IbK, IncrementalRegressor, KStar, PredictScratch, Regressor, Scaler,
+};
 
 mod common;
 use common::{any_dataset, any_tied_dataset};
@@ -142,22 +144,98 @@ fn partial_fit_bit_identical_to_full_fit() {
     });
 }
 
-/// IBk's indexed prediction is bit-identical to the linear-scan reference —
-/// same neighbours, same tie-breaks — for on-grid queries (exact ties
-/// everywhere) and off-grid ones.
+/// IBk's batch is its early-abandon row loop, bit for bit, and each row's
+/// one-row batch: the same neighbours, in the same order, with the same
+/// tie-breaks. Duplicate-heavy stores with one dead column; grid columns that
+/// vary in the first, a middle, the last and the dead feature, so the batch
+/// shares the terms of the features before the varying one; a batch of store
+/// rows and off-grid rows, which is no column; NaN query values: in a live
+/// column of a whole grid column and of one row (every distance NaN, so the
+/// row loop answers), and in the dead column (standardized to 0); and an
+/// infinite one, at which every distance ties at infinity.
 #[test]
-fn ibk_index_matches_linear_scan() {
+fn ibk_batch_matches_the_row_loop() {
     cases(64, |rng| {
-        let data = any_tied_dataset(rng);
+        let (dim, n) = (rng.gen_range(3usize..6), rng.gen_range(4usize..40));
+        let dead = rng.gen_range(0..dim);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|j| {
+                        if j == dead {
+                            2.0
+                        } else {
+                            f64::from(rng.gen_range(0i32..4))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ys = (0..n).map(|_| f64::from(rng.gen_range(0i32..3))).collect();
+        let names = (0..dim).map(|i| format!("f{i}")).collect();
+        let data = Dataset::from_rows(names, rows, ys).expect("finite values");
         let mut m = IbK::new();
         m.fit(&data).expect("fits");
-        let off_grid: Vec<Vec<f64>> = (0..8)
-            .map(|_| (0..data.dim()).map(|_| rng.gen_range(-1.0..5.0)).collect())
+
+        let off_grid = |rng: &mut Xoshiro256PlusPlus| -> Vec<f64> {
+            (0..dim).map(|_| rng.gen_range(-1.0..5.0)).collect()
+        };
+        let base = if rng.gen_bool(0.5) {
+            data.rows()[rng.gen_range(0..n)].clone()
+        } else {
+            off_grid(rng)
+        };
+        let column = |v: usize| -> Vec<Vec<f64>> {
+            (0..8)
+                .map(|i| {
+                    let mut row = base.clone();
+                    row[v] = f64::from(i) * 0.5 - 0.5;
+                    row
+                })
+                .collect()
+        };
+        let mut batches: Vec<Vec<Vec<f64>>> = [0, dim / 2, dim - 1, dead]
+            .into_iter()
+            .map(column)
             .collect();
-        for q in data.rows().iter().chain(&off_grid) {
-            let indexed = m.predict(q).expect("fitted");
-            let linear = m.predict_linear(q).expect("fitted");
-            assert_eq!(indexed.to_bits(), linear.to_bits(), "diverges at {q:?}");
+        let mut mixed: Vec<Vec<f64>> = data.rows().iter().take(5).cloned().collect();
+        mixed.extend((0..3).map(|_| off_grid(rng)));
+        batches.push(mixed.clone());
+        let (v, live) = (dim - 1 - usize::from(dead == dim - 1), (dead + 1) % dim);
+        for w in [live, dead] {
+            let mut shared_nan = column(if w == v { (w + 1) % dim } else { v });
+            for row in &mut shared_nan {
+                row[w] = f64::NAN;
+            }
+            batches.push(shared_nan);
+        }
+        mixed[2][live] = f64::NAN;
+        mixed[4][live] = f64::INFINITY;
+        batches.push(mixed);
+
+        let mut scratch = PredictScratch::new();
+        for batch in &batches {
+            let mut xs = FeatureMatrix::new();
+            for row in batch {
+                xs.push_row(row);
+            }
+            let mut out = vec![0.0; batch.len()];
+            m.predict_batch(&xs, &mut out, &mut scratch)
+                .expect("fitted");
+            for (q, got) in batch.iter().zip(out) {
+                let linear = m.predict_linear(q).expect("fitted");
+                let alone = m.predict(q).expect("fitted");
+                assert_eq!(
+                    got.to_bits(),
+                    linear.to_bits(),
+                    "batch vs row loop at {q:?}"
+                );
+                assert_eq!(
+                    alone.to_bits(),
+                    linear.to_bits(),
+                    "one row vs row loop at {q:?}"
+                );
+            }
         }
     });
 }
